@@ -22,6 +22,7 @@ the ``serving`` property-test lane over the scheduler and allocator.
 
 from repro.serve.engine import (
     ModelSpec,
+    ReplicaLockstepError,
     ServeEngine,
     serve_launch,
     serve_traffic,
@@ -51,6 +52,7 @@ __all__ = [
     "KVCacheError",
     "ModelSpec",
     "OpenLoopTraffic",
+    "ReplicaLockstepError",
     "Request",
     "RequestRecord",
     "RequestTooLarge",

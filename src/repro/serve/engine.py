@@ -1,15 +1,26 @@
 """The tensor-parallel serving engine on the simulated SPMD substrate.
 
-Every rank of the runtime is one member of a single TP replica.  All
-ranks run the same loop in lockstep: each iteration prices one model
-step (prefill chunks + one decode token per running sequence) on the
-rank's device clock, then runs one fused tensor-parallel all-reduce of
-the step's activations through a real :class:`ProcessGroup` — so decode
-latency carries the PR-3 comm cost model (algorithm, topology, islands)
-and the blocking rendezvous re-synchronizes every rank's clock, which is
-what keeps the per-rank schedulers bit-identical without any side
-channel: every scheduling decision is a pure function of the synced
-clock, the queue and the seed.
+Every rank of the runtime is one member of a single TP replica, and the
+replica has **one** continuous-batching scheduler, one set of block
+tables and one request stream (:class:`_Replica`, built per
+``runtime.run`` attempt and shared by the rank programs).  Identical
+ranks would compute identical schedules, so the schedule is computed
+once: the first rank to reach turn *i* applies the previous step's
+transitions at its clock, writes completion records, plans step *i* and
+appends a small entry to the replica's step log; every other rank reads
+entry *i*.  What stays per-rank is what genuinely differs per rank — the
+step priced on the rank's own device clock, its own fused
+tensor-parallel all-reduce of the step's activations through a real
+:class:`ProcessGroup` (so decode latency carries the PR-3 comm cost
+model: algorithm, topology, islands) and its own KV-arena charge on its
+own device ``MemoryPool``.
+
+The blocking all-reduce is still the clock barrier: it re-synchronizes
+every rank's clock, and a rank can run ahead of its peers only up to its
+next all-reduce, so the log is append-only and nobody ever waits on it.
+Lockstep is *checked*, not assumed: each entry stores the simulated time
+it was planned at, and a rank that arrives at a turn with a different
+clock raises :class:`ReplicaLockstepError`.
 
 Step cost is the max of a compute term (``2 * params / tp`` FLOPs per
 token through ``Device.compute_seconds``) and a memory term (one weight
@@ -20,18 +31,20 @@ batching win the goodput curves show.
 Fault tolerance: an injected :class:`RankFailure` surfaces mid-collective,
 aborts the replica, and the driver loop in :meth:`ServeEngine.run`
 records a typed :class:`FailureEvent`, charges ``recovery_seconds`` of
-downtime to every clock, rebuilds the outstanding workload from the
-completion records (``traffic.outstanding``) and re-runs — in-flight
-requests lose their KV and replay from scratch, so rank loss shows up in
-the report as a p99/goodput hit, not a crash.  Completion records are
-written by rank 0 only (all ranks agree on them anyway) into a
-driver-owned dict that survives restarts.
+downtime to every clock, rebuilds the replica from the completion
+records (``traffic.outstanding``) and re-runs — in-flight requests lose
+their KV and replay from scratch, so rank loss shows up in the report as
+a p99/goodput hit, not a crash.  Completion records are written by the
+advancing rank, i.e. only once the all-reduce that produced them has
+completed on it, into a driver-owned dict that survives restarts.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.comm.communicator import Communicator
 from repro.comm.payload import SpecArray
@@ -40,8 +53,25 @@ from repro.runtime.errors import (
 )
 from repro.serve.kvcache import BlockPool
 from repro.serve.request import Request, RequestRecord
-from repro.serve.scheduler import ContinuousBatchingScheduler
+from repro.serve.scheduler import BatchPlan, ContinuousBatchingScheduler
 from repro.serve.traffic import FailureEvent, TrafficReport
+
+_KV_TAG = "kv_cache"
+
+
+class ReplicaLockstepError(RuntimeError):
+    """A TP rank reached a serving turn at a different simulated time than
+    the rank that planned it — the replica's clocks have drifted apart."""
+
+    def __init__(self, rank: int, turn: int, time: float,
+                 planned_at: float) -> None:
+        self.rank = rank
+        self.turn = turn
+        self.time = time
+        self.planned_at = planned_at
+        super().__init__(
+            f"rank {rank} reached serving turn {turn} at t={time!r} but the "
+            f"turn was planned at t={planned_at!r}")
 
 
 @dataclass(frozen=True)
@@ -78,17 +108,31 @@ class ModelSpec:
         Megatron row-parallel reductions per layer, fused)."""
         return 2 * self.n_layers * self.hidden
 
+    def step_pricer(self, device: Any, tp: int
+                    ) -> Callable[[int, int], float]:
+        """``price(new_tokens, context_tokens)`` with everything constant
+        over a serving run (weights, KV bytes per token) folded once."""
+        flops_per_token = 2.0 * self.params / tp
+        weight_bytes = self.params * self.bytes_per_elem / tp
+        kv_bytes_per_token = self.kv_bytes_per_token(tp)
+        hbm_bandwidth = self.hbm_bandwidth
+        compute_seconds = device.compute_seconds
+
+        def price(new_tokens: int, context_tokens: int) -> float:
+            if new_tokens <= 0:
+                return 0.0
+            t_compute = compute_seconds(
+                flops_per_token * new_tokens, "float16")
+            kv_bytes = context_tokens * kv_bytes_per_token
+            t_memory = (weight_bytes + kv_bytes) / hbm_bandwidth
+            return max(t_compute, t_memory)
+
+        return price
+
     def step_seconds(self, device: Any, new_tokens: int,
                      context_tokens: int, tp: int) -> float:
         """One serving iteration: max of compute- and bandwidth-bound."""
-        if new_tokens <= 0:
-            return 0.0
-        flops = 2.0 * self.params / tp * new_tokens
-        t_compute = device.compute_seconds(flops, "float16")
-        weight_bytes = self.params * self.bytes_per_elem / tp
-        kv_bytes = context_tokens * self.kv_bytes_per_token(tp)
-        t_memory = (weight_bytes + kv_bytes) / self.hbm_bandwidth
-        return max(t_compute, t_memory)
+        return self.step_pricer(device, tp)(new_tokens, context_tokens)
 
     def describe(self) -> Dict[str, Any]:
         return {
@@ -99,6 +143,93 @@ class ModelSpec:
             "bytes_per_elem": self.bytes_per_elem,
             "hbm_bandwidth": self.hbm_bandwidth,
         }
+
+
+#: step-log entry kinds: ``(_STEP, now, new_tokens, context_tokens)``,
+#: ``(_WAIT, now, wake_time)``, ``(_DONE, now)``
+_STEP, _WAIT, _DONE = "step", "wait", "done"
+
+
+class _Replica:
+    """What one ``runtime.run`` attempt's rank programs share: the
+    scheduler (with its block tables and requests) and the step log."""
+
+    def __init__(self, engine: "ServeEngine", kv_blocks: int,
+                 records: Dict[int, RequestRecord]) -> None:
+        self.pool = BlockPool(engine.block_size, kv_blocks)
+        self.sched = ContinuousBatchingScheduler(
+            self.pool, engine.max_batch_tokens,
+            prefill_chunk=engine.prefill_chunk, gen_seed=engine.gen_seed,
+            vocab=engine.model.vocab)
+        self.traffic = engine.traffic
+        self.records = records
+        self.tracer = getattr(engine.runtime, "tracer", None)
+        for req in sorted(self.traffic.outstanding(records),
+                          key=attrgetter("arrival", "req_id")):
+            self.sched.submit(req)
+        self._lock = threading.Lock()
+        self._log: List[Tuple[Any, ...]] = []
+        #: the step in flight (planned, priced by the ranks, not yet
+        #: applied) and the time it was planned at
+        self._plan: Optional[BatchPlan] = None
+        self._planned_at = 0.0
+
+    def entry(self, turn: int, rank: int, now: float) -> Tuple[Any, ...]:
+        """Step-log entry ``turn`` for ``rank``, whose clock reads ``now``.
+
+        A rank reaches turn *i* only after acting on entry *i-1*, so the
+        log is at most one short: whoever arrives first advances."""
+        with self._lock:
+            if turn == len(self._log):
+                self._log.append(self._advance(now))
+            entry = self._log[turn]
+        if entry[1] != now:
+            raise ReplicaLockstepError(rank, turn, now, entry[1])
+        return entry
+
+    def _advance(self, now: float) -> Tuple[Any, ...]:
+        """Apply the step in flight at ``now`` (the time its all-reduce
+        completed), record what it finished, then plan the next step."""
+        sched, plan = self.sched, self._plan
+        if plan is not None:
+            finished, prefilled = sched.apply(plan, now)
+            if self.tracer is not None:
+                self._emit_spans(plan, finished, prefilled, now)
+            for req in plan.failed + finished:
+                self.records[req.req_id] = req.record()
+                follow_up = self.traffic.next_request(req, now)
+                if follow_up is not None:
+                    sched.submit(follow_up)
+
+        plan = sched.step(now)
+        if plan.empty and not plan.preempted:
+            self._plan = None
+            nxt = sched.next_arrival()
+            if nxt is None:
+                return (_DONE, now)  # drained
+            return (_WAIT, now, max(nxt, now))
+        self._plan, self._planned_at = plan, now
+        return (_STEP, now, plan.new_tokens, plan.context_tokens)
+
+    def _emit_spans(self, plan: BatchPlan, finished: List[Request],
+                    prefilled: List[Request], t: float) -> None:
+        """Per-request ``serve`` spans, all on lane 0 (the replica's)."""
+        tracer, now = self.tracer, self._planned_at
+        for req in plan.admitted:
+            if req.preemptions > 0 and req.t_last_preempt is not None:
+                tracer.annotate(0, "serve", f"preempted/req{req.req_id}",
+                                req.t_last_preempt, now,
+                                preemptions=req.preemptions)
+            else:
+                tracer.annotate(0, "serve", f"queued/req{req.req_id}",
+                                req.arrival, now)
+        for req in prefilled:
+            tracer.annotate(0, "serve", f"prefill/req{req.req_id}",
+                            req.t_admitted, t, tokens=req.prompt_tokens)
+        for req in finished:
+            t0 = req.t_prefill_done if req.t_prefill_done is not None else now
+            tracer.annotate(0, "serve", f"decode/req{req.req_id}",
+                            t0, t, tokens=len(req.output))
 
 
 class ServeEngine:
@@ -135,10 +266,16 @@ class ServeEngine:
         records: Dict[int, RequestRecord] = {}
         failures: List[FailureEvent] = []
         restarts = 0
+        tp = self.runtime.world_size
+        kv_blocks = self._num_blocks(tp)
+        kv_peak_blocks = 0
         while True:
-            program = self._rank_program(dict(records), records)
+            # everything the attempt shares is rebuilt from the records,
+            # so a restart carries nothing over from the aborted replica
+            replica = _Replica(self, kv_blocks, records)
             try:
-                self.runtime.run(program, materialize=False,
+                self.runtime.run(self._rank_program(replica),
+                                 materialize=False,
                                  reset_clocks=(restarts == 0),
                                  seed=self.gen_seed)
                 break
@@ -155,23 +292,30 @@ class ServeEngine:
                 # survivor idles, and the requeued work restarts after it
                 for clock in self.runtime.clocks:
                     clock.sync_to(t_fail + self.recovery_seconds, "wait")
+            finally:
+                kv_peak_blocks = max(kv_peak_blocks, replica.pool.peak_used)
         return TrafficReport(
             records,
             traffic=self.traffic.describe(),
-            world=self.runtime.world_size,
+            world=tp,
             makespan=self.runtime.max_time(),
             restarts=restarts,
             failures=failures,
+            kv_blocks=kv_blocks,
+            kv_peak_blocks=kv_peak_blocks,
         )
 
     # -- per-rank program ------------------------------------------------
 
-    def _num_blocks(self, device: Any, tp: int) -> int:
+    def _num_blocks(self, tp: int) -> int:
+        """The replica's KV pool size: what the tightest rank can hold."""
         if self.kv_blocks is not None:
             return self.kv_blocks
         bytes_per_block = (
             self.model.kv_bytes_per_token(tp) * self.block_size)
-        budget = int(device.memory.free * self.kv_fraction)
+        free = min(self.runtime.cluster.device(rank).memory.free
+                   for rank in range(tp))
+        budget = int(free * self.kv_fraction)
         blocks = budget // max(1, bytes_per_block)
         if blocks < 1:
             raise ValueError(
@@ -179,101 +323,50 @@ class ServeEngine:
                 f"(budget={budget}B, block={bytes_per_block}B)")
         return blocks
 
-    def _rank_program(self, snapshot: Dict[int, RequestRecord],
-                      records: Dict[int, RequestRecord]):
-        model, traffic = self.model, self.traffic
+    def _rank_program(self, replica: _Replica):
+        model = self.model
 
         def program(ctx: Any) -> int:
             tp = ctx.world_size
             comm = Communicator.world(ctx) if tp > 1 else None
-            bytes_per_block = model.kv_bytes_per_token(tp) * self.block_size
-            pool = BlockPool(
-                self.block_size, self._num_blocks(ctx.device, tp),
-                memory=ctx.device.memory, bytes_per_block=bytes_per_block)
+            # block tables exist once per replica; the arena they index is
+            # real memory on every rank's own device
+            memory = ctx.device.memory
+            arena_bytes = (replica.pool.num_blocks * self.block_size
+                           * model.kv_bytes_per_token(tp))
+            memory.alloc(arena_bytes, tag=_KV_TAG)
             try:
-                return self._serve_loop(
-                    ctx, comm, pool, snapshot, records, traffic)
+                return self._serve_loop(ctx, comm, replica)
             finally:
-                pool.release()
+                memory.free_bytes(arena_bytes, tag=_KV_TAG)
 
         return program
 
     def _serve_loop(self, ctx: Any, comm: Optional[Communicator],
-                    pool: BlockPool, snapshot: Dict[int, RequestRecord],
-                    records: Dict[int, RequestRecord], traffic: Any) -> int:
-        model = self.model
-        tp = ctx.world_size
-        tracer = getattr(ctx.runtime, "tracer", None)
-        lead = ctx.rank == 0
-        sched = ContinuousBatchingScheduler(
-            pool, self.max_batch_tokens, prefill_chunk=self.prefill_chunk,
-            gen_seed=self.gen_seed, vocab=model.vocab)
-        for req in sorted(traffic.outstanding(snapshot),
-                          key=lambda r: (r.arrival, r.req_id)):
-            sched.submit(req)
-
-        steps = 0
+                    replica: _Replica) -> int:
+        clock, rank = ctx.clock, ctx.rank
+        price = self.model.step_pricer(ctx.device, ctx.world_size)
+        wire_elems = self.model.wire_elems_per_token()
+        steps = turn = 0
         while True:
-            now = ctx.clock.time
-            plan = sched.step(now)
-            if plan.empty and not plan.preempted:
-                nxt = sched.next_arrival()
-                if nxt is None:
-                    break  # drained
-                ctx.clock.sync_to(max(nxt, now), "wait")
+            entry = replica.entry(turn, rank, clock.time)
+            turn += 1
+            kind = entry[0]
+            if kind == _DONE:
+                return steps
+            if kind == _WAIT:
+                clock.sync_to(entry[2], "wait")
                 continue
-
-            new_tokens = plan.new_tokens
+            new_tokens, context_tokens = entry[2], entry[3]
             if new_tokens > 0:
-                dt = model.step_seconds(
-                    ctx.device, new_tokens, plan.context_tokens, tp)
-                ctx.clock.advance(dt, "compute")
+                clock.advance(price(new_tokens, context_tokens), "compute")
                 if comm is not None:
                     # fused TP all-reduce of the step's activations; the
-                    # blocking rendezvous is also the clock barrier that
-                    # keeps per-rank schedulers in lockstep
+                    # blocking rendezvous is also the clock barrier: every
+                    # rank leaves it at the time the next turn is planned at
                     comm.all_reduce(SpecArray(
-                        (new_tokens, model.wire_elems_per_token()),
-                        "float16"))
+                        (new_tokens, wire_elems), "float16"))
                 steps += 1
-
-            t = ctx.clock.time
-            finished, prefilled = sched.apply(plan, t)
-
-            if lead and tracer is not None:
-                self._emit_spans(tracer, plan, finished, prefilled, now, t)
-            for req in plan.failed:
-                if lead:
-                    records[req.req_id] = req.record()
-                nxt_req = traffic.next_request(req, t)
-                if nxt_req is not None:
-                    sched.submit(nxt_req)
-            for req in finished:
-                if lead:
-                    records[req.req_id] = req.record()
-                nxt_req = traffic.next_request(req, t)
-                if nxt_req is not None:
-                    sched.submit(nxt_req)
-        return steps
-
-    @staticmethod
-    def _emit_spans(tracer: Any, plan: Any, finished: List[Request],
-                    prefilled: List[Request], now: float, t: float) -> None:
-        for req in plan.admitted:
-            if req.preemptions > 0 and req.t_last_preempt is not None:
-                tracer.annotate(0, "serve", f"preempted/req{req.req_id}",
-                                req.t_last_preempt, now,
-                                preemptions=req.preemptions)
-            else:
-                tracer.annotate(0, "serve", f"queued/req{req.req_id}",
-                                req.arrival, now)
-        for req in prefilled:
-            tracer.annotate(0, "serve", f"prefill/req{req.req_id}",
-                            req.t_admitted, t, tokens=req.prompt_tokens)
-        for req in finished:
-            t0 = req.t_prefill_done if req.t_prefill_done is not None else now
-            tracer.annotate(0, "serve", f"decode/req{req.req_id}",
-                            t0, t, tokens=len(req.output))
 
 
 def serve_traffic(model: ModelSpec, traffic: Any, *,

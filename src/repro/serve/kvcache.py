@@ -118,7 +118,10 @@ class BlockPool:
         number of new blocks is returned, or :class:`CacheExhausted` /
         :class:`RequestTooLarge` is raised with the table untouched.
         """
-        need_total = self.blocks_for(total_tokens)
+        # blocks_for / used_blocks inlined: this runs once per block a
+        # sequence grows by, for every sequence
+        need_total = (-(-int(total_tokens) // self.block_size)
+                      if total_tokens > 0 else 0)
         if need_total > self.num_blocks:
             raise RequestTooLarge(seq_id, need_total, self.num_blocks)
         table = self._tables.get(seq_id)
@@ -134,8 +137,9 @@ class BlockPool:
             block = self._free.pop()
             self._owner[block] = seq_id
             table.append(block)
-        if self.used_blocks > self.peak_used:
-            self.peak_used = self.used_blocks
+        used = self.num_blocks - len(self._free)
+        if used > self.peak_used:
+            self.peak_used = used
         return grow
 
     def free_sequence(self, seq_id: int) -> int:

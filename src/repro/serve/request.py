@@ -44,7 +44,7 @@ class Request:
 
     __slots__ = (
         "req_id", "client", "prompt_tokens", "max_new_tokens", "arrival",
-        "state", "prefill_done", "tokens_generated", "output",
+        "state", "prefill_done", "tokens_generated", "kv_slots", "output",
         "preemptions", "fail_reason",
         "t_admitted", "t_first_token", "t_prefill_done", "t_last_preempt",
         "t_finished", "_gen_state",
@@ -65,6 +65,10 @@ class Request:
         self.state = QUEUED
         self.prefill_done = 0
         self.tokens_generated = 0
+        #: KV capacity already allocated to this request, in token slots —
+        #: ``len(pool.table(req_id)) * block_size`` while active, else 0;
+        #: the scheduler touches the pool only when a token outgrows it
+        self.kv_slots = 0
         self.output: List[int] = []
         self.preemptions = 0
         self.fail_reason: Optional[str] = None
@@ -102,6 +106,7 @@ class Request:
         self.state = PREEMPTED
         self.prefill_done = 0
         self.tokens_generated = 0
+        self.kv_slots = 0
         self.output = []
         self.preemptions += 1
         self.t_last_preempt = t

@@ -31,12 +31,13 @@ are fully testable without the SPMD substrate.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
 from repro.serve.kvcache import BlockPool, CacheExhausted
 from repro.serve.request import (
-    DECODE, FAILED, FINISHED, PREFILL, Request,
+    _GEN_ADD, _GEN_MUL, _MASK64, DECODE, FAILED, FINISHED, PREFILL, Request,
 )
 
 
@@ -44,7 +45,7 @@ class BatchPlan:
     """What one engine iteration will run."""
 
     __slots__ = ("prefill", "decode", "admitted", "preempted", "failed",
-                 "context_tokens")
+                 "context_tokens", "new_tokens")
 
     def __init__(self) -> None:
         #: (request, prompt tokens processed this step)
@@ -56,21 +57,43 @@ class BatchPlan:
         self.failed: List[Request] = []
         #: attention context (KV slots read) across the batch, for pricing
         self.context_tokens = 0
-
-    @property
-    def new_tokens(self) -> int:
-        """Token slots computed this step — the budgeted quantity."""
-        return len(self.decode) + sum(chunk for _, chunk in self.prefill)
+        #: token slots computed this step — the budgeted quantity
+        self.new_tokens = 0
 
     @property
     def empty(self) -> bool:
         return not (self.prefill or self.decode or self.failed)
 
     def _drop(self, req: Request) -> None:
-        """Remove a just-preempted request from this plan's work lists."""
-        if req in self.decode:
-            self.decode.remove(req)
-        self.prefill = [(r, c) for r, c in self.prefill if r is not req]
+        """Remove a just-preempted request from this plan's work lists.
+
+        Victims are the tail of ``active`` and both passes of ``step``
+        walk ``active`` front to back, so a victim was either not reached
+        yet (in no list) or — a decoding request evicted by an older
+        prompt's prefill chunk — is the last decode entry; a prefill
+        entry is never evicted.  ``context_tokens`` keeps the victim's
+        share (simulated step times are frozen, ``tests/serve_golden.json``).
+        """
+        if self.decode and self.decode[-1] is req:
+            self.decode.pop()
+            self.new_tokens -= 1
+
+
+class _ArrivalKeys:
+    """``(arrival, req_id)`` view of a request sequence, so ``bisect``
+    needs no ``key=`` (Python 3.9)."""
+
+    __slots__ = ("reqs",)
+
+    def __init__(self, reqs: Deque[Request]) -> None:
+        self.reqs = reqs
+
+    def __len__(self) -> int:
+        return len(self.reqs)
+
+    def __getitem__(self, i: int) -> Tuple[float, int]:
+        req = self.reqs[i]
+        return (req.arrival, req.req_id)
 
 
 class ContinuousBatchingScheduler:
@@ -89,7 +112,7 @@ class ContinuousBatchingScheduler:
         self.gen_seed = int(gen_seed)
         self.vocab = int(vocab)
         #: not-yet-admitted, ordered (arrival, req_id)
-        self.waiting: List[Request] = []
+        self.waiting: Deque[Request] = deque()
         #: preempted awaiting re-admission, FIFO over preemption time
         self.paused: Deque[Request] = deque()
         #: admitted (PREFILL or DECODE), in admission order — the age order
@@ -100,16 +123,12 @@ class ContinuousBatchingScheduler:
     # -- queue management ------------------------------------------------
 
     def submit(self, req: Request) -> None:
+        waiting = self.waiting
         key = (req.arrival, req.req_id)
-        lo, hi = 0, len(self.waiting)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            w = self.waiting[mid]
-            if (w.arrival, w.req_id) <= key:
-                lo = mid + 1
-            else:
-                hi = mid
-        self.waiting.insert(lo, req)
+        if not waiting or (waiting[-1].arrival, waiting[-1].req_id) <= key:
+            waiting.append(req)  # arrivals are almost always in order
+        else:
+            waiting.insert(bisect_right(_ArrivalKeys(waiting), key), req)
 
     def next_arrival(self) -> Optional[float]:
         """Earliest time new work becomes admissible (None = drained)."""
@@ -129,27 +148,34 @@ class ContinuousBatchingScheduler:
         self._now = now  # preemptions inside this step happen at `now`
         plan = BatchPlan()
         budget = self.max_batch_tokens
+        # Preemption only ever pops the tail of `active`, so both passes
+        # walk it by index and re-read its length: an evicted request is
+        # simply never reached.
+        active = self.active
 
         # 1) decode: one token per running sequence, oldest first
-        for req in list(self.active):
-            if budget <= 0:
-                break
-            if req.state != DECODE or req not in self.active:
+        i = 0
+        while i < len(active) and budget > 0:
+            req = active[i]
+            i += 1
+            if req.state != DECODE:
                 continue
-            slots = req.prompt_tokens + req.tokens_generated + 1
-            if not self._grow(req, slots, plan):
+            context = req.prompt_tokens + req.tokens_generated
+            if context >= req.kv_slots and not self._grow(
+                    req, context + 1, plan):
                 continue  # req preempted itself
             plan.decode.append(req)
-            plan.context_tokens += req.prompt_tokens + req.tokens_generated
+            plan.new_tokens += 1
+            plan.context_tokens += context
             budget -= 1
 
         # 2) prefill for already-admitted prompts
-        for req in list(self.active):
-            if budget <= 0:
-                break
-            if req.state != PREFILL or req not in self.active:
-                continue
-            budget -= self._plan_prefill(req, budget, plan)
+        i = 0
+        while i < len(active) and budget > 0:
+            req = active[i]
+            i += 1
+            if req.state == PREFILL:
+                budget -= self._plan_prefill(req, budget, plan)
 
         # 3) admission: preempted first, then the arrival queue.  Admission
         # never evicts (an incoming request is the youngest, so eviction
@@ -173,7 +199,7 @@ class ContinuousBatchingScheduler:
             req.prefill_done = 0
             req.t_admitted = now
             req.start_generation(self.gen_seed, self.vocab)
-            self.active.append(req)
+            active.append(req)
             plan.admitted.append(req)
             budget -= self._plan_prefill(req, budget, plan)
 
@@ -189,7 +215,7 @@ class ContinuousBatchingScheduler:
     def _pop_admissible(self) -> Request:
         if self.paused:
             return self.paused.popleft()
-        return self.waiting.pop(0)
+        return self.waiting.popleft()
 
     def _plan_prefill(self, req: Request, budget: int,
                       plan: BatchPlan) -> int:
@@ -198,18 +224,23 @@ class ContinuousBatchingScheduler:
                     budget)
         if chunk <= 0:
             return 0
-        if not self._grow(req, req.prefill_done + chunk, plan):
+        context = req.prefill_done + chunk
+        if context > req.kv_slots and not self._grow(req, context, plan):
             return 0  # req preempted itself while growing
         plan.prefill.append((req, chunk))
-        plan.context_tokens += req.prefill_done + chunk
+        plan.new_tokens += chunk
+        plan.context_tokens += context
         return chunk
 
     def _grow(self, req: Request, total_tokens: int, plan: BatchPlan) -> bool:
-        """Allocate KV blocks for ``req``, evicting younger requests on
-        pressure.  False when ``req`` ended up evicting itself."""
+        """Allocate KV blocks so ``req`` holds ``total_tokens`` slots,
+        evicting younger requests on pressure.  False when ``req`` ended
+        up evicting itself.  Callers skip this while ``kv_slots`` already
+        covers the request — 15 decode tokens in 16 at ``block_size`` 16."""
         while True:
             try:
-                self.pool.appended(req.req_id, total_tokens)
+                req.kv_slots += self.pool.block_size * self.pool.appended(
+                    req.req_id, total_tokens)
                 return True
             except CacheExhausted:
                 victim = self.active[-1]
@@ -219,7 +250,7 @@ class ContinuousBatchingScheduler:
 
     def _preempt(self, req: Request, plan: BatchPlan) -> None:
         self.pool.free_sequence(req.req_id)
-        self.active.remove(req)
+        self.active.pop()  # victims are always the youngest
         req.reset_progress(t=self._now)
         plan._drop(req)
         plan.preempted.append(req)
@@ -238,6 +269,7 @@ class ContinuousBatchingScheduler:
         for req in plan.failed:
             req.t_finished = t  # failure time, so closed-loop chains go on
 
+        vocab = self.vocab
         finished: List[Request] = []
         prefill_completed: List[Request] = []
 
@@ -247,27 +279,27 @@ class ContinuousBatchingScheduler:
                 req.state = DECODE
                 req.t_prefill_done = t
                 prefill_completed.append(req)
-                self._emit(req, t)
+                req.output.append(req.next_token(vocab))
+                req.tokens_generated += 1
+                if req.t_first_token is None:  # kept across preemptions
+                    req.t_first_token = t
                 if req.tokens_generated >= req.max_new_tokens:
-                    self._finish(req, t, finished)
+                    finished.append(req)
 
+        # the per-token hot loop: Request.next_token, inlined
         for req in plan.decode:
-            self._emit(req, t)
+            state = (req._gen_state * _GEN_MUL + _GEN_ADD) & _MASK64
+            req._gen_state = state
+            req.output.append((state >> 33) % vocab)
+            req.tokens_generated += 1
             if req.tokens_generated >= req.max_new_tokens:
-                self._finish(req, t, finished)
+                finished.append(req)
 
+        if finished:
+            for req in finished:
+                req.state = FINISHED
+                req.t_finished = t
+                req.kv_slots = 0
+                self.pool.free_sequence(req.req_id)
+            self.active[:] = [r for r in self.active if r.state != FINISHED]
         return finished, prefill_completed
-
-    def _emit(self, req: Request, t: float) -> None:
-        req.output.append(req.next_token(self.vocab))
-        req.tokens_generated += 1
-        if req.t_first_token is None:
-            req.t_first_token = t
-
-    def _finish(self, req: Request, t: float,
-                finished: List[Request]) -> None:
-        req.state = FINISHED
-        req.t_finished = t
-        self.pool.free_sequence(req.req_id)
-        self.active.remove(req)
-        finished.append(req)

@@ -185,36 +185,56 @@ class TrafficReport:
     def __init__(self, records: Dict[int, RequestRecord], *,
                  traffic: Dict[str, object], world: int, makespan: float,
                  restarts: int = 0,
-                 failures: Sequence[FailureEvent] = ()) -> None:
+                 failures: Sequence[FailureEvent] = (),
+                 kv_blocks: int = 0, kv_peak_blocks: int = 0) -> None:
         self.records = dict(sorted(records.items()))
         self.traffic = dict(traffic)
         self.world = int(world)
         self.makespan = float(makespan)
         self.restarts = int(restarts)
         self.failures = list(failures)
+        #: the replica's KV pool and the most blocks ever in use at once
+        #: (0/0 when the report was not built by the engine)
+        self.kv_blocks = int(kv_blocks)
+        self.kv_peak_blocks = int(kv_peak_blocks)
 
-        done = [r for r in self.records.values() if r.completed]
+        # one pass; the latencies are RequestRecord.ttft / token_latency /
+        # e2e_latency over the completed records
         self.n_issued = len(self.records)
-        self.n_completed = len(done)
-        self.n_failed = sum(
-            1 for r in self.records.values() if r.fail_reason is not None)
-        self.preemptions = sum(r.preemptions for r in self.records.values())
-        self.output_tokens = sum(len(r.output) for r in done)
+        self.n_completed = self.n_failed = 0
+        self.preemptions = self.output_tokens = 0
+        ttfts: List[float] = []
+        lats: List[float] = []
+        e2es: List[float] = []
+        for r in self.records.values():
+            self.preemptions += r.preemptions
+            if r.fail_reason is not None:
+                self.n_failed += 1
+                continue
+            if r.t_finished is None:
+                continue
+            self.n_completed += 1
+            n_out = len(r.output)
+            self.output_tokens += n_out
+            e2es.append(r.t_finished - r.arrival)
+            if r.t_first_token is not None:
+                ttfts.append(r.t_first_token - r.arrival)
+                lats.append(
+                    (r.t_finished - r.t_first_token) / (n_out - 1)
+                    if n_out > 1 else 0.0)
+        ttfts.sort()
+        lats.sort()
+        e2es.sort()
 
         span = self.makespan if self.makespan > 0 else float("nan")
         self.goodput_tokens_per_sec = self.output_tokens / span
         self.completed_per_sec = self.n_completed / span
 
-        ttfts = sorted(r.ttft for r in done if r.ttft is not None)
         self.p50_ttft = _percentile(ttfts, 50)
         self.p99_ttft = _percentile(ttfts, 99)
-        lats = sorted(r.token_latency for r in done
-                      if r.token_latency is not None)
         self.mean_token_latency = (
             sum(lats) / len(lats) if lats else None)
         self.p99_token_latency = _percentile(lats, 99)
-        e2es = sorted(r.e2e_latency for r in done
-                      if r.e2e_latency is not None)
         self.p50_e2e = _percentile(e2es, 50)
         self.p99_e2e = _percentile(e2es, 99)
 
@@ -244,6 +264,10 @@ class TrafficReport:
                 "p50_e2e": self.p50_e2e,
                 "p99_e2e": self.p99_e2e,
             },
+            "kv": {
+                "blocks": self.kv_blocks,
+                "peak_blocks": self.kv_peak_blocks,
+            },
             "records": [r.to_dict() for r in self.records.values()],
         }
 
@@ -265,6 +289,10 @@ class TrafficReport:
             f"p99={ms(self.p99_token_latency)}",
             f"  e2e: p50={ms(self.p50_e2e)} p99={ms(self.p99_e2e)}",
         ]
+        if self.kv_blocks:
+            lines.append(
+                f"  kv: peak {self.kv_peak_blocks}/{self.kv_blocks} blocks "
+                f"({self.kv_peak_blocks / self.kv_blocks:.1%})")
         if self.failures:
             lines.append("  failures: " + ", ".join(
                 f"rank{f.rank}:{f.kind}@{f.t:.6f}s" for f in self.failures))

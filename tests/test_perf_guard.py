@@ -13,10 +13,20 @@ result bitwise identical.  The tests here enforce that contract:
 3. an unreturned pool loan is detected at end of run and *named*;
 4. deadline accounting is real monotonic elapsed time — condition-variable
    wake-ups (which the old ``deadline -= poll_interval`` scheme counted as
-   a full poll tick each) no longer shorten the timeout.
+   a full poll tick each) no longer shorten the timeout;
+5. serving host cost is counted, not timed (ISSUE 13): a TP replica makes
+   each scheduling decision once, so ``repro.serve`` call counts grow by
+   a per-rank-per-turn constant with the TP degree (not x tp), a decoded
+   token costs under one call, and a rank out of lockstep is a typed
+   error with every KV arena released.
 """
 
+import collections
+import os
+import sys
+import threading
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -35,6 +45,9 @@ from repro.parallel.pipeline import GPipeSchedule, partition_uniform
 from repro.runtime import RemoteRankError, SpmdRuntime
 from repro.runtime.buffer_pool import BufferPool, BufferPoolLeak
 from repro.runtime.errors import CollectiveTimeout
+from repro.serve import (
+    ModelSpec, OpenLoopTraffic, ReplicaLockstepError, serve_traffic,
+)
 from repro.sanitize.errors import CollectiveDesync
 from repro.tensor import Tensor
 
@@ -466,3 +479,124 @@ class TestBufferPoolProperties:
             pool.check_leaks()
         assert sorted(exc.value.labels) == expected
         pool.check_leaks()  # the report drained the outstanding state
+
+
+# -- serving: one scheduler per replica, O(1) bookkeeping per token ---------
+
+
+@contextmanager
+def _count_serve_calls():
+    """Python ``call`` events into ``src/repro/serve`` on every thread, by
+    function name.  One hook (and one counter) per thread, merged on exit,
+    so the counts are exact rather than racing on a shared dict."""
+    import repro.serve
+
+    prefix = os.path.dirname(repro.serve.__file__) + os.sep
+    parts = []
+
+    def make_hook():
+        calls = collections.Counter()
+        parts.append(calls)
+
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(prefix):
+                calls[frame.f_code.co_name] += 1
+        return hook
+
+    def bootstrap(frame, event, arg):
+        hook = make_hook()
+        sys.setprofile(hook)
+        return hook(frame, event, arg)
+
+    total = collections.Counter()
+    threading.setprofile(bootstrap)
+    sys.setprofile(make_hook())
+    try:
+        yield total
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+        for calls in parts:
+            total.update(calls)
+
+
+_SERVE_MODEL = ModelSpec(n_layers=2, hidden=256, n_heads=4, vocab=997)
+
+
+def _counted_serve(tp, traffic, **kwargs):
+    with _count_serve_calls() as calls:
+        report = serve_traffic(_SERVE_MODEL, traffic, world_size=tp,
+                               kv_blocks=512, **kwargs)
+    assert report.n_completed == traffic.n_requests
+    assert report.preemptions == 0, "pool was meant to be roomy"
+    return calls, report
+
+
+class TestServeHostCost:
+    #: what one rank adds: per turn it reads its step-log entry and prices
+    #: the step; per run it binds the pricer and charges its KV arena
+    PER_RANK_TURN, PER_RANK_RUN = 2, 16
+
+    def test_calls_do_not_scale_with_tp_degree(self):
+        # every request has arrived before the first step ends, so the
+        # schedule (and with it the replica's work) is the same at any TP
+        burst = OpenLoopTraffic(rate=1e9, n_requests=120, seed=3,
+                                prompt_tokens=(8, 24), max_new_tokens=(4, 12))
+        calls = {tp: _counted_serve(tp, burst)[0] for tp in (1, 2, 4)}
+        turns = calls[1]["entry"]
+        base = sum(calls[1].values())
+        for tp in (2, 4):
+            assert calls[tp]["entry"] == tp * turns
+            # planned and applied once per replica, whatever the TP degree
+            for fn in ("_advance", "step", "apply"):
+                assert calls[tp][fn] == calls[1][fn], fn
+            extra = sum(calls[tp].values()) - base
+            allowed = (tp - 1) * (
+                self.PER_RANK_TURN * turns + self.PER_RANK_RUN)
+            assert 0 <= extra <= allowed, (tp, extra, allowed)
+
+    def test_decoded_token_costs_under_one_call(self):
+        """Marginal cost: same requests, 32 more output tokens each."""
+        def run(new_tokens):
+            traffic = OpenLoopTraffic(
+                rate=5e4, n_requests=100, seed=4, prompt_tokens=(8, 24),
+                max_new_tokens=(new_tokens, new_tokens))
+            calls, report = _counted_serve(2, traffic)
+            return sum(calls.values()), report.output_tokens
+
+        calls_short, tokens_short = run(16)
+        calls_long, tokens_long = run(48)
+        per_token = (calls_long - calls_short) / (tokens_long - tokens_short)
+        assert per_token <= 1.0, per_token
+
+    def test_rank_out_of_lockstep_is_a_typed_error(self, monkeypatch):
+        cluster = uniform_cluster(2)
+        rounds = collections.Counter()
+        all_reduce = Communicator.all_reduce
+
+        def skewing_all_reduce(self, x, op="sum"):
+            out = all_reduce(self, x, op)
+            rounds[self.global_rank] += 1
+            if self.global_rank == 1 and rounds[1] == 5:
+                # rank 1 leaves the barrier a nanosecond late
+                self.group.runtime.clocks[1].advance(1e-9, "compute")
+            return out
+
+        monkeypatch.setattr(Communicator, "all_reduce", skewing_all_reduce)
+        traffic = OpenLoopTraffic(rate=2000.0, n_requests=24, seed=7,
+                                  prompt_tokens=(8, 24),
+                                  max_new_tokens=(4, 12))
+        with pytest.raises(RemoteRankError) as exc:
+            serve_traffic(_SERVE_MODEL, traffic, cluster=cluster,
+                          world_size=2)
+        err = exc.value.cause
+        assert isinstance(err, ReplicaLockstepError)
+        assert err.rank in (0, 1) and err.turn >= 5
+        assert abs(err.time - err.planned_at) == pytest.approx(1e-9)
+        assert f"rank {err.rank}" in str(err) and f"turn {err.turn}" in str(err)
+        for t in threading.enumerate():
+            if t.name.startswith("spmd-rank-"):
+                t.join(timeout=10.0)
+                assert not t.is_alive(), f"{t.name} still running"
+        for rank in range(2):
+            assert cluster.device(rank).memory.allocated == 0

@@ -169,10 +169,24 @@ request_sets = st.lists(
 )
 
 
+def _check_kv_slots(sched, requests):
+    """``kv_slots`` is the request's allocated KV capacity: whole blocks
+    while active, nothing otherwise (queued, preempted, finished, failed)."""
+    pool = sched.pool
+    active = {id(r) for r in sched.active}
+    for req in requests:
+        held = len(pool.table(req.req_id)) * pool.block_size
+        if id(req) in active:
+            assert req.kv_slots == held, (req, req.kv_slots, held)
+        else:
+            assert req.kv_slots == 0 and held == 0, (req, req.kv_slots, held)
+
+
 def _drive(requests, *, num_blocks, block_size, budget, chunk, seed=1):
     """Run a request set to completion single-threaded; returns the
     scheduler plus (finished, failed) request lists, checking the pool
-    partition invariant and the token budget at every step."""
+    partition invariant, the token budget and the ``kv_slots`` accounting
+    at every step."""
     pool = BlockPool(block_size=block_size, num_blocks=num_blocks)
     sched = ContinuousBatchingScheduler(
         pool, budget, prefill_chunk=chunk, gen_seed=seed, vocab=997)
@@ -183,7 +197,16 @@ def _drive(requests, *, num_blocks, block_size, budget, chunk, seed=1):
     while not sched.drained:
         plan = sched.step(now)
         assert plan.new_tokens <= budget, "token budget exceeded"
+        assert plan.new_tokens == len(plan.decode) + sum(
+            chunk for _, chunk in plan.prefill), "running count drifted"
+        # a preempted request leaves no stale work behind in the plan
+        assert all(r.state == "decode" for r in plan.decode)
+        assert all(r.state == "prefill" for r, _ in plan.prefill)
+        planned = [id(r) for r in plan.decode] + [
+            id(r) for r, _ in plan.prefill]
+        assert len(planned) == len(set(planned))
         pool.check_consistent()
+        _check_kv_slots(sched, requests)
         if plan.empty and not plan.preempted:
             nxt = sched.next_arrival()
             assert nxt is not None, "scheduler stuck with empty plan"
@@ -191,6 +214,7 @@ def _drive(requests, *, num_blocks, block_size, budget, chunk, seed=1):
             continue
         now += 1.0
         fins, _ = sched.apply(plan, now)
+        _check_kv_slots(sched, requests)
         finished.extend(fins)
         failed.extend(plan.failed)
         steps += 1
