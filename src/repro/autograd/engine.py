@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.autograd.function import Node, _charge
+from repro.autograd.function import DTYPE_NAMES, Node
 from repro.autograd.payload_ops import padd, pones_like, pzeros
-from repro.comm.payload import Payload, is_spec
+from repro.comm.payload import Payload, SpecArray
+from repro.runtime.spmd import rank_context
 from repro.tensor.tensor import Tensor
 
 
@@ -40,9 +39,11 @@ def _topo_order(root: Node) -> List[Node]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node.parents():
-            if id(parent) not in seen:
-                stack.append((parent, False))
+        for t in node.inputs:
+            if t is not None:
+                parent = t.grad_fn
+                if parent is not None and id(parent) not in seen:
+                    stack.append((parent, False))
     order.reverse()  # loss node first, producers toward the leaves last
     return order
 
@@ -53,10 +54,13 @@ def backward(root: Tensor, grad: Optional[Tensor] = None) -> None:
     Leaf tensors with ``requires_grad`` accumulate into ``.grad`` (a Tensor
     tagged ``"grad"``); intermediate gradients live only transiently.
     """
+    # the rank context is read once per backward, not once per node
+    rc = rank_context()
+    materialize = rc is None or rc.materialize
     if root.grad_fn is None:
         if root.requires_grad:
             seed = grad.payload if grad is not None else pones_like(root.payload)
-            _accumulate_leaf(root, seed)
+            _accumulate_leaf(root, seed, materialize)
             return
         raise RuntimeError("backward() on a tensor that is not part of a graph")
 
@@ -68,42 +72,57 @@ def backward(root: Tensor, grad: Optional[Tensor] = None) -> None:
         seed: Payload = pones_like(root.payload)
     else:
         seed = grad.payload
+    if rc is not None:
+        device, clock = rc.device, rc.clock
+        cap, rank = rc.runtime.capture, rc.rank
 
     # gradient buffers for intermediate tensors, keyed by tensor identity
     grads: Dict[int, Payload] = {id(root): seed}
 
     for node in _topo_order(root.grad_fn):
         out_grads: List[Optional[Payload]] = []
-        any_grad = False
+        live: Optional[Tensor] = None  # first output something still holds
         for ref in node.outputs:
             t = ref()
-            g = grads.get(id(t)) if t is not None else None
-            if g is None and t is not None:
-                g = pzeros(t.shape, t.dtype, spec=is_spec(t.payload))
-            if g is not None:
-                any_grad = True
+            g = None
+            if t is not None:
+                if live is None:
+                    live = t
+                # the last read of this buffer: consumers ran before producers
+                g = grads.pop(id(t), None)
+                if g is None:
+                    p = t.payload
+                    g = pzeros(p.shape, p.dtype, spec=type(p) is SpecArray)
             out_grads.append(g)
-        if not any_grad:
-            node.ctx.release()
+        ctx = node.ctx
+        if live is None:
+            ctx.release()
             continue
 
-        in_grads = node.fn_cls.backward(node.ctx, *out_grads)
+        in_grads = node.fn_cls.backward(ctx, *out_grads)
         if not isinstance(in_grads, tuple):
             in_grads = (in_grads,)
-        bflops = (
-            node.ctx.backward_flops
-            if node.ctx.backward_flops is not None
-            else node.ctx.flops
-        )
-        if bflops:
-            ref_t = _first_live(node)
-            _charge(
-                bflops,
-                ref_t.dtype if ref_t is not None else np.dtype("float32"),
-                op_name=f"{node.name}Backward",
-            )
+        bflops = ctx.backward_flops
+        if bflops is None:
+            bflops = ctx.flops
+        if bflops > 0 and rc is not None:
+            if cap is not None:
+                cap.note_op(rank, f"{node.name}Backward")
+            dtype = live.payload.dtype
+            name = DTYPE_NAMES.get(dtype)
+            if name is None:
+                name = DTYPE_NAMES[dtype] = dtype.name
+            peak = device.peak_flops
+            if name in peak:
+                seconds = bflops / (peak[name] * device.efficiency)
+            else:  # a dtype the device lists no rate for runs as float32
+                seconds = device.compute_seconds(bflops, "float32")
+            clock.advance(seconds, "compute")
 
-        tensor_inputs = [t for t in node.inputs if isinstance(t, Tensor)]
+        tensor_inputs = []
+        for t in node.inputs:
+            if t is not None:
+                tensor_inputs.append(t)
         if len(in_grads) != len(tensor_inputs):
             raise RuntimeError(
                 f"{node.name}.backward returned {len(in_grads)} grads for "
@@ -113,34 +132,25 @@ def backward(root: Tensor, grad: Optional[Tensor] = None) -> None:
             if g is None or not t.requires_grad:
                 continue
             if t.grad_fn is None:
-                _accumulate_leaf(t, g)
+                _accumulate_leaf(t, g, materialize)
             else:
                 prev = grads.get(id(t))
                 grads[id(t)] = g if prev is None else padd(prev, g)
 
-        # free this node's state: saved activations + its outputs' grads
-        node.ctx.release()
-        for ref in node.outputs:
-            t = ref()
-            if t is not None:
-                grads.pop(id(t), None)
+        # free this node's state: saved activations
+        ctx.release()
 
 
-def _first_live(node: Node) -> Optional[Tensor]:
-    for ref in node.outputs:
-        t = ref()
-        if t is not None:
-            return t
-    return None
+Tensor.backward = backward
 
 
-def _accumulate_leaf(t: Tensor, g: Payload) -> None:
-    if tuple(g.shape) != t.shape:
+def _accumulate_leaf(t: Tensor, g: Payload, materialize: bool) -> None:
+    if g.shape != t.payload.shape:
         raise RuntimeError(
             f"gradient shape {tuple(g.shape)} does not match leaf shape {t.shape}"
         )
     if t.grad is None:
-        t.grad = Tensor(g, device=t.device, tag="grad")
+        t.grad = Tensor._wrap(g, t.device, materialize, tag="grad")
     else:
         t.grad.payload = padd(t.grad.payload, g)
     if t.grad_hook is not None:

@@ -6,6 +6,10 @@ returning per-input payload gradients.  ``Function.apply`` wires the call
 into the graph, wraps outputs in Tensors, and charges the op's FLOPs to the
 calling rank's simulated clock (forward now, backward when the engine runs
 the node).
+
+One op is one dispatch: ``apply`` reads the thread's rank context once and
+hands the device, clock and capture recorder down from there (DESIGN.md,
+"what one op costs").
 """
 
 from __future__ import annotations
@@ -14,11 +18,9 @@ import threading
 import weakref
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.comm.payload import Payload
-from repro.runtime.spmd import current_rank_context, in_spmd
-from repro.tensor.tensor import Tensor
+from repro.runtime.spmd import rank_context
+from repro.tensor.tensor import Tensor, default_device
 
 _state = threading.local()
 
@@ -39,31 +41,9 @@ class no_grad:
         _state.grad_enabled = self._prev
 
 
-# np.dtype.name builds a fresh string on every access; memoize per dtype
-# (builtin dtypes are singletons, so an id-free dict keyed by dtype is safe)
-_DTYPE_NAMES: dict = {}
-
-
-def _dtype_name(dtype: np.dtype) -> str:
-    try:
-        return _DTYPE_NAMES[dtype]
-    except KeyError:
-        name = _DTYPE_NAMES[dtype] = dtype.name
-        return name
-
-
-def _charge(flops: float, dtype: np.dtype, op_name: Optional[str] = None) -> None:
-    """Charge compute time for ``flops`` to the current rank's clock."""
-    if flops <= 0 or not in_spmd():
-        return
-    ctx = current_rank_context()
-    cap = getattr(ctx.runtime, "capture", None)
-    if cap is not None and op_name is not None:
-        cap.note_op(ctx.rank, op_name)
-    name = _dtype_name(dtype)
-    if name not in ctx.device.peak_flops:
-        name = "float32"
-    ctx.clock.advance(ctx.device.compute_seconds(flops, name), "compute")
+# np.dtype.name runs Python inside numpy on every access; memoize per dtype
+# (a pure function of the dtype, so there is nothing to invalidate)
+DTYPE_NAMES: dict = {}
 
 
 class FnCtx:
@@ -74,55 +54,44 @@ class FnCtx:
     this is what makes simulated peak memory faithful.
     """
 
-    def __init__(self) -> None:
-        self.saved: Tuple[Tensor, ...] = ()
-        self.flops: float = 0.0
-        self.backward_flops: Optional[float] = None  # default: same as forward
+    # class-level defaults: a context that saves nothing costs no __init__
+    saved_tensors: Tuple[Tensor, ...] = ()
+    flops: float = 0.0
+    backward_flops: Optional[float] = None  # default: same as forward
 
     def save_for_backward(self, *tensors: Tensor) -> None:
-        self.saved = tensors
-
-    @property
-    def saved_tensors(self) -> Tuple[Tensor, ...]:
-        return self.saved
+        self.saved_tensors = tensors
 
     def release(self) -> None:
-        self.saved = ()
-        # drop any payloads stashed as attributes
-        for k in list(self.__dict__):
-            if k not in ("flops", "backward_flops"):
-                self.__dict__[k] = None
+        # drop saved tensors and any payloads stashed as attributes
+        self.__dict__.clear()
 
 
 class Node:
     """One executed op in the graph."""
 
-    __slots__ = ("fn_cls", "ctx", "inputs", "outputs", "n_outputs", "__weakref__")
+    __slots__ = ("fn_cls", "ctx", "inputs", "outputs", "__weakref__")
 
     def __init__(
         self,
         fn_cls: type,
         ctx: FnCtx,
-        inputs: Tuple[Optional[Tensor], ...],
+        inputs: Sequence[Optional[Tensor]],
         outputs: Sequence[Tensor],
     ) -> None:
         self.fn_cls = fn_cls
         self.ctx = ctx
+        #: one entry per positional argument: the Tensor, or None
         self.inputs = inputs
         # weakrefs: the graph must not keep outputs alive (their consumers do)
-        self.outputs = [weakref.ref(t) for t in outputs]
-        self.n_outputs = len(outputs)
+        self.outputs = refs = []
+        for t in outputs:
+            refs.append(weakref.ref(t))
+            t.grad_fn = self
 
     @property
     def name(self) -> str:
         return self.fn_cls.__name__
-
-    def parents(self) -> List["Node"]:
-        return [
-            t.grad_fn
-            for t in self.inputs
-            if isinstance(t, Tensor) and t.grad_fn is not None
-        ]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Node({self.name})"
@@ -157,46 +126,54 @@ class Function:
 
     @classmethod
     def apply(cls, *args: Any, **kwargs: Any) -> Union[Tensor, Tuple[Tensor, ...]]:
-        tensor_inputs: Tuple[Optional[Tensor], ...] = tuple(
-            a if isinstance(a, Tensor) else None for a in args
-        )
-        needs_grad = grad_enabled() and any(
-            t is not None and t.requires_grad for t in tensor_inputs
-        )
+        inputs: List[Optional[Tensor]] = []
+        needs_grad = False
+        for a in args:
+            if isinstance(a, Tensor):
+                if a.requires_grad:
+                    needs_grad = True
+            else:
+                a = None
+            inputs.append(a)
+        if needs_grad and not getattr(_state, "grad_enabled", True):
+            needs_grad = False
         fnctx = FnCtx()
         out = cls.forward(fnctx, *args, **kwargs)
-        _charge(fnctx.flops, _out_dtype(out), op_name=cls.__name__)
-
         multi = isinstance(out, tuple)
         payloads = out if multi else (out,)
-        base = _view_base(cls, tensor_inputs)
-        outputs = tuple(
-            _wrap(p, needs_grad, cls.OUTPUT_TAG, base) for p in payloads
-        )
-        if needs_grad:
-            node = Node(cls, fnctx, tensor_inputs, outputs)
-            for t in outputs:
-                t.grad_fn = node
+
+        rc = rank_context()
+        if rc is None:
+            device, materialize = default_device(), True
         else:
-            fnctx.release()
-        return outputs if multi else outputs[0]
-
-
-def _out_dtype(out) -> np.dtype:
-    p = out[0] if isinstance(out, tuple) else out
-    dt = p.dtype
-    return dt if type(dt) is np.dtype else np.dtype(dt)
-
-
-def _view_base(cls, tensor_inputs) -> Optional[Tensor]:
-    if not cls.IS_VIEW:
-        return None
-    for t in tensor_inputs:
-        if t is not None:
-            return t
-    return None
-
-
-def _wrap(payload: Payload, requires_grad: bool, tag: str, base: Optional[Tensor]) -> Tensor:
-    t = Tensor(payload, requires_grad=requires_grad, tag=tag, base=base)
-    return t
+            device, materialize = rc.device, rc.materialize
+            flops = fnctx.flops
+            if flops > 0:
+                cap = rc.runtime.capture
+                if cap is not None:
+                    cap.note_op(rc.rank, cls.__name__)
+                dtype = payloads[0].dtype
+                name = DTYPE_NAMES.get(dtype)
+                if name is None:
+                    name = DTYPE_NAMES[dtype] = dtype.name
+                peak = device.peak_flops
+                if name in peak:
+                    seconds = flops / (peak[name] * device.efficiency)
+                else:  # a dtype the device lists no rate for runs as float32
+                    seconds = device.compute_seconds(flops, "float32")
+                rc.clock.advance(seconds, "compute")
+        storage = None
+        if cls.IS_VIEW:  # outputs share the first tensor input's allocation
+            for t in inputs:
+                if t is not None:
+                    storage = t.storage
+                    break
+        tag = cls.OUTPUT_TAG
+        outputs = []
+        for p in payloads:
+            outputs.append(
+                Tensor._wrap(p, device, materialize, storage, needs_grad, tag)
+            )
+        if needs_grad:
+            Node(cls, fnctx, inputs, outputs)
+        return tuple(outputs) if multi else outputs[0]

@@ -16,8 +16,8 @@ import numpy as np
 
 from repro.autograd.function import FnCtx, Function
 from repro.autograd import payload_ops as P
-from repro.comm.payload import Payload, SpecArray, is_spec
-from repro.runtime.spmd import current_rank_context, in_spmd
+from repro.comm.payload import Payload, SpecArray
+from repro.runtime.spmd import rank_context
 from repro.tensor.tensor import Tensor
 
 Scalar = Union[int, float]
@@ -25,10 +25,11 @@ Scalar = Union[int, float]
 
 def _const(value, like: Tensor) -> Tensor:
     """Wrap a scalar/array as a non-grad Tensor matching ``like``'s mode."""
-    if is_spec(like.payload):
-        arr = np.asarray(value, dtype=like.dtype)
-        return Tensor(SpecArray(arr.shape, arr.dtype), device=like.device)
-    return Tensor(np.asarray(value, dtype=like.dtype), device=like.device)
+    payload = like.payload
+    if type(payload) is SpecArray:
+        shape = () if isinstance(value, (int, float)) else np.shape(value)
+        return Tensor._wrap(SpecArray(shape, payload.dtype), like.device, False)
+    return Tensor(np.asarray(value, dtype=payload.dtype), device=like.device)
 
 
 def _maybe_tensor(x, like: Tensor) -> Tensor:
@@ -142,7 +143,7 @@ class Power(Function):
 
 
 def _scalar_like(v: float, ref: Payload) -> Payload:
-    if is_spec(ref):
+    if type(ref) is SpecArray:
         return SpecArray((), ref.dtype)
     return np.asarray(v, dtype=ref.dtype)
 
@@ -227,8 +228,8 @@ class Relu(Function):
     @staticmethod
     def backward(ctx: FnCtx, g: Payload):
         (a,) = ctx.saved_tensors
-        if is_spec(g):
-            return (g.copy(),)
+        if type(g) is SpecArray:
+            return (g,)
         return (g * (a.payload > 0),)
 
 
@@ -351,14 +352,14 @@ class Slice(Function):
     @staticmethod
     def forward(ctx: FnCtx, a: Tensor, idx) -> Payload:
         ctx.a_shape = a.shape
-        ctx.a_spec = is_spec(a.payload)
+        ctx.a_spec = type(a.payload) is SpecArray
         ctx.a_dtype = a.dtype
         ctx.idx = idx
         return P.pslice(a.payload, idx)
 
     @staticmethod
     def backward(ctx: FnCtx, g: Payload):
-        if ctx.a_spec or is_spec(g):
+        if ctx.a_spec or type(g) is SpecArray:
             return (SpecArray(ctx.a_shape, ctx.a_dtype),)
         out = np.zeros(ctx.a_shape, dtype=g.dtype)
         out[ctx.idx] = g
@@ -371,14 +372,14 @@ class Concat(Function):
         *parts, axis = parts_and_axis
         ctx.axis = axis
         ctx.sizes = [p.shape[axis] for p in parts]
-        ctx.spec = any(is_spec(p.payload) for p in parts)
+        ctx.spec = any(type(p.payload) is SpecArray for p in parts)
         ctx.dtypes = [p.dtype for p in parts]
         ctx.shapes = [p.shape for p in parts]
         return P.pconcat([p.payload for p in parts], axis)
 
     @staticmethod
     def backward(ctx: FnCtx, g: Payload):
-        if ctx.spec or is_spec(g):
+        if ctx.spec or type(g) is SpecArray:
             return tuple(SpecArray(s, d) for s, d in zip(ctx.shapes, ctx.dtypes))
         grads = []
         start = 0
@@ -390,18 +391,24 @@ class Concat(Function):
         return tuple(grads)
 
 
+def _int_tuple(values) -> Tuple[int, ...]:
+    """``values`` as a tuple of plain ints (numpy integers normalized)."""
+    if len(values) == 1 and isinstance(values[0], (tuple, list)):
+        values = values[0]
+    for v in values:
+        if type(v) is not int:
+            return tuple([int(x) for x in values])
+    return tuple(values)
+
+
 def reshape(a: Tensor, *shape) -> Tensor:
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
-    return Reshape.apply(a, tuple(int(s) for s in shape))
+    return Reshape.apply(a, _int_tuple(shape))
 
 
 def transpose(a: Tensor, *axes) -> Tensor:
     if not axes:
-        axes = tuple(reversed(range(a.ndim)))
-    elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-        axes = tuple(axes[0])
-    return Transpose.apply(a, tuple(int(x) for x in axes))
+        axes = range(len(a.payload.shape) - 1, -1, -1)
+    return Transpose.apply(a, _int_tuple(axes))
 
 
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
@@ -468,7 +475,7 @@ class Mean(Function):
 
 
 def _expand_reduced(g: Payload, shape: Tuple[int, ...], axis, keepdims: bool) -> Payload:
-    if is_spec(g):
+    if type(g) is SpecArray:
         return SpecArray(shape, g.dtype)
     if axis is None:
         return np.broadcast_to(g.reshape([1] * len(shape)), shape).copy()
@@ -505,8 +512,8 @@ class Softmax(Function):
 
     @staticmethod
     def backward(ctx: FnCtx, g: Payload):
-        if is_spec(g):
-            return (g.copy(),)
+        if type(g) is SpecArray:
+            return (g,)
         s = ctx.out
         dot = np.sum(g * s, axis=ctx.axis, keepdims=True)
         return (s * (g - dot),)
@@ -523,8 +530,8 @@ class LogSoftmax(Function):
 
     @staticmethod
     def backward(ctx: FnCtx, g: Payload):
-        if is_spec(g):
-            return (g.copy(),)
+        if type(g) is SpecArray:
+            return (g,)
         softmax = np.exp(ctx.out)
         return (g - softmax * np.sum(g, axis=ctx.axis, keepdims=True),)
 
@@ -543,10 +550,10 @@ class LayerNorm(Function):
     @staticmethod
     def forward(ctx: FnCtx, x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Payload:
         ctx.flops = 8 * x.size
-        if is_spec(x.payload):
+        if type(x.payload) is SpecArray:
             ctx.spec_shapes = (x.shape, gamma.shape, beta.shape)
             ctx.spec_dtype = x.dtype
-            return x.payload.copy()
+            return x.payload
         mu = np.mean(x.payload, axis=-1, keepdims=True)
         var = np.var(x.payload, axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt(var + eps)
@@ -559,12 +566,11 @@ class LayerNorm(Function):
 
     @staticmethod
     def backward(ctx: FnCtx, g: Payload):
-        if ctx.spec_shapes is not None or is_spec(g):
+        if ctx.spec_shapes is not None or type(g) is SpecArray:
             xs, gs, bs = ctx.spec_shapes
             d = ctx.spec_dtype
             return SpecArray(xs, d), SpecArray(gs, d), SpecArray(bs, d)
         xhat, inv, gamma = ctx.xhat, ctx.inv, ctx.gamma
-        H = xhat.shape[-1]
         reduce_axes = tuple(range(g.ndim - 1))
         dgamma = np.sum(g * xhat, axis=reduce_axes)
         dbeta = np.sum(g, axis=reduce_axes)
@@ -573,7 +579,6 @@ class LayerNorm(Function):
             gx - np.mean(gx, axis=-1, keepdims=True)
             - xhat * np.mean(gx * xhat, axis=-1, keepdims=True)
         ) * inv
-        _ = H
         return dx, dgamma, dbeta
 
 
@@ -588,13 +593,13 @@ class Embedding(Function):
         ctx.w_dtype = weight.dtype
         ctx.indices = indices
         ctx.flops = 0.0
-        if is_spec(weight.payload):
+        if type(weight.payload) is SpecArray:
             return SpecArray(tuple(indices.shape) + (weight.shape[1],), weight.dtype)
         return weight.payload[indices]
 
     @staticmethod
     def backward(ctx: FnCtx, g: Payload):
-        if is_spec(g):
+        if type(g) is SpecArray:
             return (SpecArray(ctx.w_shape, ctx.w_dtype),)
         grad = np.zeros(ctx.w_shape, dtype=g.dtype)
         np.add.at(grad, ctx.indices.reshape(-1), g.reshape(-1, g.shape[-1]))
@@ -606,7 +611,7 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
     never differentiated).  In spec mode ``indices`` may be a SpecArray."""
     if isinstance(indices, Tensor):
         indices = indices.payload
-    if is_spec(weight.payload) and not isinstance(indices, np.ndarray):
+    if type(weight.payload) is SpecArray and not isinstance(indices, np.ndarray):
         # spec indices: fabricate an int array shape holder
         return Embedding.apply(weight, _SpecIndices(indices.shape))
     return Embedding.apply(weight, np.asarray(indices))
@@ -623,20 +628,19 @@ class Dropout(Function):
     @staticmethod
     def forward(ctx: FnCtx, a: Tensor, p: float, training: bool) -> Payload:
         ctx.flops = a.size
-        if not training or p <= 0.0:
+        spec = type(a.payload) is SpecArray
+        if spec or not training or p <= 0.0:
             ctx.mask = None
-            return a.payload if is_spec(a.payload) else a.payload.copy()
-        if is_spec(a.payload):
-            ctx.mask = None
-            return a.payload.copy()
-        rng = current_rank_context().rng if in_spmd() else np.random.default_rng()
+            return a.payload if spec else a.payload.copy()
+        rc = rank_context()
+        rng = rc.rng if rc is not None else np.random.default_rng()
         mask = (rng.random(a.shape) >= p).astype(a.payload.dtype) / (1.0 - p)
         ctx.mask = mask
         return a.payload * mask
 
     @staticmethod
     def backward(ctx: FnCtx, g: Payload):
-        if ctx.mask is None or is_spec(g):
+        if ctx.mask is None or type(g) is SpecArray:
             return (g,)
         return (g * ctx.mask,)
 
@@ -651,7 +655,7 @@ class CrossEntropy(Function):
     @staticmethod
     def forward(ctx: FnCtx, logits: Tensor, targets) -> Payload:
         ctx.flops = 8 * logits.size
-        if is_spec(logits.payload):
+        if type(logits.payload) is SpecArray:
             ctx.spec = (logits.shape, logits.dtype)
             return SpecArray((), logits.dtype)
         t = targets.payload if isinstance(targets, Tensor) else np.asarray(targets)
@@ -664,7 +668,7 @@ class CrossEntropy(Function):
 
     @staticmethod
     def backward(ctx: FnCtx, g: Payload):
-        if ctx.spec is not None or is_spec(g):
+        if ctx.spec is not None or type(g) is SpecArray:
             shape, dtype = ctx.spec
             return (SpecArray(shape, dtype),)
         s = ctx.softmax.copy()
@@ -683,7 +687,7 @@ class MSELoss(Function):
     @staticmethod
     def forward(ctx: FnCtx, pred: Tensor, target: Tensor) -> Payload:
         ctx.flops = 3 * pred.size
-        if is_spec(pred.payload) or is_spec(target.payload):
+        if type(pred.payload) is SpecArray or type(target.payload) is SpecArray:
             ctx.spec = (pred.shape, pred.dtype)
             return SpecArray((), pred.dtype)
         ctx.spec = None
@@ -693,7 +697,7 @@ class MSELoss(Function):
 
     @staticmethod
     def backward(ctx: FnCtx, g: Payload):
-        if ctx.spec is not None or is_spec(g):
+        if ctx.spec is not None or type(g) is SpecArray:
             shape, dtype = ctx.spec
             return SpecArray(shape, dtype), None
         n = ctx.diff.size
@@ -718,3 +722,22 @@ class Cast(Function):
 
 def cast(a: Tensor, dtype) -> Tensor:
     return Cast.apply(a, dtype)
+
+
+# ---------------------------------------------------------------------------
+# Tensor operators dispatch straight to the functions above (bound here
+# because tensor.py cannot import this module: it imports tensor.py)
+# ---------------------------------------------------------------------------
+
+Tensor.__add__ = Tensor.__radd__ = add
+Tensor.__sub__ = sub
+Tensor.__mul__ = Tensor.__rmul__ = mul
+Tensor.__truediv__ = div
+Tensor.__neg__ = neg
+Tensor.__matmul__ = matmul
+Tensor.__pow__ = power
+Tensor.reshape = reshape
+Tensor.transpose = transpose
+Tensor.sum = sum_
+Tensor.mean = mean_
+Tensor.__getitem__ = slice_

@@ -4,40 +4,50 @@ Every function here accepts :class:`numpy.ndarray` or :class:`SpecArray`
 payloads and returns the same kind: real arithmetic when materialized,
 shape inference when spec.  The autograd Functions in :mod:`ops` are written
 once against these primitives and therefore run identically in both modes.
+
+Spec mode never enters numpy: shapes are inferred on plain tuples
+(:func:`_broadcast`, :func:`_basic_index_shape`; both checked against numpy
+by property tests), and a SpecArray is an immutable value, so a
+shape-preserving op hands its input back.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.comm.payload import Payload, SpecArray, is_spec
+from repro.comm.payload import Payload, SpecArray
 
 
-def spec_like(shape: Sequence[int], ref: Payload) -> SpecArray:
-    return SpecArray(tuple(shape), ref.dtype)
-
-
-def result_dtype(*payloads: Payload) -> np.dtype:
-    first = payloads[0].dtype
-    # promotion is the identity when every operand dtype already matches —
-    # skipping np.result_type here keeps spec-mode sweeps off the numpy
-    # dispatch path entirely
-    if all(p.dtype == first for p in payloads[1:]):
-        return first
-    return np.result_type(*[p.dtype for p in payloads])
+def _broadcast(sa: Tuple[int, ...], sb: Tuple[int, ...]) -> Tuple[int, ...]:
+    """``np.broadcast_shapes(sa, sb)`` on plain tuples."""
+    if len(sa) < len(sb):
+        sa, sb = sb, sa
+    lead = len(sa) - len(sb)
+    out = list(sa)
+    for i, b in enumerate(sb, lead):
+        a = out[i]
+        if a != b:
+            if a == 1:
+                out[i] = b
+            elif b != 1:
+                raise ValueError(f"shape mismatch: cannot broadcast {sa} with {sb}")
+    return tuple(out)
 
 
 # -- elementwise binary -------------------------------------------------------
 
 
 def _binary(a: Payload, b: Payload, fn) -> Payload:
-    if is_spec(a) or is_spec(b):
+    if type(a) is SpecArray or type(b) is SpecArray:
         sa, sb = a.shape, b.shape
-        shape = sa if sa == sb else np.broadcast_shapes(sa, sb)
-        return SpecArray(shape, result_dtype(a, b))
+        da = a.dtype
+        return SpecArray(
+            sa if sa == sb else _broadcast(sa, sb),
+            da if da == b.dtype else np.result_type(da, b.dtype),
+        )
     return fn(a, b)
 
 
@@ -65,9 +75,7 @@ def pmaximum(a: Payload, b: Payload) -> Payload:
 
 
 def _unary(a: Payload, fn) -> Payload:
-    if is_spec(a):
-        return a.copy()
-    return fn(a)
+    return a if type(a) is SpecArray else fn(a)
 
 
 def pneg(a: Payload) -> Payload:
@@ -111,16 +119,16 @@ def pgelu(a: Payload) -> Payload:
     )
 
 
-def pgelu_grad(x: Payload, grad: Payload) -> Payload:
-    """d gelu(x)/dx * grad using the tanh approximation."""
-    if is_spec(x) or is_spec(grad):
-        sx, sg = x.shape, grad.shape
-        shape = sx if sx == sg else np.broadcast_shapes(sx, sg)
-        return SpecArray(shape, result_dtype(x, grad))
+def _gelu_grad(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
     inner = _GELU_C * (x + 0.044715 * x**3)
     t = np.tanh(inner)
     dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
     return grad * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner)
+
+
+def pgelu_grad(x: Payload, grad: Payload) -> Payload:
+    """d gelu(x)/dx * grad using the tanh approximation."""
+    return _binary(x, grad, _gelu_grad)
 
 
 # -- matmul ---------------------------------------------------------------------
@@ -133,10 +141,7 @@ def matmul_shape(sa: Tuple[int, ...], sb: Tuple[int, ...]) -> Tuple[int, ...]:
     if sa[-1] != sb[-2]:
         raise ValueError(f"matmul inner-dim mismatch: {sa} @ {sb}")
     ba, bb = sa[:-2], sb[:-2]
-    if ba == bb:
-        batch = ba
-    else:
-        batch = tuple(np.broadcast_shapes(ba, bb))
+    batch = ba if ba == bb else _broadcast(ba, bb)
     return batch + (sa[-2], sb[-1])
 
 
@@ -149,8 +154,12 @@ def matmul_flops(sa: Tuple[int, ...], sb: Tuple[int, ...]) -> float:
 
 
 def pmatmul(a: Payload, b: Payload) -> Payload:
-    if is_spec(a) or is_spec(b):
-        return SpecArray(matmul_shape(a.shape, b.shape), result_dtype(a, b))
+    if type(a) is SpecArray or type(b) is SpecArray:
+        da = a.dtype
+        return SpecArray(
+            matmul_shape(a.shape, b.shape),
+            da if da == b.dtype else np.result_type(da, b.dtype),
+        )
     return np.matmul(a, b)
 
 
@@ -158,16 +167,18 @@ def pmatmul(a: Payload, b: Payload) -> Payload:
 
 
 def preshape(a: Payload, shape: Sequence[int]) -> Payload:
-    if is_spec(a):
-        return a.reshape(tuple(shape))
     return a.reshape(tuple(shape))
 
 
 def ptranspose(a: Payload, axes: Optional[Sequence[int]] = None) -> Payload:
-    if axes is None:
-        axes = tuple(reversed(range(len(a.shape))))
-    if is_spec(a):
-        return SpecArray(tuple(a.shape[i] for i in axes), a.dtype)
+    if type(a) is SpecArray:
+        shape = a.shape
+        if axes is None:
+            return SpecArray(shape[::-1], a.dtype)
+        out = []
+        for i in axes:
+            out.append(shape[i])
+        return SpecArray(tuple(out), a.dtype)
     return np.transpose(a, axes)
 
 
@@ -179,7 +190,7 @@ def pswapaxes(a: Payload, ax1: int, ax2: int) -> Payload:
 
 def pconcat(chunks: Sequence[Payload], axis: int) -> Payload:
     first = chunks[0]
-    if any(is_spec(c) for c in chunks):
+    if any(type(c) is SpecArray for c in chunks):
         shape = list(first.shape)
         shape[axis] = sum(c.shape[axis] for c in chunks)
         return SpecArray(tuple(shape), first.dtype)
@@ -189,18 +200,57 @@ def pconcat(chunks: Sequence[Payload], axis: int) -> Payload:
 def psplit(a: Payload, parts: int, axis: int) -> list:
     if a.shape[axis] % parts != 0:
         raise ValueError(f"axis {axis} of {a.shape} not divisible by {parts}")
-    if is_spec(a):
+    if type(a) is SpecArray:
         shape = list(a.shape)
         shape[axis] //= parts
-        return [SpecArray(tuple(shape), a.dtype) for _ in range(parts)]
+        return [SpecArray(tuple(shape), a.dtype)] * parts
     return [np.ascontiguousarray(c) for c in np.split(a, parts, axis=axis)]
 
 
+def _basic_index_shape(shape: Tuple[int, ...], idx) -> Optional[Tuple[int, ...]]:
+    """Shape of ``np.empty(shape)[idx]`` for basic indexing — ints, slices,
+    ``Ellipsis`` and ``None`` — or ``None`` when ``idx`` holds anything else
+    (arrays, lists, bools, numpy integers)."""
+    if type(idx) is not tuple:
+        idx = (idx,)
+    consumed, dots = 0, 0
+    for i in idx:
+        if type(i) is int or type(i) is slice:
+            consumed += 1
+        elif i is Ellipsis:
+            dots += 1
+        elif i is not None:
+            return None
+    if dots > 1:
+        raise IndexError("an index can only have a single ellipsis ('...')")
+    if consumed > len(shape):
+        raise IndexError(f"too many indices for array: {idx} into shape {shape}")
+    out, dim = [], 0
+    for i in idx:
+        if i is None:
+            out.append(1)
+        elif i is Ellipsis:
+            stop = dim + len(shape) - consumed
+            out.extend(shape[dim:stop])
+            dim = stop
+        else:
+            n = shape[dim]
+            if type(i) is slice:
+                out.append(len(range(*i.indices(n))))
+            elif not -n <= i < n:
+                raise IndexError(f"index {i} is out of bounds for axis {dim} with size {n}")
+            dim += 1
+    return tuple(out) + shape[dim:]
+
+
 def pslice(a: Payload, idx) -> Payload:
-    if is_spec(a):
-        # emulate numpy basic indexing on a zero-stride dummy to get the shape
-        dummy = np.broadcast_to(np.zeros((), dtype=a.dtype), a.shape)
-        return SpecArray(dummy[idx].shape, a.dtype)
+    if type(a) is SpecArray:
+        shape = _basic_index_shape(a.shape, idx)
+        if shape is None:
+            # advanced indexing: let numpy work it out on a zero-stride dummy
+            dummy = np.broadcast_to(np.zeros((), dtype=a.dtype), a.shape)
+            shape = dummy[idx].shape
+        return SpecArray(shape, a.dtype)
     return a[idx]
 
 
@@ -227,43 +277,37 @@ def _reduced_shape(shape, axis, keepdims) -> Tuple[int, ...]:
 
 
 def psum(a: Payload, axis=None, keepdims=False) -> Payload:
-    if is_spec(a):
+    if type(a) is SpecArray:
         return SpecArray(_reduced_shape(a.shape, axis, keepdims), a.dtype)
     return np.sum(a, axis=axis, keepdims=keepdims)
 
 
 def pmean(a: Payload, axis=None, keepdims=False) -> Payload:
-    if is_spec(a):
+    if type(a) is SpecArray:
         return SpecArray(_reduced_shape(a.shape, axis, keepdims), a.dtype)
     return np.mean(a, axis=axis, keepdims=keepdims)
 
 
 def pmax(a: Payload, axis=None, keepdims=False) -> Payload:
-    if is_spec(a):
+    if type(a) is SpecArray:
         return SpecArray(_reduced_shape(a.shape, axis, keepdims), a.dtype)
     return np.max(a, axis=axis, keepdims=keepdims)
-
-
-def pargmax(a: Payload, axis=-1):
-    if is_spec(a):
-        return SpecArray(_reduced_shape(a.shape, axis, False), np.dtype("int64"))
-    return np.argmax(a, axis=axis)
 
 
 # -- softmax family ------------------------------------------------------------------
 
 
 def psoftmax(a: Payload, axis: int = -1) -> Payload:
-    if is_spec(a):
-        return a.copy()
+    if type(a) is SpecArray:
+        return a
     shifted = a - np.max(a, axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
 def plog_softmax(a: Payload, axis: int = -1) -> Payload:
-    if is_spec(a):
-        return a.copy()
+    if type(a) is SpecArray:
+        return a
     shifted = a - np.max(a, axis=axis, keepdims=True)
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
@@ -275,7 +319,7 @@ def unbroadcast(grad: Payload, shape: Tuple[int, ...]) -> Payload:
     """Reduce ``grad`` back to ``shape`` by summing broadcast dimensions."""
     if tuple(grad.shape) == tuple(shape):
         return grad
-    if is_spec(grad):
+    if type(grad) is SpecArray:
         return SpecArray(shape, grad.dtype)
     g = grad
     while g.ndim > len(shape):
@@ -293,6 +337,6 @@ def pzeros(shape: Sequence[int], dtype, spec: bool) -> Payload:
 
 
 def pones_like(a: Payload) -> Payload:
-    if is_spec(a):
-        return a.copy()
+    if type(a) is SpecArray:
+        return a
     return np.ones_like(a)

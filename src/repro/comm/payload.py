@@ -21,7 +21,9 @@ _DTYPE_CACHE: dict = {}
 
 
 def _as_dtype(dtype) -> np.dtype:
-    if type(dtype) is np.dtype:
+    # isinstance, not ``type(dtype) is np.dtype``: dtype instances are
+    # instances of per-type subclasses (numpy.dtypes.Float16DType, ...)
+    if isinstance(dtype, np.dtype):
         return dtype
     try:
         return _DTYPE_CACHE[dtype]
@@ -37,33 +39,32 @@ def _as_dtype(dtype) -> np.dtype:
 class SpecArray:
     """A shape+dtype stand-in for an ndarray (no storage).
 
-    Supports the handful of shape manipulations the parallel layers perform
-    on communicated buffers (reshape/concat-like derivations happen in the
+    An immutable value: ``size`` and ``nbytes`` are computed once here and
+    are plain attributes, and ops and collectives hand the same instance to
+    several tensors and ranks — never assign to its fields.  Supports the
+    handful of shape manipulations the parallel layers perform on
+    communicated buffers (reshape/concat-like derivations happen in the
     communicator itself).
     """
 
-    __slots__ = ("shape", "dtype")
+    __slots__ = ("shape", "dtype", "size", "nbytes")
 
     def __init__(self, shape: Tuple[int, ...], dtype: Union[str, np.dtype] = "float32") -> None:
-        # plain-int tuples (the common case) pass through untouched; only
-        # np.intp/list shapes pay for normalization
-        if type(shape) is tuple:
-            for s in shape:
-                if type(s) is not int:
-                    shape = tuple(int(x) for x in shape)
-                    break
-        else:
-            shape = tuple(int(s) for s in shape)
+        if type(shape) is not tuple:
+            shape = tuple(shape)
+        size = 1
+        for s in shape:
+            if type(s) is not int:
+                # np.intp entries pay for normalization; plain-int tuples
+                # (the common case) pass through untouched
+                shape = tuple(int(x) for x in shape)
+                size = math.prod(shape)
+                break
+            size *= s
         self.shape = shape
-        self.dtype = _as_dtype(dtype)
-
-    @property
-    def size(self) -> int:
-        return int(math.prod(self.shape)) if self.shape else 1
-
-    @property
-    def nbytes(self) -> int:
-        return self.size * self.dtype.itemsize
+        self.dtype = dtype = dtype if isinstance(dtype, np.dtype) else _as_dtype(dtype)
+        self.size = size
+        self.nbytes = size * dtype.itemsize
 
     @property
     def ndim(self) -> int:
@@ -71,14 +72,18 @@ class SpecArray:
 
     def reshape(self, *shape) -> "SpecArray":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        shape = tuple(int(s) for s in shape)
+            shape = shape[0]
         if -1 in shape:
-            known = math.prod(s for s in shape if s != -1)
-            shape = tuple(self.size // known if s == -1 else s for s in shape)
-        if math.prod(shape) != self.size:
-            raise ValueError(f"cannot reshape {self.shape} -> {shape}")
-        return SpecArray(shape, self.dtype)
+            known = 1
+            for s in shape:
+                if s != -1:
+                    known *= int(s)
+            fill = self.size // known
+            shape = [fill if s == -1 else s for s in shape]
+        out = SpecArray(shape, self.dtype)
+        if out.size != self.size:
+            raise ValueError(f"cannot reshape {self.shape} -> {out.shape}")
+        return out
 
     def astype(self, dtype) -> "SpecArray":
         return SpecArray(self.shape, dtype)

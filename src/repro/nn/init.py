@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.comm.payload import SpecArray
-from repro.tensor.tensor import _default_materialize
+from repro.runtime.spmd import rank_context
 
 InitFn = Callable[[Tuple[int, ...], np.random.Generator], np.ndarray]
 
@@ -87,9 +87,10 @@ def param_payload(
     dtype: Union[str, np.dtype] = "float32",
 ):
     """Materialize an init (or a SpecArray in spec mode)."""
-    shape = tuple(int(s) for s in shape)
-    if not _default_materialize():
+    rc = rank_context()
+    if rc is not None and not rc.materialize:
         return SpecArray(shape, dtype)
+    shape = tuple(int(s) for s in shape)
     if rng is None:
         rng = np.random.default_rng()
     return init_fn(shape, rng).astype(np.dtype(dtype))

@@ -60,11 +60,13 @@ class Module:
 
     # -- traversal ------------------------------------------------------------
 
-    def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Parameter]]:
-        for name, p in self._parameters.items():
-            yield (f"{prefix}{name}", p)
+    def named_parameters(self, prefix: str = "") -> List[Tuple[str, Parameter]]:
+        # a list per module, not a generator chain: that would resume once
+        # per parameter per level of nesting
+        out = [(prefix + name, p) for name, p in self._parameters.items()]
         for mname, m in self._modules.items():
-            yield from m.named_parameters(prefix=f"{prefix}{mname}.")
+            out.extend(m.named_parameters(f"{prefix}{mname}."))
+        return out
 
     def parameters(self) -> List[Parameter]:
         return [p for _, p in self.named_parameters()]

@@ -18,6 +18,8 @@ per-rank values in the same local-rank order.
 
 from __future__ import annotations
 
+import functools
+import weakref
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -161,12 +163,22 @@ class DistributedDataParallel(Module):
         )
         self._ready = [set() for _ in self._buckets]
         self._flushed = [False] * len(self._buckets)
+        # the hook holds this wrapper weakly: a bound method would close the
+        # cycle param -> hook -> DDP -> module -> param, and the parameters'
+        # pool bytes would then wait for the cyclic collector
+        hook = functools.partial(
+            DistributedDataParallel._on_grad_ready, weakref.ref(self)
+        )
         for bi, bucket in enumerate(self._buckets):
             for p in bucket:
                 self._param_bucket[id(p)] = bi
-                p.grad_hook = self._on_grad_ready
+                p.grad_hook = hook
 
-    def _on_grad_ready(self, p: Tensor) -> None:
+    @staticmethod
+    def _on_grad_ready(ref: "weakref.ref[DistributedDataParallel]", p: Tensor) -> None:
+        self = ref()
+        if self is None:  # wrapper dropped, module kept: nothing to flush
+            return
         bi = self._param_bucket[id(p)]
         ready = self._ready[bi]
         if self._flushed[bi] or id(p) in ready:

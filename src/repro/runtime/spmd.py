@@ -60,13 +60,17 @@ class RankContext:
         return f"RankContext(rank={self.rank}/{self.world_size}, device={self.device.name})"
 
 
-def current_rank_context() -> RankContext:
-    """The :class:`RankContext` of the calling thread.
+def rank_context() -> Optional[RankContext]:
+    """The :class:`RankContext` of the calling thread, ``None`` outside an
+    SPMD program.  The one thread-local read of the hot paths (tensor
+    allocation, op dispatch, backward): they call it once and hand the
+    device / clock / capture down."""
+    return getattr(_thread_local, "ctx", None)
 
-    Raises if called outside an SPMD program — library code that needs the
-    context should receive it explicitly where possible; this accessor exists
-    for deep call sites (tensor allocation, autograd ops).
-    """
+
+def current_rank_context() -> RankContext:
+    """:func:`rank_context`, raising outside an SPMD program — library code
+    that needs the context should receive it explicitly where possible."""
     ctx = getattr(_thread_local, "ctx", None)
     if ctx is None:
         raise RuntimeError(

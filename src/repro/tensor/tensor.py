@@ -12,14 +12,13 @@ count, mirroring a caching GPU allocator closely enough for the paper's
 from __future__ import annotations
 
 import threading
-import weakref
-from typing import Any, Iterable, Optional, Sequence, Tuple, Union
+from typing import Any, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.cluster.device import Device, DeviceKind
 from repro.comm.payload import Payload, SpecArray, is_spec
-from repro.runtime.spmd import in_spmd, current_rank_context
+from repro.runtime.spmd import rank_context
 from repro.utils.units import GB
 
 _fallback_lock = threading.Lock()
@@ -33,8 +32,9 @@ def default_device() -> Device:
     unit tests, notebooks) it is a lazily-created host device with a large
     pool so accounting still works.
     """
-    if in_spmd():
-        return current_rank_context().device
+    rc = rank_context()
+    if rc is not None:
+        return rc.device
     global _fallback_device
     with _fallback_lock:
         if _fallback_device is None:
@@ -53,26 +53,31 @@ def set_default_device(device: Optional[Device]) -> None:
 
 
 class Storage:
-    """A reference-counted byte allocation on one device."""
+    """A reference-counted byte allocation on one device.
 
-    __slots__ = ("device", "nbytes", "tag", "_finalizer", "__weakref__")
+    The bytes go back to the pool exactly once: on :meth:`release` or when
+    the last reference drops, whichever comes first.  ``alive`` is set only
+    after ``alloc`` succeeded, so an allocation that raised out-of-memory
+    has nothing to return.
+    """
+
+    __slots__ = ("device", "nbytes", "tag", "alive")
 
     def __init__(self, device: Device, nbytes: int, tag: str = "activation") -> None:
+        self.alive = False
         self.device = device
-        self.nbytes = int(nbytes)
+        self.nbytes = nbytes = int(nbytes)
         self.tag = tag
-        device.memory.alloc(self.nbytes, tag, owner=device)
-        self._finalizer = weakref.finalize(
-            self, device.memory.free_bytes, self.nbytes, tag
-        )
-
-    @property
-    def alive(self) -> bool:
-        return self._finalizer.alive
+        device.memory.alloc(nbytes, tag, owner=device)
+        self.alive = True
 
     def release(self) -> None:
         """Return the bytes to the pool now (idempotent)."""
-        self._finalizer()
+        if self.alive:
+            self.alive = False
+            self.device.memory.free_bytes(self.nbytes, self.tag)
+
+    __del__ = release
 
 
 def _as_payload(
@@ -88,12 +93,6 @@ def _as_payload(
     if not materialize:
         return SpecArray(arr.shape, arr.dtype)
     return arr
-
-
-def _default_materialize() -> bool:
-    if in_spmd():
-        return current_rank_context().materialize
-    return True
 
 
 class Tensor:
@@ -140,15 +139,19 @@ class Tensor:
         base: Optional["Tensor"] = None,
         materialize: Optional[bool] = None,
     ) -> None:
-        if materialize is None:
-            materialize = _default_materialize()
+        if materialize is None or device is None:
+            rc = rank_context()
+            if materialize is None:
+                materialize = rc is None or rc.materialize
+            if device is None:
+                device = rc.device if rc is not None else default_device()
         self.payload: Payload = _as_payload(data, dtype, materialize)
-        self.device = device if device is not None else default_device()
+        self.device = device
         self.tag = tag
         if base is not None:
             self.storage = base.storage  # view: share allocation
         else:
-            self.storage = Storage(self.device, int(self.payload.nbytes), tag)
+            self.storage = Storage(device, self.payload.nbytes, tag)
         self.requires_grad = requires_grad
         self.grad: Optional[Tensor] = None
         self.grad_fn: Optional[Any] = None  # repro.autograd.function.Node
@@ -156,6 +159,33 @@ class Tensor:
         # (DDP overlap uses it to flush ready buckets during backward)
         self.grad_hook: Optional[Any] = None
         self.name: Optional[str] = None
+
+    @staticmethod
+    def _wrap(
+        payload: Any,
+        device: Device,
+        materialize: bool,
+        storage: Optional[Storage] = None,
+        requires_grad: bool = False,
+        tag: str = "activation",
+    ) -> "Tensor":
+        """Internal constructor for op dispatch, backward and views: the
+        caller has already resolved the device and the execution mode, so
+        nothing here reads the rank context, and a payload already in its
+        final form is taken as is.  ``storage`` shares an existing
+        allocation; ``None`` allocates."""
+        if type(payload) is not SpecArray and not (
+            materialize and type(payload) is np.ndarray
+        ):
+            payload = _as_payload(payload, None, materialize)
+        t = Tensor.__new__(Tensor)
+        t.payload = payload
+        t.device = device
+        t.tag = tag
+        t.storage = Storage(device, payload.nbytes, tag) if storage is None else storage
+        t.requires_grad = requires_grad
+        t.grad = t.grad_fn = t.grad_hook = t.name = None
+        return t
 
     # -- basic properties ------------------------------------------------------
 
@@ -165,7 +195,7 @@ class Tensor:
 
     @property
     def dtype(self) -> np.dtype:
-        return np.dtype(self.payload.dtype)
+        return self.payload.dtype
 
     @property
     def ndim(self) -> int:
@@ -202,76 +232,14 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """A view sharing storage, cut out of the autograd graph."""
-        t = Tensor.__new__(Tensor)
-        t.payload = self.payload
-        t.device = self.device
-        t.storage = self.storage
-        t.tag = self.tag
-        t.requires_grad = False
-        t.grad = None
-        t.grad_fn = None
-        t.grad_hook = None
-        t.name = None
-        return t
+        return Tensor._wrap(self.payload, self.device, True, self.storage, tag=self.tag)
 
     def zero_grad(self) -> None:
         self.grad = None
 
-    # -- autograd entry point ----------------------------------------------------
-
-    def backward(self, grad: Optional["Tensor"] = None) -> None:
-        from repro.autograd.engine import backward as _backward
-
-        _backward(self, grad)
-
-    # -- operators (lazy import to avoid tensor<->autograd cycle) ---------------
-
-    def _ops(self):
-        from repro.autograd import ops
-
-        return ops
-
-    def __add__(self, other):
-        return self._ops().add(self, other)
-
-    def __radd__(self, other):
-        return self._ops().add(self, other)
-
-    def __sub__(self, other):
-        return self._ops().sub(self, other)
-
-    def __mul__(self, other):
-        return self._ops().mul(self, other)
-
-    def __rmul__(self, other):
-        return self._ops().mul(self, other)
-
-    def __truediv__(self, other):
-        return self._ops().div(self, other)
-
-    def __neg__(self):
-        return self._ops().neg(self)
-
-    def __matmul__(self, other):
-        return self._ops().matmul(self, other)
-
-    def __pow__(self, exponent):
-        return self._ops().power(self, exponent)
-
-    def reshape(self, *shape):
-        return self._ops().reshape(self, *shape)
-
-    def transpose(self, *axes):
-        return self._ops().transpose(self, *axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return self._ops().sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return self._ops().mean_(self, axis=axis, keepdims=keepdims)
-
-    def __getitem__(self, idx):
-        return self._ops().slice_(self, idx)
+    # backward() is bound by repro.autograd.engine, and the operators,
+    # reshape/transpose/sum/mean and indexing by repro.autograd.ops, when
+    # they are imported: they import this module, so it cannot import them
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         mode = "spec" if is_spec(self.payload) else "data"
@@ -296,16 +264,10 @@ def from_numpy(arr: np.ndarray, requires_grad: bool = False, tag: str = "activat
     return Tensor(arr, requires_grad=requires_grad, tag=tag)
 
 
-def _filled(
-    shape: Sequence[int],
-    value: float,
-    dtype: Union[str, np.dtype],
-    requires_grad: bool,
-    device: Optional[Device],
-    tag: str,
-) -> Tensor:
+def full(shape, value, dtype="float32", requires_grad=False, device=None, tag="activation") -> Tensor:
     shape = tuple(int(s) for s in shape)
-    if _default_materialize():
+    rc = rank_context()
+    if rc is None or rc.materialize:
         data: Any = np.full(shape, value, dtype=np.dtype(dtype))
     else:
         data = SpecArray(shape, dtype)
@@ -313,15 +275,11 @@ def _filled(
 
 
 def zeros(shape, dtype="float32", requires_grad=False, device=None, tag="activation") -> Tensor:
-    return _filled(shape, 0.0, dtype, requires_grad, device, tag)
+    return full(shape, 0.0, dtype, requires_grad, device, tag)
 
 
 def ones(shape, dtype="float32", requires_grad=False, device=None, tag="activation") -> Tensor:
-    return _filled(shape, 1.0, dtype, requires_grad, device, tag)
-
-
-def full(shape, value, dtype="float32", requires_grad=False, device=None, tag="activation") -> Tensor:
-    return _filled(shape, value, dtype, requires_grad, device, tag)
+    return full(shape, 1.0, dtype, requires_grad, device, tag)
 
 
 def randn(
@@ -336,9 +294,10 @@ def randn(
     """Gaussian init; uses the rank's seeded RNG inside SPMD for
     reproducibility."""
     shape = tuple(int(s) for s in shape)
-    if _default_materialize():
+    rc = rank_context()
+    if rc is None or rc.materialize:
         if rng is None:
-            rng = current_rank_context().rng if in_spmd() else np.random.default_rng()
+            rng = rc.rng if rc is not None else np.random.default_rng()
         data: Any = (rng.standard_normal(shape) * std).astype(np.dtype(dtype))
     else:
         data = SpecArray(shape, dtype)

@@ -123,6 +123,51 @@ class TestSyncGradients:
         assert all(t > 0 for t in run_spmd(2, prog, materialize=False))
 
 
+class TestMemoryReturnsWithoutTheCollector:
+    """Simulated memory must not depend on collector timing: once the rank
+    program returns, every parameter and gradient byte is back in the pool
+    by reference counting alone.  (The overlap hooks used to close a cycle
+    param -> bound method -> DDP -> module -> param.)"""
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_pools_empty_after_run_with_gc_disabled(self, overlap):
+        import gc
+
+        from repro.cluster import uniform_cluster
+        from repro.runtime import SpmdRuntime
+
+        cluster = uniform_cluster(2)
+        rt = SpmdRuntime(cluster, 2, comm_overlap=overlap)
+
+        def prog(ctx):
+            ddp = DistributedDataParallel(Linear(64, 64), _pc(ctx), overlap=overlap)
+            assert ddp.overlap is overlap
+            ddp(Tensor(SpecArray((4, 64)))).sum().backward()
+            ddp.sync()
+            return ctx.device.memory.breakdown()
+
+        gc.collect()
+        gc.disable()
+        try:
+            live = rt.run(prog, materialize=False)
+            after = [cluster.device(r).memory.allocated for r in range(2)]
+        finally:
+            gc.enable()
+        for tags in live:  # Linear(64, 64) fp32: weight + bias, and grads
+            assert tags["param"] == tags["grad"] == 16640
+        assert after == [0, 0]
+
+    def test_hook_outliving_its_wrapper_is_inert(self):
+        def prog(ctx):
+            model = Linear(8, 8)
+            DistributedDataParallel(model, _pc(ctx), overlap=True)  # dropped
+            x = Tensor(SpecArray((2, 8)), requires_grad=True)
+            model(x).sum().backward()
+            return model.weight.grad is not None
+
+        assert run_spmd(2, prog, materialize=False) == [True, True]
+
+
 class TestShardBatch:
     def test_even_split(self):
         def prog(ctx):

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.autograd import payload_ops as P
+from repro.comm import payload
 from repro.comm.payload import SpecArray
 
 
@@ -94,7 +97,110 @@ class TestShapeParity:
         assert s.shape == (3, 4)
 
 
+# -- pure-Python shape inference, checked against numpy ----------------------
+
+_dim = st.integers(0, 5)
+_shape = st.lists(_dim, max_size=4).map(tuple)
+
+
+@st.composite
+def _broadcastable_pair(draw):
+    """Two shapes that broadcast: a common result with dims dropped to 1
+    and leading dims removed, each side independently."""
+    out = draw(_shape)
+    sides = []
+    for _ in range(2):
+        dims = [1 if draw(st.booleans()) else d for d in out]
+        sides.append(tuple(dims[draw(st.integers(0, len(dims))):]))
+    return sides
+
+
+_bound = st.one_of(st.none(), st.integers(-7, 7))
+_step = st.one_of(st.none(), st.integers(-3, 3).filter(lambda s: s != 0))
+_basic = st.one_of(
+    st.integers(-6, 6),
+    st.builds(slice, _bound, _bound, _step),
+    st.just(Ellipsis),
+    st.just(None),
+)
+_index = st.one_of(_basic, st.lists(_basic, max_size=5).map(tuple))
+
+
+class TestShapeInferenceAgainstNumpy:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_broadcastable_pair(), st.tuples(_shape, _shape)))
+    def test_broadcast(self, shapes):
+        sa, sb = shapes
+        try:
+            want = np.broadcast_shapes(sa, sb)
+        except ValueError:
+            with pytest.raises(ValueError):
+                P._broadcast(sa, sb)
+            return
+        got = P._broadcast(sa, sb)
+        assert got == want and type(got) is tuple
+        assert P._broadcast(sb, sa) == want
+
+    @settings(max_examples=500, deadline=None)
+    @given(_shape, _index)
+    def test_basic_index(self, shape, idx):
+        try:
+            want = np.empty(shape)[idx].shape
+        except IndexError:
+            with pytest.raises(IndexError):
+                P.pslice(SpecArray(shape), idx)
+            return
+        got = P.pslice(SpecArray(shape), idx).shape
+        assert got == want and all(type(n) is int for n in got)
+        assert P._basic_index_shape(shape, idx) == want, "fell back to numpy"
+
+    @pytest.mark.parametrize("idx", [
+        [0, 2], np.array([1, 1, 0]), (slice(None), [0, 1]), True,
+        np.array([True, False, True]), np.int64(1), (np.intp(0), slice(1, 3)),
+    ], ids=repr)
+    def test_anything_else_keeps_the_numpy_fallback(self, idx):
+        shape = (3, 4)
+        assert P._basic_index_shape(shape, idx) is None
+        assert P.pslice(SpecArray(shape), idx).shape == np.empty(shape)[idx].shape
+
+    def test_shape_preserving_spec_ops_return_their_input(self):
+        s = SpecArray((2, 3), "float16")
+        assert P.pgelu(s) is s and P.psoftmax(s) is s and P.pones_like(s) is s
+
+
 class TestSpecArrayAPI:
+    def test_dtype_instance_bypasses_the_spelling_cache(self, monkeypatch):
+        """``np.dtype`` instances are instances of per-type *subclasses*
+        (``numpy.dtypes.Float16DType``), so only ``isinstance`` sees them."""
+        class Untouchable(dict):
+            def __getitem__(self, key):
+                raise AssertionError(f"cache consulted for {key!r}")
+            __setitem__ = get = __getitem__
+
+        monkeypatch.setattr(payload, "_DTYPE_CACHE", Untouchable())
+        for spelling in ("float16", "float32", "int64"):
+            dt = np.dtype(spelling)
+            assert type(dt) is not np.dtype
+            assert payload._as_dtype(dt) is dt
+            assert SpecArray((2,), dt).dtype is dt
+
+    def test_size_and_nbytes_are_plain_attributes(self):
+        s = SpecArray([np.intp(3), 4], "float16")
+        assert s.shape == (3, 4) and all(type(n) is int for n in s.shape)
+        assert (s.size, s.nbytes) == (12, 24)
+        assert "size" in SpecArray.__slots__ and "nbytes" in SpecArray.__slots__
+        assert SpecArray((0, 5)).nbytes == 0
+
+    def test_reshape(self):
+        s = SpecArray((2, 3, 4), "float16")
+        assert s.reshape(6, -1).shape == (6, 4)
+        assert s.reshape((4, np.int64(6))).shape == (4, 6)
+        assert s.reshape([-1]).shape == (24,)
+        with pytest.raises(ValueError):
+            s.reshape(5, -1)
+        with pytest.raises(ValueError):
+            s.reshape(7, 4)
+
     def test_nbytes_fp16(self):
         assert SpecArray((4, 4), "float16").nbytes == 32
 
