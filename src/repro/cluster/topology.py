@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
@@ -64,17 +64,13 @@ class Topology:
         self._ring_cache: Dict[Tuple[str, ...], Tuple[float, float]] = {}
         self._order_cache: Dict[Tuple[str, ...], List[str]] = {}
         self._island_cache: Dict[Tuple[Tuple[str, ...], float], List[List[str]]] = {}
-        self._version = 0
-
-    @property
-    def version(self) -> int:
-        """Monotone counter bumped on every structural/bandwidth change.
-
-        Consumers that memoize decisions derived from the link graph (the
-        collective :class:`~repro.comm.algorithms.AlgorithmSelector`) compare
-        this to detect fault-injected degradation (:meth:`scale_link`) and
-        recovery (:meth:`restore_links`)."""
-        return self._version
+        #: monotone counter bumped *after* every structural/bandwidth
+        #: change; read-only outside this class.  Consumers that memoize
+        #: anything derived from the link graph (the ``CostModel`` probe
+        #: memo, the ``AlgorithmSelector``) compare it to detect
+        #: fault-injected degradation (:meth:`scale_link`) and recovery
+        #: (:meth:`restore_links`).
+        self.version = 0
 
     def _invalidate(self) -> None:
         self._bw_cache.clear()
@@ -82,7 +78,7 @@ class Topology:
         self._ring_cache.clear()
         self._order_cache.clear()
         self._island_cache.clear()
-        self._version += 1
+        self.version += 1
 
     def add_device(self, name: str) -> None:
         self.graph.add_node(name)
@@ -166,14 +162,6 @@ class Topology:
 
     def latency(self, a: str, b: str) -> float:
         return self.path_stats(a, b)[1]
-
-    def min_bandwidth(self, names: Iterable[str]) -> float:
-        """Bottleneck bandwidth over all pairs in ``names`` (collective bound)."""
-        names = list(names)
-        bw = float("inf")
-        for a, b in itertools.combinations(names, 2):
-            bw = min(bw, self.bandwidth(a, b))
-        return bw
 
     def ring_bandwidth(self, names: List[str]) -> float:
         """Bottleneck bandwidth around the ring ``names[0] -> ... -> names[0]``.

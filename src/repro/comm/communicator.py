@@ -14,13 +14,14 @@ order so results are bitwise deterministic run-to-run.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.comm.cost import CollectiveCost
 from repro.comm.group import ProcessGroup, WorkHandle
-from repro.comm.payload import Payload, SpecArray, is_spec, like
+from repro.comm.payload import Payload, SpecArray
 from repro.runtime.errors import CollectiveTimeout
 
 ReduceOp = str  # "sum" | "max" | "min" | "prod"
@@ -36,20 +37,26 @@ _REDUCERS: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
 _OBJECT_NBYTES = 64
 
 
+# C-level field readers: ``map`` over a round's payloads makes no Python
+# frame per member, a comprehension or generator makes one
+_dtype_of = operator.attrgetter("dtype")
+_shape_of = operator.attrgetter("shape")
+
+
 def _check_same_shape(payloads: Dict[int, Payload], what: str) -> None:
-    shapes = {tuple(p.shape) for p in payloads.values()}
+    shapes = set(map(_shape_of, payloads.values()))
     if len(shapes) > 1:
         raise ValueError(f"{what}: mismatched shapes across ranks: {sorted(shapes)}")
 
 
-def _check_reduce_op(op: ReduceOp, what: str) -> None:
-    """Reject unknown reduce ops up front, identically in both execution
-    modes (spec mode never touches ``_REDUCERS``, so without this check it
-    silently accepted any string while real mode raised a raw KeyError)."""
-    if op not in _REDUCERS:
-        raise ValueError(
-            f"{what}: invalid reduce op {op!r}; valid ops: {sorted(_REDUCERS)}"
-        )
+def _invalid_reduce_op(op: ReduceOp, what: str) -> ValueError:
+    """Unknown reduce ops are rejected up front (``op not in _REDUCERS``,
+    tested inline by every reducing entry point), identically in both
+    execution modes: spec mode never touches ``_REDUCERS``, so unchecked it
+    silently accepted any string while real mode raised a raw KeyError."""
+    return ValueError(
+        f"{what}: invalid reduce op {op!r}; valid ops: {sorted(_REDUCERS)}"
+    )
 
 
 def _combine(payloads: Dict[int, Payload], op: ReduceOp,
@@ -65,9 +72,9 @@ def _combine(payloads: Dict[int, Payload], op: ReduceOp,
     """
     ordered = [payloads[i] for i in sorted(payloads)]
     first = ordered[0]
-    if is_spec(first):
-        dtype = np.result_type(*[p.dtype for p in ordered])
-        return SpecArray(first.shape, dtype)
+    if type(first) is SpecArray:
+        return SpecArray(
+            first.shape, np.result_type(*map(_dtype_of, ordered)))
     fn = _REDUCERS[op]
     if pool is not None and all(p.dtype == first.dtype for p in ordered[1:]):
         acc = pool.loan(first.shape, first.dtype, f"combine:{op}")
@@ -90,16 +97,35 @@ def _pooled_copy(arr: np.ndarray, pool: Any, label: str) -> np.ndarray:
     return out
 
 
+def _replicate(value: Payload, payloads: Dict[int, Any], owner: int,
+               pool: Any = None, label: str = "") -> Dict[int, Payload]:
+    """Every member's copy of a round's result.  A spec stand-in is an
+    immutable value and is shared; of a real array, local rank ``owner``
+    keeps the original and every other rank receives its own copy (drawn
+    from ``pool`` under ``label`` when one is given)."""
+    if type(value) is SpecArray:
+        return dict.fromkeys(payloads, value)
+    results = {}
+    for i in payloads:
+        if i == owner:
+            results[i] = value
+        elif pool is None:
+            results[i] = value.copy()
+        else:
+            results[i] = _pooled_copy(value, pool, label)
+    return results
+
+
 def _split_axis(x: Payload, parts: int, axis: int, what: str) -> List[Payload]:
     if x.shape[axis] % parts != 0:
         raise ValueError(
             f"{what}: axis {axis} of shape {x.shape} not divisible into "
             f"{parts} parts"
         )
-    if is_spec(x):
+    if type(x) is SpecArray:
         shape = list(x.shape)
         shape[axis] //= parts
-        return [SpecArray(tuple(shape), x.dtype) for _ in range(parts)]
+        return [SpecArray(tuple(shape), x.dtype)] * parts  # immutable: shared
     return [np.ascontiguousarray(c) for c in np.split(x, parts, axis=axis)]
 
 
@@ -107,22 +133,23 @@ def _concat_axis(chunks: List[Payload], axis: int, what: str) -> Payload:
     """Concatenate along ``axis``, validating every non-concat dimension in
     both modes (numpy rejects mismatches; spec mode must too)."""
     first = chunks[0]
-    if first.ndim == 0:
+    shape = first.shape
+    if len(shape) == 0:
         raise ValueError(f"{what}: zero-dimensional payloads cannot be concatenated")
+    k = axis % len(shape)
+    rest = shape[:k] + shape[k + 1:]
     for c in chunks[1:]:
-        if c.ndim != first.ndim or any(
-            c.shape[d] != first.shape[d]
-            for d in range(first.ndim) if d != axis % first.ndim
-        ):
+        if len(c.shape) != len(shape) or c.shape[:k] + c.shape[k + 1:] != rest:
             raise ValueError(
                 f"{what}: mismatched non-concat dims along axis {axis}: "
                 f"{sorted({tuple(c.shape) for c in chunks})}"
             )
-    if is_spec(first):
-        shape = list(first.shape)
-        shape[axis] = sum(c.shape[axis] for c in chunks)
-        dtype = np.result_type(*[c.dtype for c in chunks])
-        return SpecArray(tuple(shape), dtype)
+    if type(first) is SpecArray:
+        out = list(shape)
+        out[axis] = 0
+        for c in chunks:
+            out[axis] += c.shape[axis]
+        return SpecArray(tuple(out), np.result_type(*map(_dtype_of, chunks)))
     return np.concatenate(chunks, axis=axis)
 
 
@@ -176,25 +203,16 @@ class Communicator:
         """Finalize closure + sanitizer spec for an all_reduce round; shared
         by the blocking and nonblocking entry points so both price and
         combine identically."""
-        _check_reduce_op(op, "all_reduce")
+        if op not in _REDUCERS:
+            raise _invalid_reduce_op(op, "all_reduce")
 
         def finalize(payloads: Dict[int, Payload]):
             _check_same_shape(payloads, "all_reduce")
             pool = self.group.runtime.buffer_pool
             combined = _combine(payloads, op, pool)
             cost = self.group.cost_model.allreduce(self.group.ranks, int(x.nbytes))
-            if is_spec(combined) or pool is None:
-                results = {
-                    i: (combined if i == 0 or is_spec(combined)
-                        else combined.copy())
-                    for i in payloads
-                }
-            else:
-                results = {
-                    i: (combined if i == 0
-                        else _pooled_copy(combined, pool, "all_reduce:result"))
-                    for i in payloads
-                }
+            results = _replicate(
+                combined, payloads, 0, pool, "all_reduce:result")
             return results, cost, "all_reduce", x.dtype.itemsize
 
         san = self.group.runtime.sanitizer
@@ -219,10 +237,7 @@ class Communicator:
             chunks = [payloads[i] for i in sorted(payloads)]
             gathered = _concat_axis(chunks, axis, "all_gather")
             cost = self.group.cost_model.allgather(self.group.ranks, int(x.nbytes))
-            results = {
-                i: (gathered if i == 0 or is_spec(gathered) else gathered.copy())
-                for i in payloads
-            }
+            results = _replicate(gathered, payloads, 0)
             return results, cost, "all_gather", x.dtype.itemsize
 
         san = self.group.runtime.sanitizer
@@ -242,7 +257,8 @@ class Communicator:
         return self.group.rendezvous_async(self.global_rank, x, finalize, spec)
 
     def _reduce_scatter_round(self, x: Payload, axis: int, op: ReduceOp):
-        _check_reduce_op(op, "reduce_scatter")
+        if op not in _REDUCERS:
+            raise _invalid_reduce_op(op, "reduce_scatter")
 
         def finalize(payloads: Dict[int, Payload]):
             _check_same_shape(payloads, "reduce_scatter")
@@ -278,10 +294,7 @@ class Communicator:
             if src is None:
                 raise ValueError("broadcast: root payload is None")
             cost = self.group.cost_model.broadcast(self.group.ranks, int(src.nbytes))
-            results = {
-                i: (src if i == root or is_spec(src) else src.copy())
-                for i in payloads
-            }
+            results = _replicate(src, payloads, root)
             return results, cost, "broadcast", src.dtype.itemsize
 
         san = self.group.runtime.sanitizer
@@ -291,7 +304,8 @@ class Communicator:
 
     def reduce(self, x: Payload, root: int = 0, op: ReduceOp = "sum") -> Optional[Payload]:
         """Reduce to the local rank ``root``; other ranks receive ``None``."""
-        _check_reduce_op(op, "reduce")
+        if op not in _REDUCERS:
+            raise _invalid_reduce_op(op, "reduce")
 
         def finalize(payloads: Dict[int, Payload]):
             _check_same_shape(payloads, "reduce")
@@ -350,12 +364,14 @@ class Communicator:
             raise ValueError(
                 f"all_to_all needs {self.size} chunks, got {len(chunks)}"
             )
-        nbytes_local = sum(int(c.nbytes) for c in chunks)
+        nbytes_local = 0
+        for c in chunks:
+            nbytes_local += int(c.nbytes)
 
         def finalize(payloads: Dict[int, List[Payload]]):
-            results = {
-                i: [payloads[j][i] for j in sorted(payloads)] for i in payloads
-            }
+            # column i of the rank-ordered chunk matrix is what rank i receives
+            columns = list(zip(*[payloads[j] for j in sorted(payloads)]))
+            results = {i: list(columns[i]) for i in payloads}
             cost = self.group.cost_model.all_to_all(self.group.ranks, nbytes_local)
             return results, cost, "all_to_all", chunks[0].dtype.itemsize
 
@@ -427,7 +443,7 @@ class Communicator:
         :class:`CollectiveTimeout`.
         """
         src_g = self.global_rank
-        dst_g = self.group.global_rank(dst)
+        dst_g = self.group.ranks[dst]
         runtime = self.group.runtime
         clock = runtime.clocks[src_g]
         cost = self.group.cost_model.p2p(src_g, dst_g, int(x.nbytes))
@@ -467,7 +483,7 @@ class Communicator:
         else:
             t_avail = max(start_time, clock.time) + cost.seconds
         self.group.counters.record("p2p", cost.wire_bytes, int(x.size))
-        payload = x if is_spec(x) else x.copy()
+        payload = x if type(x) is SpecArray else x.copy()
         key = (src_g, dst_g, (id(self.group), tag))
         if san is not None:
             san.note_send(src_g, dst_g, key, payload)
@@ -498,7 +514,7 @@ class Communicator:
 
     def recv(self, src: int, tag: Any = 0) -> Payload:
         """Blocking receive from local rank ``src``."""
-        src_g = self.group.global_rank(src)
+        src_g = self.group.ranks[src]
         dst_g = self.global_rank
         runtime = self.group.runtime
         if runtime.fault_injector is not None:
@@ -574,6 +590,16 @@ class Communicator:
     def irecv(self, src: int, tag: Any = 0) -> "Request":
         """Non-blocking receive; ``wait()`` blocks until the message lands."""
         return Request(kind="recv", comm=self, src=src, tag=tag)
+
+    # -- introspection ------------------------------------------------------------
+
+    @property
+    def counters(self):
+        """The group's shared :class:`CommCounters` (read after ``run()``)."""
+        return self.group.counters
+
+    def __repr__(self) -> str:
+        return f"Communicator(rank={self.rank}/{self.size}, group={self.group.ranks})"
 
 
 class StreamSendHandle(WorkHandle):
@@ -660,11 +686,6 @@ class Request(WorkHandle):
         self._done = True
         return self._result
 
-    # -- introspection ------------------------------------------------------------
-
-    @property
-    def counters(self):
-        return self.group.counters
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Communicator(rank={self.rank}/{self.size}, group={self.group.ranks})"
+    def __repr__(self) -> str:
+        peer = "" if self._kind == "send" else f", src={self._src}, tag={self._tag!r}"
+        return f"Request({self._kind}{peer}, done={self._done})"

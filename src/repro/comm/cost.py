@@ -65,10 +65,11 @@ collective *results* are combined identically in every case.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.machine import ClusterSpec
 from repro.comm.algorithms import ALGORITHMS, AlgorithmSelector
@@ -88,6 +89,37 @@ class CollectiveCost:
 
 
 _ZERO = CollectiveCost(0.0, 0)
+
+
+def _memoised(walk: Callable) -> Callable:
+    """Memoise a topology probe per ``(probe, *args)`` (the last argument is
+    the rank sequence): a priced round reads the link graph's answer
+    instead of re-walking it.
+
+    Entries live in a dict tagged with what a walk reads besides its
+    arguments — ``Topology.version``, read *before* the walk, and the
+    model's ``island_ratio`` — and a dict with a stale tag is dropped whole
+    (the :class:`AlgorithmSelector`'s rule), so ``scale_link`` /
+    ``restore_links`` re-price the next round.  A walk racing a version
+    bump writes into the dict it looked up first, which the bump has just
+    made stale: it cannot plant an old price under the new version.
+    """
+    name = walk.__name__
+
+    @functools.wraps(walk)
+    def probe(self: "CostModel", *args: Any) -> Any:
+        tag = (self.cluster.topology.version, self.island_ratio)
+        memo = self._probes
+        if memo[0] != tag:
+            memo = self._probes = (tag, {})
+        key = (name, *args[:-1], tuple(args[-1]))
+        try:
+            return memo[1][key]
+        except KeyError:
+            value = memo[1][key] = walk(self, *args)
+            return value
+
+    return probe
 
 
 class CostModel:
@@ -114,6 +146,8 @@ class CostModel:
         self.algorithm = algorithm
         self.island_ratio = island_ratio
         self.selector = AlgorithmSelector(self)
+        #: (tag, {probe key: value}) — see :func:`_memoised`
+        self._probes: Tuple[Any, Dict[tuple, Any]] = (None, {})
 
     def _eff(self, bw: float, nbytes: int) -> float:
         """Effective bandwidth after the NCCL-style message-size ramp: a
@@ -129,6 +163,7 @@ class CostModel:
     def _names(self, ranks: Sequence[int]) -> List[str]:
         return self.cluster.gpu_names(list(ranks))
 
+    @_memoised
     def _ring(self, ranks: Sequence[int]) -> Tuple[float, float]:
         """(contention-aware bottleneck bandwidth, summed latency) of the
         group's topology-aware ring ordering."""
@@ -136,9 +171,11 @@ class CostModel:
         names = topo.order_ring(self._names(ranks))
         return topo.ring_stats(names)
 
+    @_memoised
     def _pairwise(self, ranks: Sequence[int]) -> Tuple[float, float]:
         """(worst pair bandwidth, worst pair latency) — the per-round bound
-        of recursive halving/doubling, whose partners span every distance."""
+        of recursive halving/doubling, whose partners span every distance,
+        and of the personalized all-to-all."""
         names = self._names(ranks)
         topo = self.cluster.topology
         bw = math.inf
@@ -149,6 +186,7 @@ class CostModel:
             lat = max(lat, l_)
         return bw, lat
 
+    @_memoised
     def _star(self, root: int, ranks: Sequence[int]) -> Tuple[float, float]:
         """(bottleneck root<->member bandwidth, max latency) for scatter/gather."""
         topo = self.cluster.topology
@@ -163,8 +201,12 @@ class CostModel:
             lat = max(lat, l)
         return bw, lat
 
-    def _islands(self, ranks: Sequence[int]) -> List[List[str]]:
-        return self.cluster.topology.islands(self._names(ranks), self.island_ratio)
+    @_memoised
+    def _islands(self, ranks: Sequence[int]) -> Tuple[Tuple[str, ...], ...]:
+        """Fast-link islands of the group, as (hashable, shared) tuples."""
+        islands = self.cluster.topology.islands(
+            self._names(ranks), self.island_ratio)
+        return tuple(tuple(g) for g in islands)
 
     def _phase(
         self, send_bytes: float, buffer_bytes: float, bw: float
@@ -185,8 +227,9 @@ class CostModel:
         slope = send_bytes / bw if math.isfinite(bw) else 0.0
         return (send_bytes / buffer_bytes) * self.bw_ramp, slope
 
+    @_memoised
     def _island_phases(
-        self, islands: List[List[str]]
+        self, islands: Sequence[Sequence[str]]
     ) -> Tuple[List[Tuple[int, float, float]], float, float, int, int]:
         """Per-island ring stats plus the inter-island leader-ring stats.
 
@@ -199,7 +242,7 @@ class CostModel:
         intra = []
         for g in islands:
             if len(g) > 1:
-                bw, lat = topo.ring_stats(topo.order_ring(g))
+                bw, lat = topo.ring_stats(topo.order_ring(list(g)))
                 intra.append((len(g), bw, lat))
         leaders = topo.order_ring([g[0] for g in islands])
         bridge_bw, bridge_lat = topo.ring_stats(leaders)
@@ -491,14 +534,7 @@ class CostModel:
         p = len(ranks)
         if p < 2 or nbytes_local == 0:
             return _ZERO
-        names = self._names(ranks)
-        topo = self.cluster.topology
-        bw = topo.min_bandwidth(names)
-        # worst pair latency — the same per-call latency term every other
-        # collective charges (was dropped before)
-        lat = max(
-            topo.latency(a, b) for a, b in itertools.combinations(names, 2)
-        )
+        bw, lat = self._pairwise(ranks)
         seconds = (
             (p - 1) * self.alpha + lat
             + ((p - 1) / p) * nbytes_local / self._eff(bw, nbytes_local)

@@ -160,29 +160,34 @@ class ProcessGroup:
         communicator only when a sanitizer is installed) declares what this
         rank believes the call to be; the sanitizer cross-checks the specs
         when the round fills.
+
+        On the healthy path a rank makes no call of its own below this frame
+        except :meth:`_await_round` when it has to park — the membership,
+        mode and claim bookkeeping is inline on purpose (DESIGN 4l).
         """
-        me = self.local_rank(my_global_rank)
-        clock = self.runtime.clocks[my_global_rank]
-
-        injector = self.runtime.fault_injector
-        if injector is not None:
-            injector.check_time_crash(my_global_rank, clock.time)
-
-        tracer = self.runtime.tracer
-        san = self.runtime.sanitizer
+        runtime = self.runtime
+        me = self._local.get(my_global_rank)
+        if me is None:
+            self.local_rank(my_global_rank)  # raises: not a member
+        clock = runtime.clocks[my_global_rank]
+        if runtime.fault_injector is not None:
+            runtime.fault_injector.check_time_crash(my_global_rank, clock.time)
+        tracer = runtime.tracer
+        seq = self._seq[my_global_rank]
         if spec is not None:
-            spec.seq = self._seq[my_global_rank]
+            spec.seq = seq
 
         if self.size == 1:
+            san = runtime.sanitizer
             t0 = clock.time
             extra: Dict[str, Any] = _NO_EXTRA
             if san is not None:
-                san.verify_round(self, self._seq[my_global_rank], {0: spec} if spec else None)
+                san.verify_round(self, seq, {0: spec} if spec else None)
             results, cost, op, itemsize = finalize({0: payload})
             if san is not None:
                 extra = san.finish_round(
-                    self, self._seq[my_global_rank],
-                    {0: spec} if spec else None, {0: payload}, results,
+                    self, seq, {0: spec} if spec else None,
+                    {0: payload}, results,
                 )
                 self._seq[my_global_rank] += 1
             if self.async_tail > clock.time:
@@ -194,7 +199,7 @@ class ProcessGroup:
                     op, cost.wire_bytes, cost.wire_elements(itemsize),
                     algorithm=cost.algorithm,
                 )
-            cap = self.runtime.capture
+            cap = runtime.capture
             if cap is not None:
                 cap.record_solo(my_global_rank, self, op, cost, itemsize, payload)
             if tracer is not None:
@@ -205,15 +210,15 @@ class ProcessGroup:
                 )
             return results[0]
 
-        seq = self._seq[my_global_rank]
         self._seq[my_global_rank] = seq + 1
-
         with self._cond:
             rnd = self._rounds.get(seq)
             if rnd is None:
-                rnd = _Round()
-                self._rounds[seq] = rnd
-            self._check_mode(rnd, "sync")
+                rnd = self._rounds[seq] = _Round()
+            if rnd.mode is None:
+                rnd.mode = "sync"
+            elif rnd.mode != "sync":
+                self._fail_mixed_mode(rnd, seq, "sync")
             rnd.payloads[me] = payload
             rnd.entry_times[me] = clock.time
             if spec is not None:
@@ -226,94 +231,15 @@ class ProcessGroup:
                 # while this rank was on its way; claim the error below.
                 pass
             elif len(rnd.payloads) == self.size:
-                # Last arriver finalizes on behalf of everyone.
-                race_token = None
-                try:
-                    if san is not None:
-                        san.verify_round(self, seq, rnd.specs)
-                        race_token = san.race_acquire(self, rnd.payloads)
-                    results, cost, op, itemsize = finalize(rnd.payloads)
-                    failures, permanent = 0, False
-                    retry_seconds = 0.0
-                    if injector is not None:
-                        failures, permanent = injector.collective_verdict(
-                            op, self.ranks, seq
-                        )
-                        if (failures or permanent) and san is not None:
-                            san.note_injected_glitch(
-                                op, self.ranks, failures, permanent
-                            )
-                        if permanent:
-                            # Exhaust the full retransmission budget, then
-                            # give up: every member raises the timeout.
-                            failures = self.runtime.retry_policy.max_retries + 1
-                        if failures:
-                            policy = self.runtime.retry_policy
-                            for a in range(1, failures + 1):
-                                retry_seconds += cost.seconds + policy.backoff(a)
-                            self.counters.record_retry(
-                                op,
-                                failures * cost.wire_bytes,
-                                failures * cost.wire_elements(itemsize),
-                                attempts=failures,
-                            )
-                    # a blocking round serializes after any in-flight
-                    # nonblocking ops on this group's comm stream
-                    t_base = max(rnd.entry_times.values())
-                    if self.async_tail > t_base:
-                        t_base = self.async_tail
-                    if permanent:
-                        t_end = t_base + retry_seconds
-                    else:
-                        t_end = t_base + cost.seconds + retry_seconds
-                    self.async_tail = t_end
-                    for g in self.ranks:
-                        self.runtime.clocks[g].sync_to(t_end, "comm")
-                    if permanent:
-                        raise CollectiveTimeout(
-                            op, self.ranks, attempts=failures
-                        )
-                    if cost.wire_bytes:
-                        self.counters.record(
-                            op, cost.wire_bytes, cost.wire_elements(itemsize),
-                            algorithm=cost.algorithm,
-                        )
-                    if san is not None:
-                        rnd.trace_extra = san.finish_round(
-                            self, seq, rnd.specs, rnd.payloads, results,
-                            race_token,
-                        )
-                        race_token = None  # released by finish_round
-                    rnd.algorithm = cost.algorithm
-                    rnd.op = op
-                    rnd.t_end = t_end
-                    rnd.wire_bytes = cost.wire_bytes
-                    rnd.retries = failures
-                    rnd.retry_seconds = retry_seconds
-                    rnd.results = results
-                    cap = self.runtime.capture
-                    if cap is not None:
-                        cap.record_round(
-                            self, seq, "sync", cost, op, itemsize, rnd.payloads
-                        )
-                except BaseException as exc:  # propagate to all members
-                    if race_token is not None:
-                        san.race_release(race_token)
-                    rnd.error = exc
-                rnd.done = True
-                self._cond.notify_all()
+                self._finalize_round(rnd, seq, finalize)
             else:
                 self._await_round(my_global_rank, seq, rnd, spec, clock)
 
             if rnd.error is not None:
-                rnd.claimed += 1
-                if rnd.claimed == self.size:
-                    del self._rounds[seq]
+                self._claim(rnd, seq)
                 raise rnd.error
-
-            assert rnd.results is not None
             result = rnd.results[me]
-            cap = self.runtime.capture
+            cap = runtime.capture
             if cap is not None:
                 cap.record_member(my_global_rank, self, seq, "c")
             if tracer is not None and rnd.op is not None:
@@ -341,17 +267,19 @@ class ProcessGroup:
 
     def _await_round(self, my_global_rank: int, seq: int, rnd: "_Round",
                      spec: Any, clock: Any) -> None:
-        """Park (group condition held) until ``rnd`` completes.
+        """Park (group condition held) until ``rnd``, not yet done, completes.
 
         Shared by the blocking rendezvous and :meth:`AsyncCollectiveHandle.wait`.
         Completion and abort are notify-driven (the last arriver and
         ``SpmdRuntime._wake_all`` call ``notify_all``); with a sanitizer
         installed the wait is additionally chopped into ``_DIAG_WINDOW``
-        slices so ``check_stalled`` keeps its one-tick desync-diagnosis
-        latency.  The deadline is measured against a monotonic start
-        timestamp — wake-ups before the timeout no longer undercount
-        elapsed time the way the old ``deadline -= poll_interval``
-        accounting did.
+        slices, and ``check_stalled`` walks the wait-for graph whenever a
+        slice expires or a wake arrives without completion — never on the
+        way into the park, so a healthy round pays nothing for it and a
+        desync is still convicted within one window (an exiting rank wakes
+        its peers, which makes that diagnosis immediate).  The deadline is
+        measured against a monotonic start timestamp, so wake-ups before
+        the timeout do not undercount elapsed time.
         """
         runtime = self.runtime
         san = runtime.sanitizer
@@ -360,22 +288,9 @@ class ProcessGroup:
         if san is not None:
             san.enter_wait(my_global_rank, self, seq, spec, rnd)
         try:
-            while not rnd.done:
+            while True:
                 if runtime.aborting():
                     runtime.check_abort()
-                if san is not None:
-                    err = san.check_stalled(self, seq, rnd)
-                    if err is not None and not rnd.done:
-                        rnd.error = err
-                        rnd.done = True
-                        self._cond.notify_all()
-                        if tracer is not None:
-                            tracer.instant(
-                                my_global_rank,
-                                f"sanitizer:{type(err).__name__}",
-                                clock.time,
-                            )
-                        break
                 remaining = deadline_ts - time.monotonic()
                 if remaining <= 0:
                     raise CollectiveTimeout(
@@ -385,6 +300,21 @@ class ProcessGroup:
                 self._cond.wait(
                     remaining if san is None else min(remaining, _DIAG_WINDOW)
                 )
+                if rnd.done:
+                    return
+                if san is not None:
+                    err = san.check_stalled(self, seq, rnd)
+                    if err is not None:
+                        rnd.error = err
+                        rnd.done = True
+                        self._cond.notify_all()
+                        if tracer is not None:
+                            tracer.instant(
+                                my_global_rank,
+                                f"sanitizer:{type(err).__name__}",
+                                clock.time,
+                            )
+                        return
         finally:
             if san is not None:
                 san.exit_wait(my_global_rank)
@@ -395,26 +325,32 @@ class ProcessGroup:
         with self._cond:
             self._cond.notify_all()
 
-    def _check_mode(self, rnd: _Round, mode: str) -> None:
+    def _claim(self, rnd: _Round, seq: int) -> None:
+        """Count one member's claim on a failed round (it is about to raise
+        the error); the last member to claim deletes the round.  Every
+        failing exit comes through here — the healthy exits count their
+        claim inline, being on the per-rank path."""
+        rnd.claimed += 1
+        if rnd.claimed == self.size:
+            del self._rounds[seq]
+
+    def _fail_mixed_mode(self, rnd: _Round, seq: int, mode: str) -> None:
         """All ranks of a round must agree on blocking vs nonblocking: for a
         nonblocking round, *handle completion* (not issue order) defines the
         rendezvous point, so a blocking caller mixed into it would have its
         clock synced under the wrong semantics.  Fail the round for everyone
         rather than silently mis-pricing it."""
-        if rnd.mode is None:
-            rnd.mode = mode
-        elif rnd.mode != mode:
-            err: BaseException = RuntimeError(
-                f"collective on group {self.ranks} mixes blocking and "
-                f"nonblocking calls across ranks (round is {rnd.mode!r}, "
-                f"this rank called {mode!r})"
-            )
-            if not rnd.done:
-                rnd.error = err
-                rnd.done = True
-                self._cond.notify_all()
-            rnd.claimed += 1
-            raise err
+        err = RuntimeError(
+            f"collective on group {self.ranks} mixes blocking and "
+            f"nonblocking calls across ranks (round is {rnd.mode!r}, "
+            f"this rank called {mode!r})"
+        )
+        if not rnd.done:
+            rnd.error = err
+            rnd.done = True
+            self._cond.notify_all()
+        self._claim(rnd, seq)
+        raise err
 
     def rendezvous_async(self, my_global_rank: int, payload: Any,
                          finalize: FinalizeFn, spec: Any = None) -> "WorkHandle":
@@ -428,45 +364,53 @@ class ProcessGroup:
         waits the returned handle (max-join).  Byte/cost accounting is
         identical to the blocking rendezvous.
         """
-        me = self.local_rank(my_global_rank)
-        clock = self.runtime.clocks[my_global_rank]
-
-        injector = self.runtime.fault_injector
-        if injector is not None:
-            injector.check_time_crash(my_global_rank, clock.time)
-
-        san = self.runtime.sanitizer
-        if spec is not None:
-            spec.seq = self._seq[my_global_rank]
-
+        runtime = self.runtime
+        me = self._local.get(my_global_rank)
+        if me is None:
+            self.local_rank(my_global_rank)  # raises: not a member
+        now = runtime.clocks[my_global_rank].time
+        if runtime.fault_injector is not None:
+            runtime.fault_injector.check_time_crash(my_global_rank, now)
         seq = self._seq[my_global_rank]
         self._seq[my_global_rank] = seq + 1
+        if spec is not None:
+            spec.seq = seq
 
         with self._cond:
             rnd = self._rounds.get(seq)
             if rnd is None:
-                rnd = _Round()
-                self._rounds[seq] = rnd
-            self._check_mode(rnd, "async")
+                rnd = self._rounds[seq] = _Round()
+            if rnd.mode is None:
+                rnd.mode = "async"
+            elif rnd.mode != "async":
+                self._fail_mixed_mode(rnd, seq, "async")
             rnd.payloads[me] = payload
-            rnd.entry_times[me] = clock.time
+            rnd.entry_times[me] = now
             if spec is not None:
                 if rnd.specs is None:
                     rnd.specs = {}
                 rnd.specs[me] = spec
-            cap = self.runtime.capture
+            cap = runtime.capture
             if cap is not None:
                 cap.record_member(my_global_rank, self, seq, "ic")
             if not rnd.done and len(rnd.payloads) == self.size:
-                self._finalize_async(rnd, seq, finalize)
+                self._finalize_round(rnd, seq, finalize)
             return AsyncCollectiveHandle(self, seq, me, my_global_rank, spec)
 
-    def _finalize_async(self, rnd: _Round, seq: int, finalize: FinalizeFn) -> None:
-        """Finalize a nonblocking round (lock held, last issuer's thread)."""
+    def _finalize_round(self, rnd: _Round, seq: int,
+                        finalize: FinalizeFn) -> None:
+        """The last arriver's work, on behalf of every member (group
+        condition held): sanitizer verify/race -> ``finalize`` -> injector
+        verdict and retry pricing -> time -> counters -> sanitizer finish ->
+        capture.  The one difference between the two kinds of round is
+        where the time goes: a blocking round syncs every member's compute
+        clock to its end, a nonblocking one occupies their comm streams and
+        leaves the clocks to each ``wait()``.  Any failure becomes the
+        round's error, which every member then claims.
+        """
         runtime = self.runtime
         injector = runtime.fault_injector
         san = runtime.sanitizer
-        tracer = runtime.tracer
         race_token = None
         try:
             if san is not None:
@@ -482,6 +426,8 @@ class ProcessGroup:
                 if (failures or permanent) and san is not None:
                     san.note_injected_glitch(op, self.ranks, failures, permanent)
                 if permanent:
+                    # Exhaust the full retransmission budget, then give
+                    # up: every member raises the timeout.
                     failures = runtime.retry_policy.max_retries + 1
                 if failures:
                     policy = runtime.retry_policy
@@ -493,6 +439,8 @@ class ProcessGroup:
                         failures * cost.wire_elements(itemsize),
                         attempts=failures,
                     )
+            # every round, blocking or not, serializes after whatever is in
+            # flight on this group's comm stream
             t_start = max(rnd.entry_times.values())
             if self.async_tail > t_start:
                 t_start = self.async_tail
@@ -501,8 +449,12 @@ class ProcessGroup:
             else:
                 t_end = t_start + cost.seconds + retry_seconds
             self.async_tail = t_end
-            for g in self.ranks:
-                runtime.comm_streams[g].occupy(t_start, t_end)
+            if rnd.mode == "sync":
+                for g in self.ranks:
+                    runtime.clocks[g].sync_to(t_end, "comm")
+            else:
+                for g in self.ranks:
+                    runtime.comm_streams[g].occupy(t_start, t_end)
             if permanent:
                 raise CollectiveTimeout(op, self.ranks, attempts=failures)
             if cost.wire_bytes:
@@ -526,9 +478,12 @@ class ProcessGroup:
             cap = runtime.capture
             if cap is not None:
                 cap.record_round(
-                    self, seq, "async", cost, op, itemsize, rnd.payloads
+                    self, seq, rnd.mode, cost, op, itemsize, rnd.payloads
                 )
-            if tracer is not None:
+            tracer = runtime.tracer
+            if tracer is not None and rnd.mode == "async":
+                # the stream lane; blocking rounds are annotated per member
+                # as each leaves the rendezvous
                 for local, g in enumerate(self.ranks):
                     tracer.annotate(
                         g, "comm_stream", op, t_start, t_end,
@@ -536,7 +491,7 @@ class ProcessGroup:
                         retries=failures, primary=(local == 0),
                         algo=cost.algorithm, **rnd.trace_extra,
                     )
-        except BaseException as exc:  # propagate to every waiter
+        except BaseException as exc:  # propagate to every member
             if race_token is not None:
                 san.race_release(race_token)
             rnd.error = exc
@@ -588,12 +543,9 @@ class AsyncCollectiveHandle(WorkHandle):
             if not rnd.done:
                 group._await_round(self._rank, self._seq, rnd, self._spec, clock)
             if rnd.error is not None:
-                rnd.claimed += 1
-                if rnd.claimed == group.size:
-                    del group._rounds[self._seq]
                 self._done = True
+                group._claim(rnd, self._seq)
                 raise rnd.error
-            assert rnd.results is not None
             result = rnd.results[self._me]
             t_start, t_end, op = rnd.t_start, rnd.t_end, rnd.op
             rnd.claimed += 1

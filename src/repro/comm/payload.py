@@ -61,8 +61,13 @@ class SpecArray:
                 size = math.prod(shape)
                 break
             size *= s
+        if not isinstance(dtype, np.dtype):
+            try:
+                dtype = _DTYPE_CACHE[dtype]
+            except (KeyError, TypeError):  # first use, or unhashable
+                dtype = _as_dtype(dtype)
         self.shape = shape
-        self.dtype = dtype = dtype if isinstance(dtype, np.dtype) else _as_dtype(dtype)
+        self.dtype = dtype
         self.size = size
         self.nbytes = size * dtype.itemsize
 
@@ -108,8 +113,3 @@ def payload_nbytes(x: Payload) -> int:
 
 def payload_elements(x: Payload) -> int:
     return int(x.size)
-
-
-def like(x: Payload, shape: Tuple[int, ...]) -> SpecArray:
-    """A SpecArray with ``shape`` and ``x``'s dtype."""
-    return SpecArray(shape, x.dtype)

@@ -116,12 +116,12 @@ class ProjectedCostModel(CostModel):
         super().__init__(_FabricCluster(fabric))
         self.fabric = fabric
 
-    # -- node partition helpers -------------------------------------------
-
     def _node_of(self, rank: int) -> int:
         return int(rank) // self.fabric.node_size
 
-    def _pair_extremes(self, ranks: Sequence[int]) -> Tuple[float, float]:
+    # -- topology-probing seams, replaced with closed forms ---------------
+
+    def _pairwise(self, ranks: Sequence[int]) -> Tuple[float, float]:
         """(min pair bandwidth, max pair latency) over all member pairs —
         the closed form of iterating ``path_stats`` over combinations."""
         f = self.fabric
@@ -139,8 +139,6 @@ class ProjectedCostModel(CostModel):
             lat = max(lat, f.inter_lat)
         return bw, lat
 
-    # -- topology-probing seams, replaced with closed forms ---------------
-
     def _ring(self, ranks: Sequence[int]) -> Tuple[float, float]:
         """Node-contiguous ring: ``p`` hops of which ``k`` cross a node
         boundary — the closed form of ``ring_stats(order_ring(names))`` on
@@ -155,9 +153,6 @@ class ProjectedCostModel(CostModel):
             min(f.intra_bw, f.inter_bw),
             (p - k) * f.intra_lat + k * f.inter_lat,
         )
-
-    def _pairwise(self, ranks: Sequence[int]) -> Tuple[float, float]:
-        return self._pair_extremes(ranks)
 
     def _star(self, root: int, ranks: Sequence[int]) -> Tuple[float, float]:
         f = self.fabric
@@ -196,17 +191,6 @@ class ProjectedCostModel(CostModel):
         return intra, bridge_bw, bridge_lat, k, s
 
     # -- direct-topology methods (expression-identical to CostModel) ------
-
-    def all_to_all(self, ranks: Sequence[int], nbytes_local: int) -> CollectiveCost:
-        p = len(ranks)
-        if p < 2 or nbytes_local == 0:
-            return CollectiveCost(0.0, 0)
-        bw, lat = self._pair_extremes(ranks)
-        seconds = (
-            (p - 1) * self.alpha + lat
-            + ((p - 1) / p) * nbytes_local / self._eff(bw, nbytes_local)
-        )
-        return CollectiveCost(seconds, (p - 1) * nbytes_local, "direct")
 
     def p2p(self, src: int, dst: int, nbytes: int) -> CollectiveCost:
         if nbytes == 0 or src == dst:

@@ -36,11 +36,13 @@ class SimClock:
     check per advance.
     """
 
-    __slots__ = ("_time", "_lock", "_busy", "_slowdowns", "_observer",
+    __slots__ = ("time", "_lock", "_busy", "_slowdowns", "_observer",
                  "_capture")
 
     def __init__(self) -> None:
-        self._time = 0.0
+        #: simulated seconds, read-only outside this class (a plain slot:
+        #: every comm entry reads it)
+        self.time = 0.0
         self._lock = threading.Lock()
         self._busy: Dict[str, float] = {}
         self._slowdowns: List[Tuple[float, float, float]] = []
@@ -62,10 +64,6 @@ class SimClock:
         ``t1 - t0`` is not exact in floating point)."""
         with self._lock:
             self._capture = capture
-
-    @property
-    def time(self) -> float:
-        return self._time
 
     def set_slowdown(self, factor: float, start: float = 0.0,
                      end: float = math.inf) -> None:
@@ -98,7 +96,7 @@ class SimClock:
     def _scaled(self, dt: float) -> float:
         """Simulated seconds consumed by ``dt`` seconds of fault-free work
         starting at the current time, integrating across window edges."""
-        elapsed, t, work = 0.0, self._time, dt
+        elapsed, t, work = 0.0, self.time, dt
         while work > 0.0:
             f = self._factor_at(t)
             edge = self._next_edge_after(t)
@@ -118,21 +116,21 @@ class SimClock:
         with self._lock:
             if self._slowdowns:
                 dt = self._scaled(dt)
-            t0 = self._time
-            self._time += dt
+            t0 = self.time
+            self.time += dt
             self._busy[category] = self._busy.get(category, 0.0) + dt
             if self._capture is not None:
                 self._capture(category, dt)
             if self._observer is not None and dt > 0.0:
-                self._observer(category, t0, self._time)
+                self._observer(category, t0, self.time)
 
     def sync_to(self, t: float, category: str = "wait") -> None:
         """Jump forward to absolute time ``t`` (no-op if already past it)."""
         with self._lock:
-            if t > self._time:
-                t0 = self._time
-                self._busy[category] = self._busy.get(category, 0.0) + (t - self._time)
-                self._time = t
+            if t > self.time:
+                t0 = self.time
+                self._busy[category] = self._busy.get(category, 0.0) + (t - self.time)
+                self.time = t
                 if self._observer is not None:
                     self._observer(category, t0, t)
 
@@ -143,12 +141,12 @@ class SimClock:
 
     def reset(self) -> None:
         with self._lock:
-            self._time = 0.0
+            self.time = 0.0
             self._busy.clear()
             self._slowdowns.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SimClock(t={self._time:.6f}s)"
+        return f"SimClock(t={self.time:.6f}s)"
 
 
 class StreamClock:
@@ -169,19 +167,15 @@ class StreamClock:
     the compute clock actually stalled on.
     """
 
-    __slots__ = ("_time", "_lock", "_busy", "_exposed", "_overlapped")
+    __slots__ = ("time", "_lock", "_busy", "_exposed", "_overlapped")
 
     def __init__(self) -> None:
-        self._time = 0.0
+        #: stream head: simulated time the last queued op completes
+        self.time = 0.0
         self._lock = threading.Lock()
         self._busy: Dict[str, float] = {}
         self._exposed = 0.0
         self._overlapped = 0.0
-
-    @property
-    def time(self) -> float:
-        """Stream head: simulated time the last queued op completes."""
-        return self._time
 
     @property
     def exposed_seconds(self) -> float:
@@ -203,8 +197,8 @@ class StreamClock:
             dt = t1 - t0
             self._busy[category] = self._busy.get(category, 0.0) + dt
             self._overlapped += dt
-            if t1 > self._time:
-                self._time = t1
+            if t1 > self.time:
+                self.time = t1
 
     def note_exposed(self, seconds: float) -> None:
         """Reclassify ``seconds`` of previously-occupied stream time from
@@ -229,13 +223,13 @@ class StreamClock:
 
     def reset(self) -> None:
         with self._lock:
-            self._time = 0.0
+            self.time = 0.0
             self._busy.clear()
             self._exposed = 0.0
             self._overlapped = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"StreamClock(t={self._time:.6f}s, exposed={self._exposed:.6f}s, "
+            f"StreamClock(t={self.time:.6f}s, exposed={self._exposed:.6f}s, "
             f"overlapped={self._overlapped:.6f}s)"
         )

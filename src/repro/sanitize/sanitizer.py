@@ -56,7 +56,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.comm.payload import is_spec
+from repro.comm.payload import SpecArray
 from repro.sanitize.errors import (
     ChecksumMismatch,
     CollectiveDesync,
@@ -89,16 +89,20 @@ def payload_checksum(payload: Any) -> int:
     if isinstance(payload, np.ndarray):
         head = zlib.crc32(repr((payload.shape, payload.dtype.str)).encode())
         return zlib.crc32(np.ascontiguousarray(payload).tobytes(), head)
-    if is_spec(payload):
+    if type(payload) is SpecArray:
         return zlib.crc32(
             repr((payload.shape, payload.dtype.name, "spec")).encode()
         )
     if isinstance(payload, (list, tuple)):
         crc = len(payload)
         for p in payload:
-            crc = zlib.crc32(
-                payload_checksum(p).to_bytes(4, "little"), crc
-            )
+            if type(p) is SpecArray:  # a spec chunk list costs one frame
+                sub = zlib.crc32(
+                    repr((p.shape, p.dtype.name, "spec")).encode()
+                )
+            else:
+                sub = payload_checksum(p)
+            crc = zlib.crc32(sub.to_bytes(4, "little"), crc)
         return crc
     return zlib.crc32(repr(payload).encode())
 
@@ -131,9 +135,12 @@ class _Frozen:
 def _arrays_of(payload: Any) -> List[np.ndarray]:
     if isinstance(payload, np.ndarray):
         return [payload]
+    out: List[np.ndarray] = []
     if isinstance(payload, (list, tuple)):
-        return [a for p in payload for a in _arrays_of(p)]
-    return []
+        for p in payload:
+            if type(p) is not SpecArray:
+                out.extend(_arrays_of(p))
+    return out
 
 
 class BufferRaceDetector:
@@ -168,6 +175,8 @@ class BufferRaceDetector:
         token to pass back to :meth:`verify_and_release`."""
         token: List[_Frozen] = []
         for local, p in payloads.items():
+            if type(p) is SpecArray:
+                continue
             for arr in _arrays_of(p):
                 prior = bool(arr.flags.writeable)
                 if prior:
@@ -279,6 +288,9 @@ class CommSanitizer:
         self._send_crcs: Dict[Any, List[int]] = {}
         self._waiting: Dict[int, _WaitState] = {}
         self._done: set = set()
+        #: rendered call signatures by (op, shape, dtype, *params): a
+        #: program repeats a handful of distinct calls
+        self._signatures: Dict[tuple, str] = {}
         self._world = 0
         self._runtime: Optional[Any] = None
         self.events: List[ChecksumEvent] = []
@@ -348,11 +360,17 @@ class CommSanitizer:
             root = params.get("root")
             contributes = (
                 root is not None
-                and comm.group.global_rank(int(root)) == comm.global_rank
+                and comm.group.ranks[int(root)] == comm.global_rank
             )
+        key = (op, getattr(payload, "shape", None),
+               getattr(payload, "dtype", None), *params.items())
+        signature = self._signatures.get(key)
+        if signature is None:
+            signature = self._signatures[key] = call_signature(
+                op, payload, **params)
         return CollectiveSpec(
             op=op,
-            signature=call_signature(op, payload, **params),
+            signature=signature,
             global_rank=comm.global_rank,
             group_ranks=tuple(comm.group.ranks),
             callsite=capture_callsite() if self.capture_callsites else "",

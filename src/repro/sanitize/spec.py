@@ -14,6 +14,7 @@ is installed; the disabled hot path never allocates one.
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -28,13 +29,19 @@ _INTERNAL_DIRS = (
 )
 
 
+@functools.lru_cache(maxsize=None)
+def _is_internal(filename: str) -> bool:
+    """Asked once per source file: every rank-op walks the same few frames."""
+    return any(d in filename for d in _INTERNAL_DIRS)
+
+
 def capture_callsite() -> str:
     """``path/file.py:line in function`` of the nearest frame outside the
     communication and sanitizer internals."""
     f = sys._getframe(1)
     while f is not None:
         filename = f.f_code.co_filename
-        if not any(d in filename for d in _INTERNAL_DIRS):
+        if not _is_internal(filename):
             parts = filename.split(os.sep)
             short = os.sep.join(parts[-2:]) if len(parts) > 1 else filename
             return f"{short}:{f.f_lineno} in {f.f_code.co_name}"

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import system_i, system_ii, system_iii, system_iv, uniform_cluster
+from repro.comm.algorithms import ALGORITHMS, SELECTABLE_OPS
 from repro.comm.cost import CostModel
 from repro.utils.units import GB, KB, MB
 
@@ -247,3 +250,128 @@ class TestAdaptiveEvictionUnderPressure:
         losses, frac = rt.run(prog)[0]
         assert all(np.isfinite(l) for l in losses)
         assert frac < 1.0  # something was evicted to the host
+
+
+# -- memoised pricing == cold pricing (ISSUE 18) ------------------------------
+
+_SYSTEMS = {
+    "system_i": system_i,
+    "system_ii": system_ii,
+    "system_iii": lambda: system_iii(n_nodes=2),
+}
+#: mostly a small pool, so the same (probe, group) is asked again after an
+#: edit; now and then any subset in any order
+_GROUP = st.one_of(
+    st.sampled_from([list(range(8)), [0, 1, 2, 3], [4, 5, 6, 7], [0, 4],
+                     [3, 1, 2, 0], [0, 2, 4, 6], [1]]),
+    st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True),
+)
+_NBYTES = st.one_of(
+    st.integers(1, 64 * MB), st.just(0),
+    st.sampled_from([4 * KB, 4 * KB + 1, 1 * MB, (1 * MB) - 1, 16 * MB]))
+_QUERY = st.one_of(
+    st.tuples(st.sampled_from(sorted(SELECTABLE_OPS)), _GROUP, _NBYTES,
+              st.sampled_from(ALGORITHMS + ("auto",))),
+    st.tuples(st.sampled_from(["scatter", "gather"]), _GROUP, _NBYTES,
+              st.integers(0, 7)),
+    st.tuples(st.sampled_from(["all_to_all", "barrier"]), _GROUP, _NBYTES,
+              st.none()),
+    st.tuples(st.just("p2p"), st.tuples(st.integers(0, 7), st.integers(0, 7)),
+              _NBYTES, st.none()),
+)
+_EDIT = st.one_of(
+    st.tuples(st.just("scale_link"), st.integers(0, 7),
+              st.sampled_from([0.05, 0.5, 2.0, 1.0])),
+    st.tuples(st.just("restore_links")),
+)
+
+
+def _ask(cm, op, ranks, nbytes, arg):
+    if op in SELECTABLE_OPS:
+        method = getattr(cm, {"all_reduce": "allreduce",
+                              "all_gather": "allgather"}.get(op, op))
+        return method(ranks, nbytes, algorithm=arg)
+    if op in ("scatter", "gather"):
+        return getattr(cm, op)(ranks[arg % len(ranks)], ranks, nbytes)
+    if op == "barrier":
+        return cm.barrier(ranks)
+    if op == "p2p":
+        return cm.p2p(ranks[0], ranks[1], nbytes)
+    return cm.all_to_all(ranks, nbytes)
+
+
+class _ColdSelector:
+    """The selector's rule restated over *cold* prices: a bucket's first
+    query picks the cheapest family, later ones re-price that family
+    against the flat ring, and any change to the link graph empties it."""
+
+    def __init__(self):
+        self.choice, self.hits, self.misses = {}, 0, 0
+
+    def price(self, cold, op, ranks, nbytes):
+        if len(ranks) < 2 or nbytes == 0:
+            return cold.allreduce(ranks, 0)
+        key = (tuple(ranks), op, nbytes.bit_length())
+        if key not in self.choice:
+            self.misses += 1
+            costs = [cold._op_cost(op, ranks, nbytes, a) for a in ALGORITHMS]
+            best = min(costs, key=lambda c: c.seconds)  # first wins a tie
+            self.choice[key] = best.algorithm
+            return best
+        self.hits += 1
+        cost = cold._op_cost(op, ranks, nbytes, self.choice[key])
+        ring = cold._op_cost(op, ranks, nbytes, "ring")
+        return ring if ring.seconds < cost.seconds else cost
+
+
+class TestMemoisedPricing:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(system=st.sampled_from(sorted(_SYSTEMS)),
+           queries=st.lists(_QUERY, min_size=1, max_size=5),
+           edits=st.lists(_EDIT, min_size=1, max_size=5))
+    def test_long_lived_model_prices_like_a_fresh_one(self, system, queries,
+                                                      edits):
+        """One long-lived ``CostModel`` against one built for every query:
+        the same few queries are asked again after each link degradation /
+        restoration, and the probe memo may only ever return what a walk
+        of the edited graph would."""
+        cluster = _SYSTEMS[system]()
+        topo = cluster.topology
+        links = sorted(
+            (a, b) for a, b in topo.graph.edges if a[:3] == b[:3] == "gpu")
+        warm, reference = CostModel(cluster), _ColdSelector()
+        for edit in [None] + edits:
+            if edit is not None:
+                if edit[0] == "scale_link":
+                    topo.scale_link(*links[edit[1] % len(links)], edit[2])
+                else:
+                    topo.restore_links()
+                reference.choice.clear()
+            for op, ranks, nbytes, arg in queries:
+                cold = CostModel(cluster)
+                got = _ask(warm, op, list(ranks), nbytes, arg)
+                if arg == "auto":
+                    want = reference.price(cold, op, list(ranks), nbytes)
+                else:
+                    want = _ask(cold, op, list(ranks), nbytes, arg)
+                assert (got.seconds, got.wire_bytes, got.algorithm) == (
+                    want.seconds, want.wire_bytes, want.algorithm), (op, edit)
+        selector = warm.selector
+        assert (selector.hits, selector.misses) == (
+            reference.hits, reference.misses)
+
+    def test_island_ratio_is_part_of_the_memo_tag(self):
+        """``launch`` re-tunes ``island_ratio`` on live cost models: on
+        System II 0.5 separates the NVLink pairs, 0.05 lets PCIe (16 of
+        200 GB/s) join them into one island, i.e. the flat ring."""
+        cluster = system_ii()
+        cm = CostModel(cluster, island_ratio=0.5)
+        ranks, n = list(range(8)), 8 * MB
+        paired = cm.allreduce(ranks, n, algorithm="hierarchical")
+        cm.island_ratio = 0.05
+        merged = cm.allreduce(ranks, n, algorithm="hierarchical")
+        assert merged == CostModel(cluster, island_ratio=0.05).allreduce(
+            ranks, n, algorithm="hierarchical")
+        assert merged.seconds == cm.allreduce(ranks, n, algorithm="ring").seconds
+        assert merged.seconds > paired.seconds

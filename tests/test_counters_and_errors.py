@@ -1,8 +1,12 @@
 """Direct unit tests for CommCounters and the typed runtime errors."""
 
+import numpy as np
 import pytest
 
-from repro.comm import CommCounters
+from repro.cluster import uniform_cluster
+from repro.comm import CommCounters, Communicator
+from repro.faults import FaultPlan
+from repro.runtime import SpmdRuntime
 from repro.runtime.errors import (
     CollectiveTimeout,
     RankFailure,
@@ -65,6 +69,82 @@ class TestCommCounters:
         assert m.by_op_retries == {"all_reduce": 1, "p2p": 3}
         # inputs untouched
         assert a.retries_total == 1 and b.retries_total == 3
+
+
+class TestCommunicatorIntrospection:
+    """``counters`` and ``__repr__`` had landed on ``Request``: the
+    communicator had neither and ``repr(request)`` raised."""
+
+    def test_counters_and_reprs(self):
+        def prog(ctx):
+            comm = Communicator.world(ctx)
+            comm.all_reduce(np.ones(4, dtype=np.float32))
+            pending = comm.irecv((ctx.rank - 1) % 2, tag="t")
+            sent = comm.isend(np.ones(2, dtype=np.float32), (ctx.rank + 1) % 2,
+                              tag="t")
+            reprs = repr(comm), repr(pending), repr(sent)
+            sent.wait(), pending.wait()
+            return comm.counters is comm.group.counters, reprs, repr(pending)
+
+        rt = SpmdRuntime(uniform_cluster(2))
+        for rank, (shared, reprs, done) in enumerate(rt.run(prog)):
+            assert shared
+            assert reprs == (
+                f"Communicator(rank={rank}/2, group=[0, 1])",
+                f"Request(recv, src={1 - rank}, tag='t', done=False)",
+                "Request(send, done=False)",
+            )
+            assert done == f"Request(recv, src={1 - rank}, tag='t', done=True)"
+        assert rt.world_group.counters.by_op_calls == {
+            "all_reduce": 1, "p2p": 2}
+
+
+class TestFailedRoundsAreReleased:
+    """Every member of a failed round claims its error and the last claimer
+    deletes the round, whatever failed it (the mixed-mode case, where the
+    last claimer can be the mismatching rank itself, sits next to its
+    sibling in ``test_overlap_parity``)."""
+
+    def _run(self, call, **runtime_kwargs):
+        def prog(ctx):
+            comm = Communicator.world(ctx)
+            try:
+                call(ctx, comm)
+            except RuntimeError as err:
+                return type(err).__name__
+            return None
+
+        rt = SpmdRuntime(uniform_cluster(3), **runtime_kwargs)
+        return rt, rt.run(prog)
+
+    @pytest.mark.parametrize("nonblocking", [False, True])
+    def test_sanitizer_mismatch(self, nonblocking):
+        def call(ctx, comm):
+            x = np.ones(4 + (ctx.rank == 2), dtype=np.float32)
+            if nonblocking:
+                comm.iallreduce(x).wait()
+            else:
+                comm.all_reduce(x)
+
+        rt, errors = self._run(call, sanitize=True)
+        assert errors == ["CollectiveMismatch"] * 3
+        assert rt.world_group._rounds == {}
+
+    @pytest.mark.parametrize("nonblocking", [False, True])
+    def test_permanent_timeout(self, nonblocking):
+        def call(ctx, comm):
+            x = np.ones(4, dtype=np.float32)
+            if nonblocking:
+                comm.iall_gather(x).wait()
+            else:
+                comm.all_gather(x)
+
+        rt, errors = self._run(
+            call, fault_plan=FaultPlan(seed=1).blackout(op="all_gather"))
+        assert errors == ["CollectiveTimeout"] * 3
+        assert rt.world_group._rounds == {}
+        assert rt.world_group.counters.retries_total == (
+            rt.retry_policy.max_retries + 1)
 
 
 class TestTypedErrors:

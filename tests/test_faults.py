@@ -108,6 +108,7 @@ class TestP2PFaults:
             x, dst=(ctx.rank + 1) % ctx.world_size,
             src=(ctx.rank - 1) % ctx.world_size,
         )
+        comm.barrier()  # the counters are shared: read them once all sent
         return np.asarray(out).copy(), comm.group.counters.retries_total
 
     @pytest.mark.parametrize("corrupt", [False, True],

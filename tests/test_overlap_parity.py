@@ -12,6 +12,7 @@ byte parity for non-materialized gradient buckets, and the overlap x
 fault-injection composition (``-m "overlap and chaos"``).
 """
 
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -177,6 +178,30 @@ class TestDDPOverlapParity:
         rt = SpmdRuntime(uniform_cluster(2), comm_overlap=True)
         with pytest.raises(RemoteRankError, match="mixes blocking and nonblocking"):
             rt.run(prog)
+
+    def test_mixed_mode_round_is_deleted_by_its_last_claimer(self):
+        """Three ranks, the two nonblocking ones arriving one after the
+        other once the blocking one is parked: each raises the mixed-mode
+        error, and the last of them — a mismatching rank, which claims the
+        round on its way out of the mode check — deletes it (it used to
+        stay in ``_rounds`` until the next ``reset_rounds``)."""
+
+        def prog(ctx):
+            c = Communicator.world(ctx)
+            x = np.ones(4, dtype=np.float32)
+            try:
+                if ctx.rank == 0:
+                    c.all_reduce(x)
+                else:
+                    time.sleep(0.2 * ctx.rank)
+                    c.iallreduce(x)
+            except RuntimeError as err:
+                return str(err)
+
+        rt = SpmdRuntime(uniform_cluster(3), comm_overlap=True)
+        errors = rt.run(prog)
+        assert all("mixes blocking and nonblocking" in e for e in errors)
+        assert rt.world_group._rounds == {}
 
 
 # -- ZeRO ------------------------------------------------------------------

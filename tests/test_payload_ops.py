@@ -184,6 +184,19 @@ class TestSpecArrayAPI:
             assert payload._as_dtype(dt) is dt
             assert SpecArray((2,), dt).dtype is dt
 
+    def test_spellings_share_one_dtype_instance(self):
+        """``__init__`` reads the spelling cache itself; what it stores is
+        still numpy's own instance, and a spelling that cannot be a dict
+        key (a structured dtype's field list) still works, uncached."""
+        by_name = SpecArray((2, 3), "float32")
+        assert by_name.dtype is np.dtype("float32")
+        assert SpecArray((2, 3), np.dtype("float32")).dtype is by_name.dtype
+        assert SpecArray((2, 3), np.float32).dtype is by_name.dtype
+        assert SpecArray((2, 3)).dtype is by_name.dtype
+        fields = [("a", "<f4"), ("b", "<i2")]
+        assert SpecArray((5,), fields).nbytes == 5 * 6
+        assert SpecArray((5,), fields).dtype == np.dtype(fields)
+
     def test_size_and_nbytes_are_plain_attributes(self):
         s = SpecArray([np.intp(3), 4], "float16")
         assert s.shape == (3, 4) and all(type(n) is int for n in s.shape)

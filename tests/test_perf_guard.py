@@ -18,7 +18,11 @@ result bitwise identical.  The tests here enforce that contract:
    each scheduling decision once, so ``repro.serve`` call counts grow by
    a per-rank-per-turn constant with the TP degree (not x tp), a decoded
    token costs under one call, and a rank out of lockstep is a typed
-   error with every KV arena released.
+   error with every KV arena released;
+6. one collective costs one dispatch (ISSUE 18): calls into ``src/repro``
+   per rank-level exchange of a spec storm, no topology walk on a warm
+   runtime, a sanitizer budget per exchange with no wait-for-graph walk
+   on a healthy park, and call sites still named to the line.
 """
 
 import collections
@@ -27,7 +31,7 @@ import sys
 import threading
 import time
 import weakref
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -772,3 +776,145 @@ class TestStorageLifetime:
             assert dev.memory.allocated == 0
         finally:
             gc.enable()
+
+
+# -- comm: what one collective costs (ISSUE 18) ------------------------------
+
+_STORM_WORLD, _STORM_ROW, _STORM_ROUNDS = 8, 4, 8
+_STORM_EXCHANGES = 7  # rank-level exchanges per round, below
+
+
+def _storm_round(world, row, col, r, i):
+    """``bench/``'s storm: seven kinds of exchange, payload cycling
+    16 KiB - 16 MiB; the nonblocking all-reduce's wait belongs to it."""
+    n = (4096, 65536, 524288, 4194304)[i % 4]
+    x = SpecArray((n,), "float32")
+    world.all_reduce(x)
+    row.all_gather(x)
+    col.reduce_scatter(x)
+    row.broadcast(x if row.rank == 0 else None)
+    handle = world.iallreduce(x)
+    world.all_to_all([SpecArray((n // _STORM_WORLD,), "float32")
+                      for _ in range(_STORM_WORLD)])
+    world.sendrecv(x, (r + 1) % _STORM_WORLD, (r - 1) % _STORM_WORLD, tag=i)
+    handle.wait()
+
+
+def _counted_storm(runs=1, **runtime_kwargs):
+    """The storm on System II under ``auto``, ``runs`` times on one runtime;
+    the last run is counted on every rank from its first exchange to its
+    last (thread start-up and group construction stay outside).  Returns
+    calls keyed like ``comm/group.py:ProcessGroup.rendezvous``."""
+    import repro
+    from repro.cluster import system_ii
+
+    root = os.path.dirname(repro.__file__) + os.sep
+    counter = _CallCounter(
+        root, key=lambda code: f"{code.co_filename[len(root):]}:{code.co_qualname}")
+
+    def prog(ctx, counted):
+        world = Communicator.world(ctx)
+        r = ctx.rank
+        row = world.subgroup(range(r - r % _STORM_ROW, r - r % _STORM_ROW + _STORM_ROW))
+        col = world.subgroup(range(r % _STORM_ROW, _STORM_WORLD, _STORM_ROW))
+        world.barrier()
+        with counter.this_thread() if counted else nullcontext():
+            for i in range(_STORM_ROUNDS):
+                _storm_round(world, row, col, r, i)
+
+    rt = SpmdRuntime(system_ii(), _STORM_WORLD, comm_algorithm="auto",
+                     comm_overlap=True, **runtime_kwargs)
+    for run in range(runs):
+        rt.run(prog, run == runs - 1, materialize=False)
+    return counter.total()
+
+
+def _layer_calls(calls, layer):
+    return sum(n for key, n in calls.items() if key.startswith(layer + "/"))
+
+
+class TestCollectiveHostCost:
+    """One collective, one dispatch (DESIGN 4l), counted not timed."""
+
+    RANK_OPS = _STORM_WORLD * _STORM_ROUNDS * _STORM_EXCHANGES
+    #: calls into src/repro per rank-level exchange, observers off.  Read
+    #: 14.9 when written (12.9 on bench's 150 rounds, where the first-use
+    #: probe and selector misses amortise); re-walking the topology every
+    #: round and the per-rank helper frames this replaced read 29.4 (26.4)
+    CALLS_PER_RANK_OP = 16.4
+    #: calls into src/repro/sanitize per exchange under Tracer + full
+    #: sanitizer; read 10.0 when written, 30.8 before
+    SANITIZE_CALLS_PER_RANK_OP = 11.0
+
+    def test_calls_per_rank_op(self):
+        calls = _counted_storm()
+        assert calls["comm/group.py:ProcessGroup.rendezvous"] == (
+            self.RANK_OPS * 5 // _STORM_EXCHANGES)
+        per_op = sum(calls.values()) / self.RANK_OPS
+        assert per_op <= self.CALLS_PER_RANK_OP, per_op
+        # the rank entry is frame-free: no accessor, checker or generator
+        # frame of its own between Communicator.<op> and the rendezvous
+        for helper in ("runtime/clock.py:SimClock.time",
+                       "comm/group.py:ProcessGroup.local_rank",
+                       "comm/payload.py:is_spec",
+                       "comm/payload.py:SpecArray.ndim",
+                       "comm/communicator.py:Communicator.all_to_all.<locals>.<genexpr>"):
+            assert calls[helper] == 0, helper
+
+    def test_warm_rounds_do_not_walk_the_topology(self):
+        """Second identical run on one runtime: every probe the storm needs
+        is memoised, so the only calls left into ``cluster/`` are the one
+        ``path_stats`` a point-to-point send prices its pair with."""
+        calls = _counted_storm(runs=2)
+        sends = calls["comm/communicator.py:Communicator.send"]
+        assert sends == _STORM_WORLD * _STORM_ROUNDS
+        cluster = {k: n for k, n in calls.items() if k.startswith("cluster/")}
+        assert set(cluster) <= {"cluster/topology.py:Topology.path_stats"}
+        assert sum(cluster.values()) <= sends
+        assert calls["comm/cost.py:CostModel._names"] == 0
+
+    def test_observer_budget(self):
+        from repro.sanitize import CommSanitizer
+        from repro.trace import Tracer
+
+        san = CommSanitizer(checksum=True, race=True)
+        calls = _counted_storm(tracer=Tracer(), sanitize=san)
+        assert san.rounds_checked > 0 and san.mismatches == san.desyncs == 0
+        per_op = _layer_calls(calls, "sanitize") / self.RANK_OPS
+        assert per_op <= self.SANITIZE_CALLS_PER_RANK_OP, per_op
+        # the wait-for graph is walked when a wait slice expires or a wake
+        # finds the round unfinished, never on the way into a healthy park
+        # (it was once per park); a slice only expires on a healthy run if
+        # the host stalls a whole diagnosis window, so a stray walk passes
+        parks = calls["sanitize/sanitizer.py:CommSanitizer.enter_wait"]
+        assert parks >= 30 * _STORM_ROUNDS  # every blocking non-last arriver
+        walks = calls["sanitize/sanitizer.py:CommSanitizer._find_wait_cycle"]
+        assert walks <= parks // 100, (walks, parks)
+        # one rendered signature per distinct call, one file test per file
+        assert calls["sanitize/spec.py:call_signature"] <= 4 * 7
+        assert calls["sanitize/spec.py:_is_internal"] <= 8
+
+    def test_callsite_still_names_the_user_frame(self):
+        """The per-file memo decides *which* frames are internal; the line
+        reported is still read off the live frame, call by call."""
+        import inspect
+
+        from repro.sanitize.errors import CollectiveMismatch
+
+        lines = {}
+
+        def prog(ctx):
+            comm = Communicator.world(ctx)
+            for _ in range(2):  # same file, same signature: both memoised
+                comm.all_reduce(SpecArray((4,), "float32"))
+            lines[ctx.rank] = inspect.currentframe().f_lineno + 1
+            comm.all_reduce(SpecArray((4 + ctx.rank,), "float32"))
+
+        rt = SpmdRuntime(uniform_cluster(2), sanitize=True)
+        with pytest.raises(RemoteRankError) as exc:
+            rt.run(prog, materialize=False)
+        err = exc.value.__cause__
+        assert isinstance(err, CollectiveMismatch)
+        assert err.callsites == {
+            rank: f"tests/test_perf_guard.py:{lines[rank]} in prog"
+            for rank in range(2)}
