@@ -25,6 +25,7 @@ System I small-scale 1D wins; on System II the advisor switches to 2D/2.5D
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -55,6 +56,15 @@ class Workload:
     mlp_ratio: int = 4
     bytes_per_elem: int = 2  # fp16
     microbatches: int = 8
+
+    @functools.cached_property
+    def params(self) -> int:
+        """Parameters of the layer stack (no embeddings): a function of
+        the workload alone, so it is counted once per workload rather
+        than once per candidate priced against it."""
+        return transformer_param_count(
+            self.n_layers, self.hidden, mlp_ratio=self.mlp_ratio
+        )
 
 
 @dataclass(frozen=True)

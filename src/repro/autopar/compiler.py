@@ -29,8 +29,9 @@ search space tractable.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from bisect import bisect_right
+from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.analytic.memory_model import zero_partitioned_bytes
@@ -48,7 +49,23 @@ from repro.autopar.search import (
     enumerate_candidates,
 )
 from repro.cluster.machine import ClusterSpec
-from repro.config import Config
+from repro.config import Config, check_compile_budget
+
+_STEP_SECONDS = attrgetter("step_seconds")
+
+
+def _best(scored: List[CandidateScore], k: int) -> List[CandidateScore]:
+    """The ``k`` fastest feasible scores, ties broken on
+    :meth:`StrategyCandidate.sort_key`.  Thousands of scores are ordered
+    on the float alone (a C-level key: no Python frame per candidate);
+    the tuple key only ranks those that can still make the cut."""
+    feasible = sorted([s for s in scored if s.feasible], key=_STEP_SECONDS)
+    if not feasible:
+        return []
+    cutoff = feasible[min(k, len(feasible)) - 1].step_seconds
+    head = feasible[:bisect_right(feasible, cutoff, key=_STEP_SECONDS)]
+    head.sort(key=lambda s: (s.step_seconds, s.candidate.sort_key()))
+    return head[:k]
 
 
 @dataclass
@@ -72,7 +89,8 @@ class StrategyReport:
     global_batch: int
     scored: List[CandidateScore]
     shortlist: List[Tuple[CandidateScore, Optional[RefinedEstimate]]]
-    chosen: StrategyCandidate
+    #: set once the shortlist has been refined
+    chosen: Optional[StrategyCandidate] = None
 
     def rejection_counts(self) -> Dict[str, int]:
         """Infeasible candidates bucketed by the leading words of their
@@ -106,11 +124,8 @@ class StrategyReport:
                 f"    {s.step_seconds * 1e3:9.3f} ms -> {ref}  "
                 f"{s.candidate.describe()}{mark}"
             )
-        ranked = sorted(
-            (s for s in self.scored if s.feasible),
-            key=lambda s: (s.step_seconds, s.candidate.sort_key()),
-        )
         shown = {s.candidate for s, _ in self.shortlist}
+        ranked = _best(self.scored, limit + len(shown))
         rest = [s for s in ranked if s.candidate not in shown][: limit]
         if rest:
             lines.append("  next best (analytic):")
@@ -263,9 +278,10 @@ def simulate_candidate(
     from repro.runtime.spmd import SpmdRuntime
 
     if compute_seconds is None:
-        compute_seconds = score_candidate(
-            cluster, work, cand, global_batch
-        ).compute_seconds
+        # the memory + compute terms alone: nothing else of a score is read
+        compute_seconds = _CostCache(cluster).footprint(
+            work, cand, global_batch
+        )[-1]
     _cfg, fn = build_probe(work, cand, global_batch, compute_seconds)
     cluster.reset()
     rt = SpmdRuntime(
@@ -293,8 +309,13 @@ def compile_strategy(
 
     Deterministic: candidate enumeration order is fixed, all scoring is
     closed-form or simulated on deterministic clocks, and every tie breaks
-    on :meth:`StrategyCandidate.sort_key`.  Raises ``ValueError`` when no
-    candidate fits device memory (the report text is in the message)."""
+    on :meth:`StrategyCandidate.sort_key`.  Raises ``ValueError`` on a
+    ``global_batch``, ``top_k`` or ``max_probe_world`` below 1 (before
+    anything is scored) and when no candidate fits device memory (the
+    rejection census is in the message)."""
+    check_compile_budget(
+        global_batch, top_k, max_probe_world, where="compile_strategy: "
+    )
     work = workload if isinstance(workload, Workload) else Workload(**workload)
     world = world_size or cluster.world_size
     batch = global_batch if global_batch is not None else 8 * world
@@ -310,22 +331,18 @@ def compile_strategy(
             f"no structurally valid candidates for world={world}, "
             f"global_batch={batch} (check divisibility of batch and heads)"
         )
-    feasible = sorted(
-        (s for s in scored if s.feasible),
-        key=lambda s: (s.step_seconds, s.candidate.sort_key()),
+    shortlist: List[Tuple[CandidateScore, Optional[RefinedEstimate]]] = []
+    report = StrategyReport(
+        world=world, global_batch=batch, scored=scored, shortlist=shortlist
     )
+    feasible = _best(scored, top_k)
     if not feasible:
-        reasons: Dict[str, int] = {}
-        for s in scored:
-            key = s.reason.split(":")[0]
-            reasons[key] = reasons.get(key, 0) + 1
         raise ValueError(
             f"no feasible candidate fits device memory: "
-            f"{len(scored)} candidates rejected ({reasons})"
+            f"{len(scored)} candidates rejected ({report.rejection_counts()})"
         )
 
-    shortlist: List[Tuple[CandidateScore, Optional[RefinedEstimate]]] = []
-    for s in feasible[:top_k]:
+    for s in feasible:
         r = None
         if refine:
             r = refine_candidate(
@@ -340,14 +357,7 @@ def compile_strategy(
         return (t, s.candidate.sort_key())
 
     best_score, best_refined = min(shortlist, key=final_key)
-    chosen = best_score.candidate
-    report = StrategyReport(
-        world=world,
-        global_batch=batch,
-        scored=scored,
-        shortlist=shortlist,
-        chosen=chosen,
-    )
+    chosen = report.chosen = best_score.candidate
     config = chosen.to_config_dict(work)
     Config.from_dict(dict(config))  # emitted configs always validate
     return CompiledStrategy(

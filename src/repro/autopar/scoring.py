@@ -19,19 +19,14 @@ is what makes the two-stage search comparable end to end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analytic.memory_model import (
     model_data_bytes_per_rank,
     transformer_activation_bytes,
-    transformer_param_count,
-    zero_partitioned_bytes,
 )
-from repro.analytic.perf_model import (
-    overlap_exposed_seconds,
-    transformer_layer_flops,
-)
+from repro.analytic.perf_model import overlap_exposed_seconds
 from repro.autopar.advisor import Workload, _tp_volume_per_layer
 from repro.autopar.search import StrategyCandidate
 from repro.cluster.machine import ClusterSpec
@@ -99,10 +94,7 @@ def local_layers(work: Workload, cand: StrategyCandidate) -> int:
 
 
 def local_params(work: Workload, cand: StrategyCandidate) -> int:
-    params = transformer_param_count(
-        work.n_layers, work.hidden, mlp_ratio=work.mlp_ratio
-    )
-    return max(params // (cand.tensor * cand.pipeline), 1)
+    return max(work.params // (cand.tensor * cand.pipeline), 1)
 
 
 def tp_subgroups(cand: StrategyCandidate) -> Dict[str, List[List[int]]]:
@@ -163,9 +155,7 @@ def tp_layer_ops(
         # amortized here per layer/microbatch
         bsh = micro_batch * work.seq_len * work.hidden
         kv_rank = 6 * (t - 1) * bsh // t
-        layer_params = transformer_param_count(
-            1, work.hidden, mlp_ratio=work.mlp_ratio
-        )
+        layer_params = work.params // work.n_layers  # no embeddings: exact
         wgt_rank = (
             2 * (t - 1) * layer_params // t // max(cand.microbatches, 1)
         )
@@ -212,59 +202,139 @@ def dp_step_ops(work: Workload, cand: StrategyCandidate) -> List[DpOp]:
     return ops
 
 
-def axis_rank_lists(cand: StrategyCandidate) -> Dict[str, List[int]]:
-    """Representative global rank lists under the ParallelContext layout
-    ``rank = dp*(pp*tp) + pp*tp + tp`` — the first group of each family,
-    which is what the analytic stage prices."""
-    t, p = cand.tensor, cand.pipeline
-    return {
-        "tp": list(range(t)),
-        "pp": [s * t for s in range(p)],
-        "dp": [d * t * p for d in range(cand.data)],
-    }
+class _CostCache(dict):
+    """The term table of one compile: what a score is made of that
+    candidates *share*, priced once (DESIGN 4m lists the terms).
 
-
-class _CostCache:
-    """Memoized CostModel queries keyed on (algorithm, op, ranks, bytes):
-    thousands of candidates share a handful of distinct groups."""
+    Keys are ``(term, *fields)`` and a miss prices the term from its key
+    alone (``_<term>(*fields)``), so an entry cannot depend on a field its
+    key leaves out.  Every term also reads the ``(work, global_batch)``
+    the table is bound to; handed another pair, the table starts over.
+    What is specific to a candidate stays in :func:`score_candidate`, in
+    one expression order: a score is the same float whether its terms
+    were hits or misses.  One :class:`CostModel` prices every algorithm
+    (per-call override), so ring and auto queries share its probe memo.
+    """
 
     def __init__(self, cluster: ClusterSpec) -> None:
-        self.cluster = cluster
-        self._models: Dict[str, CostModel] = {}
-        self._cache: Dict[Tuple, float] = {}
+        super().__init__()
+        self.device = cluster.gpus[0]
+        model = self.model = CostModel(cluster)
+        self._collective = {
+            "all_reduce": model.allreduce,
+            "broadcast": model.broadcast,
+            "all_gather": model.allgather,
+            "reduce_scatter": model.reduce_scatter,
+        }
+        self.work: Optional[Workload] = None
+        self.global_batch = 0
 
-    def model(self, algorithm: str) -> CostModel:
-        m = self._models.get(algorithm)
-        if m is None:
-            m = self._models[algorithm] = CostModel(
-                self.cluster, algorithm=algorithm
-            )
-        return m
+    def __missing__(self, key: Tuple) -> Any:
+        value = self[key] = getattr(self, "_" + key[0])(*key[1:])
+        return value
 
-    def seconds(
-        self, algorithm: str, op: str, ranks: Sequence[int], nbytes: int
-    ) -> float:
-        key = (algorithm, op, tuple(ranks), nbytes)
-        val = self._cache.get(key)
-        if val is None:
-            model = self.model(algorithm)
-            fn = {
-                "all_reduce": model.allreduce,
-                "broadcast": model.broadcast,
-                "all_gather": model.allgather,
-                "reduce_scatter": model.reduce_scatter,
-            }[op]
-            val = self._cache[key] = fn(list(ranks), nbytes).seconds
-        return val
+    def footprint(
+        self, work: Workload, cand: StrategyCandidate, global_batch: int
+    ) -> Tuple[int, int, int, bool, float]:
+        """The memory and compute terms of one candidate: ``(micro-batch,
+        model-data bytes, activation bytes, checkpointing?, compute
+        seconds)``."""
+        if work is not self.work or global_batch != self.global_batch:
+            self.clear()
+            self.work, self.global_batch = work, global_batch
+        data, tensor, pipeline = cand.data, cand.tensor, cand.pipeline
+        m = cand.microbatches
+        mb, layers, params_local = self["shape", data, tensor, pipeline, m]
+        model_bytes = self["model", params_local, data, cand.zero_stage]
+        act_micro, ckpt_micro = self[
+            "act", mb, tensor, cand.mode == "sequence", layers]
+        # in-flight microbatches: GPipe holds all m, 1F1B at most the stage count
+        live = 1
+        if pipeline > 1:
+            live = m if cand.schedule == "gpipe" else min(pipeline, m)
+        act_plain = act_micro * live
+        use_ckpt = model_bytes + act_plain > self.device.memory_capacity
+        act_bytes = (
+            ckpt_micro * live + act_micro // max(layers, 1)
+            if use_ckpt else act_plain
+        )
+        compute_s = self["compute", data * tensor * pipeline, use_ckpt]
+        return mb, model_bytes, act_bytes, use_ckpt, compute_s
 
-    def p2p_seconds(self, src: int, dst: int, nbytes: int) -> float:
-        key = ("p2p", src, dst, nbytes)
-        val = self._cache.get(key)
-        if val is None:
-            val = self._cache[key] = self.model("ring").p2p(
-                src, dst, nbytes
+    # -- the terms: each sees its key (and the bound workload) alone --------
+
+    def _shape(self, data, tensor, pipeline, microbatches):
+        """(micro-batch, local layers, local params)."""
+        cand = StrategyCandidate(
+            data, tensor, "1d", pipeline, microbatches=microbatches)
+        return (micro_batch_size(cand, self.global_batch),
+                local_layers(self.work, cand), local_params(self.work, cand))
+
+    def _model(self, params_local, data, zero_stage):
+        """ZeRO-partitioned model-data bytes."""
+        return model_data_bytes_per_rank(
+            params_local, data=data, zero_stage=zero_stage)
+
+    def _act(self, micro_batch, tensor, sequence, layers):
+        """(plain, checkpointed) activation bytes of one microbatch:
+        sequence mode splits the sequence, the others shard the layer."""
+        work = self.work
+        args = (
+            micro_batch, work.seq_len // (tensor if sequence else 1),
+            work.hidden, work.n_heads, layers, work.mlp_ratio,
+            work.bytes_per_elem,
+        )
+        shard = 1 if sequence else tensor
+        return (transformer_activation_bytes(*args) // shard,
+                transformer_activation_bytes(*args, checkpoint=True) // shard)
+
+    def _compute(self, world, use_ckpt):
+        """6 * params * tokens over the ranks (+ checkpoint re-forward)."""
+        work = self.work
+        flops_per_rank = 6.0 * work.params * (
+            self.global_batch * work.seq_len) / world
+        if use_ckpt:
+            flops_per_rank *= 4.0 / 3.0
+        return self.device.compute_seconds(flops_per_rank, "float16")
+
+    def _tp(self, tensor, mode, depth, micro_batch, algorithm, microbatches):
+        """One layer's op records for one microbatch — the exact records
+        the probe issues — summed in the order they are issued."""
+        cand = StrategyCandidate(
+            1, tensor, mode, 1, depth=depth, microbatches=microbatches)
+        total = 0.0
+        for op in tp_layer_ops(self.work, cand, micro_batch):
+            total += self[
+                "record", tensor, mode, depth, op.group, op.op, op.nbytes,
+                algorithm]
+        return total
+
+    def _record(self, tensor, mode, depth, group, op, nbytes, algorithm):
+        """One record (fwd and bwd repeat theirs; weight records do not
+        move with the micro-batch): its family's slowest subgroup."""
+        price = self._collective[op]
+        cand = StrategyCandidate(1, tensor, mode, 1, depth=depth)
+        return max([
+            price(sub, nbytes, algorithm).seconds
+            for sub in tp_subgroups(cand)[group]
+        ])
+
+    def _hop(self, tensor, nbytes):
+        """One pipeline boundary: rank 0 to the first rank of the next stage."""
+        return self.model.p2p(0, tensor, nbytes).seconds
+
+    def _dp(self, data, stride, zero_stage, algorithm):
+        """The step's DP/ZeRO records over the first data-parallel group of
+        the ParallelContext layout ``rank = dp*(pp*tp) + pp*tp + tp``,
+        before overlap hiding (local params follow from the stride)."""
+        cand = StrategyCandidate(data, stride, "1d", 1, zero_stage=zero_stage)
+        ranks = list(range(0, data * stride, stride))
+        total = 0.0
+        for op in dp_step_ops(self.work, cand):
+            total += self._collective[op.op](
+                ranks, op.elements * self.work.bytes_per_elem, algorithm
             ).seconds
-        return val
+        return total
 
 
 def score_candidate(
@@ -275,92 +345,52 @@ def score_candidate(
     cache: Optional[_CostCache] = None,
 ) -> CandidateScore:
     """Price one candidate analytically; infeasible candidates come back
-    with ``feasible=False`` and a human-readable ``reason``."""
-    cache = cache or _CostCache(cluster)
-    dev = cluster.gpus[0]
-    mb = micro_batch_size(cand, global_batch)
-    layers = local_layers(work, cand)
-    params_local = local_params(work, cand)
+    with ``feasible=False`` and a human-readable ``reason``.
 
-    # ---- memory: ZeRO-partitioned model data + live-microbatch activations
-    model_bytes = model_data_bytes_per_rank(
-        params_local, data=cand.data, zero_stage=cand.zero_stage
+    ``cache`` is the term table a compile shares between its candidates
+    (a fresh one when omitted: same score)."""
+    if cache is None:
+        cache = _CostCache(cluster)
+    mb, model_bytes, act_bytes, use_ckpt, compute_s = cache.footprint(
+        work, cand, global_batch
     )
-    seq_share = cand.tensor if cand.mode == "sequence" else 1
-    act_micro = transformer_activation_bytes(
-        mb, work.seq_len // seq_share, work.hidden, work.n_heads,
-        layers, work.mlp_ratio, work.bytes_per_elem,
-    ) // (cand.tensor if cand.mode != "sequence" else 1)
-    # in-flight microbatches: GPipe holds all m, 1F1B at most the stage count
-    live = 1
-    if cand.pipeline > 1:
-        live = (
-            cand.microbatches if cand.schedule == "gpipe"
-            else min(cand.pipeline, cand.microbatches)
-        )
-    act_plain = act_micro * live
-    ckpt_micro = transformer_activation_bytes(
-        mb, work.seq_len // seq_share, work.hidden, work.n_heads,
-        layers, work.mlp_ratio, work.bytes_per_elem, checkpoint=True,
-    ) // (cand.tensor if cand.mode != "sequence" else 1)
-    act_ckpt = ckpt_micro * live + act_micro // max(layers, 1)
-    use_ckpt = model_bytes + act_plain > dev.memory_capacity
-    act_bytes = act_ckpt if use_ckpt else act_plain
     mem = model_bytes + act_bytes
-    if mem > dev.memory_capacity:
+    capacity = cache.device.memory_capacity
+    if mem > capacity:
         return CandidateScore(
             candidate=cand, feasible=False,
             reason=(
                 f"out of memory: needs {mem / 2**30:.2f} GiB "
                 f"({model_bytes / 2**30:.2f} model + "
                 f"{act_bytes / 2**30:.2f} activations) > "
-                f"{dev.memory_capacity / 2**30:.2f} GiB device"
+                f"{capacity / 2**30:.2f} GiB device"
             ),
             memory_bytes=int(mem),
         )
+    tensor, pipeline, m = cand.tensor, cand.pipeline, cand.microbatches
+    algorithm = cand.algorithm
 
-    # ---- compute: 6*params*tokens over the ranks (+ checkpoint re-forward)
-    params = transformer_param_count(
-        work.n_layers, work.hidden, mlp_ratio=work.mlp_ratio
-    )
-    tokens = global_batch * work.seq_len
-    flops_per_rank = 6.0 * params * tokens / cand.world
-    if use_ckpt:
-        flops_per_rank *= 4.0 / 3.0
-    compute_s = dev.compute_seconds(flops_per_rank, "float16")
-
-    # ---- tensor-parallel comm: price the exact op records the probe issues
-    groups = tp_subgroups(cand)
-    tp_s = 0.0
-    if cand.tensor > 1:
-        for op in tp_layer_ops(work, cand, mb):
-            fam = groups[op.group]
-            # slowest subgroup of the family bounds the phase
-            worst = max(
-                cache.seconds(cand.algorithm, op.op, sub, op.nbytes)
-                for sub in fam
-            )
-            tp_s += worst
-        tp_s *= work.n_layers * cand.microbatches / cand.pipeline
+    # ---- tensor-parallel comm: the layer term (no records, 0.0, at tensor
+    # degree 1), per layer and microbatch; sequence mode's weight record
+    # reads the microbatch count
+    mode = cand.mode
+    tp_s = cache[
+        "tp", tensor, mode, cand.depth, mb, algorithm,
+        m if mode == "sequence" else 0,
+    ] * (work.n_layers * m / pipeline)
 
     # ---- pipeline: bubble + boundary p2p traffic
-    bubble = (
-        (cand.pipeline - 1) / (cand.microbatches + cand.pipeline - 1)
-        if cand.pipeline > 1 else 0.0
-    )
+    bubble = 0.0
     pp_s = 0.0
-    if cand.pipeline > 1:
+    if pipeline > 1:
+        bubble = (pipeline - 1) / (m + pipeline - 1)
         boundary = mb * work.seq_len * work.hidden * work.bytes_per_elem
-        hop = cache.p2p_seconds(0, cand.tensor, boundary)
-        pp_s = 2.0 * cand.microbatches * hop  # activations fwd + grads bwd
+        # activations fwd + grads bwd
+        pp_s = 2.0 * m * cache["hop", tensor, boundary]
 
-    # ---- data-parallel / ZeRO sync, with overlap hiding
-    ranks = axis_rank_lists(cand)
-    dp_raw = 0.0
-    for op in dp_step_ops(work, cand):
-        dp_raw += cache.seconds(
-            cand.algorithm, op.op, ranks["dp"], op.elements * work.bytes_per_elem
-        )
+    # ---- data-parallel / ZeRO sync (no records at DP 1), overlap hiding
+    dp_raw = cache[
+        "dp", cand.data, tensor * pipeline, cand.zero_stage, algorithm]
     dp_s = (
         overlap_exposed_seconds(dp_raw, BACKWARD_FRACTION * compute_s)
         if cand.overlap else dp_raw

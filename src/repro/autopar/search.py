@@ -22,8 +22,19 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 from repro.autopar.advisor import Workload, _tensor_modes
+from repro.config import COMM_ALGORITHMS, TENSOR_MODES
 
 PIPELINE_SCHEDULES = ("gpipe", "1f1b")
+
+#: :class:`SearchSpace` field -> (what it holds, the values it may hold)
+_CHOICES: Dict[str, Tuple[str, Tuple[Any, ...]]] = {
+    "tensor_modes": (
+        "tensor mode", tuple(m for m in TENSOR_MODES if m != "none")),
+    "schedules": ("pipeline schedule", PIPELINE_SCHEDULES),
+    "zero_stages": ("ZeRO stage", (0, 1, 2, 3)),
+    "overlap_options": ("overlap option", (False, True)),
+    "algorithms": ("comm algorithm", COMM_ALGORITHMS),
+}
 
 
 @dataclass(frozen=True)
@@ -117,22 +128,30 @@ class SearchSpace:
     algorithms: Tuple[str, ...] = ("ring", "auto")
 
     def validate(self) -> None:
-        bad = set(self.schedules) - set(PIPELINE_SCHEDULES)
-        if bad:
+        """Every dimension must hold at least one value and only values the
+        enumeration understands: a typo or an empty tuple would otherwise
+        silently drop candidates (every pipelined one, every DP > 1 one)
+        or surface as "no structurally valid candidates"."""
+        for name, (what, valid) in _CHOICES.items():
+            chosen = getattr(self, name)
+            # by type too: 0/1 are not overlap options, True is no ZeRO stage
+            known = {(type(v), v) for v in valid}
+            bad = [v for v in chosen if (type(v), v) not in known]
+            if bad or not chosen:
+                raise ValueError(
+                    f"SearchSpace.{name}: "
+                    + (f"unknown {what}(s) {bad}" if bad else "empty")
+                    + f"; valid: {valid}"
+                )
+        bad = [
+            m for m in self.microbatch_options
+            if type(m) is not int or m < 1
+        ]
+        if bad or not self.microbatch_options:
             raise ValueError(
-                f"unknown pipeline schedule(s) {sorted(bad)}; "
-                f"valid: {PIPELINE_SCHEDULES}"
-            )
-        bad = set(self.zero_stages) - {0, 1, 2, 3}
-        if bad:
-            raise ValueError(f"invalid ZeRO stage(s) {sorted(bad)}")
-        from repro.config import COMM_ALGORITHMS
-
-        bad = set(self.algorithms) - set(COMM_ALGORITHMS)
-        if bad:
-            raise ValueError(
-                f"unknown comm algorithm(s) {sorted(bad)}; "
-                f"valid: {COMM_ALGORITHMS}"
+                "SearchSpace.microbatch_options: "
+                + (f"invalid microbatch count(s) {bad}" if bad else "empty")
+                + "; valid: ints >= 1"
             )
 
 
@@ -174,10 +193,7 @@ def enumerate_candidates(
             if pipeline > work.n_layers:
                 continue
             schedules = space.schedules if pipeline > 1 else ("gpipe",)
-            micro_opts = (
-                [m for m in space.microbatch_options if m >= 1]
-                if pipeline > 1 else [1]
-            )
+            micro_opts = space.microbatch_options if pipeline > 1 else (1,)
             zero_opts = space.zero_stages if data > 1 else (0,)
             overlap_opts = space.overlap_options if data > 1 else (False,)
             for mode, depth in modes:

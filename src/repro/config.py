@@ -219,6 +219,25 @@ class ProjectionConfig:
                     )
 
 
+def check_compile_budget(
+    global_batch: Optional[int], top_k: int, max_probe_world: int,
+    where: str = "autopar.",
+) -> None:
+    """The bounds ``compile_strategy`` relies on, shared by the ``autopar``
+    config section and the function itself (``where`` prefixes the name of
+    the offending setting)."""
+    if global_batch is not None and global_batch < 1:
+        raise ValueError(
+            f"{where}global_batch must be >= 1, got {global_batch}"
+        )
+    if top_k < 1:
+        raise ValueError(f"{where}top_k must be >= 1, got {top_k}")
+    if max_probe_world < 1:
+        raise ValueError(
+            f"{where}max_probe_world must be >= 1, got {max_probe_world}"
+        )
+
+
 @dataclass
 class AutoParConfig:
     """Auto-parallel strategy compilation (``repro.autopar.compiler``).
@@ -259,17 +278,9 @@ class AutoParConfig:
             raise ValueError(
                 f"autopar.workload missing required key(s) {sorted(missing)}"
             )
-        if self.global_batch is not None and self.global_batch < 1:
-            raise ValueError(
-                f"autopar.global_batch must be >= 1, got {self.global_batch}"
-            )
-        if self.top_k < 1:
-            raise ValueError(f"autopar.top_k must be >= 1, got {self.top_k}")
-        if self.max_probe_world < 1:
-            raise ValueError(
-                f"autopar.max_probe_world must be >= 1, "
-                f"got {self.max_probe_world}"
-            )
+        check_compile_budget(
+            self.global_batch, self.top_k, self.max_probe_world
+        )
 
 
 TRAFFIC_KINDS = ("open", "closed")

@@ -560,54 +560,37 @@ class ReplayEngine:
     # -- event loop --------------------------------------------------------
 
     def _drain(self, rank: int) -> bool:
+        """Run ``rank``'s stream until it blocks or ends.  Clock advances —
+        most of any stream — are swept here; every other tag goes straight
+        to its handler, which returns False when the rank must wait."""
         stream = self.trace.streams[rank]
-        made_progress = False
-        while self._pos[rank] < len(stream):
-            if not self._step(rank, stream[self._pos[rank]]):
-                break
-            self._pos[rank] += 1
-            made_progress = True
-        return made_progress
-
-    def _step(self, rank: int, ev: Tuple[Any, ...]) -> bool:
-        """Execute one event for ``rank``; False means blocked."""
-        tag = ev[0]
-        if tag == "a":
-            return self._ev_advance(rank, ev)
-        if tag == "c":
-            return self._ev_collective(rank, ev)
-        if tag == "c1":
-            return self._ev_solo(rank, ev)
-        if tag == "ic":
-            return self._ev_issue(rank, ev)
-        if tag == "cw":
-            return self._ev_coll_wait(rank, ev)
-        if tag == "ps":
-            return self._ev_send(rank, ev, advance=True)
-        if tag == "pse":
-            return self._ev_send(rank, ev, advance=False)
-        if tag == "pw":
-            self.clocks[rank].advance(ev[1], "comm")
-            return True
-        if tag == "pss":
-            return self._ev_stream_send(rank, ev)
-        if tag == "psw":
-            return self._ev_stream_wait(rank, ev)
-        if tag == "pr":
-            return self._ev_recv(rank, ev)
-        raise ReplayStall(f"unknown capture event tag {tag!r}")
-
-    # -- per-event mirrors of group.py / communicator.py -------------------
-
-    def _ev_advance(self, rank: int, ev: Tuple[Any, ...]) -> bool:
-        _t, category, dt, label = ev
+        start = pos = self._pos[rank]
+        end = len(stream)
         clock = self.clocks[rank]
         scale = self.plan.compute_scale
-        t0 = clock.time
-        clock.advance(dt if scale == 1.0 else dt * scale, category)
-        if self.tracer is not None and label is not None:
-            self.tracer.annotate(rank, category, label, t0, clock.time)
-        return True
+        tracer = self.tracer
+        while pos < end:
+            ev = stream[pos]
+            tag = ev[0]
+            if tag == "a":
+                _t, category, dt, label = ev
+                t0 = clock.time
+                clock.advance(dt if scale == 1.0 else dt * scale, category)
+                if tracer is not None and label is not None:
+                    tracer.annotate(rank, category, label, t0, clock.time)
+            elif tag == "pw":  # eager isend wait
+                clock.advance(ev[1], "comm")
+            else:
+                handler = self._HANDLERS.get(tag)
+                if handler is None:
+                    raise ReplayStall(f"unknown capture event tag {tag!r}")
+                if not handler(self, rank, ev):
+                    break
+            pos += 1
+        self._pos[rank] = pos
+        return pos > start
+
+    # -- per-event mirrors of group.py / communicator.py -------------------
 
     def _round(self, gid: int, seq: int) -> _RoundState:
         st = self._rounds.get((gid, seq))
@@ -725,8 +708,8 @@ class ReplayEngine:
             del self._rounds[(gid, seq)]
         return True
 
-    def _ev_send(self, rank: int, ev: Tuple[Any, ...], advance: bool) -> bool:
-        _t, gid, dst, tag, nbytes, wire, elements, seconds = ev
+    def _ev_send(self, rank: int, ev: Tuple[Any, ...]) -> bool:
+        kind, gid, dst, tag, nbytes, wire, elements, seconds = ev
         priced = self.pricer.p2p(gid, rank, dst, nbytes,
                                  (wire, elements, seconds))
         clock = self.clocks[rank]
@@ -734,7 +717,7 @@ class ReplayEngine:
         t_avail = clock.time + priced.seconds
         self.counters[gid].record("p2p", priced.wire_bytes, priced.elements)
         self._mailbox.setdefault((gid, rank, dst, tag), deque()).append(t_avail)
-        if advance:
+        if kind == "ps":  # "pse": eager send, the clock does not move
             clock.advance(priced.seconds, "comm")
             if self.tracer is not None:
                 self.tracer.annotate(
@@ -791,3 +774,15 @@ class ReplayEngine:
         if self.tracer is not None:
             self.tracer.annotate(rank, "p2p", f"recv<-{src}", t0, clock.time)
         return True
+
+    _HANDLERS = {
+        "c": _ev_collective,
+        "c1": _ev_solo,
+        "ic": _ev_issue,
+        "cw": _ev_coll_wait,
+        "ps": _ev_send,
+        "pse": _ev_send,
+        "pss": _ev_stream_send,
+        "psw": _ev_stream_wait,
+        "pr": _ev_recv,
+    }

@@ -22,7 +22,12 @@ result bitwise identical.  The tests here enforce that contract:
 6. one collective costs one dispatch (ISSUE 18): calls into ``src/repro``
    per rank-level exchange of a spec storm, no topology walk on a warm
    runtime, a sanitizer budget per exchange with no wait-for-graph walk
-   on a healthy park, and call sites still named to the line.
+   on a healthy park, and call sites still named to the line;
+7. a strategy compile scores the term, not the candidate (ISSUE 19): calls
+   into ``src/repro`` per scored candidate, workload constants derived
+   once per compile, pricing calls growing with the *distinct terms* of
+   the search rather than with its candidates, and a replayed event
+   costing under two calls with every labelled advance still annotated.
 """
 
 import collections
@@ -800,17 +805,24 @@ def _storm_round(world, row, col, r, i):
     handle.wait()
 
 
+def _repro_counter():
+    """Calls into ``src/repro``, keyed like
+    ``comm/group.py:ProcessGroup.rendezvous``."""
+    import repro
+
+    root = os.path.dirname(repro.__file__) + os.sep
+    return _CallCounter(
+        root, key=lambda code: f"{code.co_filename[len(root):]}:{code.co_qualname}")
+
+
 def _counted_storm(runs=1, **runtime_kwargs):
     """The storm on System II under ``auto``, ``runs`` times on one runtime;
     the last run is counted on every rank from its first exchange to its
     last (thread start-up and group construction stay outside).  Returns
     calls keyed like ``comm/group.py:ProcessGroup.rendezvous``."""
-    import repro
     from repro.cluster import system_ii
 
-    root = os.path.dirname(repro.__file__) + os.sep
-    counter = _CallCounter(
-        root, key=lambda code: f"{code.co_filename[len(root):]}:{code.co_qualname}")
+    counter = _repro_counter()
 
     def prog(ctx, counted):
         world = Communicator.world(ctx)
@@ -918,3 +930,128 @@ class TestCollectiveHostCost:
         assert err.callsites == {
             rank: f"tests/test_perf_guard.py:{lines[rank]} in prog"
             for rank in range(2)}
+
+
+# -- planning: score the term, not the candidate ----------------------------
+
+
+def _repro_calls(fn):
+    """``fn()`` on this thread: (the calls it made into ``src/repro``, its
+    result)."""
+    counter = _repro_counter()
+    with counter.this_thread():
+        out = fn()
+    return counter.total(), out
+
+
+class TestPlanHostCost:
+    """What one candidate and one replayed event cost (DESIGN 4m), counted
+    not timed."""
+
+    #: calls into src/repro per scored candidate of the System II / 8-rank
+    #: Fig-11 compile, enumeration and ranking included.  Read 9.23 when
+    #: written; pricing every candidate whole behind an op-price memo, the
+    #: design this replaced, read 37.6
+    CALLS_PER_CANDIDATE = 10.2
+    #: pricing calls (``analytic/`` + ``autopar/scoring.py``) a term costs
+    #: when it is first needed; read 4.2
+    CALLS_PER_TERM = 4.7
+    #: calls per event of a recorded replay; read 1.42, and 3.37 when every
+    #: clock advance went through two frames of its own
+    CALLS_PER_EVENT = 2.1
+
+    @pytest.fixture(scope="class")
+    def compiled(self):
+        from repro.autopar import Workload, compile_strategy
+        from repro.cluster import system_ii
+
+        # a workload of its own: nothing has read its parameter count yet
+        work = Workload(n_layers=16, hidden=3072, n_heads=48, seq_len=196)
+        cluster = system_ii()
+        calls, cs = _repro_calls(lambda: compile_strategy(
+            cluster, work, 256, world_size=8, refine=False))
+        return calls, cs, work, cluster
+
+    def test_calls_per_scored_candidate(self, compiled):
+        calls, cs, _, _ = compiled
+        scored = len(cs.report.scored)
+        assert scored > 500, "compile no longer exercises the search"
+        assert calls["autopar/scoring.py:score_candidate"] == scored
+        per_candidate = sum(calls.values()) / scored
+        assert per_candidate <= self.CALLS_PER_CANDIDATE, per_candidate
+
+    def test_workload_constants_once_per_compile(self, compiled):
+        calls = compiled[0]
+        assert calls["analytic/memory_model.py:transformer_param_count"] <= 2
+
+    def test_pricing_grows_with_distinct_terms(self, compiled):
+        from repro.autopar import score_candidate
+        from repro.autopar.scoring import _CostCache
+
+        calls, cs, work, cluster = compiled
+        scored = cs.report.scored
+        table = _CostCache(cluster)
+        for s in scored:
+            score_candidate(cluster, work, s.candidate, 256, table)
+        terms = len(table)
+        assert terms < len(scored) / 2, "the search shares fewer terms"
+        pricing = sum(n for key, n in calls.items() if key.startswith(
+            ("analytic/", "autopar/scoring.py:")))
+        # per candidate: score_candidate, its footprint, and overlap hiding
+        # where the candidate overlaps; everything else is paid per term
+        per_candidate = 2 * len(scored) + sum(
+            1 for s in scored if s.candidate.overlap)
+        assert pricing <= per_candidate + self.CALLS_PER_TERM * terms, (
+            pricing, per_candidate, terms)
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        from repro.context import ParallelMode
+        from repro.parallel.data import sync_gradients
+        from repro.project import capture_run
+
+        config = Config.from_dict(dict(
+            parallel=dict(pipeline=2), num_microbatches=2))
+
+        def step(ctx):
+            pc = ParallelContext(ctx, config)
+            stage = TransformerLayer(64, 4)
+            GPipeSchedule(pc, 2).run(
+                stage,
+                SpecArray((4, 8, 64), "float32")
+                if pc.is_first_pipeline_stage() else None,
+                None,
+                (lambda out, y: out.sum())
+                if pc.is_last_pipeline_stage() else None)
+            sync_gradients(stage.parameters(), pc.comm(ParallelMode.DATA))
+
+        _, trace = capture_run(uniform_cluster(4), step, world_size=4)
+        return trace
+
+    def test_calls_per_replayed_event(self, trace):
+        from repro.project import project
+
+        calls, report = _repro_calls(lambda: project(trace, mode="recorded"))
+        assert report.step_time == trace.max_time
+        events = trace.event_count()
+        assert events > 200, "capture no longer exercises the sweep"
+        per_event = sum(calls.values()) / events
+        assert per_event <= self.CALLS_PER_EVENT, per_event
+
+    def test_labelled_advances_still_annotate(self, trace):
+        from repro.project import project
+        from repro.trace import Tracer
+
+        tracer = Tracer()
+        calls, _ = _repro_calls(
+            lambda: project(trace, mode="recorded", tracer=tracer))
+        labelled = collections.Counter(
+            (rank, ev[1], ev[3])
+            for rank, stream in enumerate(trace.streams)
+            for ev in stream if ev[0] == "a" and ev[3] is not None)
+        assert sum(labelled.values()) > 200
+        annotations = [s for s in tracer.spans() if s.kind == "annotation"]
+        assert calls["trace/tracer.py:Tracer.annotate"] == len(annotations)
+        assert labelled == collections.Counter(
+            (s.rank, s.cat, s.name) for s in annotations
+            if s.cat not in ("collective", "p2p", "comm_stream", "overlap"))
