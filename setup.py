@@ -19,5 +19,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    install_requires=["numpy", "networkx"],
+    install_requires=["numpy"],
 )

@@ -1,6 +1,6 @@
 """Automatic parallelization (§3.3 + §6 future work of the paper).
 
-Three pieces:
+Two pieces:
 
 * :mod:`repro.autopar.conversion` — sharded-layout conversion search.  The
   paper improves on Alpa's hardcoded conversion table with "a greedy
@@ -11,20 +11,14 @@ Three pieces:
   slice a dim onto an axis, all-to-all an axis between dims), costed by
   the cluster's communication model.
 
-* :mod:`repro.autopar.advisor` — the hardware-aware strategy search the
-  paper lists as future work: enumerate valid (data, tensor-mode/size,
-  pipeline) decompositions for a Transformer workload, predict the step
-  time from the analytic compute/communication models over the *actual*
-  topology, reject plans that do not fit device memory, and rank the rest.
-
-* :mod:`repro.autopar.compiler` — the full strategy compiler built on the
-  advisor's models: cost-driven search over DP x TP mode x PP
-  schedule x ZeRO stage x overlap x collective algorithm
-  (:mod:`~repro.autopar.search`), analytic pruning with per-candidate
-  rejection reasons (:mod:`~repro.autopar.scoring`), projector-based
-  refinement of the shortlist via simulated skeleton probes
-  (:mod:`~repro.autopar.probe`), emitting a ready-to-run
-  :class:`repro.config.Config`.
+* :mod:`repro.autopar.compiler` — the hardware-aware strategy search the
+  paper lists as future work: cost-driven search over DP x TP mode x PP
+  schedule x ZeRO stage x overlap x collective algorithm for a
+  Transformer workload (:mod:`~repro.autopar.search`), analytic pruning
+  over the *actual* topology with per-candidate rejection reasons
+  (:mod:`~repro.autopar.scoring`), projector-based refinement of the
+  shortlist via simulated skeleton probes (:mod:`~repro.autopar.probe`),
+  emitting a ready-to-run :class:`repro.config.Config`.
 """
 
 from repro.autopar.conversion import (
@@ -33,12 +27,6 @@ from repro.autopar.conversion import (
     Layout,
     convert_payload,
     plan_conversion,
-)
-from repro.autopar.advisor import (
-    ParallelPlan,
-    PlanEstimate,
-    Workload,
-    suggest_plans,
 )
 from repro.autopar.compiler import (
     CompiledStrategy,
@@ -52,6 +40,7 @@ from repro.autopar.scoring import CandidateScore, score_candidate
 from repro.autopar.search import (
     SearchSpace,
     StrategyCandidate,
+    Workload,
     enumerate_candidates,
 )
 
@@ -61,10 +50,7 @@ __all__ = [
     "ConversionPlan",
     "plan_conversion",
     "convert_payload",
-    "ParallelPlan",
-    "PlanEstimate",
     "Workload",
-    "suggest_plans",
     "StrategyCandidate",
     "SearchSpace",
     "enumerate_candidates",

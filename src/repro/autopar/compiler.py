@@ -35,7 +35,6 @@ from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.analytic.memory_model import zero_partitioned_bytes
-from repro.autopar.advisor import Workload
 from repro.autopar.probe import build_probe
 from repro.autopar.scoring import (
     CandidateScore,
@@ -46,6 +45,7 @@ from repro.autopar.scoring import (
 from repro.autopar.search import (
     SearchSpace,
     StrategyCandidate,
+    Workload,
     enumerate_candidates,
 )
 from repro.cluster.machine import ClusterSpec

@@ -21,21 +21,20 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Tuple
 
-from repro.autopar.advisor import Workload
 from repro.autopar.scoring import (
     dp_step_ops,
     local_layers,
     micro_batch_size,
     tp_layer_ops,
 )
-from repro.autopar.search import StrategyCandidate
+from repro.autopar.search import StrategyCandidate, Workload
 from repro.comm.payload import SpecArray
 from repro.config import Config
 from repro.context.parallel_context import ParallelContext, ParallelMode
 
 #: TpOp ``group`` family -> the ParallelContext mode realizing it, per
-#: tensor mode (the context's row/col groups match the advisor's — rows on
-#: consecutive ranks, columns strided)
+#: tensor mode (the context's row/col groups match ``tp_subgroups`` — rows
+#: on consecutive ranks, columns strided)
 _FAMILY_MODES: Dict[Tuple[str, str], ParallelMode] = {
     ("1d", "tp"): ParallelMode.TENSOR,
     ("sequence", "tp"): ParallelMode.TENSOR,

@@ -27,8 +27,7 @@ from repro.analytic.memory_model import (
     transformer_activation_bytes,
 )
 from repro.analytic.perf_model import overlap_exposed_seconds
-from repro.autopar.advisor import Workload, _tp_volume_per_layer
-from repro.autopar.search import StrategyCandidate
+from repro.autopar.search import StrategyCandidate, Workload
 from repro.cluster.machine import ClusterSpec
 from repro.comm.cost import CostModel
 
@@ -45,8 +44,8 @@ class TpOp:
     ``group`` names a subgroup family of the tensor group (see
     :func:`tp_subgroups`); ``nbytes`` is the *per-rank wire volume* on that
     family's links, derived from the Table-1 forms
-    (:func:`repro.autopar.advisor._tp_volume_per_layer`).  Both evaluators
-    realize a record as one broadcast of ``nbytes`` over each subgroup —
+    (:func:`_tp_volume_per_layer`).  Both evaluators realize a record as
+    one broadcast of ``nbytes`` over each subgroup —
     the wire bytes per bottleneck link are what the Fig-11 hardware
     argument turns on, not the op taxonomy, so a single collective kind
     keeps the analytic price and the simulated probe exactly comparable."""
@@ -99,7 +98,7 @@ def local_params(work: Workload, cand: StrategyCandidate) -> int:
 
 def tp_subgroups(cand: StrategyCandidate) -> Dict[str, List[List[int]]]:
     """Subgroup families (local tensor-rank lists) of a candidate's tensor
-    group, matching the advisor's row/column construction so SUMMA row
+    group: rows on consecutive ranks, columns strided, so SUMMA row
     traffic lands on the adjacent pairs and column traffic on the
     cross-pair links — the placement Fig 11 turns on."""
     t, mode, depth = cand.tensor, cand.mode, cand.depth
@@ -123,7 +122,7 @@ def tp_subgroups(cand: StrategyCandidate) -> Dict[str, List[List[int]]]:
                 cols.append([base + j * q + i for j in range(q)])
         return {"row": rows, "col": cols}
     # 3d: activation broadcasts along one cube axis, weight traffic along
-    # another (advisor's x/w group construction)
+    # another
     l = round(t ** (1 / 3))
     rows, cols = [], []
     for i in range(l):
@@ -133,15 +132,54 @@ def tp_subgroups(cand: StrategyCandidate) -> Dict[str, List[List[int]]]:
     return {"row": rows, "col": cols}
 
 
+def _tp_volume_per_layer(
+    mode: str, tensor: int, depth: int, batch: int, seq: int, hidden: int, mlp: int
+) -> Tuple[float, float]:
+    """(activation wire elements, weight wire elements) per Transformer
+    layer fwd+bwd, from the Table 1 forms applied to the layer's 4 linears
+    (QKV, out, MLP up/down)."""
+    if tensor == 1:
+        return 0.0, 0.0
+    matmuls = [
+        (hidden, 3 * hidden),
+        (hidden, hidden),
+        (hidden, mlp * hidden),
+        (mlp * hidden, hidden),
+    ]
+    act = wgt = 0.0
+    for k, n in matmuls:
+        sx = batch * seq * k
+        sw = k * n
+        if mode == "1d":
+            continue  # handled once per layer below
+        if mode == "2d":
+            j = math.isqrt(tensor)
+            act += 3 * (j - 1) * sx
+            wgt += 3 * (j - 1) * sw
+        elif mode == "2.5d":
+            kk = math.isqrt(tensor // depth)
+            act += 3 * (kk - 1) * sx
+            wgt += 3 * (kk - 1) * depth * sw
+        else:  # 3d
+            l = round(tensor ** (1 / 3))
+            sy = batch * seq * n
+            act += 2 * (l - 1) * (sx + sy)
+            wgt += 2 * (l - 1) * sw
+    if mode == "1d":
+        sx = batch * seq * hidden
+        act = 2 * (2 * (tensor - 1) * sx)  # 2 allreduce pairs (attn + MLP)
+    return act, wgt
+
+
 def tp_layer_ops(
     work: Workload, cand: StrategyCandidate, micro_batch: int
 ) -> List[TpOp]:
     """The tensor-parallel traffic one Transformer layer moves for one
     microbatch under this candidate, as per-rank wire-byte records.
 
-    Volumes come straight from the advisor's Table-1 forms
-    (:func:`~repro.autopar.advisor._tp_volume_per_layer`), split between
-    the activation family (rows / the full 1D group) and the weight family
+    Volumes come straight from the Table-1 forms
+    (:func:`_tp_volume_per_layer`), split between the activation family
+    (rows / the full 1D group) and the weight family
     (columns) and halved across fwd/bwd — so the probe and the analytic
     stage move byte-identical traffic on identical subgroups."""
     t, mode = cand.tensor, cand.mode

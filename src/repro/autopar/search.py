@@ -17,11 +17,12 @@ stage's job (:mod:`repro.autopar.scoring`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
-from repro.autopar.advisor import Workload, _tensor_modes
+from repro.analytic.memory_model import transformer_param_count
 from repro.config import COMM_ALGORITHMS, TENSOR_MODES
 
 PIPELINE_SCHEDULES = ("gpipe", "1f1b")
@@ -35,6 +36,28 @@ _CHOICES: Dict[str, Tuple[str, Tuple[Any, ...]]] = {
     "overlap_options": ("overlap option", (False, True)),
     "algorithms": ("comm algorithm", COMM_ALGORITHMS),
 }
+
+
+@dataclass(frozen=True)
+class Workload:
+    """A Transformer training workload."""
+
+    n_layers: int
+    hidden: int
+    n_heads: int
+    seq_len: int
+    mlp_ratio: int = 4
+    bytes_per_elem: int = 2  # fp16
+    microbatches: int = 8
+
+    @functools.cached_property
+    def params(self) -> int:
+        """Parameters of the layer stack (no embeddings): a function of
+        the workload alone, so it is counted once per workload rather
+        than once per candidate priced against it."""
+        return transformer_param_count(
+            self.n_layers, self.hidden, mlp_ratio=self.mlp_ratio
+        )
 
 
 @dataclass(frozen=True)
@@ -155,6 +178,26 @@ class SearchSpace:
             )
 
 
+def _tensor_modes(size: int) -> List[Tuple[str, int]]:
+    """Valid (mode, depth) choices for a tensor group of ``size``."""
+    if size == 1:
+        return [("1d", 1)]
+    modes: List[Tuple[str, int]] = [("1d", 1)]
+    j = math.isqrt(size)
+    if j * j == size:
+        modes.append(("2d", 1))
+    for d in range(1, size + 1):
+        if size % d:
+            continue
+        k = math.isqrt(size // d)
+        if k * k * d == size and d > 1 and k >= 2:
+            modes.append(("2.5d", d))
+    l = round(size ** (1 / 3))
+    if l**3 == size and l >= 2:
+        modes.append(("3d", 1))
+    return modes
+
+
 def _divisors(n: int) -> List[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
@@ -171,7 +214,7 @@ def enumerate_candidates(
     Structural constraints applied here (cheap, no cost model):
 
     * ``data * tensor * pipeline == world`` with each tensor mode's rank
-      count constraint (:func:`repro.autopar.advisor._tensor_modes`);
+      count constraint (:func:`_tensor_modes`);
     * 1D/sequence modes need ``n_heads % tensor == 0``;
     * ``pipeline <= n_layers`` (a stage must own at least one layer);
     * ``global_batch`` divisible by ``data * microbatches`` (equal

@@ -8,18 +8,16 @@ Fig 9b) behave differently from System I (fully-connected NVLink, Fig 9a):
 a collective that crosses a PCIe hop is limited by the PCIe link, which is
 the exact mechanism behind the paper's Fig 10/11 results.
 
-The graph is a :class:`networkx.Graph`; multi-node systems (III, IV) are
-assembled as node-local cliques bridged by NIC links arranged in a dragonfly
-pattern.
+The graph is an insertion-ordered adjacency dict the class owns; multi-node
+systems (III, IV) are assembled as node-local cliques bridged by NIC links
+arranged in a dragonfly pattern.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.utils.units import GB
 
@@ -58,7 +56,9 @@ class Topology:
     """
 
     def __init__(self) -> None:
-        self.graph = nx.Graph()
+        #: device -> {neighbour -> link attributes}, both in insertion
+        #: order; the two directions of a link share one attribute dict
+        self._adj: Dict[str, Dict[str, Dict[str, Any]]] = {}
         self._bw_cache: Dict[Tuple[str, str], Tuple[float, float]] = {}
         self._path_cache: Dict[Tuple[str, str], List[str]] = {}
         self._ring_cache: Dict[Tuple[str, ...], Tuple[float, float]] = {}
@@ -81,7 +81,7 @@ class Topology:
         self.version += 1
 
     def add_device(self, name: str) -> None:
-        self.graph.add_node(name)
+        self._adj.setdefault(name, {})
 
     def add_link(
         self,
@@ -91,18 +91,34 @@ class Topology:
         bandwidth: Optional[float] = None,
         latency: Optional[float] = None,
     ) -> None:
-        """Add (or overwrite) an undirected link between devices ``a`` and ``b``."""
-        self.graph.add_edge(
-            a,
-            b,
-            link=link,
-            bandwidth=bandwidth if bandwidth is not None else LINK_BANDWIDTH[link],
-            latency=latency if latency is not None else LINK_LATENCY[link],
-        )
+        """Add an undirected link between devices ``a`` and ``b``; a link
+        already there is replaced whole (degradation state included) and
+        keeps its place in the neighbour order."""
+        attrs = {
+            "link": link,
+            "bandwidth": bandwidth if bandwidth is not None else LINK_BANDWIDTH[link],
+            "latency": latency if latency is not None else LINK_LATENCY[link],
+        }
+        self._adj.setdefault(a, {})[b] = attrs
+        self._adj.setdefault(b, {})[a] = attrs
         self._invalidate()
 
+    def _link(self, a: str, b: str) -> Optional[Dict[str, Any]]:
+        return self._adj.get(a, {}).get(b)
+
     def has_direct_link(self, a: str, b: str) -> bool:
-        return self.graph.has_edge(a, b)
+        return self._link(a, b) is not None
+
+    def links(self) -> List[Tuple[str, str]]:
+        """Every link once, as ``(a, b)`` in insertion order."""
+        out: List[Tuple[str, str]] = []
+        listed = set()
+        for a, neighbours in self._adj.items():
+            for b in neighbours:
+                if b not in listed:
+                    out.append((a, b))
+            listed.add(a)
+        return out
 
     def scale_link(self, a: str, b: str, factor: float) -> None:
         """Set a link's bandwidth to ``factor`` times its *base* rate
@@ -113,30 +129,73 @@ class Topology:
         """
         if factor <= 0:
             raise ValueError(f"bandwidth scale factor must be positive, got {factor}")
-        if not self.graph.has_edge(a, b):
+        edge = self._link(a, b)
+        if edge is None:
             raise ValueError(f"no direct link between {a} and {b}")
-        edge = self.graph.edges[a, b]
         base = edge.setdefault("base_bandwidth", edge["bandwidth"])
         edge["bandwidth"] = base * factor
         self._invalidate()
 
     def restore_links(self) -> None:
         """Undo every :meth:`scale_link` degradation."""
-        for _u, _v, data in self.graph.edges(data=True):
-            if "base_bandwidth" in data:
-                data["bandwidth"] = data["base_bandwidth"]
+        for neighbours in self._adj.values():
+            for data in neighbours.values():
+                if "base_bandwidth" in data:
+                    data["bandwidth"] = data["base_bandwidth"]
         self._invalidate()
 
     def link_type(self, a: str, b: str) -> Optional[LinkType]:
-        if self.graph.has_edge(a, b):
-            return self.graph.edges[a, b]["link"]
-        return None
+        edge = self._link(a, b)
+        return edge["link"] if edge is not None else None
+
+    def _route(self, a: str, b: str) -> List[str]:
+        """Hop-count shortest path ``a -> b``: a bidirectional breadth-first
+        search that grows the smaller fringe first and visits neighbours in
+        link-insertion order.  That fixes the choice among equally short
+        paths, which every golden depends on:
+        ``tests/test_cluster_topology.py`` holds it against the graph
+        library it was ported from."""
+        adj = self._adj
+        if a in adj and b in adj:
+            if a == b:
+                return [a]
+            pred: Dict[str, Optional[str]] = {a: None}
+            succ: Dict[str, Optional[str]] = {b: None}
+            forward, reverse = [a], [b]
+            while forward and reverse:
+                if len(forward) <= len(reverse):
+                    level, seen, other = forward, pred, succ
+                    forward = grown = []
+                else:
+                    level, seen, other = reverse, succ, pred
+                    reverse = grown = []
+                for v in level:
+                    for w in adj[v]:
+                        if w not in seen:
+                            grown.append(w)
+                            seen[w] = v
+                        if w in other:  # the fringes met at w
+                            path = []
+                            n: Optional[str] = w
+                            while n is not None:
+                                path.append(n)
+                                n = pred[n]
+                            path.reverse()
+                            n = succ[w]
+                            while n is not None:
+                                path.append(n)
+                                n = succ[n]
+                            return path
+        raise ValueError(f"no interconnect path between {a} and {b}")
 
     def path_stats(self, a: str, b: str) -> Tuple[float, float]:
         """Return ``(bottleneck_bandwidth, total_latency)`` between two devices.
 
         Uses the hop-count shortest path; the effective bandwidth is the
         minimum link bandwidth on the path and the latency is the sum.
+        Both directions of a pair read the route of its sorted order, so
+        which of equally short paths prices the pair does not depend on
+        who asked first.
         """
         if a == b:
             return float("inf"), 0.0
@@ -144,14 +203,11 @@ class Topology:
         cached = self._bw_cache.get(key)
         if cached is not None:
             return cached
-        try:
-            path = nx.shortest_path(self.graph, a, b)
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise ValueError(f"no interconnect path between {a} and {b}") from exc
+        path = self._route(*key)
         bw = float("inf")
         lat = 0.0
         for u, v in zip(path, path[1:]):
-            edge = self.graph.edges[u, v]
+            edge = self._adj[u][v]
             bw = min(bw, edge["bandwidth"])
             lat += edge["latency"]
         self._bw_cache[key] = (bw, lat)
@@ -181,11 +237,7 @@ class Topology:
         key = (a, b)
         path = self._path_cache.get(key)
         if path is None:
-            try:
-                path = nx.shortest_path(self.graph, a, b)
-            except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-                raise ValueError(f"no interconnect path between {a} and {b}") from exc
-            self._path_cache[key] = path
+            path = self._path_cache[key] = self._route(a, b)
         return path
 
     def ring_stats(self, names: List[str]) -> Tuple[float, float]:
@@ -214,9 +266,9 @@ class Topology:
             path = self.shortest_path(a, b)
             for u, v in zip(path, path[1:]):
                 load[(u, v)] = load.get((u, v), 0) + 1
-                lat += self.graph.edges[u, v]["latency"]
+                lat += self._adj[u][v]["latency"]
         bw = min(
-            self.graph.edges[u, v]["bandwidth"] / uses
+            self._adj[u][v]["bandwidth"] / uses
             for (u, v), uses in load.items()
         )
         self._ring_cache[key] = (bw, lat)

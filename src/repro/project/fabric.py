@@ -1,7 +1,7 @@
 """Closed-form fabric model for pricing collectives at projected scale.
 
-The real :class:`~repro.comm.cost.CostModel` walks the cluster's networkx
-topology per member pair, which is fine at 2–64 ranks but quadratic in the
+The real :class:`~repro.comm.cost.CostModel` walks the cluster's link
+graph per member pair, which is fine at 2–64 ranks but quadratic in the
 group size — pricing a single 4096-rank all-reduce that way would dominate
 the projection budget.  A :class:`Fabric` abstracts the cluster down to the
 five numbers the cost formulas actually consume (intra/inter-node bandwidth

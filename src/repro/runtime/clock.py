@@ -160,11 +160,15 @@ class StreamClock:
     completion time, charging only the *exposed* remainder as ``comm``.
 
     ``occupy``/``note_exposed`` may run on whichever thread finalizes or
-    waits a rendezvous; every mutation is commutative (``max`` / ``+=``),
-    so end-of-run readings are deterministic regardless of host-thread
-    interleaving.  ``overlapped`` starts as the full op duration at issue
-    and is reclassified to ``exposed`` at wait time for whatever portion
-    the compute clock actually stalled on.
+    waits a rendezvous.  The head moves by ``max``, which commutes, so
+    ``time`` — and every step time read off it — is the same float under
+    any host-thread interleaving.  The ``+=`` / ``-=`` sums behind the
+    busy / exposed / overlapped seconds do not: float addition is not
+    associative, so their last ulp follows the order the threads arrived
+    in.  Compare those to a tolerance (the goldens keep 10 significant
+    digits), never with ``==``.  ``overlapped`` starts as the full op
+    duration at issue and is reclassified to ``exposed`` at wait time for
+    whatever portion the compute clock actually stalled on.
     """
 
     __slots__ = ("time", "_lock", "_busy", "_exposed", "_overlapped")

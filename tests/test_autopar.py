@@ -1,17 +1,9 @@
-"""Automatic parallelization: layout-conversion search + strategy advisor."""
+"""Automatic parallelization: the layout-conversion search."""
 
 import numpy as np
 import pytest
 
-from repro.autopar import (
-    Layout,
-    ParallelPlan,
-    convert_payload,
-    plan_conversion,
-    suggest_plans,
-)
-from repro.autopar.advisor import Workload, estimate_plan
-from repro.cluster import system_i, system_ii, system_iv, uniform_cluster
+from repro.autopar import Layout, convert_payload, plan_conversion
 from repro.comm import Communicator
 
 from conftest import run_spmd
@@ -137,65 +129,3 @@ class TestConversionExecution:
 
         for coord, out in run_spmd(4, prog):
             np.testing.assert_array_equal(out, slice_for(dst, coord))
-
-
-class TestAdvisor:
-    WORK = Workload(n_layers=16, hidden=3072, n_heads=48, seq_len=196)
-
-    def test_plans_fit_memory(self):
-        plans = suggest_plans(system_i(), self.WORK, global_batch=256, world_size=8)
-        assert plans
-        for est in plans:
-            assert est.fits
-            assert est.memory_bytes <= system_i().gpus[0].memory_capacity
-
-    def test_topology_constraints_respected(self):
-        plans = suggest_plans(system_i(), self.WORK, global_batch=256, world_size=8)
-        for est in plans:
-            p = est.plan
-            assert p.data * p.tensor * p.pipeline == 8
-            if p.mode == "2d":
-                import math
-
-                q = math.isqrt(p.tensor)
-                assert q * q == p.tensor
-
-    def test_fig11_mode_preference(self):
-        """Forced to tensor=4, the advisor prefers 1D on System I and
-        2D on System II — the Fig 11 conclusion."""
-        def mode_times(cluster):
-            out = {}
-            for mode in ("1d", "2d"):
-                est = estimate_plan(
-                    cluster, self.WORK, ParallelPlan(1, 4, mode, 1), global_batch=256
-                )
-                out[mode] = est.step_seconds
-            return out
-
-        t1 = mode_times(system_i())
-        t2 = mode_times(system_ii())
-        assert t1["1d"] < t1["2d"]
-        assert t2["2d"] < t2["1d"]
-
-    def test_oom_plans_rejected(self):
-        """A model far beyond a single tiny GPU must force model parallelism."""
-        big = Workload(n_layers=32, hidden=4096, n_heads=64, seq_len=512)
-        cluster = uniform_cluster(8, memory_gb=16)
-        plans = suggest_plans(cluster, big, global_batch=64, world_size=8)
-        assert plans
-        assert all(e.plan.tensor * e.plan.pipeline > 1 for e in plans)
-
-    def test_pipeline_bubble_accounted(self):
-        est1 = estimate_plan(
-            system_i(), self.WORK, ParallelPlan(1, 1, "1d", 1), global_batch=256
-        )
-        est4 = estimate_plan(
-            system_i(), self.WORK, ParallelPlan(1, 1, "1d", 4), global_batch=256
-        )
-        assert est4.bubble_fraction > 0
-        assert est1.bubble_fraction == 0
-
-    def test_invalid_batch_plans_skipped(self):
-        plans = suggest_plans(system_i(), self.WORK, global_batch=7, world_size=4)
-        for est in plans:
-            assert est.plan.data == 1  # 7 not divisible by larger dp

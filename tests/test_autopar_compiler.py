@@ -1,6 +1,6 @@
 """Auto-parallel strategy compiler (ISSUE 9): search properties,
-prediction-vs-simulation parity, config emission, and the advisor's
-ZeRO-aware memory feasibility fix.
+prediction-vs-simulation parity, config emission, and ZeRO-aware memory
+feasibility.
 
 The compiler's contract, tested here:
 
@@ -29,7 +29,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.autopar.advisor import ParallelPlan, Workload, estimate_plan
 from repro.autopar.compiler import (
     compile_strategy,
     probe_scale,
@@ -45,6 +44,7 @@ from repro.autopar.scoring import (
 from repro.autopar.search import (
     SearchSpace,
     StrategyCandidate,
+    Workload,
     enumerate_candidates,
 )
 from repro.cluster import (
@@ -174,6 +174,14 @@ class TestScoring:
             s = score_candidate(cl, WORK, cand, 128, cache)
             if s.feasible:
                 assert cs.score.step_seconds <= s.step_seconds
+
+    def test_pipeline_bubble_accounted(self):
+        cl = uniform_cluster(8, memory_gb=16)
+        cache = _CostCache(cl)
+        for cand in enumerate_candidates(WORK, 128, 8):
+            s = score_candidate(cl, WORK, cand, 128, cache)
+            if s.feasible:
+                assert (s.bubble_fraction > 0) == (cand.pipeline > 1)
 
     @given(
         world=st.sampled_from([2, 4, 8]),
@@ -522,25 +530,26 @@ class TestFig11ModeSwitch:
         assert t["2d"] < t["1d"]
 
 
-# -- advisor ZeRO memory feasibility (regression) ---------------------------
+# -- ZeRO memory feasibility (regression) -----------------------------------
 
 
 class TestAdvisorZeroFeasibility:
-    """The advisor priced every plan's memory ZeRO-free and rejected
-    configurations the paper runs; ``estimate_plan(..., zero_stage=)`` now
-    partitions the partitionable slice across the DP group."""
+    """Memory priced ZeRO-free rejects configurations the paper runs; a
+    candidate's ZeRO stage partitions the partitionable slice of its model
+    data across the DP group."""
 
     # ~1.2e9 params: 16 B/param model data (19.3 GiB) exceeds a 16 GiB
     # device ZeRO-free, but ZeRO-3 over dp=8 partitions it to ~2.4 GiB
     BIG = Workload(n_layers=24, hidden=2048, n_heads=16, seq_len=128)
-    PLAN = ParallelPlan(data=8, tensor=1, mode="1d", pipeline=1)
 
     def test_previously_rejected_plan_now_feasible(self):
         cl = uniform_cluster(8, memory_gb=16)
-        without = estimate_plan(cl, self.BIG, self.PLAN, 64, zero_stage=0)
-        with_zero = estimate_plan(cl, self.BIG, self.PLAN, 64, zero_stage=3)
-        assert not without.fits
-        assert with_zero.fits
+        without, with_zero = (
+            score_candidate(cl, self.BIG, StrategyCandidate(
+                data=8, tensor=1, mode="1d", pipeline=1, zero_stage=stage), 64)
+            for stage in (0, 3))
+        assert not without.feasible
+        assert with_zero.feasible
         assert "zero3" in with_zero.notes
         assert with_zero.memory_bytes < without.memory_bytes
 

@@ -1,6 +1,8 @@
 """Tests for interconnect topologies and bandwidth probing (Fig 9/10)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import LinkType, Topology, system_i, system_ii, system_iii
 from repro.cluster.bandwidth import (
@@ -77,6 +79,70 @@ class TestTopology:
         assert not t.has_direct_link("n1", "n5")
         # but a path exists
         assert t.bandwidth("n1", "n5") > 0
+
+    def test_readded_link_forgets_its_degradation(self):
+        t = Topology()
+        t.add_link("a", "b", LinkType.PCIE)
+        t.scale_link("a", "b", 0.5)
+        t.add_link("a", "b", LinkType.NVLINK)
+        t.scale_link("a", "b", 0.5)
+        assert t.bandwidth("a", "b") == 100 * GB
+        t.restore_links()
+        assert t.bandwidth("a", "b") == 200 * GB
+
+    def test_pair_price_does_not_depend_on_query_direction(self):
+        """Two equally short routes, NVLink through ``x`` and PCIe through
+        ``y``: rank threads ask for a pair in either direction, in any
+        order, and must all read one price."""
+
+        def diamond():
+            t = Topology()
+            t.add_link("a", "x", LinkType.NVLINK)
+            t.add_link("y", "b", LinkType.PCIE)
+            t.add_link("a", "y", LinkType.PCIE)
+            t.add_link("x", "b", LinkType.NVLINK)
+            return t
+
+        asked_forward, asked_backward = diamond(), diamond()
+        asked_backward.path_stats("b", "a")
+        assert asked_forward.path_stats("a", "b") == \
+            asked_backward.path_stats("a", "b")
+
+    def test_links_lists_each_link_once_in_insertion_order(self):
+        t = Topology.pairwise_nvlink(["g0", "g1", "g2"])
+        assert t.links() == [("g0", "g1"), ("g0", "g2"), ("g1", "g2")]
+
+
+def test_route_searches_like_networkx():
+    """``Topology._route`` against the reference it was ported from: the
+    same path among equally short ones, for every ordered pair, and a
+    ``ValueError`` exactly where networkx finds no path or no such node."""
+    nx = pytest.importorskip("networkx")
+    index = st.integers(0, 7)
+
+    @settings(max_examples=200, deadline=None)
+    @given(names=st.permutations("abcdefgh"), devices=st.integers(0, 8),
+           links=st.lists(st.tuples(index, index), max_size=20))
+    def check(names, devices, links):
+        topo, graph = Topology(), nx.Graph()
+        for name in names[:devices]:
+            topo.add_device(name)
+            graph.add_node(name)
+        for i, j in links:
+            topo.add_link(names[i], names[j], LinkType.PCIE)
+            graph.add_edge(names[i], names[j])
+        assert topo.links() == list(graph.edges)
+        for a in names:
+            for b in names:
+                try:
+                    want = nx.shortest_path(graph, a, b)
+                except (nx.NetworkXNoPath, nx.NodeNotFound):
+                    with pytest.raises(ValueError, match="no interconnect path"):
+                        topo._route(a, b)
+                else:
+                    assert topo._route(a, b) == want
+
+    check()
 
 
 class TestIslandsAndRings:

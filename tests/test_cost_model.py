@@ -339,7 +339,7 @@ class TestMemoisedPricing:
         cluster = _SYSTEMS[system]()
         topo = cluster.topology
         links = sorted(
-            (a, b) for a, b in topo.graph.edges if a[:3] == b[:3] == "gpu")
+            (a, b) for a, b in topo.links() if a[:3] == b[:3] == "gpu")
         warm, reference = CostModel(cluster), _ColdSelector()
         for edit in [None] + edits:
             if edit is not None:

@@ -27,11 +27,15 @@ result bitwise identical.  The tests here enforce that contract:
    into ``src/repro`` per scored candidate, workload constants derived
    once per compile, pricing calls growing with the *distinct terms* of
    the search rather than with its candidates, and a replayed event
-   costing under two calls with every labelled advance still annotated.
+   costing under two calls with every labelled advance still annotated;
+8. ``import repro`` loads ``numpy`` and the standard library only
+   (ISSUE 20): what it imports, every process pays for in set-up seconds
+   and resident memory.
 """
 
 import collections
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -1055,3 +1059,31 @@ class TestPlanHostCost:
         assert labelled == collections.Counter(
             (s.rank, s.cat, s.name) for s in annotations
             if s.cat not in ("collective", "p2p", "comm_stream", "overlap"))
+
+
+# ---------------------------------------------------------------------------
+# 8. the import surface
+# ---------------------------------------------------------------------------
+
+
+def test_import_repro_loads_numpy_and_nothing_else():
+    import repro
+
+    probe = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import repro\n"
+        # on disk: the Cython runtime numpy.random registers has no file
+        "new = {name.partition('.')[0] for name, m in sys.modules.items()"
+        " if name not in before and getattr(m, '__file__', None)}\n"
+        "print(*sorted(new - set(sys.stdlib_module_names)"
+        " - {'repro', 'numpy'}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.split() == [], (
+        f"`import repro` pulled in {out.stdout.split()}: every process pays "
+        "for it in setup_s and host_peak_rss_mb (networkx was 160 ms and "
+        "20 MiB for one shortest_path call; scipy went the same way)")

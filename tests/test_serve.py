@@ -419,6 +419,69 @@ class TestServeEngine:
 
 
 # ---------------------------------------------------------------------------
+# Latency vs offered load, in units of the replica's measured capacity
+# ---------------------------------------------------------------------------
+
+
+class TestLatencyKnee:
+    """Open-loop rates are multiples of the replica's capacity — the
+    completed requests/s of 64 zero-think closed-loop clients, a decode
+    batch deep enough to amortise the weight read — so 0.4x is underload,
+    0.8x nears the knee and 1.6x is past it by construction."""
+
+    MODEL = ModelSpec(n_layers=4, hidden=1024, n_heads=16)
+    LENGTHS = dict(prompt_tokens=(16, 64), max_new_tokens=(8, 32))
+    ENGINE = dict(world_size=2, max_batch_tokens=256, kv_blocks=256,
+                  block_size=16)
+
+    @pytest.fixture(scope="class")
+    def capacity(self):
+        probe = serve_traffic(
+            self.MODEL,
+            ClosedLoopTraffic(clients=64, n_requests=256, seed=7,
+                              **self.LENGTHS),
+            **self.ENGINE)
+        assert probe.n_completed == 256
+        return probe.completed_per_sec
+
+    def _open_at(self, rate, n, seed, **engine):
+        rep = serve_traffic(
+            self.MODEL,
+            OpenLoopTraffic(rate=rate, n_requests=n, seed=seed,
+                            **self.LENGTHS),
+            **self.ENGINE, **engine)
+        assert rep.n_completed == n
+        return rep
+
+    def test_goodput_saturates_and_p99_rises_past_the_knee(self, capacity):
+        under, near, past = 0.4, 0.8, 1.6
+        lo, mid, hi = (
+            self._open_at(capacity * m, 128, 11) for m in (under, near, past))
+        assert mid.goodput_tokens_per_sec > lo.goodput_tokens_per_sec
+        # past the knee the queue grows instead of the goodput
+        growth = hi.goodput_tokens_per_sec / mid.goodput_tokens_per_sec
+        assert growth < past / near
+        assert hi.p99_ttft > lo.p99_ttft
+
+    @pytest.mark.chaos
+    def test_rank_loss_past_the_knee_is_priced_in_goodput(self, capacity):
+        """At 1.2x capacity the run is service-bound: recovery downtime
+        and KV replay extend the makespan instead of hiding in
+        arrival-side idle headroom."""
+        base = self._open_at(capacity * 1.2, 96, 13)
+        faulty = self._open_at(
+            capacity * 1.2, 96, 13,
+            fault_plan=FaultPlan(seed=17).crash(
+                1, at_time=base.makespan * 0.3),
+            recovery_seconds=base.makespan * 0.15)
+        assert faulty.restarts == 1 and len(faulty.failures) == 1
+        retained = (faulty.goodput_tokens_per_sec
+                    / base.goodput_tokens_per_sec)
+        assert 0.0 < retained < 1.0
+        assert faulty.p99_ttft > base.p99_ttft
+
+
+# ---------------------------------------------------------------------------
 # Chaos x serving: rank loss mid-request is an SLO event, not a crash
 # ---------------------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Training behaviour frozen against ``tests/train_golden.json``.
 
 The serving golden's sibling (``test_serve_golden.py``) for the training
-stack: four small seeded runs, each reduced to every rank's final
+stack: five small seeded runs, each reduced to every rank's final
 simulated clock (kept readable) and a sha256 per section — the
 ``time_breakdown`` rows and comm-stream heads, per-rank ``MemoryPool`` peak
 and end-of-step by-tag bytes, the ``CommCounters`` of every group the
@@ -11,7 +11,10 @@ recorded replay's report.  A refactor of autograd / tensor / comm dispatch
 is done when this file still passes.
 
 It was generated at commit ``63b511f`` (``Function.apply`` still resolving
-the rank context per helper, one ``weakref.finalize`` per ``Storage``).
+the rank context per helper, one ``weakref.finalize`` per ``Storage``);
+``bert_sp_pp2`` was added at ``66412f6``, and its step seconds, wire bytes
+and collective calls are the figures recorded for that step before the
+event-driven rendezvous, pooled buffers and spec-mode shortcuts.
 
 Regenerate (only when simulated training behaviour is *meant* to change):
 ``PYTHONPATH=src python tests/test_train_golden.py``
@@ -30,12 +33,15 @@ from repro.cluster import system_ii, system_iii, uniform_cluster
 from repro.comm import Communicator, CostModel, SpecArray
 from repro.config import Config
 from repro.context import ParallelContext, ParallelMode
+from repro.models.bert import bert_base
 from repro.nn import CrossEntropyLoss, Linear, Module, ModuleList, TransformerLayer
 from repro.parallel.data import DistributedDataParallel, sync_gradients
 from repro.parallel.pipeline import GPipeSchedule, partition_uniform
+from repro.parallel.sequence import SequenceParallelTransformerLayer
 from repro.parallel.tensor1d import ParallelTransformerLayer1D
 from repro.project import capture_run, project
 from repro.runtime import SpmdRuntime
+from repro.sanitize import CommSanitizer
 from repro.tensor import Tensor
 from repro.utils.profile import time_breakdown
 from repro.zero import StaticPolicy, ZeroOffloadEngine
@@ -154,6 +160,48 @@ def hybrid_gpt_gpipe():
     return _summary(rt, [m for m, _ in out], [g for _, gs in out for g in gs])
 
 
+def bert_sp_pp2(sanitize=None):
+    """The Fig-13b step: BERT-Base at sequence length 512 (6 of its 12
+    layers), sequence parallelism 4-way x 2 GPipe stages over 4
+    microbatches of a batch of 32, on two System III nodes.  ``step`` is
+    (seconds, wire bytes, collective calls) over every group it used."""
+    bert, layers, batch, micro = bert_base(seq_len=512), 6, 32, 4
+    config = Config.from_dict(dict(
+        parallel=dict(tensor=dict(size=4, mode="sequence"), pipeline=2),
+        num_microbatches=micro))
+    rt = SpmdRuntime(system_iii(n_nodes=2), 8, sanitize=sanitize)
+
+    def prog(ctx, pc):
+        start, end = partition_uniform(layers, 2)[pc.pp_rank]
+        stage = _Stack([
+            SequenceParallelTransformerLayer(
+                bert.hidden_size, bert.n_heads,
+                pc.comm(ParallelMode.SEQUENCE), dtype="float16")
+            for _ in range(end - start)], checkpointed=False)
+        GPipeSchedule(pc, micro).run(
+            stage,
+            SpecArray((batch, bert.seq_len // 4, bert.hidden_size), "float16")
+            if pc.is_first_pipeline_stage() else None,
+            None,
+            (lambda out, y: out.sum())
+            if pc.is_last_pipeline_stage() else None)
+        groups = [tuple(pc.comm(mode).group.ranks) for mode in (
+            ParallelMode.SEQUENCE, ParallelMode.PIPELINE)]
+        return _memory(ctx), groups
+
+    out = repro.launch(config, rt.cluster, prog, world_size=8,
+                       materialize=False, runtime=rt)
+    groups = {g for _, gs in out for g in gs}
+    summary = _summary(rt, [m for m, _ in out], groups)
+    counters = [rt.group(g).counters for g in sorted(groups)]
+    summary["step"] = [
+        max(summary["clocks"]),
+        sum(c.bytes_total for c in counters),
+        sum(c.calls_total for c in counters),
+    ]
+    return summary
+
+
 class _Block(Module):
     def __init__(self, rng, hidden, out):
         super().__init__()
@@ -217,6 +265,7 @@ def capture_replay():
 
 
 CASES = {
+    "bert_sp_pp2": bert_sp_pp2,
     "ddp_vit_spec8": ddp_vit_spec8,
     "hybrid_gpt_gpipe": hybrid_gpt_gpipe,
     "zero_offload_real4": zero_offload_real4,
@@ -227,6 +276,15 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_matches_golden(name):
     assert CASES[name]() == json.loads(GOLDEN.read_text())[name]
+
+
+@pytest.mark.parametrize("checksum", [False, True])
+def test_sanitizer_moves_no_simulated_number(checksum):
+    """Spec checks and checksums ride on the rounds the step already
+    makes: every clock, counter and stream head is the bare run's."""
+    got = bert_sp_pp2(CommSanitizer(checksum=checksum))
+    assert got["step"] == [0.04321134147962983, 2768240640, 368]
+    assert got == json.loads(GOLDEN.read_text())["bert_sp_pp2"]
 
 
 if __name__ == "__main__":
