@@ -16,13 +16,10 @@ import pytest
 import repro
 from repro.cluster import system_iii
 from repro.comm.payload import SpecArray
-from repro.context import ParallelMode
 from repro.models.bert import bert_base
-from repro.models.common import crng
-from repro.nn import ModuleList, Module
+from repro.nn import Module, ModuleList, TransformerLayer
+from repro.parallel import tensor_mode
 from repro.parallel.pipeline import GPipeSchedule, partition_uniform
-from repro.parallel.sequence import SequenceParallelTransformerLayer
-from repro.parallel.tensor1d import ParallelTransformerLayer1D
 from repro.tensor import Tensor
 
 BERT = bert_base(seq_len=512)
@@ -31,29 +28,17 @@ MICRO = 4
 
 
 class _Stage(Module):
-    def __init__(self, mode, pc, layer_range):
+    def __init__(self, tmode, n_layers):
         super().__init__()
-        if mode == "1d":
-            comm = pc.comm(ParallelMode.TENSOR)
-            mk = lambda i: ParallelTransformerLayer1D(
-                BERT.hidden_size, BERT.n_heads, comm, dtype="float16",
-            )
-        else:
-            comm = pc.comm(ParallelMode.SEQUENCE)
-            mk = lambda i: SequenceParallelTransformerLayer(
-                BERT.hidden_size, BERT.n_heads, comm, dtype="float16",
-            )
-        self.layers = ModuleList([mk(i) for i in layer_range])
+        self.layers = ModuleList([
+            TransformerLayer(BERT.hidden_size, BERT.n_heads, dtype="float16", mode=tmode)
+            for _ in range(n_layers)
+        ])
 
     def forward(self, x):
         for l in self.layers:
             x = l(x)
         return x
-
-
-def _local_x(mode, batch, seq_group):
-    seq = BERT.seq_len if mode == "1d" else BERT.seq_len // seq_group
-    return SpecArray((batch, seq, BERT.hidden_size), "float16")
 
 
 def step_time(mode, batch, pp_stages=1, tracer=None, runtime=None):
@@ -65,10 +50,10 @@ def step_time(mode, batch, pp_stages=1, tracer=None, runtime=None):
     )
 
     def prog(ctx, pc):
-        mname = "1d" if mode == "1d" else "sequence"
+        tmode = tensor_mode(pc)
         s, e = partition_uniform(N_LAYERS, pp_stages)[pc.pp_rank]
-        stage = _Stage(mname, pc, range(s, e))
-        x = _local_x(mname, batch, 4)
+        stage = _Stage(tmode, e - s)
+        x = SpecArray(tmode.local_shape(batch, BERT.seq_len, BERT.hidden_size), "float16")
         t0 = ctx.clock.time
         if pp_stages == 1:
             xt = Tensor(x, requires_grad=True)

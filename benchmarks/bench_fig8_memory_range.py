@@ -16,55 +16,12 @@ import pytest
 import repro
 from repro.cluster import uniform_cluster
 from repro.comm import SpecArray
-from repro.context import ParallelMode
+from repro.parallel import tensor_mode
 from repro.tensor import Tensor
 from repro.utils.units import MB
 
 SEQ = 512
 DTYPE = "float16"
-
-
-def _two_linear(mode, pc, hidden):
-    """The paper's two-linear-layer model, per mode."""
-    if mode == "1d":
-        from repro.parallel.tensor1d import ColumnParallelLinear, RowParallelLinear
-
-        comm = pc.comm(ParallelMode.TENSOR)
-        l1 = ColumnParallelLinear(hidden, hidden, comm, bias=False, dtype=DTYPE)
-        l2 = RowParallelLinear(hidden, hidden, comm, bias=False, dtype=DTYPE)
-        return lambda x: l2(l1(x)), (l1, l2)
-    if mode == "2d":
-        from repro.parallel.tensor2d import Linear2D
-
-        l1 = Linear2D(hidden, hidden, pc, bias=False, dtype=DTYPE)
-        l2 = Linear2D(hidden, hidden, pc, bias=False, dtype=DTYPE)
-        return lambda x: l2(l1(x)), (l1, l2)
-    if mode == "2.5d":
-        from repro.parallel.tensor25d import Linear25D
-
-        l1 = Linear25D(hidden, hidden, pc, bias=False, dtype=DTYPE)
-        l2 = Linear25D(hidden, hidden, pc, bias=False, dtype=DTYPE)
-        return lambda x: l2(l1(x)), (l1, l2)
-    from repro.parallel.tensor3d import LAYOUT_JK, Linear3D
-
-    l1 = Linear3D(hidden, hidden, pc, LAYOUT_JK, bias=False, dtype=DTYPE)
-    l2 = Linear3D(hidden, hidden, pc, LAYOUT_JK.flipped(), bias=False, dtype=DTYPE)
-    return lambda x: l2(l1(x)), (l1, l2)
-
-
-def _local_input(mode, pc, batch, hidden):
-    if mode == "1d":
-        shape = (batch, SEQ, hidden)
-    elif mode == "2d":
-        q = pc.summa_dim
-        shape = (batch // q, SEQ, hidden // q)
-    elif mode == "2.5d":
-        q, d = pc.tesseract_dim, pc.tesseract_dep
-        shape = (batch // (d * q), SEQ, hidden // q)
-    else:
-        l = pc.cubic_dim
-        shape = (batch // (l * l), SEQ, hidden // l)
-    return SpecArray(shape, DTYPE)
 
 
 def _peak_mb(mode, world, depth, batch, hidden):
@@ -74,9 +31,13 @@ def _peak_mb(mode, world, depth, batch, hidden):
     config = dict(parallel=dict(tensor=tdict))
 
     def prog(ctx, pc):
-        fwd, _layers = _two_linear(mode, pc, hidden)
-        x = Tensor(_local_input(mode, pc, batch, hidden), requires_grad=True)
-        fwd(x).sum().backward()
+        # the paper's two-linear-layer model: the mode's first/second pair
+        # (column -> row in 1D, a layout and its flip in 3D)
+        tmode = tensor_mode(pc)
+        l1 = tmode.linear(hidden, hidden, bias=False, dtype=DTYPE)
+        l2 = tmode.linear(hidden, hidden, second=True, bias=False, dtype=DTYPE)
+        x = Tensor(SpecArray(tmode.local_shape(batch, SEQ, hidden), DTYPE), requires_grad=True)
+        l2(l1(x)).sum().backward()
         return ctx.device.memory.peak / MB
 
     res = repro.launch(

@@ -30,7 +30,8 @@ from repro.analytic import (
 from repro.cluster import uniform_cluster
 from repro.comm import SpecArray
 from repro.config import Config
-from repro.context import ParallelContext, ParallelMode
+from repro.context import ParallelContext
+from repro.parallel import tensor_mode
 from repro.runtime import SpmdRuntime
 from repro.tensor import Tensor
 
@@ -48,29 +49,9 @@ def _measure(mode: str, p: int, depth: int = 1) -> int:
 
     def prog(ctx):
         pc = ParallelContext(ctx, Config.from_dict(dict(parallel=dict(tensor=tdict))))
-        if mode == "1d":
-            from repro.parallel.tensor1d import ColumnParallelLinear
-
-            lin = ColumnParallelLinear(H, H, pc.comm(ParallelMode.TENSOR), bias=False)
-            x = Tensor(SpecArray((B, S, H)), requires_grad=True)
-        elif mode == "2d":
-            from repro.parallel.tensor2d import Linear2D
-
-            q = pc.summa_dim
-            lin = Linear2D(H, H, pc, bias=False)
-            x = Tensor(SpecArray((B // q, S, H // q)), requires_grad=True)
-        elif mode == "2.5d":
-            from repro.parallel.tensor25d import Linear25D
-
-            q, d = pc.tesseract_dim, pc.tesseract_dep
-            lin = Linear25D(H, H, pc, bias=False)
-            x = Tensor(SpecArray((B // (d * q), S, H // q)), requires_grad=True)
-        else:  # 3d
-            from repro.parallel.tensor3d import LAYOUT_JK, Linear3D
-
-            l = pc.cubic_dim
-            lin = Linear3D(H, H, pc, LAYOUT_JK, bias=False)
-            x = Tensor(SpecArray((B // (l * l), S, H // l)), requires_grad=True)
+        tmode = tensor_mode(pc)
+        lin = tmode.linear(H, H, bias=False)
+        x = Tensor(SpecArray(tmode.local_shape(B, S, H)), requires_grad=True)
         lin(x).sum().backward()
 
     rt.run(prog, materialize=False)

@@ -16,68 +16,14 @@ from repro.autograd import checkpoint
 from repro.cluster.device import DeviceOutOfMemoryError
 from repro.cluster.machine import ClusterSpec
 from repro.comm import SpecArray
-from repro.context import ParallelMode
-from repro.runtime import RemoteRankError, SpmdRuntime
+from repro.config import TensorParallelConfig
+from repro.nn import TransformerLayer
+from repro.parallel import batch_divisor, tensor_mode
+from repro.runtime import RemoteRankError
 from repro.tensor import Tensor
 
 DTYPE = "float16"
 N_PATCHES = 196  # 224 / 16 squared
-
-
-def _build_stack(mode: str, pc, n_layers: int, hidden: int, heads: int):
-    if mode == "1d":
-        from repro.parallel.tensor1d import ParallelTransformerLayer1D
-
-        comm = pc.comm(ParallelMode.TENSOR)
-        return [
-            ParallelTransformerLayer1D(hidden, heads, comm, dtype=DTYPE)
-            for _ in range(n_layers)
-        ]
-    if mode == "2d":
-        from repro.parallel.tensor2d import ParallelTransformerLayer2D
-
-        return [
-            ParallelTransformerLayer2D(hidden, heads, pc, dtype=DTYPE)
-            for _ in range(n_layers)
-        ]
-    if mode == "2.5d":
-        from repro.parallel.tensor25d import ParallelTransformerLayer25D
-
-        return [
-            ParallelTransformerLayer25D(hidden, heads, pc, dtype=DTYPE)
-            for _ in range(n_layers)
-        ]
-    from repro.parallel.tensor3d import LAYOUT_JK, ParallelTransformerLayer3D
-
-    return [
-        ParallelTransformerLayer3D(hidden, heads, pc, LAYOUT_JK, dtype=DTYPE)
-        for _ in range(n_layers)
-    ]
-
-
-def _local_batch_shape(mode: str, pc, batch: int, hidden: int):
-    if mode == "1d":
-        return (batch, N_PATCHES, hidden)
-    if mode == "2d":
-        q = pc.summa_dim
-        return (batch // q, N_PATCHES, hidden // q)
-    if mode == "2.5d":
-        q, d = pc.tesseract_dim, pc.tesseract_dep
-        return (batch // (d * q), N_PATCHES, hidden // q)
-    l = pc.cubic_dim
-    return (batch // (l * l), N_PATCHES, hidden // l)
-
-
-def batch_divisor(mode: str, world: int, depth: int = 1) -> int:
-    import math
-
-    if mode == "1d":
-        return 1
-    if mode == "2d":
-        return math.isqrt(world)
-    if mode == "2.5d":
-        return depth * math.isqrt(world // depth)
-    return round(world ** (1 / 3)) ** 2
 
 
 def vit_step_time(
@@ -101,9 +47,13 @@ def vit_step_time(
     cluster.reset()
 
     def prog(ctx, pc):
-        layers = _build_stack(mode, pc, n_layers, hidden, heads)
+        tmode = tensor_mode(pc)
+        layers = [
+            TransformerLayer(hidden, heads, dtype=DTYPE, mode=tmode)
+            for _ in range(n_layers)
+        ]
         x = Tensor(
-            SpecArray(_local_batch_shape(mode, pc, batch, hidden), DTYPE),
+            SpecArray(tmode.local_shape(batch, N_PATCHES, hidden), DTYPE),
             requires_grad=True,
         )
         t0 = ctx.clock.time
@@ -135,7 +85,7 @@ def best_throughput(
 ) -> Tuple[int, float]:
     """Paper's Fig 11 method: grow the batch until OOM; return
     (best batch, best global img/sec)."""
-    div = batch_divisor(mode, world, depth)
+    div = batch_divisor(TensorParallelConfig(size=world, mode=mode, depth=depth))
     batch = max(8, div)
     best = (0, 0.0)
     while batch <= max_batch:

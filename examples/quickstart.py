@@ -29,7 +29,7 @@ vit_cfg = ViTConfig(
 
 def train(ctx, pc):
     # 2. build the parallel model + optimizer for this rank
-    bundle = build_vit(vit_cfg, pc, mode="2d")
+    bundle = build_vit(vit_cfg, pc)
     engine = repro.initialize(
         bundle.model,
         AdamW(bundle.model.parameters(), lr=3e-3, weight_decay=0.0),

@@ -13,7 +13,7 @@ Quickstart (Listing 1 of the paper)::
     config = dict(parallel=dict(tensor=dict(size=4, mode="2d")))
 
     def train(ctx, pc):
-        bundle = build_vit(ViTConfig(), pc, mode="2d")
+        bundle = build_vit(ViTConfig(), pc)
         engine = repro.initialize(
             bundle.model, AdamW(bundle.model.parameters()), pc=pc)
         ...

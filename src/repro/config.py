@@ -30,6 +30,16 @@ class TensorParallelConfig:
     mode: str = "none"
     depth: int = 1  # 2.5d only
 
+    @property
+    def grid_dim(self) -> int:
+        """Side ``q`` of the SUMMA grid: size = q^2 (2d), depth * q^2 (2.5d)."""
+        return math.isqrt(self.size // (self.depth if self.mode == "2.5d" else 1))
+
+    @property
+    def cube_dim(self) -> int:
+        """Side ``l`` of the 3d cube: size = l^3."""
+        return round(self.size ** (1 / 3))
+
     def validate(self) -> None:
         if self.mode not in TENSOR_MODES:
             raise ValueError(f"unknown tensor parallel mode {self.mode!r}; choose from {TENSOR_MODES}")
@@ -40,22 +50,19 @@ class TensorParallelConfig:
         if self.mode in ("1d", "sequence"):
             return
         if self.mode == "2d":
-            q = math.isqrt(self.size)
-            if q * q != self.size:
+            if self.grid_dim**2 != self.size:
                 raise ValueError(f"2d tensor parallelism needs a square GPU count, got {self.size}")
         elif self.mode == "2.5d":
             if self.depth < 1:
                 raise ValueError(f"2.5d depth must be >= 1, got {self.depth}")
             if self.size % self.depth != 0:
                 raise ValueError(f"2.5d size {self.size} not divisible by depth {self.depth}")
-            q = math.isqrt(self.size // self.depth)
-            if q * q * self.depth != self.size:
+            if self.grid_dim**2 * self.depth != self.size:
                 raise ValueError(
                     f"2.5d tensor parallelism needs size = depth*q^2, got size={self.size}, depth={self.depth}"
                 )
         elif self.mode == "3d":
-            cube = round(self.size ** (1 / 3))
-            if cube**3 != self.size:
+            if self.cube_dim**3 != self.size:
                 raise ValueError(f"3d tensor parallelism needs a cubic GPU count, got {self.size}")
 
 

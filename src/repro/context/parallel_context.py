@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -30,6 +29,18 @@ class ParallelMode(enum.Enum):
     PARALLEL_3D_INPUT = "3d_input"
     PARALLEL_3D_WEIGHT = "3d_weight"
     PARALLEL_3D_OUTPUT = "3d_output"
+
+
+#: (row, col, depth) groups of the SUMMA grid per tensor mode: 2D is the
+#: one-layer grid of 2.5D and has no depth group
+GRID_GROUPS = {
+    "2d": (ParallelMode.PARALLEL_2D_ROW, ParallelMode.PARALLEL_2D_COL, None),
+    "2.5d": (
+        ParallelMode.PARALLEL_2P5D_ROW,
+        ParallelMode.PARALLEL_2P5D_COL,
+        ParallelMode.PARALLEL_2P5D_DEP,
+    ),
+}
 
 
 class ParallelContext:
@@ -64,10 +75,8 @@ class ParallelContext:
 
         self._comms: Dict[ParallelMode, Communicator] = {}
         self._build_basic_groups()
-        if self.tensor_mode == "2d":
-            self._build_2d_groups()
-        elif self.tensor_mode == "2.5d":
-            self._build_2p5d_groups()
+        if self.tensor_mode in GRID_GROUPS:
+            self._build_grid_groups()
         elif self.tensor_mode == "3d":
             self._build_3d_groups()
 
@@ -102,48 +111,26 @@ class ParallelContext:
     def _tensor_base(self) -> int:
         return self.dp_rank * self.tensor_size * self.pipeline_size + self.pp_rank * self.tensor_size
 
-    def _build_2d_groups(self) -> None:
-        q = math.isqrt(self.tensor_size)
+    def _build_grid_groups(self) -> None:
+        q = self.config.tensor.grid_dim
+        d = self.tensor_size // (q * q)
         base = self._tensor_base()
-        t = self.tp_rank
-        i, j = divmod(t, q)
-        self.summa_dim = q
-        self.row_rank, self.col_rank = i, j
-        # row group: fixed i, j varies
-        self._comm(ParallelMode.PARALLEL_2D_ROW, [base + i * q + jj for jj in range(q)])
-        # col group: fixed j, i varies
-        self._comm(ParallelMode.PARALLEL_2D_COL, [base + ii * q + j for ii in range(q)])
-
-    def _build_2p5d_groups(self) -> None:
-        d = self.config.tensor.depth
-        q = math.isqrt(self.tensor_size // d)
-        base = self._tensor_base()
-        t = self.tp_rank
-        dep, rem = divmod(t, q * q)
+        dep, rem = divmod(self.tp_rank, q * q)
         i, j = divmod(rem, q)
-        self.tesseract_dim = q
-        self.tesseract_dep = d
         self.dep_rank, self.row_rank, self.col_rank = dep, i, j
-        self._comm(
-            ParallelMode.PARALLEL_2P5D_ROW,
-            [base + dep * q * q + i * q + jj for jj in range(q)],
-        )
-        self._comm(
-            ParallelMode.PARALLEL_2P5D_COL,
-            [base + dep * q * q + ii * q + j for ii in range(q)],
-        )
-        self._comm(
-            ParallelMode.PARALLEL_2P5D_DEP,
-            [base + dd * q * q + i * q + j for dd in range(d)],
-        )
+        row_mode, col_mode, dep_mode = GRID_GROUPS[self.tensor_mode]
+        # row group: fixed i, j varies
+        self._comm(row_mode, [base + dep * q * q + i * q + jj for jj in range(q)])
+        # col group: fixed j, i varies
+        self._comm(col_mode, [base + dep * q * q + ii * q + j for ii in range(q)])
+        if dep_mode is not None:
+            self._comm(dep_mode, [base + dd * q * q + i * q + j for dd in range(d)])
 
     def _build_3d_groups(self) -> None:
-        l = round(self.tensor_size ** (1 / 3))
+        l = self.config.tensor.cube_dim
         base = self._tensor_base()
-        t = self.tp_rank
-        i, rem = divmod(t, l * l)
+        i, rem = divmod(self.tp_rank, l * l)
         j, k = divmod(rem, l)
-        self.cubic_dim = l
         self.cube_i, self.cube_j, self.cube_k = i, j, k
         self._comm(
             ParallelMode.PARALLEL_3D_OUTPUT,
@@ -169,14 +156,8 @@ class ParallelContext:
                 f"{self.tensor_mode!r})"
             ) from None
 
-    def has_mode(self, mode: ParallelMode) -> bool:
-        return mode in self._comms
-
     def local_rank(self, mode: ParallelMode) -> int:
         return self.comm(mode).rank
-
-    def mode_size(self, mode: ParallelMode) -> int:
-        return self.comm(mode).size
 
     def is_first_pipeline_stage(self) -> bool:
         return self.pp_rank == 0

@@ -12,25 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from repro.autograd import ops
-from repro.comm.payload import SpecArray, is_spec
-from repro.context.parallel_context import ParallelContext, ParallelMode
-from repro.models.common import ModelBundle, crng
+from repro.context.parallel_context import ParallelContext
+from repro.models.common import ModelBundle, crng, resolve_mode
 from repro.nn import init as init_mod
-from repro.nn.layers import Embedding, LayerNorm, Linear
-from repro.nn.loss import CrossEntropyLoss
-from repro.nn.module import Module, ModuleList, Parameter
+from repro.nn.mode import SERIAL, TensorMode
+from repro.nn.module import Module, ModuleList
 from repro.nn.transformer import TransformerLayer
-from repro.parallel.comm_ops import mean_loss_across
-from repro.parallel.sequence import SequenceParallelTransformerLayer, _mark_seq_synced
-from repro.parallel.tensor1d import (
-    ColumnParallelLinear,
-    ParallelTransformerLayer1D,
-    VocabParallelEmbedding1D,
-)
-from repro.tensor.sharding import shard_payload
+from repro.parallel import tensor_mode
 from repro.tensor.tensor import Tensor
 
 _TOK, _POS, _NORM, _HEAD = 0, 1, 1000, 1001
@@ -50,14 +38,20 @@ class BertConfig:
     seed: int = 13
 
 
-class SerialBert(Module):
-    def __init__(self, cfg: BertConfig) -> None:
+class Bert(Module):
+    """The BERT encoder + LM head, once, over ``mode``: token ids (under
+    sequence parallelism, this rank's [B, S/p] slice) to logits."""
+
+    MODES = ("serial", "1d", "sequence")
+
+    def __init__(self, cfg: BertConfig, mode: TensorMode = SERIAL) -> None:
         super().__init__()
         self.cfg = cfg
-        self.token_emb = Embedding(
+        self.mode = mode
+        self.token_emb = mode.embedding(
             cfg.vocab_size, cfg.hidden_size, dtype=cfg.dtype, rng=crng(cfg.seed, _TOK)
         )
-        self.pos_emb = Parameter(
+        self.pos_emb = mode.shared_param(
             init_mod.param_payload(
                 (cfg.seq_len, cfg.hidden_size), init_mod.normal(0.02),
                 crng(cfg.seed, _POS), cfg.dtype,
@@ -68,106 +62,19 @@ class SerialBert(Module):
                 TransformerLayer(
                     cfg.hidden_size, cfg.n_heads, cfg.mlp_ratio,
                     dropout=cfg.dropout, dtype=cfg.dtype,
-                    rng=crng(cfg.seed, _LAYER0 + i),
+                    rng=crng(cfg.seed, _LAYER0 + i), mode=mode,
                 )
                 for i in range(cfg.n_layers)
             ]
         )
-        self.norm = LayerNorm(cfg.hidden_size, dtype=cfg.dtype, rng=crng(cfg.seed, _NORM))
-        self.head = Linear(
-            cfg.hidden_size, cfg.vocab_size,
-            weight_init=init_mod.lecun_normal(), dtype=cfg.dtype,
-            rng=crng(cfg.seed, _HEAD),
+        self.norm = mode.layer_norm(cfg.hidden_size, dtype=cfg.dtype, rng=crng(cfg.seed, _NORM))
+        self.head = mode.lm_head(
+            cfg.hidden_size, cfg.vocab_size, dtype=cfg.dtype, rng=crng(cfg.seed, _HEAD)
         )
 
     def forward(self, token_ids) -> Tensor:
         x = self.token_emb(token_ids)
-        x = ops.add(x, self.pos_emb)
-        for layer in self.layers:
-            x = layer(x)
-        return self.head(self.norm(x))
-
-
-class Bert1D(Module):
-    def __init__(self, cfg: BertConfig, pc: ParallelContext,
-                 gather_logits: bool = True) -> None:
-        super().__init__()
-        comm = pc.comm(ParallelMode.TENSOR)
-        self.tensor_comm = comm
-        self.token_emb = VocabParallelEmbedding1D(
-            cfg.vocab_size, cfg.hidden_size, comm, dtype=cfg.dtype,
-            rng=crng(cfg.seed, _TOK),
-        )
-        self.pos_emb = Parameter(
-            init_mod.param_payload(
-                (cfg.seq_len, cfg.hidden_size), init_mod.normal(0.02),
-                crng(cfg.seed, _POS), cfg.dtype,
-            )
-        )
-        self.layers = ModuleList(
-            [
-                ParallelTransformerLayer1D(
-                    cfg.hidden_size, cfg.n_heads, comm, cfg.mlp_ratio,
-                    dropout=cfg.dropout, dtype=cfg.dtype,
-                    rng=crng(cfg.seed, _LAYER0 + i),
-                )
-                for i in range(cfg.n_layers)
-            ]
-        )
-        self.norm = LayerNorm(cfg.hidden_size, dtype=cfg.dtype, rng=crng(cfg.seed, _NORM))
-        self.head = ColumnParallelLinear(
-            cfg.hidden_size, cfg.vocab_size, comm, gather_output=gather_logits,
-            weight_init=init_mod.lecun_normal(), dtype=cfg.dtype,
-            rng=crng(cfg.seed, _HEAD),
-        )
-
-    def forward(self, token_ids) -> Tensor:
-        x = self.token_emb(token_ids)
-        x = ops.add(x, self.pos_emb)
-        for layer in self.layers:
-            x = layer(x)
-        return self.head(self.norm(x))
-
-
-class BertSP(Module):
-    """Sequence-parallel BERT: operates on [B, S/p] token slices."""
-
-    def __init__(self, cfg: BertConfig, pc: ParallelContext) -> None:
-        super().__init__()
-        comm = pc.comm(ParallelMode.SEQUENCE)
-        self.comm = comm
-        self.token_emb = Embedding(
-            cfg.vocab_size, cfg.hidden_size, dtype=cfg.dtype, rng=crng(cfg.seed, _TOK)
-        )
-        pos_full = init_mod.param_payload(
-            (cfg.seq_len, cfg.hidden_size), init_mod.normal(0.02),
-            crng(cfg.seed, _POS), cfg.dtype,
-        )
-        # each rank owns its sub-sequence's positions: no replication
-        self.pos_emb = Parameter(shard_payload(pos_full, 0, comm.size, comm.rank))
-        self.layers = ModuleList(
-            [
-                SequenceParallelTransformerLayer(
-                    cfg.hidden_size, cfg.n_heads, comm, cfg.mlp_ratio,
-                    dropout=cfg.dropout, dtype=cfg.dtype,
-                    rng=crng(cfg.seed, _LAYER0 + i),
-                )
-                for i in range(cfg.n_layers)
-            ]
-        )
-        self.norm = LayerNorm(cfg.hidden_size, dtype=cfg.dtype, rng=crng(cfg.seed, _NORM))
-        self.head = Linear(
-            cfg.hidden_size, cfg.vocab_size,
-            weight_init=init_mod.lecun_normal(), dtype=cfg.dtype,
-            rng=crng(cfg.seed, _HEAD),
-        )
-        _mark_seq_synced(self.token_emb, comm)
-        _mark_seq_synced(self.norm, comm)
-        _mark_seq_synced(self.head, comm)
-
-    def forward(self, token_ids) -> Tensor:
-        x = self.token_emb(token_ids)
-        x = ops.add(x, self.pos_emb)
+        x = self.mode.add_shared(x, self.pos_emb)
         for layer in self.layers:
             x = layer(x)
         return self.head(self.norm(x))
@@ -176,71 +83,20 @@ class BertSP(Module):
 def build_bert(
     cfg: BertConfig,
     pc: Optional[ParallelContext] = None,
-    mode: str = "serial",
+    mode: Optional[str] = None,
     vocab_parallel_loss: bool = False,
 ) -> ModelBundle:
-    """``vocab_parallel_loss`` (1d mode only): keep the LM logits sharded
+    """Build BERT for the tensor mode of ``pc`` (serial without one);
+    ``mode`` in {serial, 1d, sequence} may restate that and is checked.
+
+    ``vocab_parallel_loss`` (1d mode only): keep the LM logits sharded
     along the vocabulary and use the gather-free vocab-parallel
     cross-entropy — wire traffic O(tokens) instead of O(tokens*vocab)."""
-    ce = CrossEntropyLoss()
-
-    if mode == "serial":
-        model: Module = SerialBert(cfg)
-        return ModelBundle(
-            model=model,
-            shard_input=lambda x: x,
-            shard_target=lambda y: y,
-            loss_fn=lambda out, y: ce(out, y),
-            gather_output=lambda out: out.payload,
-            mode=mode,
-        )
-
-    if pc is None:
-        raise ValueError(f"mode {mode!r} requires a ParallelContext")
-
-    if mode == "1d":
-        model = Bert1D(cfg, pc, gather_logits=not vocab_parallel_loss)
-        if vocab_parallel_loss:
-            from repro.parallel.vocab_ce import vocab_parallel_cross_entropy
-
-            comm = pc.comm(ParallelMode.TENSOR)
-            return ModelBundle(
-                model=model,
-                shard_input=lambda x: x,
-                shard_target=lambda y: y,
-                loss_fn=lambda out, y: vocab_parallel_cross_entropy(out, y, comm),
-                gather_output=lambda out: comm.all_gather(out.payload, axis=-1),
-                mode=mode,
-            )
-        return ModelBundle(
-            model=model,
-            shard_input=lambda x: x,
-            shard_target=lambda y: y,
-            loss_fn=lambda out, y: ce(out, y),
-            gather_output=lambda out: out.payload,
-            mode=mode,
-        )
-
-    if mode == "sequence":
-        model = BertSP(cfg, pc)
-        comm = pc.comm(ParallelMode.SEQUENCE)
-
-        def shard_seq(x):
-            return shard_payload(x if is_spec(x) else np.asarray(x), 1, comm.size, comm.rank)
-
-        def loss_fn(out, y):
-            return mean_loss_across(ce(out, y), comm)
-
-        return ModelBundle(
-            model=model,
-            shard_input=shard_seq,
-            shard_target=shard_seq,
-            loss_fn=loss_fn,
-            gather_output=lambda out: comm.all_gather(out.payload, axis=1),
-            mode=mode,
-        )
-
-    raise ValueError(f"unknown BERT mode {mode!r}")
+    mode = resolve_mode("BERT", Bert.MODES, pc, mode)
+    tmode = tensor_mode(pc)
+    if vocab_parallel_loss:
+        tmode = tmode.vocab_parallel()
+    return ModelBundle.over(Bert(cfg, tmode), tmode, mode)
 
 
 def bert_base(seq_len: int = 512, dtype: str = "float16", seed: int = 13) -> BertConfig:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
+from repro.context.parallel_context import ParallelContext
+from repro.nn.mode import TensorMode
 from repro.nn.module import Module
 from repro.tensor.tensor import Tensor
 
@@ -16,6 +18,43 @@ def crng(seed: int, *component: int) -> np.random.Generator:
     global weight for component ``(seed, *component)`` regardless of build
     order, then keeps its shard — the root of cross-mode parity."""
     return np.random.default_rng((0x5EED, seed) + tuple(component))
+
+
+def resolve_mode(
+    model: str,
+    supported: Sequence[str],
+    pc: Optional[ParallelContext],
+    mode: Optional[str],
+    tensorless: str = "serial",
+) -> str:
+    """The mode name a builder runs in.
+
+    The context decides: its tensor mode, or ``tensorless`` where that is
+    ``"none"`` (``"serial"`` with no context at all).  An explicit ``mode``
+    is a checked redundancy, not a second source of truth — one that
+    contradicts the context is an error here rather than a missing
+    attribute inside a rank thread.
+    """
+    tensor = "none" if pc is None else pc.tensor_mode
+    if mode is None:
+        if tensor != "none":
+            mode = tensor
+        else:
+            mode = "serial" if pc is None else tensorless
+    if mode not in supported:
+        raise ValueError(f"unknown {model} mode {mode!r}")
+    if mode in ("serial", "data"):
+        asked = "none"
+    elif pc is None:
+        raise ValueError(f"mode {mode!r} requires a ParallelContext")
+    else:
+        asked = mode
+    if asked != tensor:
+        raise ValueError(
+            f"mode={mode!r} contradicts the ParallelContext, whose tensor "
+            f"mode is {tensor!r}"
+        )
+    return mode
 
 
 @dataclass
@@ -37,15 +76,14 @@ class ModelBundle:
     mode: str = "serial"
     extra: dict = field(default_factory=dict)
 
-    def train_step_fn(self):
-        """Convenience closure: (engine, data, target) -> loss value."""
-
-        def step(engine, data, target) -> Optional[float]:
-            engine.zero_grad()
-            out = engine(self.shard_input(data))
-            loss = self.loss_fn(out, self.shard_target(target))
-            engine.backward(loss)
-            engine.step()
-            return loss.item() if loss.materialized else None
-
-        return step
+    @classmethod
+    def over(cls, model: Module, tmode: TensorMode, mode: str) -> "ModelBundle":
+        """The glue is what ``tmode`` says about the model edge."""
+        return cls(
+            model=model,
+            shard_input=tmode.shard_input,
+            shard_target=tmode.shard_input,
+            loss_fn=tmode.cross_entropy,
+            gather_output=tmode.gather_output,
+            mode=mode,
+        )

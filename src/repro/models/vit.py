@@ -1,6 +1,6 @@
 """Vision Transformer, parallelized for every tensor-parallel mode.
 
-The paper's §5.2 workhorse.  ``build_vit(cfg, pc, mode)`` returns a
+The paper's §5.2 workhorse.  ``build_vit(cfg, pc)`` returns a
 :class:`ModelBundle` whose loss matches the serial global-batch loss
 exactly in every mode (parity-tested), so the Fig 7 convergence curves are
 directly comparable.
@@ -12,40 +12,23 @@ layout as the tokens, so no mode needs extra communication at the head.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.autograd import ops
 from repro.comm.payload import is_spec
 from repro.context.parallel_context import ParallelContext, ParallelMode
-from repro.models.common import ModelBundle, crng
+from repro.models.common import ModelBundle, crng, resolve_mode
 from repro.nn import init as init_mod
-from repro.nn.layers import LayerNorm, Linear, PatchEmbedding
-from repro.nn.loss import CrossEntropyLoss
-from repro.nn.module import Module, ModuleList, Parameter
-from repro.parallel.common import add_shared, parallel_cross_entropy
-from repro.parallel.comm_ops import scatter_to_parallel_region
-from repro.parallel.tensor1d import ParallelTransformerLayer1D
-from repro.parallel.tensor2d import (
-    Linear2D,
-    LayerNorm2D,
-    ParallelTransformerLayer2D,
-)
-from repro.parallel.tensor25d import (
-    Linear25D,
-    LayerNorm25D,
-    ParallelTransformerLayer25D,
-)
-from repro.parallel.tensor3d import (
-    LAYOUT_JK,
-    Layout3D,
-    Linear3D,
-    LayerNorm3D,
-    ParallelTransformerLayer3D,
-)
+from repro.nn.layers import patchify
+from repro.nn.mode import SERIAL, TensorMode
+from repro.nn.module import Module, ModuleList
 from repro.nn.transformer import TransformerLayer
+from repro.parallel import tensor_mode
+from repro.parallel.data import shard_batch
 from repro.tensor.sharding import shard_payload
 from repro.tensor.tensor import Tensor
 
@@ -78,28 +61,29 @@ class ViTConfig:
         return self.patch_size * self.patch_size * self.in_channels
 
 
-def _patchify(images: Tensor, patch: int) -> Tensor:
-    """[B, H, W, C] -> [B, N, patch*patch*C]."""
-    b, h, w, c = images.shape
-    x = ops.reshape(images, (b, h // patch, patch, w // patch, patch, c))
-    x = ops.transpose(x, (0, 1, 3, 2, 4, 5))
-    return ops.reshape(x, (b, (h // patch) * (w // patch), patch * patch * c))
+class ViT(Module):
+    """The ViT, once, over ``mode``.
 
+    Images enter batch-sharded with their patch features whole;
+    ``scatter_features`` brings them into the mode's layout and the patch
+    projection is one linear in it.  Everything after that — positional
+    embedding, layers, final norm, head — lives in ``mode.flipped()``: a
+    linear flips a 3D layout (images enter in LAYOUT_JK, the layers run in
+    LAYOUT_KJ, the head flips back so logits leave in LAYOUT_JK: batch
+    sharded by (i, k), classes by j) and leaves every other mode as it was.
+    """
 
-# ---------------------------------------------------------------------------
-# serial / data-parallel
-# ---------------------------------------------------------------------------
+    MODES = ("serial", "data", "1d", "2d", "2.5d", "3d")
 
-
-class SerialViT(Module):
-    def __init__(self, cfg: ViTConfig) -> None:
+    def __init__(self, cfg: ViTConfig, mode: TensorMode = SERIAL) -> None:
         super().__init__()
         self.cfg = cfg
-        self.patch_embed = PatchEmbedding(
-            cfg.image_size, cfg.patch_size, cfg.in_channels, cfg.hidden_size,
-            dtype=cfg.dtype, rng=crng(cfg.seed, _PATCH),
+        self.mode = mode
+        self.body = body = mode.flipped()
+        self.patch_proj = mode.edge_linear(
+            cfg.patch_dim, cfg.hidden_size, dtype=cfg.dtype, rng=crng(cfg.seed, _PATCH)
         )
-        self.pos_emb = Parameter(
+        self.pos_emb = body.shared_param(
             init_mod.param_payload(
                 (cfg.n_patches, cfg.hidden_size), init_mod.normal(0.02),
                 crng(cfg.seed, _POS), cfg.dtype,
@@ -110,343 +94,44 @@ class SerialViT(Module):
                 TransformerLayer(
                     cfg.hidden_size, cfg.n_heads, cfg.mlp_ratio,
                     attn_dropout=cfg.attn_dropout, dropout=cfg.dropout,
-                    dtype=cfg.dtype, rng=crng(cfg.seed, _LAYER0 + i),
+                    dtype=cfg.dtype, rng=crng(cfg.seed, _LAYER0 + i), mode=body,
                 )
                 for i in range(cfg.n_layers)
             ]
         )
-        self.norm = LayerNorm(cfg.hidden_size, dtype=cfg.dtype, rng=crng(cfg.seed, _NORM))
-        self.head = Linear(
-            cfg.hidden_size, cfg.n_classes,
-            weight_init=init_mod.lecun_normal(), dtype=cfg.dtype,
-            rng=crng(cfg.seed, _HEAD),
+        self.norm = body.layer_norm(cfg.hidden_size, dtype=cfg.dtype, rng=crng(cfg.seed, _NORM))
+        self.head = body.edge_linear(
+            cfg.hidden_size, cfg.n_classes, dtype=cfg.dtype, rng=crng(cfg.seed, _HEAD)
         )
 
     def forward(self, images: Tensor) -> Tensor:
-        x = self.patch_embed(images)
-        x = ops.add(x, self.pos_emb)
-        for layer in self.layers:
-            x = layer(x)
-        x = self.norm(x)
-        pooled = ops.mean_(x, axis=1)
-        return self.head(pooled)
-
-
-# ---------------------------------------------------------------------------
-# 1D (Megatron)
-# ---------------------------------------------------------------------------
-
-
-class ViT1D(Module):
-    """Patch embedding, pos emb, final norm and head are replicated (their
-    inputs are identical on all tensor ranks); transformer layers are 1D
-    tensor parallel."""
-
-    def __init__(self, cfg: ViTConfig, pc: ParallelContext) -> None:
-        super().__init__()
-        comm = pc.comm(ParallelMode.TENSOR)
-        self.patch_embed = PatchEmbedding(
-            cfg.image_size, cfg.patch_size, cfg.in_channels, cfg.hidden_size,
-            dtype=cfg.dtype, rng=crng(cfg.seed, _PATCH),
-        )
-        self.pos_emb = Parameter(
-            init_mod.param_payload(
-                (cfg.n_patches, cfg.hidden_size), init_mod.normal(0.02),
-                crng(cfg.seed, _POS), cfg.dtype,
-            )
-        )
-        self.layers = ModuleList(
-            [
-                ParallelTransformerLayer1D(
-                    cfg.hidden_size, cfg.n_heads, comm, cfg.mlp_ratio,
-                    attn_dropout=cfg.attn_dropout, dropout=cfg.dropout,
-                    dtype=cfg.dtype, rng=crng(cfg.seed, _LAYER0 + i),
-                )
-                for i in range(cfg.n_layers)
-            ]
-        )
-        self.norm = LayerNorm(cfg.hidden_size, dtype=cfg.dtype, rng=crng(cfg.seed, _NORM))
-        self.head = Linear(
-            cfg.hidden_size, cfg.n_classes,
-            weight_init=init_mod.lecun_normal(), dtype=cfg.dtype,
-            rng=crng(cfg.seed, _HEAD),
-        )
-
-    def forward(self, images: Tensor) -> Tensor:
-        x = self.patch_embed(images)
-        x = ops.add(x, self.pos_emb)
+        x = patchify(images, self.cfg.patch_size)
+        x = self.patch_proj(self.mode.scatter_features(x))
+        x = self.body.add_shared(x, self.pos_emb)
         for layer in self.layers:
             x = layer(x)
         x = self.norm(x)
         return self.head(ops.mean_(x, axis=1))
-
-
-# ---------------------------------------------------------------------------
-# 2D / 2.5D
-# ---------------------------------------------------------------------------
-
-
-class ViTGrid(Module):
-    """Shared implementation for the 2D and 2.5D grids (2.5D is 2D within a
-    depth layer; depth sync is carried by the layers' parameter hooks)."""
-
-    def __init__(self, cfg: ViTConfig, pc: ParallelContext, mode: str) -> None:
-        super().__init__()
-        self.cfg = cfg
-        self.pc = pc
-        self.grid_mode = mode
-        if mode == "2d":
-            q = pc.summa_dim
-            row = ParallelMode.PARALLEL_2D_ROW
-            col = ParallelMode.PARALLEL_2D_COL
-            lin, ln, tl = Linear2D, LayerNorm2D, ParallelTransformerLayer2D
-            dep_comm = None
-            col_rank = pc.col_rank
-        else:
-            q = pc.tesseract_dim
-            row = ParallelMode.PARALLEL_2P5D_ROW
-            col = ParallelMode.PARALLEL_2P5D_COL
-            lin, ln, tl = Linear25D, LayerNorm25D, ParallelTransformerLayer25D
-            dep_comm = pc.comm(ParallelMode.PARALLEL_2P5D_DEP)
-            col_rank = pc.col_rank
-        self.row_mode, self.col_mode = row, col
-        self.patch_proj = lin(
-            cfg.patch_dim, cfg.hidden_size, pc,
-            weight_init=init_mod.lecun_normal(), dtype=cfg.dtype,
-            rng=crng(cfg.seed, _PATCH),
-        )
-        pos_full = init_mod.param_payload(
-            (cfg.n_patches, cfg.hidden_size), init_mod.normal(0.02),
-            crng(cfg.seed, _POS), cfg.dtype,
-        )
-        self.pos_emb = Parameter(shard_payload(pos_full, 1, q, col_rank))
-        if dep_comm is not None:
-            self.pos_emb.grad_sync_comms = [dep_comm]
-        self.layers = ModuleList(
-            [
-                tl(
-                    cfg.hidden_size, cfg.n_heads, pc, cfg.mlp_ratio,
-                    attn_dropout=cfg.attn_dropout, dropout=cfg.dropout,
-                    dtype=cfg.dtype, rng=crng(cfg.seed, _LAYER0 + i),
-                )
-                for i in range(cfg.n_layers)
-            ]
-        )
-        self.norm = ln(cfg.hidden_size, pc, dtype=cfg.dtype, rng=crng(cfg.seed, _NORM))
-        self.head = lin(
-            cfg.hidden_size, cfg.n_classes, pc,
-            weight_init=init_mod.lecun_normal(), dtype=cfg.dtype,
-            rng=crng(cfg.seed, _HEAD),
-        )
-
-    def forward(self, images: Tensor) -> Tensor:
-        x = _patchify(images, self.cfg.patch_size)
-        # feature dim joins the grid: scatter over the row group (col index j)
-        x = scatter_to_parallel_region(x, self.pc.comm(self.row_mode), axis=-1)
-        x = self.patch_proj(x)
-        x = add_shared(x, self.pos_emb, [self.pc.comm(self.col_mode)])
-        for layer in self.layers:
-            x = layer(x)
-        x = self.norm(x)
-        return self.head(ops.mean_(x, axis=1))
-
-
-# ---------------------------------------------------------------------------
-# 3D
-# ---------------------------------------------------------------------------
-
-
-class ViT3D(Module):
-    """Layouts: images enter in LAYOUT_JK; the patch projection flips to
-    LAYOUT_KJ, in which all transformer layers run; the head flips back so
-    logits leave in LAYOUT_JK (batch sharded by (i, k), classes by j)."""
-
-    def __init__(self, cfg: ViTConfig, pc: ParallelContext) -> None:
-        super().__init__()
-        self.cfg = cfg
-        self.pc = pc
-        l = pc.cubic_dim
-        self.entry_layout = LAYOUT_JK
-        body = LAYOUT_JK.flipped()
-        self.body_layout = body
-        self.patch_proj = Linear3D(
-            cfg.patch_dim, cfg.hidden_size, pc, LAYOUT_JK,
-            weight_init=init_mod.lecun_normal(), dtype=cfg.dtype,
-            rng=crng(cfg.seed, _PATCH),
-        )
-        pos_full = init_mod.param_payload(
-            (cfg.n_patches, cfg.hidden_size), init_mod.normal(0.02),
-            crng(cfg.seed, _POS), cfg.dtype,
-        )
-        feat_rank = pc.comm(body.feature_mode).rank
-        self.pos_emb = Parameter(shard_payload(pos_full, 1, l, feat_rank))
-        self.layers = ModuleList(
-            [
-                ParallelTransformerLayer3D(
-                    cfg.hidden_size, cfg.n_heads, pc, body, cfg.mlp_ratio,
-                    attn_dropout=cfg.attn_dropout, dropout=cfg.dropout,
-                    dtype=cfg.dtype, rng=crng(cfg.seed, _LAYER0 + i),
-                )
-                for i in range(cfg.n_layers)
-            ]
-        )
-        self.norm = LayerNorm3D(
-            cfg.hidden_size, pc, body, dtype=cfg.dtype, rng=crng(cfg.seed, _NORM)
-        )
-        self.head = Linear3D(
-            cfg.hidden_size, cfg.n_classes, pc, body,
-            weight_init=init_mod.lecun_normal(), dtype=cfg.dtype,
-            rng=crng(cfg.seed, _HEAD),
-        )
-
-    def forward(self, images: Tensor) -> Tensor:
-        pc = self.pc
-        x = _patchify(images, self.cfg.patch_size)
-        # feature dim scattered over the entry layout's feature axis (j)
-        x = scatter_to_parallel_region(
-            x, pc.comm(self.entry_layout.feature_mode), axis=-1
-        )
-        x = self.patch_proj(x)  # -> body layout
-        x = add_shared(
-            x, self.pos_emb,
-            [pc.comm(ParallelMode.PARALLEL_3D_OUTPUT), pc.comm(self.body_layout.batch_sub_mode)],
-        )
-        for layer in self.layers:
-            x = layer(x)
-        x = self.norm(x)
-        return self.head(ops.mean_(x, axis=1))  # -> entry layout
-
-
-# ---------------------------------------------------------------------------
-# bundle construction
-# ---------------------------------------------------------------------------
 
 
 def build_vit(
     cfg: ViTConfig,
     pc: Optional[ParallelContext] = None,
-    mode: str = "serial",
+    mode: Optional[str] = None,
 ) -> ModelBundle:
-    """Build the ViT for ``mode`` in {serial, data, 1d, 2d, 2.5d, 3d}."""
-    ce = CrossEntropyLoss()
-
-    if mode in ("serial", "data"):
-        model: Module = SerialViT(cfg)
-        if mode == "data" and pc is not None and pc.data_size > 1:
-            from repro.parallel.data import shard_batch
-
-            dp_comm = pc.comm(ParallelMode.DATA)
-            return ModelBundle(
-                model=model,
-                shard_input=lambda x: shard_batch(np.asarray(x), pc) if not is_spec(x) else shard_payload(x, 0, pc.data_size, pc.dp_rank),
-                shard_target=lambda y: shard_batch(np.asarray(y), pc) if not is_spec(y) else y,
-                loss_fn=lambda out, y: ce(out, y),
-                gather_output=lambda out: dp_comm.all_gather(out.payload, axis=0),
-                mode=mode,
-            )
-        return ModelBundle(
-            model=model,
-            shard_input=lambda x: x,
-            shard_target=lambda y: y,
-            loss_fn=lambda out, y: ce(out, y),
-            gather_output=lambda out: out.payload,
-            mode=mode,
+    """Build the ViT for the tensor mode of ``pc``; without one (no
+    context, or tensor ``none``) it is the serial model — as ``"data"``
+    under a context, with the batch sharded over the data group.  ``mode``
+    in {serial, data, 1d, 2d, 2.5d, 3d} may restate that and is checked."""
+    mode = resolve_mode("ViT", ViT.MODES, pc, mode, tensorless="data")
+    tmode = tensor_mode(pc)
+    bundle = ModelBundle.over(ViT(cfg, tmode), tmode, mode)
+    if mode == "data" and pc is not None and pc.data_size > 1:
+        dp_comm = pc.comm(ParallelMode.DATA)
+        return dataclasses.replace(
+            bundle,
+            shard_input=lambda x: shard_batch(np.asarray(x), pc) if not is_spec(x) else shard_payload(x, 0, pc.data_size, pc.dp_rank),
+            shard_target=lambda y: shard_batch(np.asarray(y), pc) if not is_spec(y) else y,
+            gather_output=lambda out: dp_comm.all_gather(out.payload, axis=0),
         )
-
-    if pc is None:
-        raise ValueError(f"mode {mode!r} requires a ParallelContext")
-
-    if mode == "1d":
-        model = ViT1D(cfg, pc)
-        return ModelBundle(
-            model=model,
-            shard_input=lambda x: x,
-            shard_target=lambda y: y,
-            loss_fn=lambda out, y: ce(out, y),
-            gather_output=lambda out: out.payload,
-            mode=mode,
-        )
-
-    if mode in ("2d", "2.5d"):
-        model = ViTGrid(cfg, pc, mode)
-        if mode == "2d":
-            q = pc.summa_dim
-            row = pc.comm(ParallelMode.PARALLEL_2D_ROW)
-            col = pc.comm(ParallelMode.PARALLEL_2D_COL)
-            batch_comms = [col]
-
-            def shard_in(x):
-                return shard_payload(x, 0, q, pc.row_rank)
-
-            def shard_tg(y):
-                return shard_payload(np.asarray(y) if not is_spec(y) else y, 0, q, pc.row_rank)
-
-            def gather(out):
-                full = row.all_gather(out.payload, axis=-1)
-                return col.all_gather(full, axis=0)
-
-        else:
-            q = pc.tesseract_dim
-            d = pc.tesseract_dep
-            row = pc.comm(ParallelMode.PARALLEL_2P5D_ROW)
-            col = pc.comm(ParallelMode.PARALLEL_2P5D_COL)
-            dep = pc.comm(ParallelMode.PARALLEL_2P5D_DEP)
-            batch_comms = [col, dep]
-
-            def shard_in(x):
-                x = shard_payload(x, 0, d, pc.dep_rank)
-                return shard_payload(x, 0, q, pc.row_rank)
-
-            def shard_tg(y):
-                y = np.asarray(y) if not is_spec(y) else y
-                y = shard_payload(y, 0, d, pc.dep_rank)
-                return shard_payload(y, 0, q, pc.row_rank)
-
-            def gather(out):
-                full = row.all_gather(out.payload, axis=-1)
-                full = col.all_gather(full, axis=0)
-                return dep.all_gather(full, axis=0)
-
-        return ModelBundle(
-            model=model,
-            shard_input=shard_in,
-            shard_target=shard_tg,
-            loss_fn=lambda out, y: parallel_cross_entropy(out, y, row, batch_comms),
-            gather_output=gather,
-            mode=mode,
-        )
-
-    if mode == "3d":
-        model = ViT3D(cfg, pc)
-        l = pc.cubic_dim
-        # logits leave in LAYOUT_JK: batch (i, k), classes by j
-        out_feat = pc.comm(LAYOUT_JK.feature_mode)       # j
-        out_sub = pc.comm(LAYOUT_JK.batch_sub_mode)      # k
-        out_i = pc.comm(ParallelMode.PARALLEL_3D_OUTPUT)
-
-        def shard_in3(x):
-            x = shard_payload(x, 0, l, pc.cube_i)
-            return shard_payload(x, 0, l, pc.cube_k)
-
-        def shard_tg3(y):
-            y = np.asarray(y) if not is_spec(y) else y
-            y = shard_payload(y, 0, l, pc.cube_i)
-            return shard_payload(y, 0, l, pc.cube_k)
-
-        def gather3(out):
-            full = out_feat.all_gather(out.payload, axis=-1)
-            full = out_sub.all_gather(full, axis=0)
-            return out_i.all_gather(full, axis=0)
-
-        return ModelBundle(
-            model=model,
-            shard_input=shard_in3,
-            shard_target=shard_tg3,
-            loss_fn=lambda out, y: parallel_cross_entropy(
-                out, y, out_feat, [out_i, out_sub]
-            ),
-            gather_output=gather3,
-            mode=mode,
-        )
-
-    raise ValueError(f"unknown ViT mode {mode!r}")
+    return bundle

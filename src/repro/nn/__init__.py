@@ -1,14 +1,16 @@
-"""Neural-network building blocks (serial reference implementations).
+"""Neural-network building blocks.
 
-The parallel packages (:mod:`repro.parallel`) provide drop-in parallel
-versions of these layers; parity tests assert that each parallel layer
-matches its serial counterpart here bit-for-bit (up to float tolerance).
+The primitives here are the serial reference; :class:`TransformerLayer`
+and its two blocks are written once over a ``mode`` object
+(:mod:`repro.nn.mode`, default :data:`SERIAL`) that the parallel packages
+(:mod:`repro.parallel`) subclass.  Parity tests assert that the layer under
+each parallel mode matches the serial one (up to float tolerance).
 """
 
 from repro.nn.module import Module, ModuleList, Parameter
 from repro.nn.layers import Dropout, Embedding, Identity, LayerNorm, Linear, PatchEmbedding
-from repro.nn.attention import MultiHeadAttention
-from repro.nn.transformer import FeedForward, TransformerLayer
+from repro.nn.mode import SERIAL, TensorMode
+from repro.nn.transformer import FeedForward, MultiHeadAttention, TransformerLayer
 from repro.nn.loss import CrossEntropyLoss, MSELoss
 from repro.nn import init
 
@@ -25,6 +27,8 @@ __all__ = [
     "MultiHeadAttention",
     "FeedForward",
     "TransformerLayer",
+    "TensorMode",
+    "SERIAL",
     "CrossEntropyLoss",
     "MSELoss",
     "init",

@@ -1,22 +1,19 @@
-"""Multi-head self-attention (serial reference).
+"""The attention core: scaled dot-product attention over per-head tensors.
 
 The quadratic-in-sequence-length memory of the score matrix here is exactly
 the "non-model data" bottleneck sequence parallelism attacks (§2.3); the
-ring variant lives in :mod:`repro.parallel.sequence`.
+ring variant lives in :mod:`repro.parallel.sequence`.  The module that
+calls it is :class:`repro.nn.transformer.MultiHeadAttention`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Union
 
 import numpy as np
 
 from repro.autograd import ops
 from repro.comm.payload import SpecArray, is_spec
-from repro.nn import init as init_mod
-from repro.nn.layers import Dropout, Linear
-from repro.nn.module import Module
 from repro.tensor.tensor import Tensor
 
 
@@ -64,51 +61,3 @@ def attention_core(
     if dropout_p > 0.0:
         probs = ops.dropout(probs, dropout_p, training=training)
     return ops.matmul(probs, v)
-
-
-class MultiHeadAttention(Module):
-    """Standard MHA block: QKV projection, per-head attention, output proj."""
-
-    def __init__(
-        self,
-        hidden_size: int,
-        n_heads: int,
-        attn_dropout: float = 0.0,
-        out_dropout: float = 0.0,
-        causal: bool = False,
-        dtype: Union[str, np.dtype] = "float32",
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        if hidden_size % n_heads != 0:
-            raise ValueError(
-                f"hidden size {hidden_size} not divisible by {n_heads} heads"
-            )
-        self.hidden_size = hidden_size
-        self.n_heads = n_heads
-        self.causal = causal
-        self.attn_dropout = attn_dropout
-        self.qkv = Linear(
-            hidden_size, 3 * hidden_size,
-            weight_init=init_mod.lecun_normal(), dtype=dtype, rng=rng,
-        )
-        self.out = Linear(
-            hidden_size, hidden_size,
-            weight_init=init_mod.lecun_normal(), dtype=dtype, rng=rng,
-        )
-        self.dropout = Dropout(out_dropout) if out_dropout > 0 else None
-
-    def forward(self, x: Tensor) -> Tensor:
-        qkv = self.qkv(x)  # [B, S, 3H]
-        q, k, v = ops.split(qkv, 3, axis=-1)
-        q = split_heads(q, self.n_heads)
-        k = split_heads(k, self.n_heads)
-        v = split_heads(v, self.n_heads)
-        attn = attention_core(
-            q, k, v, causal=self.causal,
-            dropout_p=self.attn_dropout, training=self.training,
-        )
-        y = self.out(merge_heads(attn))
-        if self.dropout is not None:
-            y = self.dropout(y)
-        return y

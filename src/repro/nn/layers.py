@@ -111,6 +111,15 @@ class Dropout(Module):
         return ops.dropout(x, self.p, training=self.training)
 
 
+def patchify(images: Tensor, patch: int) -> Tensor:
+    """[B, H, W, C] -> [B, N, patch*patch*C]."""
+    b, h, w, c = images.shape
+    # [B, H/p, p, W/p, p, C] -> [B, H/p, W/p, p, p, C] -> [B, N, p*p*C]
+    x = ops.reshape(images, (b, h // patch, patch, w // patch, patch, c))
+    x = ops.transpose(x, (0, 1, 3, 2, 4, 5))
+    return ops.reshape(x, (b, (h // patch) * (w // patch), patch * patch * c))
+
+
 class PatchEmbedding(Module):
     """ViT patchifier: images [B, H, W, C] -> patch tokens [B, N, hidden].
 
@@ -142,10 +151,4 @@ class PatchEmbedding(Module):
         )
 
     def forward(self, images: Tensor) -> Tensor:
-        b, h, w, c = images.shape
-        p = self.patch_size
-        # [B, H/p, p, W/p, p, C] -> [B, H/p, W/p, p, p, C] -> [B, N, p*p*C]
-        x = ops.reshape(images, (b, h // p, p, w // p, p, c))
-        x = ops.transpose(x, (0, 1, 3, 2, 4, 5))
-        x = ops.reshape(x, (b, self.n_patches, p * p * c))
-        return self.proj(x)
+        return self.proj(patchify(images, self.patch_size))

@@ -1,17 +1,18 @@
-"""Utilities shared by the 2D / 2.5D / 3D tensor-parallel layers.
+"""Utilities shared by the tensor-parallel layers.
 
-These handle the two recurring problems of multi-dimensional TP:
+These handle the recurring problems of multi-dimensional TP:
 
 * normalization over a feature dimension that is sharded (statistics need
-  an all-reduce over the feature-sharding group), and
+  an all-reduce over the feature-sharding group),
 * parameters that are *replicated* across batch-sharding groups (bias, pos
   embeddings, layernorm affine): their gradients must be summed over every
-  group that shards the batch, or replicas would drift apart.
+  group that shards the batch, or replicas would drift apart, and
+* fused QKV weights, whose shard must stay head-aligned.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -20,7 +21,19 @@ from repro.autograd import ops
 from repro.autograd import payload_ops as P
 from repro.comm.communicator import Communicator
 from repro.comm.payload import Payload, SpecArray, is_spec
+from repro.tensor.sharding import shard_payload
 from repro.tensor.tensor import Tensor
+
+
+def shard_sections(payload: Payload, axis: int, parts: int, index: int, sections: int = 1) -> Payload:
+    """Shard ``payload`` along ``axis`` per-section (for fused QKV weights:
+    each of the ``sections`` equal blocks is sharded independently so the
+    local slice stays head-aligned)."""
+    if sections == 1:
+        return shard_payload(payload, axis, parts, index)
+    blocks = P.psplit(payload, sections, axis)
+    shards = [shard_payload(b, axis, parts, index) for b in blocks]
+    return P.pconcat(shards, axis)
 
 
 def sync_parameter_gradients(module) -> None:

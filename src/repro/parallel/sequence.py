@@ -15,15 +15,17 @@ Backward replays the rings for the rotating operand's gradient and uses an
 all-to-all to return each rank's partial gradient for the blocks it
 produced (``dK_r = sum_m dS_{m,r}^T Q_m`` is a reduction *to* rank r).
 
-Parameters carry ``grad_sync_comms = [sequence group]``: every rank saw
-only its tokens, so replicated-parameter gradients are summed across the
-group after backward.
+Everything else is the serial layer on a sub-sequence, which is what
+:class:`ModeSequence` says: its linears, layer norms and embedding are the
+serial ones with ``grad_sync_comms = [sequence group]`` on their parameters
+— every rank saw only its tokens, so replicated-parameter gradients are
+summed across the group after backward.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
@@ -31,13 +33,11 @@ from repro.autograd import ops
 from repro.autograd.function import FnCtx, Function
 from repro.autograd import payload_ops as P
 from repro.comm.communicator import Communicator
-from repro.comm.payload import Payload
+from repro.comm.payload import Payload, SpecArray, is_spec
 from repro.context.parallel_context import ParallelContext, ParallelMode
-from repro.nn import init as init_mod
-from repro.nn.layers import Dropout, LayerNorm, Linear
-from repro.nn.attention import merge_heads, split_heads
+from repro.nn.mode import TensorMode
 from repro.nn.module import Module, Parameter
-from repro.nn.transformer import FeedForward
+from repro.parallel.comm_ops import mean_loss_across
 from repro.tensor.sharding import shard_payload
 from repro.tensor.tensor import Tensor
 
@@ -132,75 +132,50 @@ class RingAV(Function):
         return dprobs, dv
 
 
-def _mark_seq_synced(module: Module, comm: Communicator) -> None:
-    for p in module.parameters():
-        existing = getattr(p, "grad_sync_comms", [])
-        p.grad_sync_comms = list(existing) + [comm]
+class ModeSequence(TensorMode):
+    """Sequence parallelism over ``comm``: the serial layer on this rank's
+    [B, S/p, H] sub-sequence; only the attention core communicates (the
+    rings), so there is no head-divisibility constraint."""
 
+    name = "sequence"
 
-class RingSelfAttention(Module):
-    """Drop-in MHA replacement for sequence parallelism.
-
-    QKV and output projections are ordinary replicated Linears acting on
-    the local sub-sequence; the attention core uses RingQK / RingAV.
-    """
-
-    def __init__(
-        self,
-        hidden_size: int,
-        n_heads: int,
-        comm: Communicator,
-        attn_dropout: float = 0.0,
-        out_dropout: float = 0.0,
-        causal: bool = False,
-        dtype: Union[str, np.dtype] = "float32",
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        if hidden_size % n_heads != 0:
-            raise ValueError(f"hidden {hidden_size} not divisible by heads {n_heads}")
+    def __init__(self, comm: Communicator) -> None:
         self.comm = comm
-        self.n_heads = n_heads
-        self.attn_dropout = attn_dropout
-        self.causal = causal
-        self.qkv = Linear(
-            hidden_size, 3 * hidden_size,
-            weight_init=init_mod.lecun_normal(), dtype=dtype, rng=rng,
-        )
-        self.out = Linear(
-            hidden_size, hidden_size,
-            weight_init=init_mod.lecun_normal(), dtype=dtype, rng=rng,
-        )
-        self.dropout = Dropout(out_dropout) if out_dropout > 0 else None
-        _mark_seq_synced(self, comm)
 
-    def forward(self, x: Tensor) -> Tensor:
-        qkv = self.qkv(x)  # [B, S/p, 3H]
-        q, k, v = ops.split(qkv, 3, axis=-1)
-        q = split_heads(q, self.n_heads)
-        k = split_heads(k, self.n_heads)
-        v = split_heads(v, self.n_heads)
+    @classmethod
+    def from_context(cls, pc: ParallelContext) -> "ModeSequence":
+        return cls(pc.comm(ParallelMode.SEQUENCE))
+
+    def _synced(self, module: Module) -> Module:
+        for p in module.parameters():
+            p.grad_sync_comms = [self.comm]
+        return module
+
+    def linear(self, *args, **kwargs) -> Module:
+        return self._synced(super().linear(*args, **kwargs))
+
+    def layer_norm(self, *args, **kwargs) -> Module:
+        return self._synced(super().layer_norm(*args, **kwargs))
+
+    def embedding(self, *args, **kwargs) -> Module:
+        return self._synced(super().embedding(*args, **kwargs))
+
+    def attention_core(self, q, k, v, causal=False, dropout_p=0.0, training=True) -> Tensor:
         # scale q, not the ring scores: the [B, nh, S/p, S] score buffer is
         # the layer's largest activation and must not be duplicated
         q = ops.mul(q, 1.0 / math.sqrt(q.shape[-1]))
         scores = RingQK.apply(q, k, self.comm)  # [B, nh, S/p, S]
-        if self.causal:
+        if causal:
             scores = ops.add(scores, Tensor(self._causal_mask(scores)))
         probs = ops.softmax(scores, axis=-1)
-        if self.attn_dropout > 0:
-            probs = ops.dropout(probs, self.attn_dropout, training=self.training)
-        attn = RingAV.apply(probs, v, self.comm)  # [B, nh, S/p, d]
-        y = self.out(merge_heads(attn))
-        if self.dropout is not None:
-            y = self.dropout(y)
-        return y
+        if dropout_p > 0:
+            probs = ops.dropout(probs, dropout_p, training=training)
+        return RingAV.apply(probs, v, self.comm)  # [B, nh, S/p, d]
 
     def _causal_mask(self, scores: Tensor):
         """Additive causal mask for the local query block: query at local
         row i sits at global position rank*s_loc + i and may only attend
         to keys at global positions <= that."""
-        from repro.comm.payload import SpecArray, is_spec
-
         s_loc, s_full = scores.shape[-2], scores.shape[-1]
         if is_spec(scores.payload):
             return SpecArray((s_loc, s_full), scores.dtype)
@@ -210,42 +185,22 @@ class RingSelfAttention(Module):
         k_pos = np.arange(s_full)[None, :]
         return (k_pos > q_pos).astype(scores.dtype) * np.asarray(neg, dtype=scores.dtype)
 
+    def shared_param(self, full) -> Parameter:
+        # each rank owns its sub-sequence's positions: no replication
+        return Parameter(shard_payload(full, -2, self.comm.size, self.comm.rank))
 
-class SequenceParallelTransformerLayer(Module):
-    """Transformer layer operating on a sub-sequence [B, S/p, H]; only the
-    attention core communicates (the rings)."""
+    def shard_input(self, x):
+        """Global [B, S, ...] -> local [B, S/p, ...] along the sequence dim."""
+        x = x if is_spec(x) else np.asarray(x)
+        return shard_payload(x, 1, self.comm.size, self.comm.rank)
 
-    def __init__(
-        self,
-        hidden_size: int,
-        n_heads: int,
-        comm: Communicator,
-        mlp_ratio: int = 4,
-        attn_dropout: float = 0.0,
-        dropout: float = 0.0,
-        causal: bool = False,
-        dtype: Union[str, np.dtype] = "float32",
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        self.norm_1 = LayerNorm(hidden_size, dtype=dtype, rng=rng)
-        self.attention = RingSelfAttention(
-            hidden_size, n_heads, comm,
-            attn_dropout=attn_dropout, out_dropout=dropout, causal=causal,
-            dtype=dtype, rng=rng,
-        )
-        self.norm_2 = LayerNorm(hidden_size, dtype=dtype, rng=rng)
-        self.mlp = FeedForward(hidden_size, mlp_ratio, dropout=dropout, dtype=dtype, rng=rng)
-        _mark_seq_synced(self.norm_1, comm)
-        _mark_seq_synced(self.norm_2, comm)
-        _mark_seq_synced(self.mlp, comm)
+    shard_activation = shard_input
 
-    def forward(self, x: Tensor) -> Tensor:
-        x = ops.add(x, self.attention(self.norm_1(x)))
-        x = ops.add(x, self.mlp(self.norm_2(x)))
-        return x
+    def local_shape(self, batch, seq, hidden):
+        return (batch, seq // self.comm.size, hidden)
 
+    def cross_entropy(self, logits: Tensor, targets) -> Tensor:
+        return mean_loss_across(super().cross_entropy(logits, targets), self.comm)
 
-def shard_sequence(x, comm: Communicator):
-    """Global [B, S, ...] -> local [B, S/p, ...] along the sequence dim."""
-    return shard_payload(x, 1, comm.size, comm.rank)
+    def gather_output(self, out: Tensor):
+        return self.comm.all_gather(out.payload, axis=1)

@@ -20,7 +20,6 @@ reference (tested bit-for-bit).
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Union
 
 import numpy as np
@@ -29,15 +28,16 @@ from repro.autograd import ops
 from repro.comm.communicator import Communicator
 from repro.context.parallel_context import ParallelContext, ParallelMode
 from repro.nn import init as init_mod
-from repro.nn.attention import attention_core, merge_heads, split_heads
-from repro.nn.layers import Dropout, LayerNorm
+from repro.nn.mode import TensorMode
 from repro.nn.module import Module, Parameter
+from repro.nn.transformer import TransformerLayer
 from repro.parallel.comm_ops import (
     copy_to_parallel_region,
     gather_from_parallel_region,
     reduce_from_parallel_region,
-    scatter_to_parallel_region,
 )
+from repro.parallel.common import shard_sections
+from repro.parallel.vocab_ce import vocab_parallel_cross_entropy
 from repro.tensor.sharding import shard_payload
 from repro.tensor.tensor import Tensor
 
@@ -47,7 +47,11 @@ def _shard_param(payload, axis: int, parts: int, index: int) -> Parameter:
 
 
 class ColumnParallelLinear(Module):
-    """Linear with output features split across the tensor group."""
+    """Linear with output features split across the tensor group.
+
+    With ``sections=3`` it is the fused QKV projection: each of the Q, K, V
+    column blocks is split separately, so a rank's slice holds its heads'
+    part of all three."""
 
     def __init__(
         self,
@@ -59,19 +63,22 @@ class ColumnParallelLinear(Module):
         weight_init: init_mod.InitFn = init_mod.lecun_normal(),
         dtype: Union[str, np.dtype] = "float32",
         rng: Optional[np.random.Generator] = None,
+        sections: int = 1,
     ) -> None:
         super().__init__()
-        if out_features % comm.size != 0:
+        if out_features % (comm.size * sections) != 0:
             raise ValueError(
                 f"out_features {out_features} not divisible by tensor size {comm.size}"
             )
         self.comm = comm
         self.gather_output = gather_output
         full_w = init_mod.param_payload((in_features, out_features), weight_init, rng, dtype)
-        self.weight = _shard_param(full_w, 1, comm.size, comm.rank)
+        self.weight = Parameter(shard_sections(full_w, 1, comm.size, comm.rank, sections))
         if bias:
             full_b = init_mod.param_payload((out_features,), init_mod.zeros_init, rng, dtype)
-            self.bias: Optional[Parameter] = _shard_param(full_b, 0, comm.size, comm.rank)
+            self.bias: Optional[Parameter] = Parameter(
+                shard_sections(full_b, 0, comm.size, comm.rank, sections)
+            )
         else:
             self.register_parameter("bias", None)
 
@@ -86,7 +93,8 @@ class ColumnParallelLinear(Module):
 
 
 class RowParallelLinear(Module):
-    """Linear with input features split across the tensor group."""
+    """Linear with input features split across the tensor group (its input
+    is the feature-split output of a column-parallel linear)."""
 
     def __init__(
         self,
@@ -94,7 +102,6 @@ class RowParallelLinear(Module):
         out_features: int,
         comm: Communicator,
         bias: bool = True,
-        input_is_parallel: bool = True,
         weight_init: init_mod.InitFn = init_mod.lecun_normal(),
         dtype: Union[str, np.dtype] = "float32",
         rng: Optional[np.random.Generator] = None,
@@ -105,7 +112,6 @@ class RowParallelLinear(Module):
                 f"in_features {in_features} not divisible by tensor size {comm.size}"
             )
         self.comm = comm
-        self.input_is_parallel = input_is_parallel
         full_w = init_mod.param_payload((in_features, out_features), weight_init, rng, dtype)
         self.weight = _shard_param(full_w, 0, comm.size, comm.rank)
         if bias:
@@ -117,8 +123,6 @@ class RowParallelLinear(Module):
             self.register_parameter("bias", None)
 
     def forward(self, x: Tensor) -> Tensor:
-        if not self.input_is_parallel:
-            x = scatter_to_parallel_region(x, self.comm, axis=-1)
         partial = ops.matmul(x, self.weight)
         y = reduce_from_parallel_region(partial, self.comm)
         if self.bias is not None:
@@ -126,145 +130,77 @@ class RowParallelLinear(Module):
         return y
 
 
-class ParallelMLP1D(Module):
-    """Fig 4: column-parallel H->rH, GELU, row-parallel rH->H
-    (one all-reduce forward, one backward)."""
+class Mode1D(TensorMode):
+    """1D tensor parallelism over the tensor group ``comm``.
 
-    def __init__(
-        self,
-        hidden_size: int,
-        comm: Communicator,
-        mlp_ratio: int = 4,
-        dropout: float = 0.0,
-        dtype: Union[str, np.dtype] = "float32",
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        self.dense_1 = ColumnParallelLinear(
-            hidden_size, mlp_ratio * hidden_size, comm, dtype=dtype, rng=rng
-        )
-        self.dense_2 = RowParallelLinear(
-            mlp_ratio * hidden_size, hidden_size, comm, dtype=dtype, rng=rng
-        )
-        self.dropout = Dropout(dropout) if dropout > 0 else None
-
-    def forward(self, x: Tensor) -> Tensor:
-        h = ops.gelu(self.dense_1(x))
-        h = self.dense_2(h)
-        if self.dropout is not None:
-            h = self.dropout(h)
-        return h
-
-
-class ParallelSelfAttention1D(Module):
-    """Attention with heads split across the tensor group.
-
-    The QKV projection is column-parallel *per section* (each rank gets its
-    heads' slice of Q, K and V), attention runs locally on the head subset,
-    and the output projection is row-parallel.  Requires
-    ``n_heads % tensor_size == 0`` — the constraint the paper calls out when
-    comparing against sequence parallelism (§5.3).
+    Both blocks of the layer are a column -> row pair (Fig 4: one
+    all-reduce forward, one backward, each), with heads split across the
+    group.  Everything else is the serial answer: LayerNorms, the
+    positional embedding and the projections outside the layers are
+    replicated (their inputs are identical on all tensor ranks after the
+    row-parallel all-reduce), so activations, loss and logits are whole.
     """
 
-    def __init__(
-        self,
-        hidden_size: int,
-        n_heads: int,
-        comm: Communicator,
-        attn_dropout: float = 0.0,
-        out_dropout: float = 0.0,
-        causal: bool = False,
-        dtype: Union[str, np.dtype] = "float32",
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        p = comm.size
+    name = "1d"
+
+    def __init__(self, comm: Communicator) -> None:
+        self.comm = comm
+
+    @classmethod
+    def from_context(cls, pc: ParallelContext) -> "Mode1D":
+        return cls(pc.comm(ParallelMode.TENSOR))
+
+    def linear(self, in_features, out_features, second=False, sections=1, **kwargs) -> Module:
+        if second:
+            return RowParallelLinear(in_features, out_features, self.comm, **kwargs)
+        return ColumnParallelLinear(
+            in_features, out_features, self.comm, sections=sections, **kwargs
+        )
+
+    def local_heads(self, n_heads: int) -> int:
+        """Requires ``n_heads % tensor_size == 0`` — the constraint the
+        paper calls out when comparing against sequence parallelism
+        (§5.3)."""
+        p = self.comm.size
         if n_heads % p != 0:
             raise ValueError(
                 f"1D tensor parallelism requires n_heads ({n_heads}) divisible "
                 f"by the tensor parallel size ({p})"
             )
-        if hidden_size % n_heads != 0:
-            raise ValueError(f"hidden {hidden_size} not divisible by heads {n_heads}")
-        self.comm = comm
-        self.hidden_size = hidden_size
-        self.n_heads = n_heads
-        self.local_heads = n_heads // p
-        self.causal = causal
-        self.attn_dropout = attn_dropout
+        return n_heads // p
 
-        # global [H, 3H] weight drawn once; shard each of Q/K/V sections by
-        # columns so the local slice is head-aligned
-        full_w = init_mod.param_payload(
-            (hidden_size, 3 * hidden_size), init_mod.lecun_normal(), rng, dtype
-        )
-        full_b = init_mod.param_payload((3 * hidden_size,), init_mod.zeros_init, rng, dtype)
-        self.qkv_weight = Parameter(_shard_qkv(full_w, p, comm.rank, axis=1))
-        self.qkv_bias = Parameter(_shard_qkv(full_b, p, comm.rank, axis=0))
-        self.out = RowParallelLinear(hidden_size, hidden_size, comm, dtype=dtype, rng=rng)
-        self.dropout = Dropout(out_dropout) if out_dropout > 0 else None
+    edge_linear = TensorMode.linear
 
-    def forward(self, x: Tensor) -> Tensor:
-        x = copy_to_parallel_region(x, self.comm)
-        qkv = ops.add(ops.matmul(x, self.qkv_weight), self.qkv_bias)  # [B,S,3H/p]
-        q, k, v = ops.split(qkv, 3, axis=-1)
-        q = split_heads(q, self.local_heads)
-        k = split_heads(k, self.local_heads)
-        v = split_heads(v, self.local_heads)
-        attn = attention_core(
-            q, k, v, causal=self.causal,
-            dropout_p=self.attn_dropout, training=self.training,
-        )
-        y = self.out(merge_heads(attn))
-        if self.dropout is not None:
-            y = self.dropout(y)
-        return y
+    def embedding(self, vocab_size, hidden_size, dtype="float32", rng=None) -> Module:
+        return VocabParallelEmbedding1D(vocab_size, hidden_size, self.comm, dtype=dtype, rng=rng)
 
-
-def _shard_qkv(full, parts: int, index: int, axis: int):
-    """Shard a fused-QKV weight/bias: take the ``index``-th column slice of
-    each of the Q, K, V sections and re-concatenate."""
-    from repro.autograd import payload_ops as P
-
-    sections = P.psplit(full, 3, axis)
-    shards = [shard_payload(s, axis, parts, index) for s in sections]
-    return P.pconcat(shards, axis)
-
-
-class ParallelTransformerLayer1D(Module):
-    """Pre-norm Transformer layer under 1D tensor parallelism.
-
-    LayerNorms are replicated (their inputs are identical on all tensor
-    ranks after the row-parallel all-reduce)."""
-
-    def __init__(
-        self,
-        hidden_size: int,
-        n_heads: int,
-        comm: Communicator,
-        mlp_ratio: int = 4,
-        attn_dropout: float = 0.0,
-        dropout: float = 0.0,
-        causal: bool = False,
-        dtype: Union[str, np.dtype] = "float32",
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        self.norm_1 = LayerNorm(hidden_size, dtype=dtype, rng=rng)
-        self.attention = ParallelSelfAttention1D(
-            hidden_size, n_heads, comm,
-            attn_dropout=attn_dropout, out_dropout=dropout, causal=causal,
-            dtype=dtype, rng=rng,
-        )
-        self.norm_2 = LayerNorm(hidden_size, dtype=dtype, rng=rng)
-        self.mlp = ParallelMLP1D(
-            hidden_size, comm, mlp_ratio, dropout=dropout, dtype=dtype, rng=rng
+    def lm_head(self, hidden_size, vocab_size, **kwargs) -> Module:
+        return ColumnParallelLinear(
+            hidden_size, vocab_size, self.comm, gather_output=True, **kwargs
         )
 
-    def forward(self, x: Tensor) -> Tensor:
-        x = ops.add(x, self.attention(self.norm_1(x)))
-        x = ops.add(x, self.mlp(self.norm_2(x)))
-        return x
+    def vocab_parallel(self) -> "Mode1D":
+        return _VocabParallel1D(self.comm)
+
+
+class _VocabParallel1D(Mode1D):
+    """1D with the LM logits kept sharded along the vocabulary and the
+    gather-free vocab-parallel cross-entropy — wire traffic O(tokens)
+    instead of O(tokens*vocab)."""
+
+    def lm_head(self, hidden_size, vocab_size, **kwargs) -> Module:
+        return ColumnParallelLinear(hidden_size, vocab_size, self.comm, **kwargs)
+
+    def cross_entropy(self, logits: Tensor, targets) -> Tensor:
+        return vocab_parallel_cross_entropy(logits, targets, self.comm)
+
+    def gather_output(self, out: Tensor):
+        return self.comm.all_gather(out.payload, axis=-1)
+
+
+def ParallelTransformerLayer1D(hidden_size, n_heads, comm, *args, **kwargs) -> TransformerLayer:
+    """``TransformerLayer(..., mode=Mode1D(comm))`` under its old name."""
+    return TransformerLayer(hidden_size, n_heads, *args, mode=Mode1D(comm), **kwargs)
 
 
 class VocabParallelEmbedding1D(Module):

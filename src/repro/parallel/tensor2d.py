@@ -1,4 +1,5 @@
-"""2D tensor parallelism (SUMMA) — Xu et al. [39], §2.2 of the paper.
+"""2D tensor parallelism (SUMMA) — Xu et al. [39], §2.2 of the paper — and
+the 2.5D extension of Wang et al. [36] that runs on the same grid.
 
 Devices form a q x q grid (p = q^2).  Activations are sharded
 ``[B/q (grid row i), S, H/q (grid col j)]`` and weights ``[K/q (i), N/q (j)]``
@@ -13,25 +14,41 @@ partially-connected machines (System II, Fig 11b).
 
 Total fwd+bwd wire volume is ``3(q-1)(S_X + S_W)`` — exactly Table 1's 2D
 row; the Table 1 bench asserts the counters match this closed form.
+
+2.5D: p = d * q^2 devices form ``d`` depth layers of q x q SUMMA grids.
+Each depth layer runs standard 2D tensor parallelism on **its own slice of
+the batch** (the ``S_X / d`` in Table 1's 2.5D row); weights are replicated
+across depth, so their gradients are all-reduced over the DEP group after
+backward — depth behaves like data parallelism wrapped around a 2D grid.
+With ``d == 1`` this degenerates to plain 2D, as the paper notes.  So there
+is one grid (:class:`ModeGrid`), one :class:`Linear2D` and one
+:class:`LayerNorm2D`; under 2.5D their parameters carry
+``grad_sync_comms = [depth group]`` and the engine (or
+``sync_parameter_gradients``) applies the depth all-reduce before the
+optimizer step.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from repro.autograd import ops
 from repro.autograd.function import FnCtx, Function
 from repro.autograd import payload_ops as P
 from repro.comm.communicator import Communicator
-from repro.comm.payload import Payload
-from repro.context.parallel_context import ParallelContext, ParallelMode
+from repro.comm.payload import Payload, is_spec
+from repro.context.parallel_context import GRID_GROUPS, ParallelContext
 from repro.nn import init as init_mod
-from repro.nn.attention import attention_core, merge_heads, split_heads
-from repro.nn.layers import Dropout
+from repro.nn.mode import TensorMode
 from repro.nn.module import Module, Parameter
-from repro.parallel.common import add_shared, parallel_layer_norm
+from repro.parallel.comm_ops import scatter_to_parallel_region
+from repro.parallel.common import (
+    add_shared,
+    parallel_cross_entropy,
+    parallel_layer_norm,
+    shard_sections,
+)
 from repro.tensor.sharding import shard_payload
 from repro.tensor.tensor import Tensor
 
@@ -93,71 +110,127 @@ class Summa2DMatMul(Function):
         return da, db
 
 
-def matmul_2d(a: Tensor, b: Tensor, pc: ParallelContext) -> Tensor:
-    return Summa2DMatMul.apply(
-        a, b, pc.comm(ParallelMode.PARALLEL_2D_ROW), pc.comm(ParallelMode.PARALLEL_2D_COL)
-    )
+class ModeGrid(TensorMode):
+    """The SUMMA grid of this rank, for 2D and 2.5D alike: row and column
+    groups of size ``q``, and under 2.5D the depth group (``dep``; ``None``
+    in 2D, which is the one-layer case).
 
+    Batch is sharded depth-first (dep major, grid row ``i`` minor), features
+    by grid column ``j``; heads follow features.
+    """
 
-def shard_activation_2d(x: np.ndarray, pc: ParallelContext) -> np.ndarray:
-    """Slice a global activation [B, ..., H] to this rank's 2D chunk
-    [B/q (i), ..., H/q (j)]."""
-    q = pc.summa_dim
-    x = shard_payload(x, 0, q, pc.row_rank)
-    return shard_payload(x, x.ndim - 1 if hasattr(x, "ndim") else -1, q, pc.col_rank)
+    def __init__(self, pc: ParallelContext) -> None:
+        row, col, dep = GRID_GROUPS[pc.tensor_mode]
+        self.name = pc.tensor_mode
+        self.row, self.col = pc.comm(row), pc.comm(col)
+        self.dep = None if dep is None else pc.comm(dep)
+        self.q = pc.config.tensor.grid_dim
+        self.batch_divisor = self.batch_divisor_of(pc.config.tensor)
+        self.depth = self.batch_divisor // self.q
+        self.dep_rank, self.row_rank, self.col_rank = pc.dep_rank, pc.row_rank, pc.col_rank
+        #: groups the batch is sharded over, innermost first
+        self.batch_comms = [self.col] if self.dep is None else [self.col, self.dep]
+
+    @staticmethod
+    def batch_divisor_of(tensor) -> int:
+        return tensor.size // tensor.grid_dim  # depth * q
+
+    def depth_synced(self, param: Parameter) -> Parameter:
+        """Weights are replicated across depth: mark them for the summed
+        gradient synchronization over the DEP group."""
+        if self.dep is not None:
+            param.grad_sync_comms = [self.dep]
+        return param
+
+    def linear(self, in_features, out_features, second=False, **kwargs) -> Module:
+        return Linear2D(in_features, out_features, self, **kwargs)
+
+    def layer_norm(self, hidden_size, dtype="float32", rng=None) -> Module:
+        return LayerNorm2D(hidden_size, self, dtype=dtype, rng=rng)
+
+    def local_heads(self, n_heads: int) -> int:
+        if n_heads % self.q != 0:
+            raise ValueError(
+                f"{self.name.upper()} attention needs n_heads ({n_heads}) "
+                f"divisible by q ({self.q})"
+            )
+        return n_heads // self.q
+
+    def shared_param(self, full) -> Parameter:
+        return self.depth_synced(Parameter(shard_payload(full, -1, self.q, self.col_rank)))
+
+    def add_shared(self, x: Tensor, param: Parameter) -> Tensor:
+        return add_shared(x, param, [self.col])
+
+    def scatter_features(self, x: Tensor) -> Tensor:
+        # feature dim joins the grid: scatter over the row group (col index j)
+        return scatter_to_parallel_region(x, self.row, axis=-1)
+
+    def shard_input(self, x):
+        x = x if is_spec(x) else np.asarray(x)
+        x = shard_payload(x, 0, self.depth, self.dep_rank)
+        return shard_payload(x, 0, self.q, self.row_rank)
+
+    def shard_activation(self, x):
+        """Global [B, ..., H] -> local [B/(d*q) (dep,i), ..., H/q (j)]."""
+        return shard_payload(self.shard_input(x), -1, self.q, self.col_rank)
+
+    def local_shape(self, batch, seq, hidden):
+        return (batch // self.batch_divisor, seq, hidden // self.q)
+
+    def cross_entropy(self, logits: Tensor, targets) -> Tensor:
+        return parallel_cross_entropy(logits, targets, self.row, self.batch_comms)
+
+    def gather_output(self, out: Tensor):
+        full = self.row.all_gather(out.payload, axis=-1)
+        for comm in self.batch_comms:
+            full = comm.all_gather(full, axis=0)
+        return full
 
 
 class Linear2D(Module):
-    """Linear layer with SUMMA matmul; bias sharded by grid column and
-    synchronized across grid rows."""
+    """Linear layer with SUMMA matmul on ``grid``; bias sharded by grid
+    column and synchronized across grid rows.  Under 2.5D the matmul runs
+    within this rank's depth layer and weight/bias are replicated across
+    depth with summed gradient synchronization."""
 
     def __init__(
         self,
         in_features: int,
         out_features: int,
-        pc: ParallelContext,
+        grid: ModeGrid,
         bias: bool = True,
         weight_init: init_mod.InitFn = init_mod.lecun_normal(),
         dtype: Union[str, np.dtype] = "float32",
         rng: Optional[np.random.Generator] = None,
-        qkv_sections: int = 1,
+        sections: int = 1,
     ) -> None:
         super().__init__()
-        q = pc.summa_dim
-        if in_features % q or out_features % (q * qkv_sections):
+        q = grid.q
+        if in_features % q or out_features % (q * sections):
             raise ValueError(
                 f"Linear2D({in_features}, {out_features}) not divisible by grid dim {q}"
             )
-        self.pc = pc
+        self.grid = grid
         full_w = init_mod.param_payload((in_features, out_features), weight_init, rng, dtype)
-        full_b = init_mod.param_payload((out_features,), init_mod.zeros_init, rng, dtype) if bias else None
-        w = shard_payload(full_w, 0, q, pc.row_rank)
-        w = _shard_sections(w, 1, q, pc.col_rank, qkv_sections)
-        self.weight = Parameter(w)
-        if full_b is not None:
-            self.bias: Optional[Parameter] = Parameter(
-                _shard_sections(full_b, 0, q, pc.col_rank, qkv_sections)
+        w = shard_payload(full_w, 0, q, grid.row_rank)
+        w = shard_sections(w, 1, q, grid.col_rank, sections)
+        self.weight = grid.depth_synced(Parameter(w))
+        if bias:
+            full_b = init_mod.param_payload((out_features,), init_mod.zeros_init, rng, dtype)
+            self.bias: Optional[Parameter] = grid.depth_synced(
+                Parameter(shard_sections(full_b, 0, q, grid.col_rank, sections))
             )
         else:
             self.register_parameter("bias", None)
 
     def forward(self, x: Tensor) -> Tensor:
-        y = matmul_2d(x, self.weight, self.pc)
+        grid = self.grid
+        y = Summa2DMatMul.apply(x, self.weight, grid.row, grid.col)
         if self.bias is not None:
             # bias replicated across grid rows (i): sync its grad over COL group
-            y = add_shared(x=y, param=self.bias, sync_comms=[self.pc.comm(ParallelMode.PARALLEL_2D_COL)])
+            y = add_shared(y, self.bias, [grid.col])
         return y
-
-
-def _shard_sections(payload, axis: int, parts: int, index: int, sections: int):
-    """Shard ``payload`` along ``axis`` per-section (for fused QKV weights:
-    each of the ``sections`` equal blocks is sharded independently so the
-    local slice stays head-aligned)."""
-    if sections == 1:
-        return shard_payload(payload, axis, parts, index)
-    blocks = P.psplit(payload, sections, axis)
-    shards = [shard_payload(b, axis, parts, index) for b in blocks]
-    return P.pconcat(shards, axis)
 
 
 class LayerNorm2D(Module):
@@ -167,125 +240,25 @@ class LayerNorm2D(Module):
     def __init__(
         self,
         normalized_size: int,
-        pc: ParallelContext,
+        grid: ModeGrid,
         eps: float = 1e-5,
         dtype: Union[str, np.dtype] = "float32",
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
-        q = pc.summa_dim
-        self.pc = pc
+        self.grid = grid
         self.eps = eps
         full_g = init_mod.param_payload((normalized_size,), init_mod.ones_init, rng, dtype)
         full_b = init_mod.param_payload((normalized_size,), init_mod.zeros_init, rng, dtype)
-        self.gamma = Parameter(shard_payload(full_g, 0, q, pc.col_rank))
-        self.beta = Parameter(shard_payload(full_b, 0, q, pc.col_rank))
+        self.gamma = grid.depth_synced(Parameter(shard_payload(full_g, 0, grid.q, grid.col_rank)))
+        self.beta = grid.depth_synced(Parameter(shard_payload(full_b, 0, grid.q, grid.col_rank)))
 
     def forward(self, x: Tensor) -> Tensor:
         return parallel_layer_norm(
             x,
             self.gamma,
             self.beta,
-            stats_comm=self.pc.comm(ParallelMode.PARALLEL_2D_ROW),
-            grad_comms=[self.pc.comm(ParallelMode.PARALLEL_2D_COL)],
+            stats_comm=self.grid.row,
+            grad_comms=[self.grid.col],
             eps=self.eps,
         )
-
-
-class ParallelMLP2D(Module):
-    def __init__(
-        self,
-        hidden_size: int,
-        pc: ParallelContext,
-        mlp_ratio: int = 4,
-        dropout: float = 0.0,
-        dtype: Union[str, np.dtype] = "float32",
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        self.dense_1 = Linear2D(hidden_size, mlp_ratio * hidden_size, pc, dtype=dtype, rng=rng)
-        self.dense_2 = Linear2D(mlp_ratio * hidden_size, hidden_size, pc, dtype=dtype, rng=rng)
-        self.dropout = Dropout(dropout) if dropout > 0 else None
-
-    def forward(self, x: Tensor) -> Tensor:
-        h = ops.gelu(self.dense_1(x))
-        h = self.dense_2(h)
-        if self.dropout is not None:
-            h = self.dropout(h)
-        return h
-
-
-class ParallelSelfAttention2D(Module):
-    """Attention on the 2D grid: batch sharded by i, heads sharded by j.
-
-    After the 2D QKV projection each rank holds [B/q, S, 3H/q] with its
-    n_heads/q heads' features, so the attention core is entirely local —
-    no communication beyond the SUMMA matmuls.
-    """
-
-    def __init__(
-        self,
-        hidden_size: int,
-        n_heads: int,
-        pc: ParallelContext,
-        attn_dropout: float = 0.0,
-        out_dropout: float = 0.0,
-        causal: bool = False,
-        dtype: Union[str, np.dtype] = "float32",
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        q = pc.summa_dim
-        if n_heads % q != 0:
-            raise ValueError(f"2D attention needs n_heads ({n_heads}) divisible by q ({q})")
-        self.pc = pc
-        self.local_heads = n_heads // q
-        self.causal = causal
-        self.attn_dropout = attn_dropout
-        self.qkv = Linear2D(hidden_size, 3 * hidden_size, pc, dtype=dtype, rng=rng, qkv_sections=3)
-        self.out = Linear2D(hidden_size, hidden_size, pc, dtype=dtype, rng=rng)
-        self.dropout = Dropout(out_dropout) if out_dropout > 0 else None
-
-    def forward(self, x: Tensor) -> Tensor:
-        qkv = self.qkv(x)  # [B/q, S, 3H/q], head-aligned sections
-        q_, k, v = ops.split(qkv, 3, axis=-1)
-        q_ = split_heads(q_, self.local_heads)
-        k = split_heads(k, self.local_heads)
-        v = split_heads(v, self.local_heads)
-        attn = attention_core(
-            q_, k, v, causal=self.causal,
-            dropout_p=self.attn_dropout, training=self.training,
-        )
-        y = self.out(merge_heads(attn))
-        if self.dropout is not None:
-            y = self.dropout(y)
-        return y
-
-
-class ParallelTransformerLayer2D(Module):
-    def __init__(
-        self,
-        hidden_size: int,
-        n_heads: int,
-        pc: ParallelContext,
-        mlp_ratio: int = 4,
-        attn_dropout: float = 0.0,
-        dropout: float = 0.0,
-        causal: bool = False,
-        dtype: Union[str, np.dtype] = "float32",
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        self.norm_1 = LayerNorm2D(hidden_size, pc, dtype=dtype, rng=rng)
-        self.attention = ParallelSelfAttention2D(
-            hidden_size, n_heads, pc,
-            attn_dropout=attn_dropout, out_dropout=dropout, causal=causal,
-            dtype=dtype, rng=rng,
-        )
-        self.norm_2 = LayerNorm2D(hidden_size, pc, dtype=dtype, rng=rng)
-        self.mlp = ParallelMLP2D(hidden_size, pc, mlp_ratio, dropout=dropout, dtype=dtype, rng=rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        x = ops.add(x, self.attention(self.norm_1(x)))
-        x = ops.add(x, self.mlp(self.norm_2(x)))
-        return x

@@ -24,27 +24,33 @@ Activation layouts alternate between consecutive linears: a linear that
 consumes features sharded by j produces features sharded by k and vice
 versa (the reduce-scatter re-shards the batch along the axis the input
 features were gathered from).  :class:`Layout3D` tracks this; a Transformer
-layer is layout-closed (QKV: j->k, out/dense2: k->j).
+layer is layout-closed (QKV: j->k, out/dense2: k->j).  :class:`Mode3D` is a
+layout bound to this rank's cube: its second linear of a pair takes the
+flipped layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from repro.autograd import ops
 from repro.autograd.function import FnCtx, Function
 from repro.autograd import payload_ops as P
 from repro.comm.communicator import Communicator
-from repro.comm.payload import Payload
+from repro.comm.payload import Payload, is_spec
 from repro.context.parallel_context import ParallelContext, ParallelMode
 from repro.nn import init as init_mod
-from repro.nn.attention import attention_core, merge_heads, split_heads
-from repro.nn.layers import Dropout
+from repro.nn.mode import TensorMode
 from repro.nn.module import Module, Parameter
-from repro.parallel.common import add_shared, parallel_layer_norm
+from repro.parallel.comm_ops import scatter_to_parallel_region
+from repro.parallel.common import (
+    add_shared,
+    parallel_cross_entropy,
+    parallel_layer_norm,
+    shard_sections,
+)
 from repro.tensor.sharding import shard_payload
 from repro.tensor.tensor import Tensor
 
@@ -85,7 +91,7 @@ class Matmul3D(Function):
         b = cw.all_gather(w.payload, axis=0)
         ctx.a, ctx.b = a, b
         ctx.x_shape, ctx.w_shape = x.shape, w.shape
-        ctx.flops = P.matmul_flops(a.shape if len(a.shape) > 1 else a.shape, b.shape)
+        ctx.flops = P.matmul_flops(a.shape, b.shape)
         ctx.backward_flops = 2 * ctx.flops
         cp = P.pmatmul(a, b)
         return cc.reduce_scatter(cp, axis=0)
@@ -101,19 +107,6 @@ class Matmul3D(Function):
         dw_part = P.pmatmul(P.pswapaxes(a2d, -1, -2), g2d)
         dw = ctx.cw.reduce_scatter(dw_part, axis=0)
         return dx, dw
-
-
-def shard_activation_3d(x, pc: ParallelContext, layout: Layout3D = LAYOUT_JK):
-    """Global [B, ..., H] -> local [B/l^2, ..., H/l].
-
-    Batch blocks are i-major then batch_sub-axis; features by the layout's
-    feature axis."""
-    l = pc.cubic_dim
-    sub_rank = pc.comm(layout.batch_sub_mode).rank
-    feat_rank = pc.comm(layout.feature_mode).rank
-    x = shard_payload(x, 0, l, pc.cube_i)
-    x = shard_payload(x, 0, l, sub_rank)
-    return shard_payload(x, x.ndim - 1, l, feat_rank)
 
 
 class Linear3D(Module):
@@ -136,11 +129,11 @@ class Linear3D(Module):
         weight_init: init_mod.InitFn = init_mod.lecun_normal(),
         dtype: Union[str, np.dtype] = "float32",
         rng: Optional[np.random.Generator] = None,
-        qkv_sections: int = 1,
+        sections: int = 1,
     ) -> None:
         super().__init__()
-        l = pc.cubic_dim
-        if in_features % (l * l) or out_features % (l * qkv_sections):
+        l = pc.config.tensor.cube_dim
+        if in_features % (l * l) or out_features % (l * sections):
             raise ValueError(
                 f"Linear3D({in_features}, {out_features}) needs in % l^2 == 0 "
                 f"and out % l == 0 (l={l})"
@@ -152,12 +145,12 @@ class Linear3D(Module):
         full_w = init_mod.param_payload((in_features, out_features), weight_init, rng, dtype)
         w = shard_payload(full_w, 0, l, in_rank)
         w = shard_payload(w, 0, l, pc.cube_i)
-        w = _shard_sections_3d(w, 1, l, out_rank, qkv_sections)
+        w = shard_sections(w, 1, l, out_rank, sections)
         self.weight = Parameter(w)
         if bias:
             full_b = init_mod.param_payload((out_features,), init_mod.zeros_init, rng, dtype)
             self.bias: Optional[Parameter] = Parameter(
-                _shard_sections_3d(full_b, 0, l, out_rank, qkv_sections)
+                shard_sections(full_b, 0, l, out_rank, sections)
             )
         else:
             self.register_parameter("bias", None)
@@ -177,14 +170,6 @@ class Linear3D(Module):
         return y
 
 
-def _shard_sections_3d(payload, axis: int, parts: int, index: int, sections: int):
-    if sections == 1:
-        return shard_payload(payload, axis, parts, index)
-    blocks = P.psplit(payload, sections, axis)
-    shards = [shard_payload(b, axis, parts, index) for b in blocks]
-    return P.pconcat(shards, axis)
-
-
 class LayerNorm3D(Module):
     """LayerNorm for activations in ``layout``: statistics all-reduced over
     the feature axis; affine params sharded by the feature axis and synced
@@ -200,7 +185,7 @@ class LayerNorm3D(Module):
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
-        l = pc.cubic_dim
+        l = pc.config.tensor.cube_dim
         self.pc = pc
         self.layout = layout
         self.eps = eps
@@ -225,112 +210,76 @@ class LayerNorm3D(Module):
         )
 
 
-class ParallelMLP3D(Module):
-    """dense_1 flips the layout, dense_2 flips it back."""
+class Mode3D(TensorMode):
+    """This rank's place in the cube with activations in ``layout``:
+    features sharded over the layout's feature axis, batch blocks i-major
+    then over its batch_sub axis; heads follow features.
 
-    def __init__(
-        self,
-        hidden_size: int,
-        pc: ParallelContext,
-        layout: Layout3D = LAYOUT_JK,
-        mlp_ratio: int = 4,
-        dropout: float = 0.0,
-        dtype: Union[str, np.dtype] = "float32",
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        self.dense_1 = Linear3D(
-            hidden_size, mlp_ratio * hidden_size, pc, layout, dtype=dtype, rng=rng
-        )
-        self.dense_2 = Linear3D(
-            mlp_ratio * hidden_size, hidden_size, pc, layout.flipped(), dtype=dtype, rng=rng
-        )
-        self.dropout = Dropout(dropout) if dropout > 0 else None
+    A linear consumes its layout and produces the flipped one, so the
+    second linear of a pair is built on ``layout.flipped()`` and every pair
+    — hence the Transformer layer — is layout-closed.  A model whose entry
+    projection is a single linear runs its layers in :meth:`flipped`.
+    """
 
-    def forward(self, x: Tensor) -> Tensor:
-        h = ops.gelu(self.dense_1(x))
-        h = self.dense_2(h)
-        if self.dropout is not None:
-            h = self.dropout(h)
-        return h
+    name = "3d"
 
-
-class ParallelSelfAttention3D(Module):
-    """QKV projection flips layout; attention runs locally on the
-    n_heads/l head shard; the output projection flips the layout back."""
-
-    def __init__(
-        self,
-        hidden_size: int,
-        n_heads: int,
-        pc: ParallelContext,
-        layout: Layout3D = LAYOUT_JK,
-        attn_dropout: float = 0.0,
-        out_dropout: float = 0.0,
-        causal: bool = False,
-        dtype: Union[str, np.dtype] = "float32",
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        l = pc.cubic_dim
-        if n_heads % l != 0:
-            raise ValueError(f"3D attention needs n_heads ({n_heads}) divisible by l ({l})")
+    def __init__(self, pc: ParallelContext, layout: Layout3D = LAYOUT_JK) -> None:
         self.pc = pc
-        self.local_heads = n_heads // l
-        self.causal = causal
-        self.attn_dropout = attn_dropout
-        self.qkv = Linear3D(
-            hidden_size, 3 * hidden_size, pc, layout, dtype=dtype, rng=rng, qkv_sections=3
+        self.layout = layout
+        self.l = pc.config.tensor.cube_dim
+        self.batch_divisor = self.batch_divisor_of(pc.config.tensor)
+        self.feature = pc.comm(layout.feature_mode)
+        self.batch_sub = pc.comm(layout.batch_sub_mode)
+        self.output = pc.comm(ParallelMode.PARALLEL_3D_OUTPUT)
+
+    @staticmethod
+    def batch_divisor_of(tensor) -> int:
+        return tensor.cube_dim**2
+
+    def flipped(self) -> "Mode3D":
+        return Mode3D(self.pc, self.layout.flipped())
+
+    def linear(self, in_features, out_features, second=False, **kwargs) -> Module:
+        layout = self.layout.flipped() if second else self.layout
+        return Linear3D(in_features, out_features, self.pc, layout, **kwargs)
+
+    def layer_norm(self, hidden_size, dtype="float32", rng=None) -> Module:
+        return LayerNorm3D(hidden_size, self.pc, self.layout, dtype=dtype, rng=rng)
+
+    def local_heads(self, n_heads: int) -> int:
+        if n_heads % self.l != 0:
+            raise ValueError(
+                f"3D attention needs n_heads ({n_heads}) divisible by l ({self.l})"
+            )
+        return n_heads // self.l
+
+    def shared_param(self, full) -> Parameter:
+        return Parameter(shard_payload(full, -1, self.l, self.feature.rank))
+
+    def add_shared(self, x: Tensor, param: Parameter) -> Tensor:
+        return add_shared(x, param, [self.output, self.batch_sub])
+
+    def scatter_features(self, x: Tensor) -> Tensor:
+        return scatter_to_parallel_region(x, self.feature, axis=-1)
+
+    def shard_input(self, x):
+        x = x if is_spec(x) else np.asarray(x)
+        x = shard_payload(x, 0, self.l, self.output.rank)
+        return shard_payload(x, 0, self.l, self.batch_sub.rank)
+
+    def shard_activation(self, x):
+        """Global [B, ..., H] -> local [B/l^2, ..., H/l]."""
+        return shard_payload(self.shard_input(x), -1, self.l, self.feature.rank)
+
+    def local_shape(self, batch, seq, hidden):
+        return (batch // self.batch_divisor, seq, hidden // self.l)
+
+    def cross_entropy(self, logits: Tensor, targets) -> Tensor:
+        return parallel_cross_entropy(
+            logits, targets, self.feature, [self.output, self.batch_sub]
         )
-        self.out = Linear3D(hidden_size, hidden_size, pc, layout.flipped(), dtype=dtype, rng=rng)
-        self.dropout = Dropout(out_dropout) if out_dropout > 0 else None
 
-    def forward(self, x: Tensor) -> Tensor:
-        qkv = self.qkv(x)
-        q_, k, v = ops.split(qkv, 3, axis=-1)
-        q_ = split_heads(q_, self.local_heads)
-        k = split_heads(k, self.local_heads)
-        v = split_heads(v, self.local_heads)
-        attn = attention_core(
-            q_, k, v, causal=self.causal,
-            dropout_p=self.attn_dropout, training=self.training,
-        )
-        y = self.out(merge_heads(attn))
-        if self.dropout is not None:
-            y = self.dropout(y)
-        return y
-
-
-class ParallelTransformerLayer3D(Module):
-    """Layout-closed Transformer layer (input and output both in
-    ``layout``)."""
-
-    def __init__(
-        self,
-        hidden_size: int,
-        n_heads: int,
-        pc: ParallelContext,
-        layout: Layout3D = LAYOUT_JK,
-        mlp_ratio: int = 4,
-        attn_dropout: float = 0.0,
-        dropout: float = 0.0,
-        causal: bool = False,
-        dtype: Union[str, np.dtype] = "float32",
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        self.norm_1 = LayerNorm3D(hidden_size, pc, layout, dtype=dtype, rng=rng)
-        self.attention = ParallelSelfAttention3D(
-            hidden_size, n_heads, pc, layout,
-            attn_dropout=attn_dropout, out_dropout=dropout, causal=causal,
-            dtype=dtype, rng=rng,
-        )
-        self.norm_2 = LayerNorm3D(hidden_size, pc, layout, dtype=dtype, rng=rng)
-        self.mlp = ParallelMLP3D(
-            hidden_size, pc, layout, mlp_ratio, dropout=dropout, dtype=dtype, rng=rng
-        )
-
-    def forward(self, x: Tensor) -> Tensor:
-        x = ops.add(x, self.attention(self.norm_1(x)))
-        x = ops.add(x, self.mlp(self.norm_2(x)))
-        return x
+    def gather_output(self, out: Tensor):
+        full = self.feature.all_gather(out.payload, axis=-1)
+        full = self.batch_sub.all_gather(full, axis=0)
+        return self.output.all_gather(full, axis=0)

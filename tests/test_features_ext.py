@@ -8,8 +8,8 @@ from repro.cluster import uniform_cluster
 from repro.comm import Communicator, SpecArray
 from repro.config import Config
 from repro.context import ParallelContext, ParallelMode
-from repro.nn import CrossEntropyLoss, Linear, TransformerLayer
-from repro.parallel.sequence import RingSelfAttention, shard_sequence
+from repro.nn import CrossEntropyLoss, Linear, MultiHeadAttention, TransformerLayer
+from repro.parallel.sequence import ModeSequence
 from repro.parallel.vocab_ce import vocab_parallel_cross_entropy
 from repro.tensor import Tensor
 from repro.tensor.sharding import shard_payload
@@ -99,8 +99,6 @@ class TestVocabParallelCE:
 
 class TestCausalRingAttention:
     def test_matches_serial_causal_mha(self):
-        from repro.nn import MultiHeadAttention
-
         H, NH, B, S = 16, 4, 2, 8
         rng = np.random.default_rng(0)
         x_g = rng.standard_normal((B, S, H)).astype(np.float32)
@@ -111,12 +109,12 @@ class TestCausalRingAttention:
         ys.sum().backward()
 
         def prog(ctx):
-            comm = Communicator.world(ctx)
-            attn = RingSelfAttention(H, NH, comm, causal=True, rng=np.random.default_rng(3))
-            x = Tensor(shard_sequence(x_g.copy(), comm), requires_grad=True)
+            mode = ModeSequence(Communicator.world(ctx))
+            attn = MultiHeadAttention(H, NH, causal=True, rng=np.random.default_rng(3), mode=mode)
+            x = Tensor(mode.shard_activation(x_g.copy()), requires_grad=True)
             y = attn(x)
             y.sum().backward()
-            return comm.rank, y.numpy(), x.grad.numpy()
+            return ctx.rank, y.numpy(), x.grad.numpy()
 
         for r, out, xg in run_spmd(4, prog):
             np.testing.assert_allclose(out, block(ys.numpy(), 1, 4, r), atol=ATOL)
@@ -132,10 +130,10 @@ class TestCausalRingAttention:
 
         def run_with(x_input):
             def prog(ctx):
-                comm = Communicator.world(ctx)
-                attn = RingSelfAttention(H, NH, comm, causal=True,
-                                         rng=np.random.default_rng(3))
-                x = Tensor(shard_sequence(x_input.copy(), comm))
+                mode = ModeSequence(Communicator.world(ctx))
+                attn = MultiHeadAttention(H, NH, causal=True,
+                                          rng=np.random.default_rng(3), mode=mode)
+                x = Tensor(mode.shard_activation(x_input.copy()))
                 return attn(x).numpy()
 
             return np.concatenate(run_spmd(2, prog), axis=1)

@@ -14,7 +14,7 @@ from repro.models import ViTConfig, build_vit
 from repro.nn import CrossEntropyLoss, TransformerLayer
 from repro.optim import AdamW, SGD
 from repro.parallel.tensor1d import ParallelTransformerLayer1D
-from repro.parallel.tensor2d import ParallelTransformerLayer2D, shard_activation_2d
+from repro.parallel import tensor_mode
 from repro.tensor import Tensor
 
 from conftest import run_spmd
@@ -55,10 +55,11 @@ class TestCheckpointWithTensorParallel:
             pc = ParallelContext(
                 ctx, Config.from_dict(dict(parallel=dict(tensor=dict(size=4, mode="2d"))))
             )
-            layer = ParallelTransformerLayer2D(
-                H, NH, pc, mlp_ratio=RATIO, rng=np.random.default_rng(SEED)
+            mode = tensor_mode(pc)
+            layer = TransformerLayer(
+                H, NH, mlp_ratio=RATIO, rng=np.random.default_rng(SEED), mode=mode
             )
-            x = Tensor(shard_activation_2d(x_g.copy(), pc), requires_grad=True)
+            x = Tensor(mode.shard_activation(x_g.copy()), requires_grad=True)
             y = checkpoint(layer, x)
             y.sum().backward()
             return pc.row_rank, pc.col_rank, y.numpy(), x.grad.numpy()

@@ -143,7 +143,7 @@ class TestLayers:
     def test_patchify_preserves_pixels(self):
         """Patch (0,0) of the patchified tensor must equal the image's
         top-left block."""
-        from repro.models.vit import _patchify
+        from repro.nn.layers import patchify as _patchify
 
         img = np.random.default_rng(0).standard_normal((1, 4, 4, 2)).astype(np.float32)
         patches = _patchify(Tensor(img), 2).numpy()

@@ -38,14 +38,14 @@ from repro.comm import Communicator, SpecArray
 from repro.comm.cost import CostModel
 from repro.config import Config
 from repro.context import ParallelContext, ParallelMode
-from repro.nn import CrossEntropyLoss, Linear, Module
+from repro.nn import CrossEntropyLoss, FeedForward, Linear, Module
 from repro.parallel.data import DistributedDataParallel
 from repro.parallel.pipeline import (
     GPipeSchedule,
     OneFOneBSchedule,
     partition_uniform,
 )
-from repro.parallel.tensor1d import ParallelMLP1D
+from repro.parallel.tensor1d import Mode1D
 from repro.analytic.memory_model import project_peak_memory
 from repro.project import (
     CaptureRecorder,
@@ -283,8 +283,8 @@ def _tp1d_prog(size):
             ),
         )
         comm = pc.comm(ParallelMode.TENSOR)
-        mlp = ParallelMLP1D(H, comm, mlp_ratio=2,
-                            rng=np.random.default_rng(0))
+        mlp = FeedForward(H, mlp_ratio=2, rng=np.random.default_rng(0),
+                          mode=Mode1D(comm))
         x = Tensor(x_g.copy(), requires_grad=True)
         mlp(x).sum().backward()
         return float(x.grad.numpy().sum())

@@ -8,13 +8,8 @@ from repro.comm import SpecArray
 from repro.config import Config
 from repro.context import ParallelContext, ParallelMode
 from repro.parallel.common import sync_parameter_gradients
-from repro.parallel.sequence import (
-    RingAV,
-    RingQK,
-    RingSelfAttention,
-    SequenceParallelTransformerLayer,
-    shard_sequence,
-)
+from repro.nn import TransformerLayer
+from repro.parallel.sequence import ModeSequence, RingAV, RingQK
 from repro.runtime import SpmdRuntime
 from repro.tensor import Tensor
 
@@ -107,10 +102,11 @@ class TestLayerParity:
         def prog(ctx):
             pc = pc_sp(ctx)
             comm = pc.comm(ParallelMode.SEQUENCE)
-            layer = SequenceParallelTransformerLayer(
-                H, NH, comm, mlp_ratio=RATIO, rng=np.random.default_rng(SEED)
+            mode = ModeSequence(comm)
+            layer = TransformerLayer(
+                H, NH, mlp_ratio=RATIO, rng=np.random.default_rng(SEED), mode=mode
             )
-            x = Tensor(shard_sequence(x_g.copy(), comm), requires_grad=True)
+            x = Tensor(mode.shard_activation(x_g.copy()), requires_grad=True)
             y = layer(x)
             y.sum().backward()
             sync_parameter_gradients(layer)
@@ -135,13 +131,12 @@ class TestLayerParity:
         def prog(ctx):
             pc = pc_sp(ctx, size=3)
             comm = pc.comm(ParallelMode.SEQUENCE)
-            layer = SequenceParallelTransformerLayer(
-                H, NH, comm, mlp_ratio=RATIO, rng=np.random.default_rng(SEED)
+            mode = ModeSequence(comm)
+            layer = TransformerLayer(
+                H, NH, mlp_ratio=RATIO, rng=np.random.default_rng(SEED), mode=mode
             )
-            x = Tensor(shard_sequence(ref_layer_in.copy(), comm))
+            x = Tensor(mode.shard_activation(ref_layer_in.copy()))
             return comm.rank, layer(x).numpy()
-
-        from repro.nn import TransformerLayer
 
         serial = TransformerLayer(H, NH, mlp_ratio=RATIO, rng=np.random.default_rng(SEED))
         expect = serial(Tensor(ref_layer_in.copy())).numpy()
@@ -156,7 +151,7 @@ class TestLayerParity:
             def prog(ctx):
                 pc = pc_sp(ctx, size=world)
                 comm = pc.comm(ParallelMode.SEQUENCE)
-                layer = SequenceParallelTransformerLayer(H, NH, comm, mlp_ratio=RATIO)
+                layer = TransformerLayer(H, NH, mlp_ratio=RATIO, mode=ModeSequence(comm))
                 x = Tensor(SpecArray((2, 32 // world, H)), requires_grad=True)
                 layer(x).sum().backward()
                 return ctx.device.memory.peak

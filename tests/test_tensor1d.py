@@ -7,11 +7,10 @@ from repro.cluster import uniform_cluster
 from repro.comm import SpecArray
 from repro.config import Config
 from repro.context import ParallelContext, ParallelMode
+from repro.nn import FeedForward, MultiHeadAttention, TransformerLayer
 from repro.parallel.tensor1d import (
     ColumnParallelLinear,
-    ParallelMLP1D,
-    ParallelSelfAttention1D,
-    ParallelTransformerLayer1D,
+    Mode1D,
     RowParallelLinear,
     VocabParallelEmbedding1D,
 )
@@ -75,7 +74,7 @@ class TestParallelLinears:
         def prog(ctx):
             pc = pc_1d(ctx)
             comm = pc.comm(ParallelMode.TENSOR)
-            mlp = ParallelMLP1D(H, comm, mlp_ratio=2, rng=np.random.default_rng(0))
+            mlp = FeedForward(H, mlp_ratio=2, rng=np.random.default_rng(0), mode=Mode1D(comm))
             x = Tensor(np.ones((2, H), dtype=np.float32), requires_grad=True)
             mlp(x).sum().backward()
 
@@ -92,8 +91,8 @@ class TestTransformerParity:
         def prog(ctx):
             pc = pc_1d(ctx)
             comm = pc.comm(ParallelMode.TENSOR)
-            layer = ParallelTransformerLayer1D(
-                H, NH, comm, mlp_ratio=RATIO, rng=np.random.default_rng(SEED)
+            layer = TransformerLayer(
+                H, NH, mlp_ratio=RATIO, rng=np.random.default_rng(SEED), mode=Mode1D(comm)
             )
             x = Tensor(x_g.copy(), requires_grad=True)
             y = layer(x)
@@ -118,7 +117,7 @@ class TestTransformerParity:
         def prog(ctx):
             pc = pc_1d(ctx, size=4)
             comm = pc.comm(ParallelMode.TENSOR)
-            ParallelSelfAttention1D(12, 6, comm)  # 6 heads % 4 != 0
+            MultiHeadAttention(12, 6, mode=Mode1D(comm))  # 6 heads % 4 != 0
 
         from repro.runtime import RemoteRankError
 
@@ -131,12 +130,10 @@ class TestTransformerParity:
         def prog(ctx):
             pc = pc_1d(ctx)
             comm = pc.comm(ParallelMode.TENSOR)
-            layer = ParallelTransformerLayer1D(
-                H, NH, comm, mlp_ratio=RATIO, rng=np.random.default_rng(SEED)
+            layer = TransformerLayer(
+                H, NH, mlp_ratio=RATIO, rng=np.random.default_rng(SEED), mode=Mode1D(comm)
             )
             return layer.num_parameters()
-
-        from repro.nn import TransformerLayer
 
         serial_n = TransformerLayer(H, NH, mlp_ratio=RATIO, rng=np.random.default_rng(SEED)).num_parameters()
         for n in run_spmd(4, prog):
@@ -146,7 +143,7 @@ class TestTransformerParity:
         def prog(ctx):
             pc = pc_1d(ctx)
             comm = pc.comm(ParallelMode.TENSOR)
-            layer = ParallelTransformerLayer1D(H, NH, comm, mlp_ratio=RATIO)
+            layer = TransformerLayer(H, NH, mlp_ratio=RATIO, mode=Mode1D(comm))
             x = Tensor(SpecArray((B, S, H)), requires_grad=True)
             layer(x).sum().backward()
             return x.grad.shape, ctx.clock.time

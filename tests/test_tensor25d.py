@@ -5,12 +5,9 @@ import pytest
 
 from repro.config import Config
 from repro.context import ParallelContext, ParallelMode
-from repro.parallel.tensor25d import (
-    Linear25D,
-    ParallelTransformerLayer25D,
-    shard_activation_25d,
-    sync_parameter_gradients,
-)
+from repro.nn import TransformerLayer
+from repro.parallel.common import sync_parameter_gradients
+from repro.parallel.tensor2d import Linear2D, ModeGrid
 from repro.tensor import Tensor
 
 from conftest import run_spmd
@@ -34,10 +31,11 @@ class TestLayerParity:
 
         def prog(ctx):
             pc = pc_25d(ctx)
-            layer = ParallelTransformerLayer25D(
-                H, NH, pc, mlp_ratio=RATIO, rng=np.random.default_rng(SEED)
+            grid = ModeGrid(pc)
+            layer = TransformerLayer(
+                H, NH, mlp_ratio=RATIO, rng=np.random.default_rng(SEED), mode=grid
             )
-            x = Tensor(shard_activation_25d(x_g.copy(), pc), requires_grad=True)
+            x = Tensor(grid.shard_activation(x_g.copy()), requires_grad=True)
             y = layer(x)
             y.sum().backward()
             sync_parameter_gradients(layer)
@@ -67,10 +65,11 @@ class TestLayerParity:
 
         def prog(ctx):
             pc = pc_25d(ctx, size=4, depth=1)
-            layer = ParallelTransformerLayer25D(
-                H, NH, pc, mlp_ratio=RATIO, rng=np.random.default_rng(SEED)
+            grid = ModeGrid(pc)
+            layer = TransformerLayer(
+                H, NH, mlp_ratio=RATIO, rng=np.random.default_rng(SEED), mode=grid
             )
-            x = Tensor(shard_activation_25d(x_g.copy(), pc), requires_grad=True)
+            x = Tensor(grid.shard_activation(x_g.copy()), requires_grad=True)
             y = layer(x)
             y.sum().backward()
             return pc.row_rank, pc.col_rank, y.numpy()
@@ -86,9 +85,10 @@ class TestLayerParity:
 
         def prog(ctx):
             pc = pc_25d(ctx)
-            lin = Linear25D(8, 8, pc, rng=np.random.default_rng(0))
+            grid = ModeGrid(pc)
+            lin = Linear2D(8, 8, grid, rng=np.random.default_rng(0))
             x_g = np.random.default_rng(1).standard_normal((8, 8)).astype(np.float32)
-            x = Tensor(shard_activation_25d(x_g, pc), requires_grad=True)
+            x = Tensor(grid.shard_activation(x_g), requires_grad=True)
             lin(x).sum().backward()
             before = lin.weight.grad.numpy().copy()
             sync_parameter_gradients(lin)
@@ -106,7 +106,7 @@ class TestLayerParity:
     def test_params_marked_for_depth_sync(self):
         def prog(ctx):
             pc = pc_25d(ctx)
-            lin = Linear25D(8, 8, pc)
+            lin = Linear2D(8, 8, ModeGrid(pc))
             return all(
                 len(getattr(p, "grad_sync_comms", [])) == 1 for p in lin.parameters()
             )

@@ -8,12 +8,12 @@ from repro.cluster import uniform_cluster
 from repro.comm import SpecArray
 from repro.config import Config
 from repro.context import ParallelContext, ParallelMode
+from repro.nn import TransformerLayer
 from repro.parallel.tensor2d import (
     Linear2D,
     LayerNorm2D,
-    ParallelTransformerLayer2D,
+    ModeGrid,
     Summa2DMatMul,
-    shard_activation_2d,
 )
 from repro.runtime import SpmdRuntime
 from repro.tensor import Tensor
@@ -117,10 +117,11 @@ class TestLayerParity:
 
         def prog(ctx):
             pc = pc_2d(ctx)
-            layer = ParallelTransformerLayer2D(
-                H, NH, pc, mlp_ratio=RATIO, rng=np.random.default_rng(SEED)
+            grid = ModeGrid(pc)
+            layer = TransformerLayer(
+                H, NH, mlp_ratio=RATIO, rng=np.random.default_rng(SEED), mode=grid
             )
-            x = Tensor(shard_activation_2d(x_g.copy(), pc), requires_grad=True)
+            x = Tensor(grid.shard_activation(x_g.copy()), requires_grad=True)
             y = layer(x)
             y.sum().backward()
             return (
@@ -152,10 +153,11 @@ class TestLayerParity:
 
         def prog(ctx):
             pc = pc_2d(ctx)
-            layer = ParallelTransformerLayer2D(
-                H, NH, pc, mlp_ratio=RATIO, rng=np.random.default_rng(SEED)
+            grid = ModeGrid(pc)
+            layer = TransformerLayer(
+                H, NH, mlp_ratio=RATIO, rng=np.random.default_rng(SEED), mode=grid
             )
-            x = Tensor(shard_activation_2d(x_g.copy(), pc), requires_grad=True)
+            x = Tensor(grid.shard_activation(x_g.copy()), requires_grad=True)
             layer(x).sum().backward()
             return pc.row_rank, pc.col_rank, layer.attention.qkv.weight.grad.numpy()
 
@@ -170,10 +172,8 @@ class TestLayerParity:
     def test_memory_sharded_four_ways(self):
         def prog(ctx):
             pc = pc_2d(ctx)
-            layer = ParallelTransformerLayer2D(H, NH, pc, mlp_ratio=RATIO)
+            layer = TransformerLayer(H, NH, mlp_ratio=RATIO, mode=ModeGrid(pc))
             return layer.num_parameters()
-
-        from repro.nn import TransformerLayer
 
         serial_n = TransformerLayer(H, NH, mlp_ratio=RATIO).num_parameters()
         for n in run_spmd(4, prog):
@@ -182,7 +182,7 @@ class TestLayerParity:
     def test_divisibility_validation(self):
         def prog(ctx):
             pc = pc_2d(ctx)
-            Linear2D(7, 8, pc)
+            Linear2D(7, 8, ModeGrid(pc))
 
         from repro.runtime import RemoteRankError
 
@@ -195,7 +195,7 @@ class TestLayerParity:
 
         def prog(ctx):
             pc = pc_2d(ctx)
-            ln = LayerNorm2D(H, pc, rng=np.random.default_rng(1))
+            ln = LayerNorm2D(H, ModeGrid(pc), rng=np.random.default_rng(1))
             x = Tensor(block(block(x_g, 0, 2, pc.row_rank), 1, 2, pc.col_rank))
             return pc.row_rank, pc.col_rank, ln(x).numpy()
 

@@ -7,13 +7,13 @@ from repro.cluster import uniform_cluster
 from repro.comm import SpecArray
 from repro.config import Config
 from repro.context import ParallelContext, ParallelMode
+from repro.nn import TransformerLayer
 from repro.parallel.tensor3d import (
     LAYOUT_JK,
     LAYOUT_KJ,
     Linear3D,
     Matmul3D,
-    ParallelTransformerLayer3D,
-    shard_activation_3d,
+    Mode3D,
 )
 from repro.runtime import SpmdRuntime
 from repro.tensor import Tensor
@@ -37,7 +37,7 @@ class TestLinear3D:
         def prog(ctx):
             pc = pc_3d(ctx)
             lin = Linear3D(8, 8, pc, LAYOUT_JK, rng=np.random.default_rng(1))
-            x = Tensor(shard_activation_3d(X.copy(), pc, LAYOUT_JK), requires_grad=True)
+            x = Tensor(Mode3D(pc, LAYOUT_JK).shard_activation(X.copy()), requires_grad=True)
             y = lin(x)
             y.sum().backward()
             return pc.cube_i, pc.cube_j, pc.cube_k, y.numpy(), x.grad.numpy()
@@ -71,7 +71,7 @@ class TestLinear3D:
             pc = pc_3d(ctx)
             l1 = Linear3D(8, 8, pc, LAYOUT_JK, rng=np.random.default_rng(1))
             l2 = Linear3D(8, 8, pc, LAYOUT_KJ, rng=np.random.default_rng(2))
-            x = Tensor(shard_activation_3d(X.copy(), pc, LAYOUT_JK))
+            x = Tensor(Mode3D(pc, LAYOUT_JK).shard_activation(X.copy()))
             y = l2(l1(x))
             return pc.cube_i, pc.cube_j, pc.cube_k, y.numpy()
 
@@ -130,11 +130,11 @@ class TestTransformer3DParity:
 
         def prog(ctx):
             pc = pc_3d(ctx)
-            body = LAYOUT_KJ
-            layer = ParallelTransformerLayer3D(
-                H, NH, pc, body, mlp_ratio=RATIO, rng=np.random.default_rng(SEED)
+            body = Mode3D(pc, LAYOUT_KJ)
+            layer = TransformerLayer(
+                H, NH, mlp_ratio=RATIO, rng=np.random.default_rng(SEED), mode=body
             )
-            x = Tensor(shard_activation_3d(x_g.copy(), pc, body), requires_grad=True)
+            x = Tensor(body.shard_activation(x_g.copy()), requires_grad=True)
             y = layer(x)
             y.sum().backward()
             return (
@@ -155,10 +155,8 @@ class TestTransformer3DParity:
     def test_memory_sharded_eight_ways(self):
         def prog(ctx):
             pc = pc_3d(ctx)
-            layer = ParallelTransformerLayer3D(H, NH, pc, LAYOUT_JK, mlp_ratio=RATIO)
+            layer = TransformerLayer(H, NH, mlp_ratio=RATIO, mode=Mode3D(pc, LAYOUT_JK))
             return layer.num_parameters()
-
-        from repro.nn import TransformerLayer
 
         serial_n = TransformerLayer(H, NH, mlp_ratio=RATIO).num_parameters()
         for n in run_spmd(8, prog):

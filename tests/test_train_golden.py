@@ -37,7 +37,7 @@ from repro.models.bert import bert_base
 from repro.nn import CrossEntropyLoss, Linear, Module, ModuleList, TransformerLayer
 from repro.parallel.data import DistributedDataParallel, sync_gradients
 from repro.parallel.pipeline import GPipeSchedule, partition_uniform
-from repro.parallel.sequence import SequenceParallelTransformerLayer
+from repro.parallel.sequence import ModeSequence
 from repro.parallel.tensor1d import ParallelTransformerLayer1D
 from repro.project import capture_run, project
 from repro.runtime import SpmdRuntime
@@ -174,9 +174,9 @@ def bert_sp_pp2(sanitize=None):
     def prog(ctx, pc):
         start, end = partition_uniform(layers, 2)[pc.pp_rank]
         stage = _Stack([
-            SequenceParallelTransformerLayer(
-                bert.hidden_size, bert.n_heads,
-                pc.comm(ParallelMode.SEQUENCE), dtype="float16")
+            TransformerLayer(
+                bert.hidden_size, bert.n_heads, dtype="float16",
+                mode=ModeSequence(pc.comm(ParallelMode.SEQUENCE)))
             for _ in range(end - start)], checkpointed=False)
         GPipeSchedule(pc, micro).run(
             stage,
