@@ -26,7 +26,7 @@ from repro.config import Config
 from repro.context import ParallelContext, ParallelMode, global_context
 from repro.engine import Engine, initialize, launch
 from repro.faults import FaultPlan
-from repro.runtime import SpmdRuntime, spmd_launch
+from repro.runtime import SpmdRuntime
 from repro.sanitize import CommSanitizer
 from repro.serve import ModelSpec, TrafficReport, serve_traffic
 from repro.trace import Tracer, TraceReport
@@ -46,7 +46,6 @@ __all__ = [
     "launch",
     "ModelSpec",
     "SpmdRuntime",
-    "spmd_launch",
     "Tracer",
     "TraceReport",
     "TrafficReport",

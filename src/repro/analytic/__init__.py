@@ -21,11 +21,9 @@ from repro.analytic.memory_model import (
     zero_partitioned_bytes,
 )
 from repro.analytic.perf_model import (
-    data_parallel_step_comm_time,
     overlap_exposed_seconds,
     transformer_layer_flops,
     training_flops_per_token,
-    zero_step_comm_time,
 )
 
 __all__ = [
@@ -39,9 +37,7 @@ __all__ = [
     "transformer_activation_bytes",
     "transformer_layer_flops",
     "training_flops_per_token",
-    "data_parallel_step_comm_time",
     "model_data_bytes_per_rank",
     "overlap_exposed_seconds",
     "zero_partitioned_bytes",
-    "zero_step_comm_time",
 ]

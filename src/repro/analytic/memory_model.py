@@ -89,22 +89,6 @@ def model_data_bytes_per_rank(
     return full - sharded + -(-sharded // data)  # ceil division
 
 
-def tp_partitioned_bytes(
-    n_params: int,
-    param_bytes: int = 2,
-    grad_bytes: int = 2,
-    master: bool = True,
-    partitioned_fraction: float = 1.0,
-) -> int:
-    """Per-rank bytes of model data tensor parallelism partitions: a TP
-    shard owns ``1/q`` of the partitioned weights *and* their gradients
-    and optimizer states.  ``partitioned_fraction`` carves out the
-    replicated remainder (LayerNorms, biases kept whole)."""
-    opt = (4 + 4 + 4) if master else (4 + 4)
-    full = n_params * (param_bytes + grad_bytes + opt)
-    return int(full * partitioned_fraction)
-
-
 def project_peak_memory(peak_bytes, shards):
     """Project a captured per-rank peak to scale under re-sharding.
 

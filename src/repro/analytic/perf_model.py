@@ -1,8 +1,6 @@
-"""FLOP models for Transformer training and analytic comm-time estimates."""
+"""FLOP models for Transformer training and the analytic overlap term."""
 
 from __future__ import annotations
-
-from typing import Sequence, Tuple
 
 
 def transformer_layer_flops(
@@ -22,40 +20,6 @@ def training_flops_per_token(n_params: int) -> float:
     return 6.0 * n_params
 
 
-def zero_step_comm_time(
-    cluster,
-    ranks: Sequence[int],
-    grad_bytes: int,
-    param_bytes: int = 0,
-    stage: int = 0,
-    algorithm: str = "auto",
-) -> Tuple[float, str]:
-    """Analytic per-step gradient-synchronization time over ``ranks`` under
-    a ZeRO ``stage`` (seconds), plus the algorithm label that priced the
-    dominant collective.
-
-    * stage 0 — one gradient all-reduce (``data_parallel_step_comm_time``);
-    * stage 1/2 — reduce-scatter of the gradients + all-gather of the
-      updated parameters (the same total volume an all-reduce moves, split
-      into the two phases chunk-based ZeRO actually issues);
-    * stage 3 — additionally re-gathers the partitioned parameters before
-      forward *and* backward (two extra all-gathers of ``param_bytes``).
-    """
-    from repro.comm.cost import CostModel  # deferred: comm builds on cluster
-
-    model = CostModel(cluster, algorithm=algorithm)
-    ranks = list(ranks)
-    if stage == 0 or len(ranks) <= 1:
-        cost = model.allreduce(ranks, int(grad_bytes))
-        return cost.seconds, cost.algorithm
-    rs = model.reduce_scatter(ranks, int(grad_bytes))
-    ag = model.allgather(ranks, int(param_bytes or grad_bytes) // len(ranks))
-    seconds = rs.seconds + ag.seconds
-    if stage >= 3 and param_bytes > 0:
-        seconds += 2 * model.allgather(ranks, int(param_bytes) // len(ranks)).seconds
-    return seconds, rs.algorithm
-
-
 def overlap_exposed_seconds(
     comm_seconds: float,
     backward_compute_seconds: float,
@@ -70,22 +34,3 @@ def overlap_exposed_seconds(
     gives the search a monotone analytic estimate of the benefit."""
     budget = max(hideable_fraction, 0.0) * max(backward_compute_seconds, 0.0)
     return max(float(comm_seconds) - budget, 0.0)
-
-
-def data_parallel_step_comm_time(
-    cluster, ranks: Sequence[int], grad_bytes: int, algorithm: str = "auto"
-) -> Tuple[float, str]:
-    """Analytic estimate of the per-step gradient-allreduce time over
-    ``ranks`` (seconds), plus the collective algorithm that achieves it.
-
-    With ``algorithm="auto"`` this answers the planning question "what does
-    the gradient sync cost on this fabric once the communicator picks its
-    best schedule?" — the number the paper's Fig 11 hardware-compatibility
-    argument turns on.
-    """
-    from repro.comm.cost import CostModel  # deferred: comm builds on cluster
-
-    cost = CostModel(cluster, algorithm=algorithm).allreduce(
-        list(ranks), int(grad_bytes)
-    )
-    return cost.seconds, cost.algorithm

@@ -148,46 +148,6 @@ def _scalar_like(v: float, ref: Payload) -> Payload:
     return np.asarray(v, dtype=ref.dtype)
 
 
-class Exp(Function):
-    @staticmethod
-    def forward(ctx: FnCtx, a: Tensor) -> Payload:
-        out = P.pexp(a.payload)
-        ctx.out = out
-        ctx.flops = a.size
-        return out
-
-    @staticmethod
-    def backward(ctx: FnCtx, g: Payload):
-        return (P.pmul(g, ctx.out),)
-
-
-class Log(Function):
-    @staticmethod
-    def forward(ctx: FnCtx, a: Tensor) -> Payload:
-        ctx.save_for_backward(a)
-        ctx.flops = a.size
-        return P.plog(a.payload)
-
-    @staticmethod
-    def backward(ctx: FnCtx, g: Payload):
-        (a,) = ctx.saved_tensors
-        return (P.pdiv(g, a.payload),)
-
-
-class Sqrt(Function):
-    @staticmethod
-    def forward(ctx: FnCtx, a: Tensor) -> Payload:
-        out = P.psqrt(a.payload)
-        ctx.out = out
-        ctx.flops = a.size
-        return out
-
-    @staticmethod
-    def backward(ctx: FnCtx, g: Payload):
-        half = _scalar_like(0.5, g)
-        return (P.pdiv(P.pmul(g, half), ctx.out),)
-
-
 class Tanh(Function):
     @staticmethod
     def forward(ctx: FnCtx, a: Tensor) -> Payload:
@@ -201,21 +161,6 @@ class Tanh(Function):
         t2 = P.pmul(ctx.out, ctx.out)
         one = _scalar_like(1.0, g)
         return (P.pmul(g, P.psub(one, t2)),)
-
-
-class Sigmoid(Function):
-    @staticmethod
-    def forward(ctx: FnCtx, a: Tensor) -> Payload:
-        out = P.psigmoid(a.payload)
-        ctx.out = out
-        ctx.flops = 2 * a.size
-        return out
-
-    @staticmethod
-    def backward(ctx: FnCtx, g: Payload):
-        s = ctx.out
-        one = _scalar_like(1.0, g)
-        return (P.pmul(g, P.pmul(s, P.psub(one, s))),)
 
 
 class Relu(Function):
@@ -254,24 +199,8 @@ def power(a: Tensor, exponent: float) -> Tensor:
     return Power.apply(a, exponent)
 
 
-def exp(a: Tensor) -> Tensor:
-    return Exp.apply(a)
-
-
-def log(a: Tensor) -> Tensor:
-    return Log.apply(a)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    return Sqrt.apply(a)
-
-
 def tanh(a: Tensor) -> Tensor:
     return Tanh.apply(a)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    return Sigmoid.apply(a)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -519,29 +448,8 @@ class Softmax(Function):
         return (s * (g - dot),)
 
 
-class LogSoftmax(Function):
-    @staticmethod
-    def forward(ctx: FnCtx, a: Tensor, axis: int) -> Payload:
-        out = P.plog_softmax(a.payload, axis=axis)
-        ctx.out = out
-        ctx.axis = axis
-        ctx.flops = 5 * a.size
-        return out
-
-    @staticmethod
-    def backward(ctx: FnCtx, g: Payload):
-        if type(g) is SpecArray:
-            return (g,)
-        softmax = np.exp(ctx.out)
-        return (g - softmax * np.sum(g, axis=ctx.axis, keepdims=True),)
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return Softmax.apply(a, axis)
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    return LogSoftmax.apply(a, axis)
 
 
 class LayerNorm(Function):

@@ -67,10 +67,6 @@ def pdiv(a: Payload, b: Payload) -> Payload:
     return _binary(a, b, np.divide)
 
 
-def pmaximum(a: Payload, b: Payload) -> Payload:
-    return _binary(a, b, np.maximum)
-
-
 # -- elementwise unary ---------------------------------------------------------
 
 
@@ -82,28 +78,12 @@ def pneg(a: Payload) -> Payload:
     return _unary(a, np.negative)
 
 
-def pexp(a: Payload) -> Payload:
-    return _unary(a, np.exp)
-
-
-def plog(a: Payload) -> Payload:
-    return _unary(a, np.log)
-
-
 def ptanh(a: Payload) -> Payload:
     return _unary(a, np.tanh)
 
 
-def psqrt(a: Payload) -> Payload:
-    return _unary(a, np.sqrt)
-
-
 def ppow(a: Payload, exponent: float) -> Payload:
     return _unary(a, lambda x: np.power(x, exponent))
-
-
-def psigmoid(a: Payload) -> Payload:
-    return _unary(a, lambda x: 1.0 / (1.0 + np.exp(-x)))
 
 
 def prelu(a: Payload) -> Payload:
@@ -286,12 +266,6 @@ def pmean(a: Payload, axis=None, keepdims=False) -> Payload:
     if type(a) is SpecArray:
         return SpecArray(_reduced_shape(a.shape, axis, keepdims), a.dtype)
     return np.mean(a, axis=axis, keepdims=keepdims)
-
-
-def pmax(a: Payload, axis=None, keepdims=False) -> Payload:
-    if type(a) is SpecArray:
-        return SpecArray(_reduced_shape(a.shape, axis, keepdims), a.dtype)
-    return np.max(a, axis=axis, keepdims=keepdims)
 
 
 # -- softmax family ------------------------------------------------------------------

@@ -113,9 +113,6 @@ class ConversionPlan:
     steps: List[ConversionStep]
     cost: float  # modeled seconds
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
 
 def _step_cost(
     op: str, axis_size: int, local_elements: int, itemsize: int, bandwidth: float,

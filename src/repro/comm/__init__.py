@@ -12,7 +12,7 @@ over the SPMD thread runtime.  Every operation
   measurement behind Table 1 / Fig 5.
 """
 
-from repro.comm.payload import SpecArray, payload_nbytes, payload_elements
+from repro.comm.payload import SpecArray
 from repro.comm.algorithms import ALGORITHMS, SELECTABLE_OPS, AlgorithmSelector
 from repro.comm.cost import CollectiveCost, CostModel
 from repro.comm.counters import CommCounters
@@ -23,8 +23,6 @@ __all__ = [
     "WorkHandle",
     "Request",
     "SpecArray",
-    "payload_nbytes",
-    "payload_elements",
     "ALGORITHMS",
     "SELECTABLE_OPS",
     "AlgorithmSelector",

@@ -97,27 +97,3 @@ class CommCounters:
             self.by_op_retries.clear()
             self.by_algorithm_bytes.clear()
             self.by_algorithm_calls.clear()
-
-    def merged_with(self, other: "CommCounters") -> "CommCounters":
-        out = CommCounters()
-        for src in (self, other):
-            out.bytes_total += src.bytes_total
-            out.elements_total += src.elements_total
-            out.calls_total += src.calls_total
-            out.retries_total += src.retries_total
-            out.retry_bytes_total += src.retry_bytes_total
-            out.exposed_seconds_total += src.exposed_seconds_total
-            out.overlapped_seconds_total += src.overlapped_seconds_total
-            for k, v in src.by_op_bytes.items():
-                out.by_op_bytes[k] = out.by_op_bytes.get(k, 0) + v
-            for k, v in src.by_op_elements.items():
-                out.by_op_elements[k] = out.by_op_elements.get(k, 0) + v
-            for k, v in src.by_op_calls.items():
-                out.by_op_calls[k] = out.by_op_calls.get(k, 0) + v
-            for k, v in src.by_op_retries.items():
-                out.by_op_retries[k] = out.by_op_retries.get(k, 0) + v
-            for k, v in src.by_algorithm_bytes.items():
-                out.by_algorithm_bytes[k] = out.by_algorithm_bytes.get(k, 0) + v
-            for k, v in src.by_algorithm_calls.items():
-                out.by_algorithm_calls[k] = out.by_algorithm_calls.get(k, 0) + v
-        return out

@@ -131,9 +131,6 @@ class ProcessGroup:
     def global_rank(self, local_rank: int) -> int:
         return self.ranks[local_rank]
 
-    def __contains__(self, global_rank: int) -> bool:
-        return global_rank in self._local
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ProcessGroup(ranks={self.ranks})"
 

@@ -105,11 +105,3 @@ Payload = Union[np.ndarray, SpecArray]
 
 def is_spec(x: Payload) -> bool:
     return isinstance(x, SpecArray)
-
-
-def payload_nbytes(x: Payload) -> int:
-    return int(x.nbytes)
-
-
-def payload_elements(x: Payload) -> int:
-    return int(x.size)

@@ -75,19 +75,29 @@ class FP16Config:
     backoff_factor: float = 0.5
     growth_factor: float = 2.0
 
+    def validate(self) -> None:
+        for name in ("initial_scale", "min_scale", "growth_factor"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"fp16.{name} must be > 0, got {getattr(self, name)}")
+        if self.growth_interval < 1:
+            raise ValueError(f"fp16.growth_interval must be >= 1, got {self.growth_interval}")
+        if not 0.0 < self.backoff_factor < 1.0:
+            raise ValueError(f"fp16.backoff_factor must be in (0, 1), got {self.backoff_factor}")
+
 
 @dataclass
 class ZeroConfig:
     stage: int = 0  # 0 = off, 1/2/3 per DeepSpeed convention
     offload: str = "none"  # none | static | adaptive
     chunk_mb: float = 32.0
-    use_chunks: bool = True
 
     def validate(self) -> None:
         if self.stage not in (0, 1, 2, 3):
             raise ValueError(f"zero stage must be 0-3, got {self.stage}")
         if self.offload not in ("none", "static", "adaptive"):
             raise ValueError(f"unknown offload policy {self.offload!r}")
+        if self.chunk_mb <= 0:
+            raise ValueError(f"zero.chunk_mb must be > 0, got {self.chunk_mb}")
 
 
 @dataclass
@@ -369,6 +379,19 @@ class ServeConfig:
                 f"got {self.max_recoveries}")
 
 
+#: ``Config.from_dict``'s sections: key -> (class, the ``(field, value)`` any key of
+#: the section implies: naming a sanitize / project / autopar / serve setting wants it)
+_SECTIONS = {
+    "fp16": (FP16Config, None),
+    "zero": (ZeroConfig, None),
+    "comm": (CommConfig, None),
+    "sanitize": (SanitizeConfig, ("enabled", True)),
+    "project": (ProjectionConfig, ("mode", "project")),
+    "autopar": (AutoParConfig, ("enabled", True)),
+    "serve": (ServeConfig, ("enabled", True)),
+}
+
+
 @dataclass
 class Config:
     """Validated top-level configuration."""
@@ -411,35 +434,16 @@ class Config:
             raise ValueError(f"unknown keys in parallel.tensor config: {sorted(tensor_d)}")
         if parallel:
             raise ValueError(f"unknown keys in parallel config: {sorted(parallel)}")
-        fp16_d = dict(d.pop("fp16", {}) or {})
-        if fp16_d:
-            cfg.fp16 = FP16Config(**fp16_d)
-        zero_d = dict(d.pop("zero", {}) or {})
-        if zero_d:
-            cfg.zero = ZeroConfig(**zero_d)
-        comm_d = dict(d.pop("comm", {}) or {})
-        if comm_d:
-            cfg.comm = CommConfig(**comm_d)
-        sanitize_d = dict(d.pop("sanitize", {}) or {})
-        if sanitize_d:
-            # any sanitize key implies the section is wanted
-            sanitize_d.setdefault("enabled", True)
-            cfg.sanitize = SanitizeConfig(**sanitize_d)
-        project_d = dict(d.pop("project", {}) or {})
-        if project_d:
-            # any project key implies the mode is wanted
-            project_d.setdefault("mode", "project")
-            cfg.project = ProjectionConfig(**project_d)
-        autopar_d = dict(d.pop("autopar", {}) or {})
-        if autopar_d:
-            # any autopar key implies the section is wanted
-            autopar_d.setdefault("enabled", True)
-            cfg.autopar = AutoParConfig(**autopar_d)
-        serve_d = dict(d.pop("serve", {}) or {})
-        if serve_d:
-            # any serve key implies the mode is wanted
-            serve_d.setdefault("enabled", True)
-            cfg.serve = ServeConfig(**serve_d)
+        for key, (section, implied) in _SECTIONS.items():
+            section_d = dict(d.pop(key, {}) or {})
+            if not section_d:
+                continue
+            unknown = sorted(set(section_d) - set(section.__dataclass_fields__))
+            if unknown:
+                raise ValueError(f"unknown keys in {key} config: {unknown}")
+            if implied:
+                section_d.setdefault(*implied)
+            setattr(cfg, key, section(**section_d))
         if d:
             raise ValueError(f"unknown top-level config keys: {sorted(d)}")
         cfg.validate()
@@ -447,6 +451,7 @@ class Config:
 
     def validate(self) -> None:
         self.tensor.validate()
+        self.fp16.validate()
         self.zero.validate()
         self.comm.validate()
         self.sanitize.validate()

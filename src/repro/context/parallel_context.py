@@ -156,9 +156,6 @@ class ParallelContext:
                 f"{self.tensor_mode!r})"
             ) from None
 
-    def local_rank(self, mode: ParallelMode) -> int:
-        return self.comm(mode).rank
-
     def is_first_pipeline_stage(self) -> bool:
         return self.pp_rank == 0
 

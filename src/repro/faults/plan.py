@@ -152,8 +152,5 @@ class FaultPlan:
         seq = np.random.SeedSequence([self.seed & 0x7FFFFFFF, *(abs(int(k)) for k in key)])
         return float(np.random.default_rng(seq).random())
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FaultPlan(seed={self.seed}, events={len(self.events)})"

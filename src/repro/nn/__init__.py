@@ -8,7 +8,7 @@ each parallel mode matches the serial one (up to float tolerance).
 """
 
 from repro.nn.module import Module, ModuleList, Parameter
-from repro.nn.layers import Dropout, Embedding, Identity, LayerNorm, Linear, PatchEmbedding
+from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear
 from repro.nn.mode import SERIAL, TensorMode
 from repro.nn.transformer import FeedForward, MultiHeadAttention, TransformerLayer
 from repro.nn.loss import CrossEntropyLoss, MSELoss
@@ -22,8 +22,6 @@ __all__ = [
     "LayerNorm",
     "Embedding",
     "Dropout",
-    "Identity",
-    "PatchEmbedding",
     "MultiHeadAttention",
     "FeedForward",
     "TransformerLayer",

@@ -35,13 +35,6 @@ def normal(std: float = 0.02) -> InitFn:
     return fn
 
 
-def uniform(low: float, high: float) -> InitFn:
-    def fn(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(low, high, shape)
-
-    return fn
-
-
 def _fan(shape: Tuple[int, ...]) -> Tuple[int, int]:
     """(fan_in, fan_out) with our [in, out] linear-weight convention."""
     if len(shape) == 1:
@@ -56,15 +49,6 @@ def xavier_uniform(gain: float = 1.0) -> InitFn:
         fan_in, fan_out = _fan(shape)
         bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-bound, bound, shape)
-
-    return fn
-
-
-def xavier_normal(gain: float = 1.0) -> InitFn:
-    def fn(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        fan_in, fan_out = _fan(shape)
-        std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-        return rng.standard_normal(shape) * std
 
     return fn
 

@@ -1,4 +1,4 @@
-"""Core layers: Linear, LayerNorm, Embedding, Dropout, PatchEmbedding.
+"""Core layers: Linear, LayerNorm, Embedding, Dropout, and ``patchify``.
 
 Linear weights use the ``[in_features, out_features]`` convention so that
 forward is ``y = x @ W + b`` — this keeps the SUMMA/3D distributed matmul
@@ -15,14 +15,6 @@ from repro.autograd import ops
 from repro.nn import init as init_mod
 from repro.nn.module import Module, Parameter
 from repro.tensor.tensor import Tensor
-
-
-class Identity(Module):
-    def __init__(self) -> None:
-        super().__init__()
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x
 
 
 class Linear(Module):
@@ -118,37 +110,3 @@ def patchify(images: Tensor, patch: int) -> Tensor:
     x = ops.reshape(images, (b, h // patch, patch, w // patch, patch, c))
     x = ops.transpose(x, (0, 1, 3, 2, 4, 5))
     return ops.reshape(x, (b, (h // patch) * (w // patch), patch * patch * c))
-
-
-class PatchEmbedding(Module):
-    """ViT patchifier: images [B, H, W, C] -> patch tokens [B, N, hidden].
-
-    Implemented as reshape + linear over flattened ``patch x patch x C``
-    blocks (equivalent to the conv-with-stride formulation).
-    """
-
-    def __init__(
-        self,
-        image_size: int,
-        patch_size: int,
-        in_channels: int,
-        hidden_size: int,
-        dtype: Union[str, np.dtype] = "float32",
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        if image_size % patch_size != 0:
-            raise ValueError(f"image size {image_size} not divisible by patch {patch_size}")
-        self.image_size = image_size
-        self.patch_size = patch_size
-        self.n_patches = (image_size // patch_size) ** 2
-        self.proj = Linear(
-            patch_size * patch_size * in_channels,
-            hidden_size,
-            weight_init=init_mod.lecun_normal(),
-            dtype=dtype,
-            rng=rng,
-        )
-
-    def forward(self, images: Tensor) -> Tensor:
-        return self.proj(patchify(images, self.patch_size))

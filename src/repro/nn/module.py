@@ -71,14 +71,6 @@ class Module:
     def parameters(self) -> List[Parameter]:
         return [p for _, p in self.named_parameters()]
 
-    def named_modules(self, prefix: str = "") -> Iterator[Tuple[str, "Module"]]:
-        yield (prefix.rstrip("."), self)
-        for mname, m in self._modules.items():
-            yield from m.named_modules(prefix=f"{prefix}{mname}.")
-
-    def modules(self) -> List["Module"]:
-        return [m for _, m in self.named_modules()]
-
     # -- state ----------------------------------------------------------------
 
     def num_parameters(self) -> int:

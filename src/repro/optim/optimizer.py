@@ -34,7 +34,7 @@ class Optimizer:
     # -- hooks -----------------------------------------------------------------
 
     def _init_state(self, p: Tensor) -> Dict[str, Any]:
-        return {}
+        raise NotImplementedError
 
     def _update(self, p: Tensor, grad: np.ndarray, state: Dict[str, Any]) -> None:
         raise NotImplementedError

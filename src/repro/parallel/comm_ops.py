@@ -10,7 +10,6 @@ identity                        all-reduce        (Megatron "f")
 all-reduce                      identity          (Megatron "g")
 split along axis                all-gather
 all-gather                      split
-reduce-scatter                  all-gather
 all-reduce mean of a scalar     scale by 1/p
 ==============================  ==============================
 
@@ -89,30 +88,6 @@ class AllGatherFwdSplitBwd(Function):
         return (P.psplit(g, ctx.comm.size, ctx.axis)[ctx.comm.rank],)
 
 
-class ReduceScatterFwdAllGatherBwd(Function):
-    @staticmethod
-    def forward(ctx: FnCtx, x: Tensor, comm: Communicator, axis: int) -> Payload:
-        ctx.comm = comm
-        ctx.axis = axis
-        return comm.reduce_scatter(x.payload, axis=axis)
-
-    @staticmethod
-    def backward(ctx: FnCtx, g: Payload):
-        return (ctx.comm.all_gather(g, axis=ctx.axis),)
-
-
-class AllGatherFwdReduceScatterBwd(Function):
-    @staticmethod
-    def forward(ctx: FnCtx, x: Tensor, comm: Communicator, axis: int) -> Payload:
-        ctx.comm = comm
-        ctx.axis = axis
-        return comm.all_gather(x.payload, axis=axis)
-
-    @staticmethod
-    def backward(ctx: FnCtx, g: Payload):
-        return (ctx.comm.reduce_scatter(g, axis=ctx.axis),)
-
-
 class AllReduceMeanScalar(Function):
     """Average a per-rank scalar (e.g. the loss over a batch shard) across
     the group.  Backward scales by 1/p without communication: each rank's
@@ -150,14 +125,6 @@ def scatter_to_parallel_region(x: Tensor, comm: Communicator, axis: int) -> Tens
 
 def gather_from_parallel_region(x: Tensor, comm: Communicator, axis: int) -> Tensor:
     return AllGatherFwdSplitBwd.apply(x, comm, axis)
-
-
-def reduce_scatter_parallel_region(x: Tensor, comm: Communicator, axis: int) -> Tensor:
-    return ReduceScatterFwdAllGatherBwd.apply(x, comm, axis)
-
-
-def all_gather_parallel_region(x: Tensor, comm: Communicator, axis: int) -> Tensor:
-    return AllGatherFwdReduceScatterBwd.apply(x, comm, axis)
 
 
 def mean_loss_across(x: Tensor, comm: Optional[Communicator]) -> Tensor:

@@ -93,53 +93,8 @@ class OpTrace:
     #: traces (pass explicit ``ScaleAxis.groups`` there).
     axes: Dict[str, Tuple[Tuple[int, ...], ...]] = field(default_factory=dict)
 
-    def group_ranks(self, gid: int) -> Tuple[int, ...]:
-        return self.groups[gid]
-
     def event_count(self) -> int:
         return sum(len(s) for s in self.streams)
-
-    def to_golden(self) -> Dict[str, Any]:
-        """Flatten the per-rank streams into the sanitizer golden-record
-        format (version 1), so replay stability can be asserted with
-        :func:`repro.sanitize.replay.first_divergence` and goldens saved
-        with :func:`repro.sanitize.replay.save_golden`."""
-        import zlib
-
-        from repro.sanitize.replay import make_record
-
-        streams: Dict[int, List[Dict[str, Any]]] = {}
-        for rank, events in enumerate(self.streams):
-            recs = []
-            for ev in events:
-                tag = ev[0]
-                if tag == "a":
-                    op = str(ev[3] or ev[1])
-                    sig = f"a({ev[1]}, dt={ev[2]!r})"
-                    group, seq = None, None
-                elif tag in ("c", "ic", "cw"):
-                    gid, seq = ev[1], ev[2]
-                    rnd = self.rounds.get((gid, seq), {})
-                    op = str(rnd.get("op", "collective"))
-                    sig = f"{tag}(op={op}, wire={rnd.get('wire_bytes')})"
-                    group = list(self.groups[gid])
-                elif tag == "c1":
-                    info = ev[2]
-                    op, seq = str(info["op"]), None
-                    sig = f"c1(op={op}, seconds={info['seconds']!r})"
-                    group = list(self.groups[ev[1]])
-                else:
-                    op, seq, group = tag, None, None
-                    sig = f"{tag}{ev[1:]!r}"
-                recs.append(
-                    make_record(
-                        "projection", op, sig, group=group, seq=seq,
-                        crc=zlib.crc32(repr(ev).encode()),
-                    )
-                )
-            streams[rank] = recs
-        return {"version": 1, "world_size": self.world_size,
-                "streams": {r: s for r, s in streams.items()}}
 
 
 class _ClockCapture:

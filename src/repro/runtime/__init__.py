@@ -13,7 +13,7 @@ from repro.runtime.errors import (
     RemoteRankError,
     SpmdAborted,
 )
-from repro.runtime.spmd import RankContext, SpmdRuntime, current_rank_context, spmd_launch
+from repro.runtime.spmd import RankContext, SpmdRuntime, current_rank_context
 
 __all__ = [
     "SimClock",
@@ -25,5 +25,4 @@ __all__ = [
     "RankContext",
     "SpmdRuntime",
     "current_rank_context",
-    "spmd_launch",
 ]

@@ -423,27 +423,3 @@ class SpmdRuntime:
             max(c.time for c in self.clocks),
             max(s.time for s in self.comm_streams),
         )
-
-
-def spmd_launch(
-    cluster: ClusterSpec,
-    fn: Callable[..., Any],
-    *args: Any,
-    world_size: Optional[int] = None,
-    materialize: bool = True,
-    seed: int = 0,
-    fault_plan: Optional[Any] = None,
-    tracer: Optional[Any] = None,
-    comm_algorithm: str = "ring",
-    sanitize: Optional[Any] = None,
-    comm_overlap: bool = False,
-    **kwargs: Any,
-) -> List[Any]:
-    """One-shot convenience: build a runtime, run ``fn`` on every rank,
-    return per-rank results."""
-    rt = SpmdRuntime(
-        cluster, world_size, fault_plan=fault_plan, tracer=tracer,
-        comm_algorithm=comm_algorithm, sanitize=sanitize,
-        comm_overlap=comm_overlap,
-    )
-    return rt.run(fn, *args, materialize=materialize, seed=seed, **kwargs)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 import numpy as np
@@ -111,7 +111,6 @@ class CollectiveSpec:
     group_ranks: Tuple[int, ...]
     seq: int = -1  # filled in by the rendezvous
     callsite: str = ""
-    payload_sig: Any = field(default=None, repr=False)
     #: False when this rank's input buffer is a placeholder the op ignores
     #: (broadcast/scatter non-root) — its bytes are excluded from checksums
     #: so uninitialized receive buffers don't fail replay conformance.

@@ -129,21 +129,6 @@ class ModelSpec:
 
         return price
 
-    def step_seconds(self, device: Any, new_tokens: int,
-                     context_tokens: int, tp: int) -> float:
-        """One serving iteration: max of compute- and bandwidth-bound."""
-        return self.step_pricer(device, tp)(new_tokens, context_tokens)
-
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "n_layers": self.n_layers,
-            "hidden": self.hidden,
-            "n_heads": self.n_heads,
-            "vocab": self.vocab,
-            "bytes_per_elem": self.bytes_per_elem,
-            "hbm_bandwidth": self.hbm_bandwidth,
-        }
-
 
 #: step-log entry kinds: ``(_STEP, now, new_tokens, context_tokens)``,
 #: ``(_WAIT, now, wake_time)``, ``(_DONE, now)``

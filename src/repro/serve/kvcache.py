@@ -166,9 +166,6 @@ class BlockPool:
     def sequences(self) -> Tuple[int, ...]:
         return tuple(sorted(self._tables))
 
-    def owner_of(self, block: int) -> Optional[int]:
-        return self._owner.get(block)
-
     def check_consistent(self) -> None:
         """Free list + block tables must partition ``range(num_blocks)``."""
         owned: Dict[int, int] = {}

@@ -162,12 +162,6 @@ class RequestRecord:
         return self.t_first_token - self.arrival
 
     @property
-    def e2e_latency(self) -> Optional[float]:
-        if self.t_finished is None:
-            return None
-        return self.t_finished - self.arrival
-
-    @property
     def token_latency(self) -> Optional[float]:
         """Mean seconds per output token after the first."""
         if not self.completed or self.t_first_token is None:

@@ -12,12 +12,8 @@ from repro.tensor.tensor import (
     Storage,
     Tensor,
     default_device,
-    from_numpy,
     full,
-    ones,
-    randn,
     set_default_device,
-    tensor,
     zeros,
 )
 from repro.tensor.sharding import ShardSpec, local_shard_shape, shard_payload
@@ -27,12 +23,8 @@ __all__ = [
     "Tensor",
     "default_device",
     "set_default_device",
-    "tensor",
-    "from_numpy",
     "zeros",
-    "ones",
     "full",
-    "randn",
     "ShardSpec",
     "local_shard_shape",
     "shard_payload",

@@ -48,9 +48,6 @@ class ShardSpec:
     def num_shards(self) -> int:
         return int(math.prod(self.partitions.values())) if self.partitions else 1
 
-    def local_elements(self) -> int:
-        return int(math.prod(self.local_shape))
-
     def chunk(self, payload: Payload, index: Dict[int, int]) -> Payload:
         """Extract the local chunk at mesh coordinate ``index``
         (``index[dim] = which part along dim``)."""

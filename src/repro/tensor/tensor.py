@@ -250,20 +250,6 @@ class Tensor:
 # -- factory helpers --------------------------------------------------------------
 
 
-def tensor(
-    data: Any,
-    dtype: Optional[Union[str, np.dtype]] = None,
-    requires_grad: bool = False,
-    device: Optional[Device] = None,
-    tag: str = "activation",
-) -> Tensor:
-    return Tensor(data, dtype=dtype, device=device, requires_grad=requires_grad, tag=tag)
-
-
-def from_numpy(arr: np.ndarray, requires_grad: bool = False, tag: str = "activation") -> Tensor:
-    return Tensor(arr, requires_grad=requires_grad, tag=tag)
-
-
 def full(shape, value, dtype="float32", requires_grad=False, device=None, tag="activation") -> Tensor:
     shape = tuple(int(s) for s in shape)
     rc = rank_context()
@@ -276,29 +262,3 @@ def full(shape, value, dtype="float32", requires_grad=False, device=None, tag="a
 
 def zeros(shape, dtype="float32", requires_grad=False, device=None, tag="activation") -> Tensor:
     return full(shape, 0.0, dtype, requires_grad, device, tag)
-
-
-def ones(shape, dtype="float32", requires_grad=False, device=None, tag="activation") -> Tensor:
-    return full(shape, 1.0, dtype, requires_grad, device, tag)
-
-
-def randn(
-    shape,
-    std: float = 1.0,
-    dtype="float32",
-    requires_grad=False,
-    device=None,
-    tag="activation",
-    rng: Optional[np.random.Generator] = None,
-) -> Tensor:
-    """Gaussian init; uses the rank's seeded RNG inside SPMD for
-    reproducibility."""
-    shape = tuple(int(s) for s in shape)
-    rc = rank_context()
-    if rc is None or rc.materialize:
-        if rng is None:
-            rng = rc.rng if rc is not None else np.random.default_rng()
-        data: Any = (rng.standard_normal(shape) * std).astype(np.dtype(dtype))
-    else:
-        data = SpecArray(shape, dtype)
-    return Tensor(data, device=device, requires_grad=requires_grad, tag=tag)

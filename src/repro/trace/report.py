@@ -27,12 +27,6 @@ class CollectiveStat:
     rank_seconds: float = 0.0  # span durations summed over every member rank
     retries: int = 0
 
-    def row(self) -> List[str]:
-        return [
-            self.op, str(self.calls), f"{self.wire_bytes}",
-            f"{self.rank_seconds:.6f}", str(self.retries),
-        ]
-
 
 @dataclass
 class TraceReport:
@@ -93,11 +87,6 @@ class TraceReport:
         if not total:
             return 0.0
         return sum(self.bubble_seconds.values()) / total
-
-    def comm_fraction(self, rank: int) -> float:
-        cats = self.per_rank.get(rank, {})
-        total = self.per_rank_total.get(rank, 0.0)
-        return cats.get("comm", 0.0) / total if total else 0.0
 
     def hidden_comm_fraction(self, rank: int) -> float:
         """Fraction of this rank's comm-stream time hidden under compute

@@ -1,14 +1,13 @@
-"""Simulated-time profiling reports.
+"""Simulated-time profiling report.
 
 Every :class:`SimClock` tracks how its time divides into categories
-(``compute``, ``comm``, ``offload``, ``optimizer``, ``wait``).  These
-helpers turn that into per-rank breakdown tables — the "where did the step
-time go" view used when tuning parallel plans.
+(``compute``, ``comm``, ``offload``, ``optimizer``, ``wait``);
+:func:`time_breakdown` is the per-rank "where did the step time go" table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.runtime.spmd import SpmdRuntime
 
@@ -26,26 +25,3 @@ def time_breakdown(runtime: SpmdRuntime) -> List[Dict[str, float]]:
         row["total"] = clock.time
         rows.append(row)
     return rows
-
-
-def format_breakdown(runtime: SpmdRuntime, unit: float = 1.0, suffix: str = "s") -> str:
-    """Render the per-rank breakdown as an aligned text table.
-
-    ``unit``: divide seconds by this (e.g. 1e-3 to print milliseconds).
-    """
-    rows = time_breakdown(runtime)
-    cols = list(CATEGORIES) + ["other", "total"]
-    header = "rank  " + "  ".join(f"{c:>10s}" for c in cols)
-    lines = [header]
-    for r, row in enumerate(rows):
-        cells = "  ".join(f"{row[c] / unit:10.3f}" for c in cols)
-        lines.append(f"{r:4d}  {cells}")
-    lines.append(f"(unit: {suffix})")
-    return "\n".join(lines)
-
-
-def comm_fraction(runtime: SpmdRuntime) -> float:
-    """Fraction of the makespan the slowest rank spent communicating."""
-    rows = time_breakdown(runtime)
-    worst = max(rows, key=lambda r: r["total"])
-    return worst["comm"] / worst["total"] if worst["total"] else 0.0

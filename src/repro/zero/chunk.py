@@ -338,9 +338,3 @@ class ChunkManager:
             if c is not None:
                 seen[c.index] = c
         return [seen[i] for i in sorted(seen)]
-
-    def total_param_elements(self) -> int:
-        return sum(c.used for c in self.chunks)
-
-    def shard_bytes_total(self) -> int:
-        return sum(c.shard_nbytes for c in self.chunks)

@@ -147,10 +147,6 @@ class ShardedTensor:
         self.shard_tensor.payload = new_shard
         self._fire("on_shard_update")
 
-    @property
-    def shard_elements(self) -> int:
-        return self.shard_tensor.size
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ShardedTensor(global={self.global_shape}, state={self.state.value}, "

@@ -20,7 +20,6 @@ from repro.analytic.commvolume import (
     comm_volume_table,
 )
 from repro.analytic.perf_model import (
-    data_parallel_step_comm_time,
     training_flops_per_token,
     transformer_layer_flops,
 )
@@ -75,35 +74,32 @@ class TestCommVolumeEdges:
         assert all(r["1d"] >= 0 for r in rows)
 
 
+def _grad_allreduce(cluster, ranks, grad_bytes, algorithm="auto"):
+    cost = CostModel(cluster, algorithm=algorithm).allreduce(list(ranks), grad_bytes)
+    return cost.seconds, cost.algorithm
+
+
 class TestPerfModelEdges:
     def test_world_size_one_costs_nothing(self):
-        seconds, _algo = data_parallel_step_comm_time(
-            uniform_cluster(2), [0], grad_bytes=1 << 20
-        )
+        seconds, _algo = _grad_allreduce(uniform_cluster(2), [0], 1 << 20)
         assert seconds == 0.0
 
     def test_zero_gradient_bytes_cost_nothing(self):
-        seconds, _algo = data_parallel_step_comm_time(
-            uniform_cluster(4), [0, 1, 2, 3], grad_bytes=0
-        )
+        seconds, _algo = _grad_allreduce(uniform_cluster(4), [0, 1, 2, 3], 0)
         assert seconds == 0.0
 
     @pytest.mark.parametrize("ranks", [[0, 1, 2], [0, 1, 2, 3, 4, 5, 6]])
     def test_non_power_of_two_groups_are_finite(self, ranks):
         for algorithm in ("ring", "tree", "hierarchical", "auto"):
-            seconds, algo = data_parallel_step_comm_time(
-                system_ii(), ranks, grad_bytes=1 << 20, algorithm=algorithm
-            )
+            seconds, algo = _grad_allreduce(system_ii(), ranks, 1 << 20, algorithm)
             assert math.isfinite(seconds) and seconds > 0.0
             assert algo in ("ring", "tree", "hierarchical")
 
     def test_auto_never_beats_itself(self):
         cluster, ranks, nbytes = system_ii(), [0, 1, 2, 3, 4], 1 << 22
-        auto, _ = data_parallel_step_comm_time(cluster, ranks, nbytes)
+        auto, _ = _grad_allreduce(cluster, ranks, nbytes)
         for pinned in ("ring", "tree", "hierarchical"):
-            fixed, _ = data_parallel_step_comm_time(
-                cluster, ranks, nbytes, algorithm=pinned
-            )
+            fixed, _ = _grad_allreduce(cluster, ranks, nbytes, pinned)
             assert auto <= fixed * (1 + 1e-12)
 
     def test_flop_models_degenerate_inputs(self):

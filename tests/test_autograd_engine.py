@@ -78,6 +78,23 @@ class TestBackwardMechanics:
         assert c.grad is None
         assert x.grad is not None
 
+    def test_live_output_nothing_consumed_gets_a_zero_grad(self):
+        from repro.autograd import Function
+
+        class TwoHeads(Function):  # y = 2x, z = 3x
+            @staticmethod
+            def forward(ctx, x):
+                return 2.0 * x.payload, 3.0 * x.payload
+
+            @staticmethod
+            def backward(ctx, gy, gz):
+                return (2.0 * gy + 3.0 * gz,)
+
+        x = Tensor(np.ones(2), requires_grad=True)
+        y, z = TwoHeads.apply(x)  # z stays alive and takes no part in the loss
+        y.sum().backward()
+        assert x.grad.numpy().tolist() == [2.0, 2.0]
+
 
 class TestNoGrad:
     def test_no_graph_built(self):

@@ -36,20 +36,8 @@ class TestElementwiseGrads:
     def test_power(self):
         gradcheck(lambda a: ops.power(a, 3.0), [t((4,), positive=True)])
 
-    def test_exp(self):
-        gradcheck(ops.exp, [t((4,))])
-
-    def test_log(self):
-        gradcheck(ops.log, [t((4,), positive=True)])
-
-    def test_sqrt(self):
-        gradcheck(ops.sqrt, [t((4,), positive=True)])
-
     def test_tanh(self):
         gradcheck(ops.tanh, [t((4,))])
-
-    def test_sigmoid(self):
-        gradcheck(ops.sigmoid, [t((4,))])
 
     def test_gelu(self):
         gradcheck(ops.gelu, [t((6,))])
@@ -121,9 +109,6 @@ class TestReductionGrads:
 class TestSoftmaxLossGrads:
     def test_softmax(self):
         gradcheck(lambda a: ops.softmax(a, -1), [t((3, 5))], rtol=1e-3)
-
-    def test_log_softmax(self):
-        gradcheck(lambda a: ops.log_softmax(a, -1), [t((3, 5))], rtol=1e-3)
 
     def test_layer_norm(self):
         x = t((3, 6))

@@ -11,12 +11,10 @@ import pytest
 from repro.comm import Communicator
 from repro.parallel.comm_ops import (
     AllReduceMeanScalar,
-    all_gather_parallel_region,
     copy_to_parallel_region,
     gather_from_parallel_region,
     mean_loss_across,
     reduce_from_parallel_region,
-    reduce_scatter_parallel_region,
     scatter_to_parallel_region,
 )
 from repro.tensor import Tensor
@@ -110,29 +108,6 @@ class TestBackwardAdjoints:
         for r, (gx, gz) in enumerate(run_spmd(4, prog)):
             assert gx == [0.0, 10.0, 20.0, 30.0]  # gathered grads
             assert gz == [float(r + 1)]  # local slice of upstream grad
-
-    def test_reduce_scatter_allgather_adjoints(self):
-        def prog(ctx):
-            comm = _world(ctx)
-            x = Tensor(np.arange(4.0) + ctx.rank, requires_grad=True)
-            y = reduce_scatter_parallel_region(x, comm, axis=0)
-            y.backward(Tensor(np.full(2, 1.0 + ctx.rank)))
-            gx = x.grad.numpy().copy()
-
-            z = Tensor(np.array([float(ctx.rank)]), requires_grad=True)
-            g = all_gather_parallel_region(z, comm, axis=0)
-            g.backward(Tensor(np.arange(2.0) + 1))
-            return gx.tolist(), z.grad.numpy().tolist()
-
-        res = run_spmd(2, prog)
-        # RS backward = all_gather of per-rank grads: rank0 sent [1,1],
-        # rank1 sent [2,2] -> everyone holds [1,1,2,2]
-        assert res[0][0] == [1.0, 1.0, 2.0, 2.0]
-        assert res[1][0] == [1.0, 1.0, 2.0, 2.0]
-        # AG backward = reduce_scatter of upstream [1,2] from both ranks:
-        # summed [2,4], rank0 keeps [2], rank1 keeps [4]
-        assert res[0][1] == [2.0]
-        assert res[1][1] == [4.0]
 
     def test_vjp_identity_copy_reduce(self):
         """<y, g(x)>/p == <g^T(y), x> per rank for the "g" op, under its

@@ -47,6 +47,22 @@ class TestConfigParsing:
             Config.from_dict(dict(zero=dict(offload="sometimes")))
 
 
+    @pytest.mark.parametrize(
+        "section", ["fp16", "zero", "comm", "sanitize", "project", "autopar", "serve"])
+    def test_unknown_section_key_names_section_and_key(self, section):
+        with pytest.raises(ValueError, match=rf"unknown keys in {section} config: \['stagee'\]"):
+            Config.from_dict({section: {"stagee": 1}})
+
+    @pytest.mark.parametrize("section, field, bad", [
+        ("fp16", "initial_scale", -1), ("fp16", "min_scale", 0), ("fp16", "growth_factor", 0),
+        ("fp16", "growth_interval", 0), ("fp16", "backoff_factor", 1.0),
+        ("fp16", "backoff_factor", 0.0), ("zero", "chunk_mb", -5),
+    ])
+    def test_out_of_range_value_names_the_field(self, section, field, bad):
+        with pytest.raises(ValueError, match=rf"{section}\.{field}"):
+            Config.from_dict({section: {field: bad}})
+
+
 class TestTopologyConstraints:
     def test_2d_needs_square(self):
         with pytest.raises(ValueError, match="square"):

@@ -55,21 +55,6 @@ class TestCommCounters:
         assert c.by_op_bytes == {}
         assert c.by_op_retries == {}
 
-    def test_merged_with_sums_all_fields(self):
-        a, b = CommCounters(), CommCounters()
-        a.record("all_reduce", 100, 25)
-        a.record_retry("all_reduce", 50, 12)
-        b.record("p2p", 8, 2)
-        b.record_retry("p2p", 8, 2, attempts=3)
-        m = a.merged_with(b)
-        assert m.bytes_total == 166
-        assert m.calls_total == 2
-        assert m.retries_total == 4
-        assert m.retry_bytes_total == 58
-        assert m.by_op_retries == {"all_reduce": 1, "p2p": 3}
-        # inputs untouched
-        assert a.retries_total == 1 and b.retries_total == 3
-
 
 class TestCommunicatorIntrospection:
     """``counters`` and ``__repr__`` had landed on ``Request``: the

@@ -54,3 +54,10 @@ def test_every_repro_import_outside_tier1_resolves():
         if not _resolves(module, name)
     ]
     assert not broken, "\n".join(broken)
+    # and every export list names things that exist: a deleted definition left
+    # in an ``__all__`` is a red run here, not an ImportError in a user's script
+    for init in sorted((ROOT / "src" / "repro").rglob("__init__.py")):
+        package = ".".join(init.relative_to(ROOT / "src").parts[:-1])
+        module = import_module(package)
+        missing = [n for n in getattr(module, "__all__", ()) if not _resolves(package, n)]
+        assert not missing, f"{package}.__all__ names {missing}"

@@ -19,6 +19,7 @@ from repro.models import BertConfig, ViTConfig, build_bert, build_vit
 from repro.models.bert import Bert
 from repro.models.vit import ViT
 from repro.nn import FeedForward, MultiHeadAttention, TransformerLayer
+from repro.nn.mode import SERIAL
 from repro.parallel import MODES, tensor_mode
 from repro.tensor import Tensor
 
@@ -50,6 +51,7 @@ CASES = {
 
 def test_every_registered_mode_has_a_row():
     assert set(CASES) == set(MODES) | {"serial"}
+    assert SERIAL.vocab_parallel() is SERIAL  # only 1D has a vocab-sharded variant
 
 
 def _launch(name, prog, materialize=True):

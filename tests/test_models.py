@@ -168,12 +168,13 @@ class TestBertParity:
             out = bundle.model(IDS)
             loss = bundle.loss_fn(out, TARGETS)
             loss.backward()
-            return loss.item(), out.shape
+            return loss.item(), out.shape, bundle.gather_output(out).shape
 
         cfg = dict(parallel=dict(tensor=dict(size=4, mode="1d")))
-        for loss, shape in launch(cfg, uniform_cluster(4), prog):
+        for loss, shape, gathered in launch(cfg, uniform_cluster(4), prog):
             assert loss == pytest.approx(bert_serial_ref["loss"], abs=1e-4)
             assert shape == (4, 8, 8)  # logits stay vocab-sharded (32/4)
+            assert gathered == (4, 8, 32)  # and gather whole for metrics
 
     def test_sp_no_head_constraint(self):
         """SP runs with 8 ranks even though BERT-CFG has 4 heads (1D TP

@@ -10,7 +10,6 @@ from repro.nn import (
     Dropout,
     Embedding,
     FeedForward,
-    Identity,
     LayerNorm,
     Linear,
     Module,
@@ -18,10 +17,10 @@ from repro.nn import (
     MSELoss,
     MultiHeadAttention,
     Parameter,
-    PatchEmbedding,
     TransformerLayer,
 )
 from repro.nn import init as init_mod
+from repro.nn.layers import patchify
 from repro.tensor import Tensor
 
 
@@ -75,7 +74,7 @@ class TestModule:
         assert lin.weight.grad is None
 
     def test_module_list_iteration(self):
-        ml = ModuleList([Identity(), Identity()])
+        ml = ModuleList([Dropout(0.0), Dropout(0.0)])
         assert len(ml) == 2
         assert list(ml)[0] is ml[0]
 
@@ -132,26 +131,25 @@ class TestLayers:
         assert out.shape == (1, 3, 4)
 
     def test_patch_embedding_shapes(self):
-        pe = PatchEmbedding(image_size=8, patch_size=2, in_channels=3, hidden_size=16)
-        out = pe(Tensor(np.zeros((2, 8, 8, 3), dtype=np.float32)))
-        assert out.shape == (2, 16, 16)
+        patches = patchify(Tensor(np.zeros((2, 8, 8, 3), dtype=np.float32)), 2)
+        assert Linear(2 * 2 * 3, 16)(patches).shape == (2, 16, 16)
 
     def test_patch_embedding_rejects_bad_patch(self):
         with pytest.raises(ValueError):
-            PatchEmbedding(image_size=7, patch_size=2, in_channels=3, hidden_size=8)
+            patchify(Tensor(np.zeros((1, 7, 7, 3), dtype=np.float32)), 2)
 
     def test_patchify_preserves_pixels(self):
         """Patch (0,0) of the patchified tensor must equal the image's
         top-left block."""
-        from repro.nn.layers import patchify as _patchify
-
         img = np.random.default_rng(0).standard_normal((1, 4, 4, 2)).astype(np.float32)
-        patches = _patchify(Tensor(img), 2).numpy()
+        patches = patchify(Tensor(img), 2).numpy()
         np.testing.assert_allclose(patches[0, 0], img[0, :2, :2, :].reshape(-1))
 
     def test_dropout_probability_validation(self):
         with pytest.raises(ValueError):
             Dropout(1.0)
+        x = Tensor(np.ones((4, 4), dtype=np.float32))
+        np.testing.assert_array_equal(Dropout(0.0)(x).numpy(), x.numpy())
 
 
 class TestAttention:

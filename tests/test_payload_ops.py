@@ -21,13 +21,13 @@ class TestShapeParity:
     def test_binary_broadcast(self):
         a, sa = both((3, 1, 4))
         b, sb = both((2, 4), seed=1)
-        for fn in (P.padd, P.psub, P.pmul, P.pdiv, P.pmaximum):
+        for fn in (P.padd, P.psub, P.pmul, P.pdiv):
             assert fn(sa, sb).shape == fn(a, b).shape
 
     def test_unary(self):
         a, sa = both((2, 3))
         a = np.abs(a) + 0.5
-        for fn in (P.pneg, P.pexp, P.plog, P.ptanh, P.psqrt, P.psigmoid, P.prelu, P.pgelu):
+        for fn in (P.pneg, P.ptanh, P.prelu, P.pgelu):
             assert fn(sa).shape == fn(a).shape
 
     def test_matmul_batched(self):
@@ -69,7 +69,7 @@ class TestShapeParity:
 
     def test_reductions(self):
         a, sa = both((2, 3, 4))
-        for fn, np_fn in ((P.psum, np.sum), (P.pmean, np.mean), (P.pmax, np.max)):
+        for fn, np_fn in ((P.psum, np.sum), (P.pmean, np.mean)):
             for axis, kd in ((None, False), (1, True), ((0, 2), False), (-1, False)):
                 assert fn(sa, axis=axis, keepdims=kd).shape == np_fn(a, axis=axis, keepdims=kd).shape
 
@@ -235,7 +235,7 @@ class TestProfileUtil:
     def test_breakdown_table(self):
         from repro.cluster import uniform_cluster
         from repro.runtime import SpmdRuntime
-        from repro.utils.profile import comm_fraction, format_breakdown, time_breakdown
+        from repro.utils.profile import time_breakdown
         from repro.comm import Communicator
 
         rt = SpmdRuntime(uniform_cluster(2))
@@ -248,6 +248,4 @@ class TestProfileUtil:
         rows = time_breakdown(rt)
         assert rows[0]["compute"] == 1.0
         assert rows[0]["comm"] > 0
-        assert 0 < comm_fraction(rt) < 1
-        table = format_breakdown(rt, unit=1e-6, suffix="us")
-        assert "rank" in table and "compute" in table
+        assert 0 < rows[0]["comm"] < rows[0]["total"]

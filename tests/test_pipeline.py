@@ -154,6 +154,30 @@ class TestSchedules:
             res = _run_pipeline(sched_cls, serial_ref, microbatches=m)
             assert res[-1][1] == pytest.approx(serial_ref["loss"], abs=1e-5)
 
+    def test_trainer_fit_drives_the_schedule(self, serial_ref):
+        """``Engine.execute_schedule``: fit's loss is the hand-called schedule's; hooks step."""
+        from repro.engine import initialize
+        from repro.optim import SGD, CosineAnnealingLR
+        from repro.trainer import LossLoggingHook, LRSchedulerHook, Trainer
+
+        def prog(ctx):
+            pc = ParallelContext(ctx, Config.from_dict(
+                dict(parallel=dict(pipeline=2), num_microbatches=2)))
+            s, e = partition_uniform(4, 2)[pc.pp_rank]
+            stage = _Stack(range(s, e), with_tail=pc.is_last_pipeline_stage())
+            opt = SGD(stage.parameters(), lr=0.1)
+            engine = initialize(stage, opt, CrossEntropyLoss(), pc=pc)
+            trainer = Trainer(engine, hooks=[
+                LossLoggingHook(every=1), LRSchedulerHook(CosineAnnealingLR(opt, 0.1, 2))])
+            batch = (serial_ref["X"].copy() if pc.pp_rank == 0 else None,
+                     serial_ref["Y"] if pc.is_last_pipeline_stage() else None)
+            return trainer.fit([batch], epochs=1).get("loss"), opt.defaults["lr"]
+
+        by_hand = _run_pipeline(GPipeSchedule, serial_ref, microbatches=2, stages=2)
+        (_, lr), (last_loss, _) = run_spmd(2, prog)
+        assert last_loss == [by_hand[-1][1]]
+        assert lr == pytest.approx(0.05)  # one cosine step of two
+
     def test_indivisible_microbatches_rejected(self, serial_ref):
         from repro.runtime import RemoteRankError
 

@@ -60,7 +60,6 @@ from repro.project import (
     project,
 )
 from repro.runtime import SpmdRuntime
-from repro.sanitize.replay import first_divergence, load_golden, save_golden
 from repro.tensor import Tensor
 from repro.zero import ZeroOffloadEngine
 from repro.zero.policies import NoOffloadPolicy
@@ -292,6 +291,31 @@ def _tp1d_prog(size):
     return prog
 
 
+def _edge_ops_prog(ctx):
+    """What no harness above issues: ring pass, rooted scatter / gather, collectives
+    on a size-1 subgroup (``record_solo``), an ``isend`` polled and waited (eager, or
+    on the p2p stream under overlap), a polled ``iallreduce``, all-to-all, barrier."""
+    comm = Communicator.world(ctx)
+    x = np.full(4096, float(ctx.rank), dtype=np.float32)
+    comm.ring_pass(x, shift=1)
+    comm.scatter(x if comm.rank == 0 else None, root=0)
+    comm.gather(x, root=0)
+    solo = comm.subgroup([comm.rank])
+    solo.all_reduce(x)
+    solo.all_gather(x)
+    if comm.rank == 0:
+        send = comm.isend(x, 1)
+        send.test()
+        send.wait()
+    elif comm.rank == 1:
+        comm.recv(0)
+    reduced = comm.iallreduce(x)
+    reduced.test()
+    reduced.wait()
+    comm.all_to_all([x[:1024]] * comm.size)
+    comm.barrier()
+
+
 # -- the exact-parity grid -------------------------------------------------
 
 
@@ -334,6 +358,22 @@ class TestExactParityGrid:
         assert res_cap == res_real
         _assert_parity(rt, trace, project(trace, mode="recorded"))
 
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_edge_ops(self, overlap):
+        steps = []
+        for mk in (lambda: uniform_cluster(4), system_ii):
+            trace, rt, _, _ = _capture_pair(mk, 4, _edge_ops_prog, overlap=overlap)
+            _assert_parity(rt, trace, project(trace, mode="recorded"))
+            steps.append((rt.max_time(), project(trace, mode="model").step_time))
+        (threaded_u, model_u), (threaded_ii, model_ii) = steps
+        # model mode re-prices ring_pass / _star / p2p through the fabric: on the
+        # uniform cluster that is the identity fabric.py's docstring states
+        assert model_u == threaded_u
+        # System II joins GPU pairs by NVLink and the pairs by PCIe; a two-level
+        # Fabric has no level inside a node, prices every hop at the sampled
+        # intra-node link and reads low: the abstraction's limit, stated
+        assert model_ii < threaded_ii
+
     def test_world_16_data_parallel(self):
         trace, rt, _, _ = _capture_pair(
             lambda: uniform_cluster(16), 16, _ddp_prog(overlap=True, steps=1),
@@ -361,6 +401,10 @@ class TestModelModeRepricing:
         assert mod.wire_bytes_total == rec.wire_bytes_total
         assert mod.by_op_bytes == rec.by_op_bytes
         assert mod.comm_calls_total == rec.comm_calls_total
+        # offload traffic: the fabric's host link is the cluster's
+        cluster = uniform_cluster(4)
+        assert (ProjectedCostModel(Fabric.from_cluster(cluster)).host_transfer(0, 1 << 20)
+                == CostModel(cluster).host_transfer(0, 1 << 20))
 
     def test_recorded_mode_rejects_scaling(self):
         trace, _, _, _ = _capture_pair(lambda: uniform_cluster(2), 2, _tp1d_prog(2))
@@ -540,21 +584,16 @@ class TestGoldenStability:
 
         return prog
 
-    def test_fig13b_capture_replays_stably(self, tmp_path):
+    def test_fig13b_capture_replays_stably(self):
         """Two independent captures of the Fig-13b DDP scenario produce
-        byte-identical op streams, round-trip through the sanitizer golden
-        format, and project to the same report."""
+        identical op streams and round facts, and project to the same
+        report."""
         prog = self._vit_ddp_prog()
         _, t1 = capture_run(system_ii(), prog, world_size=8, comm_overlap=True)
         _, t2 = capture_run(system_ii(), prog, world_size=8, comm_overlap=True)
 
-        g1, g2 = t1.to_golden(), t2.to_golden()
-        assert first_divergence(g1, g2) is None
-
-        path = tmp_path / "fig13b_projection.json"
-        save_golden(str(path), g1["world_size"], g1["streams"])
-        loaded = load_golden(str(path))
-        assert first_divergence(loaded, g2) is None
+        assert t1.streams == t2.streams
+        assert t1.rounds == t2.rounds
 
         r1 = project(t1, factor=128, fabric=Fabric.uniform()).to_dict()
         r2 = project(t2, factor=128, fabric=Fabric.uniform()).to_dict()

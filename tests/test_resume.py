@@ -25,6 +25,10 @@ VIT = ViTConfig(
     n_layers=1, n_heads=2, n_classes=3, mlp_ratio=1, seed=5,
 )
 EPOCHS = 3  # 48 samples / batch 16 = 3 steps per epoch, 9 total
+#: overflows float32 on the first steps, backs off, regrows after two finite
+#: steps: the scaler is mid-schedule at every checkpoint
+FP16 = dict(CDICT, fp16=dict(enabled=True, initial_scale=2.0**129,
+                             growth_interval=2))
 
 
 def _make_parts(pc):
@@ -57,19 +61,24 @@ def _weights(bundle):
     return {k: v.tobytes() for k, v in bundle.model.state_dict().items()}
 
 
-def _baseline():
+def _scaler(trainer):
+    s = trainer.engine.scaler
+    return s and (s.scale, s._good_steps, s.overflows)
+
+
+def _baseline(cdict=CDICT):
     def prog(ctx, pc):
         bundle, trainer, loader = _make_trainer(pc)
         hist = trainer.fit(loader, epochs=EPOCHS)
-        return hist["loss"], _weights(bundle)
+        return hist["loss"], _weights(bundle), _scaler(trainer)
 
-    return repro.launch(CDICT, uniform_cluster(WORLD), prog, world_size=WORLD)
+    return repro.launch(cdict, uniform_cluster(WORLD), prog, world_size=WORLD)
 
 
-def _crash_then_resume(crash_step, seed, checkpoint_every=2):
+def _crash_then_resume(crash_step, seed, checkpoint_every=2, cdict=CDICT):
     """Run DP+TP training that loses a rank at ``crash_step``, then resume
     from the newest consistent checkpoint.  Returns per-rank
-    (loss history, final weights)."""
+    (loss history, final weights, loss-scaler state)."""
     manager = CheckpointManager()
 
     def faulted(ctx, pc):
@@ -80,7 +89,7 @@ def _crash_then_resume(crash_step, seed, checkpoint_every=2):
     plan = FaultPlan(seed=seed).crash(rank=1, at_step=crash_step)
     rt = SpmdRuntime(uniform_cluster(WORLD), fault_plan=plan)
     with pytest.raises(RemoteRankError) as ei:
-        repro.launch(CDICT, uniform_cluster(WORLD), faulted,
+        repro.launch(cdict, uniform_cluster(WORLD), faulted,
                      world_size=WORLD, runtime=rt)
     assert isinstance(ei.value.__cause__, RankFailure)
     assert ei.value.__cause__.rank == 1
@@ -96,11 +105,11 @@ def _crash_then_resume(crash_step, seed, checkpoint_every=2):
         if step is not None:
             manager.load(ctx.rank, step).restore(trainer, loader)
         hist = trainer.fit(loader, epochs=EPOCHS)
-        return hist["loss"], _weights(bundle)
+        return hist["loss"], _weights(bundle), _scaler(trainer)
 
     # same runtime: the crash event already fired (the failed node was
     # replaced), so the program runs to completion this time
-    return repro.launch(CDICT, uniform_cluster(WORLD), resumed,
+    return repro.launch(cdict, uniform_cluster(WORLD), resumed,
                         world_size=WORLD, runtime=rt)
 
 
@@ -111,6 +120,12 @@ class TestCrashResume:
         for r in range(WORLD):
             assert res[r][0] == base[r][0]  # full loss trajectory
             assert res[r][1] == base[r][1]  # every weight, bitwise
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # it overflows on purpose
+    def test_fp16_loss_scale_resumes_mid_schedule(self, fault_seed):
+        base = _baseline(FP16)
+        res = _crash_then_resume(crash_step=5, seed=fault_seed, cdict=FP16)
+        assert base[0][2][2] >= 2 and res == base  # backed off; losses, weights, scaler equal
 
     def test_epoch_boundary_crash_resumes_bitwise(self, fault_seed):
         """Checkpoint at step 6 = end of epoch 2: the resume path must take

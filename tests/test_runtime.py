@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster import uniform_cluster
-from repro.runtime import RemoteRankError, SimClock, SpmdRuntime, spmd_launch
+from repro.runtime import RemoteRankError, SimClock, SpmdRuntime
 from repro.runtime.spmd import current_rank_context, in_spmd
 
 
@@ -130,7 +129,3 @@ class TestSpmdRuntime:
             return id(g1) == id(g2)
 
         assert all(rt4.run(prog))
-
-    def test_spmd_launch_helper(self):
-        res = spmd_launch(uniform_cluster(2), lambda ctx: ctx.rank + 1)
-        assert res == [1, 2]

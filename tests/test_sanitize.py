@@ -22,6 +22,7 @@ from repro.sanitize import (
     CollectiveMismatch,
     CommSanitizer,
     ReplayDivergence,
+    SharedBufferRace,
     first_divergence,
     load_golden,
     payload_checksum,
@@ -177,6 +178,28 @@ class TestMismatchDetection:
 
 
 class TestDesyncDetection:
+    @pytest.mark.parametrize("rank2, marker, culprit", [
+        ("raises", "rank2:failed", "RuntimeError"),
+        ("returns", "sanitizer:CollectiveDesync", None),
+    ])
+    def test_failure_and_verdict_are_marked_on_the_timeline(self, rank2, marker, culprit):
+        from repro.trace import Tracer
+
+        def prog(ctx):
+            ctx.clock.advance(1.0 + ctx.rank, "compute")
+            if ctx.rank == 2 and rank2 == "raises":
+                raise RuntimeError("boom")
+            if ctx.rank != 2:
+                Communicator.world(ctx).all_reduce(np.ones(4))
+
+        with pytest.raises(RemoteRankError):
+            _run(4, prog, san=CommSanitizer(), tracer=(tracer := Tracer()))
+        (mark,) = [i for i in tracer.instants() if i.name == marker]
+        if culprit:  # stamped with the failing rank's own clock
+            assert (mark.rank, mark.t, mark.args) == (2, 3.0, {"error": culprit})
+        else:  # stamped by whichever parked rank drew the verdict
+            assert mark.rank in (0, 1, 3) and mark.t == 1.0 + mark.rank
+
     def test_skipped_collective_raises_desync_fast(self):
         def prog(ctx):
             comm = Communicator.world(ctx)
@@ -416,6 +439,57 @@ class TestRaceDetection:
 
         _, results = _run(2, prog, san=CommSanitizer(race=True))
         assert results == [20.0, 20.0]
+
+    # The freeze covers the array handed in, not a base it is a view of: a
+    # write through the base escapes the read-only flag; only the checksums see it.
+    def test_in_flight_write_through_the_base_is_a_race(self):
+        san, bases = CommSanitizer(race=True), {}
+        freeze = san.race_detector.acquire
+
+        def freeze_then_scribble(payloads, to_global):
+            token = freeze(payloads, to_global)
+            bases[1][0] += 1.0  # rank 1's base, while the round is in flight
+            return token
+
+        san.race_detector.acquire = freeze_then_scribble
+
+        def prog(ctx):
+            bases[ctx.rank] = np.ones(8)
+            return Communicator.world(ctx).all_reduce(bases[ctx.rank][:4])
+
+        with pytest.raises(RemoteRankError) as ei:
+            _run(2, prog, san=san)
+        cause = _cause(ei)
+        assert isinstance(cause, SharedBufferRace) and cause.rank == 1 and "in flight" in str(cause)
+        assert all(b[:4].flags.writeable for b in bases.values())
+
+    def test_loan_written_through_the_base_is_reported_at_run_end(self):
+        san, bases = CommSanitizer(race=True), {}
+
+        def prog(ctx):
+            bases[ctx.rank] = np.full(8, float(ctx.rank))
+            got = Communicator.world(ctx).ring_pass(bases[ctx.rank][:4], shift=1)
+            if ctx.rank == 0:
+                bases[0][0] = 99.0  # rank 1 holds this buffer as ``got``
+            return got
+
+        _run(2, prog, san=san)
+        (race,) = san.summary()["race_violations"]
+        assert (race.op, race.rank) == ("ring_pass", 0) and "loaned" in str(race)
+        assert all(b[:4].flags.writeable for b in bases.values())
+
+    def test_failed_finalize_unfreezes_every_payload(self):
+        bufs = {}
+
+        def prog(ctx):
+            bufs[ctx.rank] = np.ones(3)  # 3 elements do not split over 2 ranks
+            return Communicator.world(ctx).reduce_scatter(bufs[ctx.rank])
+
+        rt = SpmdRuntime(uniform_cluster(2), sanitize=True)
+        with pytest.raises(RemoteRankError, match="not divisible"):
+            rt.run(prog)
+        assert all(b.flags.writeable for b in bufs.values())
+        assert rt.world_group._rounds == {}
 
 
 # ---------------------------------------------------------------------------

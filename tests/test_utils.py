@@ -1,10 +1,6 @@
 """Tests for repro.utils."""
 
-import time
-
-import pytest
-
-from repro.utils import GB, KB, MB, MultiTimer, Timer, format_bytes, get_logger
+from repro.utils import GB, KB, MB, format_bytes, get_logger
 
 
 class TestUnits:
@@ -24,67 +20,6 @@ class TestUnits:
 
     def test_format_bytes_negative(self):
         assert "GiB" in format_bytes(-2 * GB)
-
-
-class TestTimer:
-    def test_basic_interval(self):
-        t = Timer()
-        t.start()
-        time.sleep(0.01)
-        dt = t.stop()
-        assert dt >= 0.009
-        assert t.elapsed == pytest.approx(dt)
-        assert t.count == 1
-
-    def test_double_start_raises(self):
-        t = Timer()
-        t.start()
-        with pytest.raises(RuntimeError):
-            t.start()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_context_manager(self):
-        t = Timer()
-        with t:
-            pass
-        assert t.count == 1
-        assert not t.running
-
-    def test_reset(self):
-        t = Timer()
-        with t:
-            pass
-        t.reset()
-        assert t.elapsed == 0.0
-        assert t.count == 0
-
-    def test_mean(self):
-        t = Timer()
-        for _ in range(3):
-            with t:
-                pass
-        assert t.mean == pytest.approx(t.elapsed / 3)
-
-
-class TestMultiTimer:
-    def test_named_timers_accumulate(self):
-        mt = MultiTimer()
-        mt.start("a")
-        mt.stop("a")
-        mt.start("b")
-        mt.stop("b")
-        summary = mt.summary()
-        assert set(summary) == {"a", "b"}
-
-    def test_reset_one(self):
-        mt = MultiTimer()
-        with mt("x"):
-            pass
-        mt.reset("x")
-        assert mt.elapsed("x") == 0.0
 
 
 class TestLogger:
