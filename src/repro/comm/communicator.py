@@ -15,7 +15,7 @@ order so results are bitwise deterministic run-to-run.
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -431,11 +431,15 @@ class Communicator:
     # -- point-to-point ---------------------------------------------------------
 
     def _deliver(self, x: Payload, dst: int, tag: Any,
-                 start_time: Optional[float] = None) -> CollectiveCost:
-        """Run the fault/retry loop for one p2p transmission and enqueue the
-        payload; returns the successful attempt's cost (the caller decides
-        when the sender's clock is charged for it — blocking ``send``
-        immediately, ``isend`` on ``wait``).
+                 kind: str) -> Tuple[CollectiveCost, float]:
+        """One p2p transmission: run the fault/retry loop, put the transfer
+        on the group's timeline and enqueue the payload; returns the
+        successful attempt's cost and when the payload is available (for a
+        stream send, the transfer's end).  ``kind`` is the capture tag of
+        the send and says when the sender pays: ``"ps"`` (blocking ``send``)
+        now, ``"pse"`` (eager ``isend``) at ``wait()``, ``"pss"``
+        (overlap-mode ``isend``) never — the transfer runs on the sender's
+        p2p stream.
 
         Each dropped/corrupted attempt charges the failed transfer plus
         backoff to the sender's clock and counts the retransmitted bytes;
@@ -443,10 +447,13 @@ class Communicator:
         :class:`CollectiveTimeout`.
         """
         src_g = self.global_rank
-        dst_g = self.group.ranks[dst]
-        runtime = self.group.runtime
+        group = self.group
+        dst_g = group.ranks[dst]
+        runtime = group.runtime
         clock = runtime.clocks[src_g]
-        cost = self.group.cost_model.p2p(src_g, dst_g, int(x.nbytes))
+        t_entry = clock.time
+        nbytes, elements = int(x.nbytes), int(x.size)
+        cost = group.cost_model.p2p(src_g, dst_g, nbytes)
         injector = runtime.fault_injector
         san = runtime.sanitizer
         if injector is not None:
@@ -468,48 +475,34 @@ class Communicator:
                         src_g, "retry", "p2p:retry", t0, clock.time,
                         dst=dst_g, attempt=failures,
                     )
-                self.group.counters.record_retry(
-                    "p2p", cost.wire_bytes, int(x.size)
-                )
+                group.counters.record_retry("p2p", cost.wire_bytes, elements)
                 if failures > policy.max_retries:
                     raise CollectiveTimeout(
                         "p2p", (src_g, dst_g), attempts=failures
                     )
-        # stream sends start at max(issue time, sender's p2p stream tail);
-        # injected retransmissions above advance the sender's clock, so the
-        # max keeps availability consistent with the charged retries
-        if start_time is None:
-            t_avail = clock.time + cost.seconds
+        if kind == "pss":
+            t_avail = group.stream_send(src_g, cost, elements, dst_g, nbytes)
         else:
-            t_avail = max(start_time, clock.time) + cost.seconds
-        self.group.counters.record("p2p", cost.wire_bytes, int(x.size))
+            t_avail = group.send(
+                src_g, t_entry, cost, elements, dst_g, nbytes, kind == "ps")
         payload = x if type(x) is SpecArray else x.copy()
-        key = (src_g, dst_g, (id(self.group), tag))
+        key = (src_g, dst_g, (id(group), tag))
         if san is not None:
             san.note_send(src_g, dst_g, key, payload)
         runtime.mailboxes.put(key, (payload, t_avail))
-        return cost
+        return cost, t_avail
 
     def send(self, x: Payload, dst: int, tag: Any = 0) -> None:
         """Send ``x`` to local rank ``dst``.  Returns once the payload is
         enqueued; the sender's clock is charged the full transfer (eager
         synchronous model), plus retransmissions under injected faults."""
-        runtime = self.group.runtime
-        clock = runtime.clocks[self.global_rank]
-        t0 = clock.time
-        cost = self._deliver(x, dst, tag)
-        clock.advance(cost.seconds, "comm")
-        cap = runtime.capture
+        cost, _ = self._deliver(x, dst, tag, "ps")
+        cap = self.group.runtime.capture
         if cap is not None:
             cap.record_send(
                 self.global_rank, "ps", self.group,
                 self.group.global_rank(dst), tag, int(x.nbytes),
                 int(x.size), cost,
-            )
-        if runtime.tracer is not None:
-            runtime.tracer.annotate(
-                self.global_rank, "p2p", "send", t0, clock.time,
-                dst=self.group.global_rank(dst), nbytes=int(x.nbytes),
             )
 
     def recv(self, src: int, tag: Any = 0) -> Payload:
@@ -521,22 +514,15 @@ class Communicator:
             runtime.fault_injector.check_time_crash(
                 dst_g, runtime.clocks[dst_g].time
             )
-        clock = runtime.clocks[dst_g]
-        t0 = clock.time
         key = (src_g, dst_g, (id(self.group), tag))
         payload, t_avail = runtime.mailboxes.get(key, runtime.aborting)
         san = runtime.sanitizer
         if san is not None:
             san.verify_recv(src_g, dst_g, key, payload)
-        clock.sync_to(t_avail, "comm")
+        self.group.arrive(dst_g, src_g, t_avail, int(payload.nbytes))
         cap = runtime.capture
         if cap is not None:
             cap.record_recv(dst_g, self.group, src_g, tag)
-        if runtime.tracer is not None:
-            runtime.tracer.annotate(
-                dst_g, "p2p", "recv", t0, clock.time,
-                src=src_g, nbytes=int(payload.nbytes),
-            )
         return payload
 
     def sendrecv(self, x: Payload, dst: int, src: int, tag: Any = 0) -> Payload:
@@ -558,7 +544,7 @@ class Communicator:
         runtime = self.group.runtime
         cap = runtime.capture
         if not runtime.comm_overlap:
-            cost = self._deliver(x, dst, tag)
+            cost, _ = self._deliver(x, dst, tag, "pse")
             if cap is not None:
                 cap.record_send(
                     self.global_rank, "pse", self.group,
@@ -567,23 +553,12 @@ class Communicator:
                 )
             return Request(kind="send", comm=self, seconds=cost.seconds)
         src_g = self.global_rank
-        clock = runtime.clocks[src_g]
-        start = max(clock.time, self.group._p2p_tails[src_g])
-        cost = self._deliver(x, dst, tag, start_time=start)
-        start = max(start, clock.time)  # injected retries moved the clock
-        t_end = start + cost.seconds
-        self.group._p2p_tails[src_g] = t_end
-        runtime.comm_streams[src_g].occupy(start, t_end)
+        cost, t_end = self._deliver(x, dst, tag, "pss")
         sid = None
         if cap is not None:
             sid = cap.record_isend_stream(
                 src_g, self.group, self.group.global_rank(dst), tag,
                 int(x.nbytes), int(x.size), cost,
-            )
-        if runtime.tracer is not None:
-            runtime.tracer.annotate(
-                src_g, "comm_stream", "isend", start, t_end,
-                dst=self.group.global_rank(dst), nbytes=int(x.nbytes),
             )
         return StreamSendHandle(self, t_end, cost.seconds, sid=sid)
 
@@ -624,24 +599,12 @@ class StreamSendHandle(WorkHandle):
     def wait(self) -> None:
         if self._done:
             return None
-        runtime = self._comm.group.runtime
+        group = self._comm.group
         rank = self._comm.global_rank
-        clock = runtime.clocks[rank]
-        t_wait = clock.time
-        exposed = min(self._seconds, max(0.0, self._t_end - t_wait))
-        clock.sync_to(self._t_end, "comm")
-        runtime.comm_streams[rank].note_exposed(exposed)
-        self._comm.group.counters.record_overlap(
-            "p2p", exposed, max(0.0, self._seconds - exposed)
-        )
-        cap = runtime.capture
+        group.settle(rank, "isend", self._seconds, self._t_end)
+        cap = group.runtime.capture
         if cap is not None and self._sid is not None:
             cap.record_stream_wait(rank, self._sid)
-        if runtime.tracer is not None and exposed > 0.0:
-            runtime.tracer.annotate(
-                rank, "overlap", "wait/isend", t_wait, self._t_end,
-                exposed=exposed, overlapped=max(0.0, self._seconds - exposed),
-            )
         self._done = True
         return None
 

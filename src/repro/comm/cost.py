@@ -84,9 +84,6 @@ class CollectiveCost:
     wire_bytes: int
     algorithm: str = "ring"
 
-    def wire_elements(self, itemsize: int) -> int:
-        return self.wire_bytes // max(itemsize, 1)
-
 
 _ZERO = CollectiveCost(0.0, 0)
 

@@ -9,9 +9,10 @@ ranks counts 2(p-1)·S in total).
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, List
 
 
 @dataclass
@@ -31,11 +32,14 @@ class CommCounters:
     calls_total: int = 0
     retries_total: int = 0
     retry_bytes_total: int = 0
-    #: comm/compute-overlap accounting (nonblocking ops only, recorded at
-    #: wait per member rank): seconds the compute clock stalled on a handle
-    #: vs seconds hidden behind compute.  Not folded into byte totals.
-    exposed_seconds_total: float = 0.0
-    overlapped_seconds_total: float = 0.0
+    #: comm/compute-overlap accounting (nonblocking ops only, one term per
+    #: member rank's wait, appended by ``GroupTimeline.settle``): seconds the
+    #: compute clock stalled on a handle vs seconds hidden behind compute.
+    #: Append-only term lists read with ``math.fsum`` — a correctly rounded
+    #: sum has no order, so the totals are the same float whichever thread
+    #: waited first.  Not folded into byte totals.
+    exposed_terms: List[float] = field(default_factory=list, repr=False)
+    overlapped_terms: List[float] = field(default_factory=list, repr=False)
     by_op_bytes: Dict[str, int] = field(default_factory=dict)
     by_op_elements: Dict[str, int] = field(default_factory=dict)
     by_op_calls: Dict[str, int] = field(default_factory=dict)
@@ -74,13 +78,13 @@ class CommCounters:
             self.by_op_bytes[op] = self.by_op_bytes.get(op, 0) + wire_bytes
             self.by_op_elements[op] = self.by_op_elements.get(op, 0) + wire_elements
 
-    def record_overlap(self, op: str, exposed_seconds: float,
-                       overlapped_seconds: float) -> None:
-        """Account one rank's wait on a nonblocking ``op``: how much of the
-        op's duration was exposed (stalled on) vs overlapped with compute."""
-        with self._lock:
-            self.exposed_seconds_total += exposed_seconds
-            self.overlapped_seconds_total += overlapped_seconds
+    @property
+    def exposed_seconds_total(self) -> float:
+        return math.fsum(self.exposed_terms)
+
+    @property
+    def overlapped_seconds_total(self) -> float:
+        return math.fsum(self.overlapped_terms)
 
     def reset(self) -> None:
         with self._lock:
@@ -89,8 +93,8 @@ class CommCounters:
             self.calls_total = 0
             self.retries_total = 0
             self.retry_bytes_total = 0
-            self.exposed_seconds_total = 0.0
-            self.overlapped_seconds_total = 0.0
+            self.exposed_terms.clear()
+            self.overlapped_terms.clear()
             self.by_op_bytes.clear()
             self.by_op_elements.clear()
             self.by_op_calls.clear()

@@ -1,14 +1,17 @@
 """Process groups and the collective rendezvous.
 
-A :class:`ProcessGroup` is the meeting point for a fixed set of global ranks.
+A :class:`ProcessGroup` is the meeting point for a fixed set of global ranks:
+a :class:`~repro.comm.timeline.GroupTimeline` — which owns what the group's
+communication does to simulated time — with a thread rendezvous in front.
 Collectives are sequence-numbered per group (MPI semantics: all members must
 issue group collectives in the same order); each call forms a *round* that
 completes when every member has arrived, at which point the last arriver
 
 1. combines the payloads (the actual data movement/arithmetic),
-2. computes the call's cost from the cost model,
-3. synchronizes all member clocks to ``max(entry times) + cost``, and
-4. records wire traffic in the group's counters.
+2. computes the call's cost from the cost model, and
+3. *places* the round on the timeline: member clocks (or comm streams) move
+   to ``max(entry times, stream tail) + cost`` and the wire traffic lands in
+   the group's counters.
 
 The rendezvous is event-driven: waiters park on the group condition and the
 last arriver (or the abort path via ``SpmdRuntime._wake_all``) notifies them
@@ -23,7 +26,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.comm.cost import CollectiveCost, CostModel
-from repro.comm.counters import CommCounters
+from repro.comm.timeline import NO_EXTRA, GroupTimeline, Round
 from repro.runtime.errors import CollectiveTimeout
 
 #: With a sanitizer installed, parked waiters still wake on this cadence to
@@ -31,45 +34,11 @@ from repro.runtime.errors import CollectiveTimeout
 #: not a liveness mechanism (completion and abort are notify-driven).
 _DIAG_WINDOW = 0.05
 
-#: shared empty trace-tag mapping — rounds only swap in a real dict when the
-#: sanitizer contributes tags, so the disabled path allocates nothing extra
-_NO_EXTRA: Dict[str, Any] = {}
-
 #: finalize(payloads by local rank) ->
 #:   (results by local rank, cost, op name, itemsize for element accounting)
 FinalizeFn = Callable[
     [Dict[int, Any]], Tuple[Dict[int, Any], CollectiveCost, str, int]
 ]
-
-
-class _Round:
-    __slots__ = (
-        "payloads", "entry_times", "results", "done", "claimed", "error",
-        "op", "t_start", "t_end", "wire_bytes", "retries", "retry_seconds",
-        "algorithm", "specs", "trace_extra", "mode",
-    )
-
-    def __init__(self) -> None:
-        self.payloads: Dict[int, Any] = {}
-        self.entry_times: Dict[int, float] = {}
-        self.results: Optional[Dict[int, Any]] = None
-        self.done = False
-        self.claimed = 0
-        self.error: Optional[BaseException] = None
-        # trace annotations filled in by the finalizer
-        self.op: Optional[str] = None
-        self.t_start = 0.0
-        self.t_end = 0.0
-        self.wire_bytes = 0
-        self.retries = 0
-        self.retry_seconds = 0.0
-        self.algorithm = ""
-        # sanitizer state: per-local-rank CollectiveSpec, extra span tags
-        self.specs: Optional[Dict[int, Any]] = None
-        self.trace_extra: Dict[str, Any] = _NO_EXTRA
-        # "sync" (blocking rendezvous) or "async" (handle-based); set by the
-        # first arriver — mixing the two in one round is a program error
-        self.mode: Optional[str] = None
 
 
 class WorkHandle:
@@ -90,8 +59,9 @@ class WorkHandle:
         raise NotImplementedError
 
 
-class ProcessGroup:
-    """A fixed, ordered set of global ranks with collective state.
+class ProcessGroup(GroupTimeline):
+    """A fixed, ordered set of global ranks with collective state: the
+    group's timeline (its host is the runtime) behind a thread rendezvous.
 
     Create via ``runtime.group(ranks)`` (idempotent) — never directly, or
     different ranks would rendezvous on different objects.
@@ -100,29 +70,20 @@ class ProcessGroup:
     def __init__(self, runtime: Any, ranks: List[int]) -> None:
         if len(set(ranks)) != len(ranks):
             raise ValueError(f"duplicate ranks in group: {ranks}")
-        self.runtime = runtime
-        self.ranks = list(ranks)
-        self.size = len(ranks)
-        self._local = {g: i for i, g in enumerate(ranks)}
+        super().__init__(runtime, ranks)
+        self.runtime = runtime  # the timeline's ``host``, by its own name
         self.cost_model = CostModel(
             runtime.cluster,
             algorithm=getattr(runtime, "comm_algorithm", "ring"),
             island_ratio=getattr(runtime, "comm_island_ratio", 0.5),
         )
-        self.counters = CommCounters()
         self._cond = threading.Condition()
-        self._rounds: Dict[int, _Round] = {}
+        self._rounds: Dict[int, Round] = {}
         self._seq: Dict[int, int] = {r: 0 for r in ranks}
-        #: simulated time this group's comm stream drains: every collective
-        #: (blocking or nonblocking) serializes after it, NCCL-stream-style
-        self.async_tail = 0.0
-        #: per-sender p2p stream tails (only the owning rank's thread writes
-        #: its key; pre-populated so concurrent reads never resize the dict)
-        self._p2p_tails: Dict[int, float] = {g: 0.0 for g in ranks}
 
     def local_rank(self, global_rank: int) -> int:
         try:
-            return self._local[global_rank]
+            return self.local_of[global_rank]
         except KeyError:
             raise ValueError(
                 f"rank {global_rank} is not a member of group {self.ranks}"
@@ -140,9 +101,7 @@ class ProcessGroup:
         with self._cond:
             self._rounds.clear()
             self._seq = {r: 0 for r in self.ranks}
-            self.async_tail = 0.0
-            for g in self.ranks:
-                self._p2p_tails[g] = 0.0
+            self.rewind()
             self._cond.notify_all()
 
     # ------------------------------------------------------------------
@@ -163,21 +122,19 @@ class ProcessGroup:
         mode and claim bookkeeping is inline on purpose (DESIGN 4l).
         """
         runtime = self.runtime
-        me = self._local.get(my_global_rank)
+        me = self.local_of.get(my_global_rank)
         if me is None:
             self.local_rank(my_global_rank)  # raises: not a member
         clock = runtime.clocks[my_global_rank]
         if runtime.fault_injector is not None:
             runtime.fault_injector.check_time_crash(my_global_rank, clock.time)
-        tracer = runtime.tracer
         seq = self._seq[my_global_rank]
         if spec is not None:
             spec.seq = seq
 
         if self.size == 1:
             san = runtime.sanitizer
-            t0 = clock.time
-            extra: Dict[str, Any] = _NO_EXTRA
+            extra: Dict[str, Any] = NO_EXTRA
             if san is not None:
                 san.verify_round(self, seq, {0: spec} if spec else None)
             results, cost, op, itemsize = finalize({0: payload})
@@ -187,31 +144,17 @@ class ProcessGroup:
                     {0: payload}, results,
                 )
                 self._seq[my_global_rank] += 1
-            if self.async_tail > clock.time:
-                clock.sync_to(self.async_tail, "comm")
-            clock.advance(cost.seconds, "comm")
-            self.async_tail = clock.time
-            if cost.wire_bytes:
-                self.counters.record(
-                    op, cost.wire_bytes, cost.wire_elements(itemsize),
-                    algorithm=cost.algorithm,
-                )
+            self.solo(my_global_rank, op, cost, itemsize, extra)
             cap = runtime.capture
             if cap is not None:
                 cap.record_solo(my_global_rank, self, op, cost, itemsize, payload)
-            if tracer is not None:
-                tracer.annotate(
-                    my_global_rank, "collective", op, t0, clock.time,
-                    wire_bytes=cost.wire_bytes, group_size=1, primary=True,
-                    algo=cost.algorithm, **extra,
-                )
             return results[0]
 
         self._seq[my_global_rank] = seq + 1
         with self._cond:
             rnd = self._rounds.get(seq)
             if rnd is None:
-                rnd = self._rounds[seq] = _Round()
+                rnd = self._rounds[seq] = Round()
             if rnd.mode is None:
                 rnd.mode = "sync"
             elif rnd.mode != "sync":
@@ -239,22 +182,6 @@ class ProcessGroup:
             cap = runtime.capture
             if cap is not None:
                 cap.record_member(my_global_rank, self, seq, "c")
-            if tracer is not None and rnd.op is not None:
-                # one span per member rank, from its own entry to the common
-                # completion; local rank 0's span carries the round totals
-                tracer.annotate(
-                    my_global_rank, "collective", rnd.op,
-                    rnd.entry_times[me], rnd.t_end,
-                    wire_bytes=rnd.wire_bytes, group_size=self.size,
-                    retries=rnd.retries, primary=(me == 0),
-                    algo=rnd.algorithm, **rnd.trace_extra,
-                )
-                if rnd.retries:
-                    tracer.annotate(
-                        my_global_rank, "retry", f"{rnd.op}:retry",
-                        rnd.t_end - rnd.retry_seconds, rnd.t_end,
-                        attempts=rnd.retries,
-                    )
             rnd.claimed += 1
             if rnd.claimed == self.size:
                 del self._rounds[seq]
@@ -262,7 +189,7 @@ class ProcessGroup:
 
     # ------------------------------------------------------------------
 
-    def _await_round(self, my_global_rank: int, seq: int, rnd: "_Round",
+    def _await_round(self, my_global_rank: int, seq: int, rnd: Round,
                      spec: Any, clock: Any) -> None:
         """Park (group condition held) until ``rnd``, not yet done, completes.
 
@@ -322,7 +249,7 @@ class ProcessGroup:
         with self._cond:
             self._cond.notify_all()
 
-    def _claim(self, rnd: _Round, seq: int) -> None:
+    def _claim(self, rnd: Round, seq: int) -> None:
         """Count one member's claim on a failed round (it is about to raise
         the error); the last member to claim deletes the round.  Every
         failing exit comes through here — the healthy exits count their
@@ -331,7 +258,7 @@ class ProcessGroup:
         if rnd.claimed == self.size:
             del self._rounds[seq]
 
-    def _fail_mixed_mode(self, rnd: _Round, seq: int, mode: str) -> None:
+    def _fail_mixed_mode(self, rnd: Round, seq: int, mode: str) -> None:
         """All ranks of a round must agree on blocking vs nonblocking: for a
         nonblocking round, *handle completion* (not issue order) defines the
         rendezvous point, so a blocking caller mixed into it would have its
@@ -362,7 +289,7 @@ class ProcessGroup:
         identical to the blocking rendezvous.
         """
         runtime = self.runtime
-        me = self._local.get(my_global_rank)
+        me = self.local_of.get(my_global_rank)
         if me is None:
             self.local_rank(my_global_rank)  # raises: not a member
         now = runtime.clocks[my_global_rank].time
@@ -376,7 +303,7 @@ class ProcessGroup:
         with self._cond:
             rnd = self._rounds.get(seq)
             if rnd is None:
-                rnd = self._rounds[seq] = _Round()
+                rnd = self._rounds[seq] = Round()
             if rnd.mode is None:
                 rnd.mode = "async"
             elif rnd.mode != "async":
@@ -394,16 +321,13 @@ class ProcessGroup:
                 self._finalize_round(rnd, seq, finalize)
             return AsyncCollectiveHandle(self, seq, me, my_global_rank, spec)
 
-    def _finalize_round(self, rnd: _Round, seq: int,
+    def _finalize_round(self, rnd: Round, seq: int,
                         finalize: FinalizeFn) -> None:
         """The last arriver's work, on behalf of every member (group
         condition held): sanitizer verify/race -> ``finalize`` -> injector
-        verdict and retry pricing -> time -> counters -> sanitizer finish ->
-        capture.  The one difference between the two kinds of round is
-        where the time goes: a blocking round syncs every member's compute
-        clock to its end, a nonblocking one occupies their comm streams and
-        leaves the clocks to each ``wait()``.  Any failure becomes the
-        round's error, which every member then claims.
+        verdict and retry pricing -> time and counters (:meth:`place`) ->
+        sanitizer finish -> capture -> spans (:meth:`mark`).  Any failure
+        becomes the round's error, which every member then claims.
         """
         runtime = self.runtime
         injector = runtime.fault_injector
@@ -433,61 +357,26 @@ class ProcessGroup:
                     self.counters.record_retry(
                         op,
                         failures * cost.wire_bytes,
-                        failures * cost.wire_elements(itemsize),
+                        failures * (cost.wire_bytes // max(itemsize, 1)),
                         attempts=failures,
                     )
-            # every round, blocking or not, serializes after whatever is in
-            # flight on this group's comm stream
-            t_start = max(rnd.entry_times.values())
-            if self.async_tail > t_start:
-                t_start = self.async_tail
-            if permanent:
-                t_end = t_start + retry_seconds
-            else:
-                t_end = t_start + cost.seconds + retry_seconds
-            self.async_tail = t_end
-            if rnd.mode == "sync":
-                for g in self.ranks:
-                    runtime.clocks[g].sync_to(t_end, "comm")
-            else:
-                for g in self.ranks:
-                    runtime.comm_streams[g].occupy(t_start, t_end)
+            self.place(rnd, op, cost, itemsize, failures, retry_seconds,
+                       permanent)
             if permanent:
                 raise CollectiveTimeout(op, self.ranks, attempts=failures)
-            if cost.wire_bytes:
-                self.counters.record(
-                    op, cost.wire_bytes, cost.wire_elements(itemsize),
-                    algorithm=cost.algorithm,
-                )
             if san is not None:
                 rnd.trace_extra = san.finish_round(
                     self, seq, rnd.specs, rnd.payloads, results, race_token,
                 )
                 race_token = None  # released by finish_round
-            rnd.algorithm = cost.algorithm
-            rnd.op = op
-            rnd.t_start = t_start
-            rnd.t_end = t_end
-            rnd.wire_bytes = cost.wire_bytes
-            rnd.retries = failures
-            rnd.retry_seconds = retry_seconds
             rnd.results = results
             cap = runtime.capture
             if cap is not None:
                 cap.record_round(
                     self, seq, rnd.mode, cost, op, itemsize, rnd.payloads
                 )
-            tracer = runtime.tracer
-            if tracer is not None and rnd.mode == "async":
-                # the stream lane; blocking rounds are annotated per member
-                # as each leaves the rendezvous
-                for local, g in enumerate(self.ranks):
-                    tracer.annotate(
-                        g, "comm_stream", op, t_start, t_end,
-                        wire_bytes=cost.wire_bytes, group_size=self.size,
-                        retries=failures, primary=(local == 0),
-                        algo=cost.algorithm, **rnd.trace_extra,
-                    )
+            if runtime.tracer is not None:
+                self.mark(rnd)
         except BaseException as exc:  # propagate to every member
             if race_token is not None:
                 san.race_release(race_token)
@@ -499,7 +388,8 @@ class ProcessGroup:
 class AsyncCollectiveHandle(WorkHandle):
     """One rank's handle on an in-flight nonblocking collective round."""
 
-    __slots__ = ("_group", "_seq", "_me", "_rank", "_spec", "_done", "_result")
+    __slots__ = ("_group", "_seq", "_me", "_rank", "_spec", "_done",
+                 "_result", "_error")
 
     def __init__(self, group: ProcessGroup, seq: int, me: int, rank: int,
                  spec: Any) -> None:
@@ -510,6 +400,7 @@ class AsyncCollectiveHandle(WorkHandle):
         self._spec = spec
         self._done = False
         self._result: Any = None
+        self._error: Optional[BaseException] = None
 
     def test(self) -> bool:
         if self._done:
@@ -522,13 +413,14 @@ class AsyncCollectiveHandle(WorkHandle):
         """Block (in host time) until the round completes, then max-join the
         caller's compute clock to the completion time.  Only the portion of
         the op duration the clock actually stalls on is exposed; the rest is
-        accounted as overlapped."""
+        accounted as overlapped.  A failed round raises its error here, on
+        this and every later ``wait()``."""
         if self._done:
+            if self._error is not None:
+                raise self._error
             return self._result
         group = self._group
         runtime = group.runtime
-        clock = runtime.clocks[self._rank]
-        tracer = runtime.tracer
         with group._cond:
             rnd = group._rounds.get(self._seq)
             if rnd is None:
@@ -538,9 +430,11 @@ class AsyncCollectiveHandle(WorkHandle):
                     f"the handle was outstanding?)"
                 )
             if not rnd.done:
-                group._await_round(self._rank, self._seq, rnd, self._spec, clock)
+                group._await_round(self._rank, self._seq, rnd, self._spec,
+                                   runtime.clocks[self._rank])
             if rnd.error is not None:
                 self._done = True
+                self._error = rnd.error
                 group._claim(rnd, self._seq)
                 raise rnd.error
             result = rnd.results[self._me]
@@ -548,22 +442,10 @@ class AsyncCollectiveHandle(WorkHandle):
             rnd.claimed += 1
             if rnd.claimed == group.size:
                 del group._rounds[self._seq]
-        duration = t_end - t_start
-        t_wait = clock.time
-        exposed = min(duration, max(0.0, t_end - t_wait))
-        clock.sync_to(t_end, "comm")
-        runtime.comm_streams[self._rank].note_exposed(exposed)
-        group.counters.record_overlap(
-            op or "collective", exposed, max(0.0, duration - exposed)
-        )
+        group.settle(self._rank, op, t_end - t_start, t_end)
         cap = runtime.capture
         if cap is not None:
             cap.record_member(self._rank, group, self._seq, "cw")
-        if tracer is not None and exposed > 0.0:
-            tracer.annotate(
-                self._rank, "overlap", f"wait/{op}", t_wait, t_end,
-                exposed=exposed, overlapped=max(0.0, duration - exposed),
-            )
         self._done = True
         self._result = result
         return result

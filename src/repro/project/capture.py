@@ -232,7 +232,7 @@ class CaptureRecorder:
             "op": op,
             "seconds": cost.seconds,
             "wire_bytes": cost.wire_bytes,
-            "elements": cost.wire_elements(itemsize),
+            "elements": cost.wire_bytes // max(itemsize, 1),
             "algorithm": cost.algorithm,
             "itemsize": itemsize,
             "nbytes": [_payload_nbytes(payload)],

@@ -6,10 +6,12 @@ without hosting a thread per rank: a single-threaded sweep scheduler drains
 each rank's event stream until the rank *blocks* (a collective round whose
 members have not all arrived, a nonblocking handle not yet finalized, a
 receive whose message is not yet in the mailbox) and repeats until every
-stream is exhausted.  The arithmetic performed per event is a line-for-line
-mirror of :mod:`repro.comm.group` / :mod:`repro.comm.communicator`, so with
-the *recorded* pricer the replayed clocks, stream clocks and counters
-reproduce the threaded run bit-for-bit.
+stream is exhausted.  The engine performs no time arithmetic of its own: it
+*drives* one :class:`~repro.comm.timeline.GroupTimeline` per captured group
+— each handler decodes an event and calls the method the threaded run
+called — so with the *recorded* pricer the replayed clocks, stream clocks,
+counters and trace spans equal the threaded run's with ``==``, by
+construction.
 
 Costs come from a pluggable pricer:
 
@@ -29,9 +31,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.comm.cost import CollectiveCost
 from repro.comm.counters import CommCounters
+from repro.comm.timeline import GroupTimeline, Round
 from repro.runtime.clock import SimClock, StreamClock
 
 from repro.project.capture import OpTrace
@@ -50,13 +54,30 @@ DEFAULT_SCALING: Dict[str, str] = {
 #: the valid ``payload_scaling`` rule names
 PAYLOAD_RULES: Tuple[str, ...] = ("constant", "inverse", "linear")
 
+#: how model mode prices each collective op the communicator can record:
+#: ``op -> (fabric cost model, projected ranks, byte argument, algorithm)
+#: -> cost``.  Rooted ops are priced from the group's first rank, and the
+#: control-plane ops ignore the byte argument (``_OBJECT_NBYTES`` is 64).
+_MODEL_PRICE: Dict[str, Callable[
+    [ProjectedCostModel, Sequence[int], int, str], CollectiveCost]] = {
+    "all_reduce": lambda m, ranks, n, algo: m.allreduce(ranks, n, algo),
+    "all_gather": lambda m, ranks, n, algo: m.allgather(ranks, n, algo),
+    "reduce_scatter":
+        lambda m, ranks, n, algo: m.reduce_scatter(ranks, n, algo),
+    "broadcast": lambda m, ranks, n, algo: m.broadcast(ranks, n, algo),
+    "reduce": lambda m, ranks, n, algo: m.reduce(ranks, n, algo),
+    "scatter": lambda m, ranks, n, algo: m.scatter(ranks[0], ranks, n),
+    "gather": lambda m, ranks, n, algo: m.gather(ranks[0], ranks, n),
+    "all_to_all": lambda m, ranks, n, algo: m.all_to_all(ranks, n),
+    "barrier": lambda m, ranks, n, algo: m.barrier(ranks),
+    "all_gather_object": lambda m, ranks, n, algo: m.allgather(ranks, 64),
+    "split": lambda m, ranks, n, algo: CollectiveCost(m.alpha, 0),
+    "ring_pass": lambda m, ranks, n, algo: m.ring_pass(ranks, n),
+}
+
 #: every op key a ``payload_scaling`` override may name (the collective
-#: ops the communicator can record plus point-to-point traffic)
-SCALABLE_OPS: frozenset = frozenset({
-    "all_gather", "all_gather_object", "all_reduce", "all_to_all",
-    "barrier", "broadcast", "gather", "p2p", "reduce", "reduce_scatter",
-    "ring_pass", "scatter", "split",
-})
+#: ops above plus point-to-point traffic)
+SCALABLE_OPS: frozenset = frozenset(_MODEL_PRICE) | {"p2p"}
 
 
 def _validate_payload_scaling(rules: Dict[str, str], where: str) -> None:
@@ -277,29 +298,19 @@ class ScalePlan:
         return out
 
 
-@dataclass
-class PricedOp:
-    seconds: float
-    wire_bytes: int
-    elements: int
-    algorithm: str
-
-
 class RecordedPricer:
     """Fidelity pricer: every op costs exactly what the capture recorded."""
 
     scaled_gids: frozenset = frozenset()
 
-    def collective(self, gid: int, rnd: Dict[str, Any]) -> PricedOp:
-        return PricedOp(
-            rnd["seconds"], rnd["wire_bytes"],
-            rnd["wire_bytes"] // max(rnd["itemsize"], 1), rnd["algorithm"],
-        )
+    def collective(self, gid: int, rnd: Dict[str, Any]) -> CollectiveCost:
+        return CollectiveCost(
+            rnd["seconds"], rnd["wire_bytes"], rnd["algorithm"])
 
     def p2p(self, gid: int, src: int, dst: int, nbytes: int,
-            recorded: Tuple[int, int, float]) -> PricedOp:
-        wire, elements, seconds = recorded
-        return PricedOp(seconds, wire, elements, "direct")
+            recorded: Tuple[int, float]) -> CollectiveCost:
+        wire, seconds = recorded
+        return CollectiveCost(seconds, wire, "direct")
 
     def multiplicity(self, gid: int) -> int:
         return 1
@@ -346,7 +357,7 @@ class ModelPricer:
             if (num, den) != (1, 1):
                 self.p2p_scale[gid] = (num, den)
         self._ranks2: Dict[int, Tuple[int, ...]] = {}
-        self._cache: Dict[Tuple[int, str, int], PricedOp] = {}
+        self._cache: Dict[Tuple[int, str, int], CollectiveCost] = {}
 
     def widening(self, gid: int) -> int:
         """Product of the factors of every axis the group lies along."""
@@ -391,13 +402,19 @@ class ModelPricer:
             return 64  # _OBJECT_NBYTES
         return n
 
-    def collective(self, gid: int, rnd: Dict[str, Any]) -> PricedOp:
+    def collective(self, gid: int, rnd: Dict[str, Any]) -> CollectiveCost:
         op = str(rnd["op"])
         n = self._recorded_arg(op, rnd)
         key = (gid, op, n)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
+        price = _MODEL_PRICE.get(op)
+        if price is None:
+            raise ReplayStall(
+                f"model mode cannot price captured op {op!r}; "
+                f"known ops: {sorted(_MODEL_PRICE)}"
+            )
         ranks = self.trace.groups[gid]
         ranks2 = self.group_ranks(gid)
         p, p2 = len(ranks), len(ranks2)
@@ -407,50 +424,12 @@ class ModelPricer:
                 n = max(1, (n * p) // p2)
             elif rule == "linear":
                 n = (n * p2) // p
-        cost = self._price(op, ranks2, n)
-        priced = PricedOp(
-            cost.seconds, cost.wire_bytes,
-            cost.wire_elements(rnd.get("itemsize", 1)), cost.algorithm,
-        )
-        self._cache[key] = priced
-        return priced
-
-    def _price(self, op: str, ranks2: Sequence[int], n: int):
-        m = self.model
-        algo = self.algorithm
-        if op == "all_reduce":
-            return m.allreduce(ranks2, n, algo)
-        if op == "all_gather":
-            return m.allgather(ranks2, n, algo)
-        if op == "reduce_scatter":
-            return m.reduce_scatter(ranks2, n, algo)
-        if op == "broadcast":
-            return m.broadcast(ranks2, n, algo)
-        if op == "reduce":
-            return m.reduce(ranks2, n, algo)
-        if op == "scatter":
-            return m.scatter(ranks2[0], ranks2, n)
-        if op == "gather":
-            return m.gather(ranks2[0], ranks2, n)
-        if op == "all_to_all":
-            return m.all_to_all(ranks2, n)
-        if op == "barrier":
-            return m.barrier(ranks2)
-        if op == "all_gather_object":
-            return m.allgather(ranks2, 64)
-        if op == "split":
-            from repro.comm.cost import CollectiveCost
-            return CollectiveCost(m.alpha, 0)
-        if op == "ring_pass":
-            return m.ring_pass(ranks2, n)
-        # unknown op: price as an allreduce-shaped fallback
-        return m.allreduce(ranks2, n, algo)
+        cost = self._cache[key] = price(self.model, ranks2, n, self.algorithm)
+        return cost
 
     def p2p(self, gid: int, src: int, dst: int, nbytes: int,
-            recorded: Tuple[int, int, float]) -> PricedOp:
-        _wire, elements, _seconds = recorded
-        cost = self.model.p2p(src, dst, nbytes)
-        return PricedOp(cost.seconds, cost.wire_bytes, elements, "direct")
+            recorded: Tuple[int, float]) -> CollectiveCost:
+        return self.model.p2p(src, dst, nbytes)
 
 
 @dataclass
@@ -476,50 +455,34 @@ class ReplayResult:
         return self.trace.world_size * self.plan.total_factor()
 
 
-class _RoundState:
-    __slots__ = ("entries", "t_start", "t_end", "claimed", "priced")
-
-    def __init__(self) -> None:
-        self.entries: Dict[int, float] = {}
-        self.t_start: Optional[float] = None
-        self.t_end: Optional[float] = None
-        self.claimed = 0
-        self.priced: Optional[PricedOp] = None
-
-
-class _ReplayHost:
-    """Minimal stand-in runtime so ``Tracer.install`` can attach clock
-    observers to the replay clocks."""
-
-    def __init__(self, clocks: List[SimClock]) -> None:
-        self.clocks = clocks
-        self.tracer = None
-
-
 class ReplayEngine:
+    """The single-threaded driver of the timelines — and their *host*: it
+    holds the replayed ``clocks`` / ``comm_streams`` and the ``tracer`` the
+    :class:`~repro.comm.timeline.GroupTimeline` rules act on, where the
+    threaded run's host is the ``SpmdRuntime``."""
+
     def __init__(self, trace: OpTrace, pricer: Any,
                  plan: Optional[ScalePlan] = None,
                  tracer: Optional[Any] = None) -> None:
         self.trace = trace
         self.pricer = pricer
         self.plan = plan or ScalePlan()
-        self.tracer = tracer
         n = trace.world_size
         self.clocks = [SimClock() for _ in range(n)]
-        self.streams = [StreamClock() for _ in range(n)]
-        self.counters: Dict[int, CommCounters] = {
-            gid: CommCounters() for gid in range(len(trace.groups))
-        }
-        self._tails: Dict[int, float] = {}
-        self._p2p_tails: Dict[Tuple[int, int], float] = {}
+        self.comm_streams = [StreamClock() for _ in range(n)]
+        self.tracer = None
+        #: per gid, in the capture's group order
+        self.timelines = [GroupTimeline(self, ranks) for ranks in trace.groups]
+        #: (gid, src, dst, tag) -> queued (availability, nbytes) per message
         self._mailbox: Dict[Tuple[int, int, int, Any], deque] = {}
-        self._rounds: Dict[Tuple[int, int], _RoundState] = {}
-        self._sids: List[Dict[int, Tuple[int, float, float]]] = [
+        self._rounds: Dict[Tuple[int, int], Round] = {}
+        #: per rank: stream-send id -> (timeline, transfer end, seconds)
+        self._sids: List[Dict[int, Tuple[GroupTimeline, float, float]]] = [
             {} for _ in range(n)
         ]
         self._pos = [0] * n
         if tracer is not None:
-            tracer.install(_ReplayHost(self.clocks))
+            tracer.install(self)  # clock observers, and ``self.tracer``
 
     # -- public ------------------------------------------------------------
 
@@ -548,7 +511,9 @@ class ReplayEngine:
         resolved = getattr(self.pricer, "resolved_axes", None) or ()
         return ReplayResult(
             trace=self.trace, plan=self.plan, clocks=self.clocks,
-            streams=self.streams, counters=self.counters,
+            streams=self.comm_streams,
+            counters={gid: tl.counters
+                      for gid, tl in enumerate(self.timelines)},
             multiplicity={
                 gid: self.pricer.multiplicity(gid)
                 for gid in range(len(self.trace.groups))
@@ -590,176 +555,88 @@ class ReplayEngine:
         self._pos[rank] = pos
         return pos > start
 
-    # -- per-event mirrors of group.py / communicator.py -------------------
+    # -- per-event drivers: decode, then the call the threaded run made ----
 
-    def _round(self, gid: int, seq: int) -> _RoundState:
-        st = self._rounds.get((gid, seq))
-        if st is None:
-            st = _RoundState()
-            self._rounds[(gid, seq)] = st
-        return st
-
-    def _finalize(self, gid: int, seq: int, st: _RoundState,
-                  blocking: bool) -> None:
-        rnd = self.trace.rounds[(gid, seq)]
-        priced = self.pricer.collective(gid, rnd)
-        t_base = max(st.entries.values())
-        tail = self._tails.get(gid, 0.0)
-        if tail > t_base:
-            t_base = tail
-        t_end = t_base + priced.seconds
-        self._tails[gid] = t_end
-        st.t_start = t_base
-        st.t_end = t_end
-        st.priced = priced
-        if priced.wire_bytes:
-            self.counters[gid].record(
-                str(rnd["op"]), priced.wire_bytes, priced.elements,
-                algorithm=priced.algorithm,
-            )
-        if not blocking:
-            # async finalize occupies every member's comm stream now
-            for g in self.trace.groups[gid]:
-                self.streams[g].occupy(t_base, t_end)
-            if self.tracer is not None:
-                for local, g in enumerate(self.trace.groups[gid]):
-                    self.tracer.annotate(
-                        g, "comm_stream", str(rnd["op"]), t_base, t_end,
-                        primary=(local == 0), algorithm=priced.algorithm,
-                    )
+    def _enter(self, rank: int, key: Tuple[int, int],
+               mode: str) -> Tuple[GroupTimeline, Round]:
+        """``rank`` enters round ``key = (gid, seq)``; the last arriver
+        prices it and places it on the group's timeline (what
+        ``ProcessGroup._finalize_round`` does with a live round)."""
+        rnd = self._rounds.get(key)
+        if rnd is None:
+            rnd = self._rounds[key] = Round()
+            rnd.mode = mode
+        tl = self.timelines[key[0]]
+        me = tl.local_of[rank]
+        if me not in rnd.entry_times:  # a blocked rank re-enters each sweep
+            rnd.entry_times[me] = self.clocks[rank].time
+            if len(rnd.entry_times) == tl.size:
+                facts = self.trace.rounds[key]
+                tl.place(rnd, str(facts["op"]),
+                         self.pricer.collective(key[0], facts),
+                         facts.get("itemsize", 1))
+                rnd.done = True
+                if self.tracer is not None:
+                    tl.mark(rnd)
+        return tl, rnd
 
     def _ev_collective(self, rank: int, ev: Tuple[Any, ...]) -> bool:
-        _t, gid, seq = ev
-        st = self._round(gid, seq)
-        clock = self.clocks[rank]
-        if rank not in st.entries:
-            st.entries[rank] = clock.time
-        if st.t_end is None:
-            if len(st.entries) < len(self.trace.groups[gid]):
-                return False
-            self._finalize(gid, seq, st, blocking=True)
-        t_entry = st.entries[rank]
-        clock.sync_to(st.t_end, "comm")
-        if self.tracer is not None:
-            rnd = self.trace.rounds[(gid, seq)]
-            self.tracer.annotate(
-                rank, "collective", str(rnd["op"]), t_entry, st.t_end,
-                primary=(rank == self.trace.groups[gid][0]),
-                algorithm=st.priced.algorithm if st.priced else "",
-            )
-        st.claimed += 1
-        if st.claimed == len(self.trace.groups[gid]):
-            del self._rounds[(gid, seq)]
+        key = ev[1:]
+        tl, rnd = self._enter(rank, key, "sync")
+        if not rnd.done:
+            return False
+        rnd.claimed += 1
+        if rnd.claimed == tl.size:
+            del self._rounds[key]
         return True
 
     def _ev_solo(self, rank: int, ev: Tuple[Any, ...]) -> bool:
         _t, gid, info = ev
-        priced = self.pricer.collective(gid, info)
-        clock = self.clocks[rank]
-        t0 = clock.time
-        tail = self._tails.get(gid, 0.0)
-        if tail > clock.time:
-            clock.sync_to(tail, "comm")
-        clock.advance(priced.seconds, "comm")
-        self._tails[gid] = clock.time
-        if priced.wire_bytes:
-            self.counters[gid].record(
-                str(info["op"]), priced.wire_bytes, priced.elements,
-                algorithm=priced.algorithm,
-            )
-        if self.tracer is not None:
-            self.tracer.annotate(
-                rank, "collective", str(info["op"]), t0, clock.time,
-                primary=True, algorithm=priced.algorithm,
-            )
+        self.timelines[gid].solo(
+            rank, str(info["op"]), self.pricer.collective(gid, info),
+            info.get("itemsize", 1))
         return True
 
     def _ev_issue(self, rank: int, ev: Tuple[Any, ...]) -> bool:
-        _t, gid, seq = ev
-        st = self._round(gid, seq)
-        st.entries[rank] = self.clocks[rank].time
-        if len(st.entries) == len(self.trace.groups[gid]):
-            self._finalize(gid, seq, st, blocking=False)
+        self._enter(rank, ev[1:], "async")
         return True
 
     def _ev_coll_wait(self, rank: int, ev: Tuple[Any, ...]) -> bool:
-        _t, gid, seq = ev
-        st = self._rounds.get((gid, seq))
-        if st is None or st.t_end is None:
+        key = ev[1:]
+        rnd = self._rounds.get(key)
+        if rnd is None or not rnd.done:
             return False
-        rnd = self.trace.rounds[(gid, seq)]
-        clock = self.clocks[rank]
-        duration = st.t_end - st.t_start
-        t_wait = clock.time
-        exposed = min(duration, max(0.0, st.t_end - t_wait))
-        clock.sync_to(st.t_end, "comm")
-        self.streams[rank].note_exposed(exposed)
-        self.counters[gid].record_overlap(
-            str(rnd["op"]) or "collective", exposed,
-            max(0.0, duration - exposed),
-        )
-        if self.tracer is not None and exposed > 0.0:
-            self.tracer.annotate(
-                rank, "overlap", f"wait:{rnd['op']}", t_wait, st.t_end,
-                exposed=exposed,
-            )
-        st.claimed += 1
-        if st.claimed == len(self.trace.groups[gid]):
-            del self._rounds[(gid, seq)]
+        tl = self.timelines[key[0]]
+        tl.settle(rank, rnd.op, rnd.t_end - rnd.t_start, rnd.t_end)
+        rnd.claimed += 1
+        if rnd.claimed == tl.size:
+            del self._rounds[key]
         return True
 
     def _ev_send(self, rank: int, ev: Tuple[Any, ...]) -> bool:
         kind, gid, dst, tag, nbytes, wire, elements, seconds = ev
-        priced = self.pricer.p2p(gid, rank, dst, nbytes,
-                                 (wire, elements, seconds))
-        clock = self.clocks[rank]
-        t0 = clock.time
-        t_avail = clock.time + priced.seconds
-        self.counters[gid].record("p2p", priced.wire_bytes, priced.elements)
-        self._mailbox.setdefault((gid, rank, dst, tag), deque()).append(t_avail)
-        if kind == "ps":  # "pse": eager send, the clock does not move
-            clock.advance(priced.seconds, "comm")
-            if self.tracer is not None:
-                self.tracer.annotate(
-                    rank, "p2p", f"send->{dst}", t0, clock.time, bytes=nbytes
-                )
+        cost = self.pricer.p2p(gid, rank, dst, nbytes, (wire, seconds))
+        # "pse": eager isend, paid by its "pw"
+        t_avail = self.timelines[gid].send(
+            rank, self.clocks[rank].time, cost, elements, dst, nbytes,
+            kind == "ps")
+        self._mailbox.setdefault((gid, rank, dst, tag), deque()).append(
+            (t_avail, nbytes))
         return True
 
     def _ev_stream_send(self, rank: int, ev: Tuple[Any, ...]) -> bool:
         _t, gid, sid, dst, tag, nbytes, wire, elements, seconds = ev
-        priced = self.pricer.p2p(gid, rank, dst, nbytes,
-                                 (wire, elements, seconds))
-        clock = self.clocks[rank]
-        tail = self._p2p_tails.get((gid, rank), 0.0)
-        start = max(clock.time, tail)
-        t_end = start + priced.seconds
-        self.counters[gid].record("p2p", priced.wire_bytes, priced.elements)
-        self._mailbox.setdefault((gid, rank, dst, tag), deque()).append(t_end)
-        self._p2p_tails[(gid, rank)] = t_end
-        self.streams[rank].occupy(start, t_end)
-        self._sids[rank][sid] = (gid, t_end, priced.seconds)
-        if self.tracer is not None:
-            self.tracer.annotate(
-                rank, "comm_stream", f"isend->{dst}", start, t_end,
-                primary=True, bytes=nbytes,
-            )
+        cost = self.pricer.p2p(gid, rank, dst, nbytes, (wire, seconds))
+        tl = self.timelines[gid]
+        t_end = tl.stream_send(rank, cost, elements, dst, nbytes)
+        self._mailbox.setdefault((gid, rank, dst, tag), deque()).append(
+            (t_end, nbytes))
+        self._sids[rank][sid] = (tl, t_end, cost.seconds)
         return True
 
     def _ev_stream_wait(self, rank: int, ev: Tuple[Any, ...]) -> bool:
-        _t, sid = ev
-        gid, t_end, seconds = self._sids[rank].pop(sid)
-        clock = self.clocks[rank]
-        t_wait = clock.time
-        exposed = min(seconds, max(0.0, t_end - t_wait))
-        clock.sync_to(t_end, "comm")
-        self.streams[rank].note_exposed(exposed)
-        self.counters[gid].record_overlap(
-            "p2p", exposed, max(0.0, seconds - exposed)
-        )
-        if self.tracer is not None and exposed > 0.0:
-            self.tracer.annotate(
-                rank, "overlap", "wait:p2p", t_wait, t_end, exposed=exposed
-            )
+        tl, t_end, seconds = self._sids[rank].pop(ev[1])
+        tl.settle(rank, "isend", seconds, t_end)
         return True
 
     def _ev_recv(self, rank: int, ev: Tuple[Any, ...]) -> bool:
@@ -767,12 +644,8 @@ class ReplayEngine:
         q = self._mailbox.get((gid, src, rank, tag))
         if not q:
             return False
-        t_avail = q.popleft()
-        clock = self.clocks[rank]
-        t0 = clock.time
-        clock.sync_to(t_avail, "comm")
-        if self.tracer is not None:
-            self.tracer.annotate(rank, "p2p", f"recv<-{src}", t0, clock.time)
+        t_avail, nbytes = q.popleft()
+        self.timelines[gid].arrive(rank, src, t_avail, nbytes)
         return True
 
     _HANDLERS = {

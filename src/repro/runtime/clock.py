@@ -159,81 +159,72 @@ class StreamClock:
     clock reconciles lazily — ``WorkHandle.wait()`` max-joins it to the op
     completion time, charging only the *exposed* remainder as ``comm``.
 
-    ``occupy``/``note_exposed`` may run on whichever thread finalizes or
-    waits a rendezvous.  The head moves by ``max``, which commutes, so
-    ``time`` — and every step time read off it — is the same float under
-    any host-thread interleaving.  The ``+=`` / ``-=`` sums behind the
-    busy / exposed / overlapped seconds do not: float addition is not
-    associative, so their last ulp follows the order the threads arrived
-    in.  Compare those to a tolerance (the goldens keep 10 significant
-    digits), never with ``==``.  ``overlapped`` starts as the full op
-    duration at issue and is reclassified to ``exposed`` at wait time for
-    whatever portion the compute clock actually stalled on.
+    ``occupy`` runs on whichever thread finalizes a rendezvous and a
+    ``wait()`` reclassifies on the waiter's.  The head moves by ``max``,
+    which commutes, and the busy / exposed / overlapped seconds are
+    append-only term lists read with ``math.fsum`` — a correctly rounded sum
+    has no order — so ``time`` and every sum are the same float under any
+    host-thread interleaving, and in a single-threaded replay's sweep order:
+    compare them with ``==``.  ``overlapped`` holds the full op duration from
+    issue; the wait appends the portion the compute clock actually stalled
+    on to ``exposed_terms`` and its negation to ``overlapped_terms``
+    (``GroupTimeline.settle``, inline: ``list.append`` needs no lock).
     """
 
-    __slots__ = ("time", "_lock", "_busy", "_exposed", "_overlapped")
+    __slots__ = ("time", "_lock", "_busy", "exposed_terms", "overlapped_terms")
 
     def __init__(self) -> None:
         #: stream head: simulated time the last queued op completes
         self.time = 0.0
         self._lock = threading.Lock()
-        self._busy: Dict[str, float] = {}
-        self._exposed = 0.0
-        self._overlapped = 0.0
+        self._busy: Dict[str, List[float]] = {}
+        self.exposed_terms: List[float] = []
+        self.overlapped_terms: List[float] = []
 
     @property
     def exposed_seconds(self) -> float:
         """Comm seconds the compute clock stalled on at ``wait()``."""
-        return self._exposed
+        return math.fsum(self.exposed_terms)
 
     @property
     def overlapped_seconds(self) -> float:
         """Comm seconds hidden behind compute (duration minus exposed)."""
-        return self._overlapped
+        return math.fsum(self.overlapped_terms)
 
     def occupy(self, t0: float, t1: float, category: str = "comm") -> None:
         """Record one op running on the stream over ``[t0, t1]``; the whole
         duration is provisionally counted as overlapped until a ``wait``
-        reclassifies the stalled portion via :meth:`note_exposed`."""
+        reclassifies the stalled portion."""
         if t1 < t0:
             raise ValueError(f"stream occupancy ends before it starts: {t0} -> {t1}")
         with self._lock:
             dt = t1 - t0
-            self._busy[category] = self._busy.get(category, 0.0) + dt
-            self._overlapped += dt
+            self._busy.setdefault(category, []).append(dt)
+            self.overlapped_terms.append(dt)
             if t1 > self.time:
                 self.time = t1
 
-    def note_exposed(self, seconds: float) -> None:
-        """Reclassify ``seconds`` of previously-occupied stream time from
-        overlapped to exposed (called by ``WorkHandle.wait``)."""
-        if seconds <= 0.0:
-            return
-        with self._lock:
-            self._exposed += seconds
-            self._overlapped -= seconds
-
     def busy_seconds(self) -> float:
         with self._lock:
-            return sum(self._busy.values())
+            return math.fsum(map(math.fsum, self._busy.values()))
 
     def breakdown(self) -> Dict[str, float]:
         """Occupied seconds per category plus the exposed/overlapped split."""
         with self._lock:
-            out = dict(self._busy)
-            out["exposed"] = self._exposed
-            out["overlapped"] = self._overlapped
-            return out
+            out = {cat: math.fsum(terms) for cat, terms in self._busy.items()}
+        out["exposed"] = self.exposed_seconds
+        out["overlapped"] = self.overlapped_seconds
+        return out
 
     def reset(self) -> None:
         with self._lock:
             self.time = 0.0
             self._busy.clear()
-            self._exposed = 0.0
-            self._overlapped = 0.0
+            self.exposed_terms.clear()
+            self.overlapped_terms.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"StreamClock(t={self.time:.6f}s, exposed={self._exposed:.6f}s, "
-            f"overlapped={self._overlapped:.6f}s)"
+            f"StreamClock(t={self.time:.6f}s, exposed={self.exposed_seconds:.6f}s, "
+            f"overlapped={self.overlapped_seconds:.6f}s)"
         )

@@ -131,6 +131,24 @@ class TestFailedRoundsAreReleased:
         assert rt.world_group.counters.retries_total == (
             rt.retry_policy.max_retries + 1)
 
+    def test_failed_handle_keeps_raising(self):
+        """A failed nonblocking round stays failed: every later ``wait()``
+        on its handle raises the round's error again (it used to return
+        ``None``, as if the op had succeeded); ``test()`` stays ``True``."""
+        def call(ctx, comm):
+            handle = comm.iallreduce(
+                np.ones(4 + (ctx.rank == 2), dtype=np.float32))
+            with pytest.raises(ValueError, match="mismatched shapes") as first:
+                handle.wait()
+            assert handle.test()
+            with pytest.raises(ValueError) as again:
+                handle.wait()
+            assert again.value is first.value
+
+        rt, errors = self._run(call)
+        assert errors == [None] * 3
+        assert rt.world_group._rounds == {}
+
 
 class TestTypedErrors:
     def test_rank_failure_attributes(self):

@@ -230,7 +230,7 @@ def _fig13b_step(overlap):
         ddp.sync()
 
     rt.run(prog, materialize=False)
-    return rt.max_time(), rt.world_group.counters
+    return rt.max_time(), rt.world_group.counters, rt
 
 
 class TestFig13bOverlapWin:
@@ -239,8 +239,8 @@ class TestFig13bOverlapWin:
         backward hooks hide behind the remaining backward compute.  The
         literals were frozen before the event-driven rendezvous, pooled
         buffers and spec-mode shortcuts, none of which may move them."""
-        t_off, cnt_off = _fig13b_step(overlap=False)
-        t_on, cnt_on = _fig13b_step(overlap=True)
+        t_off, cnt_off, _ = _fig13b_step(overlap=False)
+        t_on, cnt_on, _ = _fig13b_step(overlap=True)
         assert (t_on, cnt_on.bytes_total, cnt_on.calls_total) == (
             0.45074712087148694, 50752192512, 97)
         assert t_off == 0.5696695808672654
@@ -248,6 +248,23 @@ class TestFig13bOverlapWin:
         assert 1.0 - t_on / t_off >= 0.15
         assert cnt_on.overlapped_seconds_total > 0.0
         assert cnt_off.overlapped_seconds_total == 0.0
+
+    def test_overlap_sums_have_no_order(self):
+        """The five sums that cross threads — the group's exposed /
+        overlapped totals and each stream's busy / exposed / overlapped
+        seconds — are correctly rounded over their terms, so twelve reruns
+        read one value each (added with ``+=`` in arrival order they read
+        ``…15abp-1`` ten times and ``…15acp-1`` twice)."""
+        seen = set()
+        for _ in range(12):
+            _, cnt, rt = _fig13b_step(overlap=True)
+            seen.add((
+                cnt.exposed_seconds_total.hex(),
+                cnt.overlapped_seconds_total.hex(),
+                tuple(tuple(sorted(s.breakdown().items()))
+                      for s in rt.comm_streams),
+            ))
+        assert len(seen) == 1, seen
 
 
 # -- ZeRO ------------------------------------------------------------------

@@ -550,6 +550,39 @@ class _CallCounter:
         return total
 
 
+class _BeneathCounter(_CallCounter):
+    """Only the calls made beneath (and including) a frame whose key is one
+    of ``roots``, counted by ``(root, key(code))``: what one entry point
+    costs, wherever else its callees are also reached from."""
+
+    def __init__(self, *prefixes, key, roots):
+        super().__init__(*prefixes, key=key)
+        self.roots = frozenset(roots)
+
+    def _make_hook(self):
+        calls = collections.Counter()
+        self.parts.append(calls)
+        prefixes, key, roots = self.prefixes, self.key, self.roots
+        root, depth = None, 0  # Python frames open beneath ``root``
+
+        def hook(frame, event, arg):
+            nonlocal root, depth
+            if event == "call":
+                code = frame.f_code
+                ours = code.co_filename.startswith(prefixes)
+                if not depth and ours and key(code) in roots:
+                    root = key(code)
+                if depth or root is not None:
+                    depth += 1
+                    if ours:
+                        calls[root, key(code)] += 1
+            elif event == "return" and depth:
+                depth -= 1
+                if not depth:
+                    root = None
+        return hook
+
+
 @contextmanager
 def _count_serve_calls():
     """Calls into ``src/repro/serve`` on every thread, by function name."""
@@ -809,24 +842,31 @@ def _storm_round(world, row, col, r, i):
     handle.wait()
 
 
-def _repro_counter():
+def _repro_counter(beneath=None):
     """Calls into ``src/repro``, keyed like
-    ``comm/group.py:ProcessGroup.rendezvous``."""
+    ``comm/group.py:ProcessGroup.rendezvous`` — all of them, or only those
+    ``beneath`` the given entry points, keyed ``(entry point, callee)``."""
     import repro
 
     root = os.path.dirname(repro.__file__) + os.sep
-    return _CallCounter(
-        root, key=lambda code: f"{code.co_filename[len(root):]}:{code.co_qualname}")
+
+    def key(code):
+        return f"{code.co_filename[len(root):]}:{code.co_qualname}"
+
+    if beneath is None:
+        return _CallCounter(root, key=key)
+    return _BeneathCounter(root, key=key, roots=beneath)
 
 
-def _counted_storm(runs=1, **runtime_kwargs):
+def _counted_storm(runs=1, beneath=None, **runtime_kwargs):
     """The storm on System II under ``auto``, ``runs`` times on one runtime;
     the last run is counted on every rank from its first exchange to its
     last (thread start-up and group construction stay outside).  Returns
-    calls keyed like ``comm/group.py:ProcessGroup.rendezvous``."""
+    calls keyed like ``comm/group.py:ProcessGroup.rendezvous`` (see
+    :func:`_repro_counter` for ``beneath``)."""
     from repro.cluster import system_ii
 
-    counter = _repro_counter()
+    counter = _repro_counter(beneath)
 
     def prog(ctx, counted):
         world = Communicator.world(ctx)
@@ -876,6 +916,32 @@ class TestCollectiveHostCost:
                        "comm/payload.py:SpecArray.ndim",
                        "comm/communicator.py:Communicator.all_to_all.<locals>.<genexpr>"):
             assert calls[helper] == 0, helper
+
+    #: calls into src/repro beneath one nonblocking ``wait()`` whose round
+    #: has completed: the handle, ``GroupTimeline.settle``, ``sync_to`` (the
+    #: exposed / overlapped terms are appended inline, DESIGN 4q)
+    CALLS_PER_WAIT = 3
+    #: beneath one ``sendrecv``, the parked receiver's abort polls aside:
+    #: one timeline frame per side (``send`` / ``arrive``) on top of the 12
+    #: a hand-inlined time rule made
+    CALLS_PER_SENDRECV = 14
+
+    def test_timeline_frame_budget(self):
+        """The shared time rule costs the rank-level path one frame per
+        wait, send and receive — these two counts are what a change to
+        ``comm/timeline.py`` can break."""
+        wait = "comm/group.py:AsyncCollectiveHandle.wait"
+        sendrecv = "comm/communicator.py:Communicator.sendrecv"
+        calls = _counted_storm(beneath=(wait, sendrecv))
+        each = _STORM_WORLD * _STORM_ROUNDS
+        assert calls[wait, wait] == calls[sendrecv, sendrecv] == each
+        per_wait = sum(
+            n for (root, _), n in calls.items() if root == wait) / each
+        assert per_wait <= self.CALLS_PER_WAIT, per_wait
+        per_sendrecv = sum(
+            n for (root, callee), n in calls.items() if root == sendrecv
+            and callee != "runtime/spmd.py:SpmdRuntime.aborting") / each
+        assert per_sendrecv <= self.CALLS_PER_SENDRECV, per_sendrecv
 
     def test_warm_rounds_do_not_walk_the_topology(self):
         """Second identical run on one runtime: every probe the storm needs

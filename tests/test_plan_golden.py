@@ -14,7 +14,9 @@ stage or the replay sweep is done when this file still passes.
 
 It was generated at commit ``d81eb36`` (a ``(algorithm, op, ranks,
 nbytes)`` price memo behind ``score_candidate``, three frames per replayed
-clock advance).
+clock advance); ``replay/gpt16``'s span hash was re-cut when the replay
+began emitting the threaded run's span names and arguments (DESIGN §4q) —
+``test_projection_parity`` holds the two equal.
 
 Regenerate (only when planning behaviour is *meant* to change):
 ``PYTHONPATH=src python tests/test_plan_golden.py``
@@ -127,8 +129,9 @@ class _Stage(Module):
         return self.head(x) if self.head is not None else x
 
 
-def _capture():
-    """``bench/workloads/planning.py``'s materialized hybrid GPT step."""
+def hybrid_gpt_step():
+    """``bench/workloads/planning.py``'s materialized hybrid GPT step, as a
+    rank program (DP is whatever the world leaves after TP x PP)."""
     config = Config.from_dict(dict(
         parallel=dict(tensor=dict(size=TP, mode="1d"), pipeline=PP),
         num_microbatches=MICROBATCHES, seed=SEED))
@@ -150,7 +153,11 @@ def _capture():
         sync_gradients(stage.parameters(), pc.comm(ParallelMode.DATA))
         return ctx.clock.time
 
-    steps, trace = capture_run(uniform_cluster(WORLD), step,
+    return step
+
+
+def _capture():
+    steps, trace = capture_run(uniform_cluster(WORLD), hybrid_gpt_step(),
                                world_size=WORLD, materialize=True, seed=SEED)
     trace.axes = derive_axis_groups(WORLD, tensor=TP, pipeline=PP)
     return steps, trace

@@ -4,20 +4,14 @@
 them*: a capture records each rank's op stream during a real threaded SPMD
 run, and a single-threaded replay re-executes the stream on fresh clocks.
 The fidelity contract is exactness, not approximation: with recorded
-pricing, the replay's step time, per-rank clock/stream breakdowns and
-per-group wire counters must equal the threaded run's **bit for bit** —
-for every cell of the parallelism grid (DP / ZeRO / 1D-TP / pipeline ×
-overlap off/on × ring/tree/hierarchical) at world sizes 2–16.
-
-Cross-thread float *sums* are the one place IEEE-754 addition order can
-differ: the group counters' exposed/overlapped seconds accumulate in
-rank-arrival order in the real run but program order in the replay, and a
-stream clock's ``overlapped`` mixes ``occupy`` additions (finalizer's
-thread) with ``note_exposed`` subtractions (waiter's thread), so the
-``+``/``-`` interleaving is host-scheduling dependent.  Those fields
-compare under a 1e-12 relative tolerance; everything else — including each
-stream's busy categories and ``exposed``, which accumulate in a
-deterministic per-stream order — is exact.
+pricing, the replay's step time, per-rank clock/stream breakdowns,
+per-group counters and — replayed under a ``Tracer`` — its collective /
+comm-stream / overlap / p2p spans must equal the threaded run's with
+``==``, for every cell of the parallelism grid (DP / ZeRO / 1D-TP /
+pipeline × overlap off/on × ring/tree/hierarchical) at world sizes 2–16,
+the comm golden's storm and the plan golden's hybrid GPT step.  It holds by
+construction: both run ``repro.comm.timeline``'s rules, and the sums that
+cross threads are correctly rounded over their terms (DESIGN §4q).
 
 Also here: model-mode repricing identity (a ``Fabric.from_cluster`` of the
 captured cluster reproduces the captured costs), scale-out behaviour, and
@@ -61,21 +55,20 @@ from repro.project import (
 )
 from repro.runtime import SpmdRuntime
 from repro.tensor import Tensor
+from repro.trace import TraceReport, Tracer
 from repro.zero import ZeroOffloadEngine
 from repro.zero.policies import NoOffloadPolicy
 
 pytestmark = pytest.mark.projection
 
 H, C, B = 16, 4, 8
-REL = 1e-12  # cross-thread float-sum tolerance (see module docstring)
 
-_COUNTER_INT_FIELDS = (
+_COUNTER_FIELDS = (
     "bytes_total", "elements_total", "calls_total",
     "retries_total", "retry_bytes_total",
-)
-_COUNTER_DICT_FIELDS = (
     "by_op_bytes", "by_op_elements", "by_op_calls", "by_op_retries",
     "by_algorithm_bytes", "by_algorithm_calls",
+    "exposed_seconds_total", "overlapped_seconds_total",
 )
 
 
@@ -83,26 +76,26 @@ def _pc(ctx):
     return ParallelContext(ctx, Config.from_dict({}))
 
 
-def _assert_seconds(a: float, b: float, what: str) -> None:
-    assert a == pytest.approx(b, rel=REL, abs=1e-18), (what, a, b)
+#: the span categories the timeline rules emit (everything else in a traced
+#: run is a clock span or a program annotation)
+_TIMELINE_CATS = ("collective", "comm_stream", "overlap", "p2p")
+
+
+def _timeline_spans(tracer):
+    """Sorted multiset: a threaded run appends in its host interleaving."""
+    return sorted(
+        (s.rank, s.cat, s.name, s.t0, s.t1, repr(sorted(s.args.items())))
+        for s in tracer.spans() if s.cat in _TIMELINE_CATS)
 
 
 def _assert_parity(rt, trace, rep):
-    """The fidelity contract: replayed end-state == threaded end-state."""
+    """The fidelity contract: replayed end-state == threaded end-state, and
+    a traced replay's timeline == the (traced) threaded run's."""
     assert rep.step_time == rt.max_time()
     assert rep.source_world == rep.target_world == rt.world_size
     for r in range(rt.world_size):
         assert rep.per_rank[r].breakdown == rt.clocks[r].breakdown(), r
-        stream, real_stream = rep.per_rank[r].stream, rt.comm_streams[r].breakdown()
-        assert stream.keys() == real_stream.keys(), r
-        for cat, real_val in real_stream.items():
-            if cat == "overlapped":
-                # occupy(+) and note_exposed(-) run on different threads in
-                # the real run; the interleaving order is an ulp-level
-                # cross-thread float sum (see module docstring)
-                _assert_seconds(stream[cat], real_val, (r, cat))
-            else:
-                assert stream[cat] == real_val, (r, cat)
+        assert rep.per_rank[r].stream == rt.comm_streams[r].breakdown(), r
         assert rep.per_rank[r].peak_memory_bytes == (
             rt.cluster.device(r).memory.peak
         ), r
@@ -114,32 +107,41 @@ def _assert_parity(rt, trace, rep):
         gid = trace.groups.index(key)
         real, proj = group.counters, rep.group_counters[gid]
         assert rep.group_multiplicity[gid] == 1
-        for f in _COUNTER_INT_FIELDS:
+        for f in _COUNTER_FIELDS:
             assert getattr(proj, f) == getattr(real, f), (key, f)
-        for f in _COUNTER_DICT_FIELDS:
-            assert getattr(proj, f, {}) == getattr(real, f, {}), (key, f)
-        _assert_seconds(
-            proj.exposed_seconds_total, real.exposed_seconds_total,
-            (key, "exposed"),
-        )
-        _assert_seconds(
-            proj.overlapped_seconds_total, real.overlapped_seconds_total,
-            (key, "overlapped"),
-        )
+
+    tracer = Tracer()
+    assert project(trace, mode="recorded", tracer=tracer).to_dict() == (
+        rep.to_dict())
+    assert _timeline_spans(tracer) == _timeline_spans(rt.tracer)
+    real, proj = (TraceReport.from_tracer(t) for t in (rt.tracer, tracer))
+    assert real.collectives.keys() == proj.collectives.keys()
+    for op, stat in real.collectives.items():
+        mine = proj.collectives[op]
+        assert (mine.calls, mine.wire_bytes, mine.retries) == (
+            stat.calls, stat.wire_bytes, stat.retries), op
+        # a TraceReport adds span durations in the tracer's append order,
+        # which for the threaded run is the host's interleaving
+        assert mine.rank_seconds == pytest.approx(stat.rank_seconds, rel=1e-12)
+    for table in ("stream_seconds", "exposed_comm", "overlapped_comm"):
+        assert getattr(proj, table) == pytest.approx(
+            getattr(real, table), rel=1e-12), table
 
 
 def _capture_pair(mk_cluster, world, prog, *, overlap=False, algorithm="ring",
                   materialize=True, seed=0):
-    """Run ``prog`` twice — captured, then plain threaded — each on a fresh
-    cluster from ``mk_cluster`` (a shared cluster would let the first run's
-    tensor finalizers free into the second run's memory pools).  Returns
-    ``(trace, plain runtime, captured results, plain results)``."""
+    """Run ``prog`` twice — captured, then plain threaded under a
+    ``Tracer`` — each on a fresh cluster from ``mk_cluster`` (a shared
+    cluster would let the first run's tensor finalizers free into the second
+    run's memory pools).  Returns ``(trace, plain runtime, captured results,
+    plain results)``."""
     res_cap, trace = capture_run(
         mk_cluster(), prog, world_size=world, comm_overlap=overlap,
         comm_algorithm=algorithm, materialize=materialize, seed=seed,
     )
     rt = SpmdRuntime(
-        mk_cluster(), world, comm_overlap=overlap, comm_algorithm=algorithm
+        mk_cluster(), world, comm_overlap=overlap, comm_algorithm=algorithm,
+        tracer=Tracer(),
     )
     res_real = rt.run(prog, materialize=materialize, seed=seed)
     return trace, rt, res_cap, res_real
@@ -381,6 +383,27 @@ class TestExactParityGrid:
         )
         _assert_parity(rt, trace, project(trace, mode="recorded"))
 
+    def test_comm_golden_storm(self):
+        """Every communicator entry point, System II, comm streams on."""
+        from test_comm_golden import WORLD, _storm
+
+        trace, rt, res_cap, res_real = _capture_pair(
+            system_ii, WORLD, _storm, overlap=True, algorithm="auto",
+            materialize=False, seed=1,
+        )
+        assert res_cap == res_real
+        _assert_parity(rt, trace, project(trace, mode="recorded"))
+
+    def test_plan_golden_hybrid_step(self):
+        """The plan golden's materialized GPT step at DP2 x TP2 x PP2."""
+        from test_plan_golden import SEED, hybrid_gpt_step
+
+        trace, rt, res_cap, res_real = _capture_pair(
+            lambda: uniform_cluster(8), 8, hybrid_gpt_step(), seed=SEED,
+        )
+        assert res_cap == res_real
+        _assert_parity(rt, trace, project(trace, mode="recorded"))
+
 
 # -- model-mode repricing --------------------------------------------------
 
@@ -470,6 +493,15 @@ class TestModelModeRepricing:
         trace.streams[1] = cut
         with pytest.raises(ReplayStall):
             project(trace, mode="recorded")
+
+    def test_model_mode_names_an_op_it_cannot_price(self):
+        """An op outside the pricer's table is a loud stall naming it, like
+        an unknown event tag — it used to be priced as an all-reduce."""
+        trace, _, _, _ = _capture_pair(
+            lambda: uniform_cluster(2), 2, _tp1d_prog(2))
+        next(iter(trace.rounds.values()))["op"] = "all_shuffle"
+        with pytest.raises(ReplayStall, match="'all_shuffle'"):
+            project(trace, mode="model")
 
     def test_capture_rejects_fault_injection(self):
         from repro.faults import FaultPlan

@@ -707,8 +707,8 @@ class TestOverheadGuard:
         assert spans_on == spans_off
 
     def test_disabled_rounds_share_empty_trace_extra(self):
-        from repro.comm.group import _NO_EXTRA, _Round
+        from repro.comm.timeline import NO_EXTRA, Round
 
-        rnd = _Round()
-        assert rnd.trace_extra is _NO_EXTRA
+        rnd = Round()
+        assert rnd.trace_extra is NO_EXTRA
         assert rnd.specs is None
