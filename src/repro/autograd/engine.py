@@ -80,6 +80,10 @@ def backward(root: Tensor, grad: Optional[Tensor] = None) -> None:
     grads: Dict[int, Payload] = {id(root): seed}
 
     for node in _topo_order(root.grad_fn):
+        ctx = node.ctx
+        plan = ctx.plan
+        # with a plan, backward is a function of the out-gradient specs
+        gkey: Optional[list] = None if plan is None else []
         out_grads: List[Optional[Payload]] = []
         live: Optional[Tensor] = None  # first output something still holds
         for ref in node.outputs:
@@ -94,14 +98,31 @@ def backward(root: Tensor, grad: Optional[Tensor] = None) -> None:
                     p = t.payload
                     g = pzeros(p.shape, p.dtype, spec=type(p) is SpecArray)
             out_grads.append(g)
-        ctx = node.ctx
+            if gkey is not None:
+                if g is None:
+                    gkey.append(None)
+                elif type(g) is SpecArray:
+                    gkey.append((g.shape, g.dtype))
+                else:
+                    gkey = None
         if live is None:
             ctx.release()
             continue
 
-        in_grads = node.fn_cls.backward(ctx, *out_grads)
-        if not isinstance(in_grads, tuple):
-            in_grads = (in_grads,)
+        in_grads = None
+        if gkey is not None:
+            gkey = tuple(gkey)
+            in_grads = plan.grads.get(gkey)
+        if in_grads is None:
+            in_grads = node.fn_cls.backward(ctx, *out_grads)
+            if not isinstance(in_grads, tuple):
+                in_grads = (in_grads,)
+            if gkey is not None:
+                for g in in_grads:
+                    if g is not None and type(g) is not SpecArray:
+                        break
+                else:
+                    plan.grads[gkey] = in_grads
         bflops = ctx.backward_flops
         if bflops is None:
             bflops = ctx.flops
@@ -135,7 +156,13 @@ def backward(root: Tensor, grad: Optional[Tensor] = None) -> None:
                 _accumulate_leaf(t, g, materialize)
             else:
                 prev = grads.get(id(t))
-                grads[id(t)] = g if prev is None else padd(prev, g)
+                if prev is None:
+                    grads[id(t)] = g
+                elif (type(g) is not SpecArray or type(prev) is not SpecArray
+                      or g.shape != prev.shape or g.dtype != prev.dtype):
+                    grads[id(t)] = padd(prev, g)
+                # else: equal specs sum to that spec, an immutable value
+                # — ``prev`` stands (as in ``_accumulate_leaf``)
 
         # free this node's state: saved activations
         ctx.release()
@@ -152,6 +179,9 @@ def _accumulate_leaf(t: Tensor, g: Payload, materialize: bool) -> None:
     if t.grad is None:
         t.grad = Tensor._wrap(g, t.device, materialize, tag="grad")
     else:
-        t.grad.payload = padd(t.grad.payload, g)
+        prev = t.grad.payload
+        if (type(g) is not SpecArray or type(prev) is not SpecArray
+                or g.shape != prev.shape or g.dtype != prev.dtype):
+            t.grad.payload = padd(prev, g)
     if t.grad_hook is not None:
         t.grad_hook(t)

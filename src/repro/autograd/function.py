@@ -9,16 +9,22 @@ the node).
 
 One op is one dispatch: ``apply`` reads the thread's rank context once and
 hands the device, clock and capture recorder down from there (DESIGN.md,
-"what one op costs").
+"what one op costs").  In spec mode an op declared ``PURE`` infers once per
+signature: the first dispatch records an :class:`OpPlan` in the runtime's
+table and every later one — any rank, layer, recompute or micro-batch —
+fills its context from the plan instead of running ``forward`` (DESIGN.md,
+"infer once per signature").
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.comm.payload import Payload
+import numpy as np
+
+from repro.comm.payload import Payload, SpecArray
 from repro.runtime.spmd import rank_context
 from repro.tensor.tensor import Tensor, default_device
 
@@ -58,6 +64,8 @@ class FnCtx:
     saved_tensors: Tuple[Tensor, ...] = ()
     flops: float = 0.0
     backward_flops: Optional[float] = None  # default: same as forward
+    #: the plan this call recorded or was filled from (spec-mode pure ops)
+    plan: Optional["OpPlan"] = None
 
     def save_for_backward(self, *tensors: Tensor) -> None:
         self.saved_tensors = tensors
@@ -65,6 +73,100 @@ class FnCtx:
     def release(self) -> None:
         # drop saved tensors and any payloads stashed as attributes
         self.__dict__.clear()
+
+
+class OpPlan:
+    """What a pure op's spec-mode ``forward`` and ``backward`` compute for
+    one signature — (op class, input shapes and dtypes, static arguments) —
+    held as values so that a later dispatch of the signature, on any rank,
+    skips both.
+
+    A plan holds only what is immutable and belongs to no rank: the output
+    ``SpecArray``s, the frozen context attributes (``flops`` among them)
+    and, as argument *positions*, which inputs ``save_for_backward`` kept.
+    It never holds a ``Tensor``: that would pin a ``Storage`` and move
+    simulated peak memory.  ``grads`` maps the out-gradient specs to the
+    input-gradient ``SpecArray``s ``backward`` returned for them.
+    """
+
+    __slots__ = ("payloads", "multi", "attrs", "saved", "grads")
+
+    def __init__(
+        self,
+        payloads: Tuple[SpecArray, ...],
+        multi: bool,
+        attrs: Dict[str, Any],
+        saved: Tuple[int, ...],
+    ) -> None:
+        self.payloads = payloads
+        self.multi = multi
+        self.attrs = attrs
+        self.saved = saved
+        self.grads: Dict[tuple, Tuple[Optional[SpecArray], ...]] = {}
+
+
+#: table entry of a signature whose context held something not provably
+#: frozen: the op runs its ``forward`` on every call
+UNPLANNABLE = False
+
+_ATOMS = frozenset({int, float, bool, str, type(None), type(Ellipsis)})
+
+
+def _freeze(v: Any) -> tuple:
+    """A hashable, type-exact stand-in for a static argument or a context
+    attribute: ``2`` / ``2.0`` / ``True`` stay distinct, a ``slice``
+    (unhashable on 3.11) becomes its bounds.  Raises ``TypeError`` for
+    anything not provably immutable — an ``ndarray``, a list, an object."""
+    t = type(v)
+    if t is SpecArray:
+        return (t, v.shape, v.dtype)
+    out: list = [t]
+    for x in v if t is tuple else (v,):
+        tx = type(x)
+        if tx in _ATOMS or isinstance(x, (np.dtype, np.generic)):
+            out.append(tx)
+            out.append(x)
+        elif tx is slice:
+            out.append(tx)
+            for bound in (x.start, x.stop, x.step):
+                if bound is not None and type(bound) is not int:
+                    raise TypeError(f"slice bound {bound!r} is not a plain int")
+                out.append(bound)
+        elif tx is tuple or tx is SpecArray:
+            out.append(_freeze(x))
+        else:
+            raise TypeError(f"{tx.__name__} is not provably immutable")
+    return tuple(out)
+
+
+def _record_plan(
+    fnctx: FnCtx, args: Sequence[Any], payloads: Sequence[Payload], multi: bool
+) -> Union[OpPlan, bool]:
+    """Turn what ``forward`` left in ``fnctx`` into an :class:`OpPlan`, or
+    :data:`UNPLANNABLE` when any of it cannot be proven frozen: a
+    materialized output, a saved tensor that is not an argument, an
+    attribute ``_freeze`` rejects (a stashed ``Tensor`` among them)."""
+    for p in payloads:
+        if type(p) is not SpecArray:
+            return UNPLANNABLE
+    attrs: Dict[str, Any] = {}
+    saved: List[int] = []
+    for name, v in fnctx.__dict__.items():
+        if name == "saved_tensors":
+            for t in v:
+                for i, a in enumerate(args):
+                    if a is t:
+                        saved.append(i)
+                        break
+                else:
+                    return UNPLANNABLE
+        else:
+            try:
+                _freeze(v)
+            except TypeError:
+                return UNPLANNABLE
+            attrs[name] = v
+    return OpPlan(tuple(payloads), multi, attrs, tuple(saved))
 
 
 class Node:
@@ -115,6 +217,10 @@ class Function:
     IS_VIEW = False
     #: memory-pool tag for outputs
     OUTPUT_TAG = "activation"
+    #: in spec mode ``forward`` and ``backward`` are functions of the op's
+    #: signature alone — no randomness, no communication, no rank state —
+    #: so one recorded :class:`OpPlan` serves every dispatch of it
+    PURE = False
 
     @staticmethod
     def forward(ctx: FnCtx, *args: Any, **kwargs: Any):
@@ -126,23 +232,76 @@ class Function:
 
     @classmethod
     def apply(cls, *args: Any, **kwargs: Any) -> Union[Tensor, Tuple[Tensor, ...]]:
+        rc = rank_context()
+        # the signature, built only where a plan may serve it: a pure op
+        # in spec mode (real mode never builds a key)
+        key: Optional[list] = None
+        if rc is not None and not rc.materialize and cls.PURE:
+            key = [cls]
         inputs: List[Optional[Tensor]] = []
         needs_grad = False
         for a in args:
             if isinstance(a, Tensor):
                 if a.requires_grad:
                     needs_grad = True
+                if key is not None:
+                    p = a.payload
+                    if type(p) is SpecArray:
+                        key.append((p.shape, p.dtype))
+                    else:
+                        key = None
             else:
+                if key is not None:
+                    ta = type(a)
+                    if ta in _ATOMS:
+                        key.append((ta, a))
+                    else:
+                        try:
+                            key.append(_freeze(a))
+                        except TypeError:
+                            key = None
                 a = None
             inputs.append(a)
+        if kwargs:
+            for name, v in kwargs.items():
+                if isinstance(v, Tensor):
+                    raise TypeError(
+                        f"{cls.__name__}.apply got a Tensor for keyword "
+                        f"{name!r}: autograd tracks positional tensors only, "
+                        f"so it would never receive a gradient"
+                    )
+            if key is not None:
+                try:
+                    for name in sorted(kwargs):
+                        key.append((name, _freeze(kwargs[name])))
+                except TypeError:
+                    key = None
         if needs_grad and not getattr(_state, "grad_enabled", True):
             needs_grad = False
         fnctx = FnCtx()
-        out = cls.forward(fnctx, *args, **kwargs)
-        multi = isinstance(out, tuple)
-        payloads = out if multi else (out,)
+        plan: Union[OpPlan, bool, None] = UNPLANNABLE
+        if key is not None:
+            plans = rc.runtime.op_plans
+            key = tuple(key)
+            plan = plans.get(key)
+        if plan:
+            fnctx.__dict__.update(plan.attrs)
+            fnctx.plan = plan
+            if plan.saved:
+                saved = []
+                for i in plan.saved:
+                    saved.append(args[i])
+                fnctx.saved_tensors = tuple(saved)
+            multi, payloads = plan.multi, plan.payloads
+        else:
+            out = cls.forward(fnctx, *args, **kwargs)
+            multi = isinstance(out, tuple)
+            payloads = out if multi else (out,)
+            if plan is None:  # a cold signature: keep what forward inferred
+                plan = plans[key] = _record_plan(fnctx, args, payloads, multi)
+                if plan:
+                    fnctx.plan = plan
 
-        rc = rank_context()
         if rc is None:
             device, materialize = default_device(), True
         else:

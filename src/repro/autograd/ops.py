@@ -42,6 +42,8 @@ def _maybe_tensor(x, like: Tensor) -> Tensor:
 
 
 class Add(Function):
+    PURE = True
+
     @staticmethod
     def forward(ctx: FnCtx, a: Tensor, b: Tensor) -> Payload:
         ctx.a_shape, ctx.b_shape = a.shape, b.shape
@@ -54,6 +56,8 @@ class Add(Function):
 
 
 class Sub(Function):
+    PURE = True
+
     @staticmethod
     def forward(ctx: FnCtx, a: Tensor, b: Tensor) -> Payload:
         ctx.a_shape, ctx.b_shape = a.shape, b.shape
@@ -66,6 +70,8 @@ class Sub(Function):
 
 
 class Mul(Function):
+    PURE = True
+
     @staticmethod
     def forward(ctx: FnCtx, a: Tensor, b: Tensor) -> Payload:
         ctx.save_for_backward(a, b)
@@ -81,6 +87,8 @@ class Mul(Function):
 
 
 class Div(Function):
+    PURE = True
+
     @staticmethod
     def forward(ctx: FnCtx, a: Tensor, b: Tensor) -> Payload:
         ctx.save_for_backward(a, b)
@@ -117,6 +125,8 @@ def div(a: Tensor, b) -> Tensor:
 
 
 class Neg(Function):
+    PURE = True
+
     @staticmethod
     def forward(ctx: FnCtx, a: Tensor) -> Payload:
         ctx.flops = a.size
@@ -128,6 +138,8 @@ class Neg(Function):
 
 
 class Power(Function):
+    PURE = True
+
     @staticmethod
     def forward(ctx: FnCtx, a: Tensor, exponent: float) -> Payload:
         ctx.save_for_backward(a)
@@ -149,6 +161,8 @@ def _scalar_like(v: float, ref: Payload) -> Payload:
 
 
 class Tanh(Function):
+    PURE = True
+
     @staticmethod
     def forward(ctx: FnCtx, a: Tensor) -> Payload:
         out = P.ptanh(a.payload)
@@ -164,6 +178,8 @@ class Tanh(Function):
 
 
 class Relu(Function):
+    PURE = True
+
     @staticmethod
     def forward(ctx: FnCtx, a: Tensor) -> Payload:
         ctx.save_for_backward(a)
@@ -179,6 +195,8 @@ class Relu(Function):
 
 
 class Gelu(Function):
+    PURE = True
+
     @staticmethod
     def forward(ctx: FnCtx, a: Tensor) -> Payload:
         ctx.save_for_backward(a)
@@ -217,6 +235,8 @@ def gelu(a: Tensor) -> Tensor:
 
 
 class MatMul(Function):
+    PURE = True
+
     @staticmethod
     def forward(ctx: FnCtx, a: Tensor, b: Tensor) -> Payload:
         ctx.save_for_backward(a, b)
@@ -243,6 +263,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 class Reshape(Function):
+    PURE = True
     IS_VIEW = True
 
     @staticmethod
@@ -256,6 +277,7 @@ class Reshape(Function):
 
 
 class Transpose(Function):
+    PURE = True
     IS_VIEW = True
 
     @staticmethod
@@ -276,6 +298,7 @@ class Transpose(Function):
 
 
 class Slice(Function):
+    PURE = True
     IS_VIEW = True
 
     @staticmethod
@@ -296,14 +319,17 @@ class Slice(Function):
 
 
 class Concat(Function):
+    PURE = True
+
     @staticmethod
     def forward(ctx: FnCtx, *parts_and_axis) -> Payload:
         *parts, axis = parts_and_axis
         ctx.axis = axis
-        ctx.sizes = [p.shape[axis] for p in parts]
+        # tuples, not lists: a context of immutable values can be planned
+        ctx.sizes = tuple([p.shape[axis] for p in parts])
         ctx.spec = any(type(p.payload) is SpecArray for p in parts)
-        ctx.dtypes = [p.dtype for p in parts]
-        ctx.shapes = [p.shape for p in parts]
+        ctx.dtypes = tuple([p.dtype for p in parts])
+        ctx.shapes = tuple([p.shape for p in parts])
         return P.pconcat([p.payload for p in parts], axis)
 
     @staticmethod
@@ -373,6 +399,8 @@ def split(a: Tensor, parts: int, axis: int = 0) -> Tuple[Tensor, ...]:
 
 
 class Sum(Function):
+    PURE = True
+
     @staticmethod
     def forward(ctx: FnCtx, a: Tensor, axis, keepdims: bool) -> Payload:
         ctx.a_shape = a.shape
@@ -387,6 +415,8 @@ class Sum(Function):
 
 
 class Mean(Function):
+    PURE = True
+
     @staticmethod
     def forward(ctx: FnCtx, a: Tensor, axis, keepdims: bool) -> Payload:
         ctx.a_shape = a.shape
@@ -431,6 +461,8 @@ def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 class Softmax(Function):
+    PURE = True
+
     @staticmethod
     def forward(ctx: FnCtx, a: Tensor, axis: int) -> Payload:
         out = P.psoftmax(a.payload, axis=axis)
@@ -454,6 +486,8 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 class LayerNorm(Function):
     """Normalize over the last dimension with affine gamma/beta."""
+
+    PURE = True
 
     @staticmethod
     def forward(ctx: FnCtx, x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Payload:
@@ -560,6 +594,8 @@ def dropout(a: Tensor, p: float, training: bool = True) -> Tensor:
 class CrossEntropy(Function):
     """Mean cross-entropy of logits [N, C] against int targets [N]."""
 
+    PURE = True
+
     @staticmethod
     def forward(ctx: FnCtx, logits: Tensor, targets) -> Payload:
         ctx.flops = 8 * logits.size
@@ -592,6 +628,8 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 
 
 class MSELoss(Function):
+    PURE = True
+
     @staticmethod
     def forward(ctx: FnCtx, pred: Tensor, target: Tensor) -> Payload:
         ctx.flops = 3 * pred.size
@@ -617,6 +655,8 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
 
 
 class Cast(Function):
+    PURE = True
+
     @staticmethod
     def forward(ctx: FnCtx, a: Tensor, dtype) -> Payload:
         ctx.a_dtype = a.dtype

@@ -73,9 +73,8 @@ def sync_gradients(
     pool = comm.group.runtime.buffer_pool
     with_grads = [p for p in params if p.grad is not None]
     for bucket in _bucketize(with_grads, int(bucket_mb * MB)):
-        if any(not p.grad.materialized for p in bucket):
-            nbytes = sum(p.grad.nbytes for p in bucket)
-            flat: object = SpecArray((nbytes // 4,), "float32")
+        flat: object = _spec_flat(bucket)
+        if flat is not None:
             comm.all_reduce(flat)
             continue
         flat = _flat_bucket(bucket, pool)
@@ -93,6 +92,19 @@ def sync_gradients(
             pool.restock(reduced)
             if averaged is not reduced:
                 pool.restock(averaged)
+
+
+def _spec_flat(bucket: Sequence[Parameter]) -> Optional[SpecArray]:
+    """The flat float32 stand-in a bucket with a spec-mode gradient puts on
+    the wire (same bytes as the gradients), or ``None`` when every gradient
+    is materialized.  A plain loop: it runs once per bucket per rank."""
+    nbytes, spec = 0, False
+    for p in bucket:
+        g = p.grad.payload
+        nbytes += g.nbytes
+        if type(g) is SpecArray:
+            spec = True
+    return SpecArray((nbytes // 4,), "float32") if spec else None
 
 
 def _flat_bucket(bucket: Sequence[Parameter], pool: Optional[Any]) -> np.ndarray:
@@ -196,10 +208,8 @@ class DistributedDataParallel(Module):
         bucket = [p for p in self._buckets[bi] if p.grad is not None]
         if not bucket:
             return
-        if any(not p.grad.materialized for p in bucket):
-            nbytes = sum(p.grad.nbytes for p in bucket)
-            flat: Any = SpecArray((nbytes // 4,), "float32")
-        else:
+        flat: Any = _spec_flat(bucket)
+        if flat is None:
             flat = _flat_bucket(bucket, self.comm.group.runtime.buffer_pool)
         self._pending.append((bi, self.comm.iallreduce(flat), flat))
 

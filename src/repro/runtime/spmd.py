@@ -226,6 +226,11 @@ class SpmdRuntime:
             self.fault_injector: Optional[Any] = FaultInjector(fault_plan)
         else:
             self.fault_injector = None
+        #: spec-mode op plans by signature (repro.autograd.function.OpPlan):
+        #: filled on first dispatch, read by every rank, dies with the
+        #: runtime.  No lock — ranks racing a cold signature both infer it
+        #: and store equal plans.
+        self.op_plans: Dict[tuple, Any] = {}
         self._abort = threading.Event()
         self.failure: Optional[Tuple[int, BaseException]] = None
         self._group_lock = threading.Lock()

@@ -209,6 +209,45 @@ class TestCheckpoint:
         np.testing.assert_allclose(out.numpy(), np.tanh(0.5))
 
 
+    def test_dropout_recomputed_under_the_forward_mask(self):
+        """The recompute rewinds the rank RNG to where the forward stood —
+        checkpointed gradients equal plain ones with dropout on — and puts
+        it back, so later draws are an uncheckpointed run's."""
+        from repro.cluster import uniform_cluster
+        from repro.runtime import SpmdRuntime
+
+        def prog(ctx, use_ckpt):
+            x = Tensor(np.ones((4, 8)), requires_grad=True)
+
+            def block(x):
+                return ops.mul(ops.dropout(ops.mul(x, 2.0), 0.5), x)
+
+            out = checkpoint(block, x) if use_ckpt else block(x)
+            out.sum().backward()
+            return x.grad.numpy(), ctx.rng.random(4)
+
+        rt = SpmdRuntime(uniform_cluster(1))
+        (plain, draws_plain), = rt.run(prog, False, seed=7)
+        (ckpt, draws_ckpt), = rt.run(prog, True, seed=7)
+        assert set(np.unique(plain)) == {0.0, 8.0}, "mask never dropped or kept"
+        np.testing.assert_array_equal(ckpt, plain)
+        np.testing.assert_array_equal(draws_ckpt, draws_plain)
+
+
+class TestKeywordTensor:
+    def test_tensor_by_keyword_is_rejected_at_apply(self):
+        """A keyword Tensor is invisible to autograd; it used to die three
+        layers down, in backward's grad-count check."""
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(TypeError, match=r"Mul\.apply.*'b'"):
+            ops.Mul.apply(a, b=b)
+        with no_grad(), pytest.raises(TypeError, match="'b'"):
+            ops.Mul.apply(a, b=b)
+        # non-tensor keywords keep working
+        assert ops.Sum.apply(a, axis=None, keepdims=False).item() == 3.0
+
+
 class TestSpecBackward:
     def test_shapes_propagate(self):
         x = Tensor(SpecArray((8, 16)), requires_grad=True)

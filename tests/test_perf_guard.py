@@ -680,12 +680,13 @@ class TestServeHostCost:
 # -- training: what one dispatched op costs (ISSUE 17) -----------------------
 
 
-def _counted_spec_step(world=2, layers=2, hidden=64, heads=4):
+def _counted_spec_step(world=2, layers=2, hidden=64, heads=4, warm=False):
     """One overlapped, checkpointed spec-mode DDP step per rank, counted
     from the first forward op to the end of ``sync`` (model construction
-    stays outside the window).  Returns (calls keyed like
-    ``autograd/function.py:Function.apply``, frames inside numpy's stride
-    tricks)."""
+    stays outside the window); ``warm`` runs an uncounted step first, so
+    the counted one finds every op plan in the runtime's table.  Returns
+    (calls keyed like ``autograd/function.py:Function.apply``, frames
+    inside numpy's stride tricks, distinct op signatures planned)."""
     import inspect
 
     import repro
@@ -709,33 +710,40 @@ def _counted_spec_step(world=2, layers=2, hidden=64, heads=4):
                 x = checkpoint(layer, x)
             return x
 
-    def prog(ctx):
+    def prog(ctx, counted):
         ddp = DistributedDataParallel(Stack(), _pc(ctx), bucket_mb=0.01,
                                       overlap=True)
         x = Tensor(SpecArray((2, 8, hidden), "float16"), requires_grad=True)
-        with counter.this_thread():
+        with counter.this_thread() if counted else nullcontext():
             ddp(x).sum().backward()
             ddp.sync()
 
     rt = SpmdRuntime(uniform_cluster(world), world, comm_overlap=True)
-    rt.run(prog, materialize=False)
+    if warm:
+        rt.run(prog, False, materialize=False)
+    rt.run(prog, True, materialize=False)
     calls = counter.total()
-    return calls, calls.pop("numpy", 0)
+    return calls, calls.pop("numpy", 0), len(rt.op_plans)
 
 
 class TestSpecDispatchCost:
     #: calls into src/repro per ``Function.apply`` over the whole step —
-    #: forward, recompute, backward, bucket all-reduces.  Read 26.7 when
-    #: written; the per-helper context lookups, generator frames and
-    #: property chains this replaced read 66.7
-    CALLS_PER_OP = 29.5
+    #: forward, recompute, backward, bucket all-reduces — on a cold op-plan
+    #: table.  Reads 16.7 (14.7 warm); 25.3 when every dispatch ran its
+    #: own shape inference, 66.7 before the per-helper context lookups,
+    #: generator frames and property chains went
+    CALLS_PER_OP = 20.0
+    #: calls into ``payload_ops`` per distinct op signature over a warm
+    #: step.  Reads 2 calls for 23 signatures: each rank's ``ones_like``
+    #: seed
+    INFERENCE_PER_SIGNATURE = 1.0
 
     @pytest.fixture(scope="class")
     def counted(self):
         return _counted_spec_step()
 
     def test_calls_per_dispatched_op(self, counted):
-        calls, numpy_frames = counted
+        calls, numpy_frames, _ = counted
         ops_run = calls["autograd/function.py:Function.apply"]
         assert ops_run > 200, "step no longer exercises the dispatch path"
         per_op = sum(calls.values()) / ops_run
@@ -746,11 +754,28 @@ class TestSpecDispatchCost:
         assert calls["autograd/payload_ops.py:_basic_index_shape"] > 0
         assert numpy_frames == 0
 
+    def test_inference_grows_with_signatures_not_depth(self):
+        """On a warm table no pure op infers a shape: calls into
+        ``payload_ops`` are bounded by the distinct signatures of the step,
+        whatever its depth — layers, ranks and recompute repeat signatures,
+        they do not add any."""
+        inferred = {}
+        for layers in (2, 6):
+            calls, _, signatures = _counted_spec_step(layers=layers, warm=True)
+            assert calls["autograd/function.py:Function.apply"] > 100 * layers
+            inferred[layers] = sum(
+                n for fn, n in calls.items()
+                if fn.startswith("autograd/payload_ops.py:"))
+            assert inferred[layers] <= self.INFERENCE_PER_SIGNATURE * signatures
+            for fn in ("_broadcast", "_basic_index_shape", "matmul_shape"):
+                assert calls[f"autograd/payload_ops.py:{fn}"] == 0, fn
+        assert inferred[6] == inferred[2] > 0
+
     def test_one_context_read_per_op(self, counted):
         """Each dispatched op, each ``backward()`` and each public
         ``Tensor(...)`` reads the thread-local rank context once; nothing
         below them reads it again."""
-        calls, _ = counted
+        calls, _, _ = counted
         reads = sum(calls[f"runtime/spmd.py:{fn}"] for fn in (
             "rank_context", "current_rank_context", "in_spmd"))
         entry_points = (
@@ -770,7 +795,7 @@ class TestSpecDispatchCost:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(weakref.finalize, "__init__", counting_init)
-        calls, _ = _counted_spec_step()
+        calls, _, _ = _counted_spec_step()
         assert created == []
         assert calls["tensor/tensor.py:Storage.release"] > 0
 

@@ -38,3 +38,41 @@ def test_every_top_level_definition_is_named_or_kept():
         and not kept_by(str(p.relative_to(src)), node.name))
     assert not orphans, f"named nowhere outside tests: delete, or add a tools/keep.py row with the reason: {orphans}"
     assert all(reason.strip() for reason in KEEP.values())
+
+
+def _assigns_pure(node):
+    return isinstance(node, ast.Assign) and any(
+        getattr(t, "id", getattr(t, "attr", None)) == "PURE" for t in node.targets)
+
+
+def test_pure_ops_draw_nothing_and_talk_to_no_one():
+    """``PURE = True`` (DESIGN §4r) promises that ``forward`` / ``backward`` are functions of
+    the op's signature.  It is declared in the class body, in ``autograd/ops.py`` only, and a
+    body that reads the rank context, an RNG or a communicator, or builds a ``Tensor``, cannot
+    carry it - so copying an op does not copy a promise the copy breaks."""
+    src = ROOT / "src" / "repro"
+    pure = []
+    for p in src.rglob("*.py"):
+        where = str(p.relative_to(src))
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.ClassDef):
+                flags = [s.value.value for s in node.body if _assigns_pure(s)]
+                if flags == [True]:
+                    assert where == "autograd/ops.py", f"{where}::{node.name} declares PURE"
+                    pure.append(node)
+                else:
+                    assert flags == [] or (where, node.name) == ("autograd/function.py", "Function")
+            elif _assigns_pure(node):  # ``SomeOp.PURE = True`` from the outside
+                assert where in ("autograd/ops.py", "autograd/function.py"), where
+    assert len(pure) > 15
+    for cls in pure:
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name in ("forward", "backward"):
+                for node in ast.walk(fn):
+                    call = node.func if isinstance(node, ast.Call) else None
+                    impure = (
+                        isinstance(node, ast.Name) and node.id == "rank_context"
+                        or isinstance(node, ast.Attribute) and node.attr in ("rng", "comm")
+                        or isinstance(call, ast.Name) and call.id == "Tensor"
+                        or isinstance(call, ast.Attribute) and call.attr == "_wrap")
+                    assert not impure, f"{cls.name}.{fn.name} line {node.lineno}: not pure"
