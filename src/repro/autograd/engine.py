@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.autograd.function import DTYPE_NAMES, Node
+from repro.autograd.function import Node
 from repro.autograd.payload_ops import padd, pones_like, pzeros
-from repro.comm.payload import Payload, SpecArray
+from repro.comm.payload import DTYPE_NAMES, Payload, SpecArray
 from repro.runtime.spmd import rank_context
 from repro.tensor.tensor import Tensor
 

@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.comm.payload import Payload, SpecArray
+from repro.comm.payload import DTYPE_NAMES, Payload, SpecArray
 from repro.runtime.spmd import rank_context
 from repro.tensor.tensor import Tensor, default_device
 
@@ -45,11 +45,6 @@ class no_grad:
 
     def __exit__(self, *exc) -> None:
         _state.grad_enabled = self._prev
-
-
-# np.dtype.name runs Python inside numpy on every access; memoize per dtype
-# (a pure function of the dtype, so there is nothing to invalidate)
-DTYPE_NAMES: dict = {}
 
 
 class FnCtx:

@@ -599,10 +599,13 @@ class CrossEntropy(Function):
     @staticmethod
     def forward(ctx: FnCtx, logits: Tensor, targets) -> Payload:
         ctx.flops = 8 * logits.size
+        # a Tensor of class ids is a second tensor input: it gets a (None)
+        # gradient of its own
+        ctx.tensor_targets = isinstance(targets, Tensor)
         if type(logits.payload) is SpecArray:
             ctx.spec = (logits.shape, logits.dtype)
             return SpecArray((), logits.dtype)
-        t = targets.payload if isinstance(targets, Tensor) else np.asarray(targets)
+        t = targets.payload if ctx.tensor_targets else np.asarray(targets)
         logp = P.plog_softmax(logits.payload, axis=-1)
         n = logits.shape[0]
         ctx.spec = None
@@ -614,11 +617,13 @@ class CrossEntropy(Function):
     def backward(ctx: FnCtx, g: Payload):
         if ctx.spec is not None or type(g) is SpecArray:
             shape, dtype = ctx.spec
-            return (SpecArray(shape, dtype),)
-        s = ctx.softmax.copy()
-        n = s.shape[0]
-        s[np.arange(n), ctx.targets] -= 1.0
-        return ((g * s / n).astype(s.dtype),)
+            grad = SpecArray(shape, dtype)
+        else:
+            s = ctx.softmax.copy()
+            n = s.shape[0]
+            s[np.arange(n), ctx.targets] -= 1.0
+            grad = (g * s / n).astype(s.dtype)
+        return (grad, None) if ctx.tensor_targets else (grad,)
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:

@@ -36,6 +36,22 @@ def _as_dtype(dtype) -> np.dtype:
         return dt
 
 
+# np.dtype.name runs Python inside numpy on every access (``_name_get`` ->
+# ``issubdtype`` -> two ``issubclass_``); every layer that names a dtype reads
+# this one memo, a pure function of the dtype with nothing to invalidate.
+# Hot paths read it inline; the rest call ``dtype_name``
+DTYPE_NAMES: dict = {}
+
+
+def dtype_name(dtype) -> str:
+    """``np.dtype(dtype).name``, through :data:`DTYPE_NAMES`."""
+    dtype = _as_dtype(dtype)
+    name = DTYPE_NAMES.get(dtype)
+    if name is None:
+        name = DTYPE_NAMES[dtype] = dtype.name
+    return name
+
+
 class SpecArray:
     """A shape+dtype stand-in for an ndarray (no storage).
 

@@ -34,7 +34,6 @@ from repro.sanitize.replay import (
     OpRecord,
     first_divergence,
     load_golden,
-    make_record,
     records_equal,
     save_golden,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "capture_callsite",
     "first_divergence",
     "load_golden",
-    "make_record",
     "payload_checksum",
     "records_equal",
     "save_golden",

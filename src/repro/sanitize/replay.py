@@ -31,24 +31,10 @@ from repro.sanitize.errors import ReplayDivergence
 
 GOLDEN_VERSION = 1
 
+#: one stream entry, keys in this order: ``kind``, ``op``, ``sig``, then
+#: ``group`` and ``seq`` (collective) or ``peer`` (p2p), then ``crc`` and
+#: ``rcrc`` under checksum mode — :class:`CommSanitizer` builds it in place
 OpRecord = Dict[str, Any]
-
-
-def make_record(kind: str, op: str, sig: str, *,
-                group: Optional[List[int]] = None,
-                seq: Optional[int] = None,
-                peer: Optional[int] = None,
-                crc: Optional[int] = None) -> OpRecord:
-    rec: OpRecord = {"kind": kind, "op": op, "sig": sig}
-    if group is not None:
-        rec["group"] = list(group)
-    if seq is not None:
-        rec["seq"] = int(seq)
-    if peer is not None:
-        rec["peer"] = int(peer)
-    if crc is not None:
-        rec["crc"] = int(crc)
-    return rec
 
 
 def records_equal(a: OpRecord, b: OpRecord, check_crc: bool = True) -> bool:

@@ -56,7 +56,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.comm.payload import SpecArray
+from repro.comm.payload import SpecArray, dtype_name
 from repro.sanitize.errors import (
     ChecksumMismatch,
     CollectiveDesync,
@@ -68,7 +68,6 @@ from repro.sanitize.replay import (
     GOLDEN_VERSION,
     OpRecord,
     load_golden,
-    make_record,
     records_equal,
     save_golden,
 )
@@ -80,26 +79,41 @@ from repro.sanitize.spec import (
 )
 
 
+#: a :class:`SpecArray`'s checksum by ``(shape, dtype)``, the only two
+#: things it depends on: read inline, computed once per signature.  It is
+#: process-wide like :data:`~repro.comm.payload.DTYPE_NAMES`, because
+#: :func:`payload_checksum` is a free function (the race detector calls it
+#: too) and an entry is a pure function of its key: nothing goes stale
+#: between runs, and it holds one int per distinct spec shape and dtype
+_SPEC_CRCS: Dict[Tuple[Tuple[int, ...], np.dtype], int] = {}
+
+
+def _spec_crc(shape: Tuple[int, ...], dtype: np.dtype) -> int:
+    """The memo's miss path: checksum one new spec signature."""
+    crc = zlib.crc32(repr((shape, dtype_name(dtype), "spec")).encode())
+    _SPEC_CRCS[shape, dtype] = crc
+    return crc
+
+
 def payload_checksum(payload: Any) -> int:
     """CRC32 of a payload's identity: shape+dtype header plus raw bytes for
     ndarrays, shape+dtype only for :class:`SpecArray` stand-ins, recursive
     combination for chunk lists, ``repr`` for control-plane objects."""
     if payload is None:
         return 0
+    if type(payload) is SpecArray:
+        crc = _SPEC_CRCS.get((payload.shape, payload.dtype))
+        return _spec_crc(payload.shape, payload.dtype) if crc is None else crc
     if isinstance(payload, np.ndarray):
         head = zlib.crc32(repr((payload.shape, payload.dtype.str)).encode())
         return zlib.crc32(np.ascontiguousarray(payload).tobytes(), head)
-    if type(payload) is SpecArray:
-        return zlib.crc32(
-            repr((payload.shape, payload.dtype.name, "spec")).encode()
-        )
     if isinstance(payload, (list, tuple)):
         crc = len(payload)
         for p in payload:
             if type(p) is SpecArray:  # a spec chunk list costs one frame
-                sub = zlib.crc32(
-                    repr((p.shape, p.dtype.name, "spec")).encode()
-                )
+                sub = _SPEC_CRCS.get((p.shape, p.dtype))
+                if sub is None:
+                    sub = _spec_crc(p.shape, p.dtype)
             else:
                 sub = payload_checksum(p)
             crc = zlib.crc32(sub.to_bytes(4, "little"), crc)
@@ -422,28 +436,28 @@ class CommSanitizer:
             self.race_detector.verify_and_release(
                 op, race_token, results, group.ranks
             )
+        ranks, checksum = group.ranks, self.checksum
         digest: Optional[int] = None
         with self._lock:
+            streams, replay = self._streams, self._replay
             for local in sorted(payloads):
-                g = group.ranks[local]
                 spec = specs.get(local) if specs else None
-                crc = rcrc = None
-                if self.checksum:
+                # one record per member, built in place (DESIGN §4s)
+                rec = {"kind": "collective", "op": op,
+                       "sig": spec.signature if spec else op,
+                       "group": list(ranks), "seq": seq}
+                if checksum:
                     if spec is None or spec.contributes:
-                        crc = payload_checksum(payloads[local])
-                    rcrc = payload_checksum(results.get(local))
+                        rec["crc"] = payload_checksum(payloads[local])
+                    rcrc = rec["rcrc"] = payload_checksum(results.get(local))
                     digest = zlib.crc32(
                         rcrc.to_bytes(4, "little"),
                         digest if digest is not None else 0,
                     )
-                rec = make_record(
-                    "collective", op,
-                    spec.signature if spec else op,
-                    group=list(group.ranks), seq=seq, crc=crc,
-                )
-                if rcrc is not None:
-                    rec["rcrc"] = rcrc
-                self._append_record_locked(g, rec)
+                stream = streams.setdefault(ranks[local], [])
+                stream.append(rec)
+                if replay is not None:
+                    self._check_replay_locked(ranks[local], len(stream) - 1, rec)
         extra: Dict[str, Any] = {"sanitized": True}
         if digest is not None:
             extra["digest"] = digest
@@ -533,21 +547,35 @@ class CommSanitizer:
 
     # -- p2p hooks -----------------------------------------------------------
 
+    def _p2p_signature(self, kind: str, payload: Any) -> str:
+        """``send((4,), 'float32')``-style label, rendered once per
+        (kind, shape, dtype) into the call-signature memo."""
+        key = (kind, getattr(payload, "shape", None),
+               getattr(payload, "dtype", None))
+        sig = self._signatures.get(key)
+        if sig is None:
+            sig = self._signatures[key] = f"{kind}{_shape_dtype(payload)}"
+        return sig
+
     def note_send(self, src: int, dst: int, key: Any, payload: Any) -> None:
-        sd = _shape_dtype(payload)
-        crc = payload_checksum(payload) if self.checksum else None
+        rec = {"kind": "send", "op": "send",
+               "sig": self._p2p_signature("send", payload), "peer": dst}
+        crc = None
+        if self.checksum:
+            crc = rec["crc"] = payload_checksum(payload)
         with self._lock:
             if crc is not None:
                 self._send_crcs.setdefault(key, []).append(crc)
-            self._append_record_locked(src, make_record(
-                "send", "send", f"send{sd}", peer=dst, crc=crc,
-            ))
+            stream = self._streams.setdefault(src, [])
+            stream.append(rec)
+            if self._replay is not None:
+                self._check_replay_locked(src, len(stream) - 1, rec)
 
     def verify_recv(self, src: int, dst: int, key: Any, payload: Any) -> None:
-        sd = _shape_dtype(payload)
-        crc = None
+        rec = {"kind": "recv", "op": "recv",
+               "sig": self._p2p_signature("recv", payload), "peer": src}
         if self.checksum:
-            crc = payload_checksum(payload)
+            crc = rec["crc"] = payload_checksum(payload)
             with self._lock:
                 fifo = self._send_crcs.get(key)
                 expected = fifo.pop(0) if fifo else None
@@ -561,9 +589,10 @@ class CommSanitizer:
                     "recv", src, dst, expected, crc, injected=False
                 )
         with self._lock:
-            self._append_record_locked(dst, make_record(
-                "recv", "recv", f"recv{sd}", peer=src, crc=crc,
-            ))
+            stream = self._streams.setdefault(dst, [])
+            stream.append(rec)
+            if self._replay is not None:
+                self._check_replay_locked(dst, len(stream) - 1, rec)
 
     def note_injected_corruption(self, src: int, dst: int) -> None:
         """The fault injector corrupted one p2p attempt; the transport's
@@ -584,15 +613,13 @@ class CommSanitizer:
 
     # -- streams / replay ----------------------------------------------------
 
-    def _append_record_locked(self, rank: int, rec: OpRecord) -> None:
-        stream = self._streams.setdefault(rank, [])
-        idx = len(stream)
-        stream.append(rec)
-        if self._replay is not None:
-            golden = self._replay["streams"].get(rank, [])
-            expected = golden[idx] if idx < len(golden) else None
-            if expected is None or not records_equal(expected, rec):
-                raise ReplayDivergence(rank, idx, expected, rec)
+    def _check_replay_locked(self, rank: int, idx: int, rec: OpRecord) -> None:
+        """Replay conformance: ``rec``, just appended at ``idx`` of ``rank``'s
+        stream, must equal the golden record there (replay set, lock held)."""
+        golden = self._replay["streams"].get(rank, [])
+        expected = golden[idx] if idx < len(golden) else None
+        if expected is None or not records_equal(expected, rec):
+            raise ReplayDivergence(rank, idx, expected, rec)
 
     def streams(self) -> Dict[int, List[OpRecord]]:
         with self._lock:

@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-import numpy as np
+from repro.comm.payload import dtype_name
 
 #: path fragments whose frames are skipped when locating the user call site
 _INTERNAL_DIRS = (
@@ -56,7 +56,7 @@ def _shape_dtype(payload: Any) -> Optional[Tuple[Tuple[int, ...], str]]:
     dtype = getattr(payload, "dtype", None)
     if shape is None or dtype is None:
         return None
-    return tuple(int(s) for s in shape), np.dtype(dtype).name
+    return tuple(int(s) for s in shape), dtype_name(dtype)
 
 
 def _fmt_shape(shape: Tuple[Any, ...]) -> str:

@@ -11,10 +11,26 @@ actually stalled for it) and *overlapped* (hidden under compute) seconds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.trace.tracer import CLOCK_CATEGORIES, KIND_CLOCK, Tracer
+
+
+def _terms(tracer: Tracer, cat: str,
+           arg: Optional[str] = None) -> Dict[int, List[float]]:
+    """Per rank, the durations of its ``cat`` spans (or their ``arg``
+    value where a span carries one)."""
+    out: Dict[int, List[float]] = {}
+    for s in tracer.spans(cat=cat):
+        out.setdefault(s.rank, []).append(
+            s.duration if arg is None else float(s.args.get(arg, s.duration)))
+    return out
+
+
+def _fsums(terms: Dict) -> Dict:
+    return {key: math.fsum(ts) for key, ts in terms.items()}
 
 
 @dataclass
@@ -45,33 +61,31 @@ class TraceReport:
 
     @classmethod
     def from_tracer(cls, tracer: Tracer) -> "TraceReport":
+        """Every float table is a ``math.fsum`` over its per-key terms: a
+        correctly rounded sum has no order, so the report is the same
+        whatever order rank threads appended their spans in."""
         rep = cls()
+        per_rank: Dict[int, Dict[str, List[float]]] = {}
         for s in tracer.spans(kind=KIND_CLOCK):
-            cats = rep.per_rank.setdefault(s.rank, {})
-            cats[s.cat] = cats.get(s.cat, 0.0) + s.duration
+            per_rank.setdefault(s.rank, {}).setdefault(s.cat, []).append(
+                s.duration)
             rep.per_rank_total[s.rank] = max(
                 rep.per_rank_total.get(s.rank, 0.0), s.t1
             )
+        rep.per_rank = {rank: _fsums(cats) for rank, cats in per_rank.items()}
+        rank_seconds: Dict[str, List[float]] = {}
         for s in tracer.spans(cat="collective"):
             stat = rep.collectives.setdefault(s.name, CollectiveStat(s.name))
-            stat.rank_seconds += s.duration
+            rank_seconds.setdefault(s.name, []).append(s.duration)
             if s.args.get("primary"):
                 stat.calls += 1
                 stat.wire_bytes += int(s.args.get("wire_bytes", 0))
                 stat.retries += int(s.args.get("retries", 0))
-        for s in tracer.spans(cat="bubble"):
-            rep.bubble_seconds[s.rank] = (
-                rep.bubble_seconds.get(s.rank, 0.0) + s.duration
-            )
-        for s in tracer.spans(cat="comm_stream"):
-            rep.stream_seconds[s.rank] = (
-                rep.stream_seconds.get(s.rank, 0.0) + s.duration
-            )
-        for s in tracer.spans(cat="overlap"):
-            rep.exposed_comm[s.rank] = (
-                rep.exposed_comm.get(s.rank, 0.0)
-                + float(s.args.get("exposed", s.duration))
-            )
+        for op, seconds in _fsums(rank_seconds).items():
+            rep.collectives[op].rank_seconds = seconds
+        rep.bubble_seconds = _fsums(_terms(tracer, "bubble"))
+        rep.stream_seconds = _fsums(_terms(tracer, "comm_stream"))
+        rep.exposed_comm = _fsums(_terms(tracer, "overlap", "exposed"))
         for rank, stream in rep.stream_seconds.items():
             rep.overlapped_comm[rank] = max(
                 0.0, stream - rep.exposed_comm.get(rank, 0.0)

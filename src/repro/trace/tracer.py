@@ -141,12 +141,6 @@ class Tracer:
 
     # -- recording ---------------------------------------------------------
 
-    def clock_span(self, rank: int, category: str, t0: float, t1: float) -> None:
-        """Record a clock-level category span (called by SimClock observers;
-        zero-duration advances are skipped at the call site)."""
-        with self._lock:
-            self._spans.append(Span(rank, category, category, t0, t1, KIND_CLOCK))
-
     def annotate(self, rank: int, cat: str, name: str, t0: float, t1: float,
                  **args: Any) -> None:
         """Record a named annotation span over ``[t0, t1]``."""
@@ -225,7 +219,10 @@ class Tracer:
 
 
 class _ClockObserver:
-    """Per-clock callback binding a rank id (avoids a closure per clock)."""
+    """Per-clock callback recording one clock-level category span per
+    nonzero advance (zero-duration advances are skipped by the clock); it
+    appends the span itself, with no tracer method frame in between
+    (DESIGN §4s)."""
 
     __slots__ = ("_tracer", "_rank")
 
@@ -234,4 +231,7 @@ class _ClockObserver:
         self._rank = rank
 
     def __call__(self, category: str, t0: float, t1: float) -> None:
-        self._tracer.clock_span(self._rank, category, t0, t1)
+        span = Span(self._rank, category, category, t0, t1, KIND_CLOCK)
+        tracer = self._tracer
+        with tracer._lock:
+            tracer._spans.append(span)

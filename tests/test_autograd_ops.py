@@ -121,6 +121,39 @@ class TestSoftmaxLossGrads:
         targets = np.random.default_rng(3).integers(0, 5, 6)
         gradcheck(lambda l: ops.cross_entropy(l, targets), [logits], rtol=1e-3)
 
+    @pytest.mark.parametrize("materialize", [True, False])
+    def test_cross_entropy_tensor_targets(self, materialize):
+        """Targets passed as a ``Tensor`` are a second tensor input: they
+        receive a ``None`` gradient and the logits the array-target one —
+        in spec mode on the cold dispatch and on the plan's replay."""
+        from repro.cluster import uniform_cluster
+        from repro.runtime import SpmdRuntime
+
+        ids = np.random.default_rng(3).integers(0, 5, 6)
+        logits_data = np.random.default_rng(4).standard_normal((6, 5))
+
+        def prog(ctx):
+            grads = []
+            for targets in (ids, Tensor(ids), Tensor(ids)):
+                logits = Tensor(logits_data, requires_grad=True)
+                ops.cross_entropy(logits, targets).backward()
+                if isinstance(targets, Tensor):
+                    assert targets.grad is None
+                grads.append(logits.grad.payload)
+            return grads
+
+        rt = SpmdRuntime(uniform_cluster(1))
+        (by_array, *by_tensor), = rt.run(prog, materialize=materialize)
+        for g in by_tensor:
+            if materialize:
+                np.testing.assert_array_equal(g, by_array)
+            else:
+                assert (g.shape, g.dtype) == (by_array.shape, by_array.dtype)
+        if not materialize:  # the second tensor-target call replayed a plan
+            (plan,) = [p for key, p in rt.op_plans.items()
+                       if key[0] is ops.CrossEntropy]
+            assert plan and list(plan.grads.values())[0][1] is None
+
     def test_mse(self):
         pred = t((4, 3))
         target = Tensor(rng.standard_normal((4, 3)), dtype="float64")

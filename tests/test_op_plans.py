@@ -153,17 +153,18 @@ def transposes(draw):
 @st.composite
 def slices(draw):
     shape = draw(nonscalar)
+    lead = draw(st.sampled_from([(), (Ellipsis,), (None,)]))
+    # behind an Ellipsis one index, and it addresses the last dim
+    indexed = (shape[-1:] if lead == (Ellipsis,)
+               else shape[:draw(st.integers(1, len(shape)))])
     idx = []
-    for n in shape[:draw(st.integers(1, len(shape)))]:
+    for n in indexed:
         if draw(st.booleans()):
             idx.append(draw(st.integers(-n, n - 1)))
         else:
             bound = st.none() | st.integers(-n - 1, n + 1)
             idx.append(slice(draw(bound), draw(bound),
                              draw(st.sampled_from([None, 1, 2, -1, -2]))))
-    lead = draw(st.sampled_from([(), (Ellipsis,), (None,)]))
-    if lead == (Ellipsis,):
-        idx = idx[-1:]
     idx = lead + tuple(idx)
     return [T(shape, draw(dtypes)),
             idx[0] if len(idx) == 1 and draw(st.booleans()) else idx]
@@ -208,9 +209,11 @@ def layer_norms(draw):
 @st.composite
 def cross_entropies(draw):
     n, c = draw(dims), draw(dims)
-    # spec mode reads only the logits; the targets ride along as a value
+    # spec mode reads only the logits; the targets ride along as a value,
+    # or as a tensor that receives a None gradient
     return [T((n, c), draw(dtypes)),
-            draw(st.sampled_from([None, SpecArray((n,), "int64")]))]
+            draw(st.sampled_from(
+                [None, SpecArray((n,), "int64"), T((n,), "int64")]))]
 
 
 @st.composite

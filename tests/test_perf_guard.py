@@ -22,7 +22,8 @@ result bitwise identical.  The tests here enforce that contract:
 6. one collective costs one dispatch (ISSUE 18): calls into ``src/repro``
    per rank-level exchange of a spec storm, no topology walk on a warm
    runtime, a sanitizer budget per exchange with no wait-for-graph walk
-   on a healthy park, and call sites still named to the line;
+   on a healthy park, numpy's ``dtype.name`` getter run at most once per
+   dtype beneath the observers, and call sites still named to the line;
 7. a strategy compile scores the term, not the candidate (ISSUE 19): calls
    into ``src/repro`` per scored candidate, workload constants derived
    once per compile, pricing calls growing with the *distinct terms* of
@@ -883,15 +884,15 @@ def _repro_counter(beneath=None):
     return _BeneathCounter(root, key=key, roots=beneath)
 
 
-def _counted_storm(runs=1, beneath=None, **runtime_kwargs):
+def _counted_storm(runs=1, beneath=None, counter=None, **runtime_kwargs):
     """The storm on System II under ``auto``, ``runs`` times on one runtime;
     the last run is counted on every rank from its first exchange to its
     last (thread start-up and group construction stay outside).  Returns
     calls keyed like ``comm/group.py:ProcessGroup.rendezvous`` (see
-    :func:`_repro_counter` for ``beneath``)."""
+    :func:`_repro_counter` for ``beneath``), or as ``counter`` keys them."""
     from repro.cluster import system_ii
 
-    counter = _repro_counter(beneath)
+    counter = counter or _repro_counter(beneath)
 
     def prog(ctx, counted):
         world = Communicator.world(ctx)
@@ -924,8 +925,9 @@ class TestCollectiveHostCost:
     #: round and the per-rank helper frames this replaced read 29.4 (26.4)
     CALLS_PER_RANK_OP = 16.4
     #: calls into src/repro/sanitize per exchange under Tracer + full
-    #: sanitizer; read 10.0 when written, 30.8 before
-    SANITIZE_CALLS_PER_RANK_OP = 11.0
+    #: sanitizer; reads 7.2 since a stream record is built in place and a
+    #: p2p label rendered once per signature (10.0 before; 30.8 before that)
+    SANITIZE_CALLS_PER_RANK_OP = 8.0
 
     def test_calls_per_rank_op(self):
         calls = _counted_storm()
@@ -1000,6 +1002,36 @@ class TestCollectiveHostCost:
         # one rendered signature per distinct call, one file test per file
         assert calls["sanitize/spec.py:call_signature"] <= 4 * 7
         assert calls["sanitize/spec.py:_is_internal"] <= 8
+        # records are built and appended in place, with no frame per record
+        # unless a golden is replayed (DESIGN 4s); a p2p label is rendered
+        # once per (kind, shape, dtype); a clock span costs no tracer method
+        assert "sanitize/sanitizer.py:CommSanitizer._check_replay_locked" \
+            not in calls
+        assert calls["sanitize/spec.py:_shape_dtype"] <= (
+            calls["sanitize/spec.py:call_signature"] + 2 * 4)
+        assert _layer_calls(calls, "trace") == (
+            calls["trace/tracer.py:Tracer.annotate"]
+            + calls["trace/tracer.py:_ClockObserver.__call__"])
+
+    def test_dtype_named_once_per_dtype(self):
+        """numpy's ``dtype.name`` is a Python property (``_name_get`` ->
+        ``issubdtype`` -> two ``issubclass_``), and ``host_pycalls_per_iter``
+        cannot see it: it counts frames under ``src/repro`` only.  Beneath
+        the observed storm a spec payload's checksum and signature come out
+        of memos keyed by (shape, dtype), so numpy names the storm's one
+        dtype at most once — it used to be ~35 k getter calls per bench
+        iteration, 42 % of the iteration's Python frames (DESIGN 4s)."""
+        from repro.sanitize import CommSanitizer
+        from repro.trace import Tracer
+
+        np.dtype("float32").name  # numpy's _dtype module is loaded by now
+        (dtype_py,) = {m.__file__ for name, m in sys.modules.items()
+                       if name.endswith("core._dtype")}
+        san = CommSanitizer(checksum=True, race=True)
+        calls = _counted_storm(counter=_CallCounter(dtype_py),
+                               tracer=Tracer(), sanitize=san)
+        assert san.rounds_checked > 0
+        assert calls["_name_get"] <= 1  # float32, the storm's one dtype
 
     def test_callsite_still_names_the_user_frame(self):
         """The per-file memo decides *which* frames are internal; the line

@@ -115,17 +115,9 @@ def _assert_parity(rt, trace, rep):
         rep.to_dict())
     assert _timeline_spans(tracer) == _timeline_spans(rt.tracer)
     real, proj = (TraceReport.from_tracer(t) for t in (rt.tracer, tracer))
-    assert real.collectives.keys() == proj.collectives.keys()
-    for op, stat in real.collectives.items():
-        mine = proj.collectives[op]
-        assert (mine.calls, mine.wire_bytes, mine.retries) == (
-            stat.calls, stat.wire_bytes, stat.retries), op
-        # a TraceReport adds span durations in the tracer's append order,
-        # which for the threaded run is the host's interleaving
-        assert mine.rank_seconds == pytest.approx(stat.rank_seconds, rel=1e-12)
+    assert proj.collectives == real.collectives
     for table in ("stream_seconds", "exposed_comm", "overlapped_comm"):
-        assert getattr(proj, table) == pytest.approx(
-            getattr(real, table), rel=1e-12), table
+        assert getattr(proj, table) == getattr(real, table), table
 
 
 def _capture_pair(mk_cluster, world, prog, *, overlap=False, algorithm="ring",

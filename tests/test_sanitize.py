@@ -5,12 +5,16 @@ the zero-overhead-when-disabled guarantee."""
 from __future__ import annotations
 
 import time
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.cluster import uniform_cluster
+from repro.comm import SpecArray
 from repro.comm.communicator import Communicator
 from repro.config import Config, SanitizeConfig
 from repro.faults import FaultPlan
@@ -309,6 +313,36 @@ class TestChecksums:
         # shape is part of the identity even when bytes agree
         z = np.zeros(4)
         assert payload_checksum(z) != payload_checksum(z.reshape(2, 2))
+
+    @given(specs=st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 5), max_size=4),
+            st.booleans(),
+            st.sampled_from(["float16", "float32", "float64", "int64", "bool"]),
+            st.booleans(),
+        ),
+        min_size=1, max_size=5,
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_spec_checksum_is_the_recorded_format(self, specs):
+        """The (shape, dtype) memo returns what the record streams have
+        always carried — golden compatibility held apart from
+        ``comm_golden.json``: a spec payload's CRC is that of
+        ``repr((shape, dtype.name, "spec"))`` with ``shape`` plain ints, and
+        a chunk list folds its members' CRCs over its length."""
+        arrays = [
+            SpecArray(tuple(np.intp(d) for d in dims) if intp else dims,
+                      np.dtype(dtype) if as_dtype else dtype)
+            for dims, intp, dtype, as_dtype in specs]
+        expected = [
+            zlib.crc32(repr((tuple(dims), np.dtype(dtype).name, "spec")).encode())
+            for dims, _, dtype, _ in specs]
+        for _ in range(2):  # first sight (a miss when new), then memo hits
+            assert [payload_checksum(a) for a in arrays] == expected
+            crc = len(arrays)
+            for sub in expected:
+                crc = zlib.crc32(sub.to_bytes(4, "little"), crc)
+            assert payload_checksum(arrays) == payload_checksum(tuple(arrays)) == crc
 
     def test_algorithm_bitwise_parity(self):
         # identical program under ring/tree/hierarchical must produce

@@ -191,6 +191,20 @@ class TestPipelineTrace:
         assert "pipeline bubble fraction" in text
         assert "per-rank time breakdown" in text
 
+    def test_report_does_not_depend_on_span_order(self):
+        """Rank threads append spans in the host's interleaving; every float
+        table of the report is an ``fsum`` over its terms, so any order of
+        the same spans reads ``==``."""
+        tracer = Tracer()
+        _run_imbalanced_pipeline(tracer)
+        SpmdRuntime(uniform_cluster(4), tracer=tracer).run(_mixed_program)
+        report = TraceReport.from_tracer(tracer)
+        assert report.collectives and report.bubble_seconds
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            rng.shuffle(tracer._spans)
+            assert TraceReport.from_tracer(tracer) == report
+
 
 def _validate_trace_events(doc):
     """Schema checks: required keys, monotonic ts per lane, balanced B/E."""
