@@ -49,7 +49,7 @@ from repro.autopar.search import (
     enumerate_candidates,
 )
 from repro.cluster.machine import ClusterSpec
-from repro.config import Config, check_compile_budget
+from repro.config import AutoParConfig, Config
 
 _STEP_SECONDS = attrgetter("step_seconds")
 
@@ -167,7 +167,7 @@ class CompiledStrategy:
         section is consumed (disabled) so the result launches directly."""
         import copy
 
-        from repro.config import AutoParConfig, TensorParallelConfig
+        from repro.config import TensorParallelConfig
 
         c = self.candidate
         new = copy.deepcopy(cfg)
@@ -309,13 +309,12 @@ def compile_strategy(
 
     Deterministic: candidate enumeration order is fixed, all scoring is
     closed-form or simulated on deterministic clocks, and every tie breaks
-    on :meth:`StrategyCandidate.sort_key`.  Raises ``ValueError`` on a
-    ``global_batch``, ``top_k`` or ``max_probe_world`` below 1 (before
-    anything is scored) and when no candidate fits device memory (the
-    rejection census is in the message)."""
-    check_compile_budget(
-        global_batch, top_k, max_probe_world, where="compile_strategy: "
-    )
+    on :meth:`StrategyCandidate.sort_key`.  Raises ``ValueError`` on an
+    argument the ``autopar`` config section would reject or a workload
+    dimension below 1 (before anything is scored) and when no candidate
+    fits device memory (the rejection census is in the message)."""
+    AutoParConfig(global_batch=global_batch, top_k=top_k, refine=refine,
+                  max_probe_world=max_probe_world).validate()
     work = workload if isinstance(workload, Workload) else Workload(**workload)
     world = world_size or cluster.world_size
     batch = global_batch if global_batch is not None else 8 * world

@@ -19,20 +19,20 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 from repro.analytic.memory_model import transformer_param_count
-from repro.config import COMM_ALGORITHMS, TENSOR_MODES
-
-PIPELINE_SCHEDULES = ("gpipe", "1f1b")
+from repro.config import (
+    COMM_ALGORITHMS, PIPELINE_SCHEDULES, TENSOR_MODES, ZERO_STAGES,
+)
 
 #: :class:`SearchSpace` field -> (what it holds, the values it may hold)
 _CHOICES: Dict[str, Tuple[str, Tuple[Any, ...]]] = {
     "tensor_modes": (
         "tensor mode", tuple(m for m in TENSOR_MODES if m != "none")),
     "schedules": ("pipeline schedule", PIPELINE_SCHEDULES),
-    "zero_stages": ("ZeRO stage", (0, 1, 2, 3)),
+    "zero_stages": ("ZeRO stage", ZERO_STAGES),
     "overlap_options": ("overlap option", (False, True)),
     "algorithms": ("comm algorithm", COMM_ALGORITHMS),
 }
@@ -49,6 +49,15 @@ class Workload:
     mlp_ratio: int = 4
     bytes_per_elem: int = 2  # fp16
     microbatches: int = 8
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(
+                    f"{f.name} must be >= 1, got {getattr(self, f.name)}")
+        if self.hidden % self.n_heads:
+            raise ValueError(
+                f"hidden {self.hidden} not divisible by n_heads {self.n_heads}")
 
     @functools.cached_property
     def params(self) -> int:
@@ -146,7 +155,7 @@ class SearchSpace:
     tensor_modes: Tuple[str, ...] = ("1d", "2d", "2.5d", "3d", "sequence")
     schedules: Tuple[str, ...] = PIPELINE_SCHEDULES
     microbatch_options: Tuple[int, ...] = (1, 2, 4, 8)
-    zero_stages: Tuple[int, ...] = (0, 1, 2, 3)
+    zero_stages: Tuple[int, ...] = ZERO_STAGES
     overlap_options: Tuple[bool, ...] = (False, True)
     algorithms: Tuple[str, ...] = ("ring", "auto")
 

@@ -8,14 +8,20 @@ Users describe the parallelization declaratively::
                   zero=dict(stage=3, offload="adaptive"))
 
 ``Config.from_dict`` validates the schema and fills defaults;
-``repro.initialize`` consumes it.
+``repro.initialize`` consumes it.  Every field declares its type, bounds or
+choices and a one-line doc once, in its ``dataclasses.field`` metadata;
+:data:`FIELDS` is that table and :func:`_check` the one validator over it
+(DESIGN §4t).  Only cross-field rules are written by hand, as each section's
+``_rules``.  Every violation is a :class:`ConfigError` naming the dotted field.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+import numbers
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 TENSOR_MODES = ("none", "1d", "2d", "2.5d", "3d", "sequence")
 
@@ -23,12 +29,47 @@ COMM_ALGORITHMS = ("ring", "tree", "hierarchical", "auto")
 
 PIPELINE_SCHEDULES = ("gpipe", "1f1b")
 
+ZERO_STAGES = (0, 1, 2, 3)
+
+
+class ConfigError(ValueError):
+    """An invalid config; the message starts with the dotted field it is
+    about (``fp16.enabled``, ``parallel.tensor.size``, ``serve.traffic.rate``)."""
+
+
+def _field(default: Any, kind: type, doc: str, bounds: Optional[str] = None,
+           choices: Optional[Tuple[Any, ...]] = None) -> Any:
+    """A config field: its ``kind`` (``bool`` / ``int`` / ``float`` / ``str`` /
+    ``dict``), ``bounds`` (``">= 1"``, ``"> 0"``, ``"(0, 1]"``) or ``choices``,
+    and a one-line doc.  A ``None`` default makes ``None`` valid too."""
+    return field(default=default, metadata=dict(
+        kind=kind, doc=doc, bounds=bounds, choices=choices))
+
+
+class _Section:
+    """What every section shares: ``validate`` checks its rows of the field
+    table, then its cross-field ``_rules``."""
+
+    #: the section's place in the input dict, and the ``(field, value)`` any
+    #: key of it implies (naming a sanitize / project / ... setting wants it)
+    _key = ""
+    _implied: Optional[Tuple[str, Any]] = None
+
+    def validate(self) -> None:
+        _check(self)
+
+    def _rules(self) -> None:
+        """Cross-field rules; each field alone is the table's business."""
+
 
 @dataclass
-class TensorParallelConfig:
-    size: int = 1
-    mode: str = "none"
-    depth: int = 1  # 2.5d only
+class TensorParallelConfig(_Section):
+    _key = "parallel.tensor"
+
+    size: int = _field(1, int, "GPUs per tensor-parallel group", ">= 1")
+    mode: str = _field("none", str, "tensor-parallel layout; 'none' iff size 1, "
+                       "'1d' when size > 1 is given alone", choices=TENSOR_MODES)
+    depth: int = _field(1, int, "2.5d only: the depth d of size = d*q^2", ">= 1")
 
     @property
     def grid_dim(self) -> int:
@@ -40,129 +81,82 @@ class TensorParallelConfig:
         """Side ``l`` of the 3d cube: size = l^3."""
         return round(self.size ** (1 / 3))
 
-    def validate(self) -> None:
-        if self.mode not in TENSOR_MODES:
-            raise ValueError(f"unknown tensor parallel mode {self.mode!r}; choose from {TENSOR_MODES}")
-        if self.size < 1:
-            raise ValueError(f"tensor parallel size must be >= 1, got {self.size}")
-        if self.mode == "none" and self.size != 1:
-            raise ValueError("tensor mode 'none' requires size 1")
-        if self.mode in ("1d", "sequence"):
+    def _rules(self) -> None:
+        mode, size = self.mode, self.size
+        if mode == "none" and size != 1:
+            raise ConfigError(f"parallel.tensor.size must be 1 in tensor mode 'none', got {size}")
+        if mode == "2d":
+            fits, shape = self.grid_dim**2 == size, "a square GPU count"
+        elif mode == "2.5d":
+            fits = self.grid_dim**2 * self.depth == size
+            shape = f"size = depth*q^2 (depth={self.depth})"
+        elif mode == "3d":
+            fits, shape = self.cube_dim**3 == size, "a cubic GPU count"
+        else:
             return
-        if self.mode == "2d":
-            if self.grid_dim**2 != self.size:
-                raise ValueError(f"2d tensor parallelism needs a square GPU count, got {self.size}")
-        elif self.mode == "2.5d":
-            if self.depth < 1:
-                raise ValueError(f"2.5d depth must be >= 1, got {self.depth}")
-            if self.size % self.depth != 0:
-                raise ValueError(f"2.5d size {self.size} not divisible by depth {self.depth}")
-            if self.grid_dim**2 * self.depth != self.size:
-                raise ValueError(
-                    f"2.5d tensor parallelism needs size = depth*q^2, got size={self.size}, depth={self.depth}"
-                )
-        elif self.mode == "3d":
-            if self.cube_dim**3 != self.size:
-                raise ValueError(f"3d tensor parallelism needs a cubic GPU count, got {self.size}")
+        if not fits:
+            raise ConfigError(
+                f"parallel.tensor.size: {mode} tensor parallelism needs {shape}, got {size}")
 
 
 @dataclass
-class FP16Config:
-    enabled: bool = False
-    initial_scale: float = 2.0**16
-    min_scale: float = 1.0
-    growth_interval: int = 1000
-    backoff_factor: float = 0.5
-    growth_factor: float = 2.0
+class FP16Config(_Section):
+    _key = "fp16"
 
-    def validate(self) -> None:
-        for name in ("initial_scale", "min_scale", "growth_factor"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"fp16.{name} must be > 0, got {getattr(self, name)}")
-        if self.growth_interval < 1:
-            raise ValueError(f"fp16.growth_interval must be >= 1, got {self.growth_interval}")
-        if not 0.0 < self.backoff_factor < 1.0:
-            raise ValueError(f"fp16.backoff_factor must be in (0, 1), got {self.backoff_factor}")
+    enabled: bool = _field(False, bool, "mixed precision with a dynamic loss scale")
+    initial_scale: float = _field(2.0**16, float, "loss scale at the first step", "> 0")
+    min_scale: float = _field(1.0, float, "floor an overflow never backs the scale below", "> 0")
+    growth_interval: int = _field(1000, int, "overflow-free steps before the scale grows", ">= 1")
+    backoff_factor: float = _field(0.5, float, "scale multiplier on an overflow", "(0, 1)")
+    growth_factor: float = _field(2.0, float, "scale multiplier after growth_interval clean steps", "> 0")
 
 
 @dataclass
-class ZeroConfig:
-    stage: int = 0  # 0 = off, 1/2/3 per DeepSpeed convention
-    offload: str = "none"  # none | static | adaptive
-    chunk_mb: float = 32.0
+class ZeroConfig(_Section):
+    _key = "zero"
 
-    def validate(self) -> None:
-        if self.stage not in (0, 1, 2, 3):
-            raise ValueError(f"zero stage must be 0-3, got {self.stage}")
-        if self.offload not in ("none", "static", "adaptive"):
-            raise ValueError(f"unknown offload policy {self.offload!r}")
-        if self.chunk_mb <= 0:
-            raise ValueError(f"zero.chunk_mb must be > 0, got {self.chunk_mb}")
+    stage: int = _field(0, int, "ZeRO stage: 0 off, 1/2/3 per DeepSpeed", choices=ZERO_STAGES)
+    offload: str = _field("none", str, "optimizer-state offload policy",
+                          choices=("none", "static", "adaptive"))
+    chunk_mb: float = _field(32.0, float, "parameter chunk size (MiB)", "> 0")
 
 
 @dataclass
-class CommConfig:
-    """Collective-communication knobs.
+class CommConfig(_Section):
+    _key = "comm"
 
-    ``algorithm=None`` keeps the runtime's default (flat ring); set
-    ``"auto"`` for cost-driven per-call selection or pin one family.
-    ``island_ratio`` is the bandwidth-ratio threshold for fast-link island
-    detection used by the hierarchical algorithms.  ``overlap`` enables
-    comm/compute overlap: nonblocking collectives on per-rank comm streams,
-    hook-driven DDP bucket flushing, ZeRO chunk prefetch and pipeline
-    stream sends (numerics are bitwise identical either way).
-    """
-
-    algorithm: Optional[str] = None
-    island_ratio: float = 0.5
-    overlap: bool = False
-
-    def validate(self) -> None:
-        if self.algorithm is not None and self.algorithm not in COMM_ALGORITHMS:
-            raise ValueError(
-                f"unknown comm algorithm {self.algorithm!r}; "
-                f"choose from {COMM_ALGORITHMS}"
-            )
-        if not 0.0 < self.island_ratio <= 1.0:
-            raise ValueError(
-                f"comm island_ratio must be in (0, 1], got {self.island_ratio}"
-            )
+    algorithm: Optional[str] = _field(None, str, "comm algorithm; None keeps the runtime's flat "
+                                      "ring, 'auto' picks per call by cost",
+                                      choices=COMM_ALGORITHMS)
+    island_ratio: float = _field(0.5, float, "bandwidth ratio that groups links into "
+                                 "fast-link islands (hierarchical algorithms)", "(0, 1]")
+    overlap: bool = _field(False, bool, "overlap comm with compute (numerics bitwise identical)")
 
 
 @dataclass
-class SanitizeConfig:
-    """SPMD sanitizer knobs (``repro.sanitize``).
+class SanitizeConfig(_Section):
+    """SPMD sanitizer knobs (``repro.sanitize``): divergent collectives raise
+    :class:`~repro.sanitize.errors.CollectiveMismatch` or ``CollectiveDesync``
+    instead of hanging."""
 
-    ``enabled`` turns on cross-rank collective call-spec checking (op,
-    shape/dtype signature, reduce op, membership, sequence number) —
-    divergences raise :class:`~repro.sanitize.errors.CollectiveMismatch`
-    or ``CollectiveDesync`` instead of hanging.  ``checksum`` adds payload
-    CRCs (p2p end-to-end, collective input/result digests); ``race`` arms
-    the shared-buffer race detector; ``record`` writes each rank's op
-    stream to a golden file after the run; ``replay`` conformance-checks
-    the run against an existing golden file.
-    """
+    _key = "sanitize"
+    _implied = ("enabled", True)
 
-    enabled: bool = False
-    checksum: bool = False
-    race: bool = False
-    callsites: bool = True
-    record: Optional[str] = None
-    replay: Optional[str] = None
+    enabled: bool = _field(False, bool, "cross-rank collective call-spec checking")
+    checksum: bool = _field(False, bool, "payload CRCs on p2p and collective data")
+    race: bool = _field(False, bool, "arm the shared-buffer race detector")
+    callsites: bool = _field(True, bool, "name each rank's call site in mismatch reports")
+    record: Optional[str] = _field(None, str, "write each rank's op stream to this golden file")
+    replay: Optional[str] = _field(None, str, "conformance-check the run against this golden file")
 
-    def validate(self) -> None:
+    def _rules(self) -> None:
         if self.record is not None and self.replay is not None:
-            raise ValueError(
-                "sanitize.record and sanitize.replay are mutually exclusive "
-                "(one run either produces or consumes a golden file)"
-            )
-        if not self.enabled and (
-            self.checksum or self.race or self.record or self.replay
-        ):
-            raise ValueError(
-                "sanitize.enabled must be true to use checksum/race/"
-                "record/replay"
-            )
+            raise ConfigError(
+                "sanitize.replay: sanitize.record and sanitize.replay are mutually "
+                "exclusive (one run either produces or consumes a golden file)")
+        if not self.enabled and (self.checksum or self.race or self.record is not None
+                                 or self.replay is not None):
+            raise ConfigError("sanitize.enabled must be true to use checksum/race/record/replay")
 
     def build(self) -> Any:
         """Instantiate the configured :class:`CommSanitizer` (raises
@@ -180,225 +174,138 @@ class SanitizeConfig:
 
 
 @dataclass
-class ProjectionConfig:
-    """Projection execution mode (``repro.project``).
+class ProjectionConfig(_Section):
+    """Projection execution mode (``repro.project``): :func:`repro.launch`
+    captures the program at the cluster's world size and returns a
+    :class:`~repro.project.ProjectionReport` priced at ``target_world`` ranks
+    or widened by ``axes`` (e.g. ``{"dp": 8, "tp": 2, "pp": 2}`` projects a
+    16-rank capture to 512 ranks).  When both are given they must agree
+    (``target_world == world * product of factors``), checked at launch."""
 
-    ``mode="project"`` makes :func:`repro.launch` *capture* the program at
-    the cluster's world size instead of just running it, then analytically
-    replay the op stream at ``target_world`` ranks — returning a
-    :class:`~repro.project.ProjectionReport` rather than per-rank results.
-    ``target_world`` must be a multiple of the launch world size.
+    _key = "project"
+    _implied = ("mode", "project")
 
-    ``axes`` selects the hybrid plan instead: per-axis widening factors
-    over the captured DP x TP x PP layout, e.g. ``{"dp": 8, "tp": 2,
-    "pp": 2}`` projects a 16-rank capture to 512 ranks while widening
-    tensor groups 2x and deepening pipelines 2x.  When both ``axes`` and
-    ``target_world`` are given they must agree (``target_world == world *
-    product of factors``).
-    """
+    mode: str = _field("off", str, "'project' captures the launch and prices it at scale",
+                       choices=("off", "project"))
+    target_world: Optional[int] = _field(None, int, "ranks to price at: a multiple of the "
+                                         "launch world size", ">= 1")
+    axes: Optional[Dict[str, int]] = _field(None, dict, "per-axis widening factors, "
+                                            "'dp' / 'tp' / 'pp' -> int >= 1")
 
-    mode: str = "off"  # off | project
-    target_world: Optional[int] = None
-    axes: Optional[Dict[str, int]] = None
-
-    def validate(self) -> None:
-        if self.mode not in ("off", "project"):
-            raise ValueError(
-                f"unknown projection mode {self.mode!r}; choose 'off' or 'project'"
-            )
-        if self.mode == "project":
-            if self.target_world is not None and self.target_world < 1:
-                raise ValueError(
-                    f"project.target_world must be >= 1, got {self.target_world}"
-                )
-        else:
-            if self.target_world is not None:
-                raise ValueError(
-                    "project.target_world requires project.mode='project'"
-                )
-            if self.axes is not None:
-                raise ValueError("project.axes requires project.mode='project'")
-        if self.axes is not None:
-            if not isinstance(self.axes, dict) or not self.axes:
-                raise ValueError(
-                    "project.axes must be a non-empty mapping of axis name "
-                    "-> factor"
-                )
-            for name, k in self.axes.items():
-                if name not in ("dp", "tp", "pp"):
-                    raise ValueError(
-                        f"project.axes: unknown axis {name!r}; "
-                        "valid axes: ['dp', 'pp', 'tp']"
-                    )
-                if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-                    raise ValueError(
-                        f"project.axes[{name!r}] must be an int >= 1, got {k!r}"
-                    )
-
-
-def check_compile_budget(
-    global_batch: Optional[int], top_k: int, max_probe_world: int,
-    where: str = "autopar.",
-) -> None:
-    """The bounds ``compile_strategy`` relies on, shared by the ``autopar``
-    config section and the function itself (``where`` prefixes the name of
-    the offending setting)."""
-    if global_batch is not None and global_batch < 1:
-        raise ValueError(
-            f"{where}global_batch must be >= 1, got {global_batch}"
-        )
-    if top_k < 1:
-        raise ValueError(f"{where}top_k must be >= 1, got {top_k}")
-    if max_probe_world < 1:
-        raise ValueError(
-            f"{where}max_probe_world must be >= 1, got {max_probe_world}"
-        )
+    def _rules(self) -> None:
+        for name in ("target_world", "axes"):
+            if self.mode != "project" and getattr(self, name) is not None:
+                raise ConfigError(f"project.{name} requires project.mode='project'")
+        if self.axes is None:
+            return
+        if not self.axes:
+            raise ConfigError("project.axes must be a non-empty mapping of axis name -> factor")
+        for name, k in self.axes.items():
+            if name not in ("dp", "tp", "pp"):
+                raise ConfigError(
+                    f"project.axes: unknown axis {name!r}; valid axes: ['dp', 'pp', 'tp']")
+            if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+                raise ConfigError(f"project.axes.{name} must be an int >= 1, got {k!r}")
 
 
 @dataclass
-class AutoParConfig:
-    """Auto-parallel strategy compilation (``repro.autopar.compiler``).
+class AutoParConfig(_Section):
+    """Auto-parallel strategy compilation (``repro.autopar.compiler``): with
+    ``enabled``, :func:`repro.launch` first compiles a strategy for
+    ``workload`` and merges the winning plan's ``parallel`` / ``zero`` /
+    ``comm`` / ``num_microbatches`` / ``pipeline_schedule`` settings into the
+    config — the user declares the model, the system picks the parallelization."""
 
-    With ``enabled``, :func:`repro.launch` first *compiles* a parallel
-    strategy for ``workload`` (a Transformer description: ``n_layers``,
-    ``hidden``, ``n_heads``, ``seq_len``, optional ``mlp_ratio`` /
-    ``bytes_per_elem``) and merges the winning plan's ``parallel`` /
-    ``zero`` / ``comm`` / ``num_microbatches`` / ``pipeline_schedule``
-    settings into the config before launching — the user declares the
-    model, the system picks the parallelization.
+    _key = "autopar"
+    _implied = ("enabled", True)
 
-    ``global_batch`` defaults to 8 samples per rank; ``top_k`` candidates
-    survive the analytic prune into projector refinement (``refine=False``
-    trusts the analytic ranking); probes are capped at
-    ``max_probe_world`` simulated ranks.
-    """
+    enabled: bool = _field(False, bool, "compile a parallel strategy before launching")
+    workload: Optional[Dict[str, Any]] = _field(None, dict, "the Transformer: n_layers, hidden, "
+                                                "n_heads, seq_len, ... (repro.autopar.Workload)")
+    global_batch: Optional[int] = _field(None, int, "samples per step; None is 8 per rank", ">= 1")
+    top_k: int = _field(4, int, "candidates the analytic prune passes to refinement", ">= 1")
+    refine: bool = _field(True, bool, "refine the shortlist on the simulator")
+    max_probe_world: int = _field(16, int, "simulated ranks one refinement probe may use", ">= 1")
 
-    enabled: bool = False
-    workload: Optional[Dict[str, Any]] = None
-    global_batch: Optional[int] = None
-    top_k: int = 4
-    refine: bool = True
-    max_probe_world: int = 16
-
-    def validate(self) -> None:
+    def _rules(self) -> None:
         if not self.enabled:
             return
-        if not isinstance(self.workload, dict):
-            raise ValueError(
-                "autopar.workload must be a mapping describing the model "
-                "(n_layers, hidden, n_heads, seq_len, ...)"
-            )
-        missing = {"n_layers", "hidden", "n_heads", "seq_len"} - set(
-            self.workload
-        )
-        if missing:
-            raise ValueError(
-                f"autopar.workload missing required key(s) {sorted(missing)}"
-            )
-        check_compile_budget(
-            self.global_batch, self.top_k, self.max_probe_world
-        )
+        if self.workload is None:
+            raise ConfigError("autopar.workload must be a mapping describing the model "
+                              "(n_layers, hidden, n_heads, seq_len, ...)")
+        from repro.autopar.search import Workload
 
-
-TRAFFIC_KINDS = ("open", "closed")
+        _build("autopar.workload", Workload, self.workload)
 
 
 @dataclass
-class ServeConfig:
-    """Inference serving mode (``repro.serve``).
+class ServeConfig(_Section):
+    """Inference serving mode (``repro.serve``): with ``enabled``,
+    :func:`repro.launch` runs every rank of the world as one member of a
+    single tensor-parallel decode replica driven by ``traffic``, and returns a
+    :class:`~repro.serve.TrafficReport` rather than per-rank results."""
 
-    With ``enabled``, :func:`repro.launch` runs the serving engine
-    instead of a training program: every rank of the world becomes one
-    member of a single tensor-parallel decode replica, driven by the
-    declared traffic, and the launch returns a
-    :class:`~repro.serve.TrafficReport` rather than per-rank results.
+    _key = "serve"
+    _implied = ("enabled", True)
 
-    ``model`` describes the decoder (``n_layers``, ``hidden``,
-    ``n_heads``, optional ``vocab`` / ``bytes_per_elem`` /
-    ``hbm_bandwidth``); ``traffic`` declares the workload — ``kind:
-    "open"`` (Poisson arrivals at ``rate`` req/s) or ``kind: "closed"``
-    (``clients`` callers with ``think_time``), plus ``n_requests``,
-    ``prompt_tokens`` / ``max_new_tokens`` ranges and ``seed``.  The
-    remaining knobs shape the KV cache (``block_size`` tokens per block,
-    ``kv_blocks`` fixed or ``kv_fraction`` of free device memory) and
-    the continuous-batching scheduler (``max_batch_tokens``,
-    ``prefill_chunk``); ``recovery_seconds`` is the replica downtime
-    charged per recovered rank loss.
-    """
+    enabled: bool = _field(False, bool, "serve traffic instead of training")
+    model: Optional[Dict[str, Any]] = _field(None, dict, "the decoder: n_layers, hidden, n_heads, "
+                                             "... (repro.serve.ModelSpec)")
+    traffic: Optional[Dict[str, Any]] = _field(None, dict, "kind 'open' (rate) or 'closed' "
+                                               "(clients), n_requests, token ranges, seed")
+    block_size: int = _field(16, int, "tokens per KV-cache block", ">= 1")
+    kv_blocks: Optional[int] = _field(None, int, "KV pool size in blocks; None sizes it "
+                                      "by kv_fraction", ">= 1")
+    kv_fraction: float = _field(0.3, float, "share of free device memory for the KV pool", "(0, 1]")
+    max_batch_tokens: int = _field(256, int, "tokens one batching step may carry", ">= 1")
+    prefill_chunk: int = _field(64, int, "prompt tokens prefilled per request per step", ">= 1")
+    recovery_seconds: float = _field(0.5, float, "replica downtime per recovered rank loss (s)", ">= 0")
+    max_recoveries: int = _field(16, int, "rank losses recovered before the run fails", ">= 0")
 
-    enabled: bool = False
-    model: Optional[Dict[str, Any]] = None
-    traffic: Optional[Dict[str, Any]] = None
-    block_size: int = 16
-    kv_blocks: Optional[int] = None
-    kv_fraction: float = 0.3
-    max_batch_tokens: int = 256
-    prefill_chunk: int = 64
-    recovery_seconds: float = 0.5
-    max_recoveries: int = 16
+    def _rules(self) -> None:
+        if self.enabled:
+            self.build()
 
-    def validate(self) -> None:
-        if not self.enabled:
-            return
-        if not isinstance(self.model, dict):
-            raise ValueError(
-                "serve.model must be a mapping describing the decoder "
-                "(n_layers, hidden, n_heads, ...)")
-        if not isinstance(self.traffic, dict):
-            raise ValueError(
-                "serve.traffic must be a mapping with kind 'open' or "
-                "'closed' (rate/clients, n_requests, seed, ...)")
-        kind = self.traffic.get("kind")
-        if kind not in TRAFFIC_KINDS:
-            raise ValueError(
-                f"serve.traffic.kind must be one of {TRAFFIC_KINDS}, "
-                f"got {kind!r}")
-        if self.block_size < 1:
-            raise ValueError(
-                f"serve.block_size must be >= 1, got {self.block_size}")
-        if self.kv_blocks is not None and self.kv_blocks < 1:
-            raise ValueError(
-                f"serve.kv_blocks must be >= 1, got {self.kv_blocks}")
-        if not 0.0 < self.kv_fraction <= 1.0:
-            raise ValueError(
-                f"serve.kv_fraction must be in (0, 1], got {self.kv_fraction}")
-        if self.max_batch_tokens < 1:
-            raise ValueError(
-                f"serve.max_batch_tokens must be >= 1, "
-                f"got {self.max_batch_tokens}")
-        if self.prefill_chunk < 1:
-            raise ValueError(
-                f"serve.prefill_chunk must be >= 1, got {self.prefill_chunk}")
-        if self.recovery_seconds < 0:
-            raise ValueError(
-                f"serve.recovery_seconds must be >= 0, "
-                f"got {self.recovery_seconds}")
-        if self.max_recoveries < 0:
-            raise ValueError(
-                f"serve.max_recoveries must be >= 0, "
-                f"got {self.max_recoveries}")
+    def build(self) -> Tuple[Any, Any]:
+        """The ``(ModelSpec, traffic)`` the ``model`` / ``traffic`` mappings
+        describe; each owns its bounds, and a violation is a
+        :class:`ConfigError` naming ``serve.model.<key>`` / ``serve.traffic.<key>``."""
+        from repro.serve.engine import ModelSpec
+        from repro.serve.traffic import ClosedLoopTraffic, OpenLoopTraffic
+
+        if self.model is None:
+            raise ConfigError("serve.model must be a mapping describing the decoder "
+                              "(n_layers, hidden, n_heads, ...)")
+        if self.traffic is None:
+            raise ConfigError("serve.traffic must be a mapping with kind 'open' or 'closed' "
+                              "(rate/clients, n_requests, seed, ...)")
+        traffic = dict(self.traffic)
+        kind = traffic.pop("kind", None)
+        if kind not in ("open", "closed"):
+            raise ConfigError(f"serve.traffic.kind must be 'open' or 'closed', got {kind!r}")
+        cls = OpenLoopTraffic if kind == "open" else ClosedLoopTraffic
+        return (_build("serve.model", ModelSpec, self.model),
+                _build("serve.traffic", cls, traffic))
 
 
-#: ``Config.from_dict``'s sections: key -> (class, the ``(field, value)`` any key of
-#: the section implies: naming a sanitize / project / autopar / serve setting wants it)
-_SECTIONS = {
-    "fp16": (FP16Config, None),
-    "zero": (ZeroConfig, None),
-    "comm": (CommConfig, None),
-    "sanitize": (SanitizeConfig, ("enabled", True)),
-    "project": (ProjectionConfig, ("mode", "project")),
-    "autopar": (AutoParConfig, ("enabled", True)),
-    "serve": (ServeConfig, ("enabled", True)),
-}
+#: ``Config.from_dict``'s sections besides ``parallel.tensor``, in table order
+_SECTIONS = (FP16Config, ZeroConfig, CommConfig, SanitizeConfig, ProjectionConfig,
+             AutoParConfig, ServeConfig)
+
+#: ``Config``'s attribute -> class of each section it holds
+_NESTED = (("tensor", TensorParallelConfig),) + tuple((s._key, s) for s in _SECTIONS)
+
+#: ``Config``'s scalars that sit under ``parallel`` in the input dict
+_PARALLEL = ("pipeline", "data")
 
 
 @dataclass
-class Config:
+class Config(_Section):
     """Validated top-level configuration."""
 
     tensor: TensorParallelConfig = field(default_factory=TensorParallelConfig)
-    pipeline: int = 1
-    data: Optional[int] = None  # inferred from world size when None
+    pipeline: int = _field(1, int, "pipeline stages", ">= 1")
+    data: Optional[int] = _field(None, int, "data-parallel size; None infers it from the world", ">= 1")
     fp16: FP16Config = field(default_factory=FP16Config)
     zero: ZeroConfig = field(default_factory=ZeroConfig)
     comm: CommConfig = field(default_factory=CommConfig)
@@ -406,69 +313,44 @@ class Config:
     project: ProjectionConfig = field(default_factory=ProjectionConfig)
     autopar: AutoParConfig = field(default_factory=AutoParConfig)
     serve: ServeConfig = field(default_factory=ServeConfig)
-    gradient_clipping: float = 0.0
-    num_microbatches: int = 1
-    pipeline_schedule: str = "gpipe"
-    seed: int = 0
+    gradient_clipping: float = _field(0.0, float, "global gradient-norm clip; 0 disables", ">= 0")
+    num_microbatches: int = _field(1, int, "microbatches per step", ">= 1")
+    pipeline_schedule: str = _field("gpipe", str, "pipeline schedule", choices=PIPELINE_SCHEDULES)
+    seed: int = _field(0, int, "seed of every parameter, data and dropout stream", ">= 0")
 
     @staticmethod
     def from_dict(d: Optional[Dict[str, Any]] = None) -> "Config":
-        d = dict(d or {})
-        parallel = dict(d.pop("parallel", {}) or {})
-        tensor_d = dict(parallel.pop("tensor", {}) or {})
-        tensor_size = int(tensor_d.pop("size", 1))
-        cfg = Config(
-            tensor=TensorParallelConfig(
-                size=tensor_size,
-                mode=str(tensor_d.pop("mode", "none" if tensor_size == 1 else "1d")),
-                depth=int(tensor_d.pop("depth", 1)),
-            ),
-            pipeline=int(parallel.pop("pipeline", 1)),
-            data=parallel.pop("data", None),
-            gradient_clipping=float(d.pop("gradient_clipping", 0.0)),
-            num_microbatches=int(d.pop("num_microbatches", 1)),
-            pipeline_schedule=str(d.pop("pipeline_schedule", "gpipe")),
-            seed=int(d.pop("seed", 0)),
-        )
-        if tensor_d:
-            raise ValueError(f"unknown keys in parallel.tensor config: {sorted(tensor_d)}")
-        if parallel:
-            raise ValueError(f"unknown keys in parallel config: {sorted(parallel)}")
-        for key, (section, implied) in _SECTIONS.items():
-            section_d = dict(d.pop(key, {}) or {})
-            if not section_d:
-                continue
-            unknown = sorted(set(section_d) - set(section.__dataclass_fields__))
-            if unknown:
-                raise ValueError(f"unknown keys in {key} config: {unknown}")
-            if implied:
-                section_d.setdefault(*implied)
-            setattr(cfg, key, section(**section_d))
-        if d:
-            raise ValueError(f"unknown top-level config keys: {sorted(d)}")
-        cfg.validate()
+        d = _mapping(d, "config")
+        parallel = _mapping(d.pop("parallel", None), "parallel")
+        tensor = _mapping(parallel.pop("tensor", None), "parallel.tensor")
+        tensor.setdefault("mode", "none" if tensor.get("size", 1) == 1 else "1d")
+        kwargs = {k: parallel.pop(k) for k in _PARALLEL if k in parallel}
+        _reject_unknown(parallel, (), "parallel")
+        kwargs["tensor"] = _make(TensorParallelConfig, tensor)
+        for section in _SECTIONS:
+            section_d = d.pop(section._key, None)
+            if section_d:
+                section_d = _mapping(section_d, section._key)
+                if section._implied:
+                    section_d.setdefault(*section._implied)
+                kwargs[section._key] = _make(section, section_d)
+        _reject_unknown(d, _TOP_LEVEL, "top-level")
+        cfg = Config(**kwargs, **d)
+        _check(cfg)
         return cfg
 
-    def validate(self) -> None:
-        self.tensor.validate()
-        self.fp16.validate()
-        self.zero.validate()
-        self.comm.validate()
-        self.sanitize.validate()
-        self.project.validate()
-        self.autopar.validate()
-        self.serve.validate()
-        if self.pipeline < 1:
-            raise ValueError(f"pipeline size must be >= 1, got {self.pipeline}")
-        if self.num_microbatches < 1:
-            raise ValueError("num_microbatches must be >= 1")
-        if self.pipeline_schedule not in PIPELINE_SCHEDULES:
-            raise ValueError(
-                f"unknown pipeline schedule {self.pipeline_schedule!r}; "
-                f"choose from {PIPELINE_SCHEDULES}"
-            )
-        if self.data is not None and self.data < 1:
-            raise ValueError("data parallel size must be >= 1")
+    def to_dict(self) -> Dict[str, Any]:
+        """The input-shaped dict of this config: ``Config.from_dict(cfg.to_dict()) == cfg``."""
+        d = asdict(self)
+        d["parallel"] = {"tensor": d.pop("tensor"), **{k: d.pop(k) for k in _PARALLEL}}
+        return d
+
+    def _rules(self) -> None:
+        for key, section in _NESTED:
+            value = getattr(self, key)
+            if type(value) is not section:
+                raise ConfigError(f"{key} must be a {section.__name__}, got {value!r}")
+            _check(value)
 
     def model_parallel_size(self) -> int:
         return self.tensor.size * self.pipeline
@@ -486,3 +368,110 @@ class Config:
                 f"world {world_size} / (tensor*pipeline) {mp} = {data}"
             )
         return data
+
+
+class FieldSpec(NamedTuple):
+    """One row of the field table; ``lo`` / ``hi`` are ``bounds`` parsed."""
+
+    key: str  # dotted path in the input dict
+    name: str  # attribute on the section
+    kind: type
+    default: Any
+    bounds: Optional[str]
+    choices: Optional[Tuple[Any, ...]]
+    doc: str
+    lo: Optional[float]
+    lo_open: bool
+    hi: Optional[float]
+    hi_open: bool
+
+
+def _bounds(text: Optional[str]) -> Tuple[Optional[float], bool, Optional[float], bool]:
+    """``(lo, lo_open, hi, hi_open)`` of ``">= 1"``, ``"> 0"`` or ``"(0, 1]"``."""
+    if text is None:
+        return None, False, None, False
+    if text[0] == ">":
+        return float(text.lstrip(">= ")), text[1] != "=", None, False
+    lo, hi = text[1:-1].split(", ")
+    return float(lo), text[0] == "(", float(hi), text[-1] == ")"
+
+
+#: section class -> its rows, built once at import
+_TABLE: Dict[type, Tuple[FieldSpec, ...]] = {
+    cls: tuple(
+        FieldSpec(
+            f"{cls._key or ('parallel' if f.name in _PARALLEL else '')}.{f.name}".lstrip("."),
+            f.name, f.metadata["kind"], f.default, f.metadata["bounds"],
+            f.metadata["choices"], f.metadata["doc"], *_bounds(f.metadata["bounds"]))
+        for f in fields(cls) if f.metadata)
+    for cls in (TensorParallelConfig, Config) + _SECTIONS
+}
+
+#: every config field, in reference order (the README's "Configuration reference")
+FIELDS: Tuple[FieldSpec, ...] = tuple(spec for rows in _TABLE.values() for spec in rows)
+
+_TOP_LEVEL = frozenset(s.name for s in _TABLE[Config] if s.key == s.name)
+
+#: kind -> (what a value of another type may be coerced from, its name in
+#: errors); a ``bool`` never counts as a number
+_KINDS = {bool: (bool, "a bool"), int: (numbers.Integral, "an int"),
+          float: (numbers.Real, "a number"), str: (str, "a string"), dict: (dict, "a mapping")}
+
+
+def _check(obj: _Section) -> None:
+    """The one validator: coerce and check each of ``obj``'s fields against its
+    table row, then run the section's cross-field rules."""
+    for key, name, kind, default, bounds, choices, doc, lo, lo_open, hi, hi_open in _TABLE[type(obj)]:
+        v = getattr(obj, name)
+        if v is None and default is None:
+            continue
+        if type(v) is not kind:
+            accepts, what = _KINDS[kind]
+            if isinstance(v, bool) or not isinstance(v, accepts):
+                none = " or None" if default is None else ""
+                raise ConfigError(f"{key} must be {what}{none}, got {v!r} ({doc})")
+            v = kind(v)
+            setattr(obj, name, v)
+        if choices is not None and v not in choices:
+            raise ConfigError(f"{key} must be one of {choices}, got {v!r} ({doc})")
+        if (lo is not None and not (v > lo if lo_open else v >= lo)
+                or hi is not None and not (v < hi if hi_open else v <= hi)):
+            where = bounds if bounds[0] == ">" else "in " + bounds
+            raise ConfigError(f"{key} must be {where}, got {v!r} ({doc})")
+    obj._rules()
+
+
+def _mapping(value: Any, where: str) -> Dict[Any, Any]:
+    """A copy of the mapping at ``where`` (``None`` is empty)."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a mapping, got {value!r}")
+    return dict(value)
+
+
+def _reject_unknown(d: Dict[Any, Any], known: Any, where: str) -> None:
+    unknown = sorted(set(d).difference(known), key=str)
+    if unknown:
+        raise ConfigError(f"unknown keys in {where} config: {unknown}")
+
+
+def _make(section: type, d: Dict[str, Any]) -> Any:
+    _reject_unknown(d, section.__dataclass_fields__, section._key)
+    return section(**d)
+
+
+def _build(key: str, cls: type, kwargs: Dict[str, Any]) -> Any:
+    """``cls(**kwargs)`` for the mapping at ``key``: ``cls`` owns the bounds, and
+    a missing or unknown key or a value it rejects is a :class:`ConfigError`."""
+    params = inspect.signature(cls).parameters
+    missing = [n for n, p in params.items() if p.default is p.empty and n not in kwargs]
+    if missing:
+        raise ConfigError(f"{key} missing required key(s) {missing}")
+    _reject_unknown(kwargs, params, key)
+    try:
+        return cls(**kwargs)
+    except ValueError as err:  # the owner's message starts with the key
+        raise ConfigError(f"{key}.{err}") from None
+    except TypeError as err:  # a wrong-typed value met a comparison
+        raise ConfigError(f"{key}: {err}") from None

@@ -88,8 +88,10 @@ class ModelSpec:
     hbm_bandwidth: float = 1.5e12
 
     def __post_init__(self) -> None:
-        if self.n_layers < 1 or self.hidden < 1 or self.n_heads < 1:
-            raise ValueError("model dimensions must be >= 1")
+        for name in ("n_layers", "hidden", "n_heads"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
         if self.hidden % self.n_heads != 0:
             raise ValueError(
                 f"hidden {self.hidden} not divisible by n_heads {self.n_heads}")
@@ -241,6 +243,7 @@ class ServeEngine:
         self.max_recoveries = int(max_recoveries)
         seed = getattr(traffic, "seed", 0) if gen_seed is None else gen_seed
         self.gen_seed = int(seed)
+        # serve_traffic() reaches here without Config's field table
         if not 0.0 < self.kv_fraction <= 1.0:
             raise ValueError(
                 f"kv_fraction must be in (0, 1], got {self.kv_fraction}")
@@ -381,17 +384,8 @@ def serve_traffic(model: ModelSpec, traffic: Any, *,
 def serve_launch(cfg: Any, cluster: Any, world_size: Optional[int] = None,
                  runtime: Any = None, tracer: Any = None) -> TrafficReport:
     """The ``launch()`` entry point for a ``serve.*`` config section."""
-    from repro.serve.traffic import ClosedLoopTraffic, OpenLoopTraffic
-
     sv = cfg.serve
-    model = ModelSpec(**sv.model)
-    td = dict(sv.traffic)
-    kind = td.pop("kind")
-    for key in ("prompt_tokens", "max_new_tokens"):
-        if key in td:
-            td[key] = tuple(td[key])
-    traffic = (OpenLoopTraffic(**td) if kind == "open"
-               else ClosedLoopTraffic(**td))
+    model, traffic = sv.build()
     return serve_traffic(
         model, traffic,
         cluster=cluster,

@@ -52,7 +52,7 @@ class OpenLoopTraffic:
                  max_new_tokens: Tuple[int, int] = (8, 32),
                  seed: int = 0) -> None:
         if rate <= 0:
-            raise ValueError(f"offered rate must be > 0, got {rate}")
+            raise ValueError(f"rate must be > 0, got {rate}")
         if n_requests < 1:
             raise ValueError(f"n_requests must be >= 1, got {n_requests}")
         self.rate = float(rate)

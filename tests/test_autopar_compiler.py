@@ -242,6 +242,24 @@ class TestCompileArguments:
         with pytest.raises(ValueError, match=message):
             compile_strategy(uniform_cluster(8), WORK, **kwargs)
 
+    @pytest.mark.parametrize("bad, message", [
+        (dict(n_layers=0), "n_layers must be >= 1, got 0"),
+        (dict(seq_len=-1), "seq_len must be >= 1, got -1"),
+        (dict(n_heads=3, hidden=8), "hidden 8 not divisible by n_heads 3"),
+    ])
+    def test_workload_dict_out_of_range_raises(self, bad, message, monkeypatch):
+        """``Workload`` owns its bounds: a dict workload is checked by the
+        same ``__post_init__`` the ``autopar.workload`` config path runs."""
+        import repro.autopar.compiler as compiler
+
+        def no_scoring(*a, **k):
+            raise AssertionError("scored a workload that should not exist")
+
+        monkeypatch.setattr(compiler, "score_candidate", no_scoring)
+        work = {**dict(n_layers=4, hidden=256, n_heads=4, seq_len=64), **bad}
+        with pytest.raises(ValueError, match=message):
+            compile_strategy(uniform_cluster(8), work, 128)
+
     def test_config_section_shares_the_check(self):
         with pytest.raises(ValueError, match=r"autopar\.top_k must be >= 1"):
             Config.from_dict(dict(autopar=dict(

@@ -1,8 +1,12 @@
 """Tests for the configuration schema (Listing 1)."""
 
-import pytest
+from pathlib import Path
 
-from repro.config import Config, TensorParallelConfig
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import FIELDS, Config, ConfigError, TensorParallelConfig
 
 
 class TestConfigParsing:
@@ -107,3 +111,198 @@ class TestWorldDecomposition:
         assert cfg.infer_data_size(8) == 4
         with pytest.raises(ValueError):
             cfg.infer_data_size(4)
+
+
+# -- one field table, one strict validator (DESIGN §4t) ----------------------
+
+_W = dict(n_layers=4, hidden=256, n_heads=4, seq_len=64)
+_M = dict(n_layers=1, hidden=8, n_heads=1)
+_T = dict(kind="open", rate=1.0, n_requests=1)
+
+
+@pytest.mark.parametrize("d, key", [
+    # truthy strings used to turn the feature on
+    (dict(fp16=dict(enabled="no")), "fp16.enabled"),
+    (dict(comm=dict(overlap="false")), "comm.overlap"),
+    (dict(sanitize=dict(callsites="no")), "sanitize.callsites"),
+    # silently truncated, read as a number, or accepted out of range
+    (dict(parallel=dict(tensor=dict(size=2.7))), "parallel.tensor.size"),
+    (dict(zero=dict(stage=True)), "zero.stage"),
+    (dict(num_microbatches=1.5), "num_microbatches"),
+    (dict(gradient_clipping=-1.0), "gradient_clipping"),
+    # died with a bare TypeError from a ``<``
+    (dict(zero=dict(chunk_mb="32")), "zero.chunk_mb"),
+    (dict(parallel=dict(data="2")), "parallel.data"),
+    (dict(serve=dict(block_size="16", model=_M, traffic=_T)), "serve.block_size"),
+    # nested mappings that passed validation
+    (dict(autopar=dict(workload=dict(_W, n_layers=0))), "autopar.workload.n_layers"),
+    (dict(autopar=dict(workload=dict(_W, seq_len=-1))), "autopar.workload.seq_len"),
+    (dict(autopar=dict(workload=dict(_W, n_heads=3, hidden=8))), "autopar.workload.hidden"),
+    (dict(serve=dict(model=_M, traffic=dict(_T, rate=-5))), "serve.traffic.rate"),
+    (dict(serve=dict(model=dict(_M, n_layer=2), traffic=_T)), "serve.model"),
+])
+def test_probed_invalid_input_is_a_config_error_naming_the_field(d, key):
+    with pytest.raises(ConfigError) as info:
+        Config.from_dict(d)
+    assert key in str(info.value)
+
+
+def test_int_is_accepted_as_float_and_stored_as_float():
+    cfg = Config.from_dict(dict(zero=dict(chunk_mb=32), gradient_clipping=1))
+    assert type(cfg.zero.chunk_mb) is float and cfg.zero.chunk_mb == 32.0
+    assert type(cfg.gradient_clipping) is float
+
+
+# a draw per table row: valid values come from the row's kind, bounds and
+# choices; the nested mappings from the classes that own them
+
+def _ints(s):
+    lo = None if s.lo is None else int(s.lo) + s.lo_open
+    return st.integers(min_value=lo, max_value=None if lo is None else lo + 64)
+
+
+_NESTED_VALID = {
+    "autopar.workload": st.builds(
+        lambda heads, k, layers, seq: dict(n_layers=layers, hidden=heads * k,
+                                           n_heads=heads, seq_len=seq),
+        st.integers(1, 8), st.integers(1, 8), st.integers(1, 8), st.integers(1, 256)),
+    "serve.model": st.builds(
+        lambda heads, k, layers: dict(n_layers=layers, hidden=heads * k, n_heads=heads),
+        st.integers(1, 8), st.integers(1, 8), st.integers(1, 4)),
+    "serve.traffic": st.one_of(
+        st.fixed_dictionaries(dict(kind=st.just("open"), rate=st.floats(1e-3, 1e6),
+                                   n_requests=st.integers(1, 64))),
+        st.fixed_dictionaries(dict(kind=st.just("closed"), clients=st.integers(1, 8),
+                                   n_requests=st.integers(1, 64),
+                                   think_time=st.floats(0.0, 1.0)))),
+    "project.axes": st.dictionaries(st.sampled_from(["dp", "tp", "pp"]),
+                                    st.integers(1, 8), min_size=1),
+}
+
+_NESTED_INVALID = {
+    "autopar.workload": [dict(_W, n_layers=0), dict(_W, n_heads=3, hidden=8),
+                         dict(hidden=64), dict(_W, bogus=1)],
+    "serve.model": [dict(_M, hidden=0), dict(_M, n_heads=3), dict(_M, n_layer=2)],
+    "serve.traffic": [dict(_T, rate=-5), dict(_T, kind="burst"), dict(_T, rate="5"),
+                      dict(kind="closed", clients=0, n_requests=1)],
+    "project.axes": [{}, {"zp": 2}, {"dp": 0}, {"dp": 2.5}, {"dp": True}],
+}
+
+#: what must hold for a nested row to be checked at all
+_ENABLE = {"autopar.workload": ("autopar.enabled", True),
+           "serve.model": ("serve.enabled", True),
+           "serve.traffic": ("serve.enabled", True),
+           "project.axes": ("project.mode", "project")}
+
+_WRONG_TYPE = {bool: ["no", 0, 1, "true"], int: [2.7, True, "16", 3.0],
+               float: ["32", True, b"1"], str: [1, True, b"x"], dict: [[], "x", 3]}
+
+_TENSOR_SHAPES = [(1, "none", 1), (1, "1d", 1), (3, "1d", 1), (4, "2d", 1), (9, "2d", 1),
+                  (8, "2.5d", 2), (18, "2.5d", 2), (8, "3d", 1), (4, "sequence", 1)]
+
+
+def _valid(s):
+    if s.key in _NESTED_VALID:
+        value = _NESTED_VALID[s.key]
+    elif s.choices is not None:
+        value = st.sampled_from(s.choices)
+    elif s.kind is bool:
+        value = st.booleans()
+    elif s.kind is str:
+        value = st.text(max_size=8)
+    elif s.kind is int:
+        value = _ints(s)
+    else:
+        value = st.floats(min_value=s.lo, max_value=s.hi if s.hi is not None else 1e9,
+                          exclude_min=s.lo_open, exclude_max=s.hi_open)
+    return st.none() | value if s.default is None else value
+
+
+def _invalid(s):
+    if s.key in _NESTED_INVALID:
+        bad = list(_NESTED_INVALID[s.key])
+    elif s.choices is not None:
+        bad = [7 if s.kind is int else "bogus"]
+    else:
+        bad = []
+        if s.lo is not None:
+            bad.append(s.lo if s.lo_open else s.lo - 1)
+        if s.hi is not None:
+            bad.append(s.hi if s.hi_open else s.hi + 1)
+        if s.kind is int:
+            bad = [int(b) for b in bad]
+    bad += _WRONG_TYPE[s.kind] + ([] if s.default is None else [None])
+    return st.sampled_from(bad)
+
+
+def _nest(flat):
+    """A flat ``{dotted key: value}`` draw in the ``from_dict`` input shape,
+    with the cross-field rules satisfied."""
+    flat = dict(flat)
+    size, mode, depth = flat.pop("tensor_shape")
+    flat.update({"parallel.tensor.size": size, "parallel.tensor.mode": mode,
+                 "parallel.tensor.depth": depth})
+    if not flat["sanitize.enabled"]:
+        flat.update({"sanitize.checksum": False, "sanitize.race": False,
+                     "sanitize.record": None, "sanitize.replay": None})
+    if flat["sanitize.record"] is not None:
+        flat["sanitize.replay"] = None
+    if flat["project.mode"] != "project":
+        flat.update({"project.target_world": None, "project.axes": None})
+    if flat["autopar.workload"] is None:
+        flat["autopar.enabled"] = False
+    if None in (flat["serve.model"], flat["serve.traffic"]):
+        flat["serve.enabled"] = False
+    return flat
+
+
+def _shape(flat):
+    d = {}
+    for key, value in flat.items():
+        *path, name = key.split(".")
+        node = d
+        for part in path:
+            node = node.setdefault(part, {})
+        node[name] = value
+    return d
+
+
+_VALID_FLAT = st.fixed_dictionaries(
+    {"tensor_shape": st.sampled_from(_TENSOR_SHAPES),
+     **{s.key: _valid(s) for s in FIELDS if not s.key.startswith("parallel.tensor.")}}
+).map(_nest)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VALID_FLAT)
+def test_every_valid_draw_builds_and_round_trips(flat):
+    cfg = Config.from_dict(_shape(flat))
+    assert Config.from_dict(cfg.to_dict()) == cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALID_FLAT, st.data())
+def test_every_invalid_draw_is_a_config_error_naming_its_field(flat, data):
+    spec = data.draw(st.sampled_from(FIELDS))
+    flat = dict(flat, **{spec.key: data.draw(_invalid(spec))})
+    if spec.key in _ENABLE:
+        flat.update([_ENABLE[spec.key]])
+        for key, value in (("serve.model", _M), ("serve.traffic", _T)):
+            if flat[key] is None and spec.key.startswith("serve."):
+                flat[key] = value
+    with pytest.raises(ConfigError) as info:  # never TypeError / KeyError / ...
+        Config.from_dict(_shape(flat))
+    assert spec.key in str(info.value)
+
+
+def test_readme_reference_is_the_field_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration reference", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+
+    def row(s):
+        kind = s.kind.__name__ + (" or None" if s.default is None else "")
+        allowed = s.bounds or " / ".join(f"`{c!r}`" for c in s.choices or ()) or "—"
+        return f"| `{s.key}` | {kind} | `{s.default!r}` | {allowed} | {s.doc} |"
+
+    assert rows == [row(s) for s in FIELDS]
