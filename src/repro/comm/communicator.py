@@ -15,14 +15,13 @@ order so results are bitwise deterministic run-to-run.
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.comm.cost import CollectiveCost
 from repro.comm.group import ProcessGroup, WorkHandle
 from repro.comm.payload import Payload, SpecArray
-from repro.runtime.errors import CollectiveTimeout
 
 ReduceOp = str  # "sum" | "max" | "min" | "prod"
 
@@ -183,13 +182,10 @@ class Communicator:
                 membership[c] = [g for _, g in sorted(members)]
             for local, (c, _k) in payloads.items():
                 results[local] = membership[c]
-            return results, CollectiveCost(self.group.cost_model.alpha, 0), "split", 1
+            return results, CollectiveCost(self.group.cost_model.alpha, 0), 1
 
-        san = self.group.runtime.sanitizer
-        spec = None if san is None else san.make_spec("split", None, self)
         ranks = self.group.rendezvous(
-            self.global_rank, (color, key), finalize, spec
-        )
+            self.global_rank, (color, key), finalize, "split")
         return Communicator(self.group.runtime.group(ranks), self.global_rank)
 
     def subgroup(self, local_ranks: Sequence[int]) -> "Communicator":
@@ -199,10 +195,9 @@ class Communicator:
 
     # -- collectives ---------------------------------------------------------
 
-    def _allreduce_round(self, x: Payload, op: ReduceOp):
-        """Finalize closure + sanitizer spec for an all_reduce round; shared
-        by the blocking and nonblocking entry points so both price and
-        combine identically."""
+    def _allreduce_round(self, x: Payload, op: ReduceOp, mode: str):
+        """One all_reduce round, blocking or nonblocking (``mode``): both
+        spellings price and combine identically."""
         if op not in _REDUCERS:
             raise _invalid_reduce_op(op, "all_reduce")
 
@@ -213,50 +208,44 @@ class Communicator:
             cost = self.group.cost_model.allreduce(self.group.ranks, int(x.nbytes))
             results = _replicate(
                 combined, payloads, 0, pool, "all_reduce:result")
-            return results, cost, "all_reduce", x.dtype.itemsize
+            return results, cost, x.dtype.itemsize
 
-        san = self.group.runtime.sanitizer
-        spec = (None if san is None
-                else san.make_spec("all_reduce", x, self, reduce_op=op))
-        return finalize, spec
+        return self.group.rendezvous(
+            self.global_rank, x, finalize, "all_reduce", {"reduce_op": op},
+            mode)
 
     def all_reduce(self, x: Payload, op: ReduceOp = "sum") -> Payload:
         """Reduce across the group; every rank receives the full result."""
-        finalize, spec = self._allreduce_round(x, op)
-        return self.group.rendezvous(self.global_rank, x, finalize, spec)
+        return self._allreduce_round(x, op, "sync")
 
     def iallreduce(self, x: Payload, op: ReduceOp = "sum") -> "WorkHandle":
         """Nonblocking :meth:`all_reduce`: the round runs on the group's comm
         stream; ``wait()`` on the returned handle delivers this rank's result
         and max-joins its compute clock to the completion time."""
-        finalize, spec = self._allreduce_round(x, op)
-        return self.group.rendezvous_async(self.global_rank, x, finalize, spec)
+        return self._allreduce_round(x, op, "async")
 
-    def _allgather_round(self, x: Payload, axis: int):
+    def _allgather_round(self, x: Payload, axis: int, mode: str):
         def finalize(payloads: Dict[int, Payload]):
             chunks = [payloads[i] for i in sorted(payloads)]
             gathered = _concat_axis(chunks, axis, "all_gather")
             cost = self.group.cost_model.allgather(self.group.ranks, int(x.nbytes))
             results = _replicate(gathered, payloads, 0)
-            return results, cost, "all_gather", x.dtype.itemsize
+            return results, cost, x.dtype.itemsize
 
-        san = self.group.runtime.sanitizer
-        spec = (None if san is None
-                else san.make_spec("all_gather", x, self, axis=axis))
-        return finalize, spec
+        return self.group.rendezvous(
+            self.global_rank, x, finalize, "all_gather", {"axis": axis}, mode)
 
     def all_gather(self, x: Payload, axis: int = 0) -> Payload:
         """Concatenate every rank's payload along ``axis``; all ranks receive
         the concatenation (in local-rank order)."""
-        finalize, spec = self._allgather_round(x, axis)
-        return self.group.rendezvous(self.global_rank, x, finalize, spec)
+        return self._allgather_round(x, axis, "sync")
 
     def iall_gather(self, x: Payload, axis: int = 0) -> "WorkHandle":
         """Nonblocking :meth:`all_gather` (see :meth:`iallreduce`)."""
-        finalize, spec = self._allgather_round(x, axis)
-        return self.group.rendezvous_async(self.global_rank, x, finalize, spec)
+        return self._allgather_round(x, axis, "async")
 
-    def _reduce_scatter_round(self, x: Payload, axis: int, op: ReduceOp):
+    def _reduce_scatter_round(self, x: Payload, axis: int, op: ReduceOp,
+                              mode: str):
         if op not in _REDUCERS:
             raise _invalid_reduce_op(op, "reduce_scatter")
 
@@ -267,24 +256,21 @@ class Communicator:
             combined = _combine(payloads, op, self.group.runtime.buffer_pool)
             chunks = _split_axis(combined, self.size, axis, "reduce_scatter")
             cost = self.group.cost_model.reduce_scatter(self.group.ranks, int(x.nbytes))
-            return dict(enumerate(chunks)), cost, "reduce_scatter", x.dtype.itemsize
+            return dict(enumerate(chunks)), cost, x.dtype.itemsize
 
-        san = self.group.runtime.sanitizer
-        spec = (None if san is None else san.make_spec(
-            "reduce_scatter", x, self, reduce_op=op, axis=axis))
-        return finalize, spec
+        return self.group.rendezvous(
+            self.global_rank, x, finalize, "reduce_scatter",
+            {"reduce_op": op, "axis": axis}, mode)
 
     def reduce_scatter(self, x: Payload, axis: int = 0, op: ReduceOp = "sum") -> Payload:
         """Reduce across the group, then scatter the result: rank i receives
         the i-th chunk of the reduction along ``axis``."""
-        finalize, spec = self._reduce_scatter_round(x, axis, op)
-        return self.group.rendezvous(self.global_rank, x, finalize, spec)
+        return self._reduce_scatter_round(x, axis, op, "sync")
 
     def ireduce_scatter(self, x: Payload, axis: int = 0,
                         op: ReduceOp = "sum") -> "WorkHandle":
         """Nonblocking :meth:`reduce_scatter` (see :meth:`iallreduce`)."""
-        finalize, spec = self._reduce_scatter_round(x, axis, op)
-        return self.group.rendezvous_async(self.global_rank, x, finalize, spec)
+        return self._reduce_scatter_round(x, axis, op, "async")
 
     def broadcast(self, x: Optional[Payload], root: int = 0) -> Payload:
         """Send root's payload to every rank (``root`` is a local rank)."""
@@ -295,12 +281,10 @@ class Communicator:
                 raise ValueError("broadcast: root payload is None")
             cost = self.group.cost_model.broadcast(self.group.ranks, int(src.nbytes))
             results = _replicate(src, payloads, root)
-            return results, cost, "broadcast", src.dtype.itemsize
+            return results, cost, src.dtype.itemsize
 
-        san = self.group.runtime.sanitizer
-        spec = (None if san is None
-                else san.make_spec("broadcast", x, self, root=root))
-        return self.group.rendezvous(self.global_rank, x, finalize, spec)
+        return self.group.rendezvous(
+            self.global_rank, x, finalize, "broadcast", {"root": root})
 
     def reduce(self, x: Payload, root: int = 0, op: ReduceOp = "sum") -> Optional[Payload]:
         """Reduce to the local rank ``root``; other ranks receive ``None``."""
@@ -313,12 +297,11 @@ class Communicator:
             cost = self.group.cost_model.reduce(self.group.ranks, int(x.nbytes))
             results: Dict[int, Optional[Payload]] = {i: None for i in payloads}
             results[root] = combined
-            return results, cost, "reduce", x.dtype.itemsize
+            return results, cost, x.dtype.itemsize
 
-        san = self.group.runtime.sanitizer
-        spec = (None if san is None else san.make_spec(
-            "reduce", x, self, reduce_op=op, root=root))
-        return self.group.rendezvous(self.global_rank, x, finalize, spec)
+        return self.group.rendezvous(
+            self.global_rank, x, finalize, "reduce",
+            {"reduce_op": op, "root": root})
 
     def scatter(self, x: Optional[Payload], root: int = 0, axis: int = 0) -> Payload:
         """Split root's payload into ``size`` chunks along ``axis``; rank i
@@ -332,12 +315,11 @@ class Communicator:
             cost = self.group.cost_model.scatter(
                 self.group.global_rank(root), self.group.ranks, int(chunks[0].nbytes)
             )
-            return dict(enumerate(chunks)), cost, "scatter", src.dtype.itemsize
+            return dict(enumerate(chunks)), cost, src.dtype.itemsize
 
-        san = self.group.runtime.sanitizer
-        spec = (None if san is None
-                else san.make_spec("scatter", x, self, root=root, axis=axis))
-        return self.group.rendezvous(self.global_rank, x, finalize, spec)
+        return self.group.rendezvous(
+            self.global_rank, x, finalize, "scatter",
+            {"root": root, "axis": axis})
 
     def gather(self, x: Payload, root: int = 0, axis: int = 0) -> Optional[Payload]:
         """Concatenate payloads on local rank ``root``; others get ``None``."""
@@ -350,12 +332,11 @@ class Communicator:
             )
             results: Dict[int, Optional[Payload]] = {i: None for i in payloads}
             results[root] = gathered
-            return results, cost, "gather", x.dtype.itemsize
+            return results, cost, x.dtype.itemsize
 
-        san = self.group.runtime.sanitizer
-        spec = (None if san is None
-                else san.make_spec("gather", x, self, root=root, axis=axis))
-        return self.group.rendezvous(self.global_rank, x, finalize, spec)
+        return self.group.rendezvous(
+            self.global_rank, x, finalize, "gather",
+            {"root": root, "axis": axis})
 
     def all_to_all(self, chunks: List[Payload]) -> List[Payload]:
         """Personalized exchange: rank i sends ``chunks[j]`` to rank j and
@@ -373,21 +354,18 @@ class Communicator:
             columns = list(zip(*[payloads[j] for j in sorted(payloads)]))
             results = {i: list(columns[i]) for i in payloads}
             cost = self.group.cost_model.all_to_all(self.group.ranks, nbytes_local)
-            return results, cost, "all_to_all", chunks[0].dtype.itemsize
+            return results, cost, chunks[0].dtype.itemsize
 
-        san = self.group.runtime.sanitizer
-        spec = (None if san is None else san.make_spec(
-            "all_to_all", None, self, nchunks=len(chunks)))
-        return self.group.rendezvous(self.global_rank, chunks, finalize, spec)
+        return self.group.rendezvous(
+            self.global_rank, chunks, finalize, "all_to_all",
+            {"nchunks": len(chunks)})
 
     def barrier(self) -> None:
         def finalize(payloads: Dict[int, Any]):
             cost = self.group.cost_model.barrier(self.group.ranks)
-            return {i: None for i in payloads}, cost, "barrier", 1
+            return {i: None for i in payloads}, cost, 1
 
-        san = self.group.runtime.sanitizer
-        spec = None if san is None else san.make_spec("barrier", None, self)
-        self.group.rendezvous(self.global_rank, None, finalize, spec)
+        self.group.rendezvous(self.global_rank, None, finalize, "barrier")
 
     def ring_pass(self, x: Payload, shift: int = 1) -> Payload:
         """One ring rotation: send to ``(rank+shift) % size``, receive from
@@ -407,12 +385,10 @@ class Communicator:
                 seconds = max(seconds, c.seconds)
                 wire += c.wire_bytes
             cost = CollectiveCost(seconds, wire)
-            return results, cost, "ring_pass", x.dtype.itemsize
+            return results, cost, x.dtype.itemsize
 
-        san = self.group.runtime.sanitizer
-        spec = (None if san is None
-                else san.make_spec("ring_pass", x, self, shift=shift))
-        return self.group.rendezvous(self.global_rank, x, finalize, spec)
+        return self.group.rendezvous(
+            self.global_rank, x, finalize, "ring_pass", {"shift": shift})
 
     def all_gather_object(self, obj: Any) -> List[Any]:
         """Control-plane allgather of small Python objects (OOM flags, batch
@@ -421,108 +397,67 @@ class Communicator:
         def finalize(payloads: Dict[int, Any]):
             ordered = [payloads[i] for i in sorted(payloads)]
             cost = self.group.cost_model.allgather(self.group.ranks, _OBJECT_NBYTES)
-            return {i: list(ordered) for i in payloads}, cost, "all_gather_object", 1
+            return {i: list(ordered) for i in payloads}, cost, 1
 
-        san = self.group.runtime.sanitizer
-        spec = (None if san is None
-                else san.make_spec("all_gather_object", None, self))
-        return self.group.rendezvous(self.global_rank, obj, finalize, spec)
+        return self.group.rendezvous(
+            self.global_rank, obj, finalize, "all_gather_object")
 
     # -- point-to-point ---------------------------------------------------------
 
     def _deliver(self, x: Payload, dst: int, tag: Any,
-                 kind: str) -> Tuple[CollectiveCost, float]:
-        """One p2p transmission: run the fault/retry loop, put the transfer
-        on the group's timeline and enqueue the payload; returns the
-        successful attempt's cost and when the payload is available (for a
-        stream send, the transfer's end).  ``kind`` is the capture tag of
-        the send and says when the sender pays: ``"ps"`` (blocking ``send``)
-        now, ``"pse"`` (eager ``isend``) at ``wait()``, ``"pss"``
-        (overlap-mode ``isend``) never — the transfer runs on the sender's
-        p2p stream.
-
-        Each dropped/corrupted attempt charges the failed transfer plus
-        backoff to the sender's clock and counts the retransmitted bytes;
-        a permanently dead link exhausts the retry budget and raises
-        :class:`CollectiveTimeout`.
-        """
+                 kind: str) -> Optional[WorkHandle]:
+        """One p2p transmission: the ``send`` hooks (a fault injector's
+        crash check and retry rule, :meth:`GroupTimeline.retry_p2p`), the
+        transfer on the group's timeline, the ``sent`` hooks, and the payload
+        into the receiver's mailbox.  ``kind`` is the send's capture tag and
+        says when the sender pays: ``"ps"`` (blocking ``send``) now, ``"pse"``
+        (eager ``isend``) at ``wait()`` on the returned :class:`Request`,
+        ``"pss"`` (overlap-mode ``isend``) never — the transfer runs on the
+        sender's p2p stream, and the returned :class:`StreamSendHandle`
+        max-joins its end."""
         src_g = self.global_rank
         group = self.group
         dst_g = group.ranks[dst]
         runtime = group.runtime
-        clock = runtime.clocks[src_g]
-        t_entry = clock.time
+        t_entry = runtime.clocks[src_g].time
         nbytes, elements = int(x.nbytes), int(x.size)
         cost = group.cost_model.p2p(src_g, dst_g, nbytes)
-        injector = runtime.fault_injector
-        san = runtime.sanitizer
-        if injector is not None:
-            injector.check_time_crash(src_g, clock.time)
-            policy = runtime.retry_policy
-            tracer = runtime.tracer
-            failures = 0
-            while True:
-                verdict = injector.p2p_verdict(src_g, dst_g)
-                if verdict == "deliver":
-                    break
-                if verdict == "corrupt" and san is not None:
-                    san.note_injected_corruption(src_g, dst_g)
-                failures += 1
-                t0 = clock.time
-                clock.advance(cost.seconds + policy.backoff(failures), "comm")
-                if tracer is not None:
-                    tracer.annotate(
-                        src_g, "retry", "p2p:retry", t0, clock.time,
-                        dst=dst_g, attempt=failures,
-                    )
-                group.counters.record_retry("p2p", cost.wire_bytes, elements)
-                if failures > policy.max_retries:
-                    raise CollectiveTimeout(
-                        "p2p", (src_g, dst_g), attempts=failures
-                    )
+        for hook in runtime.on_send:
+            hook(src_g, t_entry, group, dst_g, cost, elements)
         if kind == "pss":
             t_avail = group.stream_send(src_g, cost, elements, dst_g, nbytes)
+            handle: Optional[WorkHandle] = StreamSendHandle(
+                self, t_avail, cost.seconds)
         else:
             t_avail = group.send(
                 src_g, t_entry, cost, elements, dst_g, nbytes, kind == "ps")
+            handle = (None if kind == "ps"
+                      else Request(kind="send", comm=self, seconds=cost.seconds))
         payload = x if type(x) is SpecArray else x.copy()
         key = (src_g, dst_g, (id(group), tag))
-        if san is not None:
-            san.note_send(src_g, dst_g, key, payload)
+        for hook in runtime.on_sent:
+            hook(src_g, dst_g, key, payload, group, tag, kind, cost, handle)
         runtime.mailboxes.put(key, (payload, t_avail))
-        return cost, t_avail
+        return handle
 
     def send(self, x: Payload, dst: int, tag: Any = 0) -> None:
         """Send ``x`` to local rank ``dst``.  Returns once the payload is
         enqueued; the sender's clock is charged the full transfer (eager
         synchronous model), plus retransmissions under injected faults."""
-        cost, _ = self._deliver(x, dst, tag, "ps")
-        cap = self.group.runtime.capture
-        if cap is not None:
-            cap.record_send(
-                self.global_rank, "ps", self.group,
-                self.group.global_rank(dst), tag, int(x.nbytes),
-                int(x.size), cost,
-            )
+        self._deliver(x, dst, tag, "ps")
 
     def recv(self, src: int, tag: Any = 0) -> Payload:
         """Blocking receive from local rank ``src``."""
         src_g = self.group.ranks[src]
         dst_g = self.global_rank
         runtime = self.group.runtime
-        if runtime.fault_injector is not None:
-            runtime.fault_injector.check_time_crash(
-                dst_g, runtime.clocks[dst_g].time
-            )
+        for hook in runtime.on_recv:
+            hook(dst_g, runtime.clocks[dst_g].time)
         key = (src_g, dst_g, (id(self.group), tag))
         payload, t_avail = runtime.mailboxes.get(key, runtime.aborting)
-        san = runtime.sanitizer
-        if san is not None:
-            san.verify_recv(src_g, dst_g, key, payload)
+        for hook in runtime.on_received:
+            hook(src_g, dst_g, key, payload, self.group, tag)
         self.group.arrive(dst_g, src_g, t_avail, int(payload.nbytes))
-        cap = runtime.capture
-        if cap is not None:
-            cap.record_recv(dst_g, self.group, src_g, tag)
         return payload
 
     def sendrecv(self, x: Payload, dst: int, src: int, tag: Any = 0) -> Payload:
@@ -541,26 +476,8 @@ class Communicator:
         immediately available and the sender's clock is charged the full
         transfer on ``wait()`` (retransmission charges land immediately).
         """
-        runtime = self.group.runtime
-        cap = runtime.capture
-        if not runtime.comm_overlap:
-            cost, _ = self._deliver(x, dst, tag, "pse")
-            if cap is not None:
-                cap.record_send(
-                    self.global_rank, "pse", self.group,
-                    self.group.global_rank(dst), tag, int(x.nbytes),
-                    int(x.size), cost,
-                )
-            return Request(kind="send", comm=self, seconds=cost.seconds)
-        src_g = self.global_rank
-        cost, t_end = self._deliver(x, dst, tag, "pss")
-        sid = None
-        if cap is not None:
-            sid = cap.record_isend_stream(
-                src_g, self.group, self.group.global_rank(dst), tag,
-                int(x.nbytes), int(x.size), cost,
-            )
-        return StreamSendHandle(self, t_end, cost.seconds, sid=sid)
+        return self._deliver(
+            x, dst, tag, "pss" if self.group.runtime.comm_overlap else "pse")
 
     def irecv(self, src: int, tag: Any = 0) -> "Request":
         """Non-blocking receive; ``wait()`` blocks until the message lands."""
@@ -581,15 +498,14 @@ class StreamSendHandle(WorkHandle):
     """Handle for an overlap-mode ``isend`` running on the sender's p2p
     stream; ``wait()`` max-joins the sender's clock to transfer completion."""
 
-    __slots__ = ("_comm", "_t_end", "_seconds", "_done", "_sid")
+    __slots__ = ("_comm", "_t_end", "_seconds", "_done")
 
-    def __init__(self, comm: "Communicator", t_end: float, seconds: float,
-                 sid: Optional[int] = None) -> None:
+    def __init__(self, comm: "Communicator", t_end: float,
+                 seconds: float) -> None:
         self._comm = comm
         self._t_end = t_end
         self._seconds = seconds
         self._done = False
-        self._sid = sid
 
     def test(self) -> bool:
         # the payload is enqueued at issue; completion is purely a simulated-
@@ -602,9 +518,8 @@ class StreamSendHandle(WorkHandle):
         group = self._comm.group
         rank = self._comm.global_rank
         group.settle(rank, "isend", self._seconds, self._t_end)
-        cap = group.runtime.capture
-        if cap is not None and self._sid is not None:
-            cap.record_stream_wait(rank, self._sid)
+        for hook in group.runtime.on_wait:
+            hook(rank, self, self._seconds)
         self._done = True
         return None
 
@@ -638,12 +553,11 @@ class Request(WorkHandle):
         if self._done:
             return self._result
         if self._kind == "send":
-            self._comm.group.runtime.clocks[self._comm.global_rank].advance(
-                self._seconds, "comm"
-            )
-            cap = self._comm.group.runtime.capture
-            if cap is not None:
-                cap.record_wait_eager(self._comm.global_rank, self._seconds)
+            rank = self._comm.global_rank
+            runtime = self._comm.group.runtime
+            runtime.clocks[rank].advance(self._seconds, "comm")
+            for hook in runtime.on_wait:
+                hook(rank, self, self._seconds)
         else:
             self._result = self._comm.recv(self._src, self._tag)
         self._done = True

@@ -13,8 +13,14 @@ completes when every member has arrived, at which point the last arriver
    to ``max(entry times, stream tail) + cost`` and the wire traffic lands in
    the group's counters.
 
+Everything else that takes part in a round — the fault injector's crash
+check, the sanitizer, the capture recorder, the tracer — is reached through
+the runtime's lifecycle hooks, one tuple per event: enter → (park) →
+finalize → complete | fail (DESIGN §4u).  With nothing installed every
+tuple is empty and the loops over them make no call.
+
 The rendezvous is event-driven: waiters park on the group condition and the
-last arriver (or the abort path via ``SpmdRuntime._wake_all``) notifies them
+last arriver (or the abort path via ``SpmdRuntime.wake_all``) notifies them
 — there is no poll tick.  One failing rank therefore aborts everyone
 immediately instead of at the next poll interval.
 """
@@ -26,19 +32,17 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.comm.cost import CollectiveCost, CostModel
-from repro.comm.timeline import NO_EXTRA, GroupTimeline, Round
+from repro.comm.timeline import GroupTimeline, Round
 from repro.runtime.errors import CollectiveTimeout
 
-#: With a sanitizer installed, parked waiters still wake on this cadence to
-#: run ``check_stalled`` — it is the sanitizer's desync-diagnosis latency,
-#: not a liveness mechanism (completion and abort are notify-driven).
-_DIAG_WINDOW = 0.05
-
 #: finalize(payloads by local rank) ->
-#:   (results by local rank, cost, op name, itemsize for element accounting)
+#:   (results by local rank, cost, itemsize for element accounting)
 FinalizeFn = Callable[
-    [Dict[int, Any]], Tuple[Dict[int, Any], CollectiveCost, str, int]
+    [Dict[int, Any]], Tuple[Dict[int, Any], CollectiveCost, int]
 ]
+
+#: the params of a call that takes none (``barrier``, ``split``, ...)
+NO_PARAMS: Dict[str, Any] = {}
 
 
 class WorkHandle:
@@ -107,15 +111,17 @@ class ProcessGroup(GroupTimeline):
     # ------------------------------------------------------------------
 
     def rendezvous(self, my_global_rank: int, payload: Any,
-                   finalize: FinalizeFn, spec: Any = None) -> Any:
-        """Enter a collective round; returns this rank's share of the result.
+                   finalize: FinalizeFn, op: str,
+                   params: Dict[str, Any] = NO_PARAMS,
+                   mode: str = "sync") -> Any:
+        """Enter a round of collective ``op`` (called with ``params``);
+        returns this rank's share of the result — or, ``mode="async"``, a
+        :class:`WorkHandle` on it without blocking.
 
         ``finalize`` must be logically identical on all ranks; the last
-        arriver's instance runs.  ``spec`` (a
-        :class:`~repro.sanitize.spec.CollectiveSpec`, built by the
-        communicator only when a sanitizer is installed) declares what this
-        rank believes the call to be; the sanitizer cross-checks the specs
-        when the round fills.
+        arriver's instance runs — for a nonblocking round, the last to
+        *issue* it.  Such a round occupies the group's comm stream and moves
+        no compute clock; each member max-joins when it waits its handle.
 
         On the healthy path a rank makes no call of its own below this frame
         except :meth:`_await_round` when it has to park — the membership,
@@ -126,62 +132,51 @@ class ProcessGroup(GroupTimeline):
         if me is None:
             self.local_rank(my_global_rank)  # raises: not a member
         clock = runtime.clocks[my_global_rank]
-        if runtime.fault_injector is not None:
-            runtime.fault_injector.check_time_crash(my_global_rank, clock.time)
         seq = self._seq[my_global_rank]
-        if spec is not None:
-            spec.seq = seq
+        for hook in runtime.on_enter:
+            hook(my_global_rank, clock.time, self, seq, op, payload, params)
+        self._seq[my_global_rank] = seq + 1
 
-        if self.size == 1:
-            san = runtime.sanitizer
-            extra: Dict[str, Any] = NO_EXTRA
-            if san is not None:
-                san.verify_round(self, seq, {0: spec} if spec else None)
-            results, cost, op, itemsize = finalize({0: payload})
-            if san is not None:
-                extra = san.finish_round(
-                    self, seq, {0: spec} if spec else None,
-                    {0: payload}, results,
-                )
-                self._seq[my_global_rank] += 1
+        if self.size == 1 and mode == "sync":
+            payloads = {0: payload}
+            results, cost, itemsize = finalize(payloads)
+            extra: Dict[str, Any] = {}  # span tags the solo hooks add
+            for hook in runtime.on_solo:
+                hook(my_global_rank, self, seq, op, cost, itemsize, payloads,
+                     results, extra)
             self.solo(my_global_rank, op, cost, itemsize, extra)
-            cap = runtime.capture
-            if cap is not None:
-                cap.record_solo(my_global_rank, self, op, cost, itemsize, payload)
             return results[0]
 
-        self._seq[my_global_rank] = seq + 1
         with self._cond:
             rnd = self._rounds.get(seq)
             if rnd is None:
-                rnd = self._rounds[seq] = Round()
-            if rnd.mode is None:
-                rnd.mode = "sync"
-            elif rnd.mode != "sync":
-                self._fail_mixed_mode(rnd, seq, "sync")
+                rnd = self._rounds[seq] = Round(seq, mode)
+            elif rnd.mode != mode:
+                self._fail_mixed_mode(rnd, seq, mode)
             rnd.payloads[me] = payload
             rnd.entry_times[me] = clock.time
-            if spec is not None:
-                if rnd.specs is None:
-                    rnd.specs = {}
-                rnd.specs[me] = spec
+            if mode != "sync":
+                for hook in runtime.on_member:
+                    hook(my_global_rank, self, seq, "ic")
+                if not rnd.done and len(rnd.payloads) == self.size:
+                    self._finalize_round(rnd, op, finalize)
+                return AsyncCollectiveHandle(self, seq, me, my_global_rank)
 
             if rnd.done:
                 # The round already failed (a sanitizer desync verdict)
                 # while this rank was on its way; claim the error below.
                 pass
             elif len(rnd.payloads) == self.size:
-                self._finalize_round(rnd, seq, finalize)
+                self._finalize_round(rnd, op, finalize)
             else:
-                self._await_round(my_global_rank, seq, rnd, spec, clock)
+                self._await_round(my_global_rank, rnd)
 
             if rnd.error is not None:
                 self._claim(rnd, seq)
                 raise rnd.error
             result = rnd.results[me]
-            cap = runtime.capture
-            if cap is not None:
-                cap.record_member(my_global_rank, self, seq, "c")
+            for hook in runtime.on_member:
+                hook(my_global_rank, self, seq, "c")
             rnd.claimed += 1
             if rnd.claimed == self.size:
                 del self._rounds[seq]
@@ -189,28 +184,22 @@ class ProcessGroup(GroupTimeline):
 
     # ------------------------------------------------------------------
 
-    def _await_round(self, my_global_rank: int, seq: int, rnd: Round,
-                     spec: Any, clock: Any) -> None:
+    def _await_round(self, my_global_rank: int, rnd: Round) -> None:
         """Park (group condition held) until ``rnd``, not yet done, completes.
 
         Shared by the blocking rendezvous and :meth:`AsyncCollectiveHandle.wait`.
         Completion and abort are notify-driven (the last arriver and
-        ``SpmdRuntime._wake_all`` call ``notify_all``); with a sanitizer
-        installed the wait is additionally chopped into ``_DIAG_WINDOW``
-        slices, and ``check_stalled`` walks the wait-for graph whenever a
-        slice expires or a wake arrives without completion — never on the
-        way into the park, so a healthy round pays nothing for it and a
-        desync is still convicted within one window (an exiting rank wakes
-        its peers, which makes that diagnosis immediate).  The deadline is
-        measured against a monotonic start timestamp, so wake-ups before
-        the timeout do not undercount elapsed time.
+        ``SpmdRuntime.wake_all`` call ``notify_all``).  With ``stall`` hooks
+        installed (the sanitizer's desync diagnosis) the wait is chopped into
+        ``runtime.park_slice`` windows, and the hooks — which convict by
+        failing the round — run when a window expires or a wake arrives
+        without completion, never on the way into the park.  The deadline is
+        a monotonic timestamp, so early wake-ups do not undercount it.
         """
         runtime = self.runtime
-        san = runtime.sanitizer
-        tracer = runtime.tracer
         deadline_ts = time.monotonic() + runtime.deadlock_timeout
-        if san is not None:
-            san.enter_wait(my_global_rank, self, seq, spec, rnd)
+        for hook in runtime.on_park:
+            hook(my_global_rank, self, rnd)
         try:
             while True:
                 if runtime.aborting():
@@ -221,31 +210,21 @@ class ProcessGroup(GroupTimeline):
                         "collective", self.ranks,
                         timeout=runtime.deadlock_timeout,
                     )
-                self._cond.wait(
-                    remaining if san is None else min(remaining, _DIAG_WINDOW)
-                )
+                self._cond.wait(min(remaining, runtime.park_slice))
                 if rnd.done:
                     return
-                if san is not None:
-                    err = san.check_stalled(self, seq, rnd)
-                    if err is not None:
-                        rnd.error = err
-                        rnd.done = True
-                        self._cond.notify_all()
-                        if tracer is not None:
-                            tracer.instant(
-                                my_global_rank,
-                                f"sanitizer:{type(err).__name__}",
-                                clock.time,
-                            )
-                        return
+                for hook in runtime.on_stall:
+                    hook(my_global_rank, self, rnd)
+                if rnd.done:  # convicted: wake the other members to claim
+                    self._cond.notify_all()
+                    return
         finally:
-            if san is not None:
-                san.exit_wait(my_global_rank)
+            for hook in runtime.on_unpark:
+                hook(my_global_rank)
 
     def wake(self) -> None:
         """Wake every thread parked in this group's rendezvous so it
-        re-checks abort/done state (called by ``SpmdRuntime._wake_all``)."""
+        re-checks abort/done state (called by ``SpmdRuntime.wake_all``)."""
         with self._cond:
             self._cond.notify_all()
 
@@ -276,110 +255,25 @@ class ProcessGroup(GroupTimeline):
         self._claim(rnd, seq)
         raise err
 
-    def rendezvous_async(self, my_global_rank: int, payload: Any,
-                         finalize: FinalizeFn, spec: Any = None) -> "WorkHandle":
-        """Enter a collective round without blocking.
-
-        The round finalizes inline on whichever rank *issues* it last (per-
-        rank program order makes that deterministic in simulated time); the
-        collective then occupies the group's comm stream from
-        ``max(async_tail, max issue times)`` for its priced cost.  No
-        compute clock moves at finalize — each member reconciles when it
-        waits the returned handle (max-join).  Byte/cost accounting is
-        identical to the blocking rendezvous.
-        """
-        runtime = self.runtime
-        me = self.local_of.get(my_global_rank)
-        if me is None:
-            self.local_rank(my_global_rank)  # raises: not a member
-        now = runtime.clocks[my_global_rank].time
-        if runtime.fault_injector is not None:
-            runtime.fault_injector.check_time_crash(my_global_rank, now)
-        seq = self._seq[my_global_rank]
-        self._seq[my_global_rank] = seq + 1
-        if spec is not None:
-            spec.seq = seq
-
-        with self._cond:
-            rnd = self._rounds.get(seq)
-            if rnd is None:
-                rnd = self._rounds[seq] = Round()
-            if rnd.mode is None:
-                rnd.mode = "async"
-            elif rnd.mode != "async":
-                self._fail_mixed_mode(rnd, seq, "async")
-            rnd.payloads[me] = payload
-            rnd.entry_times[me] = now
-            if spec is not None:
-                if rnd.specs is None:
-                    rnd.specs = {}
-                rnd.specs[me] = spec
-            cap = runtime.capture
-            if cap is not None:
-                cap.record_member(my_global_rank, self, seq, "ic")
-            if not rnd.done and len(rnd.payloads) == self.size:
-                self._finalize_round(rnd, seq, finalize)
-            return AsyncCollectiveHandle(self, seq, me, my_global_rank, spec)
-
-    def _finalize_round(self, rnd: Round, seq: int,
+    def _finalize_round(self, rnd: Round, op: str,
                         finalize: FinalizeFn) -> None:
         """The last arriver's work, on behalf of every member (group
-        condition held): sanitizer verify/race -> ``finalize`` -> injector
-        verdict and retry pricing -> time and counters (:meth:`place`) ->
-        sanitizer finish -> capture -> spans (:meth:`mark`).  Any failure
-        becomes the round's error, which every member then claims.
+        condition held): ``finalize`` hooks → ``finalize`` → the runtime's
+        placement rule (:meth:`place`, or :meth:`place_retried` under a fault
+        injector) → ``complete`` hooks.  Any failure runs the ``fail`` hooks
+        and becomes the round's error, which every member then claims.
         """
         runtime = self.runtime
-        injector = runtime.fault_injector
-        san = runtime.sanitizer
-        race_token = None
         try:
-            if san is not None:
-                san.verify_round(self, seq, rnd.specs)
-                race_token = san.race_acquire(self, rnd.payloads)
-            results, cost, op, itemsize = finalize(rnd.payloads)
-            failures, permanent = 0, False
-            retry_seconds = 0.0
-            if injector is not None:
-                failures, permanent = injector.collective_verdict(
-                    op, self.ranks, seq
-                )
-                if (failures or permanent) and san is not None:
-                    san.note_injected_glitch(op, self.ranks, failures, permanent)
-                if permanent:
-                    # Exhaust the full retransmission budget, then give
-                    # up: every member raises the timeout.
-                    failures = runtime.retry_policy.max_retries + 1
-                if failures:
-                    policy = runtime.retry_policy
-                    for a in range(1, failures + 1):
-                        retry_seconds += cost.seconds + policy.backoff(a)
-                    self.counters.record_retry(
-                        op,
-                        failures * cost.wire_bytes,
-                        failures * (cost.wire_bytes // max(itemsize, 1)),
-                        attempts=failures,
-                    )
-            self.place(rnd, op, cost, itemsize, failures, retry_seconds,
-                       permanent)
-            if permanent:
-                raise CollectiveTimeout(op, self.ranks, attempts=failures)
-            if san is not None:
-                rnd.trace_extra = san.finish_round(
-                    self, seq, rnd.specs, rnd.payloads, results, race_token,
-                )
-                race_token = None  # released by finish_round
-            rnd.results = results
-            cap = runtime.capture
-            if cap is not None:
-                cap.record_round(
-                    self, seq, rnd.mode, cost, op, itemsize, rnd.payloads
-                )
-            if runtime.tracer is not None:
-                self.mark(rnd)
+            for hook in runtime.on_finalize:
+                hook(self, rnd)
+            rnd.results, cost, itemsize = finalize(rnd.payloads)
+            runtime.place_round(self, rnd, op, cost, itemsize)
+            for hook in runtime.on_complete:
+                hook(self, rnd)
         except BaseException as exc:  # propagate to every member
-            if race_token is not None:
-                san.race_release(race_token)
+            for hook in runtime.on_fail:
+                hook(self, rnd)
             rnd.error = exc
         rnd.done = True
         self._cond.notify_all()
@@ -388,16 +282,15 @@ class ProcessGroup(GroupTimeline):
 class AsyncCollectiveHandle(WorkHandle):
     """One rank's handle on an in-flight nonblocking collective round."""
 
-    __slots__ = ("_group", "_seq", "_me", "_rank", "_spec", "_done",
-                 "_result", "_error")
+    __slots__ = ("_group", "_seq", "_me", "_rank", "_done", "_result",
+                 "_error")
 
-    def __init__(self, group: ProcessGroup, seq: int, me: int, rank: int,
-                 spec: Any) -> None:
+    def __init__(self, group: ProcessGroup, seq: int, me: int,
+                 rank: int) -> None:
         self._group = group
         self._seq = seq
         self._me = me
         self._rank = rank
-        self._spec = spec
         self._done = False
         self._result: Any = None
         self._error: Optional[BaseException] = None
@@ -420,7 +313,6 @@ class AsyncCollectiveHandle(WorkHandle):
                 raise self._error
             return self._result
         group = self._group
-        runtime = group.runtime
         with group._cond:
             rnd = group._rounds.get(self._seq)
             if rnd is None:
@@ -430,8 +322,7 @@ class AsyncCollectiveHandle(WorkHandle):
                     f"the handle was outstanding?)"
                 )
             if not rnd.done:
-                group._await_round(self._rank, self._seq, rnd, self._spec,
-                                   runtime.clocks[self._rank])
+                group._await_round(self._rank, rnd)
             if rnd.error is not None:
                 self._done = True
                 self._error = rnd.error
@@ -443,9 +334,8 @@ class AsyncCollectiveHandle(WorkHandle):
             if rnd.claimed == group.size:
                 del group._rounds[self._seq]
         group.settle(self._rank, op, t_end - t_start, t_end)
-        cap = runtime.capture
-        if cap is not None:
-            cap.record_member(self._rank, group, self._seq, "cw")
+        for hook in group.runtime.on_member:
+            hook(self._rank, group, self._seq, "cw")
         self._done = True
         self._result = result
         return result

@@ -23,6 +23,9 @@ thread rendezvous in front (its host is the ``SpmdRuntime``), and
 :class:`~repro.project.replay.ReplayEngine` hosts one ``GroupTimeline`` per
 captured group and feeds it decoded capture events.  Both run these lines,
 so a recorded replay equals the threaded run with ``==`` by construction.
+
+Beside them: a fault injector's two retry rules, thread-free as well
+(:meth:`GroupTimeline.place_retried`, :meth:`GroupTimeline.retry_p2p`).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from typing import Any, Dict, Optional, Sequence
 
 from repro.comm.cost import CollectiveCost
 from repro.comm.counters import CommCounters
+from repro.runtime.errors import CollectiveTimeout
 
 #: shared empty trace-tag mapping — rounds only swap in a real dict when the
 #: sanitizer contributes tags, so the disabled path allocates nothing extra
@@ -39,17 +43,22 @@ NO_EXTRA: Dict[str, Any] = {}
 
 class Round:
     """One collective round of a group: what its driver gathers from the
-    members (``payloads`` / ``specs`` / ``results`` / ``error`` are the
-    threaded rendezvous's; a replay has only entry times) and the facts
+    members (``payloads`` / ``results`` / ``error`` are the threaded
+    rendezvous's; a replay has only entry times) and the facts
     :meth:`GroupTimeline.place` fills in."""
 
     __slots__ = (
-        "payloads", "entry_times", "results", "done", "claimed", "error",
-        "op", "t_start", "t_end", "wire_bytes", "retries", "retry_seconds",
-        "algorithm", "specs", "trace_extra", "mode",
+        "seq", "mode", "payloads", "entry_times", "results", "done",
+        "claimed", "error", "op", "cost", "itemsize", "t_start", "t_end",
+        "retries", "retry_seconds", "trace_extra",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, seq: int = 0, mode: Optional[str] = None) -> None:
+        #: the round's sequence number in its group
+        self.seq = seq
+        #: "sync" (blocking rendezvous) or "async" (handle-based), as the
+        #: first arriver called it — mixing the two is a program error
+        self.mode = mode
         self.payloads: Dict[int, Any] = {}
         #: by local rank: the member's clock when it entered the round
         self.entry_times: Dict[int, float] = {}
@@ -59,18 +68,14 @@ class Round:
         self.error: Optional[BaseException] = None
         # round facts, set by ``place`` (a failed round keeps ``op`` None)
         self.op: Optional[str] = None
+        self.cost: Optional[CollectiveCost] = None
+        self.itemsize = 1
         self.t_start = 0.0
         self.t_end = 0.0
-        self.wire_bytes = 0
         self.retries = 0
         self.retry_seconds = 0.0
-        self.algorithm = ""
-        # sanitizer state: per-local-rank CollectiveSpec, extra span tags
-        self.specs: Optional[Dict[int, Any]] = None
+        #: extra span tags, the sanitizer's (set by its complete hook)
         self.trace_extra: Dict[str, Any] = NO_EXTRA
-        # "sync" (blocking rendezvous) or "async" (handle-based); set by the
-        # first arriver — mixing the two in one round is a program error
-        self.mode: Optional[str] = None
 
 
 class GroupTimeline:
@@ -134,8 +139,8 @@ class GroupTimeline:
         ``retry_seconds`` stays its own term: ``t_start + cost.seconds +
         retry_seconds`` is left-associated, and a ``permanent`` failure —
         the retry budget spent, the op never delivered — ends at ``t_start +
-        retry_seconds``, moves time, and sets no round facts (the driver
-        raises).
+        retry_seconds``, moves time, and sets no round facts
+        (:meth:`place_retried` raises).
         """
         host = self.host
         t_start = max(rnd.entry_times.values())
@@ -162,12 +167,42 @@ class GroupTimeline:
                 algorithm=cost.algorithm,
             )
         rnd.op = op
-        rnd.algorithm = cost.algorithm
+        rnd.cost = cost
+        rnd.itemsize = itemsize
         rnd.t_start = t_start
         rnd.t_end = t_end
-        rnd.wire_bytes = cost.wire_bytes
         rnd.retries = retries
         rnd.retry_seconds = retry_seconds
+
+    def place_retried(self, rnd: Round, op: str, cost: CollectiveCost,
+                      itemsize: int) -> None:
+        """:meth:`place` under the host's ``fault_injector``: its verdict
+        on this round is a number of failed attempts, each costing the op
+        plus its backoff, or a permanent failure — the whole retry budget
+        spent, time moved, every member raising :class:`CollectiveTimeout`.
+        The ``injected`` hooks hear of every failure."""
+        host = self.host
+        policy = host.retry_policy
+        failures, permanent = host.fault_injector.collective_verdict(
+            op, self.ranks, rnd.seq)
+        if failures or permanent:
+            for hook in host.on_injected:
+                hook("collective", op, min(self.ranks), max(self.ranks),
+                     not permanent)
+        if permanent:
+            failures = policy.max_retries + 1
+        retry_seconds = 0.0
+        for a in range(1, failures + 1):
+            retry_seconds += cost.seconds + policy.backoff(a)
+        if failures:
+            self.counters.record_retry(
+                op, failures * cost.wire_bytes,
+                failures * (cost.wire_bytes // max(itemsize, 1)),
+                attempts=failures,
+            )
+        self.place(rnd, op, cost, itemsize, failures, retry_seconds, permanent)
+        if permanent:
+            raise CollectiveTimeout(op, self.ranks, attempts=failures)
 
     def mark(self, rnd: Round) -> None:
         """A placed round's spans (tracer installed), every member's at once
@@ -179,13 +214,14 @@ class GroupTimeline:
         """
         tracer = self.host.tracer
         sync = rnd.mode == "sync"
+        cost = rnd.cost
         for local, g in enumerate(self.ranks):
             tracer.annotate(
                 g, "collective" if sync else "comm_stream", rnd.op,
                 rnd.entry_times[local] if sync else rnd.t_start, rnd.t_end,
-                wire_bytes=rnd.wire_bytes, group_size=self.size,
+                wire_bytes=cost.wire_bytes, group_size=self.size,
                 retries=rnd.retries, primary=(local == 0),
-                algo=rnd.algorithm, **rnd.trace_extra,
+                algo=cost.algorithm, **rnd.trace_extra,
             )
             if sync and rnd.retries:
                 tracer.annotate(
@@ -220,6 +256,37 @@ class GroupTimeline:
             )
 
     # -- point-to-point ------------------------------------------------------
+
+    def retry_p2p(self, rank: int, dst: int, cost: CollectiveCost,
+                  elements: int) -> None:
+        """The host ``fault_injector``'s attempts at a send from ``rank`` to
+        global rank ``dst``, before the one that is delivered: each dropped
+        or corrupted attempt charges the transfer plus its backoff to the
+        sender's clock and counts the retransmitted bytes (the ``injected``
+        hooks hear of every corruption); a link that never delivers spends
+        the retry budget and raises :class:`CollectiveTimeout`."""
+        host = self.host
+        injector, policy = host.fault_injector, host.retry_policy
+        clock = host.clocks[rank]
+        failures = 0
+        while True:
+            verdict = injector.p2p_verdict(rank, dst)
+            if verdict == "deliver":
+                return
+            if verdict == "corrupt":
+                for hook in host.on_injected:
+                    hook("p2p", "p2p", rank, dst, True)
+            failures += 1
+            t0 = clock.time
+            clock.advance(cost.seconds + policy.backoff(failures), "comm")
+            if host.tracer is not None:
+                host.tracer.annotate(
+                    rank, "retry", "p2p:retry", t0, clock.time,
+                    dst=dst, attempt=failures,
+                )
+            self.counters.record_retry("p2p", cost.wire_bytes, elements)
+            if failures > policy.max_retries:
+                raise CollectiveTimeout("p2p", (rank, dst), attempts=failures)
 
     def send(self, rank: int, t_entry: float, cost: CollectiveCost,
              elements: int, dst: int, nbytes: int, charge: bool) -> float:

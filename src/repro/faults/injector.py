@@ -1,24 +1,25 @@
 """Fault injection against a running SPMD program.
 
 A :class:`FaultInjector` binds a :class:`FaultPlan` to one
-:class:`~repro.runtime.spmd.SpmdRuntime`.  The runtime installs it at the
-start of every :meth:`run` (applying stragglers to the per-rank clocks and
-link degradations to the topology, and resetting per-run attempt counters);
-the communication layer then consults it on every point-to-point
-transmission attempt and every collective round:
+:class:`~repro.runtime.spmd.SpmdRuntime`, whose lifecycle hooks it joins
+ahead of the observers (DESIGN §4u): :meth:`on_begin` at the start of every
+``run`` (applying stragglers to the per-rank clocks and link degradations
+to the topology, and resetting per-run attempt counters), then
 
+* :meth:`on_enter` / :meth:`on_send` / :meth:`on_recv` / :meth:`on_step` —
+  raise :class:`~repro.runtime.errors.RankFailure` when a scheduled crash
+  fires,
 * :meth:`p2p_verdict` — deliver / drop / corrupt one transmission attempt
-  on a directed link (the communicator retries under the runtime's
-  :class:`~repro.utils.backoff.RetryPolicy`),
+  on a directed link (``GroupTimeline.retry_p2p`` retries under the
+  runtime's :class:`~repro.utils.backoff.RetryPolicy`),
 * :meth:`collective_verdict` — how many retransmission rounds a collective
-  call needs, or whether it is permanently dead,
-* :meth:`check_time_crash` / :meth:`on_step` — raise
-  :class:`~repro.runtime.errors.RankFailure` when a scheduled crash fires.
+  call needs, or whether it is permanently dead
+  (``GroupTimeline.place_retried``).
 
 Crash events fire **once per injector** (not once per run): after an
 aborted run the "node" is considered replaced, so a resumed program on the
 same runtime does not immediately re-crash.  All other fault budgets reset
-on :meth:`install`, i.e. per run.
+on :meth:`on_begin`, i.e. per run.
 
 When a :class:`~repro.sanitize.CommSanitizer` runs in checksum mode it
 attributes every injector-scheduled corruption/glitch to the fault plan
@@ -56,12 +57,12 @@ class FaultInjector:
         self._consumed: Dict[int, int] = {}  # event index -> uses this run
         self._p2p_attempts: Dict[Tuple[int, int], int] = {}
         self._coll_calls: Dict[int, int] = {}
-        self._fired_crashes: Set[int] = set()  # persists across installs
+        self._fired_crashes: Set[int] = set()  # persists across runs
         self.stats: Dict[str, int] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
-    def install(self, runtime: Any) -> None:
+    def on_begin(self, runtime: Any) -> None:
         """Bind to ``runtime`` for one run: validate ranks, apply stragglers
         and link degradations, reset per-run fault budgets."""
         world = runtime.world_size
@@ -107,10 +108,10 @@ class FaultInjector:
                 return
         raise RankFailure(rank, step=step)
 
-    def check_time_crash(self, rank: int, sim_time: float) -> None:
+    def on_enter(self, rank: int, sim_time: float, *_event: Any) -> None:
         """Raise :class:`RankFailure` if ``rank`` has a crash scheduled at or
-        before simulated time ``sim_time`` (called from communication
-        entry points)."""
+        before simulated time ``sim_time`` — the hook of every collective
+        entry and receive (the rest of the event is not its business)."""
         with self._lock:
             for idx, ev in enumerate(self.plan.events):
                 if (isinstance(ev, RankCrash) and ev.rank == rank
@@ -122,6 +123,15 @@ class FaultInjector:
             else:
                 return
         raise RankFailure(rank, sim_time=sim_time)
+
+    on_recv = on_enter
+
+    def on_send(self, rank: int, sim_time: float, group: Any, dst: int,
+                cost: Any, elements: int) -> None:
+        """A send's hook: the crash check, then the attempts this plan
+        fails before one is delivered (``GroupTimeline.retry_p2p``)."""
+        self.on_enter(rank, sim_time)
+        group.retry_p2p(rank, dst, cost, elements)
 
     # -- transport faults ---------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Per-rank op-stream capture for projection.
 
 A :class:`CaptureRecorder` attaches to a :class:`~repro.runtime.spmd.SpmdRuntime`
-like the tracer and sanitizer do (every hook site is an ``is None`` check)
-and records, per rank, the ordered stream of *simulated-time effects* the
-program produced:
+like the tracer and sanitizer do (its ``on_<event>`` methods join the
+runtime's lifecycle hooks, DESIGN §4u) and records, per rank, the ordered
+stream of *simulated-time effects* the program produced:
 
 * non-comm clock advances (compute / wait / offload / optimizer / h2d),
   with the **exact** post-slowdown ``dt`` the clock added — replaying the
@@ -133,6 +133,8 @@ class CaptureRecorder:
         self._gid_by_key: Dict[Tuple[int, ...], int] = {}
         self._pending_label: List[Optional[str]] = []
         self._sids: List[int] = []
+        #: an outstanding stream send's handle -> its per-rank id
+        self._sid_of: Dict[Any, int] = {}
         self._trace: Optional[OpTrace] = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -150,6 +152,7 @@ class CaptureRecorder:
         runtime.capture = self
         for rank, clock in enumerate(runtime.clocks):
             clock.set_capture(_ClockCapture(self, rank))
+        runtime.rewire()
         return self
 
     def uninstall(self) -> None:
@@ -159,9 +162,10 @@ class CaptureRecorder:
         for clock in rt.clocks:
             clock.set_capture(None)
         rt.capture = None
+        rt.rewire()
         self._runtime = None
 
-    def begin_run(self, runtime: Any) -> None:
+    def on_begin(self, runtime: Any) -> None:
         world = runtime.world_size
         with self._lock:
             self._streams = [[] for _ in range(world)]
@@ -170,9 +174,14 @@ class CaptureRecorder:
             self._gid_by_key = {}
             self._pending_label = [None] * world
             self._sids = [0] * world
+            self._sid_of = {}
             self._trace = None
 
-    def end_run(self, runtime: Any) -> None:
+    def on_end(self, runtime: Any, ok: bool) -> None:
+        """A completed run's streams become :meth:`trace`; a failed run
+        leaves none."""
+        if not ok:
+            return
         with self._lock:
             self._trace = OpTrace(
                 world_size=runtime.world_size,
@@ -223,11 +232,11 @@ class CaptureRecorder:
             self._pending_label[rank] = None
         self._streams[rank].append(("a", category, dt, label))
 
-    def record_solo(self, rank: int, group: Any, op: str,
-                    cost: CollectiveCost, itemsize: int, payload: Any) -> None:
-        """A collective on a size-1 group (no shared round state; the
-        size-1 path does not consume sequence numbers without a sanitizer,
-        so the facts ride inline on the event)."""
+    def on_solo(self, rank: int, group: Any, seq: int, op: str,
+                cost: CollectiveCost, itemsize: int, payloads: Dict[int, Any],
+                results: Dict[int, Any], extra: Dict[str, Any]) -> None:
+        """A collective on a size-1 group (no shared round state), its facts
+        inline on the event."""
         info = {
             "op": op,
             "seconds": cost.seconds,
@@ -235,64 +244,58 @@ class CaptureRecorder:
             "elements": cost.wire_bytes // max(itemsize, 1),
             "algorithm": cost.algorithm,
             "itemsize": itemsize,
-            "nbytes": [_payload_nbytes(payload)],
+            "nbytes": [_payload_nbytes(payloads[0])],
         }
         self._streams[rank].append(("c1", self._gid(group), info))
 
-    def record_round(self, group: Any, seq: int, mode: str,
-                     cost: CollectiveCost, op: str, itemsize: int,
-                     payloads: Dict[int, Any]) -> None:
+    def on_complete(self, group: Any, rnd: Any) -> None:
         """Round facts, written once by the finalizing thread (under the
         group's condition lock, so per-(gid, seq) writes never race)."""
         gid = self._gid(group)
+        payloads = rnd.payloads
         ns = [_payload_nbytes(payloads[i]) for i in sorted(payloads)]
+        cost = rnd.cost
         with self._lock:
-            self._rounds[(gid, seq)] = {
-                "op": op,
-                "mode": mode,
+            self._rounds[(gid, rnd.seq)] = {
+                "op": rnd.op,
+                "mode": rnd.mode,
                 "seconds": cost.seconds,
                 "wire_bytes": cost.wire_bytes,
                 "algorithm": cost.algorithm,
-                "itemsize": itemsize,
+                "itemsize": rnd.itemsize,
                 "nbytes": ns,
             }
 
-    def record_member(self, rank: int, group: Any, seq: int, tag: str) -> None:
+    def on_member(self, rank: int, group: Any, seq: int, tag: str) -> None:
         """One rank's participation in a multi-member round: ``"c"``
         (blocking), ``"ic"`` (nonblocking issue) or ``"cw"`` (handle wait)."""
         self._streams[rank].append((tag, self._gid(group), seq))
 
-    def record_send(self, rank: int, tag_kind: str, group: Any, dst_g: int,
-                    tag: Any, nbytes: int, elements: int,
-                    cost: CollectiveCost) -> None:
-        """Blocking ``send`` (``"ps"``) or eager non-overlap ``isend``
-        (``"pse"``)."""
-        self._streams[rank].append((
-            tag_kind, self._gid(group), dst_g, tag,
-            nbytes, cost.wire_bytes, elements, cost.seconds,
-        ))
+    def on_sent(self, src: int, dst: int, key: Any, payload: Any, group: Any,
+                tag: Any, kind: str, cost: CollectiveCost,
+                handle: Any) -> None:
+        """A blocking ``send`` (``"ps"``), an eager non-overlap ``isend``
+        (``"pse"``) or an overlap-mode ``isend`` on the sender's p2p stream
+        (``"pss"``, numbered per rank for its ``wait()`` to name)."""
+        facts = (dst, tag, int(payload.nbytes), cost.wire_bytes,
+                 int(payload.size), cost.seconds)
+        if kind == "pss":
+            sid = self._sid_of[handle] = self._sids[src]
+            self._sids[src] = sid + 1
+            self._streams[src].append(("pss", self._gid(group), sid) + facts)
+        else:
+            self._streams[src].append((kind, self._gid(group)) + facts)
 
-    def record_isend_stream(self, rank: int, group: Any, dst_g: int, tag: Any,
-                            nbytes: int, elements: int,
-                            cost: CollectiveCost) -> int:
-        """Overlap-mode ``isend`` on the sender's p2p stream; returns the
-        per-rank stream-send id its ``wait()`` will reference."""
-        sid = self._sids[rank]
-        self._sids[rank] = sid + 1
-        self._streams[rank].append((
-            "pss", self._gid(group), sid, dst_g, tag,
-            nbytes, cost.wire_bytes, elements, cost.seconds,
-        ))
-        return sid
+    def on_received(self, src: int, dst: int, key: Any, payload: Any,
+                    group: Any, tag: Any) -> None:
+        self._streams[dst].append(("pr", self._gid(group), src, tag))
 
-    def record_stream_wait(self, rank: int, sid: int) -> None:
-        self._streams[rank].append(("psw", sid))
-
-    def record_wait_eager(self, rank: int, seconds: float) -> None:
-        self._streams[rank].append(("pw", seconds))
-
-    def record_recv(self, rank: int, group: Any, src_g: int, tag: Any) -> None:
-        self._streams[rank].append(("pr", self._gid(group), src_g, tag))
+    def on_wait(self, rank: int, handle: Any, seconds: float) -> None:
+        """A send handle's ``wait()``: a stream send's by its id, an eager
+        send's by the transfer it charges."""
+        sid = self._sid_of.pop(handle, None)
+        self._streams[rank].append(
+            ("pw", seconds) if sid is None else ("psw", sid))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         n = sum(len(s) for s in self._streams)

@@ -484,6 +484,9 @@ class ReplayEngine:
         if tracer is not None:
             tracer.install(self)  # clock observers, and ``self.tracer``
 
+    def rewire(self) -> None:
+        """A replay has no lifecycle hooks: its timelines read ``tracer``."""
+
     # -- public ------------------------------------------------------------
 
     def run(self) -> ReplayResult:
@@ -564,8 +567,7 @@ class ReplayEngine:
         ``ProcessGroup._finalize_round`` does with a live round)."""
         rnd = self._rounds.get(key)
         if rnd is None:
-            rnd = self._rounds[key] = Round()
-            rnd.mode = mode
+            rnd = self._rounds[key] = Round(key[1], mode)
         tl = self.timelines[key[0]]
         me = tl.local_of[rank]
         if me not in rnd.entry_times:  # a blocked rank re-enters each sweep

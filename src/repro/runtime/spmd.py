@@ -8,12 +8,14 @@ host-thread scheduling never affects measured results.
 
 Failure handling: if any rank raises, the runtime trips an abort flag that
 every blocking communication primitive polls; all other ranks then raise
-:class:`SpmdAborted`, threads are joined and the original exception is
-re-raised on the launcher thread wrapped in :class:`RemoteRankError`.
+:class:`SpmdAborted`, threads are joined, the failed program's rounds and
+undelivered messages are dropped, and the original exception is re-raised
+on the launcher thread wrapped in :class:`RemoteRankError`.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -31,6 +33,21 @@ _thread_local = threading.local()
 #: Generous — it exists to turn accidental deadlocks into diagnosable
 #: errors.  Override per runtime via ``SpmdRuntime(deadlock_timeout=...)``.
 _DEADLOCK_TIMEOUT = 120.0
+
+#: With ``stall`` hooks installed, parked waiters still wake on this cadence
+#: to run them — the sanitizer's desync-diagnosis latency, not a liveness
+#: mechanism (completion and abort are notify-driven).
+_STALL_WINDOW = 0.05
+
+#: The run / round / message lifecycle (DESIGN §4u): for each event the
+#: runtime holds ``on_<event>``, the ``on_<event>`` methods of its fault
+#: injector, sanitizer, capture recorder and tracer, in that order.
+EVENTS = (
+    "begin", "rank_done", "end",
+    "enter", "park", "stall", "unpark", "finalize", "complete", "fail",
+    "member", "solo",
+    "send", "sent", "recv", "received", "wait", "injected",
+)
 
 
 class RankContext:
@@ -220,12 +237,12 @@ class SpmdRuntime:
             BufferPool() if buffer_pool else None
         )
         self.retry_policy = retry if retry is not None else RetryPolicy()
+        #: fault injector (repro.faults.FaultInjector) or None
+        self.fault_injector: Optional[Any] = None
         if fault_plan is not None:
             from repro.faults.injector import FaultInjector
 
-            self.fault_injector: Optional[Any] = FaultInjector(fault_plan)
-        else:
-            self.fault_injector = None
+            self.fault_injector = FaultInjector(fault_plan)
         #: spec-mode op plans by signature (repro.autograd.function.OpPlan):
         #: filled on first dispatch, read by every rank, dies with the
         #: runtime.  No lock — ranks racing a cold signature both infer it
@@ -235,21 +252,41 @@ class SpmdRuntime:
         self.failure: Optional[Tuple[int, BaseException]] = None
         self._group_lock = threading.Lock()
         self._groups: Dict[Tuple[int, ...], Any] = {}
-        #: event tracer (repro.trace.Tracer) or None; every instrumentation
-        #: site in the stack gates on this being non-None.
+        #: event tracer (repro.trace.Tracer) or None
         self.tracer: Optional[Any] = None
+        #: communication sanitizer (repro.sanitize.CommSanitizer) or None
+        self.sanitizer: Optional[Any] = None
+        #: op-stream capture recorder (repro.project.CaptureRecorder) or None
+        self.capture: Optional[Any] = None
+        self.rewire()
         if tracer is not None:
             tracer.install(self)
-        #: communication sanitizer (repro.sanitize.CommSanitizer) or None;
-        #: like the tracer, every hook site gates on this being non-None.
-        self.sanitizer: Optional[Any] = None
         if sanitize is not None and sanitize is not False:
             _resolve_sanitizer(sanitize).install(self)
-        #: op-stream capture recorder (repro.project.CaptureRecorder) or
-        #: None; hook sites gate on this like tracer/sanitizer.
-        self.capture: Optional[Any] = None
         if capture is not None:
             capture.install(self)
+
+    def rewire(self) -> None:
+        """Resolve the installed injector and observers into one tuple of
+        hooks per :data:`EVENTS` entry and the rule that places a filled
+        round (the injector's retry rule, if there is one).  Every
+        ``install`` / ``uninstall`` calls it; nothing per op does."""
+        from repro.comm.timeline import GroupTimeline  # comm builds on runtime
+
+        members = (self.fault_injector, self.sanitizer, self.capture,
+                   self.tracer)
+        for event in EVENTS:
+            name = "on_" + event
+            hooks = []  # plain loops: a comprehension is a frame per event
+            for member in members:
+                hook = getattr(member, name, None)
+                if hook is not None:
+                    hooks.append(hook)
+            setattr(self, name, tuple(hooks))
+        self.place_round = (GroupTimeline.place if self.fault_injector is None
+                            else GroupTimeline.place_retried)
+        #: the longest a parked waiter sleeps before re-checking its round
+        self.park_slice = _STALL_WINDOW if self.on_stall else math.inf
 
     # -- failure propagation -------------------------------------------------
 
@@ -260,9 +297,9 @@ class SpmdRuntime:
         # rendezvous waits are notify-driven, so blocked peers must be woken
         # explicitly or they would sleep through the abort until their
         # deadlock timeout
-        self._wake_all()
+        self.wake_all()
 
-    def _wake_all(self) -> None:
+    def wake_all(self) -> None:
         """Notify every group rendezvous condition and the mailboxes.
 
         Group conditions are notified *after* releasing ``_group_lock``:
@@ -345,44 +382,28 @@ class SpmdRuntime:
             for s in self.comm_streams:
                 s.reset()
         self._reset_comm_state()
-        if self.fault_injector is not None:
-            self.fault_injector.install(self)
-        if self.sanitizer is not None:
-            self.sanitizer.begin_run(self)
-        if self.capture is not None:
-            self.capture.begin_run(self)
+        for hook in self.on_begin:
+            hook(self)
         self._abort.clear()
         self.failure = None
 
         results: List[Any] = [None] * self.world_size
-        errors: List[Optional[BaseException]] = [None] * self.world_size
 
         def worker(rank: int) -> None:
             ctx = RankContext(self, rank, materialize, seed=seed * 100003 + rank)
             _thread_local.ctx = ctx
             t_start = ctx.clock.time
+            error: Optional[BaseException] = None
             try:
                 results[rank] = fn(ctx, *args, **kwargs)
-                if self.tracer is not None:
-                    self.tracer.annotate(
-                        rank, "rank", f"rank{rank}", t_start, ctx.clock.time
-                    )
-            except SpmdAborted:
-                pass  # secondary failure; the primary is re-raised below
+            except SpmdAborted as exc:
+                error = exc  # secondary failure; the primary is re-raised below
             except BaseException as exc:  # noqa: BLE001 - must propagate anything
-                errors[rank] = exc
+                error = exc
                 self.signal_failure(rank, exc)
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        rank, f"rank{rank}:failed", ctx.clock.time,
-                        error=type(exc).__name__,
-                    )
             finally:
-                if self.sanitizer is not None:
-                    self.sanitizer.on_rank_done(rank)
-                    # wake parked peers so check_stalled sees the exit now,
-                    # not at the next diagnosis tick
-                    self._wake_all()
+                for hook in self.on_rank_done:
+                    hook(rank, t_start, ctx.clock.time, error)
                 _thread_local.ctx = None
 
         threads = [
@@ -394,19 +415,20 @@ class SpmdRuntime:
         for t in threads:
             t.join()
 
-        if self.sanitizer is not None:
-            # on a clean replayed run, a golden stream the program stopped
-            # short of is itself a divergence and raises here
-            self.sanitizer.end_run(ok=self.failure is None)
+        # on a clean replayed run, a golden stream the program stopped short
+        # of is itself a divergence and the sanitizer's end hook raises
+        for hook in self.on_end:
+            hook(self, self.failure is None)
         if self.failure is not None:
+            # the failed program's rounds, undelivered messages and pooled
+            # buffers go now, not at the next run; the counters stay
+            self._reset_comm_state()
             rank, cause = self.failure
             raise RemoteRankError(rank, cause) from cause
         if self.buffer_pool is not None:
             # clean runs must have returned or adopted every loan; an
             # unreturned scratch buffer is a runtime bug, named here
             self.buffer_pool.check_leaks()
-        if self.capture is not None:
-            self.capture.end_run(self)
         return results
 
     def _reset_comm_state(self) -> None:

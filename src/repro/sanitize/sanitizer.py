@@ -29,19 +29,20 @@ a collective round of its own — and provides four facilities:
    as *loans*, so a later mutation by the owner raises at the guilty line
    instead of silently corrupting the borrower.
 
-All state is per-run (reset by :meth:`begin_run`); every hook in the hot
-path gates on ``runtime.sanitizer is None`` so the disabled cost is one
-attribute check.
+All state is per-run (reset by its ``begin`` hook).  Its hooks are the
+``on_<event>`` methods below, which the runtime resolves into its lifecycle
+tuples when the sanitizer installs (DESIGN §4u): uninstalled, the comm path
+holds no reference to it and pays nothing for it.
 
 **Nonblocking collectives.**  For ``iallreduce``-style calls the rendezvous
 point is *handle completion*, not issue order: every member still joins the
 same per-group sequence number (issue order per group is required to match
 across ranks — that is what the spec check verifies), but ranks may
-``wait()`` their handles in any order afterwards.  ``verify_round`` and the
+``wait()`` their handles in any order afterwards.  The spec check and the
 checksum/race hooks fire when the round's last *issuer* arrives, and the
 desync detector treats a rank parked in ``WorkHandle.wait()`` exactly like
-one parked in a blocking rendezvous: ``enter_wait``/``exit_wait`` bracket
-the park and ``check_stalled`` can convict it of a wait-for cycle.  A group
+one parked in a blocking rendezvous: ``on_park``/``on_unpark`` bracket the
+park and ``on_stall`` can convict it of a wait-for cycle.  A group
 where some ranks issue a collective blocking and others nonblocking fails
 the round for everyone (mixed-mode rendezvous error from the process
 group) before any sanitizer check runs.
@@ -178,7 +179,7 @@ class BufferRaceDetector:
 
     def reset(self) -> None:
         with self._lock:
-            self._release([f for f, _, _ in self._loaned])
+            self.release([f for f, _, _ in self._loaned])
             self._loaned.clear()
             self.loans.clear()
             self.violations.clear()
@@ -228,11 +229,7 @@ class BufferRaceDetector:
                         "owner": entry.owner_global,
                         "borrowers": borrowers,
                     })
-        self._release([e for e in token if e not in loaned])
-
-    def release(self, token: List[_Frozen]) -> None:
-        """Error-path release: restore every buffer of an aborted round."""
-        self._release(token)
+        self.release([e for e in token if e not in loaned])
 
     def final_release(self) -> List[SharedBufferRace]:
         """End of run: verify loaned buffers were never mutated, then
@@ -246,13 +243,14 @@ class BufferRaceDetector:
                         "loaned buffer mutated while a peer rank still "
                         "held a reference to it",
                     ))
-            self._release([f for f, _, _ in self._loaned])
+            self.release([f for f, _, _ in self._loaned])
             self._loaned.clear()
             self.violations.extend(out)
             return list(out)
 
     @staticmethod
-    def _release(entries: List[_Frozen]) -> None:
+    def release(entries: List[_Frozen]) -> None:
+        """Restore the writeable flag of every frozen buffer in ``entries``."""
         for entry in entries:
             if entry.prior_writeable:
                 try:
@@ -264,7 +262,6 @@ class BufferRaceDetector:
 @dataclass
 class _WaitState:
     group: Any
-    seq: int
     spec: Optional[CollectiveSpec]
     rnd: Any
 
@@ -302,6 +299,10 @@ class CommSanitizer:
         self._send_crcs: Dict[Any, List[int]] = {}
         self._waiting: Dict[int, _WaitState] = {}
         self._done: set = set()
+        #: per in-flight round, by (group, seq): each member's spec, and
+        #: the race detector's freeze of its payloads
+        self._specs: Dict[Tuple[Any, int], Dict[int, CollectiveSpec]] = {}
+        self._frozen: Dict[Tuple[Any, int], List[_Frozen]] = {}
         #: rendered call signatures by (op, shape, dtype, *params): a
         #: program repeats a handful of distinct calls
         self._signatures: Dict[tuple, str] = {}
@@ -316,13 +317,14 @@ class CommSanitizer:
     # -- lifecycle ---------------------------------------------------------
 
     def install(self, runtime: Any) -> "CommSanitizer":
-        """Attach to ``runtime``: every comm hook gates on
-        ``runtime.sanitizer`` being non-None."""
+        """Attach to ``runtime``: its lifecycle hooks now include this
+        sanitizer's ``on_<event>`` methods."""
         if self._runtime is not None and self._runtime is not runtime:
             self.uninstall()
         self._runtime = runtime
         self._world = runtime.world_size
         runtime.sanitizer = self
+        runtime.rewire()
         return self
 
     def uninstall(self) -> None:
@@ -330,15 +332,18 @@ class CommSanitizer:
         if rt is None:
             return
         rt.sanitizer = None
+        rt.rewire()
         self._runtime = None
 
-    def begin_run(self, runtime: Any) -> None:
-        """Per-run reset (called from :meth:`SpmdRuntime.run`)."""
+    def on_begin(self, runtime: Any) -> None:
+        """Per-run reset."""
         with self._lock:
             self._streams.clear()
             self._send_crcs.clear()
             self._waiting.clear()
             self._done.clear()
+            self._specs.clear()
+            self._frozen.clear()
             self._world = runtime.world_size
             self.events.clear()
             self.rounds_checked = 0
@@ -348,7 +353,7 @@ class CommSanitizer:
         if self.race_detector is not None:
             self.race_detector.reset()
 
-    def end_run(self, ok: bool) -> None:
+    def on_end(self, runtime: Any, ok: bool) -> None:
         """Post-run: release race-detector freezes; on a clean replay run,
         a golden stream the program did not finish is itself a divergence."""
         if self.race_detector is not None:
@@ -361,80 +366,96 @@ class CommSanitizer:
                     if live < len(golden):
                         raise ReplayDivergence(rank, live, golden[live], None)
 
-    def on_rank_done(self, rank: int) -> None:
+    def on_rank_done(self, rank: int, t_start: float, t_end: float,
+                     error: Optional[BaseException]) -> None:
+        """``rank`` left the program: peers parked on it are woken now, so
+        their stall check sees the exit at once, not a window later."""
         with self._lock:
             self._done.add(rank)
+        self._runtime.wake_all()
 
-    # -- spec construction (called from Communicator, sanitizer-gated) ------
+    # -- rendezvous hooks ----------------------------------------------------
 
-    def make_spec(self, op: str, payload: Any, comm: Any,
-                  **params: Any) -> CollectiveSpec:
-        contributes = True
-        if op in ("broadcast", "scatter"):
-            root = params.get("root")
-            contributes = (
-                root is not None
-                and comm.group.ranks[int(root)] == comm.global_rank
-            )
+    def on_enter(self, rank: int, now: float, group: Any, seq: int, op: str,
+                 payload: Any, params: Dict[str, Any]) -> None:
+        """``rank`` declares the call it is entering: its
+        :class:`CollectiveSpec`, kept for the round's checks."""
         key = (op, getattr(payload, "shape", None),
                getattr(payload, "dtype", None), *params.items())
         signature = self._signatures.get(key)
         if signature is None:
             signature = self._signatures[key] = call_signature(
                 op, payload, **params)
-        return CollectiveSpec(
+        contributes = True
+        if op in ("broadcast", "scatter"):
+            contributes = group.ranks[int(params["root"])] == rank
+        spec = CollectiveSpec(
             op=op,
             signature=signature,
-            global_rank=comm.global_rank,
-            group_ranks=tuple(comm.group.ranks),
+            global_rank=rank,
+            group_ranks=tuple(group.ranks),
+            seq=seq,
             callsite=capture_callsite() if self.capture_callsites else "",
             contributes=contributes,
         )
+        # no lock: both dict writes are one C call each, atomic under the GIL
+        self._specs.setdefault((group, seq), {})[group.local_of[rank]] = spec
 
-    # -- rendezvous hooks ----------------------------------------------------
-
-    def verify_round(self, group: Any, seq: int,
-                     specs: Optional[Dict[int, CollectiveSpec]]) -> None:
-        """Cross-check every member's call spec once a round is full."""
-        if not specs:
-            return
-        sides: Dict[str, List[int]] = {}
-        callsites: Dict[int, str] = {}
-        for local in sorted(specs):
-            s = specs[local]
-            g = group.ranks[local]
-            sides.setdefault(s.signature, []).append(g)
-            if s.callsite:
-                callsites[g] = s.callsite
-        if len(sides) > 1:
+    def on_finalize(self, group: Any, rnd: Any) -> None:
+        """A round filled: cross-check every member's spec, then freeze its
+        real payload buffers while it is in flight."""
+        specs = self._specs.get((group, rnd.seq))
+        if specs:
+            sides: Dict[str, List[int]] = {}
+            callsites: Dict[int, str] = {}
+            for local in sorted(specs):
+                s = specs[local]
+                g = group.ranks[local]
+                sides.setdefault(s.signature, []).append(g)
+                if s.callsite:
+                    callsites[g] = s.callsite
             with self._lock:
-                self.mismatches += 1
-            raise CollectiveMismatch(group.ranks, seq, sides, callsites)
-        with self._lock:
-            self.rounds_checked += 1
+                if len(sides) > 1:
+                    self.mismatches += 1
+                    raise CollectiveMismatch(
+                        group.ranks, rnd.seq, sides, callsites)
+                self.rounds_checked += 1
+        if self.race_detector is not None:
+            self._frozen[group, rnd.seq] = self.race_detector.acquire(
+                rnd.payloads, group.ranks)
 
-    def race_acquire(self, group: Any,
-                     payloads: Dict[int, Any]) -> Optional[List[_Frozen]]:
-        if self.race_detector is None:
-            return None
-        return self.race_detector.acquire(payloads, group.ranks)
+    def on_complete(self, group: Any, rnd: Any) -> None:
+        """A round placed: its records, and its trace-span tags."""
+        rnd.trace_extra = self._finish(group, rnd.seq, rnd.payloads,
+                                       rnd.results)
 
-    def race_release(self, token: Optional[List[_Frozen]]) -> None:
-        if token and self.race_detector is not None:
+    def on_fail(self, group: Any, rnd: Any) -> None:
+        """A round failed: forget its specs, restore its frozen buffers."""
+        self._specs.pop((group, rnd.seq), None)
+        token = self._frozen.pop((group, rnd.seq), None)
+        if token:
             self.race_detector.release(token)
 
-    def finish_round(self, group: Any, seq: int,
-                     specs: Optional[Dict[int, CollectiveSpec]],
-                     payloads: Dict[int, Any], results: Dict[int, Any],
-                     race_token: Optional[List[_Frozen]] = None,
-                     ) -> Dict[str, Any]:
+    def on_solo(self, rank: int, group: Any, seq: int, op: str, cost: Any,
+                itemsize: int, payloads: Dict[int, Any],
+                results: Dict[int, Any], extra: Dict[str, Any]) -> None:
+        """A one-member round: nothing to cross-check, so it is counted
+        checked, recorded, and its span tags go into ``extra``."""
+        with self._lock:
+            self.rounds_checked += 1
+        extra.update(self._finish(group, seq, payloads, results))
+
+    def _finish(self, group: Any, seq: int, payloads: Dict[int, Any],
+                results: Dict[int, Any]) -> Dict[str, Any]:
         """Successful round epilogue: race verification, per-rank op-stream
         records (with checksums when enabled), replay conformance.  Returns
         the extra tags for the round's trace spans."""
+        specs = self._specs.pop((group, seq), None)
         op = next(iter(specs.values())).op if specs else "collective"
-        if race_token is not None and self.race_detector is not None:
+        token = self._frozen.pop((group, seq), None)
+        if token is not None:
             self.race_detector.verify_and_release(
-                op, race_token, results, group.ranks
+                op, token, results, group.ranks
             )
         ranks, checksum = group.ranks, self.checksum
         digest: Optional[int] = None
@@ -465,41 +486,43 @@ class CommSanitizer:
 
     # -- desync detection ----------------------------------------------------
 
-    def enter_wait(self, rank: int, group: Any, seq: int,
-                   spec: Optional[CollectiveSpec], rnd: Any) -> None:
+    def on_park(self, rank: int, group: Any, rnd: Any) -> None:
+        spec = self._specs.get((group, rnd.seq), {}).get(group.local_of[rank])
         with self._lock:
-            self._waiting[rank] = _WaitState(group, seq, spec, rnd)
+            self._waiting[rank] = _WaitState(group, spec, rnd)
 
-    def exit_wait(self, rank: int) -> None:
+    def on_unpark(self, rank: int) -> None:
         with self._lock:
             self._waiting.pop(rank, None)
 
-    def check_stalled(self, group: Any, seq: int, rnd: Any) -> Optional[BaseException]:
-        """Called from the rendezvous wait loop (group condition held).
-        Returns a :class:`CollectiveDesync` when the round provably cannot
-        complete; ``None`` while completion is still possible."""
+    def on_stall(self, rank: int, group: Any, rnd: Any) -> None:
+        """A parked ``rank``'s round has not completed (group condition
+        held): when it provably cannot — a missing member already exited,
+        or waits on this round through a cycle of parked ranks — fail it
+        with a :class:`CollectiveDesync` for every member to claim, marked
+        on the tracer if one is installed."""
         arrived_locals = set(rnd.payloads)
         missing = [group.ranks[l] for l in range(group.size)
                    if l not in arrived_locals]
         if not missing:
-            return None
+            return
         with self._lock:
-            exited = sorted(g for g in missing if g in self._done)
-            if exited:
-                self.desyncs += 1
-                return self._desync(
-                    group, seq, rnd, exited,
-                    "already exited the program without reaching it",
-                )
-            parked = self._find_wait_cycle(group, rnd, missing)
-        if parked is not None:
-            with self._lock:
-                self.desyncs += 1
-            return self._desync(group, seq, rnd, [g for g, _ in parked],
-                                "are parked in other collectives forming a "
-                                "wait cycle: "
-                                + "; ".join(d for _, d in parked))
-        return None
+            guilty = sorted(g for g in missing if g in self._done)
+            detail = "already exited the program without reaching it"
+            if not guilty:
+                parked = self._find_wait_cycle(group, rnd, missing)
+                if parked is None:
+                    return
+                guilty = [g for g, _ in parked]
+                detail = ("are parked in other collectives forming a wait "
+                          "cycle: " + "; ".join(d for _, d in parked))
+            self.desyncs += 1
+        rnd.error = err = self._desync(group, rnd.seq, rnd, guilty, detail)
+        rnd.done = True
+        tracer = self._runtime.tracer
+        if tracer is not None:
+            tracer.instant(rank, f"sanitizer:{type(err).__name__}",
+                           self._runtime.clocks[rank].time)
 
     def _find_wait_cycle(self, group: Any, rnd: Any, missing: List[int],
                          ) -> Optional[List[Tuple[int, str]]]:
@@ -535,7 +558,7 @@ class CommSanitizer:
 
     def _desync(self, group: Any, seq: int, rnd: Any,
                 guilty: List[int], detail: str) -> CollectiveDesync:
-        specs = rnd.specs or {}
+        specs = self._specs.get((group, seq)) or {}
         waiting = sorted(group.ranks[l] for l in rnd.payloads)
         callsites = {
             group.ranks[l]: s.callsite for l, s in specs.items() if s.callsite
@@ -557,7 +580,10 @@ class CommSanitizer:
             sig = self._signatures[key] = f"{kind}{_shape_dtype(payload)}"
         return sig
 
-    def note_send(self, src: int, dst: int, key: Any, payload: Any) -> None:
+    def on_sent(self, src: int, dst: int, key: Any, payload: Any,
+                *_facts: Any) -> None:
+        """A message leaves ``src`` for ``dst``: its record, and — under
+        ``checksum`` — its CRC, queued for the receiver to check."""
         rec = {"kind": "send", "op": "send",
                "sig": self._p2p_signature("send", payload), "peer": dst}
         crc = None
@@ -571,7 +597,10 @@ class CommSanitizer:
             if self._replay is not None:
                 self._check_replay_locked(src, len(stream) - 1, rec)
 
-    def verify_recv(self, src: int, dst: int, key: Any, payload: Any) -> None:
+    def on_received(self, src: int, dst: int, key: Any, payload: Any,
+                    *_facts: Any) -> None:
+        """``dst`` took the message off the wire: its record, and the CRC
+        check against what ``src`` sent."""
         rec = {"kind": "recv", "op": "recv",
                "sig": self._p2p_signature("recv", payload), "peer": src}
         if self.checksum:
@@ -594,21 +623,15 @@ class CommSanitizer:
             if self._replay is not None:
                 self._check_replay_locked(dst, len(stream) - 1, rec)
 
-    def note_injected_corruption(self, src: int, dst: int) -> None:
-        """The fault injector corrupted one p2p attempt; the transport's
-        receiver-side checksum caught it and the retry layer retransmits —
-        attribution: injected, healed."""
+    def on_injected(self, kind: str, op: str, src: int, dst: int,
+                    healed: bool) -> None:
+        """The fault injector corrupted a p2p attempt (the receiver-side
+        checksum caught it and the retry rule retransmits) or glitched a
+        collective round: attributed to the plan, healed unless the retry
+        budget ran out."""
         with self._lock:
             self.events.append(ChecksumEvent(
-                "p2p", "p2p", src, dst, injected=True, healed=True,
-            ))
-
-    def note_injected_glitch(self, op: str, ranks: Sequence[int],
-                             attempts: int, permanent: bool) -> None:
-        with self._lock:
-            self.events.append(ChecksumEvent(
-                "collective", op, min(ranks), max(ranks),
-                injected=True, healed=not permanent,
+                kind, op, src, dst, injected=True, healed=healed,
             ))
 
     # -- streams / replay ----------------------------------------------------

@@ -20,8 +20,9 @@ charges.  Two event sources feed it:
   mark the *exposed* tail a ``wait()`` actually stalled for — together they
   split comm time into hidden (overlapped) and exposed parts.
 
-Instrumentation is zero-cost when disabled: every hook site is a single
-``is None`` check on an attribute that defaults to ``None``.
+Instrumentation is zero-cost when disabled: the comm path reaches the
+tracer only as a subscriber of the runtime's lifecycle hooks (DESIGN §4u),
+every other site is one ``is None`` check on ``runtime.tracer``.
 
 When a :class:`~repro.sanitize.CommSanitizer` is installed alongside the
 tracer, collective spans additionally carry ``sanitized=True`` and (under
@@ -40,6 +41,9 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
+
+from repro.comm.timeline import GroupTimeline
+from repro.runtime.errors import SpmdAborted
 
 #: categories emitted by SimClock observers (the reconcilable set)
 CLOCK_CATEGORIES = ("compute", "comm", "wait", "offload", "optimizer")
@@ -119,6 +123,7 @@ class Tracer:
         runtime.tracer = self
         for rank, clock in enumerate(runtime.clocks):
             clock.set_observer(_ClockObserver(self, rank))
+        runtime.rewire()
         return self
 
     def uninstall(self) -> None:
@@ -129,7 +134,25 @@ class Tracer:
         for clock in rt.clocks:
             clock.set_observer(None)
         rt.tracer = None
+        rt.rewire()
         self._runtime = None
+
+    # -- lifecycle hooks ---------------------------------------------------
+
+    #: a placed round's spans, every member's at once: the timeline's rule,
+    #: run after the sanitizer's hook has set the round's tags
+    on_complete = staticmethod(GroupTimeline.mark)
+
+    def on_rank_done(self, rank: int, t_start: float, t_end: float,
+                     error: Optional[BaseException]) -> None:
+        """A ``rank`` lifecycle span on a rank that returned, a
+        ``rank<r>:failed`` instant on one that raised (not on one the
+        failure aborted)."""
+        if error is None:
+            self.annotate(rank, "rank", f"rank{rank}", t_start, t_end)
+        elif not isinstance(error, SpmdAborted):
+            self.instant(rank, f"rank{rank}:failed", t_end,
+                         error=type(error).__name__)
 
     def clear(self) -> None:
         """Drop all recorded events (e.g. between runs on the same runtime,

@@ -287,7 +287,7 @@ def _tp1d_prog(size):
 
 def _edge_ops_prog(ctx):
     """What no harness above issues: ring pass, rooted scatter / gather, collectives
-    on a size-1 subgroup (``record_solo``), an ``isend`` polled and waited (eager, or
+    on a size-1 subgroup (``c1`` events), an ``isend`` polled and waited (eager, or
     on the p2p stream under overlap), a polled ``iallreduce``, all-to-all, barrier."""
     comm = Communicator.world(ctx)
     x = np.full(4096, float(ctx.rank), dtype=np.float32)

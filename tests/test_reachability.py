@@ -40,6 +40,18 @@ def test_every_top_level_definition_is_named_or_kept():
     assert all(reason.strip() for reason in KEEP.values())
 
 
+def test_comm_path_reaches_observers_only_through_lifecycle_hooks():
+    """The rendezvous and the communicator name no observer: whatever takes part in a
+    round or a message - fault injector, sanitizer, capture, tracer - is one of the
+    runtime's ``on_<event>`` hooks (DESIGN §4u), so the seam cannot regrow by hand."""
+    for name in ("group.py", "communicator.py"):
+        tree = ast.parse((ROOT / "src" / "repro" / "comm" / name).read_text())
+        reads = sorted(f"{name}:{node.lineno} .{node.attr}" for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute)
+                       and node.attr in ("sanitizer", "tracer", "capture", "fault_injector"))
+        assert not reads, reads
+
+
 def _assigns_pure(node):
     return isinstance(node, ast.Assign) and any(
         getattr(t, "id", getattr(t, "attr", None)) == "PURE" for t in node.targets)

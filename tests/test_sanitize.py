@@ -299,9 +299,9 @@ class TestChecksums:
         # a direct producer/consumer hash disagreement with no injected
         # fault must be attributed to a logic bug
         san = CommSanitizer(checksum=True)
-        san.note_send(0, 1, key="k", payload=np.arange(4.0))
+        san.on_sent(0, 1, "k", np.arange(4.0))
         with pytest.raises(ChecksumMismatch) as ei:
-            san.verify_recv(0, 1, key="k", payload=np.zeros(4))
+            san.on_received(0, 1, "k", np.zeros(4))
         assert ei.value.injected is False
         assert "logic bug" in str(ei.value)
 
@@ -412,7 +412,7 @@ class TestChaosInteraction:
         assert rt.world_group.counters.retries_total == 2
 
     def test_drop_retries_keep_checksums_clean(self):
-        # dropped packets never reach verify_recv; the delivered copy must
+        # dropped packets never reach on_received; the delivered copy must
         # hash clean and the event log must stay free of logic-bug entries
         plan = FaultPlan().drop(src=0, dst=1, count=3)
         san = CommSanitizer(checksum=True)
@@ -745,4 +745,4 @@ class TestOverheadGuard:
 
         rnd = Round()
         assert rnd.trace_extra is NO_EXTRA
-        assert rnd.specs is None
+        assert "specs" not in Round.__slots__  # the sanitizer keeps its own

@@ -278,6 +278,15 @@ class TestSchedulerProperties:
                    for r in fin_big if r.req_id in small_out}
         assert small_out == big_out
 
+    def test_request_needing_every_block_is_admitted(self):
+        """Admission's boundary: prompt + output filling the cache to its
+        last slot still fits, and completes."""
+        req = Request(0, 10, 6, 0.0)  # 16 tokens = 4 blocks of 4
+        _, finished, failed = _drive([req], num_blocks=4, block_size=4,
+                                     budget=8, chunk=4)
+        assert failed == [] and finished == [req]
+        assert len(req.output) == 6
+
     @given(case=schedule_cases(), seed=st.integers(0, 2**31))
     @fast
     def test_bitwise_deterministic_per_seed(self, case, seed):

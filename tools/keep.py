@@ -31,7 +31,7 @@ KEEP: dict[str, str] = {
     "repro.cluster.topology.Topology": "§4b link degradation; link-graph introspection",
     "repro.comm.communicator": "§2 inventory: scatter / gather / isend / irecv / object gather, request handles",
     "repro.comm.cost.CostModel": "prices the rooted collectives above",
-    "repro.comm.timeline.GroupTimeline.stream_send": "§4f overlap-mode isend on the sender's p2p stream",
+    "repro.comm.timeline.GroupTimeline": "§4f overlap-mode isend on the p2p stream; §4u p2p retry rule under a FaultPlan",
     "repro.comm.counters.CommCounters": "§4b retry accounting; reset between measured phases",
     "repro.comm.algorithms.AlgorithmSelector": "§4d selector-cache introspection the comm_algo lane asserts on",
     "repro.comm.payload.SpecArray": "ndarray-shaped surface of the spec payload",
