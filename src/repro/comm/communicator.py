@@ -15,6 +15,7 @@ order so results are bitwise deterministic run-to-run.
 from __future__ import annotations
 
 import operator
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -115,6 +116,18 @@ def _replicate(value: Payload, payloads: Dict[int, Any], owner: int,
     return results
 
 
+def all_reduce_finalize(group: ProcessGroup, x: Payload, op: ReduceOp,
+                        payloads: Dict[int, Payload]):
+    """An all_reduce round's finalize — combine in local-rank order, price,
+    replicate — for the rendezvous and for ``ProcessGroup.drive_round``."""
+    _check_same_shape(payloads, "all_reduce")
+    pool = group.runtime.buffer_pool
+    combined = _combine(payloads, op, pool)
+    cost = group.cost_model.allreduce(group.ranks, int(x.nbytes))
+    results = _replicate(combined, payloads, 0, pool, "all_reduce:result")
+    return results, cost, x.dtype.itemsize
+
+
 def _split_axis(x: Payload, parts: int, axis: int, what: str) -> List[Payload]:
     if x.shape[axis] % parts != 0:
         raise ValueError(
@@ -200,19 +213,9 @@ class Communicator:
         spellings price and combine identically."""
         if op not in _REDUCERS:
             raise _invalid_reduce_op(op, "all_reduce")
-
-        def finalize(payloads: Dict[int, Payload]):
-            _check_same_shape(payloads, "all_reduce")
-            pool = self.group.runtime.buffer_pool
-            combined = _combine(payloads, op, pool)
-            cost = self.group.cost_model.allreduce(self.group.ranks, int(x.nbytes))
-            results = _replicate(
-                combined, payloads, 0, pool, "all_reduce:result")
-            return results, cost, x.dtype.itemsize
-
         return self.group.rendezvous(
-            self.global_rank, x, finalize, "all_reduce", {"reduce_op": op},
-            mode)
+            self.global_rank, x, partial(all_reduce_finalize, self.group, x, op),
+            "all_reduce", {"reduce_op": op}, mode)
 
     def all_reduce(self, x: Payload, op: ReduceOp = "sum") -> Payload:
         """Reduce across the group; every rank receives the full result."""

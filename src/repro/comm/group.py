@@ -2,7 +2,8 @@
 
 A :class:`ProcessGroup` is the meeting point for a fixed set of global ranks:
 a :class:`~repro.comm.timeline.GroupTimeline` — which owns what the group's
-communication does to simulated time — with a thread rendezvous in front.
+communication does to simulated time — with a thread rendezvous in front
+(a thread-free driver enters every member at once: ``drive_round``).
 Collectives are sequence-numbered per group (MPI semantics: all members must
 issue group collectives in the same order); each call forms a *round* that
 completes when every member has arrived, at which point the last arriver
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.comm.cost import CollectiveCost, CostModel
 from repro.comm.timeline import GroupTimeline, Round
@@ -181,6 +182,30 @@ class ProcessGroup(GroupTimeline):
             if rnd.claimed == self.size:
                 del self._rounds[seq]
             return result
+
+    def drive_round(self, payloads: Sequence[Any], finalize: FinalizeFn,
+                    op: str, params: Dict[str, Any] = NO_PARAMS) -> None:
+        """A blocking round whose members, ``payloads`` by local rank, all
+        enter from the calling thread; a failure is signalled as the member's
+        whose ``enter`` hook raised, or as the last member's, which placed it."""
+        runtime = self.runtime
+        seq = self._seq[self.ranks[0]]
+        rnd = Round(seq, "sync")
+        for local, g in enumerate(self.ranks):
+            now = rnd.entry_times[local] = runtime.clocks[g].time
+            try:
+                for hook in runtime.on_enter:
+                    hook(g, now, self, seq, op, payloads[local], params)
+            except BaseException as exc:
+                runtime.signal_failure(g, exc)
+                raise
+            self._seq[g] = seq + 1
+            rnd.payloads[local] = payloads[local]
+        with self._cond:
+            self._finalize_round(rnd, op, finalize)
+        if rnd.error is not None:
+            runtime.signal_failure(self.ranks[-1], rnd.error)
+            raise rnd.error
 
     # ------------------------------------------------------------------
 

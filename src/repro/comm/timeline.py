@@ -17,12 +17,14 @@ tails, moves the clocks and stream clocks of a *host* (anything with
 ``clocks``, ``comm_streams`` and ``tracer``), counts the wire traffic and
 emits each rule's trace spans.  It never blocks and holds no payload.
 
-Two drivers decide *when* a rule fires and hand it the facts:
+Three drivers decide *when* a rule fires and hand it the facts:
 :class:`~repro.comm.group.ProcessGroup` is a ``GroupTimeline`` with a
-thread rendezvous in front (its host is the ``SpmdRuntime``), and
+thread rendezvous in front (its host is the ``SpmdRuntime``),
 :class:`~repro.project.replay.ReplayEngine` hosts one ``GroupTimeline`` per
-captured group and feeds it decoded capture events.  Both run these lines,
-so a recorded replay equals the threaded run with ``==`` by construction.
+captured group and feeds it decoded capture events, and the serving engine
+enters every member of a round from one thread (``drive_round``).  All run
+these lines, so a recorded replay equals the threaded run with ``==`` by
+construction, and a served replica prices like a threaded one.
 
 Beside them: a fault injector's two retry rules, thread-free as well
 (:meth:`GroupTimeline.place_retried`, :meth:`GroupTimeline.retry_p2p`).

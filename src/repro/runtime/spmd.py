@@ -4,7 +4,9 @@
 thread, in the style of ``mpiexec -n N python script.py``.  NumPy releases
 the GIL for array work, so rank threads overlap where it matters; more
 importantly, *simulated* time is tracked per rank by :class:`SimClock`, so
-host-thread scheduling never affects measured results.
+host-thread scheduling never affects measured results.  A program with
+one decision for every rank (the serving replica) runs thread-free on the
+calling thread through ``SpmdRuntime.drive(fn)``, in the same lifecycle.
 
 Failure handling: if any rank raises, the runtime trips an abort flag that
 every blocking communication primitive polls; all other ranks then raise
@@ -361,13 +363,19 @@ class SpmdRuntime:
 
     # -- launching -------------------------------------------------------------
 
+    def reset_clocks(self) -> None:
+        """Every rank's clock and comm stream back to t=0."""
+        for c in self.clocks:
+            c.reset()
+        for s in self.comm_streams:
+            s.reset()
+
     def run(
         self,
         fn: Callable[..., Any],
         *args: Any,
         materialize: bool = True,
         seed: int = 0,
-        reset_clocks: bool = True,
         **kwargs: Any,
     ) -> List[Any]:
         """Run ``fn(ctx, *args, **kwargs)`` on every rank; return per-rank
@@ -376,16 +384,8 @@ class SpmdRuntime:
         ``materialize=False`` runs the program in spec mode: tensors carry
         shapes/bytes but no data (used for billion-parameter experiments).
         """
-        if reset_clocks:
-            for c in self.clocks:
-                c.reset()
-            for s in self.comm_streams:
-                s.reset()
-        self._reset_comm_state()
-        for hook in self.on_begin:
-            hook(self)
-        self._abort.clear()
-        self.failure = None
+        self.reset_clocks()
+        self._begin()
 
         results: List[Any] = [None] * self.world_size
 
@@ -414,7 +414,41 @@ class SpmdRuntime:
             t.start()
         for t in threads:
             t.join()
+        self._end()
+        return results
 
+    def drive(self, fn: Callable[[], Any]) -> None:
+        """Run a thread-free driver ``fn()`` as a program of every rank, in
+        :meth:`run`'s lifecycle but on clocks it does not reset.  ``fn``
+        names a failed rank with :meth:`signal_failure` before raising; the
+        other ranks' ``rank_done`` hooks see :class:`SpmdAborted`."""
+        self._begin()
+        t_start = [clock.time for clock in self.clocks]
+        try:
+            fn()
+        except BaseException:
+            if self.failure is None:  # the driver's own error, no rank's
+                self._reset_comm_state()
+                raise
+        failure = self.failure
+        for rank, clock in enumerate(self.clocks):
+            error: Optional[BaseException] = None
+            if failure is not None:
+                error = failure[1] if rank == failure[0] else SpmdAborted(*failure)
+            for hook in self.on_rank_done:
+                hook(rank, t_start[rank], clock.time, error)
+        self._end()
+
+    def _begin(self) -> None:
+        """Open a program: no stale comm state, ``begin`` hooks, no failure."""
+        self._reset_comm_state()
+        for hook in self.on_begin:
+            hook(self)
+        self._abort.clear()
+        self.failure = None
+
+    def _end(self) -> None:
+        """Close a program: ``end`` hooks, then its failure or a leak check."""
         # on a clean replayed run, a golden stream the program stopped short
         # of is itself a divergence and the sanitizer's end hook raises
         for hook in self.on_end:
@@ -429,7 +463,6 @@ class SpmdRuntime:
             # clean runs must have returned or adopted every loan; an
             # unreturned scratch buffer is a runtime bug, named here
             self.buffer_pool.check_leaks()
-        return results
 
     def _reset_comm_state(self) -> None:
         """Drop stale rendezvous rounds and undelivered messages so the

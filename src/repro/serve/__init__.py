@@ -22,7 +22,6 @@ the ``serving`` property-test lane over the scheduler and allocator.
 
 from repro.serve.engine import (
     ModelSpec,
-    ReplicaLockstepError,
     ServeEngine,
     serve_launch,
     serve_traffic,
@@ -52,7 +51,6 @@ __all__ = [
     "KVCacheError",
     "ModelSpec",
     "OpenLoopTraffic",
-    "ReplicaLockstepError",
     "Request",
     "RequestRecord",
     "RequestTooLarge",

@@ -1,26 +1,16 @@
 """The tensor-parallel serving engine on the simulated SPMD substrate.
 
-Every rank of the runtime is one member of a single TP replica, and the
-replica has **one** continuous-batching scheduler, one set of block
-tables and one request stream (:class:`_Replica`, built per
-``runtime.run`` attempt and shared by the rank programs).  Identical
-ranks would compute identical schedules, so the schedule is computed
-once: the first rank to reach turn *i* applies the previous step's
-transitions at its clock, writes completion records, plans step *i* and
-appends a small entry to the replica's step log; every other rank reads
-entry *i*.  What stays per-rank is what genuinely differs per rank — the
-step priced on the rank's own device clock, its own fused
-tensor-parallel all-reduce of the step's activations through a real
-:class:`ProcessGroup` (so decode latency carries the PR-3 comm cost
-model: algorithm, topology, islands) and its own KV-arena charge on its
-own device ``MemoryPool``.
-
-The blocking all-reduce is still the clock barrier: it re-synchronizes
-every rank's clock, and a rank can run ahead of its peers only up to its
-next all-reduce, so the log is append-only and nobody ever waits on it.
-Lockstep is *checked*, not assumed: each entry stores the simulated time
-it was planned at, and a rank that arrives at a turn with a different
-clock raises :class:`ReplicaLockstepError`.
+Every rank of the runtime is one member of a single TP replica with one
+continuous-batching scheduler, one set of block tables and one request
+stream (:class:`_Replica`, built per attempt).  :class:`ServeEngine`
+drives it without rank threads (``SpmdRuntime.drive``), in one loop over
+turns: the replica applies the last step and plans the next once; every
+rank's clock is charged the step priced on its own device, so stragglers
+and heterogeneous devices still differ per rank; and the step's fused
+all-reduce of activations is one round of the world group
+(``ProcessGroup.drive_round``), so the comm cost model, crash checks,
+glitch retries, spans, sanitizer and counters apply as to any round.
+The blocking round syncs every clock: the next turn is planned at its end.
 
 Step cost is the max of a compute term (``2 * params / tp`` FLOPs per
 token through ``Device.compute_seconds``) and a memory term (one weight
@@ -28,25 +18,24 @@ read per step plus the KV context read at ``ModelSpec.hbm_bandwidth``).
 The weight read amortizes over the batch — that is the continuous
 batching win the goodput curves show.
 
-Fault tolerance: an injected :class:`RankFailure` surfaces mid-collective,
-aborts the replica, and the driver loop in :meth:`ServeEngine.run`
-records a typed :class:`FailureEvent`, charges ``recovery_seconds`` of
-downtime to every clock, rebuilds the replica from the completion
-records (``traffic.outstanding``) and re-runs — in-flight requests lose
-their KV and replay from scratch, so rank loss shows up in the report as
-a p99/goodput hit, not a crash.  Completion records are written by the
-advancing rank, i.e. only once the all-reduce that produced them has
-completed on it, into a driver-owned dict that survives restarts.
+Fault tolerance: a :class:`RankFailure` or :class:`CollectiveTimeout`
+ends the attempt; :meth:`ServeEngine.run` records a typed
+:class:`FailureEvent`, charges ``recovery_seconds`` of downtime to every
+clock and rebuilds the replica from the completion records — written
+only once the all-reduce of the step that finished them completed — so
+in-flight requests replay from scratch and rank loss shows up in the
+report as a p99/goodput hit, not a crash.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.comm.communicator import Communicator
+from repro.cluster.device import DeviceOutOfMemoryError
+from repro.comm.communicator import all_reduce_finalize
 from repro.comm.payload import SpecArray
 from repro.runtime.errors import (
     CollectiveTimeout, RankFailure, RemoteRankError,
@@ -57,21 +46,7 @@ from repro.serve.scheduler import BatchPlan, ContinuousBatchingScheduler
 from repro.serve.traffic import FailureEvent, TrafficReport
 
 _KV_TAG = "kv_cache"
-
-
-class ReplicaLockstepError(RuntimeError):
-    """A TP rank reached a serving turn at a different simulated time than
-    the rank that planned it — the replica's clocks have drifted apart."""
-
-    def __init__(self, rank: int, turn: int, time: float,
-                 planned_at: float) -> None:
-        self.rank = rank
-        self.turn = turn
-        self.time = time
-        self.planned_at = planned_at
-        super().__init__(
-            f"rank {rank} reached serving turn {turn} at t={time!r} but the "
-            f"turn was planned at t={planned_at!r}")
+_SUM = {"reduce_op": "sum"}
 
 
 @dataclass(frozen=True)
@@ -132,14 +107,9 @@ class ModelSpec:
         return price
 
 
-#: step-log entry kinds: ``(_STEP, now, new_tokens, context_tokens)``,
-#: ``(_WAIT, now, wake_time)``, ``(_DONE, now)``
-_STEP, _WAIT, _DONE = "step", "wait", "done"
-
-
 class _Replica:
-    """What one ``runtime.run`` attempt's rank programs share: the
-    scheduler (with its block tables and requests) and the step log."""
+    """One attempt's replica: the scheduler, with its block tables and
+    requests, and the step in flight."""
 
     def __init__(self, engine: "ServeEngine", kv_blocks: int,
                  records: Dict[int, RequestRecord]) -> None:
@@ -154,29 +124,15 @@ class _Replica:
         for req in sorted(self.traffic.outstanding(records),
                           key=attrgetter("arrival", "req_id")):
             self.sched.submit(req)
-        self._lock = threading.Lock()
-        self._log: List[Tuple[Any, ...]] = []
-        #: the step in flight (planned, priced by the ranks, not yet
-        #: applied) and the time it was planned at
+        #: the step in flight (planned and priced, not yet applied) and the
+        #: time it was planned at
         self._plan: Optional[BatchPlan] = None
         self._planned_at = 0.0
 
-    def entry(self, turn: int, rank: int, now: float) -> Tuple[Any, ...]:
-        """Step-log entry ``turn`` for ``rank``, whose clock reads ``now``.
-
-        A rank reaches turn *i* only after acting on entry *i-1*, so the
-        log is at most one short: whoever arrives first advances."""
-        with self._lock:
-            if turn == len(self._log):
-                self._log.append(self._advance(now))
-            entry = self._log[turn]
-        if entry[1] != now:
-            raise ReplicaLockstepError(rank, turn, now, entry[1])
-        return entry
-
-    def _advance(self, now: float) -> Tuple[Any, ...]:
+    def advance(self, now: float) -> Optional[BatchPlan]:
         """Apply the step in flight at ``now`` (the time its all-reduce
-        completed), record what it finished, then plan the next step."""
+        completed), record what it finished, then plan the next step —
+        ``None`` when there is nothing to run at ``now``."""
         sched, plan = self.sched, self._plan
         if plan is not None:
             finished, prefilled = sched.apply(plan, now)
@@ -191,12 +147,9 @@ class _Replica:
         plan = sched.step(now)
         if plan.empty and not plan.preempted:
             self._plan = None
-            nxt = sched.next_arrival()
-            if nxt is None:
-                return (_DONE, now)  # drained
-            return (_WAIT, now, max(nxt, now))
+            return None
         self._plan, self._planned_at = plan, now
-        return (_STEP, now, plan.new_tokens, plan.context_tokens)
+        return plan
 
     def _emit_spans(self, plan: BatchPlan, finished: List[Request],
                     prefilled: List[Request], t: float) -> None:
@@ -251,21 +204,21 @@ class ServeEngine:
     # -- driver ----------------------------------------------------------
 
     def run(self) -> TrafficReport:
+        runtime = self.runtime
         records: Dict[int, RequestRecord] = {}
         failures: List[FailureEvent] = []
         restarts = 0
-        tp = self.runtime.world_size
+        tp = runtime.world_size
         kv_blocks = self._num_blocks(tp)
         kv_peak_blocks = 0
+        # time starts at zero once; a restart resumes where recovery left it
+        runtime.reset_clocks()
         while True:
             # everything the attempt shares is rebuilt from the records,
             # so a restart carries nothing over from the aborted replica
             replica = _Replica(self, kv_blocks, records)
             try:
-                self.runtime.run(self._rank_program(replica),
-                                 materialize=False,
-                                 reset_clocks=(restarts == 0),
-                                 seed=self.gen_seed)
+                runtime.drive(partial(self._attempt, replica))
                 break
             except RemoteRankError as err:
                 if not isinstance(err.cause, (RankFailure, CollectiveTimeout)):
@@ -273,12 +226,12 @@ class ServeEngine:
                 if restarts >= self.max_recoveries:
                     raise
                 restarts += 1
-                t_fail = self.runtime.max_time()
+                t_fail = runtime.max_time()
                 failures.append(FailureEvent(
                     t=t_fail, rank=err.rank, kind=type(err.cause).__name__))
                 # replica down while the failed rank is replaced: every
                 # survivor idles, and the requeued work restarts after it
-                for clock in self.runtime.clocks:
+                for clock in runtime.clocks:
                     clock.sync_to(t_fail + self.recovery_seconds, "wait")
             finally:
                 kv_peak_blocks = max(kv_peak_blocks, replica.pool.peak_used)
@@ -286,14 +239,12 @@ class ServeEngine:
             records,
             traffic=self.traffic.describe(),
             world=tp,
-            makespan=self.runtime.max_time(),
+            makespan=runtime.max_time(),
             restarts=restarts,
             failures=failures,
             kv_blocks=kv_blocks,
             kv_peak_blocks=kv_peak_blocks,
         )
-
-    # -- per-rank program ------------------------------------------------
 
     def _num_blocks(self, tp: int) -> int:
         """The replica's KV pool size: what the tightest rank can hold."""
@@ -311,50 +262,47 @@ class ServeEngine:
                 f"(budget={budget}B, block={bytes_per_block}B)")
         return blocks
 
-    def _rank_program(self, replica: _Replica):
-        model = self.model
-
-        def program(ctx: Any) -> int:
-            tp = ctx.world_size
-            comm = Communicator.world(ctx) if tp > 1 else None
-            # block tables exist once per replica; the arena they index is
-            # real memory on every rank's own device
-            memory = ctx.device.memory
-            arena_bytes = (replica.pool.num_blocks * self.block_size
-                           * model.kv_bytes_per_token(tp))
-            memory.alloc(arena_bytes, tag=_KV_TAG)
-            try:
-                return self._serve_loop(ctx, comm, replica)
-            finally:
+    def _attempt(self, replica: _Replica) -> None:
+        """The replica's turns until it drains, with the KV arena its block
+        tables index held on every rank's own device."""
+        runtime, model = self.runtime, self.model
+        tp, clocks = runtime.world_size, runtime.clocks
+        devices = [runtime.cluster.device(rank) for rank in range(tp)]
+        arena_bytes = (replica.pool.num_blocks * self.block_size
+                       * model.kv_bytes_per_token(tp))
+        held = []
+        try:
+            for rank, device in enumerate(devices):
+                try:
+                    device.memory.alloc(arena_bytes, tag=_KV_TAG)
+                except DeviceOutOfMemoryError as exc:
+                    runtime.signal_failure(rank, exc)
+                    raise
+                held.append(device.memory)
+            prices = [model.step_pricer(device, tp) for device in devices]
+            group = runtime.world_group if tp > 1 else None
+            wire_elems = model.wire_elems_per_token()
+            while True:
+                now = clocks[0].time  # the last round synced every clock
+                plan = replica.advance(now)
+                if plan is None:
+                    wake = replica.sched.next_arrival()
+                    if wake is None:
+                        return  # drained
+                    for clock in clocks:
+                        clock.sync_to(max(wake, now), "wait")
+                elif plan.new_tokens > 0:
+                    for clock, price in zip(clocks, prices):
+                        clock.advance(price(plan.new_tokens,
+                                            plan.context_tokens), "compute")
+                    if group is not None:
+                        x = SpecArray((plan.new_tokens, wire_elems), "float16")
+                        group.drive_round(
+                            [x] * tp, partial(all_reduce_finalize, group, x, "sum"),
+                            "all_reduce", _SUM)
+        finally:
+            for memory in held:
                 memory.free_bytes(arena_bytes, tag=_KV_TAG)
-
-        return program
-
-    def _serve_loop(self, ctx: Any, comm: Optional[Communicator],
-                    replica: _Replica) -> int:
-        clock, rank = ctx.clock, ctx.rank
-        price = self.model.step_pricer(ctx.device, ctx.world_size)
-        wire_elems = self.model.wire_elems_per_token()
-        steps = turn = 0
-        while True:
-            entry = replica.entry(turn, rank, clock.time)
-            turn += 1
-            kind = entry[0]
-            if kind == _DONE:
-                return steps
-            if kind == _WAIT:
-                clock.sync_to(entry[2], "wait")
-                continue
-            new_tokens, context_tokens = entry[2], entry[3]
-            if new_tokens > 0:
-                clock.advance(price(new_tokens, context_tokens), "compute")
-                if comm is not None:
-                    # fused TP all-reduce of the step's activations; the
-                    # blocking rendezvous is also the clock barrier: every
-                    # rank leaves it at the time the next turn is planned at
-                    comm.all_reduce(SpecArray(
-                        (new_tokens, wire_elems), "float16"))
-                steps += 1
 
 
 def serve_traffic(model: ModelSpec, traffic: Any, *,

@@ -1,10 +1,10 @@
 """Paged KV-cache: fixed-size token blocks over a cluster memory pool.
 
-The serving engine never allocates per-token KV storage; it reserves one
-arena of ``num_blocks * bytes_per_block`` from the rank's
-:class:`~repro.cluster.device.MemoryPool` (tag ``"kv_cache"``) up front —
-the vLLM discipline — and pages sequences into fixed-size *blocks* of
-``block_size`` token slots each.  Every sequence owns a *block table*
+The serving engine never allocates per-token KV storage; it charges one
+arena to every rank's :class:`~repro.cluster.device.MemoryPool` (tag
+``"kv_cache"``) up front — the vLLM discipline — and one
+:class:`BlockPool` per replica pages sequences into fixed-size *blocks*
+of ``block_size`` token slots each.  Every sequence owns a *block table*
 (ordered block ids); appending a token only touches the pool when the
 sequence crosses a block boundary, and blocks are exclusively owned, so
 append is copy-on-write-free by construction.
@@ -23,7 +23,7 @@ times — no block is double-owned, none leaks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 
 class KVCacheError(RuntimeError):
@@ -56,35 +56,15 @@ class RequestTooLarge(KVCacheError):
 
 
 class BlockPool:
-    """Fixed-size KV block allocator with per-sequence block tables.
+    """Fixed-size KV block allocator with per-sequence block tables."""
 
-    ``memory`` (a :class:`~repro.cluster.device.MemoryPool`) is optional:
-    when given, the arena is charged against it at construction (a
-    ``DeviceOutOfMemoryError`` there means the configuration is wrong,
-    not that traffic got unlucky) and returned by :meth:`release`.
-    Standalone pools (``memory=None``) back the property-test lane.
-    """
-
-    def __init__(self, block_size: int, num_blocks: int,
-                 memory: Optional[object] = None,
-                 bytes_per_block: int = 0,
-                 tag: str = "kv_cache") -> None:
+    def __init__(self, block_size: int, num_blocks: int) -> None:
         if block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {block_size}")
         if num_blocks < 1:
             raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
         self.block_size = int(block_size)
         self.num_blocks = int(num_blocks)
-        self.bytes_per_block = int(bytes_per_block)
-        self._memory = memory
-        self._tag = tag
-        self._arena_bytes = 0
-        if memory is not None:
-            if bytes_per_block < 1:
-                raise ValueError(
-                    "bytes_per_block must be >= 1 when memory-backed")
-            self._arena_bytes = self.num_blocks * self.bytes_per_block
-            memory.alloc(self._arena_bytes, tag=tag)
         # LIFO free stack: deterministic reuse order
         self._free: List[int] = list(range(self.num_blocks - 1, -1, -1))
         self._tables: Dict[int, List[int]] = {}
@@ -151,12 +131,6 @@ class BlockPool:
             del self._owner[block]
             self._free.append(block)
         return len(table)
-
-    def release(self) -> None:
-        """Hand the arena back to the cluster memory pool (idempotent)."""
-        if self._memory is not None and self._arena_bytes:
-            self._memory.free_bytes(self._arena_bytes, tag=self._tag)
-            self._arena_bytes = 0
 
     # -- introspection (the property-test surface) -----------------------
 

@@ -2,11 +2,8 @@
 
 Both generators are *pure*: request identity, lengths and (for open loop)
 arrival times are deterministic functions of the seed, never of execution
-order.  That buys two properties the serving lane tests for:
-
-- the same seed reproduces bitwise-identical schedules and reports, and
-- every TP rank can rebuild the exact same request stream locally — no
-  cross-rank coordination channel besides the priced collectives.
+order, so the same seed reproduces bitwise-identical schedules and
+reports (the serving lane tests it).
 
 ``outstanding(records)`` is the restart protocol: given the driver's
 completion records it reconstructs precisely the requests still owed —

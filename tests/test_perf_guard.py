@@ -38,7 +38,6 @@ import collections
 import os
 import subprocess
 import sys
-import threading
 import time
 import weakref
 from contextlib import contextmanager, nullcontext
@@ -61,9 +60,7 @@ from repro.parallel.pipeline import GPipeSchedule, partition_uniform
 from repro.runtime import RemoteRankError, SpmdRuntime
 from repro.runtime.buffer_pool import BufferPool, BufferPoolLeak
 from repro.runtime.errors import CollectiveTimeout
-from repro.serve import (
-    ModelSpec, OpenLoopTraffic, ReplicaLockstepError, serve_traffic,
-)
+from repro.serve import ModelSpec, OpenLoopTraffic, serve_traffic
 from repro.sanitize.errors import CollectiveDesync
 from repro.tensor import Tensor
 from repro.tensor.tensor import Storage
@@ -530,20 +527,6 @@ class _CallCounter:
         finally:
             sys.setprofile(None)
 
-    @contextmanager
-    def all_threads(self):
-        def bootstrap(frame, event, arg):
-            hook = self._make_hook()
-            sys.setprofile(hook)
-            return hook(frame, event, arg)
-
-        threading.setprofile(bootstrap)
-        try:
-            with self.this_thread():
-                yield
-        finally:
-            threading.setprofile(None)
-
     def total(self):
         total = collections.Counter()
         for calls in self.parts:
@@ -586,12 +569,13 @@ class _BeneathCounter(_CallCounter):
 
 @contextmanager
 def _count_serve_calls():
-    """Calls into ``src/repro/serve`` on every thread, by function name."""
+    """Calls into ``src/repro/serve``, by function name (serving runs on
+    the calling thread)."""
     import repro.serve
 
     counter = _CallCounter(os.path.dirname(repro.serve.__file__) + os.sep)
     total = collections.Counter()
-    with counter.all_threads():
+    with counter.this_thread():
         yield total
     total.update(counter.total())
 
@@ -609,9 +593,9 @@ def _counted_serve(tp, traffic, **kwargs):
 
 
 class TestServeHostCost:
-    #: what one rank adds: per turn it reads its step-log entry and prices
-    #: the step; per run it binds the pricer and charges its KV arena
-    PER_RANK_TURN, PER_RANK_RUN = 2, 16
+    #: what one rank adds: per turn its step is priced; per run its pricer
+    #: is bound (``step_pricer``, ``params`` twice, ``kv_bytes_per_token``)
+    PER_RANK_TURN, PER_RANK_RUN = 1, 4
 
     def test_calls_do_not_scale_with_tp_degree(self):
         # every request has arrived before the first step ends, so the
@@ -619,12 +603,11 @@ class TestServeHostCost:
         burst = OpenLoopTraffic(rate=1e9, n_requests=120, seed=3,
                                 prompt_tokens=(8, 24), max_new_tokens=(4, 12))
         calls = {tp: _counted_serve(tp, burst)[0] for tp in (1, 2, 4)}
-        turns = calls[1]["entry"]
+        turns = calls[1]["advance"]
         base = sum(calls[1].values())
         for tp in (2, 4):
-            assert calls[tp]["entry"] == tp * turns
             # planned and applied once per replica, whatever the TP degree
-            for fn in ("_advance", "step", "apply"):
+            for fn in ("advance", "step", "apply"):
                 assert calls[tp][fn] == calls[1][fn], fn
             extra = sum(calls[tp].values()) - base
             allowed = (tp - 1) * (
@@ -644,38 +627,6 @@ class TestServeHostCost:
         calls_long, tokens_long = run(48)
         per_token = (calls_long - calls_short) / (tokens_long - tokens_short)
         assert per_token <= 1.0, per_token
-
-    def test_rank_out_of_lockstep_is_a_typed_error(self, monkeypatch):
-        cluster = uniform_cluster(2)
-        rounds = collections.Counter()
-        all_reduce = Communicator.all_reduce
-
-        def skewing_all_reduce(self, x, op="sum"):
-            out = all_reduce(self, x, op)
-            rounds[self.global_rank] += 1
-            if self.global_rank == 1 and rounds[1] == 5:
-                # rank 1 leaves the barrier a nanosecond late
-                self.group.runtime.clocks[1].advance(1e-9, "compute")
-            return out
-
-        monkeypatch.setattr(Communicator, "all_reduce", skewing_all_reduce)
-        traffic = OpenLoopTraffic(rate=2000.0, n_requests=24, seed=7,
-                                  prompt_tokens=(8, 24),
-                                  max_new_tokens=(4, 12))
-        with pytest.raises(RemoteRankError) as exc:
-            serve_traffic(_SERVE_MODEL, traffic, cluster=cluster,
-                          world_size=2)
-        err = exc.value.cause
-        assert isinstance(err, ReplicaLockstepError)
-        assert err.rank in (0, 1) and err.turn >= 5
-        assert abs(err.time - err.planned_at) == pytest.approx(1e-9)
-        assert f"rank {err.rank}" in str(err) and f"turn {err.turn}" in str(err)
-        for t in threading.enumerate():
-            if t.name.startswith("spmd-rank-"):
-                t.join(timeout=10.0)
-                assert not t.is_alive(), f"{t.name} still running"
-        for rank in range(2):
-            assert cluster.device(rank).memory.allocated == 0
 
 
 # -- training: what one dispatched op costs (ISSUE 17) -----------------------

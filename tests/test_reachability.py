@@ -52,6 +52,21 @@ def test_comm_path_reaches_observers_only_through_lifecycle_hooks():
         assert not reads, reads
 
 
+def test_serving_drives_the_replica_without_rank_threads():
+    """The replica is one loop over turns on the caller's thread (``SpmdRuntime.drive``):
+    ``serve/`` imports no ``threading`` and launches no rank program - its one ``.run(``
+    call is ``serve_traffic`` running its own engine."""
+    for p in (ROOT / "src" / "repro" / "serve").rglob("*.py"):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.Import):
+                assert "threading" not in {a.name for a in node.names}, p.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "threading", p.name
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "run"):
+                assert ast.unparse(node.func) == "engine.run", f"{p.name}:{node.lineno}"
+
+
 def _assigns_pure(node):
     return isinstance(node, ast.Assign) and any(
         getattr(t, "id", getattr(t, "attr", None)) == "PURE" for t in node.targets)

@@ -26,8 +26,12 @@ from hypothesis import strategies as st
 
 import repro
 from repro.cluster import uniform_cluster
-from repro.cluster.device import DeviceOutOfMemoryError, MemoryPool
+from repro.cluster.device import DeviceOutOfMemoryError
 from repro.faults import FaultPlan
+from repro.runtime import SpmdRuntime
+from repro.runtime.errors import (
+    CollectiveTimeout, RankFailure, RemoteRankError,
+)
 from repro.serve import (
     BlockPool,
     CacheExhausted,
@@ -48,18 +52,6 @@ fast = settings(
     max_examples=25, deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_rank_threads():
-    """Every test must leave zero live spmd-rank-* threads behind."""
-    yield
-    for t in threading.enumerate():
-        if t.name.startswith("spmd-rank-"):
-            t.join(timeout=10.0)
-    leaked = [t.name for t in threading.enumerate()
-              if t.name.startswith("spmd-rank-") and t.is_alive()]
-    assert not leaked, f"leaked rank threads: {leaked}"
 
 
 SMALL_MODEL = ModelSpec(n_layers=2, hidden=256, n_heads=4, vocab=997)
@@ -102,22 +94,6 @@ class TestBlockPool:
         with pytest.raises(RequestTooLarge):
             pool.appended(9, 100)
         pool.check_consistent()
-
-    def test_memory_backed_arena_charge_and_release(self):
-        mem = MemoryPool(capacity=1024)
-        pool = BlockPool(block_size=4, num_blocks=8, memory=mem,
-                         bytes_per_block=64)
-        assert mem.allocated == 512
-        pool.release()
-        assert mem.allocated == 0
-        pool.release()  # idempotent
-        assert mem.allocated == 0
-
-    def test_memory_backed_arena_oom_at_init(self):
-        mem = MemoryPool(capacity=100)
-        with pytest.raises(DeviceOutOfMemoryError):
-            BlockPool(block_size=4, num_blocks=8, memory=mem,
-                      bytes_per_block=64)
 
     @given(
         block_size=st.integers(1, 6),
@@ -426,6 +402,28 @@ class TestServeEngine:
         for rank in range(2):
             assert cluster.device(rank).memory.allocated == 0
 
+    def test_kv_arena_charged_on_every_device_and_released(self):
+        """One block table per replica, one arena per rank: each device
+        holds the whole pool's blocks at its own TP shard of KV bytes."""
+        cluster = uniform_cluster(2)
+        serve_traffic(SMALL_MODEL, _open(n=8), cluster=cluster,
+                      world_size=2, kv_blocks=32, block_size=4)
+        arena = 32 * 4 * SMALL_MODEL.kv_bytes_per_token(2)
+        for rank in range(2):
+            memory = cluster.device(rank).memory
+            assert memory.peak == arena
+            assert memory.allocated == 0
+
+    def test_serving_starts_no_thread(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: started.append(self.name))
+        plan = FaultPlan(seed=1).crash(1, at_time=0.004)
+        rep = serve_traffic(SMALL_MODEL, _open(), world_size=2,
+                            fault_plan=plan, recovery_seconds=0.001)
+        assert rep.n_completed == 24 and rep.restarts == 1
+        assert started == []
+
 
 # ---------------------------------------------------------------------------
 # Latency vs offered load, in units of the replica's measured capacity
@@ -538,9 +536,72 @@ class TestServingUnderFaults:
         assert {f.kind for f in faulty.failures} == {"RankFailure"}
 
     def test_recovery_budget_exhaustion_reraises(self):
-        from repro.runtime.errors import RemoteRankError
         traffic = _open(rate=2000.0, n=16, seed=9)
         plan = FaultPlan(seed=3).crash(1, at_time=1e-6)
         with pytest.raises(RemoteRankError):
             serve_traffic(SMALL_MODEL, traffic, world_size=2,
                           fault_plan=plan, max_recoveries=0)
+
+
+# ---------------------------------------------------------------------------
+# Failure paths leave nothing behind: no round, no KV arena, no pooled loan
+# ---------------------------------------------------------------------------
+
+
+def _assert_clean(rt):
+    assert rt.world_group._rounds == {}
+    for rank in range(rt.world_size):
+        assert rt.cluster.device(rank).memory.allocated == 0
+    assert rt.buffer_pool.loans == 0
+
+
+@pytest.mark.chaos
+class TestServingFailurePaths:
+    def _serve(self, tp, plan, **engine):
+        rt = SpmdRuntime(uniform_cluster(tp), tp, fault_plan=plan)
+        return rt, lambda: serve_traffic(SMALL_MODEL, _open(), runtime=rt,
+                                         **engine)
+
+    def test_recovered_rank_kill(self):
+        rt, serve = self._serve(2, FaultPlan(seed=1).crash(1, at_time=0.004),
+                                recovery_seconds=0.001)
+        rep = serve()
+        assert rep.restarts == 1 and rep.n_completed == 24
+        assert [(f.rank, f.kind) for f in rep.failures] == [(1, "RankFailure")]
+        _assert_clean(rt)
+
+    def test_exhausted_recovery_budget(self):
+        rt, serve = self._serve(2, FaultPlan(seed=3).crash(1, at_time=1e-6),
+                                max_recoveries=0)
+        with pytest.raises(RemoteRankError) as exc:
+            serve()
+        assert exc.value.rank == 1
+        assert isinstance(exc.value.cause, RankFailure)
+        _assert_clean(rt)
+
+    @pytest.mark.parametrize("tp", [2, 4])
+    def test_blackout_names_the_rounds_last_member(self, tp):
+        """A dead all-reduce is raised by the member that placed the
+        round, the last to enter it."""
+        rt, serve = self._serve(tp, FaultPlan(seed=4).blackout(op="all_reduce"),
+                                max_recoveries=1, recovery_seconds=0.001)
+        with pytest.raises(RemoteRankError) as exc:
+            serve()
+        assert exc.value.rank == tp - 1
+        assert isinstance(exc.value.cause, CollectiveTimeout)
+        _assert_clean(rt)
+
+    def test_kv_arena_oom_names_the_refusing_rank(self):
+        """Device 1 has room for half an arena: the replica fails typed at
+        rank 1 before its first turn, and rank 0's arena is returned."""
+        rt, serve = self._serve(2, None, kv_blocks=32, block_size=4)
+        arena = 32 * 4 * SMALL_MODEL.kv_bytes_per_token(2)
+        memory = rt.cluster.device(1).memory
+        filler = memory.free - arena // 2
+        memory.alloc(filler, tag="filler")
+        with pytest.raises(RemoteRankError) as exc:
+            serve()
+        assert exc.value.rank == 1
+        assert isinstance(exc.value.cause, DeviceOutOfMemoryError)
+        memory.free_bytes(filler, tag="filler")
+        _assert_clean(rt)
