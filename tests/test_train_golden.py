@@ -43,6 +43,7 @@ from repro.project import capture_run, project
 from repro.runtime import SpmdRuntime
 from repro.sanitize import CommSanitizer
 from repro.tensor import Tensor
+from repro.trace import Tracer
 from repro.utils.profile import time_breakdown
 from repro.zero import StaticPolicy, ZeroOffloadEngine
 
@@ -213,14 +214,15 @@ class _Block(Module):
         return ops.gelu(y) if self.act else y
 
 
-def zero_offload_real4():
+def zero_offload_real4(**runtime_kwargs):
     """Materialized ``ZeroOffloadEngine``, static host offload: the losses
-    are part of the golden, bit for bit."""
+    are part of the golden, bit for bit.  ``runtime_kwargs`` go to the
+    ``SpmdRuntime`` (observers, the buffer pool)."""
     world, hidden, classes, local, steps = 4, 32, 8, 8, 3
     rng = np.random.default_rng(11)
     X = rng.standard_normal((world * local, hidden)).astype(np.float32)
     Y = rng.integers(0, classes, world * local)
-    rt = SpmdRuntime(uniform_cluster(world))
+    rt = SpmdRuntime(uniform_cluster(world), **runtime_kwargs)
 
     def prog(ctx):
         blocks = [_Block(np.random.default_rng([11, i]), hidden, out)
@@ -285,6 +287,21 @@ def test_sanitizer_moves_no_simulated_number(checksum):
     got = bert_sp_pp2(CommSanitizer(checksum=checksum))
     assert got["step"] == [0.04321134147962983, 2768240640, 368]
     assert got == json.loads(GOLDEN.read_text())["bert_sp_pp2"]
+
+
+@pytest.mark.parametrize("observed", ["tracer", "sanitizer", "unpooled"])
+def test_real_step_is_observer_invariant(observed):
+    """Observing the materialized ZeRO run, or running it without the
+    buffer pool, moves no clock, counter, stream, memory peak or loss bit."""
+    tracer, san = Tracer(), CommSanitizer(checksum=True, race=True)
+    kwargs = {"tracer": dict(tracer=tracer), "sanitizer": dict(sanitize=san),
+              "unpooled": dict(buffer_pool=False)}[observed]
+    got = zero_offload_real4(**kwargs)
+    assert got == json.loads(GOLDEN.read_text())["zero_offload_real4"]
+    if observed == "tracer":
+        assert tracer.spans()
+    if observed == "sanitizer":
+        assert san.rounds_checked > 0 and san.mismatches == 0
 
 
 if __name__ == "__main__":
