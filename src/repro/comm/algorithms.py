@@ -17,10 +17,15 @@ hit the cached algorithm is re-priced against the flat ring and the cheaper
 of the two is returned, so selection never does worse than the flat-ring
 baseline anywhere in a bucket (the invariant the parity suite pins).
 
-The cache watches :attr:`~repro.cluster.topology.Topology.version` and
-drops itself whenever the link graph changes — fault-injected link
-degradation (``scale_link``) or recovery (``restore_links``) re-triggers
-selection with the new bandwidths.
+The bucket table sits *above* the cost model's price memo and sees every
+query: it depends on history (the first size seen in a bucket fixes the
+family), and its ``hits`` / ``misses`` count queries, not formula runs.
+What a hit returns is a pure function of ``(op, group, nbytes, family)``,
+so it is one read of the model's memo.  The table carries the memo's tag,
+``(Topology.version, island_ratio)``, and drops itself whenever either
+changes — fault-injected link degradation (``scale_link``), recovery
+(``restore_links``) or a live ``island_ratio`` re-tune re-triggers
+selection.
 """
 
 from __future__ import annotations
@@ -44,21 +49,18 @@ class AlgorithmSelector:
     def __init__(self, model: Any) -> None:
         self.model = model
         self._cache: Dict[Tuple[Tuple[int, ...], str, int], str] = {}
-        self._topo_version: Optional[int] = None
+        #: the model memo's tag the table was filled under
+        self._tag: Any = None
         self.hits = 0
         self.misses = 0
-
-    def _sync_topology(self) -> None:
-        version = self.model.cluster.topology.version
-        if version != self._topo_version:
-            self._cache.clear()
-            self._topo_version = version
 
     def cached_choice(
         self, op: str, ranks: Sequence[int], nbytes: int
     ) -> Optional[str]:
         """The memoized algorithm for this (group, op, size bucket), if any."""
-        self._sync_topology()
+        model = self.model
+        if self._tag != (model.cluster.topology.version, model.island_ratio):
+            return None
         return self._cache.get((tuple(ranks), op, int(nbytes).bit_length()))
 
     def select(self, op: str, ranks: Sequence[int], nbytes: int) -> Any:
@@ -67,31 +69,43 @@ class AlgorithmSelector:
         Guarantees ``cost.seconds <= ring cost.seconds`` for every size, not
         just the bucket representative that populated the cache.
         """
+        model = self.model
         if op not in SELECTABLE_OPS:
-            return self.model._op_cost(op, ranks, nbytes, "ring")
-        self._sync_topology()
-        key = (tuple(ranks), op, int(nbytes).bit_length())
+            return model._op_cost(op, ranks, nbytes, "ring")
+        now = (model.cluster.topology.version, model.island_ratio)
+        if now != self._tag:
+            self._cache.clear()
+            self._tag = now
+        group = tuple(ranks)
+        key = (group, op, int(nbytes).bit_length())
         algo = self._cache.get(key)
         if algo is None:
-            self.misses += 1
             best = None
             for cand in ALGORITHMS:
-                cost = self.model._op_cost(op, ranks, nbytes, cand)
+                cost = model._op_cost(op, ranks, nbytes, cand)
                 if best is None or cost.seconds < best.seconds:
                     best, algo = cost, cand
+            self.misses += 1
             self._cache[key] = algo
             return best
         self.hits += 1
-        cost = self.model._op_cost(op, ranks, nbytes, algo)
-        if algo != "ring":
-            ring = self.model._op_cost(op, ranks, nbytes, "ring")
-            if ring.seconds < cost.seconds:
-                return ring
+        tag, memo = model._memo
+        if tag != now:
+            memo = model._retag()
+        priced = (op, group, nbytes, "auto", algo)
+        cost = memo.get(priced)
+        if cost is None:
+            cost = model._op_cost(op, ranks, nbytes, algo)
+            if algo != "ring":
+                ring = model._op_cost(op, ranks, nbytes, "ring")
+                if ring.seconds < cost.seconds:
+                    cost = ring
+            memo[priced] = cost
         return cost
 
     def clear(self) -> None:
         self._cache.clear()
-        self._topo_version = None
+        self._tag = None
 
     def __len__(self) -> int:
         return len(self._cache)

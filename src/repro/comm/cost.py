@@ -61,6 +61,15 @@ p2p                n / bw(a,b)                   n
 family per (group, op, message-size bucket) and never does worse than the
 flat ring.  Only simulated seconds/wire accounting depend on the algorithm;
 collective *results* are combined identically in every case.
+
+A :class:`CollectiveCost` is a pure function of the query, of
+``Topology.version`` and of ``island_ratio``, so each model prices a
+distinct query once: the family costs (``_op_cost``), the selector's
+ring re-price and the direct queries (scatter/gather, all-to-all,
+barrier, p2p, host transfer) read one memo tagged with those two numbers,
+and the topology probes share it (:meth:`CostModel._retag`).  A warm round
+runs no formula and walks no link; a changed tag prices the next round
+afresh.
 """
 
 from __future__ import annotations
@@ -90,30 +99,24 @@ _ZERO = CollectiveCost(0.0, 0)
 
 def _memoised(walk: Callable) -> Callable:
     """Memoise a topology probe per ``(probe, *args)`` (the last argument is
-    the rank sequence): a priced round reads the link graph's answer
-    instead of re-walking it.
+    the rank sequence), in the model's one memo (:meth:`CostModel._retag`).
 
-    Entries live in a dict tagged with what a walk reads besides its
-    arguments — ``Topology.version``, read *before* the walk, and the
-    model's ``island_ratio`` — and a dict with a stale tag is dropped whole
-    (the :class:`AlgorithmSelector`'s rule), so ``scale_link`` /
-    ``restore_links`` re-price the next round.  A walk racing a version
-    bump writes into the dict it looked up first, which the bump has just
-    made stale: it cannot plant an old price under the new version.
+    A probe runs only when a query is priced for the first time; its entry
+    is what spares that first pricing the walk when the group is already
+    known, e.g. a new byte count or another family on the same ranks.
     """
     name = walk.__name__
 
     @functools.wraps(walk)
     def probe(self: "CostModel", *args: Any) -> Any:
-        tag = (self.cluster.topology.version, self.island_ratio)
-        memo = self._probes
-        if memo[0] != tag:
-            memo = self._probes = (tag, {})
+        tag, memo = self._memo
+        if tag != (self.cluster.topology.version, self.island_ratio):
+            memo = self._retag()
         key = (name, *args[:-1], tuple(args[-1]))
         try:
-            return memo[1][key]
+            return memo[key]
         except KeyError:
-            value = memo[1][key] = walk(self, *args)
+            value = memo[key] = walk(self, *args)
             return value
 
     return probe
@@ -143,8 +146,32 @@ class CostModel:
         self.algorithm = algorithm
         self.island_ratio = island_ratio
         self.selector = AlgorithmSelector(self)
-        #: (tag, {probe key: value}) — see :func:`_memoised`
-        self._probes: Tuple[Any, Dict[tuple, Any]] = (None, {})
+        #: (tag, {query or probe key: value}) — see :meth:`_retag`
+        self._memo: Tuple[Any, Dict[tuple, Any]] = (None, {})
+
+    def _retag(self) -> Dict[tuple, Any]:
+        """Start the memo over for the link graph as it is now; return its
+        dict.
+
+        Every priced query and topology probe is a pure function of its key
+        and of what it reads besides: ``Topology.version`` and
+        ``island_ratio``.  The memo is one dict tagged with those two, and a
+        reader that finds a stale tag calls this, which drops the dict whole
+        (the :class:`AlgorithmSelector` keeps its bucket table under the
+        same tag), so ``scale_link`` / ``restore_links`` and a live
+        ``island_ratio`` change re-price the next round.  Readers test the
+        tag inline and a hit is one dict read with no frame of its own.
+
+        A racing writer is harmless: the tag is read *before* pricing, the
+        value goes into the dict that was looked up with it, and
+        ``Topology._invalidate`` bumps the version *after* an edit, so a
+        price computed across an edit lands in a dict the bump has just made
+        stale and is never served under the new version.  Two threads
+        replacing a stale dict at once lose an entry, nothing else.
+        """
+        memo = self._memo = (
+            (self.cluster.topology.version, self.island_ratio), {})
+        return memo[1]
 
     def _eff(self, bw: float, nbytes: int) -> float:
         """Effective bandwidth after the NCCL-style message-size ramp: a
@@ -257,19 +284,29 @@ class CostModel:
         algo = algorithm if algorithm is not None else self.algorithm
         if algo == "auto":
             return self.selector.select(op, ranks, nbytes)
-        _check_algorithm(algo)
         return self._op_cost(op, ranks, nbytes, algo)
 
     def _op_cost(
         self, op: str, ranks: Sequence[int], nbytes: int, algo: str
     ) -> CollectiveCost:
-        """Cost of ``op`` under one concrete algorithm.  Ops that do not
-        implement the requested family fall back to their flat schedule, so
-        a global ``algorithm="tree"`` setting stays valid for every op."""
+        """Cost of ``op`` under one concrete algorithm, priced once per
+        distinct query.  Ops that do not implement the requested family
+        fall back to their flat schedule, so a global ``algorithm="tree"``
+        setting stays valid for every op."""
+        tag, memo = self._memo
+        if tag != (self.cluster.topology.version, self.island_ratio):
+            memo = self._retag()
+        key = (op, tuple(ranks), nbytes, algo)
+        cost = memo.get(key)
+        if cost is not None:
+            return cost
+        _check_nbytes(op, nbytes)
+        _check_algorithm(algo)
         fn = getattr(self, f"_{algo}_{op}", None)
         if fn is None:
             fn = getattr(self, f"_ring_{op}")
-        return fn(ranks, nbytes)
+        cost = memo[key] = fn(ranks, nbytes)
+        return cost
 
     # -- flat ring algorithms ----------------------------------------------------
 
@@ -513,16 +550,27 @@ class CostModel:
     ) -> CollectiveCost:
         return self._dispatch("reduce", ranks, int(nbytes), algorithm)
 
+    # -- direct queries: one schedule each, priced once per key like _op_cost
+
     def scatter(self, root: int, ranks: Sequence[int], nbytes_local: int) -> CollectiveCost:
         p = len(ranks)
         if p < 2 or nbytes_local == 0:
             return _ZERO
+        tag, memo = self._memo
+        if tag != (self.cluster.topology.version, self.island_ratio):
+            memo = self._retag()
+        key = ("scatter", root, tuple(ranks), nbytes_local)
+        cost = memo.get(key)
+        if cost is not None:
+            return cost
+        _check_nbytes("scatter/gather", nbytes_local)
         bw, lat = self._star(root, ranks)
         seconds = (
             (p - 1) * self.alpha + lat
             + (p - 1) * nbytes_local / self._eff(bw, p * nbytes_local)
         )
-        return CollectiveCost(seconds, (p - 1) * nbytes_local, "star")
+        cost = memo[key] = CollectiveCost(seconds, (p - 1) * nbytes_local, "star")
+        return cost
 
     def gather(self, root: int, ranks: Sequence[int], nbytes_local: int) -> CollectiveCost:
         return self.scatter(root, ranks, nbytes_local)
@@ -531,37 +579,79 @@ class CostModel:
         p = len(ranks)
         if p < 2 or nbytes_local == 0:
             return _ZERO
+        tag, memo = self._memo
+        if tag != (self.cluster.topology.version, self.island_ratio):
+            memo = self._retag()
+        key = ("all_to_all", tuple(ranks), nbytes_local)
+        cost = memo.get(key)
+        if cost is not None:
+            return cost
+        _check_nbytes("all_to_all", nbytes_local)
         bw, lat = self._pairwise(ranks)
         seconds = (
             (p - 1) * self.alpha + lat
             + ((p - 1) / p) * nbytes_local / self._eff(bw, nbytes_local)
         )
-        return CollectiveCost(seconds, (p - 1) * nbytes_local, "direct")
+        cost = memo[key] = CollectiveCost(seconds, (p - 1) * nbytes_local, "direct")
+        return cost
 
     def barrier(self, ranks: Sequence[int]) -> CollectiveCost:
         p = len(ranks)
         if p < 2:
             return _ZERO
-        return CollectiveCost(self.alpha * math.ceil(math.log2(p)), 0, "tree")
+        tag, memo = self._memo
+        if tag != (self.cluster.topology.version, self.island_ratio):
+            memo = self._retag()
+        key = ("barrier", p)
+        cost = memo.get(key)
+        if cost is None:
+            cost = memo[key] = CollectiveCost(
+                self.alpha * math.ceil(math.log2(p)), 0, "tree")
+        return cost
 
     def p2p(self, src: int, dst: int, nbytes: int) -> CollectiveCost:
         if nbytes == 0 or src == dst:
             return _ZERO
+        tag, memo = self._memo
+        if tag != (self.cluster.topology.version, self.island_ratio):
+            memo = self._retag()
+        key = ("p2p", src, dst, nbytes)
+        cost = memo.get(key)
+        if cost is not None:
+            return cost
+        _check_nbytes("p2p", nbytes)
         a = self.cluster.gpus[src].name
         b = self.cluster.gpus[dst].name
         bw, lat = self.cluster.topology.path_stats(a, b)
-        return CollectiveCost(
+        cost = memo[key] = CollectiveCost(
             self.alpha + lat + nbytes / self._eff(bw, nbytes), nbytes, "direct"
         )
+        return cost
 
     def host_transfer(self, rank: int, nbytes: int) -> CollectiveCost:
         """CPU <-> GPU transfer (offloading traffic)."""
         if nbytes == 0:
             return _ZERO
+        tag, memo = self._memo
+        if tag != (self.cluster.topology.version, self.island_ratio):
+            memo = self._retag()
+        key = ("host_transfer", rank, nbytes)
+        cost = memo.get(key)
+        if cost is not None:
+            return cost
+        _check_nbytes("host_transfer", nbytes)
         bw = self.cluster.h2d_bandwidth(rank)
-        return CollectiveCost(
+        cost = memo[key] = CollectiveCost(
             self.alpha + nbytes / self._eff(bw, nbytes), nbytes, "direct"
         )
+        return cost
+
+
+def _check_nbytes(query: str, nbytes: int) -> None:
+    """Refuse to price a negative byte count; called on a memo miss only, so
+    a hit pays nothing for it."""
+    if nbytes < 0:
+        raise ValueError(f"{query}: cannot price a negative byte count ({nbytes})")
 
 
 def _check_algorithm(algorithm: str) -> None:

@@ -70,10 +70,13 @@ class SpecArray:
             shape = tuple(shape)
         size = 1
         for s in shape:
-            if type(s) is not int:
-                # np.intp entries pay for normalization; plain-int tuples
-                # (the common case) pass through untouched
+            if type(s) is not int or s < 0:
+                # np.intp entries pay for normalization and a negative
+                # extent is refused as numpy refuses it; plain non-negative
+                # int tuples (the common case) pass through untouched
                 shape = tuple(int(x) for x in shape)
+                if min(shape) < 0:
+                    raise ValueError("negative dimensions are not allowed")
                 size = math.prod(shape)
                 break
             size *= s

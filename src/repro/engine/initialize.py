@@ -108,7 +108,6 @@ def launch(
             rt.comm_island_ratio = cfg.comm.island_ratio
             for grp in rt._groups.values():
                 grp.cost_model.island_ratio = cfg.comm.island_ratio
-                grp.cost_model.selector.clear()
     if tracer is not None:
         tracer.install(rt)
     san = None

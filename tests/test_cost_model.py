@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import system_i, system_ii, system_iii, system_iv, uniform_cluster
@@ -270,19 +270,25 @@ _NBYTES = st.one_of(
     st.integers(1, 64 * MB), st.just(0),
     st.sampled_from([4 * KB, 4 * KB + 1, 1 * MB, (1 * MB) - 1, 16 * MB]))
 _QUERY = st.one_of(
+    # ``auto`` weighted up: its bucket table is the one priced state with history
     st.tuples(st.sampled_from(sorted(SELECTABLE_OPS)), _GROUP, _NBYTES,
-              st.sampled_from(ALGORITHMS + ("auto",))),
+              st.sampled_from(ALGORITHMS + ("auto",) * 3)),
     st.tuples(st.sampled_from(["scatter", "gather"]), _GROUP, _NBYTES,
               st.integers(0, 7)),
     st.tuples(st.sampled_from(["all_to_all", "barrier"]), _GROUP, _NBYTES,
               st.none()),
     st.tuples(st.just("p2p"), st.tuples(st.integers(0, 7), st.integers(0, 7)),
               _NBYTES, st.none()),
+    st.tuples(st.just("host_transfer"), st.tuples(st.integers(0, 7)),
+              _NBYTES, st.none()),
 )
+#: link degradation / restoration, and ``launch`` re-tuning ``island_ratio``
+#: on a live model (0.05 merges System II's NVLink pairs over PCIe)
 _EDIT = st.one_of(
-    st.tuples(st.just("scale_link"), st.integers(0, 7),
+    st.tuples(st.just("scale_link"), st.integers(0, 63),
               st.sampled_from([0.05, 0.5, 2.0, 1.0])),
     st.tuples(st.just("restore_links")),
+    st.tuples(st.just("island_ratio"), st.sampled_from([0.05, 0.3, 0.5])),
 )
 
 
@@ -297,13 +303,16 @@ def _ask(cm, op, ranks, nbytes, arg):
         return cm.barrier(ranks)
     if op == "p2p":
         return cm.p2p(ranks[0], ranks[1], nbytes)
+    if op == "host_transfer":
+        return cm.host_transfer(ranks[0], nbytes)
     return cm.all_to_all(ranks, nbytes)
 
 
 class _ColdSelector:
     """The selector's rule restated over *cold* prices: a bucket's first
     query picks the cheapest family, later ones re-price that family
-    against the flat ring, and any change to the link graph empties it."""
+    against the flat ring, and any change to the link graph or to
+    ``island_ratio`` empties it."""
 
     def __init__(self):
         self.choice, self.hits, self.misses = {}, 0, 0
@@ -330,26 +339,35 @@ class TestMemoisedPricing:
     @given(system=st.sampled_from(sorted(_SYSTEMS)),
            queries=st.lists(_QUERY, min_size=1, max_size=5),
            edits=st.lists(_EDIT, min_size=1, max_size=5))
+    # a bucket filled under island_ratio 0.5 (hierarchical over the NVLink
+    # pairs) must not survive a live re-tune to 0.05, where tree wins
+    @example(system="system_ii",
+             queries=[("all_reduce", list(range(8)), 64 * MB, "auto")],
+             edits=[("island_ratio", 0.05)])
     def test_long_lived_model_prices_like_a_fresh_one(self, system, queries,
                                                       edits):
         """One long-lived ``CostModel`` against one built for every query:
         the same few queries are asked again after each link degradation /
-        restoration, and the probe memo may only ever return what a walk
-        of the edited graph would."""
+        restoration or ``island_ratio`` re-tune, and the price memo may only
+        ever return what a fresh pricing of the edited model would."""
         cluster = _SYSTEMS[system]()
         topo = cluster.topology
-        links = sorted(
-            (a, b) for a, b in topo.links() if a[:3] == b[:3] == "gpu")
+        links = sorted(topo.links())  # GPU pairs and host links
         warm, reference = CostModel(cluster), _ColdSelector()
         for edit in [None] + edits:
             if edit is not None:
+                changed = True
                 if edit[0] == "scale_link":
                     topo.scale_link(*links[edit[1] % len(links)], edit[2])
+                elif edit[0] == "island_ratio":
+                    changed = warm.island_ratio != edit[1]
+                    warm.island_ratio = edit[1]
                 else:
                     topo.restore_links()
-                reference.choice.clear()
+                if changed:
+                    reference.choice.clear()
             for op, ranks, nbytes, arg in queries:
-                cold = CostModel(cluster)
+                cold = CostModel(cluster, island_ratio=warm.island_ratio)
                 got = _ask(warm, op, list(ranks), nbytes, arg)
                 if arg == "auto":
                     want = reference.price(cold, op, list(ranks), nbytes)
@@ -375,3 +393,18 @@ class TestMemoisedPricing:
             ranks, n, algorithm="hierarchical")
         assert merged.seconds == cm.allreduce(ranks, n, algorithm="ring").seconds
         assert merged.seconds > paired.seconds
+
+    @pytest.mark.parametrize("query", [
+        lambda cm: cm.allreduce(range(8), -48),
+        lambda cm: cm.allreduce(range(8), -48, algorithm="auto"),
+        lambda cm: cm.allgather(range(4), -1, algorithm="tree"),
+        lambda cm: cm.scatter(0, range(8), -48),
+        lambda cm: cm.all_to_all(range(8), -48),
+        lambda cm: cm.p2p(0, 1, -48),
+        lambda cm: cm.host_transfer(0, -48),
+    ])
+    def test_negative_byte_count_rejected(self, query):
+        cm = CostModel(system_ii())
+        with pytest.raises(ValueError, match="negative byte count"):
+            query(cm)
+        assert cm.selector.misses == 0

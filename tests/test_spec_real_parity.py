@@ -161,6 +161,20 @@ class TestSplitAxisMessages:
         assert "not divisible" in real[2]
 
 
+class TestPayloadConstruction:
+    """A spec payload is refused exactly as ``np.empty`` refuses it."""
+
+    @pytest.mark.parametrize("shape", [
+        (-3, 4), (4, -1), (np.int64(-2), 3), (2, np.int32(-1)),
+    ])
+    def test_negative_dimension_rejected_like_numpy(self, shape):
+        with pytest.raises(ValueError) as real:
+            np.empty(shape, "float32")
+        with pytest.raises(ValueError) as spec:
+            SpecArray(shape, "float32")
+        assert str(spec.value) == str(real.value)
+
+
 # -- property-based sweep --------------------------------------------------
 
 
