@@ -82,7 +82,7 @@ def main():
     fabric = Fabric.from_cluster(system_iii(n_nodes=2))
     for target in (64, 256, 1024):
         t0 = time.perf_counter()
-        rep = project(trace, factor=target // WORLD, fabric=fabric)
+        rep = project(trace, axes={"dp": target // WORLD}, fabric=fabric)
         wall = time.perf_counter() - t0
         print(f"projected to {rep.target_world} ranks ({wall:.3f}s wall):")
         print(rep.format())

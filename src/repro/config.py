@@ -177,10 +177,12 @@ class SanitizeConfig(_Section):
 class ProjectionConfig(_Section):
     """Projection execution mode (``repro.project``): :func:`repro.launch`
     captures the program at the cluster's world size and returns a
-    :class:`~repro.project.ProjectionReport` priced at ``target_world`` ranks
-    or widened by ``axes`` (e.g. ``{"dp": 8, "tp": 2, "pp": 2}`` projects a
-    16-rank capture to 512 ranks).  When both are given they must agree
-    (``target_world == world * product of factors``), checked at launch."""
+    :class:`~repro.project.ProjectionReport` widened by ``axes`` (e.g.
+    ``{"dp": 8, "tp": 2, "pp": 2}`` projects a 16-rank capture to 512
+    ranks).  ``target_world`` alone widens the data-parallel axis:
+    ``axes={"dp": target_world // world}``.  When both are given they must
+    agree (``target_world == world * product of factors``), checked at
+    launch."""
 
     _key = "project"
     _implied = ("mode", "project")

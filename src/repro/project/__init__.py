@@ -10,20 +10,21 @@ replays that stream analytically — no thread per rank — either
   occupancy and counters bit-for-bit (the fidelity contract the parity
   tests enforce), or
 * in **model** mode, re-pricing every communication op through a
-  :class:`Fabric` cost model, optionally widening the world group by a
-  :class:`ScalePlan` factor — projecting an 8-rank capture to 1024+ ranks
-  in milliseconds.
+  :class:`Fabric` cost model, optionally widening the named parallel axes
+  of a :class:`ScalePlan` — projecting an 8-rank capture to 1024+ ranks in
+  milliseconds.
 
 Typical use::
 
     trace = capture_run(cluster, step_fn, world_size=8)
-    report = project(trace, factor=128,
+    report = project(trace, axes={"dp": 128},
                      fabric=Fabric.from_cluster(big_cluster))
     print(report.format())   # step time, comm volume, hidden-comm %
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.project.axes import derive_axis_groups, hybrid_plan
@@ -31,8 +32,6 @@ from repro.project.capture import CaptureRecorder, OpTrace
 from repro.project.fabric import Fabric, ProjectedCostModel
 from repro.project.replay import (
     DEFAULT_SCALING,
-    PAYLOAD_RULES,
-    SCALABLE_OPS,
     ModelPricer,
     RecordedPricer,
     ReplayEngine,
@@ -63,8 +62,6 @@ __all__ = [
     "ReplayResult",
     "ReplayStall",
     "DEFAULT_SCALING",
-    "PAYLOAD_RULES",
-    "SCALABLE_OPS",
     "AxisProjection",
     "ProjectionReport",
     "RankProjection",
@@ -117,7 +114,6 @@ def capture_run(
 def project(
     trace: OpTrace,
     *,
-    factor: int = 1,
     axes: Optional[Any] = None,
     plan: Optional[ScalePlan] = None,
     fabric: Optional[Fabric] = None,
@@ -126,18 +122,18 @@ def project(
 ) -> ProjectionReport:
     """Replay ``trace`` analytically and aggregate a :class:`ProjectionReport`.
 
-    ``mode="recorded"`` replays the captured costs unchanged (requires
-    ``factor == 1``); ``mode="model"`` re-prices through ``fabric``
-    (default: :meth:`Fabric.from_cluster` of the captured cluster) with the
-    world group widened ``factor ×``, or — when ``axes`` maps axis names to
-    factors (ints or :class:`ScaleAxis`) — with every named axis widened at
-    once (``ScalePlan(axes=...)``).  Pass ``plan`` for full control (which
-    groups scale, payload-scaling overrides, sharded bytes, compute
-    rescaling); ``factor``/``axes`` are ignored when ``plan`` is given.
-    ``tracer`` records a projected per-rank timeline."""
+    ``mode="recorded"`` replays the captured costs unchanged (requires an
+    unwidened plan); ``mode="model"`` re-prices through ``fabric``
+    (default: :meth:`Fabric.from_cluster` of the captured cluster) with
+    every axis named in ``axes`` (ints or :class:`ScaleAxis`) widened at
+    once — ``axes={"dp": k}`` is the data-parallel scale-out.  Pass
+    ``plan`` instead of ``axes`` for full control (sharded bytes, compute
+    rescaling).  ``tracer`` records a projected per-rank timeline."""
     if plan is None:
-        plan = ScalePlan(axes=axes) if axes is not None \
-            else ScalePlan(factor=factor)
+        plan = ScalePlan(axes=axes or {})
+    elif axes is not None:
+        raise ValueError("pass axes or plan, not both: put the axes in "
+                         "ScalePlan(axes=...)")
     if mode == "recorded":
         if plan.total_factor() != 1:
             raise ValueError(
@@ -168,9 +164,10 @@ def price_plan(
     tracer: Optional[Any] = None,
 ) -> ProjectionReport:
     """Price a captured op trace at a hybrid target scale — the strategy
-    compiler's refinement entry point (:mod:`repro.autopar.compiler`).
+    compiler's refinement entry point (:mod:`repro.autopar.compiler`) and
+    the ``launch`` backend's.
 
-    With no ``axes`` (or all factors 1) the trace is replayed in
+    With no axis widened and no ``fabric`` given, the trace is replayed in
     **recorded** mode: the report's step time reproduces the captured
     threaded run bit-for-bit.  Otherwise a hybrid
     :class:`~repro.project.replay.ScalePlan` is built over the trace's
@@ -184,14 +181,12 @@ def price_plan(
         trace.axes = derive_axis_groups(
             trace.world_size, tensor=tensor, pipeline=pipeline
         )
-    if not factors or all(k == 1 for k in factors.values()):
+    if fabric is None and all(k == 1 for k in factors.values()):
         return project(trace, mode="recorded", tracer=tracer)
     plan = hybrid_plan(
         factors, world=trace.world_size, tensor=tensor, pipeline=pipeline,
         sharded_bytes=sharded_bytes, compute_scale=compute_scale,
     )
-    if fabric is None:
-        fabric = Fabric.from_cluster(trace.cluster)
     return project(trace, plan=plan, fabric=fabric, mode="model",
                    tracer=tracer)
 
@@ -207,39 +202,35 @@ def project_launch(
     tracer: Optional[Any] = None,
 ) -> ProjectionReport:
     """The ``mode="project"`` backend of :func:`repro.launch`: capture
-    ``fn`` at the cluster's (or ``world_size``'s) scale, then project to
-    ``config.project.target_world``.
+    ``fn`` at the cluster's (or ``world_size``'s) scale, then
+    :func:`price_plan` it over the Config's DP x TP x PP layout.
 
-    Without ``project.axes`` the target world must be a multiple of the
-    captured world — the quotient becomes the :class:`ScalePlan` factor.
-    With ``project.axes`` a hybrid plan is built over the Config's
-    DP x TP x PP layout (the trace's axis groups are derived from the same
-    rank-layout formulas the :class:`ParallelContext` uses) and the target
-    world is ``world * product of factors``; an explicit ``target_world``
-    must agree."""
+    ``project.axes`` names the factor of each widened axis, and the target
+    world is ``world * product of factors``; an explicit
+    ``project.target_world`` must agree.  ``project.target_world`` alone
+    widens ``dp`` by ``target_world // world`` (it must be a multiple of
+    the captured world)."""
     from repro.config import Config
     from repro.context.parallel_context import ParallelContext
     from repro.runtime.spmd import RankContext
 
     cfg = config if isinstance(config, Config) else Config.from_dict(config)
     world = world_size if world_size is not None else cluster.world_size
-    axes_factors = cfg.project.axes
-    if axes_factors is None:
+    factors = cfg.project.axes
+    if factors is None:
         target = cfg.project.target_world or world
         if target % world != 0:
             raise ValueError(
                 f"project.target_world {target} must be a multiple of the "
                 f"captured world size {world}"
             )
+        factors = {"dp": target // world}
     else:
-        total = 1
-        for k in axes_factors.values():
-            total *= k
-        target = world * total
+        target = world * math.prod(factors.values())
         if cfg.project.target_world not in (None, target):
             raise ValueError(
                 f"project.target_world {cfg.project.target_world} "
-                f"disagrees with project.axes {axes_factors}: a "
+                f"disagrees with project.axes {factors}: a "
                 f"{world}-rank capture projects to {target} ranks"
             )
 
@@ -256,20 +247,7 @@ def project_launch(
         comm_algorithm=cfg.comm.algorithm or "ring",
         comm_overlap=cfg.comm.overlap,
     )
-    trace.axes = derive_axis_groups(
-        world, tensor=cfg.tensor.size, pipeline=cfg.pipeline
-    )
-    if axes_factors is not None:
-        plan = hybrid_plan(
-            dict(axes_factors), world=world,
-            tensor=cfg.tensor.size, pipeline=cfg.pipeline,
-        )
-        if fabric is None:
-            fabric = Fabric.from_cluster(trace.cluster)
-        return project(trace, plan=plan, fabric=fabric, mode="model",
-                       tracer=tracer)
-    factor = target // world
-    mode = "recorded" if factor == 1 and fabric is None else "model"
-    return project(
-        trace, factor=factor, fabric=fabric, mode=mode, tracer=tracer
+    return price_plan(
+        trace, axes=factors, tensor=cfg.tensor.size, pipeline=cfg.pipeline,
+        fabric=fabric, tracer=tracer,
     )

@@ -62,7 +62,6 @@ def hybrid_plan(
     tensor: int = 1,
     pipeline: int = 1,
     sharded_bytes: Optional[Dict[str, int]] = None,
-    payload_scaling: Optional[Dict[str, Dict[str, str]]] = None,
     compute_scale: float = 1.0,
 ) -> ScalePlan:
     """Build a hybrid :class:`ScalePlan` for a capture with the given
@@ -71,9 +70,9 @@ def hybrid_plan(
     ``factors`` maps ``dp`` / ``tp`` / ``pp`` to widening factors;
     ``sharded_bytes`` (optional, same keys) declares the captured per-rank
     bytes each axis partitions (ZeRO state for ``dp``, weight shards for
-    ``tp``), and ``payload_scaling`` per-axis op rules.  The ``pp`` axis is
-    marked chain-style: widening deepens the pipeline, so p2p boundary
-    traffic scales by ``(k*s - 1)/(s - 1)`` instead of the plain factor."""
+    ``tp``).  The ``pp`` axis is marked chain-style: widening deepens the
+    pipeline, so p2p boundary traffic scales by ``(k*s - 1)/(s - 1)``
+    instead of the plain factor."""
     groups = derive_axis_groups(world, tensor=tensor, pipeline=pipeline)
     unknown = set(factors) - set(groups)
     if unknown:
@@ -82,18 +81,16 @@ def hybrid_plan(
             f"valid axes: {sorted(groups)}"
         )
     sharded = sharded_bytes or {}
-    rules = payload_scaling or {}
-    bad = (set(sharded) | set(rules)) - set(groups)
+    bad = set(sharded) - set(groups)
     if bad:
         raise ValueError(
-            f"unknown axis name(s) {sorted(bad)} in sharded_bytes/"
-            f"payload_scaling; valid axes: {sorted(groups)}"
+            f"unknown axis name(s) {sorted(bad)} in sharded_bytes; "
+            f"valid axes: {sorted(groups)}"
         )
     axes = {
         name: ScaleAxis(
             factor=k,
             groups=groups[name],
-            payload_scaling=dict(rules.get(name, {})),
             sharded_bytes=int(sharded.get(name, 0)),
             chain=(name == "pp"),
         )

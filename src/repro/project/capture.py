@@ -87,8 +87,8 @@ class OpTrace:
     max_time: float = 0.0
     #: named parallel-axis layout of the captured run: axis name (``dp`` /
     #: ``tp`` / ``pp``) -> family of captured rank tuples.  Populated by
-    #: :func:`repro.project.project_launch` from the Config's DP x TP x PP
-    #: grid so a hybrid :class:`~repro.project.replay.ScalePlan` can
+    #: :func:`repro.project.price_plan` from the DP x TP x PP layout
+    #: so a hybrid :class:`~repro.project.replay.ScalePlan` can
     #: resolve ``axes={...}`` by name; empty for bare ``capture_run``
     #: traces (pass explicit ``ScaleAxis.groups`` there).
     axes: Dict[str, Tuple[Tuple[int, ...], ...]] = field(default_factory=dict)

@@ -18,13 +18,12 @@ Costs come from a pluggable pricer:
 * :class:`RecordedPricer` — return the captured costs unchanged (fidelity
   mode, used by the parity tests);
 * :class:`ModelPricer` — re-price every op through a
-  :class:`~repro.project.fabric.ProjectedCostModel`, *scaling* either one
-  group (``factor=k``: the legacy data-parallel widening) or several named
-  axes at once (``axes={"dp": 8, "tp": 2, "pp": 2}``): a captured group is
-  widened by the product of the factors of every axis it lies along and
-  replicated by the product of the factors of every axis it does not —
-  this is what projects a 16-rank hybrid capture to the paper's 512-GPU
-  DP x TP x PP grids.
+  :class:`~repro.project.fabric.ProjectedCostModel`, widening the named
+  axes of a :class:`ScalePlan` (``axes={"dp": 8, "tp": 2, "pp": 2}``): a
+  captured group is widened by the product of the factors of every axis it
+  lies along and replicated by the product of the factors of every axis it
+  does not — this is what projects a 16-rank hybrid capture to the paper's
+  512-GPU DP x TP x PP grids.
 """
 
 from __future__ import annotations
@@ -41,18 +40,11 @@ from repro.runtime.clock import SimClock, StreamClock
 from repro.project.capture import OpTrace
 from repro.project.fabric import Fabric, ProjectedCostModel
 
-#: how a round's recorded per-op cost argument responds to growing the
-#: group: "constant" keeps the captured payload (a DP all-reduce moves the
-#: same gradient bytes at any world size), "inverse" shrinks it with the
-#: group (a ZeRO all-gather's local shard is ``total / p``), "linear"
-#: grows it with the group.
-DEFAULT_SCALING: Dict[str, str] = {
-    "all_gather": "inverse",
-    "scatter": "inverse",
-}
-
-#: the valid ``payload_scaling`` rule names
-PAYLOAD_RULES: Tuple[str, ...] = ("constant", "inverse", "linear")
+#: the ops whose recorded per-rank payload shrinks as the group widens (a
+#: ZeRO all-gather's local shard is ``total / p``); every other op keeps
+#: its captured payload (a DP all-reduce moves the same gradient bytes at
+#: any world size)
+DEFAULT_SCALING: frozenset = frozenset({"all_gather", "scatter"})
 
 #: how model mode prices each collective op the communicator can record:
 #: ``op -> (fabric cost model, projected ranks, byte argument, algorithm)
@@ -75,26 +67,6 @@ _MODEL_PRICE: Dict[str, Callable[
     "ring_pass": lambda m, ranks, n, algo: m.ring_pass(ranks, n),
 }
 
-#: every op key a ``payload_scaling`` override may name (the collective
-#: ops above plus point-to-point traffic)
-SCALABLE_OPS: frozenset = frozenset(_MODEL_PRICE) | {"p2p"}
-
-
-def _validate_payload_scaling(rules: Dict[str, str], where: str) -> None:
-    """Reject unknown op keys and unknown rule names loudly: a typo'd rule
-    must never silently fall back to "constant" (ISSUE-7 satellite)."""
-    for op, rule in rules.items():
-        if op not in SCALABLE_OPS:
-            raise ValueError(
-                f"{where}.payload_scaling: unknown op {op!r}; "
-                f"valid ops: {sorted(SCALABLE_OPS)}"
-            )
-        if rule not in PAYLOAD_RULES:
-            raise ValueError(
-                f"{where}.payload_scaling: unknown rule {rule!r} for op "
-                f"{op!r}; valid rules: {list(PAYLOAD_RULES)}"
-            )
-
 
 class ReplayStall(RuntimeError):
     """No rank can make progress but streams remain — a truncated or
@@ -108,8 +80,8 @@ class ScaleAxis:
     ``factor`` widens every captured group that lies along this axis;
     ``groups`` is the family of captured rank tuples the axis owns (``None``
     resolves from the trace's ``axes`` metadata by name, falling back to
-    the whole-world group for ``dp``/``data``/``world``).  ``sharded_bytes``
-    is the captured per-rank byte count of state this axis *partitions*
+    the whole-world group for ``dp``).  ``sharded_bytes`` is the
+    captured per-rank byte count of state this axis *partitions*
     (ZeRO chunks across dp, weight shards across tp): at factor ``k`` those
     bytes shrink to ``ceil(bytes / k)`` in the projected peak-memory model.
     ``chain=True`` marks a pipeline-style axis whose groups are linear
@@ -120,7 +92,6 @@ class ScaleAxis:
 
     factor: int = 1
     groups: Optional[Tuple[Tuple[int, ...], ...]] = None
-    payload_scaling: Dict[str, str] = field(default_factory=dict)
     sharded_bytes: int = 0
     chain: bool = False
 
@@ -133,7 +104,6 @@ class ScaleAxis:
             )
         if self.groups is not None:
             self.groups = tuple(tuple(g) for g in self.groups)
-        _validate_payload_scaling(self.payload_scaling, "ScaleAxis")
 
 
 @dataclass
@@ -145,12 +115,8 @@ class ResolvedAxis:
     name: str
     factor: int
     groups: Tuple[Tuple[int, ...], ...]
-    payload_scaling: Dict[str, str]
     sharded_bytes: int
     chain: bool
-    #: synthesized from the legacy ``factor``/``scale_group`` fields —
-    #: excluded from the report's per-axis breakdown
-    synthetic: bool = False
 
     def __post_init__(self) -> None:
         self.group_set = frozenset(self.groups)
@@ -165,134 +131,72 @@ class ResolvedAxis:
 class ScalePlan:
     """How to stretch a captured trace to a larger world.
 
-    **Single-axis (legacy) form** — ``factor`` multiplies the world: the
-    ``scale_group`` (default: the group spanning every captured rank) is
-    re-priced at ``factor ×`` its captured size, while every *other* group
-    is assumed replicated ``factor`` times across the projected world (its
-    costs are unchanged and its traffic counts ``factor`` times in the
-    totals).  This models the standard data-parallel scale-out where the
-    captured world is one model replica and the world group carries the
-    gradient traffic.  ``sharded_bytes`` declares per-rank state the scaled
-    group partitions (ZeRO chunks): at factor ``k`` the projected peak
-    memory of the scaled ranks drops by ``sharded_bytes * (1 - 1/k)``.
-
-    **Hybrid form** — ``axes`` maps axis names to factors (or full
-    :class:`ScaleAxis` specs): ``ScalePlan(axes={"dp": 8, "tp": 2,
-    "pp": 2})``.  A captured group is widened by the *product* of the
-    factors of the axes it lies along (the whole-world group lies along
-    all of them) and replicated by the product of the factors of the axes
-    it does not, so the projected world always hosts
-    ``world * prod(factors)`` ranks.  ``axes`` is mutually exclusive with
-    ``factor``/``scale_group``; ``ScalePlan(axes={"dp": k})`` is
-    projection-for-projection identical to ``ScalePlan(factor=k)``.
+    ``axes`` maps axis names to factors (or full :class:`ScaleAxis`
+    specs): ``ScalePlan(axes={"dp": 8, "tp": 2, "pp": 2})``.  A captured
+    group is widened by the *product* of the factors of the axes it lies
+    along (the whole-world group lies along all of them) and replicated by
+    the product of the factors of the axes it does not, so the projected
+    world always hosts ``world * prod(factors)`` ranks.  The data-parallel
+    scale-out of a plain capture is ``axes={"dp": k}``: ``dp`` resolves to
+    the whole-world group when the trace records no axis layout.
     """
 
-    factor: int = 1
-    #: ranks (captured global ids) of the group to widen; ``None`` selects
-    #: the group spanning the whole captured world
-    scale_group: Optional[Tuple[int, ...]] = None
-    #: per-op overrides of :data:`DEFAULT_SCALING` (axis-level rules win)
-    payload_scaling: Dict[str, str] = field(default_factory=dict)
+    #: axis name -> factor int or :class:`ScaleAxis`
+    axes: Dict[str, Union[int, ScaleAxis]] = field(default_factory=dict)
     #: multiplier on every non-comm clock advance (model a faster/slower
     #: accelerator without recapturing)
     compute_scale: float = 1.0
-    #: hybrid form: axis name -> factor int or :class:`ScaleAxis`
-    axes: Optional[Dict[str, Union[int, ScaleAxis]]] = None
-    #: captured per-rank bytes the (legacy) scaled group re-shards
-    sharded_bytes: int = 0
 
     def __post_init__(self) -> None:
-        if self.factor < 1:
-            raise ValueError(f"scale factor must be >= 1, got {self.factor}")
         if self.compute_scale <= 0:
             raise ValueError("compute_scale must be positive")
-        if self.sharded_bytes < 0:
-            raise ValueError(
-                f"sharded_bytes must be >= 0, got {self.sharded_bytes}"
-            )
-        _validate_payload_scaling(self.payload_scaling, "ScalePlan")
-        if self.axes is not None:
-            if self.factor != 1 or self.scale_group is not None:
-                raise ValueError(
-                    "ScalePlan.axes is mutually exclusive with the legacy "
-                    "factor/scale_group fields: put each axis's factor in "
-                    "the axes mapping"
-                )
-            norm: Dict[str, ScaleAxis] = {}
-            for name, ax in self.axes.items():
-                if isinstance(ax, ScaleAxis):
-                    norm[name] = ax
-                elif isinstance(ax, int) and not isinstance(ax, bool):
-                    if ax < 1:
-                        raise ValueError(
-                            f"axis {name!r} factor must be >= 1, got {ax}"
-                        )
-                    norm[name] = ScaleAxis(factor=ax)
-                else:
+        norm: Dict[str, ScaleAxis] = {}
+        for name, ax in self.axes.items():
+            if isinstance(ax, ScaleAxis):
+                norm[name] = ax
+            elif isinstance(ax, int) and not isinstance(ax, bool):
+                if ax < 1:
                     raise ValueError(
-                        f"axis {name!r} must map to an int factor or a "
-                        f"ScaleAxis, got {type(ax).__name__}"
+                        f"axis {name!r} factor must be >= 1, got {ax}"
                     )
-            self.axes = norm
+                norm[name] = ScaleAxis(factor=ax)
+            else:
+                raise ValueError(
+                    f"axis {name!r} must map to an int factor or a "
+                    f"ScaleAxis, got {type(ax).__name__}"
+                )
+        self.axes = norm
 
     def total_factor(self) -> int:
-        """World multiplier: ``factor`` (legacy) or the product of every
-        axis factor (hybrid)."""
-        if self.axes is None:
-            return self.factor
+        """World multiplier: the product of every axis factor."""
         total = 1
         for ax in self.axes.values():
             total *= ax.factor
         return total
 
-    def scaling_for(self, op: str,
-                    matched: Sequence[ResolvedAxis] = ()) -> str:
-        """Payload rule for ``op`` on a group lying along ``matched`` axes:
-        the first matched axis declaring the op wins, then the plan-level
-        overrides, then :data:`DEFAULT_SCALING`."""
-        for ax in matched:
-            if op in ax.payload_scaling:
-                return ax.payload_scaling[op]
-        return self.payload_scaling.get(op, DEFAULT_SCALING.get(op, "constant"))
-
     def resolve_axes(self, trace: OpTrace) -> List[ResolvedAxis]:
         """Bind the plan to a trace, resolving each axis's group family.
 
         Resolution order: explicit :attr:`ScaleAxis.groups`, then the
-        trace's ``axes`` metadata (populated by ``launch`` from the
-        Config's DP x TP x PP layout), then — for ``dp``/``data``/
-        ``world`` — the group spanning the whole captured world.  The
-        legacy single-axis form resolves to one synthetic axis so both
-        forms price through identical code."""
-        world = tuple(range(trace.world_size))
-        if self.axes is None:
-            ranks = (
-                tuple(self.scale_group) if self.scale_group is not None
-                else world
-            )
-            return [ResolvedAxis(
-                name="world", factor=self.factor, groups=(ranks,),
-                payload_scaling={}, sharded_bytes=self.sharded_bytes,
-                chain=False, synthetic=True,
-            )]
+        trace's ``axes`` metadata (populated by :func:`price_plan` from
+        the DP x TP x PP layout), then — for ``dp`` — the group spanning
+        the whole captured world."""
         out: List[ResolvedAxis] = []
-        trace_axes = getattr(trace, "axes", None) or {}
         for name, ax in self.axes.items():
             groups = ax.groups
-            if groups is None and name in trace_axes:
-                groups = tuple(tuple(g) for g in trace_axes[name])
-            if groups is None and name in ("dp", "data", "world"):
-                groups = (world,)
+            if groups is None and name in trace.axes:
+                groups = tuple(tuple(g) for g in trace.axes[name])
+            if groups is None and name == "dp":
+                groups = (tuple(range(trace.world_size)),)
             if groups is None:
                 raise ValueError(
                     f"axis {name!r} has no captured groups: pass "
                     f"ScaleAxis(groups=...), or capture through launch() so "
                     f"the trace records its axis layout "
-                    f"(trace.axes knows {sorted(trace_axes) or 'no axes'})"
+                    f"(trace.axes knows {sorted(trace.axes) or 'no axes'})"
                 )
             out.append(ResolvedAxis(
                 name=name, factor=ax.factor, groups=groups,
-                payload_scaling=ax.payload_scaling,
                 sharded_bytes=ax.sharded_bytes, chain=ax.chain,
             ))
         return out
@@ -301,7 +205,8 @@ class ScalePlan:
 class RecordedPricer:
     """Fidelity pricer: every op costs exactly what the capture recorded."""
 
-    scaled_gids: frozenset = frozenset()
+    resolved_axes: Tuple[ResolvedAxis, ...] = ()
+    p2p_scale: Dict[int, Tuple[int, int]] = {}
 
     def collective(self, gid: int, rnd: Dict[str, Any]) -> CollectiveCost:
         return CollectiveCost(
@@ -319,30 +224,26 @@ class RecordedPricer:
 class ModelPricer:
     """Re-price the captured ops through a fabric cost model, widening
     every captured group by the product of the factors of the plan axes it
-    lies along (legacy single-``factor`` plans resolve to one synthetic
-    axis, so both forms flow through identical arithmetic)."""
+    lies along."""
 
     def __init__(self, trace: OpTrace, fabric: Fabric,
                  plan: Optional[ScalePlan] = None) -> None:
         self.trace = trace
-        self.plan = plan or ScalePlan()
         self.model = ProjectedCostModel(fabric)
         self.algorithm = trace.comm_algorithm
-        self.resolved_axes: List[ResolvedAxis] = self.plan.resolve_axes(trace)
+        self.resolved_axes: List[ResolvedAxis] = (
+            plan or ScalePlan()).resolve_axes(trace)
         world = tuple(range(trace.world_size))
-        #: gid -> the axes the group lies along.  A named (non-synthetic)
-        #: axis also claims the whole-world group: the world spans every
-        #: parallel dimension, so widening any axis widens it.
+        #: gid -> the axes the group lies along.  Every axis also claims
+        #: the whole-world group: the world spans every parallel
+        #: dimension, so widening any axis widens it.
         self._matched: Dict[int, Tuple[ResolvedAxis, ...]] = {}
         for gid, ranks in enumerate(trace.groups):
             key = tuple(ranks)
             self._matched[gid] = tuple(
                 ax for ax in self.resolved_axes
-                if key in ax.group_set or (not ax.synthetic and key == world)
+                if key in ax.group_set or key == world
             )
-        self.scaled_gids = frozenset(
-            gid for gid, m in self._matched.items() if m
-        )
         #: gid -> (num, den) integer weight for captured p2p counters on
         #: chain-widened groups: a chain of ``s`` stages deepened to
         #: ``k*s`` has ``k*s - 1`` stage boundaries in place of ``s - 1``.
@@ -418,12 +319,8 @@ class ModelPricer:
         ranks = self.trace.groups[gid]
         ranks2 = self.group_ranks(gid)
         p, p2 = len(ranks), len(ranks2)
-        if p2 != p and n:
-            rule = self.plan.scaling_for(op, self._matched[gid])
-            if rule == "inverse":
-                n = max(1, (n * p) // p2)
-            elif rule == "linear":
-                n = (n * p2) // p
+        if p2 != p and n and op in DEFAULT_SCALING:
+            n = max(1, (n * p) // p2)
         cost = self._cache[key] = price(self.model, ranks2, n, self.algorithm)
         return cost
 
@@ -511,7 +408,6 @@ class ReplayEngine:
                     f"replay stalled with pending events {stuck}: the trace "
                     "is truncated or internally inconsistent"
                 )
-        resolved = getattr(self.pricer, "resolved_axes", None) or ()
         return ReplayResult(
             trace=self.trace, plan=self.plan, clocks=self.clocks,
             streams=self.comm_streams,
@@ -521,8 +417,8 @@ class ReplayEngine:
                 gid: self.pricer.multiplicity(gid)
                 for gid in range(len(self.trace.groups))
             },
-            axes={ax.name: ax for ax in resolved},
-            p2p_scale=dict(getattr(self.pricer, "p2p_scale", None) or {}),
+            axes={ax.name: ax for ax in self.pricer.resolved_axes},
+            p2p_scale=dict(self.pricer.p2p_scale),
         )
 
     # -- event loop --------------------------------------------------------

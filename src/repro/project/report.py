@@ -2,17 +2,17 @@
 numbers.
 
 The captured ranks are *roles*: under a :class:`~repro.project.replay.ScalePlan`
-with ``factor > 1`` each unscaled group (and each captured rank's compute
-timeline and memory footprint) stands for ``factor`` identical copies in the
-projected world, while the scaled group's traffic was re-priced at the full
-projected size and counts once.  Totals therefore weight each group's
-counters by its multiplicity.
+each captured group (and each captured rank's compute timeline and memory
+footprint) stands for as many identical copies in the projected world as
+the product of the factors of the axes it does *not* lie along, while the
+axes it lies along re-priced its traffic at the widened size.  Totals
+therefore weight each group's counters by its multiplicity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analytic.memory_model import project_peak_memory
 from repro.comm.counters import CommCounters
@@ -20,9 +20,20 @@ from repro.comm.counters import CommCounters
 from repro.project.replay import ReplayResult
 
 
-def _merge_counts(total: Dict[str, int], part: Dict[str, int], mult: int) -> None:
-    for k, v in part.items():
-        total[k] = total.get(k, 0) + v * mult
+def _accumulate(total: Dict[str, int], by_op: Dict[str, int], mult: int,
+                p2p: Optional[Tuple[int, int]] = None) -> int:
+    """Add one group's per-op counters, weighted by its replica count, into
+    ``total`` and return their weighted sum.  Captured p2p on a
+    chain-deepened group additionally scales by the stage-boundary ratio
+    ``p2p = (num, den)``, in integers."""
+    added = 0
+    for k, v in by_op.items():
+        w = v * mult
+        if p2p is not None and k == "p2p":
+            w = (w * p2p[0]) // p2p[1]
+        total[k] = total.get(k, 0) + w
+        added += w
+    return added
 
 
 @dataclass
@@ -97,7 +108,7 @@ class ProjectionReport:
     #: per captured group: multiplicity-1 counters for parity checks
     group_counters: Dict[int, CommCounters] = field(default_factory=dict)
     group_multiplicity: Dict[int, int] = field(default_factory=dict)
-    #: per named plan axis (empty for recorded and legacy-factor plans)
+    #: per named plan axis (empty for recorded replays)
     axes: List[AxisProjection] = field(default_factory=list)
 
     @property
@@ -162,21 +173,6 @@ class ProjectionReport:
         return "\n".join(lines)
 
 
-def _gid_weights(result: ReplayResult, gid: int):
-    """(multiplicity, p2p (num, den)) weights for one captured group."""
-    mult = result.multiplicity.get(gid, 1)
-    num, den = result.p2p_scale.get(gid, (1, 1))
-    return mult, num, den
-
-
-def _weighted(op: str, v: int, mult: int, num: int, den: int) -> int:
-    """Replica-weighted counter value; captured p2p on chain-deepened
-    groups additionally scales by the stage-boundary ratio."""
-    if op == "p2p" and (num, den) != (1, 1):
-        return (v * mult * num) // den
-    return v * mult
-
-
 def build_report(result: ReplayResult, mode: str) -> ProjectionReport:
     trace = result.trace
     axes = list(result.axes.values())
@@ -212,43 +208,24 @@ def build_report(result: ReplayResult, mode: str) -> ProjectionReport:
         group_multiplicity=dict(result.multiplicity),
     )
     for gid, counters in result.counters.items():
-        mult, num, den = _gid_weights(result, gid)
-        if (num, den) == (1, 1):
-            # exact integer path shared with the legacy single-factor plan
-            report.wire_bytes_total += counters.bytes_total * mult
-            report.wire_elements_total += counters.elements_total * mult
-            report.comm_calls_total += counters.calls_total * mult
-            _merge_counts(report.by_op_bytes, counters.by_op_bytes, mult)
-            _merge_counts(report.by_op_elements, counters.by_op_elements, mult)
-            _merge_counts(report.by_op_calls, counters.by_op_calls, mult)
-        else:
-            # chain-deepened group: totals re-derived from the per-op maps
-            # so the p2p slice keeps integer bytes under the (num, den)
-            # boundary ratio
-            for k, v in counters.by_op_bytes.items():
-                w = _weighted(k, v, mult, num, den)
-                report.by_op_bytes[k] = report.by_op_bytes.get(k, 0) + w
-                report.wire_bytes_total += w
-            for k, v in counters.by_op_elements.items():
-                w = _weighted(k, v, mult, num, den)
-                report.by_op_elements[k] = report.by_op_elements.get(k, 0) + w
-                report.wire_elements_total += w
-            for k, v in counters.by_op_calls.items():
-                w = _weighted(k, v, mult, num, den)
-                report.by_op_calls[k] = report.by_op_calls.get(k, 0) + w
-                report.comm_calls_total += w
-        _merge_counts(
-            report.by_algorithm_bytes, counters.by_algorithm_bytes, mult
-        )
+        mult = result.multiplicity.get(gid, 1)
+        p2p = result.p2p_scale.get(gid)
+        report.wire_bytes_total += _accumulate(
+            report.by_op_bytes, counters.by_op_bytes, mult, p2p)
+        report.wire_elements_total += _accumulate(
+            report.by_op_elements, counters.by_op_elements, mult, p2p)
+        report.comm_calls_total += _accumulate(
+            report.by_op_calls, counters.by_op_calls, mult, p2p)
+        _accumulate(report.by_algorithm_bytes, counters.by_algorithm_bytes,
+                    mult)
         report.exposed_comm_seconds += counters.exposed_seconds_total * mult
         report.overlapped_comm_seconds += (
             counters.overlapped_seconds_total * mult
         )
-    # per-axis attribution: each named axis owns the groups it resolved
+    # per-axis attribution: each axis owns the groups it resolved, and
+    # every axis owns the whole-world group
     world = tuple(range(trace.world_size))
     for ax in axes:
-        if ax.synthetic:
-            continue
         other = 1
         for other_ax in axes:
             if other_ax.name != ax.name:
@@ -267,14 +244,13 @@ def build_report(result: ReplayResult, mode: str) -> ProjectionReport:
             key = tuple(trace.groups[gid])
             if key not in ax.group_set and key != world:
                 continue
-            mult, num, den = _gid_weights(result, gid)
-            for k, v in counters.by_op_bytes.items():
-                w = _weighted(k, v, mult, num, den)
-                proj.by_op_bytes[k] = proj.by_op_bytes.get(k, 0) + w
-                proj.wire_bytes += w
-            for k, v in counters.by_op_elements.items():
-                proj.wire_elements += _weighted(k, v, mult, num, den)
-            for k, v in counters.by_op_calls.items():
-                proj.comm_calls += _weighted(k, v, mult, num, den)
+            mult = result.multiplicity.get(gid, 1)
+            p2p = result.p2p_scale.get(gid)
+            proj.wire_bytes += _accumulate(
+                proj.by_op_bytes, counters.by_op_bytes, mult, p2p)
+            proj.wire_elements += _accumulate(
+                {}, counters.by_op_elements, mult, p2p)
+            proj.comm_calls += _accumulate(
+                {}, counters.by_op_calls, mult, p2p)
         report.axes.append(proj)
     return report

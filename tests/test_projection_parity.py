@@ -32,8 +32,8 @@ from repro.comm import Communicator, SpecArray
 from repro.comm.cost import CostModel
 from repro.config import Config
 from repro.context import ParallelContext, ParallelMode
-from repro.nn import CrossEntropyLoss, FeedForward, Linear, Module
-from repro.parallel.data import DistributedDataParallel
+from repro.nn import CrossEntropyLoss, FeedForward, Linear, Module, ModuleList
+from repro.parallel.data import DistributedDataParallel, sync_gradients
 from repro.parallel.pipeline import (
     GPipeSchedule,
     OneFOneBSchedule,
@@ -51,6 +51,7 @@ from repro.project import (
     capture_run,
     derive_axis_groups,
     hybrid_plan,
+    price_plan,
     project,
 )
 from repro.runtime import SpmdRuntime
@@ -424,7 +425,7 @@ class TestModelModeRepricing:
     def test_recorded_mode_rejects_scaling(self):
         trace, _, _, _ = _capture_pair(lambda: uniform_cluster(2), 2, _tp1d_prog(2))
         with pytest.raises(ValueError, match="recorded"):
-            project(trace, factor=2, mode="recorded")
+            project(trace, axes={"dp": 2}, mode="recorded")
 
     def test_scale_out_grows_world_group_traffic(self):
         """At factor f the world group's all-reduce is re-priced at f·p
@@ -434,8 +435,8 @@ class TestModelModeRepricing:
             lambda: uniform_cluster(4), 4, _ddp_prog(overlap=False),
         )
         fabric = Fabric.uniform()
-        base = project(trace, factor=1, fabric=fabric)
-        big = project(trace, factor=64, fabric=fabric)
+        base = project(trace, fabric=fabric)
+        big = project(trace, axes={"dp": 64}, fabric=fabric)
         assert big.target_world == 256
         assert big.factor == 64
         ar = "all_reduce"
@@ -460,8 +461,8 @@ class TestModelModeRepricing:
             g != world_group and len(g) < 4 for g in trace.groups
         ), trace.groups
         fabric = Fabric.uniform()
-        base = project(trace, factor=1, fabric=fabric)
-        big = project(trace, factor=8, fabric=fabric)
+        base = project(trace, fabric=fabric)
+        big = project(trace, axes={"dp": 8}, fabric=fabric)
         # p2p only runs on the stage pairs, which stay captured-size
         # replicas in the projected world: volume scales with replica count
         assert base.by_op_bytes["p2p"] > 0
@@ -475,6 +476,20 @@ class TestModelModeRepricing:
                        fabric=fabric)
         assert slow.step_time > base.step_time
         assert slow.wire_bytes_total == base.wire_bytes_total
+
+    def test_price_plan_prices_on_an_explicit_fabric(self):
+        """Only no widening *and* no fabric replays the recorded costs: a
+        fabric given with every factor 1 re-prices the trace on it."""
+        def prog(ctx):
+            Communicator.world(ctx).all_reduce(SpecArray((1 << 20,), "float32"))
+
+        _, trace = capture_run(uniform_cluster(4), prog, world_size=4)
+        slow = Fabric.uniform(bandwidth=1e9)
+        model = project(trace, fabric=slow).to_dict()
+        assert price_plan(trace, fabric=slow).to_dict() == model
+        assert price_plan(trace, axes={"dp": 1}, fabric=slow).step_time == (
+            model["step_time"])
+        assert model["step_time"] > 10 * price_plan(trace).step_time
 
     def test_truncated_trace_stalls_loudly(self):
         trace, _, _, _ = _capture_pair(
@@ -539,9 +554,9 @@ class TestProjectionProperties:
     @fast
     def test_projection_is_deterministic(self, allreduce_trace, factor):
         fabric = Fabric.uniform()
-        a = project(allreduce_trace, factor=factor, fabric=fabric).to_dict()
-        b = project(allreduce_trace, factor=factor, fabric=fabric).to_dict()
-        assert a == b
+        a = project(allreduce_trace, axes={"dp": factor}, fabric=fabric)
+        b = project(allreduce_trace, axes={"dp": factor}, fabric=fabric)
+        assert a.to_dict() == b.to_dict()
 
     @given(
         bw=st.floats(1e9, 1e12, allow_nan=False, allow_infinity=False),
@@ -552,9 +567,9 @@ class TestProjectionProperties:
     def test_step_time_non_increasing_in_bandwidth(
         self, allreduce_trace, bw, ratio, factor
     ):
-        slow = project(allreduce_trace, factor=factor,
+        slow = project(allreduce_trace, axes={"dp": factor},
                        fabric=Fabric.uniform(bandwidth=bw))
-        fastr = project(allreduce_trace, factor=factor,
+        fastr = project(allreduce_trace, axes={"dp": factor},
                         fabric=Fabric.uniform(bandwidth=bw * ratio))
         assert fastr.step_time <= slow.step_time * (1 + 1e-12)
 
@@ -564,7 +579,7 @@ class TestProjectionProperties:
         """Projected all-reduce wire elements equal the Table-1 closed form
         ``2(p'-1)·S_X`` at every projected world size p' (ring and tree
         all-reduce both move exactly that volume)."""
-        rep = project(allreduce_trace, factor=factor,
+        rep = project(allreduce_trace, axes={"dp": factor},
                       fabric=Fabric.uniform())
         p2 = 4 * factor
         assert rep.target_world == p2
@@ -619,8 +634,8 @@ class TestGoldenStability:
         assert t1.streams == t2.streams
         assert t1.rounds == t2.rounds
 
-        r1 = project(t1, factor=128, fabric=Fabric.uniform()).to_dict()
-        r2 = project(t2, factor=128, fabric=Fabric.uniform()).to_dict()
+        r1 = project(t1, axes={"dp": 128}, fabric=Fabric.uniform()).to_dict()
+        r2 = project(t2, axes={"dp": 128}, fabric=Fabric.uniform()).to_dict()
         assert r1 == r2
         assert r1["target_world"] == 1024
 
@@ -628,43 +643,10 @@ class TestGoldenStability:
 # -- hybrid-axis plans (ISSUE 7) -------------------------------------------
 
 
-def _pop_axes(report):
-    """Report dict minus the per-axis breakdown — the only field allowed to
-    differ between a legacy ``factor=k`` plan and its ``axes={'dp': k}``
-    restatement."""
-    d = report.to_dict()
-    d.pop("axes")
-    return d
-
-
 class TestScalePlanValidation:
-    """Satellite: a typo'd payload-scaling rule or op must fail loudly."""
-
-    def test_unknown_rule_raises_naming_rule_and_valid_set(self):
-        with pytest.raises(ValueError) as exc:
-            ScalePlan(payload_scaling={"all_gather": "inverze"})
-        assert "inverze" in str(exc.value)
-        assert "constant" in str(exc.value)
-        assert "inverse" in str(exc.value)
-        assert "linear" in str(exc.value)
-
-    def test_unknown_op_raises_naming_op_and_valid_set(self):
-        with pytest.raises(ValueError) as exc:
-            ScalePlan(payload_scaling={"allreduce": "inverse"})
-        assert "allreduce" in str(exc.value)
-        assert "all_reduce" in str(exc.value)
-
-    def test_scale_axis_rules_validated_too(self):
-        with pytest.raises(ValueError, match="snake"):
-            ScaleAxis(payload_scaling={"all_gather": "snake"})
-        with pytest.raises(ValueError, match="al_gather"):
-            ScaleAxis(payload_scaling={"al_gather": "inverse"})
-
-    def test_axes_mutually_exclusive_with_factor(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            ScalePlan(factor=2, axes={"dp": 2})
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            ScalePlan(scale_group=(0, 1), axes={"dp": 2})
+    def test_axes_mutually_exclusive_with_plan(self, allreduce_trace):
+        with pytest.raises(ValueError, match="not both"):
+            project(allreduce_trace, axes={"dp": 2}, plan=ScalePlan())
 
     def test_axis_factor_validation(self):
         with pytest.raises(ValueError, match=">= 1"):
@@ -678,7 +660,7 @@ class TestScalePlanValidation:
 
     def test_total_factor_is_product(self):
         assert ScalePlan(axes={"dp": 8, "tp": 2, "pp": 2}).total_factor() == 32
-        assert ScalePlan(factor=7).total_factor() == 7
+        assert ScalePlan().total_factor() == 1
 
     def test_unresolvable_axis_names_captured_layout(self):
         trace = _capture_pair(
@@ -689,54 +671,8 @@ class TestScalePlanValidation:
 
 
 class TestHybridAxisParity:
-    """``ScalePlan(axes={"dp": k})`` must be bit-for-bit identical to the
-    legacy ``ScalePlan(factor=k)`` path across the parallelism grid."""
-
-    @pytest.mark.parametrize("algorithm", ["ring", "tree", "hierarchical"])
-    def test_ddp_grid(self, algorithm):
-        trace = _capture_pair(
-            lambda: uniform_cluster(4), 4, _ddp_prog(overlap=False),
-            algorithm=algorithm,
-        )[0]
-        fabric = Fabric.uniform()
-        for k in (1, 2, 8, 64):
-            legacy = project(trace, factor=k, fabric=fabric)
-            hybrid = project(trace, axes={"dp": k}, fabric=fabric)
-            assert _pop_axes(legacy) == _pop_axes(hybrid), k
-
-    @pytest.mark.parametrize("algorithm", ["ring", "hierarchical"])
-    def test_zero_grid(self, algorithm):
-        trace = _capture_pair(
-            lambda: uniform_cluster(2), 2, _zero_prog(False, world=2),
-            algorithm=algorithm,
-        )[0]
-        fabric = Fabric.uniform()
-        for k in (2, 16):
-            legacy = project(trace, factor=k, fabric=fabric)
-            hybrid = project(trace, axes={"dp": k}, fabric=fabric)
-            assert _pop_axes(legacy) == _pop_axes(hybrid), k
-
-    @pytest.mark.parametrize("sched_cls", [GPipeSchedule, OneFOneBSchedule])
-    def test_pipeline_grid(self, sched_cls):
-        trace = _capture_pair(
-            lambda: uniform_cluster(4), 4, _pipeline_prog(sched_cls, stages=4),
-        )[0]
-        fabric = Fabric.uniform()
-        for k in (2, 8):
-            legacy = project(trace, factor=k, fabric=fabric)
-            hybrid = project(trace, axes={"dp": k}, fabric=fabric)
-            assert _pop_axes(legacy) == _pop_axes(hybrid), k
-
-    @pytest.mark.parametrize("algorithm", ["ring", "tree"])
-    def test_tensor_1d_grid(self, algorithm):
-        trace = _capture_pair(
-            lambda: uniform_cluster(4), 4, _tp1d_prog(4), algorithm=algorithm,
-        )[0]
-        fabric = Fabric.uniform()
-        for k in (2, 64):
-            legacy = project(trace, factor=k, fabric=fabric)
-            hybrid = project(trace, axes={"dp": k}, fabric=fabric)
-            assert _pop_axes(legacy) == _pop_axes(hybrid), k
+    """On a trace with no axis layout, ``dp`` resolves to the whole-world
+    group: the data-parallel scale-out, reported as the ``dp`` axis."""
 
     def test_dp_axis_report_breakdown(self, allreduce_trace):
         rep = project(allreduce_trace, axes={"dp": 8},
@@ -753,7 +689,7 @@ class TestHybridAxisParity:
 
 
 class TestShardedMemoryProjection:
-    def test_legacy_plan_reshards_state(self):
+    def test_dp_axis_reshards_state(self):
         """Regression: widening a group that shards state must shrink the
         projected peak instead of echoing the captured bytes verbatim."""
         trace = _capture_pair(
@@ -763,11 +699,9 @@ class TestShardedMemoryProjection:
         assert captured > 0
         sharded = captured // 2
         fabric = Fabric.uniform()
-        base = project(trace, factor=8, fabric=fabric)
-        shrunk = project(
-            trace, plan=ScalePlan(factor=8, sharded_bytes=sharded),
-            fabric=fabric,
-        )
+        base = project(trace, axes={"dp": 8}, fabric=fabric)
+        dp = ScaleAxis(factor=8, groups=((0, 1),), sharded_bytes=sharded)
+        shrunk = project(trace, axes={"dp": dp}, fabric=fabric)
         assert base.peak_memory_bytes == captured  # no shards declared
         assert shrunk.peak_memory_bytes < captured
         assert shrunk.peak_memory_bytes == max(
@@ -775,17 +709,14 @@ class TestShardedMemoryProjection:
         )
 
     def test_subgroup_scale_only_reshards_member_ranks(self):
-        """A proper-subgroup scale plan shrinks only the ranks inside the
-        scaled group; bystander ranks keep their captured peak."""
+        """An axis owning a proper subgroup shrinks only the ranks inside
+        it; bystander ranks keep their captured peak."""
         trace = _capture_pair(
             lambda: uniform_cluster(4), 4, _ddp_prog(overlap=False),
         )[0]
         trace.peak_memory = [100, 200, 300, 400]
-        rep = project(
-            trace,
-            plan=ScalePlan(factor=4, scale_group=(0, 1), sharded_bytes=80),
-            fabric=Fabric.uniform(),
-        )
+        dp = ScaleAxis(factor=4, groups=((0, 1),), sharded_bytes=80)
+        rep = project(trace, axes={"dp": dp}, fabric=Fabric.uniform())
         peaks = [r.peak_memory_bytes for r in rep.per_rank]
         assert peaks[0] == 100 - 80 + 20  # ceil(80/4) = 20
         assert peaks[1] == 200 - 80 + 20
@@ -959,6 +890,33 @@ class TestComposedAxesProperties:
 # -- config / launch wiring ------------------------------------------------
 
 
+class _TPStage(Module):
+    def __init__(self, n_layers, tp_comm):
+        super().__init__()
+        self.layers = ModuleList([
+            FeedForward(H, mlp_ratio=2, mode=Mode1D(tp_comm))
+            for _ in range(n_layers)
+        ])
+
+    def forward(self, x):
+        for layer in self.layers:
+            x = layer(x)
+        return x
+
+
+def _tp_gpipe_prog(ctx, pc):
+    """1D-TP layers under GPipe, then data-parallel gradient sync."""
+    s, e = partition_uniform(4, pc.pipeline_size)[pc.pp_rank]
+    stage = _TPStage(e - s, pc.comm(ParallelMode.TENSOR))
+    GPipeSchedule(pc, 2).run(
+        stage,
+        SpecArray((B, H), "float32") if pc.is_first_pipeline_stage() else None,
+        None,
+        (lambda out, y: out.sum()) if pc.is_last_pipeline_stage() else None,
+    )
+    sync_gradients(stage.parameters(), pc.comm(ParallelMode.DATA))
+
+
 class TestLaunchWiring:
     def test_launch_project_mode_returns_report(self):
         from repro.engine.initialize import launch
@@ -984,6 +942,28 @@ class TestLaunchWiring:
                 {"project": {"target_world": 100}}, uniform_cluster(8),
                 lambda ctx, pc: None, world_size=8,
             )
+
+    @pytest.mark.parametrize("tp, pp, world, target", [
+        (2, 1, 4, 16), (1, 2, 4, 16), (2, 2, 8, 32),
+    ])
+    def test_target_world_widens_dp_groups(self, tp, pp, world, target):
+        """``project.target_world`` alone widens the ``dp`` axis of the
+        config's layout: on the uniform fabric the projection equals a
+        direct run at the target world, TP and PP groups included."""
+        from repro.engine.initialize import launch
+
+        parallel = {"tensor": {"size": tp, "mode": "1d"}, "pipeline": pp}
+        rep = launch(
+            {"parallel": parallel, "project": {"target_world": target}},
+            uniform_cluster(world), _tp_gpipe_prog, world_size=world,
+            materialize=False,
+        )
+        cfg = Config.from_dict({"parallel": parallel})
+        rt = SpmdRuntime(uniform_cluster(target), target)
+        rt.run(lambda ctx: _tp_gpipe_prog(ctx, ParallelContext(ctx, cfg)),
+               materialize=False)
+        assert rep.target_world == target
+        assert rep.step_time == rt.max_time()
 
     def test_config_validation(self):
         cfg = Config.from_dict({"project": {"target_world": 64}})
