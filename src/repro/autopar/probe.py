@@ -18,8 +18,7 @@ accounts analytically.
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Tuple
 
 from repro.autopar.scoring import (
     dp_step_ops,
@@ -31,21 +30,6 @@ from repro.autopar.search import StrategyCandidate, Workload
 from repro.comm.payload import SpecArray
 from repro.config import Config
 from repro.context.parallel_context import ParallelContext, ParallelMode
-
-#: TpOp ``group`` family -> the ParallelContext mode realizing it, per
-#: tensor mode (the context's row/col groups match ``tp_subgroups`` — rows
-#: on consecutive ranks, columns strided)
-_FAMILY_MODES: Dict[Tuple[str, str], ParallelMode] = {
-    ("1d", "tp"): ParallelMode.TENSOR,
-    ("sequence", "tp"): ParallelMode.TENSOR,
-    ("2d", "row"): ParallelMode.PARALLEL_2D_ROW,
-    ("2d", "col"): ParallelMode.PARALLEL_2D_COL,
-    ("2.5d", "row"): ParallelMode.PARALLEL_2P5D_ROW,
-    ("2.5d", "col"): ParallelMode.PARALLEL_2P5D_COL,
-    ("3d", "row"): ParallelMode.PARALLEL_3D_INPUT,
-    ("3d", "col"): ParallelMode.PARALLEL_3D_WEIGHT,
-}
-
 
 def _payload(nbytes: int, parts: int = 1) -> SpecArray:
     """A spec-mode float32 payload of ~``nbytes``, padded so axis 0 splits
@@ -76,26 +60,21 @@ def build_probe(
     mb = micro_batch_size(cand, global_batch)
     boundary = mb * work.seq_len * work.hidden * work.bytes_per_elem
     ops = tp_layer_ops(work, cand, mb)
-    fwd_ops = [op for op in ops if op.phase == "fwd"]
-    bwd_ops = [op for op in ops if op.phase == "bwd"]
     dp_ops = dp_step_ops(work, cand)
     itemsize = work.bytes_per_elem
 
     def fn(ctx):
         pc = ParallelContext(ctx, cfg)
-        fams = {
-            group: pc.comm(pmode)
-            for (mode, group), pmode in _FAMILY_MODES.items()
-            if mode == cand.mode and cand.tensor > 1
-        }
+        fwd = [(pc.comm(op.group), op.nbytes) for op in ops if op.phase == "fwd"]
+        bwd = [(pc.comm(op.group), op.nbytes) for op in ops if op.phase == "bwd"]
         pipe = pc.comm(ParallelMode.PIPELINE) if cand.pipeline > 1 else None
         dp = pc.comm(ParallelMode.DATA) if cand.data > 1 else None
         d = cand.data
 
         def run_tp(phase_ops):
             for _ in range(layers):
-                for op in phase_ops:
-                    fams[op.group].broadcast(_payload(op.nbytes))
+                for comm, nbytes in phase_ops:
+                    comm.broadcast(_payload(nbytes))
 
         def dp_blocking(op):
             if op.op == "all_reduce":
@@ -118,7 +97,7 @@ def build_probe(
             if pipe is not None and not pc.is_first_pipeline_stage():
                 pipe.recv(pc.pp_rank - 1, tag=("act", mi))
             ctx.clock.advance(fwd_micro, "compute")
-            run_tp(fwd_ops)
+            run_tp(fwd)
             if pipe is not None and not pc.is_last_pipeline_stage():
                 pipe.send(_payload(boundary), pc.pp_rank + 1, tag=("act", mi))
         for op in pre_bwd:
@@ -132,7 +111,7 @@ def build_probe(
             if pipe is not None and not pc.is_last_pipeline_stage():
                 pipe.recv(pc.pp_rank + 1, tag=("grad", mi))
             ctx.clock.advance(bwd_micro, "compute")
-            run_tp(bwd_ops)
+            run_tp(bwd)
             if pipe is not None and not pc.is_first_pipeline_stage():
                 pipe.send(_payload(boundary), pc.pp_rank - 1,
                           tag=("grad", mi))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.analytic.memory_model import (
     model_data_bytes_per_rank,
@@ -30,6 +30,15 @@ from repro.analytic.perf_model import overlap_exposed_seconds
 from repro.autopar.search import StrategyCandidate, Workload
 from repro.cluster.machine import ClusterSpec
 from repro.comm.cost import CostModel
+from repro.context.parallel_context import ParallelMode, rank_groups
+
+#: the (activation, weight) families of each multi-dimensional mode: rows on
+#: consecutive ranks, columns strided (the placement Fig 11 turns on)
+_ROW_COL = {
+    "2d": (ParallelMode.PARALLEL_2D_ROW, ParallelMode.PARALLEL_2D_COL),
+    "2.5d": (ParallelMode.PARALLEL_2P5D_ROW, ParallelMode.PARALLEL_2P5D_COL),
+    "3d": (ParallelMode.PARALLEL_3D_INPUT, ParallelMode.PARALLEL_3D_OUTPUT),
+}
 
 #: fraction of a step's compute that is backward work (the window overlap
 #: schedulers can hide gradient traffic behind): bwd = 2x fwd flops
@@ -41,17 +50,17 @@ class TpOp:
     """Aggregate tensor-parallel traffic one candidate issues per layer,
     per microbatch, per phase.
 
-    ``group`` names a subgroup family of the tensor group (see
-    :func:`tp_subgroups`); ``nbytes`` is the *per-rank wire volume* on that
-    family's links, derived from the Table-1 forms
-    (:func:`_tp_volume_per_layer`).  Both evaluators realize a record as
-    one broadcast of ``nbytes`` over each subgroup —
+    ``group`` names a family of the tensor group (its groups are those of
+    :func:`~repro.context.parallel_context.rank_groups`); ``nbytes`` is
+    the *per-rank wire volume* on that family's links, derived from the
+    Table-1 forms (:func:`_tp_volume_per_layer`).  Both evaluators
+    realize a record as one broadcast of ``nbytes`` over each subgroup —
     the wire bytes per bottleneck link are what the Fig-11 hardware
     argument turns on, not the op taxonomy, so a single collective kind
     keeps the analytic price and the simulated probe exactly comparable."""
 
     phase: str
-    group: str  # "tp" | "row" | "col"
+    group: ParallelMode
     op: str  # "broadcast"
     nbytes: int
 
@@ -94,42 +103,6 @@ def local_layers(work: Workload, cand: StrategyCandidate) -> int:
 
 def local_params(work: Workload, cand: StrategyCandidate) -> int:
     return max(work.params // (cand.tensor * cand.pipeline), 1)
-
-
-def tp_subgroups(cand: StrategyCandidate) -> Dict[str, List[List[int]]]:
-    """Subgroup families (local tensor-rank lists) of a candidate's tensor
-    group: rows on consecutive ranks, columns strided, so SUMMA row
-    traffic lands on the adjacent pairs and column traffic on the
-    cross-pair links — the placement Fig 11 turns on."""
-    t, mode, depth = cand.tensor, cand.mode, cand.depth
-    ranks = list(range(t))
-    if t == 1:
-        return {}
-    if mode in ("1d", "sequence"):
-        return {"tp": [ranks]}
-    if mode == "2d":
-        q = math.isqrt(t)
-        rows = [ranks[i * q:(i + 1) * q] for i in range(q)]
-        cols = [[i * q + j for i in range(q)] for j in range(q)]
-        return {"row": rows, "col": cols}
-    if mode == "2.5d":
-        q = math.isqrt(t // depth)
-        rows, cols = [], []
-        for dd in range(depth):
-            base = dd * q * q
-            for i in range(q):
-                rows.append([base + i * q + j for j in range(q)])
-                cols.append([base + j * q + i for j in range(q)])
-        return {"row": rows, "col": cols}
-    # 3d: activation broadcasts along one cube axis, weight traffic along
-    # another
-    l = round(t ** (1 / 3))
-    rows, cols = [], []
-    for i in range(l):
-        for j in range(l):
-            rows.append([i * l * l + j * l + k for k in range(l)])
-            cols.append([jj * l * l + i * l + j for jj in range(l)])
-    return {"row": rows, "col": cols}
 
 
 def _tp_volume_per_layer(
@@ -199,9 +172,9 @@ def tp_layer_ops(
         )
         for phase, frac in (("fwd", 1), ("bwd", 2)):
             nb = max(kv_rank * frac // 3 * work.bytes_per_elem, 1)
-            ops.append(TpOp(phase, "tp", "broadcast", nb))
+            ops.append(TpOp(phase, ParallelMode.TENSOR, "broadcast", nb))
         ops.append(
-            TpOp("bwd", "tp", "broadcast",
+            TpOp("bwd", ParallelMode.TENSOR, "broadcast",
                  max(wgt_rank * work.bytes_per_elem, 1))
         )
         return ops
@@ -211,13 +184,13 @@ def tp_layer_ops(
     )
     act_rank = int(act_v * work.bytes_per_elem / t)
     wgt_rank = int(wgt_v * work.bytes_per_elem / t)
-    act_group = "tp" if mode == "1d" else "row"
+    act_group, wgt_group = _ROW_COL.get(mode, (ParallelMode.TENSOR, None))
     for phase in ("fwd", "bwd"):
         if act_rank:
             ops.append(TpOp(phase, act_group, "broadcast",
                             max(act_rank // 2, 1)))
         if wgt_rank:
-            ops.append(TpOp(phase, "col", "broadcast",
+            ops.append(TpOp(phase, wgt_group, "broadcast",
                             max(wgt_rank // 2, 1)))
     return ops
 
@@ -351,10 +324,9 @@ class _CostCache(dict):
         """One record (fwd and bwd repeat theirs; weight records do not
         move with the micro-batch): its family's slowest subgroup."""
         price = self._collective[op]
-        cand = StrategyCandidate(1, tensor, mode, 1, depth=depth)
         return max([
             price(sub, nbytes, algorithm).seconds
-            for sub in tp_subgroups(cand)[group]
+            for sub in rank_groups(tensor, tensor, 1, mode, depth)[group]
         ])
 
     def _hop(self, tensor, nbytes):

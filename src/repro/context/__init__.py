@@ -8,6 +8,11 @@ RNGs.  Layers never build groups themselves — they ask the context, which
 is what lets the same model code run under any parallel configuration.
 """
 
-from repro.context.parallel_context import ParallelContext, ParallelMode, global_context
+from repro.context.parallel_context import (
+    ParallelContext,
+    ParallelMode,
+    global_context,
+    rank_groups,
+)
 
-__all__ = ["ParallelContext", "ParallelMode", "global_context"]
+__all__ = ["ParallelContext", "ParallelMode", "global_context", "rank_groups"]

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import enum
-from typing import Dict, List
+import functools
+import math
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -43,17 +46,62 @@ GRID_GROUPS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def rank_groups(
+    world: int, tensor: int = 1, pipeline: int = 1, mode: str = "1d",
+    depth: int = 1,
+) -> Mapping[ParallelMode, Tuple[Tuple[int, ...], ...]]:
+    """Every process-group family of a decomposition, in the order a
+    :class:`ParallelContext` builds them: ascending rank tuples, ordered by
+    smallest member.  A rank is a mixed-radix number whose digits are,
+    fastest first, the tensor digits (``j, i, dep`` of the 2D / 2.5D grid,
+    ``k, j, i`` of the 3D cube, one otherwise), the stage, the replica; a
+    family groups the ranks that differ only in its digits (ROW ``j``, COL
+    ``i``, DEP ``dep``; INPUT ``k``, WEIGHT ``j``, OUTPUT ``i``)."""
+    if world % (tensor * pipeline) != 0:
+        raise ValueError(
+            f"world size {world} is not divisible by tensor*pipeline "
+            f"degree {tensor}*{pipeline}"
+        )
+    if mode == "3d":
+        l = round(tensor ** (1 / 3))
+        radices = [l, l, l]
+        extra = ((ParallelMode.PARALLEL_3D_OUTPUT, 2),
+                 (ParallelMode.PARALLEL_3D_WEIGHT, 1),
+                 (ParallelMode.PARALLEL_3D_INPUT, 0))
+    elif mode in GRID_GROUPS:
+        q = math.isqrt(tensor // (depth if mode == "2.5d" else 1))
+        radices = [q, q, tensor // (q * q)]
+        extra = [(f, d) for d, f in enumerate(GRID_GROUPS[mode]) if f]
+    else:
+        radices, extra = [tensor], []
+    t = len(radices)
+    radices += [pipeline, world // (tensor * pipeline)]
+    strides = [math.prod(radices[:d]) for d in range(len(radices))]
+    families = [(ParallelMode.GLOBAL, range(t + 2)), (ParallelMode.TENSOR, range(t))]
+    if mode == "sequence":
+        families.append((ParallelMode.SEQUENCE, range(t)))
+    families += [(ParallelMode.PIPELINE, (t,)), (ParallelMode.DATA, (t + 1,))]
+    families += [(fam, (digit,)) for fam, digit in extra]
+
+    def family(digits: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
+        groups: Dict[int, List[int]] = {}
+        for rank in range(world):
+            base = rank - sum(
+                rank // strides[d] % radices[d] * strides[d] for d in digits)
+            groups.setdefault(base, []).append(rank)
+        return tuple(map(tuple, groups.values()))
+
+    return MappingProxyType({fam: family(digits) for fam, digits in families})
+
+
 class ParallelContext:
-    """Per-rank view of the parallel decomposition.
-
-    Rank layout (tensor fastest, then pipeline, then data)::
-
-        global_rank = dp_rank * (pp * tp) + pp_rank * tp + tp_rank
-
-    so a tensor-parallel group occupies consecutive global ranks — i.e.
-    consecutive GPUs, which on Systems I/II means the best-connected
-    devices, matching how real launchers place tensor parallelism.
-    """
+    """Per-rank view of the parallel decomposition: a communicator over
+    this rank's group of each :func:`rank_groups` family.  A tensor group
+    is consecutive GPUs, the best-connected ones on Systems I/II, as real
+    launchers place it.  Each coordinate (``tp/pp/dp_rank``,
+    ``row/col/dep_rank``, ``cube_i/j/k``) is the local rank in the family
+    that varies that digit alone."""
 
     def __init__(self, ctx: RankContext, config: Config) -> None:
         self.ctx = ctx
@@ -61,89 +109,33 @@ class ParallelContext:
         self.world_size = ctx.world_size
         self.rank = ctx.rank
 
-        tp = config.tensor.size
-        pp = config.pipeline
-        dp = config.infer_data_size(self.world_size)
-        self.tensor_size = tp
-        self.pipeline_size = pp
-        self.data_size = dp
-        self.tensor_mode = config.tensor.mode
-
-        self.tp_rank = self.rank % tp
-        self.pp_rank = (self.rank // tp) % pp
-        self.dp_rank = self.rank // (tp * pp)
+        self.tensor_size = tp = config.tensor.size
+        self.pipeline_size = pp = config.pipeline
+        self.data_size = config.infer_data_size(self.world_size)
+        self.tensor_mode = mode = config.tensor.mode
 
         self._comms: Dict[ParallelMode, Communicator] = {}
-        self._build_basic_groups()
-        if self.tensor_mode in GRID_GROUPS:
-            self._build_grid_groups()
-        elif self.tensor_mode == "3d":
-            self._build_3d_groups()
+        layout = rank_groups(self.world_size, tp, pp, mode, config.tensor.depth)
+        for family, groups in layout.items():
+            for ranks in groups:
+                if self.rank in ranks:
+                    break
+            self._comms[family] = Communicator(ctx.runtime.group(ranks), self.rank)
+        comms = self._comms
+        self.tp_rank = comms[ParallelMode.TENSOR].rank
+        self.pp_rank = comms[ParallelMode.PIPELINE].rank
+        self.dp_rank = comms[ParallelMode.DATA].rank
+        if mode in GRID_GROUPS:
+            # the row group varies j and the column group i
+            row, col, dep = GRID_GROUPS[mode]
+            self.row_rank, self.col_rank = comms[col].rank, comms[row].rank
+            self.dep_rank = 0 if dep is None else comms[dep].rank
+        elif mode == "3d":
+            self.cube_i = comms[ParallelMode.PARALLEL_3D_OUTPUT].rank
+            self.cube_j = comms[ParallelMode.PARALLEL_3D_WEIGHT].rank
+            self.cube_k = comms[ParallelMode.PARALLEL_3D_INPUT].rank
 
         ctx.parallel_context = self
-
-    # -- group construction -------------------------------------------------
-
-    def _comm(self, mode: ParallelMode, ranks: List[int]) -> None:
-        group = self.ctx.runtime.group(ranks)
-        self._comms[mode] = Communicator(group, self.rank)
-
-    def _build_basic_groups(self) -> None:
-        tp, pp, dp = self.tensor_size, self.pipeline_size, self.data_size
-        self._comm(ParallelMode.GLOBAL, list(range(self.world_size)))
-
-        base = self.dp_rank * tp * pp + self.pp_rank * tp
-        tensor_ranks = [base + t for t in range(tp)]
-        self._comm(ParallelMode.TENSOR, tensor_ranks)
-        if self.tensor_mode == "sequence":
-            self._comm(ParallelMode.SEQUENCE, tensor_ranks)
-
-        pipe_ranks = [
-            self.dp_rank * tp * pp + p * tp + self.tp_rank for p in range(pp)
-        ]
-        self._comm(ParallelMode.PIPELINE, pipe_ranks)
-
-        data_ranks = [
-            d * tp * pp + self.pp_rank * tp + self.tp_rank for d in range(dp)
-        ]
-        self._comm(ParallelMode.DATA, data_ranks)
-
-    def _tensor_base(self) -> int:
-        return self.dp_rank * self.tensor_size * self.pipeline_size + self.pp_rank * self.tensor_size
-
-    def _build_grid_groups(self) -> None:
-        q = self.config.tensor.grid_dim
-        d = self.tensor_size // (q * q)
-        base = self._tensor_base()
-        dep, rem = divmod(self.tp_rank, q * q)
-        i, j = divmod(rem, q)
-        self.dep_rank, self.row_rank, self.col_rank = dep, i, j
-        row_mode, col_mode, dep_mode = GRID_GROUPS[self.tensor_mode]
-        # row group: fixed i, j varies
-        self._comm(row_mode, [base + dep * q * q + i * q + jj for jj in range(q)])
-        # col group: fixed j, i varies
-        self._comm(col_mode, [base + dep * q * q + ii * q + j for ii in range(q)])
-        if dep_mode is not None:
-            self._comm(dep_mode, [base + dd * q * q + i * q + j for dd in range(d)])
-
-    def _build_3d_groups(self) -> None:
-        l = self.config.tensor.cube_dim
-        base = self._tensor_base()
-        i, rem = divmod(self.tp_rank, l * l)
-        j, k = divmod(rem, l)
-        self.cube_i, self.cube_j, self.cube_k = i, j, k
-        self._comm(
-            ParallelMode.PARALLEL_3D_OUTPUT,
-            [base + ii * l * l + j * l + k for ii in range(l)],
-        )
-        self._comm(
-            ParallelMode.PARALLEL_3D_WEIGHT,
-            [base + i * l * l + jj * l + k for jj in range(l)],
-        )
-        self._comm(
-            ParallelMode.PARALLEL_3D_INPUT,
-            [base + i * l * l + j * l + kk for kk in range(l)],
-        )
 
     # -- queries ---------------------------------------------------------------
 

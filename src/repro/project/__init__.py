@@ -83,6 +83,7 @@ def capture_run(
     materialize: bool = False,
     seed: int = 0,
     comm_algorithm: str = "ring",
+    comm_island_ratio: float = 0.5,
     comm_overlap: bool = False,
     reset_memory: bool = True,
 ) -> Tuple[List[Any], OpTrace]:
@@ -101,6 +102,7 @@ def capture_run(
         cluster,
         world_size,
         comm_algorithm=comm_algorithm,
+        comm_island_ratio=comm_island_ratio,
         comm_overlap=comm_overlap,
         capture=rec,
     )
@@ -245,6 +247,7 @@ def project_launch(
         materialize=materialize,
         seed=cfg.seed,
         comm_algorithm=cfg.comm.algorithm or "ring",
+        comm_island_ratio=cfg.comm.island_ratio,
         comm_overlap=cfg.comm.overlap,
     )
     return price_plan(

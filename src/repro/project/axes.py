@@ -1,22 +1,20 @@
 """Hybrid-axis helpers: derive the DP x TP x PP group families of a
 captured run and build the matching :class:`~repro.project.replay.ScalePlan`.
 
-The rank layout mirrors :class:`~repro.context.parallel_context.ParallelContext`:
-
-    global_rank = dp_rank * (pp * tp) + pp_rank * tp + tp_rank
-
-so tensor groups are runs of consecutive ranks, pipeline groups are
+:func:`derive_axis_groups` is a view of
+:func:`~repro.context.parallel_context.rank_groups`, the layout every
+:class:`~repro.context.parallel_context.ParallelContext` builds its groups
+from: tensor groups are runs of consecutive ranks, pipeline groups are
 ``tp``-strided chains inside one replica, and data groups stride across
-replicas by ``tp * pp``.  :func:`derive_axis_groups` reproduces exactly the
-rank tuples ``ParallelContext._build_basic_groups`` communicates over,
-which is what lets a :class:`ScalePlan` axis resolve a captured group by
-*value* rather than by trusting labels.
+replicas by ``tp * pp``.  That is what lets a :class:`ScalePlan` axis
+resolve a captured group by *value* rather than by trusting labels.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from repro.context.parallel_context import ParallelMode, rank_groups
 from repro.project.replay import ScaleAxis, ScalePlan
 
 AxisGroups = Dict[str, Tuple[Tuple[int, ...], ...]]
@@ -33,26 +31,9 @@ def derive_axis_groups(
     capture onto a DP x TP grid is *not* supported (a singleton tp group
     has no captured traffic to widen), but resolving it is, and the
     projection is then a no-op on that axis's groups."""
-    tp, pp = tensor, pipeline
-    if world % (tp * pp) != 0:
-        raise ValueError(
-            f"world size {world} is not divisible by tensor*pipeline "
-            f"degree {tp}*{pp}"
-        )
-    dp = world // (tp * pp)
-    dp_groups = tuple(
-        tuple(d * tp * pp + p * tp + t for d in range(dp))
-        for p in range(pp) for t in range(tp)
-    )
-    tp_groups = tuple(
-        tuple(d * tp * pp + p * tp + t for t in range(tp))
-        for d in range(dp) for p in range(pp)
-    )
-    pp_groups = tuple(
-        tuple(d * tp * pp + p * tp + t for p in range(pp))
-        for d in range(dp) for t in range(tp)
-    )
-    return {"dp": dp_groups, "tp": tp_groups, "pp": pp_groups}
+    layout = rank_groups(world, tensor, pipeline)
+    return {"dp": layout[ParallelMode.DATA], "tp": layout[ParallelMode.TENSOR],
+            "pp": layout[ParallelMode.PIPELINE]}
 
 
 def hybrid_plan(

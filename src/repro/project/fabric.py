@@ -231,7 +231,7 @@ class ProjectedCostModel(CostModel):
         if has_inter:
             seconds = max(seconds, self.alpha + f.inter_lat
                           + nbytes / self._eff(f.inter_bw, nbytes))
-        return CollectiveCost(seconds, p * nbytes, "direct")
+        return CollectiveCost(seconds, p * nbytes)  # "ring", as Communicator.ring_pass
 
     def host_transfer(self, rank: int, nbytes: int) -> CollectiveCost:
         if nbytes == 0:

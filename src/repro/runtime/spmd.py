@@ -195,6 +195,7 @@ class SpmdRuntime:
         comm_overlap: bool = False,
         capture: Optional[Any] = None,
         buffer_pool: bool = True,
+        comm_island_ratio: float = 0.5,
     ) -> None:
         if world_size is None:
             world_size = cluster.world_size
@@ -217,7 +218,7 @@ class SpmdRuntime:
         self.comm_algorithm = comm_algorithm
         #: island-detection bandwidth-ratio threshold for hierarchical
         #: collectives (see Topology.islands)
-        self.comm_island_ratio = 0.5
+        self.comm_island_ratio = comm_island_ratio
         #: route nonblocking p2p and scheduler comm through per-rank comm
         #: streams (comm/compute overlap) instead of legacy blocking-on-wait
         #: semantics; i-collectives always use the streams.

@@ -309,6 +309,7 @@ def serve_traffic(model: ModelSpec, traffic: Any, *,
                   cluster: Any = None, world_size: int = 2,
                   runtime: Any = None, fault_plan: Any = None,
                   tracer: Any = None, comm_algorithm: str = "ring",
+                  comm_island_ratio: float = 0.5,
                   **engine_kwargs: Any) -> TrafficReport:
     """Serve ``traffic`` on a TP replica and return the traffic report.
 
@@ -324,7 +325,8 @@ def serve_traffic(model: ModelSpec, traffic: Any, *,
             cluster = uniform_cluster(world_size)
         runtime = SpmdRuntime(
             cluster, world_size, fault_plan=fault_plan, tracer=tracer,
-            comm_algorithm=comm_algorithm)
+            comm_algorithm=comm_algorithm,
+            comm_island_ratio=comm_island_ratio)
     engine = ServeEngine(runtime, model, traffic, **engine_kwargs)
     return engine.run()
 
@@ -341,6 +343,7 @@ def serve_launch(cfg: Any, cluster: Any, world_size: Optional[int] = None,
         runtime=runtime,
         tracer=tracer,
         comm_algorithm=cfg.comm.algorithm or "ring",
+        comm_island_ratio=cfg.comm.island_ratio,
         block_size=sv.block_size,
         kv_blocks=sv.kv_blocks,
         kv_fraction=sv.kv_fraction,

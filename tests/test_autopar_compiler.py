@@ -39,7 +39,6 @@ from repro.autopar.scoring import (
     _CostCache,
     score_candidate,
     tp_layer_ops,
-    tp_subgroups,
 )
 from repro.autopar.search import (
     SearchSpace,
@@ -55,6 +54,7 @@ from repro.cluster import (
     uniform_cluster,
 )
 from repro.config import COMM_ALGORITHMS, Config
+from repro.context import rank_groups
 from repro.engine import launch
 
 pytestmark = pytest.mark.autopar
@@ -129,17 +129,6 @@ class TestEnumeration:
         for cand in enumerate_candidates(WORK, batch_per * world, world):
             assert cand.data * cand.tensor * cand.pipeline == world
 
-    def test_subgroups_partition_tensor_ranks(self):
-        for cand in [
-            StrategyCandidate(data=1, tensor=4, mode="2d", pipeline=1),
-            StrategyCandidate(data=1, tensor=8, mode="2.5d", pipeline=1,
-                              depth=2),
-            StrategyCandidate(data=1, tensor=8, mode="3d", pipeline=1),
-        ]:
-            for fam in tp_subgroups(cand).values():
-                covered = sorted(r for sub in fam for r in sub)
-                assert covered == list(range(cand.tensor))
-
 
 # -- analytic scoring / feasibility -----------------------------------------
 
@@ -209,12 +198,24 @@ class TestScoring:
             StrategyCandidate(data=1, tensor=8, mode="3d", pipeline=1),
             StrategyCandidate(data=2, tensor=4, mode="sequence", pipeline=1),
         ]:
-            groups = tp_subgroups(cand)
+            groups = rank_groups(cand.tensor, cand.tensor, 1, cand.mode, cand.depth)
             ops = tp_layer_ops(WORK, cand, 8)
             assert ops, cand.mode
             for op in ops:
                 assert op.group in groups
                 assert op.nbytes >= 1
+
+    @pytest.mark.parametrize("cluster", ["iii", "ii", "iv"])
+    @pytest.mark.parametrize("mode, tensor, depth", [
+        ("1d", 8, 1), ("2d", 4, 1), ("2.5d", 8, 2), ("3d", 8, 1),
+        ("sequence", 8, 1)])
+    def test_probe_moves_what_scorer_prices(self, cluster, mode, tensor, depth):
+        """Probe and scorer read one layout: no compute, the scored TP time."""
+        cl = dict(iii=lambda: system_iii(n_nodes=2), ii=system_ii, iv=system_iv)[cluster]()
+        work = Workload(n_layers=2, hidden=1024, n_heads=16, seq_len=128)
+        cand = StrategyCandidate(1, tensor, mode, 1, depth=depth)
+        scored = score_candidate(cl, work, cand, 8).tp_comm_seconds
+        assert simulate_candidate(cl, work, cand, 8, 0.0) == pytest.approx(scored, rel=1e-12)
 
 
 class TestCompileArguments:

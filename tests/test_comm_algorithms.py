@@ -6,9 +6,10 @@ import pytest
 
 import repro
 from repro.cluster import system_i, system_ii, uniform_cluster
-from repro.comm import ALGORITHMS, Communicator, CostModel
+from repro.comm import ALGORITHMS, Communicator, CostModel, SpecArray
 from repro.comm.algorithms import SELECTABLE_OPS
 from repro.config import Config
+from repro.context import ParallelMode
 from repro.faults import FaultPlan
 from repro.runtime import SpmdRuntime
 from repro.trace import Tracer
@@ -107,6 +108,24 @@ class TestRuntimePlumbing:
                      rt.cluster, prog, world_size=4, runtime=rt)
         assert rt.comm_algorithm == "hierarchical"
         assert rt.world_group.cost_model.algorithm == "hierarchical"
+
+    def test_projection_capture_reads_island_ratio(self):
+        def prog(ctx, pc):
+            pc.comm(ParallelMode.DATA).all_reduce(SpecArray((4 << 20,), "float32"))
+            return ctx.clock.time
+
+        comm = dict(algorithm="hierarchical", island_ratio=0.05)
+        direct = max(repro.launch(dict(comm=comm), system_ii(), prog, materialize=False))
+        project = dict(comm=comm, project=dict(mode="project", target_world=8))  # recorded replay
+        assert repro.launch(project, system_ii(), prog).step_time == direct
+
+    def test_serving_reads_island_ratio(self):
+        serve = dict(model=dict(n_layers=2, hidden=256, n_heads=4),
+                     traffic=dict(kind="open", rate=2000.0, n_requests=10, prompt_tokens=[8, 16]))
+        low, high = (repro.launch(dict(comm=dict(algorithm="hierarchical", island_ratio=r),
+                                       serve=serve), system_ii(), world_size=4).makespan
+                     for r in (0.05, 0.5))
+        assert low < high
 
     def test_results_identical_across_algorithms(self):
         """Collective *results* never depend on the priced algorithm."""

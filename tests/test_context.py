@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.cluster import uniform_cluster
 from repro.config import Config
-from repro.context import ParallelContext, ParallelMode, global_context
+from repro.context import ParallelContext, ParallelMode, global_context, rank_groups
 from repro.runtime import SpmdRuntime
 
 from conftest import run_spmd
@@ -128,6 +129,42 @@ class TestGridGroups:
         res = run_spmd(8, prog)
         assert res[0] == [0, 1]
         assert res[4] == [4, 5]  # second data-parallel replica
+
+
+#: every valid (size, mode, depth) of a tensor group of at most 16 ranks
+TENSOR_SHAPES = [(t, m, 1) for t in (1, 2, 3, 4, 8, 16) for m in ("1d", "sequence")] + [
+    (t, "2d", 1) for t in (4, 9, 16)] + [(4 * d, "2.5d", d) for d in (1, 2, 3, 4)] + [(8, "3d", 1)]
+#: each coordinate is the local rank in the family whose name ends so
+COORDS = dict(tp_rank="TENSOR", pp_rank="PIPELINE", dp_rank="DATA", row_rank="D_COL",
+                   col_rank="D_ROW", dep_rank="D_DEP", cube_i="3D_OUTPUT",
+                   cube_j="3D_WEIGHT", cube_k="3D_INPUT")
+
+
+class TestRankGroups:
+    @given(st.sampled_from(TENSOR_SHAPES), st.integers(1, 4), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_every_family_partitions_the_world(self, shape, pipeline, data):
+        world = shape[0] * pipeline * data
+        assume(world <= 16)
+        for groups in rank_groups(world, shape[0], pipeline, *shape[1:]).values():
+            assert sorted(r for g in groups for r in g) == list(range(world))
+            assert list(groups) == sorted(groups) and all(list(g) == sorted(g) for g in groups)
+
+    @pytest.mark.parametrize("tensor, pipeline", [
+        (dict(size=2, mode="sequence"), 2), (dict(size=4, mode="2d"), 2),
+        (dict(size=8, mode="2.5d", depth=2), 1), (dict(size=8, mode="3d"), 1)])
+    def test_context_reads_the_layout(self, tensor, pipeline):
+        layout = rank_groups(8, tensor["size"], pipeline, tensor["mode"], tensor.get("depth", 1))
+
+        def prog(ctx):
+            pc = make_pc(ctx, dict(parallel=dict(tensor=tensor, pipeline=pipeline)))
+            for mode, groups in layout.items():
+                assert [g for g in groups if ctx.rank in g] == [tuple(pc.comm(mode).group.ranks)]
+            for name in set(COORDS) & set(vars(pc)):
+                fams = [pc.comm(m).group.ranks for m in layout if m.name.endswith(COORDS[name])]
+                assert getattr(pc, name) == (fams or [[ctx.rank]])[0].index(ctx.rank), name
+
+        run_spmd(8, prog)
 
 
 class TestSeeds:

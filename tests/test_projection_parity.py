@@ -355,15 +355,18 @@ class TestExactParityGrid:
 
     @pytest.mark.parametrize("overlap", [False, True])
     def test_edge_ops(self, overlap):
-        steps = []
+        steps, labels = [], []
         for mk in (lambda: uniform_cluster(4), system_ii):
             trace, rt, _, _ = _capture_pair(mk, 4, _edge_ops_prog, overlap=overlap)
-            _assert_parity(rt, trace, project(trace, mode="recorded"))
-            steps.append((rt.max_time(), project(trace, mode="model").step_time))
+            recorded, model = (project(trace, mode=m) for m in ("recorded", "model"))
+            _assert_parity(rt, trace, recorded)
+            steps.append((rt.max_time(), model.step_time))
+            labels.append((recorded.by_algorithm_bytes, model.by_algorithm_bytes))
         (threaded_u, model_u), (threaded_ii, model_ii) = steps
-        # model mode re-prices ring_pass / _star / p2p through the fabric: on the
-        # uniform cluster that is the identity fabric.py's docstring states
+        # model mode re-prices ring_pass / _star / p2p through the fabric: on the uniform
+        # cluster that is the identity fabric.py states, down to each byte's algorithm label
         assert model_u == threaded_u
+        assert labels[0][0] == labels[0][1]
         # System II joins GPU pairs by NVLink and the pairs by PCIe; a two-level
         # Fabric has no level inside a node, prices every hop at the sampled
         # intra-node link and reads low: the abstraction's limit, stated
