@@ -43,6 +43,14 @@ SELECTABLE_OPS = frozenset(
 )
 
 
+def check_algorithm(algorithm: str) -> None:
+    """The one check of an algorithm name, wherever it is set or asked for."""
+    valid = ALGORITHMS + ("auto",)
+    if algorithm not in valid:
+        raise ValueError(f"unknown collective algorithm {algorithm!r}: "
+                         f"comm_algorithm must be one of {valid}")
+
+
 class AlgorithmSelector:
     """Memoized min-cost algorithm choice for one :class:`CostModel`."""
 

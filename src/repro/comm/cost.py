@@ -81,7 +81,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.machine import ClusterSpec
-from repro.comm.algorithms import ALGORITHMS, AlgorithmSelector
+from repro.comm.algorithms import AlgorithmSelector, check_algorithm
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ class CostModel:
         self.cluster = cluster
         self.alpha = cluster.alpha
         self.bw_ramp = getattr(cluster, "bw_ramp_time", 0.0)
-        _check_algorithm(algorithm)
+        check_algorithm(algorithm)
         self.algorithm = algorithm
         self.island_ratio = island_ratio
         self.selector = AlgorithmSelector(self)
@@ -301,7 +301,7 @@ class CostModel:
         if cost is not None:
             return cost
         _check_nbytes(op, nbytes)
-        _check_algorithm(algo)
+        check_algorithm(algo)
         fn = getattr(self, f"_{algo}_{op}", None)
         if fn is None:
             fn = getattr(self, f"_ring_{op}")
@@ -652,11 +652,3 @@ def _check_nbytes(query: str, nbytes: int) -> None:
     a hit pays nothing for it."""
     if nbytes < 0:
         raise ValueError(f"{query}: cannot price a negative byte count ({nbytes})")
-
-
-def _check_algorithm(algorithm: str) -> None:
-    valid = ALGORITHMS + ("auto",)
-    if algorithm not in valid:
-        raise ValueError(
-            f"unknown collective algorithm {algorithm!r}; choose from {valid}"
-        )

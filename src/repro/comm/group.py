@@ -79,8 +79,8 @@ class ProcessGroup(GroupTimeline):
         self.runtime = runtime  # the timeline's ``host``, by its own name
         self.cost_model = CostModel(
             runtime.cluster,
-            algorithm=getattr(runtime, "comm_algorithm", "ring"),
-            island_ratio=getattr(runtime, "comm_island_ratio", 0.5),
+            algorithm=runtime.comm_algorithm,
+            island_ratio=runtime.comm_island_ratio,
         )
         self._cond = threading.Condition()
         self._rounds: Dict[int, Round] = {}

@@ -209,6 +209,21 @@ class ProjectionConfig(_Section):
             if not isinstance(k, int) or isinstance(k, bool) or k < 1:
                 raise ConfigError(f"project.axes.{name} must be an int >= 1, got {k!r}")
 
+    def factors(self, world: int) -> Dict[str, int]:
+        """The widening factor of each axis for a ``world``-rank capture."""
+        if self.axes is None:
+            target = self.target_world or world
+            if target % world != 0:
+                raise ConfigError(f"project.target_world {target} must be a multiple "
+                                  f"of the captured world size {world}")
+            return {"dp": target // world}
+        target = world * math.prod(self.axes.values())
+        if self.target_world not in (None, target):
+            raise ConfigError(
+                f"project.target_world {self.target_world} disagrees with project.axes "
+                f"{self.axes}: a {world}-rank capture projects to {target} ranks")
+        return self.axes
+
 
 @dataclass
 class AutoParConfig(_Section):

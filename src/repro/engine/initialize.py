@@ -1,9 +1,9 @@
 """Top-level entry points: ``launch`` and ``initialize``.
 
-``launch`` is the SPMD program runner (the analogue of
+``launch`` is the session runner (the analogue of
 ``colossalai.launch_from_torch``): it takes a config dict and a per-rank
-function, builds the runtime + :class:`ParallelContext` on every rank and
-executes the function.
+function, configures one runtime from the config and runs the session the
+config names — training, projection or serving — on it.
 
 ``initialize`` assembles an :class:`Engine` from user components exactly as
 Listing 1 shows, wiring in the configured features (fp16 wrapping, pipeline
@@ -12,7 +12,7 @@ schedule, optimizer clipping).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 from repro.cluster.machine import ClusterSpec
 from repro.config import Config
@@ -31,20 +31,40 @@ def launch(
     materialize: bool = True,
     runtime: Optional[SpmdRuntime] = None,
     tracer: Optional[Any] = None,
-) -> List[Any]:
-    """Run ``fn(ctx, pc)`` SPMD over the cluster with the parallel context
-    built from ``config``.  Returns per-rank results.
+) -> Any:
+    """Run one session of ``config`` over the cluster and return its result.
 
-    Pass ``tracer=`` (a :class:`repro.trace.Tracer`) to record a per-rank
-    timeline of the run.  A ``sanitize`` config section arms the SPMD
-    sanitizer (``repro.sanitize``) for the run; with ``sanitize.record``
-    set, each rank's op stream is saved to that golden file after a clean
-    run.  With ``project.mode="project"`` the run is captured and replayed
-    analytically at ``project.target_world`` ranks instead, returning a
-    :class:`~repro.project.ProjectionReport` (see ``repro.project``).
-    With a ``serve`` section the run is an inference-serving session
-    instead: ``fn`` may be omitted and the launch returns a
-    :class:`~repro.serve.TrafficReport` (see ``repro.serve``)."""
+    Every session kind is set up here, once, the same way:
+
+    * the runtime is built over ``world_size`` ranks, or ``runtime`` is
+      handed in, and the ``comm`` section is applied to it
+      (:meth:`SpmdRuntime.apply_comm`).  A handed runtime keeps its own
+      algorithm when ``comm.algorithm`` is None and its own overlap when
+      ``comm.overlap`` is False; ``comm.island_ratio`` always applies;
+    * a ``sanitize`` section arms the SPMD sanitizer (``repro.sanitize``)
+      unless the runtime already has one, saves each rank's op stream to
+      ``sanitize.record`` after a clean session, and is uninstalled
+      however the session ends;
+    * ``tracer=`` (a :class:`repro.trace.Tracer`) is installed on the
+      runtime; a projection hands it to the replay instead, so it records
+      the projected timeline.
+
+    Then one of three bodies runs:
+
+    * **training** (the default) runs ``fn(ctx, pc)`` on every rank, with
+      the :class:`ParallelContext` built from ``config``, seeded by
+      ``seed``; it returns the per-rank results;
+    * **projection** (``project.mode="project"``) captures that program on
+      the runtime and prices it at ``project.axes`` / ``target_world``
+      over the ``parallel`` layout (``repro.project``); it returns a
+      :class:`~repro.project.ProjectionReport`;
+    * **serving** (a ``serve`` section) drives the world as one
+      tensor-parallel decode replica through the declared traffic
+      (``repro.serve``); ``fn`` may be omitted, and it returns a
+      :class:`~repro.serve.TrafficReport`.
+
+    An ``autopar`` section first compiles the ``parallel`` / ``zero`` /
+    ``comm`` settings for its workload (``repro.autopar``)."""
     cfg = config if isinstance(config, Config) else Config.from_dict(config)
 
     if cfg.autopar.enabled:
@@ -63,62 +83,54 @@ def launch(
         )
         cfg = compiled.apply_to(cfg)
 
-    if cfg.serve.enabled:
-        # serving mode: the world is one tensor-parallel decode replica
-        # driven by the declared traffic; returns a TrafficReport
-        from repro.serve import serve_launch
-
-        return serve_launch(
-            cfg, cluster, world_size=world_size, runtime=runtime,
-            tracer=tracer,
-        )
-
-    if fn is None:
+    serving = cfg.serve.enabled
+    if fn is None and not serving:
         raise TypeError(
             "launch() needs a per-rank fn unless a serve.* section makes "
             "the run a serving session")
-
-    if cfg.project.mode == "project":
-        from repro.project import project_launch
-
-        return project_launch(
-            cfg, cluster, fn, world_size=world_size,
-            materialize=materialize, tracer=tracer,
-        )
 
     def wrapper(ctx: RankContext) -> Any:
         pc = ParallelContext(ctx, cfg)
         return fn(ctx, pc)
 
-    if runtime is not None:
-        rt = runtime
-        if cfg.comm.algorithm is not None:
-            rt.set_comm_algorithm(cfg.comm.algorithm)
-        if cfg.comm.overlap:
-            rt.comm_overlap = True
-    else:
-        rt = SpmdRuntime(
-            cluster,
-            world_size,
-            comm_algorithm=cfg.comm.algorithm or "ring",
-            comm_overlap=cfg.comm.overlap,
-        )
-    if cfg.comm.island_ratio != rt.comm_island_ratio:
-        with rt._group_lock:
-            rt.comm_island_ratio = cfg.comm.island_ratio
-            for grp in rt._groups.values():
-                grp.cost_model.island_ratio = cfg.comm.island_ratio
-    if tracer is not None:
+    rt = runtime if runtime is not None else SpmdRuntime(cluster, world_size)
+    projecting = not serving and cfg.project.mode == "project"
+    if projecting:
+        factors = cfg.project.factors(rt.world_size)
+    rt.apply_comm(cfg.comm)
+    if tracer is not None and not projecting:
         tracer.install(rt)
     san = None
     if cfg.sanitize.enabled and rt.sanitizer is None:
-        san = cfg.sanitize.build()
-        san.install(rt)
+        san = cfg.sanitize.build().install(rt)
     try:
-        results = rt.run(wrapper, materialize=materialize, seed=cfg.seed)
+        if serving:
+            from repro.serve import ServeEngine
+
+            sv = cfg.serve
+            model, traffic = sv.build()
+            result = ServeEngine(
+                rt, model, traffic,
+                block_size=sv.block_size,
+                kv_blocks=sv.kv_blocks,
+                kv_fraction=sv.kv_fraction,
+                max_batch_tokens=sv.max_batch_tokens,
+                prefill_chunk=sv.prefill_chunk,
+                recovery_seconds=sv.recovery_seconds,
+                max_recoveries=sv.max_recoveries,
+            ).run()
+        elif projecting:
+            from repro.project import capture_on, price_plan
+
+            _results, trace = capture_on(rt, wrapper, materialize=materialize,
+                                         seed=cfg.seed)
+            result = price_plan(trace, axes=factors, tensor=cfg.tensor.size,
+                                pipeline=cfg.pipeline, tracer=tracer)
+        else:
+            result = rt.run(wrapper, materialize=materialize, seed=cfg.seed)
         if san is not None and cfg.sanitize.record:
             san.save_golden(cfg.sanitize.record)
-        return results
+        return result
     finally:
         if san is not None:
             san.uninstall()

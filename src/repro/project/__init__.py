@@ -16,7 +16,7 @@ replays that stream analytically — no thread per rank — either
 
 Typical use::
 
-    trace = capture_run(cluster, step_fn, world_size=8)
+    _results, trace = capture_run(cluster, step_fn, world_size=8)
     report = project(trace, axes={"dp": 128},
                      fabric=Fabric.from_cluster(big_cluster))
     print(report.format())   # step time, comm volume, hidden-comm %
@@ -24,7 +24,6 @@ Typical use::
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.project.axes import derive_axis_groups, hybrid_plan
@@ -66,12 +65,12 @@ __all__ = [
     "ProjectionReport",
     "RankProjection",
     "build_report",
+    "capture_on",
     "capture_run",
     "derive_axis_groups",
     "hybrid_plan",
     "price_plan",
     "project",
-    "project_launch",
 ]
 
 
@@ -83,31 +82,34 @@ def capture_run(
     materialize: bool = False,
     seed: int = 0,
     comm_algorithm: str = "ring",
-    comm_island_ratio: float = 0.5,
     comm_overlap: bool = False,
-    reset_memory: bool = True,
 ) -> Tuple[List[Any], OpTrace]:
-    """Run ``fn`` SPMD over ``cluster`` with capture armed; returns
-    ``(per-rank results, OpTrace)``.
-
-    ``reset_memory`` clears the cluster's device memory pools first so the
-    trace's peak-memory snapshot reflects this run alone (``run`` itself
-    never resets pools)."""
+    """Build a runtime over ``cluster`` and :func:`capture_on` it."""
     from repro.runtime.spmd import SpmdRuntime
 
-    if reset_memory:
-        cluster.reset()
-    rec = CaptureRecorder()
-    rt = SpmdRuntime(
-        cluster,
-        world_size,
-        comm_algorithm=comm_algorithm,
-        comm_island_ratio=comm_island_ratio,
-        comm_overlap=comm_overlap,
-        capture=rec,
-    )
+    rt = SpmdRuntime(cluster, world_size, comm_algorithm=comm_algorithm,
+                     comm_overlap=comm_overlap)
+    return capture_on(rt, fn, materialize=materialize, seed=seed)
+
+
+def capture_on(
+    runtime: Any,
+    fn: Callable,
+    *,
+    materialize: bool = False,
+    seed: int = 0,
+) -> Tuple[List[Any], OpTrace]:
+    """Run ``fn`` SPMD on ``runtime`` with capture armed; returns
+    ``(per-rank results, OpTrace)``.
+
+    The cluster's device memory pools are cleared first so the trace's
+    peak-memory snapshot reflects this run alone (``run`` itself never
+    resets pools).  A runtime with a fault plan raises: capture does not
+    model injected control flow."""
+    runtime.cluster.reset()
+    rec = CaptureRecorder().install(runtime)
     try:
-        results = rt.run(fn, materialize=materialize, seed=seed)
+        results = runtime.run(fn, materialize=materialize, seed=seed)
     finally:
         rec.uninstall()
     return results, rec.trace()
@@ -191,66 +193,3 @@ def price_plan(
     )
     return project(trace, plan=plan, fabric=fabric, mode="model",
                    tracer=tracer)
-
-
-def project_launch(
-    config: Any,
-    cluster: Any,
-    fn: Callable,
-    *,
-    world_size: Optional[int] = None,
-    materialize: bool = False,
-    fabric: Optional[Fabric] = None,
-    tracer: Optional[Any] = None,
-) -> ProjectionReport:
-    """The ``mode="project"`` backend of :func:`repro.launch`: capture
-    ``fn`` at the cluster's (or ``world_size``'s) scale, then
-    :func:`price_plan` it over the Config's DP x TP x PP layout.
-
-    ``project.axes`` names the factor of each widened axis, and the target
-    world is ``world * product of factors``; an explicit
-    ``project.target_world`` must agree.  ``project.target_world`` alone
-    widens ``dp`` by ``target_world // world`` (it must be a multiple of
-    the captured world)."""
-    from repro.config import Config
-    from repro.context.parallel_context import ParallelContext
-    from repro.runtime.spmd import RankContext
-
-    cfg = config if isinstance(config, Config) else Config.from_dict(config)
-    world = world_size if world_size is not None else cluster.world_size
-    factors = cfg.project.axes
-    if factors is None:
-        target = cfg.project.target_world or world
-        if target % world != 0:
-            raise ValueError(
-                f"project.target_world {target} must be a multiple of the "
-                f"captured world size {world}"
-            )
-        factors = {"dp": target // world}
-    else:
-        target = world * math.prod(factors.values())
-        if cfg.project.target_world not in (None, target):
-            raise ValueError(
-                f"project.target_world {cfg.project.target_world} "
-                f"disagrees with project.axes {factors}: a "
-                f"{world}-rank capture projects to {target} ranks"
-            )
-
-    def wrapper(ctx: RankContext) -> Any:
-        pc = ParallelContext(ctx, cfg)
-        return fn(ctx, pc)
-
-    _results, trace = capture_run(
-        cluster,
-        wrapper,
-        world_size=world,
-        materialize=materialize,
-        seed=cfg.seed,
-        comm_algorithm=cfg.comm.algorithm or "ring",
-        comm_island_ratio=cfg.comm.island_ratio,
-        comm_overlap=cfg.comm.overlap,
-    )
-    return price_plan(
-        trace, axes=factors, tensor=cfg.tensor.size, pipeline=cfg.pipeline,
-        fabric=fabric, tracer=tracer,
-    )

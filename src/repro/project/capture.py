@@ -187,7 +187,7 @@ class CaptureRecorder:
                 world_size=runtime.world_size,
                 comm_algorithm=runtime.comm_algorithm,
                 comm_overlap=runtime.comm_overlap,
-                island_ratio=getattr(runtime, "comm_island_ratio", 0.5),
+                island_ratio=runtime.comm_island_ratio,
                 cluster=runtime.cluster,
                 groups=list(self._groups),
                 streams=[list(s) for s in self._streams],

@@ -166,12 +166,7 @@ def _resolve_sanitizer(sanitize: Any) -> Any:
     if sanitize is True:
         return CommSanitizer(checksum=True, race=True)
     if isinstance(sanitize, SanitizeConfig):
-        san = sanitize.build()
-        if san is None:
-            raise ValueError(
-                "sanitize config has enabled=False; pass None instead"
-            )
-        return san
+        return sanitize.build()
     raise TypeError(
         f"sanitize must be True, a SanitizeConfig or a CommSanitizer, "
         f"got {type(sanitize).__name__}"
@@ -195,7 +190,6 @@ class SpmdRuntime:
         comm_overlap: bool = False,
         capture: Optional[Any] = None,
         buffer_pool: bool = True,
-        comm_island_ratio: float = 0.5,
     ) -> None:
         if world_size is None:
             world_size = cluster.world_size
@@ -207,18 +201,14 @@ class SpmdRuntime:
             raise ValueError(
                 f"deadlock_timeout must be positive, got {deadlock_timeout}"
             )
-        from repro.comm.algorithms import ALGORITHMS  # comm builds on runtime
+        from repro.comm.algorithms import check_algorithm  # comm builds on runtime
 
-        if comm_algorithm not in ALGORITHMS + ("auto",):
-            raise ValueError(
-                f"unknown comm_algorithm {comm_algorithm!r}; "
-                f"choose from {ALGORITHMS + ('auto',)}"
-            )
+        check_algorithm(comm_algorithm)
         #: default collective algorithm for every process group's cost model
         self.comm_algorithm = comm_algorithm
         #: island-detection bandwidth-ratio threshold for hierarchical
-        #: collectives (see Topology.islands)
-        self.comm_island_ratio = comm_island_ratio
+        #: collectives (see Topology.islands); set by :meth:`apply_comm`
+        self.comm_island_ratio = 0.5
         #: route nonblocking p2p and scheduler comm through per-rank comm
         #: streams (comm/compute overlap) instead of legacy blocking-on-wait
         #: semantics; i-collectives always use the streams.
@@ -342,21 +332,23 @@ class SpmdRuntime:
                 self._groups[key] = grp
             return grp
 
-    def set_comm_algorithm(self, algorithm: str) -> None:
-        """Switch the default collective algorithm for this runtime and all
-        already-created process groups (their selector caches are keyed by
-        topology version, so no explicit invalidation is needed)."""
-        from repro.comm.algorithms import ALGORITHMS
+    def apply_comm(self, comm: Any) -> None:
+        """Apply a ``comm`` config section (:class:`~repro.config.CommConfig`)
+        to this runtime and every live process group: ``algorithm=None``
+        and ``overlap=False`` keep the runtime's choice, ``island_ratio``
+        always applies.  The cost models' memos are tagged with the island
+        ratio and keyed by algorithm, so the next collective re-prices."""
+        from repro.comm.algorithms import check_algorithm
 
-        if algorithm not in ALGORITHMS + ("auto",):
-            raise ValueError(
-                f"unknown comm_algorithm {algorithm!r}; "
-                f"choose from {ALGORITHMS + ('auto',)}"
-            )
+        algorithm = comm.algorithm or self.comm_algorithm
+        check_algorithm(algorithm)
         with self._group_lock:
             self.comm_algorithm = algorithm
+            self.comm_island_ratio = comm.island_ratio
+            self.comm_overlap = self.comm_overlap or comm.overlap
             for grp in self._groups.values():
                 grp.cost_model.algorithm = algorithm
+                grp.cost_model.island_ratio = comm.island_ratio
 
     @property
     def world_group(self) -> Any:

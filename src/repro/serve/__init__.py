@@ -23,7 +23,6 @@ the ``serving`` property-test lane over the scheduler and allocator.
 from repro.serve.engine import (
     ModelSpec,
     ServeEngine,
-    serve_launch,
     serve_traffic,
 )
 from repro.serve.kvcache import (
@@ -56,6 +55,5 @@ __all__ = [
     "RequestTooLarge",
     "ServeEngine",
     "TrafficReport",
-    "serve_launch",
     "serve_traffic",
 ]

@@ -308,8 +308,7 @@ class ServeEngine:
 def serve_traffic(model: ModelSpec, traffic: Any, *,
                   cluster: Any = None, world_size: int = 2,
                   runtime: Any = None, fault_plan: Any = None,
-                  tracer: Any = None, comm_algorithm: str = "ring",
-                  comm_island_ratio: float = 0.5,
+                  tracer: Any = None,
                   **engine_kwargs: Any) -> TrafficReport:
     """Serve ``traffic`` on a TP replica and return the traffic report.
 
@@ -324,31 +323,6 @@ def serve_traffic(model: ModelSpec, traffic: Any, *,
         if cluster is None:
             cluster = uniform_cluster(world_size)
         runtime = SpmdRuntime(
-            cluster, world_size, fault_plan=fault_plan, tracer=tracer,
-            comm_algorithm=comm_algorithm,
-            comm_island_ratio=comm_island_ratio)
+            cluster, world_size, fault_plan=fault_plan, tracer=tracer)
     engine = ServeEngine(runtime, model, traffic, **engine_kwargs)
     return engine.run()
-
-
-def serve_launch(cfg: Any, cluster: Any, world_size: Optional[int] = None,
-                 runtime: Any = None, tracer: Any = None) -> TrafficReport:
-    """The ``launch()`` entry point for a ``serve.*`` config section."""
-    sv = cfg.serve
-    model, traffic = sv.build()
-    return serve_traffic(
-        model, traffic,
-        cluster=cluster,
-        world_size=world_size or cluster.world_size,
-        runtime=runtime,
-        tracer=tracer,
-        comm_algorithm=cfg.comm.algorithm or "ring",
-        comm_island_ratio=cfg.comm.island_ratio,
-        block_size=sv.block_size,
-        kv_blocks=sv.kv_blocks,
-        kv_fraction=sv.kv_fraction,
-        max_batch_tokens=sv.max_batch_tokens,
-        prefill_chunk=sv.prefill_chunk,
-        recovery_seconds=sv.recovery_seconds,
-        max_recoveries=sv.max_recoveries,
-    )

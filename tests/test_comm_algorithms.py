@@ -1,6 +1,8 @@
 """Collective algorithm layer: selector caching, runtime/config plumbing,
 per-algorithm counters and trace metadata, fault-driven re-selection."""
 
+from operator import attrgetter
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,13 @@ import repro
 from repro.cluster import system_i, system_ii, uniform_cluster
 from repro.comm import ALGORITHMS, Communicator, CostModel, SpecArray
 from repro.comm.algorithms import SELECTABLE_OPS
-from repro.config import Config
+from repro.config import CommConfig, Config
 from repro.context import ParallelMode
 from repro.faults import FaultPlan
 from repro.runtime import SpmdRuntime
+from repro.runtime.errors import RemoteRankError
+from repro.sanitize import load_golden
+from repro.serve import BlockPool, RequestTooLarge
 from repro.trace import Tracer
 from repro.utils.units import MB
 
@@ -80,14 +85,18 @@ class TestRuntimePlumbing:
         with pytest.raises(ValueError, match="comm_algorithm"):
             SpmdRuntime(uniform_cluster(2), comm_algorithm="mesh")
 
-    def test_set_comm_algorithm_updates_existing_groups(self):
+    def test_apply_comm_updates_existing_groups(self):
+        """A handed runtime takes the Config's comm section, its live groups
+        included; ``algorithm=None`` keeps the runtime's own choice."""
         rt = SpmdRuntime(uniform_cluster(2))
         grp = rt.world_group
-        assert grp.cost_model.algorithm == "ring"
-        rt.set_comm_algorithm("auto")
-        assert grp.cost_model.algorithm == "auto"
-        with pytest.raises(ValueError):
-            rt.set_comm_algorithm("star")
+        repro.launch(dict(comm=dict(algorithm="auto", island_ratio=0.3)),
+                     rt.cluster, lambda ctx, pc: None, runtime=rt)
+        assert (grp.cost_model.algorithm, grp.cost_model.island_ratio) == ("auto", 0.3)
+        rt.apply_comm(CommConfig())
+        assert (rt.comm_algorithm, grp.cost_model.island_ratio) == ("auto", 0.5)
+        with pytest.raises(ValueError, match="comm_algorithm"):
+            rt.apply_comm(CommConfig(algorithm="star"))
 
     def test_config_comm_section(self):
         cfg = Config.from_dict(dict(comm=dict(algorithm="auto", island_ratio=0.4)))
@@ -97,35 +106,6 @@ class TestRuntimePlumbing:
             Config.from_dict(dict(comm=dict(algorithm="butterfly")))
         with pytest.raises(ValueError, match="island_ratio"):
             Config.from_dict(dict(comm=dict(island_ratio=0.0)))
-
-    def test_launch_plumbs_algorithm(self):
-        rt = SpmdRuntime(system_ii(), world_size=4)
-
-        def prog(ctx, pc):
-            return None
-
-        repro.launch(dict(comm=dict(algorithm="hierarchical")),
-                     rt.cluster, prog, world_size=4, runtime=rt)
-        assert rt.comm_algorithm == "hierarchical"
-        assert rt.world_group.cost_model.algorithm == "hierarchical"
-
-    def test_projection_capture_reads_island_ratio(self):
-        def prog(ctx, pc):
-            pc.comm(ParallelMode.DATA).all_reduce(SpecArray((4 << 20,), "float32"))
-            return ctx.clock.time
-
-        comm = dict(algorithm="hierarchical", island_ratio=0.05)
-        direct = max(repro.launch(dict(comm=comm), system_ii(), prog, materialize=False))
-        project = dict(comm=comm, project=dict(mode="project", target_world=8))  # recorded replay
-        assert repro.launch(project, system_ii(), prog).step_time == direct
-
-    def test_serving_reads_island_ratio(self):
-        serve = dict(model=dict(n_layers=2, hidden=256, n_heads=4),
-                     traffic=dict(kind="open", rate=2000.0, n_requests=10, prompt_tokens=[8, 16]))
-        low, high = (repro.launch(dict(comm=dict(algorithm="hierarchical", island_ratio=r),
-                                       serve=serve), system_ii(), world_size=4).makespan
-                     for r in (0.05, 0.5))
-        assert low < high
 
     def test_results_identical_across_algorithms(self):
         """Collective *results* never depend on the priced algorithm."""
@@ -150,6 +130,76 @@ class TestRuntimePlumbing:
         t_ring = max(SpmdRuntime(system_ii(), comm_algorithm="ring").run(big_prog))
         t_auto = max(SpmdRuntime(system_ii(), comm_algorithm="auto").run(big_prog))
         assert t_auto < t_ring
+
+
+def _dp_all_reduce(ctx, pc):
+    pc.comm(ParallelMode.DATA).all_reduce(SpecArray((4 << 20,), "float32"))
+    return ctx.clock.time
+
+
+def _failing(ctx, pc):
+    comm = pc.comm(ParallelMode.DATA)
+    comm.all_reduce(np.ones(64, dtype=np.float32))
+    if ctx.rank == 1:
+        raise RuntimeError("boom")
+    comm.all_reduce(np.ones(64, dtype=np.float32))
+
+
+SERVE = dict(model=dict(n_layers=2, hidden=256, n_heads=4),
+             traffic=dict(kind="closed", clients=4, n_requests=16))
+#: each session kind's config section, and its result read as one sim time
+SESSIONS = {
+    "training": ({}, max),
+    "projection": (dict(project=dict(target_world=4)), attrgetter("step_time")),
+    "serving": (dict(serve=SERVE), attrgetter("makespan")),
+}
+
+
+class TestLaunchSessions:
+    """``launch`` sets every session kind up once: the ``comm`` section, the
+    sanitizer and the tracer reach the run whether ``launch`` builds the
+    runtime or one is handed in, and a failed session leaves nothing behind."""
+
+    @pytest.mark.parametrize("handed", [False, True], ids=["built", "handed"])
+    @pytest.mark.parametrize("kind", list(SESSIONS))
+    def test_session_reads_comm_sanitize_and_tracer(self, kind, handed, tmp_path):
+        section, sim_time = SESSIONS[kind]
+        ring = sim_time(repro.launch(section, system_ii(), _dp_all_reduce,
+                                     world_size=4, materialize=False))
+        # a handed runtime keeps its own algorithm when comm.algorithm is None
+        rt = SpmdRuntime(system_ii(), 4, comm_algorithm="hierarchical") if handed else None
+        comm = dict(algorithm=None if handed else "hierarchical", island_ratio=0.05)
+        golden, tracer = tmp_path / "golden.json", Tracer()
+        out = repro.launch(dict(section, comm=comm, sanitize=dict(record=str(golden))),
+                           system_ii(), _dp_all_reduce, world_size=4,
+                           materialize=False, runtime=rt, tracer=tracer)
+        # island_ratio 0.05 merges System II's NVLink pairs over PCIe, so the
+        # hierarchical schedule prices as the flat ring; at 0.5 it would not
+        assert sim_time(out) == ring
+        spans = tracer.spans(cat="collective")
+        assert spans and {s.args["algo"] for s in spans} == {"hierarchical"}
+        assert len(load_golden(str(golden))["streams"]) == 4
+        if handed:
+            assert rt.sanitizer is None
+            assert rt.world_group.cost_model.island_ratio == 0.05
+
+    @pytest.mark.parametrize("kind", list(SESSIONS))
+    def test_failed_session_releases_what_it_installed(self, kind, monkeypatch):
+        section, _ = SESSIONS[kind]
+        rt = SpmdRuntime(system_ii(), 4)
+        if kind == "serving":
+            # admit requests the 64-slot pool can never hold: one raises
+            # while it grows its KV blocks mid-session
+            monkeypatch.setattr(BlockPool, "fits_ever", lambda self, tokens: True)
+            section = dict(serve=dict(SERVE, kv_blocks=4))
+        with pytest.raises((RemoteRankError, RequestTooLarge)) as err:
+            repro.launch(dict(section, sanitize=dict(enabled=True)), rt.cluster,
+                         _failing, runtime=rt)
+        error = RequestTooLarge if kind == "serving" else RuntimeError
+        assert isinstance(getattr(err.value, "cause", err.value), error)
+        assert rt.sanitizer is None and rt.capture is None
+        assert all(grp._rounds == {} for grp in rt._groups.values())
+        rt.buffer_pool.check_leaks()  # no loan outstanding
 
 
 class TestCountersAndTrace:

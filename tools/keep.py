@@ -40,11 +40,11 @@ KEEP: dict[str, str] = {
     "repro.utils.backoff": "§4b retry backoff",
     "repro.utils.profile.time_breakdown": "imported by bench/workloads",
     "repro.config.SanitizeConfig.build": "launch() builds the configured sanitizer",
+    "repro.config.ProjectionConfig.factors": "§4g launch wiring: a projection session's axes",
     "repro.comm.group": "error path: mixed blocking / nonblocking round; polling a nonblocking handle",
     "repro.runtime.errors": "typed error paths",
     "repro.runtime.buffer_pool.BufferPoolLeak": "error path: leaked pool loan",
     "repro.runtime.spmd._make_abort_error": "error path: abort propagation",
-    "repro.runtime.spmd.SpmdRuntime.set_comm_algorithm": "README: swap the algorithm mid-session",
     "repro.faults": "§4b fault plans and the p2p verdict",
     "repro.sanitize": "§4e race detector, checksums, wait-cycle diagnosis, uninstall",
     "repro.trace.tracer.Tracer": "§4c regions, counters, memory samples, failure instants",
