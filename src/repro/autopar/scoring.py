@@ -29,7 +29,7 @@ from repro.analytic.memory_model import (
 from repro.analytic.perf_model import overlap_exposed_seconds
 from repro.autopar.search import StrategyCandidate, Workload
 from repro.cluster.machine import ClusterSpec
-from repro.comm.cost import CostModel
+from repro.comm.cost import OP_PRICE, CostModel
 from repro.context.parallel_context import ParallelMode, rank_groups
 
 #: the (activation, weight) families of each multi-dimensional mode: rows on
@@ -224,19 +224,15 @@ class _CostCache(dict):
     What is specific to a candidate stays in :func:`score_candidate`, in
     one expression order: a score is the same float whether its terms
     were hits or misses.  One :class:`CostModel` prices every algorithm
-    (per-call override), so ring and auto queries share its probe memo.
+    (per-call override) through :data:`~repro.comm.cost.OP_PRICE`, the op
+    table the model-mode replay reads, so ring and auto queries share its
+    probe memo.
     """
 
     def __init__(self, cluster: ClusterSpec) -> None:
         super().__init__()
         self.device = cluster.gpus[0]
-        model = self.model = CostModel(cluster)
-        self._collective = {
-            "all_reduce": model.allreduce,
-            "broadcast": model.broadcast,
-            "all_gather": model.allgather,
-            "reduce_scatter": model.reduce_scatter,
-        }
+        self.model = CostModel(cluster)
         self.work: Optional[Workload] = None
         self.global_batch = 0
 
@@ -323,9 +319,9 @@ class _CostCache(dict):
     def _record(self, tensor, mode, depth, group, op, nbytes, algorithm):
         """One record (fwd and bwd repeat theirs; weight records do not
         move with the micro-batch): its family's slowest subgroup."""
-        price = self._collective[op]
+        price, model = OP_PRICE[op], self.model
         return max([
-            price(sub, nbytes, algorithm).seconds
+            price(model, sub, nbytes, algorithm).seconds
             for sub in rank_groups(tensor, tensor, 1, mode, depth)[group]
         ])
 
@@ -341,9 +337,9 @@ class _CostCache(dict):
         ranks = list(range(0, data * stride, stride))
         total = 0.0
         for op in dp_step_ops(self.work, cand):
-            total += self._collective[op.op](
-                ranks, op.elements * self.work.bytes_per_elem, algorithm
-            ).seconds
+            total += OP_PRICE[op.op](
+                self.model, ranks, op.elements * self.work.bytes_per_elem,
+                algorithm).seconds
         return total
 
 

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import operator
 from functools import partial
+from itertools import repeat
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.comm.cost import CollectiveCost
+from repro.comm.cost import OP_PRICE
 from repro.comm.group import ProcessGroup, WorkHandle
 from repro.comm.payload import Payload, SpecArray
 
@@ -33,14 +34,15 @@ _REDUCERS: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
     "prod": np.multiply,
 }
 
-#: nominal wire size charged for control-plane object exchanges
-_OBJECT_NBYTES = 64
-
-
 # C-level field readers: ``map`` over a round's payloads makes no Python
 # frame per member, a comprehension or generator makes one
 _dtype_of = operator.attrgetter("dtype")
 _shape_of = operator.attrgetter("shape")
+# A round that is not rooted is priced and counted at its largest member
+# payload, as the model-mode replay prices it, never at whichever member
+# arrived last; where equal sizes may differ in dtype, the lowest local rank
+# wins the tie.
+_nbytes_of = operator.attrgetter("nbytes")
 
 
 def _check_same_shape(payloads: Dict[int, Payload], what: str) -> None:
@@ -116,16 +118,18 @@ def _replicate(value: Payload, payloads: Dict[int, Any], owner: int,
     return results
 
 
-def all_reduce_finalize(group: ProcessGroup, x: Payload, op: ReduceOp,
+def all_reduce_finalize(group: ProcessGroup, op: ReduceOp,
                         payloads: Dict[int, Payload]):
     """An all_reduce round's finalize — combine in local-rank order, price,
     replicate — for the rendezvous and for ``ProcessGroup.drive_round``."""
     _check_same_shape(payloads, "all_reduce")
     pool = group.runtime.buffer_pool
     combined = _combine(payloads, op, pool)
-    cost = group.cost_model.allreduce(group.ranks, int(x.nbytes))
+    # one shape: the largest payload is the widest dtype, and ties agree
+    big = max(payloads.values(), key=_nbytes_of)
+    cost = group.cost_model.allreduce(group.ranks, int(big.nbytes))
     results = _replicate(combined, payloads, 0, pool, "all_reduce:result")
-    return results, cost, x.dtype.itemsize
+    return results, cost, big.dtype.itemsize
 
 
 def _split_axis(x: Payload, parts: int, axis: int, what: str) -> List[Payload]:
@@ -195,7 +199,8 @@ class Communicator:
                 membership[c] = [g for _, g in sorted(members)]
             for local, (c, _k) in payloads.items():
                 results[local] = membership[c]
-            return results, CollectiveCost(self.group.cost_model.alpha, 0), 1
+            cost = OP_PRICE["split"](self.group.cost_model, self.group.ranks, 0, None)
+            return results, cost, 1
 
         ranks = self.group.rendezvous(
             self.global_rank, (color, key), finalize, "split")
@@ -214,7 +219,7 @@ class Communicator:
         if op not in _REDUCERS:
             raise _invalid_reduce_op(op, "all_reduce")
         return self.group.rendezvous(
-            self.global_rank, x, partial(all_reduce_finalize, self.group, x, op),
+            self.global_rank, x, partial(all_reduce_finalize, self.group, op),
             "all_reduce", {"reduce_op": op}, mode)
 
     def all_reduce(self, x: Payload, op: ReduceOp = "sum") -> Payload:
@@ -231,9 +236,10 @@ class Communicator:
         def finalize(payloads: Dict[int, Payload]):
             chunks = [payloads[i] for i in sorted(payloads)]
             gathered = _concat_axis(chunks, axis, "all_gather")
-            cost = self.group.cost_model.allgather(self.group.ranks, int(x.nbytes))
+            big = max(chunks, key=_nbytes_of)
+            cost = self.group.cost_model.allgather(self.group.ranks, int(big.nbytes))
             results = _replicate(gathered, payloads, 0)
-            return results, cost, x.dtype.itemsize
+            return results, cost, big.dtype.itemsize
 
         return self.group.rendezvous(
             self.global_rank, x, finalize, "all_gather", {"axis": axis}, mode)
@@ -258,8 +264,9 @@ class Communicator:
             # chunks are axis-0 *views* of it, so it must never be restocked
             combined = _combine(payloads, op, self.group.runtime.buffer_pool)
             chunks = _split_axis(combined, self.size, axis, "reduce_scatter")
-            cost = self.group.cost_model.reduce_scatter(self.group.ranks, int(x.nbytes))
-            return dict(enumerate(chunks)), cost, x.dtype.itemsize
+            big = max(payloads.values(), key=_nbytes_of)  # one shape
+            cost = self.group.cost_model.reduce_scatter(self.group.ranks, int(big.nbytes))
+            return dict(enumerate(chunks)), cost, big.dtype.itemsize
 
         return self.group.rendezvous(
             self.global_rank, x, finalize, "reduce_scatter",
@@ -297,10 +304,11 @@ class Communicator:
         def finalize(payloads: Dict[int, Payload]):
             _check_same_shape(payloads, "reduce")
             combined = _combine(payloads, op, self.group.runtime.buffer_pool)
-            cost = self.group.cost_model.reduce(self.group.ranks, int(x.nbytes))
+            big = max(payloads.values(), key=_nbytes_of)  # one shape
+            cost = self.group.cost_model.reduce(self.group.ranks, int(big.nbytes))
             results: Dict[int, Optional[Payload]] = {i: None for i in payloads}
             results[root] = combined
-            return results, cost, x.dtype.itemsize
+            return results, cost, big.dtype.itemsize
 
         return self.group.rendezvous(
             self.global_rank, x, finalize, "reduce",
@@ -330,12 +338,13 @@ class Communicator:
         def finalize(payloads: Dict[int, Payload]):
             chunks = [payloads[i] for i in sorted(payloads)]
             gathered = _concat_axis(chunks, axis, "gather")
+            big = max(chunks, key=_nbytes_of)
             cost = self.group.cost_model.gather(
-                self.group.global_rank(root), self.group.ranks, int(x.nbytes)
+                self.group.global_rank(root), self.group.ranks, int(big.nbytes)
             )
             results: Dict[int, Optional[Payload]] = {i: None for i in payloads}
             results[root] = gathered
-            return results, cost, x.dtype.itemsize
+            return results, cost, big.dtype.itemsize
 
         return self.group.rendezvous(
             self.global_rank, x, finalize, "gather",
@@ -348,16 +357,17 @@ class Communicator:
             raise ValueError(
                 f"all_to_all needs {self.size} chunks, got {len(chunks)}"
             )
-        nbytes_local = 0
-        for c in chunks:
-            nbytes_local += int(c.nbytes)
 
         def finalize(payloads: Dict[int, List[Payload]]):
             # column i of the rank-ordered chunk matrix is what rank i receives
-            columns = list(zip(*[payloads[j] for j in sorted(payloads)]))
+            rows = [payloads[j] for j in sorted(payloads)]
+            columns = list(zip(*rows))
             results = {i: list(columns[i]) for i in payloads}
-            cost = self.group.cost_model.all_to_all(self.group.ranks, nbytes_local)
-            return results, cost, chunks[0].dtype.itemsize
+            # each member's byte total, summed per row with no Python frame
+            sizes = list(map(sum, map(map, repeat(_nbytes_of), rows)))
+            n = max(sizes)
+            cost = self.group.cost_model.all_to_all(self.group.ranks, int(n))
+            return results, cost, rows[sizes.index(n)][0].dtype.itemsize
 
         return self.group.rendezvous(
             self.global_rank, chunks, finalize, "all_to_all",
@@ -378,17 +388,9 @@ class Communicator:
         def finalize(payloads: Dict[int, Payload]):
             p = self.size
             results = {i: payloads[(i - shift) % p] for i in payloads}
-            cm = self.group.cost_model
-            seconds = 0.0
-            wire = 0
-            for i in sorted(payloads):
-                src = self.group.global_rank(i)
-                dst = self.group.global_rank((i + shift) % p)
-                c = cm.p2p(src, dst, int(payloads[i].nbytes))
-                seconds = max(seconds, c.seconds)
-                wire += c.wire_bytes
-            cost = CollectiveCost(seconds, wire)
-            return results, cost, x.dtype.itemsize
+            big = max(map(payloads.__getitem__, sorted(payloads)), key=_nbytes_of)
+            cost = self.group.cost_model.ring_pass(self.group.ranks, int(big.nbytes), shift)
+            return results, cost, big.dtype.itemsize
 
         return self.group.rendezvous(
             self.global_rank, x, finalize, "ring_pass", {"shift": shift})
@@ -399,7 +401,8 @@ class Communicator:
 
         def finalize(payloads: Dict[int, Any]):
             ordered = [payloads[i] for i in sorted(payloads)]
-            cost = self.group.cost_model.allgather(self.group.ranks, _OBJECT_NBYTES)
+            cost = OP_PRICE["all_gather_object"](
+                self.group.cost_model, self.group.ranks, 0, None)
             return {i: list(ordered) for i in payloads}, cost, 1
 
         return self.group.rendezvous(

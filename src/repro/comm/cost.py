@@ -54,6 +54,7 @@ reduce (ring)      n / bw (pipelined)            (p-1) * n
 scatter/gather     (p-1) * n_local / bw_root     (p-1) * n_local
 all_to_all         (p-1)/p * n / bw              (p-1) * n
 p2p                n / bw(a,b)                   n
+ring_pass          n / bw(slowest hop)           p * n
 =================  ============================  =======================
 
 ``algorithm="auto"`` delegates to the memoized
@@ -66,10 +67,14 @@ A :class:`CollectiveCost` is a pure function of the query, of
 ``Topology.version`` and of ``island_ratio``, so each model prices a
 distinct query once: the family costs (``_op_cost``), the selector's
 ring re-price and the direct queries (scatter/gather, all-to-all,
-barrier, p2p, host transfer) read one memo tagged with those two numbers,
-and the topology probes share it (:meth:`CostModel._retag`).  A warm round
-runs no formula and walks no link; a changed tag prices the next round
-afresh.
+barrier, p2p, ring pass, host transfer) read one memo tagged with those two
+numbers, and the topology probes share it (:meth:`CostModel._retag`).  A
+warm round runs no formula and walks no link; a changed tag prices the next
+round afresh.
+
+Every cost formula is written here once: the underscore probes say where
+link numbers come from (a subclass may override only those), and
+:data:`OP_PRICE` maps each op a communicator issues to its formula.
 """
 
 from __future__ import annotations
@@ -225,6 +230,12 @@ class CostModel:
             lat = max(lat, l)
         return bw, lat
 
+    def _path(self, src: int, dst: int) -> Tuple[float, float]:
+        """(bandwidth, latency) of the link path between two ranks; read
+        by :meth:`p2p` on a memo miss only."""
+        gpus = self.cluster.gpus
+        return self.cluster.topology.path_stats(gpus[src].name, gpus[dst].name)
+
     @_memoised
     def _islands(self, ranks: Sequence[int]) -> Tuple[Tuple[str, ...], ...]:
         """Fast-link islands of the group, as (hashable, shared) tuples."""
@@ -304,8 +315,14 @@ class CostModel:
         check_algorithm(algo)
         fn = getattr(self, f"_{algo}_{op}", None)
         if fn is None:
-            fn = getattr(self, f"_ring_{op}")
-        cost = memo[key] = fn(ranks, nbytes)
+            cost = getattr(self, f"_ring_{op}")(ranks, nbytes)
+        elif algo == "hierarchical" and len(self._islands(ranks)) < 2:
+            # one island has no bridge to cross: the flat ring, relabelled
+            ring = getattr(self, f"_ring_{op}")(ranks, nbytes)
+            cost = CollectiveCost(ring.seconds, ring.wire_bytes, algo)
+        else:
+            cost = fn(ranks, nbytes)
+        memo[key] = cost
         return cost
 
     # -- flat ring algorithms ----------------------------------------------------
@@ -406,10 +423,6 @@ class CostModel:
         so each rail only carries ``n/s`` bytes across the slow links."""
         p = len(ranks)
         islands = self._islands(ranks)
-        k = len(islands)
-        if k < 2:
-            cost = self._ring_all_reduce(ranks, nbytes)
-            return CollectiveCost(cost.seconds, cost.wire_bytes, "hierarchical")
         intra, bridge_bw, bridge_lat, k, s = self._island_phases(islands)
         shard = nbytes / s
         phases = [
@@ -436,10 +449,6 @@ class CostModel:
         """Per-rail inter-island allgather of each member's shard over the
         bridge, then intra-island allgather of the rail hauls; pipelined."""
         islands = self._islands(ranks)
-        k = len(islands)
-        if k < 2:
-            cost = self._ring_all_gather(ranks, nbytes_local)
-            return CollectiveCost(cost.seconds, cost.wire_bytes, "hierarchical")
         intra, bridge_bw, bridge_lat, k, s = self._island_phases(islands)
         su_inter, sl_inter = self._phase(
             (k - 1) * nbytes_local, k * nbytes_local, bridge_bw
@@ -471,10 +480,6 @@ class CostModel:
         inter-island reduce-scatter of the ``n/s`` shards; pipelined."""
         p = len(ranks)
         islands = self._islands(ranks)
-        k = len(islands)
-        if k < 2:
-            cost = self._ring_reduce_scatter(ranks, nbytes_in)
-            return CollectiveCost(cost.seconds, cost.wire_bytes, "hierarchical")
         intra, bridge_bw, bridge_lat, k, s = self._island_phases(islands)
         shard = nbytes_in / s
         phases = [
@@ -501,10 +506,6 @@ class CostModel:
         ring broadcasts inside every island (concurrent across islands)."""
         p = len(ranks)
         islands = self._islands(ranks)
-        k = len(islands)
-        if k < 2:
-            cost = self._ring_broadcast(ranks, nbytes)
-            return CollectiveCost(cost.seconds, cost.wire_bytes, "hierarchical")
         intra, bridge_bw, bridge_lat, k, _s = self._island_phases(islands)
         su_inter, sl_inter = self._phase(nbytes, nbytes, bridge_bw)
         phases = [self._phase(nbytes, nbytes, bw) for _sz, bw, _lat in intra]
@@ -620,12 +621,27 @@ class CostModel:
         if cost is not None:
             return cost
         _check_nbytes("p2p", nbytes)
-        a = self.cluster.gpus[src].name
-        b = self.cluster.gpus[dst].name
-        bw, lat = self.cluster.topology.path_stats(a, b)
+        bw, lat = self._path(src, dst)
         cost = memo[key] = CollectiveCost(
             self.alpha + lat + nbytes / self._eff(bw, nbytes), nbytes, "direct"
         )
+        return cost
+
+    def ring_pass(self, ranks: Sequence[int], nbytes: int,
+                  shift: int = 1) -> CollectiveCost:
+        """Every member sends ``nbytes`` to the one ``shift`` places on, all
+        at once: the slowest hop's seconds, every hop's bytes."""
+        tag, memo = self._memo
+        if tag != (self.cluster.topology.version, self.island_ratio):
+            memo = self._retag()
+        key = ("ring_pass", tuple(ranks), nbytes, shift)
+        cost = memo.get(key)
+        if cost is None:
+            _check_nbytes("ring_pass", nbytes)
+            hops = [self.p2p(r, ranks[(i + shift) % len(ranks)], nbytes)
+                    for i, r in enumerate(ranks)]
+            cost = memo[key] = CollectiveCost(
+                max([h.seconds for h in hops]), sum([h.wire_bytes for h in hops]))
         return cost
 
     def host_transfer(self, rank: int, nbytes: int) -> CollectiveCost:
@@ -652,3 +668,27 @@ def _check_nbytes(query: str, nbytes: int) -> None:
     a hit pays nothing for it."""
     if nbytes < 0:
         raise ValueError(f"{query}: cannot price a negative byte count ({nbytes})")
+
+
+#: nominal wire size charged for a control-plane object exchange
+_OBJECT_NBYTES = 64
+
+#: ``op -> (model, ranks, nbytes, algorithm) -> cost`` for the replay, the
+#: compiler and the control-plane ops (which ignore ``nbytes``); a rooted op
+#: is priced from the group's first rank
+OP_PRICE: Dict[str, Callable[
+    [CostModel, Sequence[int], int, Optional[str]], CollectiveCost]] = {
+    "all_reduce": CostModel.allreduce,
+    "all_gather": CostModel.allgather,
+    "reduce_scatter": CostModel.reduce_scatter,
+    "broadcast": CostModel.broadcast,
+    "reduce": CostModel.reduce,
+    "scatter": lambda m, ranks, n, algo: m.scatter(ranks[0], ranks, n),
+    "gather": lambda m, ranks, n, algo: m.gather(ranks[0], ranks, n),
+    "all_to_all": lambda m, ranks, n, algo: m.all_to_all(ranks, n),
+    "barrier": lambda m, ranks, n, algo: m.barrier(ranks),
+    "ring_pass": lambda m, ranks, n, algo: m.ring_pass(ranks, n),
+    "all_gather_object":
+        lambda m, ranks, n, algo: m.allgather(ranks, _OBJECT_NBYTES),
+    "split": lambda m, ranks, n, algo: CollectiveCost(m.alpha, 0),
+}

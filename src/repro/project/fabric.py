@@ -5,21 +5,24 @@ graph per member pair, which is fine at 2–64 ranks but quadratic in the
 group size — pricing a single 4096-rank all-reduce that way would dominate
 the projection budget.  A :class:`Fabric` abstracts the cluster down to the
 five numbers the cost formulas actually consume (intra/inter-node bandwidth
-and latency, node size), and :class:`ProjectedCostModel` re-implements the
-topology-probing helpers of ``CostModel`` as O(1)/O(k)-in-node-count
-closed forms **while inheriting every cost formula unchanged** — ring,
-tree and hierarchical algorithm math is byte-identical to the real model,
-so a projection priced on a :meth:`Fabric.from_cluster` of the captured
-cluster reproduces the captured costs exactly.
+and latency, node size), and :class:`ProjectedCostModel` overrides only
+``CostModel``'s link probes (``_path``, ``_ring``, ``_pairwise``,
+``_star``, ``_islands``, ``_island_phases``) with O(1)/O(k)-in-node-count
+closed forms.  Every cost formula — ring, tree and hierarchical
+collectives, p2p, ring pass, host transfer — and the memo in front of it
+are ``CostModel``'s own, and the host link is read through the cluster
+stand-in, so a projection priced on a :meth:`Fabric.from_cluster` of the
+captured cluster reproduces the captured costs exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import List, Sequence, Tuple
 
-from repro.comm.cost import CollectiveCost, CostModel
+from repro.comm.cost import CostModel
 
 
 @dataclass(frozen=True)
@@ -81,35 +84,30 @@ class Fabric:
         )
 
 
-class _FabricTopology:
-    """Minimal topology stand-in for the :class:`AlgorithmSelector` memo
-    (which only reads ``.version`` to invalidate its cache)."""
-
-    __slots__ = ("version",)
-
-    def __init__(self) -> None:
-        self.version = 0
-
-
 class _FabricCluster:
-    """What ``CostModel.__init__`` and the selector read off a cluster."""
+    """What ``CostModel`` reads off a cluster once the probes answer for
+    the link graph: the α and ramp constants, the host link, and a
+    ``topology`` whose one field is the memo tag's ``version``."""
 
     __slots__ = ("alpha", "bw_ramp_time", "topology", "fabric")
 
     def __init__(self, fabric: Fabric) -> None:
         self.alpha = fabric.alpha
         self.bw_ramp_time = fabric.bw_ramp_time
-        self.topology = _FabricTopology()
+        self.topology = SimpleNamespace(version=0)
         self.fabric = fabric
+
+    def h2d_bandwidth(self, rank: int) -> float:
+        return self.fabric.h2d_bw
 
 
 class ProjectedCostModel(CostModel):
     """A :class:`CostModel` over a :class:`Fabric` instead of a topology.
 
     Ranks are plain integers; rank ``r`` lives on node ``r // node_size``.
-    Every override below replaces a topology walk with its closed form;
-    the inherited public methods (``allreduce``, ``allgather``, …) and the
-    per-algorithm formulas are untouched.
+    Every override below is a link probe that replaces a topology walk
+    with its closed form; every public method and cost formula is
+    inherited.
     """
 
     def __init__(self, fabric: Fabric) -> None:
@@ -170,6 +168,11 @@ class ProjectedCostModel(CostModel):
                 lat = max(lat, f.inter_lat)
         return bw, lat
 
+    def _path(self, src: int, dst: int) -> Tuple[float, float]:
+        if self._node_of(src) == self._node_of(dst):
+            return self.fabric.intra_bw, self.fabric.intra_lat
+        return self.fabric.inter_bw, self.fabric.inter_lat
+
     def _islands(self, ranks: Sequence[int]) -> List[List[int]]:
         groups: dict = {}
         for r in ranks:
@@ -189,54 +192,3 @@ class ProjectedCostModel(CostModel):
         bridge_lat = k * f.inter_lat if k > 1 else f.intra_lat
         s = min(len(g) for g in islands)
         return intra, bridge_bw, bridge_lat, k, s
-
-    # -- direct-topology methods (expression-identical to CostModel) ------
-
-    def p2p(self, src: int, dst: int, nbytes: int) -> CollectiveCost:
-        if nbytes == 0 or src == dst:
-            return CollectiveCost(0.0, 0)
-        f = self.fabric
-        if self._node_of(src) == self._node_of(dst):
-            bw, lat = f.intra_bw, f.intra_lat
-        else:
-            bw, lat = f.inter_bw, f.inter_lat
-        return CollectiveCost(
-            self.alpha + lat + nbytes / self._eff(bw, nbytes), nbytes, "direct"
-        )
-
-    def ring_pass(self, ranks: Sequence[int], nbytes: int) -> CollectiveCost:
-        """One simultaneous neighbour shift around the ring: every rank
-        sends ``nbytes`` to its successor, so the round takes as long as
-        the slowest hop and moves ``p * nbytes`` on the wire.  On a
-        two-level fabric all intra-node hops cost the same and all
-        inter-node hops cost the same, so instead of pricing ``p``
-        point-to-point transfers we price one of each kind that occurs —
-        bitwise what the per-hop maximum would compute."""
-        p = len(ranks)
-        if p < 2 or nbytes == 0:
-            return CollectiveCost(0.0, 0)
-        has_intra = has_inter = False
-        for i in range(p):
-            if self._node_of(ranks[i]) == self._node_of(ranks[(i + 1) % p]):
-                has_intra = True
-            else:
-                has_inter = True
-            if has_intra and has_inter:
-                break
-        f = self.fabric
-        seconds = 0.0
-        if has_intra:
-            seconds = max(seconds, self.alpha + f.intra_lat
-                          + nbytes / self._eff(f.intra_bw, nbytes))
-        if has_inter:
-            seconds = max(seconds, self.alpha + f.inter_lat
-                          + nbytes / self._eff(f.inter_bw, nbytes))
-        return CollectiveCost(seconds, p * nbytes)  # "ring", as Communicator.ring_pass
-
-    def host_transfer(self, rank: int, nbytes: int) -> CollectiveCost:
-        if nbytes == 0:
-            return CollectiveCost(0.0, 0)
-        bw = self.fabric.h2d_bw
-        return CollectiveCost(
-            self.alpha + nbytes / self._eff(bw, nbytes), nbytes, "direct"
-        )

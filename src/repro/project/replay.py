@@ -17,22 +17,24 @@ Costs come from a pluggable pricer:
 
 * :class:`RecordedPricer` — return the captured costs unchanged (fidelity
   mode, used by the parity tests);
-* :class:`ModelPricer` — re-price every op through a
-  :class:`~repro.project.fabric.ProjectedCostModel`, widening the named
-  axes of a :class:`ScalePlan` (``axes={"dp": 8, "tp": 2, "pp": 2}``): a
-  captured group is widened by the product of the factors of every axis it
-  lies along and replicated by the product of the factors of every axis it
-  does not — this is what projects a 16-rank hybrid capture to the paper's
-  512-GPU DP x TP x PP grids.
+* :class:`ModelPricer` — re-price every op through
+  :data:`~repro.comm.cost.OP_PRICE`, the op table next to the run's cost
+  formulas, on a :class:`~repro.project.fabric.ProjectedCostModel`,
+  widening the named axes of a :class:`ScalePlan`
+  (``axes={"dp": 8, "tp": 2, "pp": 2}``): a captured group is widened by
+  the product of the factors of every axis it lies along and replicated by
+  the product of the factors of every axis it does not — this is what
+  projects a 16-rank hybrid capture to the paper's 512-GPU DP x TP x PP
+  grids.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.comm.cost import CollectiveCost
+from repro.comm.cost import OP_PRICE, CollectiveCost
 from repro.comm.counters import CommCounters
 from repro.comm.timeline import GroupTimeline, Round
 from repro.runtime.clock import SimClock, StreamClock
@@ -45,28 +47,6 @@ from repro.project.fabric import Fabric, ProjectedCostModel
 #: its captured payload (a DP all-reduce moves the same gradient bytes at
 #: any world size)
 DEFAULT_SCALING: frozenset = frozenset({"all_gather", "scatter"})
-
-#: how model mode prices each collective op the communicator can record:
-#: ``op -> (fabric cost model, projected ranks, byte argument, algorithm)
-#: -> cost``.  Rooted ops are priced from the group's first rank, and the
-#: control-plane ops ignore the byte argument (``_OBJECT_NBYTES`` is 64).
-_MODEL_PRICE: Dict[str, Callable[
-    [ProjectedCostModel, Sequence[int], int, str], CollectiveCost]] = {
-    "all_reduce": lambda m, ranks, n, algo: m.allreduce(ranks, n, algo),
-    "all_gather": lambda m, ranks, n, algo: m.allgather(ranks, n, algo),
-    "reduce_scatter":
-        lambda m, ranks, n, algo: m.reduce_scatter(ranks, n, algo),
-    "broadcast": lambda m, ranks, n, algo: m.broadcast(ranks, n, algo),
-    "reduce": lambda m, ranks, n, algo: m.reduce(ranks, n, algo),
-    "scatter": lambda m, ranks, n, algo: m.scatter(ranks[0], ranks, n),
-    "gather": lambda m, ranks, n, algo: m.gather(ranks[0], ranks, n),
-    "all_to_all": lambda m, ranks, n, algo: m.all_to_all(ranks, n),
-    "barrier": lambda m, ranks, n, algo: m.barrier(ranks),
-    "all_gather_object": lambda m, ranks, n, algo: m.allgather(ranks, 64),
-    "split": lambda m, ranks, n, algo: CollectiveCost(m.alpha, 0),
-    "ring_pass": lambda m, ranks, n, algo: m.ring_pass(ranks, n),
-}
-
 
 class ReplayStall(RuntimeError):
     """No rank can make progress but streams remain — a truncated or
@@ -290,31 +270,25 @@ class ModelPricer:
                 m *= ax.factor
         return m
 
-    def _recorded_arg(self, op: str, rnd: Dict[str, Any]) -> int:
-        """Reconstruct the byte argument the group fed the cost model from
-        the recorded per-rank payload sizes."""
+    def collective(self, gid: int, rnd: Dict[str, Any]) -> CollectiveCost:
+        """Price a captured round through :data:`~repro.comm.cost.OP_PRICE`
+        at the byte argument the run priced it at: the largest member
+        payload (the root's, for a rooted op), and for ``scatter`` the
+        per-member chunk of it."""
+        op = str(rnd["op"])
         ns = rnd.get("nbytes") or [0]
         n = max(ns)
         if op == "scatter":
-            # the group prices scatter on the per-member chunk of the
-            # root's concatenated payload
-            return n // max(len(ns), 1)
-        if op == "all_gather_object":
-            return 64  # _OBJECT_NBYTES
-        return n
-
-    def collective(self, gid: int, rnd: Dict[str, Any]) -> CollectiveCost:
-        op = str(rnd["op"])
-        n = self._recorded_arg(op, rnd)
+            n //= len(ns)
         key = (gid, op, n)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        price = _MODEL_PRICE.get(op)
+        price = OP_PRICE.get(op)
         if price is None:
             raise ReplayStall(
                 f"model mode cannot price captured op {op!r}; "
-                f"known ops: {sorted(_MODEL_PRICE)}"
+                f"known ops: {sorted(OP_PRICE)}"
             )
         ranks = self.trace.groups[gid]
         ranks2 = self.group_ranks(gid)

@@ -298,7 +298,7 @@ class ServeEngine:
                     if group is not None:
                         x = SpecArray((plan.new_tokens, wire_elems), "float16")
                         group.drive_round(
-                            [x] * tp, partial(all_reduce_finalize, group, x, "sum"),
+                            [x] * tp, partial(all_reduce_finalize, group, "sum"),
                             "all_reduce", _SUM)
         finally:
             for memory in held:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.cluster import system_i, system_ii, system_iii, system_iv, uniform_cluster
 from repro.comm.algorithms import ALGORITHMS, SELECTABLE_OPS
 from repro.comm.cost import CostModel
+from repro.project.fabric import Fabric, ProjectedCostModel
 from repro.utils.units import GB, KB, MB
 
 
@@ -402,9 +403,20 @@ class TestMemoisedPricing:
         lambda cm: cm.all_to_all(range(8), -48),
         lambda cm: cm.p2p(0, 1, -48),
         lambda cm: cm.host_transfer(0, -48),
+        lambda cm: cm.ring_pass(range(4), -48),
     ])
     def test_negative_byte_count_rejected(self, query):
-        cm = CostModel(system_ii())
-        with pytest.raises(ValueError, match="negative byte count"):
-            query(cm)
-        assert cm.selector.misses == 0
+        for cm in (CostModel(system_ii()), ProjectedCostModel(Fabric.uniform())):
+            with pytest.raises(ValueError, match="negative byte count"):
+                query(cm)
+            assert cm.selector.misses == 0
+
+    def test_projected_model_overrides_link_probes_only(self):
+        """The fabric model answers where link numbers come from and
+        nothing else: a formula copied into it would drift from the
+        cluster model's (negative byte counts once priced there)."""
+        own = {name for name in vars(ProjectedCostModel)
+               if not name.startswith("__")} - {"_node_of"}
+        assert own, "nothing overridden"
+        for name in own:
+            assert name.startswith("_") and hasattr(CostModel, name), name

@@ -20,6 +20,8 @@ fabric bandwidth, and projected all-reduce volume matching the Table-1
 ``2(p-1)·S_X`` closed form at every projected scale.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -424,6 +426,38 @@ class TestModelModeRepricing:
         cluster = uniform_cluster(4)
         assert (ProjectedCostModel(Fabric.from_cluster(cluster)).host_transfer(0, 1 << 20)
                 == CostModel(cluster).host_transfer(0, 1 << 20))
+
+    @pytest.mark.parametrize("op", [
+        "all_gather", "gather", "all_to_all", "ring_pass",
+        "all_reduce", "reduce_scatter", "reduce",
+    ])
+    def test_round_priced_whoever_arrives_last(self, op):
+        """Rank r sends (r+1)*4096 fp32 (a reduction: 4096, odd ranks fp16)
+        and one rank arrives 20 ms late: the round is priced and counted at
+        its largest member, so the run (which the recorded replay equals)
+        reads the same whichever rank finalizes it, and so does model mode."""
+        def prog(late):
+            def fn(ctx):
+                r = ctx.rank
+                if op.startswith(("all_reduce", "reduce")):
+                    x = np.ones(4096, np.float16 if r % 2 else np.float32)
+                else:
+                    x = np.ones((r + 1) * 4096, np.float32)
+                if r == late:
+                    time.sleep(0.02)
+                comm = Communicator.world(ctx)
+                getattr(comm, op)([x] * 4 if op == "all_to_all" else x)
+            return fn
+
+        seen = set()
+        for late in range(4):
+            _, trace = capture_run(uniform_cluster(4), prog(late), world_size=4)
+            rec, model = (project(trace, mode=m) for m in ("recorded", "model"))
+            facts = (rec.step_time, rec.wire_bytes_total, rec.wire_elements_total)
+            assert facts == (model.step_time, model.wire_bytes_total,
+                             model.wire_elements_total), late
+            seen.add(facts)
+        assert len(seen) == 1, seen
 
     def test_recorded_mode_rejects_scaling(self):
         trace, _, _, _ = _capture_pair(lambda: uniform_cluster(2), 2, _tp1d_prog(2))
