@@ -11,7 +11,6 @@ clock.
 from repro.autograd.function import (
     FnCtx,
     Function,
-    Node,
     grad_enabled,
     no_grad,
 )
@@ -23,7 +22,6 @@ from repro.autograd.grad_check import gradcheck
 __all__ = [
     "FnCtx",
     "Function",
-    "Node",
     "grad_enabled",
     "no_grad",
     "backward",

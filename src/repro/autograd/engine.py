@@ -17,19 +17,19 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.autograd.function import Node
+from repro.autograd.function import FnCtx
 from repro.autograd.payload_ops import padd, pones_like, pzeros
 from repro.comm.payload import DTYPE_NAMES, Payload, SpecArray
 from repro.runtime.spmd import rank_context
 from repro.tensor.tensor import Tensor
 
 
-def _topo_order(root: Node) -> List[Node]:
+def _topo_order(root: FnCtx) -> List[FnCtx]:
     """Nodes in an order where every node precedes the producers of its
     inputs (i.e. reverse topological for the forward graph)."""
-    order: List[Node] = []
+    order: List[FnCtx] = []
     seen = set()
-    stack: List[Tuple[Node, bool]] = [(root, False)]
+    stack: List[Tuple[FnCtx, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -80,8 +80,7 @@ def backward(root: Tensor, grad: Optional[Tensor] = None) -> None:
     grads: Dict[int, Payload] = {id(root): seed}
 
     for node in _topo_order(root.grad_fn):
-        ctx = node.ctx
-        plan = ctx.plan
+        plan = node.plan
         # with a plan, backward is a function of the out-gradient specs
         gkey: Optional[list] = None if plan is None else []
         out_grads: List[Optional[Payload]] = []
@@ -106,7 +105,7 @@ def backward(root: Tensor, grad: Optional[Tensor] = None) -> None:
                 else:
                     gkey = None
         if live is None:
-            ctx.release()
+            node.__dict__.clear()  # drop saved activations and stashes
             continue
 
         in_grads = None
@@ -114,7 +113,7 @@ def backward(root: Tensor, grad: Optional[Tensor] = None) -> None:
             gkey = tuple(gkey)
             in_grads = plan.grads.get(gkey)
         if in_grads is None:
-            in_grads = node.fn_cls.backward(ctx, *out_grads)
+            in_grads = node.fn_cls.backward(node, *out_grads)
             if not isinstance(in_grads, tuple):
                 in_grads = (in_grads,)
             if gkey is not None:
@@ -123,12 +122,12 @@ def backward(root: Tensor, grad: Optional[Tensor] = None) -> None:
                         break
                 else:
                     plan.grads[gkey] = in_grads
-        bflops = ctx.backward_flops
+        bflops = node.backward_flops
         if bflops is None:
-            bflops = ctx.flops
+            bflops = node.flops
         if bflops > 0 and rc is not None:
             if cap is not None:
-                cap.note_op(rank, f"{node.name}Backward")
+                cap.note_op(rank, f"{node.fn_cls.__name__}Backward")
             dtype = live.payload.dtype
             name = DTYPE_NAMES.get(dtype)
             if name is None:
@@ -165,7 +164,7 @@ def backward(root: Tensor, grad: Optional[Tensor] = None) -> None:
                 # — ``prev`` stands (as in ``_accumulate_leaf``)
 
         # free this node's state: saved activations
-        ctx.release()
+        node.__dict__.clear()
 
 
 Tensor.backward = backward

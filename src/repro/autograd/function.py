@@ -1,11 +1,12 @@
-"""Function/Node machinery for reverse-mode autodiff.
+"""Function/context machinery for reverse-mode autodiff.
 
 A :class:`Function` subclass implements ``forward(ctx, *tensors, **params)``
 returning a payload (or tuple of payloads) and ``backward(ctx, *out_grads)``
 returning per-input payload gradients.  ``Function.apply`` wires the call
 into the graph, wraps outputs in Tensors, and charges the op's FLOPs to the
 calling rank's simulated clock (forward now, backward when the engine runs
-the node).
+the node).  The op's :class:`FnCtx` is its graph node: an output's
+``grad_fn`` is the context its ``forward`` saved into.
 
 One op is one dispatch: ``apply`` reads the thread's rank context once and
 hands the device, clock and capture recorder down from there (DESIGN.md,
@@ -48,12 +49,18 @@ class no_grad:
 
 
 class FnCtx:
-    """Per-call context: saved tensors for backward + arbitrary attributes.
+    """Per-call context and, for an op that needs a gradient, its graph
+    node: saved tensors and arbitrary attributes in ``__dict__``, and the
+    graph links in slots — ``fn_cls``, ``inputs`` (one entry per
+    positional argument: the Tensor, or None) and ``outputs`` (weakrefs:
+    the graph must not keep outputs alive, their consumers do).
 
-    ``release()`` drops saved tensors; the engine calls it as soon as a
-    node's backward has run so activation memory is returned eagerly —
-    this is what makes simulated peak memory faithful.
+    The engine clears ``__dict__`` as soon as the node's backward has run
+    so activation memory is returned eagerly — this is what makes
+    simulated peak memory faithful.
     """
+
+    __slots__ = ("fn_cls", "inputs", "outputs", "__dict__")
 
     # class-level defaults: a context that saves nothing costs no __init__
     saved_tensors: Tuple[Tensor, ...] = ()
@@ -65,9 +72,12 @@ class FnCtx:
     def save_for_backward(self, *tensors: Tensor) -> None:
         self.saved_tensors = tensors
 
-    def release(self) -> None:
-        # drop saved tensors and any payloads stashed as attributes
-        self.__dict__.clear()
+    @property
+    def name(self) -> str:
+        return self.fn_cls.__name__
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"FnCtx({self.name})"
 
 
 class OpPlan:
@@ -162,36 +172,6 @@ def _record_plan(
                 return UNPLANNABLE
             attrs[name] = v
     return OpPlan(tuple(payloads), multi, attrs, tuple(saved))
-
-
-class Node:
-    """One executed op in the graph."""
-
-    __slots__ = ("fn_cls", "ctx", "inputs", "outputs", "__weakref__")
-
-    def __init__(
-        self,
-        fn_cls: type,
-        ctx: FnCtx,
-        inputs: Sequence[Optional[Tensor]],
-        outputs: Sequence[Tensor],
-    ) -> None:
-        self.fn_cls = fn_cls
-        self.ctx = ctx
-        #: one entry per positional argument: the Tensor, or None
-        self.inputs = inputs
-        # weakrefs: the graph must not keep outputs alive (their consumers do)
-        self.outputs = refs = []
-        for t in outputs:
-            refs.append(weakref.ref(t))
-            t.grad_fn = self
-
-    @property
-    def name(self) -> str:
-        return self.fn_cls.__name__
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Node({self.name})"
 
 
 class Function:
@@ -328,6 +308,11 @@ class Function:
             outputs.append(
                 Tensor._wrap(p, device, materialize, storage, needs_grad, tag)
             )
-        if needs_grad:
-            Node(cls, fnctx, inputs, outputs)
+        if needs_grad:  # the context becomes the op's graph node
+            fnctx.fn_cls = cls
+            fnctx.inputs = inputs
+            fnctx.outputs = refs = []
+            for t in outputs:
+                refs.append(weakref.ref(t))
+                t.grad_fn = fnctx
         return tuple(outputs) if multi else outputs[0]

@@ -10,7 +10,8 @@ A :class:`Device` models one accelerator (or a host CPU) with
   used by the simulated clock to charge compute time.
 
 Memory accounting is exact in both materialized and spec execution modes:
-tensor storages register/unregister with the pool of the device they live on.
+a :class:`Storage` charges the pool of the device it lives on when it is
+created and returns the bytes when it is released or dropped.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.utils.units import GB, format_bytes
 
@@ -48,7 +49,9 @@ class MemoryPool:
     Thread-safe: in SPMD execution multiple rank threads may touch the CPU
     pool concurrently.  Allocations are tagged so peak memory can be broken
     down into model data vs non-model data, mirroring the paper's
-    terminology (§1).
+    terminology (§1).  Bytes enter and leave the ledger only through a
+    :class:`Storage`; :meth:`reset` starts a new ledger generation, and a
+    storage born in an older one returns nothing to it.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -59,6 +62,7 @@ class MemoryPool:
         self._allocated = 0
         self._peak = 0
         self._by_tag: Dict[str, int] = {}
+        self._generation = 0
 
     @property
     def allocated(self) -> int:
@@ -77,41 +81,67 @@ class MemoryPool:
         with self._lock:
             return dict(self._by_tag)
 
-    def alloc(self, nbytes: int, tag: str = "untagged", owner: Optional["Device"] = None) -> None:
-        if nbytes < 0:
-            raise ValueError(f"negative allocation: {nbytes}")
-        with self._lock:
-            if self._allocated + nbytes > self.capacity:
-                raise DeviceOutOfMemoryError(owner or _anonymous_device(self), nbytes)
-            self._allocated += nbytes
-            self._by_tag[tag] = self._by_tag.get(tag, 0) + nbytes
-            if self._allocated > self._peak:
-                self._peak = self._allocated
-
-    def free_bytes(self, nbytes: int, tag: str = "untagged") -> None:
-        with self._lock:
-            self._allocated -= nbytes
-            self._by_tag[tag] = self._by_tag.get(tag, 0) - nbytes
-            if self._allocated < 0:
-                raise RuntimeError(
-                    f"memory pool underflow: freed more than allocated (tag={tag})"
-                )
-
-    def can_alloc(self, nbytes: int) -> bool:
-        with self._lock:
-            return self._allocated + nbytes <= self.capacity
-
     def reset_peak(self) -> None:
         with self._lock:
             self._peak = self._allocated
 
+    def reset(self) -> None:
+        """Empty the ledger (between experiments).  Storages still alive
+        keep their bytes out of the new ledger: releasing one later
+        returns nothing."""
+        with self._lock:
+            self._generation += 1
+            self._allocated = 0
+            self._peak = 0
+            self._by_tag.clear()
 
-def _anonymous_device(pool: MemoryPool) -> "Device":
-    dev = Device.__new__(Device)
-    dev.name = "<unbound-pool>"
-    dev.kind = DeviceKind.GPU
-    dev.memory = pool
-    return dev
+
+class Storage:
+    """A reference-counted byte allocation on one device: the pool's
+    ledger entry.
+
+    Creating one charges the pool, under its lock, and raises
+    :class:`DeviceOutOfMemoryError` naming ``device`` when the bytes do not
+    fit.  The bytes go back exactly once: on :meth:`release` or when the
+    last reference drops, whichever comes first.  ``alive`` is set only
+    after the charge succeeded, so an allocation that raised has nothing
+    to return; one born before a :meth:`MemoryPool.reset` has nothing to
+    return either.
+    """
+
+    __slots__ = ("device", "nbytes", "tag", "alive", "generation")
+
+    def __init__(self, device: "Device", nbytes: int, tag: str = "activation") -> None:
+        self.alive = False
+        self.device = device
+        self.nbytes = nbytes = int(nbytes)
+        self.tag = tag
+        if nbytes < 0:
+            raise ValueError(f"negative allocation: {nbytes}")
+        pool = device.memory
+        with pool._lock:
+            allocated = pool._allocated + nbytes
+            if allocated > pool.capacity:
+                raise DeviceOutOfMemoryError(device, nbytes)
+            pool._allocated = allocated
+            by_tag = pool._by_tag
+            by_tag[tag] = by_tag.get(tag, 0) + nbytes
+            if allocated > pool._peak:
+                pool._peak = allocated
+            self.generation = pool._generation
+        self.alive = True
+
+    def release(self) -> None:
+        """Return the bytes to the pool now (idempotent)."""
+        if self.alive:
+            self.alive = False
+            pool = self.device.memory
+            with pool._lock:
+                if self.generation == pool._generation:
+                    pool._allocated -= self.nbytes
+                    pool._by_tag[self.tag] -= self.nbytes
+
+    __del__ = release
 
 
 @dataclass

@@ -70,9 +70,7 @@ class ClusterSpec:
     def reset(self) -> None:
         """Reset every memory pool (between experiments)."""
         for dev in self.gpus + self.cpus:
-            dev.memory._allocated = 0
-            dev.memory._peak = 0
-            dev.memory._by_tag.clear()
+            dev.memory.reset()
 
 
 def _attach_hosts(

@@ -34,7 +34,7 @@ from functools import partial
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.cluster.device import DeviceOutOfMemoryError
+from repro.cluster.device import DeviceOutOfMemoryError, Storage
 from repro.comm.communicator import all_reduce_finalize
 from repro.comm.payload import SpecArray
 from repro.runtime.errors import (
@@ -274,11 +274,10 @@ class ServeEngine:
         try:
             for rank, device in enumerate(devices):
                 try:
-                    device.memory.alloc(arena_bytes, tag=_KV_TAG)
+                    held.append(Storage(device, arena_bytes, _KV_TAG))
                 except DeviceOutOfMemoryError as exc:
                     runtime.signal_failure(rank, exc)
                     raise
-                held.append(device.memory)
             prices = [model.step_pricer(device, tp) for device in devices]
             group = runtime.world_group if tp > 1 else None
             wire_elems = model.wire_elems_per_token()
@@ -301,8 +300,8 @@ class ServeEngine:
                             [x] * tp, partial(all_reduce_finalize, group, "sum"),
                             "all_reduce", _SUM)
         finally:
-            for memory in held:
-                memory.free_bytes(arena_bytes, tag=_KV_TAG)
+            for arena in held:
+                arena.release()
 
 
 def serve_traffic(model: ModelSpec, traffic: Any, *,

@@ -1,4 +1,4 @@
-"""Tensor and Storage.
+"""Tensor, over a :class:`~repro.cluster.device.Storage`.
 
 Storage lifetime drives memory accounting: creating a storage registers its
 bytes with the owning device's pool (raising
@@ -16,7 +16,7 @@ from typing import Any, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.cluster.device import Device, DeviceKind
+from repro.cluster.device import Device, DeviceKind, Storage
 from repro.comm.payload import Payload, SpecArray, is_spec
 from repro.runtime.spmd import rank_context
 from repro.utils.units import GB
@@ -50,34 +50,6 @@ def set_default_device(device: Optional[Device]) -> None:
     global _fallback_device
     with _fallback_lock:
         _fallback_device = device
-
-
-class Storage:
-    """A reference-counted byte allocation on one device.
-
-    The bytes go back to the pool exactly once: on :meth:`release` or when
-    the last reference drops, whichever comes first.  ``alive`` is set only
-    after ``alloc`` succeeded, so an allocation that raised out-of-memory
-    has nothing to return.
-    """
-
-    __slots__ = ("device", "nbytes", "tag", "alive")
-
-    def __init__(self, device: Device, nbytes: int, tag: str = "activation") -> None:
-        self.alive = False
-        self.device = device
-        self.nbytes = nbytes = int(nbytes)
-        self.tag = tag
-        device.memory.alloc(nbytes, tag, owner=device)
-        self.alive = True
-
-    def release(self) -> None:
-        """Return the bytes to the pool now (idempotent)."""
-        if self.alive:
-            self.alive = False
-            self.device.memory.free_bytes(self.nbytes, self.tag)
-
-    __del__ = release
 
 
 def _as_payload(
@@ -154,7 +126,7 @@ class Tensor:
             self.storage = Storage(device, self.payload.nbytes, tag)
         self.requires_grad = requires_grad
         self.grad: Optional[Tensor] = None
-        self.grad_fn: Optional[Any] = None  # repro.autograd.function.Node
+        self.grad_fn: Optional[Any] = None  # the FnCtx of the op that made it
         # called with this tensor after every leaf-gradient accumulation
         # (DDP overlap uses it to flush ready buckets during backward)
         self.grad_hook: Optional[Any] = None

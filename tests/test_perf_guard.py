@@ -51,7 +51,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.autograd import checkpoint, ops
+from repro.autograd import FnCtx, Function, checkpoint, ops
 from repro.cluster import uniform_cluster
 from repro.cluster.device import Device, DeviceKind, DeviceOutOfMemoryError
 from repro.comm import Communicator, SpecArray
@@ -685,10 +685,12 @@ def _counted_spec_step(world=2, layers=2, hidden=64, heads=4, warm=False):
 class TestSpecDispatchCost:
     #: calls into src/repro per ``Function.apply`` over the whole step —
     #: forward, recompute, backward, bucket all-reduces — on a cold op-plan
-    #: table.  Reads 16.7 (14.7 warm); 25.3 when every dispatch ran its
-    #: own shape inference, 66.7 before the per-helper context lookups,
-    #: generator frames and property chains went
-    CALLS_PER_OP = 20.0
+    #: table.  Reads 13.9 (11.9 warm); 16.5 while each graph op also built
+    #: a ``Node`` and each storage went through ``MemoryPool.alloc`` /
+    #: ``free_bytes``, 25.3 when every dispatch ran its own shape
+    #: inference, 66.7 before the per-helper context lookups, generator
+    #: frames and property chains went
+    CALLS_PER_OP = 16.7
     #: calls into ``payload_ops`` per distinct op signature over a warm
     #: step.  Reads 2 calls for 23 signatures: each rank's ``ones_like``
     #: seed
@@ -753,7 +755,52 @@ class TestSpecDispatchCost:
         monkeypatch.setattr(weakref.finalize, "__init__", counting_init)
         calls, _, _ = _counted_spec_step()
         assert created == []
-        assert calls["tensor/tensor.py:Storage.release"] > 0
+        assert calls["cluster/device.py:Storage.release"] > 0
+
+    def test_bytes_enter_a_pool_only_through_storage(self, counted):
+        """Across the step the only frames in ``cluster/device.py`` are a
+        storage's two: its constructor charges the pool inline and its
+        release returns the bytes inline."""
+        calls, _, _ = counted
+        frames = {k for k in calls if k.startswith("cluster/device.py:")}
+        assert frames == {"cluster/device.py:Storage.__init__",
+                          "cluster/device.py:Storage.release"}
+
+    def test_storage_lifetime_costs_two_frames(self):
+        """Allocation to last reference: the constructor and ``release``."""
+        dev = Device("gpu", DeviceKind.GPU, memory_capacity=1024)
+        counter = _repro_counter()
+        with counter.this_thread():
+            st = Storage(dev, 64, "activation")
+            del st
+        assert counter.total() == {"cluster/device.py:Storage.__init__": 1,
+                                   "cluster/device.py:Storage.release": 1}
+        assert dev.memory.allocated == 0
+
+    def test_op_with_a_gradient_is_one_object(self, counted):
+        """The op's context is its graph node: an output's ``grad_fn`` is
+        the very ``FnCtx`` its ``forward`` filled, and a dispatch runs no
+        constructor of its own beyond a cold signature's ``OpPlan``."""
+        calls, _, signatures = counted
+        built = {k for k in calls if k.startswith("autograd/function.py:")
+                 and k.endswith(".__init__")}
+        assert built <= {"autograd/function.py:OpPlan.__init__"}
+        assert calls["autograd/function.py:OpPlan.__init__"] <= signatures
+
+        seen = []
+
+        class Probe(Function):
+            @staticmethod
+            def forward(ctx, x):
+                seen.append(ctx)
+                return x.payload
+
+        x = Tensor(np.ones(3, np.float32), requires_grad=True)
+        y = Probe.apply(x)
+        node = y.grad_fn
+        assert type(node) is FnCtx and node is seen[0]
+        assert node.name == "Probe" and node.inputs[0] is x
+        assert node.outputs[0]() is y
 
 
 class TestStorageLifetime:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.device import MemoryPool
+from repro.cluster.device import Device, DeviceKind, Storage
 from repro.comm.payload import SpecArray
 from repro.parallel.pipeline.partition import partition_balanced, partition_uniform
 from repro.tensor.sharding import ShardSpec
@@ -124,27 +124,46 @@ class TestPartitionProperties:
 class TestMemoryPoolProperties:
     @given(
         ops=st.lists(
-            st.tuples(st.sampled_from(["alloc", "free"]), st.integers(1, 1000)),
+            st.tuples(st.sampled_from(["alloc", "free", "release", "drop", "reset"]),
+                      st.integers(1, 1000)),
             max_size=40,
         )
     )
     @fast
     def test_accounting_invariants(self, ops):
-        pool = MemoryPool(10_000)
-        live = []
+        """Storage handles against a model ledger: an allocation charges,
+        a free (explicit release of the newest handle, then its drop), a
+        release of the oldest handle kept alive, a drop of the last
+        reference and a reset with handles alive — a handle born before
+        the reset returns nothing."""
+        dev = Device("gpu", DeviceKind.GPU, memory_capacity=10_000)
+        pool = dev.memory
+        live, stale = [], []  # handles in the ledger / out of it but still held
         for kind, size in ops:
             if kind == "alloc":
                 try:
-                    pool.alloc(size)
-                    live.append(size)
+                    live.append(Storage(dev, size))
                 except MemoryError:
-                    assert sum(live) + size > 10_000
-            elif live:
-                sz = live.pop()
-                pool.free_bytes(sz)
-            assert pool.allocated == sum(live)
+                    assert sum(s.nbytes for s in live) + size > 10_000
+            elif kind == "free" and live:
+                live.pop().release()
+            elif kind == "release" and live:
+                handle = live.pop(0)
+                handle.release()
+                stale.append(handle)
+            elif kind == "drop" and live:
+                del live[size % len(live)]
+            elif kind == "reset":
+                pool.reset()
+                stale.extend(live)
+                live.clear()
+                assert pool.peak == 0
+            if stale and size % 2:
+                del stale[0]  # a stale handle's drop returns nothing
+            assert pool.allocated == sum(s.nbytes for s in live)
             assert 0 <= pool.allocated <= pool.capacity
             assert pool.peak >= pool.allocated
+            assert sum(pool.breakdown().values()) == pool.allocated
 
 
 class TestCollectiveProperties:

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.cluster import uniform_cluster
-from repro.cluster.device import DeviceOutOfMemoryError
+from repro.cluster.device import DeviceOutOfMemoryError, Storage
 from repro.faults import FaultPlan
 from repro.runtime import SpmdRuntime
 from repro.runtime.errors import (
@@ -596,12 +596,12 @@ class TestServingFailurePaths:
         rank 1 before its first turn, and rank 0's arena is returned."""
         rt, serve = self._serve(2, None, kv_blocks=32, block_size=4)
         arena = 32 * 4 * SMALL_MODEL.kv_bytes_per_token(2)
-        memory = rt.cluster.device(1).memory
-        filler = memory.free - arena // 2
-        memory.alloc(filler, tag="filler")
+        device = rt.cluster.device(1)
+        filler = Storage(device, device.memory.free - arena // 2, "filler")
         with pytest.raises(RemoteRankError) as exc:
             serve()
         assert exc.value.rank == 1
         assert isinstance(exc.value.cause, DeviceOutOfMemoryError)
-        memory.free_bytes(filler, tag="filler")
+        assert "gpu1" in str(exc.value.cause)
+        filler.release()
         _assert_clean(rt)

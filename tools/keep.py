@@ -27,7 +27,7 @@ KEEP: dict[str, str] = {
     "repro.nn.layers.Dropout": "§2 inventory",
     "repro.nn.loss.MSELoss": "§2 inventory: losses",
     "repro.tensor": "§2 inventory: Tensor.data / release, sharding descriptors; tests bind a Device outside a run",
-    "repro.cluster.device": "§2 inventory: memory pools (breakdown / can_alloc / reset_peak)",
+    "repro.cluster.device": "§2 inventory: memory pools (breakdown / reset_peak)",
     "repro.cluster.topology.Topology": "§4b link degradation; link-graph introspection",
     "repro.comm.communicator": "§2 inventory: scatter / gather / isend / irecv / object gather, request handles",
     "repro.comm.cost.CostModel": "prices the rooted collectives above",
