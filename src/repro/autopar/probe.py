@@ -10,10 +10,10 @@ records the analytic stage prices (:mod:`repro.autopar.scoring`).
 Because the probe runs on the ordinary threaded runtime, it can be
 captured (:func:`repro.project.capture_run`) and replayed in recorded mode
 bit-for-bit — so the compiler's refined step time *is* the simulator's
-step time for the skeleton, exactly.  GPipe and 1F1B produce the same
-skeleton op stream (same per-microbatch work, same boundary traffic, same
-bubble); they differ in *live activation memory*, which the compiler
-accounts analytically.
+step time for the skeleton, exactly.  Each stage walks the candidate's
+schedule order (``pipeline_order``, as the training executor does), so
+GPipe and 1F1B probe different step times; live activation memory is
+accounted analytically.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from repro.autopar.search import StrategyCandidate, Workload
 from repro.comm.payload import SpecArray
 from repro.config import Config
 from repro.context.parallel_context import ParallelContext, ParallelMode
+from repro.parallel.pipeline.schedule import pipeline_order
 
 def _payload(nbytes: int, parts: int = 1) -> SpecArray:
     """A spec-mode float32 payload of ~``nbytes``, padded so axis 0 splits
@@ -68,6 +69,10 @@ def build_probe(
         fwd = [(pc.comm(op.group), op.nbytes) for op in ops if op.phase == "fwd"]
         bwd = [(pc.comm(op.group), op.nbytes) for op in ops if op.phase == "bwd"]
         pipe = pc.comm(ParallelMode.PIPELINE) if cand.pipeline > 1 else None
+        # the neighbour stages this rank receives from / sends to, if any
+        stage = pc.pp_rank
+        prev = stage - 1 if pipe is not None and stage > 0 else None
+        nxt = stage + 1 if pipe is not None and stage < cand.pipeline - 1 else None
         dp = pc.comm(ParallelMode.DATA) if cand.data > 1 else None
         d = cand.data
 
@@ -92,29 +97,29 @@ def build_probe(
 
         for op in pre_fwd:
             dp_blocking(op)
-        # forward pass over microbatches
-        for mi in range(m):
-            if pipe is not None and not pc.is_first_pipeline_stage():
-                pipe.recv(pc.pp_rank - 1, tag=("act", mi))
-            ctx.clock.advance(fwd_micro, "compute")
-            run_tp(fwd)
-            if pipe is not None and not pc.is_last_pipeline_stage():
-                pipe.send(_payload(boundary), pc.pp_rank + 1, tag=("act", mi))
-        for op in pre_bwd:
-            dp_blocking(op)
-        # backward pass; with overlap, gradient sync is bucketed per
-        # microbatch and issued nonblocking as each bucket's grads are
-        # ready (the PR-5 hook-driven DDP idiom), hiding behind the
-        # remaining backward compute
+        # one walk of the stage's schedule order; with overlap, gradient
+        # sync is bucketed per microbatch and issued nonblocking as each
+        # bucket's grads are ready (the hook-driven DDP idiom), hiding
+        # behind the remaining backward compute
         handles = []
-        for mi in range(m):
-            if pipe is not None and not pc.is_last_pipeline_stage():
-                pipe.recv(pc.pp_rank + 1, tag=("grad", mi))
+        for step, mi in pipeline_order(cand.schedule, stage, cand.pipeline, m):
+            if step == "F":
+                if prev is not None:
+                    pipe.recv(prev, tag=("act", mi))
+                ctx.clock.advance(fwd_micro, "compute")
+                run_tp(fwd)
+                if nxt is not None:
+                    pipe.send(_payload(boundary), nxt, tag=("act", mi))
+                continue
+            for op in pre_bwd:  # before the first backward only
+                dp_blocking(op)
+            pre_bwd = ()
+            if nxt is not None:
+                pipe.recv(nxt, tag=("grad", mi))
             ctx.clock.advance(bwd_micro, "compute")
             run_tp(bwd)
-            if pipe is not None and not pc.is_first_pipeline_stage():
-                pipe.send(_payload(boundary), pc.pp_rank - 1,
-                          tag=("grad", mi))
+            if prev is not None:
+                pipe.send(_payload(boundary), prev, tag=("grad", mi))
             if dp is not None and cand.overlap and sync_ops:
                 bucket = _payload(sync_ops[0].elements * itemsize // m, d)
                 if sync_ops[0].op == "all_reduce":

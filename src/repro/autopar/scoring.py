@@ -31,6 +31,7 @@ from repro.autopar.search import StrategyCandidate, Workload
 from repro.cluster.machine import ClusterSpec
 from repro.comm.cost import OP_PRICE, CostModel
 from repro.context.parallel_context import ParallelMode, rank_groups
+from repro.parallel.pipeline.schedule import bubble_fraction, pipeline_order
 
 #: the (activation, weight) families of each multi-dimensional mode: rows on
 #: consecutive ranks, columns strided (the placement Fig 11 turns on)
@@ -255,10 +256,7 @@ class _CostCache(dict):
         model_bytes = self["model", params_local, data, cand.zero_stage]
         act_micro, ckpt_micro = self[
             "act", mb, tensor, cand.mode == "sequence", layers]
-        # in-flight microbatches: GPipe holds all m, 1F1B at most the stage count
-        live = 1
-        if pipeline > 1:
-            live = m if cand.schedule == "gpipe" else min(pipeline, m)
+        live = self["live", cand.schedule, pipeline, m] if pipeline > 1 else 1
         act_plain = act_micro * live
         use_ckpt = model_bytes + act_plain > self.device.memory_capacity
         act_bytes = (
@@ -303,6 +301,14 @@ class _CostCache(dict):
         if use_ckpt:
             flops_per_rank *= 4.0 / 3.0
         return self.device.compute_seconds(flops_per_rank, "float16")
+
+    def _live(self, kind, stages, microbatches):
+        """Peak microbatches in flight: stage 0's order, walked."""
+        live = peak = 0
+        for step, _mb in pipeline_order(kind, 0, stages, microbatches):
+            live += 1 if step == "F" else -1
+            peak = max(peak, live)
+        return peak
 
     def _tp(self, tensor, mode, depth, micro_batch, algorithm, microbatches):
         """One layer's op records for one microbatch — the exact records
@@ -389,7 +395,7 @@ def score_candidate(
     bubble = 0.0
     pp_s = 0.0
     if pipeline > 1:
-        bubble = (pipeline - 1) / (m + pipeline - 1)
+        bubble = bubble_fraction(pipeline, m)
         boundary = mb * work.seq_len * work.hidden * work.bytes_per_elem
         # activations fwd + grads bwd
         pp_s = 2.0 * m * cache["hop", tensor, boundary]

@@ -19,7 +19,7 @@ from repro.config import Config
 from repro.context.parallel_context import ParallelContext
 from repro.engine.engine import Engine
 from repro.nn.module import Module
-from repro.parallel.pipeline.schedule import GPipeSchedule, PipelineSchedule
+from repro.parallel.pipeline.schedule import SCHEDULES, PipelineSchedule
 from repro.runtime.spmd import RankContext, SpmdRuntime
 
 
@@ -171,10 +171,5 @@ def initialize(
         if not isinstance(model, DistributedDataParallel):
             model = DistributedDataParallel(model, pc, overlap=True)
     if schedule is None and pc.pipeline_size > 1:
-        if cfg.pipeline_schedule == "1f1b":
-            from repro.parallel.pipeline.schedule import OneFOneBSchedule
-
-            schedule = OneFOneBSchedule(pc, cfg.num_microbatches)
-        else:
-            schedule = GPipeSchedule(pc, cfg.num_microbatches)
+        schedule = SCHEDULES[cfg.pipeline_schedule](pc, cfg.num_microbatches)
     return Engine(model, optimizer, criterion, pc, cfg, schedule=schedule)

@@ -2,10 +2,10 @@
 
 Consecutive layers are partitioned into stages, one per pipeline rank;
 activations and their gradients flow between stages over point-to-point
-sends.  Two microbatch schedules are provided: GPipe (all forwards, then
-all backwards) and 1F1B (PipeDream-flush).  The pipeline bubble emerges
-from the simulated clocks — a stage's recv cannot complete before the
-sender produced the activation.
+sends.  GPipe (all forwards, then all backwards) and 1F1B (PipeDream-flush)
+are orders (``schedule.pipeline_order``) that one executor walks.  The
+bubble emerges from the simulated clocks — a stage's recv cannot complete
+before the sender produced the activation.
 """
 
 from repro.parallel.pipeline.partition import partition_balanced, partition_uniform

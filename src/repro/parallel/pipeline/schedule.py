@@ -1,9 +1,10 @@
 """Microbatch schedules: GPipe and 1F1B.
 
-A schedule drives one training step on one pipeline stage: it splits the
-global batch into microbatches, runs the stage module on each, moves
-activations/gradients over the PIPELINE communicator, and returns the
-(microbatch-averaged) loss on the last stage.
+A schedule is data, :func:`pipeline_order`, walked by one executor
+(:class:`PipelineSchedule`) and by the strategy compiler's scorer and
+probe.  The executor splits the global batch into microbatches, runs the
+stage module on each, moves activations/gradients over the PIPELINE
+communicator, and returns the (microbatch-averaged) loss on the last stage.
 
 The loss of each microbatch is scaled by ``1/num_microbatches`` before
 backward so accumulated parameter gradients equal those of the equivalent
@@ -12,38 +13,76 @@ single large batch.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.autograd import ops
-from repro.comm.communicator import Communicator
 from repro.comm.payload import Payload, SpecArray, is_spec
+from repro.config import PIPELINE_SCHEDULES
 from repro.context.parallel_context import ParallelContext, ParallelMode
 from repro.nn.module import Module
-from repro.tensor.sharding import shard_payload
 from repro.tensor.tensor import Tensor
 
 Criterion = Callable[[Tensor, Any], Tensor]
+
+
+@lru_cache(maxsize=1024)
+def pipeline_order(
+    kind: str, stage: int, stages: int, m: int
+) -> Tuple[Tuple[str, int], ...]:
+    """The steps ``stage`` of ``stages`` runs in one training step of ``m``
+    microbatches: ``("F", mb)`` is a forward, ``("B", mb)`` a backward.
+
+    * ``"gpipe"``: forwards ``0..m-1``, then backwards ``m-1..0``;
+    * ``"1f1b"``: ``min(stages - stage - 1, m)`` warm-up forwards, then one
+      forward and one backward in turn, then the remaining backwards, so
+      at most ``stages - stage`` microbatches are in flight.
+
+    Cached per key: a run asks for one order per pipeline rank."""
+    if kind == "gpipe":
+        return tuple([("F", mb) for mb in range(m)]
+                     + [("B", mb) for mb in range(m - 1, -1, -1)])
+    if kind != "1f1b":
+        raise ValueError(
+            f"unknown pipeline schedule {kind!r}; expected one of {PIPELINE_SCHEDULES}")
+    warmup = min(stages - stage - 1, m)
+    order = [("F", mb) for mb in range(warmup)]
+    for mb in range(m - warmup):
+        order += [("F", mb + warmup), ("B", mb)]
+    order += [("B", mb) for mb in range(m - warmup, m)]
+    return tuple(order)
+
+
+@lru_cache(maxsize=1024)
+def bubble_fraction(stages: int, m: int) -> float:
+    """The idle share of a step under either :func:`pipeline_order`, with
+    uniform per-microbatch costs and free hops (the tests walk the orders
+    and get this float bit for bit).  Cached: the scorer reads it per
+    candidate."""
+    return (stages - 1) / (m + stages - 1)
 
 
 def _split_micro(batch, m: int):
     """Split an array/SpecArray (or None) into m microbatches along axis 0."""
     if batch is None:
         return [None] * m
-    if is_spec(batch):
-        return [
-            SpecArray((batch.shape[0] // m,) + tuple(batch.shape[1:]), batch.dtype)
-            for _ in range(m)
-        ]
-    arr = np.asarray(batch)
+    spec = is_spec(batch)
+    arr = batch if spec else np.asarray(batch)
     if arr.shape[0] % m != 0:
         raise ValueError(f"batch {arr.shape[0]} not divisible into {m} microbatches")
+    if spec:
+        return [SpecArray((arr.shape[0] // m,) + tuple(arr.shape[1:]), arr.dtype)
+                for _ in range(m)]
     return [np.ascontiguousarray(c) for c in np.split(arr, m, axis=0)]
 
 
 class PipelineSchedule:
-    """Base class holding stage topology helpers."""
+    """The executor: walks the stage's :func:`pipeline_order` of the
+    ``kind`` each subclass declares."""
+
+    kind: str
 
     def __init__(self, pc: ParallelContext, num_microbatches: int) -> None:
         self.pc = pc
@@ -51,6 +90,8 @@ class PipelineSchedule:
         self.comm = pc.comm(ParallelMode.PIPELINE)
         self.stage = pc.pp_rank
         self.n_stages = pc.pipeline_size
+        self.is_first = self.stage == 0
+        self.is_last = self.stage == self.n_stages - 1
         runtime = self.comm.group.runtime
         self._tracer = runtime.tracer
         self._clock = runtime.clocks[self.comm.global_rank]
@@ -60,31 +101,7 @@ class PipelineSchedule:
         self._overlap = getattr(runtime, "comm_overlap", False) and self.n_stages > 1
         self._pending_sends: List[Any] = []
 
-    @property
-    def is_first(self) -> bool:
-        return self.stage == 0
-
-    @property
-    def is_last(self) -> bool:
-        return self.stage == self.n_stages - 1
-
-    def _recv_fwd(self, mb: int) -> Tensor:
-        payload = self._traced_recv(self.stage - 1, ("fwd", mb))
-        return Tensor(payload, requires_grad=True)
-
-    def _send_fwd(self, mb: int, out: Tensor) -> None:
-        if self._overlap:
-            self._pending_sends.append(
-                self.comm.isend(out.payload, self.stage + 1, tag=("fwd", mb))
-            )
-        else:
-            self.comm.send(out.payload, self.stage + 1, tag=("fwd", mb))
-
-    def _recv_bwd(self, mb: int) -> Tensor:
-        payload = self._traced_recv(self.stage + 1, ("bwd", mb))
-        return Tensor(payload)
-
-    def _traced_recv(self, src_stage: int, tag) -> Payload:
+    def _recv(self, src_stage: int, tag) -> Payload:
         """Receive a stage boundary payload; the time this rank sits blocked
         (upstream still busy + wire time) is recorded as a ``bubble`` span."""
         if self._tracer is None:
@@ -98,15 +115,11 @@ class PipelineSchedule:
             )
         return payload
 
-    def _send_bwd(self, mb: int, x: Tensor) -> None:
-        if x.grad is None:
-            raise RuntimeError("no gradient flowed to the stage input")
+    def _send(self, payload: Payload, dst_stage: int, tag) -> None:
         if self._overlap:
-            self._pending_sends.append(
-                self.comm.isend(x.grad.payload, self.stage - 1, tag=("bwd", mb))
-            )
+            self._pending_sends.append(self.comm.isend(payload, dst_stage, tag=tag))
         else:
-            self.comm.send(x.grad.payload, self.stage - 1, tag=("bwd", mb))
+            self.comm.send(payload, dst_stage, tag=tag)
 
     def _drain_sends(self) -> None:
         """Wait outstanding stream sends (end of step): max-joins the stage
@@ -130,7 +143,7 @@ class PipelineSchedule:
         if self.is_first:
             x = Tensor(data_mb) if not isinstance(data_mb, Tensor) else data_mb
         else:
-            x = self._recv_fwd(mb)
+            x = Tensor(self._recv(self.stage - 1, ("fwd", mb)), requires_grad=True)
         out = module(x)
         loss = None
         if self.is_last:
@@ -138,7 +151,7 @@ class PipelineSchedule:
                 loss = criterion(out, target_mb)
                 loss = ops.mul(loss, 1.0 / self.num_microbatches)
         else:
-            self._send_fwd(mb, out)
+            self._send(out.payload, self.stage + 1, ("fwd", mb))
         if self._tracer is not None:
             self._tracer.annotate(
                 self.comm.global_rank, "pipeline", f"fwd/mb{mb}",
@@ -148,22 +161,24 @@ class PipelineSchedule:
 
     def _backward_micro(
         self, mb: int, x: Optional[Tensor], out: Tensor, loss: Optional[Tensor]
-    ) -> None:
+    ) -> Optional[float]:
         t0 = self._clock.time
         if self.is_last:
             if loss is None:
                 raise RuntimeError("last stage needs a criterion to run backward")
             loss.backward()
         else:
-            grad = self._recv_bwd(mb)
-            out.backward(grad)
+            out.backward(Tensor(self._recv(self.stage + 1, ("bwd", mb))))
         if not self.is_first and x is not None:
-            self._send_bwd(mb, x)
+            if x.grad is None:
+                raise RuntimeError("no gradient flowed to the stage input")
+            self._send(x.grad.payload, self.stage - 1, ("bwd", mb))
         if self._tracer is not None:
             self._tracer.annotate(
                 self.comm.global_rank, "pipeline", f"bwd/mb{mb}",
                 t0, self._clock.time, stage=self.stage,
             )
+        return loss.item() if loss is not None and loss.materialized else None
 
     def run(
         self,
@@ -172,37 +187,32 @@ class PipelineSchedule:
         targets=None,
         criterion: Optional[Criterion] = None,
     ) -> Optional[float]:
-        raise NotImplementedError
+        m = self.num_microbatches
+        data_mbs = _split_micro(data, m) if self.is_first else [None] * m
+        target_mbs = _split_micro(targets, m) if self.is_last else [None] * m
+        states = {}  # mb -> (input, output, loss), freed at its backward
+        total = 0.0
+        have_loss = False
+        for step, mb in pipeline_order(self.kind, self.stage, self.n_stages, m):
+            if step == "F":
+                states[mb] = self._forward_micro(
+                    module, mb, data_mbs[mb], target_mbs[mb], criterion)
+                continue
+            loss = self._backward_micro(mb, *states.pop(mb))
+            if loss is not None:
+                total += loss
+                have_loss = True
+        self._drain_sends()
+        return total if have_loss else None
 
 
 class GPipeSchedule(PipelineSchedule):
     """All microbatch forwards, then all backwards (Huang et al. [16]).
 
-    Peak activation memory grows with the number of in-flight microbatches;
-    bubble fraction is ``(p-1)/(m+p-1)``.
+    Peak activation memory grows with the number of in-flight microbatches.
     """
 
-    def run(self, module, data, targets=None, criterion=None) -> Optional[float]:
-        m = self.num_microbatches
-        data_mbs = _split_micro(data, m) if self.is_first else [None] * m
-        target_mbs = _split_micro(targets, m) if self.is_last else [None] * m
-
-        states: List[Tuple[Optional[Tensor], Tensor, Optional[Tensor]]] = []
-        for mb in range(m):
-            states.append(
-                self._forward_micro(module, mb, data_mbs[mb], target_mbs[mb], criterion)
-            )
-        total = 0.0
-        have_loss = False
-        for mb in range(m - 1, -1, -1):
-            x, out, loss = states[mb]
-            self._backward_micro(mb, x, out, loss)
-            if loss is not None and loss.materialized:
-                total += loss.item()
-                have_loss = True
-            states[mb] = (None, out, None)  # free input/loss refs eagerly
-        self._drain_sends()
-        return total if have_loss else None
+    kind = "gpipe"
 
 
 class OneFOneBSchedule(PipelineSchedule):
@@ -212,42 +222,8 @@ class OneFOneBSchedule(PipelineSchedule):
     warm-up microbatches (at most the stage count) instead of all of them.
     """
 
-    def run(self, module, data, targets=None, criterion=None) -> Optional[float]:
-        m = self.num_microbatches
-        data_mbs = _split_micro(data, m) if self.is_first else [None] * m
-        target_mbs = _split_micro(targets, m) if self.is_last else [None] * m
+    kind = "1f1b"
 
-        warmup = min(self.n_stages - self.stage - 1, m)
-        pending: List[Tuple[int, Optional[Tensor], Tensor, Optional[Tensor]]] = []
-        total = 0.0
-        have_loss = False
-        fwd_mb = 0
-        bwd_mb = 0
 
-        def fwd_one() -> None:
-            nonlocal fwd_mb
-            x, out, loss = self._forward_micro(
-                module, fwd_mb, data_mbs[fwd_mb], target_mbs[fwd_mb], criterion
-            )
-            pending.append((fwd_mb, x, out, loss))
-            fwd_mb += 1
-
-        def bwd_one() -> None:
-            nonlocal bwd_mb, total, have_loss
-            mb, x, out, loss = pending.pop(0)
-            assert mb == bwd_mb, "1F1B backward order violated"
-            self._backward_micro(mb, x, out, loss)
-            if loss is not None and loss.materialized:
-                total += loss.item()
-                have_loss = True
-            bwd_mb += 1
-
-        for _ in range(warmup):
-            fwd_one()
-        for _ in range(m - warmup):  # steady state
-            fwd_one()
-            bwd_one()
-        for _ in range(warmup):  # drain
-            bwd_one()
-        self._drain_sends()
-        return total if have_loss else None
+#: the executor class of each ``config.pipeline_schedule`` value
+SCHEDULES = {cls.kind: cls for cls in (GPipeSchedule, OneFOneBSchedule)}

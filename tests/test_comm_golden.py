@@ -14,7 +14,10 @@ projected to 64 ranks in model mode.  A refactor of rendezvous, cost model,
 selector or sanitizer hooks is done when this file still passes.
 
 It was generated at commit ``06341af`` (every round re-walking the
-``Topology`` caches, the last-arriver block written out twice).
+``Topology`` caches, the last-arriver block written out twice);
+``projection/model_64``'s report hash was re-cut when GPipe began freeing
+each microbatch's stage output after its backward (DESIGN §4x): the
+captured peak memory fell, no clock moved.
 
 Regenerate (only when simulated comm behaviour is *meant* to change):
 ``PYTHONPATH=src python tests/test_comm_golden.py``

@@ -1,11 +1,15 @@
-"""Pipeline parallelism: partitioning, schedule parity, bubble timing."""
+"""Pipeline parallelism: partitioning, the schedule order, schedule
+parity, bubble timing."""
+
+import re
 
 import numpy as np
 import pytest
 
 from repro.autograd import ops
 from repro.cluster import uniform_cluster
-from repro.config import Config
+from repro.comm.payload import SpecArray
+from repro.config import PIPELINE_SCHEDULES, Config
 from repro.context import ParallelContext
 from repro.nn import CrossEntropyLoss, Linear, Module, ModuleList, TransformerLayer
 from repro.parallel.pipeline import (
@@ -14,8 +18,10 @@ from repro.parallel.pipeline import (
     partition_balanced,
     partition_uniform,
 )
+from repro.parallel.pipeline.schedule import bubble_fraction, pipeline_order
 from repro.runtime import SpmdRuntime
 from repro.tensor import Tensor
+from repro.trace import Tracer
 
 from conftest import run_spmd
 
@@ -60,6 +66,91 @@ class TestPartition:
         ranges = partition_balanced([2, 2, 2, 2], 2)
         loads = [sum([2, 2, 2, 2][s:e]) for s, e in ranges]
         assert max(loads) == 4
+
+
+#: (stages, microbatches): fewer, as many and more microbatches than stages
+ORDER_GRID = [(1, 1), (1, 3), (2, 1), (2, 4), (3, 2), (4, 4), (4, 8), (8, 3)]
+
+
+def _unit_cost_walk(kind, stages, m):
+    """Reference evaluation of a schedule, kept out of ``src/``: walk every
+    stage's order with forward 1, backward 2 and free hops.  A step starts
+    when its stage is free and its input is ready (the previous stage's
+    forward, the next stage's backward of the same microbatch).  Returns
+    ``(bubble, peak microbatches in flight on any stage)``."""
+    orders = [pipeline_order(kind, s, stages, m) for s in range(stages)]
+    done = [{} for _ in range(stages)]  # per stage: (step, mb) -> finish time
+    clock, at = [0] * stages, [0] * stages
+    ready = list(range(stages))
+    while ready:
+        s = ready.pop()
+        while at[s] < len(orders[s]):
+            step, mb = orders[s][at[s]]
+            src = s - 1 if step == "F" else s + 1
+            t_in = done[src].get((step, mb)) if 0 <= src < stages else 0
+            if t_in is None:
+                break  # woken again when the neighbour finishes it
+            clock[s] = done[s][step, mb] = max(clock[s], t_in) + (1 if step == "F" else 2)
+            at[s] += 1
+            dst = s + 1 if step == "F" else s - 1
+            if 0 <= dst < stages:
+                ready.append(dst)
+    assert at == [2 * m] * stages, "the orders deadlock"
+    makespan = max(clock)
+    peak = 0
+    for order in orders:
+        live = 0
+        for step, _ in order:
+            live += 1 if step == "F" else -1
+            peak = max(peak, live)
+    return (makespan - 3 * m) / makespan, peak
+
+
+#: every p in 2..64 at m in {1, 2, p}, every m in 1..64 at p in 2..5, and the
+#: far corners; the full 2..64 x 1..64 product walks 17 M steps (about 14 s)
+WALK_GRID = sorted(
+    {(p, m) for p in range(2, 65) for m in (1, 2, p) if m <= 64}
+    | {(p, m) for p in range(2, 6) for m in range(1, 65)}
+    | {(32, 64), (63, 64), (64, 63), (64, 64)}
+)
+
+
+class TestOrder:
+    """``pipeline_order`` is the only place a schedule is written."""
+
+    @pytest.mark.parametrize("kind", PIPELINE_SCHEDULES)
+    @pytest.mark.parametrize("stages, m", ORDER_GRID)
+    def test_every_microbatch_runs_forward_then_backward(self, kind, stages, m):
+        for stage in range(stages):
+            order = pipeline_order(kind, stage, stages, m)
+            assert sorted(order) == sorted(
+                [("F", mb) for mb in range(m)] + [("B", mb) for mb in range(m)])
+            for mb in range(m):
+                assert order.index(("F", mb)) < order.index(("B", mb))
+
+    @pytest.mark.parametrize("stages, m", ORDER_GRID)
+    def test_1f1b_holds_at_most_the_stages_left(self, stages, m):
+        for stage in range(stages):
+            live = peak = 0
+            for step, _ in pipeline_order("1f1b", stage, stages, m):
+                live += 1 if step == "F" else -1
+                peak = max(peak, live)
+            assert peak <= stages - stage
+
+    def test_unknown_kind_names_the_choices(self):
+        with pytest.raises(ValueError, match=re.escape(str(PIPELINE_SCHEDULES))):
+            pipeline_order("zigzag", 0, 2, 4)
+
+    @pytest.mark.parametrize("kind", PIPELINE_SCHEDULES)
+    def test_unit_cost_walk_reproduces_the_scorer(self, kind):
+        """The scorer's closed-form bubble and its in-flight term (read off
+        stage 0's order) equal a walk of all stages' orders, bit for bit."""
+        from repro.autopar.scoring import _CostCache
+
+        terms = _CostCache(uniform_cluster(1))
+        for p, m in WALK_GRID:
+            assert _unit_cost_walk(kind, p, m) == (
+                bubble_fraction(p, m), terms["live", kind, p, m]), (p, m)
 
 
 def _layer_rng(i):
@@ -107,7 +198,7 @@ def serial_ref():
     }
 
 
-def _run_pipeline(sched_cls, ref, microbatches=4, stages=4):
+def _run_pipeline(sched_cls, ref, microbatches=4, stages=4, tracer=None):
     crit = CrossEntropyLoss()
 
     def prog(ctx):
@@ -133,7 +224,7 @@ def _run_pipeline(sched_cls, ref, microbatches=4, stages=4):
             grads["head"] = stage.layers[-1].head.weight.grad.numpy()
         return pc.pp_rank, loss, grads, ctx.clock.time
 
-    return run_spmd(stages, prog)
+    return SpmdRuntime(uniform_cluster(stages), tracer=tracer).run(prog)
 
 
 class TestSchedules:
@@ -183,6 +274,35 @@ class TestSchedules:
 
         with pytest.raises(RemoteRankError):
             _run_pipeline(GPipeSchedule, serial_ref, microbatches=3)
+
+    @pytest.mark.parametrize("materialize", [True, False], ids=["materialized", "spec"])
+    def test_indivisible_batch_rejected_in_both_modes(self, materialize):
+        """Spec mode refuses the batch real mode refuses, instead of
+        dropping the rows four microbatches of two leave over."""
+        from repro.runtime import RemoteRankError
+
+        def prog(ctx):
+            pc = ParallelContext(ctx, Config.from_dict(
+                dict(parallel=dict(pipeline=2), num_microbatches=4)))
+            batch = np.zeros((10, H), np.float32) if materialize else SpecArray((10, H))
+            GPipeSchedule(pc, 4).run(
+                Linear(H, H), batch if pc.is_first_pipeline_stage() else None,
+                None, lambda out, y: out.sum())
+
+        with pytest.raises(RemoteRankError) as err:
+            run_spmd(2, prog, materialize=materialize)
+        assert str(err.value.__cause__) == "batch 10 not divisible into 4 microbatches"
+
+    @pytest.mark.parametrize("sched_cls", [GPipeSchedule, OneFOneBSchedule])
+    @pytest.mark.parametrize("stages, m", [(4, 4), (2, 8), (4, 2)])
+    def test_executor_walks_the_order(self, serial_ref, sched_cls, stages, m):
+        """Each rank's ``fwd/mbN`` / ``bwd/mbN`` spans are its stage's order."""
+        tracer = Tracer()
+        _run_pipeline(sched_cls, serial_ref, microbatches=m, stages=stages, tracer=tracer)
+        for stage in range(stages):
+            ran = [s.name for s in tracer.spans(cat="pipeline") if s.rank == stage]
+            assert ran == [f"{'fwd' if step == 'F' else 'bwd'}/mb{mb}" for step, mb
+                           in pipeline_order(sched_cls.kind, stage, stages, m)]
 
     def test_bubble_grows_with_stages(self, serial_ref):
         """More stages with the same microbatches -> later stages start

@@ -14,7 +14,10 @@ It was generated at commit ``63b511f`` (``Function.apply`` still resolving
 the rank context per helper, one ``weakref.finalize`` per ``Storage``);
 ``bert_sp_pp2`` was added at ``66412f6``, and its step seconds, wire bytes
 and collective calls are the figures recorded for that step before the
-event-driven rendezvous, pooled buffers and spec-mode shortcuts.
+event-driven rendezvous, pooled buffers and spec-mode shortcuts.  The
+``memory`` hashes of ``hybrid_gpt_gpipe`` and ``bert_sp_pp2`` were re-cut
+when the pipeline executor began freeing each microbatch's stage output
+after its backward under GPipe too (DESIGN §4x): lower peaks, nothing else.
 
 Regenerate (only when simulated training behaviour is *meant* to change):
 ``PYTHONPATH=src python tests/test_train_golden.py``
