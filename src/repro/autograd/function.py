@@ -273,7 +273,12 @@ class Function:
             multi = isinstance(out, tuple)
             payloads = out if multi else (out,)
             if plan is None:  # a cold signature: keep what forward inferred
-                plan = plans[key] = _record_plan(fnctx, args, payloads, multi)
+                with rc.runtime.op_plan_lock:  # once, if ranks race the miss
+                    plan = plans.get(key)
+                    if plan is None:
+                        plan = plans[key] = _record_plan(
+                            fnctx, args, payloads, multi
+                        )
                 if plan:
                     fnctx.plan = plan
 

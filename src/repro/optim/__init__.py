@@ -3,9 +3,12 @@
 All optimizers run dual-mode: materialized (real parameter updates, used by
 the convergence experiments) and spec (state allocation, FLOP and
 memory-pool accounting only, used by the billion-parameter experiments).
-``CPUAdam`` charges update time at host-CPU rates; ``HybridAdam`` (§3.2 of
-the paper) splits the update between GPU-resident and CPU-resident
-parameters according to the placement the offload policy chose.
+``CPUAdam`` keeps its state in host memory and charges update time at
+host-CPU rates; ``HybridAdam`` (§3.2 of the paper) splits the update
+between GPU-resident and CPU-resident parameters according to the
+placement function its caller passes.  The Adam state and update rule are
+written once, in ``adam.adam_state`` / ``adam.adam_update``, which the
+ZeRO optimizers share (DESIGN §4y).
 """
 
 from repro.optim.optimizer import Optimizer

@@ -3,46 +3,28 @@
 The Adam math is identical to :class:`Adam`, but moments and master weights
 live in *host* memory and the update runs at host-CPU FLOP rates, so the
 simulated clock reflects the real cost trade of offloaded updates (slow
-CPU math + PCIe traffic vs freed GPU memory).
+CPU math + PCIe traffic vs freed GPU memory).  It is a :class:`HybridAdam`
+that places every parameter on the CPU.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable
+from typing import Iterable
 
-import numpy as np
-
-from repro.optim.adam import Adam
-from repro.runtime.spmd import current_rank_context, in_spmd
+from repro.optim.hybrid_adam import HybridAdam
 from repro.tensor.tensor import Tensor
-from repro.tensor import zeros
 
 
-class CPUAdam(Adam):
-    DECOUPLED_WD = True
-
-    def _host_device(self):
-        if in_spmd():
-            return current_rank_context().cpu
-        return None
-
-    def _init_state(self, p: Tensor) -> Dict[str, Any]:
-        host = self._host_device()
-        dev = host if host is not None else p.device
-        state: Dict[str, Any] = {
-            "m": zeros(p.shape, dtype="float32", device=dev, tag="optim"),
-            "v": zeros(p.shape, dtype="float32", device=dev, tag="optim"),
-            "t": 0,
-        }
-        if p.dtype != np.float32:
-            if p.materialized:
-                state["master"] = Tensor(
-                    p.numpy().astype(np.float32), device=dev, tag="optim"
-                )
-            else:
-                state["master"] = zeros(p.shape, dtype="float32", device=dev, tag="optim")
-        return state
-
-    def _charge(self, n_elements: int, device=None) -> None:
-        host = self._host_device()
-        super()._charge(n_elements, device=host if host is not None else device)
+class CPUAdam(HybridAdam):
+    def __init__(
+        self,
+        params: Iterable[Tensor],
+        lr: float = 1e-3,
+        betas=(0.9, 0.999),
+        eps: float = 1e-8,
+        weight_decay: float = 0.0,
+    ) -> None:
+        super().__init__(
+            params, lr=lr, betas=betas, eps=eps, weight_decay=weight_decay,
+            placement_of=lambda p: "cpu",
+        )

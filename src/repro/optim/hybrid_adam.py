@@ -3,23 +3,21 @@
 Colossal-AI's answer to CPU Adam: instead of statically pinning all fp32
 master state in host memory, the optimizer keeps the states of
 *GPU-resident* parameters on the GPU and updates them at GPU rates; only
-parameters the placement policy offloaded are updated on the CPU.  The
-placement is queried per parameter via ``placement_of`` (wired to the
-offload policy by the ZeRO engine), so as GPU memory frees up, more of the
-update migrates to the fast device — "parameters are updated on both CPU
-and GPU" exactly as the paper describes.
+parameters placed on the CPU are updated there.  The placement is asked
+per parameter of the caller's ``placement_of`` function (default: every
+parameter on the GPU), once when its state is built and again at every
+step's charge — "parameters are updated on both CPU and GPU" exactly as
+the paper describes.  The ZeRO-3 engine makes the same choice per chunk
+from its offload policy (``PlacementPolicy.optimizer_device``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Optional
-
-import numpy as np
+from typing import Callable, Optional
 
 from repro.optim.adam import Adam
 from repro.runtime.spmd import current_rank_context, in_spmd
 from repro.tensor.tensor import Tensor
-from repro.tensor import zeros
 
 #: returns "gpu" or "cpu" for a parameter
 PlacementFn = Callable[[Tensor], str]
@@ -46,27 +44,3 @@ class HybridAdam(Adam):
             return p.device
         ctx = current_rank_context()
         return ctx.cpu if where == "cpu" else ctx.device
-
-    def _init_state(self, p: Tensor) -> Dict[str, Any]:
-        dev = self._device_for(p)
-        state: Dict[str, Any] = {
-            "m": zeros(p.shape, dtype="float32", device=dev, tag="optim"),
-            "v": zeros(p.shape, dtype="float32", device=dev, tag="optim"),
-            "t": 0,
-        }
-        if p.dtype != np.float32:
-            if p.materialized:
-                state["master"] = Tensor(p.numpy().astype(np.float32), device=dev, tag="optim")
-            else:
-                state["master"] = zeros(p.shape, dtype="float32", device=dev, tag="optim")
-        return state
-
-    def step(self) -> None:
-        self.step_count += 1
-        for p in self.params:
-            if p.grad is None:
-                continue
-            state = self.state_for(p)
-            self._charge(p.size, device=self._device_for(p))
-            if p.materialized and p.grad.materialized:
-                self._update(p, p.grad.numpy(), state)

@@ -39,6 +39,11 @@ class Optimizer:
     def _update(self, p: Tensor, grad: np.ndarray, state: Dict[str, Any]) -> None:
         raise NotImplementedError
 
+    def _device_for(self, p: Tensor):
+        """The device holding ``p``'s state and running its update; ``None``
+        keeps the state on ``p``'s device and charges the rank's GPU."""
+        return None
+
     # -- API --------------------------------------------------------------------
 
     def state_for(self, p: Tensor) -> Dict[str, Any]:
@@ -67,7 +72,7 @@ class Optimizer:
             if p.grad is None:
                 continue
             state = self.state_for(p)
-            self._charge(p.size)
+            self._charge(p.size, self._device_for(p))
             if p.materialized and p.grad.materialized:
                 self._update(p, p.grad.numpy(), state)
 

@@ -238,9 +238,10 @@ class SpmdRuntime:
             self.fault_injector = FaultInjector(fault_plan)
         #: spec-mode op plans by signature (repro.autograd.function.OpPlan):
         #: filled on first dispatch, read by every rank, dies with the
-        #: runtime.  No lock — ranks racing a cold signature both infer it
-        #: and store equal plans.
+        #: runtime.  Reads take no lock; a miss records under
+        #: ``op_plan_lock`` after re-checking, so a signature gets one plan.
         self.op_plans: Dict[tuple, Any] = {}
+        self.op_plan_lock = threading.Lock()
         self._abort = threading.Event()
         self.failure: Optional[Tuple[int, BaseException]] = None
         self._group_lock = threading.Lock()

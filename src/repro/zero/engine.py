@@ -29,17 +29,14 @@ from repro.autograd.function import no_grad
 from repro.comm.communicator import Communicator
 from repro.comm.cost import CostModel
 from repro.nn.module import Module
+from repro.optim.adam import Adam, adam_state, adam_update
 from repro.runtime.spmd import RankContext
 from repro.tensor.tensor import Tensor
-from repro.tensor import zeros
 from repro.zero.chunk import Chunk, ChunkManager
 from repro.zero.policies import PlacementPolicy
 from repro.utils.units import MB
 
 Criterion = Callable[[Tensor, Any], Tensor]
-
-#: Adam with decoupled decay over a shard: ~12 flops/element
-_ADAM_FLOPS_PER_ELEM = 12.0
 
 
 class ZeroOffloadEngine:
@@ -95,61 +92,38 @@ class ZeroOffloadEngine:
     # -- optimizer state -----------------------------------------------------
 
     def _init_optimizer_state(self) -> None:
+        # fp32 master + moments of each chunk's shard, pool-accounted on the
+        # device the policy chose for the chunk's update
         for chunk in self.chunk_mgr.chunks:
             where = self.policy.optimizer_device(chunk)
             device = self.ctx.device if where == "gpu" else self.ctx.cpu
-            n = chunk.shard_elems
-            state: Dict[str, Any] = {
-                "where": where,
-                "t": 0,
-                # fp32 master + moments, pool-accounted on the policy device
-                "master_t": zeros((n,), dtype="float32", device=device, tag="optim"),
-                "m_t": zeros((n,), dtype="float32", device=device, tag="optim"),
-                "v_t": zeros((n,), dtype="float32", device=device, tag="optim"),
-            }
-            if chunk.values is not None:
-                state["master_t"].payload[...] = chunk.shard_payload().astype(np.float32)
-            self._opt_state[chunk.index] = state
+            self._opt_state[chunk.index] = adam_state(
+                (chunk.shard_elems,), device, chunk.shard_payload()
+            )
 
     def _chunk_adam(self, chunk: Chunk) -> None:
-        state = self._opt_state[chunk.index]
+        """AdamW on the chunk's fp32 master shard, priced on the device the
+        policy chooses now, then the narrowed shard written back."""
+        ctx = self.ctx
         where = self.policy.optimizer_device(chunk)
-        device = self.ctx.device if where == "gpu" else self.ctx.cpu
-        if self._tracer is not None:
-            t0 = self.ctx.clock.time
-            self._adam_inner(chunk, state, device)
-            self._tracer.annotate(
-                self.ctx.rank, "zero", f"adam/chunk{chunk.index}",
-                t0, self.ctx.clock.time, where=where,
-            )
-            return
-        self._adam_inner(chunk, state, device)
-
-    def _adam_inner(self, chunk: Chunk, state: Dict[str, Any], device) -> None:
-        self.ctx.clock.advance(
-            device.compute_seconds(_ADAM_FLOPS_PER_ELEM * chunk.shard_elems, "float32"),
+        device = ctx.device if where == "gpu" else ctx.cpu
+        t0 = ctx.clock.time
+        ctx.clock.advance(
+            device.compute_seconds(Adam.FLOPS_PER_ELEMENT * chunk.shard_elems, "float32"),
             "optimizer",
         )
         g = chunk.grad_shard
-        if g is None:
-            return  # spec mode: only timing/memory matter
-        b1, b2 = self.betas
-        state["t"] += 1
-        t = state["t"]
-        master = state["master_t"].numpy()
-        m = state["m_t"].numpy()
-        v = state["v_t"].numpy()
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        mhat = m / (1 - b1**t)
-        vhat = v / (1 - b2**t)
-        update = mhat / (np.sqrt(vhat) + self.eps)
-        if self.weight_decay:
-            update = update + self.weight_decay * master
-        master -= self.lr * update
-        chunk.apply_shard_update(master.astype(chunk.dtype))
+        if g is not None:  # spec mode: only timing/memory matter
+            state = self._opt_state[chunk.index]
+            master = state["master"].numpy()
+            adam_update(master, state, g, self.lr, self.betas, self.eps,
+                        self.weight_decay, True)
+            chunk.apply_shard_update(master.astype(chunk.dtype))
+        if self._tracer is not None:
+            self._tracer.annotate(
+                ctx.rank, "zero", f"adam/chunk{chunk.index}",
+                t0, ctx.clock.time, where=where,
+            )
 
     # -- chunk traffic ------------------------------------------------------------
 

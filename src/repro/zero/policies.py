@@ -8,8 +8,9 @@ step when the batch is small (Fig 14).
 ``AdaptivePolicy`` is Colossal-AI's improvement: it monitors the GPU pool
 and keeps chunk shards (plus their optimizer states) on the GPU as long as
 free memory stays above a headroom reserved for activations, offloading
-only the overflow.  ``placement_of`` feeds :class:`HybridAdam`, so updates
-run on the GPU for GPU-resident chunks.
+only the overflow.  The engine asks ``optimizer_device`` at every step, so
+GPU-resident chunks are updated on the GPU — the HybridAdam design, made
+per chunk.
 """
 
 from __future__ import annotations

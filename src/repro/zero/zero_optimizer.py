@@ -10,26 +10,32 @@ expensive parts across the data-parallel group:
   reduce-scatter (each rank receives only its slice's gradient, halving
   gradient traffic and removing grad redundancy).
 
+Each slice's state comes from ``adam_state`` and its update is
+``adam_update``, charged per slice element on the parameter's device: it
+is an :class:`~repro.optim.Adam` whose state and step cover one slice, with
+coupled (``decoupled_wd=False``) or decoupled weight decay.  Callers
+construct it by hand: ``initialize()`` does not read ``cfg.zero`` yet.
+
 (Stage 3 — parameter sharding — lives in :class:`ZeroOffloadEngine`, where
 gather/release is interleaved with compute.)
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, Iterable
 
 import numpy as np
 
 from repro.comm.communicator import Communicator
-from repro.comm.payload import SpecArray, is_spec
-from repro.runtime.spmd import current_rank_context, in_spmd
+from repro.comm.payload import SpecArray
+from repro.optim.adam import Adam, adam_state, adam_update
 from repro.tensor.tensor import Tensor
-from repro.tensor import zeros
 from repro.zero.sharded_tensor import FlatShardingStrategy
 
 
-class ZeroRedundancyOptimizer:
-    """Adam(W) with ZeRO stage 1/2 sharding over ``comm``."""
+class ZeroRedundancyOptimizer(Adam):
+    """Adam (``decoupled_wd=False``) or AdamW with ZeRO stage 1/2 sharding
+    over ``comm``."""
 
     def __init__(
         self,
@@ -44,42 +50,18 @@ class ZeroRedundancyOptimizer:
     ) -> None:
         if stage not in (1, 2):
             raise ValueError(f"ZeroRedundancyOptimizer handles stages 1-2, got {stage}")
-        self.params: List[Tensor] = list(params)
+        super().__init__(params, lr=lr, betas=betas, eps=eps, weight_decay=weight_decay)
         self.comm = comm
         self.stage = stage
-        self.lr = lr
-        self.betas = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.decoupled_wd = decoupled_wd
         self.strategy = FlatShardingStrategy()
-        self.step_count = 0
-        # per-param sharded optimizer state (only 1/p of the full state)
-        self.state: Dict[int, Dict[str, Any]] = {}
-        for p in self.params:
-            per = self.strategy.shard_elements(p.shape, comm.size)
-            st: Dict[str, Any] = {
-                "m": zeros((per,), dtype="float32", device=p.device, tag="optim"),
-                "v": zeros((per,), dtype="float32", device=p.device, tag="optim"),
-                "master": zeros((per,), dtype="float32", device=p.device, tag="optim"),
-                "t": 0,
-                "per": per,
-            }
-            if p.materialized:
-                st["master"].payload[...] = self._my_slice(
-                    p.numpy().astype(np.float32).reshape(-1), per
-                )
-            self.state[id(p)] = st
+        for p in self.params:  # each rank holds its slices' state from the start
+            self.state_for(p)
 
-    def _my_slice(self, flat: np.ndarray, per: int) -> np.ndarray:
-        padded = np.zeros(per * self.comm.size, dtype=flat.dtype)
-        padded[: flat.size] = flat
-        r = self.comm.rank
-        return padded[r * per : (r + 1) * per].copy()
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+    def _init_state(self, p: Tensor) -> Dict[str, Any]:
+        # moments plus the fp32 master of this rank's flat slice (1/p of it)
+        shard = self.strategy.shard(p.payload, self.comm)
+        return adam_state(shard.shape, p.device, shard)
 
     def _grad_shard(self, p: Tensor, per: int):
         """Stage-dependent gradient exchange; returns the averaged local
@@ -106,33 +88,17 @@ class ZeroRedundancyOptimizer:
 
     def step(self) -> None:
         self.step_count += 1
-        b1, b2 = self.betas
+        d = self.defaults
         for p in self.params:
             if p.grad is None:
                 continue
             st = self.state[id(p)]
-            per = st["per"]
+            per = st["m"].size
             g = self._grad_shard(p, per)
             self._charge(per, p.device)
             if g is not None:
-                st["t"] += 1
-                t = st["t"]
-                master = st["master"].numpy()
-                m = st["m"].numpy()
-                v = st["v"].numpy()
-                m *= b1
-                m += (1 - b1) * g
-                v *= b2
-                v += (1 - b2) * g * g
-                mhat = m / (1 - b1**t)
-                vhat = v / (1 - b2**t)
-                update = mhat / (np.sqrt(vhat) + self.eps)
-                if self.weight_decay:
-                    if self.decoupled_wd:
-                        update = update + self.weight_decay * master
-                    else:
-                        raise NotImplementedError("coupled wd needs grad-side decay")
-                master -= self.lr * update
+                adam_update(st["master"].numpy(), st, g, d["lr"], d["betas"],
+                            d["eps"], d["weight_decay"], self.decoupled_wd)
             # reassemble the full parameter from the updated shards
             if p.materialized:
                 gathered = self.comm.all_gather(st["master"].numpy(), axis=0)
@@ -141,12 +107,6 @@ class ZeroRedundancyOptimizer:
                 )
             else:
                 self.comm.all_gather(SpecArray((per,), "float32"), axis=0)
-
-    def _charge(self, n: int, device) -> None:
-        if not in_spmd():
-            return
-        ctx = current_rank_context()
-        ctx.clock.advance(device.compute_seconds(12.0 * n, "float32"), "optimizer")
 
     def optimizer_state_bytes(self) -> int:
         return sum(
