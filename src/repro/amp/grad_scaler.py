@@ -32,10 +32,11 @@ class GradScaler:
 
         return ops.mul(loss, float(self.scale))
 
-    def unscale_and_check(self, params: Iterable[Tensor]) -> bool:
+    def unscale_and_check(self, params: Iterable[Tensor], comm=None) -> bool:
         """Divide grads by the scale; returns True when all grads are
         finite (step may proceed), False on overflow (step must be
-        skipped).  Spec-mode grads are assumed finite."""
+        skipped).  Spec-mode grads are assumed finite.  With ``comm``, its
+        ranks agree the verdict by a ``max`` all-reduce: one overflow skips all."""
         finite = True
         inv = 1.0 / self.scale
         for p in params:
@@ -47,6 +48,8 @@ class GradScaler:
             if not np.all(np.isfinite(g)):
                 finite = False
             g *= inv
+        if comm is not None:
+            finite = not comm.all_reduce(np.array([not finite], np.float32), "max")[0]
         self._after_check(finite)
         return finite
 

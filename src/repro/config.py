@@ -5,7 +5,7 @@ Users describe the parallelization declaratively::
     config = dict(parallel=dict(tensor=dict(size=4, mode="2d"),
                                 pipeline=2),
                   fp16=dict(enabled=True),
-                  zero=dict(stage=3, offload="adaptive"))
+                  zero=dict(stage=1))
 
 ``Config.from_dict`` validates the schema and fills defaults;
 ``repro.initialize`` consumes it.  Every field declares its type, bounds or
@@ -116,9 +116,6 @@ class ZeroConfig(_Section):
     _key = "zero"
 
     stage: int = _field(0, int, "ZeRO stage: 0 off, 1/2/3 per DeepSpeed", choices=ZERO_STAGES)
-    offload: str = _field("none", str, "optimizer-state offload policy",
-                          choices=("none", "static", "adaptive"))
-    chunk_mb: float = _field(32.0, float, "parameter chunk size (MiB)", "> 0")
 
 
 @dataclass

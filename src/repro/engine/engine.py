@@ -10,7 +10,7 @@ features::
     engine.step()
 
 ``backward`` applies loss scaling (fp16) and ``step`` performs, in order:
-grad unscale + overflow check, replicated-parameter grad sync
+grad unscale + an overflow vote of all ranks, replicated-parameter grad sync
 (``grad_sync_comms``), data-parallel gradient averaging, clipping, and the
 optimizer update.  With a pipeline schedule, ``engine.execute_schedule``
 replaces the forward/backward pair.
@@ -88,7 +88,7 @@ class Engine:
             self._accum_count = 0
         params = self.model.parameters()
         if self.scaler is not None:
-            if not self.scaler.unscale_and_check(params):
+            if not self.scaler.unscale_and_check(params, self.pc.comm(ParallelMode.GLOBAL)):
                 self.steps_skipped += 1
                 self.optimizer.zero_grad()
                 return False
@@ -96,10 +96,10 @@ class Engine:
         sync_parameter_gradients(self.model)
         # data-parallel average; a DDP-wrapped model owns its own sync (the
         # overlap path only waits handles — the all-reduces already ran on
-        # the comm stream during backward)
+        # the comm stream during backward) and ZeRO-2 reduce-scatters in step
         if isinstance(self.model, DistributedDataParallel):
             self.model.sync()
-        elif self.pc.data_size > 1:
+        elif self.pc.data_size > 1 and getattr(self.optimizer, "stage", 0) != 2:
             sync_gradients(params, self.pc.comm(ParallelMode.DATA))
         if self.config.gradient_clipping > 0:
             self.optimizer.clip_grad_norm(self.config.gradient_clipping)

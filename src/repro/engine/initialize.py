@@ -6,8 +6,8 @@ function, configures one runtime from the config and runs the session the
 config names — training, projection or serving — on it.
 
 ``initialize`` assembles an :class:`Engine` from user components exactly as
-Listing 1 shows, wiring in the configured features (fp16 wrapping, pipeline
-schedule, optimizer clipping).
+Listing 1 shows, wiring in the configured features (fp16 wrapping, ZeRO-1/2,
+pipeline schedule, optimizer clipping).
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional, Union
 
 from repro.cluster.machine import ClusterSpec
-from repro.config import Config
-from repro.context.parallel_context import ParallelContext
+from repro.config import Config, ConfigError
+from repro.context.parallel_context import ParallelContext, ParallelMode
 from repro.engine.engine import Engine
 from repro.nn.module import Module
 from repro.parallel.pipeline.schedule import SCHEDULES, PipelineSchedule
@@ -147,6 +147,8 @@ def initialize(
     """Build an Engine with the configured acceleration features injected.
 
     Mirrors ``colossalai.initialize(model, optimizer, criterion, ...)``.
+    ``zero.stage`` 1 or 2 swaps the ``Adam`` for a same-settings
+    ``ZeroRedundancyOptimizer`` over the data-parallel group (DESIGN §4z).
     """
     if pc is None:
         from repro.context.parallel_context import global_context
@@ -157,6 +159,19 @@ def initialize(
         from repro.amp.fp16 import cast_model_to
 
         cast_model_to(model, "float16")
+    if stage := cfg.zero.stage:
+        from repro.optim.adam import Adam
+        from repro.zero import ZeroRedundancyOptimizer
+
+        if stage == 3 or not isinstance(optimizer, Adam) or stage == 2 and (
+                cfg.comm.overlap or cfg.gradient_clipping):
+            raise ConfigError(
+                f"zero.stage: {stage} with {type(optimizer).__name__}, comm.overlap="
+                f"{cfg.comm.overlap}, gradient_clipping={cfg.gradient_clipping}: ZeRO-1/2 "
+                "shard an Adam, ZeRO-2 without those two; ZeRO-3 is ZeroOffloadEngine, built directly")
+        optimizer = ZeroRedundancyOptimizer(
+            optimizer.params, pc.comm(ParallelMode.DATA), stage,
+            decoupled_wd=optimizer.DECOUPLED_WD, **optimizer.defaults)
     if (
         cfg.comm.overlap
         and pc.data_size > 1

@@ -63,7 +63,6 @@ def adam_update(weights, state, g, lr, betas, eps, wd, decoupled) -> None:
 
 class Adam(Optimizer):
     FLOPS_PER_ELEMENT = 12.0
-    STATE_FLOATS_PER_ELEMENT = 2  # m + v (master weights added when fp16)
     DECOUPLED_WD = False
 
     def __init__(

@@ -15,13 +15,10 @@ class Optimizer:
     """Holds parameters and per-parameter state.
 
     Subclasses implement ``_update(param, grad, state)`` (materialized) and
-    declare ``FLOPS_PER_ELEMENT`` / ``STATE_FLOATS_PER_ELEMENT`` so spec-mode
-    runs charge the same time and memory.
+    declare ``FLOPS_PER_ELEMENT`` so spec-mode runs charge the same time.
     """
 
     FLOPS_PER_ELEMENT: float = 1.0
-    #: fp32 state floats allocated per parameter element (e.g. Adam: m+v=2)
-    STATE_FLOATS_PER_ELEMENT: int = 0
 
     def __init__(self, params: Iterable[Tensor], defaults: Dict[str, Any]) -> None:
         self.params: List[Tensor] = list(params)

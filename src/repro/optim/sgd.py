@@ -22,7 +22,6 @@ class SGD(Optimizer):
         weight_decay: float = 0.0,
     ) -> None:
         super().__init__(params, dict(lr=lr, momentum=momentum, weight_decay=weight_decay))
-        self.STATE_FLOATS_PER_ELEMENT = 1 if momentum else 0
 
     def _init_state(self, p: Tensor) -> Dict[str, Any]:
         if self.defaults["momentum"]:

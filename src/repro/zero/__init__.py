@@ -8,8 +8,8 @@ heterogeneous offloading (§3.2 of the paper).
 * :mod:`repro.zero.policies` — tensor placement: ``StaticPolicy``
   (DeepSpeed-like, everything offloaded to CPU) vs ``AdaptivePolicy``
   (Colossal-AI: keep chunks on GPU while memory allows).
-* :mod:`repro.zero.zero_optimizer` — ZeRO stages 1-3 for ordinary
-  (non-offloaded) data-parallel training.
+* :mod:`repro.zero.zero_optimizer` — ZeRO stages 1-2 for ordinary
+  data-parallel training; ``initialize()`` builds them from ``zero.stage``.
 * :mod:`repro.zero.engine` — the block-wise ZeRO-3 + offload training
   engine used by the GPT-2 10B / OPT-13B experiments (Fig 14).
 """

@@ -3,18 +3,18 @@
 Wraps standard training (full parameters on every rank) but shards the
 expensive parts across the data-parallel group:
 
-* **stage 1** — optimizer states sharded: gradients are all-reduced as in
-  DDP, but each rank keeps Adam moments and fp32 master weights only for
-  its 1/p slice, updates that slice, and all-gathers the updated values.
-* **stage 2** — gradients sharded too: the all-reduce is replaced by a
-  reduce-scatter (each rank receives only its slice's gradient, halving
+* **stage 1** — optimizer states sharded: ``step`` slices the gradients
+  data parallelism already averaged, keeps Adam moments and fp32 master
+  weights only for its 1/p slice, updates it and all-gathers the result.
+* **stage 2** — gradients sharded too: ``step`` reduce-scatters the local
+  gradients instead (each rank receives only its slice's gradient, halving
   gradient traffic and removing grad redundancy).
 
 Each slice's state comes from ``adam_state`` and its update is
 ``adam_update``, charged per slice element on the parameter's device: it
 is an :class:`~repro.optim.Adam` whose state and step cover one slice, with
-coupled (``decoupled_wd=False``) or decoupled weight decay.  Callers
-construct it by hand: ``initialize()`` does not read ``cfg.zero`` yet.
+coupled (``decoupled_wd=False``) or decoupled weight decay.
+``initialize()`` builds it from ``zero.stage`` 1 or 2 (DESIGN §4z).
 
 (Stage 3 — parameter sharding — lives in :class:`ZeroOffloadEngine`, where
 gather/release is interleaved with compute.)
@@ -64,27 +64,17 @@ class ZeroRedundancyOptimizer(Adam):
         return adam_state(shard.shape, p.device, shard)
 
     def _grad_shard(self, p: Tensor, per: int):
-        """Stage-dependent gradient exchange; returns the averaged local
-        slice of the global gradient."""
-        if p.grad is None:
-            return None
+        """This rank's flat slice of the averaged gradient: stage 1 slices
+        the one data parallelism averaged, stage 2 reduce-scatters."""
         if not p.grad.materialized:
-            payload = SpecArray((per * self.comm.size,), "float32")
             if self.stage == 2:
-                self.comm.reduce_scatter(payload, axis=0)
-            else:
-                self.comm.all_reduce(payload)
+                self.comm.reduce_scatter(SpecArray((per * self.comm.size,), "float32"), axis=0)
             return None
-        flat = p.grad.numpy().astype(np.float32).reshape(-1)
+        if self.stage == 1:
+            return self.strategy.shard(p.grad.numpy(), self.comm).astype(np.float32, copy=False)
         padded = np.zeros(per * self.comm.size, dtype=np.float32)
-        padded[: flat.size] = flat
-        if self.stage == 2:
-            shard = self.comm.reduce_scatter(padded, axis=0)
-        else:
-            reduced = self.comm.all_reduce(padded)
-            r = self.comm.rank
-            shard = reduced[r * per : (r + 1) * per]
-        return shard / self.comm.size
+        padded[: p.size] = p.grad.numpy().reshape(-1)
+        return self.comm.reduce_scatter(padded, axis=0) / self.comm.size
 
     def step(self) -> None:
         self.step_count += 1

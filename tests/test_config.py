@@ -39,16 +39,12 @@ class TestConfigParsing:
         assert cfg.fp16.initial_scale == 128.0
 
     def test_zero_section(self):
-        cfg = Config.from_dict(dict(zero=dict(stage=3, offload="adaptive")))
+        cfg = Config.from_dict(dict(zero=dict(stage=3)))
         assert cfg.zero.stage == 3
 
     def test_bad_zero_stage(self):
         with pytest.raises(ValueError):
             Config.from_dict(dict(zero=dict(stage=5)))
-
-    def test_bad_offload(self):
-        with pytest.raises(ValueError):
-            Config.from_dict(dict(zero=dict(offload="sometimes")))
 
 
     @pytest.mark.parametrize(
@@ -60,7 +56,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("section, field, bad", [
         ("fp16", "initial_scale", -1), ("fp16", "min_scale", 0), ("fp16", "growth_factor", 0),
         ("fp16", "growth_interval", 0), ("fp16", "backoff_factor", 1.0),
-        ("fp16", "backoff_factor", 0.0), ("zero", "chunk_mb", -5),
+        ("fp16", "backoff_factor", 0.0), ("comm", "island_ratio", -5),
     ])
     def test_out_of_range_value_names_the_field(self, section, field, bad):
         with pytest.raises(ValueError, match=rf"{section}\.{field}"):
@@ -131,7 +127,7 @@ _T = dict(kind="open", rate=1.0, n_requests=1)
     (dict(num_microbatches=1.5), "num_microbatches"),
     (dict(gradient_clipping=-1.0), "gradient_clipping"),
     # died with a bare TypeError from a ``<``
-    (dict(zero=dict(chunk_mb="32")), "zero.chunk_mb"),
+    (dict(fp16=dict(initial_scale="32")), "fp16.initial_scale"),
     (dict(parallel=dict(data="2")), "parallel.data"),
     (dict(serve=dict(block_size="16", model=_M, traffic=_T)), "serve.block_size"),
     # nested mappings that passed validation
@@ -148,8 +144,8 @@ def test_probed_invalid_input_is_a_config_error_naming_the_field(d, key):
 
 
 def test_int_is_accepted_as_float_and_stored_as_float():
-    cfg = Config.from_dict(dict(zero=dict(chunk_mb=32), gradient_clipping=1))
-    assert type(cfg.zero.chunk_mb) is float and cfg.zero.chunk_mb == 32.0
+    cfg = Config.from_dict(dict(fp16=dict(initial_scale=32), gradient_clipping=1))
+    assert type(cfg.fp16.initial_scale) is float and cfg.fp16.initial_scale == 32.0
     assert type(cfg.gradient_clipping) is float
 
 

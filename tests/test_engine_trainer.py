@@ -10,6 +10,7 @@ from repro.engine import initialize, launch
 from repro.models import ViTConfig, build_vit
 from repro.nn import CrossEntropyLoss, Linear
 from repro.optim import Adam, AdamW, SGD
+from repro.runtime import SpmdRuntime
 from repro.tensor import Tensor
 from repro.trainer import (
     Accuracy,
@@ -64,6 +65,37 @@ class TestEngineAPI:
 
         ok, skipped, unchanged = launch({}, uniform_cluster(1), prog)[0]
         assert not ok and skipped == 1 and unchanged
+
+    @pytest.mark.parametrize("parallel", [{}, dict(tensor=dict(size=2, mode="1d"))],
+                             ids=["dp2", "tp2"])
+    def test_fp16_overflow_on_one_rank_skips_the_step_on_every_rank(self, parallel):
+        """Rank 0 alone overflows at step 0: every rank skips that step and
+        backs its scale off, so no gradient collective is left unpaired (a
+        hang under data parallelism) and no rank's weights drift."""
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((4, 4)).astype(np.float16)
+        Y = rng.integers(0, 2, 4)
+
+        def prog(ctx, pc):
+            model = Linear(4, 2, rng=np.random.default_rng(1))
+            engine = initialize(model, SGD(model.parameters(), lr=0.1),
+                                CrossEntropyLoss(), pc=pc)
+            oks = []
+            for step in range(2):
+                engine.zero_grad()
+                engine.backward(engine.criterion(engine(Tensor(X.copy())), Y))
+                if step == 0 and ctx.rank == 0:
+                    model.weight.grad.payload[...] = np.inf
+                oks.append(engine.step())
+            return oks, engine.steps_skipped, engine.scaler.scale, model.weight.numpy()
+
+        rt = SpmdRuntime(uniform_cluster(2), deadlock_timeout=2.0)
+        cfg = dict(parallel=parallel, fp16=dict(enabled=True, initial_scale=8.0))
+        (oks0, skipped0, scale0, w0), (oks1, skipped1, scale1, w1) = launch(
+            cfg, uniform_cluster(2), prog, runtime=rt)
+        assert oks0 == oks1 == [False, True] and skipped0 == skipped1 == 1
+        assert scale0 == scale1 == 4.0
+        np.testing.assert_array_equal(w0, w1)
 
     def test_fp16_casts_model(self):
         def prog(ctx, pc):

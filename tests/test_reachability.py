@@ -109,12 +109,10 @@ def test_every_config_field_is_read():
     """A config field nothing reads is a promise the system does not keep.  A field
     counts as read when its attribute name is loaded as ``.name`` anywhere in
     ``src/repro``; the check matches names only, so a same-named attribute of any other
-    object also counts.  The two unread fields are ZeRO's: ``initialize()`` does not
-    build ZeRO from ``cfg.zero`` yet, and wiring it in must shrink this set.  A new
-    field that nothing reads fails here."""
+    object also counts.  A new field that nothing reads fails here."""
     from repro.config import FIELDS
 
     loaded = {node.attr for p in (ROOT / "src" / "repro").rglob("*.py")
               for node in ast.walk(ast.parse(p.read_text()))
               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    assert {f.key for f in FIELDS if f.name not in loaded} == {"zero.offload", "zero.chunk_mb"}
+    assert {f.key for f in FIELDS if f.name not in loaded} == set()

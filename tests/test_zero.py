@@ -7,8 +7,11 @@ from repro.autograd import ops
 from repro.cluster import uniform_cluster
 from repro.comm import Communicator, SpecArray
 from repro.comm.cost import CostModel
+from repro.config import ConfigError
+from repro.engine import initialize, launch
 from repro.nn import CrossEntropyLoss, Linear, Module
-from repro.optim import Adam, AdamW, CPUAdam, HybridAdam
+from repro.optim import SGD, Adam, AdamW, CPUAdam, HybridAdam
+from repro.parallel.data import sync_gradients
 from repro.runtime import SpmdRuntime
 from repro.tensor import Tensor
 from repro.utils.units import GB, MB
@@ -393,6 +396,8 @@ class TestZeroRedundancyOptimizer:
             for _ in range(3):
                 loss = ref["crit"](fwd(Tensor(xl.copy())), yl)
                 loss.backward()
+                if stage == 1:  # ZeRO-1 slices the data-parallel average
+                    sync_gradients(params, comm)
                 zopt.step()
                 zopt.zero_grad()
             return blocks[0].lin.weight.numpy().copy()
@@ -532,3 +537,117 @@ def test_zero_coupled_weight_decay_matches_adam(stage):
         ps, comm, stage=stage, lr=_LR, weight_decay=_WD, decoupled_wd=False))
     for w, r in zip(got, ref):
         np.testing.assert_array_equal(w, r)
+
+
+def test_stage1_issues_no_collective_before_its_all_gather():
+    """ZeRO-1 slices the gradient the data-parallel path already averaged:
+    its own step only all-gathers the updated slices."""
+    rt = SpmdRuntime(uniform_cluster(2))
+
+    def prog(ctx):
+        lin = Linear(8, 8, bias=False, rng=np.random.default_rng(0))
+        comm = Communicator.world(ctx)
+        zopt = ZeroRedundancyOptimizer(lin.parameters(), comm, stage=1, lr=0.1)
+        lin(Tensor(np.ones((2, 8), dtype=np.float32))).sum().backward()
+        zopt.step()
+
+    rt.run(prog)
+    assert rt.group((0, 1)).counters.by_op_calls == {"all_gather": 1}
+
+
+# ---------------------------------------------------------------------------
+# one ZeRO switch: initialize() builds the stage cfg.zero names (DESIGN §4z)
+# ---------------------------------------------------------------------------
+
+
+class _Net(Module):
+    """Two layers whose 10-element bias pads to 12 when sharded 4 ways."""
+
+    def __init__(self):
+        super().__init__()
+        rng = np.random.default_rng(3)
+        self.fc1, self.fc2 = Linear(H, 10, rng=rng), Linear(10, C, rng=rng)
+
+    def forward(self, x):
+        return self.fc2(ops.gelu(self.fc1(x)))
+
+
+def _zero_launch(zero, overlap=False, steps=3):
+    """``steps`` Adam (coupled decay) steps through ``launch`` and
+    ``initialize`` on 4 data-parallel ranks; per rank, every weight and the
+    live ``optim`` bytes."""
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((4 * B, H)).astype(np.float32)
+    Y = rng.integers(0, C, 4 * B)
+
+    def prog(ctx, pc):
+        model = _Net()
+        engine = initialize(model, Adam(model.parameters(), lr=1e-2, weight_decay=0.1),
+                            CrossEntropyLoss(), pc=pc)
+        rows = slice(ctx.rank * B, (ctx.rank + 1) * B)
+        for _ in range(steps):
+            engine.zero_grad()
+            engine.backward(engine.criterion(engine(Tensor(X[rows].copy())), Y[rows]))
+            engine.step()
+        return ([p.numpy().copy() for p in model.parameters()],
+                ctx.device.memory.breakdown().get("optim", 0))
+
+    return launch(dict(zero=dict(stage=zero), comm=dict(overlap=overlap)),
+                  uniform_cluster(4), prog)
+
+
+def test_initialize_builds_zero_stages_with_identical_weights():
+    """Stages 0, 1, 2 and stage 1 under DDP overlap leave the same weights
+    bit for bit on every rank; stages 1 and 2 hold each parameter's flat
+    quarter of Adam's fp32 ``m`` / ``v`` / master, stage 0 all of ``m`` / ``v``."""
+    runs = {(0, False): _zero_launch(0), (1, False): _zero_launch(1),
+            (2, False): _zero_launch(2), (1, True): _zero_launch(1, overlap=True)}
+    sizes = [p.size for p in _Net().parameters()]
+    ref = runs[0, False][0][0]
+    for (stage, _), per_rank in runs.items():
+        for weights, optim in per_rank:
+            for w, r in zip(weights, ref):
+                np.testing.assert_array_equal(w, r)
+            assert optim == (sum(3 * 4 * -(-n // 4) for n in sizes) if stage
+                             else sum(2 * 4 * n for n in sizes))
+
+
+def test_golden_system_iv_plan_shards_optimizer_state_64_ways():
+    """The System IV compile (``dp64 [zero1, overlap, auto]``, fp16) launched
+    through ``initialize()`` holds 1/64 of stage 0's optimizer state."""
+    from repro.autopar import Workload, compile_strategy
+    from repro.cluster import system_iv
+
+    gpt = Workload(n_layers=16, hidden=3072, n_heads=48, seq_len=196)
+    cfg = compile_strategy(system_iv(), gpt, 512, world_size=64).build_config()
+    assert cfg.zero.stage == 1 and cfg.fp16.enabled
+
+    def prog(ctx, pc):
+        model = Linear(1024, 1024)
+        engine = initialize(model, Adam(model.parameters()), pc=pc)
+        engine.backward(engine(Tensor(SpecArray((4, 1024), "float16"))).sum())
+        engine.step()
+        return ctx.device.memory.breakdown()["optim"]
+
+    def optim(stage):
+        cfg.zero.stage = stage
+        return set(launch(cfg, system_iv(), prog, world_size=64, materialize=False))
+
+    assert optim(0) == {12 * (1024 * 1024 + 1024)}
+    assert optim(1) == {12 * (1024 * 1024 + 1024) // 64}
+
+
+@pytest.mark.parametrize("zero, extra, make_opt", [
+    (3, {}, Adam),
+    (1, {}, lambda ps: SGD(ps, lr=0.1)),
+    (2, dict(comm=dict(overlap=True)), Adam),
+    (2, dict(gradient_clipping=1.0), Adam),
+], ids=["stage3", "not_adam", "stage2_overlap", "stage2_clipping"])
+def test_initialize_rejects_a_zero_stage_it_cannot_build(zero, extra, make_opt):
+    def prog(ctx, pc):
+        model = Linear(4, 4)
+        with pytest.raises(ConfigError, match=r"^zero\.stage"):
+            initialize(model, make_opt(model.parameters()), pc=pc)
+        return True
+
+    assert all(launch(dict(extra, zero=dict(stage=zero)), uniform_cluster(2), prog))

@@ -6,7 +6,7 @@ KEEP: dict[str, str] = {
     "repro.amp": "§2 inventory: fp16 cast, dynamic loss scaling, checkpointed scaler state",
     "repro.optim": "§2 / README substrate row: SGD, CPUAdam, HybridAdam (§3.2), LR schedules, clipping",
     "repro.zero.sharded_tensor": "§3.2 unified ShardedTensor interface + life-cycle hooks",
-    "repro.zero.zero_optimizer": "§3.2 ZeRO stages 1-3 over ShardedTensor",
+    "repro.zero.zero_optimizer": "§3.2 ZeRO-1/2, built by initialize() from zero.stage (DESIGN §4z)",
     "repro.zero.chunk.Chunk.prefetch": "§4f ZeRO chunk prefetch under comm overlap",
     "repro.zero.engine.ZeroOffloadEngine": "§4f overlap prefetch; gather_parameters reads weights back",
     "repro.parallel.vocab_ce": "§2 inventory: vocab-parallel cross-entropy",
