@@ -17,7 +17,7 @@ import repro
 from repro.cluster import system_iii
 from repro.comm.payload import SpecArray
 from repro.models.bert import bert_base
-from repro.nn import Module, ModuleList, TransformerLayer
+from repro.nn import Sequential, TransformerLayer
 from repro.parallel import tensor_mode
 from repro.parallel.pipeline import GPipeSchedule, partition_uniform
 from repro.tensor import Tensor
@@ -25,20 +25,6 @@ from repro.tensor import Tensor
 BERT = bert_base(seq_len=512)
 N_LAYERS = 6  # 12 -> 6 to keep the simulation quick; ratios are per-layer
 MICRO = 4
-
-
-class _Stage(Module):
-    def __init__(self, tmode, n_layers):
-        super().__init__()
-        self.layers = ModuleList([
-            TransformerLayer(BERT.hidden_size, BERT.n_heads, dtype="float16", mode=tmode)
-            for _ in range(n_layers)
-        ])
-
-    def forward(self, x):
-        for l in self.layers:
-            x = l(x)
-        return x
 
 
 def step_time(mode, batch, pp_stages=1, tracer=None, runtime=None):
@@ -52,7 +38,10 @@ def step_time(mode, batch, pp_stages=1, tracer=None, runtime=None):
     def prog(ctx, pc):
         tmode = tensor_mode(pc)
         s, e = partition_uniform(N_LAYERS, pp_stages)[pc.pp_rank]
-        stage = _Stage(tmode, e - s)
+        stage = Sequential([
+            TransformerLayer(BERT.hidden_size, BERT.n_heads, dtype="float16", mode=tmode)
+            for _ in range(e - s)
+        ])
         x = SpecArray(tmode.local_shape(batch, BERT.seq_len, BERT.hidden_size), "float16")
         t0 = ctx.clock.time
         if pp_stages == 1:

@@ -12,12 +12,11 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import repro
-from repro.autograd import checkpoint
 from repro.cluster.device import DeviceOutOfMemoryError
 from repro.cluster.machine import ClusterSpec
 from repro.comm import SpecArray
 from repro.config import TensorParallelConfig
-from repro.nn import TransformerLayer
+from repro.nn import Sequential, TransformerLayer
 from repro.parallel import batch_divisor, tensor_mode
 from repro.runtime import RemoteRankError
 from repro.tensor import Tensor
@@ -48,19 +47,16 @@ def vit_step_time(
 
     def prog(ctx, pc):
         tmode = tensor_mode(pc)
-        layers = [
-            TransformerLayer(hidden, heads, dtype=DTYPE, mode=tmode)
-            for _ in range(n_layers)
-        ]
+        layers = Sequential(
+            [TransformerLayer(hidden, heads, dtype=DTYPE, mode=tmode) for _ in range(n_layers)],
+            checkpoint=True,
+        )
         x = Tensor(
             SpecArray(tmode.local_shape(batch, N_PATCHES, hidden), DTYPE),
             requires_grad=True,
         )
         t0 = ctx.clock.time
-        h = x
-        for layer in layers:
-            h = checkpoint(layer, h)
-        h.sum().backward()
+        layers(x).sum().backward()
         return ctx.clock.time - t0
 
     try:

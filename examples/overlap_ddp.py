@@ -17,15 +17,11 @@ split from the comm-stream clocks, and the trace-report overlap table.
 Run:  PYTHONPATH=src python examples/overlap_ddp.py
 """
 
-import numpy as np
-
-from repro.autograd import checkpoint
 from repro.cluster import system_ii
 from repro.comm import SpecArray
 from repro.config import Config
 from repro.context import ParallelContext
-from repro.nn import TransformerLayer
-from repro.nn.module import Module
+from repro.nn import Sequential, TransformerLayer
 from repro.parallel.data import DistributedDataParallel
 from repro.runtime import SpmdRuntime
 from repro.tensor import Tensor
@@ -35,18 +31,6 @@ WORLD, LAYERS, HIDDEN, HEADS = 8, 16, 3072, 48
 BATCH, PATCHES = 64, 196
 
 
-class ViTStack(Module):
-    def __init__(self):
-        super().__init__()
-        for i in range(LAYERS):
-            setattr(self, f"layer{i}", TransformerLayer(HIDDEN, HEADS, dtype="float16"))
-
-    def forward(self, x):
-        for i in range(LAYERS):
-            x = checkpoint(getattr(self, f"layer{i}"), x)
-        return x
-
-
 def step_time(overlap: bool, tracer=None):
     cluster = system_ii()
     cluster.reset()
@@ -54,7 +38,11 @@ def step_time(overlap: bool, tracer=None):
 
     def prog(ctx):
         pc = ParallelContext(ctx, Config.from_dict({}))
-        ddp = DistributedDataParallel(ViTStack(), pc, overlap=overlap)
+        vit = Sequential(
+            [TransformerLayer(HIDDEN, HEADS, dtype="float16") for _ in range(LAYERS)],
+            checkpoint=True,
+        )
+        ddp = DistributedDataParallel(vit, pc, overlap=overlap)
         x = Tensor(
             SpecArray((BATCH // WORLD, PATCHES, HIDDEN), "float16"),
             requires_grad=True,

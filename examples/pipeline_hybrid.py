@@ -12,16 +12,9 @@ import numpy as np
 
 import repro
 from repro.cluster import uniform_cluster
-from repro.context import ParallelMode
-from repro.models import GPTConfig
-from repro.models.common import crng
-from repro.nn import CrossEntropyLoss, LayerNorm, Linear, Module, ModuleList, Embedding
-from repro.nn import init as init_mod
-from repro.nn.module import Parameter
-from repro.nn.transformer import TransformerLayer
-from repro.parallel.pipeline import GPipeSchedule, partition_uniform
-from repro.parallel.tensor1d import ParallelTransformerLayer1D
-from repro.autograd import ops
+from repro.models import GPTConfig, build_gpt
+from repro.nn import CrossEntropyLoss
+from repro.parallel.pipeline import GPipeSchedule
 from repro.tensor import Tensor
 
 CFG = GPTConfig(vocab_size=64, hidden_size=32, n_layers=4, n_heads=4,
@@ -32,53 +25,9 @@ IDS = rng_data.integers(0, CFG.vocab_size, (8, CFG.seq_len))
 TARGETS = rng_data.integers(0, CFG.vocab_size, (8, CFG.seq_len))
 
 
-class Stage(Module):
-    """One pipeline stage: embeddings on the first, head on the last,
-    1D-tensor-parallel transformer layers in between."""
-
-    def __init__(self, layer_range, is_first, is_last, tensor_comm):
-        super().__init__()
-        self.is_first = is_first
-        self.is_last = is_last
-        if is_first:
-            self.token_emb = Embedding(CFG.vocab_size, CFG.hidden_size,
-                                       rng=crng(CFG.seed, 0))
-            self.pos_emb = Parameter(init_mod.param_payload(
-                (CFG.seq_len, CFG.hidden_size), init_mod.normal(0.02),
-                crng(CFG.seed, 1), CFG.dtype))
-        if tensor_comm is None:
-            self.layers = ModuleList([
-                TransformerLayer(CFG.hidden_size, CFG.n_heads, CFG.mlp_ratio,
-                                 causal=True, rng=crng(CFG.seed, 2 + i))
-                for i in layer_range
-            ])
-        else:
-            self.layers = ModuleList([
-                ParallelTransformerLayer1D(CFG.hidden_size, CFG.n_heads, tensor_comm,
-                                           CFG.mlp_ratio, causal=True,
-                                           rng=crng(CFG.seed, 2 + i))
-                for i in layer_range
-            ])
-        if is_last:
-            self.norm = LayerNorm(CFG.hidden_size, rng=crng(CFG.seed, 1000))
-            self.head = Linear(CFG.hidden_size, CFG.vocab_size, bias=False,
-                               weight_init=init_mod.lecun_normal(),
-                               rng=crng(CFG.seed, 1001))
-
-    def forward(self, x):
-        if self.is_first:
-            x = ops.add(self.token_emb(x), self.pos_emb)
-        for layer in self.layers:
-            x = layer(x)
-        if self.is_last:
-            x = self.head(self.norm(x))
-        return x
-
-
 def serial_loss():
-    stage = Stage(range(CFG.n_layers), True, True, None)
     crit = CrossEntropyLoss()
-    loss = crit(stage(Tensor(IDS)), TARGETS)
+    loss = crit(build_gpt(CFG)(Tensor(IDS)), TARGETS)
     return loss.item()
 
 
@@ -89,14 +38,7 @@ def hybrid_losses():
     )
 
     def train(ctx, pc):
-        ranges = partition_uniform(CFG.n_layers, pc.pipeline_size)
-        s, e = ranges[pc.pp_rank]
-        stage = Stage(
-            range(s, e),
-            pc.is_first_pipeline_stage(),
-            pc.is_last_pipeline_stage(),
-            pc.comm(ParallelMode.TENSOR),
-        )
+        stage = build_gpt(CFG, pc)
         sched = GPipeSchedule(pc, MICROBATCHES)
         crit = CrossEntropyLoss()
         loss = sched.run(

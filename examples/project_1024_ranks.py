@@ -25,13 +25,11 @@ Run:  PYTHONPATH=src python examples/project_1024_ranks.py
 
 import time
 
-from repro.autograd import checkpoint
 from repro.cluster import system_iii, uniform_cluster
 from repro.comm import SpecArray
 from repro.config import Config
 from repro.context import ParallelContext
-from repro.nn import TransformerLayer
-from repro.nn.module import Module
+from repro.nn import Sequential, TransformerLayer
 from repro.parallel.data import DistributedDataParallel
 from repro.project import Fabric, capture_run, project
 from repro.tensor import Tensor
@@ -40,21 +38,13 @@ WORLD, LAYERS, HIDDEN, HEADS = 8, 4, 1024, 16
 BATCH_PER_RANK, SEQ = 4, 256
 
 
-class GPT(Module):
-    def __init__(self):
-        super().__init__()
-        for i in range(LAYERS):
-            setattr(self, f"layer{i}", TransformerLayer(HIDDEN, HEADS, dtype="float16"))
-
-    def forward(self, x):
-        for i in range(LAYERS):
-            x = checkpoint(getattr(self, f"layer{i}"), x)
-        return x
-
-
 def prog(ctx):
     pc = ParallelContext(ctx, Config.from_dict({}))
-    ddp = DistributedDataParallel(GPT(), pc, overlap=True)
+    gpt = Sequential(
+        [TransformerLayer(HIDDEN, HEADS, dtype="float16") for _ in range(LAYERS)],
+        checkpoint=True,
+    )
+    ddp = DistributedDataParallel(gpt, pc, overlap=True)
     x = Tensor(
         SpecArray((BATCH_PER_RANK, SEQ, HIDDEN), "float16"),
         requires_grad=True,

@@ -29,7 +29,7 @@ from repro.analytic.memory_model import zero_partitioned_bytes
 from repro.cluster import system_iii, uniform_cluster
 from repro.config import Config
 from repro.context import ParallelContext, ParallelMode
-from repro.nn import CrossEntropyLoss, Linear, Module, ModuleList
+from repro.nn import CrossEntropyLoss, Linear, Sequential
 from repro.parallel.data import sync_gradients
 from repro.parallel.pipeline import GPipeSchedule, partition_uniform
 from repro.parallel.tensor1d import ParallelTransformerLayer1D
@@ -52,36 +52,18 @@ X = rng.standard_normal((BATCH, SEQ, HIDDEN)).astype(np.float32)
 Y = rng.integers(0, CLASSES, (BATCH, SEQ))
 
 
-class Stage(Module):
-    """One pipeline stage of 1D-tensor-parallel transformer layers."""
-
-    def __init__(self, idxs, tp_comm, with_head):
-        super().__init__()
-        self.layers = ModuleList([
-            ParallelTransformerLayer1D(
-                HIDDEN, HEADS, tp_comm, 2, causal=True,
-                rng=np.random.default_rng((5, i)),
-            )
-            for i in idxs
-        ])
-        self.head = (
-            Linear(HIDDEN, CLASSES, rng=np.random.default_rng(9))
-            if with_head else None
-        )
-
-    def forward(self, x):
-        for layer in self.layers:
-            x = layer(x)
-        return self.head(x) if self.head is not None else x
-
-
 def prog(ctx):
     pc = ParallelContext(ctx, CFG)
     s, e = partition_uniform(LAYERS, pc.pipeline_size)[pc.pp_rank]
-    stage = Stage(
-        range(s, e), pc.comm(ParallelMode.TENSOR),
-        with_head=pc.is_last_pipeline_stage(),
-    )
+    stage = Sequential([
+        ParallelTransformerLayer1D(
+            HIDDEN, HEADS, pc.comm(ParallelMode.TENSOR), 2, causal=True,
+            rng=np.random.default_rng((5, i)),
+        )
+        for i in range(s, e)
+    ])
+    if pc.is_last_pipeline_stage():
+        stage.append(Linear(HIDDEN, CLASSES, rng=np.random.default_rng(9)))
     GPipeSchedule(pc, MICROBATCHES).run(
         stage,
         X if pc.is_first_pipeline_stage() else None,

@@ -14,9 +14,8 @@ import numpy as np
 
 import repro
 from repro.cluster import uniform_cluster
-from repro.nn import Linear, Module, ModuleList
+from repro.nn import Linear, Sequential
 from repro.parallel.pipeline import GPipeSchedule
-from repro.tensor import Tensor
 from repro.trace import Tracer, TraceReport, save_chrome_trace
 
 STAGES = 4
@@ -28,23 +27,12 @@ rng = np.random.default_rng(0)
 X = rng.standard_normal((BATCH, WIDTH)).astype("float32")
 
 
-class Stage(Module):
-    def __init__(self, depth):
-        super().__init__()
-        self.layers = ModuleList([Linear(WIDTH, WIDTH) for _ in range(depth)])
-
-    def forward(self, x):
-        for l in self.layers:
-            x = l(x)
-        return x
-
-
 def main():
     config = dict(parallel=dict(pipeline=STAGES), num_microbatches=MICRO)
     tracer = Tracer()
 
     def train(ctx, pc):
-        stage = Stage(DEPTHS[pc.pp_rank])
+        stage = Sequential([Linear(WIDTH, WIDTH) for _ in range(DEPTHS[pc.pp_rank])])
         sched = GPipeSchedule(pc, MICRO)
         sched.run(
             stage,

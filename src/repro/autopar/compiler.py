@@ -156,9 +156,6 @@ class CompiledStrategy:
             return self.refined.step_seconds
         return self.score.step_seconds
 
-    def build_config(self) -> Config:
-        return Config.from_dict(dict(self.config))
-
     def apply_to(self, cfg: Config) -> Config:
         """A copy of ``cfg`` with this strategy's decisions merged in
         (parallel layout, microbatches, schedule, ZeRO stage, comm knobs);

@@ -9,7 +9,7 @@ loops across serial / 1D / 2D / 2.5D / 3D / sequence-parallel configs.
 from repro.models.common import ModelBundle, crng
 from repro.models.vit import ViTConfig, build_vit
 from repro.models.bert import BertConfig, build_bert
-from repro.models.gpt import GPTConfig, build_gpt_blocks, gpt2_10b, opt_13b
+from repro.models.gpt import GPTConfig, build_gpt, build_gpt_blocks, gpt2_10b, opt_13b
 
 __all__ = [
     "ModelBundle",
@@ -19,6 +19,7 @@ __all__ = [
     "BertConfig",
     "build_bert",
     "GPTConfig",
+    "build_gpt",
     "build_gpt_blocks",
     "gpt2_10b",
     "opt_13b",

@@ -13,16 +13,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.context.parallel_context import ParallelContext
-from repro.models.common import ModelBundle, crng, resolve_mode
+from repro.models.common import EMBED, HEAD, LAYER0, NORM, POS, ModelBundle, crng, resolve_mode
 from repro.nn import init as init_mod
 from repro.nn.mode import SERIAL, TensorMode
-from repro.nn.module import Module, ModuleList
+from repro.nn.module import Module, Sequential
 from repro.nn.transformer import TransformerLayer
 from repro.parallel import tensor_mode
 from repro.tensor.tensor import Tensor
-
-_TOK, _POS, _NORM, _HEAD = 0, 1, 1000, 1001
-_LAYER0 = 2
 
 
 @dataclass
@@ -49,34 +46,33 @@ class Bert(Module):
         self.cfg = cfg
         self.mode = mode
         self.token_emb = mode.embedding(
-            cfg.vocab_size, cfg.hidden_size, dtype=cfg.dtype, rng=crng(cfg.seed, _TOK)
+            cfg.vocab_size, cfg.hidden_size, dtype=cfg.dtype, rng=crng(cfg.seed, EMBED)
         )
         self.pos_emb = mode.shared_param(
             init_mod.param_payload(
                 (cfg.seq_len, cfg.hidden_size), init_mod.normal(0.02),
-                crng(cfg.seed, _POS), cfg.dtype,
+                crng(cfg.seed, POS), cfg.dtype,
             )
         )
-        self.layers = ModuleList(
+        self.layers = Sequential(
             [
                 TransformerLayer(
                     cfg.hidden_size, cfg.n_heads, cfg.mlp_ratio,
                     dropout=cfg.dropout, dtype=cfg.dtype,
-                    rng=crng(cfg.seed, _LAYER0 + i), mode=mode,
+                    rng=crng(cfg.seed, LAYER0 + i), mode=mode,
                 )
                 for i in range(cfg.n_layers)
             ]
         )
-        self.norm = mode.layer_norm(cfg.hidden_size, dtype=cfg.dtype, rng=crng(cfg.seed, _NORM))
+        self.norm = mode.layer_norm(cfg.hidden_size, dtype=cfg.dtype, rng=crng(cfg.seed, NORM))
         self.head = mode.lm_head(
-            cfg.hidden_size, cfg.vocab_size, dtype=cfg.dtype, rng=crng(cfg.seed, _HEAD)
+            cfg.hidden_size, cfg.vocab_size, dtype=cfg.dtype, rng=crng(cfg.seed, HEAD)
         )
 
     def forward(self, token_ids) -> Tensor:
         x = self.token_emb(token_ids)
         x = self.mode.add_shared(x, self.pos_emb)
-        for layer in self.layers:
-            x = layer(x)
+        x = self.layers(x)
         return self.head(self.norm(x))
 
 

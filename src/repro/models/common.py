@@ -13,6 +13,12 @@ from repro.nn.module import Module
 from repro.tensor.tensor import Tensor
 
 
+#: per-component RNG ids, one table for the zoo: the input embedding (token
+#: table or patch projection), the positional embedding, layer ``i`` at
+#: ``LAYER0 + i``, the final norm and the head
+EMBED, POS, LAYER0, NORM, HEAD = 0, 1, 2, 1000, 1001
+
+
 def crng(seed: int, *component: int) -> np.random.Generator:
     """Deterministic per-component RNG: every parallel mode draws the same
     global weight for component ``(seed, *component)`` regardless of build

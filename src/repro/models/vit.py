@@ -21,20 +21,16 @@ import numpy as np
 from repro.autograd import ops
 from repro.comm.payload import is_spec
 from repro.context.parallel_context import ParallelContext, ParallelMode
-from repro.models.common import ModelBundle, crng, resolve_mode
+from repro.models.common import EMBED, HEAD, LAYER0, NORM, POS, ModelBundle, crng, resolve_mode
 from repro.nn import init as init_mod
 from repro.nn.layers import patchify
 from repro.nn.mode import SERIAL, TensorMode
-from repro.nn.module import Module, ModuleList
+from repro.nn.module import Module, Sequential
 from repro.nn.transformer import TransformerLayer
 from repro.parallel import tensor_mode
 from repro.parallel.data import shard_batch
 from repro.tensor.sharding import shard_payload
 from repro.tensor.tensor import Tensor
-
-# per-component RNG ids
-_PATCH, _POS, _NORM, _HEAD = 0, 1, 1000, 1001
-_LAYER0 = 2
 
 
 @dataclass
@@ -81,35 +77,34 @@ class ViT(Module):
         self.mode = mode
         self.body = body = mode.flipped()
         self.patch_proj = mode.edge_linear(
-            cfg.patch_dim, cfg.hidden_size, dtype=cfg.dtype, rng=crng(cfg.seed, _PATCH)
+            cfg.patch_dim, cfg.hidden_size, dtype=cfg.dtype, rng=crng(cfg.seed, EMBED)
         )
         self.pos_emb = body.shared_param(
             init_mod.param_payload(
                 (cfg.n_patches, cfg.hidden_size), init_mod.normal(0.02),
-                crng(cfg.seed, _POS), cfg.dtype,
+                crng(cfg.seed, POS), cfg.dtype,
             )
         )
-        self.layers = ModuleList(
+        self.layers = Sequential(
             [
                 TransformerLayer(
                     cfg.hidden_size, cfg.n_heads, cfg.mlp_ratio,
                     attn_dropout=cfg.attn_dropout, dropout=cfg.dropout,
-                    dtype=cfg.dtype, rng=crng(cfg.seed, _LAYER0 + i), mode=body,
+                    dtype=cfg.dtype, rng=crng(cfg.seed, LAYER0 + i), mode=body,
                 )
                 for i in range(cfg.n_layers)
             ]
         )
-        self.norm = body.layer_norm(cfg.hidden_size, dtype=cfg.dtype, rng=crng(cfg.seed, _NORM))
+        self.norm = body.layer_norm(cfg.hidden_size, dtype=cfg.dtype, rng=crng(cfg.seed, NORM))
         self.head = body.edge_linear(
-            cfg.hidden_size, cfg.n_classes, dtype=cfg.dtype, rng=crng(cfg.seed, _HEAD)
+            cfg.hidden_size, cfg.n_classes, dtype=cfg.dtype, rng=crng(cfg.seed, HEAD)
         )
 
     def forward(self, images: Tensor) -> Tensor:
         x = patchify(images, self.cfg.patch_size)
         x = self.patch_proj(self.mode.scatter_features(x))
         x = self.body.add_shared(x, self.pos_emb)
-        for layer in self.layers:
-            x = layer(x)
+        x = self.layers(x)
         x = self.norm(x)
         return self.head(ops.mean_(x, axis=1))
 

@@ -7,7 +7,7 @@ and its two blocks are written once over a ``mode`` object
 each parallel mode matches the serial one (up to float tolerance).
 """
 
-from repro.nn.module import Module, ModuleList, Parameter
+from repro.nn.module import Module, ModuleList, Parameter, Sequential
 from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear
 from repro.nn.mode import SERIAL, TensorMode
 from repro.nn.transformer import FeedForward, MultiHeadAttention, TransformerLayer
@@ -17,6 +17,7 @@ from repro.nn import init
 __all__ = [
     "Module",
     "ModuleList",
+    "Sequential",
     "Parameter",
     "Linear",
     "LayerNorm",

@@ -12,6 +12,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.autograd.checkpoint import checkpoint as _checkpoint
 from repro.tensor.tensor import Tensor
 
 
@@ -145,3 +146,18 @@ class ModuleList(Module):
 
     def __iter__(self) -> Iterator[Module]:
         return iter(self._list)
+
+
+class Sequential(ModuleList):
+    """A :class:`ModuleList` whose forward chains its modules, each one
+    through :func:`repro.autograd.checkpoint` when built with
+    ``checkpoint=True``."""
+
+    def __init__(self, modules: Optional[List[Module]] = None, checkpoint: bool = False) -> None:
+        super().__init__(modules)
+        self.checkpoint = checkpoint
+
+    def forward(self, x):
+        for m in self._list:
+            x = _checkpoint(m, x) if self.checkpoint else m(x)
+        return x

@@ -390,7 +390,7 @@ class TestConfigEmission:
     def test_compiled_config_validates(self):
         cl = uniform_cluster(8, memory_gb=16)
         cs = compile_strategy(cl, WORK, 128, refine=False)
-        cfg = cs.build_config()
+        cfg = Config.from_dict(cs.config)
         assert cfg.infer_data_size(8) == cs.candidate.data
 
     def test_apply_to_preserves_unrelated_settings(self):

@@ -33,6 +33,7 @@ from repro.comm import Communicator, SpecArray
 from repro.config import Config
 from repro.context import ParallelContext, ParallelMode
 from repro.faults import FaultPlan
+from repro.nn import Sequential
 from repro.parallel.data import sync_gradients
 from repro.parallel.pipeline import GPipeSchedule, partition_uniform
 from repro.parallel.tensor1d import ParallelTransformerLayer1D
@@ -44,7 +45,7 @@ from repro.trace import Tracer
 from repro.utils.backoff import RetryPolicy
 from repro.utils.profile import time_breakdown
 
-from test_train_golden import _sha, _sig, _Stack
+from test_train_golden import _sha, _sig
 
 GOLDEN = Path(__file__).with_name("comm_golden.json")
 
@@ -262,11 +263,11 @@ def _hybrid_step(ctx):
         parallel=dict(tensor=dict(size=2, mode="1d"), pipeline=2),
         num_microbatches=4, seed=5)))
     start, end = partition_uniform(4, 2)[pc.pp_rank]
-    stage = _Stack([
+    stage = Sequential([
         ParallelTransformerLayer1D(
             128, 4, pc.comm(ParallelMode.TENSOR), causal=True,
             dtype="float16")
-        for _ in range(end - start)], checkpointed=False)
+        for _ in range(end - start)])
     GPipeSchedule(pc, 4).run(
         stage,
         SpecArray((8, 32, 128), "float16")

@@ -10,14 +10,17 @@ from repro.models import (
     GPTConfig,
     ViTConfig,
     build_bert,
+    build_gpt,
     build_gpt_blocks,
     build_vit,
     gpt2_10b,
     opt_13b,
 )
-from repro.nn import CrossEntropyLoss
 from repro.optim import AdamW
+from repro.parallel.pipeline import GPipeSchedule
 from repro.tensor import Tensor
+
+from parity_helpers import ATOL
 
 VIT_CFG = ViTConfig(
     image_size=8, patch_size=2, in_channels=3, hidden_size=16,
@@ -190,15 +193,20 @@ class TestBertParity:
         assert shapes[0] == (4, 1, 32)
 
 
+GPT_CFG = GPTConfig(vocab_size=64, hidden_size=32, n_layers=4, n_heads=4,
+                    seq_len=8, mlp_ratio=2, dtype="float32", seed=5)
+GPT_IDS = np.random.default_rng(3).integers(0, 64, (4, 8))
+
+
 class TestGPT:
     def test_param_count_rule(self):
-        cfg = GPTConfig(vocab_size=100, hidden_size=64, n_layers=2, n_heads=4, seq_len=16)
-        blocks, _ = build_gpt_blocks(cfg)
-        actual = sum(b.num_parameters() for b in blocks)
-        assert actual == pytest.approx(cfg.param_count(), rel=0.02)
+        for mlp_ratio in (1, 2, 4):
+            cfg = GPTConfig(vocab_size=100, hidden_size=64, n_layers=2, n_heads=4,
+                            seq_len=16, mlp_ratio=mlp_ratio)
+            assert build_gpt(cfg).num_parameters() == cfg.param_count()
 
     def test_presets_scale(self):
-        assert 10e9 < gpt2_10b().param_count() < 11e9
+        assert gpt2_10b().param_count() == 10_484_891_648 + 8_192
         assert 12.5e9 < opt_13b().param_count() < 13.5e9
 
     def test_blocks_forward_chain(self):
@@ -215,17 +223,51 @@ class TestGPT:
     def test_causality(self):
         """GPT logits at position t must not depend on tokens after t."""
         cfg = GPTConfig(vocab_size=50, hidden_size=16, n_layers=2, n_heads=2, seq_len=8)
-        blocks, _ = build_gpt_blocks(cfg)
-
-        def logits_for(ids):
-            x = Tensor(ids)
-            for b in blocks:
-                x = b(x)
-            return x.numpy()
-
+        model = build_gpt(cfg)
         ids = np.random.default_rng(0).integers(0, 50, (1, 8))
-        base = logits_for(ids)
+        base = model(Tensor(ids)).numpy()
         ids2 = ids.copy()
         ids2[0, 7] = (ids2[0, 7] + 1) % 50
-        pert = logits_for(ids2)
+        pert = model(Tensor(ids2)).numpy()
         np.testing.assert_allclose(pert[0, :7], base[0, :7], atol=1e-5)
+
+    @pytest.mark.parametrize("tp", [1, 2])
+    @pytest.mark.parametrize("pp", [2, 4])
+    def test_stages_chain_to_the_serial_model(self, pp, tp):
+        """The pipeline stages hold the serial model's parameters in its
+        order, and GPipe over them gives its logits: bit for bit without
+        tensor parallelism, within the mode contract's tolerance under 1D."""
+        serial = build_gpt(GPT_CFG)
+        ref = serial(Tensor(GPT_IDS)).numpy()
+        tensor = dict(size=tp, mode="1d") if tp > 1 else None
+        config = dict(parallel=dict(pipeline=pp, tensor=tensor), num_microbatches=1)
+
+        def prog(ctx, pc):
+            stage = build_gpt(GPT_CFG, pc)
+            logits = []
+
+            def crit(out, _):
+                logits.append(out.numpy().copy())
+                return out.sum()
+
+            GPipeSchedule(pc, 1).run(
+                stage, GPT_IDS if pc.is_first_pipeline_stage() else None, None,
+                crit if pc.is_last_pipeline_stage() else None)
+            return pc.pp_rank, pc.tp_rank, [p.numpy() for p in stage.parameters()], logits
+
+        res = sorted(launch(config, uniform_cluster(pp * tp), prog),
+                     key=lambda r: (r[1], r[0]))
+        want = [p.numpy() for p in serial.parameters()]
+        for t in range(tp):
+            got = [p for _, r, params, _ in res if r == t for p in params]
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                # whole and equal, or (1D) this tensor rank's shard of it
+                assert np.array_equal(g, w) or (tp > 1 and g.size * tp == w.size)
+        outs = [lg[0] for _, _, _, lg in res if lg]
+        assert len(outs) == tp
+        for out in outs:
+            if tp == 1:
+                np.testing.assert_array_equal(out, ref)
+            else:
+                np.testing.assert_allclose(out, ref, atol=ATOL)

@@ -25,7 +25,7 @@ from repro.cluster import uniform_cluster
 from repro.comm import Communicator, SpecArray
 from repro.config import Config
 from repro.context import ParallelContext
-from repro.nn import CrossEntropyLoss, Linear, Module, ModuleList, TransformerLayer
+from repro.nn import CrossEntropyLoss, Linear, Sequential, TransformerLayer
 from repro.optim import Adam
 from repro.parallel import comm_ops
 from repro.parallel.data import DistributedDataParallel
@@ -64,21 +64,11 @@ def _counting(*classes):
 def _spec_step(world, layers=2, hidden=32, heads=4):
     """A checkpointed, overlapped spec-mode DDP step, one per rank."""
 
-    class Stack(Module):
-        def __init__(self):
-            super().__init__()
-            self.layers = ModuleList([
-                TransformerLayer(hidden, heads, dtype="float16")
-                for _ in range(layers)])
-
-        def forward(self, x):
-            for layer in self.layers:
-                x = checkpoint(layer, x)
-            return x
-
     def prog(ctx):
         pc = ParallelContext(ctx, Config.from_dict({}))
-        ddp = DistributedDataParallel(Stack(), pc, bucket_mb=0.01, overlap=True)
+        stack = Sequential([TransformerLayer(hidden, heads, dtype="float16")
+                            for _ in range(layers)], checkpoint=True)
+        ddp = DistributedDataParallel(stack, pc, bucket_mb=0.01, overlap=True)
         x = Tensor(SpecArray((2, 8, hidden), "float16"), requires_grad=True)
         ddp(x).sum().backward()
         ddp.sync()

@@ -20,14 +20,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.autograd import checkpoint, ops
+from repro.autograd import ops
 from repro.cluster import system_ii, uniform_cluster
 from repro.comm import Communicator, SpecArray
 from repro.comm.cost import CostModel
 from repro.config import Config
 from repro.context import ParallelContext, ParallelMode
 from repro.faults import FaultPlan
-from repro.nn import CrossEntropyLoss, Linear, Module, ModuleList, TransformerLayer
+from repro.nn import CrossEntropyLoss, Linear, Module, Sequential, TransformerLayer
 from repro.nn.module import Parameter
 from repro.parallel.data import DistributedDataParallel, _bucketize, sync_gradients
 from repro.parallel.pipeline import GPipeSchedule, OneFOneBSchedule, partition_uniform
@@ -204,18 +204,6 @@ class TestDDPOverlapParity:
         assert rt.world_group._rounds == {}
 
 
-class _ViTBody(Module):
-    def __init__(self):
-        super().__init__()
-        self.layers = ModuleList(
-            [TransformerLayer(3072, 48, dtype="float16") for _ in range(16)])
-
-    def forward(self, x):
-        for layer in self.layers:
-            x = checkpoint(layer, x)
-        return x
-
-
 def _fig13b_step(overlap):
     """One DDP training step of the Fig-13b ViT (16 checkpointed fp16
     layers of width 3072, 196 patches, global batch 64) on System II's
@@ -223,7 +211,9 @@ def _fig13b_step(overlap):
     rt = SpmdRuntime(system_ii(), 8, comm_overlap=overlap)
 
     def prog(ctx):
-        ddp = DistributedDataParallel(_ViTBody(), _pc(ctx), overlap=overlap)
+        vit = Sequential([TransformerLayer(3072, 48, dtype="float16") for _ in range(16)],
+                         checkpoint=True)
+        ddp = DistributedDataParallel(vit, _pc(ctx), overlap=overlap)
         x = Tensor(SpecArray((64 // 8, 196, 3072), "float16"),
                    requires_grad=True)
         ddp(x).sum().backward()

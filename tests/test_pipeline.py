@@ -11,7 +11,7 @@ from repro.cluster import uniform_cluster
 from repro.comm.payload import SpecArray
 from repro.config import PIPELINE_SCHEDULES, Config
 from repro.context import ParallelContext
-from repro.nn import CrossEntropyLoss, Linear, Module, ModuleList, TransformerLayer
+from repro.nn import CrossEntropyLoss, Linear, Module, Sequential, TransformerLayer
 from repro.parallel.pipeline import (
     GPipeSchedule,
     OneFOneBSchedule,
@@ -166,18 +166,9 @@ class _Tail(Module):
         return self.head(x.mean(axis=1))
 
 
-class _Stack(Module):
-    def __init__(self, idxs, with_tail):
-        super().__init__()
-        mods = [TransformerLayer(H, NH, mlp_ratio=2, rng=_layer_rng(i)) for i in idxs]
-        if with_tail:
-            mods.append(_Tail())
-        self.layers = ModuleList(mods)
-
-    def forward(self, x):
-        for l in self.layers:
-            x = l(x)
-        return x
+def _stack(idxs, with_tail):
+    mods = [TransformerLayer(H, NH, mlp_ratio=2, rng=_layer_rng(i)) for i in idxs]
+    return Sequential(mods + [_Tail()] if with_tail else mods)
 
 
 @pytest.fixture(scope="module")
@@ -185,7 +176,7 @@ def serial_ref():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((B, S, H)).astype(np.float32)
     Y = rng.integers(0, C, B)
-    model = _Stack(range(4), with_tail=True)
+    model = _stack(range(4), with_tail=True)
     crit = CrossEntropyLoss()
     loss = crit(model(Tensor(X.copy())), Y)
     loss.backward()
@@ -193,8 +184,8 @@ def serial_ref():
         "X": X,
         "Y": Y,
         "loss": loss.item(),
-        "w1_grad": model.layers[0].mlp.dense_1.weight.grad.numpy().copy(),
-        "head_grad": model.layers[4].head.weight.grad.numpy().copy(),
+        "w1_grad": model[0].mlp.dense_1.weight.grad.numpy().copy(),
+        "head_grad": model[4].head.weight.grad.numpy().copy(),
     }
 
 
@@ -209,7 +200,7 @@ def _run_pipeline(sched_cls, ref, microbatches=4, stages=4, tracer=None):
             ),
         )
         s, e = partition_uniform(4, stages)[pc.pp_rank]
-        stage = _Stack(range(s, e), with_tail=pc.is_last_pipeline_stage())
+        stage = _stack(range(s, e), with_tail=pc.is_last_pipeline_stage())
         sched = sched_cls(pc, microbatches)
         loss = sched.run(
             stage,
@@ -219,9 +210,9 @@ def _run_pipeline(sched_cls, ref, microbatches=4, stages=4, tracer=None):
         )
         grads = {}
         if pc.pp_rank == 0:
-            grads["w1"] = stage.layers[0].mlp.dense_1.weight.grad.numpy()
+            grads["w1"] = stage[0].mlp.dense_1.weight.grad.numpy()
         if pc.is_last_pipeline_stage():
-            grads["head"] = stage.layers[-1].head.weight.grad.numpy()
+            grads["head"] = stage[-1].head.weight.grad.numpy()
         return pc.pp_rank, loss, grads, ctx.clock.time
 
     return SpmdRuntime(uniform_cluster(stages), tracer=tracer).run(prog)
@@ -255,7 +246,7 @@ class TestSchedules:
             pc = ParallelContext(ctx, Config.from_dict(
                 dict(parallel=dict(pipeline=2), num_microbatches=2)))
             s, e = partition_uniform(4, 2)[pc.pp_rank]
-            stage = _Stack(range(s, e), with_tail=pc.is_last_pipeline_stage())
+            stage = _stack(range(s, e), with_tail=pc.is_last_pipeline_stage())
             opt = SGD(stage.parameters(), lr=0.1)
             engine = initialize(stage, opt, CrossEntropyLoss(), pc=pc)
             trainer = Trainer(engine, hooks=[
@@ -362,7 +353,7 @@ class TestSchedules:
                         dict(parallel=dict(pipeline=2), num_microbatches=8)
                     ),
                 )
-                stage = _Stack(
+                stage = _stack(
                     range(2) if pc.pp_rank == 0 else range(2, 4),
                     with_tail=pc.is_last_pipeline_stage(),
                 )

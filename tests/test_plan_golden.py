@@ -35,7 +35,7 @@ from repro.autopar import Workload, compile_strategy, simulate_candidate
 from repro.cluster import system_i, system_ii, system_iv, uniform_cluster
 from repro.config import Config
 from repro.context import ParallelContext, ParallelMode
-from repro.nn import CrossEntropyLoss, Linear, Module, ModuleList
+from repro.nn import CrossEntropyLoss, Linear, Sequential
 from repro.parallel.data import sync_gradients
 from repro.parallel.pipeline import GPipeSchedule, partition_uniform
 from repro.parallel.tensor1d import ParallelTransformerLayer1D
@@ -112,25 +112,6 @@ def compile_case(label):
     }
 
 
-class _Stage(Module):
-    def __init__(self, idxs, tp_comm, with_head):
-        super().__init__()
-        self.layers = ModuleList([
-            ParallelTransformerLayer1D(
-                HIDDEN, HEADS, tp_comm, 2, causal=True,
-                rng=np.random.default_rng([SEED, 5, i]))
-            for i in idxs
-        ])
-        self.head = (
-            Linear(HIDDEN, CLASSES, rng=np.random.default_rng([SEED, 9]))
-            if with_head else None)
-
-    def forward(self, x):
-        for layer in self.layers:
-            x = layer(x)
-        return self.head(x) if self.head is not None else x
-
-
 def hybrid_gpt_step():
     """``bench/workloads/planning.py``'s materialized hybrid GPT step, as a
     rank program (DP is whatever the world leaves after TP x PP)."""
@@ -145,8 +126,14 @@ def hybrid_gpt_step():
     def step(ctx):
         pc = ParallelContext(ctx, config)
         start, end = partition_uniform(LAYERS, pc.pipeline_size)[pc.pp_rank]
-        stage = _Stage(range(start, end), pc.comm(ParallelMode.TENSOR),
-                       with_head=pc.is_last_pipeline_stage())
+        stage = Sequential([
+            ParallelTransformerLayer1D(
+                HIDDEN, HEADS, pc.comm(ParallelMode.TENSOR), 2, causal=True,
+                rng=np.random.default_rng([SEED, 5, i]))
+            for i in range(start, end)
+        ])
+        if pc.is_last_pipeline_stage():
+            stage.append(Linear(HIDDEN, CLASSES, rng=np.random.default_rng([SEED, 9])))
         GPipeSchedule(pc, MICROBATCHES).run(
             stage,
             X if pc.is_first_pipeline_stage() else None,

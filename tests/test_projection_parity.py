@@ -34,7 +34,7 @@ from repro.comm import Communicator, SpecArray
 from repro.comm.cost import CostModel
 from repro.config import Config
 from repro.context import ParallelContext, ParallelMode
-from repro.nn import CrossEntropyLoss, FeedForward, Linear, Module, ModuleList
+from repro.nn import CrossEntropyLoss, FeedForward, Linear, Module, Sequential
 from repro.parallel.data import DistributedDataParallel, sync_gradients
 from repro.parallel.pipeline import (
     GPipeSchedule,
@@ -636,23 +636,10 @@ class TestGoldenStability:
 
         LAYERS, HIDDEN, HEADS, PATCHES = 2, 64, 4, 8
 
-        class Stack(Module):
-            def __init__(self):
-                super().__init__()
-                for i in range(LAYERS):
-                    setattr(self, f"layer{i}",
-                            TransformerLayer(HIDDEN, HEADS))
-                self.layers = [getattr(self, f"layer{i}")
-                               for i in range(LAYERS)]
-
-            def forward(self, x):
-                for l in self.layers:
-                    x = l(x)
-                return x
-
         def prog(ctx):
             pc = _pc(ctx)
-            ddp = DistributedDataParallel(Stack(), pc, overlap=True)
+            stack = Sequential([TransformerLayer(HIDDEN, HEADS) for _ in range(LAYERS)])
+            ddp = DistributedDataParallel(stack, pc, overlap=True)
             x = Tensor(SpecArray((B, PATCHES, HIDDEN), "float32"),
                        requires_grad=True)
             ddp(x).sum().backward()
@@ -927,24 +914,11 @@ class TestComposedAxesProperties:
 # -- config / launch wiring ------------------------------------------------
 
 
-class _TPStage(Module):
-    def __init__(self, n_layers, tp_comm):
-        super().__init__()
-        self.layers = ModuleList([
-            FeedForward(H, mlp_ratio=2, mode=Mode1D(tp_comm))
-            for _ in range(n_layers)
-        ])
-
-    def forward(self, x):
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-
 def _tp_gpipe_prog(ctx, pc):
     """1D-TP layers under GPipe, then data-parallel gradient sync."""
     s, e = partition_uniform(4, pc.pipeline_size)[pc.pp_rank]
-    stage = _TPStage(e - s, pc.comm(ParallelMode.TENSOR))
+    tp = Mode1D(pc.comm(ParallelMode.TENSOR))
+    stage = Sequential([FeedForward(H, mlp_ratio=2, mode=tp) for _ in range(e - s)])
     GPipeSchedule(pc, 2).run(
         stage,
         SpecArray((B, H), "float32") if pc.is_first_pipeline_stage() else None,

@@ -116,3 +116,19 @@ def test_every_config_field_is_read():
               for node in ast.walk(ast.parse(p.read_text()))
               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     assert {f.key for f in FIELDS if f.name not in loaded} == set()
+
+
+def test_drivers_define_no_module():
+    """The model is built by ``repro.models`` / ``repro.nn`` (``build_gpt``, ``Sequential``),
+    never rewritten by a driver: no class in ``examples/`` or ``benchmarks/`` has a
+    ``Module`` base.  ``bench/`` is frozen by ``BENCHMARK.json`` with four copies; that
+    set may only shrink."""
+    def modules(d):
+        return {node.name for p in (ROOT / d).rglob("*.py")
+                for node in ast.walk(ast.parse(p.read_text()))
+                if isinstance(node, ast.ClassDef)
+                and any(getattr(b, "id", getattr(b, "attr", None)) in ("Module", "ModuleList", "Sequential")
+                        for b in node.bases)}
+
+    assert modules("examples") | modules("benchmarks") == set()
+    assert modules("bench") <= {"_Block", "_VitStack", "_GptStage", "_Stage"}

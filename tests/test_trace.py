@@ -12,10 +12,9 @@ from repro.cluster import uniform_cluster
 from repro.comm.communicator import Communicator
 from repro.config import Config
 from repro.context import ParallelContext
-from repro.nn import Linear, Module, ModuleList
+from repro.nn import Linear, Sequential
 from repro.parallel.pipeline import GPipeSchedule, OneFOneBSchedule
 from repro.runtime import SpmdRuntime
-from repro.tensor import Tensor
 from repro.trace import TraceReport, Tracer, chrome_trace, save_chrome_trace
 
 
@@ -30,21 +29,6 @@ def _mixed_program(ctx):
     comm.recv((ctx.rank - 1) % ctx.world_size, tag="ring")
 
 
-class _Stage(Module):
-    """Pipeline stage of ``depth`` stacked Linear layers."""
-
-    def __init__(self, width: int, depth: int, rng) -> None:
-        super().__init__()
-        self.layers = ModuleList(
-            [Linear(width, width, rng=rng) for _ in range(depth)]
-        )
-
-    def forward(self, x):
-        for l in self.layers:
-            x = l(x)
-        return x
-
-
 def _run_imbalanced_pipeline(tracer, schedule_cls=GPipeSchedule, micro=4):
     """4-stage pipeline where stage 0 carries 4x the layers of the rest, so
     downstream stages stall (bubble) waiting for it."""
@@ -54,7 +38,8 @@ def _run_imbalanced_pipeline(tracer, schedule_cls=GPipeSchedule, micro=4):
 
     def prog(ctx):
         pc = ParallelContext(ctx, Config.from_dict(dict(parallel=dict(pipeline=4))))
-        stage = _Stage(width, depths[pc.pp_rank], np.random.default_rng(pc.pp_rank))
+        rng = np.random.default_rng(pc.pp_rank)
+        stage = Sequential([Linear(width, width, rng=rng) for _ in range(depths[pc.pp_rank])])
         sched = schedule_cls(pc, micro)
         data = (
             np.ones((batch, width), dtype=np.float32)

@@ -31,13 +31,13 @@ import numpy as np
 import pytest
 
 import repro
-from repro.autograd import checkpoint, ops
+from repro.autograd import ops
 from repro.cluster import system_ii, system_iii, uniform_cluster
 from repro.comm import Communicator, CostModel, SpecArray
 from repro.config import Config
 from repro.context import ParallelContext, ParallelMode
 from repro.models.bert import bert_base
-from repro.nn import CrossEntropyLoss, Linear, Module, ModuleList, TransformerLayer
+from repro.nn import CrossEntropyLoss, Linear, Module, Sequential, TransformerLayer
 from repro.parallel.data import DistributedDataParallel, sync_gradients
 from repro.parallel.pipeline import GPipeSchedule, partition_uniform
 from repro.parallel.sequence import ModeSequence
@@ -100,25 +100,13 @@ def _summary(rt, memory, groups, **extra):
     }
 
 
-class _Stack(Module):
-    def __init__(self, layers, checkpointed):
-        super().__init__()
-        self.layers = ModuleList(layers)
-        self.checkpointed = checkpointed
-
-    def forward(self, x):
-        for layer in self.layers:
-            x = checkpoint(layer, x) if self.checkpointed else layer(x)
-        return x
-
-
 def _ddp_step(ctx, layers=4, hidden=256, heads=4, batch=2, seq=16):
     """Checkpointed fp16 ViT body under DDP, gradient buckets (1 MiB, so
     several) all-reduced from the backward hooks."""
     pc = ParallelContext(ctx, Config.from_dict({}))
     ddp = DistributedDataParallel(
-        _Stack([TransformerLayer(hidden, heads, dtype="float16")
-                for _ in range(layers)], checkpointed=True),
+        Sequential([TransformerLayer(hidden, heads, dtype="float16")
+                    for _ in range(layers)], checkpoint=True),
         pc, bucket_mb=1.0, overlap=True)
     x = Tensor(SpecArray((batch, seq, hidden), "float16"), requires_grad=True)
     ddp(x).sum().backward()
@@ -142,11 +130,11 @@ def hybrid_gpt_gpipe():
 
     def prog(ctx, pc):
         start, end = partition_uniform(layers, 2)[pc.pp_rank]
-        stage = _Stack([
+        stage = Sequential([
             ParallelTransformerLayer1D(
                 hidden, heads, pc.comm(ParallelMode.TENSOR), causal=True,
                 dtype="float16")
-            for _ in range(end - start)], checkpointed=False)
+            for _ in range(end - start)])
         GPipeSchedule(pc, micro).run(
             stage,
             SpecArray((8, 32, hidden), "float16")
@@ -177,11 +165,11 @@ def bert_sp_pp2(sanitize=None):
 
     def prog(ctx, pc):
         start, end = partition_uniform(layers, 2)[pc.pp_rank]
-        stage = _Stack([
+        stage = Sequential([
             TransformerLayer(
                 bert.hidden_size, bert.n_heads, dtype="float16",
                 mode=ModeSequence(pc.comm(ParallelMode.SEQUENCE)))
-            for _ in range(end - start)], checkpointed=False)
+            for _ in range(end - start)])
         GPipeSchedule(pc, micro).run(
             stage,
             SpecArray((batch, bert.seq_len // 4, bert.hidden_size), "float16")

@@ -7,7 +7,7 @@ from repro.autograd import ops
 from repro.cluster import uniform_cluster
 from repro.comm import Communicator, SpecArray
 from repro.comm.cost import CostModel
-from repro.config import ConfigError
+from repro.config import Config, ConfigError
 from repro.engine import initialize, launch
 from repro.nn import CrossEntropyLoss, Linear, Module
 from repro.optim import SGD, Adam, AdamW, CPUAdam, HybridAdam
@@ -619,7 +619,7 @@ def test_golden_system_iv_plan_shards_optimizer_state_64_ways():
     from repro.cluster import system_iv
 
     gpt = Workload(n_layers=16, hidden=3072, n_heads=48, seq_len=196)
-    cfg = compile_strategy(system_iv(), gpt, 512, world_size=64).build_config()
+    cfg = Config.from_dict(compile_strategy(system_iv(), gpt, 512, world_size=64).config)
     assert cfg.zero.stage == 1 and cfg.fp16.enabled
 
     def prog(ctx, pc):

@@ -18,7 +18,6 @@ KEEP: dict[str, str] = {
     "repro.parallel.tensor2d.ModeGrid": "§4o mode contract: shard_activation",
     "repro.parallel.tensor3d.Mode3D": "§4o mode contract: shard_activation",
     "repro.autopar.conversion": "§3.3 layout-conversion search",
-    "repro.autopar.compiler.CompiledStrategy.build_config": "§4i the compiler emits a validated Config",
     "repro.analytic.perf_model": "§2 inventory: FLOP counts (per layer, the 6N rule)",
     "repro.data.synthetic": "§2 inventory: Wikipedia-like token stream",
     "repro.context.parallel_context": "§4 seeded RNG per parallel mode; Listing 1's global context",
