@@ -460,7 +460,7 @@ class Communicator:
         for hook in runtime.on_recv:
             hook(dst_g, runtime.clocks[dst_g].time)
         key = (src_g, dst_g, (id(self.group), tag))
-        payload, t_avail = runtime.mailboxes.get(key, runtime.aborting)
+        payload, t_avail = runtime.mailboxes.get(key, runtime.aborted.is_set)
         for hook in runtime.on_received:
             hook(src_g, dst_g, key, payload, self.group, tag)
         self.group.arrive(dst_g, src_g, t_avail, int(payload.nbytes))

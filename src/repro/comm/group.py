@@ -16,7 +16,7 @@ completes when every member has arrived, at which point the last arriver
 
 Everything else that takes part in a round — the fault injector's crash
 check, the sanitizer, the capture recorder, the tracer — is reached through
-the runtime's lifecycle hooks, one tuple per event: enter → (park) →
+the runtime's lifecycle hooks, one tuple per event: enter → (stall) →
 finalize → complete | fail (DESIGN §4u).  With nothing installed every
 tuple is empty and the loops over them make no call.
 
@@ -216,36 +216,32 @@ class ProcessGroup(GroupTimeline):
         Completion and abort are notify-driven (the last arriver and
         ``SpmdRuntime.wake_all`` call ``notify_all``).  With ``stall`` hooks
         installed (the sanitizer's desync diagnosis) the wait is chopped into
-        ``runtime.park_slice`` windows, and the hooks — which convict by
-        failing the round — run when a window expires or a wake arrives
-        without completion, never on the way into the park.  The deadline is
-        a monotonic timestamp, so early wake-ups do not undercount it.
+        ``runtime.park_slice`` windows, and the hooks — which record the
+        rank's wait state and convict by failing the round — run when a
+        window expires or a wake arrives without completion, never on the
+        way into the park.  The deadline is a monotonic timestamp, so early
+        wake-ups do not undercount it.
         """
         runtime = self.runtime
+        aborted = runtime.aborted  # read inline: a pass makes no runtime frame
         deadline_ts = time.monotonic() + runtime.deadlock_timeout
-        for hook in runtime.on_park:
-            hook(my_global_rank, self, rnd)
-        try:
-            while True:
-                if runtime.aborting():
-                    runtime.check_abort()
-                remaining = deadline_ts - time.monotonic()
-                if remaining <= 0:
-                    raise CollectiveTimeout(
-                        "collective", self.ranks,
-                        timeout=runtime.deadlock_timeout,
-                    )
-                self._cond.wait(min(remaining, runtime.park_slice))
-                if rnd.done:
-                    return
-                for hook in runtime.on_stall:
-                    hook(my_global_rank, self, rnd)
-                if rnd.done:  # convicted: wake the other members to claim
-                    self._cond.notify_all()
-                    return
-        finally:
-            for hook in runtime.on_unpark:
-                hook(my_global_rank)
+        while True:
+            if aborted.is_set():
+                runtime.check_abort()
+            remaining = deadline_ts - time.monotonic()
+            if remaining <= 0:
+                raise CollectiveTimeout(
+                    "collective", self.ranks,
+                    timeout=runtime.deadlock_timeout,
+                )
+            self._cond.wait(min(remaining, runtime.park_slice))
+            if rnd.done:
+                return
+            for hook in runtime.on_stall:
+                hook(my_global_rank, self, rnd)
+            if rnd.done:  # convicted: wake the other members to claim
+                self._cond.notify_all()
+                return
 
     def wake(self) -> None:
         """Wake every thread parked in this group's rendezvous so it

@@ -213,24 +213,28 @@ class GroupTimeline:
         a nonblocking one the ``comm_stream`` lane; local rank 0's span
         carries the round totals.  Its own call because the sanitizer's
         tags (``rnd.trace_extra``) are only known after the round is placed.
+        Built here, appended under one tracer-lock acquisition (DESIGN §4s).
         """
+        from repro.trace.tracer import KIND_ANNOTATION, Span  # trace builds on comm
+
         tracer = self.host.tracer
         sync = rnd.mode == "sync"
-        cost = rnd.cost
+        cat = "collective" if sync else "comm_stream"
+        op, cost, retries, t_end = rnd.op, rnd.cost, rnd.retries, rnd.t_end
+        spans = []
         for local, g in enumerate(self.ranks):
-            tracer.annotate(
-                g, "collective" if sync else "comm_stream", rnd.op,
-                rnd.entry_times[local] if sync else rnd.t_start, rnd.t_end,
-                wire_bytes=cost.wire_bytes, group_size=self.size,
-                retries=rnd.retries, primary=(local == 0),
-                algo=cost.algorithm, **rnd.trace_extra,
-            )
-            if sync and rnd.retries:
-                tracer.annotate(
-                    g, "retry", f"{rnd.op}:retry",
-                    rnd.t_end - rnd.retry_seconds, rnd.t_end,
-                    attempts=rnd.retries,
-                )
+            spans.append(Span(
+                g, cat, op, rnd.entry_times[local] if sync else rnd.t_start,
+                t_end, KIND_ANNOTATION,
+                {"wire_bytes": cost.wire_bytes, "group_size": self.size,
+                 "retries": retries, "primary": local == 0,
+                 "algo": cost.algorithm, **rnd.trace_extra}))
+            if sync and retries:
+                spans.append(Span(
+                    g, "retry", f"{op}:retry", t_end - rnd.retry_seconds,
+                    t_end, KIND_ANNOTATION, {"attempts": retries}))
+        with tracer._lock:
+            tracer._spans.extend(spans)
 
     def settle(self, rank: int, what: str, duration: float,
                t_end: float) -> None:

@@ -142,7 +142,6 @@ class SanitizeConfig(_Section):
     enabled: bool = _field(False, bool, "cross-rank collective call-spec checking")
     checksum: bool = _field(False, bool, "payload CRCs on p2p and collective data")
     race: bool = _field(False, bool, "arm the shared-buffer race detector")
-    callsites: bool = _field(True, bool, "name each rank's call site in mismatch reports")
     record: Optional[str] = _field(None, str, "write each rank's op stream to this golden file")
     replay: Optional[str] = _field(None, str, "conformance-check the run against this golden file")
 
@@ -165,7 +164,6 @@ class SanitizeConfig(_Section):
         return CommSanitizer(
             checksum=self.checksum,
             race=self.race,
-            callsites=self.callsites,
             replay=self.replay,
         )
 

@@ -148,6 +148,8 @@ class CaptureRecorder:
             )
         if self._runtime is not None and self._runtime is not runtime:
             self.uninstall()
+        if runtime.capture is not None and runtime.capture is not self:
+            runtime.capture.uninstall()
         self._runtime = runtime
         runtime.capture = self
         for rank, clock in enumerate(runtime.clocks):
@@ -156,14 +158,12 @@ class CaptureRecorder:
         return self
 
     def uninstall(self) -> None:
-        rt = self._runtime
-        if rt is None:
-            return
-        for clock in rt.clocks:
-            clock.set_capture(None)
-        rt.capture = None
-        rt.rewire()
-        self._runtime = None
+        rt, self._runtime = self._runtime, None
+        if rt is not None and rt.capture is self:
+            for clock in rt.clocks:
+                clock.set_capture(None)
+            rt.capture = None
+            rt.rewire()
 
     def on_begin(self, runtime: Any) -> None:
         world = runtime.world_size

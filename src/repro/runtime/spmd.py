@@ -46,7 +46,7 @@ _STALL_WINDOW = 0.05
 #: injector, sanitizer, capture recorder and tracer, in that order.
 EVENTS = (
     "begin", "rank_done", "end",
-    "enter", "park", "stall", "unpark", "finalize", "complete", "fail",
+    "enter", "stall", "finalize", "complete", "fail",
     "member", "solo",
     "send", "sent", "recv", "received", "wait", "injected",
 )
@@ -242,7 +242,8 @@ class SpmdRuntime:
         #: ``op_plan_lock`` after re-checking, so a signature gets one plan.
         self.op_plans: Dict[tuple, Any] = {}
         self.op_plan_lock = threading.Lock()
-        self._abort = threading.Event()
+        #: set when a rank fails; blocked waiters test it inline
+        self.aborted = threading.Event()
         self.failure: Optional[Tuple[int, BaseException]] = None
         self._group_lock = threading.Lock()
         self._groups: Dict[Tuple[int, ...], Any] = {}
@@ -287,7 +288,7 @@ class SpmdRuntime:
     def signal_failure(self, rank: int, exc: BaseException) -> None:
         if self.failure is None:
             self.failure = (rank, exc)
-        self._abort.set()
+        self.aborted.set()
         # rendezvous waits are notify-driven, so blocked peers must be woken
         # explicitly or they would sleep through the abort until their
         # deadlock timeout
@@ -307,11 +308,8 @@ class SpmdRuntime:
             grp.wake()
         self.mailboxes.wake()
 
-    def aborting(self) -> bool:
-        return self._abort.is_set()
-
     def check_abort(self) -> None:
-        if self._abort.is_set():
+        if self.aborted.is_set():
             failed_rank, cause = self.failure  # type: ignore[misc]
             raise SpmdAborted(failed_rank, cause)
 
@@ -438,7 +436,7 @@ class SpmdRuntime:
         self._reset_comm_state()
         for hook in self.on_begin:
             hook(self)
-        self._abort.clear()
+        self.aborted.clear()
         self.failure = None
 
     def _end(self) -> None:

@@ -43,7 +43,7 @@ from repro.sanitize.sanitizer import (
     CommSanitizer,
     payload_checksum,
 )
-from repro.sanitize.spec import CollectiveSpec, call_signature, capture_callsite
+from repro.sanitize.spec import CollectiveSpec, call_signature
 
 __all__ = [
     "BufferRaceDetector",
@@ -59,7 +59,6 @@ __all__ = [
     "SanitizerError",
     "SharedBufferRace",
     "call_signature",
-    "capture_callsite",
     "first_divergence",
     "load_golden",
     "payload_checksum",

@@ -41,8 +41,8 @@ across ranks — that is what the spec check verifies), but ranks may
 ``wait()`` their handles in any order afterwards.  The spec check and the
 checksum/race hooks fire when the round's last *issuer* arrives, and the
 desync detector treats a rank parked in ``WorkHandle.wait()`` exactly like
-one parked in a blocking rendezvous: ``on_park``/``on_unpark`` bracket the
-park and ``on_stall`` can convict it of a wait-for cycle.  A group
+one parked in a blocking rendezvous: ``on_stall`` records its wait state
+and can convict it of a wait-for cycle.  A group
 where some ranks issue a collective blocking and others nonblocking fails
 the round for everyone (mixed-mode rendezvous error from the process
 group) before any sanitizer check runs.
@@ -50,6 +50,8 @@ group) before any sanitizer check runs.
 
 from __future__ import annotations
 
+import os
+import sys
 import threading
 import zlib
 from dataclasses import dataclass, field
@@ -58,6 +60,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.comm.payload import SpecArray, dtype_name
+from repro.comm.timeline import Round
 from repro.sanitize.errors import (
     ChecksumMismatch,
     CollectiveDesync,
@@ -74,9 +77,9 @@ from repro.sanitize.replay import (
 )
 from repro.sanitize.spec import (
     CollectiveSpec,
+    _is_internal,
     _shape_dtype,
     call_signature,
-    capture_callsite,
 )
 
 
@@ -276,9 +279,6 @@ class CommSanitizer:
         digests to collective records and trace spans.
     race:
         Enable the :class:`BufferRaceDetector`.
-    callsites:
-        Capture the Python call site of every collective (stack walk; turn
-        off to cheapen heavily-instrumented runs).
     replay:
         A golden document (from :func:`repro.sanitize.replay.load_golden`)
         or a path to one; the live op stream is conformance-checked against
@@ -286,10 +286,8 @@ class CommSanitizer:
     """
 
     def __init__(self, *, checksum: bool = False, race: bool = False,
-                 callsites: bool = True,
                  replay: Optional[Any] = None) -> None:
         self.checksum = checksum
-        self.capture_callsites = callsites
         self.race_detector = BufferRaceDetector() if race else None
         if isinstance(replay, str):
             replay = load_golden(replay)
@@ -304,7 +302,8 @@ class CommSanitizer:
         self._specs: Dict[Tuple[Any, int], Dict[int, CollectiveSpec]] = {}
         self._frozen: Dict[Tuple[Any, int], List[_Frozen]] = {}
         #: rendered call signatures by (op, shape, dtype, *params): a
-        #: program repeats a handful of distinct calls
+        #: program repeats a handful of distinct calls.  Interned, so equal
+        #: signatures are one object and a round compares them by identity
         self._signatures: Dict[tuple, str] = {}
         self._world = 0
         self._runtime: Optional[Any] = None
@@ -318,9 +317,12 @@ class CommSanitizer:
 
     def install(self, runtime: Any) -> "CommSanitizer":
         """Attach to ``runtime``: its lifecycle hooks now include this
-        sanitizer's ``on_<event>`` methods."""
+        sanitizer's ``on_<event>`` methods, in place of any other
+        sanitizer's."""
         if self._runtime is not None and self._runtime is not runtime:
             self.uninstall()
+        if runtime.sanitizer is not None and runtime.sanitizer is not self:
+            runtime.sanitizer.uninstall()
         self._runtime = runtime
         self._world = runtime.world_size
         runtime.sanitizer = self
@@ -328,12 +330,10 @@ class CommSanitizer:
         return self
 
     def uninstall(self) -> None:
-        rt = self._runtime
-        if rt is None:
-            return
-        rt.sanitizer = None
-        rt.rewire()
-        self._runtime = None
+        rt, self._runtime = self._runtime, None
+        if rt is not None and rt.sanitizer is self:
+            rt.sanitizer = None
+            rt.rewire()
 
     def on_begin(self, runtime: Any) -> None:
         """Per-run reset."""
@@ -379,55 +379,123 @@ class CommSanitizer:
     def on_enter(self, rank: int, now: float, group: Any, seq: int, op: str,
                  payload: Any, params: Dict[str, Any]) -> None:
         """``rank`` declares the call it is entering: its
-        :class:`CollectiveSpec`, kept for the round's checks."""
+        :class:`CollectiveSpec`, kept for the round's checks, naming the
+        nearest frame outside the comm and sanitizer internals."""
         key = (op, getattr(payload, "shape", None),
                getattr(payload, "dtype", None), *params.items())
         signature = self._signatures.get(key)
         if signature is None:
-            signature = self._signatures[key] = call_signature(
-                op, payload, **params)
+            signature = self._signatures[key] = sys.intern(
+                call_signature(op, payload, **params))
         contributes = True
         if op in ("broadcast", "scatter"):
             contributes = group.ranks[int(params["root"])] == rank
+        # the call site is walked here, with no frame of its own: whether a
+        # file is internal is asked once per file, the line read live
+        f = sys._getframe(1)
+        while f is not None and _is_internal(f.f_code.co_filename):
+            f = f.f_back
+        callsite = "<unknown>"
+        if f is not None:
+            short = os.sep.join(f.f_code.co_filename.split(os.sep)[-2:])
+            callsite = f"{short}:{f.f_lineno} in {f.f_code.co_name}"
         spec = CollectiveSpec(
             op=op,
             signature=signature,
             global_rank=rank,
             group_ranks=tuple(group.ranks),
             seq=seq,
-            callsite=capture_callsite() if self.capture_callsites else "",
+            callsite=callsite,
             contributes=contributes,
         )
         # no lock: both dict writes are one C call each, atomic under the GIL
         self._specs.setdefault((group, seq), {})[group.local_of[rank]] = spec
 
     def on_finalize(self, group: Any, rnd: Any) -> None:
-        """A round filled: cross-check every member's spec, then freeze its
-        real payload buffers while it is in flight."""
+        """A round filled: every member's interned signature must be the
+        first's (the sides are built only for a mismatch); then, if some
+        payload is a real buffer, freeze them while it is in flight."""
         specs = self._specs.get((group, rnd.seq))
         if specs:
-            sides: Dict[str, List[int]] = {}
-            callsites: Dict[int, str] = {}
-            for local in sorted(specs):
-                s = specs[local]
-                g = group.ranks[local]
-                sides.setdefault(s.signature, []).append(g)
-                if s.callsite:
-                    callsites[g] = s.callsite
+            first = next(iter(specs.values())).signature
+            for s in specs.values():
+                if s.signature is not first:
+                    self._mismatch(group, rnd.seq, specs)
             with self._lock:
-                if len(sides) > 1:
-                    self.mismatches += 1
-                    raise CollectiveMismatch(
-                        group.ranks, rnd.seq, sides, callsites)
                 self.rounds_checked += 1
-        if self.race_detector is not None:
-            self._frozen[group, rnd.seq] = self.race_detector.acquire(
-                rnd.payloads, group.ranks)
+        detector = self.race_detector
+        if detector is not None:
+            for p in rnd.payloads.values():
+                if p is not None and type(p) is not SpecArray and (
+                        type(p) is not list or set(map(type, p)) != {SpecArray}):
+                    token = detector.acquire(rnd.payloads, group.ranks)
+                    if token:
+                        self._frozen[group, rnd.seq] = token
+                    break
+
+    def _mismatch(self, group: Any, seq: int,
+                  specs: Dict[int, CollectiveSpec]) -> None:
+        """Raise the round's :class:`CollectiveMismatch`: each signature
+        with its ranks, and every member's call site."""
+        sides: Dict[str, List[int]] = {}
+        callsites: Dict[int, str] = {}
+        for local in sorted(specs):
+            g = group.ranks[local]
+            sides.setdefault(specs[local].signature, []).append(g)
+            callsites[g] = specs[local].callsite
+        with self._lock:
+            self.mismatches += 1
+        raise CollectiveMismatch(group.ranks, seq, sides, callsites)
 
     def on_complete(self, group: Any, rnd: Any) -> None:
-        """A round placed: its records, and its trace-span tags."""
-        rnd.trace_extra = self._finish(group, rnd.seq, rnd.payloads,
-                                       rnd.results)
+        """A round placed: race verification, each member's op-stream record
+        (with checksums when enabled), replay conformance, and the round's
+        trace-span tags."""
+        seq, payloads, results = rnd.seq, rnd.payloads, rnd.results
+        specs = self._specs.pop((group, seq), None)
+        op = next(iter(specs.values())).op if specs else "collective"
+        token = self._frozen.pop((group, seq), None)
+        if token is not None:
+            self.race_detector.verify_and_release(
+                op, token, results, group.ranks
+            )
+        ranks, checksum, crcs = group.ranks, self.checksum, _SPEC_CRCS
+        digest: Optional[int] = None
+        with self._lock:
+            streams, replay = self._streams, self._replay
+            for local in sorted(payloads):
+                spec = specs.get(local) if specs else None
+                # one record per member, built in place (DESIGN §4s)
+                rec = {"kind": "collective", "op": op,
+                       "sig": spec.signature if spec else op,
+                       "group": list(ranks), "seq": seq}
+                if checksum:
+                    fields = (("rcrc", results.get(local)),)
+                    if spec is None or spec.contributes:
+                        fields = (("crc", payloads[local]),) + fields
+                    for name, p in fields:
+                        # a spec payload's or spec chunk list's CRC is read
+                        # off the memo inline: a frame only for a miss
+                        if type(p) is list and set(map(type, p)) == {SpecArray}:
+                            crc = len(p)
+                            for c in p:
+                                sub = (crcs.get((c.shape, c.dtype))
+                                       or _spec_crc(c.shape, c.dtype))
+                                crc = zlib.crc32(sub.to_bytes(4, "little"), crc)
+                            rec[name] = crc
+                        else:
+                            rec[name] = (type(p) is SpecArray and crcs.get(
+                                (p.shape, p.dtype)) or payload_checksum(p))
+                    digest = zlib.crc32(rec["rcrc"].to_bytes(4, "little"),
+                                        digest or 0)
+                stream = streams.setdefault(ranks[local], [])
+                stream.append(rec)
+                if replay is not None:
+                    self._check_replay_locked(ranks[local], len(stream) - 1, rec)
+        extra: Dict[str, Any] = {"sanitized": True}
+        if digest is not None:
+            extra["digest"] = digest
+        rnd.trace_extra = extra
 
     def on_fail(self, group: Any, rnd: Any) -> None:
         """A round failed: forget its specs, restore its frozen buffers."""
@@ -440,73 +508,31 @@ class CommSanitizer:
                 itemsize: int, payloads: Dict[int, Any],
                 results: Dict[int, Any], extra: Dict[str, Any]) -> None:
         """A one-member round: nothing to cross-check, so it is counted
-        checked, recorded, and its span tags go into ``extra``."""
+        checked and completed, and its span tags go into ``extra``."""
         with self._lock:
             self.rounds_checked += 1
-        extra.update(self._finish(group, seq, payloads, results))
-
-    def _finish(self, group: Any, seq: int, payloads: Dict[int, Any],
-                results: Dict[int, Any]) -> Dict[str, Any]:
-        """Successful round epilogue: race verification, per-rank op-stream
-        records (with checksums when enabled), replay conformance.  Returns
-        the extra tags for the round's trace spans."""
-        specs = self._specs.pop((group, seq), None)
-        op = next(iter(specs.values())).op if specs else "collective"
-        token = self._frozen.pop((group, seq), None)
-        if token is not None:
-            self.race_detector.verify_and_release(
-                op, token, results, group.ranks
-            )
-        ranks, checksum = group.ranks, self.checksum
-        digest: Optional[int] = None
-        with self._lock:
-            streams, replay = self._streams, self._replay
-            for local in sorted(payloads):
-                spec = specs.get(local) if specs else None
-                # one record per member, built in place (DESIGN §4s)
-                rec = {"kind": "collective", "op": op,
-                       "sig": spec.signature if spec else op,
-                       "group": list(ranks), "seq": seq}
-                if checksum:
-                    if spec is None or spec.contributes:
-                        rec["crc"] = payload_checksum(payloads[local])
-                    rcrc = rec["rcrc"] = payload_checksum(results.get(local))
-                    digest = zlib.crc32(
-                        rcrc.to_bytes(4, "little"),
-                        digest if digest is not None else 0,
-                    )
-                stream = streams.setdefault(ranks[local], [])
-                stream.append(rec)
-                if replay is not None:
-                    self._check_replay_locked(ranks[local], len(stream) - 1, rec)
-        extra: Dict[str, Any] = {"sanitized": True}
-        if digest is not None:
-            extra["digest"] = digest
-        return extra
+        rnd = Round(seq)
+        rnd.payloads, rnd.results = payloads, results
+        self.on_complete(group, rnd)
+        extra.update(rnd.trace_extra)
 
     # -- desync detection ----------------------------------------------------
 
-    def on_park(self, rank: int, group: Any, rnd: Any) -> None:
-        spec = self._specs.get((group, rnd.seq), {}).get(group.local_of[rank])
-        with self._lock:
-            self._waiting[rank] = _WaitState(group, spec, rnd)
-
-    def on_unpark(self, rank: int) -> None:
-        with self._lock:
-            self._waiting.pop(rank, None)
-
     def on_stall(self, rank: int, group: Any, rnd: Any) -> None:
         """A parked ``rank``'s round has not completed (group condition
-        held): when it provably cannot — a missing member already exited,
-        or waits on this round through a cycle of parked ranks — fail it
-        with a :class:`CollectiveDesync` for every member to claim, marked
-        on the tracer if one is installed."""
+        held): record what it waits on (kept after the park; the walk skips
+        finished rounds), and when the round provably cannot complete — a
+        missing member already exited, or waits on it through a cycle of
+        parked ranks — fail it with a :class:`CollectiveDesync` for every
+        member to claim, marked on the tracer if one is installed."""
+        spec = self._specs.get((group, rnd.seq), {}).get(group.local_of[rank])
         arrived_locals = set(rnd.payloads)
         missing = [group.ranks[l] for l in range(group.size)
                    if l not in arrived_locals]
-        if not missing:
-            return
         with self._lock:
+            self._waiting[rank] = _WaitState(group, spec, rnd)
+            if not missing:
+                return
             guilty = sorted(g for g in missing if g in self._done)
             detail = "already exited the program without reaching it"
             if not guilty:
@@ -570,25 +596,27 @@ class CommSanitizer:
 
     # -- p2p hooks -----------------------------------------------------------
 
-    def _p2p_signature(self, kind: str, payload: Any) -> str:
-        """``send((4,), 'float32')``-style label, rendered once per
-        (kind, shape, dtype) into the call-signature memo."""
-        key = (kind, getattr(payload, "shape", None),
-               getattr(payload, "dtype", None))
-        sig = self._signatures.get(key)
-        if sig is None:
-            sig = self._signatures[key] = f"{kind}{_shape_dtype(payload)}"
+    def _p2p_signature(self, label: tuple, payload: Any) -> str:
+        """The p2p label memo's miss path: render ``send((4,), 'float32')``
+        for ``label``, its (kind, shape, dtype) key in the call-signature
+        memo, which the p2p hooks read inline."""
+        sig = self._signatures[label] = f"{label[0]}{_shape_dtype(payload)}"
         return sig
 
     def on_sent(self, src: int, dst: int, key: Any, payload: Any,
                 *_facts: Any) -> None:
         """A message leaves ``src`` for ``dst``: its record, and — under
-        ``checksum`` — its CRC, queued for the receiver to check."""
+        ``checksum`` — its CRC, queued for the receiver to check.  Label
+        and spec CRC come off their memos inline, as in :meth:`on_complete`."""
+        label = ("send", getattr(payload, "shape", None),
+                 getattr(payload, "dtype", None))
         rec = {"kind": "send", "op": "send",
-               "sig": self._p2p_signature("send", payload), "peer": dst}
+               "sig": self._signatures.get(label)
+               or self._p2p_signature(label, payload), "peer": dst}
         crc = None
         if self.checksum:
-            crc = rec["crc"] = payload_checksum(payload)
+            crc = rec["crc"] = (type(payload) is SpecArray and _SPEC_CRCS.get(
+                (payload.shape, payload.dtype)) or payload_checksum(payload))
         with self._lock:
             if crc is not None:
                 self._send_crcs.setdefault(key, []).append(crc)
@@ -601,10 +629,14 @@ class CommSanitizer:
                     *_facts: Any) -> None:
         """``dst`` took the message off the wire: its record, and the CRC
         check against what ``src`` sent."""
+        label = ("recv", getattr(payload, "shape", None),
+                 getattr(payload, "dtype", None))
         rec = {"kind": "recv", "op": "recv",
-               "sig": self._p2p_signature("recv", payload), "peer": src}
+               "sig": self._signatures.get(label)
+               or self._p2p_signature(label, payload), "peer": src}
         if self.checksum:
-            crc = rec["crc"] = payload_checksum(payload)
+            crc = rec["crc"] = (type(payload) is SpecArray and _SPEC_CRCS.get(
+                (payload.shape, payload.dtype)) or payload_checksum(payload))
             with self._lock:
                 fifo = self._send_crcs.get(key)
                 expected = fifo.pop(0) if fifo else None

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import os
-import sys
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
@@ -31,22 +30,9 @@ _INTERNAL_DIRS = (
 
 @functools.lru_cache(maxsize=None)
 def _is_internal(filename: str) -> bool:
-    """Asked once per source file: every rank-op walks the same few frames."""
+    """Asked once per source file: every rank-op walks the same few frames
+    (the sanitizer's ``enter`` hook, to the user's call site)."""
     return any(d in filename for d in _INTERNAL_DIRS)
-
-
-def capture_callsite() -> str:
-    """``path/file.py:line in function`` of the nearest frame outside the
-    communication and sanitizer internals."""
-    f = sys._getframe(1)
-    while f is not None:
-        filename = f.f_code.co_filename
-        if not _is_internal(filename):
-            parts = filename.split(os.sep)
-            short = os.sep.join(parts[-2:]) if len(parts) > 1 else filename
-            return f"{short}:{f.f_lineno} in {f.f_code.co_name}"
-        f = f.f_back
-    return "<unknown>"
 
 
 def _shape_dtype(payload: Any) -> Optional[Tuple[Tuple[int, ...], str]]:

@@ -116,9 +116,12 @@ class Tracer:
 
     def install(self, runtime: Any) -> "Tracer":
         """Attach to a runtime: register clock observers and make this
-        tracer visible to every instrumentation site via ``runtime.tracer``."""
+        tracer visible to every instrumentation site via ``runtime.tracer``,
+        in place of any other tracer."""
         if self._runtime is not None and self._runtime is not runtime:
             self.uninstall()
+        if runtime.tracer is not None and runtime.tracer is not self:
+            runtime.tracer.uninstall()
         self._runtime = runtime
         runtime.tracer = self
         for rank, clock in enumerate(runtime.clocks):
@@ -128,14 +131,12 @@ class Tracer:
 
     def uninstall(self) -> None:
         """Detach from the runtime (instrumentation reverts to zero-cost)."""
-        rt = self._runtime
-        if rt is None:
-            return
-        for clock in rt.clocks:
-            clock.set_observer(None)
-        rt.tracer = None
-        rt.rewire()
-        self._runtime = None
+        rt, self._runtime = self._runtime, None
+        if rt is not None and rt.tracer is self:
+            for clock in rt.clocks:
+                clock.set_observer(None)
+            rt.tracer = None
+            rt.rewire()
 
     # -- lifecycle hooks ---------------------------------------------------
 

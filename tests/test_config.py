@@ -120,7 +120,7 @@ _T = dict(kind="open", rate=1.0, n_requests=1)
     # truthy strings used to turn the feature on
     (dict(fp16=dict(enabled="no")), "fp16.enabled"),
     (dict(comm=dict(overlap="false")), "comm.overlap"),
-    (dict(sanitize=dict(callsites="no")), "sanitize.callsites"),
+    (dict(sanitize=dict(race="no")), "sanitize.race"),
     # silently truncated, read as a number, or accepted out of range
     (dict(parallel=dict(tensor=dict(size=2.7))), "parallel.tensor.size"),
     (dict(zero=dict(stage=True)), "zero.stage"),

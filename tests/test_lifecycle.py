@@ -135,6 +135,26 @@ def test_capture_stream_is_the_same_under_a_sanitizer():
     assert streams(None) == streams(CommSanitizer(checksum=True))
 
 
+@pytest.mark.parametrize("kind, make, heard", [
+    ("sanitizer", CommSanitizer, lambda san: san.rounds_checked),
+    ("tracer", Tracer, lambda tracer: len(tracer.spans(kind="clock"))),
+    ("capture", CaptureRecorder, lambda rec: rec.trace().event_count()),
+], ids=["sanitizer", "tracer", "capture"])
+def test_an_observer_keeps_its_slot_until_another_takes_it(kind, make, heard):
+    """Installing a second observer of a kind detaches the first, and the
+    first one's later ``uninstall()`` leaves the second wired: it used to
+    clear the runtime's slot and hooks, the tracer's clock observers too,
+    so the second silently heard nothing."""
+    rt = SpmdRuntime(system_ii(), WORLD)
+    first, second = make(), make()
+    first.install(rt)
+    second.install(rt)
+    first.uninstall()
+    assert getattr(rt, kind) is second
+    rt.run(lambda ctx: Communicator.world(ctx).all_reduce(np.ones(4)))
+    assert heard(second) > 0
+
+
 def test_failed_run_releases_rounds_and_mailboxes():
     """Rank 2 fails before an all-reduce ranks 0 and 1 enter, and rank 3
     sends to it: after ``RemoteRankError`` no round or message of the failed

@@ -922,15 +922,18 @@ class TestCollectiveHostCost:
 
     RANK_OPS = _STORM_WORLD * _STORM_ROUNDS * _STORM_EXCHANGES
     #: calls into src/repro per rank-level exchange, observers off.  Reads
-    #: 14.5 since a repeated query is one memo read (15.2 before, DESIGN
-    #: 4w; 14.9 when written, 12.9 on bench's 150 rounds, where the
-    #: first-use pricing amortises); re-walking the topology every round and
-    #: the per-rank helper frames read 29.4 (26.4)
-    CALLS_PER_RANK_OP = 15.9
+    #: 13.9 since a parked waiter reads the abort flag inline (14.5 before;
+    #: 15.2 before a repeated query was one memo read, DESIGN 4w; 14.9 when
+    #: written, 12.9 on bench's 150 rounds, where the first-use pricing
+    #: amortises); re-walking the topology every round and the per-rank
+    #: helper frames read 29.4 (26.4)
+    CALLS_PER_RANK_OP = 15.3
     #: calls into src/repro/sanitize per exchange under Tracer + full
-    #: sanitizer; reads 7.2 since a stream record is built in place and a
-    #: p2p label rendered once per signature (10.0 before; 30.8 before that)
-    SANITIZE_CALLS_PER_RANK_OP = 8.0
+    #: sanitizer; reads 1.9 since an observed round costs one ``enter`` hook
+    #: per member and a fixed few frames (7.2 before, when checksums, the
+    #: call-site walk, the park bracket and the race detector each took a
+    #: frame per member or round; 10.0 and 30.8 before that)
+    SANITIZE_CALLS_PER_RANK_OP = 2.1
 
     def test_calls_per_rank_op(self):
         calls = _counted_storm()
@@ -956,9 +959,9 @@ class TestCollectiveHostCost:
     #: has completed: the handle, ``GroupTimeline.settle``, ``sync_to`` (the
     #: exposed / overlapped terms are appended inline, DESIGN 4q)
     CALLS_PER_WAIT = 3
-    #: beneath one ``sendrecv``, the parked receiver's abort polls aside:
-    #: one timeline frame per side (``send`` / ``arrive``) on top of the 12
-    #: a hand-inlined time rule made
+    #: beneath one ``sendrecv`` (the parked receiver's abort polls read the
+    #: flag inline, with no frame here): one timeline frame per side
+    #: (``send`` / ``arrive``) on top of the 12 a hand-inlined time rule made
     CALLS_PER_SENDRECV = 14
 
     def test_timeline_frame_budget(self):
@@ -974,8 +977,7 @@ class TestCollectiveHostCost:
             n for (root, _), n in calls.items() if root == wait) / each
         assert per_wait <= self.CALLS_PER_WAIT, per_wait
         per_sendrecv = sum(
-            n for (root, callee), n in calls.items() if root == sendrecv
-            and callee != "runtime/spmd.py:SpmdRuntime.aborting") / each
+            n for (root, _), n in calls.items() if root == sendrecv) / each
         assert per_sendrecv <= self.CALLS_PER_SENDRECV, per_sendrecv
 
     def test_warm_rounds_do_not_walk_the_topology(self):
@@ -1005,14 +1007,26 @@ class TestCollectiveHostCost:
         assert san.rounds_checked > 0 and san.mismatches == san.desyncs == 0
         per_op = _layer_calls(calls, "sanitize") / self.RANK_OPS
         assert per_op <= self.SANITIZE_CALLS_PER_RANK_OP, per_op
-        # the wait-for graph is walked when a wait slice expires or a wake
-        # finds the round unfinished, never on the way into a healthy park
-        # (it was once per park); a slice only expires on a healthy run if
-        # the host stalls a whole diagnosis window, so a stray walk passes
-        parks = calls["sanitize/sanitizer.py:CommSanitizer.on_park"]
+        # a waiter's state is recorded and the wait-for graph walked when a
+        # wait slice expires or a wake finds the round unfinished, never on
+        # the way into a healthy park (once per park, and two hooks around
+        # it, before); a slice only expires on a healthy run if the host
+        # stalls a whole diagnosis window, so a stray walk passes
+        parks = calls["comm/group.py:ProcessGroup._await_round"]
         assert parks >= 30 * _STORM_ROUNDS  # every blocking non-last arriver
         walks = calls["sanitize/sanitizer.py:CommSanitizer._find_wait_cycle"]
         assert walks <= parks // 100, (walks, parks)
+        # one frame per member is the ``enter`` hook, which walks to the
+        # call site itself; a spec CRC and a p2p label come off their memos
+        # inline, and an all-spec round makes no race-detector frame
+        enters = calls["sanitize/sanitizer.py:CommSanitizer.on_enter"]
+        assert enters == self.RANK_OPS * 6 // _STORM_EXCHANGES
+        assert calls["sanitize/sanitizer.py:payload_checksum"] <= 2 * 4 * 7
+        assert calls["sanitize/sanitizer.py:CommSanitizer._p2p_signature"] \
+            <= 2 * 4
+        racing = [key for key in calls if "BufferRaceDetector" in key
+                  or key.endswith(":_arrays_of")]
+        assert not racing, racing
         # one rendered signature per distinct call, one file test per file
         assert calls["sanitize/spec.py:call_signature"] <= 4 * 7
         assert calls["sanitize/spec.py:_is_internal"] <= 8
@@ -1026,6 +1040,34 @@ class TestCollectiveHostCost:
         assert _layer_calls(calls, "trace") == (
             calls["trace/tracer.py:Tracer.annotate"]
             + calls["trace/tracer.py:_ClockObserver.__call__"])
+
+    def test_tracer_calls_per_round_do_not_grow_with_group_size(self):
+        """A traced round's spans are built by ``GroupTimeline.mark`` and
+        appended under one tracer-lock acquisition: one frame per round at
+        any group size, where an ``annotate`` per member made one per rank
+        (DESIGN 4s)."""
+        from repro.trace import Tracer
+
+        rounds = 4
+
+        def counted(world):
+            counter = _repro_counter()
+
+            def prog(ctx):
+                comm = Communicator.world(ctx)
+                with counter.this_thread():
+                    for _ in range(rounds):
+                        comm.all_reduce(SpecArray((1024,), "float32"))
+
+            tracer = Tracer()
+            SpmdRuntime(uniform_cluster(world), tracer=tracer).run(
+                prog, materialize=False)
+            assert len(tracer.spans(cat="collective")) == rounds * world
+            calls = counter.total()
+            return (calls["comm/timeline.py:GroupTimeline.mark"],
+                    calls["trace/tracer.py:Tracer.annotate"])
+
+        assert counted(2) == counted(8) == (rounds, 0)
 
     def test_dtype_named_once_per_dtype(self):
         """numpy's ``dtype.name`` is a Python property (``_name_get`` ->
@@ -1192,7 +1234,12 @@ class TestPlanHostCost:
             for ev in stream if ev[0] == "a" and ev[3] is not None)
         assert sum(labelled.values()) > 200
         annotations = [s for s in tracer.spans() if s.kind == "annotation"]
-        assert calls["trace/tracer.py:Tracer.annotate"] == len(annotations)
+        # a round's spans, which carry its retry count, are made by its
+        # ``mark`` in place; every other annotation is one ``annotate``
+        by_mark = [s for s in annotations if "retries" in s.args]
+        assert by_mark, "the replay no longer marks its rounds"
+        assert calls["trace/tracer.py:Tracer.annotate"] == (
+            len(annotations) - len(by_mark))
         assert labelled == collections.Counter(
             (s.rank, s.cat, s.name) for s in annotations
             if s.cat not in ("collective", "p2p", "comm_stream", "overlap"))

@@ -4,6 +4,7 @@ the zero-overhead-when-disabled guarantee."""
 
 from __future__ import annotations
 
+import re
 import time
 import zlib
 
@@ -260,6 +261,29 @@ class TestDesyncDetection:
         cause = _cause(ei)
         assert isinstance(cause, (CollectiveDesync, CollectiveMismatch))
         assert elapsed < LONG_TIMEOUT / 10
+
+    def test_three_group_wait_cycle_names_every_rank(self):
+        # a pure cycle, no rank exited: 0 waits in [0, 1] for rank 1, which
+        # waits in [1, 2] for rank 2, which waits in [0, 2] for rank 0.  A
+        # waiter's state is recorded by its own stall hook, so some rank
+        # convicts a slice after the last of them parked; which one depends
+        # on thread order, the ranks its message names do not
+        pairs = {0: [0, 1], 1: [1, 2], 2: [0, 2]}
+
+        def prog(ctx):
+            comm = Communicator.world(ctx).subgroup(pairs[ctx.rank])
+            return comm.all_reduce(np.ones(2))
+
+        t0 = time.monotonic()
+        with pytest.raises(RemoteRankError) as ei:
+            _run(3, prog, san=CommSanitizer())
+        elapsed = time.monotonic() - t0
+        cause = _cause(ei)
+        assert isinstance(cause, CollectiveDesync)
+        named = {int(r) for ranks in re.findall(r"ranks \[([\d, ]+)\]", str(cause))
+                 for r in ranks.split(",")}
+        assert named == {0, 1, 2}, str(cause)
+        assert elapsed < 5.0
 
     def test_desync_message_names_callsites(self):
         def prog(ctx):
