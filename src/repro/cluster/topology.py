@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.utils.units import GB
@@ -53,6 +54,8 @@ class Topology:
 
     Bandwidth queries are cached: SPMD collectives issue many identical
     queries per step and shortest-path search would otherwise dominate.
+    The walks over a group's pairs read that cache inline and enter
+    :meth:`path_stats` on a miss only, so a cold walk is one frame.
     """
 
     def __init__(self) -> None:
@@ -94,11 +97,15 @@ class Topology:
         """Add an undirected link between devices ``a`` and ``b``; a link
         already there is replaced whole (degradation state included) and
         keeps its place in the neighbour order."""
-        attrs = {
-            "link": link,
-            "bandwidth": bandwidth if bandwidth is not None else LINK_BANDWIDTH[link],
-            "latency": latency if latency is not None else LINK_LATENCY[link],
-        }
+        if bandwidth is None:
+            bandwidth = LINK_BANDWIDTH[link]
+        if latency is None:
+            latency = LINK_LATENCY[link]
+        if not bandwidth > 0.0 or not 0.0 <= latency < math.inf:
+            raise ValueError(
+                f"link {a} <-> {b}: bandwidth must be positive and latency "
+                f"finite and non-negative, got {bandwidth} and {latency}")
+        attrs = {"link": link, "bandwidth": bandwidth, "latency": latency}
         self._adj.setdefault(a, {})[b] = attrs
         self._adj.setdefault(b, {})[a] = attrs
         self._invalidate()
@@ -127,7 +134,7 @@ class Topology:
         Idempotent: repeated calls scale the original bandwidth, not the
         already-scaled value, so re-installing a fault plan is safe.
         """
-        if factor <= 0:
+        if not factor > 0:
             raise ValueError(f"bandwidth scale factor must be positive, got {factor}")
         edge = self._link(a, b)
         if edge is None:
@@ -274,6 +281,22 @@ class Topology:
         self._ring_cache[key] = (bw, lat)
         return bw, lat
 
+    def pairwise_stats(self, names: List[str]) -> Tuple[float, float]:
+        """``(lowest bandwidth, highest latency)`` over every pair of
+        ``names``: :meth:`path_stats` folded over the pairs in one walk."""
+        cache = self._bw_cache
+        bw = math.inf
+        lat = 0.0
+        for a, b in itertools.combinations(names, 2):
+            stats = cache.get((a, b) if a <= b else (b, a))
+            if stats is None:
+                stats = self.path_stats(a, b)
+            if stats[0] < bw:
+                bw = stats[0]
+            if stats[1] > lat:
+                lat = stats[1]
+        return bw, lat
+
     def order_ring(self, names: List[str]) -> List[str]:
         """Greedy high-bandwidth ring ordering of ``names``.
 
@@ -288,15 +311,19 @@ class Topology:
         key = tuple(names)
         cached = self._order_cache.get(key)
         if cached is None:
-            index = {n: i for i, n in enumerate(names)}
-            order = [names[0]]
+            cache = self._bw_cache
+            cached = [names[0]]
             remaining = list(names[1:])
             while remaining:
-                cur = order[-1]
-                best = max(remaining, key=lambda n: (self.bandwidth(cur, n), -index[n]))
-                order.append(best)
-                remaining.remove(best)
-            cached = order
+                cur = cached[-1]
+                best, best_bw = 0, -1.0
+                for i, n in enumerate(remaining):
+                    stats = cache.get((cur, n) if cur <= n else (n, cur))
+                    if stats is None:
+                        stats = self.path_stats(cur, n)
+                    if stats[0] > best_bw:  # the first of the fastest
+                        best, best_bw = i, stats[0]
+                cached.append(remaining.pop(best))
             self._order_cache[key] = cached
         return list(cached)
 
@@ -317,27 +344,33 @@ class Topology:
         key = (tuple(names), ratio)
         cached = self._island_cache.get(key)
         if cached is None:
-            pair_bw = {
-                (a, b): self.bandwidth(a, b)
-                for a, b in itertools.combinations(names, 2)
-            }
-            threshold = max(pair_bw.values()) * ratio
-            parent = {n: n for n in names}
-
-            def find(n: str) -> str:
-                while parent[n] != n:
-                    parent[n] = parent[parent[n]]
-                    n = parent[n]
-                return n
-
-            for (a, b), bw in pair_bw.items():
+            cache = self._bw_cache
+            pairs = list(itertools.combinations(range(len(names)), 2))
+            pair_bw = []
+            top = 0.0  # bandwidths are positive (add_link)
+            for i, j in pairs:
+                a, b = names[i], names[j]
+                stats = cache.get((a, b) if a <= b else (b, a))
+                if stats is None:
+                    stats = self.path_stats(a, b)
+                pair_bw.append(stats[0])
+                if stats[0] > top:
+                    top = stats[0]
+            threshold = top * ratio
+            # union-find over member positions: ``root[i] <= i``, a root
+            # is its component's first member
+            root = list(range(len(names)))
+            for (i, j), bw in zip(pairs, pair_bw):
                 if bw >= threshold:
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[rb] = ra
-            groups: Dict[str, List[str]] = {}
-            for n in names:
-                groups.setdefault(find(n), []).append(n)
+                    while root[i] != i:
+                        i = root[i]
+                    while root[j] != j:
+                        j = root[j]
+                    root[max(i, j)] = min(i, j)
+            groups: Dict[int, List[str]] = {}
+            for i, n in enumerate(names):  # root[root[i]] is final already
+                r = root[i] = root[root[i]]
+                groups.setdefault(r, []).append(n)
             cached = list(groups.values())
             self._island_cache[key] = cached
         return [list(g) for g in cached]

@@ -80,7 +80,6 @@ link numbers come from (a subclass may override only those), and
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -205,15 +204,7 @@ class CostModel:
         """(worst pair bandwidth, worst pair latency) — the per-round bound
         of recursive halving/doubling, whose partners span every distance,
         and of the personalized all-to-all."""
-        names = self._names(ranks)
-        topo = self.cluster.topology
-        bw = math.inf
-        lat = 0.0
-        for a, b in itertools.combinations(names, 2):
-            b_, l_ = topo.path_stats(a, b)
-            bw = min(bw, b_)
-            lat = max(lat, l_)
-        return bw, lat
+        return self.cluster.topology.pairwise_stats(self._names(ranks))
 
     @_memoised
     def _star(self, root: int, ranks: Sequence[int]) -> Tuple[float, float]:

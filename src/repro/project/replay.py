@@ -399,8 +399,10 @@ class ReplayEngine:
 
     def _drain(self, rank: int) -> bool:
         """Run ``rank``'s stream until it blocks or ends.  Clock advances —
-        most of any stream — are swept here; every other tag goes straight
-        to its handler, which returns False when the rank must wait."""
+        most of any stream — are swept a run at a time by
+        :meth:`SimClock.advance_run`; under a tracer a labelled advance is
+        its own run, annotated.  Every other tag goes straight to its
+        handler, which returns False when the rank must wait."""
         stream = self.trace.streams[rank]
         start = pos = self._pos[rank]
         end = len(stream)
@@ -411,11 +413,14 @@ class ReplayEngine:
             ev = stream[pos]
             tag = ev[0]
             if tag == "a":
+                if tracer is None or ev[3] is None:
+                    pos = clock.advance_run(stream, pos, scale,
+                                            tracer is not None)
+                    continue
                 _t, category, dt, label = ev
                 t0 = clock.time
                 clock.advance(dt if scale == 1.0 else dt * scale, category)
-                if tracer is not None and label is not None:
-                    tracer.annotate(rank, category, label, t0, clock.time)
+                tracer.annotate(rank, category, label, t0, clock.time)
             elif tag == "pw":  # eager isend wait
                 clock.advance(ev[1], "comm")
             else:

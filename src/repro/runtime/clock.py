@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 class SimClock:
@@ -69,7 +69,7 @@ class SimClock:
                      end: float = math.inf) -> None:
         """Scale advances by ``factor`` while the clock is within
         ``[start, end)`` (straggler injection; ``factor`` > 1 is slower)."""
-        if factor <= 0:
+        if not factor > 0:
             raise ValueError(f"slowdown factor must be positive, got {factor}")
         with self._lock:
             self._slowdowns.append((start, end, factor))
@@ -111,8 +111,8 @@ class SimClock:
     def advance(self, dt: float, category: str = "compute") -> None:
         """Move simulated time forward by ``dt`` seconds of work (scaled by
         any active slowdown window)."""
-        if dt < 0:
-            raise ValueError(f"cannot advance clock by negative time {dt}")
+        if not 0.0 <= dt < math.inf:
+            raise ValueError(f"cannot advance clock by {dt} seconds")
         with self._lock:
             if self._slowdowns:
                 dt = self._scaled(dt)
@@ -123,6 +123,35 @@ class SimClock:
                 self._capture(category, dt)
             if self._observer is not None and dt > 0.0:
                 self._observer(category, t0, self.time)
+
+    def advance_run(self, events: Sequence[tuple], pos: int,
+                    scale: float = 1.0, stop_at_label: bool = False) -> int:
+        """:meth:`advance` by ``dt * scale`` for each captured ``("a",
+        category, dt, label)`` event of ``events`` from ``pos`` on, under one
+        lock acquisition; stop at the first other event (or, with
+        ``stop_at_label``, labelled advance) and return its position."""
+        end = len(events)
+        with self._lock:
+            while pos < end:
+                ev = events[pos]
+                if ev[0] != "a" or (stop_at_label and ev[3] is not None):
+                    break
+                _t, category, dt, _label = ev
+                if scale != 1.0:
+                    dt *= scale
+                if not 0.0 <= dt < math.inf:
+                    raise ValueError(f"cannot advance clock by {dt} seconds")
+                if self._slowdowns:
+                    dt = self._scaled(dt)
+                t0 = self.time
+                self.time += dt
+                self._busy[category] = self._busy.get(category, 0.0) + dt
+                if self._capture is not None:
+                    self._capture(category, dt)
+                if self._observer is not None and dt > 0.0:
+                    self._observer(category, t0, self.time)
+                pos += 1
+        return pos
 
     def sync_to(self, t: float, category: str = "wait") -> None:
         """Jump forward to absolute time ``t`` (no-op if already past it)."""
@@ -195,8 +224,8 @@ class StreamClock:
         """Record one op running on the stream over ``[t0, t1]``; the whole
         duration is provisionally counted as overlapped until a ``wait``
         reclassifies the stalled portion."""
-        if t1 < t0:
-            raise ValueError(f"stream occupancy ends before it starts: {t0} -> {t1}")
+        if not -math.inf < t0 <= t1 < math.inf:
+            raise ValueError(f"bad stream occupancy: {t0} -> {t1}")
         with self._lock:
             dt = t1 - t0
             self._busy.setdefault(category, []).append(dt)

@@ -1,10 +1,22 @@
 """Tests for interconnect topologies and bandwidth probing (Fig 9/10)."""
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import LinkType, Topology, system_i, system_ii, system_iii
+from repro.cluster import (
+    LinkType,
+    Topology,
+    system_i,
+    system_ii,
+    system_iii,
+    system_iv,
+    uniform_cluster,
+)
+from repro.comm.cost import CostModel
 from repro.cluster.bandwidth import (
     measure_allreduce_bandwidth,
     measure_broadcast_bandwidth,
@@ -112,6 +124,26 @@ class TestTopology:
         t = Topology.pairwise_nvlink(["g0", "g1", "g2"])
         assert t.links() == [("g0", "g1"), ("g0", "g2"), ("g1", "g2")]
 
+    @pytest.mark.parametrize("bandwidth, latency", [
+        (-1e9, None), (0.0, None), (math.nan, None),
+        (None, -1.0), (None, math.nan), (None, math.inf)])
+    def test_bad_link_rejected(self, bandwidth, latency):
+        """A link with no positive bandwidth or no finite non-negative
+        latency would price a collective negative, NaN or by a division by
+        zero."""
+        cluster = uniform_cluster(4)
+        with pytest.raises(ValueError, match="gpu0 <-> gpu1"):
+            cluster.topology.add_link("gpu0", "gpu1", LinkType.NVLINK,
+                                      bandwidth=bandwidth, latency=latency)
+        cost = CostModel(cluster).allreduce([0, 1], 1 << 20)
+        assert 0.0 < cost.seconds < 1e-3
+
+    def test_nan_scale_factor_rejected(self):
+        t = Topology.fully_connected(["a", "b"])
+        with pytest.raises(ValueError):
+            t.scale_link("a", "b", math.nan)
+        assert t.bandwidth("a", "b") == 200 * GB
+
 
 def test_route_searches_like_networkx():
     """``Topology._route`` against the reference it was ported from: the
@@ -141,6 +173,114 @@ def test_route_searches_like_networkx():
                         topo._route(a, b)
                 else:
                     assert topo._route(a, b) == want
+
+    check()
+
+
+def _reference_islands(topo, names, ratio):
+    """The pair-dict and union-find formulation the walk replaced."""
+    names = list(names)
+    if len(names) <= 1:
+        return [names] if names else []
+    pair_bw = {(a, b): topo.bandwidth(a, b)
+               for a, b in itertools.combinations(names, 2)}
+    threshold = max(pair_bw.values()) * ratio
+    parent = {n: n for n in names}
+
+    def find(n):
+        while parent[n] != n:
+            parent[n] = parent[parent[n]]
+            n = parent[n]
+        return n
+
+    for (a, b), bw in pair_bw.items():
+        if bw >= threshold:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[rb] = ra
+    groups = {}
+    for n in names:
+        groups.setdefault(find(n), []).append(n)
+    return list(groups.values())
+
+
+def _reference_order_ring(topo, names):
+    """The greedy ``max(..., key=lambda)`` formulation."""
+    if len(names) <= 2:
+        return list(names)
+    index = {n: i for i, n in enumerate(names)}
+    order, remaining = [names[0]], list(names[1:])
+    while remaining:
+        cur = order[-1]
+        best = max(remaining, key=lambda n: (topo.bandwidth(cur, n), -index[n]))
+        order.append(best)
+        remaining.remove(best)
+    return order
+
+
+def _reference_pairwise(topo, names):
+    bw, lat = math.inf, 0.0
+    for a, b in itertools.combinations(names, 2):
+        b_, l_ = topo.path_stats(a, b)
+        bw = min(bw, b_)
+        lat = max(lat, l_)
+    return bw, lat
+
+
+_SYSTEMS = {
+    "I": system_i,
+    "II": system_ii,
+    "III": lambda: system_iii(n_nodes=4),
+    "IV": system_iv,
+}
+
+
+@pytest.mark.parametrize("system", sorted(_SYSTEMS))
+def test_walks_equal_their_reference(system):
+    """``islands``, ``order_ring`` and ``pairwise_stats`` read the pair memo
+    inline; on a cold topology and on one whose pairs are all cached they
+    equal the formulations they replaced, on the preset and on a copy with
+    one link degraded."""
+    build = _SYSTEMS[system]
+    n_gpus = len(build().gpus)
+    n_links = len(build().topology.links())
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        members=st.tuples(st.permutations(range(n_gpus)),
+                          st.integers(0, n_gpus)).map(lambda p: p[0][:p[1]]),
+        ratio=st.sampled_from([0.25, 0.5, 1.0]),
+        degrade=st.one_of(st.none(), st.tuples(
+            st.integers(0, n_links - 1), st.sampled_from([0.01, 0.3, 0.6]))),
+    )
+    def check(members, ratio, degrade):
+        topos = []
+        for _ in range(2):
+            cluster = build()
+            topo = cluster.topology
+            if degrade is not None:
+                link, factor = degrade
+                topo.scale_link(*topo.links()[link], factor)
+            topos.append(topo)
+        names = build().gpu_names(members)
+        reference, walked = topos
+        want = (_reference_islands(reference, names, ratio),
+                _reference_order_ring(reference, names),
+                _reference_pairwise(reference, names))
+        walks = (lambda t: t.islands(names, ratio),
+                 lambda t: t.order_ring(names),
+                 lambda t: t.pairwise_stats(names))
+        for i, walk in enumerate(walks):  # each walk cold, then warm
+            walked._bw_cache.clear()
+            walked._island_cache.clear()
+            walked._order_cache.clear()
+            assert walk(walked) == want[i]
+            walked._island_cache.clear()
+            walked._order_cache.clear()
+            assert walk(walked) == want[i]
+        # a warm topology: every pair the walks read is in the memo
+        assert (walked.islands(names, ratio), walked.order_ring(names),
+                walked.pairwise_stats(names)) == want
 
     check()
 

@@ -1139,9 +1139,14 @@ class TestPlanHostCost:
     #: pricing calls (``analytic/`` + ``autopar/scoring.py``) a term costs
     #: when it is first needed; read 4.2
     CALLS_PER_TERM = 4.7
-    #: calls per event of a recorded replay; read 1.42, and 3.37 when every
-    #: clock advance went through two frames of its own
-    CALLS_PER_EVENT = 2.1
+    #: calls per event of a recorded replay; read 0.66 with one clock frame
+    #: per run of advances, 1.55 with one per advance, and 3.37 when every
+    #: advance went through two frames of its own
+    CALLS_PER_EVENT = 0.8
+    #: ``cluster/`` calls per scored candidate of a cold System IV / 64-rank
+    #: compile: the first walk of each distinct rank group.  Read 1.80;
+    #: 8.16 when the walks paid a frame or three per member pair
+    CLUSTER_CALLS_PER_CANDIDATE = 2.2
 
     @pytest.fixture(scope="class")
     def compiled(self):
@@ -1162,6 +1167,20 @@ class TestPlanHostCost:
         assert calls["autopar/scoring.py:score_candidate"] == scored
         per_candidate = sum(calls.values()) / scored
         assert per_candidate <= self.CALLS_PER_CANDIDATE, per_candidate
+
+    def test_cold_walks_per_scored_candidate(self):
+        from repro.autopar import Workload, compile_strategy
+        from repro.cluster import system_iv
+
+        work = Workload(n_layers=16, hidden=3072, n_heads=48, seq_len=196)
+        cluster = system_iv()  # a fresh link graph: every walk is cold
+        calls, cs = _repro_calls(lambda: compile_strategy(
+            cluster, work, 512, world_size=64, refine=False))
+        scored = len(cs.report.scored)
+        assert scored > 2000, "compile no longer exercises the search"
+        walks = sum(n for key, n in calls.items() if key.startswith("cluster/"))
+        assert walks / scored <= self.CLUSTER_CALLS_PER_CANDIDATE, (
+            walks / scored)
 
     def test_workload_constants_once_per_compile(self, compiled):
         calls = compiled[0]

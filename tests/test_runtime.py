@@ -1,9 +1,14 @@
 """Tests for the SPMD runtime: clocks, launching, failure propagation."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime import RemoteRankError, SimClock, SpmdRuntime
+from repro.runtime.clock import StreamClock
 from repro.runtime.spmd import current_rank_context, in_spmd
 
 
@@ -41,6 +46,105 @@ class TestSimClock:
         c.reset()
         assert c.time == 0.0
         assert c.breakdown() == {}
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, -1e-300])
+    def test_non_finite_or_negative_advance_rejected(self, dt):
+        """A NaN clock would never ``sync_to`` again: every comparison
+        with it is false."""
+        c = SimClock()
+        c.advance(1.0)
+        with pytest.raises(ValueError):
+            c.advance(dt)
+        with pytest.raises(ValueError):
+            c.advance_run([("a", "compute", dt, None)], 0)
+        assert c.time == 1.0
+        assert c.breakdown() == {"compute": 1.0}
+
+    def test_nan_slowdown_factor_rejected(self):
+        with pytest.raises(ValueError):
+            SimClock().set_slowdown(math.nan)
+
+    @pytest.mark.parametrize("t0, t1", [
+        (0.0, math.nan), (math.nan, 1.0), (0.0, math.inf),
+        (-math.inf, 0.0), (1.0, 0.5)])
+    def test_stream_rejects_non_finite_or_backward_occupancy(self, t0, t1):
+        s = StreamClock()
+        with pytest.raises(ValueError):
+            s.occupy(t0, t1)
+        assert s.time == 0.0
+        assert s.breakdown() == {"exposed": 0.0, "overlapped": 0.0}
+
+
+_categories = st.sampled_from(["compute", "comm", "offload"])
+_dts = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
+    st.floats(min_value=0.0, max_value=1e-6, allow_nan=False))
+_advances = st.lists(st.tuples(
+    _categories, _dts, st.sampled_from([None, "fwd", "bwd"])), max_size=30)
+
+
+def _windowed_clocks(windows):
+    """Two identical clocks, each with the slowdown windows and a recording
+    observer and capture."""
+    out = []
+    for _ in range(2):
+        clock, calls = SimClock(), []
+        for start, length, factor in windows:
+            clock.set_slowdown(factor, start, start + length)
+        clock.set_observer(lambda *a, calls=calls: calls.append(("obs",) + a))
+        clock.set_capture(lambda *a, calls=calls: calls.append(("cap",) + a))
+        out.append((clock, calls))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    advances=_advances,
+    windows=st.lists(st.tuples(
+        st.floats(0.0, 5.0), st.floats(0.0, 3.0),
+        st.sampled_from([0.5, 2.0, 3.0])), max_size=3),
+    scale=st.sampled_from([1.0, 1.5, 0.25]),
+    lead=st.integers(0, 3),
+    stop_at_label=st.booleans(),
+)
+def test_advance_run_is_a_loop_of_advance(advances, windows, scale, lead,
+                                          stop_at_label):
+    """``advance_run`` applies a run exactly as ``advance`` per event would:
+    the same clock bits, breakdown, observer and capture calls, stopping at
+    the first other event (or labelled advance, when asked)."""
+    (run_clock, run_calls), (loop_clock, loop_calls) = \
+        _windowed_clocks(windows)
+    events = [("x",)] * lead + [("a",) + ev for ev in advances] + [("c", 0, 1)]
+    stop = run_clock.advance_run(events, lead, scale, stop_at_label)
+    pos = lead
+    while events[pos][0] == "a" and not (
+            stop_at_label and events[pos][3] is not None):
+        dt = events[pos][2]
+        loop_clock.advance(dt if scale == 1.0 else dt * scale, events[pos][1])
+        pos += 1
+    assert stop == pos
+    assert run_clock.time == loop_clock.time
+    assert run_clock.breakdown() == loop_clock.breakdown()
+    assert run_calls == loop_calls
+
+
+@settings(max_examples=50, deadline=None)
+@given(head=_advances, bad=st.sampled_from([math.nan, math.inf, -1.0]),
+       tail=_advances)
+def test_advance_run_stops_at_a_bad_advance_like_the_loop(head, bad, tail):
+    (run_clock, run_calls), (loop_clock, loop_calls) = \
+        _windowed_clocks([(0.5, 1.0, 2.0)])
+    events = [("a",) + ev for ev in head] + [("a", "compute", bad, None)] + \
+        [("a",) + ev for ev in tail]
+    with pytest.raises(ValueError):
+        run_clock.advance_run(events, 0)
+    with pytest.raises(ValueError):
+        for ev in events:
+            loop_clock.advance(ev[2], ev[1])
+    assert run_clock.time == loop_clock.time
+    assert run_clock.breakdown() == loop_clock.breakdown()
+    assert run_calls == loop_calls
 
 
 class TestSpmdRuntime:
