@@ -154,14 +154,19 @@ class SimClock:
         return pos
 
     def sync_to(self, t: float, category: str = "wait") -> None:
-        """Jump forward to absolute time ``t`` (no-op if already past it)."""
+        """Jump forward to absolute time ``t`` (no-op if already past it);
+        NaN and ``+inf`` are refused, each on the branch it can reach."""
         with self._lock:
             if t > self.time:
+                if t == math.inf:
+                    raise ValueError(f"cannot sync clock to {t}")
                 t0 = self.time
                 self._busy[category] = self._busy.get(category, 0.0) + (t - self.time)
                 self.time = t
                 if self._observer is not None:
                     self._observer(category, t0, t)
+            elif t != t:
+                raise ValueError(f"cannot sync clock to {t}")
 
     def breakdown(self) -> Dict[str, float]:
         """Seconds spent per category (compute / comm / wait / ...)."""

@@ -29,6 +29,7 @@ report as a p99/goodput hit, not a crash.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
@@ -88,18 +89,23 @@ class ModelSpec:
     def step_pricer(self, device: Any, tp: int
                     ) -> Callable[[int, int], float]:
         """``price(new_tokens, context_tokens)`` with everything constant
-        over a serving run (weights, KV bytes per token) folded once."""
+        over a serving run (weights, KV bytes per token) folded once, and
+        the compute term asked of ``device`` once per distinct batch size
+        (at most ``max_batch_tokens`` of them)."""
         flops_per_token = 2.0 * self.params / tp
         weight_bytes = self.params * self.bytes_per_elem / tp
         kv_bytes_per_token = self.kv_bytes_per_token(tp)
         hbm_bandwidth = self.hbm_bandwidth
         compute_seconds = device.compute_seconds
+        compute: Dict[int, float] = {}
 
         def price(new_tokens: int, context_tokens: int) -> float:
             if new_tokens <= 0:
                 return 0.0
-            t_compute = compute_seconds(
-                flops_per_token * new_tokens, "float16")
+            t_compute = compute.get(new_tokens)
+            if t_compute is None:
+                t_compute = compute[new_tokens] = compute_seconds(
+                    flops_per_token * new_tokens, "float16")
             kv_bytes = context_tokens * kv_bytes_per_token
             t_memory = (weight_bytes + kv_bytes) / hbm_bandwidth
             return max(t_compute, t_memory)
@@ -145,7 +151,7 @@ class _Replica:
                     sched.submit(follow_up)
 
         plan = sched.step(now)
-        if plan.empty and not plan.preempted:
+        if not (plan.prefill or plan.decode or plan.failed or plan.preempted):
             self._plan = None
             return None
         self._plan, self._planned_at = plan, now
@@ -200,6 +206,12 @@ class ServeEngine:
         if not 0.0 < self.kv_fraction <= 1.0:
             raise ValueError(
                 f"kv_fraction must be in (0, 1], got {self.kv_fraction}")
+        if not 0.0 <= self.recovery_seconds < math.inf:
+            raise ValueError("recovery_seconds must be finite and >= 0, "
+                             f"got {self.recovery_seconds}")
+        if self.max_recoveries < 0:
+            raise ValueError(
+                f"max_recoveries must be >= 0, got {self.max_recoveries}")
 
     # -- driver ----------------------------------------------------------
 
@@ -280,7 +292,11 @@ class ServeEngine:
                     raise
             prices = [model.step_pricer(device, tp) for device in devices]
             group = runtime.world_group if tp > 1 else None
+            finalize = partial(all_reduce_finalize, group, "sum")
             wire_elems = model.wire_elems_per_token()
+            #: new_tokens -> the step's all-reduce payloads, one per member
+            #: (a SpecArray is immutable, so every step of a size shares it)
+            payloads: Dict[int, List[SpecArray]] = {}
             while True:
                 now = clocks[0].time  # the last round synced every clock
                 plan = replica.advance(now)
@@ -291,14 +307,16 @@ class ServeEngine:
                     for clock in clocks:
                         clock.sync_to(max(wake, now), "wait")
                 elif plan.new_tokens > 0:
+                    new_tokens = plan.new_tokens
                     for clock, price in zip(clocks, prices):
-                        clock.advance(price(plan.new_tokens,
-                                            plan.context_tokens), "compute")
+                        clock.advance(price(new_tokens, plan.context_tokens),
+                                      "compute")
                     if group is not None:
-                        x = SpecArray((plan.new_tokens, wire_elems), "float16")
-                        group.drive_round(
-                            [x] * tp, partial(all_reduce_finalize, group, "sum"),
-                            "all_reduce", _SUM)
+                        xs = payloads.get(new_tokens)
+                        if xs is None:
+                            xs = payloads[new_tokens] = [SpecArray(
+                                (new_tokens, wire_elems), "float16")] * tp
+                        group.drive_round(xs, finalize, "all_reduce", _SUM)
         finally:
             for arena in held:
                 arena.release()

@@ -63,10 +63,14 @@ class BlockPool:
             raise ValueError(f"block_size must be >= 1, got {block_size}")
         if num_blocks < 1:
             raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
+        # plain attributes, read-only outside this class: admission reads
+        # them inline (DESIGN §4j)
         self.block_size = int(block_size)
         self.num_blocks = int(num_blocks)
-        # LIFO free stack: deterministic reuse order
-        self._free: List[int] = list(range(self.num_blocks - 1, -1, -1))
+        #: token slots in the whole pool: a sequence of more can never fit
+        self.token_capacity = self.num_blocks * self.block_size
+        #: LIFO free stack: deterministic reuse order
+        self.free_list: List[int] = list(range(self.num_blocks - 1, -1, -1))
         self._tables: Dict[int, List[int]] = {}
         self._owner: Dict[int, int] = {}
         self.peak_used = 0
@@ -75,19 +79,15 @@ class BlockPool:
 
     @property
     def free_blocks(self) -> int:
-        return len(self._free)
+        return len(self.free_list)
 
     @property
     def used_blocks(self) -> int:
-        return self.num_blocks - len(self._free)
+        return self.num_blocks - len(self.free_list)
 
     def blocks_for(self, tokens: int) -> int:
         """Blocks needed to hold ``tokens`` KV slots."""
         return -(-int(tokens) // self.block_size) if tokens > 0 else 0
-
-    def fits_ever(self, tokens: int) -> bool:
-        """Whether a sequence of ``tokens`` total slots can ever be held."""
-        return self.blocks_for(tokens) <= self.num_blocks
 
     # -- allocation ------------------------------------------------------
 
@@ -109,15 +109,15 @@ class BlockPool:
         grow = need_total - have
         if grow <= 0:
             return 0
-        if grow > len(self._free):
-            raise CacheExhausted(seq_id, grow, len(self._free))
+        if grow > len(self.free_list):
+            raise CacheExhausted(seq_id, grow, len(self.free_list))
         if table is None:
             table = self._tables[seq_id] = []
         for _ in range(grow):
-            block = self._free.pop()
+            block = self.free_list.pop()
             self._owner[block] = seq_id
             table.append(block)
-        used = self.num_blocks - len(self._free)
+        used = self.num_blocks - len(self.free_list)
         if used > self.peak_used:
             self.peak_used = used
         return grow
@@ -129,7 +129,7 @@ class BlockPool:
             return 0
         for block in table:
             del self._owner[block]
-            self._free.append(block)
+            self.free_list.append(block)
         return len(table)
 
     # -- introspection (the property-test surface) -----------------------
@@ -154,8 +154,8 @@ class BlockPool:
             raise KVCacheError(
                 "owner index out of sync with block tables: "
                 f"{sorted(set(owned.items()) ^ set(self._owner.items()))}")
-        free = set(self._free)
-        if len(free) != len(self._free):
+        free = set(self.free_list)
+        if len(free) != len(self.free_list):
             raise KVCacheError("duplicate block on the free list")
         if free & set(owned):
             raise KVCacheError(

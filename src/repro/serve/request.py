@@ -96,11 +96,6 @@ class Request:
 
     # -- lifecycle -------------------------------------------------------
 
-    @property
-    def total_tokens(self) -> int:
-        """KV slots a fully-decoded request occupies."""
-        return self.prompt_tokens + self.max_new_tokens
-
     def reset_progress(self, t: float) -> None:
         """Recompute-style preemption: discard every generated token."""
         self.state = PREEMPTED
@@ -137,7 +132,10 @@ class RequestRecord:
 
     Survives engine restarts (the driver owns the record dict), so a
     crash-requeued request keeps exactly one record: the pass that
-    finished it.
+    finished it.  ``completed``, ``ttft`` and ``token_latency`` are
+    derived once, when the record is written, and read as plain fields;
+    they take no constructor argument and stay out of ``to_dict()``,
+    ``repr`` and ``==``.
     """
 
     req_id: int
@@ -150,26 +148,27 @@ class RequestRecord:
     output: Tuple[int, ...] = field(default_factory=tuple)
     preemptions: int = 0
     fail_reason: Optional[str] = None
+    completed: bool = field(init=False, repr=False, compare=False)
+    #: seconds from arrival to the first output token
+    ttft: Optional[float] = field(init=False, repr=False, compare=False)
+    #: mean seconds per output token after the first (completed only)
+    token_latency: Optional[float] = field(
+        init=False, repr=False, compare=False)
 
-    @property
-    def completed(self) -> bool:
-        return self.fail_reason is None and self.t_finished is not None
-
-    @property
-    def ttft(self) -> Optional[float]:
-        if self.t_first_token is None:
-            return None
-        return self.t_first_token - self.arrival
-
-    @property
-    def token_latency(self) -> Optional[float]:
-        """Mean seconds per output token after the first."""
-        if not self.completed or self.t_first_token is None:
-            return None
-        n = len(self.output)
-        if n <= 1:
-            return 0.0
-        return (self.t_finished - self.t_first_token) / (n - 1)
+    def __post_init__(self) -> None:
+        completed = self.fail_reason is None and self.t_finished is not None
+        first = self.t_first_token
+        ttft = token_latency = None
+        if first is not None:
+            ttft = first - self.arrival
+            if completed:
+                n = len(self.output)
+                token_latency = (
+                    (self.t_finished - first) / (n - 1) if n > 1 else 0.0)
+        setattr_ = object.__setattr__  # frozen: as the generated __init__ sets
+        setattr_(self, "completed", completed)
+        setattr_(self, "ttft", ttft)
+        setattr_(self, "token_latency", token_latency)
 
     def to_dict(self) -> dict:
         return {

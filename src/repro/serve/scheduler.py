@@ -60,10 +60,6 @@ class BatchPlan:
         #: token slots computed this step — the budgeted quantity
         self.new_tokens = 0
 
-    @property
-    def empty(self) -> bool:
-        return not (self.prefill or self.decode or self.failed)
-
     def _drop(self, req: Request) -> None:
         """Remove a just-preempted request from this plan's work lists.
 
@@ -118,6 +114,10 @@ class ContinuousBatchingScheduler:
         #: admitted (PREFILL or DECODE), in admission order — the age order
         #: preemption victims are drawn from (youngest last)
         self.active: List[Request] = []
+        #: the PREFILL requests of ``active``, in its order: admission
+        #: appends, ``apply`` and ``_preempt`` remove, so the prefill pass
+        #: walks only these
+        self.prefilling: List[Request] = []
         self._now = 0.0
 
     # -- queue management ------------------------------------------------
@@ -148,9 +148,11 @@ class ContinuousBatchingScheduler:
         self._now = now  # preemptions inside this step happen at `now`
         plan = BatchPlan()
         budget = self.max_batch_tokens
-        # Preemption only ever pops the tail of `active`, so both passes
-        # walk it by index and re-read its length: an evicted request is
-        # simply never reached.
+        pool = self.pool
+        block_size = pool.block_size
+        # Preemption only ever pops the tail of `active` (and of
+        # `prefilling`), so both passes walk by index and re-read the
+        # length: an evicted request is simply never reached.
         active = self.active
 
         # 1) decode: one token per running sequence, oldest first
@@ -161,61 +163,62 @@ class ContinuousBatchingScheduler:
             if req.state != DECODE:
                 continue
             context = req.prompt_tokens + req.tokens_generated
-            if context >= req.kv_slots and not self._grow(
-                    req, context + 1, plan):
-                continue  # req preempted itself
+            if context >= req.kv_slots:
+                try:
+                    req.kv_slots += block_size * pool.appended(
+                        req.req_id, context + 1)
+                except CacheExhausted:
+                    if not self._grow(req, context + 1, plan):
+                        continue  # req preempted itself
             plan.decode.append(req)
             plan.new_tokens += 1
             plan.context_tokens += context
             budget -= 1
 
         # 2) prefill for already-admitted prompts
+        prefilling = self.prefilling
         i = 0
-        while i < len(active) and budget > 0:
-            req = active[i]
+        while i < len(prefilling) and budget > 0:
+            req = prefilling[i]
             i += 1
-            if req.state == PREFILL:
-                budget -= self._plan_prefill(req, budget, plan)
+            budget -= self._plan_prefill(req, budget, plan)
 
         # 3) admission: preempted first, then the arrival queue.  Admission
         # never evicts (an incoming request is the youngest, so eviction
         # could only hit itself): when the first prefill chunk does not fit
         # the free list, admission stops until decode drains some blocks.
+        # Both fit tests are inline comparisons, so an attempt that stops
+        # here makes no call.
+        paused, waiting = self.paused, self.waiting
+        capacity, free_list = pool.token_capacity, pool.free_list
         while budget > 0:
-            req = self._peek_admissible(now)
-            if req is None:
+            if paused:
+                queue = paused
+            elif waiting and waiting[0].arrival <= now:
+                queue = waiting
+            else:
                 break
-            if not self.pool.fits_ever(req.total_tokens):
-                self._pop_admissible()
+            req = queue[0]
+            if req.prompt_tokens + req.max_new_tokens > capacity:
+                queue.popleft()
                 req.state = FAILED
                 req.fail_reason = "RequestTooLarge"
                 plan.failed.append(req)
                 continue
             chunk = min(self.prefill_chunk, req.prompt_tokens, budget)
-            if self.pool.blocks_for(chunk) > self.pool.free_blocks:
+            if chunk > len(free_list) * block_size:
                 break
-            self._pop_admissible()
+            queue.popleft()
             req.state = PREFILL
             req.prefill_done = 0
             req.t_admitted = now
             req.start_generation(self.gen_seed, self.vocab)
             active.append(req)
+            prefilling.append(req)
             plan.admitted.append(req)
             budget -= self._plan_prefill(req, budget, plan)
 
         return plan
-
-    def _peek_admissible(self, now: float) -> Optional[Request]:
-        if self.paused:
-            return self.paused[0]
-        if self.waiting and self.waiting[0].arrival <= now:
-            return self.waiting[0]
-        return None
-
-    def _pop_admissible(self) -> Request:
-        if self.paused:
-            return self.paused.popleft()
-        return self.waiting.popleft()
 
     def _plan_prefill(self, req: Request, budget: int,
                       plan: BatchPlan) -> int:
@@ -225,32 +228,39 @@ class ContinuousBatchingScheduler:
         if chunk <= 0:
             return 0
         context = req.prefill_done + chunk
-        if context > req.kv_slots and not self._grow(req, context, plan):
-            return 0  # req preempted itself while growing
+        if context > req.kv_slots:
+            try:
+                req.kv_slots += self.pool.block_size * self.pool.appended(
+                    req.req_id, context)
+            except CacheExhausted:
+                if not self._grow(req, context, plan):
+                    return 0  # req preempted itself while growing
         plan.prefill.append((req, chunk))
         plan.new_tokens += chunk
         plan.context_tokens += context
         return chunk
 
     def _grow(self, req: Request, total_tokens: int, plan: BatchPlan) -> bool:
-        """Allocate KV blocks so ``req`` holds ``total_tokens`` slots,
-        evicting younger requests on pressure.  False when ``req`` ended
-        up evicting itself.  Callers skip this while ``kv_slots`` already
-        covers the request — 15 decode tokens in 16 at ``block_size`` 16."""
+        """``appended`` raised :class:`CacheExhausted` for ``req``: evict
+        the youngest active requests until ``req`` holds ``total_tokens``
+        KV slots.  False when ``req`` ended up evicting itself."""
         while True:
+            victim = self.active[-1]
+            self._preempt(victim, plan)
+            if victim is req:
+                return False
             try:
                 req.kv_slots += self.pool.block_size * self.pool.appended(
                     req.req_id, total_tokens)
                 return True
             except CacheExhausted:
-                victim = self.active[-1]
-                self._preempt(victim, plan)
-                if victim is req:
-                    return False
+                pass
 
     def _preempt(self, req: Request, plan: BatchPlan) -> None:
         self.pool.free_sequence(req.req_id)
         self.active.pop()  # victims are always the youngest
+        if req.state == PREFILL:
+            self.prefilling.pop()  # ... and so the youngest prefilling
         req.reset_progress(t=self._now)
         plan._drop(req)
         plan.preempted.append(req)
@@ -277,6 +287,7 @@ class ContinuousBatchingScheduler:
             req.prefill_done += chunk
             if req.prefill_done >= req.prompt_tokens:
                 req.state = DECODE
+                self.prefilling.remove(req)
                 req.t_prefill_done = t
                 prefill_completed.append(req)
                 req.output.append(req.next_token(vocab))
@@ -295,11 +306,10 @@ class ContinuousBatchingScheduler:
             if req.tokens_generated >= req.max_new_tokens:
                 finished.append(req)
 
-        if finished:
-            for req in finished:
-                req.state = FINISHED
-                req.t_finished = t
-                req.kv_slots = 0
-                self.pool.free_sequence(req.req_id)
-            self.active[:] = [r for r in self.active if r.state != FINISHED]
+        for req in finished:
+            req.state = FINISHED
+            req.t_finished = t
+            req.kv_slots = 0
+            self.pool.free_sequence(req.req_id)
+            self.active.remove(req)
         return finished, prefill_completed

@@ -195,8 +195,9 @@ class TrafficReport:
         self.kv_blocks = int(kv_blocks)
         self.kv_peak_blocks = int(kv_peak_blocks)
 
-        # one pass; the latencies are RequestRecord.ttft / token_latency /
-        # e2e_latency over the completed records
+        # one pass over the completed records: TTFT and per-token latency
+        # are the records' own ``ttft`` / ``token_latency`` fields, e2e
+        # latency is ``t_finished - arrival`` (defined here only)
         self.n_issued = len(self.records)
         self.n_completed = self.n_failed = 0
         self.preemptions = self.output_tokens = 0
@@ -205,20 +206,16 @@ class TrafficReport:
         e2es: List[float] = []
         for r in self.records.values():
             self.preemptions += r.preemptions
-            if r.fail_reason is not None:
-                self.n_failed += 1
-                continue
-            if r.t_finished is None:
+            if not r.completed:
+                if r.fail_reason is not None:
+                    self.n_failed += 1
                 continue
             self.n_completed += 1
-            n_out = len(r.output)
-            self.output_tokens += n_out
+            self.output_tokens += len(r.output)
             e2es.append(r.t_finished - r.arrival)
-            if r.t_first_token is not None:
-                ttfts.append(r.t_first_token - r.arrival)
-                lats.append(
-                    (r.t_finished - r.t_first_token) / (n_out - 1)
-                    if n_out > 1 else 0.0)
+            if r.ttft is not None:
+                ttfts.append(r.ttft)
+                lats.append(r.token_latency)
         ttfts.sort()
         lats.sort()
         e2es.sort()

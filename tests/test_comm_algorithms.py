@@ -188,9 +188,16 @@ class TestLaunchSessions:
         section, _ = SESSIONS[kind]
         rt = SpmdRuntime(system_ii(), 4)
         if kind == "serving":
-            # admit requests the 64-slot pool can never hold: one raises
-            # while it grows its KV blocks mid-session
-            monkeypatch.setattr(BlockPool, "fits_ever", lambda self, tokens: True)
+            # lift admission's "can ever fit" bound, so requests the 64-slot
+            # pool can never hold are admitted: one raises while it grows
+            # its KV blocks mid-session
+            init = BlockPool.__init__
+
+            def unbounded(pool, *args, **kwargs):
+                init(pool, *args, **kwargs)
+                pool.token_capacity = float("inf")
+
+            monkeypatch.setattr(BlockPool, "__init__", unbounded)
             section = dict(serve=dict(SERVE, kv_blocks=4))
         with pytest.raises((RemoteRankError, RequestTooLarge)) as err:
             repro.launch(dict(section, sanitize=dict(enabled=True)), rt.cluster,

@@ -18,7 +18,10 @@ result bitwise identical.  The tests here enforce that contract:
    each scheduling decision once, so ``repro.serve`` call counts grow by
    a per-rank-per-turn constant with the TP degree (not x tp), a decoded
    token costs under one call, and a rank out of lockstep is a typed
-   error with every KV arena released;
+   error with every KV arena released; an admission attempt that stops
+   at the free-list test makes no call, ``cluster`` calls grow with the
+   distinct batch sizes x TP degree rather than with turns, and serve
+   calls per admitted request stay under a stated bound;
 6. one collective costs one dispatch (ISSUE 18): calls into ``src/repro``
    per rank-level exchange of a spec storm, no topology walk on a warm
    runtime, a sanitizer budget per exchange with no wait-for-graph walk
@@ -39,6 +42,7 @@ result bitwise identical.  The tests here enforce that contract:
 """
 
 import collections
+import copy
 import os
 import subprocess
 import sys
@@ -64,7 +68,10 @@ from repro.parallel.pipeline import GPipeSchedule, partition_uniform
 from repro.runtime import RemoteRankError, SpmdRuntime
 from repro.runtime.buffer_pool import BufferPool, BufferPoolLeak
 from repro.runtime.errors import CollectiveTimeout
-from repro.serve import ModelSpec, OpenLoopTraffic, serve_traffic
+from repro.serve import (
+    BlockPool, ClosedLoopTraffic, ContinuousBatchingScheduler, ModelSpec,
+    OpenLoopTraffic, serve_traffic,
+)
 from repro.sanitize.errors import CollectiveDesync
 from repro.tensor import Tensor
 from repro.tensor.tensor import Storage
@@ -631,6 +638,118 @@ class TestServeHostCost:
         calls_long, tokens_long = run(48)
         per_token = (calls_long - calls_short) / (tokens_long - tokens_short)
         assert per_token <= 1.0, per_token
+
+    def test_failed_admission_attempt_makes_no_call(self):
+        """Tight KV, closed loop: a step whose admission stops at the
+        free-list test costs exactly the calls of the same step with
+        nothing left to admit after what it did admit."""
+        sched = ContinuousBatchingScheduler(
+            BlockPool(block_size=4, num_blocks=12), 32, prefill_chunk=8,
+            gen_seed=1, vocab=997)
+        traffic = ClosedLoopTraffic(clients=16, n_requests=160, seed=5,
+                                    prompt_tokens=(4, 24),
+                                    max_new_tokens=(2, 12))
+        for req in traffic.outstanding({}):
+            sched.submit(req)
+
+        def counted_step(scheduler, now):
+            with _count_serve_calls() as calls:
+                plan = scheduler.step(now)
+            return calls, plan
+
+        now, stops = 0.0, 0
+        while not sched.drained:
+            twin = copy.deepcopy(sched)
+            calls, plan = counted_step(sched, now)
+            # budget left, no eviction, and a request still at the head of
+            # a queue: admission stopped at the free-list test
+            if (plan.new_tokens < sched.max_batch_tokens
+                    and not plan.preempted
+                    and (sched.paused or (sched.waiting and
+                                          sched.waiting[0].arrival <= now))):
+                stops += 1
+                popped = {r.req_id for r in plan.admitted + plan.failed}
+                for queue in (twin.paused, twin.waiting):
+                    kept = [r for r in queue if r.req_id in popped]
+                    queue.clear()
+                    queue.extend(kept)
+                twin_calls, twin_plan = counted_step(twin, now)
+                assert ([r.req_id for r in twin_plan.admitted]
+                        == [r.req_id for r in plan.admitted])
+                assert calls == twin_calls, (calls - twin_calls,
+                                             twin_calls - calls)
+            if not (plan.prefill or plan.decode or plan.failed
+                    or plan.preempted):
+                now = max(now, sched.next_arrival())
+                continue
+            now += 1e-3
+            finished, _ = sched.apply(plan, now)
+            for req in plan.failed + finished:
+                follow_up = traffic.next_request(req, now)
+                if follow_up is not None:
+                    sched.submit(follow_up)
+        assert stops > 50, stops
+
+    #: calls into ``src/repro/cluster`` a counted run makes besides pricing:
+    #: per rank its device is looked up and its KV arena charged and
+    #: released; per run the world ring is walked once
+    CLUSTER_PER_RANK_RUN, CLUSTER_PER_RUN = 8, 24
+
+    @pytest.mark.parametrize("tp", [2, 4])
+    def test_cluster_calls_grow_with_batch_sizes_not_turns(self, tp,
+                                                           monkeypatch):
+        """The step's compute term is asked of each rank's device once
+        per distinct batch size (``compute_seconds`` →
+        ``flops_per_second``), not once per turn."""
+        import repro.cluster
+
+        sizes = []
+        step = ContinuousBatchingScheduler.step
+
+        def recording_step(sched, now):
+            plan = step(sched, now)
+            sizes.append(plan.new_tokens)
+            return plan
+
+        monkeypatch.setattr(ContinuousBatchingScheduler, "step",
+                            recording_step)
+        # long decodes: most turns repeat a batch size already priced
+        traffic = OpenLoopTraffic(rate=5e3, n_requests=300, seed=3,
+                                  prompt_tokens=(8, 24),
+                                  max_new_tokens=(16, 48))
+        rt = SpmdRuntime(uniform_cluster(tp), tp)
+        counter = _CallCounter(os.path.dirname(repro.cluster.__file__) + os.sep)
+        with counter.this_thread():
+            serve_traffic(_SERVE_MODEL, traffic, runtime=rt, kv_blocks=512)
+        calls = counter.total()
+        distinct = len({n for n in sizes if n > 0})
+        priced = sum(1 for n in sizes if n > 0)
+        assert priced > 3 * distinct, "too few repeated sizes to tell"
+        assert calls["compute_seconds"] == distinct * tp
+        bound = (2 * distinct * tp + self.CLUSTER_PER_RANK_RUN * tp
+                 + self.CLUSTER_PER_RUN)
+        assert sum(calls.values()) <= bound, (calls, bound)
+
+    #: serve calls per admission (re-admissions after preemption count),
+    #: read at 13.4 (roomy, open loop) and 19.3 (tight, closed loop) when
+    #: this guard was written; 22.4 and 35.7 before admission, block growth
+    #: and the record fields stopped paying helper frames
+    PER_ADMISSION_ROOMY, PER_ADMISSION_TIGHT = 15.0, 21.5
+
+    def test_serve_calls_per_admitted_request(self):
+        lengths = dict(seed=3, prompt_tokens=(8, 40), max_new_tokens=(4, 24))
+        roomy, _ = _counted_serve(
+            2, OpenLoopTraffic(rate=2e4, n_requests=300, **lengths))
+        with _count_serve_calls() as tight:
+            report = serve_traffic(
+                _SERVE_MODEL, ClosedLoopTraffic(clients=32, n_requests=300,
+                                                **lengths),
+                world_size=2, kv_blocks=24)
+        assert report.n_completed == 300 and report.preemptions > 50
+        for calls, bound in ((roomy, self.PER_ADMISSION_ROOMY),
+                             (tight, self.PER_ADMISSION_TIGHT)):
+            per_admission = sum(calls.values()) / calls["start_generation"]
+            assert per_admission <= bound, (per_admission, bound)
 
 
 # -- training: what one dispatched op costs (ISSUE 17) -----------------------

@@ -60,6 +60,18 @@ class TestSimClock:
         assert c.time == 1.0
         assert c.breakdown() == {"compute": 1.0}
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_sync_target_rejected(self, t):
+        """NaN and ``+inf`` are refused, not ignored or reached; a target
+        behind the clock stays a no-op."""
+        c = SimClock()
+        c.advance(1.0)
+        with pytest.raises(ValueError):
+            c.sync_to(t)
+        c.sync_to(-math.inf)
+        assert c.time == 1.0
+        assert c.breakdown() == {"compute": 1.0}
+
     def test_nan_slowdown_factor_rejected(self):
         with pytest.raises(ValueError):
             SimClock().set_slowdown(math.nan)

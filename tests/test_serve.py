@@ -18,6 +18,8 @@ the chaos section kills a TP rank mid-request to check typed failure,
 requeue and the p99/goodput SLO hit in the report.
 """
 
+import inspect
+import math
 import threading
 
 import pytest
@@ -40,10 +42,12 @@ from repro.serve import (
     ModelSpec,
     OpenLoopTraffic,
     Request,
+    RequestRecord,
     RequestTooLarge,
     TrafficReport,
     serve_traffic,
 )
+from repro.serve.traffic import _percentile
 from repro.trace import Tracer
 
 pytestmark = pytest.mark.serving
@@ -158,6 +162,13 @@ def _check_kv_slots(sched, requests):
             assert req.kv_slots == 0 and held == 0, (req, req.kv_slots, held)
 
 
+def _check_prefilling(sched):
+    """The prefill pass's index is the PREFILL subset of ``active``, in
+    its order."""
+    assert sched.prefilling == [r for r in sched.active
+                                if r.state == "prefill"]
+
+
 def _drive(requests, *, num_blocks, block_size, budget, chunk, seed=1):
     """Run a request set to completion single-threaded; returns the
     scheduler plus (finished, failed) request lists, checking the pool
@@ -183,7 +194,9 @@ def _drive(requests, *, num_blocks, block_size, budget, chunk, seed=1):
         assert len(planned) == len(set(planned))
         pool.check_consistent()
         _check_kv_slots(sched, requests)
-        if plan.empty and not plan.preempted:
+        _check_prefilling(sched)
+        if not (plan.prefill or plan.decode or plan.failed
+                or plan.preempted):
             nxt = sched.next_arrival()
             assert nxt is not None, "scheduler stuck with empty plan"
             now = max(now, nxt)
@@ -191,6 +204,7 @@ def _drive(requests, *, num_blocks, block_size, budget, chunk, seed=1):
         now += 1.0
         fins, _ = sched.apply(plan, now)
         _check_kv_slots(sched, requests)
+        _check_prefilling(sched)
         finished.extend(fins)
         failed.extend(plan.failed)
         steps += 1
@@ -212,7 +226,37 @@ def schedule_cases(draw):
     }
 
 
+@st.composite
+def preempt_heavy_cases(draw):
+    """Pools of a few blocks under long outputs: most schedules evict."""
+    reqs = draw(st.lists(
+        st.tuples(st.integers(1, 10), st.integers(6, 12),
+                  st.floats(0, 2, allow_nan=False)),
+        min_size=4, max_size=12))
+    return {
+        "reqs": reqs,
+        "num_blocks": draw(st.integers(6, 10)),
+        "block_size": draw(st.integers(2, 4)),
+        "budget": draw(st.integers(8, 32)),
+        "chunk": draw(st.integers(1, 8)),
+    }
+
+
 class TestSchedulerProperties:
+    @given(case=preempt_heavy_cases())
+    @fast
+    def test_prefill_index_follows_preemption(self, case):
+        """``_drive`` checks ``prefilling`` against ``active`` after every
+        ``step`` and ``apply``; here under heavy eviction, where admission,
+        completion and ``_preempt`` all move requests in and out of it."""
+        reqs = [Request(i, p, n, a)
+                for i, (p, n, a) in enumerate(case["reqs"])]
+        _, finished, failed = _drive(
+            reqs, num_blocks=case["num_blocks"],
+            block_size=case["block_size"], budget=case["budget"],
+            chunk=case["chunk"])
+        assert len(finished) + len(failed) == len(reqs)
+
     @given(case=schedule_cases())
     @fast
     def test_budget_partition_and_drain(self, case):
@@ -279,6 +323,115 @@ class TestSchedulerProperties:
 
 
 # ---------------------------------------------------------------------------
+# Records and the report: each latency defined once, on the record
+# ---------------------------------------------------------------------------
+
+
+def _ref_latencies(r):
+    """``(completed, ttft, token_latency)`` by the formulas the record's
+    properties used before they became fields."""
+    completed = r.fail_reason is None and r.t_finished is not None
+    ttft = None if r.t_first_token is None else r.t_first_token - r.arrival
+    if not completed or r.t_first_token is None:
+        lat = None
+    elif len(r.output) <= 1:
+        lat = 0.0
+    else:
+        lat = (r.t_finished - r.t_first_token) / (len(r.output) - 1)
+    return completed, ttft, lat
+
+
+def _ref_report(records, makespan):
+    """``TrafficReport``'s numbers by the loop it ran before it read the
+    records' fields."""
+    n_completed = n_failed = preemptions = output_tokens = 0
+    ttfts, lats, e2es = [], [], []
+    for r in dict(sorted(records.items())).values():
+        preemptions += r.preemptions
+        if r.fail_reason is not None:
+            n_failed += 1
+            continue
+        if r.t_finished is None:
+            continue
+        n_completed += 1
+        n_out = len(r.output)
+        output_tokens += n_out
+        e2es.append(r.t_finished - r.arrival)
+        if r.t_first_token is not None:
+            ttfts.append(r.t_first_token - r.arrival)
+            lats.append((r.t_finished - r.t_first_token) / (n_out - 1)
+                        if n_out > 1 else 0.0)
+    ttfts.sort()
+    lats.sort()
+    e2es.sort()
+    span = makespan if makespan > 0 else float("nan")
+    return {
+        "n_issued": len(records), "n_completed": n_completed,
+        "n_failed": n_failed, "preemptions": preemptions,
+        "output_tokens": output_tokens,
+        "goodput_tokens_per_sec": output_tokens / span,
+        "completed_per_sec": n_completed / span,
+        "p50_ttft": _percentile(ttfts, 50), "p99_ttft": _percentile(ttfts, 99),
+        "mean_token_latency": sum(lats) / len(lats) if lats else None,
+        "p99_token_latency": _percentile(lats, 99),
+        "p50_e2e": _percentile(e2es, 50), "p99_e2e": _percentile(e2es, 99),
+    }
+
+
+_times = st.floats(0, 1e3, allow_nan=False)
+
+
+@st.composite
+def request_records(draw, req_id):
+    """Completed, failed (with or without a first token) and unfinished
+    records; one-token and empty outputs included."""
+    arrival = draw(_times)
+    first = draw(st.none() | _times.map(lambda d: arrival + d))
+    finished = draw(st.none() | _times.map(
+        lambda d: (arrival if first is None else first) + d))
+    return RequestRecord(
+        req_id=req_id, client=draw(st.integers(-1, 4)),
+        prompt_tokens=draw(st.integers(1, 64)),
+        max_new_tokens=draw(st.integers(1, 32)), arrival=arrival,
+        t_first_token=first, t_finished=finished,
+        output=tuple(draw(st.lists(st.integers(0, 996), max_size=4))),
+        preemptions=draw(st.integers(0, 3)),
+        fail_reason=draw(st.sampled_from([None, None, "RequestTooLarge"])))
+
+
+class TestRecordsAndReport:
+    @given(data=st.data(), n=st.integers(0, 12),
+           makespan=st.sampled_from([0.0, 1e-3, 2.5]))
+    @settings(max_examples=100, deadline=None)
+    def test_fields_and_report_equal_the_formulas(self, data, n, makespan):
+        records = {i: data.draw(request_records(i)) for i in range(n)}
+        for r in records.values():
+            assert (r.completed, r.ttft, r.token_latency) == _ref_latencies(r)
+        report = TrafficReport(records, traffic={}, world=1,
+                               makespan=makespan)
+        want = _ref_report(records, makespan)
+        got = {name: getattr(report, name) for name in want}
+        # NaN goodput (no makespan) compares unequal to itself
+        for name in ("goodput_tokens_per_sec", "completed_per_sec"):
+            if math.isnan(want[name]):
+                assert math.isnan(got.pop(name))
+                want.pop(name)
+        assert got == want
+
+    def test_constructor_and_to_dict_keep_the_stored_fields(self):
+        stored = ["req_id", "client", "prompt_tokens", "max_new_tokens",
+                  "arrival", "t_first_token", "t_finished", "output",
+                  "preemptions", "fail_reason"]
+        assert list(inspect.signature(RequestRecord).parameters) == stored
+        rec = RequestRecord(3, 1, 8, 4, 0.5, 0.75, 1.0, output=(1, 2, 3))
+        assert list(rec.to_dict()) == stored
+        assert (rec.completed, rec.ttft, rec.token_latency) == (
+            True, 0.25, 0.125)
+        assert RequestRecord(**dict(rec.to_dict(), output=rec.output)) == rec
+        assert "ttft" not in repr(rec)
+
+
+# ---------------------------------------------------------------------------
 # Engine-level: priced TP decode on the simulated runtime
 # ---------------------------------------------------------------------------
 
@@ -293,6 +446,17 @@ class TestServeEngine:
         assert rep.p99_e2e >= rep.p50_e2e
         assert rep.makespan > 0
         assert "goodput" in rep.format()
+
+    @pytest.mark.parametrize("knob, value", [
+        ("recovery_seconds", -1.0), ("recovery_seconds", math.nan),
+        ("recovery_seconds", math.inf), ("max_recoveries", -1)])
+    def test_engine_rejects_bad_recovery_knob(self, knob, value):
+        """``serve_traffic`` reaches the engine without ``Config``'s field
+        table: a rank loss must not be priced as free, negative or endless
+        downtime."""
+        with pytest.raises(ValueError, match=knob):
+            serve_traffic(SMALL_MODEL, _open(n=4), world_size=2,
+                          **{knob: value})
 
     def test_same_seed_bitwise_identical_report(self):
         a = serve_traffic(SMALL_MODEL, _open(seed=11), world_size=2)
