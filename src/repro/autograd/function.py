@@ -3,18 +3,19 @@
 A :class:`Function` subclass implements ``forward(ctx, *tensors, **params)``
 returning a payload (or tuple of payloads) and ``backward(ctx, *out_grads)``
 returning per-input payload gradients.  ``Function.apply`` wires the call
-into the graph, wraps outputs in Tensors, and charges the op's FLOPs to the
+into the graph, builds the output Tensors, and charges the op's FLOPs to the
 calling rank's simulated clock (forward now, backward when the engine runs
 the node).  The op's :class:`FnCtx` is its graph node: an output's
 ``grad_fn`` is the context its ``forward`` saved into.
 
-One op is one dispatch: ``apply`` reads the thread's rank context once and
-hands the device, clock and capture recorder down from there (DESIGN.md,
-"what one op costs").  In spec mode an op declared ``PURE`` infers once per
-signature: the first dispatch records an :class:`OpPlan` in the runtime's
-table and every later one — any rank, layer, recompute or micro-batch —
-fills its context from the plan instead of running ``forward`` (DESIGN.md,
-"infer once per signature").
+One op is one dispatch: ``apply`` reads the thread's rank context once,
+hands the device, clock and capture recorder down from there and stores
+its outputs' slots itself (DESIGN.md, "what one op costs").  In spec mode
+an op declared ``PURE`` infers once per signature: the first dispatch
+records an :class:`OpPlan` in the runtime's table and every later one —
+any rank, layer, recompute or micro-batch — fills its context from the
+plan instead of running ``forward`` (DESIGN.md, "infer once per
+signature").
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.cluster.device import Storage
 from repro.comm.payload import DTYPE_NAMES, Payload, SpecArray
 from repro.runtime.spmd import rank_context
-from repro.tensor.tensor import Tensor, default_device
+from repro.tensor.tensor import Tensor, _as_payload, default_device
 
 _state = threading.local()
 
@@ -309,10 +311,15 @@ class Function:
                     break
         tag = cls.OUTPUT_TAG
         outputs = []
-        for p in payloads:
-            outputs.append(
-                Tensor._wrap(p, device, materialize, storage, needs_grad, tag)
-            )
+        for p in payloads:  # the stores of ``Tensor._wrap``, made inline
+            if type(p) is not SpecArray and not (materialize and type(p) is np.ndarray):
+                p = _as_payload(p, None, materialize)
+            t = Tensor.__new__(Tensor)
+            t.payload, t.device, t.tag = p, device, tag
+            t.storage = Storage(device, p.nbytes, tag) if storage is None else storage
+            t.requires_grad = needs_grad
+            t.grad = t.grad_fn = t.grad_hook = t.name = None
+            outputs.append(t)
         if needs_grad:  # the context becomes the op's graph node
             fnctx.fn_cls = cls
             fnctx.inputs = inputs

@@ -32,10 +32,6 @@ def _const(value, like: Tensor) -> Tensor:
     return Tensor(np.asarray(value, dtype=payload.dtype), device=like.device)
 
 
-def _maybe_tensor(x, like: Tensor) -> Tensor:
-    return x if isinstance(x, Tensor) else _const(x, like)
-
-
 # ---------------------------------------------------------------------------
 # elementwise binary
 # ---------------------------------------------------------------------------
@@ -104,19 +100,19 @@ class Div(Function):
 
 
 def add(a: Tensor, b) -> Tensor:
-    return Add.apply(a, _maybe_tensor(b, a))
+    return Add.apply(a, b if isinstance(b, Tensor) else _const(b, a))
 
 
 def sub(a: Tensor, b) -> Tensor:
-    return Sub.apply(a, _maybe_tensor(b, a))
+    return Sub.apply(a, b if isinstance(b, Tensor) else _const(b, a))
 
 
 def mul(a: Tensor, b) -> Tensor:
-    return Mul.apply(a, _maybe_tensor(b, a))
+    return Mul.apply(a, b if isinstance(b, Tensor) else _const(b, a))
 
 
 def div(a: Tensor, b) -> Tensor:
-    return Div.apply(a, _maybe_tensor(b, a))
+    return Div.apply(a, b if isinstance(b, Tensor) else _const(b, a))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +363,7 @@ def transpose(a: Tensor, *axes) -> Tensor:
 
 
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    axes = list(range(a.ndim))
+    axes = list(range(len(a.payload.shape)))
     axes[ax1], axes[ax2] = axes[ax2], axes[ax1]
     return Transpose.apply(a, tuple(axes))
 
@@ -382,12 +378,13 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def split(a: Tensor, parts: int, axis: int = 0) -> Tuple[Tensor, ...]:
     """Split into ``parts`` equal chunks along ``axis``."""
-    if a.shape[axis] % parts != 0:
-        raise ValueError(f"axis {axis} of {a.shape} not divisible by {parts}")
-    step = a.shape[axis] // parts
+    shape = a.payload.shape
+    if shape[axis] % parts != 0:
+        raise ValueError(f"axis {axis} of {tuple(shape)} not divisible by {parts}")
+    step = shape[axis] // parts
     out = []
     for i in range(parts):
-        sl = [slice(None)] * a.ndim
+        sl = [slice(None)] * len(shape)
         sl[axis] = slice(i * step, (i + 1) * step)
         out.append(slice_(a, tuple(sl)))
     return tuple(out)

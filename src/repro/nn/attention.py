@@ -29,14 +29,14 @@ def causal_mask_payload(seq: int, dtype, spec: bool):
 
 def split_heads(x: Tensor, n_heads: int) -> Tensor:
     """[B, S, H] -> [B, n_heads, S, H/n_heads]."""
-    b, s, h = x.shape
+    b, s, h = x.payload.shape
     x = ops.reshape(x, (b, s, n_heads, h // n_heads))
     return ops.transpose(x, (0, 2, 1, 3))
 
 
 def merge_heads(x: Tensor) -> Tensor:
     """[B, n_heads, S, d] -> [B, S, n_heads*d]."""
-    b, nh, s, d = x.shape
+    b, nh, s, d = x.payload.shape
     x = ops.transpose(x, (0, 2, 1, 3))
     return ops.reshape(x, (b, s, nh * d))
 
@@ -46,15 +46,15 @@ def attention_core(
     training: bool = True,
 ) -> Tensor:
     """Scaled dot-product attention over [B, nh, S, d] tensors."""
-    d = q.shape[-1]
+    d = q.payload.shape[-1]
     # scale q, not the scores: the scores buffer is the largest activation
     # in the layer ([B, nh, S, S]); scaling it would double its footprint
     q = ops.mul(q, 1.0 / math.sqrt(d))
     scores = ops.matmul(q, ops.swapaxes(k, -1, -2))
     if causal:
+        p = q.payload
         mask = Tensor(
-            causal_mask_payload(q.shape[-2], q.dtype, is_spec(q.payload)),
-            device=q.device,
+            causal_mask_payload(p.shape[-2], p.dtype, is_spec(p)), device=q.device
         )
         scores = ops.add(scores, mask)
     probs = ops.softmax(scores, axis=-1)

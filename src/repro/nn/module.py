@@ -1,13 +1,12 @@
 """Module / Parameter base classes.
 
-A light re-implementation of the familiar container API: attribute
-assignment registers parameters and submodules, ``parameters()`` walks the
+A light re-implementation of the familiar container API: a module's
+parameters and submodules are its attributes, ``parameters()`` walks the
 tree, ``state_dict()`` round-trips numpy arrays.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -27,47 +26,46 @@ class Parameter(Tensor):
 
 
 class Module:
-    """Base class with parameter/submodule registration."""
+    """Base class of layers and models.  Parameters are attributes: the
+    ``Parameter`` / ``Module`` values of the instance ``__dict__`` are what
+    ``named_parameters()`` and ``_modules`` read, and ``m(x)`` is ``forward``."""
 
-    def __init__(self) -> None:
-        object.__setattr__(self, "_parameters", OrderedDict())
-        object.__setattr__(self, "_modules", OrderedDict())
-        object.__setattr__(self, "training", True)
+    training = True
 
-    # -- registration -----------------------------------------------------
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        params = self.__dict__.get("_parameters")
-        modules = self.__dict__.get("_modules")
-        if params is None:
-            raise RuntimeError("call Module.__init__() before assigning attributes")
-        if isinstance(value, Parameter):
-            params[name] = value
-            modules.pop(name, None)
-        elif isinstance(value, Module):
-            modules[name] = value
-            params.pop(name, None)
-        object.__setattr__(self, name, value)
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        # bind __call__ to the class's own forward, unless a class above it
+        # (not Module) wrote a __call__ of its own
+        super().__init_subclass__(**kwargs)
+        for klass in cls.__mro__[:cls.__mro__.index(Module)]:
+            own = klass.__dict__.get("__call__")
+            if own is not None and own is not klass.forward:
+                return
+        cls.__call__ = cls.forward
 
     def register_parameter(self, name: str, param: Optional[Parameter]) -> None:
-        if param is not None:
-            setattr(self, name, param)
-        else:
-            self._parameters.pop(name, None)
-            object.__setattr__(self, name, None)
-
-    def add_module(self, name: str, module: "Module") -> None:
-        setattr(self, name, module)
+        setattr(self, name, param)
 
     # -- traversal ------------------------------------------------------------
 
+    @property
+    def _modules(self) -> Dict[str, "Module"]:
+        return {k: v for k, v in self.__dict__.items() if isinstance(v, Module)}
+
     def named_parameters(self, prefix: str = "") -> List[Tuple[str, Parameter]]:
-        # a list per module, not a generator chain: that would resume once
-        # per parameter per level of nesting
-        out = [(prefix + name, p) for name, p in self._parameters.items()]
-        for mname, m in self._modules.items():
-            out.extend(m.named_parameters(f"{prefix}{mname}."))
-        return out
+        # one frame for the whole tree: a module's own parameters, then its
+        # children's, depth first; a tensor met again is not yielded again
+        found: Dict[int, Tuple[str, Parameter]] = {}
+        stack = [(prefix, self)]
+        while stack:
+            pre, m = stack.pop()
+            children = []
+            for name, v in m.__dict__.items():
+                if isinstance(v, Parameter):
+                    found.setdefault(id(v), (pre + name, v))
+                elif isinstance(v, Module):
+                    children.append((f"{pre}{name}.", v))
+            stack += reversed(children)
+        return list(found.values())
 
     def parameters(self) -> List[Parameter]:
         return [p for _, p in self.named_parameters()]
@@ -82,7 +80,7 @@ class Module:
             p.zero_grad()
 
     def train(self, mode: bool = True) -> "Module":
-        object.__setattr__(self, "training", mode)
+        self.training = mode
         for m in self._modules.values():
             m.train(mode)
         return self
@@ -116,8 +114,7 @@ class Module:
     def forward(self, *args: Any, **kwargs: Any):
         raise NotImplementedError
 
-    def __call__(self, *args: Any, **kwargs: Any):
-        return self.forward(*args, **kwargs)
+    __call__ = forward
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         children = ", ".join(self._modules)
@@ -134,7 +131,7 @@ class ModuleList(Module):
             self.append(m)
 
     def append(self, module: Module) -> "ModuleList":
-        self.add_module(str(len(self._list)), module)
+        setattr(self, str(len(self._list)), module)
         self._list.append(module)
         return self
 

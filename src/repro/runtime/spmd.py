@@ -17,6 +17,7 @@ on the launcher thread wrapped in :class:`RemoteRankError`.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import time
@@ -79,12 +80,11 @@ class RankContext:
         return f"RankContext(rank={self.rank}/{self.world_size}, device={self.device.name})"
 
 
-def rank_context() -> Optional[RankContext]:
-    """The :class:`RankContext` of the calling thread, ``None`` outside an
-    SPMD program.  The one thread-local read of the hot paths (tensor
-    allocation, op dispatch, backward): they call it once and hand the
-    device / clock / capture down."""
-    return getattr(_thread_local, "ctx", None)
+#: ``rank_context()``: the calling thread's :class:`RankContext`, ``None``
+#: outside an SPMD program.  The one thread-local read of the hot paths
+#: (tensor allocation, op dispatch, backward), made once and handed down;
+#: a C callable, so it costs no Python frame.
+rank_context = functools.partial(getattr, _thread_local, "ctx", None)
 
 
 def current_rank_context() -> RankContext:

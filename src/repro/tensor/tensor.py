@@ -117,7 +117,9 @@ class Tensor:
                 materialize = rc is None or rc.materialize
             if device is None:
                 device = rc.device if rc is not None else default_device()
-        self.payload: Payload = _as_payload(data, dtype, materialize)
+        if type(data) is not SpecArray or dtype is not None:
+            data = _as_payload(data, dtype, materialize)
+        self.payload: Payload = data
         self.device = device
         self.tag = tag
         if base is not None:
@@ -138,24 +140,21 @@ class Tensor:
         device: Device,
         materialize: bool,
         storage: Optional[Storage] = None,
-        requires_grad: bool = False,
         tag: str = "activation",
     ) -> "Tensor":
-        """Internal constructor for op dispatch, backward and views: the
-        caller has already resolved the device and the execution mode, so
-        nothing here reads the rank context, and a payload already in its
+        """Internal constructor (``Function.apply`` makes the same stores
+        inline): the caller has resolved the device and the execution mode,
+        so nothing here reads the rank context, and a payload already in its
         final form is taken as is.  ``storage`` shares an existing
         allocation; ``None`` allocates."""
-        if type(payload) is not SpecArray and not (
-            materialize and type(payload) is np.ndarray
-        ):
+        if type(payload) is not SpecArray and not (materialize and type(payload) is np.ndarray):
             payload = _as_payload(payload, None, materialize)
         t = Tensor.__new__(Tensor)
         t.payload = payload
         t.device = device
         t.tag = tag
         t.storage = Storage(device, payload.nbytes, tag) if storage is None else storage
-        t.requires_grad = requires_grad
+        t.requires_grad = False
         t.grad = t.grad_fn = t.grad_hook = t.name = None
         return t
 

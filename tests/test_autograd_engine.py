@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import checkpoint, no_grad, ops
-from repro.cluster.device import Device, DeviceKind
+from repro.cluster.device import Device, DeviceKind, Storage
 from repro.comm.payload import SpecArray
 from repro.tensor import Tensor, set_default_device
 from repro.utils.units import MB
@@ -278,3 +278,53 @@ class TestSpecBackward:
         t_spec = rt.run(prog, materialize=False)[0]
         assert t_real == pytest.approx(t_spec)
         assert t_real > 0
+
+
+class TestOutputConstruction:
+    """``Function.apply`` builds its outputs inline; each one must equal what
+    ``Tensor._wrap`` makes from the same arguments, slot for slot."""
+
+    SLOTS = ("payload", "device", "tag", "requires_grad", "grad", "grad_hook", "name")
+
+    @pytest.mark.parametrize("materialize", [True, False], ids=["real", "spec"])
+    @pytest.mark.parametrize("requires_grad", [True, False], ids=["grad", "nograd"])
+    @pytest.mark.parametrize("op", ["reshape", "mul", "sum"])
+    def test_apply_outputs_equal_wrap(self, materialize, requires_grad, op):
+        from repro.autograd.function import FnCtx
+        from repro.cluster import uniform_cluster
+        from repro.runtime import SpmdRuntime
+
+        def prog(ctx):
+            data = np.ones((2, 3), np.float32)
+            x = Tensor(data if materialize else SpecArray((2, 3), "float32"),
+                       requires_grad=requires_grad)
+            out = {"reshape": lambda: ops.reshape(x, (3, 2)),
+                   "mul": lambda: ops.mul(x, 2.0),
+                   "sum": lambda: x.sum()}[op]()
+            view = op == "reshape"
+            ref = Tensor._wrap(out.payload, ctx.device, materialize,
+                               x.storage if view else None, "activation")
+            ref.requires_grad = requires_grad  # _wrap builds a tensor with no gradient
+            for slot in self.SLOTS:
+                assert getattr(out, slot) is getattr(ref, slot) or (
+                    getattr(out, slot) == getattr(ref, slot)), slot
+            assert type(out.payload) is (np.ndarray if materialize else SpecArray)
+            if view:
+                assert out.storage is x.storage is ref.storage
+            else:
+                assert out.storage is not ref.storage
+                for slot in Storage.__slots__:
+                    assert getattr(out.storage, slot) == getattr(ref.storage, slot), slot
+            if requires_grad:
+                assert type(out.grad_fn) is FnCtx and out.grad_fn.outputs[0]() is out
+            else:
+                assert out.grad_fn is None is ref.grad_fn
+            return True
+
+        rt = SpmdRuntime(uniform_cluster(1))
+        assert rt.run(prog, materialize=materialize) == [True]
+
+    def test_spec_payload_is_taken_as_is(self):
+        spec = SpecArray((4, 2), "float16")
+        assert Tensor(spec).payload is spec
+        assert Tensor(spec, dtype="float32").payload.dtype == np.float32

@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import repro
 from repro.autograd import gradcheck, ops
+from repro.cluster import uniform_cluster
 from repro.comm.payload import SpecArray
+from repro.models import BertConfig, ViTConfig, build_bert, build_vit
+from repro.models.gpt import GPTConfig, build_gpt
 from repro.nn import (
     CrossEntropyLoss,
     Dropout,
@@ -21,6 +27,7 @@ from repro.nn import (
 )
 from repro.nn import init as init_mod
 from repro.nn.layers import patchify
+from repro.parallel import tensor_mode
 from repro.tensor import Tensor
 
 
@@ -78,13 +85,254 @@ class TestModule:
         assert len(ml) == 2
         assert list(ml)[0] is ml[0]
 
-    def test_setattr_before_init_raises(self):
-        class Bad(Module):
+    def test_registers_without_super_init(self):
+        """Registration is the instance dict: a module that skips
+        ``super().__init__()`` still registers its parameters and
+        children, in assignment order."""
+        class NoInit(Module):
             def __init__(self):
-                self.w = Parameter(np.zeros(2))  # missing super().__init__()
+                self.w = Parameter(np.zeros(2))
+                self.child = Linear(2, 2)
+                self.v = Parameter(np.zeros(3))
 
-        with pytest.raises(RuntimeError):
-            Bad()
+        m = NoInit()
+        assert [n for n, _ in m.named_parameters()] == [
+            "w", "v", "child.weight", "child.bias"]
+        assert list(m._modules) == ["child"] and m.training
+
+    def test_overwritten_or_deleted_parameter_leaves_the_registry(self):
+        lin = Linear(3, 4)
+        lin.bias = None
+        assert [n for n, _ in lin.named_parameters()] == ["weight"]
+        assert lin.num_parameters() == 12
+        del lin.weight
+        assert lin.parameters() == [] and lin.num_parameters() == 0
+
+        m = ModuleList([Linear(2, 2)])
+        setattr(m, "0", 5)  # a child overwritten by a plain value
+        assert m._modules == {} and m.parameters() == []
+
+    def test_shared_parameter_yielded_once(self):
+        """A tensor reachable under two names is one parameter, under the
+        first name the walk meets: counted once and stepped once."""
+        from repro.optim import Adam
+
+        class Tied(Module):
+            def __init__(self):
+                self.a = Linear(4, 4, rng=np.random.default_rng(0))
+                self.b = Linear(4, 4, rng=np.random.default_rng(1))
+                self.b.weight = self.a.weight
+
+            def forward(self, x):
+                return self.b(self.a(x))
+
+        m = Tied()
+        assert [n for n, _ in m.named_parameters()] == ["a.weight", "a.bias", "b.bias"]
+        assert m.num_parameters() == 16 + 4 + 4
+        opt = Adam(m.parameters(), lr=0.1)
+        m(Tensor(np.ones((2, 4), np.float32))).sum().backward()
+        opt.step()
+        assert opt.state[id(m.a.weight)]["t"] == 1
+
+        # a child held twice is walked once
+        shared = Linear(2, 2)
+        ml = ModuleList([shared, shared])
+        assert [n for n, _ in ml.named_parameters()] == ["0.weight", "0.bias"]
+
+
+class _Leaf(Module):
+    def __init__(self, p):
+        self.w = p
+
+    def forward(self, x):
+        return x
+
+
+#: one action on a module: (target, attribute, kind, pick)
+_ACTIONS = st.lists(st.tuples(
+    st.integers(0, 2), st.sampled_from("abc"),
+    st.sampled_from(["param", "module", "none", "plain", "del"]),
+    st.integers(0, 3)), max_size=30)
+
+
+class TestRegistrationSemantics:
+    """Parameters are attributes: whatever sequence of assignments and
+    ``del`` a model goes through, ``named_parameters()`` and ``_modules``
+    read what a plain ordered registry of its attributes says."""
+
+    @staticmethod
+    def _expected(root, registry):
+        """Own parameters in attribute order, then each child's, depth
+        first; a tensor already yielded is skipped."""
+        out, seen = [], set()
+
+        def walk(m, prefix):
+            attrs = registry.get(id(m), {"w": getattr(m, "w", None)})
+            for name, v in attrs.items():
+                if isinstance(v, Parameter) and id(v) not in seen:
+                    seen.add(id(v))
+                    out.append((prefix + name, v))
+            for name, v in attrs.items():
+                if isinstance(v, Module):
+                    walk(v, f"{prefix}{name}.")
+
+        walk(root, "")
+        return out
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(actions=_ACTIONS)
+    def test_registry_follows_attributes(self, actions):
+        params = [Parameter(np.zeros(i + 1)) for i in range(3)]
+        # targets nest root > mid > low; a module value only ever goes below
+        # its target, so the tree stays acyclic
+        root, mid, low = Module(), Module(), Module()
+        targets = [root, mid, low]
+        leaves = [_Leaf(params[0]), _Leaf(Parameter(np.zeros(4)))]
+        registry = {id(m): {} for m in targets}
+        for t, name, kind, pick in actions:
+            m, attrs = targets[t], registry[id(targets[t])]
+            if kind == "del":
+                if name in attrs:
+                    delattr(m, name)
+                    del attrs[name]
+                continue
+            if kind == "param":
+                value = params[pick % 3]
+            elif kind == "module":
+                below = targets[t + 1:] + leaves
+                value = below[pick % len(below)]
+            else:
+                value = None if kind == "none" else 7
+            setattr(m, name, value)
+            attrs[name] = value
+        for m in targets:
+            children = {n: v for n, v in registry[id(m)].items() if isinstance(v, Module)}
+            assert m._modules == children
+            got = m.named_parameters()
+            want = self._expected(m, registry)
+            assert [n for n, _ in got] == [n for n, _ in want]
+            assert all(a is b for (_, a), (_, b) in zip(got, want))
+
+
+#: parameter names of one serial TransformerLayer, in registration order
+_LAYER = ["norm_1.gamma", "norm_1.beta", "attention.qkv.weight", "attention.qkv.bias",
+          "attention.out.weight", "attention.out.bias", "norm_2.gamma", "norm_2.beta",
+          "mlp.dense_1.weight", "mlp.dense_1.bias", "mlp.dense_2.weight", "mlp.dense_2.bias"]
+#: ... and of the zoo's models at the configs below (a module's own
+#: parameters precede its children's, so ``pos_emb`` leads)
+_ORDER = {
+    "layer": _LAYER,
+    "gpt": (["0.pos_emb", "0.token_emb.weight"]
+            + [f"{i}.{n}" for i in (1, 2) for n in _LAYER]
+            + ["3.norm.gamma", "3.norm.beta", "3.head.weight"]),
+    "vit": (["pos_emb", "patch_proj.weight", "patch_proj.bias"]
+            + ["layers.0." + n for n in _LAYER]
+            + ["norm.gamma", "norm.beta", "head.weight", "head.bias"]),
+    "bert": (["pos_emb", "token_emb.weight"] + ["layers.0." + n for n in _LAYER]
+             + ["norm.gamma", "norm.beta", "head.weight", "head.bias"]),
+}
+_VIT = ViTConfig(hidden_size=16, n_layers=1, n_heads=4, image_size=8, patch_size=4)
+_BERT = BertConfig(vocab_size=32, hidden_size=16, n_layers=1, n_heads=4, seq_len=8)
+_GPT = GPTConfig(vocab_size=32, hidden_size=16, n_layers=2, n_heads=4, seq_len=8,
+                 dtype="float32")
+#: tensor mode -> (world, tensor config, models built in it)
+_MODE_CASES = {
+    "1d": (4, dict(size=4, mode="1d"), ("layer", "vit", "bert", "bert_vp", "gpt")),
+    "2d": (4, dict(size=4, mode="2d"), ("layer", "vit")),
+    "2.5d": (8, dict(size=8, mode="2.5d", depth=2), ("layer", "vit")),
+    "3d": (8, dict(size=8, mode="3d"), ("layer", "vit")),
+    "sequence": (4, dict(size=4, mode="sequence"), ("layer", "bert")),
+}
+
+
+def _names(m):
+    return [n for n, _ in m.named_parameters()]
+
+
+def _build(model, pc=None):
+    if model == "layer":
+        return TransformerLayer(16, 4, mode=tensor_mode(pc))
+    if model == "gpt":
+        return build_gpt(_GPT, pc)
+    if model == "vit":
+        return build_vit(_VIT, pc).model
+    return build_bert(_BERT, pc, vocab_parallel_loss=model == "bert_vp").model
+
+
+class TestRegistrationOrder:
+    """Parameter order is what DDP buckets, optimizer state and the goldens
+    are laid out over: every in-tree model keeps the order it had when
+    ``Module.__setattr__`` registered each assignment."""
+
+    @pytest.mark.parametrize("model", ["layer", "gpt", "vit", "bert"])
+    def test_serial(self, model):
+        assert _names(_build(model)) == _ORDER[model]
+
+    @pytest.mark.parametrize("name", _MODE_CASES)
+    def test_every_tensor_mode(self, name):
+        world, tensor, models = _MODE_CASES[name]
+
+        def prog(ctx, pc):
+            return [_names(_build(model, pc)) for model in models]
+
+        for per_rank in repro.launch(dict(parallel=dict(tensor=tensor)),
+                                     uniform_cluster(world), prog,
+                                     world_size=world, materialize=False):
+            for model, names in zip(models, per_rank):
+                assert names == _ORDER[model.split("_")[0]], model
+
+    def test_pipeline_stages(self):
+        def prog(ctx, pc):
+            return _names(build_gpt(_GPT, pc))
+
+        first, last = repro.launch(dict(parallel=dict(pipeline=2)), uniform_cluster(2),
+                                   prog, world_size=2, materialize=False)
+        assert first == _ORDER["gpt"][:14]
+        assert last == ["0." + n for n in _LAYER] + ["1.norm.gamma", "1.norm.beta",
+                                                     "1.head.weight"]
+
+
+class TestCallIsForward:
+    """``m(x)`` runs the class's own ``forward`` with no wrapper frame, and a
+    hand-written ``__call__`` anywhere above a class is kept."""
+
+    def test_grandchild_forward_override(self):
+        class A(Module):
+            def forward(self, x):
+                return ("A", x)
+
+        class B(A):
+            pass
+
+        class C(B):
+            def forward(self, x):
+                return ("C", x)
+
+        assert A()(1) == ("A", 1) and B()(2) == ("A", 2) and C()(3) == ("C", 3)
+        assert C.__call__ is C.forward and B.__call__ is A.forward
+
+    def test_ancestor_call_is_kept(self):
+        class Wrapped(Module):
+            def __call__(self, x):
+                return ("wrapped", self.forward(x))
+
+            def forward(self, x):
+                return x
+
+        class Child(Wrapped):
+            def forward(self, x):
+                return 2 * x
+
+        class Grandchild(Child):
+            pass
+
+        assert Wrapped()(1) == ("wrapped", 1)
+        assert Child()(1) == ("wrapped", 2) and Grandchild()(3) == ("wrapped", 6)
+
+    def test_base_forward_still_raises(self):
+        with pytest.raises(NotImplementedError):
+            ModuleList([])(1)
 
 
 class TestInitializers:
