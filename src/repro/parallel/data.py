@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.comm.communicator import Communicator
-from repro.comm.payload import SpecArray, is_spec
+from repro.comm.payload import SpecArray
 from repro.context.parallel_context import ParallelContext, ParallelMode
 from repro.nn.module import Module, Parameter
 from repro.tensor.tensor import Tensor
@@ -61,9 +61,8 @@ def sync_gradients(
     params: Sequence[Parameter],
     comm: Communicator,
     bucket_mb: float = 25.0,
-    average: bool = True,
 ) -> None:
-    """All-reduce (and average) ``.grad`` of every parameter across ``comm``.
+    """All-reduce and average ``.grad`` of every parameter across ``comm``.
 
     Gradients are flattened into ~``bucket_mb`` MiB buckets; one all-reduce
     per bucket.  Parameters without gradients are skipped.
@@ -78,20 +77,25 @@ def sync_gradients(
             comm.all_reduce(flat)
             continue
         flat = _flat_bucket(bucket, pool)
-        reduced = comm.all_reduce(flat)
-        if pool is not None:
-            pool.restock(flat)  # round done; the flat staging copy is dead
-        averaged = reduced / comm.size if average else reduced
-        offset = 0
-        for p in bucket:
-            n = p.grad.size
-            p.grad.payload[...] = averaged[offset : offset + n].reshape(p.grad.shape)
-            offset += n
-        if pool is not None:
-            # both transients are dead after the unpack above; donate them
-            pool.restock(reduced)
-            if averaged is not reduced:
-                pool.restock(averaged)
+        _unpack_averaged(bucket, comm.all_reduce(flat), flat, comm.size, pool)
+
+
+def _unpack_averaged(bucket: Sequence[Parameter], reduced: np.ndarray,
+                     flat: np.ndarray, size: int, pool: Optional[Any]) -> None:
+    """Write ``reduced / size`` back into the bucket's gradients.  The flat
+    staging copy, the reduction and its average are all dead after it, so
+    a pool takes them back."""
+    if pool is not None:
+        pool.restock(flat)
+    averaged = reduced / size
+    offset = 0
+    for p in bucket:
+        n = p.grad.size
+        p.grad.payload[...] = averaged[offset : offset + n].reshape(p.grad.shape)
+        offset += n
+    if pool is not None:
+        pool.restock(reduced)
+        pool.restock(averaged)
 
 
 def _spec_flat(bucket: Sequence[Parameter]) -> Optional[SpecArray]:
@@ -228,22 +232,9 @@ class DistributedDataParallel(Module):
         pool = self.comm.group.runtime.buffer_pool
         for bi, handle, flat in self._pending:
             reduced = handle.wait()
-            if pool is not None:
-                pool.restock(flat)
-            if is_spec(reduced):
-                continue
-            bucket = [p for p in self._buckets[bi] if p.grad is not None]
-            averaged = reduced / self.comm.size
-            offset = 0
-            for p in bucket:
-                n = p.grad.size
-                p.grad.payload[...] = averaged[offset : offset + n].reshape(
-                    p.grad.shape
-                )
-                offset += n
-            if pool is not None:
-                pool.restock(reduced)
-                pool.restock(averaged)
+            if type(reduced) is not SpecArray:  # a spec bucket has nothing to unpack
+                _unpack_averaged([p for p in self._buckets[bi] if p.grad is not None],
+                                 reduced, flat, self.comm.size, pool)
         self._pending.clear()
         for ready in self._ready:
             ready.clear()

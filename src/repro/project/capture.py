@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.comm.cost import CollectiveCost
+from repro.runtime.spmd import Observer
 
 # Event tags (first tuple element) in a rank's stream:
 #   ("a",  category, dt, label)                     non-comm clock advance
@@ -113,7 +114,7 @@ class _ClockCapture:
             self._rec.record_advance(self._rank, category, dt)
 
 
-class CaptureRecorder:
+class CaptureRecorder(Observer):
     """Records one SPMD run's per-rank op streams into an :class:`OpTrace`.
 
     Usage::
@@ -125,7 +126,6 @@ class CaptureRecorder:
     """
 
     def __init__(self) -> None:
-        self._runtime: Optional[Any] = None
         self._lock = threading.Lock()
         self._streams: List[List[Event]] = []
         self._rounds: Dict[Tuple[int, int], Dict[str, Any]] = {}
@@ -139,6 +139,8 @@ class CaptureRecorder:
 
     # -- lifecycle ---------------------------------------------------------
 
+    slot = "capture"
+
     def install(self, runtime: Any) -> "CaptureRecorder":
         if runtime.fault_injector is not None:
             raise RuntimeError(
@@ -146,24 +148,15 @@ class CaptureRecorder:
                 "and slowdowns are host-nondeterministic control flow the "
                 "projected op stream does not model"
             )
-        if self._runtime is not None and self._runtime is not runtime:
-            self.uninstall()
-        if runtime.capture is not None and runtime.capture is not self:
-            runtime.capture.uninstall()
-        self._runtime = runtime
-        runtime.capture = self
+        return super().install(runtime)
+
+    def _attach(self, runtime: Any) -> None:
         for rank, clock in enumerate(runtime.clocks):
             clock.set_capture(_ClockCapture(self, rank))
-        runtime.rewire()
-        return self
 
-    def uninstall(self) -> None:
-        rt, self._runtime = self._runtime, None
-        if rt is not None and rt.capture is self:
-            for clock in rt.clocks:
-                clock.set_capture(None)
-            rt.capture = None
-            rt.rewire()
+    def _detach(self, runtime: Any) -> None:
+        for clock in runtime.clocks:
+            clock.set_capture(None)
 
     def on_begin(self, runtime: Any) -> None:
         world = runtime.world_size

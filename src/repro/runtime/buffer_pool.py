@@ -6,7 +6,7 @@ fully overwritten before use and dead right after the round, so a
 ``(shape, dtype)``-keyed free list removes the allocator from the hot path
 without touching simulated results — a loaned buffer's *contents* are always
 written before they are read, so pooled and unpooled runs stay bitwise
-identical (enforced by ``tests/test_perf_guard.py``).
+identical (relation 3 of ``tests/test_conformance.py``).
 
 Sanitizer interaction: the :class:`~repro.sanitize.sanitizer.BufferRaceDetector`
 freezes in-flight payloads (``writeable=False``) and keeps cross-rank-aliased

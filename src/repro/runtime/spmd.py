@@ -53,6 +53,43 @@ EVENTS = (
 )
 
 
+class Observer:
+    """One observer kind's slot on a runtime, ``runtime.<slot>``: installing
+    an observer replaces the kind's current one, and ``uninstall`` clears
+    the slot only while this observer still holds it.  A kind names its
+    ``slot`` and wires its clock hooks in ``_attach`` / ``_detach``."""
+
+    slot = ""
+    _runtime: Optional["SpmdRuntime"] = None
+
+    def install(self, runtime: "SpmdRuntime") -> "Observer":
+        """Attach to ``runtime`` in place of its current observer of this kind."""
+        if self._runtime is not None and self._runtime is not runtime:
+            self.uninstall()
+        current = getattr(runtime, self.slot)
+        if current is not None and current is not self:
+            current.uninstall()
+        self._runtime = runtime
+        setattr(runtime, self.slot, self)
+        self._attach(runtime)
+        runtime.rewire()
+        return self
+
+    def uninstall(self) -> None:
+        """Detach from the runtime (its hooks revert to zero-cost)."""
+        rt, self._runtime = self._runtime, None
+        if rt is not None and getattr(rt, self.slot) is self:
+            self._detach(rt)
+            setattr(rt, self.slot, None)
+            rt.rewire()
+
+    def _attach(self, runtime: "SpmdRuntime") -> None:
+        pass
+
+    def _detach(self, runtime: "SpmdRuntime") -> None:
+        pass
+
+
 class RankContext:
     """Everything one rank's thread needs: identity, device handles, clock,
     RNG, execution mode and a slot for the parallel context."""

@@ -61,6 +61,7 @@ import numpy as np
 
 from repro.comm.payload import SpecArray, dtype_name
 from repro.comm.timeline import Round
+from repro.runtime.spmd import Observer
 from repro.sanitize.errors import (
     ChecksumMismatch,
     CollectiveDesync,
@@ -269,7 +270,7 @@ class _WaitState:
     rnd: Any
 
 
-class CommSanitizer:
+class CommSanitizer(Observer):
     """Runtime cross-rank correctness checker (see module docstring).
 
     Parameters
@@ -306,7 +307,6 @@ class CommSanitizer:
         #: signatures are one object and a round compares them by identity
         self._signatures: Dict[tuple, str] = {}
         self._world = 0
-        self._runtime: Optional[Any] = None
         self.events: List[ChecksumEvent] = []
         self.rounds_checked = 0
         self.mismatches = 0
@@ -315,25 +315,11 @@ class CommSanitizer:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def install(self, runtime: Any) -> "CommSanitizer":
-        """Attach to ``runtime``: its lifecycle hooks now include this
-        sanitizer's ``on_<event>`` methods, in place of any other
-        sanitizer's."""
-        if self._runtime is not None and self._runtime is not runtime:
-            self.uninstall()
-        if runtime.sanitizer is not None and runtime.sanitizer is not self:
-            runtime.sanitizer.uninstall()
-        self._runtime = runtime
-        self._world = runtime.world_size
-        runtime.sanitizer = self
-        runtime.rewire()
-        return self
+    #: its ``on_<event>`` methods join the runtime's lifecycle hooks
+    slot = "sanitizer"
 
-    def uninstall(self) -> None:
-        rt, self._runtime = self._runtime, None
-        if rt is not None and rt.sanitizer is self:
-            rt.sanitizer = None
-            rt.rewire()
+    def _attach(self, runtime: Any) -> None:
+        self._world = runtime.world_size
 
     def on_begin(self, runtime: Any) -> None:
         """Per-run reset."""

@@ -44,6 +44,7 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from repro.comm.timeline import GroupTimeline
 from repro.runtime.errors import SpmdAborted
+from repro.runtime.spmd import Observer
 
 #: categories emitted by SimClock observers (the reconcilable set)
 CLOCK_CATEGORIES = ("compute", "comm", "wait", "offload", "optimizer")
@@ -97,7 +98,7 @@ class Counter:
     values: Dict[str, float] = field(default_factory=dict)
 
 
-class Tracer:
+class Tracer(Observer):
     """Collects per-rank spans/instants/counters for one or more SPMD runs.
 
     Attach with ``SpmdRuntime(cluster, tracer=tracer)`` or
@@ -110,33 +111,19 @@ class Tracer:
         self._spans: List[Span] = []
         self._instants: List[Instant] = []
         self._counters: List[Counter] = []
-        self._runtime: Optional[Any] = None
 
     # -- lifecycle ---------------------------------------------------------
 
-    def install(self, runtime: Any) -> "Tracer":
-        """Attach to a runtime: register clock observers and make this
-        tracer visible to every instrumentation site via ``runtime.tracer``,
-        in place of any other tracer."""
-        if self._runtime is not None and self._runtime is not runtime:
-            self.uninstall()
-        if runtime.tracer is not None and runtime.tracer is not self:
-            runtime.tracer.uninstall()
-        self._runtime = runtime
-        runtime.tracer = self
+    #: instrumentation sites read the tracer off ``runtime.tracer``
+    slot = "tracer"
+
+    def _attach(self, runtime: Any) -> None:
         for rank, clock in enumerate(runtime.clocks):
             clock.set_observer(_ClockObserver(self, rank))
-        runtime.rewire()
-        return self
 
-    def uninstall(self) -> None:
-        """Detach from the runtime (instrumentation reverts to zero-cost)."""
-        rt, self._runtime = self._runtime, None
-        if rt is not None and rt.tracer is self:
-            for clock in rt.clocks:
-                clock.set_observer(None)
-            rt.tracer = None
-            rt.rewire()
+    def _detach(self, runtime: Any) -> None:
+        for clock in runtime.clocks:
+            clock.set_observer(None)
 
     # -- lifecycle hooks ---------------------------------------------------
 

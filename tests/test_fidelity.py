@@ -6,7 +6,7 @@ not hidden behind a tolerance.  A change that moves a cell re-cuts it and
 names the cause in its commit.
 
 Pipeline cells (the schedule order, DESIGN §4x): the uniform toy pipeline of
-``test_projection_parity`` run in spec mode under a ``Tracer``, its
+``test_conformance`` run in spec mode under a ``Tracer``, its
 ``TraceReport.bubble_fraction`` against the closed form ``(p-1)/(m+p-1)``
 both orders share.  The toy stage is bound by point-to-point transfers, not
 compute, so the closed form's free-hop premise does not hold: GPipe's
@@ -28,7 +28,7 @@ from repro.parallel.pipeline.schedule import bubble_fraction
 from repro.runtime import SpmdRuntime
 from repro.trace import TraceReport, Tracer
 
-from test_projection_parity import _pipeline_prog
+from test_conformance import pipeline_prog
 
 
 def _sig3(x):
@@ -52,7 +52,7 @@ PIPELINE_CELLS = {
 def test_pipeline_bubble_against_the_closed_form(stages, m, sched_cls):
     tracer = Tracer()
     rt = SpmdRuntime(uniform_cluster(4), stages, tracer=tracer)
-    rt.run(_pipeline_prog(sched_cls, stages=stages, microbatches=m), materialize=False)
+    rt.run(pipeline_prog(sched_cls, stages=stages, microbatches=m), materialize=False)
     measured = TraceReport.from_tracer(tracer).bubble_fraction()
     assert (_sig3(measured), _sig3(bubble_fraction(stages, m))) == PIPELINE_CELLS[
         stages, m, sched_cls]

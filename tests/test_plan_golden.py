@@ -16,7 +16,7 @@ It was generated at commit ``d81eb36`` (a ``(algorithm, op, ranks,
 nbytes)`` price memo behind ``score_candidate``, three frames per replayed
 clock advance); ``replay/gpt16``'s span hash was re-cut when the replay
 began emitting the threaded run's span names and arguments (DESIGN §4q) —
-``test_projection_parity`` holds the two equal.  Its report hashes were
+``test_conformance``'s replay relation holds the two equal.  Its report hashes were
 re-cut when GPipe began freeing each microbatch's stage output after its
 backward (DESIGN §4x): the captured peak memory fell, no clock moved.
 

@@ -1,23 +1,16 @@
-"""Differential parity for the projection execution mode (ISSUE 6).
+"""Projection mode beyond exact parity.
 
 ``repro.project`` splits *what ops happen per rank* from *who executes
 them*: a capture records each rank's op stream during a real threaded SPMD
 run, and a single-threaded replay re-executes the stream on fresh clocks.
-The fidelity contract is exactness, not approximation: with recorded
-pricing, the replay's step time, per-rank clock/stream breakdowns,
-per-group counters and — replayed under a ``Tracer`` — its collective /
-comm-stream / overlap / p2p spans must equal the threaded run's with
-``==``, for every cell of the parallelism grid (DP / ZeRO / 1D-TP /
-pipeline × overlap off/on × ring/tree/hierarchical) at world sizes 2–16,
-the comm golden's storm and the plan golden's hybrid GPT step.  It holds by
-construction: both run ``repro.comm.timeline``'s rules, and the sums that
-cross threads are correctly rounded over their terms (DESIGN §4q).
-
-Also here: model-mode repricing identity (a ``Fabric.from_cluster`` of the
-captured cluster reproduces the captured costs), scale-out behaviour, and
-hypothesis properties — projection determinism, step time monotone in
-fabric bandwidth, and projected all-reduce volume matching the Table-1
-``2(p-1)·S_X`` closed form at every projected scale.
+That a recorded replay equals the threaded run, end-state and timeline, on
+every training program is relation 2 of the conformance oracle
+(``test_conformance``).  Here: model-mode repricing identity (a
+``Fabric.from_cluster`` of the captured cluster reproduces the captured
+costs), scale-out behaviour, and hypothesis properties — projection
+determinism, step time monotone in fabric bandwidth, and projected
+all-reduce volume matching the Table-1 ``2(p-1)·S_X`` closed form at every
+projected scale.
 """
 
 import time
@@ -28,19 +21,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analytic.commvolume import comm_volume_1d
-from repro.autograd import ops
 from repro.cluster import system_ii, uniform_cluster
 from repro.comm import Communicator, SpecArray
 from repro.comm.cost import CostModel
 from repro.config import Config
 from repro.context import ParallelContext, ParallelMode
-from repro.nn import CrossEntropyLoss, FeedForward, Linear, Module, Sequential
+from repro.nn import FeedForward, Sequential
 from repro.parallel.data import DistributedDataParallel, sync_gradients
-from repro.parallel.pipeline import (
-    GPipeSchedule,
-    OneFOneBSchedule,
-    partition_uniform,
-)
+from repro.parallel.pipeline import GPipeSchedule, partition_uniform
 from repro.parallel.tensor1d import Mode1D
 from repro.analytic.memory_model import project_peak_memory
 from repro.project import (
@@ -58,349 +46,16 @@ from repro.project import (
 )
 from repro.runtime import SpmdRuntime
 from repro.tensor import Tensor
-from repro.trace import TraceReport, Tracer
-from repro.zero import ZeroOffloadEngine
-from repro.zero.policies import NoOffloadPolicy
+
+from test_conformance import B, H, ddp_prog, pipeline_prog, tp1d_prog, zero_prog
 
 pytestmark = pytest.mark.projection
 
-H, C, B = 16, 4, 8
 
-_COUNTER_FIELDS = (
-    "bytes_total", "elements_total", "calls_total",
-    "retries_total", "retry_bytes_total",
-    "by_op_bytes", "by_op_elements", "by_op_calls", "by_op_retries",
-    "by_algorithm_bytes", "by_algorithm_calls",
-    "exposed_seconds_total", "overlapped_seconds_total",
-)
-
-
-def _pc(ctx):
-    return ParallelContext(ctx, Config.from_dict({}))
-
-
-#: the span categories the timeline rules emit (everything else in a traced
-#: run is a clock span or a program annotation)
-_TIMELINE_CATS = ("collective", "comm_stream", "overlap", "p2p")
-
-
-def _timeline_spans(tracer):
-    """Sorted multiset: a threaded run appends in its host interleaving."""
-    return sorted(
-        (s.rank, s.cat, s.name, s.t0, s.t1, repr(sorted(s.args.items())))
-        for s in tracer.spans() if s.cat in _TIMELINE_CATS)
-
-
-def _assert_parity(rt, trace, rep):
-    """The fidelity contract: replayed end-state == threaded end-state, and
-    a traced replay's timeline == the (traced) threaded run's."""
-    assert rep.step_time == rt.max_time()
-    assert rep.source_world == rep.target_world == rt.world_size
-    for r in range(rt.world_size):
-        assert rep.per_rank[r].breakdown == rt.clocks[r].breakdown(), r
-        assert rep.per_rank[r].stream == rt.comm_streams[r].breakdown(), r
-        assert rep.per_rank[r].peak_memory_bytes == (
-            rt.cluster.device(r).memory.peak
-        ), r
-    for key, group in rt._groups.items():
-        if key not in trace.groups:
-            # group object created but never used in a priced op
-            assert group.counters.calls_total == 0
-            continue
-        gid = trace.groups.index(key)
-        real, proj = group.counters, rep.group_counters[gid]
-        assert rep.group_multiplicity[gid] == 1
-        for f in _COUNTER_FIELDS:
-            assert getattr(proj, f) == getattr(real, f), (key, f)
-
-    tracer = Tracer()
-    assert project(trace, mode="recorded", tracer=tracer).to_dict() == (
-        rep.to_dict())
-    assert _timeline_spans(tracer) == _timeline_spans(rt.tracer)
-    real, proj = (TraceReport.from_tracer(t) for t in (rt.tracer, tracer))
-    assert proj.collectives == real.collectives
-    for table in ("stream_seconds", "exposed_comm", "overlapped_comm"):
-        assert getattr(proj, table) == getattr(real, table), table
-
-
-def _capture_pair(mk_cluster, world, prog, *, overlap=False, algorithm="ring",
-                  materialize=True, seed=0):
-    """Run ``prog`` twice — captured, then plain threaded under a
-    ``Tracer`` — each on a fresh cluster from ``mk_cluster`` (a shared
-    cluster would let the first run's tensor finalizers free into the second
-    run's memory pools).  Returns ``(trace, plain runtime, captured results,
-    plain results)``."""
-    res_cap, trace = capture_run(
-        mk_cluster(), prog, world_size=world, comm_overlap=overlap,
-        comm_algorithm=algorithm, materialize=materialize, seed=seed,
-    )
-    rt = SpmdRuntime(
-        mk_cluster(), world, comm_overlap=overlap, comm_algorithm=algorithm,
-        tracer=Tracer(),
-    )
-    res_real = rt.run(prog, materialize=materialize, seed=seed)
-    return trace, rt, res_cap, res_real
-
-
-# -- training harnesses (one per parallelism mode) -------------------------
-
-
-class _MLP(Module):
-    def __init__(self):
-        super().__init__()
-        self.l1 = Linear(H, 32, rng=np.random.default_rng(11))
-        self.l2 = Linear(32, 32, rng=np.random.default_rng(12))
-        self.l3 = Linear(32, C, rng=np.random.default_rng(13))
-
-    def forward(self, x):
-        return self.l3(ops.gelu(self.l2(ops.gelu(self.l1(x)))))
-
-
-def _batch(step):
-    rng = np.random.default_rng((7, step))
-    X = rng.standard_normal((2 * B, H)).astype(np.float32)
-    Y = rng.integers(0, C, 2 * B)
-    return X, Y
-
-
-def _ddp_prog(overlap, steps=2):
-    crit = CrossEntropyLoss()
-
-    def prog(ctx):
-        pc = _pc(ctx)
-        model = _MLP()
-        ddp = DistributedDataParallel(model, pc, bucket_mb=0.002,
-                                      overlap=overlap)
-        losses = []
-        for s in range(steps):
-            X, Y = _batch(s)
-            n = X.shape[0] // pc.data_size
-            xl = X[ctx.rank * n : (ctx.rank + 1) * n]
-            yl = Y[ctx.rank * n : (ctx.rank + 1) * n]
-            loss = crit(ddp(Tensor(xl.copy())), yl)
-            loss.backward()
-            ddp.sync()
-            for p in model.parameters():
-                p.payload[...] = p.payload - 0.05 * p.grad.payload
-                p.grad = None
-            losses.append(loss.item())
-        return losses
-
-    return prog
-
-
-def _zero_prog(overlap, world, steps=2):
-    crit = CrossEntropyLoss()
-
-    def prog(ctx):
-        comm = Communicator.world(ctx)
-
-        class Block(Module):
-            def __init__(self, seed, out=H):
-                super().__init__()
-                self.lin = Linear(H, out, rng=np.random.default_rng(seed))
-
-            def forward(self, x):
-                y = self.lin(x)
-                return ops.gelu(y) if self.lin.out_features == H else y
-
-        blocks = [Block(21), Block(22), Block(23, out=C)]
-        pol = NoOffloadPolicy(ctx.device, ctx.cpu, CostModel(ctx.cluster),
-                              ctx.rank)
-        eng = ZeroOffloadEngine(
-            ctx, blocks, comm, pol, criterion=crit,
-            chunk_mb=0.001, lr=1e-2, param_dtype="float32", overlap=overlap,
-        )
-        losses = []
-        for s in range(steps):
-            X, Y = _batch(s)
-            n = X.shape[0] // world
-            losses.append(
-                eng.train_step(X[ctx.rank * n : (ctx.rank + 1) * n],
-                               Y[ctx.rank * n : (ctx.rank + 1) * n])
-            )
-        eng.gather_parameters()
-        return losses
-
-    return prog
-
-
-def _pipeline_prog(sched_cls, stages, microbatches=4):
-    crit = CrossEntropyLoss()
-    X, Y = _batch(0)
-
-    class Stage(Module):
-        def __init__(self, idxs, with_tail):
-            super().__init__()
-            self.layers = [Linear(H, H, rng=np.random.default_rng((31, i)))
-                           for i in idxs]
-            for i, l in enumerate(self.layers):
-                setattr(self, f"lin{i}", l)
-            self.head = (
-                Linear(H, C, rng=np.random.default_rng(35))
-                if with_tail else None
-            )
-
-        def forward(self, x):
-            for l in self.layers:
-                x = ops.gelu(l(x))
-            return self.head(x) if self.head is not None else x
-
-    def prog(ctx):
-        pc = ParallelContext(
-            ctx,
-            Config.from_dict(
-                dict(parallel=dict(pipeline=stages),
-                     num_microbatches=microbatches)
-            ),
-        )
-        s, e = partition_uniform(4, stages)[pc.pp_rank]
-        stage = Stage(range(s, e), with_tail=pc.is_last_pipeline_stage())
-        sched = sched_cls(pc, microbatches)
-        loss = sched.run(
-            stage,
-            X.copy() if pc.is_first_pipeline_stage() else None,
-            Y if pc.is_last_pipeline_stage() else None,
-            crit,
-        )
-        return loss
-
-    return prog
-
-
-def _tp1d_prog(size):
-    x_g = np.random.default_rng(3).standard_normal((B, H)).astype(np.float32)
-
-    def prog(ctx):
-        pc = ParallelContext(
-            ctx,
-            Config.from_dict(
-                dict(parallel=dict(tensor=dict(size=size, mode="1d")))
-            ),
-        )
-        comm = pc.comm(ParallelMode.TENSOR)
-        mlp = FeedForward(H, mlp_ratio=2, rng=np.random.default_rng(0),
-                          mode=Mode1D(comm))
-        x = Tensor(x_g.copy(), requires_grad=True)
-        mlp(x).sum().backward()
-        return float(x.grad.numpy().sum())
-
-    return prog
-
-
-def _edge_ops_prog(ctx):
-    """What no harness above issues: ring pass, rooted scatter / gather, collectives
-    on a size-1 subgroup (``c1`` events), an ``isend`` polled and waited (eager, or
-    on the p2p stream under overlap), a polled ``iallreduce``, all-to-all, barrier."""
-    comm = Communicator.world(ctx)
-    x = np.full(4096, float(ctx.rank), dtype=np.float32)
-    comm.ring_pass(x, shift=1)
-    comm.scatter(x if comm.rank == 0 else None, root=0)
-    comm.gather(x, root=0)
-    solo = comm.subgroup([comm.rank])
-    solo.all_reduce(x)
-    solo.all_gather(x)
-    if comm.rank == 0:
-        send = comm.isend(x, 1)
-        send.test()
-        send.wait()
-    elif comm.rank == 1:
-        comm.recv(0)
-    reduced = comm.iallreduce(x)
-    reduced.test()
-    reduced.wait()
-    comm.all_to_all([x[:1024]] * comm.size)
-    comm.barrier()
-
-
-# -- the exact-parity grid -------------------------------------------------
-
-
-class TestExactParityGrid:
-    @pytest.mark.parametrize("algorithm", ["ring", "tree", "hierarchical"])
-    @pytest.mark.parametrize("overlap", [False, True])
-    def test_data_parallel(self, algorithm, overlap):
-        trace, rt, res_cap, res_real = _capture_pair(
-            system_ii, 4, _ddp_prog(overlap),
-            overlap=overlap, algorithm=algorithm,
-        )
-        assert res_cap == res_real  # capture is observation-only
-        _assert_parity(rt, trace, project(trace, mode="recorded"))
-
-    @pytest.mark.parametrize("algorithm", ["ring", "hierarchical"])
-    @pytest.mark.parametrize("overlap", [False, True])
-    def test_zero(self, algorithm, overlap):
-        trace, rt, res_cap, res_real = _capture_pair(
-            lambda: uniform_cluster(2), 2, _zero_prog(overlap, world=2),
-            overlap=overlap, algorithm=algorithm,
-        )
-        assert res_cap == res_real
-        _assert_parity(rt, trace, project(trace, mode="recorded"))
-
-    @pytest.mark.parametrize("sched_cls", [GPipeSchedule, OneFOneBSchedule])
-    @pytest.mark.parametrize("overlap", [False, True])
-    def test_pipeline(self, sched_cls, overlap):
-        trace, rt, res_cap, res_real = _capture_pair(
-            lambda: uniform_cluster(4), 4, _pipeline_prog(sched_cls, stages=4),
-            overlap=overlap,
-        )
-        assert res_cap == res_real
-        _assert_parity(rt, trace, project(trace, mode="recorded"))
-
-    @pytest.mark.parametrize("algorithm", ["ring", "tree"])
-    def test_tensor_1d(self, algorithm):
-        trace, rt, res_cap, res_real = _capture_pair(
-            lambda: uniform_cluster(4), 4, _tp1d_prog(4), algorithm=algorithm,
-        )
-        assert res_cap == res_real
-        _assert_parity(rt, trace, project(trace, mode="recorded"))
-
-    @pytest.mark.parametrize("overlap", [False, True])
-    def test_edge_ops(self, overlap):
-        steps, labels = [], []
-        for mk in (lambda: uniform_cluster(4), system_ii):
-            trace, rt, _, _ = _capture_pair(mk, 4, _edge_ops_prog, overlap=overlap)
-            recorded, model = (project(trace, mode=m) for m in ("recorded", "model"))
-            _assert_parity(rt, trace, recorded)
-            steps.append((rt.max_time(), model.step_time))
-            labels.append((recorded.by_algorithm_bytes, model.by_algorithm_bytes))
-        (threaded_u, model_u), (threaded_ii, model_ii) = steps
-        # model mode re-prices ring_pass / _star / p2p through the fabric: on the uniform
-        # cluster that is the identity fabric.py states, down to each byte's algorithm label
-        assert model_u == threaded_u
-        assert labels[0][0] == labels[0][1]
-        # System II joins GPU pairs by NVLink and the pairs by PCIe; a two-level
-        # Fabric has no level inside a node, prices every hop at the sampled
-        # intra-node link and reads low: the abstraction's limit, stated
-        assert model_ii < threaded_ii
-
-    def test_world_16_data_parallel(self):
-        trace, rt, _, _ = _capture_pair(
-            lambda: uniform_cluster(16), 16, _ddp_prog(overlap=True, steps=1),
-            overlap=True,
-        )
-        _assert_parity(rt, trace, project(trace, mode="recorded"))
-
-    def test_comm_golden_storm(self):
-        """Every communicator entry point, System II, comm streams on."""
-        from test_comm_golden import WORLD, _storm
-
-        trace, rt, res_cap, res_real = _capture_pair(
-            system_ii, WORLD, _storm, overlap=True, algorithm="auto",
-            materialize=False, seed=1,
-        )
-        assert res_cap == res_real
-        _assert_parity(rt, trace, project(trace, mode="recorded"))
-
-    def test_plan_golden_hybrid_step(self):
-        """The plan golden's materialized GPT step at DP2 x TP2 x PP2."""
-        from test_plan_golden import SEED, hybrid_gpt_step
-
-        trace, rt, res_cap, res_real = _capture_pair(
-            lambda: uniform_cluster(8), 8, hybrid_gpt_step(), seed=SEED,
-        )
-        assert res_cap == res_real
-        _assert_parity(rt, trace, project(trace, mode="recorded"))
+def _trace(prog, world):
+    """A materialized capture of ``prog`` on ``world`` uniform ranks."""
+    return capture_run(uniform_cluster(world), prog, world_size=world,
+                       materialize=True)[1]
 
 
 # -- model-mode repricing --------------------------------------------------
@@ -413,9 +68,7 @@ class TestModelModeRepricing:
         the closed-form fabric: wire bytes land exactly (integer formulas),
         seconds to ~1 ulp (the real ``ring_stats`` accumulates latency by
         iterated addition where the fabric multiplies)."""
-        trace, rt, _, _ = _capture_pair(
-            lambda: uniform_cluster(4), 4, _ddp_prog(overlap=False),
-        )
+        trace = _trace(ddp_prog(overlap=False), 4)
         rec = project(trace, mode="recorded")
         mod = project(trace, mode="model")
         assert mod.step_time == pytest.approx(rec.step_time, rel=1e-9)
@@ -460,7 +113,7 @@ class TestModelModeRepricing:
         assert len(seen) == 1, seen
 
     def test_recorded_mode_rejects_scaling(self):
-        trace, _, _, _ = _capture_pair(lambda: uniform_cluster(2), 2, _tp1d_prog(2))
+        trace = _trace(tp1d_prog(2), 2)
         with pytest.raises(ValueError, match="recorded"):
             project(trace, axes={"dp": 2}, mode="recorded")
 
@@ -468,9 +121,7 @@ class TestModelModeRepricing:
         """At factor f the world group's all-reduce is re-priced at f·p
         ranks: ring wire is 2(p-1)·n, so bytes grow and step time cannot
         shrink (same compute, more expensive gradient sync)."""
-        trace, _, _, _ = _capture_pair(
-            lambda: uniform_cluster(4), 4, _ddp_prog(overlap=False),
-        )
+        trace = _trace(ddp_prog(overlap=False), 4)
         fabric = Fabric.uniform()
         base = project(trace, fabric=fabric)
         big = project(trace, axes={"dp": 64}, fabric=fabric)
@@ -490,9 +141,7 @@ class TestModelModeRepricing:
         *proper* subgroups of the world — a world-sized group would be the
         scale target (re-priced at multiplicity 1) rather than a replica.
         """
-        trace, _, _, _ = _capture_pair(
-            lambda: uniform_cluster(4), 4, _pipeline_prog(GPipeSchedule, stages=2),
-        )
+        trace = _trace(pipeline_prog(GPipeSchedule, stages=2), 4)
         world_group = tuple(range(4))
         assert any(
             g != world_group and len(g) < 4 for g in trace.groups
@@ -506,7 +155,7 @@ class TestModelModeRepricing:
         assert big.by_op_bytes["p2p"] == 8 * base.by_op_bytes["p2p"]
 
     def test_compute_scale_stretches_compute_only(self):
-        trace, _, _, _ = _capture_pair(lambda: uniform_cluster(2), 2, _tp1d_prog(2))
+        trace = _trace(tp1d_prog(2), 2)
         fabric = Fabric.uniform()
         base = project(trace, fabric=fabric)
         slow = project(trace, plan=ScalePlan(compute_scale=2.0),
@@ -529,9 +178,7 @@ class TestModelModeRepricing:
         assert model["step_time"] > 10 * price_plan(trace).step_time
 
     def test_truncated_trace_stalls_loudly(self):
-        trace, _, _, _ = _capture_pair(
-            lambda: uniform_cluster(2), 2, _pipeline_prog(GPipeSchedule, stages=2),
-        )
+        trace = _trace(pipeline_prog(GPipeSchedule, stages=2), 2)
         # drop rank 1's tail: rank 0 ends up waiting on a recv forever
         cut = [ev for ev in trace.streams[1] if ev[0] in ("a",)]
         trace.streams[1] = cut
@@ -541,8 +188,7 @@ class TestModelModeRepricing:
     def test_model_mode_names_an_op_it_cannot_price(self):
         """An op outside the pricer's table is a loud stall naming it, like
         an unknown event tag — it used to be priced as an all-reduce."""
-        trace, _, _, _ = _capture_pair(
-            lambda: uniform_cluster(2), 2, _tp1d_prog(2))
+        trace = _trace(tp1d_prog(2), 2)
         next(iter(trace.rounds.values()))["op"] = "all_shuffle"
         with pytest.raises(ReplayStall, match="'all_shuffle'"):
             project(trace, mode="model")
@@ -637,7 +283,7 @@ class TestGoldenStability:
         LAYERS, HIDDEN, HEADS, PATCHES = 2, 64, 4, 8
 
         def prog(ctx):
-            pc = _pc(ctx)
+            pc = ParallelContext(ctx, Config.from_dict({}))
             stack = Sequential([TransformerLayer(HIDDEN, HEADS) for _ in range(LAYERS)])
             ddp = DistributedDataParallel(stack, pc, overlap=True)
             x = Tensor(SpecArray((B, PATCHES, HIDDEN), "float32"),
@@ -687,9 +333,7 @@ class TestScalePlanValidation:
         assert ScalePlan().total_factor() == 1
 
     def test_unresolvable_axis_names_captured_layout(self):
-        trace = _capture_pair(
-            lambda: uniform_cluster(2), 2, _tp1d_prog(2)
-        )[0]
+        trace = _trace(tp1d_prog(2), 2)
         with pytest.raises(ValueError, match="tp"):
             project(trace, axes={"tp": 2}, fabric=Fabric.uniform())
 
@@ -716,9 +360,7 @@ class TestShardedMemoryProjection:
     def test_dp_axis_reshards_state(self):
         """Regression: widening a group that shards state must shrink the
         projected peak instead of echoing the captured bytes verbatim."""
-        trace = _capture_pair(
-            lambda: uniform_cluster(2), 2, _zero_prog(False, world=2),
-        )[0]
+        trace = _trace(zero_prog(False), 2)
         captured = max(trace.peak_memory)
         assert captured > 0
         sharded = captured // 2
@@ -735,9 +377,7 @@ class TestShardedMemoryProjection:
     def test_subgroup_scale_only_reshards_member_ranks(self):
         """An axis owning a proper subgroup shrinks only the ranks inside
         it; bystander ranks keep their captured peak."""
-        trace = _capture_pair(
-            lambda: uniform_cluster(4), 4, _ddp_prog(overlap=False),
-        )[0]
+        trace = _trace(ddp_prog(overlap=False), 4)
         trace.peak_memory = [100, 200, 300, 400]
         dp = ScaleAxis(factor=4, groups=((0, 1),), sharded_bytes=80)
         rep = project(trace, axes={"dp": dp}, fabric=Fabric.uniform())
