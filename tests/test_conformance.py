@@ -499,20 +499,3 @@ def test_pooled_runs_use_the_pool():
         assert loans > 0 and reuses > 0, cell
     for cell in cells("zero3"):
         assert plain(cell).pool[0] > 0, cell
-
-
-@pytest.mark.projection
-@pytest.mark.parametrize("overlap", [False, True])
-def test_edge_ops_model_mode(overlap):
-    """Model mode re-prices ring_pass / _star / p2p through the fabric: on
-    the uniform cluster that is the identity ``fabric.py`` states, down to
-    each byte's algorithm label.  System II joins GPU pairs by NVLink and the
-    pairs by PCIe; a two-level ``Fabric`` has no level inside a node, prices
-    every hop at the sampled intra-node link and reads low: the
-    abstraction's limit, stated."""
-    uniform, ii = (Cell("edge", cluster, 4, "ring", overlap) for cluster in CLUSTERS)
-    model = project(captured(uniform).trace, mode="model")
-    assert model.step_time == plain(uniform).makespan
-    assert model.by_algorithm_bytes == project(
-        captured(uniform).trace, mode="recorded").by_algorithm_bytes
-    assert project(captured(ii).trace, mode="model").step_time < plain(ii).makespan

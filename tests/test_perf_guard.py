@@ -5,7 +5,8 @@ event-driven rendezvous and spec-mode shortcuts must leave every simulated
 result bitwise identical.  The tests here enforce that contract:
 
 1. pooled vs unpooled runs are bitwise identical on every training program
-   (relation 3 of the conformance oracle, ``test_conformance``);
+   (relation 3 of the conformance oracle, ``test_conformance``), and on the
+   DDP / ZeRO / pipeline cells x overlap x sanitize here;
 2. the event-driven rendezvous still diagnoses a :class:`CollectiveDesync`
    within one diagnosis window (waiters wake on the ``park_slice``
    cadence while a sanitizer is installed, and immediately on rank exit);
@@ -76,6 +77,8 @@ from repro.sanitize.errors import CollectiveDesync
 from repro.tensor import Tensor
 from repro.tensor.tensor import Storage
 
+from test_conformance import Cell, assert_same_run, execute
+
 pytestmark = pytest.mark.perf
 
 fast = settings(
@@ -84,6 +87,36 @@ fast = settings(
 )
 
 LONG_TIMEOUT = 300.0
+
+
+# -- pooled vs unpooled bitwise parity --------------------------------------
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+@pytest.mark.parametrize("sanitize", [False, True])
+class TestPooledParity:
+    """Relation 3 of the conformance oracle on one cell of each program,
+    with the sanitizer on or off in *both* runs: results and the full
+    end-state of the pooled run ``==`` the unpooled run's."""
+
+    @staticmethod
+    def _pooled(program, world, overlap, sanitize):
+        cell = Cell(program, "uniform", world, "ring", overlap)
+        pooled = execute(cell, sanitize=sanitize)
+        assert_same_run(execute(cell, pool=False, sanitize=sanitize), pooled)
+        return pooled.pool
+
+    def test_ddp(self, overlap, sanitize):
+        # the flat buckets restocked after step 1 are reused in step 2
+        loans, reuses = self._pooled("ddp", 4, overlap, sanitize)
+        assert loans > 0 and reuses > 0
+
+    def test_zero(self, overlap, sanitize):
+        loans, _ = self._pooled("zero3", 2, overlap, sanitize)
+        assert loans > 0
+
+    def test_pipeline(self, overlap, sanitize):
+        self._pooled("gpipe", 2, overlap, sanitize)
 
 
 # -- event-driven rendezvous semantics --------------------------------------

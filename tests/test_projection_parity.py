@@ -5,7 +5,8 @@ them*: a capture records each rank's op stream during a real threaded SPMD
 run, and a single-threaded replay re-executes the stream on fresh clocks.
 That a recorded replay equals the threaded run, end-state and timeline, on
 every training program is relation 2 of the conformance oracle
-(``test_conformance``).  Here: model-mode repricing identity (a
+(``test_conformance``); ``TestExactParityGrid`` runs it on the grid's old
+cells by name.  Here also: model-mode repricing identity (a
 ``Fabric.from_cluster`` of the captured cluster reproduces the captured
 costs), scale-out behaviour, and hypothesis properties — projection
 determinism, step time monotone in fabric bandwidth, and projected
@@ -28,7 +29,7 @@ from repro.config import Config
 from repro.context import ParallelContext, ParallelMode
 from repro.nn import FeedForward, Sequential
 from repro.parallel.data import DistributedDataParallel, sync_gradients
-from repro.parallel.pipeline import GPipeSchedule, partition_uniform
+from repro.parallel.pipeline import GPipeSchedule, OneFOneBSchedule, partition_uniform
 from repro.parallel.tensor1d import Mode1D
 from repro.analytic.memory_model import project_peak_memory
 from repro.project import (
@@ -47,7 +48,10 @@ from repro.project import (
 from repro.runtime import SpmdRuntime
 from repro.tensor import Tensor
 
-from test_conformance import B, H, ddp_prog, pipeline_prog, tp1d_prog, zero_prog
+from test_conformance import (
+    B, H, CLUSTERS, Cell, captured, ddp_prog, pipeline_prog, plain, rel_capture, rel_replay,
+    tp1d_prog, zero_prog,
+)
 
 pytestmark = pytest.mark.projection
 
@@ -56,6 +60,56 @@ def _trace(prog, world):
     """A materialized capture of ``prog`` on ``world`` uniform ranks."""
     return capture_run(uniform_cluster(world), prog, world_size=world,
                        materialize=True)[1]
+
+
+# -- the exact-parity grid -------------------------------------------------
+
+
+class TestExactParityGrid:
+    """Relations 1 and 2 of the conformance oracle (captured == plain,
+    recorded replay == threaded) on the grid's cells, by their old names."""
+
+    @staticmethod
+    def _parity(*cells):
+        for cell in cells:
+            rel_capture(cell)
+            rel_replay(cell)
+
+    @pytest.mark.parametrize("algorithm", ["ring", "tree", "hierarchical"])
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_data_parallel(self, algorithm, overlap):
+        self._parity(Cell("ddp", "system_ii", 4, algorithm, overlap))
+
+    @pytest.mark.parametrize("algorithm", ["ring", "hierarchical"])
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_zero(self, algorithm, overlap):
+        self._parity(Cell("zero3", "uniform", 2, algorithm, overlap))
+
+    @pytest.mark.parametrize("sched_cls", [GPipeSchedule, OneFOneBSchedule])
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_pipeline(self, sched_cls, overlap):
+        program = {GPipeSchedule: "gpipe", OneFOneBSchedule: "1f1b"}[sched_cls]
+        self._parity(Cell(program, "uniform", 4, "ring", overlap))
+
+    @pytest.mark.parametrize("algorithm", ["ring", "tree"])
+    def test_tensor_1d(self, algorithm):
+        self._parity(Cell("tp1d", "uniform", 4, algorithm, False))
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_edge_ops(self, overlap):
+        """Model mode re-prices ring_pass / _star / p2p through the fabric:
+        on the uniform cluster that is the identity ``fabric.py`` states,
+        down to each byte's algorithm label.  System II joins GPU pairs by
+        NVLink and the pairs by PCIe; a two-level ``Fabric`` has no level
+        inside a node, prices every hop at the sampled intra-node link and
+        reads low: the abstraction's limit, stated."""
+        uniform, ii = (Cell("edge", cluster, 4, "ring", overlap) for cluster in CLUSTERS)
+        self._parity(uniform, ii)
+        model = project(captured(uniform).trace, mode="model")
+        assert model.step_time == plain(uniform).makespan
+        assert model.by_algorithm_bytes == project(
+            captured(uniform).trace, mode="recorded").by_algorithm_bytes
+        assert project(captured(ii).trace, mode="model").step_time < plain(ii).makespan
 
 
 # -- model-mode repricing --------------------------------------------------
