@@ -45,10 +45,13 @@ _shape_of = operator.attrgetter("shape")
 _nbytes_of = operator.attrgetter("nbytes")
 
 
-def _check_same_shape(payloads: Dict[int, Payload], what: str) -> None:
-    shapes = set(map(_shape_of, payloads.values()))
-    if len(shapes) > 1:
-        raise ValueError(f"{what}: mismatched shapes across ranks: {sorted(shapes)}")
+def _mismatched_shapes(shapes: set, what: str) -> ValueError:
+    return ValueError(f"{what}: mismatched shapes across ranks: {sorted(shapes)}")
+
+
+def _indivisible(shape: tuple, parts: int, axis: int, what: str) -> ValueError:
+    return ValueError(
+        f"{what}: axis {axis} of shape {shape} not divisible into {parts} parts")
 
 
 def _invalid_reduce_op(op: ReduceOp, what: str) -> ValueError:
@@ -61,9 +64,24 @@ def _invalid_reduce_op(op: ReduceOp, what: str) -> ValueError:
     )
 
 
-def _combine(payloads: Dict[int, Payload], op: ReduceOp,
-             pool: Any = None) -> Payload:
-    """Reduce payloads in local-rank order (deterministic).
+def _out_of_range(what: str, name: str, value: Any, size: int) -> ValueError:
+    """A root, peer or subgroup member must be a local rank, ``0 <= value <
+    size``: tested inline at entry, before any hook, clock, counter or
+    mailbox moves, so a negative one cannot index from the end."""
+    return ValueError(
+        f"{what}: {name} {value} is not a local rank of a group of size {size}"
+    )
+
+
+def _spec_dtype(payloads: Dict[int, Payload]) -> np.dtype:
+    """What a spec round's members' dtypes promote to, in local-rank order;
+    asked only when they differ (members that agree keep theirs)."""
+    return np.result_type(*map(_dtype_of, map(payloads.__getitem__, sorted(payloads))))
+
+
+def _combine(payloads: Dict[int, np.ndarray], op: ReduceOp,
+             pool: Any = None) -> np.ndarray:
+    """Reduce real payloads in local-rank order (deterministic).
 
     With a :class:`~repro.runtime.buffer_pool.BufferPool` the accumulator is
     a pooled scratch buffer filled in place (``fn(acc, arr, out=acc)``) —
@@ -72,11 +90,8 @@ def _combine(payloads: Dict[int, Payload], op: ReduceOp,
     the pooled path takes.  The caller owns the returned buffer and must
     ``adopt`` it out of the pool (reductions escape as rank results).
     """
-    ordered = [payloads[i] for i in sorted(payloads)]
+    ordered = list(map(payloads.__getitem__, sorted(payloads)))
     first = ordered[0]
-    if type(first) is SpecArray:
-        return SpecArray(
-            first.shape, np.result_type(*map(_dtype_of, ordered)))
     fn = _REDUCERS[op]
     if pool is not None and all(p.dtype == first.dtype for p in ordered[1:]):
         acc = pool.loan(first.shape, first.dtype, f"combine:{op}")
@@ -99,14 +114,12 @@ def _pooled_copy(arr: np.ndarray, pool: Any, label: str) -> np.ndarray:
     return out
 
 
-def _replicate(value: Payload, payloads: Dict[int, Any], owner: int,
-               pool: Any = None, label: str = "") -> Dict[int, Payload]:
-    """Every member's copy of a round's result.  A spec stand-in is an
-    immutable value and is shared; of a real array, local rank ``owner``
+def _replicate(value: np.ndarray, payloads: Dict[int, Any], owner: int,
+               pool: Any = None, label: str = "") -> Dict[int, np.ndarray]:
+    """Every member's copy of a real round's result: local rank ``owner``
     keeps the original and every other rank receives its own copy (drawn
-    from ``pool`` under ``label`` when one is given)."""
-    if type(value) is SpecArray:
-        return dict.fromkeys(payloads, value)
+    from ``pool`` under ``label`` when one is given).  A spec result is an
+    immutable value, and its finalize shares it (``dict.fromkeys``)."""
     results = {}
     for i in payloads:
         if i == owner:
@@ -121,23 +134,82 @@ def _replicate(value: Payload, payloads: Dict[int, Any], owner: int,
 def all_reduce_finalize(group: ProcessGroup, op: ReduceOp,
                         payloads: Dict[int, Payload]):
     """An all_reduce round's finalize — combine in local-rank order, price,
-    replicate — for the rendezvous and for ``ProcessGroup.drive_round``."""
-    _check_same_shape(payloads, "all_reduce")
-    pool = group.runtime.buffer_pool
-    combined = _combine(payloads, op, pool)
+    replicate — for both spellings and ``ProcessGroup.drive_round``.  A spec
+    round does it inline and shares one immutable result: local rank 0's
+    payload when every member's dtype agrees."""
+    shapes = set(map(_shape_of, payloads.values()))
+    if len(shapes) > 1:
+        raise _mismatched_shapes(shapes, "all_reduce")
+    result = payloads[0]
+    if type(result) is SpecArray:
+        if len(set(map(_dtype_of, payloads.values()))) > 1:
+            result = SpecArray(result.shape, _spec_dtype(payloads))
+    else:
+        pool = group.runtime.buffer_pool
+        result = _combine(payloads, op, pool)
     # one shape: the largest payload is the widest dtype, and ties agree
     big = max(payloads.values(), key=_nbytes_of)
-    cost = group.cost_model.allreduce(group.ranks, int(big.nbytes))
-    results = _replicate(combined, payloads, 0, pool, "all_reduce:result")
+    cost = group.cost_model.price("all_reduce", group.ranks, int(big.nbytes))
+    if type(result) is SpecArray:
+        return dict.fromkeys(payloads, result), cost, big.dtype.itemsize
+    results = _replicate(result, payloads, 0, pool, "all_reduce:result")
+    return results, cost, big.dtype.itemsize
+
+
+def all_gather_finalize(group: ProcessGroup, axis: int,
+                        payloads: Dict[int, Payload]):
+    """An all_gather round's finalize: concatenate in local-rank order,
+    price, replicate; spec members of one shape are gathered inline."""
+    chunks = list(map(payloads.__getitem__, sorted(payloads)))
+    first = chunks[0]
+    shape = first.shape
+    if type(first) is SpecArray and shape and len(set(map(_shape_of, chunks))) == 1:
+        out = list(shape)
+        out[axis] = shape[axis % len(shape)] * len(chunks)
+        dtype = first.dtype
+        if len(set(map(_dtype_of, chunks))) > 1:
+            dtype = _spec_dtype(payloads)
+        gathered = SpecArray(tuple(out), dtype)
+    else:
+        gathered = _concat_axis(chunks, axis, "all_gather")
+    big = max(chunks, key=_nbytes_of)
+    cost = group.cost_model.price("all_gather", group.ranks, int(big.nbytes))
+    if type(gathered) is SpecArray:
+        return dict.fromkeys(payloads, gathered), cost, big.dtype.itemsize
+    return _replicate(gathered, payloads, 0), cost, big.dtype.itemsize
+
+
+def reduce_scatter_finalize(group: ProcessGroup, op: ReduceOp, axis: int,
+                            payloads: Dict[int, Payload]):
+    """A reduce_scatter round's finalize: combine in local-rank order, hand
+    local rank ``i`` chunk ``i`` along ``axis``, price; a spec round shares
+    one chunk, derived inline."""
+    shapes = set(map(_shape_of, payloads.values()))
+    if len(shapes) > 1:
+        raise _mismatched_shapes(shapes, "reduce_scatter")
+    first, parts = payloads[0], group.size
+    if type(first) is SpecArray:
+        dtype = first.dtype
+        if len(set(map(_dtype_of, payloads.values()))) > 1:
+            dtype = _spec_dtype(payloads)
+        if first.shape[axis] % parts != 0:
+            raise _indivisible(first.shape, parts, axis, "reduce_scatter")
+        out = list(first.shape)
+        out[axis] //= parts
+        results = dict.fromkeys(payloads, SpecArray(tuple(out), dtype))
+    else:
+        # combined is adopted out of the pool by _combine: the scattered
+        # chunks are axis-0 *views* of it, so it must never be restocked
+        combined = _combine(payloads, op, group.runtime.buffer_pool)
+        results = dict(enumerate(_split_axis(combined, parts, axis, "reduce_scatter")))
+    big = max(payloads.values(), key=_nbytes_of)  # one shape
+    cost = group.cost_model.price("reduce_scatter", group.ranks, int(big.nbytes))
     return results, cost, big.dtype.itemsize
 
 
 def _split_axis(x: Payload, parts: int, axis: int, what: str) -> List[Payload]:
     if x.shape[axis] % parts != 0:
-        raise ValueError(
-            f"{what}: axis {axis} of shape {x.shape} not divisible into "
-            f"{parts} parts"
-        )
+        raise _indivisible(x.shape, parts, axis, what)
     if type(x) is SpecArray:
         shape = list(x.shape)
         shape[axis] //= parts
@@ -208,89 +280,81 @@ class Communicator:
 
     def subgroup(self, local_ranks: Sequence[int]) -> "Communicator":
         """Communicator over a subset of this group (must include self)."""
+        size = self.size
+        for lr in local_ranks:
+            if not 0 <= lr < size:
+                raise _out_of_range("subgroup", "member", lr, size)
         ranks = [self.group.global_rank(lr) for lr in local_ranks]
         return Communicator(self.group.runtime.group(ranks), self.global_rank)
 
     # -- collectives ---------------------------------------------------------
 
-    def _allreduce_round(self, x: Payload, op: ReduceOp, mode: str):
-        """One all_reduce round, blocking or nonblocking (``mode``): both
-        spellings price and combine identically."""
+    def all_reduce(self, x: Payload, op: ReduceOp = "sum") -> Payload:
+        """Reduce across the group; every rank receives the full result."""
         if op not in _REDUCERS:
             raise _invalid_reduce_op(op, "all_reduce")
         return self.group.rendezvous(
             self.global_rank, x, partial(all_reduce_finalize, self.group, op),
-            "all_reduce", {"reduce_op": op}, mode)
-
-    def all_reduce(self, x: Payload, op: ReduceOp = "sum") -> Payload:
-        """Reduce across the group; every rank receives the full result."""
-        return self._allreduce_round(x, op, "sync")
+            "all_reduce", {"reduce_op": op})
 
     def iallreduce(self, x: Payload, op: ReduceOp = "sum") -> "WorkHandle":
         """Nonblocking :meth:`all_reduce`: the round runs on the group's comm
         stream; ``wait()`` on the returned handle delivers this rank's result
         and max-joins its compute clock to the completion time."""
-        return self._allreduce_round(x, op, "async")
-
-    def _allgather_round(self, x: Payload, axis: int, mode: str):
-        def finalize(payloads: Dict[int, Payload]):
-            chunks = [payloads[i] for i in sorted(payloads)]
-            gathered = _concat_axis(chunks, axis, "all_gather")
-            big = max(chunks, key=_nbytes_of)
-            cost = self.group.cost_model.allgather(self.group.ranks, int(big.nbytes))
-            results = _replicate(gathered, payloads, 0)
-            return results, cost, big.dtype.itemsize
-
+        if op not in _REDUCERS:
+            raise _invalid_reduce_op(op, "all_reduce")
         return self.group.rendezvous(
-            self.global_rank, x, finalize, "all_gather", {"axis": axis}, mode)
+            self.global_rank, x, partial(all_reduce_finalize, self.group, op),
+            "all_reduce", {"reduce_op": op}, "async")
 
     def all_gather(self, x: Payload, axis: int = 0) -> Payload:
         """Concatenate every rank's payload along ``axis``; all ranks receive
         the concatenation (in local-rank order)."""
-        return self._allgather_round(x, axis, "sync")
+        return self.group.rendezvous(
+            self.global_rank, x, partial(all_gather_finalize, self.group, axis),
+            "all_gather", {"axis": axis})
 
     def iall_gather(self, x: Payload, axis: int = 0) -> "WorkHandle":
         """Nonblocking :meth:`all_gather` (see :meth:`iallreduce`)."""
-        return self._allgather_round(x, axis, "async")
-
-    def _reduce_scatter_round(self, x: Payload, axis: int, op: ReduceOp,
-                              mode: str):
-        if op not in _REDUCERS:
-            raise _invalid_reduce_op(op, "reduce_scatter")
-
-        def finalize(payloads: Dict[int, Payload]):
-            _check_same_shape(payloads, "reduce_scatter")
-            # combined is adopted out of the pool by _combine: the scattered
-            # chunks are axis-0 *views* of it, so it must never be restocked
-            combined = _combine(payloads, op, self.group.runtime.buffer_pool)
-            chunks = _split_axis(combined, self.size, axis, "reduce_scatter")
-            big = max(payloads.values(), key=_nbytes_of)  # one shape
-            cost = self.group.cost_model.reduce_scatter(self.group.ranks, int(big.nbytes))
-            return dict(enumerate(chunks)), cost, big.dtype.itemsize
-
         return self.group.rendezvous(
-            self.global_rank, x, finalize, "reduce_scatter",
-            {"reduce_op": op, "axis": axis}, mode)
+            self.global_rank, x, partial(all_gather_finalize, self.group, axis),
+            "all_gather", {"axis": axis}, "async")
 
     def reduce_scatter(self, x: Payload, axis: int = 0, op: ReduceOp = "sum") -> Payload:
         """Reduce across the group, then scatter the result: rank i receives
         the i-th chunk of the reduction along ``axis``."""
-        return self._reduce_scatter_round(x, axis, op, "sync")
+        if op not in _REDUCERS:
+            raise _invalid_reduce_op(op, "reduce_scatter")
+        return self.group.rendezvous(
+            self.global_rank, x,
+            partial(reduce_scatter_finalize, self.group, op, axis),
+            "reduce_scatter", {"reduce_op": op, "axis": axis})
 
     def ireduce_scatter(self, x: Payload, axis: int = 0,
                         op: ReduceOp = "sum") -> "WorkHandle":
         """Nonblocking :meth:`reduce_scatter` (see :meth:`iallreduce`)."""
-        return self._reduce_scatter_round(x, axis, op, "async")
+        if op not in _REDUCERS:
+            raise _invalid_reduce_op(op, "reduce_scatter")
+        return self.group.rendezvous(
+            self.global_rank, x,
+            partial(reduce_scatter_finalize, self.group, op, axis),
+            "reduce_scatter", {"reduce_op": op, "axis": axis}, "async")
 
     def broadcast(self, x: Optional[Payload], root: int = 0) -> Payload:
         """Send root's payload to every rank (``root`` is a local rank)."""
+        if not 0 <= root < self.size:
+            raise _out_of_range("broadcast", "root", root, self.size)
 
         def finalize(payloads: Dict[int, Payload]):
             src = payloads[root]
             if src is None:
                 raise ValueError("broadcast: root payload is None")
-            cost = self.group.cost_model.broadcast(self.group.ranks, int(src.nbytes))
-            results = _replicate(src, payloads, root)
+            cost = self.group.cost_model.price(
+                "broadcast", self.group.ranks, int(src.nbytes))
+            if type(src) is SpecArray:
+                results = dict.fromkeys(payloads, src)
+            else:
+                results = _replicate(src, payloads, root)
             return results, cost, src.dtype.itemsize
 
         return self.group.rendezvous(
@@ -300,13 +364,23 @@ class Communicator:
         """Reduce to the local rank ``root``; other ranks receive ``None``."""
         if op not in _REDUCERS:
             raise _invalid_reduce_op(op, "reduce")
+        if not 0 <= root < self.size:
+            raise _out_of_range("reduce", "root", root, self.size)
 
         def finalize(payloads: Dict[int, Payload]):
-            _check_same_shape(payloads, "reduce")
-            combined = _combine(payloads, op, self.group.runtime.buffer_pool)
+            shapes = set(map(_shape_of, payloads.values()))
+            if len(shapes) > 1:
+                raise _mismatched_shapes(shapes, "reduce")
+            combined = payloads[0]
+            if type(combined) is SpecArray:
+                if len(set(map(_dtype_of, payloads.values()))) > 1:
+                    combined = SpecArray(combined.shape, _spec_dtype(payloads))
+            else:
+                combined = _combine(payloads, op, self.group.runtime.buffer_pool)
             big = max(payloads.values(), key=_nbytes_of)  # one shape
-            cost = self.group.cost_model.reduce(self.group.ranks, int(big.nbytes))
-            results: Dict[int, Optional[Payload]] = {i: None for i in payloads}
+            cost = self.group.cost_model.price(
+                "reduce", self.group.ranks, int(big.nbytes))
+            results: Dict[int, Optional[Payload]] = dict.fromkeys(payloads)
             results[root] = combined
             return results, cost, big.dtype.itemsize
 
@@ -317,6 +391,8 @@ class Communicator:
     def scatter(self, x: Optional[Payload], root: int = 0, axis: int = 0) -> Payload:
         """Split root's payload into ``size`` chunks along ``axis``; rank i
         receives chunk i."""
+        if not 0 <= root < self.size:
+            raise _out_of_range("scatter", "root", root, self.size)
 
         def finalize(payloads: Dict[int, Payload]):
             src = payloads[root]
@@ -334,15 +410,17 @@ class Communicator:
 
     def gather(self, x: Payload, root: int = 0, axis: int = 0) -> Optional[Payload]:
         """Concatenate payloads on local rank ``root``; others get ``None``."""
+        if not 0 <= root < self.size:
+            raise _out_of_range("gather", "root", root, self.size)
 
         def finalize(payloads: Dict[int, Payload]):
-            chunks = [payloads[i] for i in sorted(payloads)]
+            chunks = list(map(payloads.__getitem__, sorted(payloads)))
             gathered = _concat_axis(chunks, axis, "gather")
             big = max(chunks, key=_nbytes_of)
             cost = self.group.cost_model.gather(
                 self.group.global_rank(root), self.group.ranks, int(big.nbytes)
             )
-            results: Dict[int, Optional[Payload]] = {i: None for i in payloads}
+            results: Dict[int, Optional[Payload]] = dict.fromkeys(payloads)
             results[root] = gathered
             return results, cost, big.dtype.itemsize
 
@@ -423,6 +501,9 @@ class Communicator:
         max-joins its end."""
         src_g = self.global_rank
         group = self.group
+        if not 0 <= dst < group.size:
+            raise _out_of_range("send" if kind == "ps" else "isend", "dst",
+                                dst, group.size)
         dst_g = group.ranks[dst]
         runtime = group.runtime
         t_entry = runtime.clocks[src_g].time
@@ -454,6 +535,8 @@ class Communicator:
 
     def recv(self, src: int, tag: Any = 0) -> Payload:
         """Blocking receive from local rank ``src``."""
+        if not 0 <= src < self.size:
+            raise _out_of_range("recv", "src", src, self.size)
         src_g = self.group.ranks[src]
         dst_g = self.global_rank
         runtime = self.group.runtime
@@ -468,6 +551,8 @@ class Communicator:
 
     def sendrecv(self, x: Payload, dst: int, src: int, tag: Any = 0) -> Payload:
         """Combined send+recv (deadlock-free pairwise exchange)."""
+        if not 0 <= src < self.size:  # before the send moves anything
+            raise _out_of_range("sendrecv", "src", src, self.size)
         self.send(x, dst, tag)
         return self.recv(src, tag)
 
@@ -487,6 +572,8 @@ class Communicator:
 
     def irecv(self, src: int, tag: Any = 0) -> "Request":
         """Non-blocking receive; ``wait()`` blocks until the message lands."""
+        if not 0 <= src < self.size:
+            raise _out_of_range("irecv", "src", src, self.size)
         return Request(kind="recv", comm=self, src=src, tag=tag)
 
     # -- introspection ------------------------------------------------------------

@@ -278,14 +278,23 @@ class CostModel:
 
     # -- dispatch ----------------------------------------------------------------
 
-    def _dispatch(
-        self, op: str, ranks: Sequence[int], nbytes: int, algorithm: Optional[str]
+    def price(
+        self, op: str, ranks: Sequence[int], nbytes: int,
+        algorithm: Optional[str] = None,
     ) -> CollectiveCost:
+        """Cost of selectable collective ``op`` under ``algorithm`` (default
+        the model's): ``auto`` asks the selector, a fixed family reads
+        :meth:`_op_cost`'s memo entry inline and enters it on a miss only."""
         if len(ranks) < 2 or nbytes == 0:
             return _ZERO
         algo = algorithm if algorithm is not None else self.algorithm
         if algo == "auto":
             return self.selector.select(op, ranks, nbytes)
+        tag, memo = self._memo
+        if tag == (self.cluster.topology.version, self.island_ratio):
+            cost = memo.get((op, tuple(ranks), nbytes, algo))
+            if cost is not None:
+                return cost
         return self._op_cost(op, ranks, nbytes, algo)
 
     def _op_cost(
@@ -520,27 +529,27 @@ class CostModel:
     def allreduce(
         self, ranks: Sequence[int], nbytes: int, algorithm: Optional[str] = None
     ) -> CollectiveCost:
-        return self._dispatch("all_reduce", ranks, int(nbytes), algorithm)
+        return self.price("all_reduce", ranks, int(nbytes), algorithm)
 
     def allgather(
         self, ranks: Sequence[int], nbytes_local: int, algorithm: Optional[str] = None
     ) -> CollectiveCost:
-        return self._dispatch("all_gather", ranks, int(nbytes_local), algorithm)
+        return self.price("all_gather", ranks, int(nbytes_local), algorithm)
 
     def reduce_scatter(
         self, ranks: Sequence[int], nbytes_in: int, algorithm: Optional[str] = None
     ) -> CollectiveCost:
-        return self._dispatch("reduce_scatter", ranks, int(nbytes_in), algorithm)
+        return self.price("reduce_scatter", ranks, int(nbytes_in), algorithm)
 
     def broadcast(
         self, ranks: Sequence[int], nbytes: int, algorithm: Optional[str] = None
     ) -> CollectiveCost:
-        return self._dispatch("broadcast", ranks, int(nbytes), algorithm)
+        return self.price("broadcast", ranks, int(nbytes), algorithm)
 
     def reduce(
         self, ranks: Sequence[int], nbytes: int, algorithm: Optional[str] = None
     ) -> CollectiveCost:
-        return self._dispatch("reduce", ranks, int(nbytes), algorithm)
+        return self.price("reduce", ranks, int(nbytes), algorithm)
 
     # -- direct queries: one schedule each, priced once per key like _op_cost
 

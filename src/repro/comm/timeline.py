@@ -36,6 +36,7 @@ from typing import Any, Dict, Optional, Sequence
 
 from repro.comm.cost import CollectiveCost
 from repro.comm.counters import CommCounters
+from repro.runtime.clock import SimClock, StreamClock
 from repro.runtime.errors import CollectiveTimeout
 
 #: shared empty trace-tag mapping — rounds only swap in a real dict when the
@@ -136,7 +137,8 @@ class GroupTimeline:
         group's comm stream has drained, and ends ``cost`` (plus injected
         retransmissions) later.  A blocking round syncs every member's
         compute clock to the end; a nonblocking one occupies their comm
-        streams and leaves the clocks to each :meth:`settle`.
+        streams and leaves the clocks to each :meth:`settle` — either way
+        in one member-loop frame (``sync_all`` / ``occupy_all``).
 
         ``retry_seconds`` stays its own term: ``t_start + cost.seconds +
         retry_seconds`` is left-associated, and a ``permanent`` failure —
@@ -154,13 +156,9 @@ class GroupTimeline:
             t_end = t_start + cost.seconds + retry_seconds
         self.tail = t_end
         if rnd.mode == "sync":
-            clocks = host.clocks
-            for g in self.ranks:
-                clocks[g].sync_to(t_end, "comm")
+            SimClock.sync_all(host.clocks, self.ranks, t_end, "comm")
         else:
-            streams = host.comm_streams
-            for g in self.ranks:
-                streams[g].occupy(t_start, t_end)
+            StreamClock.occupy_all(host.comm_streams, self.ranks, t_start, t_end)
         if permanent:
             return
         if cost.wire_bytes:

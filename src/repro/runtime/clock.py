@@ -168,6 +168,25 @@ class SimClock:
             elif t != t:
                 raise ValueError(f"cannot sync clock to {t}")
 
+    @staticmethod
+    def sync_all(clocks: Sequence["SimClock"], ranks: Sequence[int], t: float,
+                 category: str = "wait") -> None:
+        """:meth:`sync_to` of ``clocks[g]`` for every ``g`` in ``ranks``, in
+        one frame: each under its own lock, with its arithmetic and refusals."""
+        for g in ranks:
+            clock = clocks[g]
+            with clock._lock:
+                if t > clock.time:
+                    if t == math.inf:
+                        raise ValueError(f"cannot sync clock to {t}")
+                    t0 = clock.time
+                    clock._busy[category] = clock._busy.get(category, 0.0) + (t - t0)
+                    clock.time = t
+                    if clock._observer is not None:
+                        clock._observer(category, t0, t)
+                elif t != t:
+                    raise ValueError(f"cannot sync clock to {t}")
+
     def breakdown(self) -> Dict[str, float]:
         """Seconds spent per category (compute / comm / wait / ...)."""
         with self._lock:
@@ -237,6 +256,22 @@ class StreamClock:
             self.overlapped_terms.append(dt)
             if t1 > self.time:
                 self.time = t1
+
+    @staticmethod
+    def occupy_all(streams: Sequence["StreamClock"], ranks: Sequence[int],
+                   t0: float, t1: float, category: str = "comm") -> None:
+        """:meth:`occupy` of ``streams[g]`` for every ``g`` in ``ranks``, in
+        one frame, each stream under its own lock."""
+        if not -math.inf < t0 <= t1 < math.inf:
+            raise ValueError(f"bad stream occupancy: {t0} -> {t1}")
+        dt = t1 - t0
+        for g in ranks:
+            stream = streams[g]
+            with stream._lock:
+                stream._busy.setdefault(category, []).append(dt)
+                stream.overlapped_terms.append(dt)
+                if t1 > stream.time:
+                    stream.time = t1
 
     def busy_seconds(self) -> float:
         with self._lock:

@@ -230,6 +230,76 @@ class TestP2P:
         assert run_spmd(2, prog) == [1.0, 0.0]
 
 
+def _size_4(what, name, value):
+    return f"{what}: {name} {value} is not a local rank of a group of size 4"
+
+
+#: a call every rank of a 4-rank world makes with an out-of-range root or
+#: peer, and the error it must raise
+_BAD_RANKS = {
+    "reduce-root-9": (lambda comm, x: comm.reduce(x, root=9),
+                      _size_4("reduce", "root", 9)),
+    "reduce-root--1": (lambda comm, x: comm.reduce(x, root=-1),
+                       _size_4("reduce", "root", -1)),
+    "gather-root-4": (lambda comm, x: comm.gather(x, root=4),
+                      _size_4("gather", "root", 4)),
+    "broadcast-root-4": (lambda comm, x: comm.broadcast(x, root=4),
+                         _size_4("broadcast", "root", 4)),
+    "scatter-root--1": (lambda comm, x: comm.scatter(x, root=-1),
+                        _size_4("scatter", "root", -1)),
+    "send-dst--1": (lambda comm, x: comm.send(x, dst=-1),
+                    _size_4("send", "dst", -1)),
+    "isend-dst-4": (lambda comm, x: comm.isend(x, dst=4),
+                    _size_4("isend", "dst", 4)),
+    "recv-src--1": (lambda comm, x: comm.recv(src=-1),
+                    _size_4("recv", "src", -1)),
+    "irecv-src-4": (lambda comm, x: comm.irecv(src=4),
+                    _size_4("irecv", "src", 4)),
+    "sendrecv-dst--1": (
+        lambda comm, x: comm.sendrecv(x, dst=-1, src=(comm.rank - 1) % 4),
+        _size_4("send", "dst", -1)),
+    "sendrecv-src--1": (
+        lambda comm, x: comm.sendrecv(x, dst=(comm.rank + 1) % 4, src=-1),
+        _size_4("sendrecv", "src", -1)),
+    "subgroup--1": (lambda comm, x: comm.subgroup([-1, 0]),
+                    _size_4("subgroup", "member", -1)),
+}
+
+
+class TestOutOfRangeRanks:
+    """A root or peer outside ``[0, size)`` is refused on the calling rank
+    with the same ``ValueError`` in both modes, before any clock, counter,
+    round or mailbox moves; a negative one used to wrap to a member from the
+    end, and ``reduce`` dropped its result."""
+
+    @pytest.mark.parametrize("spec", [False, True], ids=["real", "spec"])
+    @pytest.mark.parametrize("case", list(_BAD_RANKS))
+    def test_refused_before_anything_moves(self, case, spec):
+        call, text = _BAD_RANKS[case]
+        rt = SpmdRuntime(uniform_cluster(4), deadlock_timeout=2.0,
+                         comm_overlap=case.startswith("isend"))
+
+        def prog(ctx):
+            comm = Communicator.world(ctx)
+            x = (SpecArray((4, 2), "float32") if spec
+                 else np.full((4, 2), float(ctx.rank), np.float32))
+            with pytest.raises(ValueError) as exc:
+                call(comm, x)
+            return str(exc.value)
+
+        # every rank returns (none hangs), and a clean run's end has found
+        # no outstanding buffer-pool loan
+        assert rt.run(prog, materialize=not spec) == [text] * 4
+        assert rt.buffer_pool is not None and not rt.buffer_pool._outstanding
+        assert [c.time for c in rt.clocks] == [0.0] * 4
+        assert [s.time for s in rt.comm_streams] == [0.0] * 4
+        assert not rt.mailboxes._boxes
+        world = rt.world_group
+        assert list(rt._groups.values()) == [world]  # no subgroup was built
+        assert world._rounds == {} and set(world._seq.values()) == {0}
+        assert world.counters.calls_total == world.counters.bytes_total == 0
+
+
 class TestSpecMode:
     def test_all_reduce_spec(self):
         def prog(ctx):
@@ -266,6 +336,23 @@ class TestSpecMode:
             return ctx.clock.time
 
         assert run_spmd(4, prog_real) == run_spmd(4, prog_spec, materialize=False)
+
+    @pytest.mark.parametrize("nonblocking", [False, True])
+    def test_agreeing_members_share_rank_0_payload(self, nonblocking):
+        """A spec all-reduce or broadcast result is an immutable value: every
+        member receives the one payload, built nowhere."""
+        xs = [SpecArray((4, 4), "float16") for _ in range(4)]
+
+        def prog(ctx):
+            comm = Communicator.world(ctx)
+            if nonblocking:
+                reduced = comm.iallreduce(xs[ctx.rank]).wait()
+            else:
+                reduced = comm.all_reduce(xs[ctx.rank])
+            return reduced, comm.broadcast(xs[ctx.rank], root=2)
+
+        for reduced, sent in run_spmd(4, prog, materialize=False):
+            assert reduced is xs[0] and sent is xs[2]
 
 
 class TestCountersAndCost:

@@ -572,6 +572,31 @@ class TestServeHostCost:
                  + self.CLUSTER_PER_RUN)
         assert sum(calls.values()) <= bound, (calls, bound)
 
+    #: frames beneath one warm ``drive_round`` (a served step's all-reduce)
+    #: at any TP degree: the round record, the last arriver's
+    #: ``_finalize_round``, the finalize and its one-frame price, ``place``
+    #: with its member loop, the counters' record.  Read 16 at TP 2 and 18
+    #: at TP 4 before DESIGN 4l cut 4 (a ``sync_to`` per member, the
+    #: shape-check / combine / replicate helpers, a three-frame price)
+    FRAMES_PER_DRIVEN_ROUND = 8
+
+    @pytest.mark.parametrize("tp", [2, 4])
+    def test_driven_round_frames(self, tp):
+        traffic = OpenLoopTraffic(rate=2e4, n_requests=100, seed=3,
+                                  prompt_tokens=(8, 24), max_new_tokens=(4, 12))
+        rt = SpmdRuntime(uniform_cluster(tp), tp)
+        # the first session prices every batch size the second one asks for
+        serve_traffic(_SERVE_MODEL, traffic, runtime=rt, kv_blocks=512)
+        root = "comm/group.py:ProcessGroup.drive_round"
+        counter = _repro_counter(beneath=(root,))
+        with counter.this_thread():
+            serve_traffic(_SERVE_MODEL, traffic, runtime=rt, kv_blocks=512)
+        calls = counter.total()
+        rounds = calls[root, root]
+        assert rounds > 20
+        frames = sum(n for (r, _), n in calls.items() if r == root)
+        assert frames <= self.FRAMES_PER_DRIVEN_ROUND * rounds, calls
+
     #: serve calls per admission (re-admissions after preemption count),
     #: read at 13.4 (roomy, open loop) and 19.3 (tight, closed loop) when
     #: this guard was written; 22.4 and 35.7 before admission, block growth
@@ -936,12 +961,14 @@ class TestCollectiveHostCost:
 
     RANK_OPS = _STORM_WORLD * _STORM_ROUNDS * _STORM_EXCHANGES
     #: calls into src/repro per rank-level exchange, observers off.  Reads
-    #: 13.9 since a parked waiter reads the abort flag inline (14.5 before;
-    #: 15.2 before a repeated query was one memo read, DESIGN 4w; 14.9 when
-    #: written, 12.9 on bench's 150 rounds, where the first-use pricing
-    #: amortises); re-walking the topology every round and the per-rank
-    #: helper frames read 29.4 (26.4)
-    CALLS_PER_RANK_OP = 15.3
+    #: 11.2 since the last arriver moves member clocks in one frame, a spec
+    #: round finalizes inline and a warm price is one frame (13.3 before,
+    #: DESIGN 4l cut 4; 13.9 before a parked waiter read the abort flag
+    #: inline; 14.5 before that; 15.2 before a repeated query was one memo
+    #: read, DESIGN 4w; 14.9 when written, 12.9 on bench's 150 rounds, where
+    #: the first-use pricing amortises); re-walking the topology every round
+    #: and the per-rank helper frames read 29.4 (26.4)
+    CALLS_PER_RANK_OP = 12.3
     #: calls into src/repro/sanitize per exchange under Tracer + full
     #: sanitizer; reads 1.9 since an observed round costs one ``enter`` hook
     #: per member and a fixed few frames (7.2 before, when checksums, the
@@ -968,6 +995,54 @@ class TestCollectiveHostCost:
                        "comm/payload.py:SpecArray.ndim",
                        "comm/communicator.py:Communicator.all_to_all.<locals>.<genexpr>"):
             assert calls[helper] == 0, helper
+
+    def test_member_clocks_move_in_one_frame(self):
+        """Beneath ``GroupTimeline.place`` a round makes the same few frames
+        at any group size: one member loop over the clocks (blocking) or
+        the comm streams (nonblocking) and the counters' record — no
+        ``sync_to`` / ``occupy`` per member (DESIGN 4l cut 4)."""
+        place = "comm/timeline.py:GroupTimeline.place"
+        calls = _counted_storm(beneath=(place,))
+        rounds = calls[place, place]
+        # per storm round: three world rounds, two row groups' all_gather
+        # and broadcast, four column groups' reduce_scatter
+        assert rounds == 11 * _STORM_ROUNDS
+        beneath = {callee: n for (root, callee), n in calls.items()
+                   if root == place}
+        assert set(beneath) == {
+            place, "runtime/clock.py:SimClock.sync_all",
+            "runtime/clock.py:StreamClock.occupy_all",
+            "comm/counters.py:CommCounters.record"}, beneath
+        assert beneath["runtime/clock.py:StreamClock.occupy_all"] == (
+            _STORM_ROUNDS)  # the one nonblocking round of each storm round
+        assert sum(beneath.values()) <= 3 * rounds
+
+    #: frames beneath each warm spec finalize on the storm: itself, the
+    #: price and the selector (``auto``), and for a derived result one
+    #: ``SpecArray``
+    FINALIZE_FRAMES = {
+        "comm/communicator.py:all_reduce_finalize": 3,
+        "comm/communicator.py:all_gather_finalize": 4,
+        "comm/communicator.py:reduce_scatter_finalize": 4,
+    }
+
+    def test_spec_round_finalizes_inline(self):
+        """A warm spec round checks shapes, derives its result and shares
+        it inline: no shape-check, combine, split, concat or replicate frame
+        runs beneath the three finalizers, and an all-reduce whose members
+        agree in dtype shares local rank 0's payload (no ``SpecArray``
+        built)."""
+        calls = _counted_storm(runs=2, beneath=tuple(self.FINALIZE_FRAMES))
+        for root, frames in self.FINALIZE_FRAMES.items():
+            beneath = {callee: n for (r, callee), n in calls.items()
+                       if r == root}
+            finalized = beneath[root]
+            assert finalized >= _STORM_ROUNDS, (root, beneath)
+            assert set(beneath) <= {
+                root, "comm/cost.py:CostModel.price",
+                "comm/algorithms.py:AlgorithmSelector.select",
+                "comm/payload.py:SpecArray.__init__"}, (root, beneath)
+            assert sum(beneath.values()) == frames * finalized, (root, beneath)
 
     #: calls into src/repro beneath one nonblocking ``wait()`` whose round
     #: has completed: the handle, ``GroupTimeline.settle``, ``sync_to`` (the

@@ -159,6 +159,84 @@ def test_advance_run_stops_at_a_bad_advance_like_the_loop(head, bad, tail):
     assert run_calls == loop_calls
 
 
+def _traced_runtimes(world, entries, traced):
+    """Two identical runtimes whose clocks read ``entries`` (advanced as
+    compute), each with its own ``Tracer`` when ``traced``."""
+    from repro.cluster import uniform_cluster
+    from repro.trace import Tracer
+
+    out = []
+    for _ in range(2):
+        tracer = Tracer() if traced else None
+        rt = SpmdRuntime(uniform_cluster(world), tracer=tracer)
+        for clock, t in zip(rt.clocks, entries):
+            clock.advance(t, "compute")
+        out.append((rt, tracer))
+    return out
+
+
+def _clock_state(rt, tracer):
+    return ([c.time for c in rt.clocks], [c.breakdown() for c in rt.clocks],
+            [c.breakdown() for c in rt.comm_streams],
+            [s.time for s in rt.comm_streams],
+            None if tracer is None else tracer.spans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(),
+       entries=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=6),
+       category=_categories, traced=st.booleans())
+def test_sync_all_is_a_loop_of_sync_to(data, entries, category, traced):
+    """The member loop moves every clock exactly as a ``sync_to`` per
+    member would: the same time, breakdown and observer spans — members
+    already past ``t`` untouched, NaN and ``+inf`` refused at the first
+    member, in any member order."""
+    world = len(entries)
+    ranks = data.draw(st.permutations(range(world)).flatmap(
+        lambda p: st.integers(1, world).map(lambda k: p[:k])))
+    t = data.draw(st.one_of(
+        st.floats(0.0, 5.0), st.sampled_from(entries),
+        st.sampled_from([math.nan, math.inf, -math.inf])))
+    (one, one_tracer), (loop, loop_tracer) = _traced_runtimes(
+        world, entries, traced)
+    raised = []
+    for fn in (lambda: SimClock.sync_all(one.clocks, ranks, t, category),
+               lambda: [loop.clocks[g].sync_to(t, category) for g in ranks]):
+        try:
+            fn()
+            raised.append(None)
+        except ValueError as exc:
+            raised.append(str(exc))
+    assert raised[0] == raised[1]
+    assert (raised[0] is not None) == (t != t or t == math.inf)
+    assert _clock_state(one, one_tracer) == _clock_state(loop, loop_tracer)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), world=st.integers(1, 6),
+       t0=st.one_of(st.floats(0.0, 4.0),
+                    st.sampled_from([math.nan, -math.inf])),
+       dt=st.one_of(st.floats(0.0, 2.0),
+                    st.sampled_from([-0.5, math.nan, math.inf])))
+def test_occupy_all_is_a_loop_of_occupy(data, world, t0, dt):
+    ranks = data.draw(st.permutations(range(world)))
+    (one, _), (loop, _) = _traced_runtimes(world, [0.0] * world, False)
+    for rt in (one, loop):  # a head already past the interval on one stream
+        rt.comm_streams[0].occupy(0.0, 3.0)
+    raised = []
+    for fn in (lambda: StreamClock.occupy_all(
+                   one.comm_streams, ranks, t0, t0 + dt),
+               lambda: [loop.comm_streams[g].occupy(t0, t0 + dt)
+                        for g in ranks]):
+        try:
+            fn()
+            raised.append(None)
+        except ValueError as exc:
+            raised.append(str(exc))
+    assert raised[0] == raised[1]
+    assert _clock_state(one, None) == _clock_state(loop, None)
+
+
 class TestSpmdRuntime:
     def test_all_ranks_run(self, rt4):
         res = rt4.run(lambda ctx: ctx.rank * 10)

@@ -142,6 +142,26 @@ class TestReduceOpValidation:
         assert real[:2] == ("ok", [((4,), "float32")] * WORLD)
 
 
+class TestMixedDtypes:
+    """A spec round whose members disagree in dtype promotes like the real
+    round, on the path that derives its result inline."""
+
+    @pytest.mark.parametrize("method,extra", [
+        ("all_reduce", ()),
+        ("reduce", (0,)),
+        ("reduce_scatter", (0,)),
+        ("all_gather", (0,)),
+    ])
+    def test_promoted_like_real(self, method, extra):
+        def make_args(spec, rank):
+            dtype = "float16" if rank == 2 else "int32" if rank == 3 else "float32"
+            return (_payload(spec, (4, 4), dtype, rank),) + extra
+
+        real = _assert_parity(make_args, getattr(Communicator, method))
+        assert real[0] == "ok"
+        assert {r[1] for r in real[1] if r is not None} == {"float64"}
+
+
 class TestSplitAxisMessages:
     """Divisibility failures must name the collective that raised them."""
 
