@@ -45,13 +45,10 @@ _shape_of = operator.attrgetter("shape")
 _nbytes_of = operator.attrgetter("nbytes")
 
 
-def _mismatched_shapes(shapes: set, what: str) -> ValueError:
-    return ValueError(f"{what}: mismatched shapes across ranks: {sorted(shapes)}")
-
-
-def _indivisible(shape: tuple, parts: int, axis: int, what: str) -> ValueError:
-    return ValueError(
-        f"{what}: axis {axis} of shape {shape} not divisible into {parts} parts")
+def _check_same_shape(payloads: Dict[int, Payload], what: str) -> None:
+    shapes = set(map(_shape_of, payloads.values()))
+    if len(shapes) > 1:
+        raise ValueError(f"{what}: mismatched shapes across ranks: {sorted(shapes)}")
 
 
 def _invalid_reduce_op(op: ReduceOp, what: str) -> ValueError:
@@ -79,9 +76,9 @@ def _spec_dtype(payloads: Dict[int, Payload]) -> np.dtype:
     return np.result_type(*map(_dtype_of, map(payloads.__getitem__, sorted(payloads))))
 
 
-def _combine(payloads: Dict[int, np.ndarray], op: ReduceOp,
-             pool: Any = None) -> np.ndarray:
-    """Reduce real payloads in local-rank order (deterministic).
+def _combine(payloads: Dict[int, Payload], op: ReduceOp,
+             pool: Any = None) -> Payload:
+    """Reduce payloads in local-rank order (deterministic).
 
     With a :class:`~repro.runtime.buffer_pool.BufferPool` the accumulator is
     a pooled scratch buffer filled in place (``fn(acc, arr, out=acc)``) —
@@ -90,8 +87,11 @@ def _combine(payloads: Dict[int, np.ndarray], op: ReduceOp,
     the pooled path takes.  The caller owns the returned buffer and must
     ``adopt`` it out of the pool (reductions escape as rank results).
     """
-    ordered = list(map(payloads.__getitem__, sorted(payloads)))
+    ordered = [payloads[i] for i in sorted(payloads)]
     first = ordered[0]
+    if type(first) is SpecArray:
+        return SpecArray(
+            first.shape, np.result_type(*map(_dtype_of, ordered)))
     fn = _REDUCERS[op]
     if pool is not None and all(p.dtype == first.dtype for p in ordered[1:]):
         acc = pool.loan(first.shape, first.dtype, f"combine:{op}")
@@ -114,12 +114,14 @@ def _pooled_copy(arr: np.ndarray, pool: Any, label: str) -> np.ndarray:
     return out
 
 
-def _replicate(value: np.ndarray, payloads: Dict[int, Any], owner: int,
-               pool: Any = None, label: str = "") -> Dict[int, np.ndarray]:
-    """Every member's copy of a real round's result: local rank ``owner``
+def _replicate(value: Payload, payloads: Dict[int, Any], owner: int,
+               pool: Any = None, label: str = "") -> Dict[int, Payload]:
+    """Every member's copy of a round's result.  A spec stand-in is an
+    immutable value and is shared; of a real array, local rank ``owner``
     keeps the original and every other rank receives its own copy (drawn
-    from ``pool`` under ``label`` when one is given).  A spec result is an
-    immutable value, and its finalize shares it (``dict.fromkeys``)."""
+    from ``pool`` under ``label`` when one is given)."""
+    if type(value) is SpecArray:
+        return dict.fromkeys(payloads, value)
     results = {}
     for i in payloads:
         if i == owner:
@@ -133,83 +135,78 @@ def _replicate(value: np.ndarray, payloads: Dict[int, Any], owner: int,
 
 def all_reduce_finalize(group: ProcessGroup, op: ReduceOp,
                         payloads: Dict[int, Payload]):
-    """An all_reduce round's finalize — combine in local-rank order, price,
+    """An all_reduce round's finalize — price, combine in local-rank order,
     replicate — for both spellings and ``ProcessGroup.drive_round``.  A spec
     round does it inline and shares one immutable result: local rank 0's
     payload when every member's dtype agrees."""
-    shapes = set(map(_shape_of, payloads.values()))
-    if len(shapes) > 1:
-        raise _mismatched_shapes(shapes, "all_reduce")
+    if len(set(map(_shape_of, payloads.values()))) > 1:
+        _check_same_shape(payloads, "all_reduce")  # raises
+    # one shape: the largest payload is the widest dtype, and ties agree
+    big = max(payloads.values(), key=_nbytes_of)
+    cost = group.cost_model.price("all_reduce", group.ranks, int(big.nbytes))
     result = payloads[0]
     if type(result) is SpecArray:
         if len(set(map(_dtype_of, payloads.values()))) > 1:
             result = SpecArray(result.shape, _spec_dtype(payloads))
-    else:
-        pool = group.runtime.buffer_pool
-        result = _combine(payloads, op, pool)
-    # one shape: the largest payload is the widest dtype, and ties agree
-    big = max(payloads.values(), key=_nbytes_of)
-    cost = group.cost_model.price("all_reduce", group.ranks, int(big.nbytes))
-    if type(result) is SpecArray:
         return dict.fromkeys(payloads, result), cost, big.dtype.itemsize
-    results = _replicate(result, payloads, 0, pool, "all_reduce:result")
+    pool = group.runtime.buffer_pool
+    results = _replicate(_combine(payloads, op, pool), payloads, 0, pool,
+                         "all_reduce:result")
     return results, cost, big.dtype.itemsize
 
 
 def all_gather_finalize(group: ProcessGroup, axis: int,
                         payloads: Dict[int, Payload]):
-    """An all_gather round's finalize: concatenate in local-rank order,
-    price, replicate; spec members of one shape are gathered inline."""
+    """An all_gather round's finalize: price, concatenate in local-rank
+    order, replicate; spec members of one shape are gathered inline."""
     chunks = list(map(payloads.__getitem__, sorted(payloads)))
     first = chunks[0]
     shape = first.shape
+    big = max(chunks, key=_nbytes_of)
+    cost = group.cost_model.price("all_gather", group.ranks, int(big.nbytes))
     if type(first) is SpecArray and shape and len(set(map(_shape_of, chunks))) == 1:
         out = list(shape)
-        out[axis] = shape[axis % len(shape)] * len(chunks)
+        out[axis] = shape[axis] * len(chunks)
         dtype = first.dtype
         if len(set(map(_dtype_of, chunks))) > 1:
             dtype = _spec_dtype(payloads)
-        gathered = SpecArray(tuple(out), dtype)
-    else:
-        gathered = _concat_axis(chunks, axis, "all_gather")
-    big = max(chunks, key=_nbytes_of)
-    cost = group.cost_model.price("all_gather", group.ranks, int(big.nbytes))
-    if type(gathered) is SpecArray:
-        return dict.fromkeys(payloads, gathered), cost, big.dtype.itemsize
+        return dict.fromkeys(payloads, SpecArray(tuple(out), dtype)), cost, big.dtype.itemsize
+    gathered = _concat_axis(chunks, axis, "all_gather")
     return _replicate(gathered, payloads, 0), cost, big.dtype.itemsize
 
 
 def reduce_scatter_finalize(group: ProcessGroup, op: ReduceOp, axis: int,
                             payloads: Dict[int, Payload]):
-    """A reduce_scatter round's finalize: combine in local-rank order, hand
-    local rank ``i`` chunk ``i`` along ``axis``, price; a spec round shares
-    one chunk, derived inline."""
-    shapes = set(map(_shape_of, payloads.values()))
-    if len(shapes) > 1:
-        raise _mismatched_shapes(shapes, "reduce_scatter")
+    """A reduce_scatter round's finalize: price, combine in local-rank
+    order, hand local rank ``i`` chunk ``i`` along ``axis``; a spec round
+    shares one chunk, derived inline."""
+    if len(set(map(_shape_of, payloads.values()))) > 1:
+        _check_same_shape(payloads, "reduce_scatter")  # raises
     first, parts = payloads[0], group.size
+    if first.shape[axis] % parts != 0:
+        _split_axis(first, parts, axis, "reduce_scatter")  # raises
+    big = max(payloads.values(), key=_nbytes_of)  # one shape
+    cost = group.cost_model.price("reduce_scatter", group.ranks, int(big.nbytes))
     if type(first) is SpecArray:
         dtype = first.dtype
         if len(set(map(_dtype_of, payloads.values()))) > 1:
             dtype = _spec_dtype(payloads)
-        if first.shape[axis] % parts != 0:
-            raise _indivisible(first.shape, parts, axis, "reduce_scatter")
         out = list(first.shape)
         out[axis] //= parts
-        results = dict.fromkeys(payloads, SpecArray(tuple(out), dtype))
-    else:
-        # combined is adopted out of the pool by _combine: the scattered
-        # chunks are axis-0 *views* of it, so it must never be restocked
-        combined = _combine(payloads, op, group.runtime.buffer_pool)
-        results = dict(enumerate(_split_axis(combined, parts, axis, "reduce_scatter")))
-    big = max(payloads.values(), key=_nbytes_of)  # one shape
-    cost = group.cost_model.price("reduce_scatter", group.ranks, int(big.nbytes))
-    return results, cost, big.dtype.itemsize
+        return dict.fromkeys(payloads, SpecArray(tuple(out), dtype)), cost, big.dtype.itemsize
+    # combined is adopted out of the pool by _combine: the scattered
+    # chunks are axis-0 *views* of it, so it must never be restocked
+    combined = _combine(payloads, op, group.runtime.buffer_pool)
+    chunks = _split_axis(combined, parts, axis, "reduce_scatter")
+    return dict(enumerate(chunks)), cost, big.dtype.itemsize
 
 
 def _split_axis(x: Payload, parts: int, axis: int, what: str) -> List[Payload]:
     if x.shape[axis] % parts != 0:
-        raise _indivisible(x.shape, parts, axis, what)
+        raise ValueError(
+            f"{what}: axis {axis} of shape {x.shape} not divisible into "
+            f"{parts} parts"
+        )
     if type(x) is SpecArray:
         shape = list(x.shape)
         shape[axis] //= parts
@@ -349,12 +346,8 @@ class Communicator:
             src = payloads[root]
             if src is None:
                 raise ValueError("broadcast: root payload is None")
-            cost = self.group.cost_model.price(
-                "broadcast", self.group.ranks, int(src.nbytes))
-            if type(src) is SpecArray:
-                results = dict.fromkeys(payloads, src)
-            else:
-                results = _replicate(src, payloads, root)
+            cost = self.group.cost_model.broadcast(self.group.ranks, int(src.nbytes))
+            results = _replicate(src, payloads, root)
             return results, cost, src.dtype.itemsize
 
         return self.group.rendezvous(
@@ -368,19 +361,11 @@ class Communicator:
             raise _out_of_range("reduce", "root", root, self.size)
 
         def finalize(payloads: Dict[int, Payload]):
-            shapes = set(map(_shape_of, payloads.values()))
-            if len(shapes) > 1:
-                raise _mismatched_shapes(shapes, "reduce")
-            combined = payloads[0]
-            if type(combined) is SpecArray:
-                if len(set(map(_dtype_of, payloads.values()))) > 1:
-                    combined = SpecArray(combined.shape, _spec_dtype(payloads))
-            else:
-                combined = _combine(payloads, op, self.group.runtime.buffer_pool)
+            _check_same_shape(payloads, "reduce")
+            combined = _combine(payloads, op, self.group.runtime.buffer_pool)
             big = max(payloads.values(), key=_nbytes_of)  # one shape
-            cost = self.group.cost_model.price(
-                "reduce", self.group.ranks, int(big.nbytes))
-            results: Dict[int, Optional[Payload]] = dict.fromkeys(payloads)
+            cost = self.group.cost_model.reduce(self.group.ranks, int(big.nbytes))
+            results: Dict[int, Optional[Payload]] = {i: None for i in payloads}
             results[root] = combined
             return results, cost, big.dtype.itemsize
 
@@ -414,13 +399,13 @@ class Communicator:
             raise _out_of_range("gather", "root", root, self.size)
 
         def finalize(payloads: Dict[int, Payload]):
-            chunks = list(map(payloads.__getitem__, sorted(payloads)))
+            chunks = [payloads[i] for i in sorted(payloads)]
             gathered = _concat_axis(chunks, axis, "gather")
             big = max(chunks, key=_nbytes_of)
             cost = self.group.cost_model.gather(
                 self.group.global_rank(root), self.group.ranks, int(big.nbytes)
             )
-            results: Dict[int, Optional[Payload]] = dict.fromkeys(payloads)
+            results: Dict[int, Optional[Payload]] = {i: None for i in payloads}
             results[root] = gathered
             return results, cost, big.dtype.itemsize
 
@@ -551,8 +536,11 @@ class Communicator:
 
     def sendrecv(self, x: Payload, dst: int, src: int, tag: Any = 0) -> Payload:
         """Combined send+recv (deadlock-free pairwise exchange)."""
-        if not 0 <= src < self.size:  # before the send moves anything
-            raise _out_of_range("sendrecv", "src", src, self.size)
+        size = self.size
+        if not 0 <= dst < size:  # both peers before the send moves anything
+            raise _out_of_range("sendrecv", "dst", dst, size)
+        if not 0 <= src < size:
+            raise _out_of_range("sendrecv", "src", src, size)
         self.send(x, dst, tag)
         return self.recv(src, tag)
 

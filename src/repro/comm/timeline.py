@@ -156,7 +156,7 @@ class GroupTimeline:
             t_end = t_start + cost.seconds + retry_seconds
         self.tail = t_end
         if rnd.mode == "sync":
-            SimClock.sync_all(host.clocks, self.ranks, t_end, "comm")
+            SimClock.sync_all(host.clocks, self.ranks, t_end)
         else:
             StreamClock.occupy_all(host.comm_streams, self.ranks, t_start, t_end)
         if permanent:

@@ -155,7 +155,8 @@ class SimClock:
 
     def sync_to(self, t: float, category: str = "wait") -> None:
         """Jump forward to absolute time ``t`` (no-op if already past it);
-        NaN and ``+inf`` are refused, each on the branch it can reach."""
+        NaN and ``+inf`` are refused, each on the branch it can reach.
+        :meth:`sync_all` repeats this body for a collective's members."""
         with self._lock:
             if t > self.time:
                 if t == math.inf:
@@ -169,9 +170,8 @@ class SimClock:
                 raise ValueError(f"cannot sync clock to {t}")
 
     @staticmethod
-    def sync_all(clocks: Sequence["SimClock"], ranks: Sequence[int], t: float,
-                 category: str = "wait") -> None:
-        """:meth:`sync_to` of ``clocks[g]`` for every ``g`` in ``ranks``, in
+    def sync_all(clocks: Sequence["SimClock"], ranks: Sequence[int], t: float) -> None:
+        """``clocks[g].sync_to(t, "comm")`` for every ``g`` in ``ranks``, in
         one frame: each under its own lock, with its arithmetic and refusals."""
         for g in ranks:
             clock = clocks[g]
@@ -180,10 +180,10 @@ class SimClock:
                     if t == math.inf:
                         raise ValueError(f"cannot sync clock to {t}")
                     t0 = clock.time
-                    clock._busy[category] = clock._busy.get(category, 0.0) + (t - t0)
+                    clock._busy["comm"] = clock._busy.get("comm", 0.0) + (t - t0)
                     clock.time = t
                     if clock._observer is not None:
-                        clock._observer(category, t0, t)
+                        clock._observer("comm", t0, t)
                 elif t != t:
                     raise ValueError(f"cannot sync clock to {t}")
 
@@ -247,7 +247,8 @@ class StreamClock:
     def occupy(self, t0: float, t1: float, category: str = "comm") -> None:
         """Record one op running on the stream over ``[t0, t1]``; the whole
         duration is provisionally counted as overlapped until a ``wait``
-        reclassifies the stalled portion."""
+        reclassifies the stalled portion.  :meth:`occupy_all` repeats this
+        body for a collective's members."""
         if not -math.inf < t0 <= t1 < math.inf:
             raise ValueError(f"bad stream occupancy: {t0} -> {t1}")
         with self._lock:
@@ -259,16 +260,16 @@ class StreamClock:
 
     @staticmethod
     def occupy_all(streams: Sequence["StreamClock"], ranks: Sequence[int],
-                   t0: float, t1: float, category: str = "comm") -> None:
-        """:meth:`occupy` of ``streams[g]`` for every ``g`` in ``ranks``, in
-        one frame, each stream under its own lock."""
+                   t0: float, t1: float) -> None:
+        """``streams[g].occupy(t0, t1)`` for every ``g`` in ``ranks``, in one
+        frame, each stream under its own lock."""
         if not -math.inf < t0 <= t1 < math.inf:
             raise ValueError(f"bad stream occupancy: {t0} -> {t1}")
         dt = t1 - t0
         for g in ranks:
             stream = streams[g]
             with stream._lock:
-                stream._busy.setdefault(category, []).append(dt)
+                stream._busy.setdefault("comm", []).append(dt)
                 stream.overlapped_terms.append(dt)
                 if t1 > stream.time:
                     stream.time = t1

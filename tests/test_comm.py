@@ -257,7 +257,7 @@ _BAD_RANKS = {
                     _size_4("irecv", "src", 4)),
     "sendrecv-dst--1": (
         lambda comm, x: comm.sendrecv(x, dst=-1, src=(comm.rank - 1) % 4),
-        _size_4("send", "dst", -1)),
+        _size_4("sendrecv", "dst", -1)),
     "sendrecv-src--1": (
         lambda comm, x: comm.sendrecv(x, dst=(comm.rank + 1) % 4, src=-1),
         _size_4("sendrecv", "src", -1)),

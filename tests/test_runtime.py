@@ -185,8 +185,8 @@ def _clock_state(rt, tracer):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(),
        entries=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=6),
-       category=_categories, traced=st.booleans())
-def test_sync_all_is_a_loop_of_sync_to(data, entries, category, traced):
+       traced=st.booleans())
+def test_sync_all_is_a_loop_of_sync_to(data, entries, traced):
     """The member loop moves every clock exactly as a ``sync_to`` per
     member would: the same time, breakdown and observer spans — members
     already past ``t`` untouched, NaN and ``+inf`` refused at the first
@@ -200,8 +200,8 @@ def test_sync_all_is_a_loop_of_sync_to(data, entries, category, traced):
     (one, one_tracer), (loop, loop_tracer) = _traced_runtimes(
         world, entries, traced)
     raised = []
-    for fn in (lambda: SimClock.sync_all(one.clocks, ranks, t, category),
-               lambda: [loop.clocks[g].sync_to(t, category) for g in ranks]):
+    for fn in (lambda: SimClock.sync_all(one.clocks, ranks, t),
+               lambda: [loop.clocks[g].sync_to(t, "comm") for g in ranks]):
         try:
             fn()
             raised.append(None)
