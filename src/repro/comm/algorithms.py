@@ -22,10 +22,9 @@ query: it depends on history (the first size seen in a bucket fixes the
 family), and its ``hits`` / ``misses`` count queries, not formula runs.
 What a hit returns is a pure function of ``(op, group, nbytes, family)``,
 so it is one read of the model's memo.  The table carries the memo's tag,
-``(Topology.version, island_ratio)``, and drops itself whenever either
-changes — fault-injected link degradation (``scale_link``), recovery
-(``restore_links``) or a live ``island_ratio`` re-tune re-triggers
-selection.
+``Topology.version``, and drops itself whenever it changes — fault-injected
+link degradation (``scale_link``) or recovery (``restore_links``)
+re-triggers selection.
 """
 
 from __future__ import annotations
@@ -35,9 +34,9 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 #: candidate algorithms, in tie-break preference order
 ALGORITHMS = ("ring", "tree", "hierarchical")
 
-#: collectives with more than one implemented algorithm; every other op
-#: (scatter/gather stars, all_to_all, barrier, p2p) has a single schedule
-#: and bypasses selection.
+#: collectives with more than one implemented algorithm, the only ops
+#: ``CostModel.price`` takes; every other op (scatter/gather stars,
+#: all_to_all, barrier, p2p) has a single schedule and its own method.
 SELECTABLE_OPS = frozenset(
     {"all_reduce", "all_gather", "reduce_scatter", "broadcast", "reduce"}
 )
@@ -67,7 +66,7 @@ class AlgorithmSelector:
     ) -> Optional[str]:
         """The memoized algorithm for this (group, op, size bucket), if any."""
         model = self.model
-        if self._tag != (model.cluster.topology.version, model.island_ratio):
+        if self._tag != model.cluster.topology.version:
             return None
         return self._cache.get((tuple(ranks), op, int(nbytes).bit_length()))
 
@@ -78,9 +77,7 @@ class AlgorithmSelector:
         just the bucket representative that populated the cache.
         """
         model = self.model
-        if op not in SELECTABLE_OPS:
-            return model._op_cost(op, ranks, nbytes, "ring")
-        now = (model.cluster.topology.version, model.island_ratio)
+        now = model.cluster.topology.version
         if now != self._tag:
             self._cache.clear()
             self._tag = now

@@ -5,38 +5,34 @@ topology graph; the cost of a call over a group is::
 
     time = alpha * steps + latency_term + data_term(bandwidths)
 
-Three algorithm families are implemented for the reduction/gather ops
-(``all_reduce``/``all_gather``/``reduce_scatter``/``broadcast``/``reduce``):
+Three algorithm families price the selectable ops (``all_reduce`` /
+``all_gather`` / ``reduce_scatter`` / ``broadcast`` / ``reduce``, the last
+running its mirror, the broadcast schedule), through two evaluators:
 
-``ring``
-    The classic pipelined flat ring (NCCL default), bottlenecked by the
-    slowest link on the ring.  Group members are first reordered along
+``ring`` and ``tree`` (:meth:`CostModel._flat`)
+    One level, ``steps·α + latency + coef·n / eff(bw)``.  The ring is the
+    pipelined flat ring (NCCL default): members are reordered along
     high-bandwidth edges (:meth:`Topology.order_ring`) and the ring is
-    priced contention-aware (:meth:`Topology.ring_stats`): hops share the
+    priced contention-aware (:meth:`Topology.ring_stats`), hops sharing the
     physical links their shortest paths traverse.  This single rule is what
     makes System II (PCIe between distant GPUs) slow for group-wide
     collectives while leaving adjacent-pair traffic at NVLink speed — the
-    mechanism behind the paper's Fig 10/11.
+    mechanism behind the paper's Fig 10/11.  The tree is latency-optimal
+    recursive halving / doubling and a binomial broadcast: ``O(log p)``
+    rounds instead of ``O(p)`` steps, at the price of unpipelined transfers
+    and a worst-pair bandwidth bound.  Wins for small messages.
 
-``tree``
-    Latency-optimal recursive halving/doubling (allreduce, reduce-scatter,
-    allgather) and binomial trees (broadcast, reduce): ``O(log p)`` alpha
-    steps instead of ``O(p)``, at the price of unpipelined transfers and a
-    worst-pair bandwidth bound.  Wins for small messages.
-
-``hierarchical``
+``hierarchical`` (:meth:`CostModel._two_level`)
     The NCCL-style two-level schedule for asymmetric fabrics.  The group is
-    partitioned into fast-link islands (:meth:`Topology.islands`: NVLink
-    cliques on System II, node-local cliques on Systems III/IV); an
-    allreduce then runs intra-island reduce-scatter -> inter-island
-    exchange of the resulting shards over the slow bridge (one concurrent
-    leader ring per shard rail) -> intra-island allgather.  Phases are
-    chunk-pipelined: each phase pays its bandwidth-ramp *fill* once (summed
-    over phases), while the steady-state data term is the *max* of the
-    phase rates — so small messages pay the extra phase startups and large
-    messages only see the slowest phase, with most bytes never leaving
-    fast links.  Wins for large messages on island topologies (Fig 10/11's
-    System II).
+    partitioned into fast-link islands (:meth:`Topology.islands` at its one
+    threshold: NVLink cliques on System II, node-local cliques on Systems
+    III/IV).  All-reduce and reduce-scatter go intra-island first,
+    all-gather and broadcast cross the bridge first.  Phases are
+    chunk-pipelined: each pays its bandwidth-ramp *fill* once, while the
+    steady-state data term is the *max* of the phase rates, so most bytes
+    never leave fast links.  Wins for large messages on island topologies
+    (Fig 10/11's System II).  A one-island group has no bridge to cross and
+    prices as the flat ring, labelled ``hierarchical``.
 
 Wire accounting (``wire_bytes``, totalled over ranks) follows each
 algorithm's own volume; for allreduce/reduce-scatter/broadcast every family
@@ -63,13 +59,13 @@ family per (group, op, message-size bucket) and never does worse than the
 flat ring.  Only simulated seconds/wire accounting depend on the algorithm;
 collective *results* are combined identically in every case.
 
-A :class:`CollectiveCost` is a pure function of the query, of
-``Topology.version`` and of ``island_ratio``, so each model prices a
+A :class:`CollectiveCost` is a pure function of the query and of the link
+graph, whose state ``Topology.version`` names, so each model prices a
 distinct query once: the family costs (``_op_cost``), the selector's
 ring re-price and the direct queries (scatter/gather, all-to-all,
-barrier, p2p, ring pass, host transfer) read one memo tagged with those two
-numbers, and the topology probes share it (:meth:`CostModel._retag`).  A
-warm round runs no formula and walks no link; a changed tag prices the next
+barrier, p2p, ring pass, host transfer) read one memo tagged with that
+version, and the topology probes share it (:meth:`CostModel._retag`).  A
+warm round runs no formula and walks no link; a link edit prices the next
 round afresh.
 
 Every cost formula is written here once: the underscore probes say where
@@ -85,7 +81,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.machine import ClusterSpec
-from repro.comm.algorithms import AlgorithmSelector, check_algorithm
+from repro.comm.algorithms import SELECTABLE_OPS, AlgorithmSelector, check_algorithm
 
 
 @dataclass(frozen=True)
@@ -114,7 +110,7 @@ def _memoised(walk: Callable) -> Callable:
     @functools.wraps(walk)
     def probe(self: "CostModel", *args: Any) -> Any:
         tag, memo = self._memo
-        if tag != (self.cluster.topology.version, self.island_ratio):
+        if tag != self.cluster.topology.version:
             memo = self._retag()
         key = (name, *args[:-1], tuple(args[-1]))
         try:
@@ -131,24 +127,15 @@ class CostModel:
 
     ``algorithm`` is the default family for selectable collectives
     (``"ring" | "tree" | "hierarchical" | "auto"``); every collective method
-    also takes a per-call ``algorithm=`` override.  ``island_ratio`` is the
-    bandwidth-ratio threshold for island detection (a member pair is
-    "fast" when its path bandwidth is at least this fraction of the
-    group's fastest pair).
+    also takes a per-call ``algorithm=`` override.
     """
 
-    def __init__(
-        self,
-        cluster: ClusterSpec,
-        algorithm: str = "ring",
-        island_ratio: float = 0.5,
-    ) -> None:
+    def __init__(self, cluster: ClusterSpec, algorithm: str = "ring") -> None:
         self.cluster = cluster
         self.alpha = cluster.alpha
         self.bw_ramp = getattr(cluster, "bw_ramp_time", 0.0)
         check_algorithm(algorithm)
         self.algorithm = algorithm
-        self.island_ratio = island_ratio
         self.selector = AlgorithmSelector(self)
         #: (tag, {query or probe key: value}) — see :meth:`_retag`
         self._memo: Tuple[Any, Dict[tuple, Any]] = (None, {})
@@ -158,13 +145,13 @@ class CostModel:
         dict.
 
         Every priced query and topology probe is a pure function of its key
-        and of what it reads besides: ``Topology.version`` and
-        ``island_ratio``.  The memo is one dict tagged with those two, and a
-        reader that finds a stale tag calls this, which drops the dict whole
-        (the :class:`AlgorithmSelector` keeps its bucket table under the
-        same tag), so ``scale_link`` / ``restore_links`` and a live
-        ``island_ratio`` change re-price the next round.  Readers test the
-        tag inline and a hit is one dict read with no frame of its own.
+        and of the link graph, whose state ``Topology.version`` names.  The
+        memo is one dict tagged with that version, and a reader that finds a
+        stale tag calls this, which drops the dict whole (the
+        :class:`AlgorithmSelector` keeps its bucket table under the same
+        tag), so ``scale_link`` / ``restore_links`` re-price the next round.
+        Readers test the tag inline and a hit is one dict read with no frame
+        of its own.
 
         A racing writer is harmless: the tag is read *before* pricing, the
         value goes into the dict that was looked up with it, and
@@ -173,8 +160,7 @@ class CostModel:
         stale and is never served under the new version.  Two threads
         replacing a stale dict at once lose an entry, nothing else.
         """
-        memo = self._memo = (
-            (self.cluster.topology.version, self.island_ratio), {})
+        memo = self._memo = (self.cluster.topology.version, {})
         return memo[1]
 
     def _eff(self, bw: float, nbytes: int) -> float:
@@ -229,9 +215,9 @@ class CostModel:
 
     @_memoised
     def _islands(self, ranks: Sequence[int]) -> Tuple[Tuple[str, ...], ...]:
-        """Fast-link islands of the group, as (hashable, shared) tuples."""
-        islands = self.cluster.topology.islands(
-            self._names(ranks), self.island_ratio)
+        """Fast-link islands of the group (:meth:`Topology.islands` at its
+        one threshold), as (hashable, shared) tuples."""
+        islands = self.cluster.topology.islands(self._names(ranks))
         return tuple(tuple(g) for g in islands)
 
     def _phase(
@@ -291,7 +277,7 @@ class CostModel:
         if algo == "auto":
             return self.selector.select(op, ranks, nbytes)
         tag, memo = self._memo
-        if tag == (self.cluster.topology.version, self.island_ratio):
+        if tag == self.cluster.topology.version:
             cost = memo.get((op, tuple(ranks), nbytes, algo))
             if cost is not None:
                 return cost
@@ -301,11 +287,11 @@ class CostModel:
         self, op: str, ranks: Sequence[int], nbytes: int, algo: str
     ) -> CollectiveCost:
         """Cost of ``op`` under one concrete algorithm, priced once per
-        distinct query.  Ops that do not implement the requested family
-        fall back to their flat schedule, so a global ``algorithm="tree"``
-        setting stays valid for every op."""
+        distinct query: a hierarchical schedule over two or more islands
+        by :meth:`_two_level`, everything else by :meth:`_flat`.  ``reduce``
+        runs its mirror, the broadcast schedule."""
         tag, memo = self._memo
-        if tag != (self.cluster.topology.version, self.island_ratio):
+        if tag != self.cluster.topology.version:
             memo = self._retag()
         key = (op, tuple(ranks), nbytes, algo)
         cost = memo.get(key)
@@ -313,216 +299,125 @@ class CostModel:
             return cost
         _check_nbytes(op, nbytes)
         check_algorithm(algo)
-        fn = getattr(self, f"_{algo}_{op}", None)
-        if fn is None:
-            cost = getattr(self, f"_ring_{op}")(ranks, nbytes)
-        elif algo == "hierarchical" and len(self._islands(ranks)) < 2:
-            # one island has no bridge to cross: the flat ring, relabelled
-            ring = getattr(self, f"_ring_{op}")(ranks, nbytes)
-            cost = CollectiveCost(ring.seconds, ring.wire_bytes, algo)
+        if op not in SELECTABLE_OPS:
+            raise ValueError(
+                f"cannot price {op!r} by algorithm: price() takes one of "
+                f"SELECTABLE_OPS {sorted(SELECTABLE_OPS)}")
+        shape = "broadcast" if op == "reduce" else op
+        if algo == "hierarchical" and len(self._islands(ranks)) > 1:
+            cost = self._two_level(shape, ranks, nbytes)
         else:
-            cost = fn(ranks, nbytes)
+            cost = self._flat(shape, ranks, nbytes, algo)
         memo[key] = cost
         return cost
 
-    # -- flat ring algorithms ----------------------------------------------------
-
-    def _ring_all_reduce(self, ranks: Sequence[int], nbytes: int) -> CollectiveCost:
-        p = len(ranks)
-        bw, lat = self._ring(ranks)
-        steps = 2 * (p - 1)
-        seconds = (
-            steps * self.alpha + lat
-            + (2 * (p - 1) / p) * nbytes / self._eff(bw, nbytes)
-        )
-        return CollectiveCost(seconds, 2 * (p - 1) * nbytes, "ring")
-
-    def _ring_all_gather(self, ranks: Sequence[int], nbytes_local: int) -> CollectiveCost:
-        p = len(ranks)
-        bw, lat = self._ring(ranks)
-        seconds = (
-            (p - 1) * self.alpha + lat
-            + (p - 1) * nbytes_local / self._eff(bw, p * nbytes_local)
-        )
-        return CollectiveCost(seconds, p * (p - 1) * nbytes_local, "ring")
-
-    def _ring_reduce_scatter(self, ranks: Sequence[int], nbytes_in: int) -> CollectiveCost:
-        p = len(ranks)
-        bw, lat = self._ring(ranks)
-        seconds = (
-            (p - 1) * self.alpha + lat
-            + ((p - 1) / p) * nbytes_in / self._eff(bw, nbytes_in)
-        )
-        return CollectiveCost(seconds, (p - 1) * nbytes_in, "ring")
-
-    def _ring_broadcast(self, ranks: Sequence[int], nbytes: int) -> CollectiveCost:
-        p = len(ranks)
-        bw, lat = self._ring(ranks)
-        seconds = p * self.alpha + lat + nbytes / self._eff(bw, nbytes)
-        return CollectiveCost(seconds, (p - 1) * nbytes, "ring")
-
-    _ring_reduce = _ring_broadcast  # symmetric ring algorithm
-
-    # -- tree algorithms ---------------------------------------------------------
-
-    def _tree_all_reduce(self, ranks: Sequence[int], nbytes: int) -> CollectiveCost:
-        """Recursive halving (reduce-scatter) + doubling (allgather):
-        ``2 ceil(log2 p)`` rounds moving ``2(p-1)/p * n`` per rank, bounded
-        by the worst partner pair (round partners span every distance).
-        Rounds use the eager low-latency protocol, so the bandwidth ramp is
-        charged once on the aggregate volume rather than per round."""
-        p = len(ranks)
-        steps = 2 * math.ceil(math.log2(p))
-        bw, lat = self._pairwise(ranks)
-        seconds = (
-            steps * (self.alpha + lat)
-            + (2 * (p - 1) / p) * nbytes / self._eff(bw, nbytes)
-        )
-        return CollectiveCost(seconds, 2 * (p - 1) * nbytes, "tree")
-
-    def _tree_all_gather(self, ranks: Sequence[int], nbytes_local: int) -> CollectiveCost:
-        """Recursive doubling: ceil(log2 p) rounds, same volume as the ring."""
-        p = len(ranks)
-        steps = math.ceil(math.log2(p))
-        bw, lat = self._pairwise(ranks)
-        seconds = (
-            steps * (self.alpha + lat)
-            + (p - 1) * nbytes_local / self._eff(bw, p * nbytes_local)
-        )
-        return CollectiveCost(seconds, p * (p - 1) * nbytes_local, "tree")
-
-    def _tree_reduce_scatter(self, ranks: Sequence[int], nbytes_in: int) -> CollectiveCost:
-        """Recursive halving: ceil(log2 p) rounds, (p-1)/p * n per rank."""
-        p = len(ranks)
-        steps = math.ceil(math.log2(p))
-        bw, lat = self._pairwise(ranks)
-        seconds = (
-            steps * (self.alpha + lat)
-            + ((p - 1) / p) * nbytes_in / self._eff(bw, nbytes_in)
-        )
-        return CollectiveCost(seconds, (p - 1) * nbytes_in, "tree")
-
-    def _tree_broadcast(self, ranks: Sequence[int], nbytes: int) -> CollectiveCost:
-        """Binomial tree: ceil(log2 p) levels each forwarding the full
-        payload (unpipelined — the ring wins for large messages)."""
-        p = len(ranks)
-        steps = math.ceil(math.log2(p))
-        bw, lat = self._pairwise(ranks)
-        seconds = steps * (self.alpha + lat + nbytes / self._eff(bw, nbytes))
-        return CollectiveCost(seconds, (p - 1) * nbytes, "tree")
-
-    _tree_reduce = _tree_broadcast  # mirrored binomial tree
-
-    # -- hierarchical (two-level island) algorithms ------------------------------
-
-    def _hierarchical_all_reduce(self, ranks: Sequence[int], nbytes: int) -> CollectiveCost:
-        """Intra-island reduce-scatter -> per-shard-rail inter-island ring
-        allreduce over the slow bridge -> intra-island allgather.  The
-        phases are chunk-pipelined (data term = max of the phase terms) and
-        the ``s`` shard rails of an island drive the bridge concurrently,
-        so each rail only carries ``n/s`` bytes across the slow links."""
-        p = len(ranks)
-        islands = self._islands(ranks)
-        intra, bridge_bw, bridge_lat, k, s = self._island_phases(islands)
-        shard = nbytes / s
-        phases = [
-            self._phase((sz - 1) / sz * nbytes, nbytes, bw) for sz, bw, _lat in intra
-        ]
-        su_intra = max((su for su, _sl in phases), default=0.0)
-        sl_intra = max((sl for _su, sl in phases), default=0.0)
-        su_inter, sl_inter = self._phase(2 * (k - 1) / k * shard, shard, bridge_bw)
-        max_s = max(len(g) for g in islands)
-        max_intra_lat = max((lat for _sz, _bw, lat in intra), default=0.0)
-        steps = 2 * (max_s - 1) + 2 * (k - 1)
-        seconds = (
-            steps * self.alpha
-            + 2 * max_intra_lat + bridge_lat
-            + 2 * su_intra + su_inter
-            + max(sl_intra, sl_inter)
-        )
-        wire = 2 * (p - k) * nbytes + 2 * (k - 1) * nbytes
-        return CollectiveCost(seconds, wire, "hierarchical")
-
-    def _hierarchical_all_gather(
-        self, ranks: Sequence[int], nbytes_local: int
+    def _flat(
+        self, op: str, ranks: Sequence[int], nbytes: int, algo: str
     ) -> CollectiveCost:
-        """Per-rail inter-island allgather of each member's shard over the
-        bridge, then intra-island allgather of the rail hauls; pipelined."""
-        islands = self._islands(ranks)
-        intra, bridge_bw, bridge_lat, k, s = self._island_phases(islands)
-        su_inter, sl_inter = self._phase(
-            (k - 1) * nbytes_local, k * nbytes_local, bridge_bw
-        )
-        phases = [
-            self._phase((sz - 1) * k * nbytes_local, sz * k * nbytes_local, bw)
-            for sz, bw, _lat in intra
-        ]
-        su_intra = max((su for su, _sl in phases), default=0.0)
-        sl_intra = max((sl for _su, sl in phases), default=0.0)
-        max_s = max(len(g) for g in islands)
-        max_intra_lat = max((lat for _sz, _bw, lat in intra), default=0.0)
-        steps = (k - 1) + (max_s - 1)
-        seconds = (
-            steps * self.alpha
-            + bridge_lat + max_intra_lat
-            + su_inter + su_intra
-            + max(sl_inter, sl_intra)
-        )
-        wire = s * k * (k - 1) * nbytes_local + k * nbytes_local * sum(
-            len(g) * (len(g) - 1) for g in islands
-        )
-        return CollectiveCost(seconds, wire, "hierarchical")
+        """One-level schedule: ``steps·α + latency + coef·n / eff(bw, ramp)``.
 
-    def _hierarchical_reduce_scatter(
-        self, ranks: Sequence[int], nbytes_in: int
+        The ring (and a one-island group under ``hierarchical``, which has
+        no bridge to cross) takes the contention-aware ring's bandwidth and
+        summed latency and pipelines its ``steps`` hops.  The tree takes the
+        worst member pair: recursive halving / doubling runs ``ceil(log2 p)``
+        rounds of ``α + latency`` per phase (two phases for all-reduce), and
+        charges the bandwidth ramp once on the aggregate volume, the eager
+        protocol's assumption; the binomial broadcast forwards the whole
+        payload at every level, unpipelined.  Per op, ``n`` is the payload
+        (all-gather: each member's shard, ramping at the gathered ``p·n``):
+
+        ==============  ===========  ==========  ===========
+        op              ring steps   coef        wire bytes
+        ==============  ===========  ==========  ===========
+        all_reduce      2(p-1)       2(p-1)/p    2(p-1)·n
+        all_gather      p-1          p-1         p(p-1)·n
+        reduce_scatter  p-1          (p-1)/p     (p-1)·n
+        broadcast       p            1           (p-1)·n
+        ==============  ===========  ==========  ===========
+        """
+        p = len(ranks)
+        if op == "all_reduce":
+            steps, coef, ramp, wire = 2 * (p - 1), 2 * (p - 1) / p, nbytes, 2 * (p - 1) * nbytes
+        elif op == "all_gather":
+            steps, coef, ramp, wire = p - 1, p - 1, p * nbytes, p * (p - 1) * nbytes
+        elif op == "reduce_scatter":
+            steps, coef, ramp, wire = p - 1, (p - 1) / p, nbytes, (p - 1) * nbytes
+        else:  # broadcast: _op_cost refuses every op outside SELECTABLE_OPS
+            steps, coef, ramp, wire = p, 1, nbytes, (p - 1) * nbytes
+        if algo != "tree":
+            bw, lat = self._ring(ranks)
+            seconds = steps * self.alpha + lat + coef * nbytes / self._eff(bw, ramp)
+            return CollectiveCost(seconds, wire, algo)
+        bw, lat = self._pairwise(ranks)
+        rounds = math.ceil(math.log2(p)) * (2 if op == "all_reduce" else 1)
+        if op == "broadcast":
+            seconds = rounds * (self.alpha + lat + nbytes / self._eff(bw, nbytes))
+        else:
+            seconds = rounds * (self.alpha + lat) + coef * nbytes / self._eff(bw, ramp)
+        return CollectiveCost(seconds, wire, algo)
+
+    def _two_level(
+        self, op: str, ranks: Sequence[int], nbytes: int
     ) -> CollectiveCost:
-        """Intra-island reduce-scatter of the full payload, then per-rail
-        inter-island reduce-scatter of the ``n/s`` shards; pipelined."""
+        """Hierarchical schedule over two or more fast-link islands.
+
+        All-reduce and reduce-scatter go *intra-island first*: a
+        reduce-scatter inside every island over its own ring, then the ``s``
+        shard rails (``s`` = smallest island) exchange their ``n/s`` shards
+        over the slow bridge concurrently; all-reduce all-gathers back inside
+        the islands, so it pays the intra phase twice.  All-gather and
+        broadcast go *bridge first*: the leaders (one per rail for
+        all-gather) cross the bridge, then every island fans out over its own
+        ring.  The phases are chunk-pipelined (:meth:`_phase`): startups add
+        up and the slowest steady-state slope gates the schedule.
+        """
         p = len(ranks)
         islands = self._islands(ranks)
         intra, bridge_bw, bridge_lat, k, s = self._island_phases(islands)
-        shard = nbytes_in / s
-        phases = [
-            self._phase((sz - 1) / sz * nbytes_in, nbytes_in, bw)
-            for sz, bw, _lat in intra
-        ]
+        max_s = max(len(g) for g in islands)
+        intra_lat = max((lat for _sz, _bw, lat in intra), default=0.0)
+        intra_first = op == "all_reduce" or op == "reduce_scatter"
+        if intra_first:
+            twice = 2 if op == "all_reduce" else 1
+            shard = nbytes / s
+            phases = [
+                self._phase((sz - 1) / sz * nbytes, nbytes, bw) for sz, bw, _lat in intra
+            ]
+            su_bridge, sl_bridge = self._phase(twice * (k - 1) / k * shard, shard, bridge_bw)
+            steps = twice * (max_s - 1) + twice * (k - 1)
+            wire = twice * (p - k) * nbytes + twice * (k - 1) * nbytes
+        elif op == "all_gather":
+            su_bridge, sl_bridge = self._phase((k - 1) * nbytes, k * nbytes, bridge_bw)
+            phases = [
+                self._phase((sz - 1) * k * nbytes, sz * k * nbytes, bw)
+                for sz, bw, _lat in intra
+            ]
+            steps = (k - 1) + (max_s - 1)
+            wire = s * k * (k - 1) * nbytes + k * nbytes * sum(
+                len(g) * (len(g) - 1) for g in islands
+            )
+        else:  # broadcast
+            su_bridge, sl_bridge = self._phase(nbytes, nbytes, bridge_bw)
+            phases = [self._phase(nbytes, nbytes, bw) for _sz, bw, _lat in intra]
+            steps = k + max_s
+            wire = (k - 1) * nbytes + (p - k) * nbytes
         su_intra = max((su for su, _sl in phases), default=0.0)
         sl_intra = max((sl for _su, sl in phases), default=0.0)
-        su_inter, sl_inter = self._phase((k - 1) / k * shard, shard, bridge_bw)
-        max_s = max(len(g) for g in islands)
-        max_intra_lat = max((lat for _sz, _bw, lat in intra), default=0.0)
-        steps = (max_s - 1) + (k - 1)
-        seconds = (
-            steps * self.alpha
-            + max_intra_lat + bridge_lat
-            + su_intra + su_inter
-            + max(sl_intra, sl_inter)
-        )
-        wire = (p - k) * nbytes_in + (k - 1) * nbytes_in
+        if intra_first:
+            seconds = (
+                steps * self.alpha
+                + twice * intra_lat + bridge_lat
+                + twice * su_intra + su_bridge
+                + max(sl_intra, sl_bridge)
+            )
+        else:
+            seconds = (
+                steps * self.alpha
+                + bridge_lat + intra_lat
+                + su_bridge + su_intra
+                + max(sl_bridge, sl_intra)
+            )
         return CollectiveCost(seconds, wire, "hierarchical")
-
-    def _hierarchical_broadcast(self, ranks: Sequence[int], nbytes: int) -> CollectiveCost:
-        """Pipelined ring broadcast over the island leaders, then pipelined
-        ring broadcasts inside every island (concurrent across islands)."""
-        p = len(ranks)
-        islands = self._islands(ranks)
-        intra, bridge_bw, bridge_lat, k, _s = self._island_phases(islands)
-        su_inter, sl_inter = self._phase(nbytes, nbytes, bridge_bw)
-        phases = [self._phase(nbytes, nbytes, bw) for _sz, bw, _lat in intra]
-        su_intra = max((su for su, _sl in phases), default=0.0)
-        sl_intra = max((sl for _su, sl in phases), default=0.0)
-        max_s = max(len(g) for g in islands)
-        max_intra_lat = max((lat for _sz, _bw, lat in intra), default=0.0)
-        seconds = (
-            (k + max_s) * self.alpha
-            + bridge_lat + max_intra_lat
-            + su_inter + su_intra
-            + max(sl_inter, sl_intra)
-        )
-        wire = (k - 1) * nbytes + (p - k) * nbytes
-        return CollectiveCost(seconds, wire, "hierarchical")
-
-    _hierarchical_reduce = _hierarchical_broadcast  # mirrored schedule
 
     # -- collectives ------------------------------------------------------------
 
@@ -558,7 +453,7 @@ class CostModel:
         if p < 2 or nbytes_local == 0:
             return _ZERO
         tag, memo = self._memo
-        if tag != (self.cluster.topology.version, self.island_ratio):
+        if tag != self.cluster.topology.version:
             memo = self._retag()
         key = ("scatter", root, tuple(ranks), nbytes_local)
         cost = memo.get(key)
@@ -581,7 +476,7 @@ class CostModel:
         if p < 2 or nbytes_local == 0:
             return _ZERO
         tag, memo = self._memo
-        if tag != (self.cluster.topology.version, self.island_ratio):
+        if tag != self.cluster.topology.version:
             memo = self._retag()
         key = ("all_to_all", tuple(ranks), nbytes_local)
         cost = memo.get(key)
@@ -601,7 +496,7 @@ class CostModel:
         if p < 2:
             return _ZERO
         tag, memo = self._memo
-        if tag != (self.cluster.topology.version, self.island_ratio):
+        if tag != self.cluster.topology.version:
             memo = self._retag()
         key = ("barrier", p)
         cost = memo.get(key)
@@ -614,7 +509,7 @@ class CostModel:
         if nbytes == 0 or src == dst:
             return _ZERO
         tag, memo = self._memo
-        if tag != (self.cluster.topology.version, self.island_ratio):
+        if tag != self.cluster.topology.version:
             memo = self._retag()
         key = ("p2p", src, dst, nbytes)
         cost = memo.get(key)
@@ -632,7 +527,7 @@ class CostModel:
         """Every member sends ``nbytes`` to the one ``shift`` places on, all
         at once: the slowest hop's seconds, every hop's bytes."""
         tag, memo = self._memo
-        if tag != (self.cluster.topology.version, self.island_ratio):
+        if tag != self.cluster.topology.version:
             memo = self._retag()
         key = ("ring_pass", tuple(ranks), nbytes, shift)
         cost = memo.get(key)
@@ -649,7 +544,7 @@ class CostModel:
         if nbytes == 0:
             return _ZERO
         tag, memo = self._memo
-        if tag != (self.cluster.topology.version, self.island_ratio):
+        if tag != self.cluster.topology.version:
             memo = self._retag()
         key = ("host_transfer", rank, nbytes)
         cost = memo.get(key)

@@ -77,11 +77,7 @@ class ProcessGroup(GroupTimeline):
             raise ValueError(f"duplicate ranks in group: {ranks}")
         super().__init__(runtime, ranks)
         self.runtime = runtime  # the timeline's ``host``, by its own name
-        self.cost_model = CostModel(
-            runtime.cluster,
-            algorithm=runtime.comm_algorithm,
-            island_ratio=runtime.comm_island_ratio,
-        )
+        self.cost_model = CostModel(runtime.cluster, algorithm=runtime.comm_algorithm)
         self._cond = threading.Condition()
         self._rounds: Dict[int, Round] = {}
         self._seq: Dict[int, int] = {r: 0 for r in ranks}

@@ -125,8 +125,6 @@ class CommConfig(_Section):
     algorithm: Optional[str] = _field(None, str, "comm algorithm; None keeps the runtime's flat "
                                       "ring, 'auto' picks per call by cost",
                                       choices=COMM_ALGORITHMS)
-    island_ratio: float = _field(0.5, float, "bandwidth ratio that groups links into "
-                                 "fast-link islands (hierarchical algorithms)", "(0, 1]")
     overlap: bool = _field(False, bool, "overlap comm with compute (numerics bitwise identical)")
 
 

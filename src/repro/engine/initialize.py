@@ -40,7 +40,7 @@ def launch(
       handed in, and the ``comm`` section is applied to it
       (:meth:`SpmdRuntime.apply_comm`).  A handed runtime keeps its own
       algorithm when ``comm.algorithm`` is None and its own overlap when
-      ``comm.overlap`` is False; ``comm.island_ratio`` always applies;
+      ``comm.overlap`` is False;
     * a ``sanitize`` section arms the SPMD sanitizer (``repro.sanitize``)
       unless the runtime already has one, saves each rank's op stream to
       ``sanitize.record`` after a clean session, and is uninstalled

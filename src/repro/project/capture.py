@@ -74,7 +74,6 @@ class OpTrace:
     world_size: int
     comm_algorithm: str
     comm_overlap: bool
-    island_ratio: float
     cluster: Any
     #: per-gid member tuples (global ranks)
     groups: List[Tuple[int, ...]] = field(default_factory=list)
@@ -180,7 +179,6 @@ class CaptureRecorder(Observer):
                 world_size=runtime.world_size,
                 comm_algorithm=runtime.comm_algorithm,
                 comm_overlap=runtime.comm_overlap,
-                island_ratio=runtime.comm_island_ratio,
                 cluster=runtime.cluster,
                 groups=list(self._groups),
                 streams=[list(s) for s in self._streams],

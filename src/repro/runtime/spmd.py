@@ -243,9 +243,6 @@ class SpmdRuntime:
         check_algorithm(comm_algorithm)
         #: default collective algorithm for every process group's cost model
         self.comm_algorithm = comm_algorithm
-        #: island-detection bandwidth-ratio threshold for hierarchical
-        #: collectives (see Topology.islands); set by :meth:`apply_comm`
-        self.comm_island_ratio = 0.5
         #: route nonblocking p2p and scheduler comm through per-rank comm
         #: streams (comm/compute overlap) instead of legacy blocking-on-wait
         #: semantics; i-collectives always use the streams.
@@ -371,20 +368,18 @@ class SpmdRuntime:
     def apply_comm(self, comm: Any) -> None:
         """Apply a ``comm`` config section (:class:`~repro.config.CommConfig`)
         to this runtime and every live process group: ``algorithm=None``
-        and ``overlap=False`` keep the runtime's choice, ``island_ratio``
-        always applies.  The cost models' memos are tagged with the island
-        ratio and keyed by algorithm, so the next collective re-prices."""
+        and ``overlap=False`` keep the runtime's choice.  The cost models'
+        memos are keyed by algorithm, so the next collective prices under
+        the new one."""
         from repro.comm.algorithms import check_algorithm
 
         algorithm = comm.algorithm or self.comm_algorithm
         check_algorithm(algorithm)
         with self._group_lock:
             self.comm_algorithm = algorithm
-            self.comm_island_ratio = comm.island_ratio
             self.comm_overlap = self.comm_overlap or comm.overlap
             for grp in self._groups.values():
                 grp.cost_model.algorithm = algorithm
-                grp.cost_model.island_ratio = comm.island_ratio
 
     @property
     def world_group(self) -> Any:

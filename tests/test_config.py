@@ -56,7 +56,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("section, field, bad", [
         ("fp16", "initial_scale", -1), ("fp16", "min_scale", 0), ("fp16", "growth_factor", 0),
         ("fp16", "growth_interval", 0), ("fp16", "backoff_factor", 1.0),
-        ("fp16", "backoff_factor", 0.0), ("comm", "island_ratio", -5),
+        ("fp16", "backoff_factor", 0.0), ("serve", "kv_fraction", 0.0),
     ])
     def test_out_of_range_value_names_the_field(self, section, field, bad):
         with pytest.raises(ValueError, match=rf"{section}\.{field}"):

@@ -283,13 +283,12 @@ _QUERY = st.one_of(
     st.tuples(st.just("host_transfer"), st.tuples(st.integers(0, 7)),
               _NBYTES, st.none()),
 )
-#: link degradation / restoration, and ``launch`` re-tuning ``island_ratio``
-#: on a live model (0.05 merges System II's NVLink pairs over PCIe)
+#: link degradation (0.05 collapses a System II NVLink pair below the
+#: island threshold), speed-up and restoration
 _EDIT = st.one_of(
     st.tuples(st.just("scale_link"), st.integers(0, 63),
               st.sampled_from([0.05, 0.5, 2.0, 1.0])),
     st.tuples(st.just("restore_links")),
-    st.tuples(st.just("island_ratio"), st.sampled_from([0.05, 0.3, 0.5])),
 )
 
 
@@ -312,8 +311,7 @@ def _ask(cm, op, ranks, nbytes, arg):
 class _ColdSelector:
     """The selector's rule restated over *cold* prices: a bucket's first
     query picks the cheapest family, later ones re-price that family
-    against the flat ring, and any change to the link graph or to
-    ``island_ratio`` empties it."""
+    against the flat ring, and any change to the link graph empties it."""
 
     def __init__(self):
         self.choice, self.hits, self.misses = {}, 0, 0
@@ -340,35 +338,30 @@ class TestMemoisedPricing:
     @given(system=st.sampled_from(sorted(_SYSTEMS)),
            queries=st.lists(_QUERY, min_size=1, max_size=5),
            edits=st.lists(_EDIT, min_size=1, max_size=5))
-    # a bucket filled under island_ratio 0.5 (hierarchical over the NVLink
-    # pairs) must not survive a live re-tune to 0.05, where tree wins
+    # a bucket filled over System II's NVLink pairs (hierarchical) must not
+    # survive the degradation of one pair's link
     @example(system="system_ii",
              queries=[("all_reduce", list(range(8)), 64 * MB, "auto")],
-             edits=[("island_ratio", 0.05)])
+             edits=[("scale_link", 1, 0.05)])
     def test_long_lived_model_prices_like_a_fresh_one(self, system, queries,
                                                       edits):
         """One long-lived ``CostModel`` against one built for every query:
         the same few queries are asked again after each link degradation /
-        restoration or ``island_ratio`` re-tune, and the price memo may only
-        ever return what a fresh pricing of the edited model would."""
+        restoration, and the price memo may only ever return what a fresh
+        pricing of the edited model would."""
         cluster = _SYSTEMS[system]()
         topo = cluster.topology
         links = sorted(topo.links())  # GPU pairs and host links
         warm, reference = CostModel(cluster), _ColdSelector()
         for edit in [None] + edits:
             if edit is not None:
-                changed = True
                 if edit[0] == "scale_link":
                     topo.scale_link(*links[edit[1] % len(links)], edit[2])
-                elif edit[0] == "island_ratio":
-                    changed = warm.island_ratio != edit[1]
-                    warm.island_ratio = edit[1]
                 else:
                     topo.restore_links()
-                if changed:
-                    reference.choice.clear()
+                reference.choice.clear()
             for op, ranks, nbytes, arg in queries:
-                cold = CostModel(cluster, island_ratio=warm.island_ratio)
+                cold = CostModel(cluster)
                 got = _ask(warm, op, list(ranks), nbytes, arg)
                 if arg == "auto":
                     want = reference.price(cold, op, list(ranks), nbytes)
@@ -379,21 +372,6 @@ class TestMemoisedPricing:
         selector = warm.selector
         assert (selector.hits, selector.misses) == (
             reference.hits, reference.misses)
-
-    def test_island_ratio_is_part_of_the_memo_tag(self):
-        """``launch`` re-tunes ``island_ratio`` on live cost models: on
-        System II 0.5 separates the NVLink pairs, 0.05 lets PCIe (16 of
-        200 GB/s) join them into one island, i.e. the flat ring."""
-        cluster = system_ii()
-        cm = CostModel(cluster, island_ratio=0.5)
-        ranks, n = list(range(8)), 8 * MB
-        paired = cm.allreduce(ranks, n, algorithm="hierarchical")
-        cm.island_ratio = 0.05
-        merged = cm.allreduce(ranks, n, algorithm="hierarchical")
-        assert merged == CostModel(cluster, island_ratio=0.05).allreduce(
-            ranks, n, algorithm="hierarchical")
-        assert merged.seconds == cm.allreduce(ranks, n, algorithm="ring").seconds
-        assert merged.seconds > paired.seconds
 
     @pytest.mark.parametrize("query", [
         lambda cm: cm.allreduce(range(8), -48),
@@ -420,3 +398,52 @@ class TestMemoisedPricing:
         assert own, "nothing overridden"
         for name in own:
             assert name.startswith("_") and hasattr(CostModel, name), name
+
+    def test_price_refuses_an_op_it_cannot_price(self):
+        """``price`` takes the selectable ops only: a single-schedule op
+        (its own method prices it) or an unknown name is a ``ValueError``
+        naming the op, under a fixed family and under ``auto`` alike, and
+        is never priced as some other schedule."""
+        cm = CostModel(system_ii())
+        for op in ("scatter", "all_to_all", "allreduce"):
+            for algorithm in ALGORITHMS + ("auto",):
+                with pytest.raises(ValueError, match=rf"'{op}'.*SELECTABLE_OPS"):
+                    cm.price(op, list(range(8)), 4 * MB, algorithm)
+        assert (len(cm.selector), cm.selector.misses) == (0, 0)
+
+
+#: Systems I, II, III (2 nodes) and IV, each with a few groups: whole
+#: nodes, NVLink pairs, strided and cross-node members
+_LAW_GROUPS = {
+    system_i: [[0, 1], [0, 1, 2, 3], list(range(8))],
+    system_ii: [[0, 1], [0, 1, 2, 3], list(range(8)), [0, 2, 4, 6]],
+    (lambda: system_iii(n_nodes=2)): [[0, 1, 2, 3], list(range(8)), [0, 4], [1, 3, 5, 7]],
+    system_iv: [[0, 1], [0, 1, 2, 3], [0, 8, 16, 24]],
+}
+
+
+@pytest.mark.parametrize("system", list(_LAW_GROUPS), ids=["I", "II", "III", "IV"])
+def test_a_faster_link_never_raises_a_price(system):
+    """More bandwidth never costs time, at the pricing layer: raising any
+    one link to 2x its bandwidth never raises ``CostModel.price`` of any
+    selectable op, under any family or ``auto``.  Each size sits in its own
+    power-of-two bucket, so ``auto``'s price is the cheapest family's, not
+    history's."""
+    cluster = system()
+    topo, groups = cluster.topology, _LAW_GROUPS[system]
+    queries = [(op, g, n, algo) for op in sorted(SELECTABLE_OPS) for g in groups
+               for n in (4 * KB, 1 * MB, 64 * MB) for algo in ALGORITHMS + ("auto",)]
+
+    def prices():
+        cm = CostModel(cluster)
+        return [cm.price(*q).seconds for q in queries]
+
+    base, quicker = prices(), 0
+    for a, b in topo.links():
+        topo.scale_link(a, b, 2.0)
+        faster = prices()
+        topo.restore_links()
+        slower = [(q, t0, t1) for q, t0, t1 in zip(queries, base, faster) if t1 > t0]
+        assert not slower, ((a, b), slower[:3])
+        quicker += sum(t1 < t0 for t0, t1 in zip(base, faster))
+    assert quicker > 0  # the law is not vacuous: some link does buy time
