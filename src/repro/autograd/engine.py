@@ -74,7 +74,7 @@ def backward(root: Tensor, grad: Optional[Tensor] = None) -> None:
         seed = grad.payload
     if rc is not None:
         device, clock = rc.device, rc.clock
-        cap, rank = rc.runtime.capture, rc.rank
+        cap, rank = rc.runtime.capture, rc._rank
 
     # gradient buffers for intermediate tensors, keyed by tensor identity
     grads: Dict[int, Payload] = {id(root): seed}

@@ -85,6 +85,13 @@ class MemoryPool:
         with self._lock:
             self._peak = self._allocated
 
+    def copy_from(self, other: "MemoryPool") -> None:
+        """Read what ``other`` reads: allocated bytes, peak and tags."""
+        with other._lock:
+            allocated, peak, by_tag = other._allocated, other._peak, dict(other._by_tag)
+        with self._lock:
+            self._allocated, self._peak, self._by_tag = allocated, peak, by_tag
+
     def reset(self) -> None:
         """Empty the ledger (between experiments).  Storages still alive
         keep their bytes out of the new ledger: releasing one later
@@ -177,6 +184,16 @@ class Device:
 
     def __post_init__(self) -> None:
         self.memory = MemoryPool(self.memory_capacity)
+
+    def state(self) -> tuple:
+        """What a program can tell of this device short of its name and
+        node: its spec and its pool's ledger.  Ranks whose devices agree
+        here run one program alike (DESIGN §4ab)."""
+        pool = self.memory
+        with pool._lock:
+            ledger = (pool._allocated, pool._peak, sorted(pool._by_tag.items()))
+        return (self.kind, self.memory_capacity, sorted(self.peak_flops.items()),
+                self.efficiency, pool.capacity, ledger)
 
     def flops_per_second(self, dtype: str = "float16") -> float:
         """Effective (efficiency-discounted) FLOP/s for ``dtype``."""

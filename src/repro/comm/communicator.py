@@ -24,6 +24,7 @@ import numpy as np
 from repro.comm.cost import OP_PRICE
 from repro.comm.group import ProcessGroup, WorkHandle
 from repro.comm.payload import Payload, SpecArray
+from repro.runtime.spmd import Identity
 
 ReduceOp = str  # "sum" | "max" | "min" | "prod"
 
@@ -238,21 +239,32 @@ def _concat_axis(chunks: List[Payload], axis: int, what: str) -> Payload:
     return np.concatenate(chunks, axis=axis)
 
 
-class Communicator:
-    """One rank's handle on a process group."""
+class Communicator(Identity):
+    """One rank's handle on a process group.  ``global_rank``, and ``rank``
+    when the group has more than one member, are identity: a read on the
+    representative is a trigger (DESIGN §4ab)."""
+
+    _label = "comm"
 
     def __init__(self, group: ProcessGroup, global_rank: int) -> None:
         self.group = group
-        self.global_rank = global_rank
-        self.rank = group.local_rank(global_rank)
+        #: the global rank, for the library's own bookkeeping: no trigger
+        self._global_rank = global_rank
         self.size = group.size
+        identity = {"global_rank": global_rank}
+        local = group.local_rank(global_rank)
+        if group.size == 1:
+            self.rank = local  # 0 on every rank
+        else:
+            identity["rank"] = local
+        group.runtime.identify(self, identity)
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def world(ctx: Any) -> "Communicator":
         """Communicator over all ranks of the running SPMD program."""
-        return Communicator(ctx.runtime.world_group, ctx.rank)
+        return Communicator(ctx.runtime.world_group, ctx._rank)
 
     def split(self, color: int, key: int = 0) -> "Communicator":
         """MPI_Comm_split: ranks with equal ``color`` form a subgroup ordered
@@ -272,8 +284,8 @@ class Communicator:
             return results, cost, 1
 
         ranks = self.group.rendezvous(
-            self.global_rank, (color, key), finalize, "split")
-        return Communicator(self.group.runtime.group(ranks), self.global_rank)
+            self._global_rank, (color, key), finalize, "split")
+        return Communicator(self.group.runtime.group(ranks), self._global_rank)
 
     def subgroup(self, local_ranks: Sequence[int]) -> "Communicator":
         """Communicator over a subset of this group (must include self)."""
@@ -282,7 +294,7 @@ class Communicator:
             if not 0 <= lr < size:
                 raise _out_of_range("subgroup", "member", lr, size)
         ranks = [self.group.global_rank(lr) for lr in local_ranks]
-        return Communicator(self.group.runtime.group(ranks), self.global_rank)
+        return Communicator(self.group.runtime.group(ranks), self._global_rank)
 
     # -- collectives ---------------------------------------------------------
 
@@ -291,7 +303,7 @@ class Communicator:
         if op not in _REDUCERS:
             raise _invalid_reduce_op(op, "all_reduce")
         return self.group.rendezvous(
-            self.global_rank, x, partial(all_reduce_finalize, self.group, op),
+            self._global_rank, x, partial(all_reduce_finalize, self.group, op),
             "all_reduce", {"reduce_op": op})
 
     def iallreduce(self, x: Payload, op: ReduceOp = "sum") -> "WorkHandle":
@@ -301,20 +313,20 @@ class Communicator:
         if op not in _REDUCERS:
             raise _invalid_reduce_op(op, "all_reduce")
         return self.group.rendezvous(
-            self.global_rank, x, partial(all_reduce_finalize, self.group, op),
+            self._global_rank, x, partial(all_reduce_finalize, self.group, op),
             "all_reduce", {"reduce_op": op}, "async")
 
     def all_gather(self, x: Payload, axis: int = 0) -> Payload:
         """Concatenate every rank's payload along ``axis``; all ranks receive
         the concatenation (in local-rank order)."""
         return self.group.rendezvous(
-            self.global_rank, x, partial(all_gather_finalize, self.group, axis),
+            self._global_rank, x, partial(all_gather_finalize, self.group, axis),
             "all_gather", {"axis": axis})
 
     def iall_gather(self, x: Payload, axis: int = 0) -> "WorkHandle":
         """Nonblocking :meth:`all_gather` (see :meth:`iallreduce`)."""
         return self.group.rendezvous(
-            self.global_rank, x, partial(all_gather_finalize, self.group, axis),
+            self._global_rank, x, partial(all_gather_finalize, self.group, axis),
             "all_gather", {"axis": axis}, "async")
 
     def reduce_scatter(self, x: Payload, axis: int = 0, op: ReduceOp = "sum") -> Payload:
@@ -323,7 +335,7 @@ class Communicator:
         if op not in _REDUCERS:
             raise _invalid_reduce_op(op, "reduce_scatter")
         return self.group.rendezvous(
-            self.global_rank, x,
+            self._global_rank, x,
             partial(reduce_scatter_finalize, self.group, op, axis),
             "reduce_scatter", {"reduce_op": op, "axis": axis})
 
@@ -333,7 +345,7 @@ class Communicator:
         if op not in _REDUCERS:
             raise _invalid_reduce_op(op, "reduce_scatter")
         return self.group.rendezvous(
-            self.global_rank, x,
+            self._global_rank, x,
             partial(reduce_scatter_finalize, self.group, op, axis),
             "reduce_scatter", {"reduce_op": op, "axis": axis}, "async")
 
@@ -351,7 +363,7 @@ class Communicator:
             return results, cost, src.dtype.itemsize
 
         return self.group.rendezvous(
-            self.global_rank, x, finalize, "broadcast", {"root": root})
+            self._global_rank, x, finalize, "broadcast", {"root": root})
 
     def reduce(self, x: Payload, root: int = 0, op: ReduceOp = "sum") -> Optional[Payload]:
         """Reduce to the local rank ``root``; other ranks receive ``None``."""
@@ -370,7 +382,7 @@ class Communicator:
             return results, cost, big.dtype.itemsize
 
         return self.group.rendezvous(
-            self.global_rank, x, finalize, "reduce",
+            self._global_rank, x, finalize, "reduce",
             {"reduce_op": op, "root": root})
 
     def scatter(self, x: Optional[Payload], root: int = 0, axis: int = 0) -> Payload:
@@ -390,7 +402,7 @@ class Communicator:
             return dict(enumerate(chunks)), cost, src.dtype.itemsize
 
         return self.group.rendezvous(
-            self.global_rank, x, finalize, "scatter",
+            self._global_rank, x, finalize, "scatter",
             {"root": root, "axis": axis})
 
     def gather(self, x: Payload, root: int = 0, axis: int = 0) -> Optional[Payload]:
@@ -410,7 +422,7 @@ class Communicator:
             return results, cost, big.dtype.itemsize
 
         return self.group.rendezvous(
-            self.global_rank, x, finalize, "gather",
+            self._global_rank, x, finalize, "gather",
             {"root": root, "axis": axis})
 
     def all_to_all(self, chunks: List[Payload]) -> List[Payload]:
@@ -433,7 +445,7 @@ class Communicator:
             return results, cost, rows[sizes.index(n)][0].dtype.itemsize
 
         return self.group.rendezvous(
-            self.global_rank, chunks, finalize, "all_to_all",
+            self._global_rank, chunks, finalize, "all_to_all",
             {"nchunks": len(chunks)})
 
     def barrier(self) -> None:
@@ -441,7 +453,7 @@ class Communicator:
             cost = self.group.cost_model.barrier(self.group.ranks)
             return {i: None for i in payloads}, cost, 1
 
-        self.group.rendezvous(self.global_rank, None, finalize, "barrier")
+        self.group.rendezvous(self._global_rank, None, finalize, "barrier")
 
     def ring_pass(self, x: Payload, shift: int = 1) -> Payload:
         """One ring rotation: send to ``(rank+shift) % size``, receive from
@@ -456,7 +468,7 @@ class Communicator:
             return results, cost, big.dtype.itemsize
 
         return self.group.rendezvous(
-            self.global_rank, x, finalize, "ring_pass", {"shift": shift})
+            self._global_rank, x, finalize, "ring_pass", {"shift": shift})
 
     def all_gather_object(self, obj: Any) -> List[Any]:
         """Control-plane allgather of small Python objects (OOM flags, batch
@@ -469,7 +481,7 @@ class Communicator:
             return {i: list(ordered) for i in payloads}, cost, 1
 
         return self.group.rendezvous(
-            self.global_rank, obj, finalize, "all_gather_object")
+            self._global_rank, obj, finalize, "all_gather_object")
 
     # -- point-to-point ---------------------------------------------------------
 
@@ -484,13 +496,15 @@ class Communicator:
         ``"pss"`` (overlap-mode ``isend``) never — the transfer runs on the
         sender's p2p stream, and the returned :class:`StreamSendHandle`
         max-joins its end."""
-        src_g = self.global_rank
+        src_g = self._global_rank
         group = self.group
         if not 0 <= dst < group.size:
             raise _out_of_range("send" if kind == "ps" else "isend", "dst",
                                 dst, group.size)
         dst_g = group.ranks[dst]
         runtime = group.runtime
+        if runtime.alone:  # a p2p op is a trigger (DESIGN §4ab)
+            runtime.diverge("send" if kind == "ps" else "isend")
         t_entry = runtime.clocks[src_g].time
         nbytes, elements = int(x.nbytes), int(x.size)
         cost = group.cost_model.p2p(src_g, dst_g, nbytes)
@@ -523,8 +537,10 @@ class Communicator:
         if not 0 <= src < self.size:
             raise _out_of_range("recv", "src", src, self.size)
         src_g = self.group.ranks[src]
-        dst_g = self.global_rank
+        dst_g = self._global_rank
         runtime = self.group.runtime
+        if runtime.alone:
+            runtime.diverge("recv")
         for hook in runtime.on_recv:
             hook(dst_g, runtime.clocks[dst_g].time)
         key = (src_g, dst_g, (id(self.group), tag))
@@ -562,6 +578,9 @@ class Communicator:
         """Non-blocking receive; ``wait()`` blocks until the message lands."""
         if not 0 <= src < self.size:
             raise _out_of_range("irecv", "src", src, self.size)
+        runtime = self.group.runtime
+        if runtime.alone:
+            runtime.diverge("irecv")
         return Request(kind="recv", comm=self, src=src, tag=tag)
 
     # -- introspection ------------------------------------------------------------
@@ -572,7 +591,8 @@ class Communicator:
         return self.group.counters
 
     def __repr__(self) -> str:
-        return f"Communicator(rank={self.rank}/{self.size}, group={self.group.ranks})"
+        local = self.group.local_of[self._global_rank]
+        return f"Communicator(rank={local}/{self.size}, group={self.group.ranks})"
 
 
 class StreamSendHandle(WorkHandle):
@@ -597,7 +617,7 @@ class StreamSendHandle(WorkHandle):
         if self._done:
             return None
         group = self._comm.group
-        rank = self._comm.global_rank
+        rank = self._comm._global_rank
         group.settle(rank, "isend", self._seconds, self._t_end)
         for hook in group.runtime.on_wait:
             hook(rank, self, self._seconds)
@@ -624,7 +644,7 @@ class Request(WorkHandle):
             return True
         runtime = self._comm.group.runtime
         src_g = self._comm.group.global_rank(self._src)
-        key = (src_g, self._comm.global_rank, (id(self._comm.group), self._tag))
+        key = (src_g, self._comm._global_rank, (id(self._comm.group), self._tag))
         with runtime.mailboxes._cond:
             return bool(runtime.mailboxes._boxes.get(key))
 
@@ -634,7 +654,7 @@ class Request(WorkHandle):
         if self._done:
             return self._result
         if self._kind == "send":
-            rank = self._comm.global_rank
+            rank = self._comm._global_rank
             runtime = self._comm.group.runtime
             runtime.clocks[rank].advance(self._seconds, "comm")
             for hook in runtime.on_wait:

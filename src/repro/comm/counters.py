@@ -9,9 +9,10 @@ ranks counts 2(p-1)·S in total).
 
 from __future__ import annotations
 
+import copy
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List
 
 
@@ -85,6 +86,33 @@ class CommCounters:
     @property
     def overlapped_seconds_total(self) -> float:
         return math.fsum(self.overlapped_terms)
+
+    def copy(self) -> "CommCounters":
+        """An independent copy: every total, term list and table."""
+        out = CommCounters()
+        with self._lock:
+            for f in fields(self):
+                if f.name != "_lock":
+                    setattr(out, f.name, copy.copy(getattr(self, f.name)))
+        return out
+
+    def add_since(self, now: "CommCounters", then: "CommCounters") -> None:
+        """Add what ``now`` gained over ``then``, an earlier copy of it."""
+        with self._lock:
+            for f in fields(self):
+                name = f.name
+                if name == "_lock":
+                    continue
+                mine, gained, base = (getattr(self, name), getattr(now, name),
+                                      getattr(then, name))
+                if type(mine) is int:
+                    setattr(self, name, mine + gained - base)
+                elif type(mine) is list:
+                    mine.extend(gained[len(base):])
+                else:
+                    for key, n in gained.items():
+                        if key not in base or n != base[key]:
+                            mine[key] = mine.get(key, 0) + n - base.get(key, 0)
 
     def reset(self) -> None:
         with self._lock:

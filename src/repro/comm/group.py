@@ -24,6 +24,13 @@ The rendezvous is event-driven: waiters park on the group condition and the
 last arriver (or the abort path via ``SpmdRuntime.wake_all``) notifies them
 — there is no poll tick.  One failing rank therefore aborts everyone
 immediately instead of at the next poll interval.
+
+While rank 0 runs alone as the representative of every rank (DESIGN §4ab),
+a world-group round of an :data:`AHEAD_OPS` kind closes on its arrival
+alone, its payload and entry time standing for every member's, and stays
+in the round table; a member that starts after a trigger claims it late,
+moving its own clock or stream as the placement would have.  Any other
+round of a multi-member group is a trigger.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.comm.cost import CollectiveCost, CostModel
+from repro.comm.counters import CommCounters
 from repro.comm.timeline import GroupTimeline, Round
 from repro.runtime.errors import CollectiveTimeout
 
@@ -44,6 +52,10 @@ FinalizeFn = Callable[
 
 #: the params of a call that takes none (``barrier``, ``split``, ...)
 NO_PARAMS: Dict[str, Any] = {}
+
+#: the world-group rounds a representative closes ahead for every rank:
+#: unrooted, with one result per member derived from a payload alike on all
+AHEAD_OPS = frozenset(("all_reduce", "all_gather", "reduce_scatter", "barrier"))
 
 
 class WorkHandle:
@@ -81,6 +93,9 @@ class ProcessGroup(GroupTimeline):
         self._cond = threading.Condition()
         self._rounds: Dict[int, Round] = {}
         self._seq: Dict[int, int] = {r: 0 for r in ranks}
+        #: every rank of the runtime, in rank order: the group whose rounds
+        #: a representative may close ahead
+        self.is_world = self.size > 1 and ranks == list(range(runtime.world_size))
 
     def local_rank(self, global_rank: int) -> int:
         try:
@@ -128,6 +143,10 @@ class ProcessGroup(GroupTimeline):
         me = self.local_of.get(my_global_rank)
         if me is None:
             self.local_rank(my_global_rank)  # raises: not a member
+        if runtime.alone and self.size > 1:
+            if self.is_world and op in AHEAD_OPS:
+                return self._close_ahead(my_global_rank, payload, finalize, op, mode)
+            runtime.diverge(f"{op} on group {tuple(self.ranks)}")
         clock = runtime.clocks[my_global_rank]
         seq = self._seq[my_global_rank]
         for hook in runtime.on_enter:
@@ -150,6 +169,8 @@ class ProcessGroup(GroupTimeline):
                 rnd = self._rounds[seq] = Round(seq, mode)
             elif rnd.mode != mode:
                 self._fail_mixed_mode(rnd, seq, mode)
+            elif rnd.ahead:
+                return self._claim_late(rnd, me, my_global_rank, op)
             rnd.payloads[me] = payload
             rnd.entry_times[me] = clock.time
             if mode != "sync":
@@ -202,6 +223,77 @@ class ProcessGroup(GroupTimeline):
         if rnd.error is not None:
             runtime.signal_failure(self.ranks[-1], rnd.error)
             raise rnd.error
+
+    # -- a representative's rounds (DESIGN §4ab) --------------------------
+
+    def _close_ahead(self, rank: int, payload: Any, finalize: FinalizeFn,
+                     op: str, mode: str) -> Any:
+        """Rank 0, alone, enters a world-group round for every member: the
+        round closes on its arrival, with its payload and entry time for
+        each, moves rank 0 only, and stays for the members' late claims."""
+        seq = self._seq[rank]
+        self._seq[rank] = seq + 1
+        members = range(self.size)
+        with self._cond:
+            rnd = self._rounds[seq] = Round(seq, mode)
+            rnd.ahead = True
+            rnd.payloads = dict.fromkeys(members, payload)
+            rnd.entry_times = dict.fromkeys(members, self.runtime.clocks[rank].time)
+            self._finalize_round(rnd, op, finalize)
+            if mode != "sync":
+                return AsyncCollectiveHandle(self, seq, 0, rank)
+            if rnd.error is not None:
+                self._claim(rnd, seq)
+                raise rnd.error
+            rnd.claimed = 1
+            return rnd.results[0]
+
+    def _claim_late(self, rnd: Round, me: int, rank: int, op: str) -> Any:
+        """A member that started after a trigger enters a round closed
+        ahead for it (group condition held): its clock syncs to the round's
+        end, or its comm stream takes the round, as :meth:`place` would
+        have done on its arrival; then it claims like any member."""
+        if rnd.error is None and rnd.op != op:
+            raise RuntimeError(
+                f"rank {rank} entered {op} #{rnd.seq} on group {self.ranks}, "
+                f"where rank {self.ranks[0]} ran {rnd.op}: the ranks differed "
+                f"before any trigger")
+        if rnd.mode != "sync":
+            if rnd.error is None:
+                self.runtime.comm_streams[rank].occupy(rnd.t_start, rnd.t_end)
+            return AsyncCollectiveHandle(self, rnd.seq, me, rank)
+        if rnd.error is not None:
+            self._claim(rnd, rnd.seq)
+            raise rnd.error
+        self.runtime.clocks[rank].sync_to(rnd.t_end, "comm")
+        self._claim(rnd, rnd.seq)
+        return rnd.results[me]
+
+    def settle_absent(self, before: Optional[CommCounters]) -> None:
+        """A representative run ended with no trigger: leave this world
+        group as if every member had run rank 0's program — each at rank
+        0's sequence number, each round claimed, and one wait term per
+        member for each of rank 0's (``before``: the counters at the start)."""
+        with self._cond:
+            seq = self._seq[0]
+            for g in self.ranks:
+                self._seq[g] = seq
+            for s, rnd in list(self._rounds.items()):
+                if rnd.claimed:
+                    del self._rounds[s]
+            counters = self.counters
+            for name in ("exposed_terms", "overlapped_terms"):
+                terms = getattr(counters, name)
+                mine = terms[len(getattr(before, name)) if before else 0:]
+                terms.extend(mine * (self.size - 1))
+
+    def mirror(self, solo: "ProcessGroup", before: Optional[CommCounters]) -> None:
+        """This singleton group's member repeats what ``solo``'s did since
+        ``before`` (its counters at the start of the run, None if it was
+        made in the run): sequence number, stream tail and counters."""
+        self._seq[self.ranks[0]] = solo._seq[solo.ranks[0]]
+        self.tail = solo.tail
+        self.counters.add_since(solo.counters, before or CommCounters())
 
     # ------------------------------------------------------------------
 

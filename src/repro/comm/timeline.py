@@ -53,7 +53,7 @@ class Round:
     __slots__ = (
         "seq", "mode", "payloads", "entry_times", "results", "done",
         "claimed", "error", "op", "cost", "itemsize", "t_start", "t_end",
-        "retries", "retry_seconds", "trace_extra",
+        "retries", "retry_seconds", "trace_extra", "ahead",
     )
 
     def __init__(self, seq: int = 0, mode: Optional[str] = None) -> None:
@@ -79,6 +79,9 @@ class Round:
         self.retry_seconds = 0.0
         #: extra span tags, the sanitizer's (set by its complete hook)
         self.trace_extra: Dict[str, Any] = NO_EXTRA
+        #: closed on local rank 0's arrival for every member: placing it
+        #: moves only rank 0, each late member moves itself as it claims
+        self.ahead = False
 
 
 class GroupTimeline:
@@ -138,7 +141,9 @@ class GroupTimeline:
         retransmissions) later.  A blocking round syncs every member's
         compute clock to the end; a nonblocking one occupies their comm
         streams and leaves the clocks to each :meth:`settle` — either way
-        in one member-loop frame (``sync_all`` / ``occupy_all``).
+        in one member-loop frame (``sync_all`` / ``occupy_all``).  A round
+        closed ahead by a representative (DESIGN §4ab) moves local rank 0
+        only; each other member moves itself when it claims the round.
 
         ``retry_seconds`` stays its own term: ``t_start + cost.seconds +
         retry_seconds`` is left-associated, and a ``permanent`` failure —
@@ -155,10 +160,11 @@ class GroupTimeline:
         else:
             t_end = t_start + cost.seconds + retry_seconds
         self.tail = t_end
+        members = self.ranks if not rnd.ahead else self.ranks[:1]
         if rnd.mode == "sync":
-            SimClock.sync_all(host.clocks, self.ranks, t_end)
+            SimClock.sync_all(host.clocks, members, t_end)
         else:
-            StreamClock.occupy_all(host.comm_streams, self.ranks, t_start, t_end)
+            StreamClock.occupy_all(host.comm_streams, members, t_start, t_end)
         if permanent:
             return
         if cost.wire_bytes:

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.comm.communicator import Communicator
 from repro.config import Config
-from repro.runtime.spmd import RankContext, current_rank_context
+from repro.runtime.spmd import Identity, RankContext, current_rank_context
 
 
 class ParallelMode(enum.Enum):
@@ -95,19 +95,23 @@ def rank_groups(
     return MappingProxyType({fam: family(digits) for fam, digits in families})
 
 
-class ParallelContext:
+class ParallelContext(Identity):
     """Per-rank view of the parallel decomposition: a communicator over
     this rank's group of each :func:`rank_groups` family.  A tensor group
     is consecutive GPUs, the best-connected ones on Systems I/II, as real
     launchers place it.  Each coordinate (``tp/pp/dp_rank``,
     ``row/col/dep_rank``, ``cube_i/j/k``) is the local rank in the family
-    that varies that digit alone."""
+    that varies that digit alone.  ``rank`` and every coordinate that is
+    not 0 on every rank are identity: a read on the representative is a
+    trigger (DESIGN §4ab)."""
+
+    _label = "pc"
 
     def __init__(self, ctx: RankContext, config: Config) -> None:
         self.ctx = ctx
         self.config = config
         self.world_size = ctx.world_size
-        self.rank = ctx.rank
+        rank = ctx._rank
 
         self.tensor_size = tp = config.tensor.size
         self.pipeline_size = pp = config.pipeline
@@ -118,22 +122,34 @@ class ParallelContext:
         layout = rank_groups(self.world_size, tp, pp, mode, config.tensor.depth)
         for family, groups in layout.items():
             for ranks in groups:
-                if self.rank in ranks:
+                if rank in ranks:
                     break
-            self._comms[family] = Communicator(ctx.runtime.group(ranks), self.rank)
-        comms = self._comms
-        self.tp_rank = comms[ParallelMode.TENSOR].rank
-        self.pp_rank = comms[ParallelMode.PIPELINE].rank
-        self.dp_rank = comms[ParallelMode.DATA].rank
+            # a singleton is this rank's own, named differently on each rank
+            group = (ctx.runtime.own_group if len(ranks) == 1 else ctx.runtime.group)(ranks)
+            self._comms[family] = Communicator(group, rank)
+        # each coordinate with the family whose local rank it is
+        coords = {"rank": ParallelMode.GLOBAL, "tp_rank": ParallelMode.TENSOR,
+                  "pp_rank": ParallelMode.PIPELINE, "dp_rank": ParallelMode.DATA}
         if mode in GRID_GROUPS:
             # the row group varies j and the column group i
             row, col, dep = GRID_GROUPS[mode]
-            self.row_rank, self.col_rank = comms[col].rank, comms[row].rank
-            self.dep_rank = 0 if dep is None else comms[dep].rank
+            coords.update(row_rank=col, col_rank=row)
+            if dep is None:
+                self.dep_rank = 0
+            else:
+                coords["dep_rank"] = dep
         elif mode == "3d":
-            self.cube_i = comms[ParallelMode.PARALLEL_3D_OUTPUT].rank
-            self.cube_j = comms[ParallelMode.PARALLEL_3D_WEIGHT].rank
-            self.cube_k = comms[ParallelMode.PARALLEL_3D_INPUT].rank
+            coords.update(cube_i=ParallelMode.PARALLEL_3D_OUTPUT,
+                          cube_j=ParallelMode.PARALLEL_3D_WEIGHT,
+                          cube_k=ParallelMode.PARALLEL_3D_INPUT)
+        identity = {}
+        for name, family in coords.items():
+            group = self._comms[family].group
+            if group.size == 1:
+                setattr(self, name, 0)
+            else:
+                identity[name] = group.local_of[rank]
+        ctx.runtime.identify(self, identity)
 
         ctx.parallel_context = self
 

@@ -187,6 +187,13 @@ class SimClock:
                 elif t != t:
                     raise ValueError(f"cannot sync clock to {t}")
 
+    def copy_from(self, other: "SimClock") -> None:
+        """Read what ``other`` reads: its time and breakdown."""
+        with other._lock:
+            t, busy = other.time, dict(other._busy)
+        with self._lock:
+            self.time, self._busy = t, busy
+
     def breakdown(self) -> Dict[str, float]:
         """Seconds spent per category (compute / comm / wait / ...)."""
         with self._lock:
@@ -273,6 +280,17 @@ class StreamClock:
                 stream.overlapped_terms.append(dt)
                 if t1 > stream.time:
                     stream.time = t1
+
+    def copy_from(self, other: "StreamClock") -> None:
+        """Hold what ``other`` holds: its head and every term."""
+        with other._lock:
+            t = other.time
+            busy = {cat: list(terms) for cat, terms in other._busy.items()}
+            exposed = list(other.exposed_terms)
+            overlapped = list(other.overlapped_terms)
+        with self._lock:
+            self.time, self._busy = t, busy
+            self.exposed_terms, self.overlapped_terms = exposed, overlapped
 
     def busy_seconds(self) -> float:
         with self._lock:

@@ -1,11 +1,19 @@
 """SPMD thread launcher.
 
-``SpmdRuntime.run(fn)`` executes ``fn(ctx)`` once per rank, each on its own
-thread, in the style of ``mpiexec -n N python script.py``.  NumPy releases
-the GIL for array work, so rank threads overlap where it matters; more
-importantly, *simulated* time is tracked per rank by :class:`SimClock`, so
-host-thread scheduling never affects measured results.  A program with
-one decision for every rank (the serving replica) runs thread-free on the
+``SpmdRuntime.run(fn)`` executes ``fn(ctx)`` as every rank's program, in
+the style of ``mpiexec -n N python script.py``: in general each rank on its
+own thread.  NumPy releases the GIL for array work, so rank threads overlap
+where it matters; more importantly, *simulated* time is tracked per rank by
+:class:`SimClock`, so host-thread scheduling never affects measured results.
+
+A symmetric spec-mode run (DESIGN §4ab) starts rank 0 alone as the
+*representative* of every rank: its world-group rounds close on its own
+arrival, and at the end the other ranks copy its clock, stream, pool peak,
+sequence numbers and result.  The first point at which ranks could differ
+(a read of the rank, another collective, a p2p op, ...) is a *trigger*: the
+other ranks then start from the beginning, claim the rounds closed ahead
+for them, and the rest of the run is the threaded run.  A program with one
+decision for every rank (the serving replica) runs thread-free on the
 calling thread through ``SpmdRuntime.drive(fn)``, in the same lifecycle.
 
 Failure handling: if any rank raises, the runtime trips an abort flag that
@@ -19,8 +27,10 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import threading
 import time
+import traceback
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -90,9 +100,32 @@ class Observer:
         pass
 
 
-class RankContext:
-    """Everything one rank's thread needs: identity, device handles, clock,
-    RNG, execution mode and a slot for the parallel context."""
+class Identity:
+    """The identity attributes of a rank-facing object.  A threaded rank's
+    object holds them as plain attributes; the representative's keeps them
+    back (:meth:`SpmdRuntime.identify`), and the first read of one is a
+    trigger that sets them and starts the other ranks (DESIGN §4ab)."""
+
+    #: how a trigger's reason names the object (``"ctx"`` -> ``ctx.rank``)
+    _label = ""
+    #: the identity kept back, by attribute; nothing on a threaded rank
+    _held: Dict[str, Any] = {}
+
+    def __getattr__(self, name: str) -> Any:
+        if name in self._held:
+            self._held_by.diverge(f"read of {self._label}.{name}")
+            return self.__dict__[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
+
+
+class RankContext(Identity):
+    """Everything one rank's program needs: identity, device handles, clock,
+    RNG, execution mode and a slot for the parallel context.  ``rank``,
+    ``seed`` and ``rng`` are identity: a read on the representative is a
+    trigger."""
+
+    _label = "ctx"
 
     def __init__(
         self,
@@ -102,19 +135,20 @@ class RankContext:
         seed: int,
     ) -> None:
         self.runtime = runtime
-        self.rank = rank
+        #: the rank, for the library's own bookkeeping: reading it is no trigger
+        self._rank = rank
         self.world_size = runtime.world_size
         self.cluster = runtime.cluster
         self.device = runtime.cluster.device(rank)
         self.cpu = runtime.cluster.cpu_of(rank)
         self.clock = runtime.clocks[rank]
         self.materialize = materialize
-        self.seed = seed
-        self.rng = np.random.default_rng(seed)
         self.parallel_context: Optional[Any] = None  # set by repro.context
+        runtime.identify(self, {
+            "rank": rank, "seed": seed, "rng": np.random.default_rng(seed)})
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"RankContext(rank={self.rank}/{self.world_size}, device={self.device.name})"
+        return f"RankContext(rank={self._rank}/{self.world_size}, device={self.device.name})"
 
 
 #: ``rank_context()``: the calling thread's :class:`RankContext`, ``None``
@@ -185,6 +219,16 @@ class _Mailboxes:
             self._cond.notify_all()
 
 
+#: what a representative's result may be and still be shared by every rank
+_IMMUTABLE = (type(None), bool, int, float, str)
+
+
+def _immutable(x: Any) -> bool:
+    if type(x) is tuple:
+        return all(map(_immutable, x))
+    return type(x) in _IMMUTABLE
+
+
 def _make_abort_error() -> SpmdAborted:
     ctx = current_rank_context()
     failed_rank, cause = ctx.runtime.failure  # type: ignore[misc]
@@ -230,13 +274,17 @@ class SpmdRuntime:
     ) -> None:
         if world_size is None:
             world_size = cluster.world_size
+        if world_size < 1:
+            raise ValueError(f"world_size must be at least 1, got {world_size}")
         if world_size > cluster.world_size:
             raise ValueError(
                 f"world_size {world_size} exceeds cluster size {cluster.world_size}"
             )
-        if deadlock_timeout <= 0:
+        # NaN would park a deadlocked waiter forever, and a host Condition
+        # refuses an infinite wait
+        if not 0 < deadlock_timeout < math.inf:
             raise ValueError(
-                f"deadlock_timeout must be positive, got {deadlock_timeout}"
+                f"deadlock_timeout must be positive and finite, got {deadlock_timeout}"
             )
         from repro.comm.algorithms import check_algorithm  # comm builds on runtime
 
@@ -281,6 +329,22 @@ class SpmdRuntime:
         self.failure: Optional[Tuple[int, BaseException]] = None
         self._group_lock = threading.Lock()
         self._groups: Dict[Tuple[int, ...], Any] = {}
+        #: true while rank 0 runs alone for every rank (DESIGN §4ab)
+        self.alone = False
+        #: how the last ``run`` ran: ``"threaded"`` (it did not qualify for a
+        #: representative), ``"representative"`` (rank 0 alone, the others
+        #: copied it) or ``"caught_up"`` (rank 0 alone until a trigger)
+        self.path = "threaded"
+        #: why: what kept the run threaded, or the trigger; None if copied
+        self.reason: Optional[str] = None
+        #: a test seam: False keeps every run threaded
+        self._represent = True
+        self._held: List[Identity] = []
+        #: starts ranks of the running program, set while rank 0 is alone
+        self._start_ranks: Optional[Callable[[range], None]] = None
+        # a representative run's starting point, for the copy at its end
+        self._before: Dict[Tuple[int, ...], Any] = {}
+        self._pools_before: Tuple[int, int, int] = (0, 0, 0)
         #: event tracer (repro.trace.Tracer) or None
         self.tracer: Optional[Any] = None
         #: communication sanitizer (repro.sanitize.CommSanitizer) or None
@@ -353,8 +417,20 @@ class SpmdRuntime:
         """Idempotently create/fetch the :class:`ProcessGroup` over ``ranks``.
 
         Safe to call concurrently from every member rank; all receive the
-        same object.  (Deferred import: comm builds on runtime.)
+        same object.  On the representative any group but the world group
+        is a trigger: a program names the same ranks on every rank, so a
+        singleton it names is one rank's.  (Its own singleton, which each
+        rank names differently, comes through :meth:`own_group`.)
         """
+        grp = self.own_group(ranks)
+        if self.alone and not grp.is_world:
+            self.diverge(f"group {tuple(ranks)}")
+        return grp
+
+    def own_group(self, ranks: Sequence[int]) -> Any:
+        """:meth:`group`, for the caller's own singleton, derived from its
+        rank (``ParallelContext``): no trigger, since every rank's program
+        asks for its own.  (Deferred import: comm builds on runtime.)"""
         from repro.comm.group import ProcessGroup
 
         key = tuple(ranks)
@@ -402,44 +478,159 @@ class SpmdRuntime:
         seed: int = 0,
         **kwargs: Any,
     ) -> List[Any]:
-        """Run ``fn(ctx, *args, **kwargs)`` on every rank; return per-rank
-        results in rank order.
+        """Run ``fn(ctx, *args, **kwargs)`` as every rank's program; return
+        per-rank results in rank order.
 
         ``materialize=False`` runs the program in spec mode: tensors carry
         shapes/bytes but no data (used for billion-parameter experiments).
+        Each rank runs on its own thread, except that a symmetric spec-mode
+        run starts rank 0 alone as the representative of every rank; the
+        others copy it, or start once a trigger says they could differ
+        (DESIGN §4ab).  ``path`` and ``reason`` record which way it went.
         """
+        if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+                or seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         self.reset_clocks()
         self._begin()
 
         results: List[Any] = [None] * self.world_size
+        threads: List[threading.Thread] = []
 
         def worker(rank: int) -> None:
-            ctx = RankContext(self, rank, materialize, seed=seed * 100003 + rank)
-            _thread_local.ctx = ctx
-            t_start = ctx.clock.time
+            t_start = self.clocks[rank].time
             error: Optional[BaseException] = None
             try:
-                results[rank] = fn(ctx, *args, **kwargs)
+                ctx = RankContext(self, rank, materialize, seed * 100003 + rank)
+                _thread_local.ctx = ctx
+                results[rank] = result = fn(ctx, *args, **kwargs)
+                if self.alone:
+                    self._close_alone(result)
             except SpmdAborted as exc:
                 error = exc  # secondary failure; the primary is re-raised below
             except BaseException as exc:  # noqa: BLE001 - must propagate anything
                 error = exc
+                if self.alone:
+                    self.diverge(f"raised {type(exc).__name__}")
                 self.signal_failure(rank, exc)
             finally:
                 for hook in self.on_rank_done:
-                    hook(rank, t_start, ctx.clock.time, error)
+                    hook(rank, t_start, self.clocks[rank].time, error)
                 _thread_local.ctx = None
+                error = None  # no frame <-> traceback cycle outlives the rank
 
-        threads = [
-            threading.Thread(target=worker, args=(r,), name=f"spmd-rank-{r}")
-            for r in range(self.world_size)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        def start(ranks: range) -> None:
+            for r in ranks:
+                t = threading.Thread(target=worker, args=(r,), name=f"spmd-rank-{r}")
+                threads.append(t)
+                t.start()
+
+        reason = self._threaded_reason(materialize)
+        self.path, self.reason = "threaded", reason
+        self.alone = reason is None
+        if self.alone:
+            self.path = "representative"
+            self._start_ranks = start
+            self._before = {key: grp.counters.copy() for key, grp in self._groups.items()
+                            if key == (0,) or grp.is_world}
+            host = self.cluster.cpu_of(0).memory
+            self._pools_before = (self.cluster.device(0).memory.allocated,
+                                  host.allocated, host.peak)
+        start(range(1) if self.alone else range(self.world_size))
+        joined = 0
+        while joined < len(threads):  # a trigger on rank 0 appends the others
+            threads[joined].join()
+            joined += 1
+        self._start_ranks = None
+        if self.alone:
+            self._copy_representative(results)
+        self._before = {}
         self._end()
         return results
+
+    def _threaded_reason(self, materialize: bool) -> Optional[str]:
+        """Why this run cannot start rank 0 alone, or None (DESIGN §4ab)."""
+        if not self._represent:
+            return "forced"
+        if materialize:
+            return "materialized"
+        if self.world_size == 1:
+            return "one rank"
+        for name in ("tracer", "sanitizer", "capture", "fault_injector"):
+            if getattr(self, name) is not None:
+                return name.replace("_", " ")
+        cluster = self.cluster
+        try:
+            first = cluster.device(0).state(), cluster.cpu_of(0).state()
+            for r in range(1, self.world_size):
+                if (cluster.device(r).state(), cluster.cpu_of(r).state()) != first:
+                    return "unequal devices"
+        except KeyError:  # a GPU with no host: that rank's own set-up fails
+            return "unequal devices"
+        return None
+
+    def identify(self, obj: Identity, identity: Dict[str, Any]) -> None:
+        """Give ``obj`` its ``identity`` attributes; on the representative,
+        hold them back until their first read, a trigger."""
+        if self.alone:
+            obj._held = identity
+            obj._held_by = self
+            self._held.append(obj)
+        else:
+            obj.__dict__.update(identity)
+
+    def _reveal(self) -> None:
+        """Every held object gets its identity as plain attributes."""
+        for obj in self._held:
+            obj.__dict__.update(obj._held)
+            del obj._held, obj._held_by
+        self._held = []
+
+    def diverge(self, reason: str) -> None:
+        """A trigger on the representative: the first point at which the
+        ranks could differ.  Record it, give rank 0 its identity and start
+        every other rank from the beginning; they claim the rounds closed
+        ahead for them, then meet rank 0 in live rounds (DESIGN §4ab)."""
+        if not self.alone:
+            return
+        self.alone = False
+        self.path, self.reason = "caught_up", reason
+        self._reveal()
+        self._start_ranks(range(1, self.world_size))
+
+    def _close_alone(self, result: Any) -> None:
+        """Rank 0's program ended with no trigger: whether the others may
+        copy it, or must run after all."""
+        host = self.cluster.cpu_of(0).memory
+        if not _immutable(result):
+            self.diverge(f"result of type {type(result).__name__}")
+        elif self.cluster.device(0).memory.allocated != self._pools_before[0]:
+            self.diverge("pool bytes held")
+        elif (host.allocated, host.peak) != self._pools_before[1:]:
+            self.diverge("host pool used")
+
+    def _copy_representative(self, results: List[Any]) -> None:
+        """The end of a run with no trigger: every other rank is left as
+        running rank 0's program would have left it — clock and breakdown,
+        comm stream, device pool, sequence numbers, singleton-group
+        counters and result."""
+        self.alone = False
+        self._reveal()
+        clock, stream = self.clocks[0], self.comm_streams[0]
+        pool = self.cluster.device(0).memory
+        for r in range(1, self.world_size):
+            results[r] = results[0]
+            self.clocks[r].copy_from(clock)
+            self.comm_streams[r].copy_from(stream)
+            self.cluster.device(r).memory.copy_from(pool)
+        before = self._before
+        for key, grp in list(self._groups.items()):
+            if grp.is_world:
+                grp.settle_absent(before.get(key))
+        solo = self._groups.get((0,))
+        if solo is not None:
+            for r in range(1, self.world_size):
+                self.own_group((r,)).mirror(solo, before.get((0,)))
 
     def drive(self, fn: Callable[[], Any]) -> None:
         """Run a thread-free driver ``fn()`` as a program of every rank, in
@@ -482,6 +673,9 @@ class SpmdRuntime:
             # buffers go now, not at the next run; the counters stay
             self._reset_comm_state()
             rank, cause = self.failure
+            # and so do its tensors: the traceback keeps each finished frame
+            # of the failed rank, and each frame its locals (device bytes)
+            traceback.clear_frames(cause.__traceback__)
             raise RemoteRankError(rank, cause) from cause
         if self.buffer_pool is not None:
             # clean runs must have returned or adopted every loan; an

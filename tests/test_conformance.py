@@ -15,7 +15,13 @@ clusters each runs on, and every relation of the table runs on every cell:
 5. ``overlap``: overlap on == off in results and traffic, makespan ≤;
 6. ``spec``: spec mode == real mode in makespan, breakdowns, counters and
    device peaks;
-7. ``auto``: the ``auto`` selector's makespan ≤ ``ring``'s.
+7. ``auto``: the ``auto`` selector's makespan ≤ ``ring``'s;
+8. ``classed``: a spec run, which may start rank 0 alone as every rank's
+   representative (DESIGN §4ab), == the same spec run forced onto one
+   thread per rank — results, clocks and breakdowns, stream times and
+   exposed / overlapped seconds, counters, device peaks and group sequence
+   numbers — and takes the path :data:`CLASSED` names, for the reason it
+   names.
 
 "==" is bitwise: results are compared as bytes, times and counters as
 floats and ints.  Relations 1-4 and 6 compare the cell's plain run (pooled,
@@ -203,6 +209,21 @@ def adam_prog(overlap, zero, fp16, steps=2):
     return config, prog
 
 
+def twin_prog(overlap):
+    """One DDP step of :func:`mlp` on the same batch on every rank, reading no
+    rank: the program a spec run executes on rank 0 alone, the others
+    copying it (DESIGN §4ab)."""
+    X, Y = batch(0)
+
+    def prog(ctx):
+        pc = ParallelContext(ctx, Config.from_dict({}))
+        ddp = DistributedDataParallel(mlp(), pc, bucket_mb=0.002, overlap=overlap)
+        CRITERION(ddp(Tensor(X[:B].copy())), Y[:B]).backward()
+        ddp.sync()
+
+    return prog
+
+
 def _no_result(step):
     """The storm and the hybrid step return the rank's clock: ``Run.times``."""
     return lambda ctx: step(ctx) and None
@@ -248,6 +269,8 @@ PROGRAMS = {
                               (("uniform", 2),), ("ring",)),
     "ddp16": Program(lambda c: ddp_prog(c.overlap, steps=1), (("uniform", 16),),
                      ("ring",), (True,)),
+    "twin": Program(lambda c: twin_prog(c.overlap), (("system_ii", 4), ("uniform", 8)),
+                    ("ring",)),
     "zero3": Program(lambda c: zero_prog(c.overlap), (("uniform", 2),),
                      ("ring", "hierarchical")),
     "gpipe": Program(lambda c: pipeline_prog(GPipeSchedule, c.world),
@@ -276,6 +299,23 @@ def _generate():
 
 
 CELLS = list(_generate())
+
+
+#: each program's spec run (DESIGN §4ab): ``SpmdRuntime.path`` and ``reason``
+CLASSED = {
+    "ddp": ("caught_up", "read of pc.dp_rank"),
+    "ddp_one_bucket": ("caught_up", "read of pc.dp_rank"),
+    "ddp16": ("caught_up", "read of pc.dp_rank"),
+    "twin": ("representative", None),
+    "zero3": ("caught_up", "read of ctx.rank"),
+    "gpipe": ("caught_up", "read of pc.pp_rank"),
+    "1f1b": ("caught_up", "read of pc.pp_rank"),
+    "tp1d": ("caught_up", "read of comm.rank"),
+    "edge": ("caught_up", "read of ctx.rank"),
+    "storm": ("caught_up", "read of ctx.rank"),
+    "hybrid": ("caught_up", "group (0, 1)"),
+    "adam": ("caught_up", "read of pc.dp_rank"),
+}
 
 
 def cells(program, **where):
@@ -333,6 +373,10 @@ class Run:
     spans: Optional[list] = None
     tables: Optional[tuple] = None
     trace: Any = None
+    #: stream heads, group sequence numbers, and how the run ran
+    stream_times: Optional[list] = None
+    seqs: Optional[dict] = None
+    path: Optional[Tuple[str, Optional[str]]] = None
 
     def end_state(self):
         return (self.makespan, self.times, self.clocks, self.streams, self.peaks,
@@ -340,15 +384,18 @@ class Run:
 
 
 def execute(cell, *, traced=False, capture=False, pool=True, sanitize=False,
-            materialize=True):
+            materialize=True, threaded=False):
     """One run of ``cell`` on a fresh cluster (a shared one would let the
-    first run's finalizers free into the second run's memory pools)."""
+    first run's finalizers free into the second run's memory pools);
+    ``threaded`` keeps a spec run on one thread per rank, through the
+    runtime's test seam."""
     tracer = Tracer() if traced else None
     recorder = CaptureRecorder() if capture else None
     rt = SpmdRuntime(CLUSTERS[cell.cluster](cell.world), cell.world,
                      comm_algorithm=cell.algorithm, comm_overlap=cell.overlap,
                      tracer=tracer, sanitize=sanitize or None, capture=recorder,
                      buffer_pool=pool)
+    rt._represent = not threaded
     program = PROGRAMS[cell.program]
     prog = program.make(cell)
     if isinstance(prog, tuple):
@@ -365,6 +412,9 @@ def execute(cell, *, traced=False, capture=False, pool=True, sanitize=False,
         {key: {f: getattr(g.counters, f) for f in COUNTER_FIELDS}
          for key, g in rt._groups.items()},
         pool and (rt.buffer_pool.loans, rt.buffer_pool.reuses))
+    run.stream_times = [s.time for s in rt.comm_streams]
+    run.seqs = {key: dict(g._seq) for key, g in rt._groups.items()}
+    run.path = rt.path, rt.reason
     if tracer is not None:
         run.spans, run.tables = timeline_spans(tracer), report_tables(tracer)
     if recorder is not None:
@@ -381,6 +431,11 @@ def plain(cell):
 @functools.lru_cache(maxsize=None)
 def captured(cell):
     return execute(cell, capture=True)
+
+
+@functools.lru_cache(maxsize=None)
+def specced(cell):
+    return execute(cell, materialize=False)
 
 
 # -- the relation table ----------------------------------------------------
@@ -437,8 +492,18 @@ def rel_overlap(cell):
 
 
 def rel_spec(cell):
-    spec, ref = execute(cell, materialize=False), plain(cell)
+    spec, ref = specced(cell), plain(cell)
     assert spec.end_state() == ref.end_state()
+
+
+def rel_classed(cell):
+    classed, threaded = specced(cell), execute(cell, materialize=False, threaded=True)
+    assert classed.path == CLASSED[cell.program]
+    assert threaded.path == ("threaded", "forced")
+    assert classed.results == threaded.results
+    assert classed.end_state() == threaded.end_state()
+    assert classed.stream_times == threaded.stream_times
+    assert classed.seqs == threaded.seqs
 
 
 def rel_auto(cell):
@@ -454,6 +519,7 @@ RELATIONS = [
     pytest.param(rel_overlap, id="overlap", marks=pytest.mark.overlap),
     pytest.param(rel_spec, id="spec"),
     pytest.param(rel_auto, id="auto"),
+    pytest.param(rel_classed, id="classed"),
 ]
 
 

@@ -38,7 +38,10 @@ result bitwise identical.  The tests here enforce that contract:
 9. a real op's C time is guarded where the call counter cannot see it: a
    GELU costs the same on negative and positive inputs, and the calls
    beneath a materialized ZeRO ``train_step`` stay within 5 % of their
-   count when this guard was written.
+   count when this guard was written;
+10. a symmetric world runs one program (DESIGN §4ab): an 8-rank spec DDP
+    step starts one program thread, and the storm, which reads its rank
+    at once, starts eight, naming the read.
 """
 
 import collections
@@ -46,6 +49,7 @@ import copy
 import os
 import subprocess
 import sys
+import threading
 import time
 import weakref
 from contextlib import contextmanager, nullcontext
@@ -661,6 +665,7 @@ def _counted_spec_step(world=2, layers=2, hidden=64, heads=4, warm=False):
             ddp.sync()
 
     rt = SpmdRuntime(uniform_cluster(world), world, comm_overlap=True)
+    rt._represent = False  # every rank dispatches its own ops (DESIGN §4ab)
     if warm:
         rt.run(prog, False, materialize=False)
     rt.run(prog, True, materialize=False)
@@ -1214,6 +1219,93 @@ def _repro_calls(fn):
     with counter.this_thread():
         out = fn()
     return counter.total(), out
+
+
+# -- runtime: a symmetric world runs one program (DESIGN §4ab) ---------------
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The names of the rank threads a run starts."""
+    names = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        if thread.name.startswith("spmd-rank-"):
+            names.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return names
+
+
+#: ``bench/workloads/collectives.py``'s storm, copied (with fewer rounds):
+#: it reads its rank before its first exchange
+_BENCH_WORLD, _BENCH_ROW, _BENCH_ROUNDS = 8, 4, 4
+_BENCH_ELEMS = (4096, 65536, 524288, 4194304)
+
+
+def _bench_storm(ctx):
+    world = Communicator.world(ctx)
+    r = ctx.rank
+    row = world.subgroup(range(r - r % _BENCH_ROW, r - r % _BENCH_ROW + _BENCH_ROW))
+    col = world.subgroup(range(r % _BENCH_ROW, _BENCH_WORLD, _BENCH_ROW))
+    t0 = ctx.clock.time
+    for i in range(_BENCH_ROUNDS):
+        n = _BENCH_ELEMS[i % len(_BENCH_ELEMS)]
+        x = SpecArray((n,), "float32")
+        world.all_reduce(x)
+        row.all_gather(x)
+        col.reduce_scatter(x)
+        row.broadcast(x if row.rank == 0 else None)
+        handle = world.iallreduce(x)
+        world.all_to_all(
+            [SpecArray((n // _BENCH_WORLD,), "float32") for _ in range(_BENCH_WORLD)])
+        world.sendrecv(x, (r + 1) % _BENCH_WORLD, (r - 1) % _BENCH_WORLD, tag=i)
+        handle.wait()
+    return ctx.clock.time - t0
+
+
+class TestRepresentativeRun:
+    """An 8-rank spec step whose ranks never differ runs once, on rank 0's
+    thread; a program that reads its rank at once runs on every thread."""
+
+    def test_symmetric_ddp_step_starts_one_program_thread(self, started):
+        class Stack(Module):
+            def __init__(self):
+                super().__init__()
+                self.layers = ModuleList([
+                    TransformerLayer(64, 4, dtype="float16") for _ in range(2)])
+
+            def forward(self, x):
+                for layer in self.layers:
+                    x = checkpoint(layer, x)
+                return x
+
+        def prog(ctx):
+            pc = ParallelContext(ctx, Config.from_dict({}))
+            ddp = DistributedDataParallel(Stack(), pc, bucket_mb=0.01, overlap=True)
+            x = Tensor(SpecArray((2, 8, 64), "float16"), requires_grad=True)
+            ddp(x).sum().backward()
+            ddp.sync()
+            return ctx.clock.time
+
+        from repro.cluster import system_ii
+
+        rt = SpmdRuntime(system_ii(), 8, comm_overlap=True)
+        steps = rt.run(prog, materialize=False)
+        assert started == ["spmd-rank-0"]
+        assert (rt.path, rt.reason) == ("representative", None)
+        assert len(set(steps)) == 1 and len({c.time for c in rt.clocks}) == 1
+
+    def test_bench_storm_starts_every_thread_naming_the_read(self, started):
+        from repro.cluster import system_ii
+
+        rt = SpmdRuntime(system_ii(), _BENCH_WORLD, comm_algorithm="auto",
+                         comm_overlap=True)
+        rt.run(_bench_storm, materialize=False, seed=1)
+        assert sorted(started) == [f"spmd-rank-{r}" for r in range(_BENCH_WORLD)]
+        assert (rt.path, rt.reason) == ("caught_up", "read of ctx.rank")
 
 
 class TestPlanHostCost:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import uniform_cluster
 from repro.runtime import RemoteRankError, SimClock, SpmdRuntime
 from repro.runtime.clock import StreamClock
 from repro.runtime.spmd import current_rank_context, in_spmd
@@ -283,6 +284,39 @@ class TestSpmdRuntime:
     def test_world_size_cap(self, cluster4):
         with pytest.raises(ValueError):
             SpmdRuntime(cluster4, world_size=8)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(world_size=0), "world_size"), (dict(world_size=-2), "world_size"),
+        (dict(deadlock_timeout=math.nan), "deadlock_timeout"),
+        (dict(deadlock_timeout=math.inf), "deadlock_timeout"),
+        (dict(deadlock_timeout=0.0), "deadlock_timeout"),
+    ])
+    def test_bad_runtime_arguments_named(self, cluster4, kwargs, name):
+        """An empty world would return ``[]`` as a run, a NaN timeout would
+        park a deadlocked waiter forever and an infinite one overflows the
+        host wait: each is refused at construction, by name."""
+        with pytest.raises(ValueError, match=name):
+            SpmdRuntime(cluster4, **kwargs)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    @pytest.mark.parametrize("materialize", [True, False])
+    def test_bad_seed_refused_before_any_rank_runs(self, rt4, seed, materialize):
+        ran = []
+        with pytest.raises(ValueError, match="seed"):
+            rt4.run(lambda ctx: ran.append(ctx), seed=seed, materialize=materialize)
+        assert ran == []
+        assert rt4.run(lambda ctx: ctx.seed, seed=2) == [200006 + r for r in range(4)]
+
+    @pytest.mark.parametrize("materialize", [True, False])
+    def test_rank_setup_failure_is_a_remote_rank_error(self, materialize):
+        """Rank 1's GPU sits on a node with no host: building its context
+        fails on its own thread, and the run raises that, typed."""
+        cluster = uniform_cluster(4)
+        cluster.gpus[1].node = 7
+        with pytest.raises(RemoteRankError) as ei:
+            SpmdRuntime(cluster).run(lambda ctx: ctx.world_size, materialize=materialize)
+        assert ei.value.rank == 1
+        assert isinstance(ei.value.cause, KeyError)
 
     def test_sub_world(self, cluster4):
         rt = SpmdRuntime(cluster4, world_size=2)
