@@ -234,7 +234,6 @@ def refine_candidate(
         world_size=probe_cand.world,
         materialize=False,
         comm_algorithm=cand.algorithm,
-        comm_overlap=cand.overlap,
     )
     # spec-mode probes never touch the memory pools: give the projection
     # the analytic per-rank peak, declaring the ZeRO-partitionable slice
@@ -281,12 +280,7 @@ def simulate_candidate(
         )[-1]
     _cfg, fn = build_probe(work, cand, global_batch, compute_seconds)
     cluster.reset()
-    rt = SpmdRuntime(
-        cluster,
-        cand.world,
-        comm_algorithm=cand.algorithm,
-        comm_overlap=cand.overlap,
-    )
+    rt = SpmdRuntime(cluster, cand.world, comm_algorithm=cand.algorithm)
     rt.run(fn, materialize=False)
     return rt.max_time()
 

@@ -48,6 +48,10 @@ LINK_LATENCY: Dict[LinkType, float] = {
     LinkType.HOST: 5e-6,
 }
 
+#: A member pair is on one fast-link island when its path bandwidth is at
+#: least this share of the group's fastest pair's (:meth:`Topology.islands`).
+ISLAND_RATIO = 0.5
+
 
 class Topology:
     """Link graph with bandwidth/latency queries.
@@ -66,7 +70,7 @@ class Topology:
         self._path_cache: Dict[Tuple[str, str], List[str]] = {}
         self._ring_cache: Dict[Tuple[str, ...], Tuple[float, float]] = {}
         self._order_cache: Dict[Tuple[str, ...], List[str]] = {}
-        self._island_cache: Dict[Tuple[Tuple[str, ...], float], List[List[str]]] = {}
+        self._island_cache: Dict[Tuple[str, ...], List[List[str]]] = {}
         #: monotone counter bumped *after* every structural/bandwidth
         #: change; read-only outside this class.  Consumers that memoize
         #: anything derived from the link graph (the ``CostModel`` probe
@@ -327,12 +331,12 @@ class Topology:
             self._order_cache[key] = cached
         return list(cached)
 
-    def islands(self, names: List[str], ratio: float = 0.5) -> List[List[str]]:
+    def islands(self, names: List[str]) -> List[List[str]]:
         """Partition ``names`` into fast-link islands.
 
         Two members belong to the same island when their path bandwidth is at
-        least ``ratio`` times the fastest member pair's; islands are the
-        connected components of that fast-pair graph.  On System II this
+        least ``ISLAND_RATIO`` times the fastest member pair's; islands are
+        the connected components of that fast-pair graph.  On System II this
         yields the NVLink pairs; on Systems III/IV the node-local cliques;
         on a uniform/fully-connected fabric the whole group is one island.
 
@@ -341,7 +345,7 @@ class Topology:
         names = list(names)
         if len(names) <= 1:
             return [names] if names else []
-        key = (tuple(names), ratio)
+        key = tuple(names)
         cached = self._island_cache.get(key)
         if cached is None:
             cache = self._bw_cache
@@ -356,7 +360,7 @@ class Topology:
                 pair_bw.append(stats[0])
                 if stats[0] > top:
                     top = stats[0]
-            threshold = top * ratio
+            threshold = top * ISLAND_RATIO
             # union-find over member positions: ``root[i] <= i``, a root
             # is its component's first member
             root = list(range(len(names)))

@@ -490,12 +490,10 @@ class Communicator(Identity):
         """One p2p transmission: the ``send`` hooks (a fault injector's
         crash check and retry rule, :meth:`GroupTimeline.retry_p2p`), the
         transfer on the group's timeline, the ``sent`` hooks, and the payload
-        into the receiver's mailbox.  ``kind`` is the send's capture tag and
-        says when the sender pays: ``"ps"`` (blocking ``send``) now, ``"pse"``
-        (eager ``isend``) at ``wait()`` on the returned :class:`Request`,
-        ``"pss"`` (overlap-mode ``isend``) never — the transfer runs on the
-        sender's p2p stream, and the returned :class:`StreamSendHandle`
-        max-joins its end."""
+        into the receiver's mailbox.  ``kind`` is the send's capture tag:
+        ``"ps"`` (blocking ``send``) charges the sender now; ``"pss"``
+        (``isend``) never — the transfer runs on the sender's p2p stream,
+        and the returned :class:`StreamSendHandle` max-joins its end."""
         src_g = self._global_rank
         group = self.group
         if not 0 <= dst < group.size:
@@ -513,12 +511,10 @@ class Communicator(Identity):
         if kind == "pss":
             t_avail = group.stream_send(src_g, cost, elements, dst_g, nbytes)
             handle: Optional[WorkHandle] = StreamSendHandle(
-                self, t_avail, cost.seconds)
+                self, dst, t_avail, cost.seconds)
         else:
-            t_avail = group.send(
-                src_g, t_entry, cost, elements, dst_g, nbytes, kind == "ps")
-            handle = (None if kind == "ps"
-                      else Request(kind="send", comm=self, seconds=cost.seconds))
+            t_avail = group.send(src_g, t_entry, cost, elements, dst_g, nbytes)
+            handle = None
         payload = x if type(x) is SpecArray else x.copy()
         key = (src_g, dst_g, (id(group), tag))
         for hook in runtime.on_sent:
@@ -563,16 +559,13 @@ class Communicator(Identity):
     def isend(self, x: Payload, dst: int, tag: Any = 0) -> WorkHandle:
         """Non-blocking send (mpi4py style).
 
-        With ``runtime.comm_overlap`` enabled the transfer runs on the
-        sender's p2p comm stream: it starts at max(issue time, stream tail),
-        the sender's clock is not charged, and ``wait()`` max-joins to the
-        transfer completion (charging only the exposed remainder).  With
-        overlap disabled the legacy eager semantics apply: the payload is
-        immediately available and the sender's clock is charged the full
-        transfer on ``wait()`` (retransmission charges land immediately).
+        The transfer runs on the sender's p2p comm stream: it starts at
+        max(issue time, stream tail), the sender's clock is not charged, and
+        ``wait()`` max-joins to the transfer completion (charging only the
+        exposed remainder).  Injected retransmissions charge the sender at
+        issue.
         """
-        return self._deliver(
-            x, dst, tag, "pss" if self.group.runtime.comm_overlap else "pse")
+        return self._deliver(x, dst, tag, "pss")
 
     def irecv(self, src: int, tag: Any = 0) -> "Request":
         """Non-blocking receive; ``wait()`` blocks until the message lands."""
@@ -581,7 +574,7 @@ class Communicator(Identity):
         runtime = self.group.runtime
         if runtime.alone:
             runtime.diverge("irecv")
-        return Request(kind="recv", comm=self, src=src, tag=tag)
+        return Request(self, src, tag)
 
     # -- introspection ------------------------------------------------------------
 
@@ -596,14 +589,15 @@ class Communicator(Identity):
 
 
 class StreamSendHandle(WorkHandle):
-    """Handle for an overlap-mode ``isend`` running on the sender's p2p
-    stream; ``wait()`` max-joins the sender's clock to transfer completion."""
+    """Handle for an ``isend`` running on the sender's p2p stream;
+    ``wait()`` max-joins the sender's clock to transfer completion."""
 
-    __slots__ = ("_comm", "_t_end", "_seconds", "_done")
+    __slots__ = ("_comm", "_dst", "_t_end", "_seconds", "_done")
 
-    def __init__(self, comm: "Communicator", t_end: float,
+    def __init__(self, comm: "Communicator", dst: int, t_end: float,
                  seconds: float) -> None:
         self._comm = comm
+        self._dst = dst
         self._t_end = t_end
         self._seconds = seconds
         self._done = False
@@ -620,27 +614,27 @@ class StreamSendHandle(WorkHandle):
         rank = self._comm._global_rank
         group.settle(rank, "isend", self._seconds, self._t_end)
         for hook in group.runtime.on_wait:
-            hook(rank, self, self._seconds)
+            hook(rank, self)
         self._done = True
         return None
 
+    def __repr__(self) -> str:
+        return f"StreamSendHandle(dst={self._dst}, done={self._done})"
+
 
 class Request(WorkHandle):
-    """Handle for a non-blocking operation (``Request.wait`` completes it)."""
+    """Handle for an ``irecv`` (``Request.wait`` completes it)."""
 
-    def __init__(self, kind: str, comm: "Communicator", seconds: float = 0.0,
-                 src: int = -1, tag: Any = 0) -> None:
-        self._kind = kind
+    def __init__(self, comm: "Communicator", src: int, tag: Any) -> None:
         self._comm = comm
-        self._seconds = seconds
         self._src = src
         self._tag = tag
         self._done = False
         self._result: Optional[Payload] = None
 
     def test(self) -> bool:
-        """True once the operation can complete without blocking."""
-        if self._done or self._kind == "send":
+        """True once the message has landed and ``wait()`` will not block."""
+        if self._done:
             return True
         runtime = self._comm.group.runtime
         src_g = self._comm.group.global_rank(self._src)
@@ -649,21 +643,11 @@ class Request(WorkHandle):
             return bool(runtime.mailboxes._boxes.get(key))
 
     def wait(self) -> Optional[Payload]:
-        """Complete the op: send charges the transfer time, recv blocks for
-        and returns the payload."""
-        if self._done:
-            return self._result
-        if self._kind == "send":
-            rank = self._comm._global_rank
-            runtime = self._comm.group.runtime
-            runtime.clocks[rank].advance(self._seconds, "comm")
-            for hook in runtime.on_wait:
-                hook(rank, self, self._seconds)
-        else:
+        """Block for and return the payload."""
+        if not self._done:
             self._result = self._comm.recv(self._src, self._tag)
-        self._done = True
+            self._done = True
         return self._result
 
     def __repr__(self) -> str:
-        peer = "" if self._kind == "send" else f", src={self._src}, tag={self._tag!r}"
-        return f"Request({self._kind}{peer}, done={self._done})"
+        return f"Request(recv, src={self._src}, tag={self._tag!r}, done={self._done})"

@@ -299,28 +299,26 @@ class GroupTimeline:
                 raise CollectiveTimeout("p2p", (rank, dst), attempts=failures)
 
     def send(self, rank: int, t_entry: float, cost: CollectiveCost,
-             elements: int, dst: int, nbytes: int, charge: bool) -> float:
-        """An eager send from ``rank`` to global rank ``dst``; returns when
-        the payload is available to the receiver.  A blocking send charges
-        the transfer to the sender's clock, and its span starts at
-        ``t_entry`` — the entry *before* any injected retransmission; an
-        eager ``isend`` (``charge=False``) pays at its ``wait()``."""
+             elements: int, dst: int, nbytes: int) -> float:
+        """A blocking send from ``rank`` to global rank ``dst``; returns when
+        the payload is available to the receiver.  The transfer is charged
+        to the sender's clock, and its span starts at ``t_entry`` — the
+        entry *before* any injected retransmission."""
         host = self.host
         clock = host.clocks[rank]
         t_avail = clock.time + cost.seconds
         self.counters.record("p2p", cost.wire_bytes, elements)
-        if charge:
-            clock.advance(cost.seconds, "comm")
-            if host.tracer is not None:
-                host.tracer.annotate(
-                    rank, "p2p", "send", t_entry, clock.time,
-                    dst=dst, nbytes=nbytes,
-                )
+        clock.advance(cost.seconds, "comm")
+        if host.tracer is not None:
+            host.tracer.annotate(
+                rank, "p2p", "send", t_entry, clock.time,
+                dst=dst, nbytes=nbytes,
+            )
         return t_avail
 
     def stream_send(self, rank: int, cost: CollectiveCost, elements: int,
                     dst: int, nbytes: int) -> float:
-        """An overlap-mode ``isend`` on ``rank``'s p2p stream: it starts at
+        """An ``isend`` on ``rank``'s p2p stream: it starts at
         max(issue time, stream tail) — injected retransmissions have already
         moved the clock — and the sender's clock is not charged; returns the
         transfer's end, which is also the payload's availability."""

@@ -44,10 +44,8 @@ from repro.runtime.spmd import Observer
 #   ("ic", gid, seq)                                nonblocking collective issue
 #   ("cw", gid, seq)                                nonblocking collective wait
 #   ("ps", gid, dst, tag, nbytes, wire, elems, s)   blocking send
-#   ("pse", gid, dst, tag, nbytes, wire, elems, s)  eager isend (no overlap)
-#   ("pw", seconds)                                 eager isend wait
-#   ("pss", gid, sid, dst, tag, nbytes, wire, elems, s)  stream isend
-#   ("psw", sid)                                    stream isend wait
+#   ("pss", gid, sid, dst, tag, nbytes, wire, elems, s)  isend (p2p stream)
+#   ("psw", sid)                                    isend wait
 #   ("pr", gid, src, tag)                           receive
 Event = Tuple[Any, ...]
 
@@ -73,7 +71,6 @@ class OpTrace:
 
     world_size: int
     comm_algorithm: str
-    comm_overlap: bool
     cluster: Any
     #: per-gid member tuples (global ranks)
     groups: List[Tuple[int, ...]] = field(default_factory=list)
@@ -178,7 +175,6 @@ class CaptureRecorder(Observer):
             self._trace = OpTrace(
                 world_size=runtime.world_size,
                 comm_algorithm=runtime.comm_algorithm,
-                comm_overlap=runtime.comm_overlap,
                 cluster=runtime.cluster,
                 groups=list(self._groups),
                 streams=[list(s) for s in self._streams],
@@ -265,9 +261,9 @@ class CaptureRecorder(Observer):
     def on_sent(self, src: int, dst: int, key: Any, payload: Any, group: Any,
                 tag: Any, kind: str, cost: CollectiveCost,
                 handle: Any) -> None:
-        """A blocking ``send`` (``"ps"``), an eager non-overlap ``isend``
-        (``"pse"``) or an overlap-mode ``isend`` on the sender's p2p stream
-        (``"pss"``, numbered per rank for its ``wait()`` to name)."""
+        """A blocking ``send`` (``"ps"``) or an ``isend`` on the sender's
+        p2p stream (``"pss"``, numbered per rank for its ``wait()`` to
+        name)."""
         facts = (dst, tag, int(payload.nbytes), cost.wire_bytes,
                  int(payload.size), cost.seconds)
         if kind == "pss":
@@ -281,12 +277,9 @@ class CaptureRecorder(Observer):
                     group: Any, tag: Any) -> None:
         self._streams[dst].append(("pr", self._gid(group), src, tag))
 
-    def on_wait(self, rank: int, handle: Any, seconds: float) -> None:
-        """A send handle's ``wait()``: a stream send's by its id, an eager
-        send's by the transfer it charges."""
-        sid = self._sid_of.pop(handle, None)
-        self._streams[rank].append(
-            ("pw", seconds) if sid is None else ("psw", sid))
+    def on_wait(self, rank: int, handle: Any) -> None:
+        """An ``isend`` handle's ``wait()``, by its send's id."""
+        self._streams[rank].append(("psw", self._sid_of.pop(handle)))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         n = sum(len(s) for s in self._streams)

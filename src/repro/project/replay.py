@@ -421,8 +421,6 @@ class ReplayEngine:
                 t0 = clock.time
                 clock.advance(dt if scale == 1.0 else dt * scale, category)
                 tracer.annotate(rank, category, label, t0, clock.time)
-            elif tag == "pw":  # eager isend wait
-                clock.advance(ev[1], "comm")
             else:
                 handler = self._HANDLERS.get(tag)
                 if handler is None:
@@ -491,12 +489,10 @@ class ReplayEngine:
         return True
 
     def _ev_send(self, rank: int, ev: Tuple[Any, ...]) -> bool:
-        kind, gid, dst, tag, nbytes, wire, elements, seconds = ev
+        _t, gid, dst, tag, nbytes, wire, elements, seconds = ev
         cost = self.pricer.p2p(gid, rank, dst, nbytes, (wire, seconds))
-        # "pse": eager isend, paid by its "pw"
         t_avail = self.timelines[gid].send(
-            rank, self.clocks[rank].time, cost, elements, dst, nbytes,
-            kind == "ps")
+            rank, self.clocks[rank].time, cost, elements, dst, nbytes)
         self._mailbox.setdefault((gid, rank, dst, tag), deque()).append(
             (t_avail, nbytes))
         return True
@@ -531,7 +527,6 @@ class ReplayEngine:
         "ic": _ev_issue,
         "cw": _ev_coll_wait,
         "ps": _ev_send,
-        "pse": _ev_send,
         "pss": _ev_stream_send,
         "psw": _ev_stream_wait,
         "pr": _ev_recv,

@@ -291,9 +291,9 @@ class SpmdRuntime:
         check_algorithm(comm_algorithm)
         #: default collective algorithm for every process group's cost model
         self.comm_algorithm = comm_algorithm
-        #: route nonblocking p2p and scheduler comm through per-rank comm
-        #: streams (comm/compute overlap) instead of legacy blocking-on-wait
-        #: semantics; i-collectives always use the streams.
+        #: have the library schedulers (DDP, ZeRO chunks, GPipe/1F1B) issue
+        #: their traffic nonblocking; every nonblocking primitive rides the
+        #: per-rank comm streams whatever this says.
         self.comm_overlap = bool(comm_overlap)
         self.cluster = cluster
         self.world_size = world_size

@@ -16,6 +16,7 @@ from repro.cluster import (
     system_iv,
     uniform_cluster,
 )
+from repro.cluster.topology import ISLAND_RATIO
 from repro.comm.cost import CostModel
 from repro.cluster.bandwidth import (
     measure_allreduce_bandwidth,
@@ -177,14 +178,14 @@ def test_route_searches_like_networkx():
     check()
 
 
-def _reference_islands(topo, names, ratio):
+def _reference_islands(topo, names):
     """The pair-dict and union-find formulation the walk replaced."""
     names = list(names)
     if len(names) <= 1:
         return [names] if names else []
     pair_bw = {(a, b): topo.bandwidth(a, b)
                for a, b in itertools.combinations(names, 2)}
-    threshold = max(pair_bw.values()) * ratio
+    threshold = max(pair_bw.values()) * ISLAND_RATIO
     parent = {n: n for n in names}
 
     def find(n):
@@ -249,11 +250,10 @@ def test_walks_equal_their_reference(system):
     @given(
         members=st.tuples(st.permutations(range(n_gpus)),
                           st.integers(0, n_gpus)).map(lambda p: p[0][:p[1]]),
-        ratio=st.sampled_from([0.25, 0.5, 1.0]),
         degrade=st.one_of(st.none(), st.tuples(
             st.integers(0, n_links - 1), st.sampled_from([0.01, 0.3, 0.6]))),
     )
-    def check(members, ratio, degrade):
+    def check(members, degrade):
         topos = []
         for _ in range(2):
             cluster = build()
@@ -264,10 +264,10 @@ def test_walks_equal_their_reference(system):
             topos.append(topo)
         names = build().gpu_names(members)
         reference, walked = topos
-        want = (_reference_islands(reference, names, ratio),
+        want = (_reference_islands(reference, names),
                 _reference_order_ring(reference, names),
                 _reference_pairwise(reference, names))
-        walks = (lambda t: t.islands(names, ratio),
+        walks = (lambda t: t.islands(names),
                  lambda t: t.order_ring(names),
                  lambda t: t.pairwise_stats(names))
         for i, walk in enumerate(walks):  # each walk cold, then warm
@@ -279,7 +279,7 @@ def test_walks_equal_their_reference(system):
             walked._order_cache.clear()
             assert walk(walked) == want[i]
         # a warm topology: every pair the walks read is in the memo
-        assert (walked.islands(names, ratio), walked.order_ring(names),
+        assert (walked.islands(names), walked.order_ring(names),
                 walked.pairwise_stats(names)) == want
 
     check()
@@ -304,11 +304,6 @@ class TestIslandsAndRings:
     def test_islands_uniform_single(self):
         t = Topology.fully_connected(["a", "b", "c", "d"])
         assert t.islands(["a", "b", "c", "d"]) == [["a", "b", "c", "d"]]
-
-    def test_islands_ratio_one_keeps_only_fastest(self):
-        c = system_ii()
-        # with ratio 1.0 only full-NVLink pairs merge — same as default here
-        assert len(c.topology.islands(c.gpu_names(), ratio=1.0)) == 4
 
     def test_islands_subgroup(self):
         c = system_ii()

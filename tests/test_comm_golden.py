@@ -17,7 +17,11 @@ It was generated at commit ``06341af`` (every round re-walking the
 ``Topology`` caches, the last-arriver block written out twice);
 ``projection/model_64``'s report hash was re-cut when GPipe began freeing
 each microbatch's stage output after its backward (DESIGN §4x): the
-captured peak memory fell, no clock moved.
+captured peak memory fell, no clock moved.  The four ``storm/two_node``
+entries' ``streams``, ``counters`` and ``spans`` hashes were re-cut when
+``isend`` began riding the sender's p2p stream under ``comm_overlap=False``
+too: the send now occupies the stream, its wait books exposed seconds and
+traces a stream span, and no clock moved.
 
 Regenerate (only when simulated comm behaviour is *meant* to change):
 ``PYTHONPATH=src python tests/test_comm_golden.py``
@@ -55,9 +59,9 @@ WORLD, ROW = 8, 4
 SIZES = (256, 4096, 65536, 1048576)
 ALGORITHMS = ("ring", "tree", "hierarchical", "auto")
 SYSTEMS = {
-    # comm streams on: isend rides the sender's p2p stream
+    # comm_overlap on; isend rides the sender's p2p stream under either flag
     "system_ii": (system_ii, True),
-    # two nodes of four, streams off: isend is the eager Request
+    # two nodes of four, comm_overlap off
     "two_node": (lambda: system_iii(n_nodes=2), False),
 }
 GROUPS = (

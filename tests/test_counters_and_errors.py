@@ -69,7 +69,8 @@ class TestCommunicatorIntrospection:
                               tag="t")
             reprs = repr(comm), repr(pending), repr(sent)
             sent.wait(), pending.wait()
-            return comm.counters is comm.group.counters, reprs, repr(pending)
+            return (comm.counters is comm.group.counters, reprs,
+                    (repr(pending), repr(sent)))
 
         rt = SpmdRuntime(uniform_cluster(2))
         for rank, (shared, reprs, done) in enumerate(rt.run(prog)):
@@ -77,9 +78,12 @@ class TestCommunicatorIntrospection:
             assert reprs == (
                 f"Communicator(rank={rank}/2, group=[0, 1])",
                 f"Request(recv, src={1 - rank}, tag='t', done=False)",
-                "Request(send, done=False)",
+                f"StreamSendHandle(dst={1 - rank}, done=False)",
             )
-            assert done == f"Request(recv, src={1 - rank}, tag='t', done=True)"
+            assert done == (
+                f"Request(recv, src={1 - rank}, tag='t', done=True)",
+                f"StreamSendHandle(dst={1 - rank}, done=True)",
+            )
         assert rt.world_group.counters.by_op_calls == {
             "all_reduce": 1, "p2p": 2}
 

@@ -4,13 +4,15 @@ isend/irecv, gradient accumulation."""
 import numpy as np
 import pytest
 
-from repro.cluster import uniform_cluster
+from repro.cluster import system_iii, uniform_cluster
 from repro.comm import Communicator, SpecArray
 from repro.config import Config
 from repro.context import ParallelContext, ParallelMode
 from repro.nn import CrossEntropyLoss, Linear, MultiHeadAttention, TransformerLayer
 from repro.parallel.sequence import ModeSequence
 from repro.parallel.vocab_ce import vocab_parallel_cross_entropy
+from repro.project import capture_on, project
+from repro.runtime import SpmdRuntime
 from repro.tensor import Tensor
 from repro.tensor.sharding import shard_payload
 
@@ -190,6 +192,55 @@ class TestNonBlockingP2P:
         immediate, after_wait = run_spmd(2, prog)[0]
         assert immediate == 0.0
         assert after_wait > 0
+
+    def test_isend_ignores_comm_overlap(self):
+        """``isend`` rides the sender's p2p stream whatever
+        ``comm_overlap`` says: an ``isend`` / ``irecv`` ring across two
+        nodes, with compute between issue and wait that first hides the
+        intra-node hops and part of the inter-node ones, then part of each,
+        ends with the same results, clocks, streams and world counters under
+        either flag, threaded and as a recorded replay of its capture."""
+
+        def prog(ctx):
+            comm = Communicator.world(ctx)
+            n, out = comm.size, []
+            for i, compute in enumerate((1.75e-4, 5e-5)):
+                x = np.full(1 << 16, float(ctx.rank + i), np.float32)
+                incoming = comm.irecv((ctx.rank - 1) % n, tag=i)
+                outgoing = comm.isend(x, (ctx.rank + 1) % n, tag=i)
+                ctx.clock.advance(compute, "compute")
+                outgoing.wait()
+                out.append(float(incoming.wait()[0]))
+            return out
+
+        fields = ("bytes_total", "calls_total", "by_op_bytes", "by_op_calls",
+                  "exposed_seconds_total", "overlapped_seconds_total")
+
+        def counters(c):
+            return {f: getattr(c, f) for f in fields}
+
+        def run(overlap):
+            rt = SpmdRuntime(system_iii(n_nodes=2), comm_overlap=overlap)
+            results, trace = capture_on(rt, prog, materialize=True)
+            threaded = (
+                results,
+                [(c.time, c.breakdown()) for c in rt.clocks],
+                [(s.time, s.breakdown()) for s in rt.comm_streams],
+                counters(rt.world_group.counters),
+            )
+            rep = project(trace, mode="recorded")
+            world = trace.groups.index(tuple(rt.world_group.ranks))
+            assert rep.step_time == rt.max_time()
+            assert [(r.total_time, r.breakdown) for r in rep.per_rank] == threaded[1]
+            assert [r.stream for r in rep.per_rank] == [b for _t, b in threaded[2]]
+            assert counters(rep.group_counters[world]) == threaded[3]
+            return threaded
+
+        off, on = run(False), run(True)
+        assert off == on
+        exposed, overlapped = (on[3]["exposed_seconds_total"],
+                               on[3]["overlapped_seconds_total"])
+        assert exposed > 0.0 and overlapped > 0.0
 
 
 class TestGradientAccumulation:
