@@ -12,8 +12,9 @@ the measurements against the paper's closed forms:
     3D     2(l-1)(S_X + S_W + S_Y)      (total; the paper's row is
                                          per-ring-member, i.e. /l)
 
-Fig 5's scaling series (h=1024, s=512, b=32) is tabulated from the same
-formulas.
+Every expected count is ``repro.analytic.commvolume.tp_comm_volume``, the
+one statement of these forms; Fig 5's scaling series (h=1024, s=512,
+b=32) is tabulated from the paper's rows it derives.
 """
 
 import math
@@ -21,11 +22,10 @@ import math
 import pytest
 
 from repro.analytic import (
-    comm_volume_1d,
     comm_volume_25d,
-    comm_volume_2d,
     comm_volume_3d,
     comm_volume_table,
+    tp_comm_volume,
 )
 from repro.cluster import uniform_cluster
 from repro.comm import SpecArray
@@ -58,6 +58,11 @@ def _measure(mode: str, p: int, depth: int = 1) -> int:
     return sum(g.counters.elements_total for g in rt._groups.values())
 
 
+def _total_form(mode: str, p: int, depth: int = 1) -> int:
+    """Table 1's total-wire volume of the measured layer (S_Y = S_X)."""
+    return sum(tp_comm_volume(mode, p, SX, SW, SX, depth))
+
+
 class TestTable1:
     def test_1d_exact(self, benchmark, record_rows):
         def run():
@@ -66,8 +71,8 @@ class TestTable1:
         measured = benchmark.pedantic(run, rounds=1, iterations=1)
         rows = []
         for p, m in measured.items():
-            expect = comm_volume_1d(p, B, S, H)
-            rows.append([f"1D p={p}", m, int(expect), m / expect])
+            expect = _total_form("1d", p)
+            rows.append([f"1D p={p}", m, expect, m / expect])
             assert m == expect
         record_rows(
             "Table 1 (1D): measured vs 2(p-1)S_X",
@@ -82,8 +87,8 @@ class TestTable1:
         measured = benchmark.pedantic(run, rounds=1, iterations=1)
         rows = []
         for p, m in measured.items():
-            expect = comm_volume_2d(p, B, S, H)
-            rows.append([f"2D p={p}", m, int(expect), m / expect])
+            expect = _total_form("2d", p)
+            rows.append([f"2D p={p}", m, expect, m / expect])
             assert m == expect
         record_rows(
             "Table 1 (2D): measured vs 3(j-1)(S_X+S_W)",
@@ -98,8 +103,7 @@ class TestTable1:
         measured = benchmark.pedantic(run, rounds=1, iterations=1)
         rows = []
         for (p, d), m in measured.items():
-            k = math.isqrt(p // d)
-            total_form = 3 * (k - 1) * (SX + d * SW)
+            total_form = _total_form("2.5d", p, d)
             paper_form = comm_volume_25d(p, B, S, H, d)
             rows.append([f"2.5D p={p} d={d}", m, total_form, int(paper_form)])
             assert m == total_form
@@ -117,8 +121,7 @@ class TestTable1:
         measured = benchmark.pedantic(run, rounds=1, iterations=1)
         rows = []
         for p, m in measured.items():
-            l = round(p ** (1 / 3))
-            total_form = 2 * (l - 1) * (SX + SW + SX)  # S_Y = S_X here
+            total_form = _total_form("3d", p)
             paper_form = comm_volume_3d(p, B, S, H)
             rows.append([f"3D p={p}", m, total_form, int(paper_form)])
             assert m == total_form

@@ -1,6 +1,7 @@
 """Closed-form analytical models, used to cross-check measurements.
 
-* :mod:`repro.analytic.commvolume` — Table 1 communication-volume formulas.
+* :mod:`repro.analytic.commvolume` — Table 1 communication-volume formulas
+  (``tp_comm_volume``, the one statement of them).
 * :mod:`repro.analytic.memory_model` — model-data / non-model-data byte
   estimates (§1 terminology).
 * :mod:`repro.analytic.perf_model` — FLOP counts for Transformer training.
@@ -12,6 +13,7 @@ from repro.analytic.commvolume import (
     comm_volume_25d,
     comm_volume_3d,
     comm_volume_table,
+    tp_comm_volume,
 )
 from repro.analytic.memory_model import (
     adam_model_data_bytes,
@@ -32,6 +34,7 @@ __all__ = [
     "comm_volume_25d",
     "comm_volume_3d",
     "comm_volume_table",
+    "tp_comm_volume",
     "transformer_param_count",
     "adam_model_data_bytes",
     "transformer_activation_bytes",

@@ -21,16 +21,13 @@ def training_flops_per_token(n_params: int) -> float:
 
 
 def overlap_exposed_seconds(
-    comm_seconds: float,
-    backward_compute_seconds: float,
-    hideable_fraction: float = 1.0,
+    comm_seconds: float, backward_compute_seconds: float
 ) -> float:
     """Exposed (non-hidden) communication time when gradient traffic is
     issued nonblocking from backward hooks: the part of ``comm_seconds``
-    that does not fit behind ``hideable_fraction`` of the backward compute.
+    that does not fit behind the backward compute.
 
     This is the planning-side counterpart of the PR-5 overlap schedulers —
     the simulator proves overlap never *increases* step time, and this term
     gives the search a monotone analytic estimate of the benefit."""
-    budget = max(hideable_fraction, 0.0) * max(backward_compute_seconds, 0.0)
-    return max(float(comm_seconds) - budget, 0.0)
+    return max(float(comm_seconds) - max(backward_compute_seconds, 0.0), 0.0)

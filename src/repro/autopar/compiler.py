@@ -137,6 +137,11 @@ class StrategyReport:
         return "\n".join(lines)
 
 
+#: the config sections a compiled plan decides whole (``fp16`` it decides
+#: only ``enabled`` of)
+_PLAN_SECTIONS = ("parallel", "num_microbatches", "pipeline_schedule", "zero", "comm")
+
+
 @dataclass
 class CompiledStrategy:
     """Result of :func:`compile_strategy`: the winning candidate, its
@@ -157,32 +162,21 @@ class CompiledStrategy:
         return self.score.step_seconds
 
     def apply_to(self, cfg: Config) -> Config:
-        """A copy of ``cfg`` with this strategy's decisions merged in
-        (parallel layout, microbatches, schedule, ZeRO stage, comm knobs);
-        everything the compiler does not decide — seed, sanitize, fp16
-        scaling knobs, gradient clipping — carries over.  The ``autopar``
-        section is consumed (disabled) so the result launches directly."""
-        import copy
-
-        from repro.config import TensorParallelConfig
-
-        c = self.candidate
-        new = copy.deepcopy(cfg)
-        new.tensor = TensorParallelConfig(
-            size=c.tensor,
-            mode=c.mode if c.tensor > 1 else "none",
-            depth=c.depth,
-        )
-        new.pipeline = c.pipeline
-        new.data = c.data
-        new.num_microbatches = c.microbatches
-        new.pipeline_schedule = c.schedule
-        new.zero.stage = c.zero_stage
-        new.comm.algorithm = c.algorithm
-        new.comm.overlap = c.overlap
-        new.autopar = AutoParConfig()
-        new.validate()
-        return new
+        """A copy of ``cfg`` with this strategy's :attr:`config` merged in
+        section by section: every setting the plan decides (parallel
+        layout, microbatches, schedule, ZeRO stage, comm knobs, and fp16
+        on or off by the workload's element size) reads as in
+        ``Config.from_dict(self.config)``, defaults included; everything it
+        does not — seed, sanitize, fp16 scaling knobs, gradient clipping —
+        carries over.  The ``autopar`` section is consumed (disabled) so
+        the result launches directly."""
+        plan = Config.from_dict(self.config).to_dict()
+        merged = cfg.to_dict()
+        for key in _PLAN_SECTIONS:
+            merged[key] = plan[key]
+        merged["fp16"]["enabled"] = plan["fp16"]["enabled"]
+        merged["autopar"] = {}
+        return Config.from_dict(merged)
 
 
 def probe_scale(

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.comm.communicator import Communicator
 from repro.comm.payload import Payload
+from repro.project.fabric import Fabric, ProjectedCostModel
 
 
 @dataclass(frozen=True)
@@ -114,22 +115,6 @@ class ConversionPlan:
     cost: float  # modeled seconds
 
 
-def _step_cost(
-    op: str, axis_size: int, local_elements: int, itemsize: int, bandwidth: float,
-    alpha: float,
-) -> float:
-    """Modeled seconds for one conversion step on the current local shard."""
-    nbytes = local_elements * itemsize
-    p = axis_size
-    if op == "slice":
-        return 0.0
-    if op == "all_gather":
-        return (p - 1) * alpha + (p - 1) * nbytes / bandwidth
-    if op == "all_to_all":
-        return (p - 1) * alpha + ((p - 1) / p) * nbytes / bandwidth
-    raise ValueError(op)
-
-
 def _neighbors(layout: Layout, mesh: Dict[str, int]):
     """Yield (step, next_layout, local-elements multiplier of the step)."""
     used = layout.axes_used()
@@ -159,10 +144,19 @@ def plan_conversion(
     max_states: int = 20000,
 ) -> ConversionPlan:
     """Uniform-cost search from ``src`` to ``dst``; returns the cheapest
-    step sequence under the communication model."""
+    step sequence under the communication model.
+
+    Every mesh axis is a ring on one flat fabric of ``bandwidth`` with a
+    per-message ``alpha`` and no link latency or bandwidth ramp: the
+    collective steps are priced by :class:`ProjectedCostModel` over that
+    :meth:`Fabric.uniform`, with the ring all-gather and all-to-all
+    formulas of :mod:`repro.comm.cost`; a slice is free."""
     if src.ndim != dst.ndim or dst.ndim != len(global_shape):
         raise ValueError("layout ranks do not match the tensor shape")
     total = int(np.prod(global_shape))
+    model = ProjectedCostModel(
+        Fabric.uniform(bandwidth, latency=0.0, alpha=alpha, bw_ramp_time=0.0))
+    price = {"all_gather": model.allgather, "all_to_all": model.all_to_all}
 
     def local_elems(layout: Layout) -> int:
         return total // layout.shard_factor(mesh)
@@ -185,10 +179,10 @@ def plan_conversion(
         for step, nxt, gather_mult in _neighbors(layout, mesh):
             # cost uses the payload size the collective actually moves:
             # for all_gather, the input is the pre-gather (smaller) shard
-            elems = local_elems(layout)
-            c = cost + _step_cost(
-                step.op, mesh[step.axis], elems, itemsize, bandwidth, alpha
-            )
+            c = cost
+            if step.op != "slice":
+                nbytes = local_elems(layout) * itemsize
+                c += price[step.op](range(mesh[step.axis]), nbytes).seconds
             if c < best.get(nxt, math.inf):
                 best[nxt] = c
                 counter += 1

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
+from repro.analytic.commvolume import tp_comm_volume
 from repro.analytic.memory_model import (
     model_data_bytes_per_rank,
     transformer_activation_bytes,
@@ -54,7 +55,8 @@ class TpOp:
     ``group`` names a family of the tensor group (its groups are those of
     :func:`~repro.context.parallel_context.rank_groups`); ``nbytes`` is
     the *per-rank wire volume* on that family's links, derived from the
-    Table-1 forms (:func:`_tp_volume_per_layer`).  Both evaluators
+    Table-1 forms, which :mod:`repro.analytic.commvolume` states once
+    (:func:`_tp_volume_per_layer`).  Both evaluators
     realize a record as one broadcast of ``nbytes`` over each subgroup —
     the wire bytes per bottleneck link are what the Fig-11 hardware
     argument turns on, not the op taxonomy, so a single collective kind
@@ -108,41 +110,25 @@ def local_params(work: Workload, cand: StrategyCandidate) -> int:
 
 def _tp_volume_per_layer(
     mode: str, tensor: int, depth: int, batch: int, seq: int, hidden: int, mlp: int
-) -> Tuple[float, float]:
+) -> Tuple[int, int]:
     """(activation wire elements, weight wire elements) per Transformer
-    layer fwd+bwd, from the Table 1 forms applied to the layer's 4 linears
-    (QKV, out, MLP up/down)."""
+    layer fwd+bwd: Table 1's total-wire forms
+    (:func:`~repro.analytic.commvolume.tp_comm_volume`) on the summed sizes
+    of the layer's four linears — QKV ``(h, 3h)``, out ``(h, h)``, MLP up
+    ``(h, r h)`` and down ``(r h, h)`` — or, in 1D, of its two all-reduced
+    blocks (attention, MLP), each one linear of ``S_X = b s h``."""
     if tensor == 1:
-        return 0.0, 0.0
-    matmuls = [
-        (hidden, 3 * hidden),
-        (hidden, hidden),
-        (hidden, mlp * hidden),
-        (mlp * hidden, hidden),
-    ]
-    act = wgt = 0.0
-    for k, n in matmuls:
-        sx = batch * seq * k
-        sw = k * n
-        if mode == "1d":
-            continue  # handled once per layer below
-        if mode == "2d":
-            j = math.isqrt(tensor)
-            act += 3 * (j - 1) * sx
-            wgt += 3 * (j - 1) * sw
-        elif mode == "2.5d":
-            kk = math.isqrt(tensor // depth)
-            act += 3 * (kk - 1) * sx
-            wgt += 3 * (kk - 1) * depth * sw
-        else:  # 3d
-            l = round(tensor ** (1 / 3))
-            sy = batch * seq * n
-            act += 2 * (l - 1) * (sx + sy)
-            wgt += 2 * (l - 1) * sw
+        return 0, 0
+    bsh = batch * seq * hidden
     if mode == "1d":
-        sx = batch * seq * hidden
-        act = 2 * (2 * (tensor - 1) * sx)  # 2 allreduce pairs (attn + MLP)
-    return act, wgt
+        return tp_comm_volume(mode, tensor, 2 * bsh, 0, 0)
+    return tp_comm_volume(
+        mode, tensor,
+        (3 + mlp) * bsh,  # inputs: h + h + h + r h
+        (4 + 2 * mlp) * hidden * hidden,  # weights: 3h^2 + h^2 + r h^2 + r h^2
+        (5 + mlp) * bsh,  # outputs: 3h + h + r h + h
+        depth,
+    )
 
 
 def tp_layer_ops(

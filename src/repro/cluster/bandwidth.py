@@ -3,8 +3,10 @@ Fig 10 of the paper (broadcasting 125 MB of data).
 
 On System I every pair and every group sustains the NVLink rate; on
 System II the rate collapses to the PCIe rate as soon as the pair or group
-spans non-adjacent GPUs.  These functions derive the same numbers from the
-topology graph so the benchmark can plot Fig 10a/10b.
+spans non-adjacent GPUs.  Each probe is the payload over the seconds
+:class:`~repro.comm.cost.CostModel` charges for the transfer — the price a
+simulated run of it pays, bandwidth ramp included — so the benchmark plots
+Fig 10a/10b from the simulator's own numbers.
 """
 
 from __future__ import annotations
@@ -20,37 +22,28 @@ DEFAULT_PROBE_BYTES = 125 * MB
 def measure_p2p_bandwidth(
     cluster: ClusterSpec, src: int, dst: int, nbytes: int = DEFAULT_PROBE_BYTES
 ) -> float:
-    """Effective point-to-point bandwidth between two ranks (bytes/s).
+    """Effective point-to-point bandwidth between two ranks (bytes/s): the
+    payload over :meth:`CostModel.p2p`'s seconds (one message over the
+    pair's bottleneck path)."""
+    if src == dst:
+        return float("inf")
+    from repro.comm.cost import CostModel  # deferred: comm builds on cluster
 
-    Derived from transfer time = latency + nbytes / bottleneck-link-bw.
-    """
-    a = cluster.gpus[src].name
-    b = cluster.gpus[dst].name
-    bw, lat = cluster.topology.path_stats(a, b)
-    t = cluster.alpha + lat + nbytes / bw
-    return nbytes / t
+    return nbytes / CostModel(cluster).p2p(src, dst, nbytes).seconds
 
 
 def measure_broadcast_bandwidth(
     cluster: ClusterSpec, ranks: List[int], nbytes: int = DEFAULT_PROBE_BYTES
 ) -> float:
-    """Effective broadcast bandwidth over a group of ranks (bytes/s).
-
-    Models a pipelined ring broadcast: the payload is chunked and forwarded
-    around the ring, so total time ≈ per-hop latency sum + nbytes divided by
-    the slowest ring link.  This reproduces the Fig 10b cliff on System II:
-    any group containing a non-adjacent pair is throttled to PCIe speed.
-    """
+    """Effective broadcast bandwidth over a group of ranks (bytes/s): the
+    payload over :meth:`CostModel.broadcast`'s seconds under the pipelined
+    flat ring, which reproduces the Fig 10b cliff on System II — any group
+    containing a non-adjacent pair is throttled to PCIe speed."""
     if len(ranks) < 2:
         return float("inf")
-    names = cluster.gpu_names(ranks)
-    ring_bw = cluster.topology.ring_bandwidth(names)
-    lat = sum(
-        cluster.topology.latency(a, b)
-        for a, b in zip(names, names[1:] + names[:1])
-    )
-    t = cluster.alpha * len(ranks) + lat + nbytes / ring_bw
-    return nbytes / t
+    from repro.comm.cost import CostModel  # deferred: comm builds on cluster
+
+    return nbytes / CostModel(cluster).broadcast(ranks, nbytes).seconds
 
 
 def measure_allreduce_bandwidth(

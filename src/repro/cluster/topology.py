@@ -227,22 +227,6 @@ class Topology:
     def bandwidth(self, a: str, b: str) -> float:
         return self.path_stats(a, b)[0]
 
-    def latency(self, a: str, b: str) -> float:
-        return self.path_stats(a, b)[1]
-
-    def ring_bandwidth(self, names: List[str]) -> float:
-        """Bottleneck bandwidth around the ring ``names[0] -> ... -> names[0]``.
-
-        Ring collectives (NCCL-style allreduce/allgather) are limited by the
-        slowest link on the ring, not the slowest pair overall.
-        """
-        if len(names) < 2:
-            return float("inf")
-        bw = float("inf")
-        for a, b in zip(names, names[1:] + names[:1]):
-            bw = min(bw, self.bandwidth(a, b))
-        return bw
-
     def shortest_path(self, a: str, b: str) -> List[str]:
         """Hop-count shortest path between two devices (cached)."""
         key = (a, b)
@@ -255,13 +239,13 @@ class Topology:
         """Contention-aware ``(bottleneck bandwidth, latency sum)`` of the
         directed ring ``names[0] -> names[1] -> ... -> names[0]``.
 
-        Unlike :meth:`ring_bandwidth`, hops are routed over their shortest
-        paths and every *directed* physical link divides its bandwidth by the
-        number of ring hops that traverse it.  A ring that re-crosses the
-        same bridge link in the same direction (an interleaved multi-node
-        ordering, or members routed through a shared gateway) is throttled
-        accordingly — this is what makes the topology-aware member ordering
-        of :meth:`order_ring` matter.  Links are full duplex: the two
+        Hops are routed over their shortest paths and every *directed*
+        physical link divides its bandwidth by the number of ring hops that
+        traverse it.  A ring that re-crosses the same bridge link in the same
+        direction (an interleaved multi-node ordering, or members routed
+        through a shared gateway) is throttled accordingly — this is what
+        makes the topology-aware member ordering of :meth:`order_ring`
+        matter.  Links are full duplex: the two
         directions of one physical link do not contend (so a 2-ring costs one
         traversal, as before).
         """

@@ -53,7 +53,7 @@ from repro.cluster import (
     system_iv,
     uniform_cluster,
 )
-from repro.config import COMM_ALGORITHMS, Config
+from repro.config import COMM_ALGORITHMS, FIELDS, Config
 from repro.context import rank_groups
 from repro.engine import launch
 
@@ -407,6 +407,31 @@ class TestConfigEmission:
         assert not merged.autopar.enabled  # consumed
         assert merged.tensor.size == cs.candidate.tensor
         assert merged.pipeline_schedule == cs.candidate.schedule
+
+    def test_apply_to_decides_what_the_compiled_config_says(self):
+        """``launch`` with an ``autopar`` section runs what ``compiled.config``
+        says: every field the plan decides (``fp16.enabled`` for this 2-byte
+        workload included) reads as in ``Config.from_dict(compiled.config)``
+        over a base that says otherwise, and the rest carries over."""
+        cs = compile_strategy(uniform_cluster(8, memory_gb=16), WORK, 128, refine=False)
+        assert cs.config["fp16"] == {"enabled": True}
+        base = Config.from_dict(dict(
+            seed=7, fp16=dict(initial_scale=8.0), zero=dict(stage=2),
+            pipeline_schedule="1f1b", comm=dict(algorithm="tree"),
+        ))
+        planned, merged = Config.from_dict(cs.config).to_dict(), cs.apply_to(base).to_dict()
+
+        def at(d, key):
+            for part in key.split("."):
+                d = d[part]
+            return d
+
+        decided = [f.key for f in FIELDS
+                   if f.key.split(".")[0] in ("parallel", "num_microbatches",
+                                              "pipeline_schedule", "zero", "comm")
+                   or f.key == "fp16.enabled"]
+        assert {k: at(merged, k) for k in decided} == {k: at(planned, k) for k in decided}
+        assert (merged["seed"], merged["fp16"]["initial_scale"]) == (7, 8.0)
 
     def test_autopar_config_validation(self):
         with pytest.raises(ValueError, match="workload"):

@@ -17,12 +17,15 @@ from repro.cluster import (
     uniform_cluster,
 )
 from repro.cluster.topology import ISLAND_RATIO
+from repro.comm import Communicator, SpecArray
 from repro.comm.cost import CostModel
 from repro.cluster.bandwidth import (
+    DEFAULT_PROBE_BYTES,
     measure_allreduce_bandwidth,
     measure_broadcast_bandwidth,
     measure_p2p_bandwidth,
 )
+from repro.runtime import SpmdRuntime
 from repro.utils.units import GB, MB
 
 
@@ -66,9 +69,9 @@ class TestTopology:
     def test_ring_bandwidth_uses_ring_edges_only(self):
         t = Topology.pairwise_nvlink(["g0", "g1", "g2", "g3"])
         # ring g0-g1-g2-g3-g0 crosses PCIe at g1-g2 and g3-g0
-        assert t.ring_bandwidth(["g0", "g1", "g2", "g3"]) == pytest.approx(16 * GB)
+        assert t.ring_stats(["g0", "g1", "g2", "g3"])[0] == pytest.approx(16 * GB)
         # pair ring stays on NVLink
-        assert t.ring_bandwidth(["g0", "g1"]) > 100 * GB
+        assert t.ring_stats(["g0", "g1"])[0] > 100 * GB
 
     def test_fully_connected_builder(self):
         t = Topology.fully_connected([f"g{i}" for i in range(4)])
@@ -405,6 +408,36 @@ class TestBandwidthProbe:
         pair = measure_broadcast_bandwidth(c, [0, 1])
         group = measure_broadcast_bandwidth(c, list(range(8)))
         assert pair / group > 5
+
+    @pytest.mark.parametrize("system", [system_i, system_ii])
+    def test_probes_read_the_simulated_run(self, system):
+        """Fig 10's law: a probe is the payload over the simulated time of
+        the same transfer run in spec mode, a send over each pair and a
+        ring broadcast over each group."""
+        cluster = system()
+        payload = SpecArray((DEFAULT_PROBE_BYTES // 4,), "float32")
+
+        def seconds(prog):
+            return max(SpmdRuntime(cluster).run(prog, materialize=False))
+
+        for dst in (1, 2, 7):
+            def send(ctx, dst=dst):
+                comm = Communicator.world(ctx)
+                if ctx.rank == 0:
+                    comm.send(payload, dst)
+                elif ctx.rank == dst:
+                    comm.recv(0)
+                return ctx.clock.time
+
+            assert measure_p2p_bandwidth(cluster, 0, dst) == DEFAULT_PROBE_BYTES / seconds(send)
+        for size in (2, 4, 8):
+            def broadcast(ctx, size=size):
+                if ctx.rank < size:
+                    Communicator.world(ctx).subgroup(range(size)).broadcast(payload)
+                return ctx.clock.time
+
+            assert (measure_broadcast_bandwidth(cluster, list(range(size)))
+                    == DEFAULT_PROBE_BYTES / seconds(broadcast))
 
     def test_probe_size_effect_small_message(self):
         c = system_i()

@@ -95,7 +95,7 @@ class TestAlgorithmCosts:
         cluster = cm.cluster
         names = cluster.gpu_names(ranks)
         lat = max(
-            cluster.topology.latency(a, b)
+            cluster.topology.path_stats(a, b)[1]
             for i, a in enumerate(names) for b in names[i + 1:]
         )
         a2a = cm.all_to_all(ranks, 1024).seconds

@@ -132,3 +132,23 @@ def test_drivers_define_no_module():
 
     assert modules("examples") | modules("benchmarks") == set()
     assert modules("bench") <= {"_Block", "_VitStack", "_GptStage", "_Stage"}
+
+
+def test_only_the_cost_model_reads_alpha_and_ramp():
+    """Every closed form has one owner: no module under ``src/repro`` besides
+    ``comm/cost.py`` (the formulas) and ``project/fabric.py`` (the stand-in
+    cluster it prices) reads a cluster's ``alpha`` or ``bw_ramp_time``, by
+    attribute or by ``getattr``.  A probe or a planner asks ``CostModel``."""
+    src = ROOT / "src" / "repro"
+    owners = {"comm/cost.py", "project/fabric.py"}
+    knobs = ("alpha", "bw_ramp_time")
+
+    def reads(node):
+        if isinstance(node, ast.Attribute):
+            return isinstance(node.ctx, ast.Load) and node.attr in knobs
+        return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+                and len(node.args) > 1 and getattr(node.args[1], "value", None) in knobs)
+
+    readers = sorted({rel for p in src.rglob("*.py") if (rel := p.relative_to(src).as_posix()) not in owners
+                      for node in ast.walk(ast.parse(p.read_text())) if reads(node)})
+    assert readers == [], f"read alpha / bw_ramp_time outside the cost model: {readers}"
