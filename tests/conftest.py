@@ -54,6 +54,16 @@ def pytest_configure(config):
         )
 
 
+def pytest_collection_modifyitems(config, items):
+    """``slow`` cases run only when the ``-m`` expression names ``slow``."""
+    if "slow" in re.findall(r"[A-Za-z_]\w*", config.getoption("markexpr", "")):
+        return
+    skip = pytest.mark.skip(reason="slow lane: run with -m slow")
+    for item in items:
+        if item.get_closest_marker("slow"):
+            item.add_marker(skip)
+
+
 @pytest.fixture
 def fault_seed(request):
     return request.config.getoption("--fault-seed")

@@ -288,6 +288,61 @@ def test_walks_equal_their_reference(system):
     check()
 
 
+def _shortest_path_stats(topo, source):
+    """Node -> every distinct ``(bottleneck bandwidth, latency)`` over the
+    hop-count shortest paths from ``source``, latency summed from ``source``
+    as :meth:`Topology.path_stats` sums it: one BFS, then the paths' values
+    carried down the shortest-path DAG level by level."""
+    adj = topo._adj
+    dist, order = {source: 0}, [source]
+    for v in order:
+        for w in adj[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                order.append(w)
+    stats = {source: {(math.inf, 0.0)}}
+    for v in order[1:]:
+        stats[v] = {(min(bw, adj[u][v]["bandwidth"]), lat + adj[u][v]["latency"])
+                    for u in adj[v] if dist[u] == dist[v] - 1 for bw, lat in stats[u]}
+    return stats
+
+
+def _ties(cluster, sources):
+    """Pairs ``(a, b)``, ``a`` a source and ``a < b`` by name, whose shortest
+    paths disagree on their stats or disagree with ``path_stats``."""
+    topo, names = cluster.topology, [g.name for g in cluster.gpus]
+    ties = []
+    for a in sources:
+        stats = _shortest_path_stats(topo, a)
+        ties += [(a, b, sorted(stats[b])) for b in names
+                 if a < b and stats[b] != {topo.path_stats(a, b)}]
+    return ties
+
+
+_TIE_SYSTEMS = {"I": system_i, "II": system_ii, "III-64": lambda: system_iii(n_nodes=16),
+                "IV": system_iv, "III-1024-sampled": lambda: system_iii(n_nodes=256)}
+
+
+@pytest.mark.parametrize("system", sorted(_TIE_SYSTEMS))
+def test_equally_short_paths_price_a_pair_alike(system):
+    """The tie law (ROADMAP item 28(a)): on every GPU pair of a preset, each
+    hop-count shortest path gives the same (bandwidth, latency summed from the
+    pair's smaller name), and ``path_stats`` reads it.  So which of equally
+    short paths ``_route`` picks never reaches a price, and one BFS per
+    source can fill a row; a preset that gains a tie fails here by name.
+    At 1024 GPUs, six sources spread over the world check the pairs they
+    name first; the slow lane checks every pair."""
+    cluster = _TIE_SYSTEMS[system]()
+    gpus = cluster.gpus[::171] if system.endswith("sampled") else cluster.gpus
+    assert _ties(cluster, [g.name for g in gpus]) == []
+
+
+@pytest.mark.slow
+def test_equally_short_paths_price_a_pair_alike_at_1024_gpus():
+    cluster = system_iii(n_nodes=256)
+    assert _ties(cluster, [g.name for g in cluster.gpus]) == []
+
+
 class TestIslandsAndRings:
     """Topology-aware helpers behind the collective algorithm layer."""
 

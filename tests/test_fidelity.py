@@ -157,3 +157,40 @@ def test_compiled_plan_against_its_launched_step(system, space):
             (_sig3(fwd_bwd), _sig3(step - fwd_bwd)),
             (_sig3(cs.score.memory_bytes / 1e9), _sig3(peak / 1e9))
             ) == COMPILE_CELLS[system, space]
+
+
+#: (algorithm, W) -> projected ÷ direct step time (ROADMAP item 16(a)): the
+#: item-8 stack as DDP on System III, 8 rows per rank, captured at 16 ranks and
+#: launched with ``project.target_world = W``, over a direct spec run at W.
+#: Every cell under-predicts, more so the wider the projection.
+SCALE_CELLS = {
+    ("ring", 64): 0.988, ("ring", 256): 0.968, ("ring", 1024): 0.947,
+    ("hierarchical", 64): 0.989, ("hierarchical", 256): 0.967, ("hierarchical", 1024): 0.934,
+    ("auto", 64): 0.963, ("auto", 256): 0.937, ("auto", 1024): 0.921,
+}
+
+
+def ddp_step(ctx, pc):
+    """One ``initialize`` + ``Adam`` step of the item-8 stack on 8 rows; the
+    rank's clock at its end."""
+    model = Sequential([TransformerLayer(GPT.hidden, GPT.n_heads, dtype="float16")
+                        for _ in range(GPT.n_layers)])
+    engine = initialize(model, Adam(model.parameters()), pc=pc)
+    x = Tensor(SpecArray((8, GPT.seq_len, GPT.hidden), "float16"), requires_grad=True)
+    engine.backward(engine(x).sum())
+    engine.step()
+    return ctx.clock.time
+
+
+@pytest.mark.projection
+@pytest.mark.parametrize("algorithm, world", [
+    pytest.param(a, w, marks=[pytest.mark.slow] if w == 1024 else [])
+    for a, w in SCALE_CELLS], ids=[f"{a}-{w}" for a, w in SCALE_CELLS])
+def test_projection_against_the_direct_run_it_predicts(algorithm, world):
+    comm = dict(algorithm=algorithm)
+    projected = repro.launch(dict(comm=comm, project=dict(mode="project", target_world=world)),
+                             system_iii(n_nodes=4), ddp_step, world_size=16,
+                             materialize=False).step_time
+    direct = max(repro.launch(dict(comm=comm), system_iii(n_nodes=world // 4), ddp_step,
+                              world_size=world, materialize=False))
+    assert _sig3(projected / direct) == SCALE_CELLS[algorithm, world]

@@ -3,6 +3,8 @@ row per package, module, class or qualname (the coarsest grain that is true), ci
 the paper / DESIGN section or the safety role.  Rule: DESIGN §4p; guard: tests/test_reachability.py."""
 
 KEEP: dict[str, str] = {
+    "repro.__getattr__": "§4ac PEP 562 hook: a top-level export or subpackage is imported on first access",
+    "repro.__dir__": "§4ac PEP 562 hook: dir(repro) lists the exports not yet imported",
     "repro.amp": "§2 inventory: fp16 cast, dynamic loss scaling, checkpointed scaler state",
     "repro.optim": "§2 / README substrate row: SGD, CPUAdam, HybridAdam (§3.2), LR schedules, clipping",
     "repro.zero.sharded_tensor": "§3.2 unified ShardedTensor interface + life-cycle hooks",
