@@ -56,21 +56,25 @@ ISLAND_RATIO = 0.5
 class Topology:
     """Link graph with bandwidth/latency queries.
 
-    Bandwidth queries are cached: SPMD collectives issue many identical
-    queries per step and shortest-path search would otherwise dominate.
-    The walks over a group's pairs read that cache inline and enter
-    :meth:`path_stats` on a miss only, so a cold walk is one frame.
+    Every query reads one derived table, a route row per source device:
+    one breadth-first search from it (:meth:`_row`), kept until the link
+    graph changes, mapping each reachable device to its bottleneck
+    bandwidth, the latency summed from the source and its previous hop on
+    the hop-count shortest path.  A kept row holds its source, so it is
+    never empty: ``rows.get(src) or self._row(src)`` costs a hit no frame,
+    and ``row.get(dst) or self.path_stats(...)`` enters ``path_stats``
+    only for an unreachable pair, which raises.  A pair's latency is read
+    from its smaller name's row (:meth:`path_stats`); its bandwidth, a
+    minimum, reads alike from either end on every preset, where each pair
+    has one shortest path.
     """
 
     def __init__(self) -> None:
         #: device -> {neighbour -> link attributes}, both in insertion
         #: order; the two directions of a link share one attribute dict
         self._adj: Dict[str, Dict[str, Dict[str, Any]]] = {}
-        self._bw_cache: Dict[Tuple[str, str], Tuple[float, float]] = {}
-        self._path_cache: Dict[Tuple[str, str], List[str]] = {}
-        self._ring_cache: Dict[Tuple[str, ...], Tuple[float, float]] = {}
-        self._order_cache: Dict[Tuple[str, ...], List[str]] = {}
-        self._island_cache: Dict[Tuple[str, ...], List[List[str]]] = {}
+        #: source -> {destination -> (bandwidth, latency, previous hop)}
+        self._rows: Dict[str, Dict[str, Tuple[float, float, Optional[str]]]] = {}
         #: monotone counter bumped *after* every structural/bandwidth
         #: change; read-only outside this class.  Consumers that memoize
         #: anything derived from the link graph (the ``CostModel`` probe
@@ -80,11 +84,7 @@ class Topology:
         self.version = 0
 
     def _invalidate(self) -> None:
-        self._bw_cache.clear()
-        self._path_cache.clear()
-        self._ring_cache.clear()
-        self._order_cache.clear()
-        self._island_cache.clear()
+        self._rows.clear()
         self.version += 1
 
     def add_device(self, name: str) -> None:
@@ -159,80 +159,63 @@ class Topology:
         edge = self._link(a, b)
         return edge["link"] if edge is not None else None
 
-    def _route(self, a: str, b: str) -> List[str]:
-        """Hop-count shortest path ``a -> b``: a bidirectional breadth-first
-        search that grows the smaller fringe first and visits neighbours in
-        link-insertion order.  That fixes the choice among equally short
-        paths, which every golden depends on:
-        ``tests/test_cluster_topology.py`` holds it against the graph
-        library it was ported from."""
+    def _row(self, src: str) -> Dict[str, Tuple[float, float, Optional[str]]]:
+        """``src``'s route row: one breadth-first search, neighbours in
+        link-insertion order (``tests/test_cluster_topology.py`` holds the
+        path it picks against the graph library's single-source search).
+        Each entry's bandwidth is its path's minimum link bandwidth and its
+        latency the link latencies summed from ``src`` outward.  A device
+        the graph does not hold has an empty row, which is not kept."""
         adj = self._adj
-        if a in adj and b in adj:
-            if a == b:
-                return [a]
-            pred: Dict[str, Optional[str]] = {a: None}
-            succ: Dict[str, Optional[str]] = {b: None}
-            forward, reverse = [a], [b]
-            while forward and reverse:
-                if len(forward) <= len(reverse):
-                    level, seen, other = forward, pred, succ
-                    forward = grown = []
-                else:
-                    level, seen, other = reverse, succ, pred
-                    reverse = grown = []
-                for v in level:
-                    for w in adj[v]:
-                        if w not in seen:
-                            grown.append(w)
-                            seen[w] = v
-                        if w in other:  # the fringes met at w
-                            path = []
-                            n: Optional[str] = w
-                            while n is not None:
-                                path.append(n)
-                                n = pred[n]
-                            path.reverse()
-                            n = succ[w]
-                            while n is not None:
-                                path.append(n)
-                                n = succ[n]
-                            return path
-        raise ValueError(f"no interconnect path between {a} and {b}")
+        if src not in adj:
+            return {}
+        row = {src: (math.inf, 0.0, None)}
+        reached = [src]
+        for v in reached:  # grows while it is read: the BFS queue
+            if len(row) == len(adj):  # all reached: a clique stops at once
+                break
+            bw, lat, _ = row[v]
+            for w, edge in adj[v].items():
+                if w not in row:
+                    link_bw = edge["bandwidth"]
+                    row[w] = (link_bw if link_bw < bw else bw,
+                              lat + edge["latency"], v)
+                    reached.append(w)
+        self._rows[src] = row
+        return row
 
     def path_stats(self, a: str, b: str) -> Tuple[float, float]:
         """Return ``(bottleneck_bandwidth, total_latency)`` between two devices.
 
         Uses the hop-count shortest path; the effective bandwidth is the
         minimum link bandwidth on the path and the latency is the sum.
-        Both directions of a pair read the route of its sorted order, so
-        which of equally short paths prices the pair does not depend on
-        who asked first.
+        Both directions of a pair read its smaller name's row, so which of
+        equally short paths prices it does not depend on who asked first.
         """
         if a == b:
             return float("inf"), 0.0
-        key = (a, b) if a <= b else (b, a)
-        cached = self._bw_cache.get(key)
-        if cached is not None:
-            return cached
-        path = self._route(*key)
-        bw = float("inf")
-        lat = 0.0
-        for u, v in zip(path, path[1:]):
-            edge = self._adj[u][v]
-            bw = min(bw, edge["bandwidth"])
-            lat += edge["latency"]
-        self._bw_cache[key] = (bw, lat)
-        return bw, lat
+        if b < a:
+            a, b = b, a
+        entry = (self._rows.get(a) or self._row(a)).get(b)
+        if entry is None:
+            raise ValueError(f"no interconnect path between {a} and {b}")
+        return entry[0], entry[1]
 
     def bandwidth(self, a: str, b: str) -> float:
         return self.path_stats(a, b)[0]
 
     def shortest_path(self, a: str, b: str) -> List[str]:
-        """Hop-count shortest path between two devices (cached)."""
-        key = (a, b)
-        path = self._path_cache.get(key)
-        if path is None:
-            path = self._path_cache[key] = self._route(a, b)
+        """Hop-count shortest path ``a -> b``: ``a``'s row walked back from
+        ``b`` along its previous hops."""
+        row = self._rows.get(a) or self._row(a)
+        if b not in row:
+            raise ValueError(f"no interconnect path between {a} and {b}")
+        path = []
+        n: Optional[str] = b
+        while n is not None:
+            path.append(n)
+            n = row[n][2]
+        path.reverse()
         return path
 
     def ring_stats(self, names: List[str]) -> Tuple[float, float]:
@@ -245,44 +228,42 @@ class Topology:
         direction (an interleaved multi-node ordering, or members routed
         through a shared gateway) is throttled accordingly — this is what
         makes the topology-aware member ordering of :meth:`order_ring`
-        matter.  Links are full duplex: the two
-        directions of one physical link do not contend (so a 2-ring costs one
-        traversal, as before).
+        matter.  Links are full duplex: the two directions of one physical
+        link do not contend (so a 2-ring costs one traversal).
         """
         if len(names) < 2:
             return float("inf"), 0.0
-        key = tuple(names)
-        cached = self._ring_cache.get(key)
-        if cached is not None:
-            return cached
+        adj = self._adj
         load: Dict[Tuple[str, str], int] = {}
         lat = 0.0
         for a, b in zip(names, names[1:] + names[:1]):
             path = self.shortest_path(a, b)
             for u, v in zip(path, path[1:]):
                 load[(u, v)] = load.get((u, v), 0) + 1
-                lat += self._adj[u][v]["latency"]
-        bw = min(
-            self._adj[u][v]["bandwidth"] / uses
-            for (u, v), uses in load.items()
-        )
-        self._ring_cache[key] = (bw, lat)
+                lat += adj[u][v]["latency"]
+        bw = math.inf
+        for (u, v), uses in load.items():  # a loop: no generator frame
+            share = adj[u][v]["bandwidth"] / uses
+            if share < bw:
+                bw = share
         return bw, lat
 
     def pairwise_stats(self, names: List[str]) -> Tuple[float, float]:
         """``(lowest bandwidth, highest latency)`` over every pair of
-        ``names``: :meth:`path_stats` folded over the pairs in one walk."""
-        cache = self._bw_cache
+        ``names``: :meth:`path_stats` folded over the pairs in one walk,
+        each pair read from its smaller name's row."""
+        rows = self._rows
         bw = math.inf
         lat = 0.0
-        for a, b in itertools.combinations(names, 2):
-            stats = cache.get((a, b) if a <= b else (b, a))
-            if stats is None:
-                stats = self.path_stats(a, b)
-            if stats[0] < bw:
-                bw = stats[0]
-            if stats[1] > lat:
-                lat = stats[1]
+        for a in names:
+            row = rows.get(a) or self._row(a)
+            for b in names:
+                if a < b:
+                    stats = row.get(b) or self.path_stats(a, b)
+                    if stats[0] < bw:
+                        bw = stats[0]
+                    if stats[1] > lat:
+                        lat = stats[1]
         return bw, lat
 
     def order_ring(self, names: List[str]) -> List[str]:
@@ -296,24 +277,19 @@ class Topology:
         """
         if len(names) <= 2:
             return list(names)
-        key = tuple(names)
-        cached = self._order_cache.get(key)
-        if cached is None:
-            cache = self._bw_cache
-            cached = [names[0]]
-            remaining = list(names[1:])
-            while remaining:
-                cur = cached[-1]
-                best, best_bw = 0, -1.0
-                for i, n in enumerate(remaining):
-                    stats = cache.get((cur, n) if cur <= n else (n, cur))
-                    if stats is None:
-                        stats = self.path_stats(cur, n)
-                    if stats[0] > best_bw:  # the first of the fastest
-                        best, best_bw = i, stats[0]
-                cached.append(remaining.pop(best))
-            self._order_cache[key] = cached
-        return list(cached)
+        rows = self._rows
+        order = [names[0]]
+        remaining = list(names[1:])
+        while remaining:
+            cur = order[-1]
+            row = rows.get(cur) or self._row(cur)
+            best, best_bw = 0, -1.0
+            for i, n in enumerate(remaining):
+                stats = row.get(n) or self.path_stats(cur, n)
+                if stats[0] > best_bw:  # the first of the fastest
+                    best, best_bw = i, stats[0]
+            order.append(remaining.pop(best))
+        return order
 
     def islands(self, names: List[str]) -> List[List[str]]:
         """Partition ``names`` into fast-link islands.
@@ -329,39 +305,33 @@ class Topology:
         names = list(names)
         if len(names) <= 1:
             return [names] if names else []
-        key = tuple(names)
-        cached = self._island_cache.get(key)
-        if cached is None:
-            cache = self._bw_cache
-            pairs = list(itertools.combinations(range(len(names)), 2))
-            pair_bw = []
-            top = 0.0  # bandwidths are positive (add_link)
-            for i, j in pairs:
-                a, b = names[i], names[j]
-                stats = cache.get((a, b) if a <= b else (b, a))
-                if stats is None:
-                    stats = self.path_stats(a, b)
+        rows = self._rows
+        pair_bw = []  # in ``combinations(range(len(names)), 2)`` order
+        top = 0.0  # bandwidths are positive (add_link)
+        for i, a in enumerate(names):
+            row = rows.get(a) or self._row(a)
+            for b in names[i + 1:]:
+                stats = row.get(b) or self.path_stats(a, b)
                 pair_bw.append(stats[0])
                 if stats[0] > top:
                     top = stats[0]
-            threshold = top * ISLAND_RATIO
-            # union-find over member positions: ``root[i] <= i``, a root
-            # is its component's first member
-            root = list(range(len(names)))
-            for (i, j), bw in zip(pairs, pair_bw):
-                if bw >= threshold:
-                    while root[i] != i:
-                        i = root[i]
-                    while root[j] != j:
-                        j = root[j]
-                    root[max(i, j)] = min(i, j)
-            groups: Dict[int, List[str]] = {}
-            for i, n in enumerate(names):  # root[root[i]] is final already
-                r = root[i] = root[root[i]]
-                groups.setdefault(r, []).append(n)
-            cached = list(groups.values())
-            self._island_cache[key] = cached
-        return [list(g) for g in cached]
+        threshold = top * ISLAND_RATIO
+        # union-find over member positions: ``root[i] <= i``, a root
+        # is its component's first member
+        root = list(range(len(names)))
+        pairs = itertools.combinations(range(len(names)), 2)
+        for (i, j), bw in zip(pairs, pair_bw):
+            if bw >= threshold:
+                while root[i] != i:
+                    i = root[i]
+                while root[j] != j:
+                    j = root[j]
+                root[max(i, j)] = min(i, j)
+        groups: Dict[int, List[str]] = {}
+        for i, n in enumerate(names):  # root[root[i]] is final already
+            r = root[i] = root[root[i]]
+            groups.setdefault(r, []).append(n)
+        return list(groups.values())
 
     # ------------------------------------------------------------------
     # Builders

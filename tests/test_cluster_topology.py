@@ -150,9 +150,11 @@ class TestTopology:
 
 
 def test_route_searches_like_networkx():
-    """``Topology._route`` against the reference it was ported from: the
-    same path among equally short ones, for every ordered pair, and a
-    ``ValueError`` exactly where networkx finds no path or no such node."""
+    """``Topology.shortest_path`` against the reference its search follows:
+    the graph library's single-source breadth-first search picks the same
+    path among equally short ones, for every ordered pair, and a
+    ``ValueError`` comes exactly where networkx finds no path or no such
+    node."""
     nx = pytest.importorskip("networkx")
     index = st.integers(0, 7)
 
@@ -171,14 +173,42 @@ def test_route_searches_like_networkx():
         for a in names:
             for b in names:
                 try:
-                    want = nx.shortest_path(graph, a, b)
-                except (nx.NetworkXNoPath, nx.NodeNotFound):
+                    want = nx.single_source_shortest_path(graph, a)[b]
+                except (KeyError, nx.NodeNotFound):
                     with pytest.raises(ValueError, match="no interconnect path"):
-                        topo._route(a, b)
+                        topo.shortest_path(a, b)
                 else:
-                    assert topo._route(a, b) == want
+                    assert topo.shortest_path(a, b) == want
 
     check()
+
+
+def _split():
+    """Two islands with no link between them: ``a - b`` and ``c - d``."""
+    t = Topology()
+    t.add_link("a", "b", LinkType.NVLINK)
+    t.add_link("c", "d", LinkType.NVLINK)
+    return t
+
+
+@pytest.mark.parametrize("query", [
+    lambda t: t.path_stats("a", "c"),
+    lambda t: t.ring_stats(["a", "b", "c", "d"]),
+    lambda t: t.pairwise_stats(["a", "b", "c", "d"]),
+    lambda t: t.order_ring(["a", "b", "c", "d"]),
+    lambda t: t.islands(["a", "b", "c", "d"]),
+], ids=["path_stats", "ring_stats", "pairwise_stats", "order_ring", "islands"])
+def test_disconnected_members_raise_no_path(query):
+    """A group that spans two unlinked parts of the graph is a typed
+    ``ValueError`` naming a pair, cold and with the rows already filled,
+    never a lookup error from a row that lacks the other part."""
+    t = _split()
+    with pytest.raises(ValueError, match="no interconnect path between . and ."):
+        query(t)
+    for name in "abcd":  # every row filled, none reaching the other part
+        t.shortest_path(name, name)
+    with pytest.raises(ValueError, match="no interconnect path between . and ."):
+        query(t)
 
 
 def _reference_islands(topo, names):
@@ -241,8 +271,8 @@ _SYSTEMS = {
 
 @pytest.mark.parametrize("system", sorted(_SYSTEMS))
 def test_walks_equal_their_reference(system):
-    """``islands``, ``order_ring`` and ``pairwise_stats`` read the pair memo
-    inline; on a cold topology and on one whose pairs are all cached they
+    """``islands``, ``order_ring`` and ``pairwise_stats`` read the route rows
+    inline; on a cold topology and on one whose rows are all filled they
     equal the formulations they replaced, on the preset and on a copy with
     one link degraded."""
     build = _SYSTEMS[system]
@@ -274,14 +304,10 @@ def test_walks_equal_their_reference(system):
                  lambda t: t.order_ring(names),
                  lambda t: t.pairwise_stats(names))
         for i, walk in enumerate(walks):  # each walk cold, then warm
-            walked._bw_cache.clear()
-            walked._island_cache.clear()
-            walked._order_cache.clear()
+            walked._rows.clear()
             assert walk(walked) == want[i]
-            walked._island_cache.clear()
-            walked._order_cache.clear()
             assert walk(walked) == want[i]
-        # a warm topology: every pair the walks read is in the memo
+        # a warm topology: every row the walks read is filled
         assert (walked.islands(names), walked.order_ring(names),
                 walked.pairwise_stats(names)) == want
 
@@ -291,8 +317,9 @@ def test_walks_equal_their_reference(system):
 def _shortest_path_stats(topo, source):
     """Node -> every distinct ``(bottleneck bandwidth, latency)`` over the
     hop-count shortest paths from ``source``, latency summed from ``source``
-    as :meth:`Topology.path_stats` sums it: one BFS, then the paths' values
-    carried down the shortest-path DAG level by level."""
+    as :meth:`Topology.path_stats` sums it, and node -> how many shortest
+    paths reach it: one BFS, then the paths' values and counts carried down
+    the shortest-path DAG level by level."""
     adj = topo._adj
     dist, order = {source: 0}, [source]
     for v in order:
@@ -300,47 +327,56 @@ def _shortest_path_stats(topo, source):
             if w not in dist:
                 dist[w] = dist[v] + 1
                 order.append(w)
-    stats = {source: {(math.inf, 0.0)}}
+    stats, paths = {source: {(math.inf, 0.0)}}, {source: 1}
     for v in order[1:]:
+        up = [u for u in adj[v] if dist[u] == dist[v] - 1]
         stats[v] = {(min(bw, adj[u][v]["bandwidth"]), lat + adj[u][v]["latency"])
-                    for u in adj[v] if dist[u] == dist[v] - 1 for bw, lat in stats[u]}
-    return stats
+                    for u in up for bw, lat in stats[u]}
+        paths[v] = sum(paths[u] for u in up)
+    return stats, paths
 
 
 def _ties(cluster, sources):
-    """Pairs ``(a, b)``, ``a`` a source and ``a < b`` by name, whose shortest
-    paths disagree on their stats or disagree with ``path_stats``."""
-    topo, names = cluster.topology, [g.name for g in cluster.gpus]
+    """Pairs ``(a, b)`` over every device, CPUs included, ``a`` a source and
+    ``a < b`` by name, that have more than one hop-count shortest path or
+    whose path disagrees with ``path_stats``."""
+    topo = cluster.topology
+    names = [d.name for d in cluster.gpus + cluster.cpus]
     ties = []
     for a in sources:
-        stats = _shortest_path_stats(topo, a)
-        ties += [(a, b, sorted(stats[b])) for b in names
-                 if a < b and stats[b] != {topo.path_stats(a, b)}]
+        stats, paths = _shortest_path_stats(topo, a)
+        ties += [(a, b, paths[b], sorted(stats[b])) for b in names
+                 if a < b and (paths[b] != 1 or stats[b] != {topo.path_stats(a, b)})]
     return ties
 
 
 _TIE_SYSTEMS = {"I": system_i, "II": system_ii, "III-64": lambda: system_iii(n_nodes=16),
-                "IV": system_iv, "III-1024-sampled": lambda: system_iii(n_nodes=256)}
+                "III-256": lambda: system_iii(n_nodes=64), "IV": system_iv,
+                "III-1024-sampled": lambda: system_iii(n_nodes=256)}
 
 
 @pytest.mark.parametrize("system", sorted(_TIE_SYSTEMS))
 def test_equally_short_paths_price_a_pair_alike(system):
-    """The tie law (ROADMAP item 28(a)): on every GPU pair of a preset, each
-    hop-count shortest path gives the same (bandwidth, latency summed from the
-    pair's smaller name), and ``path_stats`` reads it.  So which of equally
-    short paths ``_route`` picks never reaches a price, and one BFS per
-    source can fill a row; a preset that gains a tie fails here by name.
-    At 1024 GPUs, six sources spread over the world check the pairs they
-    name first; the slow lane checks every pair."""
+    """The uniqueness law (DESIGN §4ad): every device pair of a preset, CPUs
+    included, has exactly one hop-count shortest path, and ``path_stats``
+    reads its (bandwidth, latency summed from the pair's smaller name).  So
+    a single-source BFS picks the one path any search would, the walks may
+    read a pair's bandwidth from either end's row, and ``ring_stats`` routes
+    a hop over the path its source's row holds; a preset that gains a tie
+    fails here by name.  At 1024 GPUs, six GPU and five CPU sources spread
+    over the world check the pairs they name first; the slow lane checks
+    every pair."""
     cluster = _TIE_SYSTEMS[system]()
-    gpus = cluster.gpus[::171] if system.endswith("sampled") else cluster.gpus
-    assert _ties(cluster, [g.name for g in gpus]) == []
+    devices = cluster.gpus + cluster.cpus
+    if system.endswith("sampled"):
+        devices = cluster.gpus[::171] + cluster.cpus[::57]
+    assert _ties(cluster, [d.name for d in devices]) == []
 
 
 @pytest.mark.slow
 def test_equally_short_paths_price_a_pair_alike_at_1024_gpus():
     cluster = system_iii(n_nodes=256)
-    assert _ties(cluster, [g.name for g in cluster.gpus]) == []
+    assert _ties(cluster, [d.name for d in cluster.gpus + cluster.cpus]) == []
 
 
 class TestIslandsAndRings:

@@ -162,7 +162,10 @@ def test_compiled_plan_against_its_launched_step(system, space):
 #: (algorithm, W) -> projected ÷ direct step time (ROADMAP item 16(a)): the
 #: item-8 stack as DDP on System III, 8 rows per rank, captured at 16 ranks and
 #: launched with ``project.target_world = W``, over a direct spec run at W.
-#: Every cell under-predicts, more so the wider the projection.
+#: Every cell under-predicts, more so the wider the projection.  The 1024
+#: cells run in the slow lane: 2.1-2.6 s each on a 2-vCPU host, most of it
+#: the direct run's first world price (10.1-11.6 s when that price searched
+#: every member pair, before the route rows of DESIGN §4ad).
 SCALE_CELLS = {
     ("ring", 64): 0.988, ("ring", 256): 0.968, ("ring", 1024): 0.947,
     ("hierarchical", 64): 0.989, ("hierarchical", 256): 0.967, ("hierarchical", 1024): 0.934,

@@ -1328,6 +1328,11 @@ class TestPlanHostCost:
     #: compile: the first walk of each distinct rank group.  Read 1.80;
     #: 8.16 when the walks paid a frame or three per member pair
     CLUSTER_CALLS_PER_CANDIDATE = 2.2
+    #: ``cluster/`` calls per member of a cold 256-GPU System III world
+    #: all-reduce priced under ring, hierarchical and tree (DESIGN §4ad):
+    #: one route row per member plus a path walk per ring hop.  Read 3.80;
+    #: 262 when every member pair paid a search of its own
+    CLUSTER_CALLS_PER_MEMBER = 4.5
 
     @pytest.fixture(scope="class")
     def compiled(self):
@@ -1362,6 +1367,19 @@ class TestPlanHostCost:
         walks = sum(n for key, n in calls.items() if key.startswith("cluster/"))
         assert walks / scored <= self.CLUSTER_CALLS_PER_CANDIDATE, (
             walks / scored)
+
+    def test_cold_world_prices_one_row_per_member(self):
+        from repro.cluster import system_iii
+        from repro.comm.cost import CostModel
+
+        world = 256
+        cost = CostModel(system_iii(n_nodes=world // 4))  # a cold link graph
+        calls, _ = _repro_calls(lambda: [
+            cost.allreduce(list(range(world)), 1 << 26, algorithm=algorithm)
+            for algorithm in ("ring", "hierarchical", "tree")])
+        walks = sum(n for key, n in calls.items() if key.startswith("cluster/"))
+        assert walks / world <= self.CLUSTER_CALLS_PER_MEMBER, walks / world
+        assert calls["cluster/topology.py:Topology._row"] == world
 
     def test_workload_constants_once_per_compile(self, compiled):
         calls = compiled[0]
