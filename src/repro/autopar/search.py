@@ -149,8 +149,8 @@ class SearchSpace:
     """Which strategy dimensions the compiler sweeps.
 
     Defaults cover the full paper grid; shrink them to speed up a compile
-    (e.g. ``algorithms=("auto",)`` — the PR-3 selector is never worse than
-    ring, so "auto" dominates the per-family picks)."""
+    (e.g. ``algorithms=("auto",)`` — ``auto`` prices every call at the
+    cheapest family, so it dominates the per-family picks)."""
 
     tensor_modes: Tuple[str, ...] = ("1d", "2d", "2.5d", "3d", "sequence")
     schedules: Tuple[str, ...] = PIPELINE_SCHEDULES

@@ -77,10 +77,9 @@ class Topology:
         self._rows: Dict[str, Dict[str, Tuple[float, float, Optional[str]]]] = {}
         #: monotone counter bumped *after* every structural/bandwidth
         #: change; read-only outside this class.  Consumers that memoize
-        #: anything derived from the link graph (the ``CostModel`` probe
-        #: memo, the ``AlgorithmSelector``) compare it to detect
-        #: fault-injected degradation (:meth:`scale_link`) and recovery
-        #: (:meth:`restore_links`).
+        #: anything derived from the link graph (the ``CostModel`` price
+        #: and probe memo) compare it to detect fault-injected degradation
+        #: (:meth:`scale_link`) and recovery (:meth:`restore_links`).
         self.version = 0
 
     def _invalidate(self) -> None:

@@ -13,8 +13,7 @@ over the SPMD thread runtime.  Every operation
 """
 
 from repro.comm.payload import SpecArray
-from repro.comm.algorithms import ALGORITHMS, SELECTABLE_OPS, AlgorithmSelector
-from repro.comm.cost import CollectiveCost, CostModel
+from repro.comm.cost import ALGORITHMS, SELECTABLE_OPS, CollectiveCost, CostModel
 from repro.comm.counters import CommCounters
 from repro.comm.group import ProcessGroup, WorkHandle
 from repro.comm.communicator import Communicator, Request
@@ -25,7 +24,6 @@ __all__ = [
     "SpecArray",
     "ALGORITHMS",
     "SELECTABLE_OPS",
-    "AlgorithmSelector",
     "CollectiveCost",
     "CostModel",
     "CommCounters",

@@ -53,16 +53,16 @@ p2p                n / bw(a,b)                   n
 ring_pass          n / bw(slowest hop)           p * n
 =================  ============================  =======================
 
-``algorithm="auto"`` delegates to the memoized
-:class:`~repro.comm.algorithms.AlgorithmSelector`, which picks the min-cost
-family per (group, op, message-size bucket) and never does worse than the
-flat ring.  Only simulated seconds/wire accounting depend on the algorithm;
-collective *results* are combined identically in every case.
+``algorithm="auto"`` prices the call under every family at the byte count
+asked and takes the cheapest, the first in :data:`ALGORITHMS` order on a
+tie, so it is never worse than the flat ring.  Only simulated seconds/wire
+accounting depend on the algorithm; collective *results* are combined
+identically in every case.
 
 A :class:`CollectiveCost` is a pure function of the query and of the link
 graph, whose state ``Topology.version`` names, so each model prices a
-distinct query once: the family costs (``_op_cost``), the selector's
-ring re-price and the direct queries (scatter/gather, all-to-all,
+distinct query once: the family costs and their ``auto`` minimum
+(``_op_cost``) and the direct queries (scatter/gather, all-to-all,
 barrier, p2p, ring pass, host transfer) read one memo tagged with that
 version, and the topology probes share it (:meth:`CostModel._retag`).  A
 warm round runs no formula and walks no link; a link edit prices the next
@@ -81,7 +81,24 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.machine import ClusterSpec
-from repro.comm.algorithms import SELECTABLE_OPS, AlgorithmSelector, check_algorithm
+
+#: the algorithm families, in tie-break preference order
+ALGORITHMS = ("ring", "tree", "hierarchical")
+
+#: collectives with more than one implemented algorithm, the only ops
+#: ``CostModel.price`` takes; every other op (scatter/gather stars,
+#: all_to_all, barrier, p2p) has a single schedule and its own method.
+SELECTABLE_OPS = frozenset(
+    {"all_reduce", "all_gather", "reduce_scatter", "broadcast", "reduce"}
+)
+
+
+def check_algorithm(algorithm: str) -> None:
+    """The one check of an algorithm name, wherever it is set or asked for."""
+    valid = ALGORITHMS + ("auto",)
+    if algorithm not in valid:
+        raise ValueError(f"unknown collective algorithm {algorithm!r}: "
+                         f"comm_algorithm must be one of {valid}")
 
 
 @dataclass(frozen=True)
@@ -136,7 +153,6 @@ class CostModel:
         self.bw_ramp = getattr(cluster, "bw_ramp_time", 0.0)
         check_algorithm(algorithm)
         self.algorithm = algorithm
-        self.selector = AlgorithmSelector(self)
         #: (tag, {query or probe key: value}) — see :meth:`_retag`
         self._memo: Tuple[Any, Dict[tuple, Any]] = (None, {})
 
@@ -147,9 +163,8 @@ class CostModel:
         Every priced query and topology probe is a pure function of its key
         and of the link graph, whose state ``Topology.version`` names.  The
         memo is one dict tagged with that version, and a reader that finds a
-        stale tag calls this, which drops the dict whole (the
-        :class:`AlgorithmSelector` keeps its bucket table under the same
-        tag), so ``scale_link`` / ``restore_links`` re-price the next round.
+        stale tag calls this, which drops the dict whole, so ``scale_link``
+        / ``restore_links`` re-price the next round.
         Readers test the tag inline and a hit is one dict read with no frame
         of its own.
 
@@ -269,13 +284,11 @@ class CostModel:
         algorithm: Optional[str] = None,
     ) -> CollectiveCost:
         """Cost of selectable collective ``op`` under ``algorithm`` (default
-        the model's): ``auto`` asks the selector, a fixed family reads
-        :meth:`_op_cost`'s memo entry inline and enters it on a miss only."""
+        the model's): reads :meth:`_op_cost`'s memo entry inline, ``auto``
+        like a fixed family, and enters it on a miss only."""
         if len(ranks) < 2 or nbytes == 0:
             return _ZERO
         algo = algorithm if algorithm is not None else self.algorithm
-        if algo == "auto":
-            return self.selector.select(op, ranks, nbytes)
         tag, memo = self._memo
         if tag == self.cluster.topology.version:
             cost = memo.get((op, tuple(ranks), nbytes, algo))
@@ -286,14 +299,16 @@ class CostModel:
     def _op_cost(
         self, op: str, ranks: Sequence[int], nbytes: int, algo: str
     ) -> CollectiveCost:
-        """Cost of ``op`` under one concrete algorithm, priced once per
-        distinct query: a hierarchical schedule over two or more islands
-        by :meth:`_two_level`, everything else by :meth:`_flat`.  ``reduce``
-        runs its mirror, the broadcast schedule."""
+        """Cost of ``op`` under ``algo``, priced once per distinct query:
+        ``auto`` is the cheapest family at this byte count (the first in
+        :data:`ALGORITHMS` order on a tie), a hierarchical schedule over two
+        or more islands is :meth:`_two_level`, everything else
+        :meth:`_flat`.  ``reduce`` runs its mirror, the broadcast schedule."""
         tag, memo = self._memo
         if tag != self.cluster.topology.version:
             memo = self._retag()
-        key = (op, tuple(ranks), nbytes, algo)
+        group = tuple(ranks)
+        key = (op, group, nbytes, algo)
         cost = memo.get(key)
         if cost is not None:
             return cost
@@ -304,7 +319,14 @@ class CostModel:
                 f"cannot price {op!r} by algorithm: price() takes one of "
                 f"SELECTABLE_OPS {sorted(SELECTABLE_OPS)}")
         shape = "broadcast" if op == "reduce" else op
-        if algo == "hierarchical" and len(self._islands(ranks)) > 1:
+        if algo == "auto":
+            for family in ALGORITHMS:
+                priced = memo.get((op, group, nbytes, family))
+                if priced is None:
+                    priced = self._op_cost(op, ranks, nbytes, family)
+                if cost is None or priced.seconds < cost.seconds:
+                    cost = priced
+        elif algo == "hierarchical" and len(self._islands(ranks)) > 1:
             cost = self._two_level(shape, ranks, nbytes)
         else:
             cost = self._flat(shape, ranks, nbytes, algo)

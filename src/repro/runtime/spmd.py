@@ -286,7 +286,7 @@ class SpmdRuntime:
             raise ValueError(
                 f"deadlock_timeout must be positive and finite, got {deadlock_timeout}"
             )
-        from repro.comm.algorithms import check_algorithm  # comm builds on runtime
+        from repro.comm.cost import check_algorithm  # comm builds on runtime
 
         check_algorithm(comm_algorithm)
         #: default collective algorithm for every process group's cost model
@@ -447,7 +447,7 @@ class SpmdRuntime:
         and ``overlap=False`` keep the runtime's choice.  The cost models'
         memos are keyed by algorithm, so the next collective prices under
         the new one."""
-        from repro.comm.algorithms import check_algorithm
+        from repro.comm.cost import check_algorithm
 
         algorithm = comm.algorithm or self.comm_algorithm
         check_algorithm(algorithm)

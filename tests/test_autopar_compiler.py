@@ -308,10 +308,9 @@ class TestTermTable:
         ),
         seed=st.integers(0, 2**32 - 1),
     )
-    # derandomized: `auto` prices through the selector, whose choice inside
-    # a size bucket follows the first size it saw (by design); no record
-    # of a compile straddles such a crossover on these systems, but tier-1
-    # should not be the place that finds the one draw that does
+    # derandomized so tier-1 scores the same 40 draws on every run and a
+    # failure it reports is one it reports again; `auto` prices a call at
+    # its own size, whatever was priced before, so no draw is known to fail
     @settings(max_examples=40, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     def test_shared_table_equals_cold_scoring(

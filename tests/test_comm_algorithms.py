@@ -1,4 +1,4 @@
-"""Collective algorithm layer: selector caching, runtime/config plumbing,
+"""Collective algorithm layer: ``auto`` pricing, runtime/config plumbing,
 per-algorithm counters and trace metadata, fault-driven re-selection."""
 
 from operator import attrgetter
@@ -8,8 +8,7 @@ import pytest
 
 import repro
 from repro.cluster import system_i, system_ii, uniform_cluster
-from repro.comm import ALGORITHMS, Communicator, CostModel, SpecArray
-from repro.comm.algorithms import SELECTABLE_OPS
+from repro.comm import ALGORITHMS, SELECTABLE_OPS, Communicator, CostModel, SpecArray
 from repro.config import CommConfig, Config
 from repro.context import ParallelMode
 from repro.faults import FaultPlan
@@ -33,36 +32,12 @@ def _allreduce_prog(ctx):
 
 
 class TestSelector:
-    def test_miss_then_hit(self):
-        cm = CostModel(system_ii(), algorithm="auto")
-        cm.allreduce(range(8), 4 * MB)
-        assert (cm.selector.misses, cm.selector.hits) == (1, 0)
-        cm.allreduce(range(8), 4 * MB)
-        assert (cm.selector.misses, cm.selector.hits) == (1, 1)
-        assert len(cm.selector) == 1
-
-    def test_cached_choice_exposed(self):
-        cm = CostModel(system_ii(), algorithm="auto")
-        assert cm.selector.cached_choice("all_reduce", range(8), 64 * MB) is None
-        cm.allreduce(range(8), 64 * MB)
-        assert (
-            cm.selector.cached_choice("all_reduce", range(8), 64 * MB)
-            == "hierarchical"
-        )
-
-    def test_distinct_groups_cached_separately(self):
-        cm = CostModel(system_ii(), algorithm="auto")
-        cm.allreduce(range(8), MB)
-        cm.allreduce(range(4), MB)
-        assert len(cm.selector) == 2
-
     def test_hit_repriced_at_actual_size(self):
         """Within one power-of-two bucket the returned cost must track the
-        actual byte count, not the bucket representative's."""
+        actual byte count."""
         cm = CostModel(system_ii(), algorithm="auto")
         lo = cm.allreduce(range(8), 3 * MB)
         hi = cm.allreduce(range(8), 4 * MB - 8)  # same bucket, more bytes
-        assert cm.selector.hits == 1
         assert hi.seconds > lo.seconds
 
     def test_non_selectable_ops_bypass_cache(self):
@@ -70,14 +45,27 @@ class TestSelector:
         cm.all_to_all(range(8), MB)
         cm.scatter(0, range(8), MB)
         cm.barrier(range(8))
-        assert len(cm.selector) == 0
+        assert not [key for key in cm._memo[1] if key[0] in SELECTABLE_OPS]
         assert "all_to_all" not in SELECTABLE_OPS
 
-    def test_clear(self):
-        cm = CostModel(system_ii(), algorithm="auto")
-        cm.allreduce(range(8), MB)
-        cm.selector.clear()
-        assert len(cm.selector) == 0
+    def test_earlier_run_does_not_change_auto_clocks(self):
+        """``auto`` is a function of the call, not of what ran before: a
+        3 MiB - 4 B world all-reduce after a 2 MiB one (same size bucket,
+        where tree is cheapest) reads the clocks of a fresh runtime."""
+
+        def allreduce(nbytes):
+            def prog(ctx):
+                comm = Communicator.world(ctx)
+                comm.all_reduce(np.ones((nbytes // 4,), dtype=np.float32))
+                return ctx.clock.time
+            return prog
+
+        fresh = SpmdRuntime(system_ii(), world_size=8, comm_algorithm="auto")
+        used = SpmdRuntime(system_ii(), world_size=8, comm_algorithm="auto")
+        used.run(allreduce(2 * MB))
+        want = fresh.run(allreduce(3 * MB - 4))
+        assert used.run(allreduce(3 * MB - 4)) == want
+        assert max(want) == pytest.approx(605.33e-6, rel=1e-4)
 
 
 class TestRuntimePlumbing:
@@ -263,14 +251,12 @@ class TestFaultReselection:
         for a, b in NVLINK_PAIRS:
             topo.scale_link(a, b, 0.01)  # NVLink now far below PCIe
         second = cm.allreduce(range(8), 64 * MB)
-        # cache was dropped (a fresh miss) and the choice changed: with the
-        # islands gone, the two-level schedule has nothing to exploit
-        assert cm.selector.misses == 2
+        # the choice changed: with the islands gone, the two-level schedule
+        # has nothing to exploit
         assert second.algorithm != "hierarchical"
         assert second.seconds != first.seconds
         topo.restore_links()
         third = cm.allreduce(range(8), 64 * MB)
-        assert cm.selector.misses == 3
         assert third.algorithm == first.algorithm
         assert third.seconds == pytest.approx(first.seconds)
 

@@ -15,7 +15,8 @@ clusters each runs on, and every relation of the table runs on every cell:
 5. ``overlap``: overlap on == off in results and traffic, makespan ≤;
 6. ``spec``: spec mode == real mode in makespan, breakdowns, counters and
    device peaks;
-7. ``auto``: the ``auto`` selector's makespan ≤ ``ring``'s;
+7. ``auto``: the makespan under ``auto`` (the cheapest family per call)
+   ≤ ``ring``'s;
 8. ``classed``: a spec run, which may start rank 0 alone as every rank's
    representative (DESIGN §4ab), == the same spec run forced onto one
    thread per rank — results, clocks and breakdowns, stream times and

@@ -6,8 +6,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import system_i, system_ii, system_iii, system_iv, uniform_cluster
-from repro.comm.algorithms import ALGORITHMS, SELECTABLE_OPS
-from repro.comm.cost import CostModel
+from repro.comm.cost import ALGORITHMS, SELECTABLE_OPS, CostModel
 from repro.project.fabric import Fabric, ProjectedCostModel
 from repro.utils.units import GB, KB, MB
 
@@ -105,7 +104,7 @@ class TestAlgorithmCosts:
 
 
 class TestCollectiveAlgorithms:
-    """Per-algorithm cost formulas and the cost-driven selector."""
+    """Per-algorithm cost formulas and cost-driven ``auto``."""
 
     ALGOS = ("ring", "tree", "hierarchical")
 
@@ -136,7 +135,7 @@ class TestCollectiveAlgorithms:
         assert hier.algorithm == "hierarchical"
 
     def test_tree_wins_small_hierarchical_wins_large(self):
-        """The System II crossover the selector exists to capture."""
+        """The System II crossover ``auto`` exists to capture."""
         cm = CostModel(system_ii())
         ranks = list(range(8))
         small = cm.allreduce(ranks, 64 * KB, algorithm="auto")
@@ -192,16 +191,6 @@ class TestCollectiveAlgorithms:
         hier = cm.allreduce(ranks, 64 * MB, algorithm="hierarchical").seconds
         ring = cm.allreduce(ranks, 64 * MB, algorithm="ring").seconds
         assert ring / hier > 2
-
-    def test_selector_caches_by_size_bucket(self):
-        cm = CostModel(system_ii(), algorithm="auto")
-        cm.allreduce(range(8), MB)
-        misses = cm.selector.misses
-        cm.allreduce(range(8), MB + 8)  # same power-of-two bucket
-        assert cm.selector.misses == misses
-        assert cm.selector.hits >= 1
-        cm.allreduce(range(8), 64 * MB)  # different bucket
-        assert cm.selector.misses == misses + 1
 
 
 class TestAdaptiveEvictionUnderPressure:
@@ -271,7 +260,7 @@ _NBYTES = st.one_of(
     st.integers(1, 64 * MB), st.just(0),
     st.sampled_from([4 * KB, 4 * KB + 1, 1 * MB, (1 * MB) - 1, 16 * MB]))
 _QUERY = st.one_of(
-    # ``auto`` weighted up: its bucket table is the one priced state with history
+    # ``auto`` weighted up: its price reads the three families' entries
     st.tuples(st.sampled_from(sorted(SELECTABLE_OPS)), _GROUP, _NBYTES,
               st.sampled_from(ALGORITHMS + ("auto",) * 3)),
     st.tuples(st.sampled_from(["scatter", "gather"]), _GROUP, _NBYTES,
@@ -308,28 +297,13 @@ def _ask(cm, op, ranks, nbytes, arg):
     return cm.all_to_all(ranks, nbytes)
 
 
-class _ColdSelector:
-    """The selector's rule restated over *cold* prices: a bucket's first
-    query picks the cheapest family, later ones re-price that family
-    against the flat ring, and any change to the link graph empties it."""
-
-    def __init__(self):
-        self.choice, self.hits, self.misses = {}, 0, 0
-
-    def price(self, cold, op, ranks, nbytes):
-        if len(ranks) < 2 or nbytes == 0:
-            return cold.allreduce(ranks, 0)
-        key = (tuple(ranks), op, nbytes.bit_length())
-        if key not in self.choice:
-            self.misses += 1
-            costs = [cold._op_cost(op, ranks, nbytes, a) for a in ALGORITHMS]
-            best = min(costs, key=lambda c: c.seconds)  # first wins a tie
-            self.choice[key] = best.algorithm
-            return best
-        self.hits += 1
-        cost = cold._op_cost(op, ranks, nbytes, self.choice[key])
-        ring = cold._op_cost(op, ranks, nbytes, "ring")
-        return ring if ring.seconds < cost.seconds else cost
+def _cold_auto(cold, op, ranks, nbytes):
+    """``auto`` restated over *cold* prices: the cheapest family at the
+    byte count asked, the first in ``ALGORITHMS`` order on a tie."""
+    if len(ranks) < 2 or nbytes == 0:
+        return cold.allreduce(ranks, 0)
+    costs = [cold._op_cost(op, ranks, nbytes, a) for a in ALGORITHMS]
+    return min(costs, key=lambda c: c.seconds)  # min keeps the first of a tie
 
 
 class TestMemoisedPricing:
@@ -338,11 +312,17 @@ class TestMemoisedPricing:
     @given(system=st.sampled_from(sorted(_SYSTEMS)),
            queries=st.lists(_QUERY, min_size=1, max_size=5),
            edits=st.lists(_EDIT, min_size=1, max_size=5))
-    # a bucket filled over System II's NVLink pairs (hierarchical) must not
+    # an ``auto`` price over System II's NVLink pairs (hierarchical) must not
     # survive the degradation of one pair's link
     @example(system="system_ii",
              queries=[("all_reduce", list(range(8)), 64 * MB, "auto")],
              edits=[("scale_link", 1, 0.05)])
+    # nor may an earlier size in the same power-of-two bucket (tree at 2 MiB)
+    # fix the family of a later one (hierarchical at 3 MiB - 4 B)
+    @example(system="system_ii",
+             queries=[("all_reduce", list(range(8)), 2 * MB, "auto"),
+                      ("all_reduce", list(range(8)), 3 * MB - 4, "auto")],
+             edits=[("restore_links",)])
     def test_long_lived_model_prices_like_a_fresh_one(self, system, queries,
                                                       edits):
         """One long-lived ``CostModel`` against one built for every query:
@@ -352,26 +332,22 @@ class TestMemoisedPricing:
         cluster = _SYSTEMS[system]()
         topo = cluster.topology
         links = sorted(topo.links())  # GPU pairs and host links
-        warm, reference = CostModel(cluster), _ColdSelector()
+        warm = CostModel(cluster)
         for edit in [None] + edits:
             if edit is not None:
                 if edit[0] == "scale_link":
                     topo.scale_link(*links[edit[1] % len(links)], edit[2])
                 else:
                     topo.restore_links()
-                reference.choice.clear()
             for op, ranks, nbytes, arg in queries:
                 cold = CostModel(cluster)
                 got = _ask(warm, op, list(ranks), nbytes, arg)
                 if arg == "auto":
-                    want = reference.price(cold, op, list(ranks), nbytes)
+                    want = _cold_auto(cold, op, list(ranks), nbytes)
                 else:
                     want = _ask(cold, op, list(ranks), nbytes, arg)
                 assert (got.seconds, got.wire_bytes, got.algorithm) == (
                     want.seconds, want.wire_bytes, want.algorithm), (op, edit)
-        selector = warm.selector
-        assert (selector.hits, selector.misses) == (
-            reference.hits, reference.misses)
 
     @pytest.mark.parametrize("query", [
         lambda cm: cm.allreduce(range(8), -48),
@@ -387,7 +363,7 @@ class TestMemoisedPricing:
         for cm in (CostModel(system_ii()), ProjectedCostModel(Fabric.uniform())):
             with pytest.raises(ValueError, match="negative byte count"):
                 query(cm)
-            assert cm.selector.misses == 0
+            assert cm._memo[1] == {}
 
     def test_projected_model_overrides_link_probes_only(self):
         """The fabric model answers where link numbers come from and
@@ -409,7 +385,7 @@ class TestMemoisedPricing:
             for algorithm in ALGORITHMS + ("auto",):
                 with pytest.raises(ValueError, match=rf"'{op}'.*SELECTABLE_OPS"):
                     cm.price(op, list(range(8)), 4 * MB, algorithm)
-        assert (len(cm.selector), cm.selector.misses) == (0, 0)
+        assert cm._memo[1] == {}
 
 
 #: Systems I, II, III (2 nodes) and IV, each with a few groups: whole

@@ -1023,12 +1023,12 @@ class TestCollectiveHostCost:
         assert sum(beneath.values()) <= 3 * rounds
 
     #: frames beneath each warm spec finalize on the storm: itself, the
-    #: price and the selector (``auto``), and for a derived result one
-    #: ``SpecArray``
+    #: price (``auto`` read from its memo entry like a fixed family), and
+    #: for a derived result one ``SpecArray``
     FINALIZE_FRAMES = {
-        "comm/communicator.py:all_reduce_finalize": 3,
-        "comm/communicator.py:all_gather_finalize": 4,
-        "comm/communicator.py:reduce_scatter_finalize": 4,
+        "comm/communicator.py:all_reduce_finalize": 2,
+        "comm/communicator.py:all_gather_finalize": 3,
+        "comm/communicator.py:reduce_scatter_finalize": 3,
     }
 
     def test_spec_round_finalizes_inline(self):
@@ -1045,7 +1045,6 @@ class TestCollectiveHostCost:
             assert finalized >= _STORM_ROUNDS, (root, beneath)
             assert set(beneath) <= {
                 root, "comm/cost.py:CostModel.price",
-                "comm/algorithms.py:AlgorithmSelector.select",
                 "comm/payload.py:SpecArray.__init__"}, (root, beneath)
             assert sum(beneath.values()) == frames * finalized, (root, beneath)
 

@@ -25,7 +25,7 @@ from repro.runtime.errors import RemoteRankError
 
 WORLD = 4
 
-#: every selectable family plus the selector itself
+#: every selectable family plus ``auto``, the cheapest of them per call
 ALGOS = ("ring", "tree", "hierarchical", "auto")
 
 DTYPES = ["float32", "float16", "int32"]

@@ -34,7 +34,6 @@ KEEP: dict[str, str] = {
     "repro.comm.cost.CostModel": "prices the rooted collectives above",
     "repro.comm.timeline.GroupTimeline": "§4f overlap-mode isend on the p2p stream; §4u p2p retry rule under a FaultPlan",
     "repro.comm.counters.CommCounters": "§4b retry accounting; reset between measured phases",
-    "repro.comm.algorithms.AlgorithmSelector": "§4d selector-cache introspection the comm_algo lane asserts on",
     "repro.comm.payload.SpecArray": "ndarray-shaped surface of the spec payload",
     "repro.engine.engine.Engine": "Listing 1 surface (eval)",
     "repro.trainer": "§4 extensibility: metric / throughput hooks, evaluate, checkpoint manager",
