@@ -67,6 +67,13 @@ class Topology:
     from its smaller name's row (:meth:`path_stats`); its bandwidth, a
     minimum, reads alike from either end on every preset, where each pair
     has one shortest path.
+
+    The graph also keeps :attr:`prices`, the one memo of everything the
+    cost models over it derive (``repro.comm.cost``).  Every edit
+    (:meth:`add_link`, :meth:`scale_link`, :meth:`restore_links`) replaces
+    the route rows and the prices with fresh dicts *after* it changes the
+    graph, so a reader that took a dict before an edit writes only into
+    one nobody reads again.
     """
 
     def __init__(self) -> None:
@@ -75,16 +82,13 @@ class Topology:
         self._adj: Dict[str, Dict[str, Dict[str, Any]]] = {}
         #: source -> {destination -> (bandwidth, latency, previous hop)}
         self._rows: Dict[str, Dict[str, Tuple[float, float, Optional[str]]]] = {}
-        #: monotone counter bumped *after* every structural/bandwidth
-        #: change; read-only outside this class.  Consumers that memoize
-        #: anything derived from the link graph (the ``CostModel`` price
-        #: and probe memo) compare it to detect fault-injected degradation
-        #: (:meth:`scale_link`) and recovery (:meth:`restore_links`).
-        self.version = 0
+        #: query or probe key -> value, for every ``CostModel`` over this
+        #: graph; read and written only by ``repro.comm.cost``
+        self.prices: Dict[tuple, Any] = {}
 
     def _invalidate(self) -> None:
-        self._rows.clear()
-        self.version += 1
+        self._rows = {}
+        self.prices = {}
 
     def add_device(self, name: str) -> None:
         self._adj.setdefault(name, {})
@@ -168,6 +172,7 @@ class Topology:
         adj = self._adj
         if src not in adj:
             return {}
+        rows = self._rows  # taken before the walk: see the class docstring
         row = {src: (math.inf, 0.0, None)}
         reached = [src]
         for v in reached:  # grows while it is read: the BFS queue
@@ -180,7 +185,7 @@ class Topology:
                     row[w] = (link_bw if link_bw < bw else bw,
                               lat + edge["latency"], v)
                     reached.append(w)
-        self._rows[src] = row
+        rows[src] = row
         return row
 
     def path_stats(self, a: str, b: str) -> Tuple[float, float]:

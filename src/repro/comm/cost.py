@@ -59,14 +59,15 @@ tie, so it is never worse than the flat ring.  Only simulated seconds/wire
 accounting depend on the algorithm; collective *results* are combined
 identically in every case.
 
-A :class:`CollectiveCost` is a pure function of the query and of the link
-graph, whose state ``Topology.version`` names, so each model prices a
-distinct query once: the family costs and their ``auto`` minimum
-(``_op_cost``) and the direct queries (scatter/gather, all-to-all,
-barrier, p2p, ring pass, host transfer) read one memo tagged with that
-version, and the topology probes share it (:meth:`CostModel._retag`).  A
-warm round runs no formula and walks no link; a link edit prices the next
-round afresh.
+A :class:`CollectiveCost` is a pure function of the query, of the link
+graph and of the cluster's ``alpha`` and ``bw_ramp_time``, so a distinct
+query is priced once per link graph: the family costs and their ``auto``
+minimum (``_op_cost``), the direct queries (scatter/gather, all-to-all,
+barrier, p2p, ring pass, host transfer) and the topology probes all read
+and write the graph's one memo, ``Topology.prices``, which every model
+over the cluster shares.  A :class:`CostModel` keeps no memo of its own.
+A warm round runs no formula and walks no link; a link edit replaces the
+memo whole, so the next round prices afresh.
 
 Every cost formula is written here once: the underscore probes say where
 link numbers come from (a subclass may override only those), and
@@ -116,19 +117,23 @@ _ZERO = CollectiveCost(0.0, 0)
 
 def _memoised(walk: Callable) -> Callable:
     """Memoise a topology probe per ``(probe, *args)`` (the last argument is
-    the rank sequence), in the model's one memo (:meth:`CostModel._retag`).
+    the rank sequence), in the link graph's one memo, ``Topology.prices``.
 
-    A probe runs only when a query is priced for the first time; its entry
-    is what spares that first pricing the walk when the group is already
-    known, e.g. a new byte count or another family on the same ranks.
+    A probe runs only when a query is priced for the first time over this
+    link graph, by any model; its entry is what spares that first pricing
+    the walk when the group is already known, e.g. a new byte count or
+    another family on the same ranks.
+
+    A racing writer is harmless: the memo is taken *before* the walk and
+    the value goes into that dict, while ``Topology._invalidate`` replaces
+    the memo *after* an edit, so a value computed across an edit lands in
+    a dict no reader sees again.  Each price method keeps the same rule.
     """
     name = walk.__name__
 
     @functools.wraps(walk)
     def probe(self: "CostModel", *args: Any) -> Any:
-        tag, memo = self._memo
-        if tag != self.cluster.topology.version:
-            memo = self._retag()
+        memo = self.cluster.topology.prices
         key = (name, *args[:-1], tuple(args[-1]))
         try:
             return memo[key]
@@ -140,7 +145,9 @@ def _memoised(walk: Callable) -> Callable:
 
 
 class CostModel:
-    """Collective/p2p cost queries bound to one cluster.
+    """Collective/p2p cost queries bound to one cluster: a stateless view
+    of its link graph's price memo, so any number of models over one
+    cluster price each query once between them.
 
     ``algorithm`` is the default family for selectable collectives
     (``"ring" | "tree" | "hierarchical" | "auto"``); every collective method
@@ -153,30 +160,6 @@ class CostModel:
         self.bw_ramp = getattr(cluster, "bw_ramp_time", 0.0)
         check_algorithm(algorithm)
         self.algorithm = algorithm
-        #: (tag, {query or probe key: value}) — see :meth:`_retag`
-        self._memo: Tuple[Any, Dict[tuple, Any]] = (None, {})
-
-    def _retag(self) -> Dict[tuple, Any]:
-        """Start the memo over for the link graph as it is now; return its
-        dict.
-
-        Every priced query and topology probe is a pure function of its key
-        and of the link graph, whose state ``Topology.version`` names.  The
-        memo is one dict tagged with that version, and a reader that finds a
-        stale tag calls this, which drops the dict whole, so ``scale_link``
-        / ``restore_links`` re-price the next round.
-        Readers test the tag inline and a hit is one dict read with no frame
-        of its own.
-
-        A racing writer is harmless: the tag is read *before* pricing, the
-        value goes into the dict that was looked up with it, and
-        ``Topology._invalidate`` bumps the version *after* an edit, so a
-        price computed across an edit lands in a dict the bump has just made
-        stale and is never served under the new version.  Two threads
-        replacing a stale dict at once lose an entry, nothing else.
-        """
-        memo = self._memo = (self.cluster.topology.version, {})
-        return memo[1]
 
     def _eff(self, bw: float, nbytes: int) -> float:
         """Effective bandwidth after the NCCL-style message-size ramp: a
@@ -289,11 +272,9 @@ class CostModel:
         if len(ranks) < 2 or nbytes == 0:
             return _ZERO
         algo = algorithm if algorithm is not None else self.algorithm
-        tag, memo = self._memo
-        if tag == self.cluster.topology.version:
-            cost = memo.get((op, tuple(ranks), nbytes, algo))
-            if cost is not None:
-                return cost
+        cost = self.cluster.topology.prices.get((op, tuple(ranks), nbytes, algo))
+        if cost is not None:
+            return cost
         return self._op_cost(op, ranks, nbytes, algo)
 
     def _op_cost(
@@ -304,9 +285,7 @@ class CostModel:
         :data:`ALGORITHMS` order on a tie), a hierarchical schedule over two
         or more islands is :meth:`_two_level`, everything else
         :meth:`_flat`.  ``reduce`` runs its mirror, the broadcast schedule."""
-        tag, memo = self._memo
-        if tag != self.cluster.topology.version:
-            memo = self._retag()
+        memo = self.cluster.topology.prices
         group = tuple(ranks)
         key = (op, group, nbytes, algo)
         cost = memo.get(key)
@@ -474,9 +453,7 @@ class CostModel:
         p = len(ranks)
         if p < 2 or nbytes_local == 0:
             return _ZERO
-        tag, memo = self._memo
-        if tag != self.cluster.topology.version:
-            memo = self._retag()
+        memo = self.cluster.topology.prices
         key = ("scatter", root, tuple(ranks), nbytes_local)
         cost = memo.get(key)
         if cost is not None:
@@ -497,9 +474,7 @@ class CostModel:
         p = len(ranks)
         if p < 2 or nbytes_local == 0:
             return _ZERO
-        tag, memo = self._memo
-        if tag != self.cluster.topology.version:
-            memo = self._retag()
+        memo = self.cluster.topology.prices
         key = ("all_to_all", tuple(ranks), nbytes_local)
         cost = memo.get(key)
         if cost is not None:
@@ -517,9 +492,7 @@ class CostModel:
         p = len(ranks)
         if p < 2:
             return _ZERO
-        tag, memo = self._memo
-        if tag != self.cluster.topology.version:
-            memo = self._retag()
+        memo = self.cluster.topology.prices
         key = ("barrier", p)
         cost = memo.get(key)
         if cost is None:
@@ -530,9 +503,7 @@ class CostModel:
     def p2p(self, src: int, dst: int, nbytes: int) -> CollectiveCost:
         if nbytes == 0 or src == dst:
             return _ZERO
-        tag, memo = self._memo
-        if tag != self.cluster.topology.version:
-            memo = self._retag()
+        memo = self.cluster.topology.prices
         key = ("p2p", src, dst, nbytes)
         cost = memo.get(key)
         if cost is not None:
@@ -548,9 +519,7 @@ class CostModel:
                   shift: int = 1) -> CollectiveCost:
         """Every member sends ``nbytes`` to the one ``shift`` places on, all
         at once: the slowest hop's seconds, every hop's bytes."""
-        tag, memo = self._memo
-        if tag != self.cluster.topology.version:
-            memo = self._retag()
+        memo = self.cluster.topology.prices
         key = ("ring_pass", tuple(ranks), nbytes, shift)
         cost = memo.get(key)
         if cost is None:
@@ -565,9 +534,7 @@ class CostModel:
         """CPU <-> GPU transfer (offloading traffic)."""
         if nbytes == 0:
             return _ZERO
-        tag, memo = self._memo
-        if tag != self.cluster.topology.version:
-            memo = self._retag()
+        memo = self.cluster.topology.prices
         key = ("host_transfer", rank, nbytes)
         cost = memo.get(key)
         if cost is not None:

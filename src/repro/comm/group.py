@@ -39,7 +39,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.comm.cost import CollectiveCost, CostModel
+from repro.comm.cost import CollectiveCost
 from repro.comm.counters import CommCounters
 from repro.comm.timeline import GroupTimeline, Round
 from repro.runtime.errors import CollectiveTimeout
@@ -89,7 +89,7 @@ class ProcessGroup(GroupTimeline):
             raise ValueError(f"duplicate ranks in group: {ranks}")
         super().__init__(runtime, ranks)
         self.runtime = runtime  # the timeline's ``host``, by its own name
-        self.cost_model = CostModel(runtime.cluster, algorithm=runtime.comm_algorithm)
+        self.cost_model = runtime.cost_model  # one per runtime
         self._cond = threading.Condition()
         self._rounds: Dict[int, Round] = {}
         self._seq: Dict[int, int] = {r: 0 for r in ranks}

@@ -9,9 +9,9 @@ and latency, node size), and :class:`ProjectedCostModel` overrides only
 ``CostModel``'s link probes (``_path``, ``_ring``, ``_pairwise``,
 ``_star``, ``_islands``, ``_island_phases``) with O(1)/O(k)-in-node-count
 closed forms.  Every cost formula — ring, tree and hierarchical
-collectives, p2p, ring pass, host transfer — and the memo in front of it
-are ``CostModel``'s own, and the host link is read through the cluster
-stand-in, so a projection priced on a :meth:`Fabric.from_cluster` of the
+collectives, p2p, ring pass, host transfer — is ``CostModel``'s own, the
+memo in front of them is the cluster stand-in's, and so is the host link,
+so a projection priced on a :meth:`Fabric.from_cluster` of the
 captured cluster reproduces the captured costs exactly.
 """
 
@@ -87,14 +87,15 @@ class Fabric:
 class _FabricCluster:
     """What ``CostModel`` reads off a cluster once the probes answer for
     the link graph: the α and ramp constants, the host link, and a
-    ``topology`` whose one field is the memo tag's ``version``."""
+    ``topology`` whose one field is the price memo, ``prices``, which no
+    other model shares."""
 
     __slots__ = ("alpha", "bw_ramp_time", "topology", "fabric")
 
     def __init__(self, fabric: Fabric) -> None:
         self.alpha = fabric.alpha
         self.bw_ramp_time = fabric.bw_ramp_time
-        self.topology = SimpleNamespace(version=0)
+        self.topology = SimpleNamespace(prices={})
         self.fabric = fabric
 
     def h2d_bandwidth(self, rank: int) -> float:

@@ -286,11 +286,11 @@ class SpmdRuntime:
             raise ValueError(
                 f"deadlock_timeout must be positive and finite, got {deadlock_timeout}"
             )
-        from repro.comm.cost import check_algorithm  # comm builds on runtime
+        from repro.comm.cost import CostModel  # comm builds on runtime
 
-        check_algorithm(comm_algorithm)
-        #: default collective algorithm for every process group's cost model
-        self.comm_algorithm = comm_algorithm
+        #: the one cost model every process group prices with; its
+        #: ``algorithm`` is the runtime's default collective algorithm
+        self.cost_model = CostModel(cluster, algorithm=comm_algorithm)
         #: have the library schedulers (DDP, ZeRO chunks, GPipe/1F1B) issue
         #: their traffic nonblocking; every nonblocking primitive rides the
         #: per-rank comm streams whatever this says.
@@ -441,21 +441,23 @@ class SpmdRuntime:
                 self._groups[key] = grp
             return grp
 
+    @property
+    def comm_algorithm(self) -> str:
+        """Default collective algorithm: the one cost model's."""
+        return self.cost_model.algorithm
+
     def apply_comm(self, comm: Any) -> None:
         """Apply a ``comm`` config section (:class:`~repro.config.CommConfig`)
-        to this runtime and every live process group: ``algorithm=None``
-        and ``overlap=False`` keep the runtime's choice.  The cost models'
-        memos are keyed by algorithm, so the next collective prices under
-        the new one."""
+        to this runtime: ``algorithm=None`` and ``overlap=False`` keep the
+        runtime's choice.  Every process group prices with the runtime's
+        one cost model, whose memo is keyed by algorithm, so the next
+        collective of any group prices under the new one."""
         from repro.comm.cost import check_algorithm
 
-        algorithm = comm.algorithm or self.comm_algorithm
+        algorithm = comm.algorithm or self.cost_model.algorithm
         check_algorithm(algorithm)
-        with self._group_lock:
-            self.comm_algorithm = algorithm
-            self.comm_overlap = self.comm_overlap or comm.overlap
-            for grp in self._groups.values():
-                grp.cost_model.algorithm = algorithm
+        self.cost_model.algorithm = algorithm
+        self.comm_overlap = self.comm_overlap or comm.overlap
 
     @property
     def world_group(self) -> Any:

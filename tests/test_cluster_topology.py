@@ -447,14 +447,19 @@ class TestIslandsAndRings:
         bw_natural, _ = t2.ring_stats(["w", "x", "y", "z"])
         assert bw_scrambled < bw_natural
 
-    def test_version_bumps_on_link_changes(self):
-        c = system_ii()
-        t = c.topology
-        v0 = t.version
-        t.scale_link("gpu0", "gpu1", 0.5)
-        assert t.version == v0 + 1
-        t.restore_links()
-        assert t.version == v0 + 2
+    def test_link_changes_drop_rows_and_prices(self):
+        """Every edit replaces the route rows and the price memo with
+        fresh dicts, so nothing derived from the old graph is read again."""
+        t = system_ii().topology
+        for edit in (lambda: t.add_link("gpu0", "gpu2", LinkType.NVLINK),
+                     lambda: t.scale_link("gpu0", "gpu1", 0.5),
+                     t.restore_links):
+            t.path_stats("gpu0", "gpu3")
+            t.prices["probe"] = 1.0
+            rows, prices = t._rows, t.prices
+            edit()
+            assert (t._rows, t.prices) == ({}, {})
+            assert t._rows is not rows and t.prices is not prices
 
     def test_caches_invalidate_on_scale(self):
         c = system_ii()

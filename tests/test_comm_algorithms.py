@@ -45,7 +45,8 @@ class TestSelector:
         cm.all_to_all(range(8), MB)
         cm.scatter(0, range(8), MB)
         cm.barrier(range(8))
-        assert not [key for key in cm._memo[1] if key[0] in SELECTABLE_OPS]
+        assert not [key for key in cm.cluster.topology.prices
+                    if key[0] in SELECTABLE_OPS]
         assert "all_to_all" not in SELECTABLE_OPS
 
     def test_earlier_run_does_not_change_auto_clocks(self):

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import system_i, system_ii, system_iii, system_iv, uniform_cluster
+from repro.cluster import (
+    Topology, system_i, system_ii, system_iii, system_iv, uniform_cluster)
 from repro.comm.cost import ALGORITHMS, SELECTABLE_OPS, CostModel
 from repro.project.fabric import Fabric, ProjectedCostModel
+from repro.runtime import SpmdRuntime
 from repro.utils.units import GB, KB, MB
 
 
@@ -281,6 +283,16 @@ _EDIT = st.one_of(
 )
 
 
+def _edit(topo, edit):
+    """Apply one ``_EDIT`` to ``topo``; a link is named by its place among
+    the sorted links (GPU pairs and host links)."""
+    if edit[0] == "scale_link":
+        links = sorted(topo.links())
+        topo.scale_link(*links[edit[1] % len(links)], edit[2])
+    else:
+        topo.restore_links()
+
+
 def _ask(cm, op, ranks, nbytes, arg):
     if op in SELECTABLE_OPS:
         method = getattr(cm, {"all_reduce": "allreduce",
@@ -325,29 +337,59 @@ class TestMemoisedPricing:
              edits=[("restore_links",)])
     def test_long_lived_model_prices_like_a_fresh_one(self, system, queries,
                                                       edits):
-        """One long-lived ``CostModel`` against one built for every query:
+        """One long-lived ``CostModel`` against a cold one for every query:
         the same few queries are asked again after each link degradation /
-        restoration, and the price memo may only ever return what a fresh
-        pricing of the edited model would."""
+        restoration, and the price memo may only ever return what pricing
+        the edited graph afresh would.  The cold model sits on a fresh
+        cluster of the same preset with the same edits replayed, since
+        every model over one cluster shares its memo."""
         cluster = _SYSTEMS[system]()
-        topo = cluster.topology
-        links = sorted(topo.links())  # GPU pairs and host links
         warm = CostModel(cluster)
-        for edit in [None] + edits:
-            if edit is not None:
-                if edit[0] == "scale_link":
-                    topo.scale_link(*links[edit[1] % len(links)], edit[2])
-                else:
-                    topo.restore_links()
+        for done in range(len(edits) + 1):
+            if done:
+                _edit(cluster.topology, edits[done - 1])
             for op, ranks, nbytes, arg in queries:
-                cold = CostModel(cluster)
+                fresh = _SYSTEMS[system]()
+                for edit in edits[:done]:
+                    _edit(fresh.topology, edit)
+                cold = CostModel(fresh)
                 got = _ask(warm, op, list(ranks), nbytes, arg)
                 if arg == "auto":
                     want = _cold_auto(cold, op, list(ranks), nbytes)
                 else:
                     want = _ask(cold, op, list(ranks), nbytes, arg)
                 assert (got.seconds, got.wire_bytes, got.algorithm) == (
-                    want.seconds, want.wire_bytes, want.algorithm), (op, edit)
+                    want.seconds, want.wire_bytes, want.algorithm), (op, done)
+
+    def test_models_over_one_cluster_share_its_prices(self, monkeypatch):
+        """A query one model priced is priced for every model over the
+        cluster: a second ``CostModel`` and a fresh runtime's world group
+        answer it without a formula or a route walk, and after a link edit
+        both re-price it to a cold model's answer on the edited graph."""
+        ranks, nbytes = list(range(8)), 3 * MB - 4
+        cluster = system_ii()
+        first = CostModel(cluster, algorithm="auto").allreduce(ranks, nbytes)
+        runtime = SpmdRuntime(cluster, comm_algorithm="auto")
+        models = [CostModel(cluster, algorithm="auto"),
+                  runtime.world_group.cost_model]
+        entered = []
+        for owner, name in ((CostModel, "_flat"), (CostModel, "_two_level"),
+                            (Topology, "_row")):
+            def counted(*args, _walk=getattr(owner, name), _name=name):
+                entered.append(_name)
+                return _walk(*args)
+            monkeypatch.setattr(owner, name, counted)
+        assert [m.allreduce(ranks, nbytes) for m in models] == [first] * 2
+        assert entered == []
+
+        cluster.topology.scale_link("gpu0", "gpu1", 0.05)
+        fresh = system_ii()
+        fresh.topology.scale_link("gpu0", "gpu1", 0.05)
+        want = CostModel(fresh, algorithm="auto").allreduce(ranks, nbytes)
+        assert want != first
+        assert [m.allreduce(ranks, nbytes) for m in models] == [want] * 2
+        assert runtime.group([0, 1]).cost_model is models[1]  # one per runtime
+        assert set(vars(models[1])) == {"cluster", "alpha", "bw_ramp", "algorithm"}
 
     @pytest.mark.parametrize("query", [
         lambda cm: cm.allreduce(range(8), -48),
@@ -363,7 +405,7 @@ class TestMemoisedPricing:
         for cm in (CostModel(system_ii()), ProjectedCostModel(Fabric.uniform())):
             with pytest.raises(ValueError, match="negative byte count"):
                 query(cm)
-            assert cm._memo[1] == {}
+            assert cm.cluster.topology.prices == {}
 
     def test_projected_model_overrides_link_probes_only(self):
         """The fabric model answers where link numbers come from and
@@ -385,7 +427,7 @@ class TestMemoisedPricing:
             for algorithm in ALGORITHMS + ("auto",):
                 with pytest.raises(ValueError, match=rf"'{op}'.*SELECTABLE_OPS"):
                     cm.price(op, list(range(8)), 4 * MB, algorithm)
-        assert cm._memo[1] == {}
+        assert cm.cluster.topology.prices == {}
 
 
 #: Systems I, II, III (2 nodes) and IV, each with a few groups: whole

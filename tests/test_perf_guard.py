@@ -1084,11 +1084,10 @@ class TestCollectiveHostCost:
         assert calls["comm/cost.py:CostModel.p2p"] == sends
         assert not [key for key in calls if key.startswith("cluster/")]
         priced = [key for key in calls if key.startswith((
-            "comm/cost.py:CostModel._ring", "comm/cost.py:CostModel._tree",
-            "comm/cost.py:CostModel._hierarchical", "comm/cost.py:_memoised",
+            "comm/cost.py:CostModel._ring", "comm/cost.py:CostModel._flat",
+            "comm/cost.py:CostModel._two_level", "comm/cost.py:_memoised",
             "comm/cost.py:CostModel._op_cost", "comm/cost.py:CostModel._phase",
-            "comm/cost.py:CostModel._eff", "comm/cost.py:CostModel._names",
-            "comm/cost.py:CostModel._retag"))]
+            "comm/cost.py:CostModel._eff", "comm/cost.py:CostModel._names"))]
         assert not priced, priced
 
     def test_observer_budget(self):
