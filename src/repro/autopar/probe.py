@@ -81,27 +81,9 @@ def build_probe(
                 for comm, nbytes in phase_ops:
                     comm.broadcast(_payload(nbytes))
 
-        def dp_blocking(op):
-            if op.op == "all_reduce":
-                dp.all_reduce(_payload(op.elements * itemsize, d))
-            elif op.op == "reduce_scatter":
-                dp.reduce_scatter(_payload(op.elements * itemsize, d))
-            else:
-                dp.all_gather(_payload(op.elements * itemsize))
-
-        # ZeRO-3 re-gathers the partitioned parameters before each pass;
-        # dp_step_ops lists those as the trailing all_gathers
-        pre_fwd = dp_ops[3:4]
-        pre_bwd = dp_ops[2:3] if len(dp_ops) > 3 else []
-        sync_ops = dp_ops[: 2 if cand.zero_stage else 1] if dp_ops else []
-
-        for op in pre_fwd:
-            dp_blocking(op)
-        # one walk of the stage's schedule order; with overlap, gradient
-        # sync is bucketed per microbatch and issued nonblocking as each
-        # bucket's grads are ready (the hook-driven DDP idiom), hiding
-        # behind the remaining backward compute
-        handles = []
+        # one walk of the stage's schedule order, then the blocking
+        # gradient sync: overlap is searched only at pp 1 and m 1, where
+        # the one bucket is ready only after the only backward pass
         for step, mi in pipeline_order(cand.schedule, stage, cand.pipeline, m):
             if step == "F":
                 if prev is not None:
@@ -111,29 +93,18 @@ def build_probe(
                 if nxt is not None:
                     pipe.send(_payload(boundary), nxt, tag=("act", mi))
                 continue
-            for op in pre_bwd:  # before the first backward only
-                dp_blocking(op)
-            pre_bwd = ()
             if nxt is not None:
                 pipe.recv(nxt, tag=("grad", mi))
             ctx.clock.advance(bwd_micro, "compute")
             run_tp(bwd)
             if prev is not None:
                 pipe.send(_payload(boundary), prev, tag=("grad", mi))
-            if dp is not None and cand.overlap and sync_ops:
-                bucket = _payload(sync_ops[0].elements * itemsize // m, d)
-                if sync_ops[0].op == "all_reduce":
-                    handles.append(dp.iallreduce(bucket))
-                else:
-                    handles.append(dp.ireduce_scatter(bucket))
-        if dp is not None:
-            if cand.overlap and sync_ops:
-                for h in handles:
-                    h.wait()
-                for op in sync_ops[1:]:
-                    dp_blocking(op)
+        for op in dp_ops:
+            if op.op == "all_reduce":
+                dp.all_reduce(_payload(op.elements * itemsize, d))
+            elif op.op == "reduce_scatter":
+                dp.reduce_scatter(_payload(op.elements * itemsize, d))
             else:
-                for op in sync_ops:
-                    dp_blocking(op)
+                dp.all_gather(_payload(op.elements * itemsize))
 
     return cfg, fn

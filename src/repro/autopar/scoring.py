@@ -192,12 +192,7 @@ def dp_step_ops(work: Workload, cand: StrategyCandidate) -> List[DpOp]:
     if cand.zero_stage == 0:
         return [DpOp("all_reduce", grad_elems)]
     shard = max(grad_elems // cand.data, 1)
-    ops = [DpOp("reduce_scatter", grad_elems), DpOp("all_gather", shard)]
-    if cand.zero_stage >= 3:
-        # partitioned parameters are re-gathered before fwd and bwd
-        ops.append(DpOp("all_gather", shard))
-        ops.append(DpOp("all_gather", shard))
-    return ops
+    return [DpOp("reduce_scatter", grad_elems), DpOp("all_gather", shard)]
 
 
 class _CostCache(dict):

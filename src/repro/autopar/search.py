@@ -148,9 +148,11 @@ class StrategyCandidate:
 class SearchSpace:
     """Which strategy dimensions the compiler sweeps.
 
-    Defaults cover the full paper grid; shrink them to speed up a compile
-    (e.g. ``algorithms=("auto",)`` — ``auto`` prices every call at the
-    cheapest family, so it dominates the per-family picks)."""
+    Defaults cover the paper grid as far as ``initialize`` builds it.  A
+    smaller space scores fewer candidates but can change the plan: only
+    the ``top_k`` best scores are refined, so dropping values that filled
+    the shortlist lets other layouts into it (``algorithms=("auto",)``
+    moves every ``plan_golden`` plan)."""
 
     tensor_modes: Tuple[str, ...] = ("1d", "2d", "2.5d", "3d", "sequence")
     schedules: Tuple[str, ...] = PIPELINE_SCHEDULES
@@ -228,8 +230,10 @@ def enumerate_candidates(
     * ``pipeline <= n_layers`` (a stage must own at least one layer);
     * ``global_batch`` divisible by ``data * microbatches`` (equal
       microbatches on every replica);
-    * microbatching/1F1B only meaningful with ``pipeline > 1``; ZeRO and
-      overlap only with ``data > 1``.
+    * microbatching/1F1B only meaningful with ``pipeline > 1``; ZeRO only
+      with ``data > 1``; overlap only on pure data parallelism (``data > 1``,
+      ``tensor == pipeline == 1``), the one layout ``initialize`` wraps in
+      an overlapping DDP.
     """
     space.validate()
     for tensor in _divisors(world):
@@ -247,7 +251,9 @@ def enumerate_candidates(
             schedules = space.schedules if pipeline > 1 else ("gpipe",)
             micro_opts = space.microbatch_options if pipeline > 1 else (1,)
             zero_opts = space.zero_stages if data > 1 else (0,)
-            overlap_opts = space.overlap_options if data > 1 else (False,)
+            # initialize wraps DDP overlap on pure data parallelism only
+            pure_dp = data > 1 and tensor == pipeline == 1
+            overlap_opts = space.overlap_options if pure_dp else (False,)
             for mode, depth in modes:
                 if mode in ("1d", "sequence") and work.n_heads % tensor:
                     continue

@@ -29,7 +29,7 @@ COMM_ALGORITHMS = ("ring", "tree", "hierarchical", "auto")
 
 PIPELINE_SCHEDULES = ("gpipe", "1f1b")
 
-ZERO_STAGES = (0, 1, 2, 3)
+ZERO_STAGES = (0, 1, 2)
 
 
 class ConfigError(ValueError):
@@ -115,7 +115,8 @@ class FP16Config(_Section):
 class ZeroConfig(_Section):
     _key = "zero"
 
-    stage: int = _field(0, int, "ZeRO stage: 0 off, 1/2/3 per DeepSpeed", choices=ZERO_STAGES)
+    stage: int = _field(0, int, "ZeRO stage: 0 off, 1/2 per DeepSpeed (ZeRO-3 is "
+                        "ZeroOffloadEngine, built directly)", choices=ZERO_STAGES)
 
 
 @dataclass

@@ -163,12 +163,12 @@ def initialize(
         from repro.optim.adam import Adam
         from repro.zero import ZeroRedundancyOptimizer
 
-        if stage == 3 or not isinstance(optimizer, Adam) or stage == 2 and (
+        if not isinstance(optimizer, Adam) or stage == 2 and (
                 cfg.comm.overlap or cfg.gradient_clipping):
             raise ConfigError(
                 f"zero.stage: {stage} with {type(optimizer).__name__}, comm.overlap="
                 f"{cfg.comm.overlap}, gradient_clipping={cfg.gradient_clipping}: ZeRO-1/2 "
-                "shard an Adam, ZeRO-2 without those two; ZeRO-3 is ZeroOffloadEngine, built directly")
+                "shard an Adam, ZeRO-2 without those two")
         optimizer = ZeroRedundancyOptimizer(
             optimizer.params, pc.comm(ParallelMode.DATA), stage,
             decoupled_wd=optimizer.DECOUPLED_WD, **optimizer.defaults)

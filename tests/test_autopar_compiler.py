@@ -53,9 +53,10 @@ from repro.cluster import (
     system_iv,
     uniform_cluster,
 )
-from repro.config import COMM_ALGORITHMS, FIELDS, Config
+from repro.config import COMM_ALGORITHMS, FIELDS, ZERO_STAGES, Config, ConfigError
 from repro.context import rank_groups
 from repro.engine import launch
+from repro.runtime.errors import RemoteRankError
 
 pytestmark = pytest.mark.autopar
 
@@ -80,7 +81,9 @@ class TestEnumeration:
             if cand.pipeline == 1:
                 assert cand.schedule == "gpipe" and cand.microbatches == 1
             if cand.data == 1:
-                assert cand.zero_stage == 0 and not cand.overlap
+                assert cand.zero_stage == 0
+            if cand.overlap:  # the one layout initialize wraps in DDP
+                assert cand.data > 1 and cand.tensor == cand.pipeline == 1
             if cand.mode == "2d":
                 q = math.isqrt(cand.tensor)
                 assert q * q == cand.tensor
@@ -91,7 +94,7 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="schedule"):
             SearchSpace(schedules=("interleaved",)).validate()
         with pytest.raises(ValueError, match="ZeRO"):
-            SearchSpace(zero_stages=(4,)).validate()
+            SearchSpace(zero_stages=(3,)).validate()
         with pytest.raises(ValueError, match="algorithm"):
             SearchSpace(algorithms=("nccl",)).validate()
 
@@ -293,7 +296,7 @@ class TestTermTable:
             tensor_modes=_subset(("1d", "2d", "2.5d", "3d", "sequence")),
             schedules=_subset(("gpipe", "1f1b")),
             microbatch_options=_subset((1, 2, 4, 8)),
-            zero_stages=_subset((0, 1, 2, 3)),
+            zero_stages=_subset(ZERO_STAGES),
             overlap_options=_subset((False, True)),
             algorithms=_subset(COMM_ALGORITHMS),
         ),
@@ -488,12 +491,12 @@ class TestPredictionParity:
         sim = simulate_candidate(cl, WORK, cand, batch, s.compute_seconds)
         assert r.step_seconds == sim  # bit-for-bit
 
-    @pytest.mark.parametrize("overlap", [False, True])
-    def test_recorded_mode_exact_zero_overlap(self, overlap):
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_recorded_mode_exact_zero_1f1b(self, stage):
+        """A ZeRO + 1F1B + TP composite, as ``initialize`` builds it."""
         cand = StrategyCandidate(data=4, tensor=2, mode="1d", pipeline=2,
                                  schedule="1f1b", microbatches=4,
-                                 zero_stage=2, overlap=overlap,
-                                 algorithm="ring")
+                                 zero_stage=stage, algorithm="ring")
         cl = uniform_cluster(16)
         s = score_candidate(cl, WORK, cand, 256, _CostCache(cl))
         r = refine_candidate(cl, WORK, cand, 256, s, max_probe_world=16)
@@ -582,7 +585,7 @@ class TestAdvisorZeroFeasibility:
     data across the DP group."""
 
     # ~1.2e9 params: 16 B/param model data (19.3 GiB) exceeds a 16 GiB
-    # device ZeRO-free, but ZeRO-3 over dp=8 partitions it to ~2.4 GiB
+    # device ZeRO-free, but ZeRO-2 over dp=8 partitions it to ~4.5 GiB
     BIG = Workload(n_layers=24, hidden=2048, n_heads=16, seq_len=128)
 
     def test_previously_rejected_plan_now_feasible(self):
@@ -590,10 +593,10 @@ class TestAdvisorZeroFeasibility:
         without, with_zero = (
             score_candidate(cl, self.BIG, StrategyCandidate(
                 data=8, tensor=1, mode="1d", pipeline=1, zero_stage=stage), 64)
-            for stage in (0, 3))
+            for stage in (0, 2))
         assert not without.feasible
         assert with_zero.feasible
-        assert "zero3" in with_zero.notes
+        assert "zero2" in with_zero.notes
         assert with_zero.memory_bytes < without.memory_bytes
 
     def test_compiler_exploits_zero_feasibility(self):
@@ -655,3 +658,81 @@ class TestLaunchWiring:
 
         results = launch(cfg, cl, fn, world_size=2)
         assert results == ["OneFOneBSchedule"] * 2
+
+
+# -- the search offers what initialize builds (ROADMAP item 22) -------------
+
+
+#: the three ``plan_golden`` compiles and the one that used to emit ZeRO-3:
+#: (cluster factory, workload, global batch, world)
+_BUILT_COMPILES = {
+    "system_i": (system_i, FIG11_WORK, 256, 8),
+    "system_ii": (system_ii, FIG11_WORK, 256, 8),
+    "system_iv": (system_iv, FIG11_WORK, 512, 64),
+    "wide_i": (system_i, Workload(48, 6144, 48, 196), 64, 8),
+}
+#: the class ``initialize`` still refuses: ZeRO-2 shards gradients after
+#: backward, so it cannot overlap them (ROADMAP item 22)
+_REFUSED = {"zero2 x overlap x dp x fp16"}
+
+
+def _initialize_class(cand: StrategyCandidate, work: Workload) -> str:
+    """The fields of a candidate ``initialize`` reads, named."""
+    return " x ".join(filter(None, (
+        f"zero{cand.zero_stage}",
+        "overlap" if cand.overlap else "",
+        "dp" if cand.data > 1 else "",
+        "mp" if cand.tensor * cand.pipeline > 1 else "",
+        "fp16" if work.bytes_per_elem == 2 else "",
+    )))
+
+
+def _initialize_launch(config, cluster, world):
+    """``launch`` + ``initialize`` of ``config`` in spec mode, on a tiny
+    model: per rank, the type of the engine's model."""
+    import numpy as np
+
+    from repro.engine import initialize
+    from repro.nn import Linear
+    from repro.optim import Adam
+
+    def fn(ctx, pc):
+        model = Linear(4, 4, rng=np.random.default_rng(1))
+        return type(initialize(model, Adam(model.parameters()), pc=pc).model).__name__
+
+    return launch(config, cluster, fn, world_size=world, materialize=False)
+
+
+class TestSearchBuildsWhatInitializeBuilds:
+    """Every candidate the compiler scores is a config ``initialize``
+    builds: no ZeRO-3, overlap only where it wraps DDP, and every class of
+    the fields ``initialize`` reads launches, ZeRO-2 x overlap aside."""
+
+    @pytest.mark.parametrize("label", sorted(_BUILT_COMPILES))
+    def test_candidates_are_stages_and_overlaps_initialize_builds(self, label):
+        _mk, work, batch, world = _BUILT_COMPILES[label]
+        for cand in enumerate_candidates(work, batch, world):
+            assert cand.zero_stage in ZERO_STAGES
+            if cand.overlap:
+                assert cand.data > 1 and cand.tensor == cand.pipeline == 1, (
+                    cand.describe())
+
+    def test_every_class_initialize_reads_builds(self):
+        classes = {}
+        for mk, work, batch, world in _BUILT_COMPILES.values():
+            for cand in enumerate_candidates(work, batch, world):
+                classes.setdefault(_initialize_class(cand, work), (mk, work, cand))
+        refused = set()
+        for name, (mk, work, cand) in sorted(classes.items()):
+            try:
+                _initialize_launch(cand.to_config_dict(work), mk(), cand.world)
+            except (ConfigError, RemoteRankError) as e:
+                assert isinstance(e.__cause__ or e, ConfigError), e
+                refused.add(name)
+        assert len(classes) > 8 and refused == _REFUSED, (sorted(classes), refused)
+
+    def test_the_wide_system_i_plan_launches(self):
+        mk, work, batch, world = _BUILT_COMPILES["wide_i"]
+        cs = compile_strategy(mk(), work, batch, world_size=world, refine=False)
+        assert cs.candidate.zero_stage in ZERO_STAGES
+        assert set(_initialize_launch(cs.config, mk(), world)) == {"Linear"}

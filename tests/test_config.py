@@ -39,8 +39,11 @@ class TestConfigParsing:
         assert cfg.fp16.initial_scale == 128.0
 
     def test_zero_section(self):
-        cfg = Config.from_dict(dict(zero=dict(stage=3)))
-        assert cfg.zero.stage == 3
+        """Stages 1 and 2 parse; stage 3 is refused by name, since
+        ``initialize`` builds ZeRO-1/2 only (ZeRO-3 is ZeroOffloadEngine)."""
+        assert Config.from_dict(dict(zero=dict(stage=2))).zero.stage == 2
+        with pytest.raises(ConfigError, match=r"^zero\.stage must be one of \(0, 1, 2\)"):
+            Config.from_dict(dict(zero=dict(stage=3)))
 
     def test_bad_zero_stage(self):
         with pytest.raises(ValueError):

@@ -1310,22 +1310,26 @@ class TestPlanHostCost:
     """What one candidate and one replayed event cost (DESIGN 4m), counted
     not timed."""
 
-    #: calls into src/repro per scored candidate of the System II / 8-rank
-    #: Fig-11 compile, enumeration and ranking included.  Read 9.23 when
-    #: written; pricing every candidate whole behind an op-price memo, the
-    #: design this replaced, read 37.6
-    CALLS_PER_CANDIDATE = 10.2
-    #: pricing calls (``analytic/`` + ``autopar/scoring.py``) a term costs
-    #: when it is first needed; read 4.2
-    CALLS_PER_TERM = 4.7
+    #: calls into src/repro of the System II / 8-rank Fig-11 compile,
+    #: enumeration and ranking included.  Read 4 969 over 336 candidates;
+    #: 6 476 over 710 (9.12 per candidate) while the search still offered
+    #: ZeRO-3 and overlap on tensor / pipeline layouts.  Pricing every
+    #: candidate whole behind an op-price memo read 37.6 per candidate
+    COMPILE_CALLS = 5400
+    #: pricing calls (``analytic/`` + ``autopar/scoring.py``) of that
+    #: compile, and the distinct terms its table holds.  Read 1 700 and
+    #: 288; 2 785 and 297 over the 710-candidate search
+    PRICING_CALLS = 1850
+    TERMS = 297
     #: calls per event of a recorded replay; read 0.66 with one clock frame
     #: per run of advances, 1.55 with one per advance, and 3.37 when every
     #: advance went through two frames of its own
     CALLS_PER_EVENT = 0.8
-    #: ``cluster/`` calls per scored candidate of a cold System IV / 64-rank
-    #: compile: the first walk of each distinct rank group.  Read 1.80;
-    #: 8.16 when the walks paid a frame or three per member pair
-    CLUSTER_CALLS_PER_CANDIDATE = 2.2
+    #: ``cluster/`` calls of a cold System IV / 64-rank compile: the first
+    #: walk of each distinct rank group.  Read 3 382, over 1 714 candidates
+    #: and over the 4 248 of the wider search alike; 8.16 per candidate when
+    #: the walks paid a frame or three per member pair
+    CLUSTER_CALLS = 3382
     #: ``cluster/`` calls per member of a cold 256-GPU System III world
     #: all-reduce priced under ring, hierarchical and tree (DESIGN §4ad):
     #: one route row per member plus a path walk per ring hop.  Read 3.80;
@@ -1347,10 +1351,9 @@ class TestPlanHostCost:
     def test_calls_per_scored_candidate(self, compiled):
         calls, cs, _, _ = compiled
         scored = len(cs.report.scored)
-        assert scored > 500, "compile no longer exercises the search"
+        assert scored > 300, "compile no longer exercises the search"
         assert calls["autopar/scoring.py:score_candidate"] == scored
-        per_candidate = sum(calls.values()) / scored
-        assert per_candidate <= self.CALLS_PER_CANDIDATE, per_candidate
+        assert sum(calls.values()) <= self.COMPILE_CALLS, sum(calls.values())
 
     def test_cold_walks_per_scored_candidate(self):
         from repro.autopar import Workload, compile_strategy
@@ -1360,11 +1363,9 @@ class TestPlanHostCost:
         cluster = system_iv()  # a fresh link graph: every walk is cold
         calls, cs = _repro_calls(lambda: compile_strategy(
             cluster, work, 512, world_size=64, refine=False))
-        scored = len(cs.report.scored)
-        assert scored > 2000, "compile no longer exercises the search"
+        assert len(cs.report.scored) > 1500, "compile no longer exercises the search"
         walks = sum(n for key, n in calls.items() if key.startswith("cluster/"))
-        assert walks / scored <= self.CLUSTER_CALLS_PER_CANDIDATE, (
-            walks / scored)
+        assert walks <= self.CLUSTER_CALLS, walks
 
     def test_cold_world_prices_one_row_per_member(self):
         from repro.cluster import system_iii
@@ -1388,20 +1389,13 @@ class TestPlanHostCost:
         from repro.autopar.scoring import _CostCache
 
         calls, cs, work, cluster = compiled
-        scored = cs.report.scored
         table = _CostCache(cluster)
-        for s in scored:
+        for s in cs.report.scored:
             score_candidate(cluster, work, s.candidate, 256, table)
-        terms = len(table)
-        assert terms < len(scored) / 2, "the search shares fewer terms"
+        assert len(table) <= self.TERMS, "the search shares fewer terms"
         pricing = sum(n for key, n in calls.items() if key.startswith(
             ("analytic/", "autopar/scoring.py:")))
-        # per candidate: score_candidate, its footprint, and overlap hiding
-        # where the candidate overlaps; everything else is paid per term
-        per_candidate = 2 * len(scored) + sum(
-            1 for s in scored if s.candidate.overlap)
-        assert pricing <= per_candidate + self.CALLS_PER_TERM * terms, (
-            pricing, per_candidate, terms)
+        assert pricing <= self.PRICING_CALLS, (pricing, len(table))
 
     @pytest.fixture(scope="class")
     def trace(self):

@@ -19,6 +19,10 @@ began emitting the threaded run's span names and arguments (DESIGN §4q) —
 ``test_conformance``'s replay relation holds the two equal.  Its report hashes were
 re-cut when GPipe began freeing each microbatch's stage output after its
 backward (DESIGN §4x): the captured peak memory fell, no clock moved.
+Its compile counts, score, format and shortlist hashes were re-cut when
+the search stopped offering ZeRO-3 and overlap outside pure data
+parallelism (DESIGN §4i): every chosen plan, config, predicted and
+simulated step held.
 
 Regenerate (only when planning behaviour is *meant* to change):
 ``PYTHONPATH=src python tests/test_plan_golden.py``

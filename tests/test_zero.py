@@ -7,7 +7,7 @@ from repro.autograd import ops
 from repro.cluster import uniform_cluster
 from repro.comm import Communicator, SpecArray
 from repro.comm.cost import CostModel
-from repro.config import Config, ConfigError
+from repro.config import ZERO_STAGES, Config, ConfigError
 from repro.engine import initialize, launch
 from repro.nn import CrossEntropyLoss, Linear, Module
 from repro.optim import SGD, Adam, AdamW, CPUAdam, HybridAdam
@@ -650,4 +650,11 @@ def test_initialize_rejects_a_zero_stage_it_cannot_build(zero, extra, make_opt):
             initialize(model, make_opt(model.parameters()), pc=pc)
         return True
 
-    assert all(launch(dict(extra, zero=dict(stage=zero)), uniform_cluster(2), prog))
+    config = dict(extra, zero=dict(stage=zero))
+    if zero not in ZERO_STAGES:
+        # ZeRO-3 is ZeroOffloadEngine, built directly: the config refuses
+        # the stage by name before any rank reaches initialize
+        with pytest.raises(ConfigError, match=r"^zero\.stage"):
+            launch(config, uniform_cluster(2), prog)
+        return
+    assert all(launch(config, uniform_cluster(2), prog))
