@@ -292,7 +292,7 @@ class Function:
             if flops > 0:
                 cap = rc.runtime.capture
                 if cap is not None:
-                    cap.note_op(rc.rank, cls.__name__)
+                    cap.note_op(rc._rank, cls.__name__)
                 dtype = payloads[0].dtype
                 name = DTYPE_NAMES.get(dtype)
                 if name is None:

@@ -230,7 +230,8 @@ class ProcessGroup(GroupTimeline):
                      op: str, mode: str) -> Any:
         """Rank 0, alone, enters a world-group round for every member: the
         round closes on its arrival, with its payload and entry time for
-        each, moves rank 0 only, and stays for the members' late claims."""
+        each, moves rank 0 only, and stays for the members' late claims.
+        Rank 0's ``member`` hooks run as on the live path."""
         seq = self._seq[rank]
         self._seq[rank] = seq + 1
         members = range(self.size)
@@ -240,11 +241,16 @@ class ProcessGroup(GroupTimeline):
             rnd.payloads = dict.fromkeys(members, payload)
             rnd.entry_times = dict.fromkeys(members, self.runtime.clocks[rank].time)
             self._finalize_round(rnd, op, finalize)
+            on_member = self.runtime.on_member
             if mode != "sync":
+                for hook in on_member:
+                    hook(rank, self, seq, "ic")
                 return AsyncCollectiveHandle(self, seq, 0, rank)
             if rnd.error is not None:
                 self._claim(rnd, seq)
                 raise rnd.error
+            for hook in on_member:
+                hook(rank, self, seq, "c")
             rnd.claimed = 1
             return rnd.results[0]
 
@@ -252,21 +258,27 @@ class ProcessGroup(GroupTimeline):
         """A member that started after a trigger enters a round closed
         ahead for it (group condition held): its clock syncs to the round's
         end, or its comm stream takes the round, as :meth:`place` would
-        have done on its arrival; then it claims like any member."""
+        have done on its arrival; then it claims like any member, its
+        ``member`` hooks included."""
         if rnd.error is None and rnd.op != op:
             raise RuntimeError(
                 f"rank {rank} entered {op} #{rnd.seq} on group {self.ranks}, "
                 f"where rank {self.ranks[0]} ran {rnd.op}: the ranks differed "
                 f"before any trigger")
+        runtime, seq = self.runtime, rnd.seq
         if rnd.mode != "sync":
             if rnd.error is None:
-                self.runtime.comm_streams[rank].occupy(rnd.t_start, rnd.t_end)
-            return AsyncCollectiveHandle(self, rnd.seq, me, rank)
+                runtime.comm_streams[rank].occupy(rnd.t_start, rnd.t_end)
+            for hook in runtime.on_member:
+                hook(rank, self, seq, "ic")
+            return AsyncCollectiveHandle(self, seq, me, rank)
         if rnd.error is not None:
-            self._claim(rnd, rnd.seq)
+            self._claim(rnd, seq)
             raise rnd.error
-        self.runtime.clocks[rank].sync_to(rnd.t_end, "comm")
-        self._claim(rnd, rnd.seq)
+        runtime.clocks[rank].sync_to(rnd.t_end, "comm")
+        for hook in runtime.on_member:
+            hook(rank, self, seq, "c")
+        self._claim(rnd, seq)
         return rnd.results[me]
 
     def settle_absent(self, before: Optional[CommCounters]) -> None:

@@ -5,11 +5,18 @@ so tensor-parallel layers can draw the *same* global matrix on every rank
 (seeded per parallel mode by :mod:`repro.context.seed`) and then keep only
 their shard — the mechanism that makes multi-dimensional TP arithmetically
 identical to serial execution (verified by the Fig 7 convergence bench).
+
+Inside a materialized SPMD run the ranks that hold one layer draw the same
+matrix from generators in the same state, so :func:`param_payload` draws it
+once: the runtime's ``draws`` table keeps each draw with the generator's
+state after it until every rank is past it, and every other rank gets its
+own copy and that state.
 """
 
 from __future__ import annotations
 
 import math
+import pickle
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -17,6 +24,10 @@ import numpy as np
 from repro.comm.payload import SpecArray
 from repro.runtime.spmd import rank_context
 
+#: ``fn(shape, rng) -> array``.  An init is pure: what it returns and how
+#: far it moves ``rng`` depend only on ``shape`` and ``rng``'s state, so two
+#: calls from generators in equal states give equal bits (which lets a run
+#: share one draw between ranks, :func:`param_payload`).
 InitFn = Callable[[Tuple[int, ...], np.random.Generator], np.ndarray]
 
 
@@ -70,11 +81,38 @@ def param_payload(
     rng: Optional[np.random.Generator],
     dtype: Union[str, np.dtype] = "float32",
 ):
-    """Materialize an init (or a SpecArray in spec mode)."""
+    """Materialize an init (or a SpecArray in spec mode).
+
+    In a materialized run of several ranks, a draw of ``init_fn`` at
+    ``shape`` and ``dtype`` from a generator in a state some rank has drawn
+    from already is that rank's draw: the caller gets a copy of the array
+    and its generator the state the draw left behind — what drawing again
+    would give it.  Ranks that draw alike reach a draw at the same turn (the
+    count of their earlier draws), so a draw is kept only until every rank
+    has had that turn."""
     rc = rank_context()
     if rc is not None and not rc.materialize:
         return SpecArray(shape, dtype)
     shape = tuple(int(s) for s in shape)
+    dtype = np.dtype(dtype)
     if rng is None:
-        rng = np.random.default_rng()
-    return init_fn(shape, rng).astype(np.dtype(dtype))
+        rng = np.random.default_rng()  # fresh: no rank shares its state
+    elif rc is not None and rc.world_size > 1:
+        runtime, bitgen, turns = rc.runtime, rng.bit_generator, rc.runtime.draw_turns
+        key = (init_fn, shape, dtype, pickle.dumps(bitgen.state))
+        turn = turns[rc._rank]
+        drawn = runtime.draws.get(key)
+        if drawn is None:
+            with runtime.draw_lock:
+                drawn = runtime.draws.get(key)
+                if drawn is None:
+                    draws, floor = runtime.draws, min(turns)
+                    for k, d in list(draws.items()):
+                        if d[2] < floor:  # every rank is past it
+                            del draws[k]
+                    drawn = draws[key] = (
+                        init_fn(shape, rng).astype(dtype), bitgen.state, turn)
+        turns[rc._rank] = turn + 1  # taken: only now may the draw go
+        bitgen.state = drawn[1]
+        return drawn[0].copy()
+    return init_fn(shape, rng).astype(dtype)

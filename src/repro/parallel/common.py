@@ -26,11 +26,16 @@ from repro.tensor.tensor import Tensor
 
 
 def shard_sections(payload: Payload, axis: int, parts: int, index: int, sections: int = 1) -> Payload:
-    """Shard ``payload`` along ``axis`` per-section (for fused QKV weights:
-    each of the ``sections`` equal blocks is sharded independently so the
-    local slice stays head-aligned)."""
+    """A parameter's shard of ``payload`` along ``axis``, sharded per
+    section (for fused QKV weights: each of the ``sections`` equal blocks is
+    sharded independently so the local slice stays head-aligned).  The shard
+    owns its bytes: an axis-0 shard of a materialized payload is a view,
+    which would keep the whole payload alive as long as the parameter."""
     if sections == 1:
-        return shard_payload(payload, axis, parts, index)
+        shard = shard_payload(payload, axis, parts, index)
+        if isinstance(shard, np.ndarray) and shard.base is not None:
+            shard = shard.copy()
+        return shard
     blocks = P.psplit(payload, sections, axis)
     shards = [shard_payload(b, axis, parts, index) for b in blocks]
     return P.pconcat(shards, axis)

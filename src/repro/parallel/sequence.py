@@ -38,6 +38,7 @@ from repro.context.parallel_context import ParallelContext, ParallelMode
 from repro.nn.mode import TensorMode
 from repro.nn.module import Module, Parameter
 from repro.parallel.comm_ops import mean_loss_across
+from repro.parallel.common import shard_sections
 from repro.tensor.sharding import shard_payload
 from repro.tensor.tensor import Tensor
 
@@ -187,7 +188,7 @@ class ModeSequence(TensorMode):
 
     def shared_param(self, full) -> Parameter:
         # each rank owns its sub-sequence's positions: no replication
-        return Parameter(shard_payload(full, -2, self.comm.size, self.comm.rank))
+        return Parameter(shard_sections(full, -2, self.comm.size, self.comm.rank))
 
     def shard_input(self, x):
         """Global [B, S, ...] -> local [B, S/p, ...] along the sequence dim."""

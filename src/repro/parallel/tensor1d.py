@@ -38,12 +38,7 @@ from repro.parallel.comm_ops import (
 )
 from repro.parallel.common import shard_sections
 from repro.parallel.vocab_ce import vocab_parallel_cross_entropy
-from repro.tensor.sharding import shard_payload
 from repro.tensor.tensor import Tensor
-
-
-def _shard_param(payload, axis: int, parts: int, index: int) -> Parameter:
-    return Parameter(shard_payload(payload, axis, parts, index))
 
 
 class ColumnParallelLinear(Module):
@@ -113,7 +108,7 @@ class RowParallelLinear(Module):
             )
         self.comm = comm
         full_w = init_mod.param_payload((in_features, out_features), weight_init, rng, dtype)
-        self.weight = _shard_param(full_w, 0, comm.size, comm.rank)
+        self.weight = Parameter(shard_sections(full_w, 0, comm.size, comm.rank))
         if bias:
             # bias is replicated: it is added after the all-reduce
             self.bias: Optional[Parameter] = Parameter(
@@ -231,7 +226,7 @@ class VocabParallelEmbedding1D(Module):
         full = init_mod.param_payload(
             (num_embeddings, embedding_dim), weight_init, rng, dtype
         )
-        self.weight = _shard_param(full, 0, comm.size, comm.rank)
+        self.weight = Parameter(shard_sections(full, 0, comm.size, comm.rank))
 
     def forward(self, indices) -> Tensor:
         if isinstance(indices, Tensor):

@@ -157,7 +157,7 @@ class ModeGrid(TensorMode):
         return n_heads // self.q
 
     def shared_param(self, full) -> Parameter:
-        return self.depth_synced(Parameter(shard_payload(full, -1, self.q, self.col_rank)))
+        return self.depth_synced(Parameter(shard_sections(full, -1, self.q, self.col_rank)))
 
     def add_shared(self, x: Tensor, param: Parameter) -> Tensor:
         return add_shared(x, param, [self.col])
@@ -250,8 +250,8 @@ class LayerNorm2D(Module):
         self.eps = eps
         full_g = init_mod.param_payload((normalized_size,), init_mod.ones_init, rng, dtype)
         full_b = init_mod.param_payload((normalized_size,), init_mod.zeros_init, rng, dtype)
-        self.gamma = grid.depth_synced(Parameter(shard_payload(full_g, 0, grid.q, grid.col_rank)))
-        self.beta = grid.depth_synced(Parameter(shard_payload(full_b, 0, grid.q, grid.col_rank)))
+        self.gamma = grid.depth_synced(Parameter(shard_sections(full_g, 0, grid.q, grid.col_rank)))
+        self.beta = grid.depth_synced(Parameter(shard_sections(full_b, 0, grid.q, grid.col_rank)))
 
     def forward(self, x: Tensor) -> Tensor:
         return parallel_layer_norm(

@@ -192,8 +192,8 @@ class LayerNorm3D(Module):
         feat_rank = pc.comm(layout.feature_mode).rank
         full_g = init_mod.param_payload((normalized_size,), init_mod.ones_init, rng, dtype)
         full_b = init_mod.param_payload((normalized_size,), init_mod.zeros_init, rng, dtype)
-        self.gamma = Parameter(shard_payload(full_g, 0, l, feat_rank))
-        self.beta = Parameter(shard_payload(full_b, 0, l, feat_rank))
+        self.gamma = Parameter(shard_sections(full_g, 0, l, feat_rank))
+        self.beta = Parameter(shard_sections(full_b, 0, l, feat_rank))
 
     def forward(self, x: Tensor) -> Tensor:
         pc = self.pc
@@ -254,7 +254,7 @@ class Mode3D(TensorMode):
         return n_heads // self.l
 
     def shared_param(self, full) -> Parameter:
-        return Parameter(shard_payload(full, -1, self.l, self.feature.rank))
+        return Parameter(shard_sections(full, -1, self.l, self.feature.rank))
 
     def add_shared(self, x: Tensor, param: Parameter) -> Tensor:
         return add_shared(x, param, [self.output, self.batch_sub])

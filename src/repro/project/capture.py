@@ -26,6 +26,14 @@ Capture is incompatible with fault injection (injected retries and
 slowdowns are host-nondeterministic control flow the trace does not model);
 :meth:`CaptureRecorder.install` rejects a runtime with an injector armed.
 The tracer and sanitizer compose fine — capture uses its own clock slot.
+
+A captured spec run may start rank 0 alone as every rank's representative
+(DESIGN §4ab): rounds closed ahead and claimed late reach the recorder's
+``member`` hook as live ones do, and when the other ranks copy rank 0 at
+the end, the runtime hands each to :meth:`CaptureRecorder.copy_rank`: it
+gets rank 0's stream, with every event and round on rank 0's own singleton
+group moved onto its own.  The trace still holds one stream per rank,
+equal to the threaded run's.
 """
 
 from __future__ import annotations
@@ -48,6 +56,8 @@ from repro.runtime.spmd import Observer
 #   ("psw", sid)                                    isend wait
 #   ("pr", gid, src, tag)                           receive
 Event = Tuple[Any, ...]
+#: the tags whose second element is not a group id
+_GIDLESS = ("a", "psw")
 
 
 def _payload_nbytes(payload: Any) -> int:
@@ -107,7 +117,11 @@ class _ClockCapture:
 
     def __call__(self, category: str, dt: float) -> None:
         if category != "comm":
-            self._rec.record_advance(self._rank, category, dt)
+            rec, rank = self._rec, self._rank
+            label = rec._pending_label[rank]
+            if label is not None:
+                rec._pending_label[rank] = None
+            rec._streams[rank].append(("a", category, dt, label))
 
 
 class CaptureRecorder(Observer):
@@ -186,6 +200,24 @@ class CaptureRecorder(Observer):
                 max_time=runtime.max_time(),
             )
 
+    def copy_rank(self, rank: int, solo: Any, own: Any) -> None:
+        """``rank`` ran rank 0's program (the end of a represented run, every
+        rank thread joined, DESIGN §4ab): it gets rank 0's stream, in which
+        rank 0's own singleton group ``solo`` is ``rank``'s own group ``own``,
+        round facts included (``solo`` None: rank 0 has none)."""
+        stream = self._streams[0]
+        a = None if solo is None else self._gid_by_key.get(tuple(solo.ranks))
+        if a is None:  # no event names rank 0's singleton
+            self._streams[rank] = list(stream)
+            return
+        b = self._gid(own)
+        self._streams[rank] = [
+            (ev[0], b, *ev[2:]) if ev[0] not in _GIDLESS and ev[1] == a else ev
+            for ev in stream]
+        for (gid, seq), facts in list(self._rounds.items()):
+            if gid == a:
+                self._rounds[b, seq] = facts
+
     def trace(self) -> OpTrace:
         """The :class:`OpTrace` of the last completed run."""
         if self._trace is None:
@@ -212,12 +244,6 @@ class CaptureRecorder(Observer):
         """Label the next compute advance on ``rank`` with an op name
         (called by ``Function.apply`` / the autograd engine)."""
         self._pending_label[rank] = name
-
-    def record_advance(self, rank: int, category: str, dt: float) -> None:
-        label = self._pending_label[rank]
-        if label is not None:
-            self._pending_label[rank] = None
-        self._streams[rank].append(("a", category, dt, label))
 
     def on_solo(self, rank: int, group: Any, seq: int, op: str,
                 cost: CollectiveCost, itemsize: int, payloads: Dict[int, Any],

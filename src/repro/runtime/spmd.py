@@ -324,6 +324,14 @@ class SpmdRuntime:
         #: ``op_plan_lock`` after re-checking, so a signature gets one plan.
         self.op_plans: Dict[tuple, Any] = {}
         self.op_plan_lock = threading.Lock()
+        #: a materialized run's weight draws (repro.nn.init.param_payload):
+        #: (init, shape, dtype, generator state) -> (array, state after the
+        #: draw, turn), recorded under ``draw_lock`` after re-checking, so
+        #: ranks that draw alike draw once; a draw goes once every rank has
+        #: made ``turn`` + 1 draws (``draw_turns``), the rest when the run ends
+        self.draws: Dict[tuple, Tuple[np.ndarray, Dict[str, Any], int]] = {}
+        self.draw_turns = [0] * self.world_size
+        self.draw_lock = threading.Lock()
         #: set when a rank fails; blocked waiters test it inline
         self.aborted = threading.Event()
         self.failure: Optional[Tuple[int, BaseException]] = None
@@ -558,7 +566,7 @@ class SpmdRuntime:
             return "materialized"
         if self.world_size == 1:
             return "one rank"
-        for name in ("tracer", "sanitizer", "capture", "fault_injector"):
+        for name in ("tracer", "sanitizer", "fault_injector"):
             if getattr(self, name) is not None:
                 return name.replace("_", " ")
         cluster = self.cluster
@@ -615,24 +623,27 @@ class SpmdRuntime:
         """The end of a run with no trigger: every other rank is left as
         running rank 0's program would have left it — clock and breakdown,
         comm stream, device pool, sequence numbers, singleton-group
-        counters and result."""
+        counters and result, and the capture's stream of it."""
         self.alone = False
         self._reveal()
+        before = self._before
+        for key, grp in list(self._groups.items()):
+            if grp.is_world:
+                grp.settle_absent(before.get(key))
         clock, stream = self.clocks[0], self.comm_streams[0]
         pool = self.cluster.device(0).memory
+        solo = self._groups.get((0,))
+        own = None
         for r in range(1, self.world_size):
             results[r] = results[0]
             self.clocks[r].copy_from(clock)
             self.comm_streams[r].copy_from(stream)
             self.cluster.device(r).memory.copy_from(pool)
-        before = self._before
-        for key, grp in list(self._groups.items()):
-            if grp.is_world:
-                grp.settle_absent(before.get(key))
-        solo = self._groups.get((0,))
-        if solo is not None:
-            for r in range(1, self.world_size):
-                self.own_group((r,)).mirror(solo, before.get((0,)))
+            if solo is not None:
+                own = self.own_group((r,))
+                own.mirror(solo, before.get((0,)))
+            if self.capture is not None:
+                self.capture.copy_rank(r, solo, own)
 
     def drive(self, fn: Callable[[], Any]) -> None:
         """Run a thread-free driver ``fn()`` as a program of every rank, in
@@ -666,6 +677,8 @@ class SpmdRuntime:
 
     def _end(self) -> None:
         """Close a program: ``end`` hooks, then its failure or a leak check."""
+        self.draws.clear()
+        self.draw_turns = [0] * self.world_size
         # on a clean replayed run, a golden stream the program stopped short
         # of is itself a divergence and the sanitizer's end hook raises
         for hook in self.on_end:

@@ -1,5 +1,10 @@
 """Tests for nn modules: registration, layers, transformer, losses."""
 
+import collections
+import pickle
+import sys
+import time
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -356,6 +361,70 @@ class TestInitializers:
             return isinstance(p, SpecArray)
 
         assert SpmdRuntime(uniform_cluster(1)).run(prog, materialize=False) == [True]
+
+    def test_ranks_that_draw_alike_draw_once(self):
+        """In a materialized run, ranks that draw one init from generators in
+        one state share the draw (``SpmdRuntime.draws``): each rank's
+        parameters and generators end bit-identical to building the layers
+        outside any run, a rank's copy is its own, ``init_fn`` runs once per
+        distinct draw (also with the ranks switching every microsecond), a
+        draw every rank is past is dropped, and the table is empty after the
+        run."""
+        from repro.comm import Communicator
+        from repro.parallel.common import shard_sections
+        from repro.parallel.tensor1d import ColumnParallelLinear
+        from repro.runtime import SpmdRuntime
+
+        calls = collections.Counter()
+        xavier = init_mod.xavier_uniform()
+
+        def counted(shape, rng):  # pure: neither count nor nap reaches the draw
+            calls[shape, pickle.dumps(rng.bit_generator.state)] += 1
+            time.sleep(0.005)  # the other ranks reach the table meanwhile
+            return xavier(shape, rng)
+
+        def build(comm=None):
+            rngs = [np.random.default_rng([7, i]) for i in range(3)]
+            tp = (ColumnParallelLinear(8, 12, comm, weight_init=counted, rng=rngs[2])
+                  if comm is not None else Linear(8, 12, weight_init=counted, rng=rngs[2]))
+            layers = [Linear(8, 6, weight_init=counted, rng=rngs[0]),
+                      LayerNorm(6, rng=rngs[1]), tp]
+            params = [p.payload.copy() for m in layers for p in m.parameters()]
+            return layers, params, [r.bit_generator.state for r in rngs]
+
+        _, ref, ref_states = build()
+
+        def prog(ctx):
+            world = Communicator.world(ctx)
+            layers, _, states = build(world)
+            if ctx.rank == 0:
+                layers[0].weight.payload += 1.0
+            world.barrier()
+            held = None
+            if ctx.rank == 0:  # every rank is past every draw: the next miss drops them
+                init_mod.param_payload((2,), init_mod.zeros_init, np.random.default_rng(0))
+                held = len(ctx.runtime.draws)
+            return [p.payload.copy() for m in layers for p in m.parameters()], states, held
+
+        calls.clear()
+        rt = SpmdRuntime(uniform_cluster(4), deadlock_timeout=30.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # ranks interleave inside the table's check-then-draw
+        try:
+            results = rt.run(prog)
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(calls.values()) == {1}
+        assert rt.draws == {}
+        assert [held for _, _, held in results] == [1, None, None, None]
+        for rank, (params, states, _) in enumerate(results):
+            want = [*ref[:4], shard_sections(ref[4], 1, 4, rank),
+                    shard_sections(ref[5], 0, 4, rank)]
+            if rank == 0:
+                want[0] = want[0] + 1.0
+            assert [(p.dtype, p.shape, p.tobytes()) for p in params] == \
+                [(w.dtype, w.shape, w.tobytes()) for w in want]
+            assert states == ref_states
 
 
 class TestLayers:

@@ -1296,6 +1296,19 @@ class TestRepresentativeRun:
         assert (rt.path, rt.reason) == ("representative", None)
         assert len(set(steps)) == 1 and len({c.time for c in rt.clocks}) == 1
 
+    def test_captured_dp_probe_starts_one_program_thread(self, started):
+        from repro.autopar.probe import build_probe
+        from repro.autopar.search import StrategyCandidate, Workload
+        from repro.cluster import system_ii
+        from repro.project import capture_run
+
+        work = Workload(n_layers=16, hidden=3072, n_heads=48, seq_len=196)
+        cand = StrategyCandidate(data=8, tensor=1, mode="none", pipeline=1)
+        _, fn = build_probe(work, cand, 256, 0.1)
+        _, trace = capture_run(system_ii(), fn, world_size=8)
+        assert started == ["spmd-rank-0"]
+        assert len({tuple(stream) for stream in trace.streams}) == 1
+
     def test_bench_storm_starts_every_thread_naming_the_read(self, started):
         from repro.cluster import system_ii
 

@@ -16,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import system_ii, uniform_cluster
+from repro.cluster import system_i, system_ii, system_iv, uniform_cluster
 from repro.cluster.device import DeviceOutOfMemoryError
 from repro.comm import Communicator, SpecArray
 from repro.config import Config
 from repro.context import ParallelContext, ParallelMode
+from repro.project import CaptureRecorder
 from repro.runtime import CollectiveTimeout, RankFailure, RemoteRankError, SpmdRuntime
 from repro.sanitize import CollectiveMismatch
 from repro.tensor import Tensor
@@ -105,6 +106,18 @@ class TestPath:
         rt = make()
         rt.run(symmetric, materialize=False)
         assert (rt.path, rt.reason) == ("threaded", reason)
+
+    def test_a_capture_runs_represented(self):
+        rt = SpmdRuntime(uniform_cluster(4), capture=CaptureRecorder())
+        rt.run(symmetric, materialize=False)
+        assert (rt.path, rt.reason) == ("representative", None)
+
+    def test_a_drive_after_a_represented_run_is_captured_as_driven(self):
+        rec = CaptureRecorder()
+        rt = SpmdRuntime(uniform_cluster(4), capture=rec)
+        rt.run(symmetric, materialize=False)
+        rt.drive(lambda: rt.clocks[1].advance(1.0, "compute"))
+        assert [len(stream) for stream in rec.trace().streams] == [0, 1, 0, 0]
 
     def test_materialized_and_unequal_devices_stay_threaded(self):
         rt = SpmdRuntime(uniform_cluster(4))
@@ -300,6 +313,111 @@ def test_classed_equals_threaded(steps, trigger, at, world, overlap):
         assert (path, reason) == ("representative", None)
     else:
         assert (path, reason) == ("caught_up", reason_of(trigger, world))
+
+
+# -- capture: a represented run records the threaded run's trace ----------
+
+
+def captured(make_rt, prog, represent):
+    """``prog``'s path and :class:`OpTrace`, each group id replaced by the
+    group's ranks (ids follow the order groups are first met)."""
+    rt = make_rt()
+    rt._represent = represent
+    rec = CaptureRecorder().install(rt)
+    rt.run(prog, materialize=False)
+    trace = rec.trace()
+    ranks = trace.groups
+    named = [[ev if ev[0] in ("a", "psw") else (ev[0], ranks[ev[1]], *ev[2:])
+              for ev in stream] for stream in trace.streams]
+    return (rt.path, rt.reason), dict(
+        streams=named,
+        rounds={(ranks[gid], seq): facts for (gid, seq), facts in trace.rounds.items()},
+        peak_memory=trace.peak_memory, max_time=trace.max_time)
+
+
+def claimed_late(ctx):
+    """A blocking and a nonblocking world round closed ahead, then a
+    trigger: every other rank claims both late."""
+    world = Communicator.world(ctx)
+    world.all_reduce(spec())
+    handle = world.iall_gather(spec())
+    ctx.clock.advance(1e-3 * (ctx.rank + 1), "compute")
+    handle.wait()
+    world.barrier()
+    return ctx.clock.time
+
+
+def solo_rounds(ctx):
+    """A blocking and a nonblocking collective on the rank's own singleton
+    group: the first is priced inline, the second meets a round."""
+    solo = ParallelContext(ctx, Config.from_dict({})).comm(ParallelMode.TENSOR)
+    solo.all_reduce(spec())
+    solo.iallreduce(spec(64)).wait()
+    Communicator.world(ctx).barrier()
+    return ctx.clock.time
+
+
+def _probes():
+    """Skeleton probes of every 97th candidate of the three bench compiles
+    that has one, at the compiler's probe scale: the first of each is
+    data-parallel only."""
+    from dataclasses import replace
+
+    from repro.autopar.compiler import probe_scale
+    from repro.autopar.probe import build_probe
+    from repro.autopar.search import Workload, enumerate_candidates
+
+    gpt = Workload(n_layers=16, hidden=3072, n_heads=48, seq_len=196)
+    for make, world, batch in ((system_i, 8, 256), (system_ii, 8, 256),
+                               (system_iv, 64, 512)):
+        for cand in list(enumerate_candidates(gpt, batch, world))[::97]:
+            scale = probe_scale(cand, 16)
+            if scale is None:  # one replica exceeds the probe budget
+                continue
+            probe = replace(cand, data=scale[0])
+            _, fn = build_probe(gpt, probe, batch * scale[0] // cand.data, 0.1)
+            yield (lambda make=make, probe=probe: SpmdRuntime(
+                make(), probe.world, comm_algorithm=probe.algorithm)), fn
+
+
+def test_represented_capture_equals_threaded():
+    """A captured spec run that starts rank 0 alone records the threaded
+    run's trace: streams, round facts, peaks and makespan.  The symmetric
+    program is copied, with its collective on rank 0's own singleton moved
+    onto each rank's; ``claimed_late`` catches up after two rounds closed
+    ahead; the probes take both paths."""
+    programs = [(lambda: SpmdRuntime(uniform_cluster(4)), symmetric),
+                (lambda: SpmdRuntime(uniform_cluster(4)), solo_rounds),
+                (lambda: SpmdRuntime(system_ii(), 4), claimed_late), *_probes()]
+    paths = []
+    for make_rt, prog in programs:
+        (path, reason), trace = captured(make_rt, prog, True)
+        forced, ref = captured(make_rt, prog, False)
+        assert forced == ("threaded", "forced")
+        assert trace == ref, (path, reason)
+        paths.append(path)
+    assert paths[:3] == ["representative", "representative", "caught_up"]
+    assert {"representative", "caught_up"} <= set(paths[3:])
+
+
+@pytest.mark.parametrize("trigger", [None, *(t for t in TRIGGERS if t not in RAISES)])
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(
+    steps=st.lists(st.tuples(st.sampled_from(STEPS), st.sampled_from((1, 64, 4096))),
+                   min_size=1, max_size=10),
+    at=st.integers(0, 10),
+    world=st.sampled_from((2, 4)),
+)
+def test_generated_capture_equals_threaded(steps, trigger, at, world):
+    """Every generated program, copied or caught up, is captured as its
+    threaded run is."""
+    outlive = []
+    prog = generated(steps, trigger, at, outlive)
+    (path, _), trace = captured(lambda: SpmdRuntime(uniform_cluster(world)), prog, True)
+    outlive.clear()
+    _, ref = captured(lambda: SpmdRuntime(uniform_cluster(world)), prog, False)
+    assert trace == ref, path
+    assert path == ("representative" if trigger is None else "caught_up")
 
 
 # -- failures: the run ends typed, with everything released (ROADMAP 6) -----

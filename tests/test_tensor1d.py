@@ -8,6 +8,7 @@ from repro.comm import SpecArray
 from repro.config import Config
 from repro.context import ParallelContext, ParallelMode
 from repro.nn import FeedForward, MultiHeadAttention, TransformerLayer
+from repro.parallel.common import shard_sections
 from repro.parallel.tensor1d import (
     ColumnParallelLinear,
     Mode1D,
@@ -66,6 +67,22 @@ class TestParallelLinears:
 
         with pytest.raises(RemoteRankError):
             run_spmd(4, prog)
+
+    def test_sharded_parameters_own_their_bytes(self):
+        """An axis-0 shard is a view of the whole payload: held as the
+        parameter, it would keep the whole payload alive on every rank."""
+        def prog(ctx):
+            comm = pc_1d(ctx).comm(ParallelMode.TENSOR)
+            row = RowParallelLinear(8, 4, comm, rng=np.random.default_rng(0))
+            emb = VocabParallelEmbedding1D(8, 4, comm, rng=np.random.default_rng(0))
+            return row.weight.payload.base is None, emb.weight.payload.base is None
+
+        assert run_spmd(4, prog) == [(True, True)] * 4
+        full = np.arange(24.0, dtype=np.float32)
+        for payload, axis in ((full, 0), (full.reshape(6, 4), -2), (full.reshape(6, 4), 1)):
+            shard = shard_sections(payload, axis, 2, 1)
+            assert shard.base is None
+            np.testing.assert_array_equal(shard, np.split(payload, 2, axis)[1])
 
     def test_col_row_pair_is_identity_comm_pattern(self):
         """Col->Row composition should use exactly 1 fwd + 1 bwd allreduce."""
