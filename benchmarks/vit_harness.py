@@ -1,27 +1,25 @@
 """Shared spec-mode ViT throughput harness for Fig 11 and Table 3.
 
-Builds a per-mode tensor-parallel ViT layer stack with activation
-checkpointing (how these models actually fit on 16-80 GB cards), runs one
-training step (forward + backward, optimizer excluded as in the paper's
-img/sec), and reports the simulated step time; OOM-bounded batch search
-doubles the batch until the memory pool overflows.
+Launches the per-mode tensor-parallel ViT layer stack as the compiler's
+launched step (``repro.autopar.compiler.launched_step``) with activation
+checkpointing (how these models actually fit on 16-80 GB cards) and reads
+its forward + backward seconds (the optimizer step excluded, as in the
+paper's img/sec); OOM-bounded batch search doubles the batch until the
+memory pool overflows.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-import repro
+from repro.autopar import Workload
+from repro.autopar.compiler import launched_step
 from repro.cluster.device import DeviceOutOfMemoryError
 from repro.cluster.machine import ClusterSpec
-from repro.comm import SpecArray
 from repro.config import TensorParallelConfig
-from repro.nn import Sequential, TransformerLayer
-from repro.parallel import batch_divisor, tensor_mode
+from repro.parallel import batch_divisor
 from repro.runtime import RemoteRankError
-from repro.tensor import Tensor
 
-DTYPE = "float16"
 N_PATCHES = 196  # 224 / 16 squared
 
 
@@ -36,32 +34,12 @@ def vit_step_time(
     depth: int = 1,
     comm_algorithm: Optional[str] = None,
 ) -> Optional[float]:
-    """Simulated seconds for one fwd+bwd step; None on OOM."""
-    tdict = dict(size=world, mode=mode)
-    if mode == "2.5d":
-        tdict["depth"] = depth
-    config = dict(parallel=dict(tensor=tdict))
-    if comm_algorithm is not None:
-        config["comm"] = dict(algorithm=comm_algorithm)
-    cluster.reset()
-
-    def prog(ctx, pc):
-        tmode = tensor_mode(pc)
-        layers = Sequential(
-            [TransformerLayer(hidden, heads, dtype=DTYPE, mode=tmode) for _ in range(n_layers)],
-            checkpoint=True,
-        )
-        x = Tensor(
-            SpecArray(tmode.local_shape(batch, N_PATCHES, hidden), DTYPE),
-            requires_grad=True,
-        )
-        t0 = ctx.clock.time
-        layers(x).sum().backward()
-        return ctx.clock.time - t0
-
+    """Simulated seconds of one fp16 forward + backward; None on OOM."""
+    tensor = dict(size=world, mode=mode, depth=depth if mode == "2.5d" else 1)
+    config = dict(parallel=dict(tensor=tensor), comm=dict(algorithm=comm_algorithm))
+    work = Workload(n_layers=n_layers, hidden=hidden, n_heads=heads, seq_len=N_PATCHES)
     try:
-        res = repro.launch(config, cluster, prog, world_size=world, materialize=False)
-        return res[0]
+        return launched_step(cluster, work, batch, config, world_size=world, checkpoint=True)[0]
     except RemoteRankError as e:
         if isinstance(e.cause, DeviceOutOfMemoryError):
             return None

@@ -49,7 +49,11 @@ from repro.autopar.search import (
     enumerate_candidates,
 )
 from repro.cluster.machine import ClusterSpec
-from repro.config import AutoParConfig, Config
+from repro.comm import SpecArray
+from repro.config import AutoParConfig, Config, ConfigError
+from repro.nn import Sequential, TransformerLayer
+from repro.parallel import tensor_mode
+from repro.tensor import Tensor
 
 _STEP_SECONDS = attrgetter("step_seconds")
 
@@ -277,6 +281,63 @@ def simulate_candidate(
     rt = SpmdRuntime(cluster, cand.world, comm_algorithm=cand.algorithm)
     rt.run(fn, materialize=False)
     return rt.max_time()
+
+
+def launched_program(work: Workload, global_batch: int, *, checkpoint: bool = False):
+    """The rank program ``fn(ctx, pc)`` a config launches for ``work``
+    (DESIGN §4ae): its stack as a ``Sequential`` of
+    ``TransformerLayer(mode=tensor_mode(pc))``, checkpointed per layer when
+    ``checkpoint``, built through ``initialize`` + ``Adam``, then one
+    forward, backward and ``Engine.step`` on ``global_batch //
+    pc.data_size`` rows.  It returns the rank's forward + backward seconds,
+    its whole step (through ``Engine.step``) and its device pool peak in
+    bytes.  The stack is not cut into stages: launch it at pipeline 1."""
+    from repro.engine import initialize
+    from repro.optim import Adam
+
+    dtype = f"float{8 * work.bytes_per_elem}"
+
+    def prog(ctx, pc):
+        mode = tensor_mode(pc)
+        model = Sequential([TransformerLayer(work.hidden, work.n_heads, work.mlp_ratio,
+                                             dtype=dtype, mode=mode)
+                            for _ in range(work.n_layers)], checkpoint=checkpoint)
+        engine = initialize(model, Adam(model.parameters()), pc=pc)
+        x = Tensor(SpecArray(mode.local_shape(global_batch // pc.data_size, work.seq_len,
+                                              work.hidden), dtype), requires_grad=True)
+        t0 = ctx.clock.time
+        engine.backward(engine(x).sum())
+        t1 = ctx.clock.time
+        engine.step()
+        return t1 - t0, ctx.clock.time - t0, ctx.device.memory.peak
+
+    return prog
+
+
+def launched_step(
+    cluster: ClusterSpec,
+    work: Workload,
+    global_batch: int,
+    config: Union[Dict[str, Any], Config],
+    *,
+    world_size: int,
+    checkpoint: bool = False,
+) -> Tuple[float, float, int]:
+    """``config`` launched in spec mode as :func:`launched_program` on
+    ``cluster``'s reset memory pools: the slowest rank's forward + backward
+    seconds, its whole step and the largest device pool peak in bytes.  A
+    ``parallel.pipeline`` above 1 is a ``ConfigError``: the stack is
+    launched uncut."""
+    from repro.engine import launch
+
+    cfg = config if isinstance(config, Config) else Config.from_dict(config)
+    if cfg.pipeline > 1:
+        raise ConfigError(f"parallel.pipeline: the launched step runs one uncut stack, "
+                          f"got {cfg.pipeline} stages")
+    cluster.reset()
+    ranks = launch(cfg, cluster, launched_program(work, global_batch, checkpoint=checkpoint),
+                   world_size=world_size, materialize=False)
+    return tuple(max(col) for col in zip(*ranks))
 
 
 def compile_strategy(

@@ -85,6 +85,9 @@ class TensorParallelConfig(_Section):
         mode, size = self.mode, self.size
         if mode == "none" and size != 1:
             raise ConfigError(f"parallel.tensor.size must be 1 in tensor mode 'none', got {size}")
+        if mode != "2.5d" and self.depth != 1:
+            raise ConfigError(f"parallel.tensor.depth applies to 2.5d only: must be 1 in tensor "
+                              f"mode {mode!r}, got {self.depth}")
         if mode == "2d":
             fits, shape = self.grid_dim**2 == size, "a square GPU count"
         elif mode == "2.5d":

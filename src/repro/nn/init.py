@@ -15,6 +15,7 @@ own copy and that state.
 
 from __future__ import annotations
 
+import functools
 import math
 import pickle
 from typing import Callable, Optional, Sequence, Tuple, Union
@@ -27,7 +28,9 @@ from repro.runtime.spmd import rank_context
 #: ``fn(shape, rng) -> array``.  An init is pure: what it returns and how
 #: far it moves ``rng`` depend only on ``shape`` and ``rng``'s state, so two
 #: calls from generators in equal states give equal bits (which lets a run
-#: share one draw between ranks, :func:`param_payload`).
+#: share one draw between ranks, :func:`param_payload`).  The factories below
+#: return one function per argument, so every build of a layer keys the
+#: draw table alike.
 InitFn = Callable[[Tuple[int, ...], np.random.Generator], np.ndarray]
 
 
@@ -39,6 +42,7 @@ def ones_init(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     return np.ones(shape, dtype=np.float64)
 
 
+@functools.cache
 def normal(std: float = 0.02) -> InitFn:
     def fn(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(shape) * std
@@ -55,6 +59,7 @@ def _fan(shape: Tuple[int, ...]) -> Tuple[int, int]:
     return fan_in, fan_out
 
 
+@functools.cache
 def xavier_uniform(gain: float = 1.0) -> InitFn:
     def fn(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
         fan_in, fan_out = _fan(shape)
@@ -64,6 +69,7 @@ def xavier_uniform(gain: float = 1.0) -> InitFn:
     return fn
 
 
+@functools.cache
 def lecun_normal() -> InitFn:
     """The "Jax initialization" the paper uses for its ViT runs (§5.2)."""
 

@@ -18,6 +18,12 @@ from repro.tensor.tensor import (
 )
 from repro.tensor.sharding import ShardSpec, local_shard_shape, shard_payload
 
+# ``Tensor``'s operators (``+``, ``@``, ``.sum()``, ...) are bound by
+# ``repro.autograd.ops``, which builds on this package: loading it here gives
+# every importer of a ``Tensor`` its operators.  When the import starts from
+# ``repro.autograd``, that package is mid-load and binds them itself.
+import repro.autograd  # noqa: E402,F401
+
 __all__ = [
     "Storage",
     "Tensor",

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 
-import numpy as np
 import pytest
 
 from repro.cluster import uniform_cluster
@@ -75,25 +74,11 @@ def cluster4():
 
 
 @pytest.fixture
-def cluster8():
-    return uniform_cluster(8)
-
-
-@pytest.fixture
 def rt4(cluster4):
     return SpmdRuntime(cluster4)
-
-
-@pytest.fixture
-def rt8(cluster8):
-    return SpmdRuntime(cluster8)
 
 
 def run_spmd(world_size: int, fn, *args, materialize: bool = True, **kwargs):
     """One-shot SPMD run on a fresh uniform cluster; returns per-rank results."""
     rt = SpmdRuntime(uniform_cluster(world_size))
     return rt.run(fn, *args, materialize=materialize, **kwargs)
-
-
-def rand(shape, seed=0, dtype=np.float32):
-    return np.random.default_rng(seed).standard_normal(shape).astype(dtype)

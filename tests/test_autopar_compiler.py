@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.autopar.compiler import (
     compile_strategy,
+    launched_step,
     probe_scale,
     refine_candidate,
     simulate_candidate,
@@ -53,10 +54,14 @@ from repro.cluster import (
     system_iv,
     uniform_cluster,
 )
+from repro.comm import SpecArray
 from repro.config import COMM_ALGORITHMS, FIELDS, ZERO_STAGES, Config, ConfigError
 from repro.context import rank_groups
 from repro.engine import launch
+from repro.nn import Sequential, TransformerLayer
+from repro.parallel import tensor_mode
 from repro.runtime.errors import RemoteRankError
+from repro.tensor import Tensor
 
 pytestmark = pytest.mark.autopar
 
@@ -658,6 +663,43 @@ class TestLaunchWiring:
 
         results = launch(cfg, cl, fn, world_size=2)
         assert results == ["OneFOneBSchedule"] * 2
+
+
+# -- the launched step (DESIGN §4ae) -----------------------------------------
+
+
+class TestLaunchedStep:
+    """``launched_step``'s forward + backward is the bare stack's, with no
+    ``initialize`` or ``Adam``, checkpointed or not, in every tensor mode; a
+    pipeline is refused before anything launches."""
+
+    WORK = Workload(n_layers=2, hidden=16, n_heads=4, seq_len=8)
+
+    @pytest.mark.parametrize("checkpoint", [False, True], ids=["plain", "checkpoint"])
+    @pytest.mark.parametrize("tensor", [
+        dict(size=2, mode="1d"), dict(size=4, mode="2d"), dict(size=8, mode="2.5d", depth=2),
+        dict(size=8, mode="3d")], ids=lambda t: t["mode"])
+    def test_forward_backward_is_the_bare_stack(self, tensor, checkpoint):
+        w, config, size = self.WORK, dict(parallel=dict(tensor=tensor)), tensor["size"]
+
+        def bare(ctx, pc):
+            mode = tensor_mode(pc)
+            stack = Sequential([TransformerLayer(w.hidden, w.n_heads, dtype="float16", mode=mode)
+                                for _ in range(w.n_layers)], checkpoint=checkpoint)
+            x = Tensor(SpecArray(mode.local_shape(8, w.seq_len, w.hidden), "float16"),
+                       requires_grad=True)
+            t0 = ctx.clock.time
+            stack(x).sum().backward()
+            return ctx.clock.time - t0
+
+        fwd_bwd, step, _ = launched_step(uniform_cluster(size), w, 8, config, world_size=size,
+                                         checkpoint=checkpoint)
+        assert fwd_bwd == max(launch(config, uniform_cluster(size), bare, materialize=False)) < step
+
+    def test_a_pipeline_is_refused_by_name(self):
+        with pytest.raises(ConfigError, match=r"^parallel\.pipeline"):
+            launched_step(uniform_cluster(2), self.WORK, 8, dict(parallel=dict(pipeline=2)),
+                          world_size=2)
 
 
 # -- the search offers what initialize builds (ROADMAP item 22) -------------

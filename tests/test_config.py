@@ -139,6 +139,9 @@ _T = dict(kind="open", rate=1.0, n_requests=1)
     (dict(autopar=dict(workload=dict(_W, n_heads=3, hidden=8))), "autopar.workload.hidden"),
     (dict(serve=dict(model=_M, traffic=dict(_T, rate=-5))), "serve.traffic.rate"),
     (dict(serve=dict(model=dict(_M, n_layer=2), traffic=_T)), "serve.model"),
+    # a depth its mode ignored
+    *[(dict(parallel=dict(tensor=dict(size=size, mode=mode, depth=2))), "parallel.tensor.depth")
+      for size, mode in ((1, "none"), (2, "1d"), (4, "2d"), (8, "3d"), (4, "sequence"))],
 ])
 def test_probed_invalid_input_is_a_config_error_naming_the_field(d, key):
     with pytest.raises(ConfigError) as info:

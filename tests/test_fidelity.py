@@ -22,10 +22,11 @@ Transformer layer against the counters of a spec-mode forward + backward of
 
 Compile cells (ROADMAP item 8(a)): the Fig-11 GPT of ``test_plan_golden``
 (16 x 3072, 48 heads, 196 tokens) compiled on Systems I/8, II/8 and IV/64,
-and each compile's emitted config launched in spec mode as a ``Sequential``
-of 16 fp16 ``TransformerLayer(mode=tensor_mode(pc))`` through
-``initialize`` + ``Adam``: one forward, backward and ``Engine.step``, with
-no checkpointing and no embeddings.  "golden" is the default search space;
+and each compile's emitted config launched by
+``repro.autopar.compiler.launched_step`` (DESIGN §4ae): a ``Sequential`` of
+16 fp16 ``TransformerLayer(mode=tensor_mode(pc))`` through ``initialize`` +
+``Adam``, one forward, backward and ``Engine.step``, with no checkpointing
+and no embeddings.  "golden" is the default search space;
 "launchable" restricts it to what ``initialize`` builds as priced
 (``overlap_options=(False,)``: every golden plan is fp16, and ``initialize``
 overlaps no fp16 plan).  Each cell reads:
@@ -45,14 +46,12 @@ import pytest
 
 import repro
 from repro.autopar import Workload, compile_strategy, score_candidate
-from repro.autopar.compiler import simulate_candidate
+from repro.autopar.compiler import launched_program, launched_step, simulate_candidate
 from repro.autopar.scoring import tp_layer_ops
 from repro.autopar.search import SearchSpace, StrategyCandidate
 from repro.cluster import system_i, system_ii, system_iii, system_iv, uniform_cluster
 from repro.comm import SpecArray
-from repro.engine import initialize
-from repro.nn import Sequential, TransformerLayer
-from repro.optim import Adam
+from repro.nn import TransformerLayer
 from repro.parallel import tensor_mode
 from repro.parallel.pipeline import GPipeSchedule, OneFOneBSchedule
 from repro.parallel.pipeline.schedule import bubble_fraction
@@ -161,36 +160,13 @@ COMPILE_CELLS = {
 }
 
 
-def launched_step(cluster, world, global_batch, config):
-    """``config`` launched in spec mode as the item-8 stack: the slowest
-    rank's forward + backward seconds, its whole step (through
-    ``Engine.step``) and the largest device pool peak in bytes."""
-    width, heads, tokens = GPT.hidden, GPT.n_heads, GPT.seq_len
-
-    def prog(ctx, pc):
-        mode = tensor_mode(pc)
-        model = Sequential([TransformerLayer(width, heads, dtype="float16", mode=mode)
-                            for _ in range(GPT.n_layers)])
-        engine = initialize(model, Adam(model.parameters()), pc=pc)
-        x = Tensor(SpecArray(mode.local_shape(global_batch // pc.data_size, tokens, width),
-                             "float16"), requires_grad=True)
-        t0 = ctx.clock.time
-        engine.backward(engine(x).sum())
-        t1 = ctx.clock.time
-        engine.step()
-        return t1 - t0, ctx.clock.time - t0, ctx.device.memory.peak
-
-    ranks = repro.launch(config, cluster, prog, world_size=world, materialize=False)
-    return tuple(max(col) for col in zip(*ranks))
-
-
 @pytest.mark.autopar
 @pytest.mark.parametrize("system, space", list(COMPILE_CELLS),
                          ids=[f"{a}-{b}" for a, b in COMPILE_CELLS])
 def test_compiled_plan_against_its_launched_step(system, space):
     mk, world, batch = SYSTEMS[system]
     cs = compile_strategy(mk(), GPT, batch, world_size=world, space=SPACES[space])
-    fwd_bwd, step, peak = launched_step(mk(), world, batch, cs.config)
+    fwd_bwd, step, peak = launched_step(mk(), GPT, batch, cs.config, world_size=world)
     assert (cs.candidate.describe(), _sig3(cs.score.step_seconds / step),
             (_sig3(fwd_bwd), _sig3(step - fwd_bwd)),
             (_sig3(cs.score.memory_bytes / 1e9), _sig3(peak / 1e9))
@@ -198,8 +174,9 @@ def test_compiled_plan_against_its_launched_step(system, space):
 
 
 #: (algorithm, W) -> projected ÷ direct step time (ROADMAP item 16(a)): the
-#: item-8 stack as DDP on System III, 8 rows per rank, captured at 16 ranks and
-#: launched with ``project.target_world = W``, over a direct spec run at W.
+#: item-8 stack as DDP on System III, 8 rows per rank: ``launched_program``
+#: captured at 16 ranks and launched with ``project.target_world = W``, over
+#: ``launched_step``'s whole step at W.
 #: Every cell under-predicts, more so the wider the projection.  The 1024
 #: cells run in the slow lane: 2.1-2.6 s each on a 2-vCPU host, most of it
 #: the direct run's first world price (10.1-11.6 s when that price searched
@@ -211,18 +188,6 @@ SCALE_CELLS = {
 }
 
 
-def ddp_step(ctx, pc):
-    """One ``initialize`` + ``Adam`` step of the item-8 stack on 8 rows; the
-    rank's clock at its end."""
-    model = Sequential([TransformerLayer(GPT.hidden, GPT.n_heads, dtype="float16")
-                        for _ in range(GPT.n_layers)])
-    engine = initialize(model, Adam(model.parameters()), pc=pc)
-    x = Tensor(SpecArray((8, GPT.seq_len, GPT.hidden), "float16"), requires_grad=True)
-    engine.backward(engine(x).sum())
-    engine.step()
-    return ctx.clock.time
-
-
 @pytest.mark.projection
 @pytest.mark.parametrize("algorithm, world", [
     pytest.param(a, w, marks=[pytest.mark.slow] if w == 1024 else [])
@@ -230,8 +195,8 @@ def ddp_step(ctx, pc):
 def test_projection_against_the_direct_run_it_predicts(algorithm, world):
     comm = dict(algorithm=algorithm)
     projected = repro.launch(dict(comm=comm, project=dict(mode="project", target_world=world)),
-                             system_iii(n_nodes=4), ddp_step, world_size=16,
+                             system_iii(n_nodes=4), launched_program(GPT, 8 * 16), world_size=16,
                              materialize=False).step_time
-    direct = max(repro.launch(dict(comm=comm), system_iii(n_nodes=world // 4), ddp_step,
-                              world_size=world, materialize=False))
+    direct = launched_step(system_iii(n_nodes=world // 4), GPT, 8 * world, dict(comm=comm),
+                           world_size=world)[1]
     assert _sig3(projected / direct) == SCALE_CELLS[algorithm, world]

@@ -426,6 +426,30 @@ class TestInitializers:
                 [(w.dtype, w.shape, w.tobytes()) for w in want]
             assert states == ref_states
 
+        # a model whose blocks ask the init factories per build (GPT's position
+        # embedding and head) keys each distinct draw once, and makes at most one
+        # draw per turn (a key a rank repeats, such as a zero bias and the next
+        # norm's beta, may be drawn again once every rank is past it)
+        cfg = GPTConfig(vocab_size=64, hidden_size=32, n_layers=2, n_heads=4, seq_len=8,
+                        dtype="float32")
+        ref = [p.payload for p in build_gpt(cfg).parameters()]
+        drawn = []
+
+        class Logged(dict):
+            def __setitem__(self, key, value):
+                drawn.append(key)
+                super().__setitem__(key, value)
+
+        rt = SpmdRuntime(uniform_cluster(4))
+        rt.draws = Logged()
+        results = rt.run(lambda ctx: [p.payload for p in build_gpt(cfg).parameters()])
+        keys = set(drawn)  # a key names its draw: the init's code and arguments, then the rest
+        assert len({(k[0].__qualname__, *(c.cell_contents for c in k[0].__closure__ or ()), *k[1:])
+                    for k in keys}) == len(keys)
+        assert len(drawn) <= len(ref)
+        for params in results:
+            assert [(p.dtype, p.tobytes()) for p in params] == [(w.dtype, w.tobytes()) for w in ref]
+
 
 class TestLayers:
     def test_linear_forward(self):

@@ -1269,29 +1269,17 @@ class TestRepresentativeRun:
     thread; a program that reads its rank at once runs on every thread."""
 
     def test_symmetric_ddp_step_starts_one_program_thread(self, started):
-        class Stack(Module):
-            def __init__(self):
-                super().__init__()
-                self.layers = ModuleList([
-                    TransformerLayer(64, 4, dtype="float16") for _ in range(2)])
-
-            def forward(self, x):
-                for layer in self.layers:
-                    x = checkpoint(layer, x)
-                return x
-
-        def prog(ctx):
-            pc = ParallelContext(ctx, Config.from_dict({}))
-            ddp = DistributedDataParallel(Stack(), pc, bucket_mb=0.01, overlap=True)
-            x = Tensor(SpecArray((2, 8, 64), "float16"), requires_grad=True)
-            ddp(x).sum().backward()
-            ddp.sync()
-            return ctx.clock.time
-
+        """The launched step, checkpointed, as overlapped DDP (DESIGN §4ae)."""
+        from repro.autopar import Workload
+        from repro.autopar.compiler import launched_program
         from repro.cluster import system_ii
+        from repro.engine import launch
 
-        rt = SpmdRuntime(system_ii(), 8, comm_overlap=True)
-        steps = rt.run(prog, materialize=False)
+        rt = SpmdRuntime(system_ii(), 8)
+        prog = launched_program(Workload(n_layers=2, hidden=64, n_heads=4, seq_len=8), 16,
+                                checkpoint=True)
+        steps = launch(dict(comm=dict(overlap=True)), rt.cluster, prog, runtime=rt,
+                       materialize=False)
         assert started == ["spmd-rank-0"]
         assert (rt.path, rt.reason) == ("representative", None)
         assert len(set(steps)) == 1 and len({c.time for c in rt.clocks}) == 1

@@ -91,3 +91,11 @@ def test_first_access_from_many_threads_binds_each_name_once():
         "print(json.dumps({'alive': any(t.is_alive() for t in threads), 'errors': errors,\n"
         "                  'bindings': len(set(seen)), 'threads': len(seen)}))")
     assert got == {"alive": False, "errors": [], "bindings": 1, "threads": 16}
+
+
+def test_a_tensor_has_its_operators_from_its_own_package():
+    """``repro.autograd.ops`` binds ``Tensor``'s operators, whichever package loads first."""
+    for first in ("", "import repro.autograd.function\n"):
+        assert _fresh(f"import json\nimport numpy as np\n{first}from repro.tensor import Tensor\n"
+                      "x = Tensor(np.ones((2, 2)))\n"
+                      "print(json.dumps(float((x @ x - x).sum().numpy())))") == 4.0
