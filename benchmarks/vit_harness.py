@@ -35,7 +35,7 @@ def vit_step_time(
     comm_algorithm: Optional[str] = None,
 ) -> Optional[float]:
     """Simulated seconds of one fp16 forward + backward; None on OOM."""
-    tensor = dict(size=world, mode=mode, depth=depth if mode == "2.5d" else 1)
+    tensor = dict(size=world, mode=mode, depth=depth)
     config = dict(parallel=dict(tensor=tensor), comm=dict(algorithm=comm_algorithm))
     work = Workload(n_layers=n_layers, hidden=hidden, n_heads=heads, seq_len=N_PATCHES)
     try:

@@ -283,6 +283,12 @@ def simulate_candidate(
     return rt.max_time()
 
 
+def _refuse_pipeline(stages: int) -> None:
+    if stages > 1:
+        raise ConfigError(f"parallel.pipeline: the launched step runs one uncut stack, "
+                          f"got {stages} stages")
+
+
 def launched_program(work: Workload, global_batch: int, *, checkpoint: bool = False):
     """The rank program ``fn(ctx, pc)`` a config launches for ``work``
     (DESIGN §4ae): its stack as a ``Sequential`` of
@@ -291,13 +297,15 @@ def launched_program(work: Workload, global_batch: int, *, checkpoint: bool = Fa
     forward, backward and ``Engine.step`` on ``global_batch //
     pc.data_size`` rows.  It returns the rank's forward + backward seconds,
     its whole step (through ``Engine.step``) and its device pool peak in
-    bytes.  The stack is not cut into stages: launch it at pipeline 1."""
+    bytes.  The stack is not cut into stages: each rank refuses a
+    ``parallel.pipeline`` above 1 with a ``ConfigError``."""
     from repro.engine import initialize
     from repro.optim import Adam
 
     dtype = f"float{8 * work.bytes_per_elem}"
 
     def prog(ctx, pc):
+        _refuse_pipeline(pc.pipeline_size)
         mode = tensor_mode(pc)
         model = Sequential([TransformerLayer(work.hidden, work.n_heads, work.mlp_ratio,
                                              dtype=dtype, mode=mode)
@@ -331,9 +339,7 @@ def launched_step(
     from repro.engine import launch
 
     cfg = config if isinstance(config, Config) else Config.from_dict(config)
-    if cfg.pipeline > 1:
-        raise ConfigError(f"parallel.pipeline: the launched step runs one uncut stack, "
-                          f"got {cfg.pipeline} stages")
+    _refuse_pipeline(cfg.pipeline)  # before launch, so the caller gets the ConfigError itself
     cluster.reset()
     ranks = launch(cfg, cluster, launched_program(work, global_batch, checkpoint=checkpoint),
                    world_size=world_size, materialize=False)

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.autopar.compiler import (
     compile_strategy,
+    launched_program,
     launched_step,
     probe_scale,
     refine_candidate,
@@ -671,7 +672,8 @@ class TestLaunchWiring:
 class TestLaunchedStep:
     """``launched_step``'s forward + backward is the bare stack's, with no
     ``initialize`` or ``Adam``, checkpointed or not, in every tensor mode; a
-    pipeline is refused before anything launches."""
+    pipeline is refused by name, by ``launched_step`` and by each rank of
+    ``launched_program``."""
 
     WORK = Workload(n_layers=2, hidden=16, n_heads=4, seq_len=8)
 
@@ -697,9 +699,11 @@ class TestLaunchedStep:
         assert fwd_bwd == max(launch(config, uniform_cluster(size), bare, materialize=False)) < step
 
     def test_a_pipeline_is_refused_by_name(self):
+        config = dict(parallel=dict(pipeline=2))
         with pytest.raises(ConfigError, match=r"^parallel\.pipeline"):
-            launched_step(uniform_cluster(2), self.WORK, 8, dict(parallel=dict(pipeline=2)),
-                          world_size=2)
+            launched_step(uniform_cluster(2), self.WORK, 8, config, world_size=2)
+        with pytest.raises(RemoteRankError, match=r"raised ConfigError: parallel\.pipeline"):
+            launch(config, uniform_cluster(2), launched_program(self.WORK, 8), materialize=False)
 
 
 # -- the search offers what initialize builds (ROADMAP item 22) -------------

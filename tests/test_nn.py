@@ -426,10 +426,9 @@ class TestInitializers:
                 [(w.dtype, w.shape, w.tobytes()) for w in want]
             assert states == ref_states
 
-        # a model whose blocks ask the init factories per build (GPT's position
-        # embedding and head) keys each distinct draw once, and makes at most one
-        # draw per turn (a key a rank repeats, such as a zero bias and the next
-        # norm's beta, may be drawn again once every rank is past it)
+        # a model asking the init factories per build (GPT's position embedding and
+        # head) keys each distinct draw once, at most one draw per turn (a key a rank
+        # repeats, a zero bias then a norm's beta, may be drawn again once all are past)
         cfg = GPTConfig(vocab_size=64, hidden_size=32, n_layers=2, n_heads=4, seq_len=8,
                         dtype="float32")
         ref = [p.payload for p in build_gpt(cfg).parameters()]
@@ -437,8 +436,7 @@ class TestInitializers:
 
         class Logged(dict):
             def __setitem__(self, key, value):
-                drawn.append(key)
-                super().__setitem__(key, value)
+                drawn.append(key), super().__setitem__(key, value)
 
         rt = SpmdRuntime(uniform_cluster(4))
         rt.draws = Logged()

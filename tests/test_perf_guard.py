@@ -1268,18 +1268,22 @@ class TestRepresentativeRun:
     """An 8-rank spec step whose ranks never differ runs once, on rank 0's
     thread; a program that reads its rank at once runs on every thread."""
 
-    def test_symmetric_ddp_step_starts_one_program_thread(self, started):
-        """The launched step, checkpointed, as overlapped DDP (DESIGN §4ae)."""
-        from repro.autopar import Workload
-        from repro.autopar.compiler import launched_program
+    def test_symmetric_ddp_step_starts_one_program_thread(self, started, monkeypatch):
+        """The launched step (DESIGN §4ae), checkpointed, as overlapped DDP."""
+        from repro import launch
+        from repro.autopar.compiler import Workload, launched_program
         from repro.cluster import system_ii
-        from repro.engine import launch
 
+        issued, sync = [], DistributedDataParallel.sync  # buckets in flight as backward ends
+        monkeypatch.setattr(DistributedDataParallel, "sync", lambda self: (
+            issued.append((len(self._pending), all(self._flushed))), sync(self)))
         rt = SpmdRuntime(system_ii(), 8)
-        prog = launched_program(Workload(n_layers=2, hidden=64, n_heads=4, seq_len=8), 16,
-                                checkpoint=True)
-        steps = launch(dict(comm=dict(overlap=True)), rt.cluster, prog, runtime=rt,
-                       materialize=False)
+        # wide enough that the default 25 MiB buckets split several ways
+        fn = launched_program(Workload(n_layers=4, hidden=2048, n_heads=16, seq_len=8), 16,
+                              checkpoint=True)
+        steps = launch(dict(comm=dict(overlap=True)), rt.cluster, fn, runtime=rt, materialize=False)
+        [(in_flight, all_issued)] = issued
+        assert in_flight > 1 and all_issued
         assert started == ["spmd-rank-0"]
         assert (rt.path, rt.reason) == ("representative", None)
         assert len(set(steps)) == 1 and len({c.time for c in rt.clocks}) == 1
