@@ -48,7 +48,6 @@ class Workload:
     seq_len: int
     mlp_ratio: int = 4
     bytes_per_elem: int = 2  # fp16
-    microbatches: int = 8
 
     def __post_init__(self) -> None:
         for f in fields(self):

@@ -11,7 +11,7 @@ Users describe the parallelization declaratively::
 ``repro.initialize`` consumes it.  Every field declares its type, bounds or
 choices and a one-line doc once, in its ``dataclasses.field`` metadata;
 :data:`FIELDS` is that table and :func:`_check` the one validator over it
-(DESIGN §4t).  Only cross-field rules are written by hand, as each section's
+(DESIGN §4t).  Cross-field rules beyond each field's ``needs`` are its section's
 ``_rules``.  Every violation is a :class:`ConfigError` naming the dotted field.
 """
 
@@ -37,13 +37,30 @@ class ConfigError(ValueError):
     about (``fp16.enabled``, ``parallel.tensor.size``, ``serve.traffic.rate``)."""
 
 
+def _bounds(text: Optional[str]) -> Tuple[Optional[float], bool, Optional[float], bool]:
+    """``(lo, lo_open, hi, hi_open)`` of ``">= 1"``, ``"> 0"`` or ``"(0, 1]"``."""
+    if text is None:
+        return None, False, None, False
+    if text[0] == ">":
+        return float(text.lstrip(">= ")), text[1] != "=", None, False
+    lo, hi = text[1:-1].split(", ")
+    return float(lo), text[0] == "(", float(hi), text[-1] == ")"
+
+
 def _field(default: Any, kind: type, doc: str, bounds: Optional[str] = None,
-           choices: Optional[Tuple[Any, ...]] = None) -> Any:
+           choices: Optional[Tuple[Any, ...]] = None, needs: Optional[Tuple[str, Any]] = None) -> Any:
     """A config field: its ``kind`` (``bool`` / ``int`` / ``float`` / ``str`` /
     ``dict``), ``bounds`` (``">= 1"``, ``"> 0"``, ``"(0, 1]"``) or ``choices``,
-    and a one-line doc.  A ``None`` default makes ``None`` valid too."""
-    return field(default=default, metadata=dict(
-        kind=kind, doc=doc, bounds=bounds, choices=choices))
+    a one-line doc, and the ``(dotted field, bounds or choices)`` of its section
+    that any value but the default ``needs``.  A ``None`` default makes ``None``
+    valid too.  The metadata ``row`` is its :class:`FieldSpec` after the default."""
+    if needs is not None:
+        key, cond = needs
+        text = isinstance(cond, str)
+        when = f"{key} {cond if text else '= ' + ' / '.join(map(repr, cond))}"
+        needs = (key.rpartition(".")[2], when, None if text else cond,  # attribute, when, choices,
+                 *_bounds(cond if text else None))  # lo, lo_open, hi, hi_open
+    return field(default=default, metadata={"row": (kind, bounds, choices, doc, *_bounds(bounds), needs)})
 
 
 class _Section:
@@ -69,12 +86,13 @@ class TensorParallelConfig(_Section):
     size: int = _field(1, int, "GPUs per tensor-parallel group", ">= 1")
     mode: str = _field("none", str, "tensor-parallel layout; 'none' iff size 1, "
                        "'1d' when size > 1 is given alone", choices=TENSOR_MODES)
-    depth: int = _field(1, int, "2.5d only: the depth d of size = d*q^2", ">= 1")
+    depth: int = _field(1, int, "the depth d of size = d*q^2", ">= 1",
+                        needs=("parallel.tensor.mode", ("2.5d",)))
 
     @property
     def grid_dim(self) -> int:
         """Side ``q`` of the SUMMA grid: size = q^2 (2d), depth * q^2 (2.5d)."""
-        return math.isqrt(self.size // (self.depth if self.mode == "2.5d" else 1))
+        return math.isqrt(self.size // self.depth)  # depth is 1 outside 2.5d (its needs)
 
     @property
     def cube_dim(self) -> int:
@@ -85,9 +103,6 @@ class TensorParallelConfig(_Section):
         mode, size = self.mode, self.size
         if mode == "none" and size != 1:
             raise ConfigError(f"parallel.tensor.size must be 1 in tensor mode 'none', got {size}")
-        if mode != "2.5d" and self.depth != 1:
-            raise ConfigError(f"parallel.tensor.depth applies to 2.5d only: must be 1 in tensor "
-                              f"mode {mode!r}, got {self.depth}")
         if mode == "2d":
             fits, shape = self.grid_dim**2 == size, "a square GPU count"
         elif mode == "2.5d":
@@ -142,19 +157,20 @@ class SanitizeConfig(_Section):
     _implied = ("enabled", True)
 
     enabled: bool = _field(False, bool, "cross-rank collective call-spec checking")
-    checksum: bool = _field(False, bool, "payload CRCs on p2p and collective data")
-    race: bool = _field(False, bool, "arm the shared-buffer race detector")
-    record: Optional[str] = _field(None, str, "write each rank's op stream to this golden file")
-    replay: Optional[str] = _field(None, str, "conformance-check the run against this golden file")
+    checksum: bool = _field(False, bool, "payload CRCs on p2p and collective data",
+                            needs=("sanitize.enabled", (True,)))
+    race: bool = _field(False, bool, "arm the shared-buffer race detector",
+                        needs=("sanitize.enabled", (True,)))
+    record: Optional[str] = _field(None, str, "write each rank's op stream to this golden file",
+                                   needs=("sanitize.enabled", (True,)))
+    replay: Optional[str] = _field(None, str, "conformance-check the run against this golden "
+                                   "file", needs=("sanitize.enabled", (True,)))
 
     def _rules(self) -> None:
         if self.record is not None and self.replay is not None:
             raise ConfigError(
                 "sanitize.replay: sanitize.record and sanitize.replay are mutually "
                 "exclusive (one run either produces or consumes a golden file)")
-        if not self.enabled and (self.checksum or self.race or self.record is not None
-                                 or self.replay is not None):
-            raise ConfigError("sanitize.enabled must be true to use checksum/race/record/replay")
 
     def build(self) -> Any:
         """Instantiate the configured :class:`CommSanitizer` (raises
@@ -186,20 +202,15 @@ class ProjectionConfig(_Section):
 
     mode: str = _field("off", str, "'project' captures the launch and prices it at scale",
                        choices=("off", "project"))
-    target_world: Optional[int] = _field(None, int, "ranks to price at: a multiple of the "
-                                         "launch world size", ">= 1")
-    axes: Optional[Dict[str, int]] = _field(None, dict, "per-axis widening factors, "
-                                            "'dp' / 'tp' / 'pp' -> int >= 1")
+    target_world: Optional[int] = _field(None, int, "ranks to price at: a multiple of the launch "
+                                         "world size", ">= 1", needs=("project.mode", ("project",)))
+    axes: Optional[Dict[str, int]] = _field(None, dict, "per-axis widening factors, 'dp' / 'tp' "
+                                            "/ 'pp' -> int >= 1", needs=("project.mode", ("project",)))
 
     def _rules(self) -> None:
-        for name in ("target_world", "axes"):
-            if self.mode != "project" and getattr(self, name) is not None:
-                raise ConfigError(f"project.{name} requires project.mode='project'")
-        if self.axes is None:
-            return
-        if not self.axes:
+        if self.axes == {}:
             raise ConfigError("project.axes must be a non-empty mapping of axis name -> factor")
-        for name, k in self.axes.items():
+        for name, k in (self.axes or {}).items():
             if name not in ("dp", "tp", "pp"):
                 raise ConfigError(
                     f"project.axes: unknown axis {name!r}; valid axes: ['dp', 'pp', 'tp']")
@@ -328,8 +339,10 @@ class Config(_Section):
     autopar: AutoParConfig = field(default_factory=AutoParConfig)
     serve: ServeConfig = field(default_factory=ServeConfig)
     gradient_clipping: float = _field(0.0, float, "global gradient-norm clip; 0 disables", ">= 0")
-    num_microbatches: int = _field(1, int, "microbatches per step", ">= 1")
-    pipeline_schedule: str = _field("gpipe", str, "pipeline schedule", choices=PIPELINE_SCHEDULES)
+    num_microbatches: int = _field(1, int, "microbatches per step", ">= 1",
+                                   needs=("parallel.pipeline", "> 1"))
+    pipeline_schedule: str = _field("gpipe", str, "pipeline schedule", choices=PIPELINE_SCHEDULES,
+                                    needs=("parallel.pipeline", "> 1"))
     seed: int = _field(0, int, "seed of every parameter, data and dropout stream", ">= 0")
 
     @staticmethod
@@ -371,26 +384,23 @@ class Config(_Section):
 
     def infer_data_size(self, world_size: int) -> int:
         mp = self.model_parallel_size()
-        if world_size % mp != 0:
-            raise ValueError(
-                f"world size {world_size} not divisible by tensor*pipeline = {mp}"
-            )
-        data = world_size // mp
-        if self.data is not None and self.data != data:
-            raise ValueError(
-                f"configured data parallel size {self.data} inconsistent with "
-                f"world {world_size} / (tensor*pipeline) {mp} = {data}"
-            )
+        data, rest = divmod(world_size, mp)
+        if rest:
+            raise ConfigError(f"parallel: world size {world_size} not divisible by tensor*pipeline {mp}")
+        if self.data not in (None, data):
+            raise ConfigError(f"parallel.data {self.data} is inconsistent with world "
+                              f"{world_size} / (tensor*pipeline) {mp} = {data}")
         return data
 
 
 class FieldSpec(NamedTuple):
-    """One row of the field table; ``lo`` / ``hi`` are ``bounds`` parsed."""
+    """One row of the field table; ``lo`` / ``hi`` are ``bounds`` parsed, and
+    ``needs`` is the pair :func:`_field` parsed, or None where any value acts."""
 
     key: str  # dotted path in the input dict
     name: str  # attribute on the section
-    kind: type
     default: Any
+    kind: type
     bounds: Optional[str]
     choices: Optional[Tuple[Any, ...]]
     doc: str
@@ -398,25 +408,14 @@ class FieldSpec(NamedTuple):
     lo_open: bool
     hi: Optional[float]
     hi_open: bool
-
-
-def _bounds(text: Optional[str]) -> Tuple[Optional[float], bool, Optional[float], bool]:
-    """``(lo, lo_open, hi, hi_open)`` of ``">= 1"``, ``"> 0"`` or ``"(0, 1]"``."""
-    if text is None:
-        return None, False, None, False
-    if text[0] == ">":
-        return float(text.lstrip(">= ")), text[1] != "=", None, False
-    lo, hi = text[1:-1].split(", ")
-    return float(lo), text[0] == "(", float(hi), text[-1] == ")"
+    needs: Optional[Tuple[Any, ...]]
 
 
 #: section class -> its rows, built once at import
 _TABLE: Dict[type, Tuple[FieldSpec, ...]] = {
     cls: tuple(
-        FieldSpec(
-            f"{cls._key or ('parallel' if f.name in _PARALLEL else '')}.{f.name}".lstrip("."),
-            f.name, f.metadata["kind"], f.default, f.metadata["bounds"],
-            f.metadata["choices"], f.metadata["doc"], *_bounds(f.metadata["bounds"]))
+        FieldSpec(f"{cls._key or ('parallel' if f.name in _PARALLEL else '')}.{f.name}".lstrip("."),
+                  f.name, f.default, *f.metadata["row"])
         for f in fields(cls) if f.metadata)
     for cls in (TensorParallelConfig, Config) + _SECTIONS
 }
@@ -434,8 +433,8 @@ _KINDS = {bool: (bool, "a bool"), int: (numbers.Integral, "an int"),
 
 def _check(obj: _Section) -> None:
     """The one validator: coerce and check each of ``obj``'s fields against its
-    table row, then run the section's cross-field rules."""
-    for key, name, kind, default, bounds, choices, doc, lo, lo_open, hi, hi_open in _TABLE[type(obj)]:
+    table row and what it ``needs``, then run the section's cross-field rules."""
+    for key, name, default, kind, bounds, choices, doc, lo, lo_open, hi, hi_open, needs in _TABLE[type(obj)]:
         v = getattr(obj, name)
         if v is None and default is None:
             continue
@@ -452,6 +451,13 @@ def _check(obj: _Section) -> None:
                 or hi is not None and not (v < hi if hi_open else v <= hi)):
             where = bounds if bounds[0] == ">" else "in " + bounds
             raise ConfigError(f"{key} must be {where}, got {v!r} ({doc})")
+        if needs is not None and v != default:
+            other, when, choices, lo, lo_open, hi, hi_open = needs
+            w = getattr(obj, other)
+            if (choices is not None and w not in choices
+                    or lo is not None and not (w > lo if lo_open else w >= lo)
+                    or hi is not None and not (w < hi if hi_open else w <= hi)):
+                raise ConfigError(f"{key} requires {when}, not {w!r}: got {v!r} ({doc})")
     obj._rules()
 
 

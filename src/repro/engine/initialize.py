@@ -36,6 +36,9 @@ def launch(
 
     Every session kind is set up here, once, the same way:
 
+    * a training or projection session first checks the ``parallel`` layout
+      against the world (:meth:`Config.infer_data_size`), so a layout the
+      world cannot hold is a ``ConfigError`` before any rank starts;
     * the runtime is built over ``world_size`` ranks, or ``runtime`` is
       handed in, and the ``comm`` section is applied to it
       (:meth:`SpmdRuntime.apply_comm`).  A handed runtime keeps its own
@@ -94,6 +97,8 @@ def launch(
         return fn(ctx, pc)
 
     rt = runtime if runtime is not None else SpmdRuntime(cluster, world_size)
+    if not serving:
+        cfg.infer_data_size(rt.world_size)
     projecting = not serving and cfg.project.mode == "project"
     if projecting:
         factors = cfg.project.factors(rt.world_size)

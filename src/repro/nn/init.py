@@ -42,6 +42,11 @@ def ones_init(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     return np.ones(shape, dtype=np.float64)
 
 
+#: inits that never read ``rng``: each rank fills its own, past the draw table
+#: (they leave the generator where it was, so one rank repeats their key)
+_CONSTANT = (zeros_init, ones_init)
+
+
 @functools.cache
 def normal(std: float = 0.02) -> InitFn:
     def fn(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
@@ -95,7 +100,8 @@ def param_payload(
     and its generator the state the draw left behind — what drawing again
     would give it.  Ranks that draw alike reach a draw at the same turn (the
     count of their earlier draws), so a draw is kept only until every rank
-    has had that turn."""
+    has had that turn.  ``zeros_init`` / ``ones_init`` draw nothing and skip
+    the table."""
     rc = rank_context()
     if rc is not None and not rc.materialize:
         return SpecArray(shape, dtype)
@@ -103,7 +109,7 @@ def param_payload(
     dtype = np.dtype(dtype)
     if rng is None:
         rng = np.random.default_rng()  # fresh: no rank shares its state
-    elif rc is not None and rc.world_size > 1:
+    elif rc is not None and rc.world_size > 1 and init_fn not in _CONSTANT:
         runtime, bitgen, turns = rc.runtime, rng.bit_generator, rc.runtime.draw_turns
         key = (init_fn, shape, dtype, pickle.dumps(bitgen.state))
         turn = turns[rc._rank]

@@ -425,7 +425,7 @@ class TestConfigEmission:
         assert cs.config["fp16"] == {"enabled": True}
         base = Config.from_dict(dict(
             seed=7, fp16=dict(initial_scale=8.0), zero=dict(stage=2),
-            pipeline_schedule="1f1b", comm=dict(algorithm="tree"),
+            parallel=dict(pipeline=2), pipeline_schedule="1f1b", comm=dict(algorithm="tree"),
         ))
         planned, merged = Config.from_dict(cs.config).to_dict(), cs.apply_to(base).to_dict()
 

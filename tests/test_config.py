@@ -1,5 +1,7 @@
 """Tests for the configuration schema (Listing 1)."""
 
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -137,16 +139,55 @@ _T = dict(kind="open", rate=1.0, n_requests=1)
     (dict(autopar=dict(workload=dict(_W, n_layers=0))), "autopar.workload.n_layers"),
     (dict(autopar=dict(workload=dict(_W, seq_len=-1))), "autopar.workload.seq_len"),
     (dict(autopar=dict(workload=dict(_W, n_heads=3, hidden=8))), "autopar.workload.hidden"),
+    (dict(autopar=dict(workload=dict(_W, microbatches=3))), "autopar.workload"),  # no such key
     (dict(serve=dict(model=_M, traffic=dict(_T, rate=-5))), "serve.traffic.rate"),
     (dict(serve=dict(model=dict(_M, n_layer=2), traffic=_T)), "serve.model"),
-    # a depth its mode ignored
+    # a depth its mode ignored, a pipeline setting with no pipeline
     *[(dict(parallel=dict(tensor=dict(size=size, mode=mode, depth=2))), "parallel.tensor.depth")
       for size, mode in ((1, "none"), (2, "1d"), (4, "2d"), (8, "3d"), (4, "sequence"))],
+    (dict(num_microbatches=4), "num_microbatches"),
+    (dict(pipeline_schedule="1f1b"), "pipeline_schedule"),
 ])
 def test_probed_invalid_input_is_a_config_error_naming_the_field(d, key):
     with pytest.raises(ConfigError) as info:
         Config.from_dict(d)
     assert key in str(info.value)
+
+
+@pytest.mark.parametrize("parallel, start", [(dict(data=3), "parallel.data "),
+                                             (dict(pipeline=3), "parallel: ")])
+def test_launch_refuses_a_layout_the_world_cannot_hold_before_any_rank(parallel, start):
+    from repro.cluster import system_i
+    from repro.engine import launch
+
+    started = []
+    with pytest.raises(ConfigError) as info:
+        launch(dict(parallel=parallel), system_i(), lambda ctx, pc: started.append(ctx.rank),
+               world_size=4)
+    assert str(info.value).startswith(start) and not started
+
+
+@pytest.mark.parametrize("d, budget", [
+    ({}, 27),
+    (dict(parallel=dict(tensor=dict(size=2, mode="1d"), pipeline=2, data=2), num_microbatches=4,
+          pipeline_schedule="1f1b", zero=dict(stage=1), fp16=dict(enabled=True),
+          comm=dict(algorithm="ring", overlap=False)), 36),
+])
+def test_from_dict_makes_no_call_per_field(d, budget):
+    """``_check`` walks each section's rows, ``needs`` included, in one loop:
+    the ``repro`` frames of a parse are a count per section, not per field."""
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call" and f"{os.sep}repro{os.sep}" in frame.f_code.co_filename:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(count)
+    try:
+        Config.from_dict(d)
+    finally:
+        sys.setprofile(None)
+    assert len(calls) <= budget, calls
 
 
 def test_int_is_accepted_as_float_and_stored_as_float():
@@ -237,20 +278,32 @@ def _invalid(s):
     return st.sampled_from(bad)
 
 
+def _holds(needs, w):
+    """Whether the value ``w`` of the field a ``needs`` column names meets its condition."""
+    _, _, choices, lo, lo_open, hi, hi_open = needs
+    return ((choices is None or w in choices) and (lo is None or (w > lo if lo_open else w >= lo))
+            and (hi is None or (w < hi if hi_open else w <= hi)))
+
+
+def _needed(spec):
+    """The row of the field ``spec`` needs: its ``when`` starts with that dotted key."""
+    key = spec.needs[1].split()[0]
+    return next(s for s in FIELDS if s.key == key)
+
+
 def _nest(flat):
     """A flat ``{dotted key: value}`` draw in the ``from_dict`` input shape,
-    with the cross-field rules satisfied."""
+    with the cross-field rules satisfied: a field whose ``needs`` fails keeps
+    its default."""
     flat = dict(flat)
     size, mode, depth = flat.pop("tensor_shape")
     flat.update({"parallel.tensor.size": size, "parallel.tensor.mode": mode,
                  "parallel.tensor.depth": depth})
-    if not flat["sanitize.enabled"]:
-        flat.update({"sanitize.checksum": False, "sanitize.race": False,
-                     "sanitize.record": None, "sanitize.replay": None})
+    for s in FIELDS:
+        if s.needs is not None and not _holds(s.needs, flat[_needed(s).key]):
+            flat[s.key] = s.default
     if flat["sanitize.record"] is not None:
         flat["sanitize.replay"] = None
-    if flat["project.mode"] != "project":
-        flat.update({"project.target_world": None, "project.axes": None})
     if flat["autopar.workload"] is None:
         flat["autopar.enabled"] = False
     if None in (flat["serve.model"], flat["serve.traffic"]):
@@ -297,6 +350,64 @@ def test_every_invalid_draw_is_a_config_error_naming_its_field(flat, data):
     assert spec.key in str(info.value)
 
 
+@pytest.mark.parametrize("spec", [s for s in FIELDS if s.needs], ids=lambda s: s.key)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_a_needs_row_refuses_a_value_exactly_when_its_condition_fails(spec, data):
+    """Over the defaults, a valid value other than the default is a
+    ``ConfigError`` starting with its key while the field it needs fails the
+    condition, and builds once that field meets it."""
+    value = data.draw(_valid(spec).filter(lambda v: v != spec.default))
+    needed = _needed(spec)
+    assert FIELDS.index(needed) < FIELDS.index(spec)  # checked before it is read
+    # the needed field's values: its choices (or a bool's), or, for a lower
+    # bound (no row has an upper one), ints from 1 to past the bound
+    assert spec.needs[5] is None
+    values = (needed.choices or (False, True)) if spec.needs[2] else range(1, int(spec.needs[3]) + 3)
+    for holds in (False, True):
+        w = data.draw(st.sampled_from([w for w in values if _holds(spec.needs, w) is holds]))
+        flat = {needed.key: w, spec.key: value}
+        if needed.key == "parallel.tensor.mode":  # a size the mode can lay out
+            flat["parallel.tensor.size"] = {"none": 1, "2d": 4, "2.5d": 4 * value, "3d": 8}.get(w, 2)
+        if holds:
+            Config.from_dict(_shape(flat))
+        else:
+            with pytest.raises(ConfigError) as info:
+                Config.from_dict(_shape(flat))
+            assert str(info.value).startswith(f"{spec.key} requires {spec.needs[1]}")
+
+
+def _pipelined_step(**fields):
+    """A two-stage spec-mode step launched from ``parallel.pipeline=2`` and
+    ``fields`` through ``initialize``: the slowest rank's seconds and the
+    largest pool peak."""
+    from repro.cluster import uniform_cluster
+    from repro.comm.payload import SpecArray
+    from repro.engine import initialize, launch
+    from repro.nn import Linear, Sequential
+    from repro.optim import Adam
+
+    def prog(ctx, pc):
+        stage = Sequential([Linear(64, 64) for _ in range(2)])
+        engine = initialize(stage, Adam(stage.parameters()), lambda out, y: out.sum(), pc=pc)
+        engine.execute_schedule(SpecArray((8, 64)) if pc.is_first_pipeline_stage() else None)
+        engine.step()
+        return ctx.clock.time, ctx.device.memory.peak
+
+    ranks = launch(dict(parallel=dict(pipeline=2), **fields), uniform_cluster(2), prog,
+                   world_size=2, materialize=False)
+    return tuple(max(col) for col in zip(*ranks))
+
+
+def test_the_pipeline_fields_act_at_two_stages():
+    """Where the column lets them through, each pipeline field changes the
+    launched step: the microbatch count from the base, the schedule at four
+    microbatches (at one, GPipe and 1F1B run the same order)."""
+    four = _pipelined_step(num_microbatches=4)
+    assert four != _pipelined_step()
+    assert _pipelined_step(num_microbatches=4, pipeline_schedule="1f1b") != four
+
+
 def test_readme_reference_is_the_field_table():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Configuration reference", 1)[1].split("\n## ", 1)[0]
@@ -305,6 +416,7 @@ def test_readme_reference_is_the_field_table():
     def row(s):
         kind = s.kind.__name__ + (" or None" if s.default is None else "")
         allowed = s.bounds or " / ".join(f"`{c!r}`" for c in s.choices or ()) or "—"
-        return f"| `{s.key}` | {kind} | `{s.default!r}` | {allowed} | {s.doc} |"
+        when = f"`{s.needs[1]}`" if s.needs else "—"
+        return f"| `{s.key}` | {kind} | `{s.default!r}` | {allowed} | {when} | {s.doc} |"
 
     assert rows == [row(s) for s in FIELDS]

@@ -402,7 +402,7 @@ class TestInitializers:
             world.barrier()
             held = None
             if ctx.rank == 0:  # every rank is past every draw: the next miss drops them
-                init_mod.param_payload((2,), init_mod.zeros_init, np.random.default_rng(0))
+                init_mod.param_payload((2,), init_mod.normal(), np.random.default_rng(0))
                 held = len(ctx.runtime.draws)
             return [p.payload.copy() for m in layers for p in m.parameters()], states, held
 
@@ -427,8 +427,7 @@ class TestInitializers:
             assert states == ref_states
 
         # a model asking the init factories per build (GPT's position embedding and
-        # head) keys each distinct draw once, at most one draw per turn (a key a rank
-        # repeats, a zero bias then a norm's beta, may be drawn again once all are past)
+        # head) keys each distinct draw once, at most one draw per turn
         cfg = GPTConfig(vocab_size=64, hidden_size=32, n_layers=2, n_heads=4, seq_len=8,
                         dtype="float32")
         ref = [p.payload for p in build_gpt(cfg).parameters()]
@@ -447,6 +446,37 @@ class TestInitializers:
         assert len(drawn) <= len(ref)
         for params in results:
             assert [(p.dtype, p.tobytes()) for p in params] == [(w.dtype, w.tobytes()) for w in ref]
+
+
+    def test_constant_inits_skip_the_draw_table(self):
+        """``zeros_init`` / ``ones_init`` never move the generator, so a rank
+        drawing one twice at one width would repeat its key: they skip the
+        table, and their bits and the generator stay what they were."""
+        from repro.runtime import SpmdRuntime
+
+        drawn = []
+
+        class Logged(dict):
+            def __setitem__(self, key, value):
+                drawn.append(key), super().__setitem__(key, value)
+
+        def prog(ctx):
+            rng = np.random.default_rng(5)
+            out = [init_mod.param_payload((8,), init, rng)
+                   for init in (init_mod.zeros_init, init_mod.zeros_init, init_mod.ones_init,
+                                init_mod.normal(), init_mod.ones_init)]
+            return out, rng.bit_generator.state
+
+        rt = SpmdRuntime(uniform_cluster(2))
+        rt.draws = Logged()
+        results = rt.run(prog)
+        assert [k[0] for k in drawn] == [init_mod.normal()]
+        ref = np.random.default_rng(5)
+        want = [np.zeros(8, np.float32), np.zeros(8, np.float32), np.ones(8, np.float32),
+                init_mod.normal()((8,), ref).astype(np.float32), np.ones(8, np.float32)]
+        for out, state in results:
+            assert [(a.dtype, a.tobytes()) for a in out] == [(w.dtype, w.tobytes()) for w in want]
+            assert state == ref.bit_generator.state
 
 
 class TestLayers:
