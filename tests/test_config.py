@@ -139,7 +139,6 @@ _T = dict(kind="open", rate=1.0, n_requests=1)
     (dict(autopar=dict(workload=dict(_W, n_layers=0))), "autopar.workload.n_layers"),
     (dict(autopar=dict(workload=dict(_W, seq_len=-1))), "autopar.workload.seq_len"),
     (dict(autopar=dict(workload=dict(_W, n_heads=3, hidden=8))), "autopar.workload.hidden"),
-    (dict(autopar=dict(workload=dict(_W, microbatches=3))), "autopar.workload"),  # no such key
     (dict(serve=dict(model=_M, traffic=dict(_T, rate=-5))), "serve.traffic.rate"),
     (dict(serve=dict(model=dict(_M, n_layer=2), traffic=_T)), "serve.model"),
     # a depth its mode ignored, a pipeline setting with no pipeline
@@ -147,6 +146,8 @@ _T = dict(kind="open", rate=1.0, n_requests=1)
       for size, mode in ((1, "none"), (2, "1d"), (4, "2d"), (8, "3d"), (4, "sequence"))],
     (dict(num_microbatches=4), "num_microbatches"),
     (dict(pipeline_schedule="1f1b"), "pipeline_schedule"),
+    # a nested key the workload does not have
+    (dict(autopar=dict(workload=dict(_W, microbatches=3))), "autopar.workload"),
 ])
 def test_probed_invalid_input_is_a_config_error_naming_the_field(d, key):
     with pytest.raises(ConfigError) as info:
