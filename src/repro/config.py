@@ -378,6 +378,13 @@ class Config(_Section):
             if type(value) is not section:
                 raise ConfigError(f"{key} must be a {section.__name__}, got {value!r}")
             _check(value)
+        # a serving session runs the world as one tensor-parallel replica;
+        # ``launch`` checks ``parallel.tensor.size`` against the world
+        if self.serve.enabled:
+            for key, value in (("parallel.pipeline", self.pipeline), ("parallel.data", self.data)):
+                if value not in (None, 1):
+                    raise ConfigError(f"{key} must be 1 in a serving session (the world serves "
+                                      f"as one tensor-parallel replica), got {value}")
 
     def model_parallel_size(self) -> int:
         return self.tensor.size * self.pipeline

@@ -38,7 +38,10 @@ def launch(
 
     * a training or projection session first checks the ``parallel`` layout
       against the world (:meth:`Config.infer_data_size`), so a layout the
-      world cannot hold is a ``ConfigError`` before any rank starts;
+      world cannot hold is a ``ConfigError`` before any rank starts; a
+      serving session, whose world is one tensor-parallel replica, refuses
+      a ``parallel.tensor.size`` other than 1 or the world (``Config``
+      itself refuses a ``pipeline`` or ``data`` above 1 there);
     * the runtime is built over ``world_size`` ranks, or ``runtime`` is
       handed in, and the ``comm`` section is applied to it
       (:meth:`SpmdRuntime.apply_comm`).  A handed runtime keeps its own
@@ -99,6 +102,10 @@ def launch(
     rt = runtime if runtime is not None else SpmdRuntime(cluster, world_size)
     if not serving:
         cfg.infer_data_size(rt.world_size)
+    elif cfg.tensor.size not in (1, rt.world_size):
+        raise ConfigError(
+            f"parallel.tensor.size must be 1 or the world size {rt.world_size} in a serving "
+            f"session (the world serves as one tensor-parallel replica), got {cfg.tensor.size}")
     projecting = not serving and cfg.project.mode == "project"
     if projecting:
         factors = cfg.project.factors(rt.world_size)

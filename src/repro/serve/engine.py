@@ -22,8 +22,9 @@ Fault tolerance: a :class:`RankFailure` or :class:`CollectiveTimeout`
 ends the attempt; :meth:`ServeEngine.run` records a typed
 :class:`FailureEvent`, charges ``recovery_seconds`` of downtime to every
 clock and rebuilds the replica from the completion records — written
-only once the all-reduce of the step that finished them completed — so
-in-flight requests replay from scratch and rank loss shows up in the
+only for requests ended by a step whose all-reduce completed, in batches
+whose outputs are drawn together, and for the rest when the attempt ends
+— so in-flight requests replay from scratch and rank loss shows up in the
 report as a p99/goodput hit, not a crash.
 """
 
@@ -42,12 +43,15 @@ from repro.runtime.errors import (
     CollectiveTimeout, RankFailure, RemoteRankError,
 )
 from repro.serve.kvcache import BlockPool
-from repro.serve.request import Request, RequestRecord
+from repro.serve.request import FINISHED, Request, RequestRecord, draw_outputs
 from repro.serve.scheduler import BatchPlan, ContinuousBatchingScheduler
 from repro.serve.traffic import FailureEvent, TrafficReport
 
 _KV_TAG = "kv_cache"
 _SUM = {"reduce_op": "sum"}
+#: finished requests a replica holds before it writes their records: one
+#: output draw per this many requests, and no attempt's worth held at once
+_RECORD_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -126,6 +130,9 @@ class _Replica:
             vocab=engine.model.vocab)
         self.traffic = engine.traffic
         self.records = records
+        #: requests an applied step finished or failed, in that order, whose
+        #: records are not written yet (``write_records``)
+        self.done: List[Request] = []
         self.tracer = getattr(engine.runtime, "tracer", None)
         for req in sorted(self.traffic.outstanding(records),
                           key=attrgetter("arrival", "req_id")):
@@ -144,11 +151,14 @@ class _Replica:
             finished, prefilled = sched.apply(plan, now)
             if self.tracer is not None:
                 self._emit_spans(plan, finished, prefilled, now)
+            done = self.done
             for req in plan.failed + finished:
-                self.records[req.req_id] = req.record()
+                done.append(req)
                 follow_up = self.traffic.next_request(req, now)
                 if follow_up is not None:
                     sched.submit(follow_up)
+            if len(done) >= _RECORD_BATCH:
+                self.write_records()
 
         plan = sched.step(now)
         if not (plan.prefill or plan.decode or plan.failed or plan.preempted):
@@ -156,6 +166,16 @@ class _Replica:
             return None
         self._plan, self._planned_at = plan, now
         return plan
+
+    def write_records(self) -> None:
+        """Record every request in ``done``, the finished ones' outputs
+        drawn together (one jump-ahead), and empty it.  Called every
+        ``_RECORD_BATCH`` requests and when the attempt ends."""
+        draw_outputs([r for r in self.done if r.state == FINISHED],
+                     self.sched.vocab)
+        for req in self.done:
+            self.records[req.req_id] = req.record()
+        self.done.clear()
 
     def _emit_spans(self, plan: BatchPlan, finished: List[Request],
                     prefilled: List[Request], t: float) -> None:
@@ -175,7 +195,7 @@ class _Replica:
         for req in finished:
             t0 = req.t_prefill_done if req.t_prefill_done is not None else now
             tracer.annotate(0, "serve", f"decode/req{req.req_id}",
-                            t0, t, tokens=len(req.output))
+                            t0, t, tokens=req.max_new_tokens)
 
 
 class ServeEngine:
@@ -247,6 +267,7 @@ class ServeEngine:
                     clock.sync_to(t_fail + self.recovery_seconds, "wait")
             finally:
                 kv_peak_blocks = max(kv_peak_blocks, replica.pool.peak_used)
+                replica.write_records()
         return TrafficReport(
             records,
             traffic=self.traffic.describe(),

@@ -17,12 +17,23 @@ deterministic LCG chain seeded by ``(gen_seed, req_id, prompt_tokens)``
 — any bookkeeping bug across a preempt/requeue (wrong resume position,
 stale progress, lost reset) diverges the replayed chain and is caught by
 the ``serving`` property lane's bitwise output comparison.
+
+The chain is a pure function of its seed and the token count, so no
+token is drawn while a request runs (its progress is an offset from its
+scheduler's decode tick).  :func:`draw_outputs` draws all
+``max_new_tokens`` of any number of finished requests at once, by a
+jump-ahead over ``uint64``; the serving engine calls it when it writes a
+batch of completion records, so until then a finished request's
+``output`` is empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from operator import attrgetter
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 QUEUED = "queued"
 PREFILL = "prefill"
@@ -44,10 +55,10 @@ class Request:
 
     __slots__ = (
         "req_id", "client", "prompt_tokens", "max_new_tokens", "arrival",
-        "state", "prefill_done", "tokens_generated", "kv_slots", "output",
+        "state", "prefill_done", "kv_slots", "output",
         "preemptions", "fail_reason",
         "t_admitted", "t_first_token", "t_prefill_done", "t_last_preempt",
-        "t_finished", "_gen_state",
+        "t_finished", "_gen_state", "_seq", "_offset",
     )
 
     def __init__(self, req_id: int, prompt_tokens: int, max_new_tokens: int,
@@ -64,11 +75,11 @@ class Request:
         self.arrival = float(arrival)
         self.state = QUEUED
         self.prefill_done = 0
-        self.tokens_generated = 0
         #: KV capacity already allocated to this request, in token slots —
         #: ``len(pool.table(req_id)) * block_size`` while active, else 0;
         #: the scheduler touches the pool only when a token outgrows it
         self.kv_slots = 0
+        #: drawn whole after the request finishes (``draw_outputs``)
         self.output: List[int] = []
         self.preemptions = 0
         self.fail_reason: Optional[str] = None
@@ -78,6 +89,12 @@ class Request:
         self.t_last_preempt: Optional[float] = None
         self.t_finished: Optional[float] = None
         self._gen_state = 0
+        #: the scheduler's admission counter at this admission: ``active``
+        #: and ``decoding`` are sorted by it
+        self._seq = 0
+        #: while DECODE, tokens generated = the scheduler's decode tick
+        #: minus this offset
+        self._offset = 0
 
     # -- token generation ------------------------------------------------
 
@@ -91,6 +108,7 @@ class Request:
         self._gen_state = (state * _GEN_MUL + _GEN_ADD) & _MASK64
 
     def next_token(self, vocab: int) -> int:
+        """One draw of the chain: what ``draw_outputs`` jumps over."""
         self._gen_state = (self._gen_state * _GEN_MUL + _GEN_ADD) & _MASK64
         return int((self._gen_state >> 33) % vocab)
 
@@ -100,33 +118,48 @@ class Request:
         """Recompute-style preemption: discard every generated token."""
         self.state = PREEMPTED
         self.prefill_done = 0
-        self.tokens_generated = 0
         self.kv_slots = 0
-        self.output = []
         self.preemptions += 1
         self.t_last_preempt = t
 
     def record(self) -> "RequestRecord":
+        # positional, in field order: the engine writes one per request
         return RequestRecord(
-            req_id=self.req_id,
-            client=self.client,
-            prompt_tokens=self.prompt_tokens,
-            max_new_tokens=self.max_new_tokens,
-            arrival=self.arrival,
-            t_first_token=self.t_first_token,
-            t_finished=self.t_finished,
-            output=tuple(self.output),
-            preemptions=self.preemptions,
-            fail_reason=self.fail_reason,
-        )
+            self.req_id, self.client, self.prompt_tokens, self.max_new_tokens,
+            self.arrival, self.t_first_token, self.t_finished,
+            tuple(self.output), self.preemptions, self.fail_reason)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"Request(id={self.req_id}, state={self.state}, "
                 f"prompt={self.prompt_tokens}, new={self.max_new_tokens}, "
-                f"gen={self.tokens_generated})")
+                f"prefilled={self.prefill_done})")
 
 
-@dataclass(frozen=True)
+def draw_outputs(requests: Sequence[Request], vocab: int) -> None:
+    """Set each request's ``output`` to the ``max_new_tokens`` tokens that
+    as many ``next_token`` calls after ``start_generation`` return, for all
+    of them at once.  Chain states are left where they are."""
+    if not requests:
+        return
+    # the state k + 1 draws after s is mul[k] * s + add[k] (mod 2**64)
+    n = max(map(attrgetter("max_new_tokens"), requests))
+    mul, add, a, c = [], [], 1, 0
+    for _ in range(n):
+        a = (a * _GEN_MUL) & _MASK64
+        c = (c * _GEN_MUL + _GEN_ADD) & _MASK64
+        mul.append(a)
+        add.append(c)
+    seeds = np.fromiter(map(attrgetter("_gen_state"), requests), np.uint64,
+                        len(requests))
+    states = np.multiply.outer(seeds, np.array(mul, np.uint64))  # wraps
+    states += np.array(add, np.uint64)
+    states >>= 33
+    states %= vocab
+    for row, req in zip(states, requests):
+        req.output = row[:req.max_new_tokens].tolist()
+
+
+@dataclass(frozen=True, init=False)
 class RequestRecord:
     """Immutable completion record — what the traffic report aggregates.
 
@@ -145,7 +178,7 @@ class RequestRecord:
     arrival: float
     t_first_token: Optional[float]
     t_finished: Optional[float]
-    output: Tuple[int, ...] = field(default_factory=tuple)
+    output: Tuple[int, ...] = ()
     preemptions: int = 0
     fail_reason: Optional[str] = None
     completed: bool = field(init=False, repr=False, compare=False)
@@ -155,20 +188,27 @@ class RequestRecord:
     token_latency: Optional[float] = field(
         init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        completed = self.fail_reason is None and self.t_finished is not None
-        first = self.t_first_token
+    def __init__(self, req_id: int, client: int, prompt_tokens: int,
+                 max_new_tokens: int, arrival: float,
+                 t_first_token: Optional[float], t_finished: Optional[float],
+                 output: Tuple[int, ...] = (), preemptions: int = 0,
+                 fail_reason: Optional[str] = None) -> None:
+        completed = fail_reason is None and t_finished is not None
         ttft = token_latency = None
-        if first is not None:
-            ttft = first - self.arrival
+        if t_first_token is not None:
+            ttft = t_first_token - arrival
             if completed:
-                n = len(self.output)
+                n = len(output)
                 token_latency = (
-                    (self.t_finished - first) / (n - 1) if n > 1 else 0.0)
-        setattr_ = object.__setattr__  # frozen: as the generated __init__ sets
-        setattr_(self, "completed", completed)
-        setattr_(self, "ttft", ttft)
-        setattr_(self, "token_latency", token_latency)
+                    (t_finished - t_first_token) / (n - 1) if n > 1 else 0.0)
+        # frozen: one ``__dict__`` update, where the generated __init__
+        # pays an ``object.__setattr__`` call per field
+        self.__dict__.update(
+            req_id=req_id, client=client, prompt_tokens=prompt_tokens,
+            max_new_tokens=max_new_tokens, arrival=arrival,
+            t_first_token=t_first_token, t_finished=t_finished,
+            output=output, preemptions=preemptions, fail_reason=fail_reason,
+            completed=completed, ttft=ttft, token_latency=token_latency)
 
     def to_dict(self) -> dict:
         return {

@@ -5,8 +5,10 @@ the next model iteration (vLLM-style continuous batching — the batch is
 recomposed every step, requests join and leave mid-flight):
 
 1. **Decode first.**  Every running sequence contributes one token slot,
-   in admission order, until the token budget runs out.  Latency beats
-   throughput: a queued prompt never starves a stream mid-generation.
+   in admission order.  They always fit the token budget: a request joins
+   the running set only when its last prefill chunk, planned from the
+   budget the running ones left, completes.  Latency beats throughput: a
+   queued prompt never starves a stream mid-generation.
 2. **Prefill second.**  Admitted-but-unprefilled requests consume the
    leftover budget in chunks of ``prefill_chunk`` tokens.
 3. **Admission last.**  Preempted requests re-enter first (FIFO over
@@ -21,6 +23,19 @@ makes progress — that is the liveness argument, together with the
 admission-time :class:`~repro.serve.kvcache.RequestTooLarge` check that
 keeps unservable requests out entirely.
 
+A turn costs work per request only where that request's state changes.
+The decode batch is a copy of ``decoding`` (the DECODE subset of
+``active``), and a running request's progress is an offset from the
+scheduler's decode tick, which :meth:`apply` advances once for all of
+them.  Two tick-keyed indexes name the requests with an event: ``_grows``
+the ones whose next token crosses ``kv_slots`` (one ``appended`` call
+each, in admission order), ``_ends`` the ones decoding their last token.
+A preemption takes the victim out of both.  No token is drawn here:
+:meth:`apply` returns finished requests with an empty ``output``, and
+:func:`~repro.serve.request.draw_outputs` draws any number of them at
+once.  Plans, block ids and outputs are the ones a per-token walk over
+``active`` produces.
+
 The scheduler is single-threaded, clockless and RNG-free: every decision
 is a pure function of (queue state, ``now``), which is what makes the
 engine's per-seed bitwise determinism — and the hypothesis lane over
@@ -33,12 +48,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from operator import attrgetter
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.serve.kvcache import BlockPool, CacheExhausted
-from repro.serve.request import (
-    _GEN_ADD, _GEN_MUL, _MASK64, DECODE, FAILED, FINISHED, PREFILL, Request,
-)
+from repro.serve.request import DECODE, FAILED, FINISHED, PREFILL, Request
+
+_ADMISSION = attrgetter("_seq")
 
 
 class BatchPlan:
@@ -63,12 +79,13 @@ class BatchPlan:
     def _drop(self, req: Request) -> None:
         """Remove a just-preempted request from this plan's work lists.
 
-        Victims are the tail of ``active`` and both passes of ``step``
-        walk ``active`` front to back, so a victim was either not reached
-        yet (in no list) or — a decoding request evicted by an older
-        prompt's prefill chunk — is the last decode entry; a prefill
-        entry is never evicted.  ``context_tokens`` keeps the victim's
-        share (simulated step times are frozen, ``tests/serve_golden.json``).
+        Victims are the tail of ``active``.  The decode pass evicts before
+        it reads its batch (all of ``decoding``, in ``active``'s order),
+        so a victim is either in no list yet or — a decoding request
+        evicted by an older prompt's prefill chunk — the last decode
+        entry; a prefill entry is never evicted.  ``context_tokens`` keeps
+        the victim's share (simulated step times are frozen,
+        ``tests/serve_golden.json``).
         """
         if self.decode and self.decode[-1] is req:
             self.decode.pop()
@@ -118,6 +135,21 @@ class ContinuousBatchingScheduler:
         #: appends, ``apply`` and ``_preempt`` remove, so the prefill pass
         #: walks only these
         self.prefilling: List[Request] = []
+        #: the DECODE requests of ``active``, in its order (sorted by
+        #: ``_seq``): ``apply`` inserts and removes, ``_preempt`` pops
+        self.decoding: List[Request] = []
+        #: one per ``apply``: a DECODE request has generated ``_tick -
+        #: req._offset`` tokens
+        self._tick = 0
+        #: ``prompt_tokens - _offset`` summed over ``decoding``, so that the
+        #: decode pass's context is ``len(decoding) * _tick`` plus this
+        self._context_base = 0
+        #: tick -> DECODE requests whose token at that tick's step needs a
+        #: new KV block (``prompt + generated == kv_slots``, or more)
+        self._grows: Dict[int, List[Request]] = {}
+        #: tick -> DECODE requests whose token at that tick is their last
+        self._ends: Dict[int, List[Request]] = {}
+        self._admissions = 0
         self._now = 0.0
 
     # -- queue management ------------------------------------------------
@@ -151,29 +183,39 @@ class ContinuousBatchingScheduler:
         pool = self.pool
         block_size = pool.block_size
         # Preemption only ever pops the tail of `active` (and of
-        # `prefilling`), so both passes walk by index and re-read the
-        # length: an evicted request is simply never reached.
+        # `prefilling`), so the prefill pass walks by index and re-reads
+        # the length: an evicted request is simply never reached.
         active = self.active
 
-        # 1) decode: one token per running sequence, oldest first
-        i = 0
-        while i < len(active) and budget > 0:
-            req = active[i]
-            i += 1
-            if req.state != DECODE:
-                continue
-            context = req.prompt_tokens + req.tokens_generated
-            if context >= req.kv_slots:
+        # 1) decode: one token per running sequence, oldest first.  All of
+        # `decoding` fits the budget (module docstring), so only the
+        # requests with a block to grow cost work here.
+        tick = self._tick
+        decoding = self.decoding
+        due = self._grows.pop(tick, None)
+        if due is not None:
+            due.sort(key=_ADMISSION)
+            for req in due:
+                if req.state != DECODE:
+                    continue  # evicted by an older request's growth
+                context = req.prompt_tokens + tick - req._offset
                 try:
                     req.kv_slots += block_size * pool.appended(
                         req.req_id, context + 1)
                 except CacheExhausted:
                     if not self._grow(req, context + 1, plan):
                         continue  # req preempted itself
-            plan.decode.append(req)
-            plan.new_tokens += 1
-            plan.context_tokens += context
-            budget -= 1
+                # due again if it outgrows the new blocks before its last
+                span = max(req.kv_slots - req.prompt_tokens, 1)
+                if span < req.max_new_tokens:
+                    self._grows.setdefault(req._offset + span, []).append(req)
+        if decoding:
+            # an eviction pops `decoding`'s tail, so the batch is read last
+            n = len(decoding)
+            plan.decode = decoding[:]
+            plan.new_tokens = n
+            plan.context_tokens = n * tick + self._context_base
+            budget -= n
 
         # 2) prefill for already-admitted prompts
         prefilling = self.prefilling
@@ -212,6 +254,8 @@ class ContinuousBatchingScheduler:
             req.state = PREFILL
             req.prefill_done = 0
             req.t_admitted = now
+            req._seq = self._admissions
+            self._admissions += 1
             req.start_generation(self.gen_seed, self.vocab)
             active.append(req)
             prefilling.append(req)
@@ -261,6 +305,15 @@ class ContinuousBatchingScheduler:
         self.active.pop()  # victims are always the youngest
         if req.state == PREFILL:
             self.prefilling.pop()  # ... and so the youngest prefilling
+        elif req.state == DECODE:
+            self.decoding.pop()  # ... or the youngest decoding
+            offset = req._offset
+            self._context_base -= req.prompt_tokens - offset
+            self._ends[offset + req.max_new_tokens - 1].remove(req)
+            span = max(req.kv_slots - req.prompt_tokens, 1)
+            # a growth due now was popped by this step's decode pass
+            if span < req.max_new_tokens and offset + span > self._tick:
+                self._grows[offset + span].remove(req)
         req.reset_progress(t=self._now)
         plan._drop(req)
         plan.preempted.append(req)
@@ -273,13 +326,15 @@ class ContinuousBatchingScheduler:
         """Apply ``plan``'s transitions at completion time ``t``.
 
         Returns ``(finished, prefill_completed)`` — requests that produced
-        their last token this step, and requests whose prompt finished
+        their last token this step (their ``output`` is for
+        ``draw_outputs`` to fill), and requests whose prompt finished
         processing this step (these also emit their first output token).
         """
         for req in plan.failed:
             req.t_finished = t  # failure time, so closed-loop chains go on
 
-        vocab = self.vocab
+        tick = self._tick
+        decoding = self.decoding
         finished: List[Request] = []
         prefill_completed: List[Request] = []
 
@@ -290,21 +345,35 @@ class ContinuousBatchingScheduler:
                 self.prefilling.remove(req)
                 req.t_prefill_done = t
                 prefill_completed.append(req)
-                req.output.append(req.next_token(vocab))
-                req.tokens_generated += 1
                 if req.t_first_token is None:  # kept across preemptions
                     req.t_first_token = t
-                if req.tokens_generated >= req.max_new_tokens:
-                    finished.append(req)
+                last = req.max_new_tokens
+                if last == 1:
+                    finished.append(req)  # its first token is its last
+                    continue
+                # one token out: it joins `decoding` at offset `tick`, in
+                # admission order (a younger prompt may have finished first)
+                req._offset = tick
+                i = len(decoding)
+                while i and decoding[i - 1]._seq > req._seq:
+                    i -= 1
+                decoding.insert(i, req)
+                self._context_base += req.prompt_tokens - tick
+                self._ends.setdefault(tick + last - 1, []).append(req)
+                span = max(req.kv_slots - req.prompt_tokens, 1)
+                if span < last:
+                    self._grows.setdefault(tick + span, []).append(req)
 
-        # the per-token hot loop: Request.next_token, inlined
-        for req in plan.decode:
-            state = (req._gen_state * _GEN_MUL + _GEN_ADD) & _MASK64
-            req._gen_state = state
-            req.output.append((state >> 33) % vocab)
-            req.tokens_generated += 1
-            if req.tokens_generated >= req.max_new_tokens:
-                finished.append(req)
+        # every request of plan.decode made one token; those that made
+        # their last leave, in plan.decode's order
+        ends = self._ends.pop(tick, None)
+        if ends is not None:
+            ends.sort(key=_ADMISSION)
+            for req in ends:
+                decoding.remove(req)
+                self._context_base -= req.prompt_tokens - req._offset
+            finished += ends
+        self._tick = tick + 1
 
         for req in finished:
             req.state = FINISHED

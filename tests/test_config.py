@@ -155,6 +155,40 @@ def test_probed_invalid_input_is_a_config_error_naming_the_field(d, key):
     assert key in str(info.value)
 
 
+_SERVE = dict(model=dict(n_layers=1, hidden=8, n_heads=2), kv_blocks=64,
+              traffic=dict(kind="open", rate=100.0, n_requests=4))
+
+
+@pytest.mark.parametrize("parallel, key", [
+    (dict(pipeline=3), "parallel.pipeline"),
+    (dict(tensor=dict(size=2, mode="1d"), data=7), "parallel.data"),
+    (dict(tensor=dict(size=2, mode="1d")), "parallel.tensor.size"),
+])
+def test_a_serving_session_refuses_the_layout_it_ignores(parallel, key, monkeypatch):
+    """The serving engine runs the world as one tensor-parallel replica, so a
+    layout of stages, replicas or a smaller tensor group is refused by name
+    before the engine runs (these layouts used to serve the same report as
+    no ``parallel`` section at all)."""
+    from repro.cluster import uniform_cluster
+    from repro.engine import launch
+    from repro.serve import ServeEngine
+
+    ran = []
+    monkeypatch.setattr(ServeEngine, "run", lambda engine: ran.append(engine))
+    with pytest.raises(ConfigError) as info:
+        launch(dict(serve=_SERVE, parallel=parallel), uniform_cluster(4), world_size=4)
+    assert str(info.value).startswith(key) and not ran
+
+
+@pytest.mark.parametrize("parallel", [{}, dict(tensor=dict(size=4, mode="1d")), dict(data=1)])
+def test_a_serving_session_accepts_the_one_replica_layout(parallel):
+    from repro.cluster import uniform_cluster
+    from repro.engine import launch
+
+    report = launch(dict(serve=_SERVE, parallel=parallel), uniform_cluster(4), world_size=4)
+    assert report.world == 4 and report.n_completed == 4
+
+
 @pytest.mark.parametrize("parallel, start", [(dict(data=3), "parallel.data "),
                                              (dict(pipeline=3), "parallel: ")])
 def test_launch_refuses_a_layout_the_world_cannot_hold_before_any_rank(parallel, start):
@@ -300,6 +334,10 @@ def _nest(flat):
     size, mode, depth = flat.pop("tensor_shape")
     flat.update({"parallel.tensor.size": size, "parallel.tensor.mode": mode,
                  "parallel.tensor.depth": depth})
+    if None in (flat["serve.model"], flat["serve.traffic"]):
+        flat["serve.enabled"] = False
+    if flat["serve.enabled"]:  # the world serves as one replica
+        flat["parallel.pipeline"], flat["parallel.data"] = 1, None
     for s in FIELDS:
         if s.needs is not None and not _holds(s.needs, flat[_needed(s).key]):
             flat[s.key] = s.default
@@ -307,8 +345,6 @@ def _nest(flat):
         flat["sanitize.replay"] = None
     if flat["autopar.workload"] is None:
         flat["autopar.enabled"] = False
-    if None in (flat["serve.model"], flat["serve.traffic"]):
-        flat["serve.enabled"] = False
     return flat
 
 

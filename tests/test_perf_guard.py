@@ -17,8 +17,10 @@ result bitwise identical.  The tests here enforce that contract:
 5. serving host cost is counted, not timed (ISSUE 13): a TP replica makes
    each scheduling decision once, so ``repro.serve`` call counts grow by
    a per-rank-per-turn constant with the TP degree (not x tp), a decoded
-   token costs under one call, and a rank out of lockstep is a typed
-   error with every KV arena released; an admission attempt that stops
+   token costs under one call and under four line events of
+   ``src/repro/serve`` (a turn pays for the requests whose state
+   changes, not for every running one), and a rank out of lockstep is a
+   typed error with every KV arena released; an admission attempt that stops
    at the free-list test makes no call, ``cluster`` calls grow with the
    distinct batch sizes x TP degree rather than with turns, and serve
    calls per admitted request stay under a stated bound;
@@ -437,6 +439,32 @@ def _count_serve_calls():
     total.update(counter.total())
 
 
+@contextmanager
+def _count_serve_lines():
+    """Line events in ``src/repro/serve`` frames, by ``sys.settrace`` on the
+    calling thread (serving starts none): a deterministic count of the
+    Python the serve layer runs, loops included."""
+    import repro.serve
+
+    prefix = os.path.dirname(repro.serve.__file__) + os.sep
+    count = [0]
+
+    def local(frame, event, arg):
+        if event == "line":
+            count[0] += 1
+        return local
+
+    def scope(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(prefix) else None
+
+    previous = sys.gettrace()
+    sys.settrace(scope)
+    try:
+        yield count
+    finally:
+        sys.settrace(previous)
+
+
 _SERVE_MODEL = ModelSpec(n_layers=2, hidden=256, n_heads=4, vocab=997)
 
 
@@ -471,19 +499,44 @@ class TestServeHostCost:
                 self.PER_RANK_TURN * turns + self.PER_RANK_RUN)
             assert 0 <= extra <= allowed, (tp, extra, allowed)
 
-    def test_decoded_token_costs_under_one_call(self):
-        """Marginal cost: same requests, 32 more output tokens each."""
+    @staticmethod
+    def _per_extra_token(counted):
+        """``counted(traffic) -> (cost, output tokens)`` over the same 100
+        requests at 16 and at 48 new tokens each: the cost of one more
+        decoded token."""
         def run(new_tokens):
-            traffic = OpenLoopTraffic(
+            return counted(OpenLoopTraffic(
                 rate=5e4, n_requests=100, seed=4, prompt_tokens=(8, 24),
-                max_new_tokens=(new_tokens, new_tokens))
+                max_new_tokens=(new_tokens, new_tokens)))
+
+        cost_short, tokens_short = run(16)
+        cost_long, tokens_long = run(48)
+        return (cost_long - cost_short) / (tokens_long - tokens_short)
+
+    def test_decoded_token_costs_under_one_call(self):
+        def counted(traffic):
             calls, report = _counted_serve(2, traffic)
             return sum(calls.values()), report.output_tokens
 
-        calls_short, tokens_short = run(16)
-        calls_long, tokens_long = run(48)
-        per_token = (calls_long - calls_short) / (tokens_long - tokens_short)
+        per_token = self._per_extra_token(counted)
         assert per_token <= 1.0, per_token
+
+    #: line events in ``src/repro/serve`` per extra decoded token: read
+    #: 18.3 while ``step`` and ``apply`` walked every running request each
+    #: turn and drew its token, 2.9 since; what is left is the block growth
+    #: every ``block_size`` tokens and the longer run's extra turns
+    LINES_PER_DECODED_TOKEN = 4.0
+
+    def test_decoded_token_costs_few_lines(self):
+        def counted(traffic):
+            with _count_serve_lines() as lines:
+                report = serve_traffic(_SERVE_MODEL, traffic, world_size=2,
+                                       kv_blocks=512)
+            assert report.preemptions == 0, "pool was meant to be roomy"
+            return lines[0], report.output_tokens
+
+        per_token = self._per_extra_token(counted)
+        assert per_token <= self.LINES_PER_DECODED_TOKEN, per_token
 
     def test_failed_admission_attempt_makes_no_call(self):
         """Tight KV, closed loop: a step whose admission stops at the

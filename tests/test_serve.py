@@ -18,6 +18,7 @@ the chaos section kills a TP rank mid-request to check typed failure,
 requeue and the p99/goodput SLO hit in the report.
 """
 
+import collections
 import inspect
 import math
 import threading
@@ -47,6 +48,7 @@ from repro.serve import (
     TrafficReport,
     serve_traffic,
 )
+from repro.serve.request import draw_outputs
 from repro.serve.traffic import _percentile
 from repro.trace import Tracer
 
@@ -169,11 +171,39 @@ def _check_prefilling(sched):
                                 if r.state == "prefill"]
 
 
-def _drive(requests, *, num_blocks, block_size, budget, chunk, seed=1):
+def _check_decoding(sched):
+    """The decode pass's index is the DECODE subset of ``active``, in its
+    order, and always fits the token budget (a request joins it only when
+    its last prefill chunk, planned from the budget the decoders left,
+    completes)."""
+    assert sched.decoding == [r for r in sched.active if r.state == "decode"]
+    assert len(sched.decoding) <= sched.max_batch_tokens
+
+
+def _chain(req, seed, vocab=997):
+    """``req``'s output drawn token by token: ``next_token`` after
+    ``start_generation``, on a fresh request of the same identity."""
+    ref = Request(req.req_id, req.prompt_tokens, req.max_new_tokens,
+                  req.arrival)
+    ref.start_generation(seed, vocab)
+    return [ref.next_token(vocab) for _ in range(req.max_new_tokens)]
+
+
+def _drive(requests, *, num_blocks, block_size, budget, chunk, seed=1,
+           hits=None):
     """Run a request set to completion single-threaded; returns the
     scheduler plus (finished, failed) request lists, checking the pool
     partition invariant, the token budget and the ``kv_slots`` accounting
-    at every step."""
+    at every step.
+
+    It is also the oracle of the decode path: each step decodes the first
+    ``budget`` DECODE requests of ``active`` as it stood before the step,
+    less the ones evicted; its context is each decoder's prompt plus the
+    tokens it made (counted here, one per plan it was decoded in); and a
+    finished request's output, which ``draw_outputs`` draws for all of a
+    step's at once, is its chain drawn token by token.
+    ``hits`` counts the turns whose decode batch filled the whole budget
+    and the evictions, so a caller can show a lane still reaches them."""
     pool = BlockPool(block_size=block_size, num_blocks=num_blocks)
     sched = ContinuousBatchingScheduler(
         pool, budget, prefill_chunk=chunk, gen_seed=seed, vocab=997)
@@ -181,7 +211,9 @@ def _drive(requests, *, num_blocks, block_size, budget, chunk, seed=1):
         sched.submit(spec)
     now, steps = 0.0, 0
     finished, failed = [], []
+    made = {}  # id(request) -> tokens generated, while decoding
     while not sched.drained:
+        running = [r for r in sched.active if r.state == "decode"]
         plan = sched.step(now)
         assert plan.new_tokens <= budget, "token budget exceeded"
         assert plan.new_tokens == len(plan.decode) + sum(
@@ -192,9 +224,24 @@ def _drive(requests, *, num_blocks, block_size, budget, chunk, seed=1):
         planned = [id(r) for r in plan.decode] + [
             id(r) for r, _ in plan.prefill]
         assert len(planned) == len(set(planned))
+        evicted = {id(r) for r in plan.preempted}
+        assert plan.decode == [r for r in running[:budget]
+                               if id(r) not in evicted]
+        context = sum(r.prompt_tokens + made[id(r)] for r in plan.decode)
+        context += sum(r.prefill_done + chunk for r, chunk in plan.prefill)
+        # a decoder evicted by a later prefill chunk keeps its share
+        kept = sum(r.prompt_tokens + made[id(r)] for r in running
+                   if id(r) in evicted)
+        assert context <= plan.context_tokens <= context + kept
+        for r in plan.preempted:
+            made.pop(id(r), None)
+        if hits is not None:
+            hits["full_budget"] += len(plan.decode) == budget
+            hits["evicted"] += len(plan.preempted)
         pool.check_consistent()
         _check_kv_slots(sched, requests)
         _check_prefilling(sched)
+        _check_decoding(sched)
         if not (plan.prefill or plan.decode or plan.failed
                 or plan.preempted):
             nxt = sched.next_arrival()
@@ -202,9 +249,19 @@ def _drive(requests, *, num_blocks, block_size, budget, chunk, seed=1):
             now = max(now, nxt)
             continue
         now += 1.0
-        fins, _ = sched.apply(plan, now)
+        fins, prefilled = sched.apply(plan, now)
+        for r in plan.decode:
+            made[id(r)] += 1
+        for r in prefilled:
+            made[id(r)] = 1
+        assert all(r.output == [] for r in fins)
+        draw_outputs(fins, 997)
+        for r in fins:
+            assert made.pop(id(r)) == r.max_new_tokens
+            assert r.output == _chain(r, seed)
         _check_kv_slots(sched, requests)
         _check_prefilling(sched)
+        _check_decoding(sched)
         finished.extend(fins)
         failed.extend(plan.failed)
         steps += 1
@@ -221,7 +278,8 @@ def schedule_cases(draw):
         "reqs": reqs,
         "num_blocks": draw(st.integers(2, 12)),
         "block_size": draw(st.integers(1, 6)),
-        "budget": draw(st.integers(1, 48)),
+        # budgets of a few tokens: turns whose decoders fill the budget
+        "budget": draw(st.integers(1, 4) | st.integers(1, 48)),
         "chunk": draw(st.integers(1, 16)),
     }
 
@@ -237,7 +295,8 @@ def preempt_heavy_cases(draw):
         "reqs": reqs,
         "num_blocks": draw(st.integers(6, 10)),
         "block_size": draw(st.integers(2, 4)),
-        "budget": draw(st.integers(8, 32)),
+        # budgets of a few tokens: turns whose decoders fill the budget
+        "budget": draw(st.integers(2, 4) | st.integers(8, 32)),
         "chunk": draw(st.integers(1, 8)),
     }
 
@@ -256,6 +315,27 @@ class TestSchedulerProperties:
             block_size=case["block_size"], budget=case["budget"],
             chunk=case["chunk"])
         assert len(finished) + len(failed) == len(reqs)
+
+    @pytest.mark.parametrize("cases", [schedule_cases, preempt_heavy_cases])
+    def test_lane_reaches_full_budget_and_evictions(self, cases):
+        """``_drive``'s decode-path oracle speaks only where the generated
+        cases go: over a fixed draw of each strategy, some turns must fill
+        the whole budget with decoders and some requests must be
+        evicted."""
+        hits = collections.Counter()
+
+        @given(case=cases())
+        @settings(max_examples=25, deadline=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.too_slow])
+        def drive(case):
+            reqs = [Request(i, p, n, a)
+                    for i, (p, n, a) in enumerate(case["reqs"])]
+            _drive(reqs, num_blocks=case["num_blocks"],
+                   block_size=case["block_size"], budget=case["budget"],
+                   chunk=case["chunk"], hits=hits)
+
+        drive()
+        assert hits["full_budget"] > 0 and hits["evicted"] > 0, hits
 
     @given(case=schedule_cases())
     @fast
