@@ -5,12 +5,12 @@ Three acts on 4 simulated GPUs:
 1. A *desynchronized* program — rank 2 computes a differently-shaped
    gradient bucket, so its ``all_reduce`` disagrees with everyone else's.
    Without the sanitizer this would be a shape error deep inside the
-   reduction (or, for a skipped call, a hang until ``deadlock_timeout``);
-   with it, ``CollectiveMismatch`` names the guilty rank and the exact
-   source line within one rendezvous.
-2. A *skipped* collective — rank 1 returns early.  The sanitizer
-   diagnoses the exit and raises ``CollectiveDesync`` instead of letting
-   the other ranks wait.
+   reduction (or, for a skipped call, a bare ``CollectiveTimeout`` once
+   every live rank is parked); with it, ``CollectiveMismatch`` names the
+   guilty rank and the exact source line within one rendezvous.
+2. A *skipped* collective — rank 1 returns early.  The moment the other
+   ranks are all parked, the sanitizer explains their wait:
+   ``CollectiveDesync`` names rank 1 as exited.
 3. *Record/replay* — a clean run's op stream is saved as a golden file;
    a "refactored" run that drifts is pinpointed at the first divergent
    (rank, step, op).
@@ -66,9 +66,8 @@ def skipping_program(ctx):
     return comm.all_reduce(np.ones(4))
 
 
-print("=== 2. skipped collective (would hang without the sanitizer) ===")
-rt = SpmdRuntime(cluster, WORLD, sanitize=CommSanitizer(),
-                 deadlock_timeout=600.0)  # sanitizer fires long before this
+print("=== 2. skipped collective (a bare timeout without the sanitizer) ===")
+rt = SpmdRuntime(cluster, WORLD, sanitize=CommSanitizer())
 try:
     rt.run(skipping_program)
     raise SystemExit("expected a CollectiveDesync")

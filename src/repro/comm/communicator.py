@@ -540,7 +540,7 @@ class Communicator(Identity):
         for hook in runtime.on_recv:
             hook(dst_g, runtime.clocks[dst_g].time)
         key = (src_g, dst_g, (id(self.group), tag))
-        payload, t_avail = runtime.mailboxes.get(key, runtime.aborted.is_set)
+        payload, t_avail = runtime.mailboxes.get(key)
         for hook in runtime.on_received:
             hook(src_g, dst_g, key, payload, self.group, tag)
         self.group.arrive(dst_g, src_g, t_avail, int(payload.nbytes))

@@ -20,10 +20,11 @@ the runtime's lifecycle hooks, one tuple per event: enter → (stall) →
 finalize → complete | fail (DESIGN §4u).  With nothing installed every
 tuple is empty and the loops over them make no call.
 
-The rendezvous is event-driven: waiters park on the group condition and the
-last arriver (or the abort path via ``SpmdRuntime.wake_all``) notifies them
-— there is no poll tick.  One failing rank therefore aborts everyone
-immediately instead of at the next poll interval.
+The rendezvous is event-driven and untimed: a waiter enters the runtime's
+parked set and sleeps on the group condition; the last arriver takes the
+round's parked members out of the set and notifies them, and the abort path
+(``SpmdRuntime.wake_all``) wakes everyone.  When every live rank is parked
+the runtime's deadlock rule ends the wait (``SpmdRuntime.deadlocked``).
 
 While rank 0 runs alone as the representative of every rank (DESIGN §4ab),
 a world-group round of an :data:`AHEAD_OPS` kind closes on its arrival
@@ -36,7 +37,6 @@ round of a multi-member group is a trigger.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.comm.cost import CollectiveCost
@@ -178,7 +178,7 @@ class ProcessGroup(GroupTimeline):
                     hook(my_global_rank, self, seq, "ic")
                 if not rnd.done and len(rnd.payloads) == self.size:
                     self._finalize_round(rnd, op, finalize)
-                return AsyncCollectiveHandle(self, seq, me, my_global_rank)
+                return AsyncCollectiveHandle(self, seq, me, my_global_rank, op)
 
             if rnd.done:
                 # The round already failed (a sanitizer desync verdict)
@@ -187,7 +187,7 @@ class ProcessGroup(GroupTimeline):
             elif len(rnd.payloads) == self.size:
                 self._finalize_round(rnd, op, finalize)
             else:
-                self._await_round(my_global_rank, rnd)
+                self._await_round(my_global_rank, rnd, op)
 
             if rnd.error is not None:
                 self._claim(rnd, seq)
@@ -245,7 +245,7 @@ class ProcessGroup(GroupTimeline):
             if mode != "sync":
                 for hook in on_member:
                     hook(rank, self, seq, "ic")
-                return AsyncCollectiveHandle(self, seq, 0, rank)
+                return AsyncCollectiveHandle(self, seq, 0, rank, op)
             if rnd.error is not None:
                 self._claim(rnd, seq)
                 raise rnd.error
@@ -271,7 +271,7 @@ class ProcessGroup(GroupTimeline):
                 runtime.comm_streams[rank].occupy(rnd.t_start, rnd.t_end)
             for hook in runtime.on_member:
                 hook(rank, self, seq, "ic")
-            return AsyncCollectiveHandle(self, seq, me, rank)
+            return AsyncCollectiveHandle(self, seq, me, rank, op)
         if rnd.error is not None:
             self._claim(rnd, seq)
             raise rnd.error
@@ -309,39 +309,30 @@ class ProcessGroup(GroupTimeline):
 
     # ------------------------------------------------------------------
 
-    def _await_round(self, my_global_rank: int, rnd: Round) -> None:
+    def _await_round(self, my_global_rank: int, rnd: Round, op: str) -> None:
         """Park (group condition held) until ``rnd``, not yet done, completes.
 
         Shared by the blocking rendezvous and :meth:`AsyncCollectiveHandle.wait`.
-        Completion and abort are notify-driven (the last arriver and
-        ``SpmdRuntime.wake_all`` call ``notify_all``).  With ``stall`` hooks
-        installed (the sanitizer's desync diagnosis) the wait is chopped into
-        ``runtime.park_slice`` windows, and the hooks — which record the
-        rank's wait state and convict by failing the round — run when a
-        window expires or a wake arrives without completion, never on the
-        way into the park.  The deadline is a monotonic timestamp, so early
-        wake-ups do not undercount it.
+        The rank joins the runtime's parked set and sleeps untimed until
+        the round's finalizer (or failure) takes it out and notifies, or an
+        abort wakes it; if it is the last live rank to park it runs the
+        deadlock rule, and taken out with the round unfinished it raises
+        that rule's verdict (DESIGN §4h).  All inline: a park makes no
+        runtime frame.
         """
         runtime = self.runtime
-        aborted = runtime.aborted  # read inline: a pass makes no runtime frame
-        deadline_ts = time.monotonic() + runtime.deadlock_timeout
-        while True:
+        aborted, parked = runtime.aborted, runtime.parked
+        with runtime.park_lock:
+            parked[my_global_rank] = self, rnd
+            stuck = len(parked) == runtime.live
+        if stuck and not aborted.is_set():
+            runtime.deadlocked()
+        while not rnd.done:
             if aborted.is_set():
                 runtime.check_abort()
-            remaining = deadline_ts - time.monotonic()
-            if remaining <= 0:
-                raise CollectiveTimeout(
-                    "collective", self.ranks,
-                    timeout=runtime.deadlock_timeout,
-                )
-            self._cond.wait(min(remaining, runtime.park_slice))
-            if rnd.done:
-                return
-            for hook in runtime.on_stall:
-                hook(my_global_rank, self, rnd)
-            if rnd.done:  # convicted: wake the other members to claim
-                self._cond.notify_all()
-                return
+            if my_global_rank not in parked:
+                raise runtime.verdict or CollectiveTimeout(op, self.ranks)
+            self._cond.wait()
 
     def wake(self) -> None:
         """Wake every thread parked in this group's rendezvous so it
@@ -370,11 +361,23 @@ class ProcessGroup(GroupTimeline):
             f"this rank called {mode!r})"
         )
         if not rnd.done:
-            rnd.error = err
-            rnd.done = True
-            self._cond.notify_all()
+            self.fail(rnd, err)
         self._claim(rnd, seq)
         raise err
+
+    def fail(self, rnd: Round, err: BaseException) -> None:
+        """End the unfinished ``rnd`` with ``err`` for every member to claim,
+        waking its parked members: a mixed-mode call or a deadlock verdict."""
+        parked = self.runtime.parked  # taken out as in _finalize_round
+        with self._cond:
+            rnd.error = err
+            rnd.done = True
+            with self.runtime.park_lock:
+                for g in self.ranks:
+                    wait = parked.get(g)
+                    if wait is not None and wait[1] is rnd:
+                        del parked[g]
+            self._cond.notify_all()
 
     def _finalize_round(self, rnd: Round, op: str,
                         finalize: FinalizeFn) -> None:
@@ -397,21 +400,31 @@ class ProcessGroup(GroupTimeline):
                 hook(self, rnd)
             rnd.error = exc
         rnd.done = True
+        # its parked members leave the parked set now, taken out by the
+        # waker: a woken rank that had not yet left it would read as parked
+        parked = runtime.parked
+        if parked:
+            with runtime.park_lock:
+                for g in self.ranks:
+                    wait = parked.get(g)
+                    if wait is not None and wait[1] is rnd:
+                        del parked[g]
         self._cond.notify_all()
 
 
 class AsyncCollectiveHandle(WorkHandle):
     """One rank's handle on an in-flight nonblocking collective round."""
 
-    __slots__ = ("_group", "_seq", "_me", "_rank", "_done", "_result",
+    __slots__ = ("_group", "_seq", "_me", "_rank", "_op", "_done", "_result",
                  "_error")
 
     def __init__(self, group: ProcessGroup, seq: int, me: int,
-                 rank: int) -> None:
+                 rank: int, op: str) -> None:
         self._group = group
         self._seq = seq
         self._me = me
         self._rank = rank
+        self._op = op
         self._done = False
         self._result: Any = None
         self._error: Optional[BaseException] = None
@@ -443,7 +456,7 @@ class AsyncCollectiveHandle(WorkHandle):
                     f"the handle was outstanding?)"
                 )
             if not rnd.done:
-                group._await_round(self._rank, rnd)
+                group._await_round(self._rank, rnd, self._op)
             if rnd.error is not None:
                 self._done = True
                 self._error = rnd.error

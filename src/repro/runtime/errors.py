@@ -47,17 +47,16 @@ class RankFailure(RuntimeError):
 
 class CollectiveTimeout(RuntimeError):
     """A communication operation gave up: either its retransmission budget
-    was exhausted (``attempts`` > 0, simulated network fault) or no peer
-    showed up within the host-time deadlock timeout (``timeout`` set)."""
+    was exhausted (``attempts`` > 0, simulated network fault) or it can
+    never complete, every live rank being parked on a wait no running rank
+    can satisfy (``attempts`` 0, raised by the lowest parked rank)."""
 
-    def __init__(self, op: str, ranks, attempts: int = 0,
-                 timeout: "float | None" = None) -> None:
+    def __init__(self, op: str, ranks, attempts: int = 0) -> None:
         self.op = op
         self.ranks = tuple(ranks)
         self.attempts = attempts
-        self.timeout = timeout
         if attempts:
-            detail = f"after {attempts} failed attempts"
+            detail = f"timed out after {attempts} failed attempts"
         else:
-            detail = f"after {timeout}s of host time"
-        super().__init__(f"{op} over ranks {list(self.ranks)} timed out {detail}")
+            detail = "can never complete: every live rank is parked"
+        super().__init__(f"{op} over ranks {list(self.ranks)} {detail}")

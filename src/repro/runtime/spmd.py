@@ -20,16 +20,17 @@ Failure handling: if any rank raises, the runtime trips an abort flag that
 every blocking communication primitive polls; all other ranks then raise
 :class:`SpmdAborted`, threads are joined, the failed program's rounds and
 undelivered messages are dropped, and the original exception is re-raised
-on the launcher thread wrapped in :class:`RemoteRankError`.
+on the launcher thread wrapped in :class:`RemoteRankError`.  No wait has a
+deadline: the moment every live rank is parked, the lowest parked rank
+raises the ``stall`` hooks' verdict, or a :class:`CollectiveTimeout`
+(:meth:`SpmdRuntime.deadlocked`).
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 import threading
-import time
 import traceback
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -41,16 +42,6 @@ from repro.runtime.errors import CollectiveTimeout, RemoteRankError, SpmdAborted
 from repro.utils.backoff import RetryPolicy
 
 _thread_local = threading.local()
-
-#: Default host-time limit for any single blocking communication call.
-#: Generous — it exists to turn accidental deadlocks into diagnosable
-#: errors.  Override per runtime via ``SpmdRuntime(deadlock_timeout=...)``.
-_DEADLOCK_TIMEOUT = 120.0
-
-#: With ``stall`` hooks installed, parked waiters still wake on this cadence
-#: to run them — the sanitizer's desync-diagnosis latency, not a liveness
-#: mechanism (completion and abort are notify-driven).
-_STALL_WINDOW = 0.05
 
 #: The run / round / message lifecycle (DESIGN §4u): for each event the
 #: runtime holds ``on_<event>``, the ``on_<event>`` methods of its fault
@@ -174,38 +165,47 @@ def in_spmd() -> bool:
 
 
 class _Mailboxes:
-    """Point-to-point message store: (src, dst, tag) -> FIFO of payloads."""
+    """Point-to-point message store: (src, dst, tag) -> FIFO of payloads.
+    A receiver parks on the key it waits for; ``put`` takes it out."""
 
-    def __init__(self, timeout: float = _DEADLOCK_TIMEOUT) -> None:
+    def __init__(self, runtime: "SpmdRuntime") -> None:
         self._cond = threading.Condition()
         self._boxes: Dict[Tuple[int, int, Any], List[Any]] = {}
-        self._timeout = timeout
+        self._runtime = runtime
 
     def put(self, key: Tuple[int, int, Any], item: Any) -> None:
         with self._cond:
             self._boxes.setdefault(key, []).append(item)
+            parked = self._runtime.parked
+            if parked and parked.get(key[1]) == key:
+                with self._runtime.park_lock:
+                    del parked[key[1]]
             self._cond.notify_all()
 
-    def get(self, key: Tuple[int, int, Any], should_abort: Callable[[], bool]) -> Any:
-        # event-driven: put() notifies, abort wakes via wake(); the deadline
-        # is real monotonic elapsed time, not accumulated poll intervals
-        deadline_ts = time.monotonic() + self._timeout
+    def get(self, key: Tuple[int, int, Any]) -> Any:
+        # untimed, as ProcessGroup._await_round: put() notifies, abort and
+        # a deadlock verdict wake the receiver via wake()
+        runtime = self._runtime
         with self._cond:
-            while True:
-                box = self._boxes.get(key)
-                if box:
-                    item = box.pop(0)
-                    if not box:
-                        del self._boxes[key]
-                    return item
-                if should_abort():
-                    raise _make_abort_error()
-                remaining = deadline_ts - time.monotonic()
-                if remaining <= 0:
-                    raise CollectiveTimeout(
-                        "recv", key[:2], timeout=self._timeout
-                    )
-                self._cond.wait(remaining)
+            box = self._boxes.get(key)
+            if not box:
+                dst, parked = key[1], runtime.parked
+                with runtime.park_lock:
+                    parked[dst] = key
+                    stuck = len(parked) == runtime.live
+                if stuck and not runtime.aborted.is_set():
+                    runtime.deadlocked()
+                while not box:
+                    if runtime.aborted.is_set():
+                        runtime.check_abort()
+                    if dst not in parked:
+                        raise runtime.verdict or CollectiveTimeout("recv", key[:2])
+                    self._cond.wait()
+                    box = self._boxes.get(key)
+            item = box.pop(0)
+            if not box:
+                del self._boxes[key]
+            return item
 
     def wake(self) -> None:
         """Wake blocked receivers so they re-check the abort flag."""
@@ -227,12 +227,6 @@ def _immutable(x: Any) -> bool:
     if type(x) is tuple:
         return all(map(_immutable, x))
     return type(x) in _IMMUTABLE
-
-
-def _make_abort_error() -> SpmdAborted:
-    ctx = current_rank_context()
-    failed_rank, cause = ctx.runtime.failure  # type: ignore[misc]
-    return SpmdAborted(failed_rank, cause)
 
 
 def _resolve_sanitizer(sanitize: Any) -> Any:
@@ -262,7 +256,6 @@ class SpmdRuntime:
         self,
         cluster: ClusterSpec,
         world_size: Optional[int] = None,
-        deadlock_timeout: float = _DEADLOCK_TIMEOUT,
         fault_plan: Optional[Any] = None,
         retry: Optional[RetryPolicy] = None,
         tracer: Optional[Any] = None,
@@ -280,12 +273,6 @@ class SpmdRuntime:
             raise ValueError(
                 f"world_size {world_size} exceeds cluster size {cluster.world_size}"
             )
-        # NaN would park a deadlocked waiter forever, and a host Condition
-        # refuses an infinite wait
-        if not 0 < deadlock_timeout < math.inf:
-            raise ValueError(
-                f"deadlock_timeout must be positive and finite, got {deadlock_timeout}"
-            )
         from repro.comm.cost import CostModel  # comm builds on runtime
 
         #: the one cost model every process group prices with; its
@@ -301,8 +288,7 @@ class SpmdRuntime:
         #: per-rank communication streams (see StreamClock); only populated
         #: with occupancy when nonblocking primitives are used.
         self.comm_streams = [StreamClock() for _ in range(world_size)]
-        self.deadlock_timeout = float(deadlock_timeout)
-        self.mailboxes = _Mailboxes(self.deadlock_timeout)
+        self.mailboxes = _Mailboxes(self)
         #: shared scratch-buffer pool for materialized collectives, or None
         #: (``buffer_pool=False`` — the unpooled reference for parity runs);
         #: pooled and unpooled results are bitwise identical by contract.
@@ -335,6 +321,14 @@ class SpmdRuntime:
         #: set when a rank fails; blocked waiters test it inline
         self.aborted = threading.Event()
         self.failure: Optional[Tuple[int, BaseException]] = None
+        #: rank threads started and not yet done, and the parked ones by
+        #: rank, each with its wait: ``(group, round)`` or a mailbox key
+        #: (both under ``park_lock``; see :meth:`deadlocked`)
+        self.live = 0
+        self.parked: Dict[int, Any] = {}
+        self.park_lock = threading.Lock()
+        #: what a deadlock's chosen rank raises (None: a CollectiveTimeout)
+        self.verdict: Optional[BaseException] = None
         self._group_lock = threading.Lock()
         self._groups: Dict[Tuple[int, ...], Any] = {}
         #: true while rank 0 runs alone for every rank (DESIGN §4ab)
@@ -386,8 +380,6 @@ class SpmdRuntime:
             setattr(self, name, tuple(hooks))
         self.place_round = (GroupTimeline.place if self.fault_injector is None
                             else GroupTimeline.place_retried)
-        #: the longest a parked waiter sleeps before re-checking its round
-        self.park_slice = _STALL_WINDOW if self.on_stall else math.inf
 
     # -- failure propagation -------------------------------------------------
 
@@ -395,9 +387,8 @@ class SpmdRuntime:
         if self.failure is None:
             self.failure = (rank, exc)
         self.aborted.set()
-        # rendezvous waits are notify-driven, so blocked peers must be woken
-        # explicitly or they would sleep through the abort until their
-        # deadlock timeout
+        # rendezvous waits are notify-driven and untimed, so blocked peers
+        # must be woken explicitly or they would sleep through the abort
         self.wake_all()
 
     def wake_all(self) -> None:
@@ -413,6 +404,28 @@ class SpmdRuntime:
         for grp in groups:
             grp.wake()
         self.mailboxes.wake()
+
+    def deadlocked(self) -> None:
+        """Every live rank is parked, and a parked rank leaves the set only
+        when its waker takes it out: nothing can ever wake one.  The
+        ``stall`` hooks see one snapshot of every wait and may give the
+        lowest parked rank's a verdict.  A verdict on a round fails it for
+        every member; else that rank alone is taken out and woken, to raise
+        the verdict or a :class:`CollectiveTimeout` (DESIGN §4h)."""
+        with self.park_lock:
+            waits = dict(self.parked)
+        rank = min(waits)
+        verdict = None
+        for hook in self.on_stall:
+            verdict = verdict or hook(waits, rank)
+        wait = waits[rank]
+        if len(wait) == 2 and verdict is not None:  # (group, round)
+            wait[0].fail(wait[1], verdict)
+            return
+        self.verdict = verdict
+        with self.park_lock:
+            del self.parked[rank]
+        (wait[0] if len(wait) == 2 else self.mailboxes).wake()
 
     def check_abort(self) -> None:
         if self.aborted.is_set():
@@ -528,8 +541,15 @@ class SpmdRuntime:
                     hook(rank, t_start, self.clocks[rank].time, error)
                 _thread_local.ctx = None
                 error = None  # no frame <-> traceback cycle outlives the rank
+                with self.park_lock:
+                    self.live -= 1
+                    stuck = self.parked and len(self.parked) == self.live
+                if stuck and not self.aborted.is_set():
+                    self.deadlocked()
 
         def start(ranks: range) -> None:
+            with self.park_lock:
+                self.live += len(ranks)
             for r in ranks:
                 t = threading.Thread(target=worker, args=(r,), name=f"spmd-rank-{r}")
                 threads.append(t)
@@ -698,8 +718,9 @@ class SpmdRuntime:
             self.buffer_pool.check_leaks()
 
     def _reset_comm_state(self) -> None:
-        """Drop stale rendezvous rounds and undelivered messages so the
-        runtime is reusable after an aborted program (recovery path)."""
+        """Drop stale rendezvous rounds, undelivered messages and parked
+        waits so the runtime is reusable after an aborted program."""
+        self.parked.clear()
         self.mailboxes.clear()
         if self.buffer_pool is not None:
             self.buffer_pool.reset()

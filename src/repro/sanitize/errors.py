@@ -59,10 +59,11 @@ class CollectiveMismatch(SanitizerError):
 
 
 class CollectiveDesync(SanitizerError):
-    """Some member ranks entered a collective that the others will never
-    reach — they already exited the program, or are parked in a different
-    round forming a wait cycle.  Raised from the rendezvous wait loop
-    instead of letting the round hit ``deadlock_timeout``.
+    """Some ranks wait in a collective (or a ``recv``: ``op`` is "recv",
+    ``group_ranks`` the (src, dst) pair and ``seq`` the tag) that the others
+    will never reach — they already exited the program, or are parked on
+    each other.  The verdict of a deadlock, every live rank being parked,
+    in place of a bare :class:`~repro.runtime.errors.CollectiveTimeout`.
     """
 
     def __init__(self, group_ranks: Sequence[int], seq: int, op: str,
@@ -78,9 +79,10 @@ class CollectiveDesync(SanitizerError):
             f"rank {r} @ {self.callsites[r]}"
             for r in self.waiting_ranks if r in self.callsites
         )
+        at = f"tag {seq!r}" if op == "recv" else f"seq {seq}"
         msg = (
             f"collective desync: ranks {list(self.waiting_ranks)} are in "
-            f"{op!r} (group {list(self.group_ranks)}, seq {seq}) but ranks "
+            f"{op!r} (group {list(self.group_ranks)}, {at}) but ranks "
             f"{list(self.missing_ranks)} {detail}"
         )
         if where:

@@ -12,11 +12,12 @@ a collective round of its own — and provides four facilities:
    round fills; incompatible calls raise
    :class:`~repro.sanitize.errors.CollectiveMismatch` naming the divergent
    ranks and their Python call sites.
-2. **Desync detection** — a rank blocked in a round polls the sanitizer,
-   which diagnoses peers that already exited the program or are parked in
-   other rounds forming a wait-for cycle, raising
-   :class:`~repro.sanitize.errors.CollectiveDesync` instead of letting the
-   round die of ``deadlock_timeout``.
+2. **Desync detection** — when the runtime finds every live rank parked
+   (a deadlock), the sanitizer explains the lowest parked rank's wait from
+   the snapshot of every wait: the peers it waits for already exited the
+   program, or are parked in turn (in which op, on which group, or in
+   which receive), raising :class:`~repro.sanitize.errors.CollectiveDesync`
+   instead of a bare :class:`~repro.runtime.errors.CollectiveTimeout`.
 3. **Payload checksums** (``checksum=True``) — CRC32 of every payload on
    both sides of the wire; corruption is attributed to the fault injector
    (scheduled :class:`~repro.faults.plan.MessageFault`) or flagged as a
@@ -41,8 +42,8 @@ across ranks — that is what the spec check verifies), but ranks may
 ``wait()`` their handles in any order afterwards.  The spec check and the
 checksum/race hooks fire when the round's last *issuer* arrives, and the
 desync detector treats a rank parked in ``WorkHandle.wait()`` exactly like
-one parked in a blocking rendezvous: ``on_stall`` records its wait state
-and can convict it of a wait-for cycle.  A group
+one parked in a blocking rendezvous, and ``irecv().wait()`` like a
+blocking ``recv``.  A group
 where some ranks issue a collective blocking and others nonblocking fails
 the round for everyone (mixed-mode rendezvous error from the process
 group) before any sanitizer check runs.
@@ -54,7 +55,7 @@ import os
 import sys
 import threading
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -263,13 +264,6 @@ class BufferRaceDetector:
                     pass
 
 
-@dataclass
-class _WaitState:
-    group: Any
-    spec: Optional[CollectiveSpec]
-    rnd: Any
-
-
 class CommSanitizer(Observer):
     """Runtime cross-rank correctness checker (see module docstring).
 
@@ -296,8 +290,6 @@ class CommSanitizer(Observer):
         self._lock = threading.Lock()
         self._streams: Dict[int, List[OpRecord]] = {}
         self._send_crcs: Dict[Any, List[int]] = {}
-        self._waiting: Dict[int, _WaitState] = {}
-        self._done: set = set()
         #: per in-flight round, by (group, seq): each member's spec, and
         #: the race detector's freeze of its payloads
         self._specs: Dict[Tuple[Any, int], Dict[int, CollectiveSpec]] = {}
@@ -326,8 +318,6 @@ class CommSanitizer(Observer):
         with self._lock:
             self._streams.clear()
             self._send_crcs.clear()
-            self._waiting.clear()
-            self._done.clear()
             self._specs.clear()
             self._frozen.clear()
             self._world = runtime.world_size
@@ -351,14 +341,6 @@ class CommSanitizer(Observer):
                     live = len(self._streams.get(rank, ()))
                     if live < len(golden):
                         raise ReplayDivergence(rank, live, golden[live], None)
-
-    def on_rank_done(self, rank: int, t_start: float, t_end: float,
-                     error: Optional[BaseException]) -> None:
-        """``rank`` left the program: peers parked on it are woken now, so
-        their stall check sees the exit at once, not a window later."""
-        with self._lock:
-            self._done.add(rank)
-        self._runtime.wake_all()
 
     # -- rendezvous hooks ----------------------------------------------------
 
@@ -504,81 +486,62 @@ class CommSanitizer(Observer):
 
     # -- desync detection ----------------------------------------------------
 
-    def on_stall(self, rank: int, group: Any, rnd: Any) -> None:
-        """A parked ``rank``'s round has not completed (group condition
-        held): record what it waits on (kept after the park; the walk skips
-        finished rounds), and when the round provably cannot complete — a
-        missing member already exited, or waits on it through a cycle of
-        parked ranks — fail it with a :class:`CollectiveDesync` for every
-        member to claim, marked on the tracer if one is installed."""
-        spec = self._specs.get((group, rnd.seq), {}).get(group.local_of[rank])
-        arrived_locals = set(rnd.payloads)
-        missing = [group.ranks[l] for l in range(group.size)
-                   if l not in arrived_locals]
+    def on_stall(self, waits: Dict[int, Any], rank: int) -> CollectiveDesync:
+        """Every live rank is parked (DESIGN §4h); ``waits`` holds each
+        one's wait, a ``(group, round)`` or a receive's mailbox key, and a
+        rank not in it has exited (a sanitized run starts every rank at
+        once).  The verdict on ``rank``'s wait: the ranks it needs that
+        exited, or else every parked rank it waits on in turn, each with
+        its own wait — marked on the tracer if one is installed."""
+        wait = waits[rank]
+        if len(wait) == 2:
+            group, rnd = wait
+            specs = self._specs.get((group, rnd.seq)) or {}
+            ranks, seq = group.ranks, rnd.seq
+            op = next(iter(specs.values())).op if specs else "collective"
+            waiting = sorted(ranks[l] for l in rnd.payloads)
+            callsites = {ranks[l]: s.callsite for l, s in specs.items()
+                         if s.callsite}
+        else:
+            src, dst, (_, seq) = wait
+            ranks, op, waiting, callsites = (src, dst), "recv", [dst], {}
+        need = self._wait(rank, wait)[0]
+        guilty = sorted(g for g in need if g not in waits)
+        detail = ("already exited the program without "
+                  + ("sending it" if op == "recv" else "reaching it"))
+        if not guilty:  # a rank it waits for is parked too, or exited
+            walked: Dict[int, str] = {}
+            while need:
+                g = need.pop(0)
+                if g not in walked and g not in waiting:
+                    more, walked[g] = (self._wait(g, waits[g]) if g in waits
+                                       else ([], f"rank {g} exited"))
+                    need += more
+            guilty = sorted(walked)
+            detail = "are themselves stuck: " + "; ".join(
+                walked[g] for g in guilty)
         with self._lock:
-            self._waiting[rank] = _WaitState(group, spec, rnd)
-            if not missing:
-                return
-            guilty = sorted(g for g in missing if g in self._done)
-            detail = "already exited the program without reaching it"
-            if not guilty:
-                parked = self._find_wait_cycle(group, rnd, missing)
-                if parked is None:
-                    return
-                guilty = [g for g, _ in parked]
-                detail = ("are parked in other collectives forming a wait "
-                          "cycle: " + "; ".join(d for _, d in parked))
             self.desyncs += 1
-        rnd.error = err = self._desync(group, rnd.seq, rnd, guilty, detail)
-        rnd.done = True
+        err = CollectiveDesync(ranks, seq, op, waiting, guilty, detail,
+                               callsites)
         tracer = self._runtime.tracer
         if tracer is not None:
             tracer.instant(rank, f"sanitizer:{type(err).__name__}",
                            self._runtime.clocks[rank].time)
+        return err
 
-    def _find_wait_cycle(self, group: Any, rnd: Any, missing: List[int],
-                         ) -> Optional[List[Tuple[int, str]]]:
-        """BFS over the wait-for graph: does some missing rank transitively
-        wait on a rank already parked in *this* round?  (Lock held.)"""
-        arrived = {group.ranks[l] for l in rnd.payloads}
-        seen: set = set()
-        frontier = [g for g in missing if g in self._waiting]
-        entry: Dict[int, _WaitState] = {}
-        try:
-            while frontier:
-                g = frontier.pop()
-                if g in seen:
-                    continue
-                seen.add(g)
-                ws = self._waiting.get(g)
-                if ws is None or ws.rnd.done:
-                    continue
-                entry.setdefault(g, ws)
-                w_arrived = set(ws.rnd.payloads)
-                w_missing = [ws.group.ranks[l] for l in range(ws.group.size)
-                             if l not in w_arrived]
-                if any(m in arrived for m in w_missing):
-                    return [
-                        (r, f"rank {r} in {e.spec.describe()}"
-                            if e.spec else f"rank {r}")
-                        for r, e in entry.items()
-                    ]
-                frontier.extend(m for m in w_missing if m in self._waiting)
-        except RuntimeError:  # a foreign round's dict mutated mid-scan
-            return None  # transient; the next poll tick re-checks
-        return None
-
-    def _desync(self, group: Any, seq: int, rnd: Any,
-                guilty: List[int], detail: str) -> CollectiveDesync:
-        specs = self._specs.get((group, seq)) or {}
-        waiting = sorted(group.ranks[l] for l in rnd.payloads)
-        callsites = {
-            group.ranks[l]: s.callsite for l, s in specs.items() if s.callsite
-        }
-        op = next(iter(specs.values())).op if specs else "collective"
-        return CollectiveDesync(
-            group.ranks, seq, op, waiting, guilty, detail, callsites
-        )
+    def _wait(self, rank: int, wait: Any) -> Tuple[List[int], str]:
+        """The ranks a parked rank's wait needs (a round's missing members,
+        a receive's sender), and the wait described."""
+        if len(wait) == 2:
+            group, rnd = wait
+            spec = self._specs.get((group, rnd.seq), {}).get(
+                group.local_of[rank])
+            what = spec.describe() if spec else "a collective"
+            return ([g for l, g in enumerate(group.ranks)
+                     if l not in rnd.payloads],
+                    f"rank {rank} in {what} on group {group.ranks}")
+        return [wait[0]], f"rank {rank} in recv from rank {wait[0]}"
 
     # -- p2p hooks -----------------------------------------------------------
 

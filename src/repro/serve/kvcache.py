@@ -16,9 +16,11 @@ into preempt-and-requeue.  A request whose full footprint
 (``prompt + max_new`` tokens) exceeds the whole pool can never be served
 and is failed up front with :class:`RequestTooLarge`.
 
-Invariants (property-tested in ``tests/test_serve.py``): the free list
-and the union of all block tables partition ``range(num_blocks)`` at all
-times — no block is double-owned, none leaks.
+Blocks go out in a fixed order: returned blocks last-in first-out, then
+never-used ids ascending from a counter, so building a pool costs the same
+at any size.  Invariants (property-tested in ``tests/test_serve.py``): the
+free list, the never-used ids and the union of all block tables partition
+``range(num_blocks)`` at all times — no block is double-owned, none leaks.
 """
 
 from __future__ import annotations
@@ -69,8 +71,12 @@ class BlockPool:
         self.num_blocks = int(num_blocks)
         #: token slots in the whole pool: a sequence of more can never fit
         self.token_capacity = self.num_blocks * self.block_size
-        #: LIFO free stack: deterministic reuse order
-        self.free_list: List[int] = list(range(self.num_blocks - 1, -1, -1))
+        #: LIFO stack of returned blocks, handed out before any fresh one
+        self.free_list: List[int] = []
+        #: the lowest never-used block id: ``fresh .. num_blocks - 1`` are free
+        self.fresh = 0
+        #: free blocks, returned or never used
+        self.free_blocks = self.num_blocks
         self._tables: Dict[int, List[int]] = {}
         self._owner: Dict[int, int] = {}
         self.peak_used = 0
@@ -78,12 +84,8 @@ class BlockPool:
     # -- capacity --------------------------------------------------------
 
     @property
-    def free_blocks(self) -> int:
-        return len(self.free_list)
-
-    @property
     def used_blocks(self) -> int:
-        return self.num_blocks - len(self.free_list)
+        return self.num_blocks - self.free_blocks
 
     def blocks_for(self, tokens: int) -> int:
         """Blocks needed to hold ``tokens`` KV slots."""
@@ -109,15 +111,21 @@ class BlockPool:
         grow = need_total - have
         if grow <= 0:
             return 0
-        if grow > len(self.free_list):
-            raise CacheExhausted(seq_id, grow, len(self.free_list))
+        if grow > self.free_blocks:
+            raise CacheExhausted(seq_id, grow, self.free_blocks)
         if table is None:
             table = self._tables[seq_id] = []
+        free_list = self.free_list
         for _ in range(grow):
-            block = self.free_list.pop()
+            if free_list:
+                block = free_list.pop()
+            else:
+                block = self.fresh
+                self.fresh = block + 1
             self._owner[block] = seq_id
             table.append(block)
-        used = self.num_blocks - len(self.free_list)
+        self.free_blocks -= grow
+        used = self.num_blocks - self.free_blocks
         if used > self.peak_used:
             self.peak_used = used
         return grow
@@ -130,6 +138,7 @@ class BlockPool:
         for block in table:
             del self._owner[block]
             self.free_list.append(block)
+        self.free_blocks += len(table)
         return len(table)
 
     # -- introspection (the property-test surface) -----------------------
@@ -141,7 +150,8 @@ class BlockPool:
         return tuple(sorted(self._tables))
 
     def check_consistent(self) -> None:
-        """Free list + block tables must partition ``range(num_blocks)``."""
+        """Free list, never-used ids and block tables must partition
+        ``range(num_blocks)``, and ``free_blocks`` count the first two."""
         owned: Dict[int, int] = {}
         for seq_id, table in self._tables.items():
             for block in table:
@@ -160,7 +170,15 @@ class BlockPool:
         if free & set(owned):
             raise KVCacheError(
                 f"blocks both free and owned: {sorted(free & set(owned))}")
-        if free | set(owned) != set(range(self.num_blocks)):
-            leaked = set(range(self.num_blocks)) - free - set(owned)
-            raise KVCacheError(f"leaked blocks (neither free nor owned): "
-                               f"{sorted(leaked)}")
+        # the never-used ids are free and owned by nobody by construction
+        if free | set(owned) != set(range(self.fresh)):
+            handed = set(range(self.fresh))
+            raise KVCacheError(
+                f"leaked blocks (neither free nor owned): "
+                f"{sorted(handed - free - set(owned))}, never handed out: "
+                f"{sorted((free | set(owned)) - handed)}")
+        if self.free_blocks != len(free) + self.num_blocks - self.fresh:
+            raise KVCacheError(
+                f"free_blocks {self.free_blocks} miscounts the free list "
+                f"({len(free)}) and the never-used ids "
+                f"({self.num_blocks - self.fresh})")

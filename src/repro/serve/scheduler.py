@@ -228,11 +228,11 @@ class ContinuousBatchingScheduler:
         # 3) admission: preempted first, then the arrival queue.  Admission
         # never evicts (an incoming request is the youngest, so eviction
         # could only hit itself): when the first prefill chunk does not fit
-        # the free list, admission stops until decode drains some blocks.
+        # the free blocks, admission stops until decode drains some blocks.
         # Both fit tests are inline comparisons, so an attempt that stops
         # here makes no call.
         paused, waiting = self.paused, self.waiting
-        capacity, free_list = pool.token_capacity, pool.free_list
+        capacity = pool.token_capacity
         while budget > 0:
             if paused:
                 queue = paused
@@ -248,7 +248,7 @@ class ContinuousBatchingScheduler:
                 plan.failed.append(req)
                 continue
             chunk = min(self.prefill_chunk, req.prompt_tokens, budget)
-            if chunk > len(free_list) * block_size:
+            if chunk > pool.free_blocks * block_size:
                 break
             queue.popleft()
             req.state = PREFILL

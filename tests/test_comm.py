@@ -276,7 +276,7 @@ class TestOutOfRangeRanks:
     @pytest.mark.parametrize("case", list(_BAD_RANKS))
     def test_refused_before_anything_moves(self, case, spec):
         call, text = _BAD_RANKS[case]
-        rt = SpmdRuntime(uniform_cluster(4), deadlock_timeout=2.0)
+        rt = SpmdRuntime(uniform_cluster(4))
 
         def prog(ctx):
             comm = Communicator.world(ctx)

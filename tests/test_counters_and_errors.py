@@ -168,12 +168,12 @@ class TestTypedErrors:
         e = CollectiveTimeout("all_reduce", [0, 1, 2], attempts=5)
         assert e.op == "all_reduce"
         assert e.ranks == (0, 1, 2)  # normalized to a tuple
-        assert e.attempts == 5 and e.timeout is None
+        assert e.attempts == 5
         assert "all_reduce" in str(e) and "5 failed attempts" in str(e)
 
-        e = CollectiveTimeout("recv", (0, 1), timeout=2.5)
-        assert e.timeout == 2.5 and e.attempts == 0
-        assert "2.5" in str(e)
+        e = CollectiveTimeout("recv", (0, 1))  # a deadlock's verdict
+        assert e.attempts == 0 and not hasattr(e, "timeout")
+        assert "every live rank is parked" in str(e)
 
     def test_error_hierarchy(self):
         # chaos code catches RuntimeError as the common supertype

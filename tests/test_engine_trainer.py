@@ -89,7 +89,7 @@ class TestEngineAPI:
                 oks.append(engine.step())
             return oks, engine.steps_skipped, engine.scaler.scale, model.weight.numpy()
 
-        rt = SpmdRuntime(uniform_cluster(2), deadlock_timeout=2.0)
+        rt = SpmdRuntime(uniform_cluster(2))
         cfg = dict(parallel=parallel, fp16=dict(enabled=True, initial_scale=8.0))
         (oks0, skipped0, scale0, w0), (oks1, skipped1, scale1, w1) = launch(
             cfg, uniform_cluster(2), prog, runtime=rt)

@@ -141,8 +141,7 @@ class TestP2PFaults:
 
     def test_link_down_raises_typed_timeout(self, fault_seed):
         plan = FaultPlan(seed=fault_seed).link_down(src=0, dst=1)
-        rt = SpmdRuntime(uniform_cluster(4), fault_plan=plan,
-                         deadlock_timeout=2.0)
+        rt = SpmdRuntime(uniform_cluster(4), fault_plan=plan)
         with pytest.raises(RemoteRankError) as ei:
             rt.run(self._ring)
         cause = ei.value.__cause__
@@ -179,8 +178,7 @@ class TestBlackoutAndCrash:
                 comm.all_reduce(np.ones(64, dtype=np.float32))
             return "done"
 
-        rt = SpmdRuntime(uniform_cluster(4), fault_plan=plan,
-                         deadlock_timeout=2.0)
+        rt = SpmdRuntime(uniform_cluster(4), fault_plan=plan)
         with pytest.raises(RemoteRankError) as ei:
             rt.run(prog)
         cause = ei.value.__cause__
@@ -204,8 +202,7 @@ class TestBlackoutAndCrash:
             return None
 
         plan = FaultPlan(seed=fault_seed).crash(rank=0, at_time=1e-4)
-        rt = SpmdRuntime(uniform_cluster(4), fault_plan=plan,
-                         deadlock_timeout=2.0)
+        rt = SpmdRuntime(uniform_cluster(4), fault_plan=plan)
         with pytest.raises(RemoteRankError):
             rt.run(prog)
         assert any(v == "aborted" for v in observed.values())
@@ -327,30 +324,3 @@ class TestPlanValidation:
         inj = FaultInjector(FaultPlan())
         assert inj.p2p_verdict(0, 1) == "deliver"
         assert inj.collective_verdict("all_reduce", (0, 1), 0) == (0, False)
-
-
-class TestDeadlockTimeoutKnob:
-    def test_constructor_timeout_used(self):
-        rt = SpmdRuntime(uniform_cluster(2), deadlock_timeout=0.5)
-        assert rt.deadlock_timeout == 0.5
-
-        def prog(ctx):
-            if ctx.rank == 0:
-                Communicator.world(ctx).all_reduce(np.ones(4, dtype=np.float32))
-            return "ok"  # rank 1 never shows up -> rank 0 must time out
-
-        with pytest.raises(RemoteRankError) as ei:
-            rt.run(prog)
-        cause = ei.value.__cause__
-        assert isinstance(cause, CollectiveTimeout)
-        assert cause.timeout == 0.5
-
-    def test_default_unchanged(self):
-        from repro.runtime.spmd import _DEADLOCK_TIMEOUT
-
-        rt = SpmdRuntime(uniform_cluster(2))
-        assert rt.deadlock_timeout == _DEADLOCK_TIMEOUT
-
-    def test_invalid_timeout_rejected(self):
-        with pytest.raises(ValueError):
-            SpmdRuntime(uniform_cluster(2), deadlock_timeout=0.0)

@@ -169,7 +169,7 @@ def test_failed_run_releases_rounds_and_mailboxes():
             raise ValueError("rank 2 fails")
         return comm.all_reduce(np.ones(4))
 
-    rt = SpmdRuntime(system_ii(), WORLD, deadlock_timeout=5.0)
+    rt = SpmdRuntime(system_ii(), WORLD)
     with pytest.raises(RemoteRankError) as err:
         rt.run(prog)
     assert isinstance(err.value.__cause__, ValueError)

@@ -407,7 +407,7 @@ class TestInitializers:
             return [p.payload.copy() for m in layers for p in m.parameters()], states, held
 
         calls.clear()
-        rt = SpmdRuntime(uniform_cluster(4), deadlock_timeout=30.0)
+        rt = SpmdRuntime(uniform_cluster(4))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # ranks interleave inside the table's check-then-draw
         try:

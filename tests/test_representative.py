@@ -448,7 +448,7 @@ def failing(kind):
 @pytest.mark.parametrize("kind", [RankFailure, CollectiveTimeout, DeviceOutOfMemoryError,
                                   CollectiveMismatch])
 def test_failure_releases_everything(kind):
-    runs = run_both(lambda: SpmdRuntime(system_ii(), 4, deadlock_timeout=0.3), failing(kind))
+    runs = run_both(lambda: SpmdRuntime(system_ii(), 4), failing(kind))
     assert [(rt.path, rt.reason) for rt, _ in runs] == [
         ("caught_up", "read of ctx.rank"), ("threaded", "forced")]
     for rt, err in runs:

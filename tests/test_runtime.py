@@ -1,6 +1,8 @@
 """Tests for the SPMD runtime: clocks, launching, failure propagation."""
 
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -8,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import uniform_cluster
-from repro.runtime import RemoteRankError, SimClock, SpmdRuntime
+from repro.comm import Communicator
+from repro.runtime import CollectiveTimeout, RemoteRankError, SimClock, SpmdRuntime
 from repro.runtime.clock import StreamClock
 from repro.runtime.spmd import current_rank_context, in_spmd
+from repro.sanitize import CollectiveDesync
 
 
 class TestSimClock:
@@ -287,14 +291,10 @@ class TestSpmdRuntime:
 
     @pytest.mark.parametrize("kwargs, name", [
         (dict(world_size=0), "world_size"), (dict(world_size=-2), "world_size"),
-        (dict(deadlock_timeout=math.nan), "deadlock_timeout"),
-        (dict(deadlock_timeout=math.inf), "deadlock_timeout"),
-        (dict(deadlock_timeout=0.0), "deadlock_timeout"),
     ])
     def test_bad_runtime_arguments_named(self, cluster4, kwargs, name):
-        """An empty world would return ``[]`` as a run, a NaN timeout would
-        park a deadlocked waiter forever and an infinite one overflows the
-        host wait: each is refused at construction, by name."""
+        """An empty world would return ``[]`` as a run: it is refused at
+        construction, by name."""
         with pytest.raises(ValueError, match=name):
             SpmdRuntime(cluster4, **kwargs)
 
@@ -357,3 +357,88 @@ class TestSpmdRuntime:
             return id(g1) == id(g2)
 
         assert all(rt4.run(prog))
+
+
+# -- deadlock: the run ends the moment every live rank is parked ------------
+
+
+def _stuck(kind, op, steps, victim, k):
+    """``steps`` world ``op`` calls, ``victim`` skipping call ``k``, making
+    it twice, exiting before it or at the end receiving a message never
+    sent; or at the end rank 0 waits in the world group, rank r in [r, 0]."""
+
+    def prog(ctx):
+        world, r, x = Communicator.world(ctx), ctx.rank, np.ones(12)
+        for i in range(steps):
+            mine = r == victim and i == k
+            if mine and kind == "exit":
+                return
+            for _ in range({"skip": 0, "extra": 2}.get(kind, 1) if mine else 1):
+                getattr(world, op)(x)
+        if kind == "recv" and r == victim:
+            world.recv(src=(victim + 1) % ctx.world_size, tag="never")
+        if kind == "cycle":
+            getattr(world if r == 0 else world.subgroup([r, 0]), op)(x)
+
+    return prog
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), world=st.integers(2, 4), steps=st.integers(1, 3),
+       kind=st.sampled_from(["skip", "extra", "exit", "recv", "cycle"]),
+       op=st.sampled_from(["all_reduce", "all_gather", "reduce_scatter"]),
+       sanitize=st.booleans())
+def test_a_stuck_program_fails_at_once_and_alike(data, world, steps, kind, op,
+                                                 sanitize):
+    """Every live rank parked is a deadlock, found exactly: each run raises
+    a typed error at once, and ten runs name the same rank, op and group —
+    the lowest parked rank's ``CollectiveTimeout``, or the sanitizer's
+    ``CollectiveDesync`` naming who waits there and for whom."""
+    victim = data.draw(st.integers(0, world - 1), label="victim")
+    k = data.draw(st.integers(0, steps - 1), label="k")
+    every, peer = tuple(range(world)), (victim + 1) % world
+    others = tuple(r for r in every if r != victim)
+    rank, name, group, waiting, missing = {
+        "recv": (victim, "recv", (peer, victim), (victim,), (peer,)),
+        "cycle": (0, op, every, (0,), every[1:]),
+        "extra": (victim, op, every, (victim,), others),
+    }.get(kind, (others[0], op, every, others, (victim,)))
+    rt = SpmdRuntime(uniform_cluster(world), sanitize=sanitize or None)
+    for _ in range(10):
+        t0 = time.monotonic()
+        with pytest.raises(RemoteRankError) as ei:
+            rt.run(_stuck(kind, op, steps, victim, k))
+        assert time.monotonic() - t0 < 1.0
+        cause = ei.value.cause
+        if sanitize:
+            assert type(cause) is CollectiveDesync
+            assert (cause.op, cause.group_ranks, cause.waiting_ranks,
+                    cause.missing_ranks) == (name, group, waiting, missing)
+        else:
+            assert type(cause) is CollectiveTimeout and cause.attempts == 0
+            assert (ei.value.rank, cause.op, cause.ranks) == (rank, name, group)
+
+
+def test_a_healthy_storm_is_never_called_deadlocked():
+    """Parks, wake-ups and exits interleave every microsecond on more rank
+    threads than cores: a waker takes each woken rank out of the parked set
+    before anything else can read it, so no run meets the deadlock rule."""
+
+    def prog(ctx):
+        world, r = Communicator.world(ctx), ctx.rank
+        for i in range(40):
+            world.all_reduce(np.ones(2))
+            world.sendrecv(np.ones(2), (r + 1) % 4, (r - 1) % 4, tag=i)
+            world.subgroup([r - r % 2, r - r % 2 + 1]).iallreduce(np.ones(2)).wait()
+        if r == 0:  # and exits, with rank 3 parked or not yet on its message
+            world.send(np.ones(1), 3)
+        return world.recv(src=0)[0] if r == 3 else r
+
+    rt, interval = SpmdRuntime(uniform_cluster(4)), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = [rt.run(prog) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[0, 1, 2, 1.0]] * 3
+    assert rt.parked == {} and rt.live == 0

@@ -22,6 +22,7 @@ import collections
 import inspect
 import math
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -113,30 +114,45 @@ class TestBlockPool:
     @fast
     def test_no_block_double_owned_or_leaked(self, block_size, num_blocks,
                                              ops):
-        """Free list + tables partition the pool across any op schedule."""
+        """Free list + tables partition the pool across any op schedule,
+        and the pool hands out the ids a stack of every block would: the
+        same tables and ``CacheExhausted`` points as a reference that
+        starts from ``[num_blocks - 1, ..., 0]`` and pops its end."""
         pool = BlockPool(block_size=block_size, num_blocks=num_blocks)
-        grown = {}
+        stack, tables = list(range(num_blocks - 1, -1, -1)), {}
         for seq, tokens, do_free in ops:
+            table = tables.pop(seq, [])
             if do_free:
-                freed = pool.free_sequence(seq)
-                assert freed == len(pool.table(seq)) or freed >= 0
-                grown.pop(seq, None)
+                assert pool.free_sequence(seq) == len(table)
+                stack += table
             else:
-                tokens = max(tokens, grown.get(seq, 0))
+                need = pool.blocks_for(tokens)
+                grow = need - len(table)
                 try:
                     pool.appended(seq, tokens)
-                    grown[seq] = max(grown.get(seq, 0), tokens)
-                except (CacheExhausted, RequestTooLarge):
-                    pass  # all-or-nothing; table must be unchanged
+                    assert need <= num_blocks and grow <= len(stack)
+                    table += [stack.pop() for _ in range(grow)]
+                except CacheExhausted:
+                    assert len(stack) < grow <= num_blocks - len(table)
+                except RequestTooLarge:
+                    assert need > num_blocks
+                tables[seq] = table
             pool.check_consistent()
-            assert pool.free_blocks + pool.used_blocks == num_blocks
-            for s in pool.sequences():
-                assert len(pool.table(s)) == pool.blocks_for(
-                    max(grown.get(s, 0), 1)) or s in grown
+            assert {s: list(pool.table(s)) for s in pool.sequences()} == {
+                s: t for s, t in tables.items() if t}
+            assert pool.free_blocks == len(stack)
         for seq in list(pool.sequences()):
             pool.free_sequence(seq)
         pool.check_consistent()
         assert pool.free_blocks == num_blocks
+
+    def test_building_a_huge_pool_allocates_nothing_per_block(self):
+        tracemalloc.start()
+        pool = BlockPool(block_size=16, num_blocks=10**9)
+        grown = pool.appended(1, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert grown == 3 and pool.table(1) == (0, 1, 2) and peak < 1 << 16
 
 
 # ---------------------------------------------------------------------------
