@@ -11,11 +11,17 @@ reproduction:
   simulated memory high-water mark matches the shape of a real framework's
   forward/backward curve (rising through forward, falling through
   backward).
+
+A leaf's ``grad_hook`` fires after each accumulation into its ``.grad``;
+:class:`ReadyCount` turns those hooks into "this group's gradients are all
+in" for DDP's buckets and ZeRO-1/2's chunks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import functools
+import weakref
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.autograd.function import FnCtx
 from repro.autograd.payload_ops import padd, pones_like, pzeros
@@ -184,3 +190,63 @@ def _accumulate_leaf(t: Tensor, g: Payload, materialize: bool) -> None:
             t.grad.payload = padd(prev, g)
     if t.grad_hook is not None:
         t.grad_hook(t)
+
+
+class ReadyCount:
+    """Hook-driven flushing of parameter groups, shared by DDP's gradient
+    buckets and ZeRO-1/2's chunks: each parameter's gradient hook counts it
+    into its group, and the owner's ``_flush(gi)`` issues the group's
+    collective the moment its last gradient lands, while earlier layers'
+    backward still computes.  ``_flush`` marks ``_flushed[gi]``.  It assumes
+    one gradient accumulation per parameter per exchange: a second raises
+    rather than desynchronizing numerics."""
+
+    def _arm(self, groups: Sequence[Sequence[Tensor]], hooked: bool = True) -> None:
+        self._sizes = [len(g) for g in groups]
+        self._ready: List[Set[int]] = [set() for _ in groups]
+        self._flushed = [False] * len(groups)
+        if not hooked:
+            return
+        # the hook holds its owner weakly: a bound method would close the
+        # cycle param -> hook -> owner -> param, and the parameters' pool
+        # bytes would then wait for the cyclic collector
+        hook = functools.partial(ReadyCount._on_grad_ready, weakref.ref(self))
+        self._group_of: Dict[int, int] = {}
+        for gi, group in enumerate(groups):
+            for p in group:
+                self._group_of[id(p)] = gi
+                p.grad_hook = hook
+
+    @staticmethod
+    def _on_grad_ready(ref: "weakref.ref[ReadyCount]", p: Tensor) -> None:
+        self = ref()
+        if self is None:  # owner dropped, parameters kept: nothing to flush
+            return
+        gi = self._group_of[id(p)]
+        ready = self._ready[gi]
+        if self._flushed[gi] or id(p) in ready:
+            raise RuntimeError(
+                f"{type(self).__name__} overlap: parameter {p.name or id(p)} "
+                f"accumulated a gradient twice before its exchange — shared "
+                f"parameters and multi-backward gradient accumulation require "
+                f"overlap=False"
+            )
+        ready.add(id(p))
+        if len(ready) == self._sizes[gi]:
+            self._flush(gi)
+
+    def _flush(self, gi: int) -> None:
+        raise NotImplementedError
+
+    def _flush_rest(self) -> None:
+        """Flush, in group order, every group backward left incomplete (no
+        gradient this step, or a partial set), so every rank issues the same
+        collective sequence."""
+        for gi, done in enumerate(self._flushed):
+            if not done:
+                self._flush(gi)
+
+    def _rearm(self) -> None:
+        for ready in self._ready:
+            ready.clear()
+        self._flushed = [False] * len(self._flushed)

@@ -133,8 +133,9 @@ class FP16Config(_Section):
 class ZeroConfig(_Section):
     _key = "zero"
 
-    stage: int = _field(0, int, "ZeRO stage: 0 off, 1/2 per DeepSpeed (ZeRO-3 is "
-                        "ZeroOffloadEngine, built directly)", choices=ZERO_STAGES)
+    stage: int = _field(0, int, "ZeRO stage: 0 off, 1/2 shard Adam by chunk over the data "
+                        "group, 2 also the gradients (ZeRO-3 is ZeroOffloadEngine, built "
+                        "directly)", choices=ZERO_STAGES)
 
 
 @dataclass

@@ -11,9 +11,10 @@ features::
 
 ``backward`` applies loss scaling (fp16) and ``step`` performs, in order:
 grad unscale + an overflow vote of all ranks, replicated-parameter grad sync
-(``grad_sync_comms``), data-parallel gradient averaging, clipping, and the
-optimizer update.  With a pipeline schedule, ``engine.execute_schedule``
-replaces the forward/backward pair.
+(``grad_sync_comms``), the data-parallel gradient exchange (DDP's or
+``sync_gradients``' all-reduce, or ZeRO-1/2's per-chunk reduce-scatter),
+clipping, and the optimizer update.  With a pipeline schedule,
+``engine.execute_schedule`` replaces the forward/backward pair.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.amp.grad_scaler import GradScaler
+from repro.autograd.engine import ReadyCount
 from repro.config import Config
 from repro.context.parallel_context import ParallelContext, ParallelMode
 from repro.nn.module import Module
@@ -62,14 +64,13 @@ class Engine:
 
     def backward(self, loss: Tensor) -> None:
         if self.gradient_accumulation > 1:
-            if (
-                isinstance(self.model, DistributedDataParallel)
-                and self.model.overlap
-            ):
+            if any(isinstance(o, ReadyCount) and o.overlap
+                   for o in (self.model, self.optimizer)):
                 raise RuntimeError(
                     "gradient accumulation needs overlap=False: hook-driven "
-                    "bucket flushing would all-reduce after the first backward "
-                    "instead of once per accumulation window"
+                    "flushing (DDP buckets, ZeRO chunks) would exchange the "
+                    "gradients after the first backward instead of once per "
+                    "accumulation window"
                 )
             from repro.autograd import ops
 
@@ -94,12 +95,15 @@ class Engine:
                 return False
         # replicated-parameter sums (2.5D depth, sequence parallelism)
         sync_parameter_gradients(self.model)
-        # data-parallel average; a DDP-wrapped model owns its own sync (the
-        # overlap path only waits handles — the all-reduces already ran on
-        # the comm stream during backward) and ZeRO-2 reduce-scatters in step
+        # the data-parallel exchange; a DDP-wrapped model owns its own sync,
+        # and ZeRO-1/2 (the optimizer that counts ready gradients) its
+        # chunks' reduce-scatters — under overlap both issued them on the
+        # comm stream during backward
         if isinstance(self.model, DistributedDataParallel):
             self.model.sync()
-        elif self.pc.data_size > 1 and getattr(self.optimizer, "stage", 0) != 2:
+        elif isinstance(self.optimizer, ReadyCount):
+            self.optimizer.sync()
+        elif self.pc.data_size > 1:
             sync_gradients(params, self.pc.comm(ParallelMode.DATA))
         if self.config.gradient_clipping > 0:
             self.optimizer.clip_grad_norm(self.config.gradient_clipping)

@@ -7,7 +7,7 @@ config names — training, projection or serving — on it.
 
 ``initialize`` assembles an :class:`Engine` from user components exactly as
 Listing 1 shows, wiring in the configured features (fp16 wrapping, ZeRO-1/2,
-pipeline schedule, optimizer clipping).
+gradient overlap, pipeline schedule, optimizer clipping).
 """
 
 from __future__ import annotations
@@ -160,7 +160,10 @@ def initialize(
 
     Mirrors ``colossalai.initialize(model, optimizer, criterion, ...)``.
     ``zero.stage`` 1 or 2 swaps the ``Adam`` for a same-settings
-    ``ZeroRedundancyOptimizer`` over the data-parallel group (DESIGN §4z).
+    ``ZeroRedundancyOptimizer`` over the data-parallel group, whose chunks
+    then own the gradient exchange (DESIGN §4z).  ``comm.overlap`` on pure
+    data parallelism without fp16 overlaps that exchange with backward:
+    stage 0 through a DDP wrap, stages 1-2 through the chunks' hooks.
     """
     if pc is None:
         from repro.context.parallel_context import global_context
@@ -171,28 +174,25 @@ def initialize(
         from repro.amp.fp16 import cast_model_to
 
         cast_model_to(model, "float16")
+    # pure data parallelism overlaps the gradient exchange with backward
+    # (fp16 keeps the post-backward sweep because unscale+overflow check must
+    # precede any gradient traffic)
+    overlap = (cfg.comm.overlap and pc.data_size > 1 and cfg.model_parallel_size() == 1
+               and not cfg.fp16.enabled)
     if stage := cfg.zero.stage:
         from repro.optim.adam import Adam
         from repro.zero import ZeroRedundancyOptimizer
 
-        if not isinstance(optimizer, Adam) or stage == 2 and (
-                cfg.comm.overlap or cfg.gradient_clipping):
+        if not isinstance(optimizer, Adam):
             raise ConfigError(
-                f"zero.stage: {stage} with {type(optimizer).__name__}, comm.overlap="
-                f"{cfg.comm.overlap}, gradient_clipping={cfg.gradient_clipping}: ZeRO-1/2 "
-                "shard an Adam, ZeRO-2 without those two")
+                f"zero.stage: {stage} with {type(optimizer).__name__}: ZeRO-1/2 shard an Adam")
         optimizer = ZeroRedundancyOptimizer(
             optimizer.params, pc.comm(ParallelMode.DATA), stage,
             decoupled_wd=optimizer.DECOUPLED_WD, **optimizer.defaults)
-    if (
-        cfg.comm.overlap
-        and pc.data_size > 1
-        and cfg.model_parallel_size() == 1
-        and not cfg.fp16.enabled
-    ):
-        # pure data parallelism: auto-wrap so gradient buckets all-reduce
-        # nonblocking from backward hooks (fp16 keeps the post-backward sweep
-        # because unscale+overflow check must precede any gradient traffic)
+        if overlap:
+            optimizer.overlap_backward()
+    elif overlap:
+        # gradient buckets all-reduce nonblocking from backward hooks
         from repro.parallel.data import DistributedDataParallel
 
         if not isinstance(model, DistributedDataParallel):

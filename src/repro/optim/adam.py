@@ -7,9 +7,9 @@ describes and ZeRO exists to shard.
 
 :func:`adam_state` and :func:`adam_update` are the only places that state
 and the update rule are written: ``Adam`` (and through it ``CPUAdam`` /
-``HybridAdam``), ZeRO-1/2's ``ZeroRedundancyOptimizer`` and ZeRO-3's
-``ZeroOffloadEngine`` call them on whole parameters, flat shards or chunk
-shards alike (DESIGN §4y).
+``HybridAdam``) calls them per parameter, ``Chunk.init_adam`` /
+``Chunk.adam_step`` per chunk shard for every ZeRO stage — ZeRO-1/2's
+``ZeroRedundancyOptimizer`` and ZeRO-3's ``ZeroOffloadEngine`` (DESIGN §4y).
 """
 
 from __future__ import annotations

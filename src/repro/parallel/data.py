@@ -18,12 +18,11 @@ per-rank values in the same local-rank order.
 
 from __future__ import annotations
 
-import functools
-import weakref
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.autograd.engine import ReadyCount
 from repro.comm.communicator import Communicator
 from repro.comm.payload import SpecArray
 from repro.context.parallel_context import ParallelContext, ParallelMode
@@ -125,21 +124,19 @@ def _flat_bucket(bucket: Sequence[Parameter], pool: Optional[Any]) -> np.ndarray
     return np.concatenate(grads)
 
 
-class DistributedDataParallel(Module):
+class DistributedDataParallel(Module, ReadyCount):
     """DDP wrapper: forward delegates; ``sync()`` averages gradients across
     the DATA group (call it between ``backward`` and ``optimizer.step``; the
     Engine does this automatically).
 
     ``overlap=True`` (default: follow ``runtime.comm_overlap``) switches to
-    hook-driven bucket flushing: gradient buckets are laid out over reversed
-    parameter-registration order and each bucket's all-reduce is issued
-    nonblocking as soon as its last gradient is accumulated, overlapping
-    communication with the rest of backward.  ``sync()`` flushes stragglers,
-    waits the handles in issue order and unpacks.  Overlap assumes one
-    gradient accumulation per parameter per ``sync()`` — models that reuse
-    a parameter in several ops (tied weights) or accumulate over multiple
-    backwards must run with ``overlap=False``; a double fire raises rather
-    than desynchronizing numerics.
+    hook-driven bucket flushing (:class:`ReadyCount`): gradient buckets are
+    laid out over reversed parameter-registration order and each bucket's
+    all-reduce is issued nonblocking as soon as its last gradient is
+    accumulated, overlapping communication with the rest of backward.
+    ``sync()`` flushes stragglers, waits the handles in issue order and
+    unpacks.  Models that reuse a parameter in several ops (tied weights) or
+    accumulate over multiple backwards must run with ``overlap=False``.
     """
 
     def __init__(
@@ -158,56 +155,22 @@ class DistributedDataParallel(Module):
             overlap = getattr(self.comm.group.runtime, "comm_overlap", False)
         self.overlap = bool(overlap) and self.comm.size > 1
         self._buckets: List[List[Parameter]] = []
-        self._param_bucket: Dict[int, int] = {}
-        self._ready: List[Set[int]] = []
-        self._flushed: List[bool] = []
         self._pending: List[Tuple[int, Any]] = []
         if self.overlap:
-            self._install_hooks()
+            grad_params = [p for p in self.module.parameters() if p.requires_grad]
+            # gradients become ready back to front during backward, so bucket
+            # over reversed registration order to flush early buckets early
+            self._buckets = _bucketize(
+                list(reversed(grad_params)), int(self.bucket_mb * MB)
+            )
+            self._arm(self._buckets)
 
     def forward(self, *args, **kwargs):
         return self.module(*args, **kwargs)
 
     # -- overlap path ------------------------------------------------------
 
-    def _install_hooks(self) -> None:
-        grad_params = [p for p in self.module.parameters() if p.requires_grad]
-        # gradients become ready back to front during backward, so bucket
-        # over reversed registration order to flush early buckets early
-        self._buckets = _bucketize(
-            list(reversed(grad_params)), int(self.bucket_mb * MB)
-        )
-        self._ready = [set() for _ in self._buckets]
-        self._flushed = [False] * len(self._buckets)
-        # the hook holds this wrapper weakly: a bound method would close the
-        # cycle param -> hook -> DDP -> module -> param, and the parameters'
-        # pool bytes would then wait for the cyclic collector
-        hook = functools.partial(
-            DistributedDataParallel._on_grad_ready, weakref.ref(self)
-        )
-        for bi, bucket in enumerate(self._buckets):
-            for p in bucket:
-                self._param_bucket[id(p)] = bi
-                p.grad_hook = hook
-
-    @staticmethod
-    def _on_grad_ready(ref: "weakref.ref[DistributedDataParallel]", p: Tensor) -> None:
-        self = ref()
-        if self is None:  # wrapper dropped, module kept: nothing to flush
-            return
-        bi = self._param_bucket[id(p)]
-        ready = self._ready[bi]
-        if self._flushed[bi] or id(p) in ready:
-            raise RuntimeError(
-                f"DDP overlap: parameter {p.name or id(p)} accumulated a "
-                f"gradient twice before sync() — shared parameters and "
-                f"multi-backward gradient accumulation require overlap=False"
-            )
-        ready.add(id(p))
-        if len(ready) == len(self._buckets[bi]):
-            self._flush_bucket(bi)
-
-    def _flush_bucket(self, bi: int) -> None:
+    def _flush(self, bi: int) -> None:
         self._flushed[bi] = True
         bucket = [p for p in self._buckets[bi] if p.grad is not None]
         if not bucket:
@@ -223,12 +186,7 @@ class DistributedDataParallel(Module):
                 self.module.parameters(), self.comm, bucket_mb=self.bucket_mb
             )
             return
-        # stragglers: buckets whose params got no gradient this step (or a
-        # partial set), flushed in bucket order so every rank issues the
-        # same collective sequence
-        for bi in range(len(self._buckets)):
-            if not self._flushed[bi]:
-                self._flush_bucket(bi)
+        self._flush_rest()
         pool = self.comm.group.runtime.buffer_pool
         for bi, handle, flat in self._pending:
             reduced = handle.wait()
@@ -236,9 +194,7 @@ class DistributedDataParallel(Module):
                 _unpack_averaged([p for p in self._buckets[bi] if p.grad is not None],
                                  reduced, flat, self.comm.size, pool)
         self._pending.clear()
-        for ready in self._ready:
-            ready.clear()
-        self._flushed = [False] * len(self._buckets)
+        self._rearm()
 
 
 def shard_batch(batch: np.ndarray, pc: ParallelContext) -> np.ndarray:

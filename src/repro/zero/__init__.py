@@ -1,35 +1,25 @@
 """Zero-redundancy data parallelism, chunked memory management and
 heterogeneous offloading (§3.2 of the paper).
 
-* :mod:`repro.zero.sharded_tensor` — the unified sharded-tensor interface
-  with customizable sharding strategies and life-cycle hooks.
 * :mod:`repro.zero.chunk` — PatrickStar-style chunks: parameters are packed
-  into fixed-size buffers that become the unit of gather/offload traffic.
+  into fixed-size buffers that become the unit of gather, reduce-scatter,
+  offload and Adam update at every ZeRO stage.
 * :mod:`repro.zero.policies` — tensor placement: ``StaticPolicy``
   (DeepSpeed-like, everything offloaded to CPU) vs ``AdaptivePolicy``
   (Colossal-AI: keep chunks on GPU while memory allows).
-* :mod:`repro.zero.zero_optimizer` — ZeRO stages 1-2 for ordinary
-  data-parallel training; ``initialize()`` builds them from ``zero.stage``.
+* :mod:`repro.zero.zero_optimizer` — ZeRO stages 1-2 on those chunks for
+  ordinary data-parallel training; ``initialize()`` builds them from
+  ``zero.stage``.
 * :mod:`repro.zero.engine` — the block-wise ZeRO-3 + offload training
   engine used by the GPT-2 10B / OPT-13B experiments (Fig 14).
 """
 
-from repro.zero.sharded_tensor import (
-    FlatShardingStrategy,
-    ShardedTensor,
-    ShardingStrategy,
-    TensorState,
-)
 from repro.zero.chunk import Chunk, ChunkManager
 from repro.zero.policies import AdaptivePolicy, PlacementPolicy, StaticPolicy
 from repro.zero.zero_optimizer import ZeroRedundancyOptimizer
 from repro.zero.engine import ZeroOffloadEngine
 
 __all__ = [
-    "ShardedTensor",
-    "ShardingStrategy",
-    "FlatShardingStrategy",
-    "TensorState",
     "Chunk",
     "ChunkManager",
     "PlacementPolicy",

@@ -6,12 +6,14 @@ optimizer update.  Large uniform transfers keep effective bandwidth high
 (the alpha term is paid once per chunk instead of once per tensor), which
 is the stated reason Colossal-AI adopts chunks for offloading.
 
-Authoritative storage is the per-rank ZeRO-3 *shard* of each chunk
-(``capacity / dp`` elements).  ``fetch`` reconstructs the full fp16 chunk on
-the GPU (host transfer if the shard is offloaded + all-gather across the
-data-parallel group); ``release_full`` drops it.  Gradient shards can reuse
-the fp16 parameter shard storage (Fig 6 memory-space reuse) because the
-fp32 master copy lives in the optimizer state.
+Each rank is authoritative for its *shard* of each chunk (``capacity / dp``
+elements) and steps it with :meth:`Chunk.adam_step` at every ZeRO stage
+(DESIGN §4y).  At ZeRO-3 only the shard stays resident: ``fetch``
+reconstructs the full fp16 chunk on the GPU (host transfer if the shard is
+offloaded + all-gather across the data-parallel group) and ``release_full``
+drops it.  Gradient shards can reuse the fp16 parameter shard storage
+(Fig 6 memory-space reuse) because the fp32 master copy lives in the
+optimizer state.
 """
 
 from __future__ import annotations
@@ -27,8 +29,11 @@ from repro.comm.communicator import Communicator
 from repro.comm.cost import CostModel
 from repro.comm.payload import Payload, SpecArray, is_spec
 from repro.nn.module import Module, Parameter
-from repro.runtime.spmd import current_rank_context
-from repro.tensor.tensor import Storage, Tensor
+from repro.optim.adam import Adam, adam_state, adam_update
+from repro.tensor.tensor import Storage
+
+#: the default chunk size in MiB, ZeRO-3's and ZeRO-1/2's alike
+CHUNK_MB = 32.0
 
 
 @dataclass
@@ -40,7 +45,8 @@ class ParamRecord:
 
 
 class Chunk:
-    """One fixed-size flat buffer of parameters."""
+    """One flat buffer of parameters: the unit of gather, reduce-scatter and
+    update."""
 
     def __init__(
         self,
@@ -69,11 +75,13 @@ class Chunk:
         self._grad_shard: Optional[np.ndarray] = None
         self._grad_storage: Optional[Storage] = None
         # in-flight nonblocking ops (overlap scheduler): the prefetched
-        # all-gather handle and the (handle, average) of an async
+        # all-gather handle and the (handle, staged flat) of an async
         # reduce-scatter of this chunk's gradients
         self._pending_gather: Optional[Any] = None
-        self._pending_rs: Optional[Tuple[Any, bool, Payload]] = None
+        self._pending_rs: Optional[Tuple[Any, Payload]] = None
         self.last_used_step = -1
+        #: Adam's fp32 state of this rank's shard (:meth:`init_adam`)
+        self.adam: Optional[Dict[str, Any]] = None
 
     # -- packing ----------------------------------------------------------------
 
@@ -171,56 +179,54 @@ class Chunk:
             self._full_storage.release()
             self._full_storage = None
 
+    def keep_full(self) -> None:
+        """Hold the full chunk resident for good (ZeRO-1/2): the shard is a
+        slice of it, so the shard's own storage goes."""
+        self._shard_storage.release()
+        self._full_storage = Storage(self.gpu, self.full_nbytes, "param")
+
     # -- gradients -----------------------------------------------------------------
 
     def reduce_scatter_grads(
         self,
-        cost_model: CostModel,
-        rank: int,
-        clock,
+        cost_model: Optional[CostModel] = None,
+        rank: int = 0,
+        clock=None,
         reuse_fp16_storage: bool = True,
-        average: bool = True,
         async_op: bool = False,
+        keep_grads: bool = False,
     ) -> None:
-        """Collect full parameter grads, reduce-scatter across the group,
-        keep this rank's grad shard (optionally reusing the fp16 param
-        shard storage — Fig 6).
+        """Collect full parameter grads, reduce-scatter across the group in
+        the chunk's dtype, keep this rank's averaged grad shard in fp32
+        (optionally reusing the fp16 param shard storage — Fig 6) and drop
+        the full grads unless ``keep_grads`` (ZeRO-1 keeps them).  An
+        offloaded shard streams its grad shard to the host, priced by
+        ``cost_model`` for ``rank`` on ``clock``.
 
         ``async_op=True`` issues the reduce-scatter nonblocking on the comm
         stream and returns immediately; :meth:`finish_grad_reduce` completes
         it (the overlap scheduler calls that right before the chunk's
         optimizer update)."""
         pool = self.comm.group.runtime.buffer_pool
-        if self.values is not None and all(
-            r.param.grad is not None and r.param.grad.materialized for r in self.records
-        ):
+        if self.values is not None:
             if pool is not None:
-                flat: Payload = pool.loan(
-                    (self.capacity,), np.float32, "zero.chunk_flat"
-                )
-                flat.fill(0.0)  # padding past the packed records must be zero
+                flat: Payload = pool.loan((self.capacity,), self.dtype, "zero.chunk_flat")
+                flat.fill(0)  # padding past the packed records must be zero
             else:
-                flat = np.zeros(self.capacity, dtype=np.float32)
+                flat = np.zeros(self.capacity, dtype=self.dtype)
             for r in self.records:
-                flat[r.offset : r.offset + r.numel] = (
-                    r.param.grad.numpy().astype(np.float32).reshape(-1)
-                )
+                if r.param.grad is not None:
+                    flat[r.offset : r.offset + r.numel] = r.param.grad.numpy().reshape(-1)
         else:
             flat = SpecArray((self.capacity,), self.dtype)
         if async_op:
-            self._pending_rs = (
-                self.comm.ireduce_scatter(flat, axis=0), average, flat,
-            )
+            self._pending_rs = (self.comm.ireduce_scatter(flat, axis=0), flat)
         else:
             shard = self.comm.reduce_scatter(flat, axis=0)
             if pool is not None:
                 pool.restock(flat)
-            if is_spec(shard):
-                self._grad_shard = None
-            else:
-                if average:
-                    shard = shard / self.comm.size
-                self._grad_shard = shard
+            self._grad_shard = None if is_spec(shard) else (
+                shard / self.comm.size).astype(np.float32, copy=False)
         if not reuse_fp16_storage:
             self._grad_storage = Storage(
                 self.gpu if self.location == "gpu" else self.cpu,
@@ -231,43 +237,55 @@ class Chunk:
             # offloaded shard: stream the gradient shard to the host
             cost = cost_model.host_transfer(rank, self.shard_nbytes)
             clock.advance(cost.seconds, "offload")
-        # drop the full per-parameter gradients
-        for r in self.records:
-            r.param.grad = None
+        if not keep_grads:
+            for r in self.records:
+                r.param.grad = None
 
     def finish_grad_reduce(self) -> None:
         """Complete an ``async_op`` reduce-scatter (no-op otherwise): wait
         the handle and keep this rank's averaged grad shard."""
         if self._pending_rs is None:
             return
-        handle, average, flat = self._pending_rs
+        handle, flat = self._pending_rs
         self._pending_rs = None
         shard = handle.wait()
         pool = self.comm.group.runtime.buffer_pool
         if pool is not None:
             pool.restock(flat)
-        if is_spec(shard):
-            self._grad_shard = None
-        else:
-            if average:
-                shard = shard / self.comm.size
-            self._grad_shard = shard
+        self._grad_shard = None if is_spec(shard) else (
+            shard / self.comm.size).astype(np.float32, copy=False)
 
     @property
     def grad_shard(self) -> Optional[np.ndarray]:
         return self._grad_shard
 
-    def clear_grad_shard(self) -> None:
-        self._grad_shard = None
+    # -- optimizer -------------------------------------------------------------------
+
+    def init_adam(self, device: Device) -> None:
+        """Adam's fp32 ``m`` / ``v`` and master copy of this rank's shard, on
+        ``device`` — all the optimizer state any ZeRO stage keeps."""
+        self.adam = adam_state((self.shard_elems,), device, self.shard_payload())
+
+    def adam_step(self, device: Device, clock, hp: Dict[str, Any], decoupled: bool) -> None:
+        """The chunk's update, priced on ``device``: Adam (``decoupled``:
+        AdamW, with ``hp``'s ``lr`` / ``betas`` / ``eps`` / ``weight_decay``)
+        on the fp32 master shard from the averaged grad shard, the shard
+        written back in the chunk's dtype, the grad shard dropped."""
+        clock.advance(
+            device.compute_seconds(Adam.FLOPS_PER_ELEMENT * self.shard_elems, "float32"),
+            "optimizer",
+        )
+        g = self._grad_shard
+        if g is not None:  # spec mode: only timing/memory matter
+            master = self.adam["master"].numpy()
+            adam_update(master, self.adam, g, hp["lr"], hp["betas"], hp["eps"],
+                        hp["weight_decay"], decoupled)
+            r = self.comm.rank
+            self.values[r * self.shard_elems : (r + 1) * self.shard_elems] = master
+            self._grad_shard = None
         if self._grad_storage is not None:
             self._grad_storage.release()
             self._grad_storage = None
-
-    def apply_shard_update(self, new_fp16: Optional[np.ndarray]) -> None:
-        """Write the updated fp16 shard back (optimizer step output)."""
-        if new_fp16 is not None and self.values is not None:
-            r = self.comm.rank
-            self.values[r * self.shard_elems : (r + 1) * self.shard_elems] = new_fp16
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -322,6 +340,26 @@ class ChunkManager:
             self._open = chunk
         chunk.pack(param)
         self.param_chunk[id(param)] = chunk
+
+    def register_dense(self, params: List[Parameter]) -> None:
+        """Pack ``params`` in order into chunks of up to ``chunk_elements``,
+        each cut to what it holds (rounded up to the group size); a larger
+        parameter gets its own.  For chunks that are never released
+        (ZeRO-1/2): a fixed size buys them no reuse, and its padding would
+        cross the wire at every step."""
+        groups: List[List[Parameter]] = []
+        for p in params:
+            if not groups or used + p.size > self.chunk_elements:
+                groups.append([])
+                used = 0
+            groups[-1].append(p)
+            used += p.size
+        for group in groups:
+            used = sum(p.size for p in group)
+            chunk = self._new_chunk(math.ceil(used / self.comm.size) * self.comm.size)
+            for p in group:
+                chunk.pack(p)
+                self.param_chunk[id(p)] = chunk
 
     def close_current(self) -> None:
         """Seal the open chunk so the next parameter starts a fresh one.

@@ -9,9 +9,10 @@ Runs block-wise activation-checkpointed training of a huge model:
 * **backward** — per block in reverse: re-fetch, recompute with gradients,
   backprop the incoming gradient, reduce-scatter the parameter gradients
   into per-rank shards (fp16 param storage reused per Fig 6), release.
-* **step** — per chunk: Adam on the fp32 master shard, on the device the
-  placement policy chose (GPU for resident chunks — the HybridAdam design;
-  CPU for offloaded ones), then write the fp16 shard back.
+* **step** — per chunk: ``Chunk.adam_step`` on the fp32 master shard, the
+  update ZeRO-1/2 run too, on the device the placement policy chose (GPU
+  for resident chunks — the HybridAdam design; CPU for offloaded ones),
+  then write the fp16 shard back.
 
 The engine works identically in materialized mode (small models; parity
 tests compare it against plain training) and spec mode (GPT-2 10B /
@@ -21,7 +22,7 @@ collectives, chunks — is dual-mode.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 import numpy as np
 
@@ -29,10 +30,9 @@ from repro.autograd.function import no_grad
 from repro.comm.communicator import Communicator
 from repro.comm.cost import CostModel
 from repro.nn.module import Module
-from repro.optim.adam import Adam, adam_state, adam_update
 from repro.runtime.spmd import RankContext
 from repro.tensor.tensor import Tensor
-from repro.zero.chunk import Chunk, ChunkManager
+from repro.zero.chunk import CHUNK_MB, Chunk, ChunkManager
 from repro.zero.policies import PlacementPolicy
 from repro.utils.units import MB
 
@@ -47,7 +47,7 @@ class ZeroOffloadEngine:
         dp_comm: Communicator,
         policy: PlacementPolicy,
         criterion: Optional[Criterion] = None,
-        chunk_mb: float = 32.0,
+        chunk_mb: float = CHUNK_MB,
         lr: float = 1e-4,
         betas=(0.9, 0.999),
         eps: float = 1e-8,
@@ -66,10 +66,7 @@ class ZeroOffloadEngine:
         #: overlap scheduler: prefetch the next block's all-gathers while the
         #: current block computes, reduce-scatter gradients asynchronously
         self.overlap = bool(overlap) and dp_comm.size > 1
-        self.lr = lr
-        self.betas = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
+        self.defaults = dict(lr=lr, betas=betas, eps=eps, weight_decay=weight_decay)
         self.reuse_fp16_storage = reuse_fp16_storage
         self.cost_model = CostModel(ctx.cluster)
         self._tracer = getattr(ctx.runtime, "tracer", None)
@@ -85,45 +82,12 @@ class ZeroOffloadEngine:
             self.chunk_mgr.chunks_of(b) for b in blocks
         ]
         policy.setup(self.chunk_mgr.chunks, ctx.clock)
-        self._opt_state: Dict[int, Dict[str, Any]] = {}
-        self._init_optimizer_state()
-        self._step = 0
-
-    # -- optimizer state -----------------------------------------------------
-
-    def _init_optimizer_state(self) -> None:
-        # fp32 master + moments of each chunk's shard, pool-accounted on the
-        # device the policy chose for the chunk's update
+        # each chunk's Adam state lives on the device the policy chose for
+        # the chunk's update
         for chunk in self.chunk_mgr.chunks:
-            where = self.policy.optimizer_device(chunk)
-            device = self.ctx.device if where == "gpu" else self.ctx.cpu
-            self._opt_state[chunk.index] = adam_state(
-                (chunk.shard_elems,), device, chunk.shard_payload()
-            )
-
-    def _chunk_adam(self, chunk: Chunk) -> None:
-        """AdamW on the chunk's fp32 master shard, priced on the device the
-        policy chooses now, then the narrowed shard written back."""
-        ctx = self.ctx
-        where = self.policy.optimizer_device(chunk)
-        device = ctx.device if where == "gpu" else ctx.cpu
-        t0 = ctx.clock.time
-        ctx.clock.advance(
-            device.compute_seconds(Adam.FLOPS_PER_ELEMENT * chunk.shard_elems, "float32"),
-            "optimizer",
-        )
-        g = chunk.grad_shard
-        if g is not None:  # spec mode: only timing/memory matter
-            state = self._opt_state[chunk.index]
-            master = state["master"].numpy()
-            adam_update(master, state, g, self.lr, self.betas, self.eps,
-                        self.weight_decay, True)
-            chunk.apply_shard_update(master.astype(chunk.dtype))
-        if self._tracer is not None:
-            self._tracer.annotate(
-                ctx.rank, "zero", f"adam/chunk{chunk.index}",
-                t0, ctx.clock.time, where=where,
-            )
+            where = policy.optimizer_device(chunk)
+            chunk.init_adam(ctx.device if where == "gpu" else ctx.cpu)
+        self._step = 0
 
     # -- chunk traffic ------------------------------------------------------------
 
@@ -210,20 +174,24 @@ class ZeroOffloadEngine:
                 out.backward(Tensor(grad_in))
             grad_in = xin.grad.payload if xin.grad is not None else None
             for chunk in self._block_chunks[b]:
-                chunk.reduce_scatter_grads(
-                    self.cost_model,
-                    self.ctx.rank,
-                    self.ctx.clock,
-                    reuse_fp16_storage=self.reuse_fp16_storage,
-                    async_op=self.overlap,
-                )
+                chunk.reduce_scatter_grads(self.cost_model, self.ctx.rank, self.ctx.clock,
+                                           self.reuse_fp16_storage, async_op=self.overlap)
             self._release_block(b)
             inputs[b] = None  # type: ignore[call-overload]
 
+        ctx = self.ctx
         for chunk in self.chunk_mgr.chunks:
             chunk.finish_grad_reduce()
-            self._chunk_adam(chunk)
-            chunk.clear_grad_shard()
+            # AdamW, priced on the device the policy chooses now
+            where = self.policy.optimizer_device(chunk)
+            t0 = ctx.clock.time
+            chunk.adam_step(ctx.device if where == "gpu" else ctx.cpu, ctx.clock,
+                            self.defaults, True)
+            if self._tracer is not None:
+                self._tracer.annotate(
+                    ctx.rank, "zero", f"adam/chunk{chunk.index}",
+                    t0, ctx.clock.time, where=where,
+                )
         return loss_val
 
     def gather_parameters(self) -> None:

@@ -1,41 +1,36 @@
-"""ZeRO stages 1-2 for ordinary data-parallel training (§2.1 of the paper).
+"""ZeRO stages 1-2: Adam sharded by chunk across the data-parallel group
+(§2.1 and §3.2 of the paper; DESIGN §4z).
 
-Wraps standard training (full parameters on every rank) but shards the
-expensive parts across the data-parallel group:
-
-* **stage 1** — optimizer states sharded: ``step`` slices the gradients
-  data parallelism already averaged, keeps Adam moments and fp32 master
-  weights only for its 1/p slice, updates it and all-gathers the result.
-* **stage 2** — gradients sharded too: ``step`` reduce-scatters the local
-  gradients instead (each rank receives only its slice's gradient, halving
-  gradient traffic and removing grad redundancy).
-
-Each slice's state comes from ``adam_state`` and its update is
-``adam_update``, charged per slice element on the parameter's device: it
-is an :class:`~repro.optim.Adam` whose state and step cover one slice, with
-coupled (``decoupled_wd=False``) or decoupled weight decay.
-``initialize()`` builds it from ``zero.stage`` 1 or 2 (DESIGN §4z).
-
-(Stage 3 — parameter sharding — lives in :class:`ZeroOffloadEngine`, where
-gather/release is interleaved with compute.)
+The parameters are packed once into right-sized chunks of up to
+``CHUNK_MB``, and a step issues one gradient reduce-scatter and one
+parameter all-gather per chunk, in the parameters' dtype, around
+``Chunk.adam_step`` on this rank's fp32 master shard — ZeRO-3's update too.
+Stage 1 keeps a chunk's full gradients until ``zero_grad``; stage 2 drops
+them once its reduce-scatter is issued.  ``Engine.step`` calls :meth:`sync`
+where stage 0 all-reduces; after :meth:`overlap_backward` each chunk's
+reduce-scatter is issued from the gradient hook that completes it (DDP's
+:class:`~repro.autograd.engine.ReadyCount`) and :meth:`step` waits it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable
+from typing import Iterable
 
 import numpy as np
 
+from repro.autograd.engine import ReadyCount
 from repro.comm.communicator import Communicator
-from repro.comm.payload import SpecArray
-from repro.optim.adam import Adam, adam_state, adam_update
+from repro.comm.payload import is_spec
+from repro.optim.optimizer import Optimizer
+from repro.runtime.spmd import current_rank_context
 from repro.tensor.tensor import Tensor
-from repro.zero.sharded_tensor import FlatShardingStrategy
+from repro.utils.units import MB
+from repro.zero.chunk import CHUNK_MB, ChunkManager
 
 
-class ZeroRedundancyOptimizer(Adam):
-    """Adam (``decoupled_wd=False``) or AdamW with ZeRO stage 1/2 sharding
-    over ``comm``."""
+class ZeroRedundancyOptimizer(Optimizer, ReadyCount):
+    """Adam (``decoupled_wd=False``) or AdamW over ``params`` with ZeRO
+    stage 1/2 sharding over ``comm``."""
 
     def __init__(
         self,
@@ -50,56 +45,68 @@ class ZeroRedundancyOptimizer(Adam):
     ) -> None:
         if stage not in (1, 2):
             raise ValueError(f"ZeroRedundancyOptimizer handles stages 1-2, got {stage}")
-        super().__init__(params, lr=lr, betas=betas, eps=eps, weight_decay=weight_decay)
+        super().__init__(params, dict(lr=lr, betas=betas, eps=eps, weight_decay=weight_decay))
         self.comm = comm
         self.stage = stage
         self.decoupled_wd = decoupled_wd
-        self.strategy = FlatShardingStrategy()
-        for p in self.params:  # each rank holds its slices' state from the start
-            self.state_for(p)
+        self.overlap = False
+        ctx = current_rank_context()
+        self._clock = ctx.clock
+        dtype = self.params[0].dtype
+        mgr = ChunkManager(comm, ctx.device, ctx.cpu, int(CHUNK_MB * MB / dtype.itemsize),
+                           dtype=dtype)
+        mgr.register_dense(self.params)
+        self.chunks = mgr.chunks
+        for chunk in self.chunks:
+            chunk.keep_full()
+            chunk.init_adam(chunk.gpu)
+        # each chunk's state filed under its first parameter, where the base
+        # class's state_dict / load_state_dict checkpoint it
+        self.state = {id(c.records[0].param): c.adam for c in self.chunks}
+        self._groups = [[r.param for r in c.records] for c in self.chunks]
+        self._arm(self._groups, hooked=False)
 
-    def _init_state(self, p: Tensor) -> Dict[str, Any]:
-        # moments plus the fp32 master of this rank's flat slice (1/p of it)
-        shard = self.strategy.shard(p.payload, self.comm)
-        return adam_state(shard.shape, p.device, shard)
+    def overlap_backward(self) -> None:
+        """Issue each chunk's reduce-scatter nonblocking from the gradient
+        hook that completes the chunk, overlapping it with the rest of
+        backward; :meth:`step` waits it."""
+        self.overlap = True
+        self._arm(self._groups)
 
-    def _grad_shard(self, p: Tensor, per: int):
-        """This rank's flat slice of the averaged gradient: stage 1 slices
-        the one data parallelism averaged, stage 2 reduce-scatters."""
-        if not p.grad.materialized:
-            if self.stage == 2:
-                self.comm.reduce_scatter(SpecArray((per * self.comm.size,), "float32"), axis=0)
-            return None
-        if self.stage == 1:
-            return self.strategy.shard(p.grad.numpy(), self.comm).astype(np.float32, copy=False)
-        padded = np.zeros(per * self.comm.size, dtype=np.float32)
-        padded[: p.size] = p.grad.numpy().reshape(-1)
-        return self.comm.reduce_scatter(padded, axis=0) / self.comm.size
+    def _flush(self, ci: int) -> None:
+        self._flushed[ci] = True
+        self.chunks[ci].reduce_scatter_grads(
+            reuse_fp16_storage=False, async_op=self.overlap, keep_grads=self.stage == 1)
+
+    def sync(self) -> None:
+        """Reduce-scatter every chunk backward has not issued yet."""
+        self._flush_rest()
+
+    def clip_grad_norm(self, max_norm: float) -> float:
+        """Global L2 clipping over the averaged grad shards: one scalar
+        all-reduce sums the ranks' squares.  Returns the norm."""
+        self.sync()
+        square = 0.0
+        for chunk in self.chunks:
+            chunk.finish_grad_reduce()
+            if chunk.grad_shard is not None:
+                square += float(np.dot(chunk.grad_shard, chunk.grad_shard))
+        total = float(np.sqrt(self.comm.all_reduce(np.array([square]))[0]))
+        if max_norm > 0 and total > max_norm:
+            scale = max_norm / (total + 1e-6)
+            for chunk in self.chunks:
+                g = chunk.grad_shard
+                if g is not None:
+                    g *= scale
+        return total
 
     def step(self) -> None:
+        self.sync()
         self.step_count += 1
-        d = self.defaults
-        for p in self.params:
-            if p.grad is None:
-                continue
-            st = self.state[id(p)]
-            per = st["m"].size
-            g = self._grad_shard(p, per)
-            self._charge(per, p.device)
-            if g is not None:
-                adam_update(st["master"].numpy(), st, g, d["lr"], d["betas"],
-                            d["eps"], d["weight_decay"], self.decoupled_wd)
-            # reassemble the full parameter from the updated shards
-            if p.materialized:
-                gathered = self.comm.all_gather(st["master"].numpy(), axis=0)
-                p.payload[...] = (
-                    gathered[: p.size].reshape(p.shape).astype(p.dtype)
-                )
-            else:
-                self.comm.all_gather(SpecArray((per,), "float32"), axis=0)
-
-    def optimizer_state_bytes(self) -> int:
-        return sum(
-            st["m"].nbytes + st["v"].nbytes + st["master"].nbytes
-            for st in self.state.values()
-        )
+        for chunk in self.chunks:
+            chunk.finish_grad_reduce()
+            chunk.adam_step(chunk.gpu, self._clock, self.defaults, self.decoupled_wd)
+            gathered = self.comm.all_gather(chunk.shard_payload(), axis=0)
+            if not is_spec(gathered):
+                chunk.values[...] = gathered
+        self._rearm()

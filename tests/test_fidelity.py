@@ -151,11 +151,11 @@ SPACES = {"golden": None,
 #: about zero, and memory is off in both directions.
 COMPILE_CELLS = {
     ("I", "golden"): ("dp8 * tp1 * pp1 [overlap, auto]", 0.876, (0.491, 0.0636), (43.9, 29.1)),
-    ("I", "launchable"): ("dp4 * 1dx2 * pp1 [zero1, auto]", 0.855, (0.525, 0.0777), (21.2, 34.9)),
+    ("I", "launchable"): ("dp4 * 1dx2 * pp1 [zero1, auto]", 0.920, (0.525, 0.0350), (21.2, 34.9)),
     ("II", "golden"): ("dp8 * tp1 * pp1 [overlap, auto]", 0.701, (0.491, 0.202), (43.9, 29.1)),
     ("II", "launchable"): ("dp1 * 3dx8 * pp1 [auto]", 0.422, (1.52, 0.00065), (18.5, 22.0)),
     ("IV", "golden"):
-        ("dp64 * tp1 * pp1 [zero1, overlap, auto]", 0.604, (2.30, 1.47), (11.3, 12.9)),
+        ("dp64 * tp1 * pp1 [zero1, overlap, auto]", 0.750, (2.30, 0.737), (11.3, 12.9)),
     ("IV", "launchable"): ("dp16 * 1dx4 * pp1 [auto]", 0.920, (2.67, 0.175), (11.0, 12.1)),
 }
 

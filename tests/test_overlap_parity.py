@@ -195,10 +195,10 @@ class TestEngineOverlapWiring:
             loss = engine.criterion(engine(Tensor(X[:B].copy())), Y[:B])
             engine.backward(loss)
 
-        with pytest.raises(RemoteRankError, match="overlap=False"):
-            launch(
-                dict(comm=dict(overlap=True)), uniform_cluster(2), fn, world_size=2
-            )
+        for zero in (0, 1, 2):  # DDP's hooks, then the ZeRO chunks'
+            with pytest.raises(RemoteRankError, match="overlap=False"):
+                launch(dict(zero=dict(stage=zero), comm=dict(overlap=True)),
+                       uniform_cluster(2), fn, world_size=2)
 
 
 # -- spec-mode byte parity (non-materialized gradient buckets) -------------
@@ -227,7 +227,7 @@ class TestSpecModeBucketBytes:
                     model, pc, bucket_mb=0.003, overlap=True
                 )
                 for bi in range(len(ddp._buckets)):
-                    ddp._flush_bucket(bi)
+                    ddp._flush(bi)
                 ddp._flushed = [True] * len(ddp._buckets)
                 ddp.sync()
             else:

@@ -11,7 +11,6 @@ from repro.cluster.device import Device, DeviceKind, Storage
 from repro.comm.payload import SpecArray
 from repro.parallel.pipeline.partition import partition_balanced, partition_uniform
 from repro.tensor.sharding import ShardSpec
-from repro.zero.sharded_tensor import FlatShardingStrategy
 
 # SPMD tests spawn threads; keep examples modest
 fast = settings(
@@ -79,14 +78,6 @@ class TestShardingProperties:
                 seen[r0 : r0 + c.shape[0], c0 : c0 + c.shape[1]] |= True
         assert total == x.size
         assert seen.all()
-
-    @given(n=st.integers(1, 100), world=st.sampled_from([1, 2, 3, 4, 8]))
-    @fast
-    def test_flat_strategy_shard_sizes(self, n, world):
-        strat = FlatShardingStrategy()
-        per = strat.shard_elements((n,), world)
-        assert per * world >= n
-        assert per * world - n < world  # minimal padding
 
 
 class TestPartitionProperties:

@@ -40,6 +40,29 @@ def test_every_top_level_definition_is_named_or_kept():
     assert all(reason.strip() for reason in KEEP.values())
 
 
+def _qualnames(body, prefix=""):
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield prefix + node.name
+            yield from _qualnames(node.body, f"{prefix}{node.name}.")
+
+
+def test_every_keep_row_names_a_module_or_definition():
+    """A row outliving what it kept (its definition deleted or renamed) is stale."""
+    def resolves(row):
+        parts = row.split(".")
+        for n in range(len(parts), 0, -1):
+            base = ROOT.joinpath("src", *parts[:n])
+            for module in (base.with_suffix(".py"), base / "__init__.py"):
+                if module.is_file():
+                    return n == len(parts) or ".".join(parts[n:]) in set(
+                        _qualnames(ast.parse(module.read_text()).body))
+        return False
+
+    stale = sorted(row for row in KEEP if not resolves(row))
+    assert not stale, f"tools/keep.py rows naming no module or definition: {stale}"
+
+
 def test_comm_path_reaches_observers_only_through_lifecycle_hooks():
     """The rendezvous and the communicator name no observer: whatever takes part in a
     round or a message - fault injector, sanitizer, capture, tracer - is one of the

@@ -1,4 +1,4 @@
-"""ZeRO subsystem: sharded tensors, chunks, policies, engine, stage 1/2."""
+"""ZeRO subsystem: chunks, policies, the ZeRO-3 engine, stages 1-2 on chunks."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,8 @@ from repro.comm import Communicator, SpecArray
 from repro.comm.cost import CostModel
 from repro.config import ZERO_STAGES, Config, ConfigError
 from repro.engine import initialize, launch
-from repro.nn import CrossEntropyLoss, Linear, Module
+from repro.nn import CrossEntropyLoss, Linear, Module, Sequential
 from repro.optim import SGD, Adam, AdamW, CPUAdam, HybridAdam
-from repro.parallel.data import sync_gradients
 from repro.runtime import SpmdRuntime
 from repro.tensor import Tensor
 from repro.utils.units import GB, MB
@@ -19,10 +18,7 @@ from repro.zero import (
     AdaptivePolicy,
     Chunk,
     ChunkManager,
-    FlatShardingStrategy,
-    ShardedTensor,
     StaticPolicy,
-    TensorState,
     ZeroOffloadEngine,
     ZeroRedundancyOptimizer,
 )
@@ -31,91 +27,6 @@ from repro.zero.policies import NoOffloadPolicy
 from conftest import run_spmd
 
 H, C, B = 16, 4, 8
-
-
-class TestFlatShardingStrategy:
-    def test_roundtrip(self):
-        def prog(ctx):
-            comm = Communicator.world(ctx)
-            strat = FlatShardingStrategy()
-            full = np.arange(10.0)
-            shard = strat.shard(full, comm)
-            back = strat.gather(shard, comm, (10,))
-            return shard.shape, back.tolist()
-
-        res = run_spmd(4, prog)
-        # 10 padded to 12 -> shards of 3
-        assert res[0][0] == (3,)
-        for shape, back in res:
-            assert back == list(np.arange(10.0))
-
-    def test_shard_elements_padding(self):
-        strat = FlatShardingStrategy()
-        assert strat.shard_elements((10,), 4) == 3
-        assert strat.shard_elements((8,), 4) == 2
-
-    def test_spec_shard(self):
-        def prog(ctx):
-            comm = Communicator.world(ctx)
-            s = FlatShardingStrategy().shard(SpecArray((10,)), comm)
-            return isinstance(s, SpecArray), s.shape
-
-        assert run_spmd(2, prog, materialize=False)[0] == (True, (5,))
-
-
-class TestShardedTensor:
-    def test_state_machine_and_hooks(self):
-        events = []
-
-        def prog(ctx):
-            comm = Communicator.world(ctx)
-            st = ShardedTensor(np.arange(8.0), comm)
-            if ctx.rank == 0:
-                st.register_hook("on_gather", lambda s: events.append("g"))
-                st.register_hook("on_release", lambda s: events.append("r"))
-            assert st.state is TensorState.SHARDED
-            full = st.gather()
-            assert st.state is TensorState.GATHERED
-            vals = full.numpy().copy()
-            st.release()
-            assert st.state is TensorState.SHARDED
-            return vals.tolist()
-
-        res = run_spmd(2, prog)
-        assert res[0] == list(np.arange(8.0))
-        assert events == ["g", "r"]
-
-    def test_gather_idempotent(self):
-        def prog(ctx):
-            comm = Communicator.world(ctx)
-            st = ShardedTensor(np.arange(4.0), comm)
-            a = st.gather()
-            b = st.gather()
-            return a is b
-
-        assert all(run_spmd(2, prog))
-
-    def test_update_shard_shape_checked(self):
-        def prog(ctx):
-            comm = Communicator.world(ctx)
-            st = ShardedTensor(np.arange(4.0), comm)
-            try:
-                st.update_shard(np.zeros(3))
-            except ValueError:
-                return "raised"
-
-        assert run_spmd(2, prog) == ["raised"] * 2
-
-    def test_unknown_hook_rejected(self):
-        def prog(ctx):
-            comm = Communicator.world(ctx)
-            st = ShardedTensor(np.arange(4.0), comm)
-            try:
-                st.register_hook("bogus", lambda s: None)
-            except ValueError:
-                return True
-
-        assert all(run_spmd(2, prog))
 
 
 class TestChunkManager:
@@ -209,6 +120,32 @@ class TestChunkManager:
         # mean of [1, 2] = 1.5 everywhere
         assert res[0][0] == [1.5, 1.5]
         assert res[0][1]  # full grads dropped
+
+    def test_fp16_chunk_puts_its_own_bytes_on_the_wire(self):
+        """A materialized fp16 chunk stages its gradients in fp16, as a spec
+        one does: one 1 M-element reduce-scatter reads the same clock and
+        counters either way."""
+
+        def run(materialize):
+            rt = SpmdRuntime(uniform_cluster(2))
+
+            def prog(ctx):
+                lin = Linear(1024, 1024, bias=False, dtype="float16")
+                mgr = ChunkManager(Communicator.world(ctx), ctx.device, ctx.cpu,
+                                   chunk_elements=1 << 20)
+                mgr.register_module(lin)
+                lin.weight.grad = Tensor(np.ones((1024, 1024), np.float16) if materialize
+                                         else SpecArray((1024, 1024), "float16"))
+                mgr.chunks[0].reduce_scatter_grads(CostModel(ctx.cluster), 0, ctx.clock)
+                return ctx.clock.time
+
+            times = rt.run(prog, materialize=materialize)
+            counters = rt.world_group.counters
+            return times, counters.bytes_total, dict(counters.by_op_bytes)
+
+        real = run(True)
+        assert real == run(False)
+        assert real[1] == 2 * (1 << 20)  # the fp16 flat, not a float32 one
 
     def test_fp16_storage_reuse_ablation(self):
         """Without reuse, a separate grad-shard allocation appears."""
@@ -376,72 +313,6 @@ class TestZeroOffloadEngine:
         assert loss is None and t > 0 and cpu_peak > 0
 
 
-class TestZeroRedundancyOptimizer:
-    def test_stage1_and_stage2_parity(self, serial_zero_ref):
-        ref = serial_zero_ref
-
-        def prog(ctx, stage):
-            blocks = _make_blocks(1)
-            params = [p for b in blocks for p in b.parameters()]
-            comm = Communicator.world(ctx)
-            zopt = ZeroRedundancyOptimizer(params, comm, stage=stage, lr=1e-2)
-            r = ctx.rank
-            xl, yl = ref["X"][r * B : (r + 1) * B], ref["Y"][r * B : (r + 1) * B]
-
-            def fwd(x):
-                for b in blocks:
-                    x = b(x)
-                return x
-
-            for _ in range(3):
-                loss = ref["crit"](fwd(Tensor(xl.copy())), yl)
-                loss.backward()
-                if stage == 1:  # ZeRO-1 slices the data-parallel average
-                    sync_gradients(params, comm)
-                zopt.step()
-                zopt.zero_grad()
-            return blocks[0].lin.weight.numpy().copy()
-
-        for stage in (1, 2):
-            for w in run_spmd(2, prog, stage):
-                np.testing.assert_allclose(w, ref["w"], atol=1e-4)
-
-    def test_state_sharded(self):
-        def prog(ctx):
-            lin = Linear(16, 16, bias=False, rng=np.random.default_rng(0))
-            comm = Communicator.world(ctx)
-            zopt = ZeroRedundancyOptimizer(lin.parameters(), comm, stage=1)
-            return zopt.optimizer_state_bytes()
-
-        # full state would be 3 * 4 * 256 bytes; each rank holds 1/4
-        assert run_spmd(4, prog)[0] == 3 * 4 * 256 // 4
-
-    def test_stage2_uses_reduce_scatter(self):
-        rt = SpmdRuntime(uniform_cluster(2))
-
-        def prog(ctx, stage):
-            lin = Linear(8, 8, bias=False, rng=np.random.default_rng(0))
-            comm = Communicator.world(ctx)
-            zopt = ZeroRedundancyOptimizer(lin.parameters(), comm, stage=stage, lr=0.1)
-            lin(Tensor(np.ones((2, 8), dtype=np.float32))).sum().backward()
-            zopt.step()
-
-        rt.run(prog, 2)
-        ops_used = rt.group((0, 1)).counters.by_op_calls
-        assert "reduce_scatter" in ops_used and "all_reduce" not in ops_used
-
-    def test_invalid_stage(self):
-        lin = Linear(4, 4)
-
-        def prog(ctx):
-            try:
-                ZeroRedundancyOptimizer(lin.parameters(), Communicator.world(ctx), stage=3)
-            except ValueError:
-                return True
-
-        assert all(run_spmd(2, prog))
-
-
 # ---------------------------------------------------------------------------
 # one Adam: every optimizer path runs the same update rule bit for bit
 # ---------------------------------------------------------------------------
@@ -454,9 +325,19 @@ def _one_rank_batch():
     return rng.standard_normal((B, H)).astype(np.float32), rng.integers(0, C, B)
 
 
+def _chunk_seconds(device, chunks, steps=3):
+    """Adam's per-chunk price: each step, every chunk's shard on ``device``."""
+    total = 0.0
+    for _ in range(steps):
+        for c in chunks:
+            total += device.compute_seconds(Adam.FLOPS_PER_ELEMENT * c.shard_elems, "float32")
+    return total
+
+
 def _one_rank_adam(ctx, make_opt):
     """Three steps of an optimizer made by ``make_opt(params, comm)`` on the
-    full batch of one rank; returns every weight and the optimizer seconds."""
+    full batch of one rank; returns every weight, the optimizer seconds and,
+    for a chunked optimizer, their per-chunk price."""
     X, Y = _one_rank_batch()
     blocks = _make_blocks(1)
     params = [p for b in blocks for p in b.parameters()]
@@ -469,7 +350,9 @@ def _one_rank_adam(ctx, make_opt):
         crit(x, Y).backward()
         opt.step()
         opt.zero_grad()
-    return [p.numpy().copy() for p in params], ctx.clock.breakdown()["optimizer"]
+    chunks = getattr(opt, "chunks", None)
+    return ([p.numpy().copy() for p in params], ctx.clock.breakdown()["optimizer"],
+            chunks and _chunk_seconds(ctx.device, chunks))
 
 
 def _one_rank_engine(ctx, policy_cls):
@@ -483,7 +366,9 @@ def _one_rank_engine(ctx, policy_cls):
     for _ in range(3):
         eng.train_step(X, Y)
     eng.gather_parameters()
-    return [p.numpy().copy() for b in blocks for p in b.parameters()], None
+    device = ctx.cpu if policy_cls is StaticPolicy else ctx.device
+    return ([p.numpy().copy() for b in blocks for p in b.parameters()],
+            ctx.clock.breakdown()["optimizer"], _chunk_seconds(device, eng.chunk_mgr.chunks))
 
 
 _ADAM_PATHS = {
@@ -514,14 +399,15 @@ def adamw_one_rank():
 def test_adam_paths_agree_bit_for_bit(adamw_one_rank, path):
     """CPU / Hybrid Adam, ZeRO-1/2 and the ZeRO-3 engine on one rank with
     fp32 weights leave exactly the weights a decoupled-decay ``Adam`` does
-    after three steps; ZeRO-1/2 also charge exactly its optimizer seconds."""
-    ref_w, ref_s = adamw_one_rank
-    weights, seconds = run_spmd(1, _ADAM_PATHS[path])[0]
+    after three steps; the chunked paths charge exactly Adam's per-chunk
+    price."""
+    ref_w = adamw_one_rank[0]
+    weights, seconds, chunk_seconds = run_spmd(1, _ADAM_PATHS[path])[0]
     assert len(weights) == len(ref_w)
     for w, r in zip(weights, ref_w):
         np.testing.assert_array_equal(w, r)
-    if path.startswith("zero"):
-        assert seconds == ref_s
+    if chunk_seconds is not None:
+        assert seconds == chunk_seconds
 
 
 @pytest.mark.parametrize("stage", [1, 2])
@@ -537,22 +423,6 @@ def test_zero_coupled_weight_decay_matches_adam(stage):
         ps, comm, stage=stage, lr=_LR, weight_decay=_WD, decoupled_wd=False))
     for w, r in zip(got, ref):
         np.testing.assert_array_equal(w, r)
-
-
-def test_stage1_issues_no_collective_before_its_all_gather():
-    """ZeRO-1 slices the gradient the data-parallel path already averaged:
-    its own step only all-gathers the updated slices."""
-    rt = SpmdRuntime(uniform_cluster(2))
-
-    def prog(ctx):
-        lin = Linear(8, 8, bias=False, rng=np.random.default_rng(0))
-        comm = Communicator.world(ctx)
-        zopt = ZeroRedundancyOptimizer(lin.parameters(), comm, stage=1, lr=0.1)
-        lin(Tensor(np.ones((2, 8), dtype=np.float32))).sum().backward()
-        zopt.step()
-
-    rt.run(prog)
-    assert rt.group((0, 1)).counters.by_op_calls == {"all_gather": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +442,7 @@ class _Net(Module):
         return self.fc2(ops.gelu(self.fc1(x)))
 
 
-def _zero_launch(zero, overlap=False, steps=3):
+def _zero_launch(zero, overlap=False, steps=3, clipping=0.0):
     """``steps`` Adam (coupled decay) steps through ``launch`` and
     ``initialize`` on 4 data-parallel ranks; per rank, every weight and the
     live ``optim`` bytes."""
@@ -592,24 +462,62 @@ def _zero_launch(zero, overlap=False, steps=3):
         return ([p.numpy().copy() for p in model.parameters()],
                 ctx.device.memory.breakdown().get("optim", 0))
 
-    return launch(dict(zero=dict(stage=zero), comm=dict(overlap=overlap)),
-                  uniform_cluster(4), prog)
+    return launch(dict(zero=dict(stage=zero), comm=dict(overlap=overlap),
+                       gradient_clipping=clipping), uniform_cluster(4), prog)
 
 
 def test_initialize_builds_zero_stages_with_identical_weights():
-    """Stages 0, 1, 2 and stage 1 under DDP overlap leave the same weights
-    bit for bit on every rank; stages 1 and 2 hold each parameter's flat
-    quarter of Adam's fp32 ``m`` / ``v`` / master, stage 0 all of ``m`` / ``v``."""
-    runs = {(0, False): _zero_launch(0), (1, False): _zero_launch(1),
-            (2, False): _zero_launch(2), (1, True): _zero_launch(1, overlap=True)}
+    """Stages 0, 1 and 2, and stages 1 and 2 under overlap, leave the same
+    weights bit for bit on every rank; stages 1 and 2 hold their chunk's
+    quarter of Adam's fp32 ``m`` / ``v`` / master (the model is one chunk, its
+    214 elements padded to 216), stage 0 all of ``m`` / ``v``."""
+    runs = {key: _zero_launch(*key)
+            for key in ((0, False), (1, False), (2, False), (1, True), (2, True))}
     sizes = [p.size for p in _Net().parameters()]
     ref = runs[0, False][0][0]
     for (stage, _), per_rank in runs.items():
         for weights, optim in per_rank:
             for w, r in zip(weights, ref):
                 np.testing.assert_array_equal(w, r)
-            assert optim == (sum(3 * 4 * -(-n // 4) for n in sizes) if stage
+            assert optim == (3 * 4 * -(-sum(sizes) // 4) if stage
                              else sum(2 * 4 * n for n in sizes))
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_zero_clips_on_the_norm_of_its_grad_shards(stage):
+    """The ranks' squared grad shards, summed by one scalar all-reduce, give
+    stage 0's clipped weights up to the norm's float order."""
+    unclipped = _zero_launch(0)[0][0]
+    ref = _zero_launch(0, clipping=0.1)[0][0]
+    assert not all(np.array_equal(w, r) for w, r in zip(unclipped, ref))
+    for weights, _ in _zero_launch(stage, clipping=0.1):
+        for w, r in zip(weights, ref):
+            np.testing.assert_allclose(w, r, rtol=1e-6)
+
+
+@pytest.mark.parametrize("overlap", [False, True], ids=["blocking", "overlap"])
+@pytest.mark.parametrize("data", [2, 4])
+@pytest.mark.parametrize("stage", [1, 2])
+def test_zero_exchanges_one_reduce_scatter_and_all_gather_per_chunk(stage, data, overlap):
+    """A clipped spec step of a two-chunk model (a 64 MiB weight alone, the
+    rest in one right-sized chunk) issues on the data group one
+    reduce-scatter and one all-gather per chunk and the clipping scalar,
+    nothing per parameter.  Under overlap the chunks reduce-scatter from
+    backward: stage 2 then holds no full gradient, stage 1 all of them."""
+    def prog(ctx, pc):
+        model = Sequential([Linear(4096, 4096), Linear(4096, 8)])
+        engine = initialize(model, Adam(model.parameters()), pc=pc)
+        engine.backward(engine(Tensor(SpecArray((4, 4096)))).sum())
+        held = [p.grad is not None for p in model.parameters()]
+        engine.step()
+        return held
+
+    rt = SpmdRuntime(uniform_cluster(data))
+    config = dict(zero=dict(stage=stage), comm=dict(overlap=overlap), gradient_clipping=1.0)
+    held = launch(config, rt.cluster, prog, runtime=rt, materialize=False)
+    assert held == [[stage == 1 or not overlap] * 4] * data
+    assert rt.world_group.counters.by_op_calls == {
+        "reduce_scatter": 2, "all_gather": 2, "all_reduce": 1}
 
 
 def test_golden_system_iv_plan_shards_optimizer_state_64_ways():
@@ -637,12 +545,44 @@ def test_golden_system_iv_plan_shards_optimizer_state_64_ways():
     assert optim(1) == {12 * (1024 * 1024 + 1024) // 64}
 
 
+def test_zero_checkpoint_carries_each_chunks_adam_state():
+    """A fresh stage-2 optimizer loaded from ``state_dict`` (each chunk's
+    shard of ``m`` / ``v`` / master) takes the step the saved one takes."""
+    def prog(ctx, pc):
+        x = Tensor(np.random.default_rng(ctx.rank).standard_normal((B, H)).astype(np.float32))
+
+        def run(engine, steps):
+            for _ in range(steps):
+                engine.zero_grad()
+                engine.backward(engine(x).sum())
+                engine.step()
+
+        models = [_Net(), _Net()]
+        engines = [initialize(m, Adam(m.parameters(), lr=1e-2), pc=pc) for m in models]
+        run(engines[0], 2)
+        models[1].load_state_dict(models[0].state_dict())
+        engines[1].optimizer.load_state_dict(engines[0].optimizer.state_dict())
+        run(engines[0], 1)
+        run(engines[1], 1)
+        return all(np.array_equal(p.numpy(), q.numpy())
+                   for p, q in zip(*(m.parameters() for m in models)))
+
+    assert all(launch(dict(zero=dict(stage=2)), uniform_cluster(2), prog))
+
+
+def test_zero_optimizer_refuses_other_stages():
+    def prog(ctx):
+        with pytest.raises(ValueError, match="stages 1-2"):
+            ZeroRedundancyOptimizer(Linear(4, 4).parameters(), Communicator.world(ctx), stage=3)
+        return True
+
+    assert all(run_spmd(2, prog))
+
+
 @pytest.mark.parametrize("zero, extra, make_opt", [
     (3, {}, Adam),
     (1, {}, lambda ps: SGD(ps, lr=0.1)),
-    (2, dict(comm=dict(overlap=True)), Adam),
-    (2, dict(gradient_clipping=1.0), Adam),
-], ids=["stage3", "not_adam", "stage2_overlap", "stage2_clipping"])
+], ids=["stage3", "not_adam"])
 def test_initialize_rejects_a_zero_stage_it_cannot_build(zero, extra, make_opt):
     def prog(ctx, pc):
         model = Linear(4, 4)

@@ -1,14 +1,15 @@
 """Why a definition stays although no entry point, figure or example runs it: one
 row per package, module, class or qualname (the coarsest grain that is true), citing
-the paper / DESIGN section or the safety role.  Rule: DESIGN §4p; guard: tests/test_reachability.py."""
+the paper / DESIGN section or the safety role.  Rule: DESIGN §4p; guard: tests/test_reachability.py,
+which also fails on a row that names no module or definition."""
 
 KEEP: dict[str, str] = {
     "repro.__getattr__": "§4ac PEP 562 hook: a top-level export or subpackage is imported on first access",
     "repro.__dir__": "§4ac PEP 562 hook: dir(repro) lists the exports not yet imported",
     "repro.amp": "§2 inventory: fp16 cast, dynamic loss scaling, checkpointed scaler state",
     "repro.optim": "§2 / README substrate row: SGD, CPUAdam, HybridAdam (§3.2), LR schedules, clipping",
-    "repro.zero.sharded_tensor": "§3.2 unified ShardedTensor interface + life-cycle hooks",
-    "repro.zero.zero_optimizer": "§3.2 ZeRO-1/2, built by initialize() from zero.stage (DESIGN §4z)",
+    "repro.zero.zero_optimizer": "§2.1 / §3.2 ZeRO-1/2 on chunks, built by initialize() from zero.stage "
+                                 "(DESIGN §4z); System IV's golden plan launches it in test_fidelity",
     "repro.zero.chunk.Chunk.prefetch": "§4f ZeRO chunk prefetch under comm overlap",
     "repro.zero.engine.ZeroOffloadEngine": "§4f overlap prefetch; gather_parameters reads weights back",
     "repro.parallel.vocab_ce": "§2 inventory: vocab-parallel cross-entropy",
@@ -44,7 +45,6 @@ KEEP: dict[str, str] = {
     "repro.comm.group": "error path: mixed blocking / nonblocking round; polling a nonblocking handle",
     "repro.runtime.errors": "typed error paths",
     "repro.runtime.buffer_pool.BufferPoolLeak": "error path: leaked pool loan",
-    "repro.runtime.spmd._make_abort_error": "error path: abort propagation",
     "repro.faults": "§4b fault plans and the p2p verdict",
     "repro.sanitize": "§4e race detector, checksums, wait-cycle diagnosis, uninstall",
     "repro.trace.tracer.Tracer": "§4c regions, counters, memory samples, failure instants",
