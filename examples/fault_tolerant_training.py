@@ -1,11 +1,14 @@
 """Fault-tolerant training: straggler + rank crash + checkpoint/resume.
 
-Trains a small ViT with DP2 x TP2 on 4 simulated GPUs while a seeded
+Trains a small ViT with DP2 x TP2 in fp16 on 4 simulated GPUs while a seeded
 ``FaultPlan`` injects a straggler (rank 3 runs 3x slow) and then kills
 rank 1 mid-run.  Every rank snapshots its state to a ``CheckpointManager``
 every 2 steps; after the crash the supervisor resumes every rank from the
 newest *consistent* checkpoint and training finishes with results bitwise
-identical to a fault-free run.
+identical to a fault-free run: the same losses under the same warmup-cosine
+learning-rate schedule, the same weights, and the same accuracy on a
+held-out set.  A throughput hook records simulated samples per second per
+epoch.
 
 Run:  python examples/fault_tolerant_training.py
 """
@@ -17,16 +20,25 @@ from repro.cluster import uniform_cluster
 from repro.data import DataLoader, synthetic_image_classification
 from repro.faults import FaultPlan
 from repro.models import ViTConfig, build_vit
-from repro.optim import AdamW
+from repro.optim import AdamW, LinearWarmupCosine
 from repro.parallel.data import shard_batch
 from repro.runtime import SpmdRuntime
 from repro.runtime.errors import RankFailure, RemoteRankError
-from repro.trainer import CheckpointManager, LossLoggingHook, Trainer
+from repro.trainer import (
+    Accuracy,
+    CheckpointManager,
+    LossLoggingHook,
+    LRSchedulerHook,
+    ThroughputHook,
+    Trainer,
+)
 
 WORLD = 4
 EPOCHS = 3
 CRASH_STEP = 5
-config = dict(parallel=dict(tensor=dict(size=2, mode="1d")))  # dp2 x tp2
+config = dict(parallel=dict(tensor=dict(size=2, mode="1d")),  # dp2 x tp2
+              fp16=dict(enabled=True),  # the loss scale is checkpointed too
+              gradient_clipping=1.0)
 
 vit_cfg = ViTConfig(
     image_size=8, patch_size=4, in_channels=2,
@@ -41,21 +53,35 @@ def build_training(pc, manager):
         48, image_size=8, channels=2, n_classes=3, noise=0.3, seed=1
     )
     bundle = build_vit(vit_cfg, pc, mode="1d")
-    engine = repro.initialize(
-        bundle.model,
-        AdamW(bundle.model.parameters(), lr=3e-3, weight_decay=0.0),
-        criterion=None, pc=pc,
-    )
+    optimizer = AdamW(bundle.model.parameters(), lr=3e-3, weight_decay=0.0)
+    engine = repro.initialize(bundle.model, optimizer, criterion=None, pc=pc)
+    loader = DataLoader(images, labels, batch_size=16, seed=0)
+    schedule = LinearWarmupCosine(optimizer, base_lr=3e-3, warmup_steps=2,
+                                  total_steps=EPOCHS * len(loader))
     trainer = Trainer(
         engine,
-        hooks=[LossLoggingHook(every=1)],
+        hooks=[LossLoggingHook(every=1), LRSchedulerHook(schedule),
+               ThroughputHook(samples_per_step=16)],
         shard_input=lambda x: shard_batch(np.asarray(x), pc),
         loss_fn=lambda out, y: bundle.loss_fn(out, shard_batch(np.asarray(y), pc)),
         checkpoint=manager,
         checkpoint_every=2,
     )
-    loader = DataLoader(images, labels, batch_size=16, seed=0)
     return bundle, trainer, loader
+
+
+def held_out_accuracy(trainer, pc):
+    """Top-1 accuracy of the trained model on 32 samples of the training
+    classes it never saw; each data rank scores its own half of a batch."""
+    images, labels = synthetic_image_classification(
+        80, image_size=8, channels=2, n_classes=3, noise=0.3, seed=1
+    )
+    metric = Accuracy()
+    trainer.evaluate(
+        DataLoader(images[48:], labels[48:], batch_size=16, shuffle=False),
+        lambda out, y: metric.update(out, shard_batch(np.asarray(y), pc)),
+    )
+    return metric.value
 
 
 if __name__ == "__main__":
@@ -63,11 +89,14 @@ if __name__ == "__main__":
     def reference(ctx, pc):
         bundle, trainer, loader = build_training(pc, manager=None)
         hist = trainer.fit(loader, epochs=EPOCHS)
-        return hist["loss"], bundle.model.state_dict()
+        return (hist["loss"], bundle.model.state_dict(), held_out_accuracy(trainer, pc),
+                hist["throughput"])
 
     ref = repro.launch(config, uniform_cluster(WORLD), reference, world_size=WORLD)
     print(f"reference run: {len(ref[0][0])} steps, "
-          f"loss {ref[0][0][0]:.3f} -> {ref[0][0][-1]:.3f}")
+          f"loss {ref[0][0][0]:.3f} -> {ref[0][0][-1]:.3f}, "
+          f"held-out accuracy {ref[0][2]:.1%}, "
+          f"{ref[0][3][-1]:.0f} samples/s in the last epoch")
 
     # chaos run: rank 3 is a straggler, rank 1 dies at step 5
     plan = (FaultPlan(seed=42)
@@ -90,13 +119,16 @@ if __name__ == "__main__":
         print(f"crash detected: {err.__cause__}")
 
     step = manager.latest_common_step(WORLD)
+    print(f"checkpointed steps per rank: "
+          f"{[manager.steps(rank) for rank in range(WORLD)]}")
     print(f"resuming every rank from consistent checkpoint at step {step}")
 
     def resumed(ctx, pc):
         bundle, trainer, loader = build_training(pc, manager)
         manager.load(ctx.rank, step).restore(trainer, loader)
         hist = trainer.fit(loader, epochs=EPOCHS)
-        return hist["loss"], bundle.model.state_dict()
+        return (hist["loss"], bundle.model.state_dict(), held_out_accuracy(trainer, pc),
+                hist["throughput"])
 
     # same runtime: the crashed "node" was replaced, the straggler persists
     res = repro.launch(config, uniform_cluster(WORLD), resumed,
@@ -106,6 +138,11 @@ if __name__ == "__main__":
         assert res[rank][0] == ref[rank][0], "loss trajectories diverged"
         for k, v in ref[rank][1].items():
             assert v.tobytes() == res[rank][1][k].tobytes(), f"{k} diverged"
+        assert res[rank][2] == ref[rank][2], "held-out accuracy diverged"
     print(f"loss after resume: {res[0][0][-1]:.3f} "
-          f"(matches reference {ref[0][0][-1]:.3f})")
+          f"(matches reference {ref[0][0][-1]:.3f}), "
+          f"held-out accuracy {res[0][2]:.1%}, "
+          f"{res[0][3][-1]:.0f} samples/s in the last epoch")
+    manager.clear()  # the job finished: its checkpoints are no longer needed
+    assert manager.latest_common_step(WORLD) is None
     print("resumed run is bitwise identical to the fault-free run. OK")

@@ -47,6 +47,9 @@ def run_policy(name, n_gpus=8):
         )
         ids = SpecArray((BATCH, CFG.seq_len), "int64")
         engine.train_step(ids, ids)  # warm-up (policy placement settles)
+        # the peaks below are the timed step's
+        ctx.device.memory.reset_peak()
+        ctx.cpu.memory.reset_peak()
         t0 = ctx.clock.time
         engine.train_step(ids, ids)
         step_time = ctx.clock.time - t0

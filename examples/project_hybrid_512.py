@@ -31,7 +31,7 @@ from repro.config import Config
 from repro.context import ParallelContext, ParallelMode
 from repro.nn import CrossEntropyLoss, Linear, Sequential
 from repro.parallel.data import sync_gradients
-from repro.parallel.pipeline import GPipeSchedule, partition_uniform
+from repro.parallel.pipeline import GPipeSchedule, partition_balanced
 from repro.parallel.tensor1d import ParallelTransformerLayer1D
 from repro.project import Fabric, capture_run, hybrid_plan, project
 from repro.project.axes import derive_axis_groups
@@ -40,6 +40,9 @@ WORLD, TPD, PPD = 16, 2, 2          # 16 ranks = DP 4 x TP 2 x PP 2
 LAYERS, HIDDEN, HEADS, CLASSES = 4, 128, 8, 16
 BATCH, SEQ, MICROBATCHES = 8, 4, 2
 FACTORS = {"dp": 8, "tp": 2, "pp": 2}   # 16 -> 512 ranks
+#: parameters per layer, the classifier head riding on the last one: the
+#: stages split them evenly (§2.2's balanced partitioning)
+COSTS = [12 * HIDDEN * HIDDEN] * (LAYERS - 1) + [12 * HIDDEN * HIDDEN + HIDDEN * CLASSES]
 
 CFG = Config.from_dict(
     dict(
@@ -54,7 +57,7 @@ Y = rng.integers(0, CLASSES, (BATCH, SEQ))
 
 def prog(ctx):
     pc = ParallelContext(ctx, CFG)
-    s, e = partition_uniform(LAYERS, pc.pipeline_size)[pc.pp_rank]
+    s, e = partition_balanced(COSTS, pc.pipeline_size)[pc.pp_rank]
     stage = Sequential([
         ParallelTransformerLayer1D(
             HIDDEN, HEADS, pc.comm(ParallelMode.TENSOR), 2, causal=True,

@@ -4,7 +4,8 @@ Serves a small GPT-style decoder on a 2-rank tensor-parallel replica
 (simulated) three ways:
 
 1. a closed-loop capacity probe (32 zero-think clients) that measures
-   the replica's saturated service rate,
+   the replica's saturated service rate, declared as a ``serve`` config
+   section and run by ``repro.launch``,
 2. an open-loop Poisson sweep at 0.5x / 1.0x / 2.0x that capacity —
    goodput saturates while p99 TTFT blows up past the knee, and the
    same seed reproduces the identical report bit for bit,
@@ -15,6 +16,8 @@ Serves a small GPT-style decoder on a 2-rank tensor-parallel replica
 Run:  python examples/serve_traffic.py
 """
 
+import repro
+from repro.cluster import uniform_cluster
 from repro.faults import FaultPlan
 from repro.serve import (
     ClosedLoopTraffic,
@@ -24,16 +27,27 @@ from repro.serve import (
 )
 
 WORLD = 2
-MODEL = ModelSpec(n_layers=4, hidden=1024, n_heads=16)
+DECODER = dict(n_layers=4, hidden=1024, n_heads=16)
+MODEL = ModelSpec(**DECODER)
 LENGTHS = dict(prompt_tokens=(16, 64), max_new_tokens=(8, 32))
-KNOBS = dict(world_size=WORLD, max_batch_tokens=256, kv_blocks=192)
+POOL = dict(max_batch_tokens=256, kv_blocks=192)
+KNOBS = dict(world_size=WORLD, **POOL)
 
 if __name__ == "__main__":
-    # 1) capacity probe: self-throttling clients saturate the replica
-    probe = serve_traffic(
+    # 1) capacity probe: self-throttling clients saturate the replica; the
+    # config's serve section makes launch() a serving session, which is
+    # the session serve_traffic() runs from objects
+    config = dict(serve=dict(
+        model=DECODER,
+        traffic=dict(kind="closed", clients=32, n_requests=128, seed=7,
+                     **LENGTHS),
+        **POOL))
+    probe = repro.launch(config, uniform_cluster(WORLD), world_size=WORLD)
+    direct = serve_traffic(
         MODEL, ClosedLoopTraffic(clients=32, n_requests=128, seed=7,
                                  **LENGTHS),
         **KNOBS)
+    assert probe.to_dict() == direct.to_dict(), "launch served another session"
     capacity = probe.completed_per_sec
     print(f"capacity probe: {probe.goodput_tokens_per_sec:.0f} tok/s "
           f"({capacity:.0f} req/s) at 32 closed-loop clients\n")

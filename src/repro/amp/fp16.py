@@ -1,20 +1,18 @@
 """fp16 model wrapping.
 
 ``cast_model_to`` converts parameter storage dtype in place (the memory
-pools see the 2-byte accounting immediately); :class:`FP16Module` pairs the
-cast model with input/output casts so callers keep feeding fp32 data.
-Master fp32 weights are handled inside the optimizers (see
-:class:`repro.optim.Adam`).
+pools see the 2-byte accounting immediately); ``initialize`` calls it when
+``fp16.enabled``.  Master fp32 weights are handled inside the optimizers
+(see :class:`repro.optim.Adam`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd import ops
 from repro.comm.payload import SpecArray, is_spec
 from repro.nn.module import Module
-from repro.tensor.tensor import Storage, Tensor
+from repro.tensor.tensor import Storage
 
 
 def cast_model_to(module: Module, dtype="float16") -> Module:
@@ -33,17 +31,3 @@ def cast_model_to(module: Module, dtype="float16") -> Module:
         p.payload = new_payload
     return module
 
-
-class FP16Module(Module):
-    """Runs the wrapped module in half precision: casts inputs down and the
-    output back up to fp32."""
-
-    def __init__(self, module: Module) -> None:
-        super().__init__()
-        self.module = cast_model_to(module, "float16")
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.dtype != np.float16:
-            x = ops.cast(x, "float16")
-        out = self.module(x)
-        return ops.cast(out, "float32")

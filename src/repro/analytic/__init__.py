@@ -4,7 +4,8 @@
   (``tp_comm_volume``, the one statement of them).
 * :mod:`repro.analytic.memory_model` — model-data / non-model-data byte
   estimates (§1 terminology).
-* :mod:`repro.analytic.perf_model` — FLOP counts for Transformer training.
+* :mod:`repro.analytic.perf_model` — the exposed comm time of overlapped
+  data-parallel training.
 """
 
 from repro.analytic.commvolume import (
@@ -22,11 +23,7 @@ from repro.analytic.memory_model import (
     transformer_param_count,
     zero_partitioned_bytes,
 )
-from repro.analytic.perf_model import (
-    overlap_exposed_seconds,
-    transformer_layer_flops,
-    training_flops_per_token,
-)
+from repro.analytic.perf_model import overlap_exposed_seconds
 
 __all__ = [
     "comm_volume_1d",
@@ -38,8 +35,6 @@ __all__ = [
     "transformer_param_count",
     "adam_model_data_bytes",
     "transformer_activation_bytes",
-    "transformer_layer_flops",
-    "training_flops_per_token",
     "model_data_bytes_per_rank",
     "overlap_exposed_seconds",
     "zero_partitioned_bytes",

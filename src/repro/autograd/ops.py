@@ -156,40 +156,6 @@ def _scalar_like(v: float, ref: Payload) -> Payload:
     return np.asarray(v, dtype=ref.dtype)
 
 
-class Tanh(Function):
-    PURE = True
-
-    @staticmethod
-    def forward(ctx: FnCtx, a: Tensor) -> Payload:
-        out = P.ptanh(a.payload)
-        ctx.out = out
-        ctx.flops = a.size
-        return out
-
-    @staticmethod
-    def backward(ctx: FnCtx, g: Payload):
-        t2 = P.pmul(ctx.out, ctx.out)
-        one = _scalar_like(1.0, g)
-        return (P.pmul(g, P.psub(one, t2)),)
-
-
-class Relu(Function):
-    PURE = True
-
-    @staticmethod
-    def forward(ctx: FnCtx, a: Tensor) -> Payload:
-        ctx.save_for_backward(a)
-        ctx.flops = a.size
-        return P.prelu(a.payload)
-
-    @staticmethod
-    def backward(ctx: FnCtx, g: Payload):
-        (a,) = ctx.saved_tensors
-        if type(g) is SpecArray:
-            return (g,)
-        return (g * (a.payload > 0),)
-
-
 class Gelu(Function):
     PURE = True
 
@@ -211,14 +177,6 @@ def neg(a: Tensor) -> Tensor:
 
 def power(a: Tensor, exponent: float) -> Tensor:
     return Power.apply(a, exponent)
-
-
-def tanh(a: Tensor) -> Tensor:
-    return Tanh.apply(a)
-
-
-def relu(a: Tensor) -> Tensor:
-    return Relu.apply(a)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -314,34 +272,6 @@ class Slice(Function):
         return (out,)
 
 
-class Concat(Function):
-    PURE = True
-
-    @staticmethod
-    def forward(ctx: FnCtx, *parts_and_axis) -> Payload:
-        *parts, axis = parts_and_axis
-        ctx.axis = axis
-        # tuples, not lists: a context of immutable values can be planned
-        ctx.sizes = tuple([p.shape[axis] for p in parts])
-        ctx.spec = any(type(p.payload) is SpecArray for p in parts)
-        ctx.dtypes = tuple([p.dtype for p in parts])
-        ctx.shapes = tuple([p.shape for p in parts])
-        return P.pconcat([p.payload for p in parts], axis)
-
-    @staticmethod
-    def backward(ctx: FnCtx, g: Payload):
-        if ctx.spec or type(g) is SpecArray:
-            return tuple(SpecArray(s, d) for s, d in zip(ctx.shapes, ctx.dtypes))
-        grads = []
-        start = 0
-        for size in ctx.sizes:
-            sl = [slice(None)] * g.ndim
-            sl[ctx.axis] = slice(start, start + size)
-            grads.append(np.ascontiguousarray(g[tuple(sl)]))
-            start += size
-        return tuple(grads)
-
-
 def _int_tuple(values) -> Tuple[int, ...]:
     """``values`` as a tuple of plain ints (numpy integers normalized)."""
     if len(values) == 1 and isinstance(values[0], (tuple, list)):
@@ -370,10 +300,6 @@ def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
 
 def slice_(a: Tensor, idx) -> Tensor:
     return Slice.apply(a, idx)
-
-
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    return Concat.apply(*parts, axis)
 
 
 def split(a: Tensor, parts: int, axis: int = 0) -> Tuple[Tensor, ...]:
@@ -627,51 +553,6 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Softmax cross-entropy, mean over the batch; ``targets`` are integer
     class ids (array-like or non-grad Tensor)."""
     return CrossEntropy.apply(logits, targets)
-
-
-class MSELoss(Function):
-    PURE = True
-
-    @staticmethod
-    def forward(ctx: FnCtx, pred: Tensor, target: Tensor) -> Payload:
-        ctx.flops = 3 * pred.size
-        if type(pred.payload) is SpecArray or type(target.payload) is SpecArray:
-            ctx.spec = (pred.shape, pred.dtype)
-            return SpecArray((), pred.dtype)
-        ctx.spec = None
-        diff = pred.payload - target.payload
-        ctx.diff = diff
-        return np.asarray(np.mean(diff**2), dtype=pred.dtype)
-
-    @staticmethod
-    def backward(ctx: FnCtx, g: Payload):
-        if ctx.spec is not None or type(g) is SpecArray:
-            shape, dtype = ctx.spec
-            return SpecArray(shape, dtype), None
-        n = ctx.diff.size
-        return (g * 2.0 * ctx.diff / n), None
-
-
-def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
-    return MSELoss.apply(pred, target)
-
-
-class Cast(Function):
-    PURE = True
-
-    @staticmethod
-    def forward(ctx: FnCtx, a: Tensor, dtype) -> Payload:
-        ctx.a_dtype = a.dtype
-        ctx.flops = a.size
-        return P.pastype(a.payload, dtype)
-
-    @staticmethod
-    def backward(ctx: FnCtx, g: Payload):
-        return (P.pastype(g, ctx.a_dtype),)
-
-
-def cast(a: Tensor, dtype) -> Tensor:
-    return Cast.apply(a, dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -78,16 +78,8 @@ def pneg(a: Payload) -> Payload:
     return _unary(a, np.negative)
 
 
-def ptanh(a: Payload) -> Payload:
-    return _unary(a, np.tanh)
-
-
 def ppow(a: Payload, exponent: float) -> Payload:
     return _unary(a, lambda x: np.power(x, exponent))
-
-
-def prelu(a: Payload) -> Payload:
-    return _unary(a, lambda x: np.maximum(x, 0.0))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -240,10 +232,6 @@ def pslice(a: Payload, idx) -> Payload:
             shape = dummy[idx].shape
         return SpecArray(shape, a.dtype)
     return a[idx]
-
-
-def pastype(a: Payload, dtype) -> Payload:
-    return a.astype(dtype)
 
 
 # -- reductions --------------------------------------------------------------------

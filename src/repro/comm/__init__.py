@@ -16,11 +16,10 @@ from repro.comm.payload import SpecArray
 from repro.comm.cost import ALGORITHMS, SELECTABLE_OPS, CollectiveCost, CostModel
 from repro.comm.counters import CommCounters
 from repro.comm.group import ProcessGroup, WorkHandle
-from repro.comm.communicator import Communicator, Request
+from repro.comm.communicator import Communicator
 
 __all__ = [
     "WorkHandle",
-    "Request",
     "SpecArray",
     "ALGORITHMS",
     "SELECTABLE_OPS",

@@ -3,9 +3,9 @@
 A :class:`Communicator` is one rank's view of a :class:`ProcessGroup`.  The
 method set mirrors the standard collective vocabulary (mpi4py / NCCL):
 ``all_reduce``, ``all_gather``, ``reduce_scatter``, ``broadcast``,
-``reduce``, ``scatter``, ``gather``, ``all_to_all``, ``barrier``,
-``send``/``recv`` and ``ring_pass`` (one rotation step, the primitive under
-ring self-attention and SUMMA-style algorithms).
+``reduce``, ``all_to_all``, ``barrier``, ``send``/``recv``/``isend`` and
+``ring_pass`` (one rotation step, the primitive under ring self-attention
+and SUMMA-style algorithms).
 
 All methods accept either real ``numpy`` arrays or :class:`SpecArray`
 stand-ins and return the same kind; reductions are combined in local-rank
@@ -385,46 +385,6 @@ class Communicator(Identity):
             self._global_rank, x, finalize, "reduce",
             {"reduce_op": op, "root": root})
 
-    def scatter(self, x: Optional[Payload], root: int = 0, axis: int = 0) -> Payload:
-        """Split root's payload into ``size`` chunks along ``axis``; rank i
-        receives chunk i."""
-        if not 0 <= root < self.size:
-            raise _out_of_range("scatter", "root", root, self.size)
-
-        def finalize(payloads: Dict[int, Payload]):
-            src = payloads[root]
-            if src is None:
-                raise ValueError("scatter: root payload is None")
-            chunks = _split_axis(src, self.size, axis, "scatter")
-            cost = self.group.cost_model.scatter(
-                self.group.global_rank(root), self.group.ranks, int(chunks[0].nbytes)
-            )
-            return dict(enumerate(chunks)), cost, src.dtype.itemsize
-
-        return self.group.rendezvous(
-            self._global_rank, x, finalize, "scatter",
-            {"root": root, "axis": axis})
-
-    def gather(self, x: Payload, root: int = 0, axis: int = 0) -> Optional[Payload]:
-        """Concatenate payloads on local rank ``root``; others get ``None``."""
-        if not 0 <= root < self.size:
-            raise _out_of_range("gather", "root", root, self.size)
-
-        def finalize(payloads: Dict[int, Payload]):
-            chunks = [payloads[i] for i in sorted(payloads)]
-            gathered = _concat_axis(chunks, axis, "gather")
-            big = max(chunks, key=_nbytes_of)
-            cost = self.group.cost_model.gather(
-                self.group.global_rank(root), self.group.ranks, int(big.nbytes)
-            )
-            results: Dict[int, Optional[Payload]] = {i: None for i in payloads}
-            results[root] = gathered
-            return results, cost, big.dtype.itemsize
-
-        return self.group.rendezvous(
-            self._global_rank, x, finalize, "gather",
-            {"root": root, "axis": axis})
-
     def all_to_all(self, chunks: List[Payload]) -> List[Payload]:
         """Personalized exchange: rank i sends ``chunks[j]`` to rank j and
         receives rank j's ``chunks[i]``."""
@@ -469,19 +429,6 @@ class Communicator(Identity):
 
         return self.group.rendezvous(
             self._global_rank, x, finalize, "ring_pass", {"shift": shift})
-
-    def all_gather_object(self, obj: Any) -> List[Any]:
-        """Control-plane allgather of small Python objects (OOM flags, batch
-        search results).  Charged a nominal wire size."""
-
-        def finalize(payloads: Dict[int, Any]):
-            ordered = [payloads[i] for i in sorted(payloads)]
-            cost = OP_PRICE["all_gather_object"](
-                self.group.cost_model, self.group.ranks, 0, None)
-            return {i: list(ordered) for i in payloads}, cost, 1
-
-        return self.group.rendezvous(
-            self._global_rank, obj, finalize, "all_gather_object")
 
     # -- point-to-point ---------------------------------------------------------
 
@@ -567,15 +514,6 @@ class Communicator(Identity):
         """
         return self._deliver(x, dst, tag, "pss")
 
-    def irecv(self, src: int, tag: Any = 0) -> "Request":
-        """Non-blocking receive; ``wait()`` blocks until the message lands."""
-        if not 0 <= src < self.size:
-            raise _out_of_range("irecv", "src", src, self.size)
-        runtime = self.group.runtime
-        if runtime.alone:
-            runtime.diverge("irecv")
-        return Request(self, src, tag)
-
     # -- introspection ------------------------------------------------------------
 
     @property
@@ -621,33 +559,3 @@ class StreamSendHandle(WorkHandle):
     def __repr__(self) -> str:
         return f"StreamSendHandle(dst={self._dst}, done={self._done})"
 
-
-class Request(WorkHandle):
-    """Handle for an ``irecv`` (``Request.wait`` completes it)."""
-
-    def __init__(self, comm: "Communicator", src: int, tag: Any) -> None:
-        self._comm = comm
-        self._src = src
-        self._tag = tag
-        self._done = False
-        self._result: Optional[Payload] = None
-
-    def test(self) -> bool:
-        """True once the message has landed and ``wait()`` will not block."""
-        if self._done:
-            return True
-        runtime = self._comm.group.runtime
-        src_g = self._comm.group.global_rank(self._src)
-        key = (src_g, self._comm._global_rank, (id(self._comm.group), self._tag))
-        with runtime.mailboxes._cond:
-            return bool(runtime.mailboxes._boxes.get(key))
-
-    def wait(self) -> Optional[Payload]:
-        """Block for and return the payload."""
-        if not self._done:
-            self._result = self._comm.recv(self._src, self._tag)
-            self._done = True
-        return self._result
-
-    def __repr__(self) -> str:
-        return f"Request(recv, src={self._src}, tag={self._tag!r}, done={self._done})"

@@ -47,7 +47,6 @@ allgather (ring)   (p-1) * n_local / bw          p(p-1) * n_local
 reducescatter      (p-1)/p * n / bw              (p-1) * n
 broadcast (ring)   n / bw (pipelined)            (p-1) * n
 reduce (ring)      n / bw (pipelined)            (p-1) * n
-scatter/gather     (p-1) * n_local / bw_root     (p-1) * n_local
 all_to_all         (p-1)/p * n / bw              (p-1) * n
 p2p                n / bw(a,b)                   n
 ring_pass          n / bw(slowest hop)           p * n
@@ -62,9 +61,9 @@ identically in every case.
 A :class:`CollectiveCost` is a pure function of the query, of the link
 graph and of the cluster's ``alpha`` and ``bw_ramp_time``, so a distinct
 query is priced once per link graph: the family costs and their ``auto``
-minimum (``_op_cost``), the direct queries (scatter/gather, all-to-all,
-barrier, p2p, ring pass, host transfer) and the topology probes all read
-and write the graph's one memo, ``Topology.prices``, which every model
+minimum (``_op_cost``), the direct queries (all-to-all, barrier, p2p,
+ring pass, host transfer) and the topology probes all read and write the
+graph's one memo, ``Topology.prices``, which every model
 over the cluster shares.  A :class:`CostModel` keeps no memo of its own.
 A warm round runs no formula and walks no link; a link edit replaces the
 memo whole, so the next round prices afresh.
@@ -87,8 +86,8 @@ from repro.cluster.machine import ClusterSpec
 ALGORITHMS = ("ring", "tree", "hierarchical")
 
 #: collectives with more than one implemented algorithm, the only ops
-#: ``CostModel.price`` takes; every other op (scatter/gather stars,
-#: all_to_all, barrier, p2p) has a single schedule and its own method.
+#: ``CostModel.price`` takes; every other op (all_to_all,
+#: barrier, p2p) has a single schedule and its own method.
 SELECTABLE_OPS = frozenset(
     {"all_reduce", "all_gather", "reduce_scatter", "broadcast", "reduce"}
 )
@@ -189,21 +188,6 @@ class CostModel:
         of recursive halving/doubling, whose partners span every distance,
         and of the personalized all-to-all."""
         return self.cluster.topology.pairwise_stats(self._names(ranks))
-
-    @_memoised
-    def _star(self, root: int, ranks: Sequence[int]) -> Tuple[float, float]:
-        """(bottleneck root<->member bandwidth, max latency) for scatter/gather."""
-        topo = self.cluster.topology
-        rn = self.cluster.gpus[root].name
-        bw = math.inf
-        lat = 0.0
-        for r in ranks:
-            if r == root:
-                continue
-            b, l = topo.path_stats(rn, self.cluster.gpus[r].name)
-            bw = min(bw, b)
-            lat = max(lat, l)
-        return bw, lat
 
     def _path(self, src: int, dst: int) -> Tuple[float, float]:
         """(bandwidth, latency) of the link path between two ranks; read
@@ -449,27 +433,6 @@ class CostModel:
 
     # -- direct queries: one schedule each, priced once per key like _op_cost
 
-    def scatter(self, root: int, ranks: Sequence[int], nbytes_local: int) -> CollectiveCost:
-        p = len(ranks)
-        if p < 2 or nbytes_local == 0:
-            return _ZERO
-        memo = self.cluster.topology.prices
-        key = ("scatter", root, tuple(ranks), nbytes_local)
-        cost = memo.get(key)
-        if cost is not None:
-            return cost
-        _check_nbytes("scatter/gather", nbytes_local)
-        bw, lat = self._star(root, ranks)
-        seconds = (
-            (p - 1) * self.alpha + lat
-            + (p - 1) * nbytes_local / self._eff(bw, p * nbytes_local)
-        )
-        cost = memo[key] = CollectiveCost(seconds, (p - 1) * nbytes_local, "star")
-        return cost
-
-    def gather(self, root: int, ranks: Sequence[int], nbytes_local: int) -> CollectiveCost:
-        return self.scatter(root, ranks, nbytes_local)
-
     def all_to_all(self, ranks: Sequence[int], nbytes_local: int) -> CollectiveCost:
         p = len(ranks)
         if p < 2 or nbytes_local == 0:
@@ -554,12 +517,8 @@ def _check_nbytes(query: str, nbytes: int) -> None:
         raise ValueError(f"{query}: cannot price a negative byte count ({nbytes})")
 
 
-#: nominal wire size charged for a control-plane object exchange
-_OBJECT_NBYTES = 64
-
 #: ``op -> (model, ranks, nbytes, algorithm) -> cost`` for the replay, the
-#: compiler and the control-plane ops (which ignore ``nbytes``); a rooted op
-#: is priced from the group's first rank
+#: compiler and the control-plane ops (which ignore ``nbytes``)
 OP_PRICE: Dict[str, Callable[
     [CostModel, Sequence[int], int, Optional[str]], CollectiveCost]] = {
     "all_reduce": CostModel.allreduce,
@@ -567,12 +526,8 @@ OP_PRICE: Dict[str, Callable[
     "reduce_scatter": CostModel.reduce_scatter,
     "broadcast": CostModel.broadcast,
     "reduce": CostModel.reduce,
-    "scatter": lambda m, ranks, n, algo: m.scatter(ranks[0], ranks, n),
-    "gather": lambda m, ranks, n, algo: m.gather(ranks[0], ranks, n),
     "all_to_all": lambda m, ranks, n, algo: m.all_to_all(ranks, n),
     "barrier": lambda m, ranks, n, algo: m.barrier(ranks),
     "ring_pass": lambda m, ranks, n, algo: m.ring_pass(ranks, n),
-    "all_gather_object":
-        lambda m, ranks, n, algo: m.allgather(ranks, _OBJECT_NBYTES),
     "split": lambda m, ranks, n, algo: CollectiveCost(m.alpha, 0),
 }

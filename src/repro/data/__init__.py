@@ -3,13 +3,9 @@
 from repro.data.synthetic import (
     DataLoader,
     synthetic_image_classification,
-    synthetic_token_stream,
-    lm_batches,
 )
 
 __all__ = [
     "DataLoader",
     "synthetic_image_classification",
-    "synthetic_token_stream",
-    "lm_batches",
 ]

@@ -8,8 +8,6 @@ substitute learnable synthetic tasks with the same tensor shapes:
   within a few epochs (what Fig 7 needs: *curves* that either coincide
   across parallel modes or don't), while noisy enough to need real
   optimization.
-* ``synthetic_token_stream`` — tokens from a random first-order Markov
-  chain, so next-token prediction has learnable structure.
 """
 
 from __future__ import annotations
@@ -36,43 +34,6 @@ def synthetic_image_classification(
         (n_samples, image_size, image_size, channels)
     )
     return images.astype(np.float32), labels.astype(np.int64)
-
-
-def synthetic_token_stream(
-    n_tokens: int,
-    vocab_size: int = 1024,
-    seed: int = 0,
-    branching: int = 4,
-) -> np.ndarray:
-    """A token stream from a sparse random Markov chain: each token has
-    ``branching`` likely successors, so an LM can reduce perplexity."""
-    rng = np.random.default_rng(seed)
-    successors = rng.integers(0, vocab_size, (vocab_size, branching))
-    out = np.empty(n_tokens, dtype=np.int64)
-    tok = int(rng.integers(0, vocab_size))
-    for i in range(n_tokens):
-        out[i] = tok
-        tok = int(successors[tok, rng.integers(0, branching)])
-    return out
-
-
-def lm_batches(
-    stream: np.ndarray, batch_size: int, seq_len: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Cut a token stream into (inputs, next-token targets) of shape
-    [n_batches, batch, seq]."""
-    window = seq_len + 1
-    n = (len(stream) - 1) // (batch_size * seq_len)
-    need = n * batch_size * seq_len + 1
-    if need > len(stream):
-        raise ValueError("stream too short")
-    flat = stream[: n * batch_size * seq_len].reshape(n * batch_size, seq_len)
-    nxt = stream[1 : n * batch_size * seq_len + 1].reshape(n * batch_size, seq_len)
-    _ = window
-    return (
-        flat.reshape(n, batch_size, seq_len),
-        nxt.reshape(n, batch_size, seq_len),
-    )
 
 
 class DataLoader:

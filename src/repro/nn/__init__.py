@@ -11,7 +11,7 @@ from repro.nn.module import Module, ModuleList, Parameter, Sequential
 from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear
 from repro.nn.mode import SERIAL, TensorMode
 from repro.nn.transformer import FeedForward, MultiHeadAttention, TransformerLayer
-from repro.nn.loss import CrossEntropyLoss, MSELoss
+from repro.nn.loss import CrossEntropyLoss
 from repro.nn import init
 
 __all__ = [
@@ -29,6 +29,5 @@ __all__ = [
     "TensorMode",
     "SERIAL",
     "CrossEntropyLoss",
-    "MSELoss",
     "init",
 ]

@@ -30,10 +30,3 @@ class CrossEntropyLoss(Module):
                 targets = targets.reshape(-1)
         return ops.cross_entropy(logits, targets)
 
-
-class MSELoss(Module):
-    def __init__(self) -> None:
-        super().__init__()
-
-    def forward(self, pred: Tensor, target: Tensor) -> Tensor:
-        return ops.mse_loss(pred, target)

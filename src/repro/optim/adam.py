@@ -6,10 +6,10 @@ model-data blowup of "stateful optimizers" that §2.1 of the paper
 describes and ZeRO exists to shard.
 
 :func:`adam_state` and :func:`adam_update` are the only places that state
-and the update rule are written: ``Adam`` (and through it ``CPUAdam`` /
-``HybridAdam``) calls them per parameter, ``Chunk.init_adam`` /
-``Chunk.adam_step`` per chunk shard for every ZeRO stage — ZeRO-1/2's
-``ZeroRedundancyOptimizer`` and ZeRO-3's ``ZeroOffloadEngine`` (DESIGN §4y).
+and the update rule are written: ``Adam`` calls them per parameter,
+``Chunk.init_adam`` / ``Chunk.adam_step`` per chunk shard for every ZeRO
+stage — ZeRO-1/2's ``ZeroRedundancyOptimizer`` and ZeRO-3's
+``ZeroOffloadEngine`` (DESIGN §4y).
 """
 
 from __future__ import annotations
@@ -78,12 +78,7 @@ class Adam(Optimizer):
         )
 
     def _init_state(self, p: Tensor) -> Dict[str, Any]:
-        dev = self._device_for(p)
-        return adam_state(
-            p.shape,
-            p.device if dev is None else dev,
-            p.payload if p.dtype != np.float32 else None,
-        )
+        return adam_state(p.shape, p.device, p.payload if p.dtype != np.float32 else None)
 
     def _update(self, p: Tensor, grad: np.ndarray, state: Dict[str, Any]) -> None:
         d = self.defaults

@@ -21,20 +21,10 @@ class LRScheduler:
         return lr
 
 
-class CosineAnnealingLR(LRScheduler):
-    def __init__(self, optimizer, base_lr: float, total_steps: int, min_lr: float = 0.0) -> None:
-        super().__init__(optimizer, base_lr)
-        self.total_steps = total_steps
-        self.min_lr = min_lr
-
-    def get_lr(self, step: int) -> float:
-        t = min(step / max(self.total_steps, 1), 1.0)
-        return self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (1 + math.cos(math.pi * t))
-
-
 class LinearWarmupCosine(LRScheduler):
     """Linear warmup to ``base_lr`` over ``warmup_steps``, then cosine decay
-    — the schedule used in ViT training."""
+    to ``min_lr`` at ``total_steps`` — the schedule used in ViT training;
+    ``warmup_steps=0`` is plain cosine annealing."""
 
     def __init__(
         self,

@@ -36,11 +36,6 @@ class Optimizer:
     def _update(self, p: Tensor, grad: np.ndarray, state: Dict[str, Any]) -> None:
         raise NotImplementedError
 
-    def _device_for(self, p: Tensor):
-        """The device holding ``p``'s state and running its update; ``None``
-        keeps the state on ``p``'s device and charges the rank's GPU."""
-        return None
-
     # -- API --------------------------------------------------------------------
 
     def state_for(self, p: Tensor) -> Dict[str, Any]:
@@ -53,13 +48,12 @@ class Optimizer:
         for p in self.params:
             p.zero_grad()
 
-    def _charge(self, n_elements: int, device=None) -> None:
+    def _charge(self, n_elements: int) -> None:
         if not in_spmd():
             return
         ctx = current_rank_context()
-        dev = device if device is not None else ctx.device
         ctx.clock.advance(
-            dev.compute_seconds(self.FLOPS_PER_ELEMENT * n_elements, "float32"),
+            ctx.device.compute_seconds(self.FLOPS_PER_ELEMENT * n_elements, "float32"),
             "optimizer",
         )
 
@@ -69,7 +63,7 @@ class Optimizer:
             if p.grad is None:
                 continue
             state = self.state_for(p)
-            self._charge(p.size, self._device_for(p))
+            self._charge(p.size)
             if p.materialized and p.grad.materialized:
                 self._update(p, p.grad.numpy(), state)
 

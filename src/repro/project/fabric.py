@@ -7,7 +7,7 @@ the projection budget.  A :class:`Fabric` abstracts the cluster down to the
 five numbers the cost formulas actually consume (intra/inter-node bandwidth
 and latency, node size), and :class:`ProjectedCostModel` overrides only
 ``CostModel``'s link probes (``_path``, ``_ring``, ``_pairwise``,
-``_star``, ``_islands``, ``_island_phases``) with O(1)/O(k)-in-node-count
+``_islands``, ``_island_phases``) with O(1)/O(k)-in-node-count
 closed forms.  Every cost formula — ring, tree and hierarchical
 collectives, p2p, ring pass, host transfer — is ``CostModel``'s own, the
 memo in front of them is the cluster stand-in's, and so is the host link,
@@ -152,22 +152,6 @@ class ProjectedCostModel(CostModel):
             min(f.intra_bw, f.inter_bw),
             (p - k) * f.intra_lat + k * f.inter_lat,
         )
-
-    def _star(self, root: int, ranks: Sequence[int]) -> Tuple[float, float]:
-        f = self.fabric
-        root_node = self._node_of(root)
-        bw = math.inf
-        lat = 0.0
-        for r in ranks:
-            if r == root:
-                continue
-            if self._node_of(r) == root_node:
-                bw = min(bw, f.intra_bw)
-                lat = max(lat, f.intra_lat)
-            else:
-                bw = min(bw, f.inter_bw)
-                lat = max(lat, f.inter_lat)
-        return bw, lat
 
     def _path(self, src: int, dst: int) -> Tuple[float, float]:
         if self._node_of(src) == self._node_of(dst):

@@ -46,7 +46,7 @@ from repro.project.fabric import Fabric, ProjectedCostModel
 #: ZeRO all-gather's local shard is ``total / p``); every other op keeps
 #: its captured payload (a DP all-reduce moves the same gradient bytes at
 #: any world size)
-DEFAULT_SCALING: frozenset = frozenset({"all_gather", "scatter"})
+DEFAULT_SCALING: frozenset = frozenset({"all_gather"})
 
 class ReplayStall(RuntimeError):
     """No rank can make progress but streams remain — a truncated or
@@ -273,13 +273,10 @@ class ModelPricer:
     def collective(self, gid: int, rnd: Dict[str, Any]) -> CollectiveCost:
         """Price a captured round through :data:`~repro.comm.cost.OP_PRICE`
         at the byte argument the run priced it at: the largest member
-        payload (the root's, for a rooted op), and for ``scatter`` the
-        per-member chunk of it."""
+        payload (the root's, for a rooted op)."""
         op = str(rnd["op"])
         ns = rnd.get("nbytes") or [0]
         n = max(ns)
-        if op == "scatter":
-            n //= len(ns)
         key = (gid, op, n)
         hit = self._cache.get(key)
         if hit is not None:

@@ -42,8 +42,7 @@ across ranks — that is what the spec check verifies), but ranks may
 ``wait()`` their handles in any order afterwards.  The spec check and the
 checksum/race hooks fire when the round's last *issuer* arrives, and the
 desync detector treats a rank parked in ``WorkHandle.wait()`` exactly like
-one parked in a blocking rendezvous, and ``irecv().wait()`` like a
-blocking ``recv``.  A group
+one parked in a blocking rendezvous.  A group
 where some ranks issue a collective blocking and others nonblocking fails
 the round for everyone (mixed-mode rendezvous error from the process
 group) before any sanitizer check runs.
@@ -356,7 +355,7 @@ class CommSanitizer(Observer):
             signature = self._signatures[key] = sys.intern(
                 call_signature(op, payload, **params))
         contributes = True
-        if op in ("broadcast", "scatter"):
+        if op == "broadcast":
             contributes = group.ranks[int(params["root"])] == rank
         # the call site is walked here, with no frame of its own: whether a
         # file is internal is asked once per file, the line read live

@@ -66,24 +66,20 @@ def call_signature(op: str, payload: Any, **params: Any) -> str:
         if op == "reduce_scatter":
             bits.append(f"axis={params.get('axis')}")
         return f"{op}({', '.join(bits)})"
-    if op in ("all_gather", "gather"):
+    if op == "all_gather":
         # the concat axis may differ across ranks; every other dim must agree
         shape, dtype = sd if sd is not None else ((), "none")
         axis = int(params.get("axis", 0)) % max(len(shape), 1) if shape else 0
         wild = tuple("*" if d == axis else s for d, s in enumerate(shape))
         bits = [f"shape={_fmt_shape(wild)}", f"dtype={dtype}", f"axis={params.get('axis')}"]
-        if op == "gather":
-            bits.append(f"root={params.get('root')}")
         return f"{op}({', '.join(bits)})"
     if op == "broadcast":
         return f"broadcast(root={params.get('root')})"
-    if op == "scatter":
-        return f"scatter(root={params.get('root')}, axis={params.get('axis')})"
     if op == "all_to_all":
         return f"all_to_all(nchunks={params.get('nchunks')})"
     if op == "ring_pass":
         return f"ring_pass(shift={params.get('shift')})"
-    # barrier / split / all_gather_object: arrival is the only contract
+    # barrier / split: arrival is the only contract
     return f"{op}()"
 
 
@@ -98,7 +94,7 @@ class CollectiveSpec:
     seq: int = -1  # filled in by the rendezvous
     callsite: str = ""
     #: False when this rank's input buffer is a placeholder the op ignores
-    #: (broadcast/scatter non-root) — its bytes are excluded from checksums
+    #: (broadcast non-root) — its bytes are excluded from checksums
     #: so uninitialized receive buffers don't fail replay conformance.
     contributes: bool = True
 

@@ -13,10 +13,9 @@ from repro.tensor.tensor import (
     Tensor,
     default_device,
     full,
-    set_default_device,
     zeros,
 )
-from repro.tensor.sharding import ShardSpec, local_shard_shape, shard_payload
+from repro.tensor.sharding import local_shard_shape, shard_payload
 
 # ``Tensor``'s operators (``+``, ``@``, ``.sum()``, ...) are bound by
 # ``repro.autograd.ops``, which builds on this package: loading it here gives
@@ -28,10 +27,8 @@ __all__ = [
     "Storage",
     "Tensor",
     "default_device",
-    "set_default_device",
     "zeros",
     "full",
-    "ShardSpec",
     "local_shard_shape",
     "shard_payload",
 ]

@@ -1,66 +1,19 @@
-"""Sharding descriptors.
+"""Sharding helpers.
 
-``ShardSpec`` records how a logical (global) tensor is partitioned across a
-device mesh — which tensor dimension is split how many ways — and maps a
-mesh coordinate to the local chunk.  The tensor-parallel layers (1D/2D/
-2.5D/3D) and the ZeRO sharded tensors both build on these helpers, which is
-the paper's "unified sharded tensor interface" (§3.2).
+One tensor dimension split ``parts`` ways: the local chunk's shape and the
+chunk at an index.  The tensor-parallel layers (1D / 2D / 2.5D / 3D), the
+sequence-parallel layers and the ViT input slicing take their local shards
+from :func:`shard_payload`; ZeRO shards flat chunks instead
+(``repro.zero.chunk``).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.comm.payload import Payload, SpecArray, is_spec
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """Partition of a global shape: ``partitions[dim] = number of parts``.
-
-    Dims absent from ``partitions`` are replicated.
-    """
-
-    global_shape: Tuple[int, ...]
-    partitions: Dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for dim, parts in self.partitions.items():
-            if dim < 0 or dim >= len(self.global_shape):
-                raise ValueError(f"partition dim {dim} out of range for {self.global_shape}")
-            if self.global_shape[dim] % parts != 0:
-                raise ValueError(
-                    f"dim {dim} of {self.global_shape} not divisible by {parts}"
-                )
-
-    @property
-    def local_shape(self) -> Tuple[int, ...]:
-        shape = list(self.global_shape)
-        for dim, parts in self.partitions.items():
-            shape[dim] //= parts
-        return tuple(shape)
-
-    @property
-    def num_shards(self) -> int:
-        return int(math.prod(self.partitions.values())) if self.partitions else 1
-
-    def chunk(self, payload: Payload, index: Dict[int, int]) -> Payload:
-        """Extract the local chunk at mesh coordinate ``index``
-        (``index[dim] = which part along dim``)."""
-        if is_spec(payload):
-            return SpecArray(self.local_shape, payload.dtype)
-        out = payload
-        for dim, parts in self.partitions.items():
-            i = index.get(dim, 0)
-            if not (0 <= i < parts):
-                raise ValueError(f"shard index {i} out of range for dim {dim} ({parts} parts)")
-            step = self.global_shape[dim] // parts
-            out = np.take(out, range(i * step, (i + 1) * step), axis=dim)
-        return np.ascontiguousarray(out)
 
 
 def local_shard_shape(shape: Tuple[int, ...], axis: int, parts: int) -> Tuple[int, ...]:

@@ -44,14 +44,6 @@ def default_device() -> Device:
         return _fallback_device
 
 
-def set_default_device(device: Optional[Device]) -> None:
-    """Override the out-of-SPMD fallback device (tests use this to assert
-    accounting against a small pool)."""
-    global _fallback_device
-    with _fallback_lock:
-        _fallback_device = device
-
-
 def _as_payload(
     data: Any, dtype: Optional[Union[str, np.dtype]], materialize: bool
 ) -> Payload:

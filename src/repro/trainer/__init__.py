@@ -6,7 +6,6 @@ from repro.trainer.hooks import (
     Hook,
     LRSchedulerHook,
     LossLoggingHook,
-    MetricHook,
     ThroughputHook,
 )
 from repro.trainer.metric import Accuracy, AverageMeter
@@ -18,7 +17,6 @@ __all__ = [
     "Hook",
     "LossLoggingHook",
     "LRSchedulerHook",
-    "MetricHook",
     "ThroughputHook",
     "Accuracy",
     "AverageMeter",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.trainer.metric import Accuracy, AverageMeter
+from repro.trainer.metric import AverageMeter
 from repro.utils.logging import get_logger
 
 logger = get_logger("trainer")
@@ -48,28 +48,20 @@ class LossLoggingHook(Hook):
 
 
 class LRSchedulerHook(Hook):
+    """Steps ``scheduler`` after every training step.  A fit resumed from a
+    checkpoint first moves the schedule to the trainer's restored step, so
+    it continues where the checkpoint left it."""
+
     def __init__(self, scheduler) -> None:
         self.scheduler = scheduler
 
+    def on_fit_start(self, trainer) -> None:
+        if trainer.step:
+            self.scheduler.last_step = trainer.step - 1
+            self.scheduler.step()
+
     def after_step(self, trainer, output, label, loss) -> None:
         self.scheduler.step()
-
-
-class MetricHook(Hook):
-    """Tracks top-1 accuracy per epoch."""
-
-    def __init__(self) -> None:
-        self.metric = Accuracy()
-
-    def on_epoch_start(self, trainer) -> None:
-        self.metric.reset()
-
-    def after_step(self, trainer, output, label, loss) -> None:
-        if output is not None and label is not None:
-            self.metric.update(output, label)
-
-    def on_epoch_end(self, trainer) -> None:
-        trainer.history.setdefault("accuracy", []).append(self.metric.value)
 
 
 class ThroughputHook(Hook):

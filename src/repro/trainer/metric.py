@@ -45,7 +45,3 @@ class Accuracy:
     @property
     def value(self) -> float:
         return self.correct / self.count if self.count else 0.0
-
-    def reset(self) -> None:
-        self.correct = 0
-        self.count = 0

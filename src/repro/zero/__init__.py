@@ -2,8 +2,10 @@
 heterogeneous offloading (§3.2 of the paper).
 
 * :mod:`repro.zero.chunk` — PatrickStar-style chunks: parameters are packed
-  into fixed-size buffers that become the unit of gather, reduce-scatter,
-  offload and Adam update at every ZeRO stage.
+  into flat buffers that become the unit of gather, reduce-scatter,
+  offload and Adam update at every ZeRO stage.  ZeRO-1/2's chunks are
+  right-sized to what they hold (``register_dense``); ZeRO-3's are fixed
+  (``register_param``), since they are fetched and released every block.
 * :mod:`repro.zero.policies` — tensor placement: ``StaticPolicy``
   (DeepSpeed-like, everything offloaded to CPU) vs ``AdaptivePolicy``
   (Colossal-AI: keep chunks on GPU while memory allows).

@@ -1,10 +1,14 @@
 """Chunk-based memory management (PatrickStar [12], integrated per §3.2).
 
-Parameters are packed into fixed-size flat **chunks**; the chunk — not the
+Parameters are packed into flat **chunks**; the chunk — not the
 individual tensor — is the unit of all-gather, host<->device transfer and
-optimizer update.  Large uniform transfers keep effective bandwidth high
-(the alpha term is paid once per chunk instead of once per tensor), which
-is the stated reason Colossal-AI adopts chunks for offloading.
+optimizer update.  ZeRO-3 packs fixed-size chunks
+(:meth:`ChunkManager.register_param`), which it fetches and releases block
+by block; ZeRO-1/2 keep every chunk resident and cut each to what it holds
+(:meth:`ChunkManager.register_dense`), so no padding crosses the wire.
+Large uniform transfers keep effective bandwidth high (the alpha term is
+paid once per chunk instead of once per tensor), which is the stated reason
+Colossal-AI adopts chunks for offloading.
 
 Each rank is authoritative for its *shard* of each chunk (``capacity / dp``
 elements) and steps it with :meth:`Chunk.adam_step` at every ZeRO stage

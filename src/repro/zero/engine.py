@@ -11,7 +11,7 @@ Runs block-wise activation-checkpointed training of a huge model:
   into per-rank shards (fp16 param storage reused per Fig 6), release.
 * **step** — per chunk: ``Chunk.adam_step`` on the fp32 master shard, the
   update ZeRO-1/2 run too, on the device the placement policy chose (GPU
-  for resident chunks — the HybridAdam design; CPU for offloaded ones),
+  for resident chunks — the paper's hybrid Adam; CPU for offloaded ones),
   then write the fp16 shard back.
 
 The engine works identically in materialized mode (small models; parity

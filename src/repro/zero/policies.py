@@ -9,8 +9,8 @@ step when the batch is small (Fig 14).
 and keeps chunk shards (plus their optimizer states) on the GPU as long as
 free memory stays above a headroom reserved for activations, offloading
 only the overflow.  The engine asks ``optimizer_device`` at every step, so
-GPU-resident chunks are updated on the GPU — the HybridAdam design, made
-per chunk.
+GPU-resident chunks are updated on the GPU — the paper's hybrid Adam
+(§3.2), made per chunk.
 """
 
 from __future__ import annotations

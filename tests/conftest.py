@@ -82,3 +82,13 @@ def run_spmd(world_size: int, fn, *args, materialize: bool = True, **kwargs):
     """One-shot SPMD run on a fresh uniform cluster; returns per-rank results."""
     rt = SpmdRuntime(uniform_cluster(world_size))
     return rt.run(fn, *args, materialize=materialize, **kwargs)
+
+
+def set_default_device(device) -> None:
+    """Bind the device a tensor built outside an SPMD run lands on (``None``
+    restores the lazily built host device), so a test can assert accounting
+    against a small pool."""
+    import repro.tensor.tensor as tensor_module
+
+    with tensor_module._fallback_lock:
+        tensor_module._fallback_device = device

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.amp import FP16Module, GradScaler, cast_model_to
+from repro.amp import GradScaler, cast_model_to
 from repro.cluster.device import Device, DeviceKind
 from repro.config import FP16Config
 from repro.nn import Linear
 from repro.nn.module import Parameter
-from repro.tensor import Tensor, set_default_device
+from repro.tensor import Tensor
 from repro.utils.units import MB
+
+from conftest import set_default_device
 
 
 def _scaler(**kw):
@@ -99,10 +101,3 @@ class TestFP16Cast:
         bytes_once = self.dev.memory.breakdown()["param"]
         cast_model_to(lin, "float16")
         assert self.dev.memory.breakdown()["param"] == bytes_once
-
-    def test_fp16_module_wraps_io(self):
-        lin = Linear(4, 4, rng=np.random.default_rng(0))
-        wrapped = FP16Module(lin)
-        out = wrapped(Tensor(np.ones((2, 4), dtype=np.float32)))
-        assert out.dtype == np.float32
-        assert lin.weight.dtype == np.float16

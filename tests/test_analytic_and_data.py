@@ -12,12 +12,10 @@ from repro.analytic import (
     comm_volume_2d,
     comm_volume_3d,
     comm_volume_table,
-    training_flops_per_token,
     transformer_activation_bytes,
-    transformer_layer_flops,
     transformer_param_count,
 )
-from repro.data import DataLoader, lm_batches, synthetic_image_classification, synthetic_token_stream
+from repro.data import DataLoader, synthetic_image_classification
 from repro.utils.units import GB
 
 
@@ -102,16 +100,6 @@ class TestMemoryModel:
         assert ckpt < plain / 10
 
 
-class TestPerfModel:
-    def test_six_n_rule(self):
-        assert training_flops_per_token(1e9) == 6e9
-
-    def test_layer_flops_positive_and_scales(self):
-        f1 = transformer_layer_flops(1, 128, 512)
-        f2 = transformer_layer_flops(2, 128, 512)
-        assert f2 == pytest.approx(2 * f1)
-
-
 class TestSyntheticData:
     def test_images_learnable_structure(self):
         X, y = synthetic_image_classification(200, image_size=8, channels=2, n_classes=4, seed=0)
@@ -128,21 +116,6 @@ class TestSyntheticData:
         a = synthetic_image_classification(10, seed=3)
         b = synthetic_image_classification(10, seed=3)
         np.testing.assert_array_equal(a[0], b[0])
-
-    def test_token_stream_markov(self):
-        s = synthetic_token_stream(5000, vocab_size=64, seed=0, branching=2)
-        assert s.min() >= 0 and s.max() < 64
-        # low-entropy successors: each token has <= branching distinct successors
-        succ = {}
-        for a, b in zip(s, s[1:]):
-            succ.setdefault(int(a), set()).add(int(b))
-        assert max(len(v) for v in succ.values()) <= 2
-
-    def test_lm_batches_next_token(self):
-        s = np.arange(100)
-        x, y = lm_batches(s, batch_size=2, seq_len=4)
-        np.testing.assert_array_equal(y[0, 0], x[0, 0] + 1)
-        assert x.shape[1:] == (2, 4)
 
     def test_dataloader_epoch(self):
         X = np.arange(10).reshape(10, 1)

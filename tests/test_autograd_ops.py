@@ -36,15 +36,8 @@ class TestElementwiseGrads:
     def test_power(self):
         gradcheck(lambda a: ops.power(a, 3.0), [t((4,), positive=True)])
 
-    def test_tanh(self):
-        gradcheck(ops.tanh, [t((4,))])
-
     def test_gelu(self):
         gradcheck(ops.gelu, [t((6,))])
-
-    def test_relu_away_from_kink(self):
-        x = Tensor(np.array([-2.0, -0.5, 0.4, 1.7]), dtype="float64", requires_grad=True)
-        gradcheck(ops.relu, [x])
 
     def test_scalar_operand(self):
         gradcheck(lambda a: ops.mul(a, 2.5), [t((3,))])
@@ -80,9 +73,6 @@ class TestShapeGrads:
 
     def test_slice(self):
         gradcheck(lambda a: ops.slice_(a, (slice(1, 3), slice(None))), [t((4, 3))])
-
-    def test_concat(self):
-        gradcheck(lambda a, b: ops.concat([a, b], axis=1), [t((2, 3)), t((2, 2))])
 
     def test_split_sum(self):
         def fn(a):
@@ -153,14 +143,6 @@ class TestSoftmaxLossGrads:
             (plan,) = [p for key, p in rt.op_plans.items()
                        if key[0] is ops.CrossEntropy]
             assert plan and list(plan.grads.values())[0][1] is None
-
-    def test_mse(self):
-        pred = t((4, 3))
-        target = Tensor(rng.standard_normal((4, 3)), dtype="float64")
-        gradcheck(lambda p: ops.mse_loss(p, target), [pred])
-
-    def test_cast_grad(self):
-        gradcheck(lambda a: ops.cast(a, "float64"), [t((3,))])
 
 
 class TestEmbeddingGrad:

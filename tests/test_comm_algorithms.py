@@ -43,7 +43,6 @@ class TestSelector:
     def test_non_selectable_ops_bypass_cache(self):
         cm = CostModel(system_ii(), algorithm="auto")
         cm.all_to_all(range(8), MB)
-        cm.scatter(0, range(8), MB)
         cm.barrier(range(8))
         assert not [key for key in cm.cluster.topology.prices
                     if key[0] in SELECTABLE_OPS]

@@ -25,7 +25,15 @@ traces a stream span, and no clock moved.  ``faults/degraded_restored``'s
 ``counters`` hash was re-cut when the ``auto`` bucket table was deleted:
 its world group no longer reports the table's ``[hits, misses]``, and the
 same counters without that key hash alike before and after; no clock
-moved.
+moved.  Every entry was re-cut when ``scatter``, ``gather``,
+``all_gather_object`` and ``irecv`` left the communicator (no program
+outside the tests called them): the storm dropped those calls and receives
+its ``isend`` with a blocking ``recv`` where the ``irecv`` handle was
+waited.  The new file was generated by this storm on the commit before
+the deletion, and the code after it reproduces it byte for byte.  The
+``barrier`` after the column's ``ireduce_scatter`` stands where its
+``all_gather_object`` stood: the blocking call on the same group that keeps
+a rank's sanitizer stream in program order.
 
 Regenerate (only when simulated comm behaviour is *meant* to change):
 ``PYTHONPATH=src python tests/test_comm_golden.py``
@@ -98,19 +106,15 @@ def _storm(ctx, sizes=SIZES):
         world.sendrecv(x, nxt, prv, tag=i)
         handle.wait()
         world.reduce(x, root=i % WORLD, op="min")
-        row.scatter(x if row.rank == 1 else None, root=1)
-        col.gather(x.reshape(n // 4, 4), root=1, axis=1)
         world.ring_pass(x, shift=1 + i % 3)
         world.barrier()
-        assert row.all_gather_object((r, i)) == [(g, i) for g in row.group.ranks]
         gathered = world.iall_gather(x.reshape(n // 2, 2), axis=1)
         world.barrier()
         scattered = col.ireduce_scatter(x)
-        col.all_gather_object(i)
-        incoming = world.irecv(prv, tag=("nb", i))
+        col.barrier()
         outgoing = world.isend(x.astype("float16"), nxt, tag=("nb", i))
         outgoing.wait()
-        assert incoming.wait().nbytes == 2 * n
+        assert world.recv(prv, tag=("nb", i)).nbytes == 2 * n
         assert scattered.wait().shape == (n // 2,)
         assert gathered.wait().shape == (n // 2, 2 * WORLD)
     halves = world.split(color=r % 2, key=-r)

@@ -172,13 +172,11 @@ def tp1d_prog(size):
 
 
 def edge_ops_prog(ctx):
-    """What no training program issues: ring pass, rooted scatter / gather, size-1
+    """What no training program issues: ring pass, size-1
     subgroup collectives, a polled ``isend`` and ``iallreduce``, all-to-all, barrier."""
     comm = Communicator.world(ctx)
     x = np.full(4096, float(ctx.rank), dtype=np.float32)
     comm.ring_pass(x, shift=1)
-    comm.scatter(x if comm.rank == 0 else None, root=0)
-    comm.gather(x, root=0)
     solo = comm.subgroup([comm.rank])
     solo.all_reduce(x)
     solo.all_gather(x)

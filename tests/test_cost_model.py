@@ -265,8 +265,6 @@ _QUERY = st.one_of(
     # ``auto`` weighted up: its price reads the three families' entries
     st.tuples(st.sampled_from(sorted(SELECTABLE_OPS)), _GROUP, _NBYTES,
               st.sampled_from(ALGORITHMS + ("auto",) * 3)),
-    st.tuples(st.sampled_from(["scatter", "gather"]), _GROUP, _NBYTES,
-              st.integers(0, 7)),
     st.tuples(st.sampled_from(["all_to_all", "barrier"]), _GROUP, _NBYTES,
               st.none()),
     st.tuples(st.just("p2p"), st.tuples(st.integers(0, 7), st.integers(0, 7)),
@@ -298,8 +296,6 @@ def _ask(cm, op, ranks, nbytes, arg):
         method = getattr(cm, {"all_reduce": "allreduce",
                               "all_gather": "allgather"}.get(op, op))
         return method(ranks, nbytes, algorithm=arg)
-    if op in ("scatter", "gather"):
-        return getattr(cm, op)(ranks[arg % len(ranks)], ranks, nbytes)
     if op == "barrier":
         return cm.barrier(ranks)
     if op == "p2p":
@@ -395,7 +391,7 @@ class TestMemoisedPricing:
         lambda cm: cm.allreduce(range(8), -48),
         lambda cm: cm.allreduce(range(8), -48, algorithm="auto"),
         lambda cm: cm.allgather(range(4), -1, algorithm="tree"),
-        lambda cm: cm.scatter(0, range(8), -48),
+        lambda cm: cm.reduce_scatter(range(8), -48, algorithm="hierarchical"),
         lambda cm: cm.all_to_all(range(8), -48),
         lambda cm: cm.p2p(0, 1, -48),
         lambda cm: cm.host_transfer(0, -48),
@@ -423,7 +419,7 @@ class TestMemoisedPricing:
         naming the op, under a fixed family and under ``auto`` alike, and
         is never priced as some other schedule."""
         cm = CostModel(system_ii())
-        for op in ("scatter", "all_to_all", "allreduce"):
+        for op in ("barrier", "all_to_all", "allreduce"):
             for algorithm in ALGORITHMS + ("auto",):
                 with pytest.raises(ValueError, match=rf"'{op}'.*SELECTABLE_OPS"):
                     cm.price(op, list(range(8)), 4 * MB, algorithm)

@@ -25,7 +25,6 @@ from repro.nn import (
     Linear,
     Module,
     ModuleList,
-    MSELoss,
     MultiHeadAttention,
     Parameter,
     TransformerLayer,
@@ -597,7 +596,3 @@ class TestLosses:
         targets = np.zeros((2, 3), dtype=np.int64)
         loss = CrossEntropyLoss()(logits, targets)
         assert loss.item() == pytest.approx(np.log(5), rel=1e-5)
-
-    def test_mse(self):
-        loss = MSELoss()(Tensor(np.array([1.0, 2.0])), Tensor(np.array([0.0, 0.0])))
-        assert loss.item() == pytest.approx(2.5)

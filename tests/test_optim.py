@@ -1,4 +1,4 @@
-"""Optimizers: math correctness, state accounting, device placement."""
+"""Optimizers: math correctness, state accounting, LR schedules."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,12 @@ from repro.cluster import uniform_cluster
 from repro.cluster.device import Device, DeviceKind
 from repro.comm.payload import SpecArray
 from repro.nn.module import Parameter
-from repro.optim import SGD, Adam, AdamW, CPUAdam, CosineAnnealingLR, HybridAdam, LinearWarmupCosine
+from repro.optim import SGD, Adam, AdamW, LinearWarmupCosine
 from repro.runtime import SpmdRuntime
-from repro.tensor import Tensor, set_default_device
+from repro.tensor import Tensor
 from repro.utils.units import MB
 
-from conftest import run_spmd
+from conftest import set_default_device
 
 
 def _param(values, dtype="float32"):
@@ -160,67 +160,11 @@ class TestStateAccounting:
         assert self.dev.memory.breakdown()["optim"] == 8000
 
 
-class TestDevicePlacement:
-    def test_cpu_adam_states_on_host(self):
-        def prog(ctx):
-            p = Parameter(np.zeros(100, dtype=np.float32))
-            p.grad = Tensor(np.ones(100, dtype=np.float32))
-            opt = CPUAdam([p], lr=0.1)
-            opt.step()
-            return ctx.cpu.memory.breakdown().get("optim", 0)
-
-        res = run_spmd(1, prog)
-        assert res[0] == 800
-
-    def test_cpu_adam_slower_than_gpu_adam(self):
-        def prog(ctx, cls):
-            p = Parameter(np.zeros(100_000, dtype=np.float32))
-            p.grad = Tensor(np.ones(100_000, dtype=np.float32))
-            opt = cls([p], lr=0.1)
-            opt.step()
-            return ctx.clock.time
-
-        t_gpu = run_spmd(1, prog, Adam)[0]
-        t_cpu = run_spmd(1, prog, CPUAdam)[0]
-        assert t_cpu > 5 * t_gpu
-
-    def test_hybrid_adam_splits_placement(self):
-        def prog(ctx):
-            pg = Parameter(np.zeros(100, dtype=np.float32))
-            pc_ = Parameter(np.zeros(100, dtype=np.float32))
-            for p in (pg, pc_):
-                p.grad = Tensor(np.ones(100, dtype=np.float32))
-            placement = {id(pg): "gpu", id(pc_): "cpu"}
-            opt = HybridAdam([pg, pc_], lr=0.1, placement_of=lambda p: placement[id(p)])
-            opt.step()
-            return (
-                ctx.device.memory.breakdown().get("optim", 0),
-                ctx.cpu.memory.breakdown().get("optim", 0),
-            )
-
-        gpu_b, cpu_b = run_spmd(1, prog)[0]
-        assert gpu_b == 800 and cpu_b == 800
-
-    def test_hybrid_matches_adam_math(self):
-        w0 = np.array([1.0, -1.0], dtype=np.float32)
-
-        def prog(ctx):
-            p = Parameter(w0.copy())
-            opt = HybridAdam([p], lr=0.1, placement_of=lambda p: "cpu")
-            for _ in range(2):
-                p.grad = Tensor(np.ones(2, dtype=np.float32))
-                opt.step()
-            return p.numpy()
-
-        ref = _reference_adam(w0, np.ones(2), 0.1, 0.9, 0.999, 1e-8, 2)
-        np.testing.assert_allclose(run_spmd(1, prog)[0], ref, rtol=1e-5)
-
-
 class TestSchedulers:
     def test_cosine_endpoints(self):
         p = _param([1.0])
         opt = Adam([p], lr=1.0)
-        sched = CosineAnnealingLR(opt, base_lr=1.0, total_steps=100, min_lr=0.1)
+        sched = LinearWarmupCosine(opt, base_lr=1.0, warmup_steps=0, total_steps=100, min_lr=0.1)
         assert sched.get_lr(0) == pytest.approx(1.0)
         assert sched.get_lr(100) == pytest.approx(0.1)
         assert sched.get_lr(50) == pytest.approx(0.55)

@@ -27,7 +27,7 @@ class TestShapeParity:
     def test_unary(self):
         a, sa = both((2, 3))
         a = np.abs(a) + 0.5
-        for fn in (P.pneg, P.ptanh, P.prelu, P.pgelu):
+        for fn in (P.pneg, P.pgelu):
             assert fn(sa).shape == fn(a).shape
 
     def test_matmul_batched(self):

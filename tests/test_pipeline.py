@@ -239,7 +239,7 @@ class TestSchedules:
     def test_trainer_fit_drives_the_schedule(self, serial_ref):
         """``Engine.execute_schedule``: fit's loss is the hand-called schedule's; hooks step."""
         from repro.engine import initialize
-        from repro.optim import SGD, CosineAnnealingLR
+        from repro.optim import SGD, LinearWarmupCosine
         from repro.trainer import LossLoggingHook, LRSchedulerHook, Trainer
 
         def prog(ctx):
@@ -250,7 +250,7 @@ class TestSchedules:
             opt = SGD(stage.parameters(), lr=0.1)
             engine = initialize(stage, opt, CrossEntropyLoss(), pc=pc)
             trainer = Trainer(engine, hooks=[
-                LossLoggingHook(every=1), LRSchedulerHook(CosineAnnealingLR(opt, 0.1, 2))])
+                LossLoggingHook(every=1), LRSchedulerHook(LinearWarmupCosine(opt, 0.1, 0, 2))])
             batch = (serial_ref["X"].copy() if pc.pp_rank == 0 else None,
                      serial_ref["Y"] if pc.is_last_pipeline_stage() else None)
             return trainer.fit([batch], epochs=1).get("loss"), opt.defaults["lr"]

@@ -97,7 +97,7 @@ class TestExactParityGrid:
 
     @pytest.mark.parametrize("overlap", [False, True])
     def test_edge_ops(self, overlap):
-        """Model mode re-prices ring_pass / _star / p2p through the fabric:
+        """Model mode re-prices ring_pass / p2p through the fabric:
         on the uniform cluster that is the identity ``fabric.py`` states,
         down to each byte's algorithm label.  System II joins GPU pairs by
         NVLink and the pairs by PCIe; a two-level ``Fabric`` has no level
@@ -135,7 +135,7 @@ class TestModelModeRepricing:
                 == CostModel(cluster).host_transfer(0, 1 << 20))
 
     @pytest.mark.parametrize("op", [
-        "all_gather", "gather", "all_to_all", "ring_pass",
+        "all_gather", "all_to_all", "ring_pass",
         "all_reduce", "reduce_scatter", "reduce",
     ])
     def test_round_priced_whoever_arrives_last(self, op):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.cluster.device import Device, DeviceKind, Storage
 from repro.comm.payload import SpecArray
 from repro.parallel.pipeline.partition import partition_balanced, partition_uniform
-from repro.tensor.sharding import ShardSpec
+from repro.tensor.sharding import shard_payload
 
 # SPMD tests spawn threads; keep examples modest
 fast = settings(
@@ -64,13 +64,12 @@ class TestShardingProperties:
     def test_chunks_partition_exactly(self, rows, cols, p0, p1):
         shape = (rows * p0, cols * p1)
         x = np.arange(np.prod(shape)).reshape(shape)
-        spec = ShardSpec(shape, {0: p0, 1: p1})
         seen = np.zeros(shape, dtype=bool)
         total = 0
         for i in range(p0):
             for j in range(p1):
-                c = spec.chunk(x, {0: i, 1: j})
-                assert c.shape == spec.local_shape
+                c = shard_payload(shard_payload(x, 0, p0, i), 1, p1, j)
+                assert c.shape == (rows, cols)
                 total += c.size
                 # every element recovered exactly once
                 r0 = i * (shape[0] // p0)

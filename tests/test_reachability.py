@@ -63,6 +63,14 @@ def test_every_keep_row_names_a_module_or_definition():
     assert not stale, f"tools/keep.py rows naming no module or definition: {stale}"
 
 
+def test_no_keep_row_rests_on_the_inventory_alone():
+    """Every definition is in the paper's inventory (§2), so citing it says
+    nothing about why one stays: a row names a driver outside ``tests/`` or
+    a safety role a test exercises on purpose (DESIGN §4p)."""
+    inventory = sorted(row for row, why in KEEP.items() if "§2 inventory" in why)
+    assert not inventory, f"tools/keep.py rows citing only the §2 inventory: {inventory}"
+
+
 def test_comm_path_reaches_observers_only_through_lifecycle_hooks():
     """The rendezvous and the communicator name no observer: whatever takes part in a
     round or a message - fault injector, sanitizer, capture, tracer - is one of the

@@ -190,18 +190,11 @@ TRIGGERS = {
     "all_to_all": (lambda ctx, w, s, keep: w.all_to_all([spec(256)] * w.size),
                    "all_to_all on group {world}"),
     "send": (lambda ctx, w, s, keep: s.sendrecv(spec(), 0, 0), "send"),
-    "irecv": (lambda ctx, w, s, keep: _irecv(s), "irecv"),
     "raise": (lambda ctx, w, s, keep: _raise(), "raised ValueError"),
     "result": (lambda ctx, w, s, keep: keep.append("list"), "result of type list"),
     "pool": (lambda ctx, w, s, keep: keep.append(Tensor(spec())), "pool bytes held"),
     "host": (lambda ctx, w, s, keep: Tensor(spec(), device=ctx.cpu), "host pool used"),
 }
-
-
-def _irecv(solo):
-    request = solo.irecv(0)
-    solo.send(spec(), 0)
-    return request.wait()
 
 
 def _raise():

@@ -81,10 +81,10 @@ def _assert_parity(make_args, collective):
 
 
 class TestConcatDimValidation:
-    """all_gather/gather must reject mismatched non-concat dims in BOTH
-    modes (spec mode used to silently accept them)."""
+    """all_gather must reject mismatched non-concat dims in BOTH modes
+    (spec mode used to silently accept them)."""
 
-    @pytest.mark.parametrize("op", ["all_gather", "gather"])
+    @pytest.mark.parametrize("op", ["all_gather"])
     def test_mismatched_non_axis_dim_rejected_identically(self, op):
         def make_args(spec, rank):
             # rank 2 has a different trailing dim
@@ -96,7 +96,7 @@ class TestConcatDimValidation:
         assert real[1] == "ValueError"
         assert op in real[2] and "non-concat" in real[2]
 
-    @pytest.mark.parametrize("op", ["all_gather", "gather"])
+    @pytest.mark.parametrize("op", ["all_gather"])
     def test_mismatched_ndim_rejected_identically(self, op):
         def make_args(spec, rank):
             shape = (2, 4, 1) if rank == 0 else (2, 4)
@@ -167,15 +167,9 @@ class TestSplitAxisMessages:
 
     @pytest.mark.parametrize("method,name", [
         ("reduce_scatter", "reduce_scatter"),
-        ("scatter", "scatter"),
     ])
     def test_indivisible_axis_names_op(self, method, name):
         def make_args(spec, rank):
-            if method == "scatter":
-                payload = (
-                    _payload(spec, (6, 2), "float32", rank) if rank == 0 else None
-                )
-                return (payload,)
             return (_payload(spec, (6, 2), "float32", rank),)
 
         real = _assert_parity(make_args, getattr(Communicator, method))
@@ -211,7 +205,7 @@ def collective_cases(draw):
     with a deliberately broken payload on one rank."""
     kind = draw(st.sampled_from([
         "all_reduce", "all_gather", "reduce_scatter", "broadcast",
-        "reduce", "scatter", "gather", "ring_pass",
+        "reduce", "ring_pass",
     ]))
     dtype = draw(st.sampled_from(DTYPES))
     ndim = draw(st.integers(1, 3))
@@ -219,7 +213,7 @@ def collective_cases(draw):
     axis = draw(st.integers(0, ndim - 1))
     break_rank = draw(st.sampled_from([None, 1, 3]))
 
-    if kind in ("reduce_scatter", "scatter") and break_rank is None:
+    if kind == "reduce_scatter" and break_rank is None:
         # make the split axis divisible so the clean case succeeds
         shape = shape[:axis] + (_round_up(shape[axis], WORLD),) + shape[axis + 1:]
 
@@ -228,9 +222,8 @@ def collective_cases(draw):
         if break_rank is not None and rank == break_rank:
             s = shape[:axis] + (shape[axis] + 1,) + shape[axis + 1:]
         payload = _payload(spec, s, dtype, rank)
-        if kind in ("broadcast", "scatter"):
-            root_payload = payload if rank == 0 else None
-            return (root_payload, 0) + ((axis,) if kind == "scatter" else ())
+        if kind == "broadcast":
+            return (payload if rank == 0 else None, 0)
         if kind == "all_reduce":
             return (payload, "sum")
         if kind in ("reduce",):
@@ -239,8 +232,6 @@ def collective_cases(draw):
             return (payload, axis, "sum")
         if kind in ("all_gather",):
             return (payload, axis)
-        if kind == "gather":
-            return (payload, 0, axis)
         if kind == "ring_pass":
             return (payload, 1)
         raise AssertionError(kind)
@@ -431,7 +422,7 @@ class TestSanitizerSignatureProperty:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        st.sampled_from(["all_gather", "gather"]),
+        st.just("all_gather"),
         st.sampled_from(DTYPES),
         st.lists(st.integers(1, 6), min_size=1, max_size=3),
         st.integers(0, 2),

@@ -8,16 +8,16 @@ import pytest
 from repro.cluster.device import Device, DeviceKind, DeviceOutOfMemoryError
 from repro.comm.payload import SpecArray
 from repro.tensor import (
-    ShardSpec,
     Storage,
     Tensor,
     full,
     local_shard_shape,
-    set_default_device,
     shard_payload,
     zeros,
 )
 from repro.utils.units import MB
+
+from conftest import set_default_device
 
 
 @pytest.fixture
@@ -103,38 +103,6 @@ class TestTensor:
     def test_factories(self, dev):
         assert np.all(zeros((3,)).numpy() == 0)
         assert np.all(full((2,), 7).numpy() == 7)
-
-
-class TestShardSpec:
-    def test_local_shape(self):
-        s = ShardSpec((8, 6), {0: 2, 1: 3})
-        assert s.local_shape == (4, 2)
-        assert s.num_shards == 6
-
-    def test_indivisible_rejected(self):
-        with pytest.raises(ValueError):
-            ShardSpec((7,), {0: 2})
-
-    def test_out_of_range_dim(self):
-        with pytest.raises(ValueError):
-            ShardSpec((4,), {1: 2})
-
-    def test_chunk_roundtrip(self):
-        x = np.arange(24).reshape(4, 6)
-        s = ShardSpec((4, 6), {0: 2, 1: 3})
-        blocks = [[s.chunk(x, {0: i, 1: j}) for j in range(3)] for i in range(2)]
-        rebuilt = np.block(blocks)
-        np.testing.assert_array_equal(rebuilt, x)
-
-    def test_chunk_spec_payload(self):
-        s = ShardSpec((4, 6), {1: 3})
-        out = s.chunk(SpecArray((4, 6)), {1: 1})
-        assert isinstance(out, SpecArray) and out.shape == (4, 2)
-
-    def test_bad_index(self):
-        s = ShardSpec((4,), {0: 2})
-        with pytest.raises(ValueError):
-            s.chunk(np.zeros(4), {0: 5})
 
 
 class TestShardPayload:

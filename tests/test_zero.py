@@ -10,7 +10,7 @@ from repro.comm.cost import CostModel
 from repro.config import ZERO_STAGES, Config, ConfigError
 from repro.engine import initialize, launch
 from repro.nn import CrossEntropyLoss, Linear, Module, Sequential
-from repro.optim import SGD, Adam, AdamW, CPUAdam, HybridAdam
+from repro.optim import SGD, Adam, AdamW
 from repro.runtime import SpmdRuntime
 from repro.tensor import Tensor
 from repro.utils.units import GB, MB
@@ -408,12 +408,6 @@ def _one_rank_engine(ctx, policy_cls):
 
 
 _ADAM_PATHS = {
-    "cpu_adam": lambda ctx: _one_rank_adam(
-        ctx, lambda ps, comm: CPUAdam(ps, lr=_LR, weight_decay=_WD)),
-    "hybrid_adam": lambda ctx: _one_rank_adam(
-        ctx, lambda ps, comm: HybridAdam(
-            ps, lr=_LR, weight_decay=_WD,
-            placement_of=lambda p: "cpu" if p.ndim == 1 else "gpu")),
     "zero1": lambda ctx: _one_rank_adam(
         ctx, lambda ps, comm: ZeroRedundancyOptimizer(
             ps, comm, stage=1, lr=_LR, weight_decay=_WD)),
@@ -433,8 +427,8 @@ def adamw_one_rank():
 
 @pytest.mark.parametrize("path", list(_ADAM_PATHS))
 def test_adam_paths_agree_bit_for_bit(adamw_one_rank, path):
-    """CPU / Hybrid Adam, ZeRO-1/2 and the ZeRO-3 engine on one rank with
-    fp32 weights leave exactly the weights a decoupled-decay ``Adam`` does
+    """ZeRO-1/2 and the ZeRO-3 engine, its states on the GPU or (static
+    offload) on the host, on one rank with fp32 weights leave exactly the weights a decoupled-decay ``Adam`` does
     after three steps; the chunked paths charge exactly Adam's per-chunk
     price."""
     ref_w = adamw_one_rank[0]

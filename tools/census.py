@@ -7,7 +7,7 @@ Four drivers run under a ``sys`` / ``threading.setprofile`` hook keyed by code
 object: tier-1 (tagged per test module), ``pytest benchmarks/`` (the figures),
 every ``examples/*.py``, ``bench/run.py --quick`` (the entry points).  A PR-time
 instrument (DESIGN §4p); ``tests/test_reachability.py`` runs on every push.
-Four pitfalls it already hit:
+Three pitfalls it already hit:
 
 * ``tests/test_perf_guard.py`` clears ``threading.setprofile``: the hook is
   re-armed before every test (``pytest_runtest_setup`` below, ``-p census``).
@@ -15,9 +15,6 @@ Four pitfalls it already hit:
   with ``--benchmark-disable`` (else Fig 10's ``bandwidth.measure_*`` reads dead).
 * ``bench/worker.py`` runs each workload in a subprocess: the hook arrives by
   ``tools/sitecustomize.py`` on ``PYTHONPATH``, never by editing ``bench/``.
-* the sanitizer's stall hooks run on host timing, so a regenerated table moved
-  ``CommSanitizer._find_wait_cycle`` between classes with no code changed:
-  ``TIMED`` credits such a definition only to the drivers that reach it by design.
 """
 
 import argparse
@@ -36,11 +33,6 @@ from keep import kept_by  # tools/ is the script directory, or on PYTHONPATH in 
 
 CLASSES = {"entry point": "entry", "paper figure": "figure", "example": "example",
            "tests only": "tier1", "nothing": ""}  # reached-by class -> driver-tag prefix
-#: definitions a host-time window reaches: the sanitizer's ``stall`` hooks run when a parked
-#: waiter outlives the runtime's 50 ms window, so whether a sanitized run reaches them depends
-#: on how busy the host is.  Each is credited only to the driver tags that reach it by design.
-TIMED = {"sanitize/sanitizer.py::CommSanitizer.on_stall": {"tier1:test_sanitize", "example:debug_desync"},
-         "sanitize/sanitizer.py::CommSanitizer._find_wait_cycle": {"tier1:test_sanitize"}}
 _seen: dict[str, set] = {}      # driver tag -> code objects called under it
 _cur: set = set()
 
@@ -114,8 +106,6 @@ def render(reach: dict[str, set[str]], drivers: str) -> str:
     rows: dict[str, list] = {c: [] for c in CLASSES}
     for key, (lines, stub) in definitions().items():
         tags = reach.get(key, set())
-        if key in TIMED:
-            tags = tags & TIMED[key]
         cls = next(c for c, prefix in CLASSES.items() if any(t.startswith(prefix) for t in tags) or not prefix)
         rows[cls].append((*key.split("::"), lines, stub, sorted(t.partition(":")[2].removeprefix("test_") or "import" for t in tags)))
     out = ["# Reachability census of `src/repro`", "",
