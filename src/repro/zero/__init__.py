@@ -3,9 +3,9 @@ heterogeneous offloading (§3.2 of the paper).
 
 * :mod:`repro.zero.chunk` — PatrickStar-style chunks: parameters are packed
   into flat buffers that become the unit of gather, reduce-scatter,
-  offload and Adam update at every ZeRO stage.  ZeRO-1/2's chunks are
-  right-sized to what they hold (``register_dense``); ZeRO-3's are fixed
-  (``register_param``), since they are fetched and released every block.
+  offload and Adam update at every ZeRO stage.  One packer,
+  ``pack_chunks``, cuts every chunk to what it holds: ZeRO-1/2 call it once
+  on their parameter list, ZeRO-3 once per checkpointed block.
 * :mod:`repro.zero.policies` — tensor placement: ``StaticPolicy``
   (DeepSpeed-like, everything offloaded to CPU) vs ``AdaptivePolicy``
   (Colossal-AI: keep chunks on GPU while memory allows).
@@ -16,14 +16,14 @@ heterogeneous offloading (§3.2 of the paper).
   engine used by the GPT-2 10B / OPT-13B experiments (Fig 14).
 """
 
-from repro.zero.chunk import Chunk, ChunkManager
+from repro.zero.chunk import Chunk, pack_chunks
 from repro.zero.policies import AdaptivePolicy, PlacementPolicy, StaticPolicy
 from repro.zero.zero_optimizer import ZeroRedundancyOptimizer
 from repro.zero.engine import ZeroOffloadEngine
 
 __all__ = [
     "Chunk",
-    "ChunkManager",
+    "pack_chunks",
     "PlacementPolicy",
     "StaticPolicy",
     "AdaptivePolicy",

@@ -2,19 +2,22 @@
 
 Parameters are packed into flat **chunks**; the chunk — not the
 individual tensor — is the unit of all-gather, host<->device transfer and
-optimizer update.  ZeRO-3 packs fixed-size chunks
-(:meth:`ChunkManager.register_param`), which it fetches and releases block
-by block; ZeRO-1/2 keep every chunk resident and cut each to what it holds
-(:meth:`ChunkManager.register_dense`), so no padding crosses the wire.
+optimizer update.  :func:`pack_chunks` is the one packer: in order, chunks
+of up to ``CHUNK_MB``, each cut to what it holds, a larger parameter in a
+chunk of its own, so no padding but the rounding to the data-parallel size
+crosses the wire.  ZeRO-1/2 pack their whole parameter list once and keep
+every chunk resident; ZeRO-3 packs each checkpointed block on its own, so
+no chunk spans two blocks, and fetches and releases the block's chunks.
 Large uniform transfers keep effective bandwidth high (the alpha term is
 paid once per chunk instead of once per tensor), which is the stated reason
 Colossal-AI adopts chunks for offloading.
 
 Each rank is authoritative for its *shard* of each chunk (``capacity / dp``
 elements) and steps it with :meth:`Chunk.adam_step` at every ZeRO stage
-(DESIGN §4y).  At ZeRO-3 only the shard stays resident: ``fetch``
-reconstructs the full fp16 chunk on the GPU (host transfer if the shard is
-offloaded + all-gather across the data-parallel group) and ``release_full``
+(DESIGN §4y); :meth:`Chunk.gather` then rebuilds the full chunk from the
+ranks' shards at every stage too.  At ZeRO-3 only the shard stays
+resident: ``fetch`` reconstructs the full fp16 chunk on the GPU (host
+transfer if the shard is offloaded + the gather) and ``release_full``
 drops it.  Gradient shards can reuse the fp16 parameter shard storage
 (Fig 6 memory-space reuse) because the fp32 master copy lives in the
 optimizer state.
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,7 +35,7 @@ from repro.cluster.device import Device
 from repro.comm.communicator import Communicator
 from repro.comm.cost import CostModel
 from repro.comm.payload import Payload, SpecArray, is_spec
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Parameter
 from repro.optim.adam import Adam, adam_state, adam_update
 from repro.tensor.tensor import Storage
 
@@ -45,32 +48,59 @@ class ParamRecord:
     param: Parameter
     offset: int
     numel: int
-    shape: Tuple[int, ...]
+
+
+def pack_chunks(
+    params: Iterable[Parameter],
+    comm: Communicator,
+    gpu: Device,
+    cpu: Device,
+    max_elements: int,
+    dtype: np.dtype,
+) -> List["Chunk"]:
+    """Pack ``params`` in order, in one pass, into chunks of up to
+    ``max_elements``; each chunk is cut to what it holds, and a larger
+    parameter gets a chunk of its own.  Both sizes are rounded up to the
+    group size, so every chunk shards evenly."""
+    limit = math.ceil(max_elements / comm.size) * comm.size
+    chunks: List[Chunk] = []
+    group: List[Parameter] = []
+    used = 0
+    for p in params:
+        n = p.size
+        if group and used + n > limit:
+            chunks.append(Chunk(group, used, dtype, comm, gpu, cpu))
+            group, used = [], 0
+        group.append(p)
+        used += n
+    if group:
+        chunks.append(Chunk(group, used, dtype, comm, gpu, cpu))
+    return chunks
 
 
 class Chunk:
     """One flat buffer of parameters: the unit of gather, reduce-scatter and
-    update."""
+    update.  Built by :func:`pack_chunks` from ``params`` (``used`` elements
+    in all), which it takes over: each parameter's payload becomes a view of
+    the chunk and its own storage goes."""
 
     def __init__(
         self,
-        capacity: int,
+        params: List[Parameter],
+        used: int,
         dtype: np.dtype,
         comm: Communicator,
         gpu: Device,
         cpu: Device,
-        index: int,
     ) -> None:
-        self.capacity = capacity  # elements, multiple of comm.size
+        self.used = used
+        self.capacity = math.ceil(used / comm.size) * comm.size
         self.dtype = np.dtype(dtype)
         self.comm = comm
         self.gpu = gpu
         self.cpu = cpu
-        self.index = index
-        self.records: List[ParamRecord] = []
-        self.used = 0
         self.location = "gpu"  # where the shard lives
-        self.shard_elems = capacity // comm.size
+        self.shard_elems = self.capacity // comm.size
         # bookkeeping values (materialized mode); identical on all ranks at
         # pack time, each rank authoritative for its own slice afterwards
         self.values: Optional[np.ndarray] = None
@@ -86,33 +116,24 @@ class Chunk:
         self.last_used_step = -1
         #: Adam's fp32 state of this rank's shard (:meth:`init_adam`)
         self.adam: Optional[Dict[str, Any]] = None
-
-    # -- packing ----------------------------------------------------------------
-
-    @property
-    def free_elements(self) -> int:
-        return self.capacity - self.used
-
-    def pack(self, param: Parameter) -> None:
-        n = param.size
-        if n > self.free_elements:
-            raise ValueError(f"chunk {self.index} overflow packing {n} elements")
-        rec = ParamRecord(param, self.used, n, param.shape)
-        self.records.append(rec)
-        if param.materialized:
-            if self.values is None:
-                self.values = np.zeros(self.capacity, dtype=self.dtype)
-            self.values[rec.offset : rec.offset + n] = (
-                param.numpy().astype(self.dtype).reshape(-1)
-            )
-            # re-point the parameter at the chunk's buffer and release its
-            # standalone storage: the chunk is now the accounting unit
-            param.storage.release()
-            param.payload = self.values[rec.offset : rec.offset + n].reshape(rec.shape)
-        else:
-            param.storage.release()
-            param.payload = SpecArray(rec.shape, self.dtype)
-        self.used += n
+        self.records: List[ParamRecord] = []
+        offset = 0
+        for param in params:
+            n, shape = param.size, param.shape
+            self.records.append(ParamRecord(param, offset, n))
+            if param.materialized:
+                if self.values is None:
+                    self.values = np.zeros(self.capacity, dtype=self.dtype)
+                view = self.values[offset : offset + n]
+                view[...] = param.numpy().astype(self.dtype).reshape(-1)
+                # re-point the parameter at the chunk's buffer and release
+                # its standalone storage: the chunk is now the accounting unit
+                param.storage.release()
+                param.payload = view.reshape(shape)
+            else:
+                param.storage.release()
+                param.payload = SpecArray(shape, self.dtype)
+            offset += n
 
     # -- shard payload ------------------------------------------------------------
 
@@ -160,22 +181,25 @@ class Chunk:
             clock.advance(cost.seconds, "offload")
         self._pending_gather = self.comm.iall_gather(self.shard_payload(), axis=0)
 
-    def fetch(self, cost_model: CostModel, rank: int, clock, step: int = 0) -> None:
-        """Reconstruct the full fp16 chunk on the GPU."""
-        if self.is_fetched:
-            self.last_used_step = step
-            return
+    def gather(self) -> None:
+        """Rebuild the full chunk from the ranks' shards, into ``values``
+        when materialized: wait the prefetched all-gather, or issue one."""
         if self._pending_gather is not None:
             gathered = self._pending_gather.wait()
             self._pending_gather = None
         else:
-            if self.location == "cpu":
-                cost = cost_model.host_transfer(rank, self.shard_nbytes)
-                clock.advance(cost.seconds, "offload")
             gathered = self.comm.all_gather(self.shard_payload(), axis=0)
         if self.values is not None and not is_spec(gathered):
             self.values[...] = gathered
-        self._full_storage = Storage(self.gpu, self.full_nbytes, "param")
+
+    def fetch(self, cost_model: CostModel, rank: int, clock, step: int = 0) -> None:
+        """Reconstruct the full fp16 chunk on the GPU."""
+        if self._full_storage is None:
+            if self._pending_gather is None and self.location == "cpu":
+                cost = cost_model.host_transfer(rank, self.shard_nbytes)
+                clock.advance(cost.seconds, "offload")
+            self.gather()
+            self._full_storage = Storage(self.gpu, self.full_nbytes, "param")
         self.last_used_step = step
 
     def release_full(self) -> None:
@@ -293,90 +317,6 @@ class Chunk:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"Chunk({self.index}, used={self.used}/{self.capacity}, "
+            f"Chunk(used={self.used}/{self.capacity}, "
             f"loc={self.location}, fetched={self.is_fetched})"
         )
-
-
-class ChunkManager:
-    """Packs module parameters into chunks and tracks ownership."""
-
-    def __init__(
-        self,
-        comm: Communicator,
-        gpu: Device,
-        cpu: Device,
-        chunk_elements: int,
-        dtype: np.dtype = np.dtype("float16"),
-    ) -> None:
-        self.comm = comm
-        self.gpu = gpu
-        self.cpu = cpu
-        # chunk size must shard evenly across the group
-        self.chunk_elements = math.ceil(chunk_elements / comm.size) * comm.size
-        self.dtype = np.dtype(dtype)
-        self.chunks: List[Chunk] = []
-        self.param_chunk: Dict[int, Chunk] = {}
-        self._open: Optional[Chunk] = None
-
-    def _new_chunk(self, capacity: int) -> Chunk:
-        chunk = Chunk(
-            capacity, self.dtype, self.comm, self.gpu, self.cpu, len(self.chunks)
-        )
-        self.chunks.append(chunk)
-        return chunk
-
-    def register_module(self, module: Module) -> None:
-        for p in module.parameters():
-            self.register_param(p)
-
-    def register_param(self, param: Parameter) -> None:
-        n = param.size
-        if n > self.chunk_elements:
-            # oversized parameter: dedicated right-sized chunk
-            cap = math.ceil(n / self.comm.size) * self.comm.size
-            chunk = self._new_chunk(cap)
-            self._open = None
-        else:
-            chunk = self._open
-            if chunk is None or chunk.free_elements < n:
-                chunk = self._new_chunk(self.chunk_elements)
-            self._open = chunk
-        chunk.pack(param)
-        self.param_chunk[id(param)] = chunk
-
-    def register_dense(self, params: List[Parameter]) -> None:
-        """Pack ``params`` in order into chunks of up to ``chunk_elements``,
-        each cut to what it holds (rounded up to the group size); a larger
-        parameter gets its own.  For chunks that are never released
-        (ZeRO-1/2): a fixed size buys them no reuse, and its padding would
-        cross the wire at every step."""
-        groups: List[List[Parameter]] = []
-        for p in params:
-            if not groups or used + p.size > self.chunk_elements:
-                groups.append([])
-                used = 0
-            groups[-1].append(p)
-            used += p.size
-        for group in groups:
-            used = sum(p.size for p in group)
-            chunk = self._new_chunk(math.ceil(used / self.comm.size) * self.comm.size)
-            for p in group:
-                chunk.pack(p)
-                self.param_chunk[id(p)] = chunk
-
-    def close_current(self) -> None:
-        """Seal the open chunk so the next parameter starts a fresh one.
-
-        The offload engine calls this at block boundaries so a chunk never
-        spans two checkpointed blocks (its gradients must all exist when the
-        chunk's reduce-scatter runs)."""
-        self._open = None
-
-    def chunks_of(self, module: Module) -> List[Chunk]:
-        seen: Dict[int, Chunk] = {}
-        for p in module.parameters():
-            c = self.param_chunk.get(id(p))
-            if c is not None:
-                seen[c.index] = c
-        return [seen[i] for i in sorted(seen)]

@@ -32,7 +32,7 @@ from repro.comm.cost import CostModel
 from repro.nn.module import Module
 from repro.runtime.spmd import RankContext
 from repro.tensor.tensor import Tensor
-from repro.zero.chunk import CHUNK_MB, Chunk, ChunkManager
+from repro.zero.chunk import CHUNK_MB, Chunk, pack_chunks
 from repro.zero.policies import PlacementPolicy
 from repro.utils.units import MB
 
@@ -71,20 +71,18 @@ class ZeroOffloadEngine:
         self.cost_model = CostModel(ctx.cluster)
         self._tracer = getattr(ctx.runtime, "tracer", None)
         dtype = np.dtype(param_dtype)
-        chunk_elements = int(chunk_mb * MB / dtype.itemsize)
-        self.chunk_mgr = ChunkManager(
-            dp_comm, ctx.device, ctx.cpu, chunk_elements, dtype=dtype
-        )
-        for block in blocks:
-            self.chunk_mgr.register_module(block)
-            self.chunk_mgr.close_current()
+        max_elements = int(chunk_mb * MB / dtype.itemsize)
+        # one packing per block, so no chunk spans two checkpointed blocks
+        # (its gradients must all exist when the chunk's reduce-scatter runs)
         self._block_chunks: List[List[Chunk]] = [
-            self.chunk_mgr.chunks_of(b) for b in blocks
+            pack_chunks(b.parameters(), dp_comm, ctx.device, ctx.cpu, max_elements, dtype)
+            for b in blocks
         ]
-        policy.setup(self.chunk_mgr.chunks, ctx.clock)
+        self.chunks: List[Chunk] = [c for cs in self._block_chunks for c in cs]
+        policy.setup(self.chunks, ctx.clock)
         # each chunk's Adam state lives on the device the policy chose for
         # the chunk's update
-        for chunk in self.chunk_mgr.chunks:
+        for chunk in self.chunks:
             where = policy.optimizer_device(chunk)
             chunk.init_adam(ctx.device if where == "gpu" else ctx.cpu)
         self._step = 0
@@ -180,7 +178,7 @@ class ZeroOffloadEngine:
             inputs[b] = None  # type: ignore[call-overload]
 
         ctx = self.ctx
-        for chunk in self.chunk_mgr.chunks:
+        for i, chunk in enumerate(self.chunks):
             chunk.finish_grad_reduce()
             # AdamW, priced on the device the policy chooses now
             where = self.policy.optimizer_device(chunk)
@@ -189,7 +187,7 @@ class ZeroOffloadEngine:
                             self.defaults, True)
             if self._tracer is not None:
                 self._tracer.annotate(
-                    ctx.rank, "zero", f"adam/chunk{chunk.index}",
+                    ctx.rank, "zero", f"adam/chunk{i}",
                     t0, ctx.clock.time, where=where,
                 )
         return loss_val
@@ -199,7 +197,7 @@ class ZeroOffloadEngine:
         chunk, then release).  Needed before reading weights for evaluation
         or checkpointing: after ``step`` only each rank's own shard slice is
         up to date."""
-        for chunk in self.chunk_mgr.chunks:
+        for chunk in self.chunks:
             chunk.fetch(self.cost_model, self.ctx.rank, self.ctx.clock, self._step)
             chunk.release_full()
 
@@ -207,8 +205,6 @@ class ZeroOffloadEngine:
 
     def gpu_param_fraction(self) -> float:
         """Fraction of parameter shards resident on the GPU."""
-        total = sum(c.shard_nbytes for c in self.chunk_mgr.chunks)
-        on_gpu = sum(
-            c.shard_nbytes for c in self.chunk_mgr.chunks if c.location == "gpu"
-        )
+        total = sum(c.shard_nbytes for c in self.chunks)
+        on_gpu = sum(c.shard_nbytes for c in self.chunks if c.location == "gpu")
         return on_gpu / total if total else 0.0

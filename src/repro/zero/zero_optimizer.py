@@ -20,12 +20,11 @@ import numpy as np
 
 from repro.autograd.engine import ReadyCount
 from repro.comm.communicator import Communicator
-from repro.comm.payload import is_spec
 from repro.optim.optimizer import Optimizer
 from repro.runtime.spmd import current_rank_context
 from repro.tensor.tensor import Tensor
 from repro.utils.units import MB
-from repro.zero.chunk import CHUNK_MB, ChunkManager
+from repro.zero.chunk import CHUNK_MB, pack_chunks
 
 
 class ZeroRedundancyOptimizer(Optimizer, ReadyCount):
@@ -53,10 +52,8 @@ class ZeroRedundancyOptimizer(Optimizer, ReadyCount):
         ctx = current_rank_context()
         self._clock = ctx.clock
         dtype = self.params[0].dtype
-        mgr = ChunkManager(comm, ctx.device, ctx.cpu, int(CHUNK_MB * MB / dtype.itemsize),
-                           dtype=dtype)
-        mgr.register_dense(self.params)
-        self.chunks = mgr.chunks
+        self.chunks = pack_chunks(self.params, comm, ctx.device, ctx.cpu,
+                                  int(CHUNK_MB * MB / dtype.itemsize), dtype)
         for chunk in self.chunks:
             chunk.keep_full()
             chunk.init_adam(chunk.gpu)
@@ -106,7 +103,5 @@ class ZeroRedundancyOptimizer(Optimizer, ReadyCount):
         for chunk in self.chunks:
             chunk.finish_grad_reduce()
             chunk.adam_step(chunk.gpu, self._clock, self.defaults, self.decoupled_wd)
-            gathered = self.comm.all_gather(chunk.shard_payload(), axis=0)
-            if not is_spec(gathered):
-                chunk.values[...] = gathered
+            chunk.gather()
         self._rearm()

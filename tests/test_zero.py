@@ -1,27 +1,32 @@
 """ZeRO subsystem: chunks, policies, the ZeRO-3 engine, stages 1-2 on chunks."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.autograd import ops
 from repro.cluster import uniform_cluster
+from repro.cluster.device import Device, DeviceKind
 from repro.comm import Communicator, SpecArray
 from repro.comm.cost import CostModel
 from repro.config import ZERO_STAGES, Config, ConfigError
 from repro.engine import initialize, launch
-from repro.nn import CrossEntropyLoss, Linear, Module, Sequential
+from repro.nn import CrossEntropyLoss, Linear, Module, Parameter, Sequential, TransformerLayer
 from repro.optim import SGD, Adam, AdamW
 from repro.runtime import SpmdRuntime
 from repro.tensor import Tensor
 from repro.utils.units import GB, MB
 from repro.zero import (
     AdaptivePolicy,
-    Chunk,
-    ChunkManager,
     StaticPolicy,
     ZeroOffloadEngine,
     ZeroRedundancyOptimizer,
+    pack_chunks,
 )
+from repro.zero.chunk import CHUNK_MB
 from repro.zero.policies import NoOffloadPolicy
 
 from conftest import run_spmd
@@ -29,55 +34,51 @@ from conftest import run_spmd
 H, C, B = 16, 4, 8
 
 
+def _pack(ctx, params, max_elements=64, dtype="float32"):
+    return pack_chunks(params, Communicator.world(ctx), ctx.device, ctx.cpu,
+                       max_elements, np.dtype(dtype))
+
+
 class TestChunkManager:
+    """``pack_chunks`` and the chunks it builds."""
+
     def test_packing_order_and_mapping(self):
         def prog(ctx):
-            comm = Communicator.world(ctx)
             lin1 = Linear(4, 4, rng=np.random.default_rng(0))
             lin2 = Linear(4, 4, rng=np.random.default_rng(1))
-            mgr = ChunkManager(comm, ctx.device, ctx.cpu, chunk_elements=64,
-                               dtype=np.dtype("float32"))
-            mgr.register_module(lin1)
-            mgr.close_current()
-            mgr.register_module(lin2)
-            c1 = mgr.chunks_of(lin1)
-            c2 = mgr.chunks_of(lin2)
-            return len(mgr.chunks), [c.index for c in c1], [c.index for c in c2]
+            c1 = _pack(ctx, lin1.parameters())
+            c2 = _pack(ctx, lin2.parameters())
+            chunks = c1 + c2
+            order = [r.param for c in chunks for r in c.records]
+            assert order == lin1.parameters() + lin2.parameters()
+            return len(chunks), [chunks.index(c) for c in c1], [chunks.index(c) for c in c2]
 
         n, i1, i2 = run_spmd(2, prog)[0]
         assert n == 2 and i1 == [0] and i2 == [1]
 
     def test_oversized_param_gets_own_chunk(self):
         def prog(ctx):
-            comm = Communicator.world(ctx)
             big = Linear(32, 32, bias=False, rng=np.random.default_rng(0))
-            mgr = ChunkManager(comm, ctx.device, ctx.cpu, chunk_elements=64,
-                               dtype=np.dtype("float32"))
-            mgr.register_module(big)
-            return mgr.chunks[0].capacity
+            return _pack(ctx, big.parameters())[0].capacity
 
         assert run_spmd(2, prog)[0] == 1024
 
     def test_values_preserved_through_packing(self):
         def prog(ctx):
-            comm = Communicator.world(ctx)
             lin = Linear(4, 4, rng=np.random.default_rng(7))
             w_before = lin.weight.numpy().copy()
-            mgr = ChunkManager(comm, ctx.device, ctx.cpu, chunk_elements=64,
-                               dtype=np.dtype("float32"))
-            mgr.register_module(lin)
+            _pack(ctx, lin.parameters())
             return np.allclose(lin.weight.numpy(), w_before)
 
         assert all(run_spmd(2, prog))
 
     def test_shard_accounting(self):
         def prog(ctx):
-            comm = Communicator.world(ctx)
             lin = Linear(8, 8, bias=False, rng=np.random.default_rng(0))
-            mgr = ChunkManager(comm, ctx.device, ctx.cpu, chunk_elements=64,
-                               dtype=np.dtype("float32"))
-            mgr.register_module(lin)
-            # after packing, only shard bytes remain (param storage released)
+            chunks = _pack(ctx, lin.parameters())
+            assert len(chunks) == 1
+            # after packing, only the live chunk's shard bytes remain (the
+            # parameter's own storage is released)
             return ctx.device.memory.breakdown().get("param", 0)
 
         per_rank = run_spmd(2, prog)[0]
@@ -85,12 +86,8 @@ class TestChunkManager:
 
     def test_fetch_release_accounting_and_cost(self):
         def prog(ctx):
-            comm = Communicator.world(ctx)
             lin = Linear(8, 8, bias=False, rng=np.random.default_rng(0))
-            mgr = ChunkManager(comm, ctx.device, ctx.cpu, chunk_elements=64,
-                               dtype=np.dtype("float32"))
-            mgr.register_module(lin)
-            chunk = mgr.chunks[0]
+            chunk = _pack(ctx, lin.parameters())[0]
             cm = CostModel(ctx.cluster)
             base = ctx.device.memory.allocated
             chunk.fetch(cm, ctx.rank, ctx.clock)
@@ -106,12 +103,8 @@ class TestChunkManager:
 
     def test_grad_reduce_scatter_averages(self):
         def prog(ctx):
-            comm = Communicator.world(ctx)
             lin = Linear(2, 2, bias=False, rng=np.random.default_rng(0))
-            mgr = ChunkManager(comm, ctx.device, ctx.cpu, chunk_elements=4,
-                               dtype=np.dtype("float32"))
-            mgr.register_module(lin)
-            chunk = mgr.chunks[0]
+            chunk = _pack(ctx, lin.parameters(), max_elements=4)[0]
             lin.weight.grad = Tensor(np.full((2, 2), float(ctx.rank + 1), dtype=np.float32))
             chunk.reduce_scatter_grads(CostModel(ctx.cluster), ctx.rank, ctx.clock)
             return chunk.grad_shard.tolist(), lin.weight.grad is None
@@ -131,12 +124,10 @@ class TestChunkManager:
 
             def prog(ctx):
                 lin = Linear(1024, 1024, bias=False, dtype="float16")
-                mgr = ChunkManager(Communicator.world(ctx), ctx.device, ctx.cpu,
-                                   chunk_elements=1 << 20)
-                mgr.register_module(lin)
+                chunk = _pack(ctx, lin.parameters(), max_elements=1 << 20, dtype="float16")[0]
                 lin.weight.grad = Tensor(np.ones((1024, 1024), np.float16) if materialize
                                          else SpecArray((1024, 1024), "float16"))
-                mgr.chunks[0].reduce_scatter_grads(CostModel(ctx.cluster), 0, ctx.clock)
+                chunk.reduce_scatter_grads(CostModel(ctx.cluster), 0, ctx.clock)
                 return ctx.clock.time
 
             times = rt.run(prog, materialize=materialize)
@@ -152,12 +143,8 @@ class TestChunkManager:
 
         def run(reuse):
             def prog(ctx):
-                comm = Communicator.world(ctx)
                 lin = Linear(8, 8, bias=False, rng=np.random.default_rng(0))
-                mgr = ChunkManager(comm, ctx.device, ctx.cpu, chunk_elements=64,
-                                   dtype=np.dtype("float32"))
-                mgr.register_module(lin)
-                chunk = mgr.chunks[0]
+                chunk = _pack(ctx, lin.parameters())[0]
                 lin.weight.grad = Tensor(np.ones((8, 8), dtype=np.float32))
                 before = ctx.device.memory.allocated
                 chunk.reduce_scatter_grads(
@@ -172,12 +159,8 @@ class TestChunkManager:
 
     def test_move_shard_charges_pcie(self):
         def prog(ctx):
-            comm = Communicator.world(ctx)
             lin = Linear(8, 8, bias=False, rng=np.random.default_rng(0))
-            mgr = ChunkManager(comm, ctx.device, ctx.cpu, chunk_elements=64,
-                               dtype=np.dtype("float32"))
-            mgr.register_module(lin)
-            chunk = mgr.chunks[0]
+            chunk = _pack(ctx, lin.parameters())[0]
             t0 = ctx.clock.time
             chunk.move_shard("cpu", CostModel(ctx.cluster), ctx.rank, ctx.clock)
             moved = ctx.clock.time > t0
@@ -186,6 +169,52 @@ class TestChunkManager:
             return moved and on_cpu and off_gpu and chunk.location == "cpu"
 
         assert all(run_spmd(2, prog))
+
+
+@given(blocks=st.lists(st.lists(st.integers(1, 300), min_size=1, max_size=8),
+                       min_size=1, max_size=4),
+       dp=st.integers(1, 8), cap=st.integers(1, 600))
+@settings(max_examples=60, deadline=None)
+def test_pack_chunks_properties(blocks, dp, cap):
+    """Packed one call per block: the parameters keep their order, no chunk
+    holds two calls' parameters, each chunk is what it holds rounded up to
+    the data size, a chunk past the cap holds one parameter, and a chunk
+    closes only when the next parameter would push it past the cap."""
+    gpu = Device("gpu", DeviceKind.GPU, memory_capacity=1 << 30)
+    cpu = Device("cpu", DeviceKind.CPU, memory_capacity=1 << 30)
+    comm = SimpleNamespace(size=dp)  # packing reads the group's size only
+    limit = -(-cap // dp) * dp
+    for sizes in blocks:
+        params = [Parameter(SpecArray((n,), "float16"), device=gpu) for n in sizes]
+        chunks = pack_chunks(params, comm, gpu, cpu, cap, np.dtype("float16"))
+        assert [r.param for c in chunks for r in c.records] == params
+        for i, c in enumerate(chunks):
+            assert [r.offset for r in c.records] == list(
+                np.cumsum([0] + [r.numel for r in c.records[:-1]]))
+            assert c.used == sum(r.numel for r in c.records)
+            assert c.capacity == -(-c.used // dp) * dp
+            if c.used > limit:
+                assert len(c.records) == 1
+            if i + 1 < len(chunks):
+                assert c.used + chunks[i + 1].records[0].numel > limit
+
+
+def test_fig11_gpt_packs_without_padding():
+    """The Fig-11 GPT (16 layers of width 3072, fp16), packed for ZeRO-3 at
+    the default chunk size over 8 ranks, one call per layer, holds its
+    parameters plus at most ``dp`` elements of padding per chunk."""
+    def prog(ctx):
+        comm = Communicator.world(ctx)
+        layers = [TransformerLayer(3072, 48, dtype="float16") for _ in range(16)]
+        chunks = [c for layer in layers
+                  for c in pack_chunks(layer.parameters(), comm, ctx.device, ctx.cpu,
+                                       int(CHUNK_MB * MB / 2), np.dtype("float16"))]
+        n_params = sum(p.size for layer in layers for p in layer.parameters())
+        return n_params, len(chunks), sum(c.capacity for c in chunks)
+
+    n_params, n_chunks, held = run_spmd(8, prog, materialize=False)[0]
+    assert n_params < 1.82e9
+    assert held <= n_params + n_chunks * 8
 
 
 def _make_blocks(seed):
@@ -404,7 +433,7 @@ def _one_rank_engine(ctx, policy_cls):
     eng.gather_parameters()
     device = ctx.cpu if policy_cls is StaticPolicy else ctx.device
     return ([p.numpy().copy() for b in blocks for p in b.parameters()],
-            ctx.clock.breakdown()["optimizer"], _chunk_seconds(device, eng.chunk_mgr.chunks))
+            ctx.clock.breakdown()["optimizer"], _chunk_seconds(device, eng.chunks))
 
 
 _ADAM_PATHS = {

@@ -1,13 +1,13 @@
 """Reachability census: who reaches each definition under ``src/repro``.
 
-    python tools/census.py --write CENSUS.md          # all four drivers, ~7 min
+    python tools/census.py --write CENSUS.md          # all four drivers, ~7 min on 2 vCPUs
     python tools/census.py --drivers tier1,examples   # the fast half, to stdout
 
 Four drivers run under a ``sys`` / ``threading.setprofile`` hook keyed by code
 object: tier-1 (tagged per test module), ``pytest benchmarks/`` (the figures),
 every ``examples/*.py``, ``bench/run.py --quick`` (the entry points).  A PR-time
 instrument (DESIGN §4p); ``tests/test_reachability.py`` runs on every push.
-Three pitfalls it already hit:
+Four pitfalls it already hit:
 
 * ``tests/test_perf_guard.py`` clears ``threading.setprofile``: the hook is
   re-armed before every test (``pytest_runtest_setup`` below, ``-p census``).
@@ -15,6 +15,8 @@ Three pitfalls it already hit:
   with ``--benchmark-disable`` (else Fig 10's ``bandwidth.measure_*`` reads dead).
 * ``bench/worker.py`` runs each workload in a subprocess: the hook arrives by
   ``tools/sitecustomize.py`` on ``PYTHONPATH``, never by editing ``bench/``.
+* the hook runs single tests past tier-1's 60 s ``faulthandler_timeout``, which
+  printed every thread's stack mid-run: the pytest lanes turn it off.
 """
 
 import argparse
@@ -87,7 +89,8 @@ def definitions() -> dict[str, tuple[int, str]]:
 
 def run_drivers(wanted: set[str], out_dir: str) -> None:
     py = sys.executable
-    pytest = [py, "-m", "pytest", "-q", "-p", "census", "-p", "no:cacheprovider"]
+    pytest = [py, "-m", "pytest", "-q", "-p", "census", "-p", "no:cacheprovider",
+              "-o", "faulthandler_timeout=0"]
     runs = [("tier1", "tier1", pytest + ["tests"]),
             ("figures", "figure", pytest + ["--benchmark-disable", "benchmarks"])]
     runs += [("examples", f"example:{p.stem}", [py, str(p)]) for p in sorted((ROOT / "examples").glob("*.py"))]

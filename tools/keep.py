@@ -9,8 +9,10 @@ KEEP: dict[str, str] = {
     "repro.zero.zero_optimizer": "overlap_backward: ZeRO-1/2's chunk reduce-scatter from backward hooks under "
                                  "comm.overlap without fp16 (DESIGN §4z); System IV's golden plan launches it "
                                  "in test_fidelity, examples/quickstart.py runs the rest",
-    "repro.zero.chunk.Chunk.prefetch": "§4f ZeRO chunk prefetch under comm overlap",
-    "repro.zero.engine.ZeroOffloadEngine": "§4f overlap prefetch; gather_parameters reads weights back",
+    "repro.zero.chunk.Chunk.prefetch": "§4f ZeRO chunk prefetch under comm overlap: "
+                                       "examples/gpt_zero_offload.py's overlapped adaptive step",
+    "repro.zero.engine.ZeroOffloadEngine": "§4f overlap prefetch and gather_parameters' weight read-back: "
+                                           "examples/gpt_zero_offload.py runs both",
     "repro.parallel.tensor1d": "§2.2 Fig 4: vocab-parallel variant of Mode1D",
     "repro.parallel.sequence.ModeSequence": "§2.3 causal ring attention; §4o gather_output",
     "repro.parallel.comm_ops": "every forward comm op keeps its adjoint",
@@ -31,9 +33,8 @@ KEEP: dict[str, str] = {
                                   "release (free the storage early)",
     "repro.cluster.topology.Topology": "§4b link degradation; link-graph introspection",
     "repro.comm.communicator": "typed errors: an invalid reduce op, an out-of-range rank and a mixed-dtype "
-                               "spec round are refused alike in both modes; the nonblocking half (isend and "
-                               "its StreamSendHandle, iall_gather, ireduce_scatter), whose stream rule the "
-                               "conformance oracle and comm_golden pin (§4f)",
+                               "spec round are refused alike in both modes; isend and its StreamSendHandle, "
+                               "whose stream rule the conformance oracle and comm_golden pin (§4f)",
     "repro.runtime.clock.StreamClock.occupy": "§4f one member's comm-stream occupancy (a solo nonblocking "
                                               "round, a stream isend); occupy_all batches it for a "
                                               "collective's members",
