@@ -17,7 +17,11 @@ without bound past the capacity knee; this is the load-sweep generator.
 **Closed loop** (:class:`ClosedLoopTraffic`): ``clients`` callers who
 each wait for their previous answer (plus ``think_time``) before asking
 again — self-throttling, and its saturated goodput is the capacity probe
-the benchmark uses to place the open-loop rates.
+the benchmark uses to place the open-loop rates.  A closed-loop request's
+lengths are what ``np.random.default_rng([seed, req_id])`` draws; the
+first request made draws every request's lengths in one pass through the
+keyed-draw kernel (:mod:`repro.utils.keyed_rng`, bit-identical to
+numpy), and each later request reads its row.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.serve.request import Request, RequestRecord
+from repro.utils.keyed_rng import KeyedDraws, entropy_words
 
 
 def _percentile(sorted_vals: Sequence[float], q: float) -> Optional[float]:
@@ -112,15 +117,28 @@ class ClosedLoopTraffic:
         self.max_new_tokens = (int(max_new_tokens[0]), int(max_new_tokens[1]))
         self.seed = int(seed)
         self.rate = None  # no offered rate: load is self-throttled
+        #: (prompt_tokens, max_new_tokens) per req_id, drawn at first use
+        self._lengths: Optional[List[Tuple[int, int]]] = None
+
+    def _draw_lengths(self) -> List[Tuple[int, int]]:
+        # keyed by request identity alone, so the stream is identical no
+        # matter in which order completions spawn successors: row i is
+        # default_rng([seed, i]).integers(prompt), then .integers(new)
+        seed = entropy_words(self.seed)
+        words = np.empty((self.n_requests, len(seed) + 1), dtype=np.uint32)
+        words[:, :-1] = seed
+        words[:, -1] = np.arange(self.n_requests)  # one word per req_id
+        draws = KeyedDraws(words)
+        prompts = draws.integers(self.prompt_tokens[0],
+                                 self.prompt_tokens[1] + 1)
+        news = draws.integers(self.max_new_tokens[0],
+                              self.max_new_tokens[1] + 1)
+        return list(zip(prompts.tolist(), news.tolist()))
 
     def _make(self, req_id: int, arrival: float) -> Request:
-        # lengths keyed by request identity alone, so the stream is
-        # identical no matter in which order completions spawn successors
-        rng = np.random.default_rng([self.seed, req_id])
-        prompt = int(rng.integers(self.prompt_tokens[0],
-                                  self.prompt_tokens[1] + 1))
-        new = int(rng.integers(self.max_new_tokens[0],
-                               self.max_new_tokens[1] + 1))
+        if self._lengths is None:
+            self._lengths = self._draw_lengths()
+        prompt, new = self._lengths[req_id]
         return Request(req_id, prompt, new, arrival,
                        client=req_id % self.clients)
 

@@ -30,7 +30,7 @@ class Hook:
 
     def before_step(self, trainer) -> None: ...
 
-    def after_step(self, trainer, output, label, loss) -> None: ...
+    def after_step(self, trainer, loss) -> None: ...
 
 
 class LossLoggingHook(Hook):
@@ -38,7 +38,7 @@ class LossLoggingHook(Hook):
         self.every = every
         self.meter = AverageMeter()
 
-    def after_step(self, trainer, output, label, loss) -> None:
+    def after_step(self, trainer, loss) -> None:
         if loss is not None:
             self.meter.update(float(loss))
         if trainer.step % self.every == 0 and self.meter.count:
@@ -60,7 +60,7 @@ class LRSchedulerHook(Hook):
             self.scheduler.last_step = trainer.step - 1
             self.scheduler.step()
 
-    def after_step(self, trainer, output, label, loss) -> None:
+    def after_step(self, trainer, loss) -> None:
         self.scheduler.step()
 
 
@@ -76,7 +76,7 @@ class ThroughputHook(Hook):
         self._t0 = trainer.sim_time()
         self._steps = 0
 
-    def after_step(self, trainer, output, label, loss) -> None:
+    def after_step(self, trainer, loss) -> None:
         self._steps += 1
 
     def on_epoch_end(self, trainer) -> None:

@@ -129,7 +129,6 @@ class Trainer:
                 self.engine.zero_grad()
                 if self.engine.schedule is not None:
                     loss_val = self.engine.execute_schedule(data, label)
-                    output = None
                 else:
                     x = self.shard_input(data)
                     if not isinstance(x, Tensor):
@@ -152,7 +151,7 @@ class Trainer:
                     tracer.sample_memory(
                         tctx.rank, tctx.device, tctx.clock.time
                     )
-                self._fire("after_step", output, label, loss_val)
+                self._fire("after_step", loss_val)
                 self._maybe_checkpoint()
             self._fire("on_epoch_end")
         self._fire("on_fit_end")
@@ -162,7 +161,9 @@ class Trainer:
         self, dataloader: Iterable, metric_fn: Callable[[Any, Any], None]
     ) -> None:
         """Run inference over a dataloader, feeding (output, label) to
-        ``metric_fn``."""
+        ``metric_fn``: ``output`` is this rank's output, ``label`` the
+        loader's global labels, so under data parallelism ``metric_fn``
+        shards the labels itself."""
         from repro.autograd.function import no_grad
 
         self.engine.eval()

@@ -78,12 +78,14 @@ class NoOffloadPolicy(PlacementPolicy):
 class AdaptivePolicy(PlacementPolicy):
     """Colossal-AI adaptive placement.
 
-    At setup, chunks are kept on the GPU greedily (shard + its fp32
-    optimizer state, ~``OPTIM_FLOATS``x4 bytes per element) until free GPU
-    memory would drop below ``activation_headroom`` bytes; the rest is
-    offloaded.  During training, if an OOM-risk is detected before a fetch
-    (free < chunk full size), the least-recently-used GPU-resident chunk is
-    evicted.
+    At setup, chunks are kept on the GPU greedily (their shards are there
+    already; each kept chunk adds its fp32 optimizer state,
+    ~``OPTIM_FLOATS``x4 bytes per element) until free GPU memory would
+    drop below ``activation_headroom`` bytes plus the room a fetch of the
+    largest chunk asks for; the rest is offloaded, each giving its shard's
+    bytes back.  During training, if an OOM-risk is detected before a
+    fetch (free < the fetch's room), the least-recently-used GPU-resident
+    chunk is evicted.
     """
 
     name = "adaptive"
@@ -106,31 +108,39 @@ class AdaptivePolicy(PlacementPolicy):
     def _state_bytes(self, chunk: Chunk) -> int:
         return chunk.shard_elems * 4 * self.OPTIM_FLOATS
 
+    @staticmethod
+    def _fetch_room(chunk: Chunk) -> int:
+        # the gathered buffer plus a margin of two chunk sizes -- NOT the
+        # activation headroom, which setup reserves once; re-applying it
+        # before every fetch would evict the whole model the moment
+        # activations start occupying their reserved space
+        return 3 * chunk.full_nbytes
+
     def setup(self, chunks: List[Chunk], clock) -> None:
-        budget = self.gpu.memory.free - self.activation_headroom
+        # the shards are on the GPU already (``pack_chunks`` put them
+        # there), so the free memory read here has paid for them: a kept
+        # chunk is charged its optimizer state only, and an offloaded one
+        # gives its shard bytes back.  The room a fetch asks for stays
+        # free: the first step's fetches cannot evict (every chunk is
+        # equally recent, so the LRU one is the one being fetched)
+        reserve = max((self._fetch_room(c) for c in chunks), default=0)
+        budget = self.gpu.memory.free - self.activation_headroom - reserve
         for c in chunks:
-            need = c.shard_nbytes + self._state_bytes(c)
+            need = self._state_bytes(c)
             if need <= budget:
-                c.move_shard("gpu", self.cost_model, self.rank, clock)
                 self._gpu_resident.append(c)
                 budget -= need
             else:
                 c.move_shard("cpu", self.cost_model, self.rank, clock)
+                budget += c.shard_nbytes
 
     def optimizer_device(self, chunk: Chunk) -> str:
         return chunk.location
 
     def pre_fetch(self, chunk: Chunk, clock, step: int) -> None:
-        # evict LRU GPU-resident chunks if the full gathered buffer wouldn't
-        # fit.  The margin here is a couple of chunk sizes — NOT the
-        # activation headroom, which was already reserved at setup;
-        # re-applying it here would evict the whole model the moment
-        # activations start occupying their reserved space.
-        margin = 2 * chunk.full_nbytes
-        while (
-            self.gpu.memory.free < chunk.full_nbytes + margin
-            and self._gpu_resident
-        ):
+        # evict LRU GPU-resident chunks until the fetch's room is free
+        room = self._fetch_room(chunk)
+        while self.gpu.memory.free < room and self._gpu_resident:
             lru = min(self._gpu_resident, key=lambda c: c.last_used_step)
             if lru is chunk or lru.is_fetched:
                 break

@@ -199,7 +199,13 @@ class TestAdaptiveEvictionUnderPressure:
     """The pre_fetch LRU eviction path: a GPU that fits the shards but not
     a gathered chunk must evict (not OOM) when fetching."""
 
-    def test_eviction_keeps_training_alive(self):
+    H, C = 64, 4
+
+    def _train(self, memory_gb, steps):
+        """Four one-``Linear`` blocks (one chunk each) on an adaptive
+        policy over a ``memory_gb`` pool: the losses of ``steps`` steps,
+        and the GPU-resident share of the parameters after setup and
+        after the steps."""
         from repro.cluster import uniform_cluster
         from repro.comm import Communicator
         from repro.nn import CrossEntropyLoss, Linear, Module
@@ -208,7 +214,7 @@ class TestAdaptiveEvictionUnderPressure:
         from repro.zero import AdaptivePolicy, ZeroOffloadEngine
         from repro.comm.cost import CostModel as CM
 
-        H, C = 64, 4
+        H, C = self.H, self.C
 
         class Block(Module):
             def __init__(self, rng, out=H):
@@ -219,13 +225,7 @@ class TestAdaptiveEvictionUnderPressure:
                 y = self.lin(x)
                 return ops.gelu(y) if self.lin.out_features == H else y
 
-        # pool sized so all shards + states fit but a fetched full chunk
-        # pressures the pool -> pre_fetch must evict the LRU chunk (the
-        # chunks are cut to what they hold: from 2.46e-4 GB up nothing is
-        # evicted, from 2.36e-4 down setup already offloads a chunk)
-        cluster = uniform_cluster(1, memory_gb=2.4e-4)  # ~258 KB
-
-        rt = SpmdRuntime(cluster)
+        rt = SpmdRuntime(uniform_cluster(1, memory_gb=memory_gb))
 
         def prog(ctx):
             comm = Communicator.world(ctx)
@@ -236,14 +236,42 @@ class TestAdaptiveEvictionUnderPressure:
                 ctx, blocks, comm, pol, criterion=CrossEntropyLoss(),
                 chunk_mb=0.02, lr=1e-2, param_dtype="float32",
             )
+            at_setup = eng.gpu_param_fraction()
             X = np.random.default_rng(0).standard_normal((4, H)).astype(np.float32)
             Y = np.random.default_rng(1).integers(0, C, 4)
-            losses = [eng.train_step(X, Y) for _ in range(2)]
-            return losses, eng.gpu_param_fraction()
+            losses = [eng.train_step(X, Y) for _ in range(steps)]
+            return losses, at_setup, eng.gpu_param_fraction()
 
-        losses, frac = rt.run(prog)[0]
+        return rt.run(prog)[0]
+
+    def test_eviction_keeps_training_alive(self):
+        # pool sized so all shards + states fit but a fetched full chunk
+        # pressures the pool -> pre_fetch must evict the LRU chunk (the
+        # chunks are cut to what they hold: from 2.46e-4 GB up nothing is
+        # evicted, from 2.36e-4 down setup already offloads a chunk)
+        losses, _, frac = self._train(2.4e-4, steps=2)  # ~258 KB
         assert all(np.isfinite(l) for l in losses)
         assert frac < 1.0  # something was evicted to the host
+
+    def test_setup_charges_each_shard_once(self):
+        """Setup's budget is read with every shard already on the GPU, so a
+        kept chunk costs its optimizer state alone: 253 760 B hold the 4
+        shards (50 960 B), their fp32 Adam states (152 880 B) and the room
+        a fetch of the largest chunk asks for (3 x 16 640 B), and one byte
+        less offloads the last chunk.  Charging the shards twice offloaded
+        a chunk up to 254 800 B."""
+        assert self._train(253_760 / GB, steps=0)[1] == 1.0
+        assert self._train(253_759 / GB, steps=0)[1] < 1.0
+
+    @pytest.mark.parametrize("memory_gb", [1.9e-4, 2.0e-4, 2.1e-4])
+    def test_setup_leaves_room_for_the_first_fetch(self, memory_gb):
+        """The first step cannot evict (every chunk is equally recent, so
+        the LRU chunk is the one being fetched): setup keeps a fetch's room
+        free.  Filling the pool with kept chunks' Adam states instead
+        raised DeviceOutOfMemoryError in the first forward on these pools
+        (at a fetch, or at an activation beside one)."""
+        losses, _, _ = self._train(memory_gb, steps=2)
+        assert all(np.isfinite(l) for l in losses)
 
 
 # -- memoised pricing == cold pricing (ISSUE 18) ------------------------------

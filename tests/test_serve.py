@@ -24,6 +24,7 @@ import math
 import threading
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -683,6 +684,25 @@ class TestServeEngine:
                             fault_plan=plan, recovery_seconds=0.001)
         assert rep.n_completed == 24 and rep.restarts == 1
         assert started == []
+
+    def test_closed_loop_builds_no_generator_per_request(self, monkeypatch):
+        """Closed-loop lengths come from one keyed-draw pass: no numpy
+        ``Generator`` is built per request, and every request still gets
+        the lengths ``default_rng([seed, req_id])`` draws."""
+        real = np.random.default_rng
+        built = []
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *a, **k: built.append(a) or real(*a, **k))
+        rep = serve_traffic(
+            SMALL_MODEL,
+            ClosedLoopTraffic(clients=4, n_requests=20, seed=3,
+                              prompt_tokens=(8, 24), max_new_tokens=(4, 12)),
+            world_size=2)
+        assert rep.n_completed == 20 and built == []
+        for rid, rec in rep.records.items():
+            g = real([3, rid])
+            assert (rec.prompt_tokens, rec.max_new_tokens) == (
+                g.integers(8, 25), g.integers(4, 13))
 
 
 # ---------------------------------------------------------------------------

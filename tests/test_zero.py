@@ -308,8 +308,9 @@ class TestZeroOffloadEngine:
 
     def test_adaptive_offloads_when_gpu_small(self):
         """With a tiny GPU, the adaptive policy must offload some chunks."""
-        # ~10 KiB of GPU memory: shards fit, but shards + optimizer states
-        # do not, so the policy must offload part of the model
+        # ~10 KiB of GPU memory: the shards (2 448 B) fit, but shards +
+        # optimizer states + a fetch's room (12 864 B) do not, so the
+        # policy must offload part of the model
         cluster = uniform_cluster(1, memory_gb=1e-5)
         rt = SpmdRuntime(cluster)
 
